@@ -254,32 +254,7 @@ func NewSystem(net *Network) *System { return Wrap(core.NewSystem(net)) }
 // core.System, for callers that construct the core layers directly.
 func Wrap(sys *core.System) *System {
 	s := &System{System: sys, views: view.NewManager(sys), metrics: obs.NewRegistry()}
-	s.metrics.Gauge("net.messages_total", func() int64 { m, _, _ := sys.Net.Totals(); return m })
-	s.metrics.Gauge("net.bytes_total", func() int64 { _, b, _ := sys.Net.Totals(); return b })
-	s.metrics.Gauge("net.max_vt_ms", func() int64 { _, _, vt := sys.Net.Totals(); return int64(vt) })
-	// MVCC epoch health across all peers: how many historical epochs
-	// readers currently pin, and the age of the oldest pin — a climbing
-	// age flags a stuck or leaking reader retaining history.
-	s.metrics.Gauge("peer.epochs.pinned", func() int64 {
-		var total int64
-		for _, id := range sys.Peers() {
-			if p, ok := sys.Peer(id); ok {
-				total += int64(p.PinnedEpochs())
-			}
-		}
-		return total
-	})
-	s.metrics.Gauge("peer.epochs.oldest_pin_ms", func() int64 {
-		var oldest int64
-		for _, id := range sys.Peers() {
-			if p, ok := sys.Peer(id); ok {
-				if ms := p.OldestPinAge().Milliseconds(); ms > oldest {
-					oldest = ms
-				}
-			}
-		}
-		return oldest
-	})
+	sys.RegisterGauges(s.metrics)
 	return s
 }
 

@@ -5,8 +5,8 @@
 // a churn workload with deletions and in-place updates; E13 measures
 // the session API's plan cache on a repeated-query workload
 // (optimize-once vs optimize-per-query); E14 measures the pull-based
-// streaming evaluator's time-to-first-row against eager
-// materialization; E15 measures adaptive view placement against a
+// streaming evaluator's time-to-first-row against the time to drain
+// the same cursor; E15 measures adaptive view placement against a
 // static deployment on a skewed multi-peer subscription workload;
 // E16 measures concurrent serving — snapshot-pinned readers against a
 // store-wide-locked baseline under a continuously-committing writer;
@@ -27,8 +27,8 @@
 // the others derive points from their numeric table cells, so the
 // file accumulates a plottable perf history across commits. -gate takes a comma-separated list of
 // acceptance gates to enforce: "streaming" exits non-zero unless E14's
-// cursor mode beats eager evaluation on time-to-first-row at the
-// largest measured size; "placement" exits non-zero unless E15's
+// first row arrives in at most half the time it takes to drain the
+// cursor at the largest measured size; "placement" exits non-zero unless E15's
 // adaptive mode beats the static deployment on both total bytes
 // shipped and median query latency while converging to a stable
 // placement; "concurrency" exits non-zero unless E16's snapshot
@@ -177,7 +177,7 @@ func main() {
 			for _, p := range pts {
 				label := fmt.Sprintf("%d", p.Size)
 				t.AddPoint("cursor_first_row_ms", label, p.CursorFirstRowMs)
-				t.AddPoint("eager_first_row_ms", label, p.EagerFirstRowMs)
+				t.AddPoint("cursor_total_ms", label, p.CursorTotalMs)
 				t.AddPoint("first_row_gain", label, p.FirstRowGain)
 				t.AddPoint("cursor_rows_per_sec", label, p.CursorRowsPerSec)
 			}
@@ -308,8 +308,8 @@ func main() {
 			os.Exit(1)
 		}
 		last := streaming[len(streaming)-1]
-		fmt.Printf("gate streaming: OK — cursor first row %.2fms vs eager %.2fms (%.1fx) at %d items\n",
-			last.CursorFirstRowMs, last.EagerFirstRowMs, last.FirstRowGain, last.Size)
+		fmt.Printf("gate streaming: OK — first row %.2fms vs drain %.2fms (%.1fx) at %d items\n",
+			last.CursorFirstRowMs, last.CursorTotalMs, last.FirstRowGain, last.Size)
 	}
 	if gates["placement"] {
 		if err := gatePlacement(placementPt); err != nil {
@@ -419,18 +419,20 @@ func gatePlacement(pt *bench.PlacementPoint) error {
 	return nil
 }
 
-// gateStreaming is the CI acceptance check: the pull-based cursor must
-// beat eager materialization on time-to-first-row at the largest
-// measured result size.
+// gateStreaming is the CI acceptance check: at the largest measured
+// result size the cursor's first row must arrive in at most half the
+// time it takes to drain the cursor. An evaluator that materializes
+// before it streams pays the whole drain for its first row (ratio 1),
+// so this fails any regression to materialize-then-stream.
 func gateStreaming(points []bench.StreamingPoint) error {
 	if len(points) == 0 {
 		return fmt.Errorf("streaming gate requires E14 to run (check -only)")
 	}
 	last := points[len(points)-1]
-	if last.CursorFirstRowMs >= last.EagerFirstRowMs {
+	if 2*last.CursorFirstRowMs > last.CursorTotalMs {
 		return fmt.Errorf(
-			"cursor does not beat eager on time-to-first-row at %d items: cursor %.3fms, eager %.3fms",
-			last.Size, last.CursorFirstRowMs, last.EagerFirstRowMs)
+			"first row is not streamed ahead of evaluation at %d items: first row %.3fms, drain %.3fms",
+			last.Size, last.CursorFirstRowMs, last.CursorTotalMs)
 	}
 	return nil
 }

@@ -7,9 +7,9 @@ import (
 
 // AtomicField flags struct fields that are accessed through sync/atomic
 // functions in one place and through plain reads or writes in another —
-// the torn-read class fixed in wire.Server.Stats() (PR 6). A field
-// either belongs to the atomic domain everywhere or nowhere; the safe
-// migration is a typed atomic (atomic.Int64 etc.), which this analyzer
+// the torn-read class fixed in the wire server's stream counters
+// (PR 6). A field either belongs to the atomic domain everywhere or
+// nowhere; the safe migration is a typed atomic (atomic.Int64 etc.), which this analyzer
 // ignores because the type system already enforces the discipline.
 //
 // Composite-literal initialization is exempt: construction happens

@@ -5,15 +5,15 @@ import (
 	"axml/internal/xmltree"
 )
 
-func forest() []*xmltree.Node { return nil }
+func pull() (*xmltree.Node, error) { return nil, nil }
 
 func leak() bool {
-	rows := session.FromForest(forest()) // want `session\.Rows rows is never Closed`
+	rows := session.NewRows(pull, nil) // want `session\.Rows rows is never Closed`
 	return rows.Next()
 }
 
 func deferredClose() error {
-	rows := session.FromForest(forest())
+	rows := session.NewRows(pull, nil)
 	defer rows.Close()
 	for rows.Next() {
 	}
@@ -21,22 +21,22 @@ func deferredClose() error {
 }
 
 func collected() ([]*xmltree.Node, error) {
-	rows := session.FromForest(forest())
+	rows := session.NewRows(pull, nil)
 	return rows.Collect() // Collect drains and closes: fine
 }
 
 func handedOff() *session.Rows {
-	rows := session.FromForest(forest())
+	rows := session.NewRows(pull, nil)
 	return rows // caller owns the stream now: fine
 }
 
 func passedAlong(drain func(*session.Rows)) {
-	rows := session.FromForest(forest())
+	rows := session.NewRows(pull, nil)
 	drain(rows) // callee owns it: fine
 }
 
 func deliberate() bool {
 	//axmlvet:ignore closeguard harness closes it via finalizer table
-	rows := session.FromForest(forest())
+	rows := session.NewRows(pull, nil)
 	return rows.Next()
 }

@@ -14,7 +14,7 @@ import (
 // conditionalClose closes via Collect on one path and leaks on the
 // other — PR 7 accepted any Close anywhere in the function.
 func conditionalClose(collect bool) ([]*xmltree.Node, error) {
-	rows := session.FromForest(forest())
+	rows := session.NewRows(pull, nil)
 	if collect {
 		return rows.Collect()
 	}
@@ -86,7 +86,7 @@ func touch(ctx context.Context) error { return ctx.Err() }
 // deferClosureClose releases through a deferred closure, which runs on
 // every exit.
 func deferClosureClose() error {
-	rows := session.FromForest(forest())
+	rows := session.NewRows(pull, nil)
 	defer func() {
 		rows.Close()
 	}()
@@ -98,7 +98,7 @@ func deferClosureClose() error {
 // fallOffOpen: a void function can drop the cursor by falling off the
 // end of a branch that skipped the close.
 func fallOffOpen(drainAll bool) {
-	rows := session.FromForest(forest()) // want `session\.Rows rows may not be Closed when fallOffOpen falls off the end`
+	rows := session.NewRows(pull, nil) // want `session\.Rows rows may not be Closed when fallOffOpen falls off the end`
 	if drainAll {
 		rows.Close()
 	}

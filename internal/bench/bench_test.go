@@ -247,13 +247,13 @@ func TestE14Shape(t *testing.T) {
 			t.Fatalf("size %d produced no rows", pt.Size)
 		}
 	}
-	// The cursor's first row must beat eager materialization, and the
-	// win must grow with the result size (eager first-row latency is
-	// O(total), the cursor's is O(source scan + 1 row)).
+	// The first row must leave well before the cursor is drained
+	// (draining is O(total), the first row O(source scan + 1 row)): a
+	// gain near 1 means something materialized the result first.
 	last := pts[len(pts)-1]
-	if last.FirstRowGain <= 1 {
-		t.Errorf("cursor does not beat eager at size %d: gain %.2fx (eager %.3fms, cursor %.3fms)",
-			last.Size, last.FirstRowGain, last.EagerFirstRowMs, last.CursorFirstRowMs)
+	if last.FirstRowGain < 2 {
+		t.Errorf("first row not streamed ahead of evaluation at size %d: gain %.2fx (drain %.3fms, first row %.3fms)",
+			last.Size, last.FirstRowGain, last.CursorTotalMs, last.CursorFirstRowMs)
 	}
 }
 

@@ -1043,175 +1043,108 @@ func E13SessionPlanCache(items, distinct, repeats int) (*Table, error) {
 	return t, nil
 }
 
-// StreamingPoint is one measured size of E14: time-to-first-row and
-// throughput of the pull-based cursor against eager materialization.
-// cmd/axmlbench records these in BENCH_*.json and CI gates on the
-// largest size's FirstRowGain.
+// StreamingPoint is one measured size of E14: the pull-based cursor's
+// time-to-first-row against the time to drain the same cursor — what
+// the first row costs any evaluator that materializes before it
+// streams. cmd/axmlbench records these in BENCH_*.json and CI gates on
+// the largest size's FirstRowGain.
 type StreamingPoint struct {
 	Size             int     `json:"size"`
 	Rows             int     `json:"rows"`
-	EagerFirstRowMs  float64 `json:"eagerFirstRowMs"`
 	CursorFirstRowMs float64 `json:"cursorFirstRowMs"`
-	FirstRowGain     float64 `json:"firstRowGain"`
-	EagerTotalMs     float64 `json:"eagerTotalMs"`
 	CursorTotalMs    float64 `json:"cursorTotalMs"`
+	FirstRowGain     float64 `json:"firstRowGain"`
 	CursorRowsPerSec float64 `json:"cursorRowsPerSec"`
 }
 
-// e14EquivalenceQueries are representative shapes of the existing
-// experiment workloads (E1's pushdown selection, E11/E13's view and
-// session shapes, plus order-by/let/nesting): cursor and eager
-// evaluation must agree on every one of them.
-var e14EquivalenceQueries = []string{
-	`doc("catalog")/item/name`,
-	`for $i in doc("catalog")/item where $i/price < 200 return <hit>{$i/name}</hit>`,
-	`for $i in doc("catalog")/item where $i/price < 500 return <hit>{$i/name}{$i/price}</hit>`,
-	`for $i in doc("catalog")/item let $p := $i/price where $p > 800 return <r p="{$p}">{$i/name}</r>`,
-	`for $i in doc("catalog")/item where $i/price < 100 order by $i/price return $i/name`,
-	`<all>{for $i in doc("catalog")/item where $i/price < 50 return $i/name}</all>`,
-	`count(doc("catalog")/item)`,
-}
-
-// E14Streaming measures the pull-based evaluator: time-to-first-row
-// and rows/sec, cursor vs eager, at several result sizes, over a
-// session on the hosting peer (plan warmed, so the numbers isolate
-// evaluation, not optimizer search). Eager first-row latency grows
-// with the result size; the cursor's stays O(source scan + one row).
-// Every point also verifies that both modes produce identical result
-// multisets, and the equivalence suite above runs at the first size.
+// E14Streaming measures the pull-based evaluator: time-to-first-row,
+// time to drain and rows/sec at several result sizes, over a session
+// on the hosting peer (plan warmed, so the numbers isolate evaluation,
+// not optimizer search). Drain time grows with the result size; the
+// first row's stays O(source scan + one row), so their ratio
+// (FirstRowGain) must grow too — it falls to 1 the moment anything on
+// the path materializes the result before handing out rows.
 func E14Streaming(sizes []int) ([]StreamingPoint, *Table, error) {
 	t := &Table{
 		ID:     "E14",
-		Title:  "Streaming evaluation: time-to-first-row, cursor vs eager",
+		Title:  "Streaming evaluation: time-to-first-row vs time to drain",
 		Anchor: "internal/xquery cursor (pull-based evaluator)",
-		Header: []string{"items", "rows", "eagerFirstMs", "cursorFirstMs", "firstRowGain", "eagerTotMs", "cursorTotMs", "rows/s"},
-		Notes:  "first row leaves while evaluation continues; identical result multisets checked per point",
+		Header: []string{"items", "rows", "firstRowMs", "drainMs", "firstRowGain", "rows/s"},
+		Notes:  "first row leaves while evaluation continues; gain = drain / first row, 1x would mean materialize-then-stream",
 	}
 	const q = `for $i in doc("catalog")/item where $i/price < 900 return <row>{$i/name}{$i/price}</row>`
 	var points []StreamingPoint
-	for si, size := range sizes {
-		sys := uniformSystem(wanLink, "host")
-		installCatalog(sys, "host", workload.CatalogSpec{
-			Items: size, PriceMax: 1000, DescWords: 4, Seed: 41})
-		views := view.NewManager(sys)
-		sess, err := session.NewLocal(sys, views, "host")
+	for _, size := range sizes {
+		pt, err := e14Point(q, size)
 		if err != nil {
-			sys.Close()
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("E14 size %d: %w", size, err)
 		}
-		ctx := context.Background()
-
-		measure := func(opts ...session.Option) (first, total float64, forest []*xmltree.Node, err error) {
-			start := time.Now()
-			rows, err := sess.Query(ctx, q, opts...)
-			if err != nil {
-				return 0, 0, nil, err
-			}
-			gotFirst := false
-			for rows.Next() {
-				if !gotFirst {
-					gotFirst = true
-					first = float64(time.Since(start)) / float64(time.Millisecond)
-				}
-				forest = append(forest, rows.Node())
-			}
-			if err := rows.Err(); err != nil {
-				return 0, 0, nil, err
-			}
-			total = float64(time.Since(start)) / float64(time.Millisecond)
-			return first, total, forest, rows.Close()
-		}
-
-		// Warm the plan cache so neither mode pays the optimizer
-		// search in its first-row time, then take the best of three
-		// runs per mode (scheduler noise).
-		if _, _, _, err := measure(); err != nil {
-			sys.Close()
-			return nil, nil, fmt.Errorf("E14 warmup: %w", err)
-		}
-		var pt StreamingPoint
-		pt.Size = size
-		var eagerForest, cursorForest []*xmltree.Node
-		for run := 0; run < 3; run++ {
-			ef, et, eforest, err := measure(session.WithEagerEval())
-			if err != nil {
-				sys.Close()
-				return nil, nil, fmt.Errorf("E14 eager: %w", err)
-			}
-			cf, ct, cforest, err := measure()
-			if err != nil {
-				sys.Close()
-				return nil, nil, fmt.Errorf("E14 cursor: %w", err)
-			}
-			if run == 0 || ef < pt.EagerFirstRowMs {
-				pt.EagerFirstRowMs = ef
-			}
-			if run == 0 || cf < pt.CursorFirstRowMs {
-				pt.CursorFirstRowMs = cf
-			}
-			if run == 0 || et < pt.EagerTotalMs {
-				pt.EagerTotalMs = et
-			}
-			if run == 0 || ct < pt.CursorTotalMs {
-				pt.CursorTotalMs = ct
-			}
-			eagerForest, cursorForest = eforest, cforest
-		}
-		pt.Rows = len(cursorForest)
-		if !sameForestMultiset(eagerForest, cursorForest) {
-			sys.Close()
-			return nil, nil, fmt.Errorf("E14 size %d: cursor and eager result multisets differ", size)
-		}
-		if pt.CursorFirstRowMs > 0 {
-			pt.FirstRowGain = pt.EagerFirstRowMs / pt.CursorFirstRowMs
-		}
-		if pt.CursorTotalMs > 0 {
-			pt.CursorRowsPerSec = float64(pt.Rows) / (pt.CursorTotalMs / 1000)
-		}
-
-		// Equivalence sweep over the existing experiment shapes (once;
-		// the catalog is the same generator every experiment uses).
-		if si == 0 {
-			for _, src := range e14EquivalenceQueries {
-				er, err := sess.Query(ctx, src, session.WithEagerEval())
-				if err != nil {
-					sys.Close()
-					return nil, nil, fmt.Errorf("E14 equivalence %q: %w", src, err)
-				}
-				ef, err := er.Collect()
-				if err != nil {
-					sys.Close()
-					return nil, nil, fmt.Errorf("E14 equivalence %q: %w", src, err)
-				}
-				cr, err := sess.Query(ctx, src)
-				if err != nil {
-					sys.Close()
-					return nil, nil, fmt.Errorf("E14 equivalence %q: %w", src, err)
-				}
-				cfst, err := cr.Collect()
-				if err != nil {
-					sys.Close()
-					return nil, nil, fmt.Errorf("E14 equivalence %q: %w", src, err)
-				}
-				if !sameForestMultiset(ef, cfst) {
-					sys.Close()
-					return nil, nil, fmt.Errorf("E14 equivalence %q: multisets differ", src)
-				}
-			}
-		}
-		views.Close()
-		sys.Close()
-
 		points = append(points, pt)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(pt.Size), fmt.Sprint(pt.Rows),
-			fmtMs(pt.EagerFirstRowMs), fmtMs(pt.CursorFirstRowMs),
+			fmtMs(pt.CursorFirstRowMs), fmtMs(pt.CursorTotalMs),
 			fmt.Sprintf("%.1fx", pt.FirstRowGain),
-			fmtMs(pt.EagerTotalMs), fmtMs(pt.CursorTotalMs),
 			fmt.Sprintf("%.0f", pt.CursorRowsPerSec),
 		})
 	}
 	return points, t, nil
+}
+
+// e14Point measures one catalog size: a warm-up run (so no measured
+// run pays the optimizer search in its first-row time), then the best
+// of three (scheduler noise).
+func e14Point(q string, size int) (StreamingPoint, error) {
+	pt := StreamingPoint{Size: size}
+	sys := uniformSystem(wanLink, "host")
+	defer sys.Close()
+	installCatalog(sys, "host", workload.CatalogSpec{
+		Items: size, PriceMax: 1000, DescWords: 4, Seed: 41})
+	views := view.NewManager(sys)
+	defer views.Close()
+	sess, err := session.NewLocal(sys, views, "host")
+	if err != nil {
+		return pt, err
+	}
+	for run := 0; run < 4; run++ {
+		start := time.Now()
+		rows, err := sess.Query(context.Background(), q)
+		if err != nil {
+			return pt, err
+		}
+		var first float64
+		n := 0
+		for rows.Next() {
+			if n == 0 {
+				first = float64(time.Since(start)) / float64(time.Millisecond)
+			}
+			n++
+		}
+		total := float64(time.Since(start)) / float64(time.Millisecond)
+		err = rows.Err()
+		if cerr := rows.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return pt, err
+		}
+		if run == 0 {
+			continue // warm-up
+		}
+		pt.Rows = n
+		if run == 1 || first < pt.CursorFirstRowMs {
+			pt.CursorFirstRowMs = first
+		}
+		if run == 1 || total < pt.CursorTotalMs {
+			pt.CursorTotalMs = total
+		}
+	}
+	if pt.CursorFirstRowMs > 0 {
+		pt.FirstRowGain = pt.CursorTotalMs / pt.CursorFirstRowMs
+	}
+	if pt.CursorTotalMs > 0 {
+		pt.CursorRowsPerSec = float64(pt.Rows) / (pt.CursorTotalMs / 1000)
+	}
+	return pt, nil
 }
 
 // sameForestMultiset compares two forests by canonical hash, ignoring

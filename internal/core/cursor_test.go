@@ -57,32 +57,51 @@ func mustParseQuery(t *testing.T, src string) *xquery.Query {
 }
 
 // TestEvalCursorMatchesEval: same rows, same order, same completion VT
-// as the eager evaluator, for a locally-evaluated query.
+// as the eager evaluator — the reference the cursor is held to — over
+// the query shapes the experiment workloads use (pushdown selection,
+// view and session shapes, let, order by, nesting, aggregation) and a
+// query that fetches a remote document once per row.
 func TestEvalCursorMatchesEval(t *testing.T) {
-	src := `for $i in doc("catalog")/item where $i/price < 60 return <r>{$i/name}{$i/price}</r>`
-	sysA := cursorSystem(t, 30)
-	expr := &Query{Q: mustParseQuery(t, src), At: "client"}
-	res, err := sysA.Eval("client", expr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sysB := cursorSystem(t, 30)
-	cur, err := sysB.EvalCursor("client", &Query{Q: mustParseQuery(t, src), At: "client"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := drainRows(t, cur)
-	if len(rows) != len(res.Forest) {
-		t.Fatalf("cursor rows = %d, eager = %d", len(rows), len(res.Forest))
-	}
-	for i := range rows {
-		if xmltree.Serialize(rows[i]) != xmltree.Serialize(res.Forest[i]) {
-			t.Errorf("row %d: %s vs %s", i,
-				xmltree.Serialize(rows[i]), xmltree.Serialize(res.Forest[i]))
+	for _, src := range []string{
+		`for $i in doc("catalog")/item where $i/price < 60 return <r>{$i/name}{$i/price}</r>`,
+		`doc("catalog")/item/name`,
+		`for $i in doc("catalog")/item where $i/price < 20 return <hit>{$i/name}</hit>`,
+		`for $i in doc("catalog")/item where $i/price < 50 return <hit>{$i/name}{$i/price}</hit>`,
+		`for $i in doc("catalog")/item let $p := $i/price where $p > 80 return <r p="{$p}">{$i/name}</r>`,
+		`for $i in doc("catalog")/item where $i/price < 10 order by $i/price return $i/name`,
+		`<all>{for $i in doc("catalog")/item where $i/price < 5 return $i/name}</all>`,
+		`count(doc("catalog")/item)`,
+		`for $i in doc("catalog")/item return <r>{$i/name}{doc("inner")/x}</r>`,
+	} {
+		system := func() *System {
+			sys := cursorSystem(t, 30)
+			data, _ := sys.Peer("data")
+			if err := data.InstallDocument("inner", xmltree.MustParse(`<inner><x>1</x><x>2</x></inner>`)); err != nil {
+				t.Fatal(err)
+			}
+			return sys
 		}
-	}
-	if math.Abs(cur.VT()-res.VT) > 1e-9 {
-		t.Errorf("cursor VT = %g, eager VT = %g", cur.VT(), res.VT)
+		res, err := system().Eval("client", &Query{Q: mustParseQuery(t, src), At: "client"})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		cur, err := system().EvalCursor("client", &Query{Q: mustParseQuery(t, src), At: "client"})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		rows := drainRows(t, cur)
+		if len(rows) == 0 || len(rows) != len(res.Forest) {
+			t.Fatalf("%s: cursor rows = %d, eager = %d", src, len(rows), len(res.Forest))
+		}
+		for i := range rows {
+			if xmltree.Serialize(rows[i]) != xmltree.Serialize(res.Forest[i]) {
+				t.Errorf("%s: row %d: %s vs %s", src, i,
+					xmltree.Serialize(rows[i]), xmltree.Serialize(res.Forest[i]))
+			}
+		}
+		if math.Abs(cur.VT()-res.VT) > 1e-9 {
+			t.Errorf("%s: cursor VT = %g, eager VT = %g", src, cur.VT(), res.VT)
+		}
 	}
 }
 

@@ -106,6 +106,37 @@ func (s *System) Peers() []netsim.PeerID {
 	return out
 }
 
+// RegisterGauges registers the system's sampled metrics in reg: the
+// simulated network's totals, and MVCC epoch health across all peers —
+// how many historical epochs readers currently pin and the age of the
+// oldest pin (a stuck count or a climbing age is a leaked or wedged
+// reader keeping store history alive). Registration is idempotent.
+func (s *System) RegisterGauges(reg *obs.Registry) {
+	reg.Gauge("net.messages_total", func() int64 { m, _, _ := s.Net.Totals(); return m })
+	reg.Gauge("net.bytes_total", func() int64 { _, b, _ := s.Net.Totals(); return b })
+	reg.Gauge("net.max_vt_ms", func() int64 { _, _, vt := s.Net.Totals(); return int64(vt) })
+	reg.Gauge("peer.epochs.pinned", func() int64 {
+		var total int64
+		for _, id := range s.Peers() {
+			if p, ok := s.Peer(id); ok {
+				total += int64(p.PinnedEpochs())
+			}
+		}
+		return total
+	})
+	reg.Gauge("peer.epochs.oldest_pin_ms", func() int64 {
+		var oldest int64
+		for _, id := range s.Peers() {
+			if p, ok := s.Peer(id); ok {
+				if ms := p.OldestPinAge().Milliseconds(); ms > oldest {
+					oldest = ms
+				}
+			}
+		}
+		return oldest
+	})
+}
+
 // SetComputeFactor sets a slowdown multiplier for a peer's compute
 // costs (1 = nominal; 4 = four times slower). Models loaded or weak
 // peers for the delegation experiments.

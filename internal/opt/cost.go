@@ -232,8 +232,9 @@ func (es *Estimator) estQuery(at netsim.PeerID, q *core.Query) (Estimate, error)
 	}
 	docT := start
 	for _, name := range q.Q.DocRefs() {
-		if p.HasDocument(name) {
-			d, _ := p.Document(name)
+		// One lookup: a view document can be migrated away between a
+		// HasDocument check and a second Document call.
+		if d, ok := p.Document(name); ok {
 			inputBytes += float64(d.Root.ByteSize())
 			continue
 		}

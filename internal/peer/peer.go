@@ -473,7 +473,7 @@ func (p *Peer) ChildIDs(id xmltree.NodeID) ([]xmltree.NodeID, error) {
 
 // SelectIDs evaluates a query whose body is a bare path under the read
 // lock and returns the identifiers of the matched live nodes. It is
-// the addressing step of the update verbs (wire DELETE/REPLACE): the
+// the addressing step of the update statements (delete/replace): the
 // caller turns the IDs into RemoveChildByID/ReplaceChildByID calls.
 func (p *Peer) SelectIDs(q *xquery.Query) ([]xmltree.NodeID, error) {
 	p.mu.RLock()

@@ -9,9 +9,9 @@ import (
 	"axml/internal/xquery"
 )
 
-// The Exec statement language: the wire protocol's update verbs in
-// statement form, so local and remote sessions execute updates through
-// the same call.
+// The Exec statement language: updates as statements, so local and
+// remote sessions (the wire's EXEC verb) execute them through the same
+// call.
 //
 //	delete <path query>
 //	replace <path query> with <xml>
@@ -95,8 +95,7 @@ func parseReplace(rest string) (*Update, error) {
 
 // ApplyUpdate executes an update against one peer's store and returns
 // the number of nodes touched. Selected nodes that vanish because an
-// earlier removal/replacement took an ancestor with them are skipped,
-// matching the wire protocol's DELETE/REPLACE semantics.
+// earlier removal/replacement took an ancestor with them are skipped.
 func ApplyUpdate(p *peer.Peer, u *Update) (int, error) {
 	ids, err := p.SelectIDs(u.Query)
 	if err != nil {

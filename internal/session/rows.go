@@ -62,19 +62,6 @@ func NewCursorRows(pull func() (*xmltree.Node, error), closeFn func() error) *Ro
 	return &Rows{pull: pull, closeFn: closeFn, abandon: true}
 }
 
-// FromForest wraps an in-memory forest as Rows.
-func FromForest(forest []*xmltree.Node) *Rows {
-	i := 0
-	return NewRows(func() (*xmltree.Node, error) {
-		if i >= len(forest) {
-			return nil, nil
-		}
-		n := forest[i]
-		i++
-		return n, nil
-	}, nil)
-}
-
 // Next advances to the next result tree. It returns false at the end
 // of the stream or on error; check Err afterwards.
 func (r *Rows) Next() bool {

@@ -116,11 +116,6 @@ type Config struct {
 	Timeout time.Duration
 	// MaxPlans caps the optimizer search (0 = the optimizer default).
 	MaxPlans int
-	// Eager materializes the whole result forest before the first row
-	// is handed out, instead of the default pull-based evaluation.
-	// Benchmarks use it as the latency baseline; it is also the escape
-	// hatch if a workload prefers throughput over first-row latency.
-	Eager bool
 	// TraceID asks the backend to record a query trace under this ID.
 	// A wire client frames it as +trace=<id> so the server builds the
 	// span tree on its side (fetch it back with TRACE <id>); local
@@ -168,12 +163,6 @@ func WithTimeout(d time.Duration) Option { return func(c *Config) { c.Timeout = 
 
 // WithMaxPlans caps the optimizer's plan search for this call.
 func WithMaxPlans(n int) Option { return func(c *Config) { c.MaxPlans = n } }
-
-// WithEagerEval evaluates the whole query before the first row is
-// returned (the pre-cursor behavior): Rows then streams a materialized
-// forest. Use when the consumer will drain everything anyway and wants
-// the evaluation done in one burst.
-func WithEagerEval() Option { return func(c *Config) { c.Eager = true } }
 
 // WithTraceID asks the backend to trace this call under the given ID
 // (wire sessions; local sessions pass a trace in the context via
@@ -502,8 +491,8 @@ func (s *Local) observe(q *xquery.Query, expr core.Expr) {
 }
 
 // rowsFor opens the result stream for a planned expression under the
-// call's context rules (timeout, consistent views, eager override,
-// snapshot isolation).
+// call's context rules (timeout, consistent views, snapshot
+// isolation).
 func (s *Local) rowsFor(ctx context.Context, expr core.Expr, cfg *Config) (*Rows, error) {
 	if cfg.SnapshotIsolation {
 		if p, ok := s.sys.Peer(s.at); ok {
@@ -547,17 +536,8 @@ func pinRows(rows *Rows, h *peer.Handle) *Rows {
 }
 
 // openRows opens the result stream for a planned expression (timeout,
-// consistent views, eager override).
+// consistent views).
 func (s *Local) openRows(ctx context.Context, expr core.Expr, cfg *Config) (*Rows, error) {
-	if cfg.Eager {
-		res, err := s.run(ctx, expr, cfg)
-		if err != nil {
-			return nil, err
-		}
-		rows := FromForest(res.Forest)
-		rows.vtFn = func() float64 { return res.VT }
-		return rows, nil
-	}
 	guard := s.viewGuard(expr)
 	cancel := func() {}
 	if cfg.Timeout > 0 {
@@ -909,23 +889,6 @@ func (s *Local) evictOne() {
 	delete(s.plans, worst.Value.(*cachedPlan).key)
 	s.stats.Evictions++
 	s.count("session.plan_cache.evictions")
-}
-
-// run evaluates a planned expression under the call's context rules.
-func (s *Local) run(ctx context.Context, e core.Expr, cfg *Config) (*core.Result, error) {
-	if cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-		defer cancel()
-	}
-	if cfg.ConsistentView {
-		for _, name := range planViews(e) {
-			if _, err := s.views.RefreshContext(ctx, name); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return s.sys.EvalContext(ctx, s.at, e)
 }
 
 // parseQuery wraps parse failures in ErrBadQuery.

@@ -385,7 +385,7 @@ func TestParseReplaceWithKeywordInLiteral(t *testing.T) {
 	if got := upd.Query.String(); !errorsContains(got, "born with luck") {
 		t.Errorf("literal mangled: %s", got)
 	}
-	// Uppercase separator (the wire REPLACE verb) also parses.
+	// An uppercase separator also parses.
 	if _, ok, err := ParseUpdate(`replace doc("d")/item WITH <x/>`); !ok || err != nil {
 		t.Errorf("uppercase WITH: ok=%v err=%v", ok, err)
 	}

@@ -95,31 +95,3 @@ func TestSnapshotIsolationReleasesOnClose(t *testing.T) {
 		t.Errorf("PinnedEpochs after Close = %d, want 0", got)
 	}
 }
-
-// TestSnapshotIsolationEagerPath covers the Eager override: the whole
-// forest materializes under the pin, and the pin is gone by the time
-// Query returns the materialized rows.
-func TestSnapshotIsolationEagerPath(t *testing.T) {
-	sys, views := testSystem(t)
-	sess, err := NewLocal(sys, views, "data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := sys.Peer("data")
-
-	rows, err := sess.Query(context.Background(), selectQ,
-		WithSnapshotIsolation(), WithEagerEval())
-	if err != nil {
-		t.Fatal(err)
-	}
-	forest, err := rows.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(forest) == 0 {
-		t.Error("eager snapshot query returned no rows")
-	}
-	if got := data.PinnedEpochs(); got != 0 {
-		t.Errorf("PinnedEpochs after eager snapshot query = %d, want 0", got)
-	}
-}

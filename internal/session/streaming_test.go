@@ -136,37 +136,6 @@ func TestCancelMidStream(t *testing.T) {
 	_ = rows.Close()
 }
 
-// TestEagerEvalOptionEquivalence: WithEagerEval produces the same rows
-// as the default cursor path.
-func TestEagerEvalOptionEquivalence(t *testing.T) {
-	sys, views := streamSystem(t, 10)
-	sess := newSession(t, sys, views)
-	lazy, err := sess.Query(context.Background(), perRowFetchQ, WithNoOptimize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lf, err := lazy.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eager, err := sess.Query(context.Background(), perRowFetchQ, WithNoOptimize(), WithEagerEval())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ef, err := eager.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lf) != len(ef) {
-		t.Fatalf("cursor %d rows vs eager %d", len(lf), len(ef))
-	}
-	for i := range lf {
-		if xmltree.Serialize(lf[i]) != xmltree.Serialize(ef[i]) {
-			t.Errorf("row %d differs", i)
-		}
-	}
-}
-
 // TestPlanCacheLRUEviction: among equal-benefit shapes the cache cap
 // evicts least-recently-used first (the cost-weighted policy falls
 // back to LRU on score ties); touching a shape keeps it warm. See

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"axml/internal/core"
+	"axml/internal/netsim"
 	"axml/internal/peer"
 	"axml/internal/placement"
 	"axml/internal/session"
@@ -197,7 +199,7 @@ func TestControlVerbsRoundTrip(t *testing.T) {
 // TestControlVerbsWithoutControl: a peer outside any federation rejects
 // the control verbs with a clear error.
 func TestControlVerbsWithoutControl(t *testing.T) {
-	c, _ := startServer(t)
+	c, _, _ := startViewServer(t)
 	for verb, call := range map[string]func() error{
 		"HELLO":  func() error { _, err := c.Hello(context.Background(), MemberInfo{ID: "x", Addr: "y"}); return err },
 		"DEMAND": func() error { _, err := c.Demand(context.Background()); return err },
@@ -223,12 +225,15 @@ type restartableServer struct {
 
 func newRestartableServer(t *testing.T) *restartableServer {
 	t.Helper()
-	p := peer.New("store")
+	sys := core.NewSystem(netsim.New())
+	p := sys.MustAddPeer("store")
 	if err := p.InstallDocument("catalog", xmltree.MustParse(
 		`<catalog><item><name>chair</name></item></catalog>`)); err != nil {
 		t.Fatal(err)
 	}
-	r := &restartableServer{t: t, srv: &Server{Peer: p}}
+	views := view.NewManager(sys)
+	t.Cleanup(views.Close)
+	r := &restartableServer{t: t, srv: &Server{Peer: p, Views: views}}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +267,7 @@ func (r *restartableServer) restart() {
 		time.Sleep(10 * time.Millisecond)
 	}
 	r.l = l
-	r.srv = &Server{Peer: r.srv.Peer}
+	r.srv = &Server{Peer: r.srv.Peer, Views: r.srv.Views}
 	go r.srv.Serve(l) //nolint:errcheck // closed by test
 }
 

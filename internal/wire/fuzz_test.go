@@ -18,17 +18,18 @@ import (
 // line a client sends reaches dispatch verbatim after framing, so an
 // arbitrary line must never panic the peer — at worst it earns an
 // x:error reply. Each iteration gets a fresh system: mutating verbs
-// (INSTALL/DELETE/REPLACE/DEFVIEW) are part of the surface and must
-// not be able to wedge a later request either.
+// (INSTALL/EXEC/DEFVIEW) are part of the surface and must not be able
+// to wedge a later request either.
 func FuzzServerDispatch(f *testing.F) {
 	seeds := []string{
-		`QUERY doc("catalog")/item/name`,
-		`QUERY+noopt doc("catalog")/item`,
-		`QUERY+nocache doc("catalog")/item`,
-		`QUERY+trace=t1 doc("catalog")/item`,
+		`QUERYX doc("catalog")/item/name`,
+		`QUERYX +noopt doc("catalog")/item`,
+		`QUERYX +nocache+snapshot doc("catalog")/item`,
+		`QUERYX +trace=t1 doc("catalog")/item`,
 		`QUERYX for $i in doc("catalog")/item return $i/name`,
-		`QUERYX+trace=abc for $i in doc("catalog")/item return $i`,
+		`QUERYX +fwd+trace=abc for $i in doc("catalog")/item return $i`,
 		`EXEC delete doc("catalog")/item[price > 100]`,
+		`EXEC +trace=t2 replace doc("catalog")/item/price with <price>5</price>`,
 		`PREPARE param $m; for $i in doc("catalog")/item where $i/price < $m return $i`,
 		`CALL below <param><price>100</price></param>`,
 		`INSTALL extra <doc><a/></doc>`,
@@ -43,10 +44,12 @@ func FuzzServerDispatch(f *testing.F) {
 		`TRACE t1`,
 		`QUIT`,
 		`BOGUS nonsense`,
-		`QUERY+trace= doc("catalog")/item`,
-		`QUERY+`,
+		`QUERYX +trace= doc("catalog")/item`,
+		`QUERYX +snapshto doc("catalog")/item`,
+		`QUERYX +`,
+		`QUERYX+noopt doc("catalog")/item`,
 		"QUERYX \x00\xff",
-		`query lowercase is accepted`,
+		`queryx lowercase is accepted`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -48,9 +48,9 @@ func startObsServer(t *testing.T) (*Client, *Server) {
 	return c, srv
 }
 
-// TestStatsVerbMatchesServerCounters: the STATS snapshot's plan-cache
-// and streaming values must equal the pre-existing session.Stats and
-// wire.Server.Stats() counters.
+// TestStatsVerbMatchesServerCounters: the STATS snapshot that crossed
+// the wire carries the session's plan-cache counters and the gauges of
+// the server's own registry.
 func TestStatsVerbMatchesServerCounters(t *testing.T) {
 	c, srv := startObsServer(t)
 	const q = `for $i in doc("remote")/item where $i/price < 100 return $i/name`
@@ -78,15 +78,18 @@ func TestStatsVerbMatchesServerCounters(t *testing.T) {
 	if sessStats.Hits != 2 || sessStats.Misses != 1 {
 		t.Errorf("unexpected session stats %+v (want 2 hits / 1 miss)", sessStats)
 	}
-	srvStats := srv.Stats()
-	if got := snap.Gauges["wire.streams_started"]; got != int64(srvStats.StreamsStarted) {
-		t.Errorf("stats streams_started %d != server %d", got, srvStats.StreamsStarted)
-	}
-	if got := snap.Gauges["wire.rows_streamed"]; got != int64(srvStats.RowsStreamed) {
-		t.Errorf("stats rows_streamed %d != server %d", got, srvStats.RowsStreamed)
-	}
-	if srvStats.RowsStreamed != 6 {
-		t.Errorf("rows streamed = %d, want 6", srvStats.RowsStreamed)
+	gauges := srv.MetricsRegistry().Snapshot().Gauges
+	for name, want := range map[string]int64{
+		"wire.streams_started": 3,
+		"wire.rows_streamed":   6,
+		"wire.streams_aborted": 0,
+	} {
+		if got := gauges[name]; got != want {
+			t.Errorf("registry gauge %s = %d, want %d", name, got, want)
+		}
+		if got, ok := snap.Gauges[name]; !ok || got != want {
+			t.Errorf("STATS gauge %s = %d (present %v), want %d", name, got, ok, want)
+		}
 	}
 	if snap.Gauges["net.bytes_total"] <= 0 {
 		t.Error("net.bytes_total missing from snapshot")

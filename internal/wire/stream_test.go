@@ -67,7 +67,7 @@ func TestServerStreamsBeforeEvaluationFinishes(t *testing.T) {
 		t.Fatalf("no first row: %v", rows.Err())
 	}
 	// The server can only be a socket buffer ahead of us.
-	if streamed := srv.Stats().RowsStreamed; streamed >= items {
+	if streamed := srv.MetricsRegistry().Snapshot().Gauges["wire.rows_streamed"]; streamed >= items {
 		t.Errorf("server had streamed %d of %d rows at client's first row — not incremental", streamed, items)
 	}
 	forest := []*xmltree.Node{rows.Node()}
@@ -106,18 +106,19 @@ func TestServerAbandonsStreamOnHangup(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().StreamsAborted == 0 {
+	gauges := srv.MetricsRegistry().Snapshot().Gauges
+	for gauges["wire.streams_aborted"] == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("server never aborted the stream: %+v", srv.Stats())
+			t.Fatalf("server never aborted the stream: %v", gauges)
 		}
 		time.Sleep(5 * time.Millisecond)
+		gauges = srv.MetricsRegistry().Snapshot().Gauges
 	}
-	st := srv.Stats()
-	if st.RowsStreamed >= items {
-		t.Errorf("server streamed all %d rows after hangup", st.RowsStreamed)
+	if gauges["wire.rows_streamed"] >= items {
+		t.Errorf("server streamed all %d rows after hangup", gauges["wire.rows_streamed"])
 	}
-	if st.StreamsStarted != 1 || st.StreamsAborted != 1 {
-		t.Errorf("stats = %+v", st)
+	if gauges["wire.streams_started"] != 1 || gauges["wire.streams_aborted"] != 1 {
+		t.Errorf("gauges = %v", gauges)
 	}
 }
 

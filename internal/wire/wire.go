@@ -4,25 +4,22 @@
 // (paper §2.1: services "correspond to (simplified) WSDL
 // request-response operations").
 //
-// Requests are single lines. Requests:
+// A request is one line, a verb and its arguments:
 //
-//	QUERY <xquery on one line>
-//	QUERYX [+flag…] <xquery on one line>
-//	EXEC <update statement>
-//	PREPARE <xquery on one line>
-//	CALL <service> [<param-forest-xml>]
-//	INSTALL <docname> <xml>
-//	DELETE <path query>
-//	REPLACE <path query> WITH <xml>
-//	DEFVIEW <name>[@<peer>] <xquery on one line>
-//	LIST
-//	PLACEMENTS
-//	STATS
-//	TRACE <trace-id>
+//	QUERYX [+flags] <xquery>          → <x:row>…</x:row>… then <x:end n="K"/>
+//	EXEC [+flags] <statement>         → <x:ok n="K"/>
+//	PREPARE <xquery>                  → <x:ok/>
+//	CALL <service> [<param-forest>]   → <x:forest>…</x:forest>
+//	INSTALL <docname> <xml>           → <x:ok/>
+//	DEFVIEW <name>[@<peer>] <xquery>  → <x:ok/>
+//	LIST                              → <x:info>…</x:info>
+//	PLACEMENTS                        → <x:placements>…</x:placements>
+//	STATS                             → <x:stats>…</x:stats>
+//	TRACE <trace-id>                  → <x:trace>…</x:trace>
+//	QUIT                              (closes the connection)
 //
-// Federation adds control verbs (served when Server.Control is set;
-// see internal/cluster for the coordinator/member machinery behind
-// them):
+// Federation control verbs, served when Server.Control is set (see
+// control.go and internal/cluster):
 //
 //	HELLO <x:member id=… addr=…>…</x:member>   → <x:members>…</x:members>
 //	BYE <member-id>                            → <x:ok/>
@@ -33,64 +30,44 @@
 //	ACCEPTVIEW <name> <x:ship query=… origin=…><tree/></x:ship> → <x:ok n=…/>
 //	STEP                                       → <x:decisions>…</x:decisions>
 //
-// HELLO/BYE manage membership at a coordinator; DEMAND asks a member
-// for its placement demand export; MIGRATE/REPLICATE tell the member
-// holding a view to ship it to another member (dropping or keeping its
-// own copy); ACCEPTVIEW lands the shipped view at the target; STEP
-// forces one coordinator placement round. See control.go.
+// Any verb may instead answer <x:error code="kind">message</x:error>.
+// The code — canceled, no-such-doc, no-such-service, peer-down,
+// bad-query, view-moved, internal — maps back onto the typed sentinels
+// local evaluation returns (session.ErrCanceled &co), so callers branch
+// on failure kind without knowing which backend they are talking to.
 //
-// Single-line replies: <x:forest>…</x:forest>, <x:ok/> (update verbs
-// report the touched node count as <x:ok n="K"/>), <x:info>…</x:info>
-// or <x:error code="kind">message</x:error>. QUERYX is the streamed
-// form: the reply is a sequence of <x:row>…</x:row> lines, one result
-// tree each, terminated by <x:end n="K"/> (or an <x:error> line) — the
-// server evaluates through a pull-based cursor and writes (and
-// flushes) each row as it is produced, so the first rows reach the
-// client while evaluation continues; an evaluation failure after the
-// first row terminates the stream with an <x:error> line in place of
-// <x:end>. A client that hangs up mid-stream makes the next row write
-// fail, which abandons the server-side cursor — no further evaluation
-// happens for a stream nobody is reading. Flags: +noopt (evaluate as
-// written), +nocache (re-plan even on a cache hit), +snapshot (pin the
-// stream to one epoch of the server peer's document store — snapshot
-// isolation for the whole statement), +trace=<id> (record a span tree
-// for this query, retrievable with TRACE <id>). EXEC accepts the same
-// flag token.
+// QUERYX and EXEC take one optional +flag+flag… token before the
+// source text; an unknown flag is a bad-query error:
 //
-// STATS returns the server's unified metrics snapshot (<x:stats>):
-// session plan-cache counters, wire streaming gauges, netsim totals.
-// TRACE <id> returns the span tree (<x:trace>) recorded for a query
-// that was sent with +trace=<id> — the wire face of distributed
-// EXPLAIN ANALYZE (axmlq -explain-analyze renders it).
+//	+noopt        evaluate as written: no rewrite search, no plan cache
+//	+nocache      re-plan even when a cached plan exists
+//	+snapshot     pin the statement to one epoch of the served peer's store
+//	+fwd          forwarded by another member: not counted as demand here,
+//	              never forwarded again
+//	+trace=<id>   record a span tree, fetched back with TRACE <id>
 //
-// Error replies carry a machine-readable code — canceled, no-such-doc,
-// no-such-service, peer-down, bad-query, view-moved, internal — which
-// the client maps back onto the same typed sentinels local evaluation
-// returns (session.ErrCanceled &co), so callers branch on failure kind
-// without knowing which backend they are talking to.
+// QUERYX is the one read verb and EXEC the one write verb (`delete
+// <path>`, `replace <path> with <xml>`, or a query whose rows are
+// counted and discarded). Both run through the server's shared session
+// (internal/session): parse → view-aware optimize → plan cache (keyed
+// by normalized query shape, invalidated when DEFVIEW changes the
+// catalog) → refresh the views the plan reads → pull-based cursor.
+// PREPARE warms that plan cache. QUERYX writes and flushes each row as
+// the cursor yields it, so the first rows reach the client while
+// evaluation continues; a failure after the first row ends the stream
+// with an <x:error> line in place of <x:end>, and a client that hangs
+// up mid-stream makes the next row write fail, which abandons the
+// cursor — nothing is evaluated for a stream nobody reads. Updates emit
+// typed change notifications, so views over the touched documents
+// retract or re-derive the affected rows on their next refresh.
 //
-// PLACEMENTS reports the current view-placement map and, when an
-// adaptive-placement controller is attached (Server.Placements), its
-// recent decisions — the wire face of axmlq -placements.
+// The session needs the core.System the served peer lives in
+// (Server.Views). A server without one — a coordinator — answers
+// QUERYX, EXEC and PREPARE with one error and serves everything else.
 //
-// The served peer lives inside a core.System when Views is set; the
-// server then answers QUERY/QUERYX through the unified session
-// pipeline (internal/session): parse → view-aware optimize → plan
-// cache (keyed by normalized query shape, invalidated when DEFVIEW
-// changes the catalog) → evaluate, refreshing any view the plan reads
-// first. PREPARE warms that plan cache, so a client driving one
-// prepared statement repeatedly costs one optimizer search. Without a
-// system the server falls back to direct evaluation against the
-// peer's store.
-//
-// DELETE removes every node the path query selects (the query body
-// must be a bare path, e.g. doc("catalog")/item[price > 900]); REPLACE
-// swaps each selected node for a copy of the given tree — the literal
-// " WITH " separates query from payload. EXEC is the statement form of
-// the same verbs (`delete <path>`, `replace <path> with <xml>`). All
-// emit typed change notifications, so views over the touched documents
-// retract or re-derive the affected rows on their next (or auto-)
-// refresh.
+// STATS returns the server's metrics-registry snapshot; PLACEMENTS the
+// view-placement map plus, with a controller attached
+// (Server.Placements) or at a coordinator, the recent decisions.
 package wire
 
 import (
@@ -112,16 +89,15 @@ import (
 	"axml/internal/session"
 	"axml/internal/view"
 	"axml/internal/xmltree"
-	"axml/internal/xquery"
 )
 
 // maxLine bounds request/reply sizes (16 MiB).
 const maxLine = 16 << 20
 
-// Server serves one peer over a listener. When Views is set (the peer
-// then belongs to a core.System), DEFVIEW is accepted and queries run
-// through the unified session pipeline with view-aware optimization
-// and plan caching.
+// Server serves one peer over a listener. Views is the view manager of
+// the core.System the peer belongs to; the data verbs (QUERYX, EXEC,
+// PREPARE) and DEFVIEW need it, and a server without one — a
+// coordinator — serves only the remaining verbs.
 type Server struct {
 	Peer  *peer.Peer
 	Views *view.Manager
@@ -146,9 +122,8 @@ type Server struct {
 	Control Control
 	// Forward optionally routes queries over documents this deployment
 	// does not host to the member that does (cluster.Member implements
-	// it). Only the streamed form (QUERYX) forwards, and only when the
-	// request did not itself arrive forwarded (+fwd) — one hop, no
-	// loops.
+	// it). Only QUERYX forwards, and only when the request did not
+	// itself arrive forwarded (+fwd) — one hop, no loops.
 	Forward Forwarder
 
 	sessOnce sync.Once
@@ -157,6 +132,10 @@ type Server struct {
 
 	metricsOnce sync.Once
 
+	// Streaming counters, read through the wire.* gauges of the
+	// registry: x:row lines written and flushed, QUERYX requests
+	// accepted, and streams cut short because the client went away (the
+	// cursor was closed with rows still unevaluated).
 	rowsStreamed   atomic.Uint64
 	streamsStarted atomic.Uint64
 	streamsAborted atomic.Uint64
@@ -167,41 +146,6 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	draining atomic.Bool
 	active   atomic.Int64
-}
-
-// ServerStats counts streaming activity; tests and operators use it to
-// verify that abandoned streams stop server-side work.
-type ServerStats struct {
-	// StreamsStarted: QUERYX requests accepted.
-	StreamsStarted uint64
-	// RowsStreamed: x:row lines successfully written and flushed.
-	RowsStreamed uint64
-	// StreamsAborted: streams cut short because the client went away
-	// mid-stream (row write or flush failed); the server-side cursor
-	// was closed with rows still unevaluated.
-	StreamsAborted uint64
-}
-
-// Stats returns a snapshot of the streaming counters.
-//
-// Snapshot-consistency contract: the three counters are independent
-// atomics, so the snapshot is not a single consistent cut — but the
-// load order below preserves the causal invariants between them.
-// RowsStreamed and StreamsAborted are loaded first and StreamsStarted
-// last: a stream increments StreamsStarted before it can stream a row
-// or abort, so the returned snapshot always satisfies
-// StreamsStarted ≥ "streams that produced the rows/aborts seen".
-// (Loading StreamsStarted first could return rows attributed to
-// streams the snapshot doesn't count as started.) All three counters
-// are monotone.
-func (s *Server) Stats() ServerStats {
-	rows := s.rowsStreamed.Load()
-	aborted := s.streamsAborted.Load()
-	return ServerStats{
-		StreamsStarted: s.streamsStarted.Load(),
-		RowsStreamed:   rows,
-		StreamsAborted: aborted,
-	}
 }
 
 // metrics returns the server's registry, creating and wiring it on
@@ -219,34 +163,7 @@ func (s *Server) metrics() *obs.Registry {
 		s.Metrics.Gauge("wire.rows_streamed", func() int64 { return int64(s.rowsStreamed.Load()) })
 		s.Metrics.Gauge("wire.streams_aborted", func() int64 { return int64(s.streamsAborted.Load()) })
 		if s.Views != nil {
-			net := s.Views.System().Net
-			s.Metrics.Gauge("net.messages_total", func() int64 { m, _, _ := net.Totals(); return m })
-			s.Metrics.Gauge("net.bytes_total", func() int64 { _, b, _ := net.Totals(); return b })
-			s.Metrics.Gauge("net.max_vt_ms", func() int64 { _, _, vt := net.Totals(); return int64(vt) })
-			// MVCC epoch health: pins held by live snapshot streams. A
-			// stuck gauge here is a leaked pin keeping store history
-			// alive — exactly what a long-lived server must notice.
-			sys := s.Views.System()
-			s.Metrics.Gauge("peer.epochs.pinned", func() int64 {
-				var n int64
-				for _, id := range sys.Peers() {
-					if p, ok := sys.Peer(id); ok {
-						n += int64(p.PinnedEpochs())
-					}
-				}
-				return n
-			})
-			s.Metrics.Gauge("peer.epochs.oldest_pin_ms", func() int64 {
-				var oldest int64
-				for _, id := range sys.Peers() {
-					if p, ok := sys.Peer(id); ok {
-						if ms := p.OldestPinAge().Milliseconds(); ms > oldest {
-							oldest = ms
-						}
-					}
-				}
-				return oldest
-			})
+			s.Views.System().RegisterGauges(s.Metrics)
 		}
 	})
 	return s.Metrics
@@ -258,15 +175,18 @@ func (s *Server) metrics() *obs.Registry {
 // exporter) so the deployment reports through one registry.
 func (s *Server) MetricsRegistry() *obs.Registry { return s.metrics() }
 
+// errNoSystem is what the data verbs answer on a server that has no
+// core.System behind it (Views unset).
+var errNoSystem = errors.New("wire: this server has no system behind its peer and serves no queries or updates")
+
 // session returns the server's shared query session (one plan cache
-// across all connections). A view-serving peer that cannot build its
-// session is a misconfiguration — the error is remembered and every
-// query reports it rather than silently bypassing views and caching.
-// View-less peers (no system behind them) return (nil, nil) and use
-// direct evaluation.
+// across all connections) — the only way a data verb is served, and
+// the only place that decides a server cannot serve them. A failure to
+// build the session is a misconfiguration; it is remembered and every
+// data verb reports it.
 func (s *Server) session() (*session.Local, error) {
 	if s.Views == nil {
-		return nil, nil
+		return nil, errNoSystem
 	}
 	s.sessOnce.Do(func() {
 		// The shared session always feeds the server's registry, so a
@@ -323,6 +243,26 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		rejectOversize(conn, w)
+	}
+}
+
+// rejectOversize answers a request line longer than maxLine before the
+// connection closes (the scanner cannot resume after ErrTooLong). The
+// client is still writing that line, and closing under it would fail
+// its write before it ever reads a reply, so the rest of the line is
+// swallowed first, for at most a second.
+func rejectOversize(conn net.Conn, w *bufio.Writer) {
+	_ = conn.SetReadDeadline(time.Now().Add(time.Second))
+	rest := bufio.NewReader(conn)
+	for {
+		if _, err := rest.ReadSlice('\n'); !errors.Is(err, bufio.ErrBufferFull) {
+			break
+		}
+	}
+	fmt.Fprintln(w, errReply(fmt.Errorf("%w: request line exceeds the %d-byte limit", session.ErrBadQuery, maxLine)))
+	_ = w.Flush() // the connection closes either way
 }
 
 // track registers a live connection; it refuses once draining started.
@@ -440,8 +380,6 @@ func (s *Server) dispatch(line string, w *bufio.Writer) {
 	}
 	var reply string
 	switch strings.ToUpper(cmd) {
-	case "QUERY":
-		reply = s.doQuery(rest)
 	case "EXEC":
 		reply = s.doExec(rest)
 	case "PREPARE":
@@ -450,10 +388,6 @@ func (s *Server) dispatch(line string, w *bufio.Writer) {
 		reply = s.doCall(rest)
 	case "INSTALL":
 		reply = s.doInstall(rest)
-	case "DELETE":
-		reply = s.doDelete(rest)
-	case "REPLACE":
-		reply = s.doReplace(rest)
 	case "DEFVIEW":
 		reply = s.doDefView(rest)
 	case "LIST":
@@ -486,37 +420,76 @@ func (s *Server) dispatch(line string, w *bufio.Writer) {
 	fmt.Fprintln(w, reply)
 }
 
-// parseFlags strips a leading "+flag+flag" token off a QUERYX/EXEC
-// request and folds it into session options. Valued flags use
-// "name=value" (e.g. +trace=q42).
-func parseFlags(rest string) (string, []session.Option) {
+// wireFlags is the flag vocabulary of QUERYX/EXEC: the session.Config
+// switches the wire carries, each with the option that sets it. Both
+// directions of the codec read this one table; the valued +trace=<id>
+// is handled beside it.
+var wireFlags = []struct {
+	name string
+	set  func(*session.Config) bool
+	opt  func() session.Option
+}{
+	{"noopt", func(c *session.Config) bool { return c.NoOptimize }, session.WithNoOptimize},
+	{"nocache", func(c *session.Config) bool { return c.NoPlanCache }, session.WithNoPlanCache},
+	{"snapshot", func(c *session.Config) bool { return c.SnapshotIsolation }, session.WithSnapshotIsolation},
+	// Forwarded from another member: kept out of this deployment's
+	// demand counters (the forwarding member already recorded it where
+	// the consumer sits) and not forwarded again.
+	{"fwd", func(c *session.Config) bool { return c.NoTraffic }, session.WithNoTraffic},
+}
+
+// encodeFlags renders the wire-carried part of a call's options as the
+// "+flag+flag " token that precedes the source text of a QUERYX/EXEC
+// request — empty when no flag is set.
+func encodeFlags(cfg session.Config) string {
+	var sb strings.Builder
+	for _, f := range wireFlags {
+		if f.set(&cfg) {
+			sb.WriteString("+" + f.name)
+		}
+	}
+	if cfg.TraceID != "" {
+		sb.WriteString("+trace=" + cfg.TraceID)
+	}
+	if sb.Len() > 0 {
+		sb.WriteByte(' ')
+	}
+	return sb.String()
+}
+
+// parseFlags is the inverse of encodeFlags: it strips a leading flag
+// token off a QUERYX/EXEC request and returns the options it stands
+// for. A flag outside the vocabulary is an error — silently dropping,
+// say, a misspelt +snapshot would run the statement without the
+// isolation its sender asked for.
+func parseFlags(rest string) (string, []session.Option, error) {
 	if !strings.HasPrefix(rest, "+") {
-		return rest, nil
+		return rest, nil, nil
 	}
 	token, src, _ := strings.Cut(rest, " ")
 	var opts []session.Option
-	for _, f := range strings.Split(token, "+") {
-		name, value, _ := strings.Cut(f, "=")
-		switch name {
-		case "noopt":
-			opts = append(opts, session.WithNoOptimize())
-		case "nocache":
-			opts = append(opts, session.WithNoPlanCache())
-		case "snapshot":
-			opts = append(opts, session.WithSnapshotIsolation())
-		case "fwd":
-			// The request was forwarded from another member: keep it out
-			// of this deployment's demand counters (the forwarding member
-			// already recorded it where the consumer sits) and do not
-			// forward it again.
-			opts = append(opts, session.WithNoTraffic())
-		case "trace":
-			if value != "" {
-				opts = append(opts, session.WithTraceID(value))
-			}
+	for _, flag := range strings.Split(token[1:], "+") {
+		opt, ok := flagOption(flag)
+		if !ok {
+			return "", nil, fmt.Errorf("%w: unknown request flag %q", session.ErrBadQuery, "+"+flag)
+		}
+		opts = append(opts, opt)
+	}
+	return src, opts, nil
+}
+
+// flagOption resolves one flag of a request's flag token; an empty
+// +trace= is as unknown as a name outside the vocabulary.
+func flagOption(flag string) (session.Option, bool) {
+	if id, ok := strings.CutPrefix(flag, "trace="); ok {
+		return session.WithTraceID(id), id != ""
+	}
+	for _, f := range wireFlags {
+		if f.name == flag {
+			return f.opt(), true
 		}
 	}
-	return src, opts
+	return nil, false
 }
 
 // traceContext arms a context for a request that asked to be traced
@@ -531,37 +504,6 @@ func (s *Server) traceContext(ctx context.Context, cfg session.Config) (context.
 	return obs.WithTrace(ctx, tr), func() { reg.RecordTrace(tr) }
 }
 
-// evalQuery answers a query through the session pipeline (view-aware,
-// plan-cached, consistent reads) or the direct fallback for system-less
-// peers.
-func (s *Server) evalQuery(src string, opts []session.Option) ([]*xmltree.Node, error) {
-	sess, err := s.session()
-	if err != nil {
-		return nil, err
-	}
-	if sess != nil {
-		opts = append(opts, session.WithConsistentView())
-		rows, err := sess.Query(context.Background(), src, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return rows.Collect()
-	}
-	q, err := xquery.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", session.ErrBadQuery, err)
-	}
-	return s.Peer.RunQuery(q)
-}
-
-func (s *Server) doQuery(src string) string {
-	out, err := s.evalQuery(src, nil)
-	if err != nil {
-		return errReply(err)
-	}
-	return forestReply(out)
-}
-
 // doQueryStream answers QUERYX: one x:row line per result tree as the
 // session cursor yields it, then x:end. Each row is flushed
 // individually, so the first rows reach the client while evaluation
@@ -572,12 +514,20 @@ func (s *Server) doQuery(src string) string {
 // abandoning the unevaluated remainder — and the stream is counted as
 // aborted.
 func (s *Server) doQueryStream(rest string, w *bufio.Writer) {
-	src, opts := parseFlags(rest)
+	src, opts, err := parseFlags(rest)
+	if err != nil {
+		fmt.Fprintln(w, errReply(err))
+		return
+	}
 	cfg := session.BuildConfig(opts)
 	ctx, traceDone := s.traceContext(context.Background(), cfg)
 	defer traceDone()
 	s.streamsStarted.Add(1)
-	rows, err := s.streamRows(ctx, src, opts)
+	var rows *session.Rows
+	sess, err := s.session()
+	if err == nil {
+		rows, err = sess.Query(ctx, src, append(opts, session.WithConsistentView())...)
+	}
 	if err != nil {
 		// A query over a document another federation member hosts is
 		// forwarded there — one hop only: a request that itself arrived
@@ -621,62 +571,24 @@ func (s *Server) doQueryStream(rest string, w *bufio.Writer) {
 	fmt.Fprintln(w, xmltree.Serialize(xmltree.E("x:end", xmltree.A("n", fmt.Sprint(n)))))
 }
 
-// streamRows opens the pull-based row stream for a QUERYX request: the
-// session pipeline when this peer serves views (rows are produced as
-// evaluation proceeds), else a direct eager evaluation wrapped as rows
-// (system-less peers keep the old materialize-then-stream behavior).
-func (s *Server) streamRows(ctx context.Context, src string, opts []session.Option) (*session.Rows, error) {
-	sess, err := s.session()
-	if err != nil {
-		return nil, err
-	}
-	if sess != nil {
-		opts = append(opts, session.WithConsistentView())
-		return sess.Query(ctx, src, opts...)
-	}
-	q, err := xquery.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", session.ErrBadQuery, err)
-	}
-	out, err := s.Peer.RunQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return session.FromForest(out), nil
-}
-
 // doExec runs an update statement (or a query whose results are
 // discarded) and reports the touched-node count.
 func (s *Server) doExec(rest string) string {
-	src, opts := parseFlags(rest)
+	src, opts, err := parseFlags(rest)
+	if err != nil {
+		return errReply(err)
+	}
 	sess, err := s.session()
 	if err != nil {
 		return errReply(err)
 	}
-	if sess != nil {
-		ctx, traceDone := s.traceContext(context.Background(), session.BuildConfig(opts))
-		defer traceDone()
-		n, err := sess.Exec(ctx, src, opts...)
-		if err != nil {
-			return errReply(err)
-		}
-		return okCount(n)
-	}
-	if upd, ok, err := session.ParseUpdate(src); ok {
-		if err != nil {
-			return errReply(err)
-		}
-		n, err := session.ApplyUpdate(s.Peer, upd)
-		if err != nil {
-			return errReply(err)
-		}
-		return okCount(n)
-	}
-	out, err := s.evalQuery(src, nil)
+	ctx, traceDone := s.traceContext(context.Background(), session.BuildConfig(opts))
+	defer traceDone()
+	n, err := sess.Exec(ctx, src, opts...)
 	if err != nil {
 		return errReply(err)
 	}
-	return okCount(len(out))
+	return okCount(n)
 }
 
 // doPrepare validates a query and warms the server-side plan cache, so
@@ -686,17 +598,11 @@ func (s *Server) doPrepare(src string) string {
 	if err != nil {
 		return errReply(err)
 	}
-	if sess != nil {
-		stmt, err := sess.Prepare(context.Background(), src)
-		if err != nil {
-			return errReply(err)
-		}
-		_ = stmt.Close()
-		return "<x:ok/>"
+	stmt, err := sess.Prepare(context.Background(), src)
+	if err != nil {
+		return errReply(err)
 	}
-	if _, err := xquery.Parse(src); err != nil {
-		return errReply(fmt.Errorf("%w: %v", session.ErrBadQuery, err))
-	}
+	_ = stmt.Close()
 	return "<x:ok/>"
 }
 
@@ -764,24 +670,6 @@ func (s *Server) doInstall(rest string) string {
 		return errReply(err)
 	}
 	return "<x:ok/>"
-}
-
-// doDelete removes every node selected by a path query.
-func (s *Server) doDelete(src string) string {
-	if strings.TrimSpace(src) == "" {
-		return errReply(fmt.Errorf("DELETE requires a path query"))
-	}
-	return s.doExec("delete " + src)
-}
-
-// doReplace swaps every node selected by a path query for a copy of
-// the payload tree. Query and payload are separated by " WITH ".
-func (s *Server) doReplace(rest string) string {
-	// The statement parser splits case-insensitively and tries every
-	// candidate separator, so " WITH " passes through verbatim even
-	// when the query's literals contain the keyword; a missing
-	// separator comes back as a typed bad-query error.
-	return s.doExec("replace " + rest)
 }
 
 func okCount(n int) string {
@@ -989,7 +877,7 @@ func (c *Client) redial() bool {
 func idempotentLine(line string) bool {
 	cmd, _, _ := strings.Cut(line, " ")
 	switch strings.ToUpper(cmd) {
-	case "QUERY", "QUERYX", "PREPARE", "LIST", "PLACEMENTS", "STATS",
+	case "QUERYX", "PREPARE", "LIST", "PLACEMENTS", "STATS",
 		"TRACE", "DEMAND", "HELLO", "BYE":
 		return true
 	}
@@ -1166,27 +1054,7 @@ func (c *Client) Query(ctx context.Context, src string, opts ...session.Option) 
 		return nil, err
 	}
 	cfg := session.BuildConfig(opts)
-	var flags []string
-	if cfg.NoOptimize {
-		flags = append(flags, "noopt")
-	}
-	if cfg.NoPlanCache {
-		flags = append(flags, "nocache")
-	}
-	if cfg.SnapshotIsolation {
-		flags = append(flags, "snapshot")
-	}
-	if cfg.NoTraffic {
-		flags = append(flags, "fwd")
-	}
-	if cfg.TraceID != "" {
-		flags = append(flags, "trace="+cfg.TraceID)
-	}
-	line := "QUERYX "
-	if len(flags) > 0 {
-		line += "+" + strings.Join(flags, "+") + " "
-	}
-	line += src
+	line := "QUERYX " + encodeFlags(cfg) + src
 
 	first, next, finish, err := c.openStream(ctx, line, cfg.Timeout)
 	if err != nil && errors.Is(err, session.ErrPeerDown) &&
@@ -1309,18 +1177,7 @@ func (c *Client) Exec(ctx context.Context, src string, opts ...session.Option) (
 		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 		defer cancel()
 	}
-	line := "EXEC "
-	var flags []string
-	if cfg.SnapshotIsolation {
-		flags = append(flags, "snapshot")
-	}
-	if cfg.TraceID != "" {
-		flags = append(flags, "trace="+cfg.TraceID)
-	}
-	if len(flags) > 0 {
-		line += "+" + strings.Join(flags, "+") + " "
-	}
-	root, err := c.roundTrip(ctx, line+src)
+	root, err := c.roundTrip(ctx, "EXEC "+encodeFlags(cfg)+src)
 	if err != nil {
 		return 0, err
 	}
@@ -1384,18 +1241,6 @@ func (c *Client) Call(ctx context.Context, service string, params ...*xmltree.No
 func (c *Client) Install(ctx context.Context, name string, doc *xmltree.Node) error {
 	_, err := c.roundTrip(ctx, "INSTALL "+name+" "+xmltree.Serialize(doc))
 	return err
-}
-
-// Delete removes every node the path query selects on the server and
-// returns how many were removed.
-func (c *Client) Delete(ctx context.Context, query string) (int, error) {
-	return c.Exec(ctx, "delete "+query)
-}
-
-// Replace swaps every node the path query selects for a copy of the
-// given tree and returns how many were replaced.
-func (c *Client) Replace(ctx context.Context, query string, tree *xmltree.Node) (int, error) {
-	return c.Exec(ctx, "replace "+query+" with "+xmltree.Serialize(tree))
 }
 
 func countOf(root *xmltree.Node) (int, error) {

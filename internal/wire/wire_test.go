@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -19,10 +20,12 @@ import (
 	"axml/internal/xquery"
 )
 
-// startServer runs a wire server for a populated peer on a random port.
-func startServer(t *testing.T) (*Client, *peer.Peer) {
+// startViewServer runs a wire server on a random port for a populated
+// peer inside a system — what cmd/axmlpeer serves.
+func startViewServer(t *testing.T) (*Client, *peer.Peer, *view.Manager) {
 	t.Helper()
-	p := peer.New("store")
+	sys := core.NewSystem(netsim.New())
+	p := sys.MustAddPeer("store")
 	if err := p.InstallDocument("catalog", xmltree.MustParse(
 		`<catalog><item><name>chair</name><price>30</price></item>
 		 <item><name>desk</name><price>120</price></item></catalog>`)); err != nil {
@@ -37,12 +40,14 @@ func startServer(t *testing.T) (*Client, *peer.Peer) {
 	if err := p.RegisterService(&service.Service{Name: "names", Provider: "store", Body: q2}); err != nil {
 		t.Fatal(err)
 	}
+	views := view.NewManager(sys)
+	t.Cleanup(views.Close)
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Peer: p}
+	srv := &Server{Peer: p, Views: views}
 	go srv.Serve(l) //nolint:errcheck // closed by test cleanup
 	t.Cleanup(func() { l.Close() })
 
@@ -51,11 +56,11 @@ func startServer(t *testing.T) (*Client, *peer.Peer) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c, p
+	return c, p, views
 }
 
 func TestQueryOverWire(t *testing.T) {
-	c, _ := startServer(t)
+	c, _, _ := startViewServer(t)
 	out, err := c.QueryAll(`for $i in doc("catalog")/item where $i/price < 100 return $i/name`)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
@@ -66,7 +71,7 @@ func TestQueryOverWire(t *testing.T) {
 }
 
 func TestMultilineQueryFlattened(t *testing.T) {
-	c, _ := startServer(t)
+	c, _, _ := startViewServer(t)
 	out, err := c.QueryAll("for $i in doc(\"catalog\")/item\nwhere $i/price < 100\nreturn $i/name")
 	if err != nil {
 		t.Fatalf("Query: %v", err)
@@ -77,7 +82,7 @@ func TestMultilineQueryFlattened(t *testing.T) {
 }
 
 func TestCallOverWire(t *testing.T) {
-	c, _ := startServer(t)
+	c, _, _ := startViewServer(t)
 	out, err := c.Call(context.Background(), "below", xmltree.E("max", "200"))
 	if err != nil {
 		t.Fatalf("Call: %v", err)
@@ -104,7 +109,7 @@ func TestCallOverWire(t *testing.T) {
 }
 
 func TestInstallAndList(t *testing.T) {
-	c, p := startServer(t)
+	c, p, _ := startViewServer(t)
 	if err := c.Install(context.Background(), "notes", xmltree.E("notes", xmltree.E("note", "hi"))); err != nil {
 		t.Fatalf("Install: %v", err)
 	}
@@ -130,7 +135,7 @@ func TestInstallAndList(t *testing.T) {
 }
 
 func TestServerErrors(t *testing.T) {
-	c, _ := startServer(t)
+	c, _, _ := startViewServer(t)
 	if _, err := c.QueryAll("not a ! query"); err == nil {
 		t.Error("bad query should error")
 	}
@@ -147,36 +152,6 @@ func TestServerErrors(t *testing.T) {
 	if _, err := c.QueryAll(`doc("catalog")/item/name`); err != nil {
 		t.Errorf("connection broken after error: %v", err)
 	}
-}
-
-// startViewServer is startServer with the peer inside a system, so
-// DEFVIEW works.
-func startViewServer(t *testing.T) (*Client, *peer.Peer, *view.Manager) {
-	t.Helper()
-	sys := core.NewSystem(netsim.New())
-	p := sys.MustAddPeer("store")
-	if err := p.InstallDocument("catalog", xmltree.MustParse(
-		`<catalog><item><name>chair</name><price>30</price></item>
-		 <item><name>desk</name><price>120</price></item></catalog>`)); err != nil {
-		t.Fatal(err)
-	}
-	views := view.NewManager(sys)
-	t.Cleanup(views.Close)
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &Server{Peer: p, Views: views}
-	go srv.Serve(l) //nolint:errcheck // closed by test cleanup
-	t.Cleanup(func() { l.Close() })
-
-	c, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c, p, views
 }
 
 func TestDefineViewOverWire(t *testing.T) {
@@ -218,17 +193,43 @@ func TestDefineViewRejectsForeignPlacement(t *testing.T) {
 	}
 }
 
-func TestDefineViewWithoutManager(t *testing.T) {
-	c, _ := startServer(t)
-	if err := c.DefineView(context.Background(), "v", `for $i in doc("catalog")/item return $i`); err == nil {
-		t.Error("DEFVIEW on a view-less server should fail")
+// TestServerWithoutSystem: a server with no system behind its peer (a
+// coordinator) answers every data verb with the one error
+// Server.session decides, rejects DEFVIEW, and keeps serving the
+// control and catalog verbs.
+func TestServerWithoutSystem(t *testing.T) {
+	c := startControlServer(t, &stubControl{})
+	ctx := context.Background()
+	for verb, call := range map[string]func() error{
+		"QUERYX":  func() error { _, err := c.QueryAll(`doc("catalog")/item`); return err },
+		"EXEC":    func() error { _, err := c.Exec(ctx, `delete doc("catalog")/item`); return err },
+		"PREPARE": func() error { _, err := c.Prepare(ctx, `doc("catalog")/item`); return err },
+	} {
+		if err := call(); err == nil || !strings.Contains(err.Error(), errNoSystem.Error()) {
+			t.Errorf("%s without a system: %v, want %v", verb, err, errNoSystem)
+		}
+	}
+	if err := c.DefineView(ctx, "v", `for $i in doc("catalog")/item return $i`); err == nil {
+		t.Error("DEFVIEW on a system-less server should fail")
+	}
+	if _, err := c.Hello(ctx, MemberInfo{ID: "a", Addr: "addr1"}); err != nil {
+		t.Errorf("HELLO without a system: %v", err)
+	}
+	if _, err := c.Step(ctx); err != nil {
+		t.Errorf("STEP without a system: %v", err)
+	}
+	if _, _, err := c.List(ctx); err != nil {
+		t.Errorf("LIST without a system: %v", err)
 	}
 }
 
-func TestDeleteAndReplaceOverWire(t *testing.T) {
-	c, p := startServer(t)
-	if n, err := c.Delete(context.Background(), `doc("catalog")/item[price > 100]`); err != nil || n != 1 {
-		t.Fatalf("Delete = %d, %v; want 1 removal", n, err)
+// TestExecUpdateStatements: delete and replace go through EXEC, the one
+// write verb; the verbs that used to run beside it are gone.
+func TestExecUpdateStatements(t *testing.T) {
+	c, p, _ := startViewServer(t)
+	ctx := context.Background()
+	if n, err := c.Exec(ctx, `delete doc("catalog")/item[price > 100]`); err != nil || n != 1 {
+		t.Fatalf("delete = %d, %v; want 1 removal", n, err)
 	}
 	out, err := c.QueryAll(`doc("catalog")/item/name`)
 	if err != nil {
@@ -237,10 +238,9 @@ func TestDeleteAndReplaceOverWire(t *testing.T) {
 	if len(out) != 1 || out[0].TextContent() != "chair" {
 		t.Errorf("after delete: %v", out)
 	}
-	n, err := c.Replace(context.Background(), `doc("catalog")/item[name="chair"]`,
-		xmltree.MustParse(`<item><name>throne</name><price>9000</price></item>`))
+	n, err := c.Exec(ctx, `replace doc("catalog")/item[name="chair"] with <item><name>throne</name><price>9000</price></item>`)
 	if err != nil || n != 1 {
-		t.Fatalf("Replace = %d, %v; want 1 replacement", n, err)
+		t.Fatalf("replace = %d, %v; want 1 replacement", n, err)
 	}
 	out, err = c.QueryAll(`doc("catalog")/item/name`)
 	if err != nil {
@@ -252,12 +252,24 @@ func TestDeleteAndReplaceOverWire(t *testing.T) {
 	if doc, _ := p.Document("catalog"); doc.Version < 3 {
 		t.Errorf("updates did not bump the document version: %d", doc.Version)
 	}
-	// Errors: missing payload, non-path query.
-	if _, err := c.Delete(context.Background(), `for $i in doc("catalog")/item return $i`); err == nil {
-		t.Error("DELETE with a non-path query should fail")
+	// Malformed statements fail and touch nothing.
+	if _, err := c.Exec(ctx, `delete for $i in doc("catalog")/item return $i`); err == nil {
+		t.Error("delete with a non-path query should fail")
 	}
-	if _, err := c.roundTrip(context.Background(), `REPLACE doc("catalog")/item`); err == nil {
-		t.Error("REPLACE without WITH should fail")
+	if _, err := c.Exec(ctx, `replace doc("catalog")/item`); !errors.Is(err, session.ErrBadQuery) {
+		t.Errorf("replace without a payload: %v, want ErrBadQuery", err)
+	}
+	for _, line := range []string{
+		`QUERY doc("catalog")/item`,
+		`DELETE doc("catalog")/item`,
+		`REPLACE doc("catalog")/item WITH <item/>`,
+	} {
+		if _, err := c.roundTrip(ctx, line); err == nil || !strings.Contains(err.Error(), "unknown command") {
+			t.Errorf("%q: %v, want unknown command", line, err)
+		}
+	}
+	if out, err := c.QueryAll(`doc("catalog")/item/name`); err != nil || len(out) != 1 {
+		t.Errorf("rejected statements touched the catalog: %v, %v", out, err)
 	}
 }
 
@@ -270,8 +282,8 @@ func TestUpdateVerbsMaintainViews(t *testing.T) {
 		`for $i in doc("catalog")/item where $i/price < 100 return $i`); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := c.Delete(context.Background(), `doc("catalog")/item[name="chair"]`); err != nil || n != 1 {
-		t.Fatalf("Delete = %d, %v", n, err)
+	if n, err := c.Exec(context.Background(), `delete doc("catalog")/item[name="chair"]`); err != nil || n != 1 {
+		t.Fatalf("delete = %d, %v", n, err)
 	}
 	if _, err := views.Refresh("cheap"); err != nil {
 		t.Fatal(err)
@@ -280,11 +292,11 @@ func TestUpdateVerbsMaintainViews(t *testing.T) {
 	if len(vdoc.Root.Children) != 0 {
 		t.Errorf("deleted base row still in view: %s", xmltree.Serialize(vdoc.Root))
 	}
-	if n, err := c.Replace(context.Background(), `doc("catalog")/item[name="desk"]`,
-		xmltree.MustParse(`<item><name>desk</name><price>15</price></item>`)); err != nil || n != 1 {
-		t.Fatalf("Replace = %d, %v", n, err)
+	if n, err := c.Exec(context.Background(),
+		`replace doc("catalog")/item[name="desk"] with <item><name>desk</name><price>15</price></item>`); err != nil || n != 1 {
+		t.Fatalf("replace = %d, %v", n, err)
 	}
-	// The served QUERY path refreshes the matched view before answering.
+	// The served QUERYX path refreshes the matched view before answering.
 	out, err := c.QueryAll(`for $i in doc("catalog")/item where $i/price < 100 return $i/name`)
 	if err != nil {
 		t.Fatal(err)
@@ -297,14 +309,14 @@ func TestUpdateVerbsMaintainViews(t *testing.T) {
 func TestDeleteNestedMatches(t *testing.T) {
 	// //e selects an ancestor and its descendant; removing the
 	// ancestor must not make the request fail on the vanished child.
-	c, p := startServer(t)
+	c, p, _ := startViewServer(t)
 	if err := p.InstallDocument("d", xmltree.MustParse(
 		`<d><e><e>inner</e></e><e>flat</e></d>`)); err != nil {
 		t.Fatal(err)
 	}
-	n, err := c.Delete(context.Background(), `doc("d")//e`)
+	n, err := c.Exec(context.Background(), `delete doc("d")//e`)
 	if err != nil {
-		t.Fatalf("Delete over nested matches: %v", err)
+		t.Fatalf("delete over nested matches: %v", err)
 	}
 	if n != 2 {
 		t.Errorf("removed %d nodes, want 2 (ancestor takes its descendant)", n)
@@ -318,7 +330,7 @@ func TestDeleteNestedMatches(t *testing.T) {
 // --- Unified session API over the wire ---
 
 func TestStreamingQueryOverWire(t *testing.T) {
-	c, _ := startServer(t)
+	c, _, _ := startViewServer(t)
 	rows, err := c.Query(context.Background(), `doc("catalog")/item/name`)
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +359,7 @@ func TestStreamingQueryOverWire(t *testing.T) {
 }
 
 func TestRowsGuardConnection(t *testing.T) {
-	c, _ := startServer(t)
+	c, _, _ := startViewServer(t)
 	rows, err := c.Query(context.Background(), `doc("catalog")/item/name`)
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +378,7 @@ func TestRowsGuardConnection(t *testing.T) {
 }
 
 func TestWireTypedErrors(t *testing.T) {
-	c, _ := startServer(t)
+	c, _, _ := startViewServer(t)
 	rows, err := c.Query(context.Background(), `doc("ghost")/x`)
 	if err == nil {
 		_, err = rows.Collect()
@@ -387,7 +399,7 @@ func TestWireTypedErrors(t *testing.T) {
 }
 
 func TestWireExecAndPrepare(t *testing.T) {
-	c, p := startServer(t)
+	c, p, _ := startViewServer(t)
 	ctx := context.Background()
 	n, err := c.Exec(ctx, `delete doc("catalog")/item[price > 100]`)
 	if err != nil || n != 1 {
@@ -454,7 +466,7 @@ func TestWirePreparedHitsServerPlanCache(t *testing.T) {
 }
 
 func TestWireContextCancel(t *testing.T) {
-	c, _ := startServer(t)
+	c, _, _ := startViewServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rows, err := c.Query(ctx, `doc("catalog")/item`)
@@ -529,7 +541,7 @@ func TestIOTimeout(t *testing.T) {
 // stream is open does not leak into the rows, and the pin is released
 // when the stream ends.
 func TestSnapshotFlagRoundtrip(t *testing.T) {
-	c, p := startServer(t)
+	c, p, _ := startViewServer(t)
 	d, _ := p.Document("catalog")
 	rootID := d.Root.ID
 	before := len(d.Root.ChildElementsByLabel("item"))
@@ -561,5 +573,62 @@ func TestSnapshotFlagRoundtrip(t *testing.T) {
 	}
 	if len(forest2) != before+1 {
 		t.Errorf("post-mutation wire query yielded %d rows, want %d", len(forest2), before+1)
+	}
+}
+
+// TestFlagCodecRoundTrip: every Config field the wire carries survives
+// encodeFlags → parseFlags → BuildConfig unchanged, fields the wire does
+// not carry never reach the token, and a flag outside the vocabulary is
+// a bad-query error instead of a silently weaker statement.
+func TestFlagCodecRoundTrip(t *testing.T) {
+	const src = `doc("catalog")/item[name="a +b"]`
+	for _, cfg := range []session.Config{
+		{},
+		{NoOptimize: true},
+		{NoPlanCache: true},
+		{SnapshotIsolation: true},
+		{NoTraffic: true},
+		{TraceID: "q42"},
+		{NoOptimize: true, NoPlanCache: true, SnapshotIsolation: true, NoTraffic: true, TraceID: "t=1"},
+	} {
+		token := encodeFlags(cfg)
+		gotSrc, opts, err := parseFlags(token + src)
+		if err != nil {
+			t.Errorf("%+v → %q: %v", cfg, token, err)
+			continue
+		}
+		if got := session.BuildConfig(opts); got != cfg || gotSrc != src {
+			t.Errorf("%+v → %q → %+v, src %q", cfg, token, got, gotSrc)
+		}
+	}
+	local := session.Config{ConsistentView: true, Timeout: time.Second, MaxPlans: 3}
+	if token := encodeFlags(local); token != "" {
+		t.Errorf("client-side options leaked into the flag token: %q", token)
+	}
+
+	c, p, _ := startViewServer(t)
+	for _, line := range []string{
+		`QUERYX +snapshto doc("catalog")/item`,
+		`QUERYX +noopt+bogus doc("catalog")/item`,
+		`QUERYX +trace= doc("catalog")/item`,
+		`QUERYX + doc("catalog")/item`,
+		`EXEC +snapshto delete doc("catalog")/item`,
+	} {
+		if _, err := c.roundTrip(context.Background(), line); !errors.Is(err, session.ErrBadQuery) {
+			t.Errorf("%q: %v, want ErrBadQuery", line, err)
+		}
+	}
+	if doc, _ := p.Document("catalog"); len(doc.Root.ChildElementsByLabel("item")) != 2 {
+		t.Error("an EXEC with an unknown flag still ran")
+	}
+}
+
+// TestOversizeRequestLine: a request line over maxLine is answered with
+// a bad-query error naming the limit, not with a silent hang-up.
+func TestOversizeRequestLine(t *testing.T) {
+	c, _, _ := startViewServer(t)
+	_, err := c.QueryAll(strings.Repeat("x", maxLine+1))
+	if !errors.Is(err, session.ErrBadQuery) || !strings.Contains(err.Error(), fmt.Sprint(maxLine)) {
+		t.Fatalf("oversize line: %v, want ErrBadQuery naming the %d-byte limit", err, maxLine)
 	}
 }

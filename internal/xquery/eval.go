@@ -163,7 +163,7 @@ func evalToForest(e Expr, ctx *evalCtx) ([]*xmltree.Node, error) {
 // LiveNodes evaluates a query whose body is a bare path and returns
 // the matched nodes themselves — not copies — so callers holding the
 // appropriate locks can address them by identifier for in-place
-// updates (peer.SelectIDs, the wire DELETE/REPLACE verbs). Attribute
+// updates (peer.SelectIDs, the delete/replace statements). Attribute
 // pseudo-nodes are filtered out: they are synthesized by the attribute
 // axis and have no stable identity.
 func LiveNodes(q *Query, env *Env) ([]*xmltree.Node, error) {
