@@ -561,13 +561,15 @@ func TestContinuousServiceStreams(t *testing.T) {
 		`<item id="4"><name>stool</name><price>9</price></item>`)); err != nil {
 		t.Fatal(err)
 	}
-	// Deterministic pump instead of racing the background goroutine.
+	// The new hit is shipped exactly once: by the step the pump asks
+	// for, or by the background wake if that got there first. Once the
+	// pump returns it has landed either way.
 	n, err := sys.PumpSubscriptions()
 	if err != nil {
 		t.Fatalf("pump: %v", err)
 	}
-	if n != 1 {
-		t.Errorf("pumped %d new results, want 1", n)
+	if n > 1 {
+		t.Errorf("pumped %d new results, want at most 1", n)
 	}
 	sys.Net.Quiesce()
 	if got := len(resultsDoc.Root.ChildElementsByLabel("hit")); got != 3 {

@@ -360,7 +360,8 @@ func (s *System) prepareQuery(ctx context.Context, p *peer.Peer, q *Query, vt fl
 	// classes resolve through pickDoc (definition (9)).
 	run.env = &xquery.Env{Resolve: func(name string) (*xmltree.Node, error) {
 		if root, err := run.snap.Root(name); err == nil {
-			run.inputNodes += root.NodeCount()
+			nodes, _ := run.snap.NodeCount(name) // name is in the snapshot
+			run.inputNodes += nodes
 			return root, nil
 		}
 		// Resolution order: the generics catalog (pickDoc, def (9))
@@ -847,8 +848,8 @@ func (s *System) applyService(p *peer.Peer, svc *service.Service, args [][]*xmlt
 	}
 	nodes := forestNodes(args) + countNodes(out)
 	for _, name := range svc.Body.DocRefs() {
-		if root, err := h.Root(name); err == nil {
-			nodes += root.NodeCount()
+		if n, err := h.NodeCount(name); err == nil {
+			nodes += n
 		}
 	}
 	return out, s.queryCost(p.ID, nodes), nil

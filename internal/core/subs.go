@@ -26,11 +26,22 @@ type subscription struct {
 	targets  []peer.NodeRef
 	caller   netsim.PeerID
 
+	// delta keeps the emitted multiset as unsynchronised state, so only
+	// the run goroutine calls it: document changes wake it, and
+	// PumpSubscriptions asks it for a step through pumpReq and waits.
 	delta    func() ([]*xmltree.Node, error)
 	cancels  []func()
 	wake     chan struct{}
+	pumpReq  chan chan<- pumpResult
 	done     chan struct{}
 	stopOnce sync.Once
+}
+
+// pumpResult is the outcome of one delta step: how many result trees
+// were shipped, and the first failure.
+type pumpResult struct {
+	shipped int
+	err     error
 }
 
 // subscribe registers a continuous stream from provider to the forward
@@ -54,6 +65,7 @@ func (s *System) subscribe(providerID netsim.PeerID, svc *service.Service,
 		targets:  targets,
 		caller:   caller,
 		wake:     make(chan struct{}, 1),
+		pumpReq:  make(chan chan<- pumpResult),
 		done:     make(chan struct{}),
 	}
 	env := &xquery.Env{Resolve: provider.Resolver()}
@@ -106,18 +118,33 @@ func (sub *subscription) run() {
 		case <-sub.done:
 			return
 		case <-sub.wake:
-			out, err := sub.delta()
-			if err != nil || len(out) == 0 {
-				continue
-			}
-			for _, ref := range sub.targets {
-				// Stream pushes are one-way; VT restarts per push (the
-				// makespan of continuous phases is measured by bytes
-				// and message counts, see DESIGN.md).
-				_, _ = sub.sys.shipData(context.Background(), sub.provider.ID, ref, out, 0)
-			}
+			sub.step() // stream pushes are one-way: a failure is dropped
+		case reply := <-sub.pumpReq:
+			reply <- sub.step()
 		}
 	}
+}
+
+// step evaluates the pending delta once and ships it to every forward
+// target; a target that fails does not keep the others from receiving
+// the batch. VT restarts per push (the makespan of continuous phases
+// is measured by bytes and message counts, see DESIGN.md).
+func (sub *subscription) step() pumpResult {
+	out, err := sub.delta()
+	if err != nil || len(out) == 0 {
+		return pumpResult{err: err}
+	}
+	var res pumpResult
+	for _, ref := range sub.targets {
+		if _, err := sub.sys.shipData(context.Background(), sub.provider.ID, ref, out, 0); err != nil {
+			if res.err == nil {
+				res.err = err
+			}
+			continue
+		}
+		res.shipped += len(out)
+	}
+	return res
 }
 
 func (sub *subscription) stop() {
@@ -129,10 +156,11 @@ func (sub *subscription) stop() {
 	})
 }
 
-// PumpSubscriptions synchronously evaluates all pending continuous
-// deltas once (deterministic alternative to the background goroutines;
-// used by tests and benchmarks). It returns the number of result trees
-// shipped.
+// PumpSubscriptions has every subscription take one delta step now and
+// waits for it, so that what the step ships has landed on return (used
+// by tests and benchmarks instead of waiting for the background wake).
+// It returns the number of result trees the steps shipped — a change a
+// background wake got to first has landed too, but is not counted.
 func (s *System) PumpSubscriptions() (int, error) {
 	s.mu.RLock()
 	subs := make([]*subscription, len(s.subs))
@@ -140,18 +168,16 @@ func (s *System) PumpSubscriptions() (int, error) {
 	s.mu.RUnlock()
 	total := 0
 	for _, sub := range subs {
-		out, err := sub.delta()
-		if err != nil {
-			return total, err
-		}
-		if len(out) == 0 {
+		reply := make(chan pumpResult, 1)
+		select {
+		case sub.pumpReq <- reply:
+		case <-sub.done:
 			continue
 		}
-		for _, ref := range sub.targets {
-			if _, err := sub.sys.shipData(context.Background(), sub.provider.ID, ref, out, 0); err != nil {
-				return total, err
-			}
-			total += len(out)
+		res := <-reply
+		total += res.shipped
+		if res.err != nil {
+			return total, res.err
 		}
 	}
 	return total, nil

@@ -57,6 +57,21 @@ type Document struct {
 	Name    string
 	Root    *xmltree.Node
 	Version int64
+	pub     *published // Root as snapshots pin it; replaced whenever Root is
+}
+
+// published is one published root with its node count, taken by the
+// first reader that asks (the cost model asks on every query). A
+// published tree is immutable, so the count cannot go stale.
+type published struct {
+	root  *xmltree.Node
+	once  sync.Once
+	nodes int
+}
+
+func (p *published) nodeCount() int {
+	p.once.Do(func() { p.nodes = p.root.NodeCount() })
+	return p.nodes
 }
 
 // ChangeKind discriminates typed document-change events.
@@ -169,7 +184,7 @@ func (p *Peer) InstallDocument(name string, root *xmltree.Node) error {
 	}
 	xmltree.AssignIDs(root, &p.idgen)
 	p.indexSubtree(root, name, 0)
-	p.docs[name] = &Document{Name: name, Root: root, Version: 1}
+	p.docs[name] = &Document{Name: name, Root: root, Version: 1, pub: &published{root: root}}
 	p.epoch++
 	return nil
 }
@@ -598,7 +613,7 @@ func (p *Peer) publishLocked(doc string, newRoot *xmltree.Node, ev Change) {
 	if !ok {
 		return
 	}
-	d.Root = newRoot
+	d.Root, d.pub = newRoot, &published{root: newRoot}
 	p.epoch++
 	ev.Epoch = p.epoch
 	d.Version++
@@ -693,8 +708,8 @@ func (p *Peer) ServiceNames() []string {
 func (p *Peer) Resolver() xquery.DocResolver {
 	return func(name string) (*xmltree.Node, error) {
 		p.mu.RLock()
+		defer p.mu.RUnlock()
 		d, ok := p.docs[name]
-		p.mu.RUnlock()
 		if !ok {
 			return nil, fmt.Errorf("peer %s: %w: %q", p.ID, ErrNoSuchDoc, name)
 		}

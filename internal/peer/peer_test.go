@@ -411,3 +411,51 @@ func TestSelectIDs(t *testing.T) {
 		t.Error("non-path query should be rejected")
 	}
 }
+
+// TestHandleNodeCount: the count a handle reports is its own epoch's
+// Root(name).NodeCount(), before and after later commits of every kind.
+func TestHandleNodeCount(t *testing.T) {
+	p := New("p1")
+	if err := p.InstallDocument("catalog",
+		xmltree.MustParse(`<catalog><item><name>chair</name></item><item/></catalog>`)); err != nil {
+		t.Fatal(err)
+	}
+	check := func(h *Handle) int {
+		t.Helper()
+		root, err := h.Root("catalog")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := h.NodeCount("catalog")
+		if err != nil || got != root.NodeCount() {
+			t.Fatalf("NodeCount = %d, %v; want %d", got, err, root.NodeCount())
+		}
+		return got
+	}
+	old := p.Snapshot()
+	defer old.Release()
+	before := check(old)
+
+	root, _ := old.Root("catalog")
+	if err := p.AddChild(root.ID, xmltree.MustParse(`<item><name>desk</name><price>9</price></item>`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RemoveChildByID(root.ID, root.Children[1].ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ReplaceChildByID(root.ID, root.Children[0].ID, xmltree.E("item")); err != nil {
+		t.Fatal(err)
+	}
+	p.Touch("catalog")
+	cur := p.Snapshot()
+	defer cur.Release()
+	if after := check(cur); after == before {
+		t.Errorf("count did not follow the commits: %d before and after", after)
+	}
+	if again := check(old); again != before {
+		t.Errorf("an old handle's count moved from %d to %d", before, again)
+	}
+	if _, err := cur.NodeCount("missing"); !errors.Is(err, ErrNoSuchDoc) {
+		t.Errorf("NodeCount of a missing document: %v", err)
+	}
+}

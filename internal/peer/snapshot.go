@@ -28,7 +28,7 @@ import (
 type Handle struct {
 	p     *Peer
 	epoch uint64
-	roots map[string]*xmltree.Node
+	roots map[string]*published
 
 	mu       sync.Mutex
 	released bool
@@ -40,9 +40,9 @@ type Handle struct {
 // lock-free.
 func (p *Peer) Snapshot() *Handle {
 	p.mu.RLock()
-	roots := make(map[string]*xmltree.Node, len(p.docs))
+	roots := make(map[string]*published, len(p.docs))
 	for name, d := range p.docs {
-		roots[name] = d.Root
+		roots[name] = d.pub
 	}
 	epoch := p.epoch
 	p.mu.RUnlock()
@@ -69,11 +69,22 @@ func (h *Handle) Owner() *Peer { return h.p }
 // tree is immutable; it reflects the document exactly as of the
 // handle's epoch regardless of later writes.
 func (h *Handle) Root(name string) (*xmltree.Node, error) {
-	root, ok := h.roots[name]
+	r, ok := h.roots[name]
 	if !ok {
 		return nil, fmt.Errorf("peer %s: %w: %q", h.p.ID, ErrNoSuchDoc, name)
 	}
-	return root, nil
+	return r.root, nil
+}
+
+// NodeCount returns Root(name).NodeCount() without walking the tree
+// again: the count is taken once per published root and shared by
+// every handle that pins it.
+func (h *Handle) NodeCount(name string) (int, error) {
+	r, ok := h.roots[name]
+	if !ok {
+		return 0, fmt.Errorf("peer %s: %w: %q", h.p.ID, ErrNoSuchDoc, name)
+	}
+	return r.nodeCount(), nil
 }
 
 // Docs lists the documents captured by the handle, sorted by name.
@@ -91,8 +102,8 @@ func (h *Handle) Docs() []string {
 // not an index probe), so it returns the node as of the handle's epoch
 // even if the live document has since changed or dropped it.
 func (h *Handle) NodeByID(id xmltree.NodeID) (*xmltree.Node, bool) {
-	for _, root := range h.roots {
-		if n := root.FindByID(id); n != nil {
+	for _, r := range h.roots {
+		if n := r.root.FindByID(id); n != nil {
 			return n, true
 		}
 	}

@@ -494,13 +494,33 @@ func (s *Local) observe(q *xquery.Query, expr core.Expr) {
 // call's context rules (timeout, consistent views, snapshot
 // isolation).
 func (s *Local) rowsFor(ctx context.Context, expr core.Expr, cfg *Config) (*Rows, error) {
+	guard := s.viewGuard(expr)
+	cancel := func() {}
+	if cfg.Timeout > 0 {
+		// The deadline spans the whole stream; it is released as soon
+		// as the stream ends — exhaustion, error, or Close, whichever
+		// comes first — so an un-Closed but drained Rows does not pin
+		// the timer for the rest of the timeout.
+		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
+	}
+	// Refresh before pinning: the refresh commits to the session peer's
+	// store, and a snapshot pinned ahead of it would answer from the
+	// epoch before — missing writes acknowledged before this read.
+	if cfg.ConsistentView {
+		for _, name := range planViews(expr) {
+			if _, err := s.views.RefreshContext(ctx, name); err != nil {
+				cancel()
+				return nil, movedOr(guard, err)
+			}
+		}
+	}
 	if cfg.SnapshotIsolation {
 		if p, ok := s.sys.Peer(s.at); ok {
 			// Pin the session peer's current epoch for the whole stream;
 			// prepareQuery finds the handle in the context and resolves
 			// local documents from it instead of pinning per query.
 			h := p.Snapshot()
-			rows, err := s.openRows(core.WithDocSnapshot(ctx, h), expr, cfg)
+			rows, err := s.openRows(core.WithDocSnapshot(ctx, h), expr, guard, cancel)
 			if err != nil {
 				h.Release()
 				return nil, err
@@ -508,7 +528,18 @@ func (s *Local) rowsFor(ctx context.Context, expr core.Expr, cfg *Config) (*Rows
 			return pinRows(rows, h), nil
 		}
 	}
-	return s.openRows(ctx, expr, cfg)
+	return s.openRows(ctx, expr, guard, cancel)
+}
+
+// movedOr attributes a failure while the view catalog moved underneath
+// the call to the move — the typed error tells the caller to simply
+// re-run, instead of surfacing a transient resolution error from a
+// placement that no longer exists.
+func movedOr(guard func() error, err error) error {
+	if gerr := guard(); gerr != nil {
+		return gerr
+	}
+	return err
 }
 
 // pinRows ties a snapshot handle's lifetime to a result stream: the
@@ -535,44 +566,20 @@ func pinRows(rows *Rows, h *peer.Handle) *Rows {
 	return rows
 }
 
-// openRows opens the result stream for a planned expression (timeout,
-// consistent views).
-func (s *Local) openRows(ctx context.Context, expr core.Expr, cfg *Config) (*Rows, error) {
-	guard := s.viewGuard(expr)
-	cancel := func() {}
-	if cfg.Timeout > 0 {
-		// The deadline spans the whole stream; it is released as soon
-		// as the stream ends — exhaustion, error, or Close, whichever
-		// comes first — so an un-Closed but drained Rows does not pin
-		// the timer for the rest of the timeout.
-		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-	}
-	fail := func(err error) (*Rows, error) {
-		cancel()
-		// A failure while the view catalog moved underneath the call is
-		// attributed to the move — the typed error tells the caller to
-		// simply re-run, instead of surfacing a transient resolution
-		// error from a placement that no longer exists.
-		if gerr := guard(); gerr != nil {
-			return nil, gerr
-		}
-		return nil, err
-	}
-	if cfg.ConsistentView {
-		for _, name := range planViews(expr) {
-			if _, err := s.views.RefreshContext(ctx, name); err != nil {
-				return fail(err)
-			}
-		}
-	}
+// openRows evaluates a planned expression into a result stream. cancel
+// releases the call's deadline; it runs when the stream ends or fails
+// to open.
+func (s *Local) openRows(ctx context.Context, expr core.Expr, guard func() error, cancel func()) (*Rows, error) {
 	cur, err := s.sys.EvalCursorContext(ctx, s.at, expr)
 	if err != nil {
-		return fail(err)
+		cancel()
+		return nil, movedOr(guard, err)
 	}
 	first, err := cur.Next()
 	if err != nil {
 		_ = cur.Close()
-		return fail(err)
+		cancel()
+		return nil, movedOr(guard, err)
 	}
 	released := false
 	release := func() {
@@ -596,9 +603,7 @@ func (s *Local) openRows(ctx context.Context, expr core.Expr, cfg *Config) (*Row
 		}
 		n, err := cur.Next()
 		if err != nil {
-			if gerr := guard(); gerr != nil {
-				err = gerr
-			}
+			err = movedOr(guard, err)
 		}
 		if err != nil || n == nil {
 			release()

@@ -95,3 +95,43 @@ func TestSnapshotIsolationReleasesOnClose(t *testing.T) {
 		t.Errorf("PinnedEpochs after Close = %d, want 0", got)
 	}
 }
+
+// TestSnapshotReadSeesAcknowledgedWrite is the order of a
+// snapshot-isolated read over a view: the view is refreshed first and
+// the epoch pinned after, so a write committed before the read is in
+// the pinned epoch. Pinning first (the defect this guards against)
+// served the view as it stood before the refresh.
+func TestSnapshotReadSeesAcknowledgedWrite(t *testing.T) {
+	sys, views := testSystem(t)
+	if err := views.Define("cheap",
+		`for $i in doc("catalog")/item where $i/price < 100 return $i`, "client"); err != nil {
+		t.Fatal(err)
+	}
+	sess := newSession(t, sys, views)
+	client, _ := sys.Peer("client")
+	ctx := context.Background()
+
+	// thing-1 costs 500; the write moves it across the view's boundary.
+	if _, err := sess.Exec(ctx,
+		`replace doc("catalog")/item[name="thing-1"]/price with <price>7</price>`); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := sess.Query(ctx, selectQ, WithSnapshotIsolation(), WithConsistentView())
+	if err != nil {
+		t.Fatal(err)
+	}
+	forest, err := rows.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := false
+	for _, n := range forest {
+		seen = seen || n.TextContent() == "thing-1"
+	}
+	if !seen {
+		t.Errorf("snapshot read of the view missed a write committed before it (%d rows)", len(forest))
+	}
+	if got := client.PinnedEpochs(); got != 0 {
+		t.Errorf("PinnedEpochs after stream drained = %d, want 0", got)
+	}
+}

@@ -17,14 +17,18 @@ import (
 func addItem(t testing.TB, sys *core.System, at netsim.PeerID, doc string, price int, name string) {
 	t.Helper()
 	p, _ := sys.Peer(at)
-	d, ok := p.Document(doc)
-	if !ok {
+	// Read the root through a snapshot: concurrent writers swap
+	// Document.Root under the peer's lock. Its ID is stable across epochs.
+	h := p.Snapshot()
+	root, err := h.Root(doc)
+	h.Release()
+	if err != nil {
 		t.Fatalf("no document %q at %s", doc, at)
 	}
 	item := xmltree.E("item",
 		xmltree.E("name", xmltree.T(name)),
 		xmltree.E("price", xmltree.T(fmt.Sprint(price))))
-	if err := p.AddChild(d.Root.ID, item); err != nil {
+	if err := p.AddChild(root.ID, item); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -242,6 +242,10 @@ func (n *Node) TextContent() string {
 	case CommentNode, ProcInstNode:
 		return ""
 	}
+	// The common leaf element <price>30</price> needs no builder.
+	if len(n.Children) == 1 && n.Children[0].Kind == TextNode {
+		return n.Children[0].Text
+	}
 	var sb strings.Builder
 	n.appendText(&sb)
 	return sb.String()

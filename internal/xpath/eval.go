@@ -22,7 +22,32 @@ type Context struct {
 	// position() and last(). Zero values mean "1 of 1".
 	Pos, Size int
 	// Vars binds $variables. May be nil.
-	Vars map[string]Value
+	Vars *Scope
+}
+
+// Scope is an immutable chain of variable bindings; the nil Scope is
+// empty. Bind puts a new head in front of a shared tail, so extending a
+// scope never copies it and never disturbs whoever holds the tail.
+type Scope struct {
+	name string
+	val  Value
+	next *Scope
+}
+
+// Bind returns the scope extended by name = v; an inner binding
+// shadows an outer one of the same name.
+func (s *Scope) Bind(name string, v Value) *Scope {
+	return &Scope{name: name, val: v, next: s}
+}
+
+// Lookup returns the innermost binding of name.
+func (s *Scope) Lookup(name string) (Value, bool) {
+	for ; s != nil; s = s.next {
+		if s.name == name {
+			return s.val, true
+		}
+	}
+	return nil, false
 }
 
 func (c *Context) position() float64 {
@@ -46,6 +71,9 @@ type EvalError struct {
 }
 
 func (e *EvalError) Error() string { return fmt.Sprintf("xpath: eval %q: %s", e.Expr, e.Msg) }
+
+// Eval evaluates a parsed expression in the given context.
+func Eval(e Expr, ctx *Context) (Value, error) { return evalExpr(e, ctx) }
 
 // Eval evaluates the expression in the given context.
 func (c *Compiled) Eval(ctx *Context) (Value, error) {
@@ -100,10 +128,7 @@ func evalExpr(e Expr, ctx *Context) (Value, error) {
 	case StringLit:
 		return String(v), nil
 	case VarRef:
-		if ctx.Vars == nil {
-			return nil, &EvalError{Expr: v.String(), Msg: "unbound variable"}
-		}
-		val, ok := ctx.Vars[string(v)]
+		val, ok := ctx.Vars.Lookup(string(v))
 		if !ok {
 			return nil, &EvalError{Expr: v.String(), Msg: "unbound variable"}
 		}
@@ -173,6 +198,16 @@ func evalBinary(b *BinaryExpr, ctx *Context) (Value, error) {
 			return nil, err
 		}
 		return Boolean(r.Bool()), nil
+	case "=", "!=", "<", "<=", ">", ">=":
+		l, err := evalOperand(b.L, ctx)
+		if err != nil {
+			return nil, err
+		}
+		r, err := evalOperand(b.R, ctx)
+		if err != nil {
+			return nil, err
+		}
+		return Boolean(compare(b.Op, l, r)), nil
 	}
 	l, err := evalExpr(b.L, ctx)
 	if err != nil {
@@ -183,8 +218,6 @@ func evalBinary(b *BinaryExpr, ctx *Context) (Value, error) {
 		return nil, err
 	}
 	switch b.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-		return Boolean(compareValues(b.Op, l, r)), nil
 	case "+":
 		return Number(l.Number() + r.Number()), nil
 	case "-":
@@ -198,6 +231,22 @@ func evalBinary(b *BinaryExpr, ctx *Context) (Value, error) {
 	default:
 		return nil, &EvalError{Expr: b.Op, Msg: "unknown operator"}
 	}
+}
+
+// evalOperand evaluates one side of a comparison. Literals become
+// operands directly, without a trip through the Value interface.
+func evalOperand(e Expr, ctx *Context) (operand, error) {
+	switch v := e.(type) {
+	case StringLit:
+		return operand{kind: opString, s: string(v)}, nil
+	case NumberLit:
+		return operand{kind: opNumber, f: float64(v)}, nil
+	}
+	v, err := evalExpr(e, ctx)
+	if err != nil {
+		return operand{}, err
+	}
+	return operandOf(v), nil
 }
 
 func modXPath(a, b float64) float64 {
@@ -214,7 +263,8 @@ func trunc(f float64) float64 {
 }
 
 func evalPath(p *PathExpr, ctx *Context) (Value, error) {
-	var current NodeSet
+	var current NodeSet     // the start node-set, or
+	var start *xmltree.Node // the single start node
 	switch {
 	case p.Filter != nil:
 		v, err := evalExpr(p.Filter, ctx)
@@ -237,20 +287,33 @@ func evalPath(p *PathExpr, ctx *Context) (Value, error) {
 		// element; the tree model has no such node, so synthesize one.
 		// Its Children slice references (does not adopt) the root.
 		root := ctx.Node.Root()
-		docNode := &xmltree.Node{
+		start = &xmltree.Node{
 			Kind:     xmltree.ElementNode,
 			Label:    "#document",
 			Children: []*xmltree.Node{root},
 		}
-		current = NodeSet{docNode}
 	default:
 		if ctx.Node == nil {
 			return nil, &EvalError{Expr: p.String(), Msg: "no context node for relative path"}
 		}
-		current = NodeSet{ctx.Node}
+		start = ctx.Node
 	}
-	for _, step := range p.Steps {
-		next, err := applyStep(step, current, ctx)
+	steps := p.Steps
+	if start != nil {
+		if len(steps) == 0 {
+			return NodeSet{start}, nil
+		}
+		// applyStep neither keeps nor returns its input, so the one-node
+		// start set lives on the stack.
+		one := [1]*xmltree.Node{start}
+		next, err := applyStep(&steps[0], one[:], ctx)
+		if err != nil {
+			return nil, err
+		}
+		current, steps = next, steps[1:]
+	}
+	for i := range steps {
+		next, err := applyStep(&steps[i], current, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -260,41 +323,57 @@ func evalPath(p *PathExpr, ctx *Context) (Value, error) {
 }
 
 // applyStep maps a node-set through one location step, preserving
-// first-visit order and removing duplicates.
-func applyStep(st Step, input NodeSet, ctx *Context) (NodeSet, error) {
-	var out NodeSet
-	seen := map[*xmltree.Node]bool{}
+// first-visit order and removing duplicates. The result is always a
+// fresh slice; input is only read.
+func applyStep(st *Step, input NodeSet, ctx *Context) (NodeSet, error) {
+	// The input is duplicate-free, so two of its nodes can only reach the
+	// same node along an axis that leaves their own subtree boundary:
+	// children, attributes and self of distinct nodes are disjoint, and a
+	// single node never reaches anything twice.
+	var seen map[*xmltree.Node]bool
+	if len(input) > 1 && st.Axis != AxisChild && st.Axis != AxisAttribute && st.Axis != AxisSelf {
+		seen = map[*xmltree.Node]bool{}
+	}
+	size := len(input)
+	if size == 1 && st.Axis == AxisChild {
+		size = len(input[0].Children)
+	}
+	out := make(NodeSet, 0, size)
 	for _, n := range input {
-		candidates := axisNodes(st.Axis, n)
-		// candidates may alias the tree's own child slice; never mutate it.
-		matched := make([]*xmltree.Node, 0, len(candidates))
-		for _, c := range candidates {
-			if testMatches(st.Test, st.Axis, c) {
-				matched = append(matched, c)
+		from := len(out)
+		out = appendAxis(out, st.Axis, st.Test, n)
+		if len(st.Preds) > 0 {
+			// Positions count within one input node's matches.
+			kept, err := applyPredicates(st.Preds, out[from:], ctx)
+			if err != nil {
+				return nil, err
 			}
+			out = out[:from+len(kept)]
 		}
-		filtered, err := applyPredicates(st.Preds, matched, ctx)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range filtered {
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
+		if seen != nil {
+			fresh := out[:from]
+			for _, c := range out[from:] {
+				if !seen[c] {
+					seen[c] = true
+					fresh = append(fresh, c)
+				}
 			}
+			out = fresh
 		}
 	}
 	return out, nil
 }
 
+// applyPredicates filters nodes in place through each predicate in
+// turn; the caller must own the slice.
 func applyPredicates(preds []Expr, nodes []*xmltree.Node, outer *Context) ([]*xmltree.Node, error) {
-	current := nodes
+	pctx := Context{Vars: outer.Vars}
 	for _, pred := range preds {
-		var kept []*xmltree.Node
-		size := len(current)
-		for i, n := range current {
-			pctx := &Context{Node: n, Pos: i + 1, Size: size, Vars: outer.Vars}
-			v, err := evalExpr(pred, pctx)
+		kept := nodes[:0]
+		pctx.Size = len(nodes)
+		for i, n := range nodes {
+			pctx.Node, pctx.Pos = n, i+1
+			v, err := evalExpr(pred, &pctx)
 			if err != nil {
 				return nil, err
 			}
@@ -309,96 +388,101 @@ func applyPredicates(preds []Expr, nodes []*xmltree.Node, outer *Context) ([]*xm
 				kept = append(kept, n)
 			}
 		}
-		current = kept
+		nodes = kept
 	}
-	return current, nil
+	return nodes, nil
 }
 
-// axisNodes enumerates the nodes on the given axis from n, in document
-// order (reverse axes included — see package comment).
-func axisNodes(axis Axis, n *xmltree.Node) []*xmltree.Node {
+// appendAxis appends the nodes on the given axis from n that pass the
+// node test, in document order (reverse axes included — see package
+// comment).
+func appendAxis(out []*xmltree.Node, axis Axis, t NodeTest, n *xmltree.Node) []*xmltree.Node {
 	switch axis {
 	case AxisChild:
-		return n.Children
-	case AxisDescendant:
-		var out []*xmltree.Node
 		for _, c := range n.Children {
-			c.Walk(func(m *xmltree.Node) bool {
-				out = append(out, m)
-				return true
-			})
+			if testMatches(t, c) {
+				out = append(out, c)
+			}
 		}
-		return out
+	case AxisDescendant:
+		for _, c := range n.Children {
+			out = appendSubtree(out, t, c)
+		}
 	case AxisDescendantOrSelf:
-		var out []*xmltree.Node
-		n.Walk(func(m *xmltree.Node) bool {
-			out = append(out, m)
-			return true
-		})
-		return out
+		out = appendSubtree(out, t, n)
 	case AxisSelf:
-		return []*xmltree.Node{n}
+		if testMatches(t, n) {
+			out = append(out, n)
+		}
 	case AxisParent:
-		if n.Parent == nil {
-			return nil
+		if n.Parent != nil && testMatches(t, n.Parent) {
+			out = append(out, n.Parent)
 		}
-		return []*xmltree.Node{n.Parent}
-	case AxisAncestor:
-		var out []*xmltree.Node
-		for p := n.Parent; p != nil; p = p.Parent {
-			out = append(out, p)
+	case AxisAncestor, AxisAncestorOrSelf:
+		p := n
+		if axis == AxisAncestor {
+			p = n.Parent
 		}
-		return out
-	case AxisAncestorOrSelf:
-		var out []*xmltree.Node
-		for p := n; p != nil; p = p.Parent {
-			out = append(out, p)
+		for ; p != nil; p = p.Parent {
+			if testMatches(t, p) {
+				out = append(out, p)
+			}
 		}
-		return out
 	case AxisAttribute:
 		if n.Kind != xmltree.ElementNode {
-			return nil
+			break
 		}
-		out := make([]*xmltree.Node, 0, len(n.Attrs))
+		// Attributes are not nodes of the stored tree: synthesize one
+		// only for an attribute the test selects.
 		for _, a := range n.Attrs {
-			out = append(out, &xmltree.Node{
-				Kind:   xmltree.AttrNode,
-				Label:  a.Name,
-				Text:   a.Value,
-				Parent: n,
-			})
+			if t.Kind == TestNode || t.Kind == TestWild || (t.Kind == TestName && a.Name == t.Name) {
+				out = append(out, &xmltree.Node{
+					Kind:   xmltree.AttrNode,
+					Label:  a.Name,
+					Text:   a.Value,
+					Parent: n,
+				})
+			}
 		}
-		return out
-	case AxisFollowingSibling:
+	case AxisFollowingSibling, AxisPrecedingSibling:
 		if n.Parent == nil {
-			return nil
+			break
 		}
 		sibs := n.Parent.Children
 		for i, s := range sibs {
 			if s == n {
-				return sibs[i+1:]
+				if axis == AxisFollowingSibling {
+					sibs = sibs[i+1:]
+				} else {
+					sibs = sibs[:i]
+				}
+				for _, c := range sibs {
+					if testMatches(t, c) {
+						out = append(out, c)
+					}
+				}
+				break
 			}
 		}
-		return nil
-	case AxisPrecedingSibling:
-		if n.Parent == nil {
-			return nil
-		}
-		sibs := n.Parent.Children
-		for i, s := range sibs {
-			if s == n {
-				out := make([]*xmltree.Node, i)
-				copy(out, sibs[:i])
-				return out
-			}
-		}
-		return nil
-	default:
-		return nil
 	}
+	return out
 }
 
-func testMatches(t NodeTest, axis Axis, n *xmltree.Node) bool {
+// appendSubtree appends n and its descendants that pass the test, in
+// document order.
+func appendSubtree(out []*xmltree.Node, t NodeTest, n *xmltree.Node) []*xmltree.Node {
+	if testMatches(t, n) {
+		out = append(out, n)
+	}
+	for _, c := range n.Children {
+		out = appendSubtree(out, t, c)
+	}
+	return out
+}
+
+// testMatches applies a node test to a stored node (never an
+// attribute: the attribute axis tests names before it makes nodes).
+func testMatches(t NodeTest, n *xmltree.Node) bool {
 	switch t.Kind {
 	case TestNode:
 		return true
@@ -407,14 +491,8 @@ func testMatches(t NodeTest, axis Axis, n *xmltree.Node) bool {
 	case TestComment:
 		return n.Kind == xmltree.CommentNode
 	case TestWild:
-		if axis == AxisAttribute {
-			return n.Kind == xmltree.AttrNode
-		}
 		return n.Kind == xmltree.ElementNode
 	case TestName:
-		if axis == AxisAttribute {
-			return n.Kind == xmltree.AttrNode && n.Label == t.Name
-		}
 		return n.Kind == xmltree.ElementNode && n.Label == t.Name
 	}
 	return false

@@ -108,68 +108,112 @@ func formatNumber(f float64) string {
 	}
 }
 
-// compareValues implements XPath comparison semantics including the
-// existential rules for node-sets.
-func compareValues(op string, a, b Value) bool {
-	nsA, aIsNS := a.(NodeSet)
-	nsB, bIsNS := b.(NodeSet)
-	switch {
-	case aIsNS && bIsNS:
-		for _, x := range nsA {
-			for _, y := range nsB {
-				if cmpAtomic(op, String(nodeStringValue(x)), String(nodeStringValue(y))) {
-					return true
-				}
-			}
-		}
-		return false
-	case aIsNS:
-		for _, x := range nsA {
-			if cmpAtomic(op, String(nodeStringValue(x)), b) {
-				return true
-			}
-		}
-		return false
-	case bIsNS:
-		for _, y := range nsB {
-			if cmpAtomic(op, a, String(nodeStringValue(y))) {
-				return true
-			}
-		}
-		return false
+// operand is one side of a comparison: a node-set, or an atomic value
+// held unboxed so that comparing a node's string-value against it
+// allocates nothing.
+type operand struct {
+	kind opKind
+	ns   NodeSet
+	s    string
+	f    float64
+	b    bool
+}
+
+type opKind uint8
+
+const (
+	opString opKind = iota
+	opNumber
+	opBool
+	opNodeSet
+)
+
+func operandOf(v Value) operand {
+	switch x := v.(type) {
+	case NodeSet:
+		return operand{kind: opNodeSet, ns: x}
+	case Boolean:
+		return operand{kind: opBool, b: bool(x)}
+	case Number:
+		return operand{kind: opNumber, f: float64(x)}
 	default:
-		return cmpAtomic(op, a, b)
+		return operand{kind: opString, s: v.Str()}
 	}
 }
 
-// cmpAtomic compares two non-node-set values.
-func cmpAtomic(op string, a, b Value) bool {
+func (o operand) number() float64 {
+	switch o.kind {
+	case opNumber:
+		return o.f
+	case opBool:
+		return Boolean(o.b).Number()
+	default:
+		return stringToNumber(o.s)
+	}
+}
+
+func (o operand) str() string {
+	switch o.kind {
+	case opNumber:
+		return formatNumber(o.f)
+	case opBool:
+		return Boolean(o.b).Str()
+	default:
+		return o.s
+	}
+}
+
+func (o operand) boolean() bool {
+	switch o.kind {
+	case opNumber:
+		return Number(o.f).Bool()
+	case opBool:
+		return o.b
+	default:
+		return len(o.s) > 0
+	}
+}
+
+// compare implements XPath comparison semantics: the existential rules
+// for node-sets (each node stands for its string-value), then the
+// atomic comparison.
+func compare(op string, a, b operand) bool {
+	if a.kind == opNodeSet {
+		for _, x := range a.ns {
+			if compare(op, operand{kind: opString, s: nodeStringValue(x)}, b) {
+				return true
+			}
+		}
+		return false
+	}
+	if b.kind == opNodeSet {
+		for _, y := range b.ns {
+			if compare(op, a, operand{kind: opString, s: nodeStringValue(y)}) {
+				return true
+			}
+		}
+		return false
+	}
 	switch op {
 	case "=", "!=":
 		var eq bool
 		switch {
-		case isBool(a) || isBool(b):
-			eq = a.Bool() == b.Bool()
-		case isNumber(a) || isNumber(b):
-			eq = a.Number() == b.Number()
+		case a.kind == opBool || b.kind == opBool:
+			eq = a.boolean() == b.boolean()
+		case a.kind == opNumber || b.kind == opNumber:
+			eq = a.number() == b.number()
 		default:
-			eq = a.Str() == b.Str()
+			eq = a.str() == b.str()
 		}
-		if op == "=" {
-			return eq
-		}
-		return !eq
+		return eq == (op == "=")
 	case "<":
-		return a.Number() < b.Number()
+		return a.number() < b.number()
 	case "<=":
-		return a.Number() <= b.Number()
+		return a.number() <= b.number()
 	case ">":
-		return a.Number() > b.Number()
+		return a.number() > b.number()
 	case ">=":
-		return a.Number() >= b.Number()
+		return a.number() >= b.number()
 	}
 	return false
 }
-
-func isBool(v Value) bool   { _, ok := v.(Boolean); return ok }
-func isNumber(v Value) bool { _, ok := v.(Number); return ok }

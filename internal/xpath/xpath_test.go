@@ -24,8 +24,16 @@ func doc(t *testing.T) *xmltree.Node {
 	return n
 }
 
+// noVars is the empty scope tests extend with Bind.
+var noVars *Scope
+
+// The four helpers below also run every expression they are given
+// through the reference evaluator (reference_test.go), so each
+// expression in this file doubles as a differential case.
+
 func sel(t *testing.T, n *xmltree.Node, expr string) []*xmltree.Node {
 	t.Helper()
+	checkReference(t, expr, &Context{Node: n})
 	c, err := Compile(expr)
 	if err != nil {
 		t.Fatalf("Compile(%q): %v", expr, err)
@@ -39,6 +47,7 @@ func sel(t *testing.T, n *xmltree.Node, expr string) []*xmltree.Node {
 
 func evalStr(t *testing.T, n *xmltree.Node, expr string) string {
 	t.Helper()
+	checkReference(t, expr, &Context{Node: n})
 	c, err := Compile(expr)
 	if err != nil {
 		t.Fatalf("Compile(%q): %v", expr, err)
@@ -52,6 +61,7 @@ func evalStr(t *testing.T, n *xmltree.Node, expr string) string {
 
 func evalNum(t *testing.T, n *xmltree.Node, expr string) float64 {
 	t.Helper()
+	checkReference(t, expr, &Context{Node: n})
 	c := MustCompile(expr)
 	f, err := c.EvalNumber(&Context{Node: n})
 	if err != nil {
@@ -62,6 +72,7 @@ func evalNum(t *testing.T, n *xmltree.Node, expr string) float64 {
 
 func evalBool(t *testing.T, n *xmltree.Node, expr string) bool {
 	t.Helper()
+	checkReference(t, expr, &Context{Node: n})
 	c := MustCompile(expr)
 	b, err := c.EvalBool(&Context{Node: n})
 	if err != nil {
@@ -318,7 +329,7 @@ func TestVariables(t *testing.T) {
 	d := doc(t)
 	c := MustCompile("$x/name")
 	items := sel(t, d, "item")
-	v, err := c.Eval(&Context{Node: d, Vars: map[string]Value{"x": NodeSet(items)}})
+	v, err := c.Eval(&Context{Node: d, Vars: noVars.Bind("x", NodeSet(items))})
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
@@ -328,7 +339,7 @@ func TestVariables(t *testing.T) {
 	}
 	// Scalar variable in arithmetic.
 	c2 := MustCompile("$n + 1")
-	v2, err := c2.Eval(&Context{Node: d, Vars: map[string]Value{"n": Number(41)}})
+	v2, err := c2.Eval(&Context{Node: d, Vars: noVars.Bind("n", Number(41))})
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
@@ -344,7 +355,7 @@ func TestVariables(t *testing.T) {
 func TestVariableInPredicate(t *testing.T) {
 	d := doc(t)
 	c := MustCompile("item[price < $limit]/name")
-	v, err := c.Eval(&Context{Node: d, Vars: map[string]Value{"limit": Number(100)}})
+	v, err := c.Eval(&Context{Node: d, Vars: noVars.Bind("limit", Number(100))})
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
@@ -436,8 +447,8 @@ func TestStringRendering(t *testing.T) {
 			continue
 		}
 		// Evaluate both against the fixture where possible and compare.
-		v1, err1 := c.Eval(&Context{Node: d, Vars: map[string]Value{"v": NodeSet{d}, "w": NodeSet{d}}})
-		v2, err2 := c2.Eval(&Context{Node: d, Vars: map[string]Value{"v": NodeSet{d}, "w": NodeSet{d}}})
+		v1, err1 := c.Eval(&Context{Node: d, Vars: noVars.Bind("v", NodeSet{d}).Bind("w", NodeSet{d})})
+		v2, err2 := c2.Eval(&Context{Node: d, Vars: noVars.Bind("v", NodeSet{d}).Bind("w", NodeSet{d})})
 		if (err1 == nil) != (err2 == nil) {
 			t.Errorf("eval divergence for %q vs %q", src, rendered)
 			continue

@@ -56,11 +56,7 @@ func (q *Query) EvalCursor(ctx context.Context, env *Env, args ...[]*xmltree.Nod
 	if len(args) != len(q.Params) {
 		return nil, errf("query takes %d parameter(s), got %d", len(q.Params), len(args))
 	}
-	ec := &evalCtx{env: env, vars: map[string]xpath.Value{}}
-	for i, p := range q.Params {
-		ec.vars[p] = xpath.NodeSet(args[i])
-	}
-	return &queryCursor{ctx: ctx, it: exprIter(q.Body, ec)}, nil
+	return &queryCursor{ctx: ctx, it: exprIter(q.Body, q.rootCtx(env, args))}, nil
 }
 
 // queryCursor is the exported Cursor over the internal row iterators:
@@ -303,11 +299,11 @@ type lazyTuples struct {
 }
 
 type tframe struct {
-	ctx     *evalCtx
-	ns      xpath.NodeSet // for-clause bindings; nil for a let
+	ctx *evalCtx // the partial tuple up to and including this clause
+	// The rest is for-clause state; a let frame is never advanced.
+	ns      xpath.NodeSet // candidates
 	idx     int
 	varName string
-	isFor   bool
 }
 
 func (t *lazyTuples) parent() *evalCtx {
@@ -317,20 +313,24 @@ func (t *lazyTuples) parent() *evalCtx {
 	return t.frames[len(t.frames)-1].ctx
 }
 
+// bindFor binds frame fr's candidate fr.idx in a scope of its own
+// under parent.
+func (fr *tframe) bindFor(parent *evalCtx) {
+	fr.ctx = parent.with(fr.varName, xpath.NodeSet{fr.ns[fr.idx]})
+}
+
 // step advances the deepest for-frame, popping spent frames. It
 // reports whether another binding combination exists.
 func (t *lazyTuples) step() bool {
 	for len(t.frames) > 0 {
 		fr := &t.frames[len(t.frames)-1]
-		if fr.isFor && fr.idx+1 < len(fr.ns) {
+		if fr.idx+1 < len(fr.ns) {
 			fr.idx++
 			parent := t.base
 			if len(t.frames) > 1 {
 				parent = t.frames[len(t.frames)-2].ctx
 			}
-			next := parent.child()
-			next.vars[fr.varName] = xpath.NodeSet{fr.ns[fr.idx]}
-			fr.ctx = next
+			fr.bindFor(parent)
 			return true
 		}
 		t.frames = t.frames[:len(t.frames)-1]
@@ -374,18 +374,16 @@ func (t *lazyTuples) next() (*evalCtx, error) {
 					}
 					continue
 				}
-				next := cur.child()
-				next.vars[cl.Var] = xpath.NodeSet{ns[0]}
-				t.frames = append(t.frames, tframe{ctx: next, ns: ns, varName: cl.Var, isFor: true})
+				fr := tframe{ns: ns, varName: cl.Var}
+				fr.bindFor(cur)
+				t.frames = append(t.frames, fr)
 			case LetClause:
 				val, err := evalToValue(cl.Source, cur)
 				if err != nil {
 					t.done = true
 					return nil, err
 				}
-				next := cur.child()
-				next.vars[cl.Var] = val
-				t.frames = append(t.frames, tframe{ctx: next})
+				t.frames = append(t.frames, tframe{ctx: cur.with(cl.Var, val)})
 			default:
 				t.done = true
 				return nil, errf("unknown clause type %T", cl)

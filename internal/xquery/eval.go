@@ -46,11 +46,7 @@ func (q *Query) Eval(env *Env, args ...[]*xmltree.Node) ([]*xmltree.Node, error)
 	if len(args) != len(q.Params) {
 		return nil, errf("query takes %d parameter(s), got %d", len(q.Params), len(args))
 	}
-	ctx := &evalCtx{env: env, vars: map[string]xpath.Value{}}
-	for i, p := range q.Params {
-		ctx.vars[p] = xpath.NodeSet(args[i])
-	}
-	return evalToForest(q.Body, ctx)
+	return evalToForest(q.Body, q.rootCtx(env, args))
 }
 
 // EvalValue evaluates the query body to an XPath value rather than a
@@ -59,24 +55,34 @@ func (q *Query) EvalValue(env *Env, args ...[]*xmltree.Node) (xpath.Value, error
 	if len(args) != len(q.Params) {
 		return nil, errf("query takes %d parameter(s), got %d", len(q.Params), len(args))
 	}
-	ctx := &evalCtx{env: env, vars: map[string]xpath.Value{}}
-	for i, p := range q.Params {
-		ctx.vars[p] = xpath.NodeSet(args[i])
-	}
-	return evalToValue(q.Body, ctx)
+	return evalToValue(q.Body, q.rootCtx(env, args))
 }
 
+// evalCtx is one binding scope of an evaluation: a tuple, a partial
+// tuple, or the query's parameters. xc.Vars is the scope's variable
+// chain; xc is handed to the XPath evaluator as is, so evaluating a
+// path allocates no context.
 type evalCtx struct {
-	env  *Env
-	vars map[string]xpath.Value
+	env *Env
+	xc  xpath.Context
 }
 
-func (c *evalCtx) child() *evalCtx {
-	vars := make(map[string]xpath.Value, len(c.vars)+2)
-	for k, v := range c.vars {
-		vars[k] = v
+// rootCtx is the outermost scope: the parameters bound to the arguments.
+func (q *Query) rootCtx(env *Env, args [][]*xmltree.Node) *evalCtx {
+	ctx := &evalCtx{env: env}
+	for i, p := range q.Params {
+		ctx.bind(p, xpath.NodeSet(args[i]))
 	}
-	return &evalCtx{env: c.env, vars: vars}
+	return ctx
+}
+
+// bind extends this scope in place.
+func (c *evalCtx) bind(name string, v xpath.Value) { c.xc.Vars = c.xc.Vars.Bind(name, v) }
+
+// with returns a new scope with one more binding. It shares c's chain:
+// bindings c gains later are not seen by the child, nor the reverse.
+func (c *evalCtx) with(name string, v xpath.Value) *evalCtx {
+	return &evalCtx{env: c.env, xc: xpath.Context{Vars: c.xc.Vars.Bind(name, v)}}
 }
 
 // bindDocs resolves the doc() references of a path and binds their
@@ -84,7 +90,7 @@ func (c *evalCtx) child() *evalCtx {
 func (c *evalCtx) bindDocs(p *Path) error {
 	for _, name := range p.Docs {
 		key := docVarPrefix + name
-		if _, done := c.vars[key]; done {
+		if _, done := c.xc.Vars.Lookup(key); done {
 			continue
 		}
 		if c.env == nil || c.env.Resolve == nil {
@@ -94,7 +100,7 @@ func (c *evalCtx) bindDocs(p *Path) error {
 		if err != nil {
 			return fmt.Errorf("xquery: resolving doc(%q): %w", name, err)
 		}
-		c.vars[key] = xpath.NodeSet{root}
+		c.bind(key, xpath.NodeSet{root})
 	}
 	return nil
 }
@@ -106,11 +112,7 @@ func evalToValue(e Expr, ctx *evalCtx) (xpath.Value, error) {
 		if err := ctx.bindDocs(v); err != nil {
 			return nil, err
 		}
-		val, err := xpathEval(v.X, ctx.vars)
-		if err != nil {
-			return nil, err
-		}
-		return val, nil
+		return xpath.Eval(v.X, &ctx.xc)
 	case TextLit:
 		return xpath.String(v), nil
 	case *Elem, *FLWR, *Seq:
@@ -174,8 +176,7 @@ func LiveNodes(q *Query, env *Env) ([]*xmltree.Node, error) {
 	if !ok {
 		return nil, errf("LiveNodes: query body is not a path")
 	}
-	ctx := &evalCtx{env: env, vars: map[string]xpath.Value{}}
-	val, err := evalToValue(p, ctx)
+	val, err := evalToValue(p, &evalCtx{env: env})
 	if err != nil {
 		return nil, err
 	}
@@ -207,11 +208,6 @@ func materialize(v xpath.Value) []*xmltree.Node {
 	default:
 		return []*xmltree.Node{xmltree.NewText(v.Str())}
 	}
-}
-
-func xpathEval(e xpath.Expr, vars map[string]xpath.Value) (xpath.Value, error) {
-	c := &xpath.Compiled{Source: e.String(), Root: e}
-	return c.Eval(&xpath.Context{Vars: vars})
 }
 
 func evalFLWR(f *FLWR, ctx *evalCtx) ([]*xmltree.Node, error) {
@@ -267,9 +263,7 @@ func collectTuples(f *FLWR, ctx *evalCtx) ([]*evalCtx, error) {
 				return errf("for $%s: source is not a node sequence (got %T)", cl.Var, val)
 			}
 			for _, n := range ns {
-				next := cur.child()
-				next.vars[cl.Var] = xpath.NodeSet{n}
-				if err := expand(i+1, next); err != nil {
+				if err := expand(i+1, cur.with(cl.Var, xpath.NodeSet{n})); err != nil {
 					return err
 				}
 			}
@@ -279,9 +273,7 @@ func collectTuples(f *FLWR, ctx *evalCtx) ([]*evalCtx, error) {
 			if err != nil {
 				return err
 			}
-			next := cur.child()
-			next.vars[cl.Var] = val
-			return expand(i+1, next)
+			return expand(i+1, cur.with(cl.Var, val))
 		default:
 			return errf("unknown clause type %T", cl)
 		}

@@ -260,7 +260,7 @@ func (d *DeltaFor) DeltaEvents() (*Events, error) { return d.DeltaEventsWith(d.e
 // re-derive (exactly once); sources that disappeared retract theirs.
 // The body is never evaluated for unchanged sources.
 func (d *DeltaFor) DeltaEventsWith(env *Env) (ev *Events, retErr error) {
-	ctx := &evalCtx{env: env, vars: map[string]xpath.Value{}}
+	ctx := &evalCtx{env: env}
 	val, err := evalToValue(d.source, ctx)
 	if err != nil {
 		return nil, err
@@ -316,8 +316,7 @@ func (d *DeltaFor) DeltaEventsWith(env *Env) (ev *Events, retErr error) {
 
 // derive evaluates the residual body with the for-variable bound to n.
 func (d *DeltaFor) derive(ctx *evalCtx, n *xmltree.Node) ([]*xmltree.Node, error) {
-	tup := ctx.child()
-	tup.vars[d.forVar] = xpath.NodeSet{n}
+	tup := ctx.with(d.forVar, xpath.NodeSet{n})
 	if len(d.rest.Clauses) == 0 && d.rest.Order == nil {
 		if d.rest.Where != nil {
 			v, err := evalToValue(d.rest.Where, tup)

@@ -1,0 +1,5 @@
+//go:build !race
+
+package xquery
+
+const raceEnabled = false
