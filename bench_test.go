@@ -211,7 +211,13 @@ func BenchmarkE7Continuous(b *testing.B) {
 				if !ok {
 					b.Fatal("not incrementalizable")
 				}
-				delta = inc.Delta
+				delta = func() ([]*xmltree.Node, error) {
+					ev, err := inc.DeltaEvents()
+					if err != nil {
+						return nil, err
+					}
+					return ev.AddedTrees(), nil
+				}
 			} else {
 				delta = xquery.NewRecompute(q, env).Delta
 			}

@@ -384,7 +384,13 @@ func E7Continuous(baseItems, batches, perBatch int) (*Table, error) {
 			if !ok {
 				return 0, 0, fmt.Errorf("E7: query not incrementalizable")
 			}
-			deltaFn = inc.Delta
+			deltaFn = func() ([]*xmltree.Node, error) {
+				ev, err := inc.DeltaEvents()
+				if err != nil {
+					return nil, err
+				}
+				return ev.AddedTrees(), nil
+			}
 		} else {
 			deltaFn = xquery.NewRecompute(q, env).Delta
 		}

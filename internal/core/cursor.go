@@ -15,8 +15,9 @@ import (
 // first row is available after O(source scan + one row) of work, while
 // the remaining evaluation happens as the consumer pulls. Delegated
 // sub-evaluations — arguments, remote documents, eval@p fragments —
-// still ship eagerly across netsim, as the distribution model requires
-// whole-forest transfers; laziness applies to the local composition.
+// still ship whole forests across netsim, as the distribution model
+// requires, but are evaluated the same way: System.Eval, at whichever
+// peer, drains one of these under the caller's context.
 //
 // Next returns (nil, nil) at end of stream. Close abandons the
 // remaining evaluation; both are idempotent. VT reports the virtual
@@ -25,22 +26,17 @@ import (
 // many output nodes were actually produced — an abandoned cursor
 // charges only the rows it yielded).
 type RowCursor struct {
-	nextFn  func() (*xmltree.Node, error)
-	closeFn func()
-	vt      float64
-	done    bool
-	closed  bool
-	err     error
+	nextFn func() (*xmltree.Node, error) // nil once exhausted or closed
+	endFn  func() float64                // run once when the stream ends: the final VT
+	vt     float64
+	err    error
 }
 
 // Next returns the next result tree, or (nil, nil) when the stream is
 // exhausted. Errors are sticky.
 func (c *RowCursor) Next() (*xmltree.Node, error) {
-	if c.err != nil {
+	if c.err != nil || c.nextFn == nil {
 		return nil, c.err
-	}
-	if c.done || c.closed {
-		return nil, nil
 	}
 	n, err := c.nextFn()
 	if err != nil {
@@ -48,7 +44,7 @@ func (c *RowCursor) Next() (*xmltree.Node, error) {
 		return nil, err
 	}
 	if n == nil {
-		c.done = true
+		_ = c.Close()
 	}
 	return n, nil
 }
@@ -56,12 +52,11 @@ func (c *RowCursor) Next() (*xmltree.Node, error) {
 // Close abandons the remaining evaluation. Safe to call at any point,
 // any number of times.
 func (c *RowCursor) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	if c.closeFn != nil {
-		c.closeFn()
+	if c.nextFn != nil {
+		c.nextFn = nil
+		if c.endFn != nil {
+			c.vt = c.endFn()
+		}
 	}
 	return nil
 }
@@ -77,12 +72,12 @@ func (s *System) EvalCursor(at netsim.PeerID, e Expr) (*RowCursor, error) {
 }
 
 // EvalCursorContext evaluates e at peer at, streaming the result
-// forest row by row. The context is checked on every pull, so a
-// consumer that cancels mid-stream stops the evaluation where it
-// stands. Query applications local to at evaluate lazily; every other
-// expression form (and any query a local eval@at wrapper does not
-// reduce to) falls back to eager evaluation with the forest streamed
-// afterwards — identical rows, no latency win.
+// forest row by row. The context is checked on every pull and inside
+// long tuple scans, so a consumer that cancels mid-stream stops the
+// evaluation where it stands. Query applications local to at evaluate
+// lazily; every other expression form (and any query a local eval@at
+// wrapper does not reduce to) is evaluated to its forest first and the
+// forest streamed afterwards — identical rows, no latency win.
 func (s *System) EvalCursorContext(ctx context.Context, at netsim.PeerID, e Expr) (*RowCursor, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -101,7 +96,7 @@ func (s *System) EvalCursorContext(ctx context.Context, at netsim.PeerID, e Expr
 		break
 	}
 	if q, ok := e.(*Query); ok {
-		return s.queryCursor(ctx, p, q)
+		return s.queryCursor(ctx, p, q, 0)
 	}
 	res, err := s.eval(ctx, at, e, 0)
 	if err != nil {
@@ -110,13 +105,13 @@ func (s *System) EvalCursorContext(ctx context.Context, at netsim.PeerID, e Expr
 	return forestCursor(res), nil
 }
 
-// queryCursor opens a lazy cursor over a query application: arguments
-// and a remotely-defined query text are fetched eagerly (they ship
-// whole), then the body evaluates pull by pull. Compute cost is
-// charged when the stream ends — in full on exhaustion, pro rata for
-// the yielded rows when abandoned.
-func (s *System) queryCursor(ctx context.Context, p *peer.Peer, q *Query) (*RowCursor, error) {
-	run, err := s.prepareQuery(ctx, p, q, 0)
+// queryCursor opens a lazy cursor over a query application starting at
+// virtual time vt: arguments and a remotely-defined query text are
+// fetched eagerly (they ship whole), then the body evaluates pull by
+// pull. Compute cost is charged when the stream ends — in full on
+// exhaustion, pro rata for the yielded rows when abandoned.
+func (s *System) queryCursor(ctx context.Context, p *peer.Peer, q *Query, vt float64) (*RowCursor, error) {
+	run, err := s.prepareQuery(ctx, p, q, vt)
 	if err != nil {
 		return nil, err
 	}
@@ -127,33 +122,21 @@ func (s *System) queryCursor(ctx context.Context, p *peer.Peer, q *Query) (*RowC
 	}
 	rc := &RowCursor{}
 	outNodes := 0
-	charged := false
-	charge := func() {
-		if !charged {
-			charged = true
-			rc.vt = run.finish(outNodes)
-		}
-	}
 	rc.nextFn = func() (*xmltree.Node, error) {
 		n, err := cur.Next()
-		if err != nil {
-			return nil, wrapCanceled(ctx, err)
+		if n != nil {
+			outNodes += n.NodeCount()
 		}
-		if n == nil {
-			charge()
-			return nil, nil
-		}
-		outNodes += n.NodeCount()
-		return n, nil
+		return n, wrapCanceled(ctx, err)
 	}
-	rc.closeFn = func() {
+	rc.endFn = func() float64 {
 		_ = cur.Close()
-		charge()
+		return run.finish(outNodes)
 	}
 	return rc, nil
 }
 
-// forestCursor wraps an eagerly-computed result as a cursor.
+// forestCursor wraps an already-computed result as a cursor.
 func forestCursor(res *Result) *RowCursor {
 	i := 0
 	return &RowCursor{

@@ -25,10 +25,11 @@ func (s *System) Eval(at netsim.PeerID, e Expr) (*Result, error) {
 }
 
 // EvalContext is Eval under a context: the context is checked before
-// every local step and threaded through every cross-peer transfer, so
-// an expired deadline stops the plan where it stands — including work
-// already delegated to remote peers — and surfaces as ErrCanceled. No
-// further remote ships are started once the context is done.
+// every local step, inside every query's tuple scan, and threaded
+// through every cross-peer transfer, so an expired deadline stops the
+// plan where it stands — including work already delegated to remote
+// peers — and surfaces as ErrCanceled. No further remote ships are
+// started once the context is done.
 func (s *System) EvalContext(ctx context.Context, at netsim.PeerID, e Expr) (*Result, error) {
 	return s.eval(ctx, at, e, 0)
 }
@@ -38,11 +39,6 @@ func (s *System) EvalContext(ctx context.Context, at netsim.PeerID, e Expr) (*Re
 // child transfer may only start once the parent's copy has arrived).
 func (s *System) EvalFrom(at netsim.PeerID, e Expr, startVT float64) (*Result, error) {
 	return s.eval(context.Background(), at, e, startVT)
-}
-
-// EvalFromContext is EvalFrom under a context.
-func (s *System) EvalFromContext(ctx context.Context, at netsim.PeerID, e Expr, startVT float64) (*Result, error) {
-	return s.eval(ctx, at, e, startVT)
 }
 
 // eval is the recursive evaluator; vt is the virtual time at which the
@@ -223,24 +219,40 @@ func (s *System) evalDoc(ctx context.Context, p *peer.Peer, d *Doc, vt float64) 
 
 // evalQuery implements definitions (2) and (7): evaluate the argument
 // expressions, ship them (and the query, if defined elsewhere) to the
-// evaluation site, then apply the query.
+// evaluation site, then apply the query — by draining the row cursor a
+// streaming consumer would pull from.
 func (s *System) evalQuery(ctx context.Context, p *peer.Peer, q *Query, vt float64) (*Result, error) {
-	run, err := s.prepareQuery(ctx, p, q, vt)
+	cur, err := s.queryCursor(ctx, p, q, vt)
 	if err != nil {
 		return nil, err
 	}
-	out, err := q.Q.Eval(run.env, run.args...)
+	out, err := collect(cur)
 	if err != nil {
-		run.release()
 		return nil, err
 	}
-	return &Result{Forest: out, VT: run.finish(countNodes(out))}, nil
+	return &Result{Forest: out, VT: cur.VT()}, nil
 }
 
-// queryRun is the shared setup of a query application: arguments
-// evaluated (and shipped) eagerly, documents resolved lazily through
-// env. Both the eager evaluator and the row cursor build on it; the
-// difference is only whether q.Q.Eval or q.Q.EvalCursor consumes it.
+// collect drains a row cursor into a forest and closes it, whatever
+// the outcome; a failure discards the rows before it.
+func collect(cur xquery.Cursor) ([]*xmltree.Node, error) {
+	defer cur.Close()
+	var out []*xmltree.Node
+	for {
+		n, err := cur.Next()
+		if err != nil {
+			return nil, err
+		}
+		if n == nil {
+			return out, nil
+		}
+		out = append(out, n)
+	}
+}
+
+// queryRun is the setup of a query application: arguments evaluated
+// (and shipped) eagerly, documents resolved lazily through env. The
+// row cursor (queryCursor) evaluates the body over it.
 type queryRun struct {
 	sys        *System
 	p          *peer.Peer
@@ -828,7 +840,7 @@ func (s *System) lookupService(provider netsim.PeerID, name string) *service.Ser
 
 // applyService runs a service body over argument forests at its
 // provider. It returns the response forest and the compute cost.
-func (s *System) applyService(p *peer.Peer, svc *service.Service, args [][]*xmltree.Node) ([]*xmltree.Node, float64, error) {
+func (s *System) applyService(ctx context.Context, p *peer.Peer, svc *service.Service, args [][]*xmltree.Node) ([]*xmltree.Node, float64, error) {
 	if svc.Builtin != nil {
 		out, err := svc.Builtin(args)
 		if err != nil {
@@ -842,7 +854,11 @@ func (s *System) applyService(p *peer.Peer, svc *service.Service, args [][]*xmlt
 	// publishes between them.
 	h := p.Snapshot()
 	defer h.Release()
-	out, err := svc.Body.Eval(&xquery.Env{Resolve: h.Resolver()}, args...)
+	cur, err := svc.Body.EvalCursor(ctx, &xquery.Env{Resolve: h.Resolver()}, args...)
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: service %s@%s: %w", svc.Name, p.ID, err)
+	}
+	out, err := collect(cur)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: service %s@%s: %w", svc.Name, p.ID, err)
 	}

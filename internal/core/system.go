@@ -322,7 +322,7 @@ func (h *peerHandler) handleServiceCall(ctx context.Context, msg netsim.Message,
 			return nil, "", 0, fmt.Errorf("core: call %s@%s: %w", name, h.peer.ID, err)
 		}
 	}
-	out, cost, err := h.sys.applyService(h.peer, svc, args)
+	out, cost, err := h.sys.applyService(ctx, h.peer, svc, args)
 	if err != nil {
 		return nil, "", 0, err
 	}

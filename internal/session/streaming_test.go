@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"axml/internal/core"
 	"axml/internal/netsim"
 	"axml/internal/view"
+	"axml/internal/workload"
 	"axml/internal/xmltree"
 )
 
@@ -134,6 +136,49 @@ func TestCancelMidStream(t *testing.T) {
 		t.Errorf("evaluation continued after cancel: %d messages", after-before)
 	}
 	_ = rows.Close()
+}
+
+// TestCancelInsideScan: a cancel that lands while the evaluator is
+// between rows — here in a join that examines 2,000² candidate tuples
+// and accepts none — fails the statement with ErrCanceled shortly after
+// the cancel, instead of after the scan, and unpins the store.
+func TestCancelInsideScan(t *testing.T) {
+	sys, views := streamSystem(t, 0)
+	client, _ := sys.Peer("client")
+	catalog := workload.Catalog(workload.CatalogSpec{Items: 2000, PriceMax: 1000, Seed: 1})
+	if err := client.InstallDocument("c", catalog); err != nil {
+		t.Fatal(err)
+	}
+	sess := newSession(t, sys, views)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	canceledAt := make(chan time.Time, 1)
+	timer := time.AfterFunc(20*time.Millisecond, func() {
+		canceledAt <- time.Now()
+		cancel()
+	})
+	defer timer.Stop()
+	rows, err := sess.Query(ctx, `for $i in doc("c")/item for $j in doc("c")/item
+		where $i/@id = "nope" and $j/@id = "nope" return $i`)
+	if err == nil {
+		for rows.Next() {
+			t.Error("the join accepted a tuple")
+		}
+		err = rows.Err()
+		_ = rows.Close()
+	}
+	late := time.Since(<-canceledAt)
+	if !errors.Is(err, ErrCanceled) {
+		t.Errorf("err = %v, want ErrCanceled", err)
+	}
+	// Measured: under a millisecond. The bound leaves room for a loaded
+	// host and is still well inside the 2 s the scan runs for.
+	if late > time.Second {
+		t.Errorf("statement failed %v after the cancel, want it well inside the scan's run time", late)
+	}
+	if n := client.PinnedEpochs(); n != 0 {
+		t.Errorf("%d epochs still pinned after the canceled statement", n)
+	}
 }
 
 // TestPlanCacheLRUEviction: among equal-benefit shapes the cache cap

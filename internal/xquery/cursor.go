@@ -1,19 +1,22 @@
-// Pull-based (cursor) evaluation. Query.Eval materializes the whole
-// result forest before returning; EvalCursor instead hands back a
-// Cursor whose Next lazily drives the FLWOR machinery one result tree
-// at a time: for-clauses advance like an odometer, the where filter
-// runs per candidate tuple, and the return expression — usually the
-// expensive part, a constructor or a nested FLWR — is only evaluated
-// for tuples actually pulled. The first row of an N-row result costs
-// O(source scan + 1 row), not O(N rows), which is what lets a server
-// ship the first x:row of a wire stream while evaluation continues.
+// Pull-based evaluation, the only kind: every expression is a row
+// iterator (exprIter). EvalCursor hands one out a result tree per Next;
+// Query.Eval, and every nested expression that needs a forest, drains
+// one. For-clauses advance like an odometer, the where filter runs per
+// candidate tuple, and the return expression — usually the expensive
+// part, a constructor or a nested FLWR — is only evaluated for tuples
+// actually pulled. The first row of an N-row result costs O(source scan
+// + 1 row), not O(N rows), which is what lets a server ship the first
+// x:row of a wire stream while evaluation continues.
 //
 // Laziness has one inherent limit: an order-by must see every binding
-// tuple before the first row can leave, so ordered FLWRs expand and
-// sort their tuples eagerly — but still evaluate the return expression
-// per pull. Sequences compose lazily; bare paths evaluate their
-// node-set in one XPath pass (the language is set-oriented below the
-// FLWR level) and then deep-copy one node per pull.
+// tuple before the first row can leave, so ordered FLWRs drain and sort
+// their tuples on the first pull — but still evaluate the return
+// expression per pull. Sequences compose lazily; bare paths evaluate
+// their node-set in one XPath pass (the language is set-oriented below
+// the FLWR level) and then deep-copy one node per pull. Such a pass is
+// also the one thing cancellation cannot interrupt: the context is
+// looked at before every pull and every cancelCheckEvery candidate
+// tuples of a scan.
 package xquery
 
 import (
@@ -37,12 +40,13 @@ type Cursor interface {
 
 // EvalCursor evaluates the query lazily: the returned cursor yields
 // the same trees, in the same order, as Eval's result forest, but rows
-// are produced on demand and ctx is checked on every pull — canceling
-// it mid-stream stops the evaluation where it stands.
+// are produced on demand. ctx is checked on every pull and inside long
+// tuple scans — canceling it stops the evaluation where it stands, with
+// an error that unwraps to ctx.Err().
 //
-// Error timing differs from Eval by design: Eval surfaces a failure
-// anywhere in the tuple stream before returning any data, a cursor
-// yields the rows preceding the failure first.
+// Error timing: a cursor yields the rows preceding a failure, then the
+// failure. Eval is this cursor drained, so it runs exactly as far — it
+// returns no rows on failure because the drain discards them.
 //
 // Concurrency contract: the cursor reads the resolved documents
 // without locking, which is safe because resolvers hand out immutable
@@ -56,31 +60,24 @@ func (q *Query) EvalCursor(ctx context.Context, env *Env, args ...[]*xmltree.Nod
 	if len(args) != len(q.Params) {
 		return nil, errf("query takes %d parameter(s), got %d", len(q.Params), len(args))
 	}
-	return &queryCursor{ctx: ctx, it: exprIter(q.Body, q.rootCtx(env, args))}, nil
+	root := q.rootCtx(ctx, env, args)
+	return &queryCursor{ev: root.ev, it: exprIter(q.Body, root)}, nil
 }
 
 // queryCursor is the exported Cursor over the internal row iterators:
 // it owns the terminal state and the per-pull context check.
 type queryCursor struct {
-	ctx    context.Context
-	it     rowIter
-	done   bool
-	closed bool
-	err    error
+	ev  *evaluation
+	it  rowIter // nil once exhausted or closed
+	err error
 }
 
 func (c *queryCursor) Next() (Row, error) {
-	if c.err != nil {
+	if c.err != nil || c.it == nil {
 		return nil, c.err
 	}
-	if c.done || c.closed {
-		return nil, nil
-	}
-	if c.ctx != nil {
-		if err := c.ctx.Err(); err != nil {
-			c.err = &EvalError{Msg: "canceled: " + err.Error(), cause: err}
-			return nil, c.err
-		}
+	if c.err = c.ev.canceled(); c.err != nil {
+		return nil, c.err
 	}
 	n, err := c.it.next()
 	if err != nil {
@@ -88,13 +85,12 @@ func (c *queryCursor) Next() (Row, error) {
 		return nil, err
 	}
 	if n == nil {
-		c.done = true
+		c.it = nil
 	}
 	return n, nil
 }
 
 func (c *queryCursor) Close() error {
-	c.closed = true
 	c.it = nil
 	return nil
 }
@@ -112,13 +108,11 @@ type rowIter interface {
 func exprIter(e Expr, ctx *evalCtx) rowIter {
 	switch v := e.(type) {
 	case *FLWR:
-		return &flwrIter{f: v, ctx: ctx}
+		return &flwrIter{f: v, tuples: lazyTuples{f: v, base: ctx}}
 	case *Seq:
 		return &seqIter{items: v.Items, ctx: ctx}
-	case *Elem:
-		return &onceIter{eval: func() (*xmltree.Node, error) { return evalElem(v, ctx) }}
-	case TextLit:
-		return &onceIter{eval: func() (*xmltree.Node, error) { return xmltree.NewText(string(v)), nil }}
+	case *Elem, TextLit:
+		return &onceIter{e: v, ctx: ctx}
 	case *Path:
 		return &pathIter{p: v, ctx: ctx}
 	default:
@@ -130,9 +124,11 @@ type errIter struct{ err error }
 
 func (it *errIter) next() (*xmltree.Node, error) { return nil, it.err }
 
-// onceIter yields a single lazily-computed tree.
+// onceIter yields the single tree of a constructor or a text literal,
+// built when it is pulled.
 type onceIter struct {
-	eval func() (*xmltree.Node, error)
+	e    Expr
+	ctx  *evalCtx
 	done bool
 }
 
@@ -141,13 +137,16 @@ func (it *onceIter) next() (*xmltree.Node, error) {
 		return nil, nil
 	}
 	it.done = true
-	return it.eval()
+	if el, ok := it.e.(*Elem); ok {
+		return evalElem(el, it.ctx)
+	}
+	return xmltree.NewText(string(it.e.(TextLit))), nil
 }
 
 // pathIter evaluates the path's value on first pull (one set-oriented
-// XPath pass) and then materializes one node per pull — mirroring
-// materialize()'s copy/attr/scalar rules, but spreading the deep
-// copies over the pulls.
+// XPath pass) and then materializes one node per pull: a node is
+// deep-copied, an attribute becomes a text node of its value, a scalar
+// becomes one text node.
 type pathIter struct {
 	p       *Path
 	ctx     *evalCtx
@@ -214,41 +213,43 @@ func (it *seqIter) next() (*xmltree.Node, error) {
 	}
 }
 
-// flwrIter streams a FLWR: a tuple source (lazy odometer, or the
-// eagerly-sorted tuple list when an order by is present) crossed with
-// a per-tuple iterator over the return expression's forest.
+// flwrIter streams a FLWR: its binding tuples — straight off the clause
+// odometer, or, under an order by, the odometer drained and sorted on
+// the first pull — crossed with a per-tuple iterator over the return
+// expression's forest.
 type flwrIter struct {
 	f       *FLWR
-	ctx     *evalCtx
 	started bool
-	tuples  tupleSource
+	tuples  lazyTuples
+	sorted  []*evalCtx // order by only: the tuples still to come
 	cur     rowIter
 }
 
-// tupleSource yields binding tuples; nil context means exhausted.
-type tupleSource interface {
-	next() (*evalCtx, error)
+func (it *flwrIter) nextTuple() (*evalCtx, error) {
+	if it.f.Order == nil {
+		return it.tuples.next()
+	}
+	if !it.started {
+		// Order by is a pipeline breaker: every tuple is needed before
+		// the first row can leave. The return expression stays lazy.
+		it.started = true
+		tuples, err := collectTuples(&it.tuples)
+		if err == nil {
+			it.sorted, err = sortTuples(it.f, tuples)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if len(it.sorted) == 0 {
+		return nil, nil
+	}
+	tup := it.sorted[0]
+	it.sorted = it.sorted[1:]
+	return tup, nil
 }
 
 func (it *flwrIter) next() (*xmltree.Node, error) {
-	if !it.started {
-		it.started = true
-		if it.f.Order != nil {
-			// Order by is a pipeline breaker: expand and sort now, but
-			// keep the return expression lazy per tuple.
-			tuples, err := collectTuples(it.f, it.ctx)
-			if err != nil {
-				return nil, err
-			}
-			tuples, err = sortTuples(it.f, tuples)
-			if err != nil {
-				return nil, err
-			}
-			it.tuples = &sliceTuples{tuples: tuples}
-		} else {
-			it.tuples = &lazyTuples{f: it.f, base: it.ctx}
-		}
-	}
 	for {
 		if it.cur != nil {
 			n, err := it.cur.next()
@@ -260,36 +261,19 @@ func (it *flwrIter) next() (*xmltree.Node, error) {
 			}
 			it.cur = nil
 		}
-		tup, err := it.tuples.next()
-		if err != nil {
-			return nil, err
-		}
+		tup, err := it.nextTuple()
 		if tup == nil {
-			return nil, nil
+			return nil, err
 		}
 		it.cur = exprIter(it.f.Return, tup)
 	}
 }
 
-type sliceTuples struct {
-	tuples []*evalCtx
-	i      int
-}
-
-func (t *sliceTuples) next() (*evalCtx, error) {
-	if t.i >= len(t.tuples) {
-		return nil, nil
-	}
-	tup := t.tuples[t.i]
-	t.i++
-	return tup, nil
-}
-
 // lazyTuples is the pull-based clause odometer: one frame per clause,
 // the deepest for-frame advances first, and a frame whose node-set is
 // spent pops so its parent can advance. For-sources and let-values are
-// evaluated exactly as often as in the eager expansion (once per
-// parent tuple); the where filter runs per candidate on pull.
+// evaluated once per parent tuple; the where filter runs per candidate
+// on pull.
 type lazyTuples struct {
 	f       *FLWR
 	base    *evalCtx
@@ -338,20 +322,36 @@ func (t *lazyTuples) step() bool {
 	return false
 }
 
+// next returns the next binding tuple the where clause accepts, nil
+// when there is none. A failure ends the stream.
 func (t *lazyTuples) next() (*evalCtx, error) {
 	if t.done {
 		return nil, nil
 	}
+	tup, err := t.scan()
+	// A clause-less body yields exactly one tuple.
+	t.done = tup == nil || len(t.f.Clauses) == 0
+	return tup, err
+}
+
+// scan examines candidate tuples until the where clause accepts one. A
+// scan that rejects everything still stops when its consumer does: it
+// looks at the context every cancelCheckEvery candidates.
+func (t *lazyTuples) scan() (*evalCtx, error) {
+	ev := t.base.ev
 	advance := t.started
 	t.started = true
+candidates:
 	for {
-		if advance {
-			if !t.step() {
-				t.done = true
-				return nil, nil
+		if ev.scanned++; ev.scanned%cancelCheckEvery == 0 {
+			if err := ev.canceled(); err != nil {
+				return nil, err
 			}
-			advance = false
 		}
+		if advance && !t.step() {
+			return nil, nil
+		}
+		advance = true
 		// Fill the remaining clauses under the current partial tuple.
 		for len(t.frames) < len(t.f.Clauses) {
 			cur := t.parent()
@@ -359,20 +359,14 @@ func (t *lazyTuples) next() (*evalCtx, error) {
 			case ForClause:
 				val, err := evalToValue(cl.Source, cur)
 				if err != nil {
-					t.done = true
 					return nil, err
 				}
 				ns, ok := val.(xpath.NodeSet)
 				if !ok {
-					t.done = true
 					return nil, errf("for $%s: source is not a node sequence (got %T)", cl.Var, val)
 				}
 				if len(ns) == 0 {
-					if !t.step() {
-						t.done = true
-						return nil, nil
-					}
-					continue
+					continue candidates
 				}
 				fr := tframe{ns: ns, varName: cl.Var}
 				fr.bindFor(cur)
@@ -380,12 +374,10 @@ func (t *lazyTuples) next() (*evalCtx, error) {
 			case LetClause:
 				val, err := evalToValue(cl.Source, cur)
 				if err != nil {
-					t.done = true
 					return nil, err
 				}
 				t.frames = append(t.frames, tframe{ctx: cur.with(cl.Var, val)})
 			default:
-				t.done = true
 				return nil, errf("unknown clause type %T", cl)
 			}
 		}
@@ -393,20 +385,11 @@ func (t *lazyTuples) next() (*evalCtx, error) {
 		if t.f.Where != nil {
 			v, err := evalToValue(t.f.Where, tup)
 			if err != nil {
-				t.done = true
 				return nil, err
 			}
 			if !v.Bool() {
-				if !t.step() {
-					t.done = true
-					return nil, nil
-				}
 				continue
 			}
-		}
-		if len(t.f.Clauses) == 0 {
-			// A clause-less body yields exactly one tuple.
-			t.done = true
 		}
 		return tup, nil
 	}

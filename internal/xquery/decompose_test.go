@@ -251,20 +251,17 @@ func TestDeltaForIncremental(t *testing.T) {
 	if !ok {
 		t.Fatal("NewDeltaFor rejected single-for query")
 	}
-	d1, err := inc.Delta()
-	if err != nil {
-		t.Fatalf("delta1: %v", err)
-	}
+	d1 := mustEvents(t, inc).AddedTrees()
 	if len(d1) != 1 {
 		t.Fatalf("delta1 = %d", len(d1))
 	}
-	d2, _ := inc.Delta()
+	d2 := mustEvents(t, inc).AddedTrees()
 	if len(d2) != 0 {
 		t.Errorf("delta2 = %d, want 0", len(d2))
 	}
 	cat.AppendChild(xmltree.E("item", xmltree.E("price", "12")))
 	cat.AppendChild(xmltree.E("item", xmltree.E("price", "99")))
-	d3, _ := inc.Delta()
+	d3 := mustEvents(t, inc).AddedTrees()
 	if len(d3) != 1 || d3[0].TextContent() != "12" {
 		t.Errorf("delta3 = %v", texts(d3))
 	}
@@ -292,10 +289,7 @@ func TestDeltaForWithLet(t *testing.T) {
 	if !ok {
 		t.Fatal("NewDeltaFor rejected for+let query")
 	}
-	d1, err := inc.Delta()
-	if err != nil {
-		t.Fatalf("delta: %v", err)
-	}
+	d1 := mustEvents(t, inc).AddedTrees()
 	if len(d1) != 1 || d1[0].TextContent() != "10" {
 		t.Errorf("delta = %v", texts(d1))
 	}

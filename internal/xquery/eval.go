@@ -1,6 +1,7 @@
 package xquery
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -39,23 +40,39 @@ func errf(format string, args ...any) error {
 }
 
 // Eval evaluates the query with the given positional arguments (one
-// forest per declared parameter) and returns the result forest. The
-// result trees are freshly constructed (or deep-copied) — they share
-// no structure with the queried documents.
+// forest per declared parameter) and returns the result forest: the
+// rows of EvalCursor, drained. The result trees are freshly constructed
+// (or deep-copied) — they share no structure with the queried
+// documents. A failure anywhere in the evaluation returns no rows.
 func (q *Query) Eval(env *Env, args ...[]*xmltree.Node) ([]*xmltree.Node, error) {
 	if len(args) != len(q.Params) {
 		return nil, errf("query takes %d parameter(s), got %d", len(q.Params), len(args))
 	}
-	return evalToForest(q.Body, q.rootCtx(env, args))
+	return evalToForest(q.Body, q.rootCtx(nil, env, args))
 }
 
-// EvalValue evaluates the query body to an XPath value rather than a
-// forest; used for scalar queries (counts, predicates).
-func (q *Query) EvalValue(env *Env, args ...[]*xmltree.Node) (xpath.Value, error) {
-	if len(args) != len(q.Params) {
-		return nil, errf("query takes %d parameter(s), got %d", len(q.Params), len(args))
+// evaluation is the state one query evaluation shares across all of its
+// scopes.
+type evaluation struct {
+	env     *Env
+	ctx     context.Context // nil: the evaluation cannot be canceled
+	scanned uint            // candidate tuples examined so far
+}
+
+// cancelCheckEvery is how many candidate tuples a scan examines between
+// two looks at the evaluation's context.
+const cancelCheckEvery = 1024
+
+// canceled reports the evaluation's context failure, if any, as an
+// EvalError that unwraps to it.
+func (ev *evaluation) canceled() error {
+	if ev.ctx == nil {
+		return nil
 	}
-	return evalToValue(q.Body, q.rootCtx(env, args))
+	if err := ev.ctx.Err(); err != nil {
+		return &EvalError{Msg: "canceled: " + err.Error(), cause: err}
+	}
+	return nil
 }
 
 // evalCtx is one binding scope of an evaluation: a tuple, a partial
@@ -63,17 +80,22 @@ func (q *Query) EvalValue(env *Env, args ...[]*xmltree.Node) (xpath.Value, error
 // chain; xc is handed to the XPath evaluator as is, so evaluating a
 // path allocates no context.
 type evalCtx struct {
-	env *Env
-	xc  xpath.Context
+	ev *evaluation
+	xc xpath.Context
+}
+
+// newEvalCtx is the empty outermost scope of a new evaluation.
+func newEvalCtx(ctx context.Context, env *Env) *evalCtx {
+	return &evalCtx{ev: &evaluation{env: env, ctx: ctx}}
 }
 
 // rootCtx is the outermost scope: the parameters bound to the arguments.
-func (q *Query) rootCtx(env *Env, args [][]*xmltree.Node) *evalCtx {
-	ctx := &evalCtx{env: env}
+func (q *Query) rootCtx(ctx context.Context, env *Env, args [][]*xmltree.Node) *evalCtx {
+	c := newEvalCtx(ctx, env)
 	for i, p := range q.Params {
-		ctx.bind(p, xpath.NodeSet(args[i]))
+		c.bind(p, xpath.NodeSet(args[i]))
 	}
-	return ctx
+	return c
 }
 
 // bind extends this scope in place.
@@ -82,7 +104,7 @@ func (c *evalCtx) bind(name string, v xpath.Value) { c.xc.Vars = c.xc.Vars.Bind(
 // with returns a new scope with one more binding. It shares c's chain:
 // bindings c gains later are not seen by the child, nor the reverse.
 func (c *evalCtx) with(name string, v xpath.Value) *evalCtx {
-	return &evalCtx{env: c.env, xc: xpath.Context{Vars: c.xc.Vars.Bind(name, v)}}
+	return &evalCtx{ev: c.ev, xc: xpath.Context{Vars: c.xc.Vars.Bind(name, v)}}
 }
 
 // bindDocs resolves the doc() references of a path and binds their
@@ -93,10 +115,11 @@ func (c *evalCtx) bindDocs(p *Path) error {
 		if _, done := c.xc.Vars.Lookup(key); done {
 			continue
 		}
-		if c.env == nil || c.env.Resolve == nil {
+		env := c.ev.env
+		if env == nil || env.Resolve == nil {
 			return errf("query references doc(%q) but no document resolver is configured", name)
 		}
-		root, err := c.env.Resolve(name)
+		root, err := env.Resolve(name)
 		if err != nil {
 			return fmt.Errorf("xquery: resolving doc(%q): %w", name, err)
 		}
@@ -126,42 +149,23 @@ func evalToValue(e Expr, ctx *evalCtx) (xpath.Value, error) {
 	}
 }
 
-// evalToForest evaluates an expression to a forest of trees.
+// evalToForest evaluates an expression to a forest of trees by
+// draining its row iterator; a failure discards the rows before it.
 func evalToForest(e Expr, ctx *evalCtx) ([]*xmltree.Node, error) {
-	switch v := e.(type) {
-	case *FLWR:
-		return evalFLWR(v, ctx)
-	case *Elem:
-		n, err := evalElem(v, ctx)
+	var out []*xmltree.Node
+	it := exprIter(e, ctx)
+	for {
+		n, err := it.next()
 		if err != nil {
 			return nil, err
 		}
-		return []*xmltree.Node{n}, nil
-	case *Seq:
-		var out []*xmltree.Node
-		for _, item := range v.Items {
-			f, err := evalToForest(item, ctx)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, f...)
+		if n == nil {
+			return out, nil
 		}
-		return out, nil
-	case TextLit:
-		return []*xmltree.Node{xmltree.NewText(string(v))}, nil
-	case *Path:
-		val, err := evalToValue(v, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return materialize(val), nil
-	default:
-		return nil, errf("unknown expression type %T", e)
+		out = append(out, n)
 	}
 }
 
-// materialize converts an XPath value to a forest: node-sets are
-// deep-copied, scalars become text nodes.
 // LiveNodes evaluates a query whose body is a bare path and returns
 // the matched nodes themselves — not copies — so callers holding the
 // appropriate locks can address them by identifier for in-place
@@ -176,7 +180,7 @@ func LiveNodes(q *Query, env *Env) ([]*xmltree.Node, error) {
 	if !ok {
 		return nil, errf("LiveNodes: query body is not a path")
 	}
-	val, err := evalToValue(p, &evalCtx{env: env})
+	val, err := evalToValue(p, newEvalCtx(nil, env))
 	if err != nil {
 		return nil, err
 	}
@@ -193,95 +197,17 @@ func LiveNodes(q *Query, env *Env) ([]*xmltree.Node, error) {
 	return out, nil
 }
 
-func materialize(v xpath.Value) []*xmltree.Node {
-	switch x := v.(type) {
-	case xpath.NodeSet:
-		out := make([]*xmltree.Node, 0, len(x))
-		for _, n := range x {
-			if n.Kind == xmltree.AttrNode {
-				out = append(out, xmltree.NewText(n.Text))
-				continue
-			}
-			out = append(out, xmltree.DeepCopy(n))
-		}
-		return out
-	default:
-		return []*xmltree.Node{xmltree.NewText(v.Str())}
-	}
-}
-
-func evalFLWR(f *FLWR, ctx *evalCtx) ([]*xmltree.Node, error) {
-	tuples, err := collectTuples(f, ctx)
-	if err != nil {
-		return nil, err
-	}
-	tuples, err = sortTuples(f, tuples)
-	if err != nil {
-		return nil, err
-	}
-
-	var out []*xmltree.Node
-	for _, tup := range tuples {
-		f, err := evalToForest(f.Return, tup)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f...)
-	}
-	return out, nil
-}
-
-// collectTuples expands the clauses depth-first into the binding-tuple
-// stream, applying the where filter. Shared by the eager evaluator and
-// the order-by path of the cursor evaluator (an order by needs every
-// tuple before the first row can leave).
-func collectTuples(f *FLWR, ctx *evalCtx) ([]*evalCtx, error) {
+// collectTuples drains the clause odometer into the list of binding
+// tuples an order by sorts.
+func collectTuples(src *lazyTuples) ([]*evalCtx, error) {
 	var tuples []*evalCtx
-	var expand func(i int, cur *evalCtx) error
-	expand = func(i int, cur *evalCtx) error {
-		if i == len(f.Clauses) {
-			if f.Where != nil {
-				v, err := evalToValue(f.Where, cur)
-				if err != nil {
-					return err
-				}
-				if !v.Bool() {
-					return nil
-				}
-			}
-			tuples = append(tuples, cur)
-			return nil
+	for {
+		tup, err := src.next()
+		if tup == nil {
+			return tuples, err
 		}
-		switch cl := f.Clauses[i].(type) {
-		case ForClause:
-			val, err := evalToValue(cl.Source, cur)
-			if err != nil {
-				return err
-			}
-			ns, ok := val.(xpath.NodeSet)
-			if !ok {
-				return errf("for $%s: source is not a node sequence (got %T)", cl.Var, val)
-			}
-			for _, n := range ns {
-				if err := expand(i+1, cur.with(cl.Var, xpath.NodeSet{n})); err != nil {
-					return err
-				}
-			}
-			return nil
-		case LetClause:
-			val, err := evalToValue(cl.Source, cur)
-			if err != nil {
-				return err
-			}
-			return expand(i+1, cur.with(cl.Var, val))
-		default:
-			return errf("unknown clause type %T", cl)
-		}
+		tuples = append(tuples, tup)
 	}
-	if err := expand(0, ctx); err != nil {
-		return nil, err
-	}
-	return tuples, nil
 }
 
 // sortTuples applies the order-by clause (a no-op when absent).
@@ -346,11 +272,14 @@ func evalElem(e *Elem, ctx *evalCtx) (*xmltree.Node, error) {
 			n.AppendChild(xmltree.NewText(string(t)))
 			continue
 		}
-		forest, err := evalToForest(c, ctx)
-		if err != nil {
-			return nil, err
-		}
-		for _, child := range forest {
+		for it := exprIter(c, ctx); ; {
+			child, err := it.next()
+			if err != nil {
+				return nil, err
+			}
+			if child == nil {
+				break
+			}
 			n.AppendChild(child)
 		}
 	}

@@ -18,11 +18,11 @@ import (
 //     sources that appeared or changed since the last call.
 //
 // Positive AXML makes incremental evaluation sound only for monotone,
-// insertion-only streams; both evaluators go beyond that fragment by
-// also emitting *retractions* — withdrawals of previously emitted
-// results — when a source node is deleted or updated in place
-// (DeltaEvents), so view maintenance stays correct under general
-// updates. Experiment E7 compares the strategies on insert-only
+// insertion-only streams, which is what Recompute emits; DeltaFor goes
+// beyond that fragment by also emitting *retractions* — withdrawals of
+// previously emitted results — when a source node is deleted or updated
+// in place (DeltaEvents), so view maintenance stays correct under
+// general updates. Experiment E7 compares the strategies on insert-only
 // streams; E12 measures provenance-based maintenance under churn.
 
 // Lineage identifies one source node for delta provenance. Nodes of
@@ -74,30 +74,24 @@ func (e *Events) AddedTrees() []*xmltree.Node {
 
 // Recompute is the diff-based continuous evaluator.
 type Recompute struct {
-	q       *Query
-	env     *Env
-	args    [][]*xmltree.Node
-	seen    map[xmltree.Digest]int
-	samples map[xmltree.Digest]*xmltree.Node
+	q    *Query
+	env  *Env
+	args [][]*xmltree.Node
+	seen map[xmltree.Digest]int
 }
 
 // NewRecompute creates a continuous evaluator over fixed arguments.
 // The underlying documents (reached through env's resolver) may change
 // between Delta calls.
 func NewRecompute(q *Query, env *Env, args ...[]*xmltree.Node) *Recompute {
-	return &Recompute{
-		q: q, env: env, args: args,
-		seen:    map[xmltree.Digest]int{},
-		samples: map[xmltree.Digest]*xmltree.Node{},
-	}
+	return &Recompute{q: q, env: env, args: args, seen: map[xmltree.Digest]int{}}
 }
 
 // Delta re-evaluates the query and returns only results not emitted
 // before (multiset semantics: if a result tree now occurs more often
 // than previously emitted, the extra occurrences are returned). The
-// emitted multiset never shrinks — Delta is the monotone,
-// insertion-only interface. Use DeltaEvents for the retraction-aware
-// diff; the two share state and should not be mixed on one evaluator.
+// emitted multiset never shrinks: this is the monotone stream of the
+// paper's continuous services.
 func (r *Recompute) Delta() ([]*xmltree.Node, error) {
 	full, err := r.q.Eval(r.env, r.args...)
 	if err != nil {
@@ -118,46 +112,6 @@ func (r *Recompute) Delta() ([]*xmltree.Node, error) {
 		}
 	}
 	return out, nil
-}
-
-// ResultEvents is the retraction-aware diff of a Recompute step:
-// result trees that newly appeared, and representatives of result
-// trees whose multiplicity dropped (one entry per lost occurrence).
-type ResultEvents struct {
-	Additions   []*xmltree.Node
-	Retractions []*xmltree.Node
-}
-
-// DeltaEvents re-evaluates the query and diffs the result multiset in
-// both directions: occurrences beyond the emitted count are additions,
-// occurrences below it are retractions. This is the recompute-side
-// counterpart of DeltaFor.DeltaEvents for query shapes that do not
-// incrementalize.
-func (r *Recompute) DeltaEvents() (*ResultEvents, error) {
-	full, err := r.q.Eval(r.env, r.args...)
-	if err != nil {
-		return nil, err
-	}
-	counts := map[xmltree.Digest]int{}
-	ev := &ResultEvents{}
-	for _, n := range full {
-		d := xmltree.Hash(n)
-		counts[d]++
-		if counts[d] > r.seen[d] {
-			ev.Additions = append(ev.Additions, n)
-		}
-		r.samples[d] = n
-	}
-	for d, prev := range r.seen {
-		for c := counts[d]; c < prev; c++ {
-			ev.Retractions = append(ev.Retractions, r.samples[d])
-		}
-		if counts[d] == 0 {
-			delete(r.samples, d)
-		}
-	}
-	r.seen = counts
-	return ev, nil
 }
 
 // derivation is the per-source provenance record: the canonical digest
@@ -230,25 +184,6 @@ func NewDeltaFor(q *Query, env *Env) (*DeltaFor, bool) {
 	}, true
 }
 
-// Delta evaluates the query body for source nodes that appeared or
-// changed since the previous call and returns the corresponding
-// results. Retractions computed along the way are dropped — this is
-// the insertion-only interface; callers that must stay correct under
-// deletions use DeltaEvents.
-func (d *DeltaFor) Delta() ([]*xmltree.Node, error) { return d.DeltaWith(d.env) }
-
-// DeltaWith is Delta evaluated against env instead of the constructor's
-// environment. View maintenance uses it to run each delta under the
-// hosting peer's read lock: the caller passes a resolver that is only
-// valid for the duration of the locked section.
-func (d *DeltaFor) DeltaWith(env *Env) ([]*xmltree.Node, error) {
-	ev, err := d.DeltaEventsWith(env)
-	if err != nil {
-		return nil, err
-	}
-	return ev.AddedTrees(), nil
-}
-
 // DeltaEvents is the retraction-aware delta step against the
 // constructor's environment. See DeltaEventsWith.
 func (d *DeltaFor) DeltaEvents() (*Events, error) { return d.DeltaEventsWith(d.env) }
@@ -260,7 +195,7 @@ func (d *DeltaFor) DeltaEvents() (*Events, error) { return d.DeltaEventsWith(d.e
 // re-derive (exactly once); sources that disappeared retract theirs.
 // The body is never evaluated for unchanged sources.
 func (d *DeltaFor) DeltaEventsWith(env *Env) (ev *Events, retErr error) {
-	ctx := &evalCtx{env: env}
+	ctx := newEvalCtx(nil, env)
 	val, err := evalToValue(d.source, ctx)
 	if err != nil {
 		return nil, err
@@ -315,6 +250,8 @@ func (d *DeltaFor) DeltaEventsWith(env *Env) (ev *Events, retErr error) {
 }
 
 // derive evaluates the residual body with the for-variable bound to n.
+// With no residual clause the body is one tuple: its where and return
+// are evaluated directly, without a tuple source around them.
 func (d *DeltaFor) derive(ctx *evalCtx, n *xmltree.Node) ([]*xmltree.Node, error) {
 	tup := ctx.with(d.forVar, xpath.NodeSet{n})
 	if len(d.rest.Clauses) == 0 && d.rest.Order == nil {
@@ -329,7 +266,7 @@ func (d *DeltaFor) derive(ctx *evalCtx, n *xmltree.Node) ([]*xmltree.Node, error
 		}
 		return evalToForest(d.rest.Return, tup)
 	}
-	return evalFLWR(d.rest, tup)
+	return evalToForest(d.rest, tup)
 }
 
 // Clone returns an independent evaluator with a copy of the current
@@ -348,7 +285,7 @@ func (d *DeltaFor) Clone() *DeltaFor {
 }
 
 // Rollback restores the provenance state to what it was before the
-// most recent Delta/DeltaWith/DeltaEvents call, so the same events are
+// most recent DeltaEvents/DeltaEventsWith call, so the same events are
 // re-emitted on the next call. Callers whose downstream delivery of
 // the delta failed use it to avoid losing those results.
 func (d *DeltaFor) Rollback() {

@@ -127,47 +127,3 @@ func TestDeltaEventsRollbackReemits(t *testing.T) {
 			len(ev1.Additions), len(ev1.Retractions), len(ev2.Additions), len(ev2.Retractions))
 	}
 }
-
-func TestDeltaStaysInsertionOnlyCompatible(t *testing.T) {
-	// The legacy Delta interface keeps returning only additions.
-	cat, env := churnEnv(t, `<catalog><item><price>10</price></item></catalog>`)
-	q := MustParse(`for $i in doc("c")/item where $i/price < 15 return $i`)
-	d, _ := NewDeltaFor(q, env)
-	if out, err := d.Delta(); err != nil || len(out) != 1 {
-		t.Fatalf("delta1 = %d (%v)", len(out), err)
-	}
-	cat.Children[0].Detach()
-	if out, err := d.Delta(); err != nil || len(out) != 0 {
-		t.Errorf("delta after deletion = %d (%v), want 0 additions", len(out), err)
-	}
-}
-
-func TestRecomputeDeltaEvents(t *testing.T) {
-	cat := xmltree.MustParse(
-		`<catalog><item><price>10</price></item><item><price>12</price></item></catalog>`)
-	env := &Env{Resolve: func(string) (*xmltree.Node, error) { return cat, nil }}
-	q := MustParse(`for $i in doc("c")/item where $i/price < 15 return <hit>{$i/price/text()}</hit>`)
-	rc := NewRecompute(q, env)
-	ev, err := rc.DeltaEvents()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ev.Additions) != 2 || len(ev.Retractions) != 0 {
-		t.Fatalf("initial = %d/%d", len(ev.Additions), len(ev.Retractions))
-	}
-	cat.Children[0].Detach()
-	ev, err = rc.DeltaEvents()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ev.Additions) != 0 || len(ev.Retractions) != 1 {
-		t.Fatalf("after deletion = %d additions, %d retractions", len(ev.Additions), len(ev.Retractions))
-	}
-	if got := ev.Retractions[0].TextContent(); got != "10" {
-		t.Errorf("retracted representative = %q, want the vanished hit 10", got)
-	}
-	ev, _ = rc.DeltaEvents()
-	if len(ev.Additions)+len(ev.Retractions) != 0 {
-		t.Errorf("idle recompute step not empty: %+v", ev)
-	}
-}

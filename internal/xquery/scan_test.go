@@ -118,3 +118,58 @@ func BenchmarkDeltaAfterFlip(b *testing.B) {
 		}
 	}
 }
+
+// The delegated_hot shape of the perf ledger: a 200-item catalog and a
+// selection that returns about 60 whole items. hotWrapped is the same
+// selection through a constructor, whose content is itself drained.
+const hotItems = 200
+
+func hotCatalog() *xmltree.Node {
+	return workload.Catalog(workload.CatalogSpec{Items: hotItems, PriceMax: 1000, DescWords: 10, Seed: 1})
+}
+
+var (
+	hotSelection = MustParse(`for $i in doc("catalog")/item where $i/price < 300 return $i`)
+	hotWrapped   = MustParse(`for $i in doc("catalog")/item where $i/price < 300 return <r>{$i/name}</r>`)
+)
+
+// TestEvalAllocationParity pins what draining the cursor into a forest
+// may cost on the hot shape: the eager evaluator Eval used to be made
+// 2,040 allocations here, and the drain is not to cost more than the
+// per-evaluation state it adds.
+func TestEvalAllocationParity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	env := scanEnv(hotCatalog())
+	perRun := testing.AllocsPerRun(20, func() {
+		if _, err := hotSelection.Eval(env); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per Eval", perRun)
+	if perRun > 2060 {
+		t.Errorf("Eval allocates %.0f times on the hot shape, budget is 2060", perRun)
+	}
+}
+
+// BenchmarkEvalDrain is Query.Eval — the cursor drained into a forest,
+// as the delegation handler, service application and peer.RunQuery
+// consume it — on the hot shape and through a constructor.
+func BenchmarkEvalDrain(b *testing.B) {
+	env := scanEnv(hotCatalog())
+	for _, bc := range []struct {
+		name string
+		q    *Query
+	}{{"selection", hotSelection}, {"constructor", hotWrapped}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := bc.q.Eval(env)
+				if err != nil || len(out) == 0 {
+					b.Fatalf("%d rows, %v", len(out), err)
+				}
+			}
+		})
+	}
+}

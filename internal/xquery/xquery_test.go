@@ -35,13 +35,17 @@ func testEnv(t *testing.T) *Env {
 	}}
 }
 
+// run evaluates src over testEnv. Every query that goes through it is
+// also held to the reference evaluator, row for row.
 func run(t *testing.T, src string, args ...[]*xmltree.Node) []*xmltree.Node {
 	t.Helper()
 	q, err := Parse(src)
 	if err != nil {
 		t.Fatalf("Parse(%q): %v", src, err)
 	}
-	out, err := q.Eval(testEnv(t), args...)
+	env := testEnv(t)
+	checkAgainstReference(t, q, env, args...)
+	out, err := q.Eval(env, args...)
 	if err != nil {
 		t.Fatalf("Eval(%q): %v", src, err)
 	}
@@ -177,18 +181,15 @@ func texts(nodes []*xmltree.Node) []string {
 }
 
 func TestParameters(t *testing.T) {
-	q := MustParse(`param $max;
+	const src = `param $max;
 		for $i in doc("catalog")/item
 		where $i/price < $max
-		return $i/name`)
+		return $i/name`
+	q := MustParse(src)
 	if q.Arity() != 1 {
 		t.Fatalf("arity = %d", q.Arity())
 	}
-	maxArg := []*xmltree.Node{xmltree.E("max", "100")}
-	out, err := q.Eval(testEnv(t), maxArg)
-	if err != nil {
-		t.Fatalf("Eval: %v", err)
-	}
+	out := run(t, src, []*xmltree.Node{xmltree.E("max", "100")})
 	if len(out) != 2 {
 		t.Errorf("got %d results", len(out))
 	}
@@ -199,16 +200,12 @@ func TestParameters(t *testing.T) {
 }
 
 func TestMultipleParameters(t *testing.T) {
-	q := MustParse(`param $lo, $hi;
+	out := run(t, `param $lo, $hi;
 		for $i in doc("catalog")/item
 		where $i/price > $lo and $i/price < $hi
-		return $i/name`)
-	out, err := q.Eval(testEnv(t),
+		return $i/name`,
 		[]*xmltree.Node{xmltree.E("v", "20")},
 		[]*xmltree.Node{xmltree.E("v", "100")})
-	if err != nil {
-		t.Fatalf("Eval: %v", err)
-	}
 	if len(out) != 1 || out[0].TextContent() != "chair" {
 		t.Errorf("got %v", texts(out))
 	}
@@ -278,26 +275,23 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// evalErrorQueries parse but fail over testEnv; the second fails over
+// an environment without resolver too.
+var evalErrorQueries = []string{
+	`doc("ghost")/a`, // unknown document
+	`for $x in count(doc("catalog")/item) return $x`, // for over a scalar
+	`$nope/x`, // unbound variable
+}
+
 func TestEvalErrors(t *testing.T) {
 	env := testEnv(t)
-	// Unknown document.
-	q := MustParse(`doc("ghost")/a`)
-	if _, err := q.Eval(env); err == nil {
-		t.Error("unknown doc should error")
+	for _, src := range evalErrorQueries {
+		if _, err := MustParse(src).Eval(env); err == nil {
+			t.Errorf("Eval(%q) succeeded, want error", src)
+		}
 	}
-	// No resolver.
-	if _, err := q.Eval(&Env{}); err == nil {
+	if _, err := MustParse(evalErrorQueries[0]).Eval(&Env{}); err == nil {
 		t.Error("nil resolver should error")
-	}
-	// for over scalar.
-	q2 := MustParse(`for $x in count(doc("catalog")/item) return $x`)
-	if _, err := q2.Eval(env); err == nil {
-		t.Error("for over scalar should error")
-	}
-	// Unbound variable.
-	q3 := MustParse(`$nope/x`)
-	if _, err := q3.Eval(env); err == nil {
-		t.Error("unbound var should error")
 	}
 }
 
@@ -324,17 +318,18 @@ func TestDocRefs(t *testing.T) {
 	}
 }
 
+var roundTripSources = []string{
+	`for $i in doc("catalog")/item where $i/price < 100 return $i/name`,
+	`param $max; for $i in doc("catalog")/item where $i/price < $max return $i/name`,
+	`for $i in doc("catalog")/item order by $i/price descending return <x id="{$i/@id}">{$i/name}</x>`,
+	`<a k="v">txt<b/>{doc("catalog")/item[1]/name}</a>`,
+	`for $i in doc("catalog")/item, $r in doc("reviews")/review where $i/name = $r/about return <p>{$i/name, $r/stars}</p>`,
+	`let $all := doc("catalog")/item return count($all)`,
+}
+
 func TestRoundTripString(t *testing.T) {
-	sources := []string{
-		`for $i in doc("catalog")/item where $i/price < 100 return $i/name`,
-		`param $max; for $i in doc("catalog")/item where $i/price < $max return $i/name`,
-		`for $i in doc("catalog")/item order by $i/price descending return <x id="{$i/@id}">{$i/name}</x>`,
-		`<a k="v">txt<b/>{doc("catalog")/item[1]/name}</a>`,
-		`for $i in doc("catalog")/item, $r in doc("reviews")/review where $i/name = $r/about return <p>{$i/name, $r/stars}</p>`,
-		`let $all := doc("catalog")/item return count($all)`,
-	}
 	env := testEnv(t)
-	for _, src := range sources {
+	for _, src := range roundTripSources {
 		q1 := MustParse(src)
 		rendered := q1.String()
 		q2, err := Parse(rendered)
