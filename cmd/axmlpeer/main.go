@@ -242,7 +242,7 @@ func main() {
 			Logger:  logger.With("component", "cluster"),
 			Metrics: srv.MetricsRegistry(),
 		})
-		srv.Control = coord
+		srv.Coordinator = coord
 		logger.Info("coordinating", "round", round.String())
 		if *round > 0 {
 			go func() {
@@ -284,7 +284,7 @@ func main() {
 		if err != nil {
 			fatal("joining federation", "err", err)
 		}
-		srv.Control = member
+		srv.Member = member
 		srv.Forward = member
 		member.Start()
 		logger.Info("joined federation", "coordinator", *join, "advertise", *advertise)

@@ -12,11 +12,6 @@
 //	-tests          include in-package _test.go files in the analysis
 //	-novet          skip the stock `go vet ./...` pass
 //	-list           print the analyzer suite and exit
-//	-baseline mode  "write" snapshots current findings to the baseline
-//	                file; "check" fails only on findings not in it
-//	-baseline-file  baseline location (default <module>/analysis_baseline.json)
-//	-fix            apply suggested fixes (currently senterr rewrites)
-//	                and exit; does not report
 //
 // The optional dir argument (default ".") selects the module to check:
 // axmlvet finds the enclosing go.mod and analyzes every package under
@@ -33,7 +28,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 
 	"axml/internal/analysis"
@@ -61,9 +55,6 @@ func main() {
 		tests    = flag.Bool("tests", false, "include in-package _test.go files")
 		noVet    = flag.Bool("novet", false, "skip the stock `go vet ./...` pass")
 		list     = flag.Bool("list", false, "list analyzers and exit")
-		baseMode = flag.String("baseline", "", `baseline mode: "write" or "check"`)
-		baseFile = flag.String("baseline-file", "", "baseline file (default <module>/"+analysis.BaselineFile+")")
-		fix      = flag.Bool("fix", false, "apply suggested fixes and exit")
 	)
 	flag.Parse()
 
@@ -71,9 +62,6 @@ func main() {
 	if *list {
 		listAnalyzers(os.Stdout, suite)
 		return
-	}
-	if *baseMode != "" && *baseMode != "write" && *baseMode != "check" {
-		fatalf(`-baseline must be "write" or "check", got %q`, *baseMode)
 	}
 	if *runNames != "" {
 		keep := make(map[string]bool)
@@ -112,37 +100,6 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	modRoot := loader.ModuleRoot()
-
-	if *fix {
-		changed, err := analysis.ApplyFixes(diags)
-		for _, f := range changed {
-			fmt.Println("fixed:", f)
-		}
-		if err != nil {
-			fatalf("fix: %v", err)
-		}
-		return
-	}
-
-	bpath := *baseFile
-	if bpath == "" {
-		bpath = filepath.Join(modRoot, analysis.BaselineFile)
-	}
-	switch *baseMode {
-	case "write":
-		if err := analysis.NewBaseline(modRoot, diags).Save(bpath); err != nil {
-			fatalf("baseline write: %v", err)
-		}
-		fmt.Printf("axmlvet: wrote %d finding(s) to %s\n", len(diags), bpath)
-		return
-	case "check":
-		base, err := analysis.LoadBaseline(bpath)
-		if err != nil {
-			fatalf("baseline: %v", err)
-		}
-		diags = base.New(modRoot, diags)
-	}
 
 	var findings []jsonFinding
 	for _, d := range diags {
@@ -176,7 +133,7 @@ func main() {
 	vetFailed := false
 	if !*noVet {
 		cmd := exec.Command("go", "vet", "./...")
-		cmd.Dir = modRoot
+		cmd.Dir = loader.ModuleRoot()
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
 		if err := cmd.Run(); err != nil {
@@ -186,11 +143,7 @@ func main() {
 	}
 
 	if len(findings) > 0 || vetFailed {
-		word := "finding(s)"
-		if *baseMode == "check" {
-			word = "new finding(s) over baseline"
-		}
-		fmt.Fprintf(os.Stderr, "axmlvet: %d %s\n", len(findings), word)
+		fmt.Fprintf(os.Stderr, "axmlvet: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }

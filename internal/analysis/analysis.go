@@ -19,11 +19,11 @@
 //	senterr      sentinel errors compared with == instead of errors.Is
 //
 // The path-sensitive checks share a CFG layer: cfg.go builds
-// per-function control-flow graphs, dataflow.go solves forward and
-// backward may/must problems over them, and callgraph.go summarizes
-// static calls for the interprocedural passes (lockorder). baseline.go
-// ratchets findings through a committed snapshot, and fix.go applies
-// the mechanical rewrites some diagnostics suggest.
+// per-function control-flow graphs, dataflow.go solves forward
+// may-problems over them, and callgraph.go summarizes static calls for
+// the interprocedural passes (lockorder). spanend, epochpin, closeguard
+// and goleak's ticker rule are one acquire/release engine driven by a
+// table of resource specs (mustrelease.go).
 //
 // Deliberate violations are annotated in source with
 //
@@ -82,27 +82,11 @@ type Pass struct {
 	diags []Diagnostic
 }
 
-// A Diagnostic is a single finding at a source position. Fixes, when
-// present, describe a mechanical rewrite that resolves the finding;
-// axmlvet applies them under -fix.
+// A Diagnostic is a single finding at a source position.
 type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	Fixes    []Fix
-}
-
-// A Fix is one byte-range replacement in a single file. Offsets are
-// fset offsets within File; NewText replaces the half-open range
-// [StartOff, EndOff).
-type Fix struct {
-	File     string
-	StartOff int
-	EndOff   int
-	NewText  string
-	// AddImport names a package the replacement text requires; the
-	// applier inserts the import if the file lacks it.
-	AddImport string
 }
 
 func (d Diagnostic) String() string {
@@ -115,16 +99,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportFixf records a finding at pos together with a suggested fix.
-func (p *Pass) ReportFixf(pos token.Pos, fixes []Fix, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-		Fixes:    fixes,
 	})
 }
 

@@ -3,18 +3,18 @@ package analysis
 import "sort"
 
 // dataflow.go is a small iterative dataflow solver over the CFG in
-// cfg.go: gen/kill-style worklist iteration over per-block fact sets,
-// forward or backward, with union (may) or intersection (must) joins.
-// Analyzers express their problem as a block transfer function — the
-// fold, in evaluation order, of a per-node transfer — plus an optional
-// per-edge transfer for condition-sensitive facts (closeguard uses it
-// to exempt the error branch of `rows, err := ...; if err != nil`).
+// cfg.go: forward gen/kill-style worklist iteration over per-block
+// fact sets, joined by union (a fact holds at a merge when it holds on
+// SOME incoming path). Analyzers express their problem as a block
+// transfer function — the fold, in evaluation order, of a per-node
+// transfer — plus an optional per-edge transfer for condition-sensitive
+// facts (mustrelease.go uses it to exempt the error branch of
+// `rows, err := ...; if err != nil`).
 //
 // The solver is optimistic: blocks start at TOP (unknown) and only
 // contribute to a join once they have been computed, so loops converge
-// to the greatest fixed point for must problems and the least for may
-// problems. Transfers must be monotone; a safety cap bounds iteration
-// regardless.
+// to the least fixed point. Transfers must be monotone; a safety cap
+// bounds iteration regardless.
 
 // A FactSet is a set of opaque fact keys. The zero value (nil) is an
 // empty set that must not be mutated; use Clone before writing.
@@ -62,34 +62,6 @@ func union(a, b FactSet) FactSet {
 	return out
 }
 
-func intersect(a, b FactSet) FactSet {
-	out := make(FactSet)
-	for k := range a {
-		if b[k] {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-// Direction selects forward (entry→exit) or backward (exit→entry)
-// propagation.
-type Direction int
-
-const (
-	Forward Direction = iota
-	Backward
-)
-
-// Join selects the merge at control-flow joins: May unions facts from
-// any incoming path, Must intersects facts guaranteed on every path.
-type Join int
-
-const (
-	May Join = iota
-	Must
-)
-
 // TransferFunc computes a block's out-facts from its in-facts. It must
 // not mutate in.
 type TransferFunc func(b *Block, in FactSet) FactSet
@@ -99,38 +71,17 @@ type TransferFunc func(b *Block, in FactSet) FactSet
 type EdgeFunc func(from, to *Block, facts FactSet) FactSet
 
 // FlowResult holds the fixed-point facts at each reachable block
-// boundary. For Forward problems In is at block entry and Out at block
-// exit; Backward swaps the roles (In holds the facts after the block,
-// Out before it).
+// boundary: In at block entry, Out at block exit.
 type FlowResult struct {
 	In, Out map[*Block]FactSet
 }
 
-// Solve runs the dataflow problem to its fixed point over c's
-// reachable blocks. boundary seeds the entry block (Forward) or every
-// exit-like block — Exit plus blocks with no successors (Backward).
-func (c *CFG) Solve(dir Direction, join Join, boundary FactSet, transfer TransferFunc, edge EdgeFunc) *FlowResult {
+// Solve runs the forward may-dataflow problem to its fixed point over
+// c's reachable blocks. boundary seeds the entry block.
+func (c *CFG) Solve(boundary FactSet, transfer TransferFunc, edge EdgeFunc) *FlowResult {
 	res := &FlowResult{
 		In:  make(map[*Block]FactSet, len(c.Blocks)),
 		Out: make(map[*Block]FactSet, len(c.Blocks)),
-	}
-	next := func(b *Block) []*Block {
-		if dir == Forward {
-			return b.Succs
-		}
-		return b.Preds
-	}
-	prev := func(b *Block) []*Block {
-		if dir == Forward {
-			return b.Preds
-		}
-		return b.Succs
-	}
-	isBoundary := func(b *Block) bool {
-		if dir == Forward {
-			return b == c.Entry
-		}
-		return b == c.Exit || len(b.Succs) == 0
 	}
 
 	var work []*Block
@@ -145,7 +96,7 @@ func (c *CFG) Solve(dir Direction, join Join, boundary FactSet, transfer Transfe
 		push(b)
 	}
 
-	// Safety cap: facts only grow/shrink monotonically per block, so
+	// Safety cap: facts only grow monotonically per block, so
 	// |blocks| * (|distinct facts| + 2) rounds is a generous bound; use
 	// a simple quadratic-ish cap to guard non-monotone transfers.
 	maxSteps := (len(c.Blocks) + 1) * (len(c.Blocks) + 64)
@@ -157,29 +108,23 @@ func (c *CFG) Solve(dir Direction, join Join, boundary FactSet, transfer Transfe
 		// Join over computed predecessors (TOP contributes nothing).
 		var in FactSet
 		have := false
-		if isBoundary(b) {
+		if b == c.Entry {
 			in = boundary.Clone()
 			have = true
 		}
-		for _, p := range prev(b) {
+		for _, p := range b.Preds {
 			pout, ok := res.Out[p]
 			if !ok {
 				continue // still TOP
 			}
 			if edge != nil {
-				if dir == Forward {
-					pout = edge(p, b, pout)
-				} else {
-					pout = edge(b, p, pout)
-				}
+				pout = edge(p, b, pout)
 			}
 			if !have {
 				in = pout.Clone()
 				have = true
-			} else if join == May {
-				in = union(in, pout)
 			} else {
-				in = intersect(in, pout)
+				in = union(in, pout)
 			}
 		}
 		if !have {
@@ -193,7 +138,7 @@ func (c *CFG) Solve(dir Direction, join Join, boundary FactSet, transfer Transfe
 		}
 		res.In[b] = in
 		res.Out[b] = out
-		for _, s := range next(b) {
+		for _, s := range b.Succs {
 			push(s)
 		}
 	}

@@ -38,69 +38,42 @@ func genKillTransfer(fact, genName, killName string) TransferFunc {
 	}
 }
 
+// The join is may (union): a fact from one branch survives the merge,
+// where a must (intersection) join — which the solver no longer has —
+// would drop it.
 func TestSolveMayVsMustAtMerge(t *testing.T) {
 	c := BuildCFG(parseBody(t, `func f(c bool) { if c { gen() }; use() }`), nil)
-	use := blockCalling(c, "use")
-
-	may := c.Solve(Forward, May, FactSet{}, genKillTransfer("gen", "gen", ""), nil)
-	if !may.In[use]["gen"] {
-		t.Errorf("May: fact from one branch should survive the merge")
-	}
-	must := c.Solve(Forward, Must, FactSet{}, genKillTransfer("gen", "gen", ""), nil)
-	if must.In[use]["gen"] {
-		t.Errorf("Must: fact missing on the false path should not survive the merge")
+	res := c.Solve(FactSet{}, genKillTransfer("gen", "gen", ""), nil)
+	if !res.In[blockCalling(c, "use")]["gen"] {
+		t.Errorf("fact from one branch should survive the merge")
 	}
 }
 
 func TestSolveLoopConvergence(t *testing.T) {
 	c := BuildCFG(parseBody(t, `func f(c bool) { for c { gen() }; use() }`), nil)
-	use := blockCalling(c, "use")
-
-	may := c.Solve(Forward, May, FactSet{}, genKillTransfer("gen", "gen", ""), nil)
-	if !may.In[use]["gen"] {
-		t.Errorf("May: loop-generated fact should reach the loop exit")
-	}
-	must := c.Solve(Forward, Must, FactSet{}, genKillTransfer("gen", "gen", ""), nil)
-	if must.In[use]["gen"] {
-		t.Errorf("Must: zero-iteration path should drop the fact")
+	res := c.Solve(FactSet{}, genKillTransfer("gen", "gen", ""), nil)
+	if !res.In[blockCalling(c, "use")]["gen"] {
+		t.Errorf("loop-generated fact should reach the loop exit")
 	}
 }
 
 func TestSolveKillOnPath(t *testing.T) {
-	c := BuildCFG(parseBody(t, `func f(c bool) { gen(); if c { kill() }; use() }`), nil)
-	use := blockCalling(c, "use")
-
-	may := c.Solve(Forward, May, FactSet{}, genKillTransfer("gen", "gen", "kill"), nil)
-	if !may.In[use]["gen"] {
-		t.Errorf("May: the kill-free path should still carry the fact")
+	c := BuildCFG(parseBody(t, `func f(c bool) { gen(); if c { kill(); killed() }; use() }`), nil)
+	res := c.Solve(FactSet{}, genKillTransfer("gen", "gen", "kill"), nil)
+	if !res.In[blockCalling(c, "use")]["gen"] {
+		t.Errorf("the kill-free path should still carry the fact to the merge")
 	}
-	must := c.Solve(Forward, Must, FactSet{}, genKillTransfer("gen", "gen", "kill"), nil)
-	if must.In[use]["gen"] {
-		t.Errorf("Must: the killed path should drop the fact at the merge")
+	if res.Out[blockCalling(c, "killed")]["gen"] {
+		t.Errorf("the fact should be dead after the kill on its own path")
 	}
 }
 
 func TestSolveBoundarySeedsEntry(t *testing.T) {
 	c := BuildCFG(parseBody(t, `func f() { use() }`), nil)
 	use := blockCalling(c, "use")
-	res := c.Solve(Forward, May, FactSet{"seed": true}, genKillTransfer("seed", "", ""), nil)
+	res := c.Solve(FactSet{"seed": true}, genKillTransfer("seed", "", ""), nil)
 	if !res.In[use]["seed"] {
 		t.Errorf("boundary fact should flow from entry")
-	}
-}
-
-func TestSolveBackward(t *testing.T) {
-	// Backward from the exits: "end" reaches the entry on the plain
-	// path but is killed on the kill() path.
-	c := BuildCFG(parseBody(t, `func f(c bool) { if c { kill(); return }; b() }`), nil)
-
-	may := c.Solve(Backward, May, FactSet{"end": true}, genKillTransfer("end", "", "kill"), nil)
-	if !may.Out[c.Entry]["end"] {
-		t.Errorf("May backward: fact should reach entry via the b() path")
-	}
-	must := c.Solve(Backward, Must, FactSet{"end": true}, genKillTransfer("end", "", "kill"), nil)
-	if must.Out[c.Entry]["end"] {
-		t.Errorf("Must backward: the killed path should drop the fact")
 	}
 }
 
@@ -117,7 +90,7 @@ func TestSolveEdgeFunc(t *testing.T) {
 		}
 		return facts
 	}
-	res := c.Solve(Forward, May, FactSet{}, genKillTransfer("gen", "gen", ""), edge)
+	res := c.Solve(FactSet{}, genKillTransfer("gen", "gen", ""), edge)
 	if res.In[use]["gen"] {
 		t.Errorf("edge transfer should kill the fact entering the true branch")
 	}
@@ -127,15 +100,16 @@ func TestSolveEdgeFunc(t *testing.T) {
 }
 
 func TestSolveTerminalPathExcluded(t *testing.T) {
-	// A panic path never reaches Exit, so a backward boundary fact
-	// seeded at exits does not flow up through it... but the panic
-	// block itself IS a boundary (no successors), which is exactly how
-	// must-cleanup analyses excuse such paths.
-	c := BuildCFG(parseBody(t, `func f(c bool) { if c { panic("x") }; use() }`), nil)
-	pb := blockCalling(c, "panic")
-	res := c.Solve(Backward, Must, FactSet{"end": true}, genKillTransfer("seed", "", ""), nil)
-	if !res.In[pb]["end"] {
-		t.Errorf("zero-successor block should be seeded as a boundary")
+	// A panic path never reaches Exit, so a fact generated only on it
+	// is not live at the function's exit — which is how the
+	// must-release check excuses such paths.
+	c := BuildCFG(parseBody(t, `func f(c bool) { if c { gen(); panic("x") }; use() }`), nil)
+	res := c.Solve(FactSet{}, genKillTransfer("gen", "gen", ""), nil)
+	if !res.Out[blockCalling(c, "panic")]["gen"] {
+		t.Errorf("the fact should hold on the panic path itself")
+	}
+	if res.In[c.Exit]["gen"] {
+		t.Errorf("a fact from the terminal path should not reach Exit")
 	}
 }
 

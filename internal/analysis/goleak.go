@@ -49,7 +49,7 @@ func checkGoLeakScope(pass *Pass, fs funcScope) {
 		return terminalCall(pass.TypesInfo, call)
 	})
 	checkChannelPairing(pass, fs, cfg)
-	checkTickers(pass, fs, cfg)
+	checkMustRelease(pass, fs, tickerSpec)
 	checkGoroutineLockExits(pass, fs)
 	checkTimeTick(pass, fs)
 }
@@ -324,129 +324,6 @@ func chanOpNodes(pass *Pass, body *ast.BlockStmt, ch types.Object, skip *ast.GoS
 	}
 }
 
-// --- tickers ---
-
-func checkTickers(pass *Pass, fs funcScope, cfg *CFG) {
-	forEachSkippingFuncLit(fs.body, func(n ast.Node) {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		if fullName(calleeOf(pass.TypesInfo, call)) != "time.NewTicker" {
-			return
-		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return
-		}
-		obj := pass.TypesInfo.Defs[id]
-		if obj == nil {
-			return
-		}
-		checkTickerFlow(pass, fs, cfg, obj, as)
-	})
-}
-
-func checkTickerFlow(pass *Pass, fs funcScope, cfg *CFG, t types.Object, created *ast.AssignStmt) {
-	escaped, deferredStop, stops := false, false, 0
-	ast.Inspect(fs.body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.FuncLit:
-			if identUses(pass.TypesInfo, v.Body, t) {
-				escaped = true // a closure owns the stop (or the leak)
-			}
-			return false
-		case *ast.DeferStmt:
-			if isStopCall(pass, v.Call, t) || deferredLitStops(pass, v.Call, t) {
-				deferredStop = true
-				return false
-			}
-			return true
-		case *ast.CallExpr:
-			if isStopCall(pass, v, t) {
-				stops++
-				return true
-			}
-			for _, arg := range v.Args {
-				// t.C handed to a select helper is a plain use; the
-				// ticker itself leaving is an escape.
-				if id, ok := ast.Unparen(arg).(*ast.Ident); ok && pass.TypesInfo.Uses[id] == t {
-					escaped = true
-				}
-			}
-		case *ast.ReturnStmt:
-			if identUses(pass.TypesInfo, v, t) {
-				escaped = true
-			}
-		case *ast.AssignStmt:
-			if v == created {
-				return true
-			}
-			for _, rhs := range v.Rhs {
-				if id, ok := ast.Unparen(rhs).(*ast.Ident); ok && pass.TypesInfo.Uses[id] == t {
-					escaped = true
-				}
-			}
-		case *ast.CompositeLit:
-			if identUses(pass.TypesInfo, v, t) {
-				escaped = true
-			}
-		}
-		return true
-	})
-	if escaped || deferredStop {
-		return
-	}
-	if stops == 0 {
-		pass.Reportf(created.Pos(), "ticker %s is never Stopped and leaks its goroutine", t.Name())
-		return
-	}
-	startBlock, startIdx := findNode(cfg, created)
-	if startBlock == nil {
-		return
-	}
-	kill := func(n ast.Node) bool {
-		found := false
-		forEachSkippingFuncLit(n, func(m ast.Node) {
-			if c, ok := m.(*ast.CallExpr); ok && isStopCall(pass, c, t) {
-				found = true
-			}
-		})
-		return found
-	}
-	if reachesExitAvoiding(cfg, startBlock, startIdx, kill) {
-		pass.Reportf(created.Pos(), "ticker %s may not be Stopped on all paths", t.Name())
-	}
-}
-
-func isStopCall(pass *Pass, call *ast.CallExpr, t types.Object) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Stop" {
-		return false
-	}
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	return ok && pass.TypesInfo.Uses[id] == t
-}
-
-func deferredLitStops(pass *Pass, call *ast.CallExpr, t types.Object) bool {
-	lit, ok := call.Fun.(*ast.FuncLit)
-	if !ok {
-		return false
-	}
-	found := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if c, ok := n.(*ast.CallExpr); ok && isStopCall(pass, c, t) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // --- time.Tick ---
 
 func checkTimeTick(pass *Pass, fs funcScope) {
@@ -488,7 +365,7 @@ func checkGoroutineBodyLocks(pass *Pass, gs *ast.GoStmt, lit *ast.FuncLit) {
 		}
 		return out
 	}
-	flow := cfg.Solve(Forward, May, FactSet{}, transfer, nil)
+	flow := cfg.Solve(FactSet{}, transfer, nil)
 	heldAtExit, ok := flow.In[cfg.Exit]
 	if !ok || len(heldAtExit) == 0 {
 		return

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -77,9 +78,6 @@ func NewLoader(startDir string) (*Loader, error) {
 	}
 }
 
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modPath }
-
 // ModuleRoot returns the directory containing go.mod.
 func (l *Loader) ModuleRoot() string { return l.modRoot }
 
@@ -102,7 +100,9 @@ func (l *Loader) loadPath(importPath string) (*Package, error) {
 }
 
 // LoadDir parses and type-checks the package in dir under the given
-// import path. Results are cached by import path. External test
+// import path. Results are cached by import path. Files excluded by
+// build constraints (//go:build lines, _GOOS/_GOARCH suffixes) under the
+// default build context are skipped, as the go tool would. External test
 // packages (package foo_test) are never loaded; in-package _test.go
 // files are included only when IncludeTests is set.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
@@ -127,6 +127,11 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 			continue
 		}
 		if strings.HasSuffix(name, "_test.go") && !l.IncludeTests {
+			continue
+		}
+		if match, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, fmt.Errorf("load %s: %w", importPath, err)
+		} else if !match {
 			continue
 		}
 		names = append(names, name)
@@ -190,7 +195,8 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 }
 
 // LoadAll loads every package of the module (skipping testdata, vendor,
-// and hidden directories), returning them sorted by import path.
+// hidden directories, and nested modules), returning them sorted by
+// import path.
 func (l *Loader) LoadAll() ([]*Package, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.modRoot, func(path string, d os.DirEntry, err error) error {
@@ -198,10 +204,16 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 			return err
 		}
 		if d.IsDir() {
+			if path == l.modRoot {
+				return nil
+			}
 			name := d.Name()
-			if path != l.modRoot && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if name == "testdata" || name == "vendor" ||
+				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // a nested module is not part of this one
 			}
 			return nil
 		}

@@ -138,7 +138,7 @@ func checkLockedCalls(pass *Pass, fd *ast.FuncDecl, netcalling map[*types.Func]b
 		}
 		return out
 	}
-	flow := cfg.Solve(Forward, May, FactSet{}, transfer, nil)
+	flow := cfg.Solve(FactSet{}, transfer, nil)
 
 	for _, b := range cfg.Blocks {
 		if !cfg.Reachable(b) {

@@ -94,7 +94,7 @@ func runLockOrder(mp *ModulePass) error {
 			}
 			return out
 		}
-		flow := cfg.Solve(Forward, May, FactSet{}, transfer, nil)
+		flow := cfg.Solve(FactSet{}, transfer, nil)
 
 		fnName := fn.Name()
 		for _, b := range cfg.Blocks {

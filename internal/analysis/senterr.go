@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -34,8 +33,7 @@ func runSentErr(pass *Pass) error {
 				for i, side := range []ast.Expr{v.X, v.Y} {
 					other := []ast.Expr{v.Y, v.X}[i]
 					if s := sentinelOf(pass, side); s != nil && !isNilExpr(other) {
-						pass.ReportFixf(v.Pos(), senterrFix(pass, v, other, side),
-							"sentinel %s compared with %s; use errors.Is", s.Name(), v.Op)
+						pass.Reportf(v.Pos(), "sentinel %s compared with %s; use errors.Is", s.Name(), v.Op)
 						break
 					}
 				}
@@ -62,27 +60,6 @@ func runSentErr(pass *Pass) error {
 		})
 	}
 	return nil
-}
-
-// senterrFix rewrites `err == ErrX` to `errors.Is(err, ErrX)` (and !=
-// to its negation). Only the binary-expression form is fixable; switch
-// cases need restructuring a tool should not guess at.
-func senterrFix(pass *Pass, v *ast.BinaryExpr, errSide, sentSide ast.Expr) []Fix {
-	pos, end := pass.Fset.Position(v.Pos()), pass.Fset.Position(v.End())
-	if pos.Filename == "" || pos.Filename != end.Filename {
-		return nil
-	}
-	neg := ""
-	if v.Op == token.NEQ {
-		neg = "!"
-	}
-	return []Fix{{
-		File:      pos.Filename,
-		StartOff:  pos.Offset,
-		EndOff:    end.Offset,
-		NewText:   fmt.Sprintf("%serrors.Is(%s, %s)", neg, types.ExprString(errSide), types.ExprString(sentSide)),
-		AddImport: "errors",
-	}}
 }
 
 // sentinelOf resolves e to a module-level error sentinel variable

@@ -13,7 +13,6 @@ import (
 	"axml/internal/placement"
 	"axml/internal/view"
 	"axml/internal/wire"
-	"axml/internal/xmltree"
 )
 
 // CoordinatorConfig tunes a coordinator. The zero value works: every
@@ -91,8 +90,8 @@ type memberState struct {
 
 // Coordinator aggregates demand across the membership and actuates
 // placement decisions through the wire control verbs. It implements
-// wire.Control (coordinator role); attach it to a wire.Server and
-// members reach it via HELLO/BYE/STEP.
+// wire.CoordinatorControl; attach it to a wire.Server and members
+// reach it via HELLO/BYE/STEP.
 type Coordinator struct {
 	cfg CoordinatorConfig
 
@@ -108,7 +107,7 @@ type Coordinator struct {
 }
 
 // Coordinator serves the coordinator role of the control plane.
-var _ wire.Control = (*Coordinator)(nil)
+var _ wire.CoordinatorControl = (*Coordinator)(nil)
 
 // NewCoordinator builds a coordinator with the config's defaults
 // filled in.
@@ -129,7 +128,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 }
 
 // Hello registers or refreshes a member and returns the current
-// membership (wire.Control).
+// membership (wire.CoordinatorControl).
 func (c *Coordinator) Hello(info wire.MemberInfo) ([]wire.MemberInfo, error) {
 	if info.ID == "" || info.Addr == "" {
 		return nil, fmt.Errorf("cluster: HELLO without id/addr")
@@ -153,7 +152,7 @@ func (c *Coordinator) Hello(info wire.MemberInfo) ([]wire.MemberInfo, error) {
 }
 
 // Bye deregisters a member that is shutting down cleanly
-// (wire.Control).
+// (wire.CoordinatorControl).
 func (c *Coordinator) Bye(id string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -162,26 +161,6 @@ func (c *Coordinator) Bye(id string) error {
 		c.cfg.Logger.Info("member left", "member", id)
 	}
 	return nil
-}
-
-// Demand is a member-side verb (wire.Control).
-func (c *Coordinator) Demand(context.Context) (placement.Export, error) {
-	return placement.Export{}, fmt.Errorf("cluster: DEMAND is a member verb, this is the coordinator")
-}
-
-// MigrateView is a member-side verb (wire.Control).
-func (c *Coordinator) MigrateView(context.Context, string, string, string, bool) error {
-	return fmt.Errorf("cluster: MIGRATE/REPLICATE are member verbs, this is the coordinator")
-}
-
-// DropView is a member-side verb (wire.Control).
-func (c *Coordinator) DropView(string) error {
-	return fmt.Errorf("cluster: DROPVIEW is a member verb, this is the coordinator")
-}
-
-// AcceptView is a member-side verb (wire.Control).
-func (c *Coordinator) AcceptView(context.Context, string, string, string, *xmltree.Node) error {
-	return fmt.Errorf("cluster: ACCEPTVIEW is a member verb, this is the coordinator")
 }
 
 // MemberStatus is one membership row, for PLACEMENTS-style
@@ -208,8 +187,8 @@ func (c *Coordinator) MemberStatuses() []MemberStatus {
 
 // ClusterPlacements reports the aggregated cluster-wide placement map
 // (from the latest member exports) and the decision log
-// (wire.Control).
-func (c *Coordinator) ClusterPlacements() ([]view.PlacementInfo, []placement.Decision, bool) {
+// (wire.CoordinatorControl).
+func (c *Coordinator) ClusterPlacements() ([]view.PlacementInfo, []placement.Decision) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ids := make([]string, 0, len(c.member))
@@ -240,7 +219,7 @@ func (c *Coordinator) ClusterPlacements() ([]view.PlacementInfo, []placement.Dec
 	}
 	log := make([]placement.Decision, len(c.log))
 	copy(log, c.log)
-	return placements, log, true
+	return placements, log
 }
 
 // Decisions returns the retained decision log, newest last.
@@ -264,11 +243,12 @@ type viewAgg struct {
 	loads   []placement.LoadExport
 }
 
-// Step runs one placement round (wire.Control): collect demand from
-// every member, plan against the aggregate with the shared scorer,
-// actuate the decisions over the wire, then record them. Collection
-// and actuation hold no lock — a member answering DEMAND may itself be
-// serving queries that call back into this process's PLACEMENTS.
+// Step runs one placement round (wire.CoordinatorControl): collect
+// demand from every member, plan against the aggregate with the shared
+// scorer, actuate the decisions over the wire, then record them.
+// Collection and actuation hold no lock — a member answering DEMAND may
+// itself be serving queries that call back into this process's
+// PLACEMENTS.
 func (c *Coordinator) Step(ctx context.Context) ([]placement.Decision, error) {
 	c.stepMu.Lock()
 	defer c.stepMu.Unlock()

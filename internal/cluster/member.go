@@ -75,7 +75,7 @@ func (c MemberConfig) filled() MemberConfig {
 }
 
 // Member is one deployment's federation agent: it heartbeats the
-// coordinator, answers the member-side control verbs (wire.Control)
+// coordinator, answers the member-side control verbs (wire.MemberControl)
 // and forwards queries over documents other members host
 // (wire.Forwarder).
 type Member struct {
@@ -100,8 +100,8 @@ type Member struct {
 // Member serves the member role of the control plane and the
 // federated read path.
 var (
-	_ wire.Control   = (*Member)(nil)
-	_ wire.Forwarder = (*Member)(nil)
+	_ wire.MemberControl = (*Member)(nil)
+	_ wire.Forwarder     = (*Member)(nil)
 )
 
 // NewMember builds the agent. obsv is the demand observer the serving
@@ -275,28 +275,7 @@ func (m *Member) put(addr string, cl *wire.Client) {
 	cl.Close()
 }
 
-// Hello is a coordinator verb (wire.Control).
-func (m *Member) Hello(wire.MemberInfo) ([]wire.MemberInfo, error) {
-	return nil, fmt.Errorf("cluster: HELLO is a coordinator verb, this is member %q", m.cfg.ID)
-}
-
-// Bye is a coordinator verb (wire.Control).
-func (m *Member) Bye(string) error {
-	return fmt.Errorf("cluster: BYE is a coordinator verb, this is member %q", m.cfg.ID)
-}
-
-// Step is a coordinator verb (wire.Control).
-func (m *Member) Step(context.Context) ([]placement.Decision, error) {
-	return nil, fmt.Errorf("cluster: STEP is a coordinator verb, this is member %q", m.cfg.ID)
-}
-
-// ClusterPlacements reports nothing on members (wire.Control): the
-// server's PLACEMENTS already lists local state.
-func (m *Member) ClusterPlacements() ([]view.PlacementInfo, []placement.Decision, bool) {
-	return nil, nil, false
-}
-
-// Demand builds this deployment's placement export (wire.Control):
+// Demand builds this deployment's placement export (wire.MemberControl):
 // document inventory, view placements, and the observer's decayed
 // demand with locally estimated selectivities. Exporting decays the
 // counters (export-and-decay), so each round reports the traffic since
@@ -391,7 +370,7 @@ func (m *Member) selectivity(est *opt.Estimator, shape string) float64 {
 	return s
 }
 
-// MigrateView ships the named view to another member (wire.Control):
+// MigrateView ships the named view to another member (wire.MemberControl):
 // snapshot-pinned deep copy here, one ACCEPTVIEW line there, and —
 // for a migrate — the local copy is dropped only after the target
 // confirmed the landing, so a target dying mid-ship leaves this copy
@@ -440,7 +419,7 @@ func (m *Member) MigrateView(ctx context.Context, name, targetID, targetAddr str
 	return nil
 }
 
-// DropView drops this deployment's copy of the view (wire.Control).
+// DropView drops this deployment's copy of the view (wire.MemberControl).
 func (m *Member) DropView(name string) error {
 	sites, ok := m.views.PlacementsOf(name)
 	if !ok {
@@ -455,7 +434,7 @@ func (m *Member) DropView(name string) error {
 	return nil
 }
 
-// AcceptView lands a view shipped from another member (wire.Control):
+// AcceptView lands a view shipped from another member (wire.MemberControl):
 // the tree is adopted at the serving peer, registered for query
 // rewriting, and marked adopted (no local maintenance — the base data
 // lives at origin).

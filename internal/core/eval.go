@@ -632,10 +632,10 @@ func (s *System) shipData(ctx context.Context, from netsim.PeerID, ref peer.Node
 
 // landForest applies the trees of a forest at the target node,
 // unwrapping x:raw carriers. Ordinary trees are added as children
-// (definition (4)); the maintenance tombstones x:retract and x:replace
-// instead remove or swap an existing child of the target, which is how
-// view maintenance withdraws rows whose base provenance disappeared
-// without re-shipping the whole materialization.
+// (definition (4)); the maintenance tombstone x:retract instead removes
+// an existing child of the target, which is how view maintenance
+// withdraws rows whose base provenance disappeared without re-shipping
+// the whole materialization.
 func landForest(target *peer.Peer, node xmltree.NodeID, forest []*xmltree.Node) error {
 	for _, n := range forest {
 		if n.Kind == xmltree.ElementNode && n.Label == "x:raw" {
@@ -651,34 +651,22 @@ func landForest(target *peer.Peer, node xmltree.NodeID, forest []*xmltree.Node) 
 	return nil
 }
 
-// landOne applies a single landed tree: a tombstone mutates an
+// landOne applies a single landed tree: a tombstone removes an
 // existing child of the target, anything else is added as a new child.
 func landOne(target *peer.Peer, node xmltree.NodeID, n *xmltree.Node) error {
-	if n.Kind == xmltree.ElementNode {
-		switch n.Label {
-		case "x:retract":
-			child, err := tombstoneTarget(n)
-			if err != nil {
-				return err
-			}
-			return target.RemoveChildByID(node, child)
-		case "x:replace":
-			child, err := tombstoneTarget(n)
-			if err != nil {
-				return err
-			}
-			if len(n.Children) != 1 {
-				return fmt.Errorf("core: x:replace carries %d trees, want 1", len(n.Children))
-			}
-			return target.ReplaceChildByID(node, child, xmltree.DeepCopy(n.Children[0]))
+	if n.Kind == xmltree.ElementNode && n.Label == "x:retract" {
+		child, err := tombstoneTarget(n)
+		if err != nil {
+			return err
 		}
+		return target.RemoveChildByID(node, child)
 	}
 	return target.AddChild(node, xmltree.DeepCopy(n))
 }
 
 // tombstoneTarget reads the node="<id>" attribute of a maintenance
 // tombstone: the identifier, at the receiving peer, of the child to
-// remove or replace.
+// remove.
 func tombstoneTarget(n *xmltree.Node) (xmltree.NodeID, error) {
 	s, ok := n.Attr("node")
 	if !ok {
@@ -696,14 +684,6 @@ func tombstoneTarget(n *xmltree.Node) (xmltree.NodeID, error) {
 // maintenance traffic pays the same network accounting.
 func Retraction(child xmltree.NodeID) *xmltree.Node {
 	return xmltree.E("x:retract", xmltree.A("node", strconv.FormatUint(uint64(child), 10)))
-}
-
-// Replacement builds the tombstone that, landed at a node, swaps its
-// identified child for tree.
-func Replacement(child xmltree.NodeID, tree *xmltree.Node) *xmltree.Node {
-	w := xmltree.E("x:replace", xmltree.A("node", strconv.FormatUint(uint64(child), 10)))
-	w.AppendChild(xmltree.DeepCopy(tree))
-	return w
 }
 
 // wrapForest packs a forest into the opaque x:raw carrier so that the

@@ -4,9 +4,9 @@
 // wire verbs — membership (HELLO/BYE), demand collection (DEMAND),
 // actuation (MIGRATE/REPLICATE/DROPVIEW/ACCEPTVIEW) and a manual round
 // trigger (STEP) — so the coordinator in internal/cluster drives real
-// axmlpeer processes over TCP. This file holds the Control interface
-// both sides implement, the XML codecs for the verb payloads, the
-// server-side handlers and the client-side methods.
+// axmlpeer processes over TCP. This file holds the two role interfaces
+// (CoordinatorControl, MemberControl), the XML codecs for the verb
+// payloads, the server-side handlers and the client-side methods.
 //
 // Query forwarding rides the same layer: a member that receives a
 // query over a document it does not host forwards it (one hop, marked
@@ -28,17 +28,27 @@ import (
 	"axml/internal/xmltree"
 )
 
-// Control answers the federation verbs. A cluster.Coordinator
-// implements the coordinator-side verbs (HELLO, BYE, STEP,
-// ClusterPlacements); a cluster.Member the member-side ones (DEMAND,
-// MIGRATE/REPLICATE, DROPVIEW, ACCEPTVIEW). Verbs outside a role
-// return an error.
-type Control interface {
+// CoordinatorControl answers the coordinator-side federation verbs
+// (HELLO, BYE, STEP, and the cluster-wide half of PLACEMENTS); a
+// cluster.Coordinator implements it.
+type CoordinatorControl interface {
 	// Hello registers (or refreshes) a member and returns the current
 	// membership, the caller included.
 	Hello(info MemberInfo) ([]MemberInfo, error)
 	// Bye deregisters a member that is shutting down cleanly.
 	Bye(id string) error
+	// Step runs one coordinator placement round and returns its
+	// decisions.
+	Step(ctx context.Context) ([]placement.Decision, error)
+	// ClusterPlacements returns the coordinator's aggregated
+	// cluster-wide placement map and decision log.
+	ClusterPlacements() (placements []view.PlacementInfo, decisions []placement.Decision)
+}
+
+// MemberControl answers the member-side federation verbs (DEMAND,
+// MIGRATE/REPLICATE, DROPVIEW, ACCEPTVIEW); a cluster.Member
+// implements it.
+type MemberControl interface {
 	// Demand reports this deployment's placement demand export.
 	Demand(ctx context.Context) (placement.Export, error)
 	// MigrateView ships the named view to another member (keep=false
@@ -49,13 +59,6 @@ type Control interface {
 	DropView(name string) error
 	// AcceptView lands a view shipped from another member.
 	AcceptView(ctx context.Context, name, query, origin string, root *xmltree.Node) error
-	// Step runs one coordinator placement round and returns its
-	// decisions.
-	Step(ctx context.Context) ([]placement.Decision, error)
-	// ClusterPlacements returns the coordinator's aggregated
-	// cluster-wide placement map and decision log; ok is false on
-	// members (PLACEMENTS then reports only local state).
-	ClusterPlacements() (placements []view.PlacementInfo, decisions []placement.Decision, ok bool)
 }
 
 // Forwarder routes a query over a document this deployment does not
@@ -144,17 +147,18 @@ func decisionFromXML(ch *xmltree.Node) placement.Decision {
 	return d
 }
 
-func (s *Server) controlOr(verb string) (Control, string) {
-	if s.Control == nil {
-		return nil, errReply(fmt.Errorf("%s: this peer is not part of a federation", verb))
+// wrongRole is the x:error for a federation verb whose role (the
+// Coordinator or Member field) this server does not play.
+func (s *Server) wrongRole(verb, role string) string {
+	if s.Coordinator == nil && s.Member == nil {
+		return errReply(fmt.Errorf("%s: this peer is not part of a federation", verb))
 	}
-	return s.Control, ""
+	return errReply(fmt.Errorf("%s is a %s verb; this peer is not a %s", verb, role, role))
 }
 
 func (s *Server) doHello(rest string) string {
-	ctl, bad := s.controlOr("HELLO")
-	if ctl == nil {
-		return bad
+	if s.Coordinator == nil {
+		return s.wrongRole("HELLO", "coordinator")
 	}
 	root, err := xmltree.Parse(strings.TrimSpace(rest))
 	if err != nil {
@@ -164,7 +168,7 @@ func (s *Server) doHello(rest string) string {
 	if err != nil {
 		return errReply(err)
 	}
-	members, err := ctl.Hello(info)
+	members, err := s.Coordinator.Hello(info)
 	if err != nil {
 		return errReply(err)
 	}
@@ -176,26 +180,24 @@ func (s *Server) doHello(rest string) string {
 }
 
 func (s *Server) doBye(rest string) string {
-	ctl, bad := s.controlOr("BYE")
-	if ctl == nil {
-		return bad
+	if s.Coordinator == nil {
+		return s.wrongRole("BYE", "coordinator")
 	}
 	id := strings.TrimSpace(rest)
 	if id == "" {
 		return errReply(fmt.Errorf("BYE requires a member id"))
 	}
-	if err := ctl.Bye(id); err != nil {
+	if err := s.Coordinator.Bye(id); err != nil {
 		return errReply(err)
 	}
 	return "<x:ok/>"
 }
 
 func (s *Server) doDemand() string {
-	ctl, bad := s.controlOr("DEMAND")
-	if ctl == nil {
-		return bad
+	if s.Member == nil {
+		return s.wrongRole("DEMAND", "member")
 	}
-	e, err := ctl.Demand(context.Background())
+	e, err := s.Member.Demand(context.Background())
 	if err != nil {
 		return errReply(err)
 	}
@@ -209,30 +211,28 @@ func (s *Server) doMigrate(rest string, keep bool) string {
 	if keep {
 		verb = "REPLICATE"
 	}
-	ctl, bad := s.controlOr(verb)
-	if ctl == nil {
-		return bad
+	if s.Member == nil {
+		return s.wrongRole(verb, "member")
 	}
 	f := strings.Fields(rest)
 	if len(f) != 3 {
 		return errReply(fmt.Errorf("%s requires <view> <target-id> <target-addr>", verb))
 	}
-	if err := ctl.MigrateView(context.Background(), f[0], f[1], f[2], keep); err != nil {
+	if err := s.Member.MigrateView(context.Background(), f[0], f[1], f[2], keep); err != nil {
 		return errReply(err)
 	}
 	return "<x:ok/>"
 }
 
 func (s *Server) doDropView(rest string) string {
-	ctl, bad := s.controlOr("DROPVIEW")
-	if ctl == nil {
-		return bad
+	if s.Member == nil {
+		return s.wrongRole("DROPVIEW", "member")
 	}
 	name := strings.TrimSpace(rest)
 	if name == "" {
 		return errReply(fmt.Errorf("DROPVIEW requires a view name"))
 	}
-	if err := ctl.DropView(name); err != nil {
+	if err := s.Member.DropView(name); err != nil {
 		return errReply(err)
 	}
 	return "<x:ok/>"
@@ -243,9 +243,8 @@ func (s *Server) doDropView(rest string) string {
 // landing is all-or-nothing: a connection that dies mid-ship delivers
 // no line and nothing happens here.
 func (s *Server) doAcceptView(rest string) string {
-	ctl, bad := s.controlOr("ACCEPTVIEW")
-	if ctl == nil {
-		return bad
+	if s.Member == nil {
+		return s.wrongRole("ACCEPTVIEW", "member")
 	}
 	name, payload, ok := strings.Cut(rest, " ")
 	if !ok || name == "" {
@@ -266,18 +265,17 @@ func (s *Server) doAcceptView(rest string) string {
 	}
 	root := trees[0]
 	root.Parent = nil
-	if err := ctl.AcceptView(context.Background(), name, query, origin, root); err != nil {
+	if err := s.Member.AcceptView(context.Background(), name, query, origin, root); err != nil {
 		return errReply(err)
 	}
 	return okCount(1)
 }
 
 func (s *Server) doStep() string {
-	ctl, bad := s.controlOr("STEP")
-	if ctl == nil {
-		return bad
+	if s.Coordinator == nil {
+		return s.wrongRole("STEP", "coordinator")
 	}
-	decisions, err := ctl.Step(context.Background())
+	decisions, err := s.Coordinator.Step(context.Background())
 	if err != nil {
 		return errReply(err)
 	}

@@ -89,19 +89,20 @@ func (s *stubControl) Step(context.Context) ([]placement.Decision, error) {
 	return s.decisions, nil
 }
 
-func (s *stubControl) ClusterPlacements() ([]view.PlacementInfo, []placement.Decision, bool) {
-	return nil, nil, false
+func (s *stubControl) ClusterPlacements() ([]view.PlacementInfo, []placement.Decision) {
+	return nil, nil
 }
 
-// startControlServer serves a peer with the stub attached as Control.
-func startControlServer(t *testing.T, ctl Control) *Client {
+// startControlServer serves a peer with the stub attached in both
+// control roles.
+func startControlServer(t *testing.T, ctl *stubControl) *Client {
 	t.Helper()
 	p := peer.New("store")
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Peer: p, Control: ctl}
+	srv := &Server{Peer: p, Coordinator: ctl, Member: ctl}
 	go srv.Serve(l) //nolint:errcheck // closed by test cleanup
 	t.Cleanup(func() { l.Close() })
 	c, err := Dial(l.Addr().String())
@@ -211,6 +212,49 @@ func TestControlVerbsWithoutControl(t *testing.T) {
 		if err := call(); err == nil || !strings.Contains(err.Error(), "not part of a federation") {
 			t.Errorf("%s without Control: %v", verb, err)
 		}
+	}
+}
+
+// TestControlVerbsOfTheOtherRole: a member refuses the coordinator's
+// verbs and a coordinator the member's, each with an x:error naming the
+// role, while its own verbs keep working.
+func TestControlVerbsOfTheOtherRole(t *testing.T) {
+	serve := func(srv *Server) *Client {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(l) //nolint:errcheck // closed by test cleanup
+		t.Cleanup(func() { l.Close() })
+		c, err := Dial(l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	ctx := context.Background()
+
+	member := serve(&Server{Peer: peer.New("m"), Member: &stubControl{}})
+	if _, err := member.Step(ctx); err == nil || !strings.Contains(err.Error(), "coordinator verb") {
+		t.Errorf("STEP at a member: %v", err)
+	}
+	if _, err := member.Hello(ctx, MemberInfo{ID: "x", Addr: "y"}); err == nil || !strings.Contains(err.Error(), "coordinator verb") {
+		t.Errorf("HELLO at a member: %v", err)
+	}
+	if _, err := member.Demand(ctx); err != nil {
+		t.Errorf("DEMAND at a member: %v", err)
+	}
+
+	coord := serve(&Server{Peer: peer.New("c"), Coordinator: &stubControl{}})
+	if _, err := coord.Demand(ctx); err == nil || !strings.Contains(err.Error(), "member verb") {
+		t.Errorf("DEMAND at a coordinator: %v", err)
+	}
+	if err := coord.DropViewPlacement(ctx, "v"); err == nil || !strings.Contains(err.Error(), "member verb") {
+		t.Errorf("DROPVIEW at a coordinator: %v", err)
+	}
+	if _, err := coord.Step(ctx); err != nil {
+		t.Errorf("STEP at a coordinator: %v", err)
 	}
 }
 
@@ -345,7 +389,7 @@ func TestServerShutdownDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Peer: p, Control: stub}
+	srv := &Server{Peer: p, Coordinator: stub, Member: stub}
 	go srv.Serve(l) //nolint:errcheck // closed by test
 	defer l.Close()
 	c, err := Dial(l.Addr().String())
@@ -399,7 +443,7 @@ func TestServerShutdownDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Peer: p, Control: stub}
+	srv := &Server{Peer: p, Coordinator: stub, Member: stub}
 	go srv.Serve(l) //nolint:errcheck // closed by test
 	defer l.Close()
 	c, err := Dial(l.Addr().String())

@@ -96,6 +96,7 @@ func TestServerAbandonsStreamOnHangup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rows.Close() // after the hangup: releases the client-side guard only
 	for i := 0; i < 2; i++ {
 		if !rows.Next() {
 			t.Fatalf("row %d: %v", i, rows.Err())

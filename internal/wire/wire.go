@@ -18,8 +18,8 @@
 //	TRACE <trace-id>                  → <x:trace>…</x:trace>
 //	QUIT                              (closes the connection)
 //
-// Federation control verbs, served when Server.Control is set (see
-// control.go and internal/cluster):
+// Federation control verbs, served when Server.Coordinator or
+// Server.Member is set (see control.go and internal/cluster):
 //
 //	HELLO <x:member id=… addr=…>…</x:member>   → <x:members>…</x:members>
 //	BYE <member-id>                            → <x:ok/>
@@ -115,11 +115,13 @@ type Server struct {
 	// totals, and the ring of recent query traces (+trace=<id> on
 	// QUERYX/EXEC; fetched back with TRACE <id>).
 	Metrics *obs.Registry
-	// Control optionally attaches the federation control plane: the
-	// HELLO/BYE/DEMAND/MIGRATE/REPLICATE/DROPVIEW/ACCEPTVIEW/STEP verbs
-	// are answered by it (a cluster.Coordinator on the coordinator
-	// process, a cluster.Member on peers). Nil rejects those verbs.
-	Control Control
+	// Coordinator and Member optionally attach the federation control
+	// plane, one role each: HELLO/BYE/STEP are answered by Coordinator
+	// (a cluster.Coordinator on the coordinator process),
+	// DEMAND/MIGRATE/REPLICATE/DROPVIEW/ACCEPTVIEW by Member (a
+	// cluster.Member on peers). A nil role rejects its verbs.
+	Coordinator CoordinatorControl
+	Member      MemberControl
 	// Forward optionally routes queries over documents this deployment
 	// does not host to the member that does (cluster.Member implements
 	// it). Only QUERYX forwards, and only when the request did not
@@ -695,22 +697,26 @@ func (s *Server) doList() string {
 	return xmltree.Serialize(info)
 }
 
+func placementToXML(pi view.PlacementInfo) *xmltree.Node {
+	return xmltree.E("placement",
+		xmltree.A("view", pi.View),
+		xmltree.A("at", string(pi.At)),
+		xmltree.A("base", string(pi.BaseAt)),
+		xmltree.A("mode", pi.Mode),
+		xmltree.A("bytes", fmt.Sprint(pi.Bytes)),
+		xmltree.A("trees", fmt.Sprint(pi.Trees)))
+}
+
 // doPlacements reports the view-placement map and, when a controller
 // is attached, its recent decisions.
 func (s *Server) doPlacements() string {
-	if s.Views == nil && s.Control == nil {
+	if s.Views == nil && s.Coordinator == nil && s.Member == nil {
 		return errReply(fmt.Errorf("placements: peer serves no views"))
 	}
 	root := xmltree.E("x:placements")
 	if s.Views != nil {
 		for _, pi := range s.Views.Placements() {
-			root.AppendChild(xmltree.E("placement",
-				xmltree.A("view", pi.View),
-				xmltree.A("at", string(pi.At)),
-				xmltree.A("base", string(pi.BaseAt)),
-				xmltree.A("mode", pi.Mode),
-				xmltree.A("bytes", fmt.Sprint(pi.Bytes)),
-				xmltree.A("trees", fmt.Sprint(pi.Trees))))
+			root.AppendChild(placementToXML(pi))
 		}
 	}
 	if s.Placements != nil {
@@ -721,20 +727,13 @@ func (s *Server) doPlacements() string {
 	// A coordinator reports the cluster-wide map it aggregated from
 	// member demand exports, plus its own decision log — the `at`
 	// attribute then names a member, not a netsim peer.
-	if s.Control != nil {
-		if placements, decisions, ok := s.Control.ClusterPlacements(); ok {
-			for _, pi := range placements {
-				root.AppendChild(xmltree.E("placement",
-					xmltree.A("view", pi.View),
-					xmltree.A("at", string(pi.At)),
-					xmltree.A("base", string(pi.BaseAt)),
-					xmltree.A("mode", pi.Mode),
-					xmltree.A("bytes", fmt.Sprint(pi.Bytes)),
-					xmltree.A("trees", fmt.Sprint(pi.Trees))))
-			}
-			for _, d := range decisions {
-				root.AppendChild(decisionToXML(d))
-			}
+	if s.Coordinator != nil {
+		placements, decisions := s.Coordinator.ClusterPlacements()
+		for _, pi := range placements {
+			root.AppendChild(placementToXML(pi))
+		}
+		for _, d := range decisions {
+			root.AppendChild(decisionToXML(d))
 		}
 	}
 	return xmltree.Serialize(root)

@@ -69,6 +69,9 @@ func checkAgainstReference(t *testing.T, q *Query, env *Env, args ...[]*xmltree.
 		t.Errorf("query %q: Eval failed (%v) but returned %d rows", q, err, len(got))
 	}
 	cur, cerr := q.EvalCursor(context.Background(), env, args...)
+	if cerr == nil {
+		defer cur.Close()
+	}
 	var rows []*xmltree.Node
 	for cerr == nil {
 		var n *xmltree.Node
