@@ -214,6 +214,7 @@ func (c *Coordinator) ClusterPlacements() ([]view.PlacementInfo, []placement.Dec
 				Mode:   v.Mode,
 				Bytes:  v.Bytes,
 				Trees:  v.Trees,
+				Behind: -1, // demand exports carry no freshness
 			})
 		}
 	}

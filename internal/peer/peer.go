@@ -10,6 +10,7 @@ package peer
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -58,13 +59,16 @@ type Document struct {
 	Root    *xmltree.Node
 	Version int64
 	pub     *published // Root as snapshots pin it; replaced whenever Root is
+	feed    feed       // what the recent commits to this document touched
 }
 
-// published is one published root with its node count, taken by the
-// first reader that asks (the cost model asks on every query). A
-// published tree is immutable, so the count cannot go stale.
+// published is one published root with the epoch that published it and
+// its node count, taken by the first reader that asks (the cost model
+// asks on every query). A published tree is immutable, so the count
+// cannot go stale.
 type published struct {
 	root  *xmltree.Node
+	epoch uint64
 	once  sync.Once
 	nodes int
 }
@@ -104,20 +108,65 @@ func (k ChangeKind) String() string {
 	}
 }
 
-// Change is one typed document-change notification: what happened, to
-// which document, and the identifier of the affected subtree root (the
+// Change is the record of one commit: what happened, to which
+// document, the identifier of the affected subtree root (the
 // inserted/replacing tree for inserts and replaces, the removed tree
-// for deletes; zero for Touch). Epoch is the store epoch the change
-// committed as — a reader holding a Snapshot handle with an equal or
-// later epoch already sees it. Watch channels coalesce under
-// backpressure — a received Change means "at least this happened since
-// you last looked", so consumers that need exactness (view maintenance)
-// diff against their own recorded state rather than replaying events.
+// for deletes; zero for Touch), and — the embedded Commit — the store
+// epoch it committed as and the node identifiers it touched. A reader
+// holding a Snapshot handle with an equal or later epoch already sees
+// it. The Commit part is what the document's change feed keeps
+// (Handle.Changes): exact, ordered and bounded. Watch channels carry
+// the same record but coalesce under backpressure — a received Change
+// means "at least this happened since you last looked" — so consumers
+// that need exactness (view maintenance) read the feed, not the channel.
 type Change struct {
-	Kind  ChangeKind
-	Doc   string
-	Node  xmltree.NodeID
-	Epoch uint64
+	Kind ChangeKind
+	Doc  string
+	Node xmltree.NodeID
+	xmltree.Commit
+}
+
+// feedLen bounds the change feed of one document. A consumer that
+// falls further behind than this re-derives from the document, which
+// costs what every refresh cost before the feed existed.
+const feedLen = 256
+
+// feed is the change feed of one document: a ring of the last feedLen
+// commits, oldest at ring[start]. Every commit to the document after
+// epoch floor is in the ring, so a reader whose state reflects an epoch
+// at or past floor can catch up from it alone.
+type feed struct {
+	ring  []xmltree.Commit
+	start int
+	floor uint64
+}
+
+func (f *feed) push(c xmltree.Commit) {
+	if len(f.ring) < feedLen {
+		f.ring = append(f.ring, c)
+		return
+	}
+	f.floor = f.ring[f.start].Epoch
+	f.ring[f.start] = c
+	f.start = (f.start + 1) % feedLen
+}
+
+// since returns the commits with after < Epoch ≤ upto, oldest first;
+// ok is false when the ring no longer reaches back to after.
+func (f *feed) since(after, upto uint64) (out []xmltree.Commit, ok bool) {
+	if after < f.floor {
+		return nil, false
+	}
+	for i := range f.ring {
+		c := &f.ring[(f.start+i)%len(f.ring)]
+		if c.Epoch > upto {
+			break
+		}
+		if c.Epoch > after {
+			out = append(out, *c)
+		}
+	}
+	return out, true
 }
 
 // indexEntry records where a node currently lives: the newest-epoch
@@ -184,8 +233,11 @@ func (p *Peer) InstallDocument(name string, root *xmltree.Node) error {
 	}
 	xmltree.AssignIDs(root, &p.idgen)
 	p.indexSubtree(root, name, 0)
-	p.docs[name] = &Document{Name: name, Root: root, Version: 1, pub: &published{root: root}}
 	p.epoch++
+	// The feed starts at the install: a reader whose state predates it
+	// (the name was removed and installed again) gets no catch-up.
+	p.docs[name] = &Document{Name: name, Root: root, Version: 1,
+		pub: &published{root: root, epoch: p.epoch}, feed: feed{floor: p.epoch}}
 	return nil
 }
 
@@ -279,13 +331,14 @@ func (p *Peer) AddChild(parent xmltree.NodeID, tree *xmltree.Node) error {
 		e.node.AppendChild(tree)
 		return nil
 	}
-	newRoot, target, err := p.cowSpineLocked(e.doc, parent)
+	newRoot, target, commit, err := p.cowSpineLocked(e.doc, parent)
 	if err != nil {
 		return err
 	}
 	p.adopt(tree, e.doc, parent)
 	target.AppendChild(tree)
-	p.publishLocked(e.doc, newRoot, Change{Kind: ChangeInsert, Doc: e.doc, Node: tree.ID})
+	commit.Added = tree.ID
+	p.publishLocked(e.doc, newRoot, Change{Kind: ChangeInsert, Doc: e.doc, Node: tree.ID, Commit: commit})
 	return nil
 }
 
@@ -306,7 +359,7 @@ func (p *Peer) InsertAfter(ref xmltree.NodeID, tree *xmltree.Node) error {
 		p.adopt(tree, "", e.parent)
 		return pe.node.InsertAfter(e.node, tree)
 	}
-	newRoot, target, err := p.cowSpineLocked(e.doc, e.parent)
+	newRoot, target, commit, err := p.cowSpineLocked(e.doc, e.parent)
 	if err != nil {
 		return err
 	}
@@ -316,7 +369,8 @@ func (p *Peer) InsertAfter(ref xmltree.NodeID, tree *xmltree.Node) error {
 	}
 	p.adopt(tree, e.doc, e.parent)
 	target.InsertChildAt(i+1, tree)
-	p.publishLocked(e.doc, newRoot, Change{Kind: ChangeInsert, Doc: e.doc, Node: tree.ID})
+	commit.Added = tree.ID
+	p.publishLocked(e.doc, newRoot, Change{Kind: ChangeInsert, Doc: e.doc, Node: tree.ID, Commit: commit})
 	return nil
 }
 
@@ -350,7 +404,7 @@ func (p *Peer) RemoveChildByID(parent, child xmltree.NodeID) error {
 		})
 		return nil
 	}
-	newRoot, target, err := p.cowSpineLocked(e.doc, e.parent)
+	newRoot, target, commit, err := p.cowSpineLocked(e.doc, e.parent)
 	if err != nil {
 		return err
 	}
@@ -365,7 +419,8 @@ func (p *Peer) RemoveChildByID(parent, child xmltree.NodeID) error {
 		delete(p.index, n.ID)
 		return true
 	})
-	p.publishLocked(e.doc, newRoot, Change{Kind: ChangeDelete, Doc: e.doc, Node: child})
+	commit.Removed = child
+	p.publishLocked(e.doc, newRoot, Change{Kind: ChangeDelete, Doc: e.doc, Node: child, Commit: commit})
 	return nil
 }
 
@@ -402,7 +457,7 @@ func (p *Peer) ReplaceChildByID(parent, child xmltree.NodeID, tree *xmltree.Node
 		})
 		return nil
 	}
-	newRoot, target, err := p.cowSpineLocked(e.doc, e.parent)
+	newRoot, target, commit, err := p.cowSpineLocked(e.doc, e.parent)
 	if err != nil {
 		return err
 	}
@@ -417,7 +472,8 @@ func (p *Peer) ReplaceChildByID(parent, child xmltree.NodeID, tree *xmltree.Node
 	p.adopt(tree, e.doc, e.parent)
 	tree.Parent = target
 	target.Children[i] = tree
-	p.publishLocked(e.doc, newRoot, Change{Kind: ChangeReplace, Doc: e.doc, Node: tree.ID})
+	commit.Removed, commit.Added = child, tree.ID
+	p.publishLocked(e.doc, newRoot, Change{Kind: ChangeReplace, Doc: e.doc, Node: tree.ID, Commit: commit})
 	return nil
 }
 
@@ -450,7 +506,7 @@ func (p *Peer) ReplaceChildren(id xmltree.NodeID, forest []*xmltree.Node) error 
 		}
 		return nil
 	}
-	newRoot, target, err := p.cowSpineLocked(e.doc, id)
+	newRoot, target, commit, err := p.cowSpineLocked(e.doc, id)
 	if err != nil {
 		return err
 	}
@@ -465,7 +521,9 @@ func (p *Peer) ReplaceChildren(id xmltree.NodeID, forest []*xmltree.Node) error 
 		p.adopt(tree, e.doc, id)
 		target.AppendChild(tree)
 	}
-	p.publishLocked(e.doc, newRoot, Change{Kind: ChangeReplace, Doc: e.doc, Node: id})
+	// The whole child list went: the commit names no subtree, and feed
+	// consumers re-derive from the document.
+	p.publishLocked(e.doc, newRoot, Change{Kind: ChangeReplace, Doc: e.doc, Node: id, Commit: commit})
 	return nil
 }
 
@@ -532,45 +590,50 @@ func (p *Peer) indexSubtree(n *xmltree.Node, doc string, parent xmltree.NodeID) 
 // the given id inside doc: it clones the spine from the document root
 // down to the target (fresh Children and Attrs backing arrays, same
 // IDs), shares every off-spine subtree with the current epoch, points
-// the index at the clones, and returns the new root together with the
-// target's clone. The caller mutates the returned target freely — it
+// the index at the clones, and returns the new root, the target's clone
+// and the start of the commit's record: where it wrote (the caller adds
+// what). The caller mutates the returned target freely — it
 // is unpublished until publishLocked swaps the document root. Shared
 // subtrees are never written: their Parent pointers keep referring to
 // the spine of the epoch that created them, which is why ancestry
 // flows through index parent IDs instead.
-func (p *Peer) cowSpineLocked(doc string, id xmltree.NodeID) (newRoot, target *xmltree.Node, err error) {
+func (p *Peer) cowSpineLocked(doc string, id xmltree.NodeID) (newRoot, target *xmltree.Node, where xmltree.Commit, err error) {
 	d, ok := p.docs[doc]
 	if !ok {
-		return nil, nil, fmt.Errorf("peer %s: %w: %q", p.ID, ErrNoSuchDoc, doc)
+		return nil, nil, where, fmt.Errorf("peer %s: %w: %q", p.ID, ErrNoSuchDoc, doc)
 	}
-	// Collect the ID chain target..root through the index.
-	var chain []xmltree.NodeID
+	// Collect the ID chain target..root through the index, then turn it
+	// root first.
+	var spine []xmltree.NodeID
 	for cur := id; cur != 0; {
-		chain = append(chain, cur)
+		spine = append(spine, cur)
 		e, ok := p.index[cur]
 		if !ok {
-			return nil, nil, fmt.Errorf("peer %s: no node n%d", p.ID, cur)
+			return nil, nil, where, fmt.Errorf("peer %s: no node n%d", p.ID, cur)
 		}
 		cur = e.parent
 	}
-	if chain[len(chain)-1] != d.Root.ID {
-		return nil, nil, fmt.Errorf("peer %s: node n%d is not in document %q", p.ID, id, doc)
+	slices.Reverse(spine)
+	if spine[0] != d.Root.ID {
+		return nil, nil, where, fmt.Errorf("peer %s: node n%d is not in document %q", p.ID, id, doc)
 	}
+	pos := make([]int, 0, len(spine)-1)
 	cur := cloneShallow(d.Root)
 	p.reindexClone(cur)
 	newRoot = cur
-	for i := len(chain) - 2; i >= 0; i-- {
-		j := childIndex(cur, chain[i])
+	for _, next := range spine[1:] {
+		j := childIndex(cur, next)
 		if j < 0 {
-			return nil, nil, fmt.Errorf("peer %s: node n%d vanished from its parent", p.ID, chain[i])
+			return nil, nil, where, fmt.Errorf("peer %s: node n%d vanished from its parent", p.ID, next)
 		}
 		child := cloneShallow(cur.Children[j])
 		child.Parent = cur
 		cur.Children[j] = child
 		p.reindexClone(child)
+		pos = append(pos, j)
 		cur = child
 	}
-	return newRoot, cur, nil
+	return newRoot, cur, xmltree.Commit{Spine: spine, Pos: pos}, nil
 }
 
 // reindexClone points the index entry for a spine clone at the clone,
@@ -606,17 +669,18 @@ func childIndex(parent *xmltree.Node, id xmltree.NodeID) int {
 
 // publishLocked commits a copy-on-write mutation: swaps the document's
 // root to the new epoch's tree, bumps the store epoch and the document
-// version, and notifies watchers with the typed change event. Callers
-// hold p.mu.
+// version, appends what the commit touched to the document's feed and
+// notifies watchers with the same record. Callers hold p.mu.
 func (p *Peer) publishLocked(doc string, newRoot *xmltree.Node, ev Change) {
 	d, ok := p.docs[doc]
 	if !ok {
 		return
 	}
-	d.Root, d.pub = newRoot, &published{root: newRoot}
 	p.epoch++
 	ev.Epoch = p.epoch
+	d.Root, d.pub = newRoot, &published{root: newRoot, epoch: p.epoch}
 	d.Version++
+	d.feed.push(ev.Commit)
 	for _, ch := range p.watchers[doc] {
 		select {
 		case ch <- ev:

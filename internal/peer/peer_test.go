@@ -2,6 +2,8 @@ package peer
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
 	"axml/internal/service"
@@ -457,5 +459,218 @@ func TestHandleNodeCount(t *testing.T) {
 	}
 	if _, err := cur.NodeCount("missing"); !errors.Is(err, ErrNoSuchDoc) {
 		t.Errorf("NodeCount of a missing document: %v", err)
+	}
+}
+
+// feedPeer is a peer with <catalog><item><price/></item>×2</catalog>
+// installed, for the change-feed tests.
+func feedPeer(t *testing.T) (*Peer, *xmltree.Node) {
+	t.Helper()
+	p := New("p1")
+	root := xmltree.MustParse(`<catalog><item><price>1</price></item><item><price>2</price></item></catalog>`)
+	if err := p.InstallDocument("catalog", root); err != nil {
+		t.Fatal(err)
+	}
+	return p, root
+}
+
+// TestChangesSaysWhatEachCommitTouched pins the record of every
+// mutation kind: the spine root first down to the node whose child list
+// changed with the position of each step, and the removed/added
+// subtree roots.
+func TestChangesSaysWhatEachCommitTouched(t *testing.T) {
+	p, root := feedPeer(t)
+	start := p.Epoch()
+	item, other := root.Children[0], root.Children[1]
+	oldPrice := item.Children[0]
+
+	added := xmltree.MustParse(`<item><price>3</price></item>`)
+	newPrice := xmltree.E("price", xmltree.T("9"))
+	after := xmltree.E("note")
+	steps := []struct {
+		name string
+		do   func() error
+		want xmltree.Commit
+	}{
+		{"AddChild", func() error { return p.AddChild(root.ID, added) },
+			xmltree.Commit{Spine: []xmltree.NodeID{root.ID}, Added: 0}},
+		{"nested ReplaceChildByID", func() error { return p.ReplaceChildByID(0, oldPrice.ID, newPrice) },
+			xmltree.Commit{Spine: []xmltree.NodeID{root.ID, item.ID}, Pos: []int{0}, Removed: oldPrice.ID}},
+		{"InsertAfter", func() error { return p.InsertAfter(item.ID, after) },
+			xmltree.Commit{Spine: []xmltree.NodeID{root.ID}}},
+		{"RemoveChildByID", func() error { return p.RemoveChildByID(root.ID, other.ID) },
+			xmltree.Commit{Spine: []xmltree.NodeID{root.ID}, Removed: other.ID}},
+		{"ReplaceChildren", func() error { return p.ReplaceChildren(item.ID, nil) },
+			xmltree.Commit{Spine: []xmltree.NodeID{root.ID, item.ID}, Pos: []int{0}}},
+		{"Touch", func() error { p.Touch("catalog"); return nil }, xmltree.Commit{}},
+	}
+	for _, s := range steps {
+		if err := s.do(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+	}
+	// Fresh subtrees get their identifiers on the way in.
+	steps[0].want.Added = added.ID
+	steps[1].want.Added = newPrice.ID
+	steps[2].want.Added = after.ID
+
+	h := p.Snapshot()
+	defer h.Release()
+	got, ok := h.Changes("catalog", start)
+	if !ok || len(got) != len(steps) {
+		t.Fatalf("Changes = %d commits, ok=%v; want %d", len(got), ok, len(steps))
+	}
+	for i, s := range steps {
+		s.want.Epoch = start + uint64(i) + 1
+		if g := got[i]; g.Epoch != s.want.Epoch || g.Removed != s.want.Removed || g.Added != s.want.Added ||
+			!slices.Equal(g.Spine, s.want.Spine) || !slices.Equal(g.Pos, s.want.Pos) {
+			t.Errorf("%s: commit = %+v, want %+v", s.name, g, s.want)
+		}
+	}
+}
+
+// TestChangesIsBoundedByBothEpochs: a handle sees the feed only up to
+// the epoch it pins, and only after the epoch the caller names.
+func TestChangesIsBoundedByBothEpochs(t *testing.T) {
+	p, root := feedPeer(t)
+	add := func() {
+		t.Helper()
+		if err := p.AddChild(root.ID, xmltree.E("item")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := p.Epoch()
+	add()
+	add()
+	old := p.Snapshot()
+	defer old.Release()
+	add()
+	cur := p.Snapshot()
+	defer cur.Release()
+
+	for _, c := range []struct {
+		h     *Handle
+		after uint64
+		want  int
+	}{
+		{old, start, 2}, {cur, start, 3}, {cur, start + 1, 2}, {cur, old.Epoch(), 1},
+		{old, old.Epoch(), 0}, {cur, cur.Epoch(), 0},
+		{old, cur.Epoch(), 0}, // a consumer ahead of the handle has nothing to catch up on
+	} {
+		got, ok := c.h.Changes("catalog", c.after)
+		if !ok || len(got) != c.want {
+			t.Errorf("Changes(after=%d) at epoch %d = %d commits, ok=%v; want %d",
+				c.after, c.h.Epoch(), len(got), ok, c.want)
+		}
+		for _, commit := range got {
+			if commit.Epoch <= c.after || commit.Epoch > c.h.Epoch() {
+				t.Errorf("commit of epoch %d outside (%d, %d]", commit.Epoch, c.after, c.h.Epoch())
+			}
+		}
+	}
+	// Commits to another document advance the store's epoch, not this feed.
+	if err := p.InstallDocument("other", xmltree.E("x")); err != nil {
+		t.Fatal(err)
+	}
+	later := p.Snapshot()
+	defer later.Release()
+	if got, ok := later.Changes("catalog", cur.Epoch()); !ok || len(got) != 0 {
+		t.Errorf("another document's install showed up as %d commits, ok=%v", len(got), ok)
+	}
+	if _, ok := later.Changes("missing", 0); ok {
+		t.Error("Changes of a document the handle does not hold must not be ok")
+	}
+}
+
+// TestChangesTruncation: the feed is a ring; a reader further behind
+// than it reaches is told so rather than handed a partial history.
+func TestChangesTruncation(t *testing.T) {
+	p, root := feedPeer(t)
+	start := p.Epoch()
+	price := root.Children[0].Children[0].ID
+	flip := func() {
+		t.Helper()
+		next := xmltree.E("price", xmltree.T("7"))
+		if err := p.ReplaceChildByID(0, price, next); err != nil {
+			t.Fatal(err)
+		}
+		price = next.ID
+	}
+	for i := 0; i < feedLen; i++ {
+		flip()
+	}
+	h := p.Snapshot()
+	if got, ok := h.Changes("catalog", start); !ok || len(got) != feedLen {
+		t.Errorf("a full ring = %d commits, ok=%v; want all %d", len(got), ok, feedLen)
+	}
+	h.Release()
+
+	flip() // evicts the first commit
+	h = p.Snapshot()
+	defer h.Release()
+	if _, ok := h.Changes("catalog", start); ok {
+		t.Error("Changes reaching behind the ring must not be ok")
+	}
+	got, ok := h.Changes("catalog", start+1)
+	if !ok || len(got) != feedLen || got[0].Epoch != start+2 || got[feedLen-1].Epoch != h.Epoch() {
+		t.Errorf("Changes from the ring's floor = %d commits, ok=%v", len(got), ok)
+	}
+}
+
+// TestChangesAcrossReinstall: a document removed and installed again
+// under the same name is a different document; no feed connects them.
+func TestChangesAcrossReinstall(t *testing.T) {
+	p, _ := feedPeer(t)
+	start := p.Epoch()
+	before := p.Snapshot()
+	defer before.Release()
+	if err := p.RemoveDocument("catalog"); err != nil {
+		t.Fatal(err)
+	}
+	gone := p.Snapshot()
+	defer gone.Release()
+	if err := p.InstallDocument("catalog", xmltree.MustParse(`<catalog><item/></catalog>`)); err != nil {
+		t.Fatal(err)
+	}
+	h := p.Snapshot()
+	defer h.Release()
+	if _, ok := h.Changes("catalog", start); ok {
+		t.Error("Changes across a reinstall must not be ok")
+	}
+	if got, ok := h.Changes("catalog", h.Epoch()); !ok || len(got) != 0 {
+		t.Errorf("Changes since the reinstall = %d commits, ok=%v", len(got), ok)
+	}
+	if _, ok := gone.Changes("catalog", start); ok {
+		t.Error("a handle that does not hold the document must not answer for it")
+	}
+	// The handle from before still pins the old tree, unchanged since start.
+	if got, ok := before.Changes("catalog", start); !ok || len(got) != 0 {
+		t.Errorf("old handle: %d commits, ok=%v; want none", len(got), ok)
+	}
+}
+
+// TestCommitHoldsIdentifiersOnly: a feed entry must never retain a
+// node — it outlives every epoch it describes, and a pointer would pin
+// their trees. The type is the guarantee.
+func TestCommitHoldsIdentifiersOnly(t *testing.T) {
+	var onlyIDs func(reflect.Type) bool
+	onlyIDs = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Uint64, reflect.Int:
+			return true
+		case reflect.Slice:
+			return onlyIDs(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if !onlyIDs(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	if !onlyIDs(reflect.TypeOf(xmltree.Commit{})) {
+		t.Error("xmltree.Commit holds something other than epochs, node identifiers and positions")
 	}
 }

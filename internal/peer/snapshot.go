@@ -87,6 +87,31 @@ func (h *Handle) NodeCount(name string) (int, error) {
 	return r.nodeCount(), nil
 }
 
+// Changes returns what the commits to the named document touched after
+// epoch `after`, up to the handle's own epoch, oldest first: the change
+// feed a consumer whose state reflects `after` needs to reach what this
+// handle pins. ok is false when the feed cannot say — it is bounded and
+// no longer reaches back to `after`, or the document was removed or
+// installed again since — and the consumer must re-derive from Root. A
+// document unchanged since `after` answers (nil, true) without taking
+// the peer's lock.
+func (h *Handle) Changes(name string, after uint64) (commits []xmltree.Commit, ok bool) {
+	r, pinned := h.roots[name]
+	if !pinned {
+		return nil, false
+	}
+	if r.epoch <= after {
+		return nil, true
+	}
+	h.p.mu.RLock()
+	defer h.p.mu.RUnlock()
+	d, live := h.p.docs[name]
+	if !live {
+		return nil, false
+	}
+	return d.feed.since(after, h.epoch)
+}
+
 // Docs lists the documents captured by the handle, sorted by name.
 func (h *Handle) Docs() []string {
 	out := make([]string, 0, len(h.roots))

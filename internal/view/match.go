@@ -80,8 +80,8 @@ func viewShape(q *xquery.Query) (*shape, bool) {
 	}
 	switch body := q.Body.(type) {
 	case *xquery.Path:
-		doc, steps, ok := docSteps(body)
-		if !ok || !plainNameSteps(steps) {
+		doc, steps, ok := body.DocSteps()
+		if !ok || !xpath.PlainNameSteps(steps) {
 			return nil, false
 		}
 		return &shape{doc: doc, steps: steps, whole: len(steps) == 0}, true
@@ -97,8 +97,8 @@ func viewShape(q *xquery.Query) (*shape, bool) {
 		if !ok {
 			return nil, false
 		}
-		doc, steps, ok := docSteps(src)
-		if !ok || len(steps) == 0 || !plainNameSteps(steps) {
+		doc, steps, ok := src.DocSteps()
+		if !ok || len(steps) == 0 || !xpath.PlainNameSteps(steps) {
 			return nil, false
 		}
 		if !isVarOnly(body.Return, fc.Var) {
@@ -142,7 +142,7 @@ func (v *shape) rewrite(viewDoc string, q *xquery.Query) (*xquery.Query, bool) {
 	if !ok {
 		return nil, false
 	}
-	doc, steps, ok := docSteps(src)
+	doc, steps, ok := src.DocSteps()
 	if !ok || doc != v.doc || len(steps) < len(v.steps) {
 		return nil, false
 	}
@@ -217,48 +217,6 @@ func (v *shape) rewrite(viewDoc string, q *xquery.Query) (*xquery.Query, bool) {
 		Order:   body.Order,
 		Return:  body.Return,
 	}}, true
-}
-
-// docSteps deconstructs a path into its doc() root and location steps.
-func docSteps(p *xquery.Path) (string, []xpath.Step, bool) {
-	if len(p.Docs) != 1 {
-		return "", nil, false
-	}
-	switch x := p.X.(type) {
-	case xpath.VarRef:
-		if !isDocVar(x, p.Docs[0]) {
-			return "", nil, false
-		}
-		return p.Docs[0], nil, true
-	case *xpath.PathExpr:
-		v, ok := x.Filter.(xpath.VarRef)
-		if !ok || !isDocVar(v, p.Docs[0]) {
-			return "", nil, false
-		}
-		return p.Docs[0], x.Steps, true
-	default:
-		return "", nil, false
-	}
-}
-
-// isDocVar reports whether v is the synthetic variable of doc(name).
-// The parser names it "#doc:"+name; matching through DocPath keeps the
-// prefix private to xquery.
-func isDocVar(v xpath.VarRef, name string) bool {
-	probe := xquery.DocPath(name)
-	pv, _ := probe.X.(*xpath.PathExpr)
-	return pv != nil && pv.Filter == xpath.VarRef(string(v))
-}
-
-// plainNameSteps accepts only child::name steps without predicates —
-// the shapes whose materialization is re-addressable by path.
-func plainNameSteps(steps []xpath.Step) bool {
-	for _, s := range steps {
-		if s.Axis != xpath.AxisChild || s.Test.Kind != xpath.TestName || len(s.Preds) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func stepEqual(a, b xpath.Step) bool { return a.String() == b.String() }
@@ -479,6 +437,21 @@ func queryDownwardOnly(q *xquery.Query) bool {
 	}
 	walk(q.Body)
 	return ok
+}
+
+// subtreeLocal reports whether the body of a single-for query reads
+// nothing outside the subtree its for variable is bound to: no upward
+// or sibling axis anywhere, and no doc() beside the for source.
+// Provenance-based maintenance re-derives a source only when that
+// subtree changed, so it is sound for exactly these bodies.
+func subtreeLocal(q *xquery.Query) bool {
+	f, ok := q.Body.(*xquery.FLWR)
+	if !ok || len(f.Clauses) == 0 || !queryDownwardOnly(q) {
+		return false
+	}
+	residual := &xquery.Query{Body: &xquery.FLWR{
+		Clauses: f.Clauses[1:], Where: f.Where, Order: f.Order, Return: f.Return}}
+	return len(residual.DocRefs()) == 0
 }
 
 // Rewrite returns the rewritings of q over every view that subsumes

@@ -45,6 +45,30 @@ func TestViewShapeRejects(t *testing.T) {
 	}
 }
 
+// TestSubtreeLocal: which single-for bodies provenance maintenance may
+// take — those that read nothing outside the bound source.
+func TestSubtreeLocal(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want bool
+	}{
+		{`for $x in doc("c")/item where $x/price < 100 return $x`, true},
+		{`for $x in doc("c")/item return <r>{$x/name}</r>`, true},
+		{`for $x in doc("c")//item let $p := $x/price where $p < 5 return $p`, true},
+		{`for $x in doc("c")/item where $x/descendant::tag = "a" return $x/@id`, true},
+		{`for $x in doc("c")/item where count($x/../item) < 12 return $x`, false},       // parent axis
+		{`for $x in doc("c")/item return $x/following-sibling::item`, false},            // sibling axis
+		{`for $x in doc("c")/item where count(doc("c")/item) < 12 return $x`, false},    // doc() in where
+		{`for $x in doc("c")/item let $all := doc("c")/item return count($all)`, false}, // doc() in let
+		{`for $x in doc("c")/item return <r>{doc("c")/title}</r>`, false},               // doc() in return
+		{`for $x in doc("c")/item[../@open] return $x`, false},                          // source predicate looks up
+	} {
+		if got := subtreeLocal(xquery.MustParse(c.src)); got != c.want {
+			t.Errorf("subtreeLocal(%q) = %v, want %v", c.src, got, c.want)
+		}
+	}
+}
+
 func rewriteOf(t *testing.T, viewSrc, querySrc string) (string, bool) {
 	t.Helper()
 	sh := mustShape(t, viewSrc)

@@ -51,9 +51,16 @@ func TestMigrateShipsContentAndKeepsIncrementalMaintenance(t *testing.T) {
 	}
 	genBefore := m.Generation()
 	preStats := sys.Net.Stats()
+	epochBefore := m.Placements()[0].Epoch
 
 	if err := m.Migrate(context.Background(), "cheap", "clientA", "clientB"); err != nil {
 		t.Fatal(err)
+	}
+	// The base epoch travels with the cloned provenance: the moved copy
+	// catches up from the change feed, not from a full diff.
+	if moved := m.Placements()[0]; moved.Epoch != epochBefore || moved.Behind != 0 {
+		t.Errorf("migrated placement reports epoch %d behind %d, want epoch %d behind 0",
+			moved.Epoch, moved.Behind, epochBefore)
 	}
 	if m.Generation() == genBefore {
 		t.Error("migration must bump the catalog generation")

@@ -36,6 +36,13 @@ type PlacementInfo struct {
 	Mode   string // "incremental" or "recompute"
 	Bytes  int64  // serialized size of the materialized document
 	Trees  int    // result trees currently materialized
+	// Epoch is the base store epoch the copy reflects and Behind the
+	// number of commits to the base document since then, read off the
+	// store's change feed. Behind is -1 when that is not known: the
+	// placement is not maintained from the feed, the feed no longer
+	// reaches back to Epoch, or the base is gone.
+	Epoch  uint64
+	Behind int
 }
 
 // Placements returns every materialized placement of every view,
@@ -50,7 +57,15 @@ func (m *Manager) Placements() []PlacementInfo {
 		}
 		st.mu.Lock()
 		for _, p := range st.placements {
-			info := PlacementInfo{View: name, At: p.at, BaseAt: p.baseAt, Mode: st.mode}
+			info := PlacementInfo{View: name, At: p.at, BaseAt: p.baseAt, Mode: st.mode,
+				Epoch: p.epoch, Behind: -1}
+			if base, ok := m.sys.Peer(p.baseAt); ok && p.inc != nil {
+				h := base.Snapshot()
+				if commits, ok := h.Changes(st.bases[0], p.epoch); ok {
+					info.Behind = len(commits)
+				}
+				h.Release()
+			}
 			if host, ok := m.sys.Peer(p.at); ok {
 				if n, ok := host.NodeByID(p.root); ok {
 					info.Bytes = int64(n.ByteSize())
@@ -271,7 +286,7 @@ func (m *Manager) Migrate(ctx context.Context, name string, from, to netsim.Peer
 
 	newP := &placement{at: to, root: newRoot.ID, baseAt: to, dirty: old.dirty}
 	if old.inc != nil {
-		newP.inc = old.inc.Clone()
+		newP.inc, newP.epoch = old.inc.Clone(), old.epoch
 		newP.baseAt = old.baseAt
 		newP.prov = map[xquery.Lineage][]xmltree.NodeID{}
 		if err := remapProv(target, newRoot.ID, oldKids, old.prov, newP.prov); err != nil {

@@ -1,19 +1,24 @@
 // View maintenance. Incremental views reuse xquery.DeltaFor's delta
-// provenance: the base peer evaluates the view query only over source
-// nodes that appeared or changed since the last refresh (under its
-// read lock, so concurrent updates are excluded) and ships just the
-// difference to each placement — additions as new result trees,
-// retractions as x:retract tombstones that remove exactly the view
-// rows the vanished source had produced (node-id lineage, see
-// placement.prov). This keeps views correct under deletions and
-// in-place updates, beyond the insert-only fragment of Positive AXML.
-// Every other query shape falls back to full re-materialization at the
-// placement peer. AutoRefresh subscribes to the base documents' typed
-// change notifications so views follow updates without polling;
-// Refresh/RefreshAll are the synchronous entry points tests and
-// benchmarks drive deterministically, and RefreshFull is the
-// force-full baseline (admin healing; experiment E12 measures it
-// against the provenance path on a churn workload).
+// provenance. Each placement records the base store epoch its rows
+// reflect; a refresh pins the base's current epoch (writers proceed)
+// and asks the store's change feed what was committed to the base
+// document in between. Nothing: the refresh is over. Otherwise the
+// view's body is evaluated for the source nodes those commits touched —
+// or, where the feed cannot bound them (it is truncated, the source
+// path is not a chain of child steps, a commit replaced a whole child
+// list), for every source whose subtree digest differs from the
+// recorded one — and just the difference ships to the placement:
+// additions as new result trees, retractions as x:retract tombstones
+// that remove exactly the view rows the vanished source had produced
+// (node-id lineage, see placement.prov). This keeps views correct under
+// deletions and in-place updates, beyond the insert-only fragment of
+// Positive AXML. Every other query shape falls back to full
+// re-materialization at the placement peer. AutoRefresh subscribes to
+// the base documents' typed change notifications so views follow
+// updates without polling; Refresh/RefreshAll are the synchronous entry
+// points tests and benchmarks drive deterministically, and RefreshFull
+// is the force-full baseline (admin healing; experiment E12 measures
+// it against the provenance path on a churn workload).
 package view
 
 import (
@@ -130,13 +135,23 @@ func (m *Manager) refreshPlacement(ctx context.Context, st *state, p *placement)
 	// Pin an epoch of the base store: the delta derives from a
 	// consistent point-in-time view while base writers proceed.
 	h := host.Snapshot()
-	ev, err := p.inc.DeltaEventsWith(&xquery.Env{Resolve: h.Resolver()})
+	epoch := h.Epoch()
+	commits, bounded := h.Changes(st.bases[0], p.epoch)
+	if bounded && len(commits) == 0 {
+		h.Release()
+		return 0, nil
+	}
+	env := &xquery.Env{Resolve: h.Resolver()}
+	var ev *xquery.Events
+	var err error
+	if bounded {
+		ev, err = p.inc.DeltaEventsFeed(env, commits)
+	} else {
+		ev, err = p.inc.DeltaEventsWith(env)
+	}
 	h.Release()
 	if err != nil {
 		return 0, err
-	}
-	if ev.Empty() {
-		return 0, nil
 	}
 	// Tombstones first, then additions: an in-place update retracts the
 	// stale rows before its re-derived rows land, and the fresh rows
@@ -152,27 +167,30 @@ func (m *Manager) refreshPlacement(ctx context.Context, st *state, p *placement)
 	}
 	added := ev.AddedTrees()
 	forest = append(forest, added...)
-	if len(forest) == 0 {
-		// Every event concerned sources whose rows never materialized
-		// (e.g. filtered out by the where clause); nothing to ship, but
-		// the provenance bookkeeping below must still run.
-		m.applyProv(p, ev)
-		return 0, nil
-	}
-	ref := peer.NodeRef{Peer: p.at, Node: p.root}
-	if _, err := m.sys.ShipForest(ctx, p.baseAt, ref, forest, 0); err != nil {
-		// Undelivered events must be re-emitted by the next refresh, or
-		// the view would silently lose these rows (or keep retracted
-		// ones forever). When only the acknowledgment was lost the rows
-		// DID land (netsim.ErrAckLost — a canceled reply leg): re-
-		// shipping the delta would duplicate them, so the placement is
-		// marked dirty and the next refresh rebuilds it from scratch.
-		p.inc.Rollback()
-		if errors.Is(err, netsim.ErrAckLost) {
-			p.dirty = true
+	// Nothing to ship when every event concerned sources whose rows
+	// never materialized (filtered out by the where clause, say); the
+	// provenance bookkeeping below still runs.
+	if len(forest) > 0 {
+		ref := peer.NodeRef{Peer: p.at, Node: p.root}
+		if _, err := m.sys.ShipForest(ctx, p.baseAt, ref, forest, 0); err != nil {
+			// Undelivered events must be re-emitted by the next refresh,
+			// or the view would silently lose these rows (or keep
+			// retracted ones forever): the provenance rolls back and
+			// p.epoch stays, so the retry reads the same range of the
+			// feed. When only the acknowledgment was lost the rows DID
+			// land (netsim.ErrAckLost — a canceled reply leg): re-
+			// shipping the delta would duplicate them, so the placement
+			// is marked dirty and the next refresh rebuilds it from
+			// scratch.
+			p.inc.Rollback()
+			if errors.Is(err, netsim.ErrAckLost) {
+				p.dirty = true
+			}
+			return 0, err
 		}
-		return 0, err
 	}
+	// The one place the epoch advances: the delta has landed.
+	p.epoch = epoch
 	m.applyProv(p, ev)
 	if err := m.recordProv(p, ev.Additions); err != nil {
 		// The rows landed but their provenance is unknown: mark the
@@ -248,6 +266,7 @@ func (m *Manager) refreshPlacementFull(ctx context.Context, st *state, p *placem
 		fresh, _ := xquery.NewDeltaFor(st.def.Query, nil)
 		h := host.Snapshot()
 		ev, err := fresh.DeltaEventsWith(&xquery.Env{Resolve: h.Resolver()})
+		epoch := h.Epoch()
 		h.Release()
 		if err != nil {
 			return 0, err
@@ -255,7 +274,9 @@ func (m *Manager) refreshPlacementFull(ctx context.Context, st *state, p *placem
 		if err := target.ReplaceChildren(p.root, nil); err != nil {
 			return 0, err
 		}
-		p.inc, p.prov = fresh, map[xquery.Lineage][]xmltree.NodeID{}
+		// Epoch zero until the content lands: a blank provenance must
+		// meet the full diff, never a feed step.
+		p.inc, p.prov, p.epoch = fresh, map[xquery.Lineage][]xmltree.NodeID{}, 0
 		trees := ev.AddedTrees()
 		if len(trees) > 0 {
 			ref := peer.NodeRef{Peer: p.at, Node: p.root}
@@ -276,7 +297,7 @@ func (m *Manager) refreshPlacementFull(ctx context.Context, st *state, p *placem
 				return len(trees), err
 			}
 		}
-		p.dirty = false
+		p.dirty, p.epoch = false, epoch
 		return len(trees), nil
 	}
 

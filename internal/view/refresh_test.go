@@ -3,6 +3,7 @@ package view
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -143,6 +144,38 @@ func TestFullRefreshFallback(t *testing.T) {
 	check()
 }
 
+// TestBodyReadingOutsideItsSourceIsRecomputed: provenance maintenance
+// re-derives a source only when its own subtree changed, so a body that
+// also reads the rest of the document must not be given to it — every
+// row here depends on how many items there are.
+func TestBodyReadingOutsideItsSourceIsRecomputed(t *testing.T) {
+	sys := testSystem(t, 10)
+	defer sys.Close()
+	m := NewManager(sys)
+	defer m.Close()
+
+	src := `for $i in doc("catalog")/item where count(doc("catalog")/item) < 12 return $i`
+	if err := m.Define("few", src, "client"); err != nil {
+		t.Fatal(err)
+	}
+	if mode := m.Views()[0].Mode; mode != "recompute" {
+		t.Errorf("mode = %s, want recompute", mode)
+	}
+	if got := len(viewTrees(t, sys, "client", "few")); got != 10 {
+		t.Fatalf("view holds %d rows before the inserts, want 10", got)
+	}
+	for i := 0; i < 3; i++ {
+		addItem(t, sys, "data", "catalog", 1, fmt.Sprintf("extra-%d", i))
+	}
+	if _, err := m.Refresh("few"); err != nil {
+		t.Fatal(err)
+	}
+	got, want := viewTrees(t, sys, "client", "few"), expectedTrees(t, sys, "data", src)
+	if len(want) != 0 || !sameMultiset(got, want) {
+		t.Errorf("view holds %d rows, a fresh evaluation %d (want 0: the count passed 12)", len(got), len(want))
+	}
+}
+
 func TestReplicaViewFullRefresh(t *testing.T) {
 	sys := testSystem(t, 15)
 	defer sys.Close()
@@ -243,10 +276,20 @@ func TestFailedShipIsRetried(t *testing.T) {
 	if err := m.Define("cheap", src, "client"); err != nil {
 		t.Fatal(err)
 	}
+	defined := m.Placements()[0]
+	if defined.Epoch == 0 || defined.Behind != 0 {
+		t.Fatalf("fresh placement reports epoch %d, behind %d", defined.Epoch, defined.Behind)
+	}
 	addItem(t, sys, "data", "catalog", 7, "fragile")
 	sys.Net.SetDown("client", true)
 	if _, err := m.Refresh("cheap"); err == nil {
 		t.Fatal("refresh to a down peer should fail")
+	}
+	// The placement's epoch moves only when a delta lands: the retry
+	// must read the same range of the base's feed.
+	if failed := m.Placements()[0]; failed.Epoch != defined.Epoch || failed.Behind != 1 {
+		t.Errorf("after the failed ship: epoch %d behind %d, want epoch %d behind 1",
+			failed.Epoch, failed.Behind, defined.Epoch)
 	}
 	sys.Net.SetDown("client", false)
 	n, err := m.Refresh("cheap")
@@ -255,6 +298,10 @@ func TestFailedShipIsRetried(t *testing.T) {
 	}
 	if n != 1 {
 		t.Errorf("retry shipped %d trees, want the 1 lost in the failed refresh", n)
+	}
+	if landed := m.Placements()[0]; landed.Epoch <= defined.Epoch || landed.Behind != 0 {
+		t.Errorf("after the retry: epoch %d behind %d, want past %d and behind 0",
+			landed.Epoch, landed.Behind, defined.Epoch)
 	}
 	if !sameMultiset(viewTrees(t, sys, "client", "cheap"), expectedTrees(t, sys, "data", src)) {
 		t.Error("view lost rows across the failed ship")
@@ -409,10 +456,68 @@ func TestInPlaceUpdateRederivesExactlyOnce(t *testing.T) {
 	}
 }
 
+// eventMultiset renders a delta step order-blind: one entry per
+// retracted lineage, one per added source with its result digests.
+func eventMultiset(ev *xquery.Events) map[string]int {
+	out := map[string]int{}
+	for _, k := range ev.Retractions {
+		out[fmt.Sprintf("retract %d", k.ID)]++
+	}
+	for _, a := range ev.Additions {
+		key := fmt.Sprintf("add %d:", a.Source.ID)
+		for _, r := range a.Results {
+			key += fmt.Sprintf(" %x", xmltree.Hash(r))
+		}
+		out[key]++
+	}
+	return out
+}
+
+// refreshBothWays takes the delta step the next refresh of the view's
+// first placement will take twice, from clones of the placement's
+// state — once as the full diff, once from the base's change feed —
+// and fails unless both emit the same events; then it refreshes and
+// fails unless the view equals a fresh evaluation of src. It reports
+// whether the feed reached back to the placement's epoch.
+func refreshBothWays(t *testing.T, m *Manager, sys *core.System, name, base, src string) (fed bool) {
+	t.Helper()
+	st, _ := m.lookup(name)
+	p := st.placements[0]
+	host, _ := sys.Peer(p.baseAt)
+	h := host.Snapshot()
+	env := &xquery.Env{Resolve: h.Resolver()}
+	commits, fed := h.Changes(base, p.epoch)
+	full, err := p.inc.Clone().DeltaEventsWith(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fed {
+		got, err := p.inc.Clone().DeltaEventsFeed(env, commits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, got := eventMultiset(full), eventMultiset(got); !reflect.DeepEqual(want, got) {
+			t.Fatalf("after %d commits the feed step emitted %v, the full diff %v", len(commits), got, want)
+		}
+	}
+	h.Release()
+	if _, err := m.Refresh(name); err != nil {
+		t.Fatal(err)
+	}
+	if !sameMultiset(viewTrees(t, sys, p.at, name), expectedTrees(t, sys, p.baseAt, src)) {
+		t.Fatal("view diverged from full re-materialization")
+	}
+	return fed
+}
+
 // TestChurnConvergence is the property test of the maintenance spine:
-// under a seeded random workload of inserts, deletions and in-place
-// updates, a view maintained through DeltaEvents must converge to
-// exactly the content a full re-materialization would produce.
+// under a seeded random workload of inserts, deletions, in-place
+// updates and nested replaces — and, once per run each, a wholesale
+// ReplaceChildren, a Touch, a burst longer than the store's change feed
+// and a remove-then-reinstall of the base — a view maintained through
+// the feed must converge to exactly the content a full
+// re-materialization would produce, and every feed-driven delta step
+// must emit the same events as the full diff from the same state.
 func TestChurnConvergence(t *testing.T) {
 	for _, seed := range []int64{3, 17, 51} {
 		seed := seed
@@ -427,52 +532,144 @@ func TestChurnConvergence(t *testing.T) {
 				t.Fatal(err)
 			}
 			data, _ := sys.Peer("data")
-			catalog, _ := data.Document("catalog")
-			var live []xmltree.NodeID
-			for _, it := range catalog.Root.ChildElementsByLabel("item") {
-				live = append(live, it.ID)
-			}
 			rng := rand.New(rand.NewSource(seed))
-			item := func(n int) *xmltree.Node {
+			serial := 0
+			item := func() *xmltree.Node {
+				serial++
 				return xmltree.E("item",
-					xmltree.E("name", xmltree.T(fmt.Sprintf("churn-%d", n))),
+					xmltree.E("name", xmltree.T(fmt.Sprintf("churn-%d", serial))),
 					xmltree.E("price", xmltree.T(fmt.Sprint(rng.Intn(1000)))))
 			}
-			for round, serial := 0, 0; round < 8; round++ {
-				for op := 0; op < 12; op++ {
-					switch k := rng.Intn(3); {
-					case k == 0 || len(live) < 2:
-						it := item(serial)
-						serial++
-						if err := data.AddChild(catalog.Root.ID, it); err != nil {
-							t.Fatal(err)
-						}
-						live = append(live, it.ID)
-					case k == 1:
-						i := rng.Intn(len(live))
-						if err := data.RemoveChildByID(catalog.Root.ID, live[i]); err != nil {
-							t.Fatal(err)
-						}
-						live[i] = live[len(live)-1]
-						live = live[:len(live)-1]
-					default:
-						i := rng.Intn(len(live))
-						it := item(serial)
-						serial++
-						if err := data.ReplaceChildByID(catalog.Root.ID, live[i], it); err != nil {
-							t.Fatal(err)
-						}
-						live[i] = it.ID
-					}
+			// root and its items as the store holds them now.
+			current := func() (*xmltree.Node, []*xmltree.Node) {
+				d, ok := data.Document("catalog")
+				if !ok {
+					t.Fatal("catalog is gone")
 				}
-				if _, err := m.Refresh("cheap"); err != nil {
+				return d.Root, d.Root.ChildElementsByLabel("item")
+			}
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
 					t.Fatal(err)
 				}
-				if !sameMultiset(viewTrees(t, sys, "client", "cheap"), expectedTrees(t, sys, "data", src)) {
-					t.Fatalf("round %d: view diverged from full re-materialization", round)
+			}
+			churn := func(ops int) {
+				for op := 0; op < ops; op++ {
+					root, items := current()
+					switch k := rng.Intn(4); {
+					case k == 0 || len(items) < 2:
+						must(data.AddChild(root.ID, item()))
+					case k == 1:
+						must(data.RemoveChildByID(root.ID, items[rng.Intn(len(items))].ID))
+					case k == 2:
+						must(data.ReplaceChildByID(root.ID, items[rng.Intn(len(items))].ID, item()))
+					default: // the mixed_rw write: a replace below the candidate
+						price := items[rng.Intn(len(items))].FirstChildElement("price")
+						must(data.ReplaceChildByID(0, price.ID,
+							xmltree.E("price", xmltree.T(fmt.Sprint(rng.Intn(1000))))))
+					}
 				}
 			}
+			rounds := []struct {
+				name      string
+				truncated bool // the feed no longer reaches the placement's epoch
+				do        func()
+			}{
+				{"churn", false, func() { churn(12) }},
+				{"churn", false, func() { churn(12) }},
+				{"replace children", false, func() {
+					churn(5)
+					root, _ := current()
+					must(data.ReplaceChildren(root.ID, []*xmltree.Node{item(), item(), item(), item()}))
+					churn(5)
+				}},
+				{"churn", false, func() { churn(12) }},
+				{"touch", false, func() { churn(6); data.Touch("catalog"); churn(6) }},
+				{"burst", true, func() { churn(300) }},
+				{"churn", false, func() { churn(12) }},
+				{"reinstall", true, func() {
+					churn(4)
+					must(data.RemoveDocument("catalog"))
+					must(data.InstallDocument("catalog", xmltree.E("catalog", item(), item(), item())))
+					churn(4)
+				}},
+				{"churn", false, func() { churn(12) }},
+				{"idle", false, func() {}},
+			}
+			for i, round := range rounds {
+				round.do()
+
+				if ok := refreshBothWays(t, m, sys, "cheap", "catalog", src); ok == round.truncated {
+					t.Fatalf("round %d (%s): feed ok=%v", i, round.name, ok)
+				}
+				if info := m.Placements()[0]; info.Behind != 0 || info.Epoch == 0 {
+					t.Fatalf("round %d (%s): refreshed placement reports epoch %d, behind %d",
+						i, round.name, info.Epoch, info.Behind)
+				}
+			}
+			fed := viewTrees(t, sys, "client", "cheap")
+			if _, err := m.RefreshFull("cheap"); err != nil {
+				t.Fatal(err)
+			}
+			if !sameMultiset(fed, viewTrees(t, sys, "client", "cheap")) {
+				t.Error("RefreshFull changed a view the feed had maintained")
+			}
 		})
+	}
+}
+
+// TestFeedStepFollowsTheChain drives the feed step where the sources
+// sit two steps below the root: writes inside a source, at the sources'
+// parent, beside the chain (same depth, other labels) and above it (a
+// whole shelf — more sources than one commit can name, so the step
+// must take the full diff).
+func TestFeedStepFollowsTheChain(t *testing.T) {
+	sys := testSystem(t, 1)
+	defer sys.Close()
+	m := NewManager(sys)
+	defer m.Close()
+	data, _ := sys.Peer("data")
+	book := func(price int) *xmltree.Node {
+		return xmltree.E("book", xmltree.E("price", xmltree.T(fmt.Sprint(price))))
+	}
+	lib := xmltree.E("lib",
+		xmltree.E("shelf", book(10), book(80), xmltree.E("lamp")),
+		xmltree.E("shelf", book(20)),
+		xmltree.E("crate", book(30)))
+	if err := data.InstallDocument("lib", lib); err != nil {
+		t.Fatal(err)
+	}
+	src := `for $b in doc("lib")/shelf/book where $b/price < 50 return $b`
+	if err := m.Define("cheap", src, "client"); err != nil {
+		t.Fatal(err)
+	}
+	shelf, crate := lib.Children[0], lib.Children[2]
+	for _, step := range []struct {
+		name string
+		do   func() error
+	}{
+		{"replace inside a source", func() error {
+			return data.ReplaceChildByID(0, shelf.Children[1].Children[0].ID, xmltree.E("price", xmltree.T("5")))
+		}},
+		{"add a source", func() error { return data.AddChild(shelf.ID, book(7)) }},
+		{"remove a source", func() error { return data.RemoveChildByID(shelf.ID, shelf.Children[0].ID) }},
+		{"replace a non-source sibling", func() error {
+			return data.ReplaceChildByID(shelf.ID, shelf.Children[2].ID, xmltree.E("lamp", xmltree.T("lit")))
+		}},
+		{"add under another label", func() error { return data.AddChild(crate.ID, book(1)) }},
+		{"replace inside another label", func() error {
+			return data.ReplaceChildByID(0, crate.Children[0].Children[0].ID, xmltree.E("price", xmltree.T("2")))
+		}},
+		{"add a shelf", func() error { return data.AddChild(lib.ID, xmltree.E("shelf", book(3), book(90))) }},
+		{"remove a shelf", func() error { return data.RemoveChildByID(lib.ID, lib.Children[1].ID) }},
+	} {
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if !refreshBothWays(t, m, sys, "cheap", "lib", src) {
+			t.Fatalf("%s: the feed lost track after one commit", step.name)
+		}
 	}
 }
 

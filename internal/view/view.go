@@ -20,9 +20,10 @@
 //     document, path-prefix match, weaker-or-equal predicates).
 //   - refresh.go: maintenance. Single-source selection views refresh
 //     incrementally through xquery.DeltaFor's delta provenance (the
-//     base peer evaluates the delta under its read lock and ships new
-//     results plus retraction tombstones for deleted or updated
-//     sources); all other shapes fall back to full re-materialization.
+//     delta is derived at the base from a pinned epoch and the store's
+//     change feed, and ships new results plus retraction tombstones
+//     for deleted or updated sources); all other shapes fall back to
+//     full re-materialization.
 package view
 
 import (
@@ -76,6 +77,11 @@ type placement struct {
 	root   xmltree.NodeID   // view root node at the placement peer
 	inc    *xquery.DeltaFor // incremental state; nil for recompute views
 	baseAt netsim.PeerID    // peer whose copy of the base feeds this placement
+	// epoch is the base store epoch inc's provenance and the shipped
+	// rows reflect: a refresh reads the base's change feed from here. It
+	// advances only once a delta has landed, so a failed ship re-reads
+	// the same range; zero means unknown and forces the full diff.
+	epoch uint64
 	// prov is the delta provenance of incremental placements: for each
 	// source lineage at the base, the identifiers of the view-root
 	// children it produced at this placement. A retraction of a source
@@ -187,7 +193,7 @@ func (m *Manager) DefineQuery(name string, q *xquery.Query, at netsim.PeerID) er
 		if len(bases) == 1 {
 			// Per-placement DeltaFor state is created at materialization;
 			// here we only probe whether the shape incrementalizes.
-			if _, ok := xquery.NewDeltaFor(q, nil); ok {
+			if _, ok := xquery.NewDeltaFor(q, nil); ok && subtreeLocal(q) {
 				st.mode = "incremental"
 			}
 		}
@@ -237,7 +243,7 @@ func (m *Manager) DefineQuery(name string, q *xquery.Query, at netsim.PeerID) er
 }
 
 // materialize produces one placement of st at peer at. Incremental
-// views are evaluated by the base peer (under its read lock) and only
+// views are evaluated at the base peer (over a pinned epoch) and only
 // the results ship; recompute views are evaluated at the placement
 // peer, which fetches the base documents whole (definition (7)).
 // Callers hold st.mu.
@@ -256,6 +262,7 @@ func (m *Manager) materialize(ctx context.Context, st *state, at netsim.PeerID) 
 		inc, _ := xquery.NewDeltaFor(st.def.Query, nil)
 		h := host.Snapshot()
 		initial, err := inc.DeltaEventsWith(&xquery.Env{Resolve: h.Resolver()})
+		epoch := h.Epoch()
 		h.Release()
 		if err != nil {
 			return nil, fmt.Errorf("view %q: materializing: %w", st.def.Name, err)
@@ -264,7 +271,7 @@ func (m *Manager) materialize(ctx context.Context, st *state, at netsim.PeerID) 
 		if err := target.InstallDocument(docName, root); err != nil {
 			return nil, fmt.Errorf("view %q: %w", st.def.Name, err)
 		}
-		p := &placement{at: at, root: root.ID, inc: inc, baseAt: baseAt,
+		p := &placement{at: at, root: root.ID, inc: inc, baseAt: baseAt, epoch: epoch,
 			prov: map[xquery.Lineage][]xmltree.NodeID{}}
 		if trees := initial.AddedTrees(); len(trees) > 0 {
 			ref := peer.NodeRef{Peer: at, Node: root.ID}

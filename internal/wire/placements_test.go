@@ -54,6 +54,17 @@ func TestPlacementsVerb(t *testing.T) {
 	if len(lines) != 1 || !strings.Contains(lines[0], "cheap@store") {
 		t.Fatalf("placements = %v", lines)
 	}
+	// Freshness: the copy reflects a base epoch and is not behind it.
+	if strings.Contains(lines[0], "epoch 0,") || !strings.HasSuffix(lines[0], "behind 0") {
+		t.Errorf("placement line carries no freshness: %q", lines[0])
+	}
+	catalog, _ := p.Document("catalog")
+	if err := p.AddChild(catalog.Root.ID, xmltree.MustParse(`<item><price>1</price></item>`)); err != nil {
+		t.Fatal(err)
+	}
+	if lines, err = c.Placements(context.Background()); err != nil || !strings.HasSuffix(lines[0], "behind 1") {
+		t.Errorf("after one base commit: %v, %v; want behind 1", lines, err)
+	}
 
 	// Queries feed the observer through the server session; the budget
 	// squeeze then produces an eviction decision the verb reports.

@@ -704,7 +704,9 @@ func placementToXML(pi view.PlacementInfo) *xmltree.Node {
 		xmltree.A("base", string(pi.BaseAt)),
 		xmltree.A("mode", pi.Mode),
 		xmltree.A("bytes", fmt.Sprint(pi.Bytes)),
-		xmltree.A("trees", fmt.Sprint(pi.Trees)))
+		xmltree.A("trees", fmt.Sprint(pi.Trees)),
+		xmltree.A("epoch", fmt.Sprint(pi.Epoch)),
+		xmltree.A("behind", fmt.Sprint(pi.Behind)))
 }
 
 // doPlacements reports the view-placement map and, when a controller
@@ -1312,7 +1314,10 @@ func (c *Client) Placements(ctx context.Context) ([]string, error) {
 			mode, _ := ch.Attr("mode")
 			bytes, _ := ch.Attr("bytes")
 			trees, _ := ch.Attr("trees")
-			out = append(out, fmt.Sprintf("%s@%s (%s): %s trees, %s bytes", v, at, mode, trees, bytes))
+			epoch, _ := ch.Attr("epoch")
+			behind, _ := ch.Attr("behind")
+			out = append(out, fmt.Sprintf("%s@%s (%s): %s trees, %s bytes, epoch %s, behind %s",
+				v, at, mode, trees, bytes, epoch, behind))
 		case "decision":
 			summary, _ := ch.Attr("summary")
 			out = append(out, "decision "+summary)

@@ -383,6 +383,27 @@ func (g *SeqIDGen) NextID() NodeID {
 	return g.last
 }
 
+// Commit says what one committed mutation of a document touched, in
+// node identifiers only — it never retains a node, so holding one pins
+// no epoch. Spine lists the nodes the store cloned, from the document
+// root down to the node whose child list changed; Removed and Added are
+// the roots of the subtrees dropped from and put under that last node
+// (an insert sets Added, a delete Removed, a replace both). A commit
+// with neither names no subtree — the whole child list was swapped, or
+// nothing structural is known — and bounds nothing: its consumer must
+// re-derive from the document.
+//
+// Pos[i] is where Spine[i+1] sat among the children of Spine[i] in the
+// tree the commit published. Later commits may have shifted it, so it
+// is a place to look first when descending a later tree along the
+// spine, never an address.
+type Commit struct {
+	Epoch          uint64
+	Spine          []NodeID
+	Pos            []int
+	Removed, Added NodeID
+}
+
 // AssignIDs walks the subtree and gives every node with a zero ID a
 // fresh identifier from g. Existing non-zero IDs are preserved.
 func AssignIDs(n *Node, g IDGen) {

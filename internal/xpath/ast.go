@@ -223,6 +223,20 @@ func (f *FuncCall) String() string {
 	return f.Name + "(" + strings.Join(parts, ", ") + ")"
 }
 
+// PlainNameSteps reports whether every step is child::name without
+// predicates — the paths that address a node by the labels of its
+// ancestors alone, so what they select can be re-addressed by path
+// (view matching) or found from a chain of node identifiers (delta
+// maintenance from the change feed).
+func PlainNameSteps(steps []Step) bool {
+	for _, s := range steps {
+		if s.Axis != AxisChild || s.Test.Kind != TestName || len(s.Preds) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Variables returns the set of variable names referenced by e, in
 // first-occurrence order. The xquery compiler uses this for dependency
 // analysis (which clauses a predicate may be pushed below).

@@ -134,6 +134,26 @@ func DocPath(name string, steps ...xpath.Step) *Path {
 	}
 }
 
+// DocSteps is the inverse of DocPath: the doc() root and the location
+// steps of a path of the form doc("name")/step/…; ok is false for any
+// other form.
+func (p *Path) DocSteps() (doc string, steps []xpath.Step, ok bool) {
+	if len(p.Docs) != 1 {
+		return "", nil, false
+	}
+	var root xpath.Expr
+	switch x := p.X.(type) {
+	case xpath.VarRef:
+		root = x
+	case *xpath.PathExpr:
+		root, steps = x.Filter, x.Steps
+	}
+	if root != xpath.VarRef(docVarPrefix+p.Docs[0]) {
+		return "", nil, false
+	}
+	return p.Docs[0], steps, true
+}
+
 func (p *Path) String() string { return renderPathWithDocs(p.X) }
 
 // Elem is an element constructor <Label attr...>content</Label>.

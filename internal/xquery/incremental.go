@@ -2,6 +2,7 @@ package xquery
 
 import (
 	"maps"
+	"slices"
 
 	"axml/internal/xmltree"
 	"axml/internal/xpath"
@@ -128,20 +129,38 @@ type derivation struct {
 // for new or changed ones. It requires the query body to be a FLWR
 // whose first clause is the only for clause, ranging over a path
 // (additional let clauses are allowed; additional for clauses are not).
+//
+// It re-derives a source only when that source's own subtree changed,
+// so it maintains a body correctly only if the body reads nothing
+// outside the bound source; callers check that (view.DefineQuery does).
 type DeltaFor struct {
 	env    *Env
 	forVar string
 	source *Path
 	rest   *FLWR // body with the leading for clause removed
+	// chain holds the steps of a source of the form doc("d")/l1/…/lk
+	// (child-axis name steps, no predicates; chained says the source has
+	// that form, k may be 0). Only then does a commit's spine name the
+	// sources it can have affected — the spine node at depth k — which
+	// is what DeltaEventsFeed needs.
+	chain   []xpath.Step
+	chained bool
 	// derived maps each processed source node to its provenance record.
 	// Unlike the visited-set of the Positive-AXML fragment, entries are
 	// withdrawn when their source disappears, so deletions retract
 	// exactly the results they produced.
 	derived map[Lineage]derivation
-	// prev snapshots derived at the start of the most recent delta
-	// call, so a caller whose delivery failed can Rollback and have
-	// the same events re-emitted next time.
-	prev map[Lineage]derivation
+	// undo lists what the most recent delta step overwrote in derived,
+	// so a caller whose delivery failed can Rollback and have the same
+	// events re-emitted next time.
+	undo []undone
+}
+
+// undone is one overwritten entry of DeltaFor.derived.
+type undone struct {
+	key Lineage
+	rec derivation
+	had bool
 }
 
 // NewDeltaFor creates the incremental evaluator. ok is false when the
@@ -175,13 +194,17 @@ func NewDeltaFor(q *Query, env *Env) (*DeltaFor, bool) {
 		Order:   f.Order,
 		Return:  f.Return,
 	}
-	return &DeltaFor{
+	d := &DeltaFor{
 		env:     env,
 		forVar:  first.Var,
 		source:  src,
 		rest:    rest,
 		derived: map[Lineage]derivation{},
-	}, true
+	}
+	if _, steps, ok := src.DocSteps(); ok && xpath.PlainNameSteps(steps) {
+		d.chain, d.chained = steps, true
+	}
+	return d, true
 }
 
 // DeltaEvents is the retraction-aware delta step against the
@@ -204,7 +227,7 @@ func (d *DeltaFor) DeltaEventsWith(env *Env) (ev *Events, retErr error) {
 	if !ok {
 		return nil, errf("for $%s: source is not a node sequence", d.forVar)
 	}
-	d.prev = maps.Clone(d.derived)
+	d.undo = nil
 	// An evaluation error mid-batch must not consume the sources
 	// already recorded, or their results would be lost forever.
 	defer func() {
@@ -220,33 +243,151 @@ func (d *DeltaFor) DeltaEventsWith(env *Env) (ev *Events, retErr error) {
 			continue // a path should not bind the same node twice
 		}
 		current[k] = true
-		dg := xmltree.Hash(n)
-		rec, seen := d.derived[k]
-		if seen && rec.digest == dg {
-			continue
-		}
-		if seen && rec.results > 0 {
-			// In-place update: withdraw the stale results before
-			// re-deriving, so the source contributes exactly once.
-			ev.Retractions = append(ev.Retractions, k)
-		}
-		results, err := d.derive(ctx, n)
-		if err != nil {
+		if err := d.examine(ctx, ev, n); err != nil {
 			return nil, err
 		}
-		ev.Additions = append(ev.Additions, Derivation{Source: k, Results: results})
-		d.derived[k] = derivation{digest: dg, results: len(results)}
 	}
-	for k, rec := range d.derived {
-		if current[k] {
-			continue
+	for k := range d.derived {
+		if !current[k] {
+			d.retire(ev, k)
 		}
-		if rec.results > 0 {
-			ev.Retractions = append(ev.Retractions, k)
-		}
-		delete(d.derived, k)
 	}
 	return ev, nil
+}
+
+// DeltaEventsFeed is DeltaEventsWith for a caller that knows what was
+// written: commits is the document's change feed from the state the
+// recorded lineage reflects up to the state env resolves (every commit
+// in between, oldest first). When the source is a chain of child name
+// steps, the only sources a commit can have changed are the spine node
+// at the chain's depth, or the subtree it added or removed when it
+// wrote that node's parent; only those are looked up (by descending
+// from the root along the commit's spine), hashed and re-derived,
+// and the events equal the full diff's as multisets. Anything the feed
+// does not bound — another source shape, a commit that names no
+// subtree or wrote above the chain's depth — takes the full diff.
+func (d *DeltaFor) DeltaEventsFeed(env *Env, commits []xmltree.Commit) (ev *Events, retErr error) {
+	if !d.chained {
+		return d.DeltaEventsWith(env)
+	}
+	ctx := newEvalCtx(nil, env)
+	if err := ctx.bindDocs(d.source); err != nil {
+		return nil, err
+	}
+	bound, _ := ctx.xc.Vars.Lookup(docVarPrefix + d.source.Docs[0])
+	root := bound.(xpath.NodeSet)[0]
+
+	// touched holds, per source a commit may have changed, the
+	// identifiers from the root down to it and the commit's positions
+	// for them; the latest mention wins.
+	type way struct {
+		path []xmltree.NodeID
+		pos  []int
+	}
+	depth := len(d.chain)
+	var touched []way
+	touch := func(path []xmltree.NodeID, pos []int) {
+		for i, seen := range touched {
+			if seen.path[depth] == path[depth] {
+				touched[i] = way{path, pos}
+				return
+			}
+		}
+		touched = append(touched, way{path, pos})
+	}
+	for _, c := range commits {
+		switch {
+		case len(c.Spine) == 0 || c.Spine[0] != root.ID || len(c.Spine) < depth,
+			c.Removed == 0 && c.Added == 0:
+			return d.DeltaEventsWith(env)
+		case len(c.Spine) > depth:
+			touch(c.Spine[:depth+1], c.Pos)
+		default: // wrote the child list of the sources' parent
+			for _, id := range [2]xmltree.NodeID{c.Removed, c.Added} {
+				if id != 0 {
+					touch(append(c.Spine[:depth:depth], id), c.Pos)
+				}
+			}
+		}
+	}
+
+	d.undo = nil
+	defer func() {
+		if retErr != nil {
+			d.Rollback()
+		}
+	}()
+	ev = &Events{}
+	for _, w := range touched {
+		n := root
+		for i := 0; i < depth && n != nil; i++ {
+			at := -1
+			if i < len(w.pos) {
+				at = w.pos[i]
+			}
+			n = chainChild(n, w.path[i+1], at, d.chain[i].Test.Name)
+		}
+		if n == nil {
+			d.retire(ev, Lineage{ID: w.path[depth]})
+		} else if err := d.examine(ctx, ev, n); err != nil {
+			return nil, err
+		}
+	}
+	return ev, nil
+}
+
+// chainChild returns the element child of n with the given identifier
+// and label, or nil. It looks at position at first (where a commit saw
+// the child) and scans n's children only when the child has moved.
+func chainChild(n *xmltree.Node, id xmltree.NodeID, at int, label string) *xmltree.Node {
+	var c *xmltree.Node
+	if at >= 0 && at < len(n.Children) && n.Children[at].ID == id {
+		c = n.Children[at]
+	} else if i := slices.IndexFunc(n.Children, func(c *xmltree.Node) bool { return c.ID == id }); i >= 0 {
+		c = n.Children[i]
+	}
+	if c == nil || c.Kind != xmltree.ElementNode || c.Label != label {
+		return nil
+	}
+	return c
+}
+
+// examine brings the provenance of one bound source up to date: a new
+// source derives additions, one whose digest changed retracts its
+// previous results and re-derives, an unchanged one costs its hash.
+func (d *DeltaFor) examine(ctx *evalCtx, ev *Events, n *xmltree.Node) error {
+	k := LineageOf(n)
+	dg := xmltree.Hash(n)
+	rec, seen := d.derived[k]
+	if seen && rec.digest == dg {
+		return nil
+	}
+	if seen && rec.results > 0 {
+		// In-place update: withdraw the stale results before
+		// re-deriving, so the source contributes exactly once.
+		ev.Retractions = append(ev.Retractions, k)
+	}
+	results, err := d.derive(ctx, n)
+	if err != nil {
+		return err
+	}
+	ev.Additions = append(ev.Additions, Derivation{Source: k, Results: results})
+	d.undo = append(d.undo, undone{key: k, rec: rec, had: seen})
+	d.derived[k] = derivation{digest: dg, results: len(results)}
+	return nil
+}
+
+// retire withdraws a source the path no longer binds.
+func (d *DeltaFor) retire(ev *Events, k Lineage) {
+	rec, seen := d.derived[k]
+	if !seen {
+		return
+	}
+	if rec.results > 0 {
+		ev.Retractions = append(ev.Retractions, k)
+	}
+	d.undo = append(d.undo, undone{key: k, rec: rec, had: true})
+	delete(d.derived, k)
 }
 
 // derive evaluates the residual body with the for-variable bound to n.
@@ -275,22 +416,22 @@ func (d *DeltaFor) derive(ctx *evalCtx, n *xmltree.Node) ([]*xmltree.Node, error
 // the incremental state of a materialized copy to its new peer without
 // re-deriving the full view at the base.
 func (d *DeltaFor) Clone() *DeltaFor {
-	return &DeltaFor{
-		env:     d.env,
-		forVar:  d.forVar,
-		source:  d.source,
-		rest:    d.rest,
-		derived: maps.Clone(d.derived),
-	}
+	c := *d
+	c.derived, c.undo = maps.Clone(d.derived), nil
+	return &c
 }
 
 // Rollback restores the provenance state to what it was before the
-// most recent DeltaEvents/DeltaEventsWith call, so the same events are
-// re-emitted on the next call. Callers whose downstream delivery of
-// the delta failed use it to avoid losing those results.
+// most recent delta step, so the same events are re-emitted by the
+// next one. Callers whose downstream delivery of the delta failed use
+// it to avoid losing those results.
 func (d *DeltaFor) Rollback() {
-	if d.prev != nil {
-		d.derived = d.prev
-		d.prev = nil
+	for i := len(d.undo) - 1; i >= 0; i-- {
+		if u := d.undo[i]; u.had {
+			d.derived[u.key] = u.rec
+		} else {
+			delete(d.derived, u.key)
+		}
 	}
+	d.undo = nil
 }
