@@ -200,20 +200,7 @@ func main() {
 			logger.Info("view budget set without -adaptive; stepping the controller",
 				"interval", *adaptive)
 		}
-		go func() {
-			t := time.NewTicker(*adaptive)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-				}
-				if _, err := ctrl.Step(context.Background()); err != nil {
-					logger.Warn("placement step", "err", err)
-				}
-			}
-		}()
+		go stepEvery(ctx.Done(), *adaptive, ctrl.Step, logger, "placement step")
 	}
 
 	if *metricsAddr != "" {
@@ -245,20 +232,7 @@ func main() {
 		srv.Coordinator = coord
 		logger.Info("coordinating", "round", round.String())
 		if *round > 0 {
-			go func() {
-				t := time.NewTicker(*round)
-				defer t.Stop()
-				for {
-					select {
-					case <-ctx.Done():
-						return
-					case <-t.C:
-					}
-					if _, err := coord.Step(context.Background()); err != nil {
-						logger.Warn("cluster round", "err", err)
-					}
-				}
-			}()
+			go stepEvery(ctx.Done(), *round, coord.Step, logger, "cluster round")
 		}
 	case *join != "":
 		if *advertise == "" {
@@ -325,6 +299,25 @@ func main() {
 		logger.Warn("snapshot epochs still pinned at exit", "pins", pins)
 	} else {
 		logger.Info("shutdown complete")
+	}
+}
+
+// stepEvery runs one placement round per tick until stop closes. The
+// rounds do not inherit the process context: one in flight at shutdown
+// finishes rather than abandoning a view mid-ship.
+func stepEvery(stop <-chan struct{}, every time.Duration,
+	step func(context.Context) ([]placement.Decision, error), logger *slog.Logger, label string) {
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+		}
+		if _, err := step(context.Background()); err != nil {
+			logger.Warn(label, "err", err)
+		}
 	}
 }
 

@@ -2,14 +2,19 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"axml/internal/core"
 	"axml/internal/netsim"
+	"axml/internal/obs"
 	"axml/internal/peer"
 	"axml/internal/placement"
 	"axml/internal/session"
@@ -244,12 +249,14 @@ func TestCoordinatorFailOpenMemberDown(t *testing.T) {
 // the member-hangs-mid-round fault.
 type slowControl struct {
 	wire.MemberControl
-	export  placement.Export
-	calls   chan struct{}
-	release chan struct{}
+	export   placement.Export
+	calls    chan struct{}
+	release  chan struct{}
+	arrivals atomic.Int32 // DEMAND requests received, answered or not
 }
 
 func (s *slowControl) Demand(context.Context) (placement.Export, error) {
+	s.arrivals.Add(1)
 	select {
 	case s.calls <- struct{}{}:
 		return s.export, nil
@@ -375,4 +382,197 @@ func TestMemberByeOnClose(t *testing.T) {
 	waitFor(t, 5*time.Second, "the member to deregister", func() bool {
 		return len(coord.MemberStatuses()) == 0
 	})
+}
+
+// serveMember puts a stub member control on a real listener and
+// registers it with the coordinator.
+func serveMember(t *testing.T, coord *Coordinator, id string, ctl wire.MemberControl) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &wire.Server{Peer: peer.New(netsim.PeerID(id)), Member: ctl}
+	go srv.Serve(l) //nolint:errcheck // closed by test cleanup
+	t.Cleanup(func() { l.Close() })
+	if _, err := coord.Hello(wire.MemberInfo{ID: id, Addr: l.Addr().String()}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDownMemberGetsOneAttemptPerRound: the round that finds a member
+// hung spends the whole retry envelope on it and marks it down; while
+// it stays down every later round spends one attempt, not the envelope
+// again, and the first answer brings it back. Counted at the member,
+// not timed.
+func TestDownMemberGetsOneAttemptPerRound(t *testing.T) {
+	const retries = 2
+	coord, _ := startCoordinatorNode(t, CoordinatorConfig{
+		RPCTimeout:   150 * time.Millisecond,
+		Retries:      retries,
+		RetryBackoff: 5 * time.Millisecond,
+	})
+	stub := &slowControl{
+		export:  placement.Export{Member: "slow"},
+		calls:   make(chan struct{}, 1),
+		release: make(chan struct{}),
+	}
+	serveMember(t, coord, "slow", stub)
+	step := func(what string, wantArrivals int32, wantDown bool) {
+		t.Helper()
+		before := stub.arrivals.Load()
+		if _, err := coord.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := stub.arrivals.Load() - before; got != wantArrivals {
+			t.Errorf("%s: %d DEMAND attempts, want %d", what, got, wantArrivals)
+		}
+		if sts := coord.MemberStatuses(); len(sts) != 1 || sts[0].Down != wantDown {
+			t.Errorf("%s: statuses %+v, want down=%v", what, sts, wantDown)
+		}
+	}
+	step("healthy round", 1, false)
+	step("round that marks it down", retries+1, true)
+	step("round with the member known down", 1, true)
+	close(stub.release)
+	step("round after it answers again", 1, false)
+}
+
+// recControl is a member that reports a canned export and records the
+// shipping orders it gets, refusing those for one view.
+type recControl struct {
+	wire.MemberControl
+	export placement.Export
+
+	mu       sync.Mutex
+	failView string
+	orders   []string
+}
+
+func (r *recControl) Demand(context.Context) (placement.Export, error) { return r.export, nil }
+
+func (r *recControl) MigrateView(_ context.Context, name, targetID, _ string, keep bool) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if name == r.failView {
+		return errors.New("disk full")
+	}
+	r.orders = append(r.orders, fmt.Sprintf("ship %s to %s keep=%v", name, targetID, keep))
+	return nil
+}
+
+// heal stops the refusals and returns the orders accepted so far.
+func (r *recControl) heal() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.failView = ""
+	return r.orders
+}
+
+// TestStepFailsOpenOnActuation: one of two shipping orders is refused.
+// STEP still answers with the one that landed and no error; the refusal
+// is counted, the refused view neither logged nor rested, and the round
+// left its trace under the unified name.
+func TestStepFailsOpenOnActuation(t *testing.T) {
+	reg := obs.NewRegistry()
+	coord, _ := startCoordinatorNode(t, CoordinatorConfig{
+		Placement: placement.Config{MaxReplicas: 1},
+		Metrics:   reg,
+	})
+	holder := &recControl{failView: "v1", export: placement.Export{Member: "a", Views: []placement.ViewExport{
+		{Name: "v1", BaseDoc: "d1", Base: true, Bytes: 4000},
+		{Name: "v2", BaseDoc: "d2", Base: true, Bytes: 4000},
+	}}}
+	reader := &recControl{export: placement.Export{Member: "b", Loads: []placement.LoadExport{
+		{Doc: "d1", Weight: 12}, {Doc: "d2", Weight: 12},
+	}}}
+	serveMember(t, coord, "a", holder)
+	serveMember(t, coord, "b", reader)
+
+	made, err := coord.Step(context.Background())
+	if err != nil {
+		t.Fatalf("a refused order must not fail the round: %v", err)
+	}
+	if len(made) != 1 || made[0].View != "v2" || made[0].Action != "migrate" || made[0].To != "b" {
+		t.Fatalf("made = %v, want the one migrate of v2 to b", made)
+	}
+	if got, want := holder.heal(), []string{"ship v2 to b keep=false"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("orders at the holder = %v, want %v", got, want)
+	}
+	if _, log := coord.ClusterPlacements(); len(log) != 1 || log[0].View != "v2" {
+		t.Errorf("decision log = %v, want only v2's move", log)
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]int64{
+		"cluster.rpc.errors": 1, "placement.errors": 1, "placement.rounds": 1, "placement.actions.migrate": 1,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("counter %s = %d, want %d", name, got, want)
+		}
+	}
+	tr := reg.TraceByID("placement-round-1")
+	if tr == nil {
+		t.Fatalf("no placement-round-1 trace; have %v", reg.TraceIDs())
+	}
+	phases := map[string]int{}
+	for _, sp := range tr.Spans() {
+		phases[sp.Phase]++
+	}
+	if want := map[string]int{"observe": 1, "demand": 2, "plan": 1, "actuate": 2}; !reflect.DeepEqual(phases, want) {
+		t.Errorf("trace phases = %v, want %v", phases, want)
+	}
+
+	// v1 was not rested: with the holder healed the next round moves it.
+	made, _ = coord.Step(context.Background())
+	if len(made) != 1 || made[0].View != "v1" {
+		t.Errorf("next round made %v, want v1's move", made)
+	}
+}
+
+// TestCoordinatorEvictsOverBudget: budgets are keyed by member ID, and
+// a member holding more view bytes than its budget is told to drop
+// copies until it fits — the coordinator used to only keep moves away
+// from such a member. Both views derive from a document the member
+// hosts itself, so neither costs anything to lose and the tie goes by
+// name.
+func TestCoordinatorEvictsOverBudget(t *testing.T) {
+	const budget = 2500
+	coord, coordAddr := startCoordinatorNode(t, CoordinatorConfig{
+		Placement: placement.Config{Budgets: map[netsim.PeerID]int64{"a": budget}},
+	})
+	a := startMemberNode(t, "a", map[string]string{"catalog": catalogXML(40)}, coordAddr)
+	for name, q := range map[string]string{
+		"all":   `doc("catalog")`,
+		"cheap": `for $i in doc("catalog")/item where $i/price < 300 return $i`,
+	} {
+		if err := a.views.Define(name, q, "a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := func() (total int64) {
+		for _, pi := range a.views.Placements() {
+			total += pi.Bytes
+		}
+		return total
+	}
+	if held() <= budget {
+		t.Fatalf("bad setup: a holds %d view bytes, budget %d", held(), budget)
+	}
+	waitFor(t, 5*time.Second, "a to register", func() bool { return len(coord.MemberStatuses()) == 1 })
+	made, err := coord.Step(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(made) != 1 || made[0].Action != "evict" || made[0].View != "all" || made[0].From != "a" {
+		t.Fatalf("made = %v, want the eviction of all from a", made)
+	}
+	if _, ok := a.views.PlacementsOf("all"); ok {
+		t.Error("a still holds the evicted copy: DROPVIEW did not arrive")
+	}
+	if _, ok := a.views.PlacementsOf("cheap"); !ok {
+		t.Error("eviction went on past the budget")
+	}
+	if held() > budget {
+		t.Errorf("a still over budget: %d > %d", held(), budget)
+	}
 }

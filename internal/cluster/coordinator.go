@@ -18,9 +18,10 @@ import (
 // CoordinatorConfig tunes a coordinator. The zero value works: every
 // knob has a default.
 type CoordinatorConfig struct {
-	// Placement configures the shared scorer (hysteresis, horizon,
-	// replica cap, budgets — keyed by member ID) exactly as for the
-	// in-process controller.
+	// Placement configures the placement controller the rounds run on
+	// (hysteresis, horizon, replica cap, cooldown, budgets — keyed by
+	// member ID) exactly as in process; its Logger and Metrics default
+	// to the ones below.
 	Placement placement.Config
 	// RPCTimeout bounds each control RPC (default 5s).
 	RPCTimeout time.Duration
@@ -39,11 +40,11 @@ type CoordinatorConfig struct {
 	// netsim.DefaultLink). The coordinator has no measured topology;
 	// a uniform link keeps the scorer's relative comparisons honest.
 	Link netsim.Link
-	// Logger receives round and actuation events. Nil discards.
+	// Logger receives membership and RPC-failure events. Nil discards.
 	Logger *slog.Logger
-	// Metrics receives cluster counters (cluster.rounds,
-	// cluster.actions.*, cluster.rpc.errors), the members gauge, and a
-	// per-round trace. Nil disables.
+	// Metrics receives the cluster.rpc.errors counter and the
+	// cluster.members gauge, beside the controller's placement.*
+	// counters and per-round trace. Nil disables.
 	Metrics *obs.Registry
 }
 
@@ -66,14 +67,11 @@ func (c CoordinatorConfig) filled() CoordinatorConfig {
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
-	// The scorer's own defaults (hysteresis, horizon, …) are filled by
-	// placement.NewScorer; only the knobs the coordinator reads
-	// directly need filling here.
-	if c.Placement.Cooldown <= 0 {
-		c.Placement.Cooldown = 2
+	if c.Placement.Logger == nil {
+		c.Placement.Logger = c.Logger
 	}
-	if c.Placement.LogSize <= 0 {
-		c.Placement.LogSize = 64
+	if c.Placement.Metrics == nil {
+		c.Placement.Metrics = c.Metrics
 	}
 	return c
 }
@@ -88,42 +86,44 @@ type memberState struct {
 	down      bool
 }
 
-// Coordinator aggregates demand across the membership and actuates
-// placement decisions through the wire control verbs. It implements
+// Coordinator is the federation seen as a placement.Deployment: it
+// keeps the membership, observes by collecting and merging every
+// member's demand export, and applies a decision as control RPCs to
+// the members holding the data. The rounds themselves — cooldown, one
+// action per view, budgets, the decision log — are the
+// placement.Controller's it runs under. It implements
 // wire.CoordinatorControl; attach it to a wire.Server and members
 // reach it via HELLO/BYE/STEP.
 type Coordinator struct {
-	cfg CoordinatorConfig
+	cfg  CoordinatorConfig
+	ctrl *placement.Controller
 
-	// stepMu serializes placement rounds (STEP may arrive on several
-	// connections); mu guards the member table and decision log and is
-	// never held across an RPC.
-	stepMu sync.Mutex
+	// mu guards the member table and the ship sources; it is never
+	// held across an RPC.
 	mu     sync.Mutex
 	member map[string]*memberState
-	round  int
-	cool   map[string]int
-	log    []placement.Decision
+	// source is, per view, the member a replicate ships from (the
+	// scorer leaves that open), as of the last Observe.
+	source map[string]netsim.PeerID
 }
 
-// Coordinator serves the coordinator role of the control plane.
-var _ wire.CoordinatorControl = (*Coordinator)(nil)
+// Coordinator serves the coordinator role of the control plane and is
+// the deployment its own controller runs over.
+var (
+	_ wire.CoordinatorControl = (*Coordinator)(nil)
+	_ placement.Deployment    = (*Coordinator)(nil)
+)
 
 // NewCoordinator builds a coordinator with the config's defaults
 // filled in.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
-	c := &Coordinator{
-		cfg:    cfg.filled(),
-		member: map[string]*memberState{},
-		cool:   map[string]int{},
-	}
-	if m := c.cfg.Metrics; m != nil {
-		m.Gauge("cluster.members", func() int64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return int64(len(c.member))
-		})
-	}
+	c := &Coordinator{cfg: cfg.filled(), member: map[string]*memberState{}}
+	c.ctrl = placement.NewOver(c, c.cfg.Placement)
+	c.cfg.Metrics.Gauge("cluster.members", func() int64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return int64(len(c.member))
+	})
 	return c
 }
 
@@ -191,17 +191,9 @@ func (c *Coordinator) MemberStatuses() []MemberStatus {
 func (c *Coordinator) ClusterPlacements() ([]view.PlacementInfo, []placement.Decision) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := make([]string, 0, len(c.member))
-	for id := range c.member {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	var placements []view.PlacementInfo
-	for _, id := range ids {
+	for _, id := range c.memberIDs() {
 		m := c.member[id]
-		if !m.hasExport {
-			continue
-		}
 		for _, v := range m.export.Views {
 			base := v.Origin
 			if base == "" && v.Base {
@@ -218,150 +210,93 @@ func (c *Coordinator) ClusterPlacements() ([]view.PlacementInfo, []placement.Dec
 			})
 		}
 	}
-	log := make([]placement.Decision, len(c.log))
-	copy(log, c.log)
-	return placements, log
+	return placements, c.ctrl.Decisions()
+}
+
+// memberIDs returns the membership in ID order. Callers hold c.mu.
+func (c *Coordinator) memberIDs() []string {
+	ids := make([]string, 0, len(c.member))
+	for id := range c.member {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
 }
 
 // Decisions returns the retained decision log, newest last.
-func (c *Coordinator) Decisions() []placement.Decision {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]placement.Decision, len(c.log))
-	copy(out, c.log)
-	return out
-}
+func (c *Coordinator) Decisions() []placement.Decision { return c.ctrl.Decisions() }
 
-// viewAgg is the coordinator's merged picture of one view across the
-// membership.
-type viewAgg struct {
-	name    string
-	bytes   int64
-	sites   []netsim.PeerID
-	origin  string
-	baseDoc string
-	demand  map[netsim.PeerID]float64
-	loads   []placement.LoadExport
-}
-
-// Step runs one placement round (wire.CoordinatorControl): collect
-// demand from every member, plan against the aggregate with the shared
-// scorer, actuate the decisions over the wire, then record them.
-// Collection and actuation hold no lock — a member answering DEMAND may
-// itself be serving queries that call back into this process's
-// PLACEMENTS.
+// Step runs one placement round (wire.CoordinatorControl). It fails
+// open: an action whose RPC failed is logged and counted by the
+// controller and in cluster.rpc.errors, the next round replans from
+// fresh demand, and the round still returns what it did.
 func (c *Coordinator) Step(ctx context.Context) ([]placement.Decision, error) {
-	c.stepMu.Lock()
-	defer c.stepMu.Unlock()
+	made, _ := c.ctrl.Step(ctx)
+	return made, nil
+}
 
+// rpcFailed records one failed control RPC.
+func (c *Coordinator) rpcFailed(err error, msg string, attrs ...any) {
+	c.cfg.Logger.Warn(msg, append(attrs, "err", err)...)
+	c.cfg.Metrics.Counter("cluster.rpc.errors").Inc()
+}
+
+// Observe collects demand from every member and merges the exports
+// into one load per view (placement.Deployment). Collection holds no
+// lock — a member answering DEMAND may itself be serving queries that
+// call back into this process's PLACEMENTS — and is sequential, which
+// keeps the round analyzable (membership is small). A failure degrades
+// that member to its decayed last-known demand instead of failing the
+// round.
+func (c *Coordinator) Observe(ctx context.Context) placement.Observation {
+	type target struct {
+		id, addr string
+		down     bool
+	}
 	c.mu.Lock()
-	c.round++
-	round := c.round
-	type target struct{ id, addr string }
 	targets := make([]target, 0, len(c.member))
-	for id, m := range c.member {
-		targets = append(targets, target{id, m.info.Addr})
+	for _, id := range c.memberIDs() {
+		targets = append(targets, target{id, c.member[id].info.Addr, c.member[id].down})
 	}
 	c.mu.Unlock()
-	sort.Slice(targets, func(i, j int) bool { return targets[i].id < targets[j].id })
 
-	if m := c.cfg.Metrics; m != nil {
-		m.Counter("cluster.rounds").Inc()
-	}
-	tr := obs.NewTrace(fmt.Sprintf("cluster-round-%d", round))
-	tctx := obs.WithTrace(ctx, tr)
-
-	// Phase 1: collect demand. Sequential keeps the round analyzable
-	// (membership is small); each member gets the full timeout+retry
-	// envelope, and a failure degrades that member to its decayed
-	// last-known demand instead of failing the round.
 	for _, t := range targets {
-		_, sp := obs.StartSpan(tctx, "demand", t.id)
-		//axmlvet:ignore lockedcall stepMu serializes rounds and is never taken by RPC handlers; the data mutex c.mu is not held here
-		export, err := c.collectDemand(ctx, t.addr)
+		_, sp := obs.StartSpan(ctx, "demand", t.id)
+		// A member already marked down gets one attempt, not the retry
+		// envelope, until it answers or re-HELLOs: one that stays down
+		// must not tax every round.
+		retries := c.cfg.Retries
+		if t.down {
+			retries = 0
+		}
+		export, err := c.collectDemand(ctx, t.addr, retries)
 		c.mu.Lock()
 		if st := c.member[t.id]; st != nil {
+			st.down = err != nil
 			if err != nil {
-				st.down = true
-				if st.hasExport {
-					st.export = st.export.Decayed(c.cfg.StaleDecay)
-				}
+				st.export = st.export.Decayed(c.cfg.StaleDecay)
 			} else {
-				st.down = false
-				st.export = export
-				st.hasExport = true
+				st.export, st.hasExport = export, true
 			}
 		}
 		c.mu.Unlock()
 		if err != nil {
 			sp.Fail(err)
-			c.cfg.Logger.Warn("demand collection failed; using decayed last-known demand",
-				"member", t.id, "err", err)
-			if m := c.cfg.Metrics; m != nil {
-				m.Counter("cluster.rpc.errors").Inc()
-			}
+			c.rpcFailed(err, "demand collection failed; using decayed last-known demand", "member", t.id)
 		}
 		sp.End()
 	}
-
-	// Phase 2: plan under the lock (pure computation, no I/O).
-	_, plsp := obs.StartSpan(tctx, "plan", "")
-	decisions, sources, addrs := c.plan(round)
-	plsp.End()
-
-	// Phase 3: actuate without the lock — each order ships view bytes
-	// between two other processes. A failed actuation is logged and
-	// dropped; the next round replans from fresh demand.
-	var done []placement.Decision
-	for _, d := range decisions {
-		_, sp := obs.StartSpan(tctx, "actuate", d.String())
-		err := c.actuate(ctx, d, sources[d.View], addrs)
-		if err != nil {
-			sp.Fail(err)
-			c.cfg.Logger.Warn("actuation failed", "decision", d.String(), "err", err)
-			if m := c.cfg.Metrics; m != nil {
-				m.Counter("cluster.rpc.errors").Inc()
-			}
-		} else {
-			c.cfg.Logger.Info("actuated", "decision", d.String())
-			if m := c.cfg.Metrics; m != nil {
-				m.Counter("cluster.actions." + d.Action).Inc()
-			}
-			done = append(done, d)
-		}
-		sp.End()
-	}
-
-	// Phase 4: bookkeeping.
-	c.mu.Lock()
-	for v, n := range c.cool {
-		if n <= 1 {
-			delete(c.cool, v)
-		} else {
-			c.cool[v] = n - 1
-		}
-	}
-	for _, d := range done {
-		c.cool[d.View] = c.cfg.Placement.Cooldown
-		c.log = append(c.log, d)
-	}
-	if over := len(c.log) - c.cfg.Placement.LogSize; over > 0 {
-		c.log = append([]placement.Decision(nil), c.log[over:]...)
-	}
-	c.mu.Unlock()
-	if m := c.cfg.Metrics; m != nil {
-		m.RecordTrace(tr)
-	}
-	return done, nil
+	return c.merge()
 }
 
-// collectDemand fetches one member's export with the timeout/retry/
-// backoff envelope. Each attempt dials fresh, so a member that
-// restarted between rounds is simply reached again.
-func (c *Coordinator) collectDemand(ctx context.Context, addr string) (placement.Export, error) {
+// collectDemand fetches one member's export, re-attempting a failure
+// up to retries times with doubling backoff. Each attempt dials fresh,
+// so a member that restarted between rounds is simply reached again.
+func (c *Coordinator) collectDemand(ctx context.Context, addr string, retries int) (placement.Export, error) {
+	var export placement.Export
+	var err error
 	backoff := c.cfg.RetryBackoff
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
@@ -370,191 +305,118 @@ func (c *Coordinator) collectDemand(ctx context.Context, addr string) (placement
 			}
 			backoff *= 2
 		}
-		export, err := c.demandOnce(ctx, addr)
+		err = call(ctx, addr, c.cfg.RPCTimeout, func(rctx context.Context, cl *wire.Client) error {
+			var err error
+			export, err = cl.Demand(rctx)
+			return err
+		})
 		if err == nil {
 			return export, nil
 		}
-		lastErr = err
 	}
-	return placement.Export{}, lastErr
+	return placement.Export{}, err
 }
 
-func (c *Coordinator) demandOnce(ctx context.Context, addr string) (placement.Export, error) {
-	cl, err := wire.Dial(addr,
-		wire.WithDialTimeout(c.cfg.RPCTimeout),
-		wire.WithIOTimeout(c.cfg.RPCTimeout))
-	if err != nil {
-		return placement.Export{}, err
-	}
-	defer cl.Close()
-	rctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
-	defer cancel()
-	return cl.Demand(rctx)
-}
-
-// plan aggregates the latest exports into per-view loads and scores
-// them. It returns the decisions, the shipping source per view (for
-// replicate, which the scorer leaves open), and the member address
-// book for actuation.
-func (c *Coordinator) plan(round int) ([]placement.Decision, map[string]netsim.PeerID, map[string]string) {
+// merge turns the latest exports into per-view loads: which member
+// holds which view and how big its copy is, who owns the base, and how
+// much demand each member reported against it (view-doc traffic where
+// the copy serves locally, base-doc traffic where queries were
+// forwarded). Members are peers to the scorer: every member↔member hop
+// is the configured link, and a down member is no move target.
+func (c *Coordinator) merge() placement.Observation {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-
+	ids := c.memberIDs()
 	alive := map[netsim.PeerID]bool{}
-	addrs := map[string]string{}
-	ids := make([]string, 0, len(c.member))
-	for id, m := range c.member {
-		ids = append(ids, id)
-		addrs[id] = m.info.Addr
-		if !m.down {
-			alive[netsim.PeerID(id)] = true
-		}
-	}
-	sort.Strings(ids)
-
-	// Merge the exports: which member holds which view, how big it is,
-	// who owns the base, and how much demand each member reported
-	// against it (view-doc traffic where the copy serves locally,
-	// base-doc traffic where queries were forwarded).
-	views := map[string]*viewAgg{}
-	usage := map[netsim.PeerID]int64{}
+	var views []placement.ViewLoad
+	at := map[string]int{}
+	baseDoc := map[string]string{}
 	for _, id := range ids {
 		m := c.member[id]
-		if !m.hasExport {
-			continue
-		}
 		pid := netsim.PeerID(id)
+		alive[pid] = !m.down
 		for _, v := range m.export.Views {
-			a := views[v.Name]
-			if a == nil {
-				a = &viewAgg{name: v.Name, demand: map[netsim.PeerID]float64{}}
-				views[v.Name] = a
+			i, ok := at[v.Name]
+			if !ok {
+				i = len(views)
+				at[v.Name] = i
+				views = append(views, placement.ViewLoad{Name: v.Name,
+					SiteBytes: map[netsim.PeerID]int64{}, Demand: map[netsim.PeerID]float64{}})
 			}
-			a.sites = append(a.sites, pid)
-			if v.Bytes > a.bytes {
-				a.bytes = v.Bytes
-			}
+			a := &views[i]
+			a.Sites = append(a.Sites, pid)
+			a.SiteBytes[pid] = v.Bytes
 			if v.Origin != "" {
-				a.origin = v.Origin
-			} else if v.Base && a.origin == "" {
-				a.origin = id
+				a.Base = netsim.PeerID(v.Origin)
+			} else if v.Base && a.Base == "" {
+				a.Base = pid
 			}
 			if v.BaseDoc != "" {
-				a.baseDoc = v.BaseDoc
+				baseDoc[v.Name] = v.BaseDoc
 			}
-			usage[pid] += v.Bytes
 		}
 	}
-	for _, id := range ids {
-		m := c.member[id]
-		if !m.hasExport {
-			continue
-		}
-		pid := netsim.PeerID(id)
-		for _, a := range views {
-			w := m.export.DemandWeight(view.DocPrefix+a.name) + m.export.DemandWeight(a.baseDoc)
-			if w > 0 {
-				a.demand[pid] += w
-			}
-			for _, l := range m.export.Loads {
-				if l.Doc == view.DocPrefix+a.name || (a.baseDoc != "" && l.Doc == a.baseDoc) {
-					a.loads = append(a.loads, l)
+	c.source = map[string]netsim.PeerID{}
+	for i := range views {
+		a := &views[i]
+		viewDoc, base := view.DocPrefix+a.Name, baseDoc[a.Name]
+		for _, id := range ids {
+			for _, l := range c.member[id].export.Loads {
+				if l.Doc == viewDoc || (base != "" && l.Doc == base) {
+					a.Loads = append(a.Loads, l)
+					if l.Weight > 0 {
+						a.Demand[netsim.PeerID(id)] += l.Weight
+					}
 				}
 			}
 		}
-	}
-
-	budgets := c.cfg.Placement.Budgets
-	defaultBudget := c.cfg.Placement.DefaultBudget
-	budget := func(p netsim.PeerID) int64 {
-		if b, ok := budgets[p]; ok {
-			return b
-		}
-		return defaultBudget
-	}
-	scorer := placement.NewScorer(c.cfg.Placement,
-		func(from, to netsim.PeerID) netsim.Link {
-			if from == to {
-				return netsim.Link{}
-			}
-			return c.cfg.Link
-		},
-		func(p netsim.PeerID) bool { return alive[p] })
-
-	names := make([]string, 0, len(views))
-	for name := range views {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	var decisions []placement.Decision
-	sources := map[string]netsim.PeerID{}
-	for _, name := range names {
-		a := views[name]
-		if len(a.sites) == 0 || c.cool[name] > 0 {
-			continue
-		}
-		vl := placement.ViewLoad{
-			Name:     name,
-			Base:     netsim.PeerID(a.origin),
-			Sites:    a.sites,
-			Bytes:    a.bytes,
-			Demand:   a.demand,
-			PerQuery: placement.PerQueryBytes(a.bytes, a.loads),
-			Usage:    usage,
-			Budget:   budget,
-		}
-		d := scorer.Plan(round, vl)
-		if d == nil {
-			continue
-		}
-		// Replicate ships from a holding site the scorer did not pick:
-		// prefer the origin's copy (freshest), else any live holder.
-		src := vl.Sites[0]
-		for _, s := range vl.Sites {
-			if string(s) == a.origin {
-				src = s
-				break
+		// Replicate ships from the origin's copy when it holds one
+		// (freshest), else from any holder.
+		c.source[a.Name] = a.Sites[0]
+		for _, s := range a.Sites {
+			if s == a.Base {
+				c.source[a.Name] = s
 			}
 		}
-		sources[name] = src
-		decisions = append(decisions, *d)
-		c.cfg.Logger.Debug("planned", "decision", d.String())
 	}
-	return decisions, sources, addrs
+	link := c.cfg.Link
+	return placement.Observation{
+		Views: views,
+		Link:  func(_, _ netsim.PeerID) netsim.Link { return link },
+		Alive: func(p netsim.PeerID) bool { return alive[p] },
+	}
 }
 
-// actuate executes one decision over the wire, against the member that
-// holds the data to move.
-func (c *Coordinator) actuate(ctx context.Context, d placement.Decision, src netsim.PeerID, addrs map[string]string) error {
-	rpc := func(addr string, call func(*wire.Client, context.Context) error) error {
-		if addr == "" {
-			return fmt.Errorf("cluster: no address for decision %s", d.String())
+// Apply executes one decision over the wire, against the member that
+// holds the data to move (placement.Deployment).
+func (c *Coordinator) Apply(ctx context.Context, d placement.Decision) error {
+	c.mu.Lock()
+	addrOf := func(p netsim.PeerID) string {
+		if m := c.member[string(p)]; m != nil {
+			return m.info.Addr
 		}
-		cl, err := wire.Dial(addr,
-			wire.WithDialTimeout(c.cfg.RPCTimeout),
-			wire.WithIOTimeout(c.cfg.RPCTimeout))
-		if err != nil {
-			return err
-		}
-		defer cl.Close()
-		rctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
-		defer cancel()
-		return call(cl, rctx)
+		return ""
 	}
-	switch d.Action {
-	case "migrate":
-		return rpc(addrs[string(d.From)], func(cl *wire.Client, rctx context.Context) error {
-			return cl.MigrateView(rctx, d.View, string(d.To), addrs[string(d.To)], false)
-		})
-	case "replicate":
-		return rpc(addrs[string(src)], func(cl *wire.Client, rctx context.Context) error {
-			return cl.MigrateView(rctx, d.View, string(d.To), addrs[string(d.To)], true)
-		})
-	case "drop":
-		return rpc(addrs[string(d.From)], func(cl *wire.Client, rctx context.Context) error {
+	holder := d.From
+	if d.Action == "replicate" {
+		holder = c.source[d.View]
+	}
+	addr, target := addrOf(holder), addrOf(d.To)
+	c.mu.Unlock()
+	if addr == "" {
+		return fmt.Errorf("cluster: no address for decision %s", d.String())
+	}
+	err := call(ctx, addr, c.cfg.RPCTimeout, func(rctx context.Context, cl *wire.Client) error {
+		switch d.Action {
+		case "migrate", "replicate":
+			return cl.MigrateView(rctx, d.View, string(d.To), target, d.Action == "replicate")
+		case "drop", "evict":
 			return cl.DropViewPlacement(rctx, d.View)
-		})
+		}
+		return fmt.Errorf("cluster: unknown action %q", d.Action)
+	})
+	if err != nil {
+		c.rpcFailed(err, "actuation failed", "decision", d.String())
 	}
-	return fmt.Errorf("cluster: unknown action %q", d.Action)
+	return err
 }

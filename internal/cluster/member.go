@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -24,10 +23,6 @@ import (
 
 // poolCap bounds the idle wire clients kept per remote address.
 const poolCap = 4
-
-// memberSelCacheCap bounds the member's per-shape selectivity cache
-// (same reset-and-rebuild policy as the in-process controller's).
-const memberSelCacheCap = 1024
 
 // MemberConfig tunes one deployment's federation agent.
 type MemberConfig struct {
@@ -89,7 +84,6 @@ type Member struct {
 	routes  map[string]string // base document → owning member's address
 	members []wire.MemberInfo
 	pool    map[string][]*wire.Client
-	sel     map[string]float64
 	closed  bool
 	started bool
 
@@ -124,7 +118,6 @@ func NewMember(cfg MemberConfig, sys *core.System, views *view.Manager, obsv *pl
 		obs:    obsv,
 		routes: map[string]string{},
 		pool:   map[string][]*wire.Client{},
-		sel:    map[string]float64{},
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}, nil
@@ -236,14 +229,8 @@ func (m *Member) Close() {
 		}
 	}
 	if m.cfg.Coordinator != "" {
-		if cl, err := wire.Dial(m.cfg.Coordinator,
-			wire.WithDialTimeout(m.cfg.RPCTimeout),
-			wire.WithIOTimeout(m.cfg.RPCTimeout)); err == nil {
-			ctx, cancel := context.WithTimeout(context.Background(), m.cfg.RPCTimeout)
-			_ = cl.Bye(ctx, m.cfg.ID)
-			cancel()
-			cl.Close()
-		}
+		_ = call(context.Background(), m.cfg.Coordinator, m.cfg.RPCTimeout,
+			func(ctx context.Context, cl *wire.Client) error { return cl.Bye(ctx, m.cfg.ID) })
 	}
 }
 
@@ -257,9 +244,7 @@ func (m *Member) dial(addr string) (*wire.Client, error) {
 		return cl, nil
 	}
 	m.mu.Unlock()
-	return wire.Dial(addr,
-		wire.WithDialTimeout(m.cfg.RPCTimeout),
-		wire.WithIOTimeout(m.cfg.RPCTimeout))
+	return dial(addr, m.cfg.RPCTimeout)
 }
 
 // put returns a client to the pool (or closes it when the pool is
@@ -276,23 +261,13 @@ func (m *Member) put(addr string, cl *wire.Client) {
 }
 
 // Demand builds this deployment's placement export (wire.MemberControl):
-// document inventory, view placements, and the observer's decayed
-// demand with locally estimated selectivities. Exporting decays the
-// counters (export-and-decay), so each round reports the traffic since
-// the previous one with EWMA history, exactly like the in-process
-// controller's Step.
+// view placements, and the observer's decayed demand with locally
+// estimated selectivities. Exporting decays the counters
+// (export-and-decay), so each round reports the traffic since the
+// previous one with EWMA history, exactly like the in-process
+// deployment's Observe.
 func (m *Member) Demand(context.Context) (placement.Export, error) {
 	e := placement.Export{Member: m.cfg.ID}
-	for _, name := range m.self.DocumentNames() {
-		if strings.HasPrefix(name, view.DocPrefix) {
-			continue
-		}
-		var bytes int64
-		if d, ok := m.self.Document(name); ok && d.Root != nil {
-			bytes = int64(d.Root.ByteSize())
-		}
-		e.Docs = append(e.Docs, placement.DocExport{Name: name, Bytes: bytes})
-	}
 	baseDocs := map[string]string{}
 	for _, def := range m.views.Definitions() {
 		if refs := def.Query.DocRefs(); len(refs) > 0 {
@@ -319,55 +294,9 @@ func (m *Member) Demand(context.Context) (placement.Export, error) {
 			Trees:   pi.Trees,
 		})
 	}
-	est := opt.NewEstimator(m.sys)
-	loads := m.obs.Loads()
-	docs := make([]string, 0, len(loads))
-	for doc := range loads {
-		docs = append(docs, doc)
-	}
-	sort.Strings(docs)
-	for _, doc := range docs {
-		l := placement.LoadExport{Doc: doc}
-		keys := make([]string, 0, len(loads[doc]))
-		for key := range loads[doc] {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			w := loads[doc][key]
-			l.Weight += w
-			l.Shapes = append(l.Shapes, placement.ShapeExport{
-				Key: key, Weight: w, Sel: m.selectivity(est, key),
-			})
-		}
-		e.Loads = append(e.Loads, l)
-	}
+	e.Loads = m.obs.Loads(opt.NewEstimator(m.sys))
 	m.obs.Decay(m.cfg.Decay)
 	return e, nil
-}
-
-// selectivity estimates one shape's output fraction with the local
-// optimizer statistics, cached per shape (bounded; resets and rebuilds
-// lazily under churn).
-func (m *Member) selectivity(est *opt.Estimator, shape string) float64 {
-	m.mu.Lock()
-	s, ok := m.sel[shape]
-	if ok {
-		m.mu.Unlock()
-		return s
-	}
-	if len(m.sel) >= memberSelCacheCap {
-		m.sel = map[string]float64{}
-	}
-	m.mu.Unlock()
-	s = 1
-	if q, err := xquery.Parse(shape); err == nil {
-		s = est.QuerySelectivity(q)
-	}
-	m.mu.Lock()
-	m.sel[shape] = s
-	m.mu.Unlock()
-	return s
 }
 
 // MigrateView ships the named view to another member (wire.MemberControl):

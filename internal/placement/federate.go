@@ -1,13 +1,12 @@
 // Demand export: the serializable form of one deployment's placement
 // signals, shipped coordinator-ward over the wire DEMAND verb. A
 // member summarizes its Observer aggregates (per-document demand with
-// per-shape weights and locally estimated selectivities), its document
-// inventory and its view placements; the cluster coordinator
-// (internal/cluster) aggregates exports across members and runs the
-// same Scorer the in-process controller uses. Selectivities are
-// estimated member-side — where the data and the optimizer's
-// statistics live — so the coordinator never needs the documents
-// themselves.
+// per-shape weights and locally estimated selectivities, Observer.Loads)
+// and its view placements; the cluster coordinator (internal/cluster)
+// merges exports across members into the ViewLoads its Controller
+// plans from. Selectivities are estimated member-side — where the data
+// and the optimizer's statistics live — so the coordinator never needs
+// the documents themselves.
 
 package placement
 
@@ -22,15 +21,8 @@ import (
 type Export struct {
 	// Member identifies the reporting deployment.
 	Member string
-	Docs   []DocExport
 	Views  []ViewExport
 	Loads  []LoadExport
-}
-
-// DocExport inventories one base document the member hosts.
-type DocExport struct {
-	Name  string
-	Bytes int64
 }
 
 // ViewExport describes one view placement the member holds.
@@ -65,16 +57,6 @@ type ShapeExport struct {
 	Sel    float64
 }
 
-// Weight returns the member's decayed demand against one document.
-func (e Export) DemandWeight(doc string) float64 {
-	for _, l := range e.Loads {
-		if l.Doc == doc {
-			return l.Weight
-		}
-	}
-	return 0
-}
-
 // Decayed returns a copy of the export with every demand weight scaled
 // by factor — the fail-open stand-in for a member that missed a DEMAND
 // round: its last-known demand ages instead of vanishing (or wedging
@@ -95,11 +77,11 @@ func (e Export) Decayed(factor float64) Export {
 	return out
 }
 
-// PerQueryBytes mirrors the controller's per-query transfer estimate
-// for the coordinator: the view size scaled by the demand-weighted
-// mean selectivity across the given loads (each member estimated its
-// shapes' selectivities locally), floored like the estimator floors
-// outputs.
+// PerQueryBytes estimates what one query against a view ships from a
+// placement to its consumer: the view size scaled by the
+// demand-weighted mean selectivity of the observed query shapes (the
+// optimizer's own cardinality model, see Observer.Loads), floored like
+// the estimator floors outputs.
 func PerQueryBytes(viewBytes int64, loads []LoadExport) float64 {
 	sel, weight := 0.0, 0.0
 	for _, l := range loads {
@@ -131,11 +113,6 @@ func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 // quotes survive the round trip).
 func (e Export) ToXML() *xmltree.Node {
 	root := xmltree.E("x:demand", xmltree.A("member", e.Member))
-	for _, d := range e.Docs {
-		root.AppendChild(xmltree.E("doc",
-			xmltree.A("name", d.Name),
-			xmltree.A("bytes", fmt.Sprint(d.Bytes))))
-	}
 	for _, v := range e.Views {
 		root.AppendChild(xmltree.E("view",
 			xmltree.A("name", v.Name),
@@ -183,9 +160,7 @@ func ExportFromXML(root *xmltree.Node) (Export, error) {
 	for _, ch := range root.ChildElements() {
 		switch ch.Label {
 		case "doc":
-			name, _ := ch.Attr("name")
-			bytes, _ := ch.Attr("bytes")
-			e.Docs = append(e.Docs, DocExport{Name: name, Bytes: atoi(bytes)})
+			// A document inventory older members still send; nothing reads it.
 		case "view":
 			var v ViewExport
 			v.Name, _ = ch.Attr("name")

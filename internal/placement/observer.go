@@ -5,7 +5,14 @@ import (
 	"sync"
 
 	"axml/internal/netsim"
+	"axml/internal/opt"
+	"axml/internal/xquery"
 )
+
+// selCacheCap bounds the per-shape selectivity cache: shapes decay out
+// of the demand tables but the cache is keyed by the same unbounded
+// strings, so it resets beyond this and rebuilds from live shapes.
+const selCacheCap = 1024
 
 // Observer aggregates the demand signals the placement controller
 // decides from. Two feeds:
@@ -15,10 +22,9 @@ import (
 //     evaluating peer, normalized shape key and the documents its plan
 //     reads, which becomes per-(document, consumer) and per-(document,
 //     shape) demand.
-//   - SampleNetwork diffs netsim's per-link, per-kind byte counters
-//     between calls, splitting maintenance traffic (the "ship" kind:
-//     view refresh deltas, data landings) from evaluation traffic, so
-//     the scorer can price what a replica costs to keep fresh from
+//   - SampleNetwork diffs netsim's per-link maintenance traffic (the
+//     "ship" kind: view refresh deltas, data landings) between calls,
+//     so the scorer can price what a replica costs to keep fresh from
 //     what it actually cost recently rather than from a guess.
 //
 // Demand decays exponentially between controller rounds (Decay), so
@@ -30,11 +36,12 @@ type Observer struct {
 	// shapes: doc → normalized shape key → decayed query count.
 	shapes map[string]map[string]float64
 	// shipRate: per-link EWMA of maintenance ("ship") bytes per sample
-	// window; evalRate the same for everything else.
+	// window.
 	shipRate map[linkKey]float64
-	evalRate map[linkKey]float64
 	last     netsim.Stats
 	sampled  bool
+	// sel: shape key → cached selectivity estimate (see Loads).
+	sel map[string]float64
 }
 
 type linkKey struct{ from, to netsim.PeerID }
@@ -45,7 +52,7 @@ func NewObserver() *Observer {
 		demand:   map[string]map[netsim.PeerID]float64{},
 		shapes:   map[string]map[string]float64{},
 		shipRate: map[linkKey]float64{},
-		evalRate: map[linkKey]float64{},
+		sel:      map[string]float64{},
 	}
 }
 
@@ -69,55 +76,26 @@ func (o *Observer) ObserveQuery(at netsim.PeerID, shape string, docs []string) {
 	}
 }
 
-// SampleNetwork folds the transfer volume since the previous sample
-// into the per-link rates (EWMA, half-weight to history). Call it once
-// per controller round with the network's current Stats.
+// SampleNetwork folds the maintenance volume since the previous sample
+// into the per-link rates (EWMA, half-weight to history; links that
+// saw none this window decay toward zero). Call it once per controller
+// round with the network's current Stats.
 func (o *Observer) SampleNetwork(st netsim.Stats) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.sampled {
-		shipDelta, evalDelta := diffByKind(o.last, st)
-		foldRate(o.shipRate, shipDelta)
-		foldRate(o.evalRate, evalDelta)
-	}
-	o.last, o.sampled = st, true
-}
-
-// diffByKind splits the per-link byte growth between two snapshots
-// into maintenance ("ship") bytes and everything else.
-func diffByKind(prev, cur netsim.Stats) (ship, other map[linkKey]float64) {
-	ship = map[linkKey]float64{}
-	other = map[linkKey]float64{}
-	for from, m := range cur.PerLink {
-		for to, ls := range m {
-			var prevShip, prevTotal int64
-			if pm, ok := prev.PerLink[from]; ok {
-				p := pm[to]
-				prevShip = p.ByKind["ship"]
-				prevTotal = p.Bytes
-			}
-			k := linkKey{from, to}
-			s := float64(ls.ByKind["ship"] - prevShip)
-			if s > 0 {
-				ship[k] = s
-			}
-			if o := float64(ls.Bytes-prevTotal) - s; o > 0 {
-				other[k] = o
+		for k, r := range o.shipRate {
+			o.shipRate[k] = r / 2
+		}
+		for from, m := range st.PerLink {
+			for to, ls := range m {
+				if d := ls.ByKind["ship"] - o.last.PerLink[from][to].ByKind["ship"]; d > 0 {
+					o.shipRate[linkKey{from, to}] += float64(d) / 2
+				}
 			}
 		}
 	}
-	return ship, other
-}
-
-// foldRate merges one window's deltas into the EWMA map. Links that
-// saw no traffic this window decay toward zero.
-func foldRate(rate map[linkKey]float64, delta map[linkKey]float64) {
-	for k, r := range rate {
-		rate[k] = r / 2
-	}
-	for k, d := range delta {
-		rate[k] += d / 2
-	}
+	o.last, o.sampled = st, true
 }
 
 // Decay ages the query-demand counters by multiplying them with
@@ -178,18 +156,55 @@ func (o *Observer) Shapes(doc string) map[string]float64 {
 	return out
 }
 
-// Loads returns the full decayed per-(document, shape) demand table —
-// the raw material of a member's federated demand export (Export).
-func (o *Observer) Loads() map[string]map[string]float64 {
+// Loads returns the decayed demand per document, split by query shape
+// (both in name order), each shape with its selectivity under the
+// optimizer's cardinality model — estimated here, where the data and
+// the statistics live, and cached per shape. It is the load half of a
+// member's Export and what the in-process deployment prices from.
+func (o *Observer) Loads(est *opt.Estimator) []LoadExport {
 	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make(map[string]map[string]float64, len(o.shapes))
+	out := make([]LoadExport, 0, len(o.shapes))
 	for doc, byShape := range o.shapes {
-		m := make(map[string]float64, len(byShape))
-		for s, v := range byShape {
-			m[s] = v
+		l := LoadExport{Doc: doc, Shapes: make([]ShapeExport, 0, len(byShape))}
+		for key, w := range byShape {
+			l.Shapes = append(l.Shapes, ShapeExport{Key: key, Weight: w, Sel: o.sel[key]})
 		}
-		out[doc] = m
+		out = append(out, l)
+	}
+	o.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Doc < out[j].Doc })
+	// Shapes not seen before are parsed and estimated outside the lock:
+	// ObserveQuery takes it on every query.
+	fresh := map[string]float64{}
+	for i := range out {
+		l := &out[i]
+		sort.Slice(l.Shapes, func(a, b int) bool { return l.Shapes[a].Key < l.Shapes[b].Key })
+		for j := range l.Shapes {
+			sh := &l.Shapes[j]
+			l.Weight += sh.Weight
+			if sh.Sel > 0 {
+				continue
+			}
+			s, ok := fresh[sh.Key]
+			if !ok {
+				s = 1
+				if q, err := xquery.Parse(sh.Key); err == nil {
+					s = est.QuerySelectivity(q)
+				}
+				fresh[sh.Key] = s
+			}
+			sh.Sel = s
+		}
+	}
+	if len(fresh) > 0 {
+		o.mu.Lock()
+		if len(o.sel)+len(fresh) > selCacheCap {
+			o.sel = map[string]float64{}
+		}
+		for key, s := range fresh {
+			o.sel[key] = s
+		}
+		o.mu.Unlock()
 	}
 	return out
 }
@@ -200,21 +215,4 @@ func (o *Observer) ShipRate(from, to netsim.PeerID) float64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.shipRate[linkKey{from, to}]
-}
-
-// TopConsumers returns the consumers of a document sorted by demand
-// (highest first, peer order as the deterministic tie-break).
-func (o *Observer) TopConsumers(doc string) []netsim.PeerID {
-	d := o.Demand(doc)
-	out := make([]netsim.PeerID, 0, len(d))
-	for p := range d {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if d[out[i]] != d[out[j]] {
-			return d[out[i]] > d[out[j]]
-		}
-		return out[i] < out[j]
-	})
-	return out
 }

@@ -21,11 +21,15 @@
 //     per-round cost of keeping each replica fresh, and the one-time
 //     cost of a move, all priced with the same link model and
 //     selectivity estimates the optimizer prices plans with.
-//   - Controller.Step (this file) executes at most one action per view
-//     per round through view.Manager (Migrate/AddPlacement/
-//     DropPlacement), enforces the byte budgets by benefit-per-byte
-//     eviction, and keeps a decision log for introspection (axmlq
-//     -placements).
+//   - Controller.Step (this file) is the only round: at most one
+//     planned action per view, actuated with no lock held, then the
+//     byte budgets enforced by benefit-per-byte eviction, and a bounded
+//     decision log for introspection (axmlq -placements). It runs over
+//     a Deployment — somewhere views can be observed and moved. There
+//     are two: the in-process one behind New (local.go: view.Manager's
+//     Migrate/AddPlacement/DropPlacement across simulated peers) and
+//     cluster.Coordinator (member demand exports and control RPCs
+//     across processes).
 //
 // Anti-thrashing: demand is EWMA-decayed, every action pays a
 // hysteresis margin (MinGainFrac) on top of its amortized one-time
@@ -42,11 +46,9 @@ import (
 	"sort"
 	"sync"
 
-	"axml/internal/core"
 	"axml/internal/netsim"
 	"axml/internal/obs"
 	"axml/internal/opt"
-	"axml/internal/view"
 )
 
 // Config tunes the controller. The zero value is usable: unlimited
@@ -90,7 +92,8 @@ type Config struct {
 	// executed action, a Debug record per round). Nil discards.
 	Logger *slog.Logger
 	// Metrics receives controller counters (placement.rounds,
-	// placement.actions.<kind>, placement.errors). Nil disables.
+	// placement.actions.<kind>, placement.errors) and one
+	// placement-round-N trace per round. Nil disables.
 	Metrics *obs.Registry
 }
 
@@ -156,148 +159,165 @@ func (d Decision) String() string {
 	}
 }
 
-// Controller drives adaptive placement over one view manager. It is
+// Deployment is what a placement round runs over: somewhere views are
+// placed, can be observed, and can be moved.
+type Deployment interface {
+	// Observe reports the deployment as of now. It fails open: what
+	// cannot be observed is left out or stands in aged, never an error
+	// that would wedge the round.
+	Observe(ctx context.Context) Observation
+	// Apply executes one decision. The controller holds no data lock
+	// across it — migrate and replicate ship the view's bytes over the
+	// network, and the receiving side must be free to call back in.
+	Apply(ctx context.Context, d Decision) error
+}
+
+// Observation is one round's input: a ViewLoad per placed view (the
+// controller owns and updates them for the rest of the round), and the
+// link model and liveness the round's Scorer is built from.
+type Observation struct {
+	Views []ViewLoad
+	Link  func(from, to netsim.PeerID) netsim.Link
+	Alive func(netsim.PeerID) bool
+}
+
+// Controller runs placement rounds over one Deployment. It is
 // deliberately synchronous: Step runs one observe→decide→act round
 // when called, so deployments choose their own cadence (a ticker in
-// cmd/axmlpeer, one call per workload round in the benchmarks) and
-// tests stay deterministic.
+// cmd/axmlpeer, a STEP request, one call per workload round in the
+// benchmarks) and tests stay deterministic.
 type Controller struct {
-	sys   *core.System
-	views *view.Manager
-	obs   *Observer
-	cfg   Config
-	score *Scorer
+	dep Deployment
+	obs *Observer // the in-process deployment's; nil otherwise
+	cfg Config
 
-	mu    sync.Mutex
-	round int
-	cool  map[string]int
-	log   []Decision
-	sel   map[string]float64 // shape key → cached selectivity estimate
+	// stepMu serializes rounds (STEP may arrive on several connections
+	// beside the ticker) and guards round and cool; no Deployment
+	// method ever takes it.
+	stepMu sync.Mutex
+	round  int
+	cool   map[string]int // view → rounds left to rest; absent when none
+
+	mu  sync.Mutex // guards log
+	log []Decision
 }
 
-// New creates a controller over the manager's system. Wire the
-// returned controller's Observer() into the sessions whose traffic
-// should drive placement (session.WithTrafficSink).
-func New(views *view.Manager, cfg Config) *Controller {
-	sys := views.System()
-	return &Controller{
-		sys:   sys,
-		views: views,
-		obs:   NewObserver(),
-		cfg:   cfg.filled(),
-		score: NewScorer(cfg, sys.Net.LinkInfo, func(p netsim.PeerID) bool {
-			_, ok := sys.Peer(p)
-			return ok
-		}),
-		cool: map[string]int{},
-		sel:  map[string]float64{},
-	}
+// NewOver creates a controller over a deployment other than the
+// in-process one New builds.
+func NewOver(dep Deployment, cfg Config) *Controller {
+	return &Controller{dep: dep, cfg: cfg.filled(), cool: map[string]int{}}
 }
 
-// Observer returns the traffic observer feeding this controller.
+// Observer returns the traffic observer feeding an in-process
+// controller (nil for one made by NewOver).
 func (c *Controller) Observer() *Observer { return c.obs }
-
-// Rounds returns how many Step rounds have run.
-func (c *Controller) Rounds() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.round
-}
 
 // Decisions returns the retained decision log, oldest first.
 func (c *Controller) Decisions() []Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Decision, len(c.log))
-	copy(out, c.log)
-	return out
+	return append([]Decision(nil), c.log...)
 }
 
-// Placements returns the current placement map (view.Manager
-// passthrough, for introspection alongside Decisions).
-func (c *Controller) Placements() []view.PlacementInfo { return c.views.Placements() }
-
-// Step runs one observe→decide→act round: sample the network, decide
-// and execute at most one action per view, enforce the byte budgets,
-// decay the demand window. It returns the actions executed this round.
-//
-// The round runs in three phases. Observation and planning hold c.mu;
-// actuation releases it, because migrate/replicate ship the view's
-// bytes across the network and holding the controller lock across that
-// transfer would stall every Rounds()/Decisions() reader for the whole
-// ship — and deadlock outright if the receiving peer's traffic ever
-// fed back into this controller (found by cmd/axmlvet's lockedcall
-// analyzer). Rounds themselves are not re-entrant: the controller is
-// deliberately synchronous and driven by one caller (see the type
-// comment), so interleaved Steps are a caller bug, not a data race —
-// all shared state stays under c.mu.
+// Step runs one round: observe, plan at most one action per view that
+// is not resting, actuate, then evict from every peer the round left
+// over its byte budget. It returns the actions executed and the joined
+// errors of those that failed; a failed action neither rests its view
+// nor enters the log, and never stops the others.
 func (c *Controller) Step(ctx context.Context) ([]Decision, error) {
-	c.mu.Lock()
+	c.stepMu.Lock()
+	defer c.stepMu.Unlock()
 	c.round++
 	round := c.round
-	c.obs.SampleNetwork(c.sys.Net.Stats())
+	tr := obs.NewTrace(fmt.Sprintf("placement-round-%d", round))
+	ctx = obs.WithTrace(ctx, tr)
 
-	byView := map[string][]view.PlacementInfo{}
-	usage := map[netsim.PeerID]int64{}
-	for _, pi := range c.views.Placements() {
-		byView[pi.View] = append(byView[pi.View], pi)
-		usage[pi.At] += pi.Bytes
+	octx, sp := obs.StartSpan(ctx, "observe", "")
+	seen := c.dep.Observe(octx)
+	sp.End()
+
+	_, sp = obs.StartSpan(ctx, "plan", "")
+	views := make([]*ViewLoad, len(seen.Views))
+	byName := make(map[string]*ViewLoad, len(views))
+	for i := range seen.Views {
+		v := &seen.Views[i]
+		for _, b := range v.SiteBytes {
+			v.Bytes = max(v.Bytes, b)
+		}
+		views[i], byName[v.Name] = v, v
 	}
-	names := make([]string, 0, len(byView))
-	for name := range byView {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var planned []*Decision
-	for _, name := range names {
-		if c.cool[name] > 0 {
-			c.cool[name]--
+	sort.Slice(views, func(i, j int) bool { return views[i].Name < views[j].Name })
+	scorer := NewScorer(c.cfg, seen.Link, seen.Alive)
+	// Every view is planned against the usage observed, not against the
+	// moves planned before it: two views sent to one peer in one round
+	// are caught by the budget check below.
+	use := usage(views)
+	var planned []Decision
+	for _, v := range views {
+		if c.cool[v.Name] > 0 {
 			continue
 		}
-		if d := c.plan(round, name, byView[name], usage); d != nil {
-			planned = append(planned, d)
+		if d := scorer.Plan(round, c.priced(v, v.Bytes, use)); d != nil {
+			planned = append(planned, *d)
 		}
 	}
-	c.mu.Unlock()
+	sp.End()
+	for name, n := range c.cool {
+		if n <= 1 {
+			delete(c.cool, name)
+		} else {
+			c.cool[name] = n - 1
+		}
+	}
 
-	// Phase 2, unlocked: ship.
 	var made []Decision
 	var errs []error
-	for _, d := range planned {
-		if err := c.apply(ctx, d); err != nil {
-			errs = append(errs, fmt.Errorf("view %q: %w", d.View, err))
-			continue
+	act := func(d Decision) bool {
+		actx, sp := obs.StartSpan(ctx, "actuate", d.String())
+		defer sp.End()
+		if err := c.dep.Apply(actx, d); err != nil {
+			sp.Fail(err)
+			errs = append(errs, fmt.Errorf("%s %q: %w", d.Action, d.View, err))
+			return false
 		}
-		made = append(made, *d)
+		byName[d.View].landed(d)
+		made = append(made, d)
+		return true
+	}
+	for _, d := range planned {
+		if act(d) {
+			c.cool[d.View] = c.cfg.Cooldown
+		}
+	}
+	// Budgets, against the picture the actions above left — no second
+	// Observe, which would decay the demand twice. A peer whose
+	// eviction failed is left alone until the next round.
+	failed := map[netsim.PeerID]bool{}
+	for {
+		d, ok := c.nextEviction(round, scorer, views, failed)
+		if !ok {
+			break
+		}
+		if !act(d) {
+			failed[d.From] = true
+		}
 	}
 
-	// Phase 3: bookkeeping. Budget eviction stays under c.mu — it only
-	// drops local placements, no network — and cooldowns apply to the
-	// actions that actually executed, as before.
 	c.mu.Lock()
-	for _, d := range made {
-		c.cool[d.View] = c.cfg.Cooldown
-	}
-	evicted, err := c.enforceBudgets(round)
-	if err != nil {
-		errs = append(errs, err)
-	}
-	made = append(made, evicted...)
 	c.log = append(c.log, made...)
 	if over := len(c.log) - c.cfg.LogSize; over > 0 {
 		c.log = append([]Decision(nil), c.log[over:]...)
 	}
-	c.obs.Decay(c.cfg.Decay)
 	c.mu.Unlock()
-
-	err = errors.Join(errs...)
-	c.record(round, made, err)
+	err := errors.Join(errs...)
+	c.record(round, len(views), made, err)
+	c.cfg.Metrics.RecordTrace(tr)
 	return made, err
 }
 
 // record emits the round's telemetry: one structured log record per
 // executed action, a per-round debug summary, and registry counters.
-func (c *Controller) record(round int, made []Decision, err error) {
+func (c *Controller) record(round, views int, made []Decision, err error) {
 	for _, d := range made {
 		c.cfg.Logger.Info("placement action",
 			"round", d.Round, "action", d.Action, "view", d.View,
@@ -306,8 +326,7 @@ func (c *Controller) record(round int, made []Decision, err error) {
 			"reason", d.Reason)
 		c.cfg.Metrics.Counter("placement.actions." + d.Action).Inc()
 	}
-	c.cfg.Logger.Debug("placement round", "round", round,
-		"actions", len(made), "views", len(c.views.Views()))
+	c.cfg.Logger.Debug("placement round", "round", round, "actions", len(made), "views", views)
 	c.cfg.Metrics.Counter("placement.rounds").Inc()
 	if err != nil {
 		c.cfg.Logger.Warn("placement round errors", "round", round, "err", err)
@@ -315,44 +334,55 @@ func (c *Controller) record(round int, made []Decision, err error) {
 	}
 }
 
-// enforceBudgets evicts placements from peers whose view bytes exceed
-// their budget, lowest benefit-per-byte first. Evicting the last copy
-// of a view drops the view (queries fall back to the base — correct,
-// just slower), which is exactly what a hard storage limit means.
-func (c *Controller) enforceBudgets(round int) ([]Decision, error) {
-	var out []Decision
-	var errs []error
-	for guard := 0; guard < 64; guard++ {
-		infos := c.views.Placements()
-		perPeer := map[netsim.PeerID]int64{}
-		for _, pi := range infos {
-			perPeer[pi.At] += pi.Bytes
+// priced completes a deployment-supplied load for the scorer: the copy
+// size to price (the largest copy when planning, the victim's own when
+// evicting), the per-query transfer that size implies, and the budget
+// picture move targets are filtered against.
+func (c *Controller) priced(v *ViewLoad, bytes int64, use map[netsim.PeerID]int64) ViewLoad {
+	out := *v
+	out.Bytes = bytes
+	out.PerQuery = PerQueryBytes(bytes, v.Loads)
+	out.Usage = use
+	out.Budget = c.budgetFor
+	return out
+}
+
+// usage sums the view bytes placed per peer.
+func usage(views []*ViewLoad) map[netsim.PeerID]int64 {
+	use := map[netsim.PeerID]int64{}
+	for _, v := range views {
+		for p, b := range v.SiteBytes {
+			use[p] += b
 		}
-		var peers []netsim.PeerID
-		for p := range perPeer {
-			if b := c.budgetFor(p); b > 0 && perPeer[p] > b {
-				peers = append(peers, p)
-			}
-		}
-		if len(peers) == 0 {
-			break
-		}
-		sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-		peer := peers[0]
-		victim, ok := c.pickEvictim(infos, peer)
-		if !ok {
-			break
-		}
-		if err := c.views.DropPlacement(victim.View, peer); err != nil {
-			errs = append(errs, fmt.Errorf("evicting %s@%s: %w", victim.View, peer, err))
-			break
-		}
-		out = append(out, Decision{
-			Round: round, View: victim.View, Action: "evict", From: peer,
-			Reason: fmt.Sprintf("budget %d bytes exceeded at %s", c.budgetFor(peer), peer),
-		})
 	}
-	return out, errors.Join(errs...)
+	return use
+}
+
+// landed moves the round's picture of the view to where an executed
+// decision left it.
+func (v *ViewLoad) landed(d Decision) {
+	switch d.Action {
+	case "migrate":
+		bytes := v.SiteBytes[d.From]
+		v.unplace(d.From)
+		v.Sites = append(v.Sites, d.To)
+		v.SiteBytes[d.To] = bytes
+	case "replicate":
+		v.Sites = append(v.Sites, d.To)
+		v.SiteBytes[d.To] = v.Bytes
+	default: // drop, evict
+		v.unplace(d.From)
+	}
+}
+
+func (v *ViewLoad) unplace(at netsim.PeerID) {
+	delete(v.SiteBytes, at)
+	for i, site := range v.Sites {
+		if site == at {
+			v.Sites = append(v.Sites[:i:i], v.Sites[i+1:]...)
+			return
+		}
+	}
 }
 
 func (c *Controller) budgetFor(p netsim.PeerID) int64 {
@@ -362,37 +392,39 @@ func (c *Controller) budgetFor(p netsim.PeerID) int64 {
 	return c.cfg.DefaultBudget
 }
 
-// pickEvictim chooses the placement at the peer with the lowest
-// benefit per byte: the demand-weighted serving-cost increase its
-// removal would cause, relative to the bytes it frees.
-func (c *Controller) pickEvictim(infos []view.PlacementInfo, at netsim.PeerID) (view.PlacementInfo, bool) {
-	byView := map[string][]view.PlacementInfo{}
-	for _, pi := range infos {
-		byView[pi.View] = append(byView[pi.View], pi)
-	}
-	best := view.PlacementInfo{}
-	bestScore := 0.0
-	found := false
-	var names []string
-	for name := range byView {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		placed := byView[name]
-		var here *view.PlacementInfo
-		for i := range placed {
-			if placed[i].At == at {
-				here = &placed[i]
-			}
+// nextEviction picks the next copy to evict: at the first peer (in ID
+// order, skipping those in skip) holding more view bytes than its
+// budget, the copy with the lowest benefit per byte — the
+// demand-weighted serving-cost increase its removal would cause,
+// priced on that copy's own size, relative to the bytes it frees.
+// Evicting the last copy of a view drops the view (queries fall back
+// to the base — correct, just slower), which is exactly what a hard
+// storage limit means.
+func (c *Controller) nextEviction(round int, s *Scorer, views []*ViewLoad,
+	skip map[netsim.PeerID]bool) (Decision, bool) {
+	var peer netsim.PeerID
+	for p, used := range usage(views) {
+		if b := c.budgetFor(p); b > 0 && used > b && !skip[p] && (peer == "" || p < peer) {
+			peer = p
 		}
-		if here == nil || here.Bytes <= 0 {
+	}
+	if peer == "" {
+		return Decision{}, false
+	}
+	var victim *ViewLoad
+	lowest := 0.0
+	for _, v := range views {
+		bytes := v.SiteBytes[peer]
+		if bytes <= 0 {
 			continue
 		}
-		score := c.evictionBenefit(name, placed, *here) / float64(here.Bytes)
-		if !found || score < bestScore {
-			best, bestScore, found = *here, score, true
+		score := s.EvictionBenefit(c.priced(v, bytes, nil), peer) / float64(bytes)
+		if victim == nil || score < lowest {
+			victim, lowest = v, score
 		}
 	}
-	return best, found
+	return Decision{
+		Round: round, View: victim.Name, Action: "evict", From: peer,
+		Reason: fmt.Sprintf("budget %d bytes exceeded at %s", c.budgetFor(peer), peer),
+	}, true
 }

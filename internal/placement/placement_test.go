@@ -71,9 +71,6 @@ func TestObserverDemandShapesAndDecay(t *testing.T) {
 	if s := obs.Shapes("view:hot"); s["shapeA"] != 2 || s["shapeB"] != 1 {
 		t.Fatalf("shapes = %v", s)
 	}
-	if top := obs.TopConsumers("view:hot"); len(top) != 2 || top[0] != "c0" {
-		t.Fatalf("top = %v", top)
-	}
 	obs.Decay(0.5)
 	if d := obs.Demand("view:hot"); d["c0"] != 1 || d["c1"] != 0.5 {
 		t.Fatalf("decayed demand = %v", d)

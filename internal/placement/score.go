@@ -7,31 +7,22 @@
 // traffic, but never about what a transfer costs.
 //
 // The model lives in an exported Scorer decoupled from core.System so
-// the federated cluster coordinator (internal/cluster) prices
-// cross-deployment moves with exactly the same math the in-process
-// controller uses: the link model is a callback and everything about
-// one view's situation arrives as a ViewLoad built by the caller.
+// one Controller prices moves with exactly the same math in every
+// Deployment: the link model is a callback and everything about one
+// view's situation arrives as a ViewLoad.
 
 package placement
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"axml/internal/netsim"
-	"axml/internal/opt"
-	"axml/internal/view"
-	"axml/internal/xquery"
 )
 
 // envelope mirrors netsim's per-message framing overhead (and the
 // estimator's constant of the same name).
 const envelope = 64
-
-// selCacheCap bounds the per-shape selectivity cache; it resets and
-// rebuilds lazily beyond this.
-const selCacheCap = 1024
 
 // Scorer values candidate placement actions for one view: the
 // per-round cost of serving the observed demand from a placement set,
@@ -55,22 +46,29 @@ func NewScorer(cfg Config, link func(from, to netsim.PeerID) netsim.Link,
 
 // ViewLoad is everything the scorer needs to price one view's
 // placement: where it is, how big it is, who reads it how often, and
-// what keeping a copy fresh costs. The in-process controller builds it
-// from its Observer; the cluster coordinator from member demand
-// exports.
+// what keeping a copy fresh costs. A Deployment supplies the first
+// group of fields from what it observed; Controller.Step fills the
+// second before the scorer sees the load.
 type ViewLoad struct {
 	Name  string
 	Base  netsim.PeerID // peer hosting the primary base document ("" = unknown)
 	Sites []netsim.PeerID
-	Bytes int64
+	// SiteBytes is the size of the copy at each site.
+	SiteBytes map[netsim.PeerID]int64
 	// Demand is the decayed per-consumer query weight against the view.
 	Demand map[netsim.PeerID]float64
-	// PerQuery estimates the bytes one query ships from a placement to
-	// its consumer (view size × demand-weighted mean shape selectivity).
-	PerQuery float64
+	// Loads is that demand split by query shape, with selectivities
+	// estimated where the data lives.
+	Loads []LoadExport
 	// MaintRate is the observed maintenance volume (bytes per round)
 	// toward any current placement; 0 falls back to ChurnFrac × Bytes.
 	MaintRate float64
+
+	// Bytes is the copy size being priced.
+	Bytes int64
+	// PerQuery estimates the bytes one query ships from a placement to
+	// its consumer (PerQueryBytes of Bytes and Loads).
+	PerQuery float64
 	// Usage is the current view bytes placed per peer, for budget
 	// filtering of move targets.
 	Usage map[netsim.PeerID]int64
@@ -281,109 +279,4 @@ func (s *Scorer) Plan(round int, v ViewLoad) *Decision {
 		GainPerRound: best.gain, OneTime: best.oneTime,
 		Reason: fmt.Sprintf("demand-weighted serve cost %.1f/round", cur),
 	}
-}
-
-// perQueryBytes estimates what one query against the view ships from a
-// placement to its consumer: the view size scaled by the demand-
-// weighted mean selectivity of the observed query shapes (the
-// optimizer's own cardinality model), floored like the estimator
-// floors outputs.
-func (c *Controller) perQueryBytes(doc string, viewBytes int64) float64 {
-	shapes := c.obs.Shapes(doc)
-	est := opt.NewEstimator(c.sys)
-	sel, weight := 0.0, 0.0
-	for shape, w := range shapes {
-		s, ok := c.sel[shape]
-		if !ok {
-			if len(c.sel) >= selCacheCap {
-				// The observer decays stale shapes away but this cache
-				// is keyed by the same unbounded strings; a periodic
-				// reset bounds it (entries rebuild lazily from live
-				// shapes) so shape churn cannot leak memory.
-				c.sel = map[string]float64{}
-			}
-			s = 1
-			if q, err := xquery.Parse(shape); err == nil {
-				s = est.QuerySelectivity(q)
-			}
-			c.sel[shape] = s
-		}
-		sel += s * w
-		weight += w
-	}
-	if weight > 0 {
-		sel /= weight
-	} else {
-		sel = 1
-	}
-	out := float64(viewBytes) * sel
-	if out < 16 {
-		out = 16
-	}
-	return out
-}
-
-// load assembles the scorer's input for one view from the controller's
-// observer and the manager's placement map. bytes overrides the view
-// size when positive (eviction prices the victim's own copy).
-func (c *Controller) load(name string, placed []view.PlacementInfo,
-	usage map[netsim.PeerID]int64, bytes int64) ViewLoad {
-	doc := view.DocPrefix + name
-	base, _ := c.views.BaseOf(name)
-	if bytes <= 0 {
-		for _, pi := range placed {
-			if pi.Bytes > bytes {
-				bytes = pi.Bytes
-			}
-		}
-	}
-	rate := 0.0
-	sites := make([]netsim.PeerID, len(placed))
-	for i, pi := range placed {
-		sites[i] = pi.At
-		if r := c.obs.ShipRate(base, pi.At); r > rate {
-			rate = r
-		}
-	}
-	return ViewLoad{
-		Name:      name,
-		Base:      base,
-		Sites:     sites,
-		Bytes:     bytes,
-		Demand:    c.obs.Demand(doc),
-		PerQuery:  c.perQueryBytes(doc, bytes),
-		MaintRate: rate,
-		Usage:     usage,
-		Budget:    c.budgetFor,
-	}
-}
-
-// plan scores one view's candidate actions against the live demand.
-func (c *Controller) plan(round int, name string, placed []view.PlacementInfo,
-	usage map[netsim.PeerID]int64) *Decision {
-	return c.score.Plan(round, c.load(name, placed, usage, 0))
-}
-
-// evictionBenefit is the per-round serving-cost increase of removing
-// one placement (see Scorer.EvictionBenefit).
-func (c *Controller) evictionBenefit(name string, placed []view.PlacementInfo, victim view.PlacementInfo) float64 {
-	return c.score.EvictionBenefit(c.load(name, placed, nil, victim.Bytes), victim.At)
-}
-
-// apply executes a planned action. Callers must NOT hold c.mu: migrate
-// and replicate ship the view's contents across the network (the
-// lockedcall invariant — a reader of Rounds()/Decisions() must never
-// block behind a multi-megabyte transfer, and the remote side of the
-// ship must be free to feed traffic back into this controller's
-// observer).
-func (c *Controller) apply(ctx context.Context, d *Decision) error {
-	switch d.Action {
-	case "migrate":
-		return c.views.Migrate(ctx, d.View, d.From, d.To)
-	case "replicate":
-		return c.views.AddPlacement(d.View, d.To)
-	case "drop":
-		return c.views.DropPlacement(d.View, d.From)
-	}
-	return fmt.Errorf("placement: unknown action %q", d.Action)
 }

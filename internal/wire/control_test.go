@@ -119,7 +119,6 @@ func TestControlVerbsRoundTrip(t *testing.T) {
 	stub := &stubControl{
 		export: placement.Export{
 			Member: "a",
-			Docs:   []placement.DocExport{{Name: "catalog", Bytes: 420}},
 			Views: []placement.ViewExport{{
 				Name: "cheap", Query: `doc("catalog")/item`, Mode: "adopted",
 				Origin: "b", BaseDoc: "catalog", Base: true, Bytes: 99, Trees: 3,
