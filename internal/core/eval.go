@@ -783,10 +783,8 @@ func (s *System) evalServiceCall(ctx context.Context, p *peer.Peer, call *Servic
 // peersHosting returns the peers (other than exclude) hosting a
 // document with the given name, in deterministic order.
 func (s *System) peersHosting(name string, exclude netsim.PeerID) []netsim.PeerID {
-	ids := s.Peers()
-	sortPeerIDs(ids)
 	var out []netsim.PeerID
-	for _, id := range ids {
+	for _, id := range s.Peers() {
 		if id == exclude {
 			continue
 		}
@@ -795,14 +793,6 @@ func (s *System) peersHosting(name string, exclude netsim.PeerID) []netsim.PeerI
 		}
 	}
 	return out
-}
-
-func sortPeerIDs(ids []netsim.PeerID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 // lookupService resolves a service definition.

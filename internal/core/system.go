@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"axml/internal/gendoc"
@@ -95,7 +96,9 @@ func (s *System) Peer(id netsim.PeerID) (*peer.Peer, bool) {
 	return p, ok
 }
 
-// Peers lists the peer IDs.
+// Peers lists the peer IDs in ascending order: the rewrite rules and
+// the estimator enumerate alternatives over it, and equal-cost plans
+// must tie-break the same way on every run.
 func (s *System) Peers() []netsim.PeerID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -103,6 +106,7 @@ func (s *System) Peers() []netsim.PeerID {
 	for id := range s.peers {
 		out = append(out, id)
 	}
+	slices.Sort(out)
 	return out
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"axml/internal/core"
 	"axml/internal/netsim"
+	"axml/internal/xpath"
 	"axml/internal/xquery"
 )
 
@@ -101,11 +102,11 @@ func (es *Estimator) docSize(name string, at netsim.PeerID) (float64, netsim.Pee
 	if !ok {
 		return 0, "", fmt.Errorf("opt: unknown peer %q", at)
 	}
-	d, ok := p.Document(name)
+	size, ok := p.DocumentBytes(name)
 	if !ok {
 		return 0, "", fmt.Errorf("opt: no document %q at %s", name, at)
 	}
-	return float64(d.Root.ByteSize()), at, nil
+	return float64(size), at, nil
 }
 
 // QuerySelectivity exposes the estimator's output-fraction model for
@@ -125,7 +126,7 @@ func (es *Estimator) querySelectivity(q *xquery.Query) float64 {
 		if f.Where != nil {
 			conjuncts := 1
 			if p, ok := f.Where.(*xquery.Path); ok {
-				conjuncts = countConjuncts(p)
+				conjuncts = countConjuncts(p.X)
 			}
 			for i := 0; i < conjuncts; i++ {
 				sel *= es.SelPerPredicate
@@ -139,17 +140,13 @@ func (es *Estimator) querySelectivity(q *xquery.Query) float64 {
 	return sel
 }
 
-func countConjuncts(p *xquery.Path) int {
-	// The xquery AST keeps the where as a single xpath expression;
-	// approximate by counting " and " occurrences in its rendering.
-	s := p.String()
-	count := 1
-	for i := 0; i+5 <= len(s); i++ {
-		if s[i:i+5] == " and " {
-			count++
-		}
+// countConjuncts counts the operands of e's top-level conjunction: the
+// xquery AST keeps the where as a single xpath expression.
+func countConjuncts(e xpath.Expr) int {
+	if b, ok := e.(*xpath.BinaryExpr); ok && b.Op == "and" {
+		return countConjuncts(b.L) + countConjuncts(b.R)
 	}
-	return count
+	return 1
 }
 
 func (es *Estimator) est(at netsim.PeerID, e core.Expr) (Estimate, error) {
@@ -233,9 +230,9 @@ func (es *Estimator) estQuery(at netsim.PeerID, q *core.Query) (Estimate, error)
 	docT := start
 	for _, name := range q.Q.DocRefs() {
 		// One lookup: a view document can be migrated away between a
-		// HasDocument check and a second Document call.
-		if d, ok := p.Document(name); ok {
-			inputBytes += float64(d.Root.ByteSize())
+		// HasDocument check and a second call.
+		if size, ok := p.DocumentBytes(name); ok {
+			inputBytes += float64(size)
 			continue
 		}
 		size, home, err := es.remoteDocInfo(name, at)
@@ -271,7 +268,7 @@ func (es *Estimator) remoteDocInfo(name string, exclude netsim.PeerID) (float64,
 	if rep, err := es.Sys.Generics.ResolveDoc(exclude, name); err == nil {
 		return es.docSize(rep.Doc, rep.At)
 	}
-	for _, id := range sortedPeers(es.Sys) {
+	for _, id := range es.Sys.Peers() {
 		if id == exclude {
 			continue
 		}
@@ -279,8 +276,8 @@ func (es *Estimator) remoteDocInfo(name string, exclude netsim.PeerID) (float64,
 		if !ok {
 			continue
 		}
-		if d, ok := p.Document(name); ok {
-			return float64(d.Root.ByteSize()), id, nil
+		if size, ok := p.DocumentBytes(name); ok {
+			return float64(size), id, nil
 		}
 	}
 	return 0, "", fmt.Errorf("opt: no peer hosts document: %w: %q", core.ErrNoSuchDoc, name)
@@ -372,8 +369,8 @@ func (es *Estimator) estCall(at netsim.PeerID, c *core.ServiceCall) (Estimate, e
 	if p, ok := es.Sys.Peer(provider); ok {
 		if svc, ok := p.Service(svcName); ok && svc.Declarative() {
 			for _, name := range svc.Body.DocRefs() {
-				if d, ok := p.Document(name); ok {
-					inputBytes += float64(d.Root.ByteSize())
+				if size, ok := p.DocumentBytes(name); ok {
+					inputBytes += float64(size)
 				}
 			}
 			sel = es.querySelectivity(svc.Body)
@@ -437,14 +434,4 @@ func (es *Estimator) computeFactor(netsimID netsim.PeerID) float64 {
 		return 1
 	}
 	return es.Sys.ComputeFactor(netsimID)
-}
-
-func sortedPeers(sys *core.System) []netsim.PeerID {
-	ids := sys.Peers()
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	return ids
 }

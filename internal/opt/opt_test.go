@@ -10,6 +10,7 @@ import (
 	"axml/internal/peer"
 	"axml/internal/rewrite"
 	"axml/internal/service"
+	"axml/internal/workload"
 	"axml/internal/xmltree"
 	"axml/internal/xquery"
 )
@@ -299,5 +300,96 @@ func TestEstimateServiceCallWithForward(t *testing.T) {
 	}
 	if noFw.OutBytes == 0 {
 		t.Errorf("plain call returns data: %+v", noFw)
+	}
+}
+
+// Every session plans beside writers: the estimator must read a
+// document's size without racing the store's commits (run under -race).
+func TestOptimizeBesideWriter(t *testing.T) {
+	sys := buildSystem(t, 50)
+	data, _ := sys.Peer("data")
+	catalog, _ := data.Document("catalog")
+	rootID := catalog.Root.ID
+	e := &core.Query{Q: xquery.MustParse(`for $i in doc("catalog")/item where $i/price < 10 return $i/name`), At: "client"}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 300; i++ {
+			if err := data.AddChild(rootID, xmltree.E("item", xmltree.E("price", xmltree.T("5")))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for {
+		if _, _, err := Optimize(sys, "client", e, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
+	}
+}
+
+// Same inputs, same plan: with the document replicated at two peers the
+// delegation to either costs the same, and the tie must not be broken
+// by map iteration order.
+func TestOptimizeSamePlanOnFreshSystems(t *testing.T) {
+	q := xquery.MustParse(`for $i in doc("catalog")/item where $i/price < 10 return $i/name`)
+	plans := map[string]int{}
+	for i := 0; i < 40; i++ {
+		net := netsim.New()
+		ids := []netsim.PeerID{"client", "a", "b"}
+		netsim.Uniform(net, ids, netsim.Link{LatencyMs: 5, BytesPerMs: 500})
+		sys := core.NewSystem(net)
+		for _, id := range ids {
+			p := sys.MustAddPeer(id)
+			if id == "client" {
+				continue
+			}
+			if err := p.InstallDocument("catalog", workload.Catalog(workload.CatalogSpec{Items: 50, Seed: 1})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plan, _, err := Optimize(sys, "client", &core.Query{Q: q, At: "client"}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[plan.String()]++
+	}
+	if len(plans) != 1 {
+		t.Errorf("40 fresh systems chose %d different plans: %v", len(plans), plans)
+	}
+}
+
+func TestCountConjuncts(t *testing.T) {
+	cases := []struct {
+		where string
+		want  int
+	}{
+		{`$i/price < 10`, 1},
+		{`$i/price < 10 and $i/@cat = "light"`, 2},
+		{`$i/price < 10 and $i/@cat = "light" and $i/name`, 3},
+		{`$i/name = "salt and pepper"`, 1},
+		{`$i/price < 10 or $i/price > 90`, 1},
+	}
+	es := NewEstimator(nil)
+	for _, tc := range cases {
+		q := xquery.MustParse(`for $i in doc("catalog")/item where ` + tc.where + ` return $i`)
+		where := q.Body.(*xquery.FLWR).Where.(*xquery.Path)
+		if got := countConjuncts(where.X); got != tc.want {
+			t.Errorf("countConjuncts(%s) = %d, want %d", tc.where, got, tc.want)
+		}
+		want := 1.0
+		for i := 0; i < tc.want; i++ {
+			want *= es.SelPerPredicate
+		}
+		want *= es.ProjFactor
+		if got := es.QuerySelectivity(q); got != want {
+			t.Errorf("selectivity of %s = %v, want %v", tc.where, got, want)
+		}
 	}
 }

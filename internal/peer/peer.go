@@ -269,6 +269,23 @@ func (p *Peer) Document(name string) (*Document, bool) {
 	return d, ok
 }
 
+// DocumentBytes returns the serialized size of the named document as
+// currently published — the catalog statistic the optimizer prices
+// transfers with. Only the root pointer is read under the lock; the
+// published tree is immutable, so it is sized after the lock is
+// released and a writer never waits on the walk.
+func (p *Peer) DocumentBytes(name string) (int, bool) {
+	p.mu.RLock()
+	d, ok := p.docs[name]
+	if !ok {
+		p.mu.RUnlock()
+		return 0, false
+	}
+	root := d.Root
+	p.mu.RUnlock()
+	return root.ByteSize(), true
+}
+
 // HasDocument reports whether the named document exists.
 func (p *Peer) HasDocument(name string) bool {
 	p.mu.RLock()

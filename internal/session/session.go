@@ -35,7 +35,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -740,9 +739,7 @@ func (s *Local) updateHost(upd *Update) (*peer.Peer, error) {
 	if p, ok := s.sys.Peer(s.at); ok && p.HasDocument(docs[0]) {
 		return p, nil
 	}
-	ids := s.sys.Peers()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range s.sys.Peers() {
 		if p, ok := s.sys.Peer(id); ok && p.HasDocument(docs[0]) {
 			return p, nil
 		}

@@ -351,9 +351,7 @@ func (m *Manager) hostOf(doc string, prefer netsim.PeerID) (netsim.PeerID, error
 	if p, ok := m.sys.Peer(prefer); ok && p.HasDocument(doc) {
 		return prefer, nil
 	}
-	ids := m.sys.Peers()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range m.sys.Peers() {
 		if p, ok := m.sys.Peer(id); ok && p.HasDocument(doc) {
 			return id, nil
 		}

@@ -70,3 +70,28 @@ func BenchmarkNodeCount(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/node")
 }
+
+// BenchmarkByteSize sizes the whole catalog — what the optimizer's
+// estimator pays for every document a candidate plan reads.
+func BenchmarkByteSize(b *testing.B) {
+	root := benchCatalog()
+	nodes := root.NodeCount()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkInt = root.ByteSize()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/node")
+}
+
+// The catalog half of TestByteSizeEqualsSerialize: workload imports
+// xmltree, so only the external test package can generate it.
+func TestByteSizeEqualsSerializeCatalog(t *testing.T) {
+	root := benchCatalog()
+	if got, want := root.ByteSize(), len(xmltree.Serialize(root)); got != want {
+		t.Errorf("ByteSize = %d, want len(Serialize) = %d", got, want)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { sinkInt = root.ByteSize() }); allocs != 0 {
+		t.Errorf("ByteSize allocates %v times on the catalog", allocs)
+	}
+}

@@ -329,7 +329,37 @@ func (n *Node) Depth() int {
 // ByteSize returns the serialized size of the subtree in bytes. It is
 // the unit of data-transfer accounting in the network simulator: the
 // cost of shipping t between peers is ByteSize(t) against link bandwidth.
-func (n *Node) ByteSize() int { return len(Serialize(n)) }
+//
+// It counts what Serialize would write without writing it, and must
+// stay equal to the length of Serialize(n): the case analysis below is
+// writeNode's compact mode, and a change to one is a change to both
+// (TestByteSizeEqualsSerialize holds them together).
+func (n *Node) ByteSize() int {
+	switch n.Kind {
+	case TextNode:
+		return escapedTextLen(n.Text)
+	case CommentNode:
+		return len("<!--") + len(n.Text) + len("-->")
+	case ProcInstNode:
+		size := len("<?") + len(n.Label) + len("?>")
+		if n.Text != "" {
+			size += len(" ") + len(n.Text)
+		}
+		return size
+	}
+	size := len("<") + len(n.Label)
+	for _, a := range n.Attrs {
+		size += len(" ") + len(a.Name) + len(`="`) + escapedAttrLen(a.Value) + len(`"`)
+	}
+	if len(n.Children) == 0 {
+		return size + len("/>")
+	}
+	size += len(">")
+	for _, c := range n.Children {
+		size += c.ByteSize()
+	}
+	return size + len("</") + len(n.Label) + len(">")
+}
 
 // Root returns the topmost ancestor of n.
 func (n *Node) Root() *Node {

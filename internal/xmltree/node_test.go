@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -148,6 +149,43 @@ func TestNodeCountDepthByteSize(t *testing.T) {
 	}
 	if n.ByteSize() != len(Serialize(n)) {
 		t.Error("ByteSize != len(Serialize)")
+	}
+}
+
+// ByteSize counts what Serialize writes: every case of writeNode's
+// compact mode, every byte either escaper expands, and bytes neither
+// touches. (The ledger's generated catalog is checked beside
+// BenchmarkByteSize, from the external test package.)
+func TestByteSizeEqualsSerialize(t *testing.T) {
+	trees := []*Node{
+		E("a"),
+		E("a", T("")),
+		T(`lt < gt > amp & quot " apos '`),
+		E("a", A("v", `lt < gt > amp & quot " apos '`)),
+		E("a", A("x", ""), A("y", "1"), E("b"), T("mixed"), E("c", A("z", "&&"))),
+		NewComment(" <kept> & as is "),
+		{Kind: ProcInstNode, Label: "target", Text: "data <&>"},
+		{Kind: ProcInstNode, Label: "target"},
+		E("r", NewComment("c"), &Node{Kind: ProcInstNode, Label: "pi", Text: "d"}, &Node{Kind: ProcInstNode, Label: "pi"}),
+		E("prix", A("unité", "€"), T("naïve — 日本語 <&> 𝄞")),
+		MustParse(`<?xml version="1.0"?><!-- head --><a><!-- c --><?target data?><b/></a>`),
+		MustParse(`<a><![CDATA[<not><parsed>&amp;]]></a>`),
+	}
+	for _, in := range roundTripInputs {
+		trees = append(trees, MustParse(in))
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 50; i++ {
+		trees = append(trees, randomTree(r, 4))
+	}
+	for _, n := range trees {
+		s := Serialize(n)
+		if got := n.ByteSize(); got != len(s) {
+			t.Errorf("ByteSize = %d, want %d = len(%q)", got, len(s), s)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { n.ByteSize() }); allocs != 0 {
+			t.Errorf("ByteSize allocates %v times on %q", allocs, s)
+		}
 	}
 }
 

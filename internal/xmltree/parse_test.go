@@ -161,14 +161,15 @@ func TestParseFragmentEmpty(t *testing.T) {
 	}
 }
 
+var roundTripInputs = []string{
+	`<a/>`,
+	`<a><b/><c>t</c></a>`,
+	`<a x="1" y="two"><b z="&quot;q&quot;"/>mixed<c/></a>`,
+	`<r>&lt;escaped&gt; &amp; more</r>`,
+}
+
 func TestSerializeRoundTrip(t *testing.T) {
-	inputs := []string{
-		`<a/>`,
-		`<a><b/><c>t</c></a>`,
-		`<a x="1" y="two"><b z="&quot;q&quot;"/>mixed<c/></a>`,
-		`<r>&lt;escaped&gt; &amp; more</r>`,
-	}
-	for _, in := range inputs {
+	for _, in := range roundTripInputs {
 		n := MustParse(in)
 		out := Serialize(n)
 		n2 := MustParse(out)

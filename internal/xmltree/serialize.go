@@ -174,3 +174,35 @@ func escapeAttr(sb *strings.Builder, s string) {
 		}
 	}
 }
+
+// escapedTextLen and escapedAttrLen return how many bytes escapeText
+// and escapeAttr write for s, without writing them.
+func escapedTextLen(s string) int {
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '<':
+			n += len("&lt;") - 1
+		case '>':
+			n += len("&gt;") - 1
+		case '&':
+			n += len("&amp;") - 1
+		}
+	}
+	return n
+}
+
+func escapedAttrLen(s string) int {
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '<':
+			n += len("&lt;") - 1
+		case '&':
+			n += len("&amp;") - 1
+		case '"':
+			n += len("&quot;") - 1
+		}
+	}
+	return n
+}
