@@ -51,10 +51,10 @@
 //
 // # Expression-level API
 //
-// The algebra remains available for hand-built plans and the bench
-// harness: sys.Eval(at, expr) evaluates an expression directly
-// (EvalContext under a context), and Optimize runs the plan search
-// once without session caching. New code should prefer Session.
+// The algebra remains available for hand-built plans: sys.Eval(at,
+// expr) evaluates an expression directly (EvalContext under a
+// context), and Optimize runs the plan search once without session
+// caching. New code should prefer Session.
 //
 //	res, err := sys.Eval(client.ID, &axml.Query{Q: q, At: client.ID})
 //	plan, _, err := axml.Optimize(sys, client.ID, expr, axml.OptOptions{})
@@ -119,7 +119,7 @@ type (
 // (core.System, embedded), extended with a materialized-view manager:
 // DefineView places query results at chosen peers and Optimize
 // automatically considers view-reading plans. Construct with
-// NewLocalSystem, NewSystem, or Wrap.
+// NewLocalSystem or NewSystem.
 type System struct {
 	*core.System
 	views     *view.Manager
@@ -244,15 +244,14 @@ const AnyPeer = core.AnyPeer
 
 // NewLocalSystem creates a system over a fresh simulated network with
 // the default LAN-like link profile.
-func NewLocalSystem() *System { return Wrap(core.NewSystem(netsim.New())) }
+func NewLocalSystem() *System { return wrap(core.NewSystem(netsim.New())) }
 
 // NewSystem creates a system over the given network (configure links
 // and topologies on it first or afterwards).
-func NewSystem(net *Network) *System { return Wrap(core.NewSystem(net)) }
+func NewSystem(net *Network) *System { return wrap(core.NewSystem(net)) }
 
-// Wrap attaches the facade (view manager included) to an existing
-// core.System, for callers that construct the core layers directly.
-func Wrap(sys *core.System) *System {
+// wrap attaches the facade (view manager included) to a core.System.
+func wrap(sys *core.System) *System {
 	s := &System{System: sys, views: view.NewManager(sys), metrics: obs.NewRegistry()}
 	sys.RegisterGauges(s.metrics)
 	return s

@@ -33,16 +33,27 @@ type FuncInfo struct {
 	Callees []CallSite
 }
 
-// A CallGraph indexes every function declared in the analyzed packages.
-// Identity is the *types.Func object, which the module-aware loader
-// shares across importing packages.
+// A CallGraph indexes every function declared in the analyzed packages
+// by its declaring *types.Func object.
 type CallGraph struct {
-	Funcs map[*types.Func]*FuncInfo
+	Funcs  map[*types.Func]*FuncInfo
+	byName map[string]*types.Func
+}
+
+// declared returns the analyzed declaration fn refers to, or nil. The
+// match is by full name: a package's test build (Loader.IncludeTests)
+// declares its own *types.Func for a function its importers see
+// through the plain package.
+func (cg *CallGraph) declared(fn *types.Func) *types.Func {
+	if fn == nil {
+		return nil
+	}
+	return cg.byName[fn.FullName()]
 }
 
 // BuildCallGraph summarizes the direct call structure of pkgs.
 func BuildCallGraph(pkgs []*Package) *CallGraph {
-	cg := &CallGraph{Funcs: make(map[*types.Func]*FuncInfo)}
+	cg := &CallGraph{Funcs: make(map[*types.Func]*FuncInfo), byName: make(map[string]*types.Func)}
 	for _, pkg := range pkgs {
 		for _, fd := range funcDecls(pkg.Files) {
 			fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
@@ -50,6 +61,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				continue
 			}
 			cg.Funcs[fn] = &FuncInfo{Fn: fn, Decl: fd, Pkg: pkg}
+			cg.byName[fn.FullName()] = fn
 		}
 	}
 	for _, fi := range cg.Funcs {
@@ -69,11 +81,8 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 			if !ok {
 				return
 			}
-			callee := calleeOf(info, call)
+			callee := cg.declared(calleeOf(info, call))
 			if callee == nil {
-				return
-			}
-			if _, declared := cg.Funcs[callee]; !declared {
 				return
 			}
 			fi.Callees = append(fi.Callees, CallSite{

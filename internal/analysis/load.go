@@ -29,14 +29,22 @@ type Package struct {
 // the loader itself, and standard-library imports go through the
 // compiler's source importer (the container has no export data for a
 // separate toolchain, but the full stdlib source ships with it).
+//
+// With IncludeTests, the packages LoadDir and LoadAll return are test
+// builds, as `go vet` checks them: the package's in-package _test.go
+// files merged in, every module-local import resolved to its plain
+// package. A test build is a different *types.Package from the plain
+// one its importers see; the call graph matches functions by name for
+// that reason.
 type Loader struct {
 	Fset         *token.FileSet
-	IncludeTests bool // merge in-package _test.go files
+	IncludeTests bool // return test builds (in-package _test.go files merged)
 
 	modPath string
 	modRoot string
 	std     types.Importer
-	pkgs    map[string]*Package
+	pkgs    map[string]*Package // plain packages
+	tests   map[string]*Package // test builds
 	loading map[string]bool
 }
 
@@ -67,6 +75,7 @@ func NewLoader(startDir string) (*Loader, error) {
 				modRoot: dir,
 				std:     importer.ForCompiler(fset, "source", nil),
 				pkgs:    make(map[string]*Package),
+				tests:   make(map[string]*Package),
 				loading: make(map[string]bool),
 			}, nil
 		}
@@ -82,7 +91,8 @@ func NewLoader(startDir string) (*Loader, error) {
 func (l *Loader) ModuleRoot() string { return l.modRoot }
 
 // Import implements types.Importer: module-local paths load through the
-// loader, everything else through the stdlib source importer.
+// loader as plain packages, everything else through the stdlib source
+// importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
 		pkg, err := l.loadPath(path)
@@ -96,17 +106,25 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 
 func (l *Loader) loadPath(importPath string) (*Package, error) {
 	rel := strings.TrimPrefix(strings.TrimPrefix(importPath, l.modPath), "/")
-	return l.LoadDir(filepath.Join(l.modRoot, filepath.FromSlash(rel)), importPath)
+	return l.load(filepath.Join(l.modRoot, filepath.FromSlash(rel)), importPath, false)
 }
 
 // LoadDir parses and type-checks the package in dir under the given
-// import path. Results are cached by import path. Files excluded by
-// build constraints (//go:build lines, _GOOS/_GOARCH suffixes) under the
-// default build context are skipped, as the go tool would. External test
-// packages (package foo_test) are never loaded; in-package _test.go
-// files are included only when IncludeTests is set.
+// import path — its test build when IncludeTests is set. Results are
+// cached by import path. Files excluded by build constraints
+// (//go:build lines, _GOOS/_GOARCH suffixes) under the default build
+// context are skipped, as the go tool would. External test packages
+// (package foo_test) are never loaded.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	if pkg, ok := l.pkgs[importPath]; ok {
+	return l.load(dir, importPath, l.IncludeTests)
+}
+
+func (l *Loader) load(dir, importPath string, withTests bool) (*Package, error) {
+	cache := l.pkgs
+	if withTests {
+		cache = l.tests
+	}
+	if pkg, ok := cache[importPath]; ok {
 		return pkg, nil
 	}
 	if l.loading[importPath] {
@@ -126,7 +144,7 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
-		if strings.HasSuffix(name, "_test.go") && !l.IncludeTests {
+		if strings.HasSuffix(name, "_test.go") && !withTests {
 			continue
 		}
 		if match, err := build.Default.MatchFile(dir, name); err != nil {
@@ -190,7 +208,7 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 		Types: tpkg,
 		Info:  info,
 	}
-	l.pkgs[importPath] = pkg
+	cache[importPath] = pkg
 	return pkg, nil
 }
 

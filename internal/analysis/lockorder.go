@@ -115,7 +115,7 @@ func runLockOrder(mp *ModulePass) error {
 						}
 					},
 					func(callee *types.Func, held FactSet, pos token.Pos) {
-						if _, declared := cg.Funcs[callee]; !declared {
+						if callee = cg.declared(callee); callee == nil {
 							return
 						}
 						if len(held) > 0 {

@@ -9,6 +9,9 @@
 // document, per [2]), and after-another-call ordering — plus fixpoint
 // expansion and the document equivalence ≡ of §2.3, defined as "their
 // potential evolution … will eventually reach the same fixpoint".
+//
+// It is a library the serving path does not use: no session, wire verb
+// or view reaches it, and examples/quickstart is its only caller.
 package axmldoc
 
 import (

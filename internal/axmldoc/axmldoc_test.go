@@ -244,6 +244,41 @@ func TestLazyQuery(t *testing.T) {
 	}
 }
 
+// TestEagerAndLazyActivationAgree: a page of three calls, activated
+// before the query (eager) or by the query that needs them (lazy),
+// answers with the same rows.
+func TestEagerAndLazyActivationAgree(t *testing.T) {
+	const page = `<page><sc provider="data" service="cheap"/><sc provider="data" service="cheap"/><sc provider="data" service="cheap"/></page>`
+	q := xquery.MustParse(`for $o in doc("page")/offer return $o`)
+	answer := func(lazy bool) string {
+		_, act, host := setup(t)
+		if err := host.InstallDocument("page", xmltree.MustParse(page)); err != nil {
+			t.Fatal(err)
+		}
+		var out []*xmltree.Node
+		var err error
+		if lazy {
+			out, err = act.LazyQuery("page", q, 3)
+		} else if _, err = act.ActivateDocument("page"); err == nil {
+			out, err = host.RunQuery(q)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 6 {
+			t.Errorf("lazy=%v: %d rows, want 3 calls × 2 offers", lazy, len(out))
+		}
+		var sb strings.Builder
+		for _, n := range out {
+			sb.WriteString(xmltree.Serialize(n))
+		}
+		return sb.String()
+	}
+	if eager, lazy := answer(false), answer(true); eager != lazy {
+		t.Errorf("eager %s, lazy %s", eager, lazy)
+	}
+}
+
 func TestEquivalent(t *testing.T) {
 	_, act, _ := setup(t)
 	// A materialized document vs an intensional one that expands to it.

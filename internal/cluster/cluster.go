@@ -26,8 +26,7 @@
 //     demand picture instead of wedging the round — and gets a single
 //     attempt per round until it answers again.
 //
-// The Harness spawns real OS processes for tests and benchmarks
-// (axmlbench -tcp measures the federated convergence trajectory, E17).
+// The Harness spawns real OS processes for tests.
 //
 // What this layer deliberately does not do yet: cross-deployment view
 // maintenance. A view adopted from another member is a point-in-time

@@ -11,10 +11,10 @@ import (
 	"time"
 )
 
-// Harness spawns real axmlpeer OS processes for federation tests and
-// benchmarks: a built binary, -addr 127.0.0.1:0 listeners, and an
-// -addr-file handshake for deterministic readiness (no port guessing,
-// no sleep-and-hope).
+// Harness spawns real axmlpeer OS processes for federation tests: a
+// built binary, -addr 127.0.0.1:0 listeners, and an -addr-file
+// handshake for deterministic readiness (no port guessing, no
+// sleep-and-hope).
 type Harness struct {
 	dir string
 	bin string

@@ -49,3 +49,18 @@ func BenchmarkEvalDelegated(b *testing.B) {
 	sys, q := benchSystem(b)
 	benchEval(b, sys, "client", &EvalAt{At: "data", E: q})
 }
+
+// BenchmarkExprSerialization round-trips a delegated plan through its
+// XML form (§3.1): what every eval@p ships and parses.
+func BenchmarkExprSerialization(b *testing.B) {
+	q := xquery.MustParse(`for $i in doc("catalog")/item where $i/price < 50 return $i/name`)
+	e := &EvalAt{At: "data", E: &Query{Q: q, At: "data", Args: []Expr{
+		&Doc{Name: "catalog", At: "data"},
+	}}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseExprBytes(SerializeExpr(e)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

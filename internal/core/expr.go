@@ -201,7 +201,7 @@ func (c *ServiceCall) loc() netsim.PeerID { return "" }
 //
 // The paper notes the left-to-right direction is "not always" the
 // right choice: with a slow direct link and fast hops, the relayed
-// route wins — experiment E3.
+// route wins — TestPaperExperiments/E3.
 type Relay struct {
 	Via     []netsim.PeerID
 	Dest    Dest

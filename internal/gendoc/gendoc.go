@@ -6,7 +6,7 @@
 // of an actual pick function at p depends on p's knowledge of the
 // existing documents and services, p's preferences etc."
 //
-// Experiment E6 compares strategies on heterogeneous networks.
+// TestPaperExperiments/E6 compares strategies on a heterogeneous WAN.
 package gendoc
 
 import (

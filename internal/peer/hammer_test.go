@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"axml/internal/xmltree"
 	"axml/internal/xquery"
@@ -218,5 +219,68 @@ func TestEpochReclamation(t *testing.T) {
 	}
 	if got := p.PinnedEpochs(); got != 0 {
 		t.Errorf("PinnedEpochs after churn = %d, want 0", got)
+	}
+}
+
+// TestCommitBesideOpenCursor: the goroutine streaming from a snapshot
+// commits mid-stream, and the commit returns while its cursor is still
+// open. Under a store-wide lock held for the life of a stream (the
+// pre-MVCC contract) this deadlocks. TestSnapshotHammer checks what
+// readers see; this checks that writers never wait on them.
+func TestCommitBesideOpenCursor(t *testing.T) {
+	const items = 100
+	p := New("serve")
+	root := xmltree.E("catalog")
+	for i := 0; i < items; i++ {
+		root.AppendChild(xmltree.E("item", strconv.Itoa(i)))
+	}
+	if err := p.InstallDocument("catalog", root); err != nil {
+		t.Fatal(err)
+	}
+	q := xquery.MustParse(`for $i in doc("catalog")/item return $i`)
+	streamed := make(chan int, 1)
+	failed := make(chan error, 1)
+	go func() {
+		h := p.Snapshot()
+		defer h.Release()
+		cur, err := q.EvalCursor(context.Background(), &xquery.Env{Resolve: h.Resolver()})
+		if err != nil {
+			failed <- err
+			return
+		}
+		defer cur.Close() //nolint:errcheck // drained below
+		rows := 0
+		for {
+			n, err := cur.Next()
+			if err != nil {
+				failed <- err
+				return
+			}
+			if n == nil {
+				break
+			}
+			if rows++; rows == items/2 {
+				if err := p.AddChild(root.ID, xmltree.E("item", "new")); err != nil {
+					failed <- err
+					return
+				}
+			}
+		}
+		streamed <- rows
+	}()
+	select {
+	case rows := <-streamed:
+		if rows != items {
+			t.Errorf("the pinned stream yielded %d rows, want %d", rows, items)
+		}
+	case err := <-failed:
+		t.Fatal(err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("a commit blocked behind its own goroutine's open snapshot cursor")
+	}
+	h := p.Snapshot()
+	defer h.Release()
+	if n, err := h.NodeCount("catalog"); err != nil || n != 1+2*(items+1) {
+		t.Errorf("after the commit the catalog has %d nodes (%v), want %d", n, err, 1+2*(items+1))
 	}
 }

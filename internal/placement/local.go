@@ -18,14 +18,13 @@ type local struct {
 	sys   *core.System
 	views *view.Manager
 	obs   *Observer
-	decay float64
 }
 
 // New creates a controller over the manager's system. Wire the
 // returned controller's Observer() into the sessions whose traffic
 // should drive placement (session.WithTrafficSink).
 func New(views *view.Manager, cfg Config) *Controller {
-	l := &local{sys: views.System(), views: views, obs: NewObserver(), decay: cfg.filled().Decay}
+	l := &local{sys: views.System(), views: views, obs: NewObserver()}
 	c := NewOver(l, cfg)
 	c.obs = l.obs
 	return c
@@ -61,7 +60,7 @@ func (l *local) Observe(context.Context) Observation {
 		v.SiteBytes[pi.At] = pi.Bytes
 		v.MaintRate = max(v.MaintRate, l.obs.ShipRate(v.Base, pi.At))
 	}
-	l.obs.Decay(l.decay)
+	l.obs.Decay(demandDecay)
 	return Observation{Views: out, Link: l.sys.Net.LinkInfo, Alive: func(p netsim.PeerID) bool {
 		_, ok := l.sys.Peer(p)
 		return ok

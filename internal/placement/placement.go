@@ -32,10 +32,9 @@
 //     across processes).
 //
 // Anti-thrashing: demand is EWMA-decayed, every action pays a
-// hysteresis margin (MinGainFrac) on top of its amortized one-time
+// hysteresis margin (minGainFrac) on top of its amortized one-time
 // cost, and a moved view rests for Cooldown rounds. A stable workload
-// therefore converges to a stable placement — experiment E15 checks
-// exactly that, plus result-multiset equality across every migration.
+// therefore converges to a stable placement.
 package placement
 
 import (
@@ -61,28 +60,11 @@ type Config struct {
 	// DefaultBudget is the per-peer byte budget for peers without an
 	// explicit entry (0 = unlimited).
 	DefaultBudget int64
-	// MinGainFrac is the hysteresis margin: an action is taken only
-	// when its net per-round gain exceeds this fraction of the current
-	// per-round cost (default 0.05).
-	MinGainFrac float64
 	// Cooldown is how many rounds a view rests after an action
 	// (default 2).
 	Cooldown int
 	// MaxReplicas caps the placements per view (default 2).
 	MaxReplicas int
-	// HorizonRounds amortizes one-time move costs: a migration must
-	// pay for itself within this many rounds (default 8).
-	HorizonRounds float64
-	// ChurnFrac estimates per-round maintenance volume as a fraction
-	// of the view size when no maintenance traffic has been observed
-	// yet (default 0.05).
-	ChurnFrac float64
-	// Decay is the per-round EWMA factor on observed demand
-	// (default 0.5).
-	Decay float64
-	// TopK bounds how many of a view's hottest consumers are
-	// considered as move targets each round (default 4).
-	TopK int
 	// Weights scalarize transfer estimates (opt.DefaultWeights when
 	// zero).
 	Weights opt.Weights
@@ -97,27 +79,31 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
+// The scorer's fixed tuning.
+const (
+	// minGainFrac is the hysteresis margin: an action is taken only when
+	// its net per-round gain exceeds this fraction of the current
+	// per-round cost.
+	minGainFrac = 0.05
+	// horizonRounds amortizes one-time move costs: a migration must pay
+	// for itself within this many rounds.
+	horizonRounds = 8
+	// churnFrac estimates per-round maintenance volume as a fraction of
+	// the view size when no maintenance traffic has been observed yet.
+	churnFrac = 0.05
+	// demandDecay is the per-round EWMA factor on observed demand.
+	demandDecay = 0.5
+	// topK bounds how many of a view's hottest consumers are considered
+	// as move targets each round.
+	topK = 4
+)
+
 func (c Config) filled() Config {
-	if c.MinGainFrac <= 0 {
-		c.MinGainFrac = 0.05
-	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 2
 	}
 	if c.MaxReplicas <= 0 {
 		c.MaxReplicas = 2
-	}
-	if c.HorizonRounds <= 0 {
-		c.HorizonRounds = 8
-	}
-	if c.ChurnFrac <= 0 {
-		c.ChurnFrac = 0.05
-	}
-	if c.Decay <= 0 || c.Decay >= 1 {
-		c.Decay = 0.5
-	}
-	if c.TopK <= 0 {
-		c.TopK = 4
 	}
 	if c.Weights == (opt.Weights{}) {
 		c.Weights = opt.DefaultWeights

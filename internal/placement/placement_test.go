@@ -3,14 +3,17 @@ package placement
 import (
 	"context"
 	"fmt"
+	"sort"
 	"testing"
 
 	"axml/internal/core"
+	"axml/internal/gendoc"
 	"axml/internal/netsim"
 	"axml/internal/session"
 	"axml/internal/view"
 	"axml/internal/workload"
 	"axml/internal/xmltree"
+	"axml/internal/xquery"
 )
 
 var wan = netsim.Link{LatencyMs: 20, BytesPerMs: 200}
@@ -379,4 +382,156 @@ func TestEndToEndSessionsDriveMigration(t *testing.T) {
 	if log := ctrl.Decisions(); len(log) == 0 {
 		t.Error("decision log empty")
 	}
+}
+
+// TestAdaptiveBeatsStatic runs one skewed subscription workload twice
+// over netsim: a selection view fixed at the data peer, and the same
+// view under a controller stepped once per round. Three clients issue
+// 14/4/2 of every 20 queries while the catalog grows by 5 items a
+// round. Adaptive must ship fewer bytes, answer faster at the virtual-ms
+// median, settle (no action in the last third of the rounds) and give
+// the base's answer after every move.
+func TestAdaptiveBeatsStatic(t *testing.T) {
+	const (
+		clients, rounds, perRound = 3, 9, 5
+		viewSrc                   = `for $i in doc("catalog")/item where $i/price < 200 return $i`
+		query                     = `for $i in doc("catalog")/item where $i/price < 100 return <hit>{$i/name}</hit>`
+	)
+	var schedule []int // client of each of a round's 20 queries
+	for c, n := range []int{14, 4, 2} {
+		for ; n > 0; n-- {
+			schedule = append(schedule, c)
+		}
+	}
+	type outcome struct {
+		bytes     int64
+		medianMs  float64
+		rows      int
+		actions   int
+		lastRound int
+	}
+	run := func(adaptive bool) outcome {
+		peers := []netsim.PeerID{"data", "client0", "client1", "client2"}
+		net := netsim.New()
+		netsim.Uniform(net, peers, wan)
+		sys := core.NewSystem(net)
+		for _, p := range peers {
+			sys.MustAddPeer(p)
+		}
+		sys.Generics.SetStrategy(gendoc.Nearest{Net: net})
+		defer sys.Close()
+		data, _ := sys.Peer("data")
+		if err := data.InstallDocument("catalog", workload.Catalog(workload.CatalogSpec{
+			Items: 100, PriceMax: 1000, DescWords: 4, Seed: 31})); err != nil {
+			t.Fatal(err)
+		}
+		views := view.NewManager(sys)
+		defer views.Close()
+		if err := views.Define("hot", viewSrc, "data"); err != nil {
+			t.Fatal(err)
+		}
+		var ctrl *Controller
+		var opts []session.LocalOption
+		if adaptive {
+			ctrl = New(views, Config{MaxReplicas: 2, Cooldown: 1})
+			opts = append(opts, session.WithTrafficSink(ctrl.Observer()))
+		}
+		sessions := make([]*session.Local, clients)
+		for i := range sessions {
+			s, err := session.NewLocal(sys, views, peers[1+i], opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sessions[i] = s
+		}
+		ctx := context.Background()
+		answer := func(c int) ([]*xmltree.Node, float64) {
+			t.Helper()
+			rows, err := sessions[c].Query(ctx, query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forest, err := rows.Collect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return forest, rows.VT()
+		}
+		catalog, _ := data.Document("catalog")
+		var out outcome
+		var latencies []float64
+		for r, serial := 0, 100; r < rounds; r++ {
+			for k := 0; k < perRound; k, serial = k+1, serial+1 {
+				if err := data.AddChild(catalog.Root.ID, xmltree.E("item",
+					xmltree.A("id", fmt.Sprintf("r%d", serial)),
+					xmltree.E("name", xmltree.T(fmt.Sprintf("fresh-%d", serial))),
+					xmltree.E("price", xmltree.T(fmt.Sprint(serial*37%1000))))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := views.RefreshAll(); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range schedule {
+				forest, ms := answer(c)
+				out.rows += len(forest)
+				latencies = append(latencies, ms)
+			}
+			if ctrl == nil {
+				continue
+			}
+			ds, err := ctrl.Step(ctx)
+			if err != nil {
+				t.Fatalf("round %d: %v", r, err)
+			}
+			if len(ds) == 0 {
+				continue
+			}
+			out.actions += len(ds)
+			out.lastRound = r
+			truth, err := data.RunQuery(xquery.MustParse(query))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := answer(0); !sameMultiset(got, truth) {
+				t.Fatalf("round %d: answers diverged after %v (%d rows vs truth %d)", r, ds, len(got), len(truth))
+			}
+		}
+		sort.Float64s(latencies)
+		out.medianMs = latencies[len(latencies)/2]
+		out.bytes = sys.Net.Stats().Bytes
+		return out
+	}
+
+	static, adaptive := run(false), run(true)
+	t.Logf("static %+v, adaptive %+v", static, adaptive)
+	if static.rows != adaptive.rows {
+		t.Errorf("result rows: static %d, adaptive %d", static.rows, adaptive.rows)
+	}
+	if adaptive.bytes >= static.bytes {
+		t.Errorf("adaptive shipped %d bytes, static %d", adaptive.bytes, static.bytes)
+	}
+	if adaptive.medianMs >= static.medianMs {
+		t.Errorf("adaptive median %.2f ms, static %.2f ms", adaptive.medianMs, static.medianMs)
+	}
+	if adaptive.actions == 0 || adaptive.actions > clients+1 || adaptive.lastRound >= rounds*2/3 {
+		t.Errorf("did not settle: %d actions, the last in round %d of %d", adaptive.actions, adaptive.lastRound, rounds)
+	}
+}
+
+// sameMultiset compares two forests by canonical hash, ignoring order.
+func sameMultiset(a, b []*xmltree.Node) bool {
+	counts := map[xmltree.Digest]int{}
+	for _, n := range a {
+		counts[xmltree.Hash(n)]++
+	}
+	for _, n := range b {
+		counts[xmltree.Hash(n)]--
+	}
+	for _, c := range counts {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

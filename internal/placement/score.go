@@ -61,7 +61,7 @@ type ViewLoad struct {
 	// estimated where the data lives.
 	Loads []LoadExport
 	// MaintRate is the observed maintenance volume (bytes per round)
-	// toward any current placement; 0 falls back to ChurnFrac × Bytes.
+	// toward any current placement; 0 falls back to churnFrac × Bytes.
 	MaintRate float64
 
 	// Bytes is the copy size being priced.
@@ -118,13 +118,13 @@ func (s *Scorer) ServeCost(demand map[netsim.PeerID]float64, sites []netsim.Peer
 }
 
 // rate is the per-round maintenance volume for one copy of the view:
-// the observed rate when there is one, else ChurnFrac of the view
+// the observed rate when there is one, else churnFrac of the view
 // size.
 func (s *Scorer) rate(v ViewLoad) float64 {
 	if v.MaintRate > 0 {
 		return v.MaintRate
 	}
-	return s.cfg.ChurnFrac * float64(v.Bytes)
+	return churnFrac * float64(v.Bytes)
 }
 
 // maintCost prices keeping a copy at `at` fresh from the base over the
@@ -212,8 +212,8 @@ func (s *Scorer) Plan(round int, v ViewLoad) *Decision {
 	}
 
 	hot := topConsumers(v.Demand)
-	if len(hot) > s.cfg.TopK {
-		hot = hot[:s.cfg.TopK]
+	if len(hot) > topK {
+		hot = hot[:topK]
 	}
 	placedAt := map[netsim.PeerID]bool{}
 	for _, site := range v.Sites {
@@ -236,7 +236,7 @@ func (s *Scorer) Plan(round int, v ViewLoad) *Decision {
 		if len(v.Sites) < s.cfg.MaxReplicas {
 			oneTime := s.xfer(v.Base, consumer, float64(v.Bytes))
 			gain := cur - s.ServeCost(v.Demand, append(append([]netsim.PeerID{}, v.Sites...), consumer), v.PerQuery) -
-				newMaint - oneTime/s.cfg.HorizonRounds
+				newMaint - oneTime/horizonRounds
 			consider(candidate{action: "replicate", to: consumer, gain: gain, oneTime: oneTime})
 		}
 		// Migrate: swap each existing copy for one at the consumer.
@@ -251,7 +251,7 @@ func (s *Scorer) Plan(round int, v ViewLoad) *Decision {
 			oneTime := s.xfer(from, consumer, float64(v.Bytes))
 			gain := cur - s.ServeCost(v.Demand, moved, v.PerQuery) +
 				s.maintCost(v.Base, from, rate) - newMaint -
-				oneTime/s.cfg.HorizonRounds
+				oneTime/horizonRounds
 			consider(candidate{action: "migrate", from: from, to: consumer, gain: gain, oneTime: oneTime})
 		}
 	}
@@ -270,7 +270,7 @@ func (s *Scorer) Plan(round int, v ViewLoad) *Decision {
 		}
 	}
 
-	if best == nil || best.gain <= s.cfg.MinGainFrac*(cur+curMaint)+1e-9 {
+	if best == nil || best.gain <= minGainFrac*(cur+curMaint)+1e-9 {
 		return nil
 	}
 	return &Decision{

@@ -194,6 +194,66 @@ func TestPreparedStatementSkipsSearch(t *testing.T) {
 	}
 }
 
+// TestPlanningOncePerShape: four query shapes, each issued ten times.
+// Optimizing every call runs the search 40 times; the plan cache and
+// prepared statements run it once per shape, and all three answer
+// with the same rows.
+func TestPlanningOncePerShape(t *testing.T) {
+	const shapes, repeats = 4, 10
+	src := func(i int) string {
+		return fmt.Sprintf(`for $i in doc("catalog")/item where $i/price < %d return $i/name`, 10+i*200)
+	}
+	ctx := context.Background()
+	var rowsPerMode []int
+	for _, mode := range []struct {
+		name     string
+		searches uint64
+	}{{"per-query", shapes * repeats}, {"plan-cache", shapes}, {"prepared", shapes}} {
+		sys, views := testSystem(t)
+		sess := newSession(t, sys, views)
+		stmts := make([]*Stmt, shapes)
+		for i := range stmts {
+			if mode.name == "prepared" {
+				stmt, err := sess.Prepare(ctx, src(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				stmts[i] = stmt
+			}
+		}
+		n := 0
+		for r := 0; r < repeats; r++ {
+			for i := 0; i < shapes; i++ {
+				var rows *Rows
+				var err error
+				switch mode.name {
+				case "per-query":
+					rows, err = sess.Query(ctx, src(i), WithNoPlanCache())
+				case "plan-cache":
+					rows, err = sess.Query(ctx, src(i))
+				default:
+					rows, err = stmts[i].Query(ctx)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				forest, err := rows.Collect()
+				if err != nil {
+					t.Fatal(err)
+				}
+				n += len(forest)
+			}
+		}
+		if got := sess.Stats().Misses; got != mode.searches {
+			t.Errorf("%s: %d optimizer searches, want %d", mode.name, got, mode.searches)
+		}
+		rowsPerMode = append(rowsPerMode, n)
+	}
+	if rowsPerMode[1] != rowsPerMode[0] || rowsPerMode[2] != rowsPerMode[0] || rowsPerMode[0] == 0 {
+		t.Errorf("rows per mode (per-query, plan-cache, prepared) = %v", rowsPerMode)
+	}
+}
+
 func TestExpiredContextNoRemoteShips(t *testing.T) {
 	sys, views := testSystem(t)
 	sess := newSession(t, sys, views)

@@ -107,6 +107,42 @@ func TestRowsCloseAbandonsEvaluation(t *testing.T) {
 	}
 }
 
+// TestFirstRowCostIndependentOfResultSize: the first row of a query
+// that fetches once per row leaves after the same network work at 200
+// items as at 2,000, while draining grows with the result. Anything on
+// the path that materialized before streaming would make the first row
+// cost the whole drain.
+func TestFirstRowCostIndependentOfResultSize(t *testing.T) {
+	var firstMsgs []int64
+	for _, items := range []int{200, 2000} {
+		sys, views := streamSystem(t, items)
+		rows, err := newSession(t, sys, views).Query(context.Background(), perRowFetchQ, WithNoOptimize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rows.Next() {
+			t.Fatalf("%d items: no first row: %v", items, rows.Err())
+		}
+		first := sys.Net.Stats().Messages
+		n := 1
+		for rows.Next() {
+			n++
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
+		drain := sys.Net.Stats().Messages
+		t.Logf("%d items: %d messages by the first row, %d by the last", items, first, drain)
+		if n != items || drain < 2*first {
+			t.Errorf("%d items: %d rows, %d messages by the first row, %d by the last", items, n, first, drain)
+		}
+		firstMsgs = append(firstMsgs, first)
+	}
+	if firstMsgs[0] != firstMsgs[1] {
+		t.Errorf("messages by the first row grew with the result: %v", firstMsgs)
+	}
+}
+
 // TestCancelMidStream: canceling the call context between pulls stops
 // the stream with ErrCanceled.
 func TestCancelMidStream(t *testing.T) {

@@ -17,8 +17,8 @@
 // the base documents' typed change notifications so views follow
 // updates without polling; Refresh/RefreshAll are the synchronous entry
 // points tests and benchmarks drive deterministically, and RefreshFull
-// is the force-full baseline (admin healing; experiment E12 measures
-// it against the provenance path on a churn workload).
+// is the force-full baseline (admin healing; TestChurnConvergence holds
+// the provenance path to it).
 package view
 
 import (
@@ -77,7 +77,7 @@ func (m *Manager) RefreshAllContext(ctx context.Context) (int, error) {
 // scratch, bypassing incremental maintenance: the full current result
 // is shipped and the provenance state reset. It is the recovery path
 // when a placement is suspected of divergence, and the baseline
-// experiment E12 compares provenance-based maintenance against.
+// TestChurnConvergence holds provenance-based maintenance to.
 func (m *Manager) RefreshFull(name string) (int, error) {
 	st, ok := m.lookup(name)
 	if !ok {

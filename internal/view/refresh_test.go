@@ -619,6 +619,80 @@ func TestChurnConvergence(t *testing.T) {
 	}
 }
 
+// TestDeltaMaintenanceShipsLessThanFullRefresh: under the same seeded
+// churn (each round ten inserts, then a tenth of the live items deleted
+// or replaced), refreshing through deltas ships fewer bytes across the
+// WAN than re-materializing the view every round, and both end at the
+// rows a direct evaluation gives.
+func TestDeltaMaintenanceShipsLessThanFullRefresh(t *testing.T) {
+	src := `for $i in doc("catalog")/item where $i/price < 500 return $i`
+	run := func(full bool) (int64, []*xmltree.Node) {
+		sys := testSystem(t, 150)
+		defer sys.Close()
+		m := NewManager(sys)
+		defer m.Close()
+		if err := m.Define("cheap", src, "client"); err != nil {
+			t.Fatal(err)
+		}
+		data, _ := sys.Peer("data")
+		catalog, _ := data.Document("catalog")
+		rng := rand.New(rand.NewSource(97))
+		serial := 0
+		item := func() *xmltree.Node {
+			serial++
+			return xmltree.E("item",
+				xmltree.E("name", xmltree.T(fmt.Sprintf("churn-%d", serial))),
+				xmltree.E("price", xmltree.T(fmt.Sprint(serial*37%1000))))
+		}
+		before := sys.Net.Stats().Bytes
+		for r := 0; r < 4; r++ {
+			for k := 0; k < 10; k++ {
+				if err := data.AddChild(catalog.Root.ID, item()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d, _ := data.Document("catalog")
+			live := d.Root.ChildElementsByLabel("item")
+			for k := 0; k < len(live)/10; k++ {
+				i := rng.Intn(len(live))
+				var err error
+				if rng.Intn(2) == 0 {
+					err = data.RemoveChildByID(catalog.Root.ID, live[i].ID)
+				} else {
+					err = data.ReplaceChildByID(catalog.Root.ID, live[i].ID, item())
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				live = append(live[:i], live[i+1:]...)
+			}
+			var err error
+			if full {
+				_, err = m.RefreshFull("cheap")
+			} else {
+				_, err = m.Refresh("cheap")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		rows := viewTrees(t, sys, "client", "cheap")
+		if !sameMultiset(rows, expectedTrees(t, sys, "data", src)) {
+			t.Fatalf("full=%v: the view diverged from a direct evaluation", full)
+		}
+		return sys.Net.Stats().Bytes - before, rows
+	}
+	fullBytes, fullRows := run(true)
+	deltaBytes, deltaRows := run(false)
+	t.Logf("full refresh %d bytes, delta %d bytes, %d rows", fullBytes, deltaBytes, len(deltaRows))
+	if deltaBytes >= fullBytes {
+		t.Errorf("delta maintenance shipped %d bytes, full refresh %d", deltaBytes, fullBytes)
+	}
+	if !sameMultiset(deltaRows, fullRows) {
+		t.Errorf("delta maintenance holds %d rows, full refresh %d", len(deltaRows), len(fullRows))
+	}
+}
+
 // TestFeedStepFollowsTheChain drives the feed step where the sources
 // sit two steps below the root: writes inside a source, at the sources'
 // parent, beside the chain (same depth, other labels) and above it (a

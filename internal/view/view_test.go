@@ -1,6 +1,7 @@
 package view
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -223,6 +224,69 @@ func TestOptimizerPicksLocalView(t *testing.T) {
 			t.Fatalf("tree %d differs:\n%s\nvs\n%s", i,
 				xmltree.Serialize(got.Forest[i]), xmltree.Serialize(naive.Forest[i]))
 		}
+	}
+}
+
+// TestViewsAtEveryClientShipLess runs a subscription workload: three
+// clients re-issue a selective query while the catalog grows by ten
+// items a round. With the view placed at every client the rounds ship
+// refresh deltas instead of matching data, so fewer bytes move, queries
+// answer faster in virtual ms, and every client sees the same rows as
+// without views.
+func TestViewsAtEveryClientShipLess(t *testing.T) {
+	clients := []netsim.PeerID{"client0", "client1", "client2"}
+	q := xquery.MustParse(`for $i in doc("catalog")/item where $i/price < 100 return <hit>{$i/name}</hit>`)
+	run := func(views bool) (bytes int64, meanMs float64, hits int) {
+		sys := churnSystem(t, 150, append([]netsim.PeerID{"data"}, clients...)...)
+		defer sys.Close()
+		m := NewManager(sys)
+		defer m.Close()
+		opts := opt.Options{MaxPlans: 128}
+		if views {
+			for _, c := range clients {
+				if err := m.Define("cheap", `for $i in doc("catalog")/item where $i/price < 100 return $i`, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			opts.ExtraRules = []rewrite.Rule{m.Rule()}
+		}
+		totalMs := 0.0
+		for r, n := 0, 0; r < 4; r++ {
+			for ; n < (r+1)*10; n++ {
+				addItem(t, sys, "data", "catalog", n*37%1000, fmt.Sprintf("fresh-%d", n))
+			}
+			if views {
+				if _, err := m.RefreshAll(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, c := range clients {
+				plan, _, err := opt.Optimize(sys, c, &core.Query{Q: q, At: c}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sys.Eval(c, plan.Expr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hits += len(res.Forest)
+				totalMs += res.VT
+			}
+		}
+		return sys.Net.Stats().Bytes, totalMs / float64(4*len(clients)), hits
+	}
+	baseBytes, baseMs, baseHits := run(false)
+	viewBytes, viewMs, viewHits := run(true)
+	t.Logf("base %d bytes, %.2f ms, %d rows; views %d bytes, %.2f ms, %d rows",
+		baseBytes, baseMs, baseHits, viewBytes, viewMs, viewHits)
+	if viewHits != baseHits || baseHits == 0 {
+		t.Errorf("views answered %d rows, base %d", viewHits, baseHits)
+	}
+	if viewBytes >= baseBytes {
+		t.Errorf("views shipped %d bytes, base %d", viewBytes, baseBytes)
+	}
+	if viewMs >= baseMs {
+		t.Errorf("view-local queries took %.2f ms on average, base %.2f ms", viewMs, baseMs)
 	}
 }
 

@@ -84,6 +84,38 @@ func BenchmarkByteSize(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/node")
 }
 
+// The parse/serialize/hash catalog: 200 items with 10-word descriptions.
+func substrateCatalog() *xmltree.Node {
+	return workload.Catalog(workload.CatalogSpec{Items: 200, PriceMax: 100, DescWords: 10, Seed: 1})
+}
+
+func BenchmarkParse(b *testing.B) {
+	doc := xmltree.Serialize(substrateCatalog())
+	b.SetBytes(int64(len(doc)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := xmltree.Parse(doc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSerialize(b *testing.B) {
+	tree := substrateCatalog()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkString = xmltree.Serialize(tree)
+	}
+}
+
+func BenchmarkCanonicalHash(b *testing.B) {
+	tree := substrateCatalog()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = xmltree.Hash(tree)
+	}
+}
+
 // The catalog half of TestByteSizeEqualsSerialize: workload imports
 // xmltree, so only the external test package can generate it.
 func TestByteSizeEqualsSerializeCatalog(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"axml/internal/workload"
 	"axml/internal/xmltree"
 )
 
@@ -264,6 +265,54 @@ func TestDeltaForIncremental(t *testing.T) {
 	d3 := mustEvents(t, inc).AddedTrees()
 	if len(d3) != 1 || d3[0].TextContent() != "12" {
 		t.Errorf("delta3 = %v", texts(d3))
+	}
+}
+
+// TestDeltaForMatchesRecompute: on an insert-only stream the
+// incremental strategy emits, batch by batch, exactly the multiset the
+// recompute-and-diff baseline does.
+func TestDeltaForMatchesRecompute(t *testing.T) {
+	q := MustParse(`for $i in doc("c")/item where $i/price < 50 return <hit>{$i/name/text()}</hit>`)
+	stream := func() (*xmltree.Node, *Env) {
+		cat := workload.Catalog(workload.CatalogSpec{Items: 500, PriceMax: 100, Seed: 21})
+		return cat, &Env{Resolve: func(string) (*xmltree.Node, error) { return cat, nil }}
+	}
+	recCat, recEnv := stream()
+	incCat, incEnv := stream()
+	rec := NewRecompute(q, recEnv)
+	inc, ok := NewDeltaFor(q, incEnv)
+	if !ok {
+		t.Fatal("NewDeltaFor rejected the query")
+	}
+	for b := 0; b <= 8; b++ {
+		for k := 0; b > 0 && k < 5; k++ {
+			for _, cat := range []*xmltree.Node{recCat, incCat} {
+				cat.AppendChild(xmltree.E("item",
+					xmltree.A("id", fmt.Sprintf("new-%d-%d", b, k)),
+					xmltree.E("name", fmt.Sprintf("fresh-%d-%d", b, k)),
+					xmltree.E("price", fmt.Sprint((b*5+k)%100))))
+			}
+		}
+		want, err := rec.Delta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := mustEvents(t, inc).AddedTrees()
+		counts := map[xmltree.Digest]int{}
+		for _, n := range want {
+			counts[xmltree.Hash(n)]++
+		}
+		for _, n := range got {
+			counts[xmltree.Hash(n)]--
+		}
+		for _, c := range counts {
+			if c != 0 {
+				t.Fatalf("batch %d: incremental emitted %v, recompute %v", b, texts(got), texts(want))
+			}
+		}
+		if b == 0 && len(want) == 0 {
+			t.Fatal("the initial delta is empty")
+		}
 	}
 }
 

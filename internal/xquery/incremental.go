@@ -23,8 +23,7 @@ import (
 // beyond that fragment by also emitting *retractions* — withdrawals of
 // previously emitted results — when a source node is deleted or updated
 // in place (DeltaEvents), so view maintenance stays correct under
-// general updates. Experiment E7 compares the strategies on insert-only
-// streams; E12 measures provenance-based maintenance under churn.
+// general updates.
 
 // Lineage identifies one source node for delta provenance. Nodes of
 // installed documents are identified by their peer-stable NodeID;

@@ -173,3 +173,17 @@ func BenchmarkEvalDrain(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFLWROrderBy evaluates a selection with an order by, which
+// materializes every tuple before the first row.
+func BenchmarkFLWROrderBy(b *testing.B) {
+	tree := workload.Catalog(workload.CatalogSpec{Items: 500, PriceMax: 100, Seed: 1})
+	env := &Env{Resolve: func(string) (*xmltree.Node, error) { return tree, nil }}
+	q := MustParse(`for $i in doc("c")/item where $i/price < 50 order by $i/price return <r>{$i/name}</r>`)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := q.Eval(env); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

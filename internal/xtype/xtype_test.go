@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"axml/internal/workload"
 	"axml/internal/xmltree"
 )
 
@@ -397,5 +398,25 @@ func TestNilSignatureAccepts(t *testing.T) {
 	}
 	if err := sig.CheckOutput(xmltree.E("y")); err != nil {
 		t.Error("nil signature should accept any output")
+	}
+}
+
+// BenchmarkGlushkovValidate checks a 200-item catalog against its
+// schema with the compiled Glushkov automata.
+func BenchmarkGlushkovValidate(b *testing.B) {
+	schema := MustParseSchema(`
+root catalog
+catalog := item*
+item := (name, price, desc?) @id @cat
+name := #PCDATA
+price := #PCDATA
+desc := #PCDATA
+`)
+	tree := workload.Catalog(workload.CatalogSpec{Items: 200, PriceMax: 100, DescWords: 3, Seed: 1})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !schema.Valid(tree) {
+			b.Fatal("invalid")
+		}
 	}
 }

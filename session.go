@@ -65,8 +65,7 @@ var (
 // no view rewriting, no plan cache.
 func WithNoOptimize() QueryOption { return session.WithNoOptimize() }
 
-// WithNoPlanCache re-runs the optimizer even when a cached plan exists
-// (the optimize-every-time baseline of experiment E13).
+// WithNoPlanCache re-runs the optimizer even when a cached plan exists.
 func WithNoPlanCache() QueryOption { return session.WithNoPlanCache() }
 
 // WithConsistentView refreshes every materialized view the chosen plan
