@@ -33,7 +33,7 @@ func TestListAnalyzers(t *testing.T) {
 			t.Errorf("line for %q missing doc", name)
 		}
 	}
-	for _, want := range []string{"lockorder", "goleak", "spanend", "closeguard", "lockedcall", "senterr", "atomicfield", "ctxflow"} {
+	for _, want := range []string{"lockorder", "goleak", "spanend", "closeguard", "lockedcall", "senterr", "ctxflow"} {
 		if !seen[want] {
 			t.Errorf("suite missing %q", want)
 		}

@@ -73,7 +73,6 @@ func main() {
 	if _, err := sys.PumpSubscriptions(); err != nil {
 		log.Fatal(err)
 	}
-	sys.Net.Quiesce()
 
 	fmt.Println("after market update (one new deal streamed in):")
 	fmt.Println(axml.SerializeXMLIndent(inbox.Root))

@@ -8,7 +8,6 @@
 // Analyzers encode repo invariants that reviews kept rediscovering by
 // hand (see cmd/axmlvet):
 //
-//	atomicfield  mixed atomic/plain access to the same struct field
 //	ctxflow      ctx-taking functions that drop ctx or pass Background()
 //	lockedcall   network calls / channel sends while holding a mutex
 //	lockorder    inconsistent mutex acquisition order across the module
@@ -198,7 +197,6 @@ func RunModuleAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, e
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AtomicField,
 		CtxFlow,
 		LockedCall,
 		LockOrder,

@@ -30,22 +30,21 @@ func testFixture(t *testing.T, a *Analyzer, pkg string) {
 	}
 }
 
-func TestAtomicField(t *testing.T) { testFixture(t, AtomicField, "atomicfield") }
-func TestCtxFlow(t *testing.T)     { testFixture(t, CtxFlow, "ctxflow") }
-func TestLockedCall(t *testing.T)  { testFixture(t, LockedCall, "lockedcall") }
-func TestLockOrder(t *testing.T)   { testFixture(t, LockOrder, "lockorder") }
-func TestSpanEnd(t *testing.T)     { testFixture(t, SpanEnd, "spanend") }
-func TestEpochPin(t *testing.T)    { testFixture(t, EpochPin, "epochpin") }
-func TestCloseGuard(t *testing.T)  { testFixture(t, CloseGuard, "closeguard") }
-func TestGoLeak(t *testing.T)      { testFixture(t, GoLeak, "goleak") }
-func TestSentErr(t *testing.T)     { testFixture(t, SentErr, "senterr") }
+func TestCtxFlow(t *testing.T)    { testFixture(t, CtxFlow, "ctxflow") }
+func TestLockedCall(t *testing.T) { testFixture(t, LockedCall, "lockedcall") }
+func TestLockOrder(t *testing.T)  { testFixture(t, LockOrder, "lockorder") }
+func TestSpanEnd(t *testing.T)    { testFixture(t, SpanEnd, "spanend") }
+func TestEpochPin(t *testing.T)   { testFixture(t, EpochPin, "epochpin") }
+func TestCloseGuard(t *testing.T) { testFixture(t, CloseGuard, "closeguard") }
+func TestGoLeak(t *testing.T)     { testFixture(t, GoLeak, "goleak") }
+func TestSentErr(t *testing.T)    { testFixture(t, SentErr, "senterr") }
 
 // TestAnalyzerNames pins the published names: //axmlvet:ignore comments
 // in the tree reference them, so renames are breaking changes. Names
 // must also be unique — the -run filter, baseline keys, and ignore
 // comments all key on them.
 func TestAnalyzerNames(t *testing.T) {
-	want := []string{"atomicfield", "ctxflow", "lockedcall", "lockorder", "spanend", "epochpin", "closeguard", "goleak", "senterr"}
+	want := []string{"ctxflow", "lockedcall", "lockorder", "spanend", "epochpin", "closeguard", "goleak", "senterr"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(got), len(want))

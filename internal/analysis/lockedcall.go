@@ -44,7 +44,6 @@ var LockedCall = &Analyzer{
 var NetworkEntrypoints = []string{
 	"(*axml/internal/netsim.Network).Call",
 	"(*axml/internal/netsim.Network).CallCtx",
-	"(*axml/internal/netsim.Network).Send",
 	"(*axml/internal/wire.Client).",
 	"(*axml/internal/core.System).ShipForest",
 	"(*axml/internal/view.Manager).Migrate",

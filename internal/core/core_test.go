@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -190,6 +191,35 @@ func TestSendToNodes(t *testing.T) {
 	}
 	if doc.Version < 2 {
 		t.Error("document version not bumped")
+	}
+}
+
+// TestShipLandsAllOrNothing: a shipped forest lands as one transaction.
+// A tombstone for a node that is not there fails the landing, and the
+// rows before it in the forest do not land either, whether the forest
+// crossed the network or not.
+func TestShipLandsAllOrNothing(t *testing.T) {
+	sys, p1, p2 := twoPeerSystem(t)
+	doc, _ := p2.Document("catalog")
+	ref := peer.NodeRef{Peer: p2.ID, Node: doc.Root.ID}
+	forest := []*xmltree.Node{xmltree.E("row"), xmltree.E("row"), Retraction(99999)}
+	for _, from := range []netsim.PeerID{p1.ID, p2.ID} {
+		epoch, text := p2.Epoch(), xmltree.Serialize(doc.Root)
+		if _, err := sys.ShipForest(context.Background(), from, ref, forest, 0); err == nil {
+			t.Fatalf("from %s: a tombstone for an absent node landed", from)
+		}
+		if p2.Epoch() != epoch || xmltree.Serialize(doc.Root) != text {
+			t.Errorf("from %s: the failed landing left %s at epoch %d (was %d)",
+				from, xmltree.Serialize(doc.Root), p2.Epoch(), epoch)
+		}
+	}
+	// The rows alone land together, as one epoch.
+	epoch := p2.Epoch()
+	if _, err := sys.ShipForest(context.Background(), p1.ID, ref, forest[:2], 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(doc.Root.ChildElementsByLabel("row")); got != 2 || p2.Epoch() != epoch+1 {
+		t.Errorf("%d rows landed over %d epochs, want 2 over 1", got, p2.Epoch()-epoch)
 	}
 }
 
@@ -571,7 +601,6 @@ func TestContinuousServiceStreams(t *testing.T) {
 	if n > 1 {
 		t.Errorf("pumped %d new results, want at most 1", n)
 	}
-	sys.Net.Quiesce()
 	if got := len(resultsDoc.Root.ChildElementsByLabel("hit")); got != 3 {
 		t.Errorf("hits after update = %d, want 3: %s", got, xmltree.Serialize(resultsDoc.Root))
 	}

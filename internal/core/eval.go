@@ -606,7 +606,7 @@ func (s *System) shipData(ctx context.Context, from netsim.PeerID, ref peer.Node
 		if !ok {
 			return 0, fmt.Errorf("core: unknown peer %q", from)
 		}
-		if err := landForest(target, ref.Node, forest); err != nil {
+		if err := target.Write(func(tx *peer.Tx) error { return landForest(tx, ref.Node, forest) }); err != nil {
 			return 0, err
 		}
 		s.Net.ObserveVT(vt)
@@ -630,38 +630,37 @@ func (s *System) shipData(ctx context.Context, from netsim.PeerID, ref peer.Node
 	return doneVT, nil
 }
 
-// landForest applies the trees of a forest at the target node,
-// unwrapping x:raw carriers. Ordinary trees are added as children
-// (definition (4)); the maintenance tombstone x:retract instead removes
-// an existing child of the target, which is how view maintenance
-// withdraws rows whose base provenance disappeared without re-shipping
-// the whole materialization.
-func landForest(target *peer.Peer, node xmltree.NodeID, forest []*xmltree.Node) error {
+// landForest applies the trees of a forest at the target node within
+// one transaction, so the whole forest lands as one epoch or, when any
+// tree fails, not at all. x:raw carriers are unwrapped. Ordinary trees
+// are added as children (definition (4)); the maintenance tombstone
+// x:retract instead removes an existing child of the target, which is
+// how view maintenance withdraws rows whose base provenance disappeared
+// without re-shipping the whole materialization.
+func landForest(tx *peer.Tx, node xmltree.NodeID, forest []*xmltree.Node) error {
 	for _, n := range forest {
-		if n.Kind == xmltree.ElementNode && n.Label == "x:raw" {
-			if err := landForest(target, node, n.Children); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := landOne(target, node, n); err != nil {
+		if err := landOne(tx, node, n); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// landOne applies a single landed tree: a tombstone removes an
-// existing child of the target, anything else is added as a new child.
-func landOne(target *peer.Peer, node xmltree.NodeID, n *xmltree.Node) error {
-	if n.Kind == xmltree.ElementNode && n.Label == "x:retract" {
+// landOne applies a single landed tree: a carrier lands its content, a
+// tombstone removes an existing child of the target, anything else is
+// added as a new child.
+func landOne(tx *peer.Tx, node xmltree.NodeID, n *xmltree.Node) error {
+	switch {
+	case n.Kind == xmltree.ElementNode && n.Label == "x:raw":
+		return landForest(tx, node, n.Children)
+	case n.Kind == xmltree.ElementNode && n.Label == "x:retract":
 		child, err := tombstoneTarget(n)
 		if err != nil {
 			return err
 		}
-		return target.RemoveChildByID(node, child)
+		return tx.Remove(node, child)
 	}
-	return target.AddChild(node, xmltree.DeepCopy(n))
+	return tx.Append(node, xmltree.DeepCopy(n))
 }
 
 // tombstoneTarget reads the node="<id>" attribute of a maintenance

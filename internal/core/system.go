@@ -195,8 +195,7 @@ func (s *System) tracef(format string, args ...any) {
 	}
 }
 
-// Close cancels all continuous subscriptions and waits for stream
-// deliveries to settle.
+// Close cancels all continuous subscriptions.
 func (s *System) Close() {
 	s.mu.Lock()
 	subs := s.subs
@@ -205,7 +204,6 @@ func (s *System) Close() {
 	for _, sub := range subs {
 		sub.stop()
 	}
-	s.Net.Quiesce()
 }
 
 // peerHandler adapts a peer to the netsim.Handler interface and
@@ -216,7 +214,6 @@ func (s *System) Close() {
 //	"call"     Call  body = <x:call> … </x:call> → "result" forest
 //	"deploy"   Call  body = <x:deploy>      → "ok"
 //	"fetchq"   Call  body = <x:fetchq name>  → "query" text
-//	"data"     Send  body = <x:data>        (one-way stream push)
 type peerHandler struct {
 	sys  *System
 	peer *peer.Peer
@@ -263,25 +260,6 @@ func (h *peerHandler) HandleCallCtx(ctx context.Context, msg netsim.Message, arr
 		return h.handleFetchQuery(msg, arriveVT)
 	default:
 		return nil, "", 0, fmt.Errorf("core: peer %s: unknown call kind %q", h.peer.ID, msg.Kind)
-	}
-}
-
-func (h *peerHandler) HandleAsync(msg netsim.Message, arriveVT float64) {
-	if msg.Kind != "data" {
-		return
-	}
-	root, err := xmltree.Parse(string(msg.Body))
-	if err != nil || root.Label != "x:data" {
-		return
-	}
-	refStr, _ := root.Attr("target")
-	ref, err := peer.ParseNodeRef(refStr)
-	if err != nil {
-		return
-	}
-	h.sys.Net.ObserveVT(arriveVT)
-	for _, c := range root.ChildElements() {
-		_ = h.peer.AddChild(ref.Node, xmltree.DeepCopy(c))
 	}
 }
 

@@ -13,9 +13,9 @@
 // finished. The makespan of an evaluation is the largest VT it
 // produced.
 //
-// Peers are addressed by PeerID. Two interaction styles are provided:
-// asynchronous one-way Send (streams, forwarded results) and blocking
-// request/response Call (evaluation delegation). Both are accounted.
+// Peers are addressed by PeerID and interact by blocking
+// request/response Call: delegated evaluation, shipped data and service
+// calls alike, each leg accounted.
 package netsim
 
 import (
@@ -33,7 +33,7 @@ type PeerID string
 // engine uses serialized XML); its length is the accounted size.
 type Message struct {
 	From, To PeerID
-	Kind     string // application-level tag, e.g. "eval", "data", "call"
+	Kind     string // application-level tag, e.g. "eval", "ship", "call"
 	Body     []byte
 	VT       float64 // virtual send time, ms
 }
@@ -50,9 +50,6 @@ const EnvelopeOverhead = 64
 
 // Handler is implemented by peers to receive traffic.
 type Handler interface {
-	// HandleAsync processes a one-way message. arriveVT is the virtual
-	// time at which the message reached the peer.
-	HandleAsync(msg Message, arriveVT float64)
 	// HandleCall processes a request and returns a reply payload along
 	// with the virtual time at which the reply was ready (≥ arriveVT;
 	// it includes local compute and any nested remote work).
@@ -101,7 +98,6 @@ type Network struct {
 	deflink  Link
 	realtime float64 // wall-clock ms slept per virtual ms (0 = instant)
 	stats    Stats
-	wg       sync.WaitGroup
 }
 
 // New creates an empty network with the default link profile.
@@ -204,10 +200,10 @@ func (n *Network) Peers() []PeerID {
 	return out
 }
 
-// ErrUnknownPeer is returned for sends to unregistered peers.
+// ErrUnknownPeer is returned for calls to unregistered peers.
 var ErrUnknownPeer = errors.New("netsim: unknown peer")
 
-// ErrPeerDown is returned for sends to peers marked down.
+// ErrPeerDown is returned for calls to peers marked down.
 var ErrPeerDown = errors.New("netsim: peer down")
 
 // ErrAckLost marks a call whose request was delivered and handled but
@@ -237,35 +233,6 @@ func (n *Network) lookup(msg *Message) (Handler, Link, error) {
 // paper's expressions frequently evaluate sub-expressions in place;
 // only genuine cross-peer transfers are accounted.
 func (n *Network) isLocal(msg *Message) bool { return msg.From == msg.To }
-
-// Send delivers a one-way message asynchronously. The handler runs in
-// its own goroutine; use Quiesce to wait for cascades to settle.
-func (n *Network) Send(msg Message) error {
-	if n.isLocal(&msg) {
-		h, _, err := n.lookup(&msg)
-		if err != nil {
-			return err
-		}
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			h.HandleAsync(msg, msg.VT)
-		}()
-		return nil
-	}
-	h, link, err := n.lookup(&msg)
-	if err != nil {
-		return err
-	}
-	arrive := msg.VT + link.transferMs(msg.Size())
-	n.account(&msg, arrive)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		h.HandleAsync(msg, arrive)
-	}()
-	return nil
-}
 
 // Call delivers a request and blocks for the reply. The returned VT is
 // the virtual time at which the reply arrived back at the caller.
@@ -328,10 +295,6 @@ func (n *Network) CallCtx(ctx context.Context, msg Message) (body []byte, kind s
 	return rbody, rkind, respVT, nil
 }
 
-// Quiesce blocks until all in-flight asynchronous deliveries (and the
-// cascades they trigger) have completed.
-func (n *Network) Quiesce() { n.wg.Wait() }
-
 // account records a completed transfer.
 func (n *Network) account(msg *Message, arriveVT float64) {
 	n.mu.Lock()
@@ -386,7 +349,7 @@ func (n *Network) ObserveVT(vt float64) {
 // LinkStats aggregates one direction of one link. ByKind splits the
 // byte total by application-level message kind ("eval" for delegated
 // work and shipped query results, "ship" for view-maintenance and
-// data-landing transfers, "call"/"data"/… for the rest), so observers
+// data-landing transfers, "call"/"deploy"/… for the rest), so observers
 // can distinguish query traffic from maintenance traffic on a link.
 type LinkStats struct {
 	Messages int64
@@ -408,8 +371,8 @@ type Stats struct {
 // section of the network's lock — the same lock every account() holds —
 // so it is a consistent cut of all netsim counters: Messages, Bytes,
 // MaxVT and every PerLink entry reflect exactly the same set of
-// completed transfers. A transfer is accounted atomically when its leg
-// completes (arrival for sends, each leg of a call); aborted legs are
+// completed transfers. A transfer is accounted atomically when a leg
+// of its call completes; aborted legs are
 // never accounted. All counters are monotone between ResetStats calls.
 func (n *Network) Stats() Stats {
 	n.mu.Lock()

@@ -3,88 +3,20 @@ package netsim
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// echoHandler records async messages and answers calls with a fixed
-// payload after a fixed compute cost.
+// echoHandler answers calls with a fixed payload after a fixed compute
+// cost.
 type echoHandler struct {
-	mu       sync.Mutex
-	received []Message
-	arrives  []float64
-	reply    []byte
-	cost     float64
-}
-
-func (h *echoHandler) HandleAsync(msg Message, arriveVT float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.received = append(h.received, msg)
-	h.arrives = append(h.arrives, arriveVT)
+	reply []byte
+	cost  float64
 }
 
 func (h *echoHandler) HandleCall(msg Message, arriveVT float64) ([]byte, string, float64, error) {
 	return h.reply, "reply", arriveVT + h.cost, nil
-}
-
-func TestSendDelivers(t *testing.T) {
-	n := New()
-	h := &echoHandler{}
-	if err := n.Register("a", &echoHandler{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Register("b", h); err != nil {
-		t.Fatal(err)
-	}
-	n.SetLink("a", "b", Link{LatencyMs: 10, BytesPerMs: 100})
-
-	body := make([]byte, 936) // 936+64 envelope = 1000 bytes → 10ms transfer
-	if err := n.Send(Message{From: "a", To: "b", Kind: "k", Body: body, VT: 5}); err != nil {
-		t.Fatal(err)
-	}
-	n.Quiesce()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.received) != 1 {
-		t.Fatalf("received %d messages", len(h.received))
-	}
-	// arrive = 5 (send) + 10 (latency) + 1000/100 (transfer) = 25
-	if got := h.arrives[0]; got != 25 {
-		t.Errorf("arriveVT = %v, want 25", got)
-	}
-	st := n.Stats()
-	if st.Messages != 1 || st.Bytes != 1000 {
-		t.Errorf("stats = %+v", st)
-	}
-	if st.MaxVT != 25 {
-		t.Errorf("MaxVT = %v", st.MaxVT)
-	}
-	if st.PerLink["a"]["b"].Messages != 1 {
-		t.Errorf("per-link stats missing")
-	}
-}
-
-func TestLocalSendIsFree(t *testing.T) {
-	n := New()
-	h := &echoHandler{}
-	if err := n.Register("a", h); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Send(Message{From: "a", To: "a", Kind: "k", Body: []byte("x"), VT: 7}); err != nil {
-		t.Fatal(err)
-	}
-	n.Quiesce()
-	if st := n.Stats(); st.Messages != 0 || st.Bytes != 0 {
-		t.Errorf("local send should not be accounted: %+v", st)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.received) != 1 || h.arrives[0] != 7 {
-		t.Errorf("local delivery wrong: %v", h.arrives)
-	}
 }
 
 func TestCallRoundTrip(t *testing.T) {
@@ -139,7 +71,7 @@ func TestUnknownAndDownPeers(t *testing.T) {
 	if err := n.Register("a", &echoHandler{}); err != nil {
 		t.Fatal(err)
 	}
-	err := n.Send(Message{From: "a", To: "ghost"})
+	_, _, _, err := n.Call(Message{From: "a", To: "ghost"})
 	if !errors.Is(err, ErrUnknownPeer) {
 		t.Errorf("want ErrUnknownPeer, got %v", err)
 	}
@@ -147,18 +79,13 @@ func TestUnknownAndDownPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.SetDown("b", true)
-	err = n.Send(Message{From: "a", To: "b"})
-	if !errors.Is(err, ErrPeerDown) {
+	if _, _, _, err := n.Call(Message{From: "a", To: "b"}); !errors.Is(err, ErrPeerDown) {
 		t.Errorf("want ErrPeerDown, got %v", err)
 	}
-	if _, _, _, err := n.Call(Message{From: "a", To: "b"}); !errors.Is(err, ErrPeerDown) {
-		t.Errorf("Call want ErrPeerDown, got %v", err)
-	}
 	n.SetDown("b", false)
-	if err := n.Send(Message{From: "a", To: "b"}); err != nil {
+	if _, _, _, err := n.Call(Message{From: "a", To: "b"}); err != nil {
 		t.Errorf("recovered peer should accept: %v", err)
 	}
-	n.Quiesce()
 }
 
 func TestDuplicateRegister(t *testing.T) {
@@ -175,55 +102,6 @@ func TestDuplicateRegister(t *testing.T) {
 	}
 }
 
-// cascadeHandler forwards each message once to the next peer, to test
-// that Quiesce waits for cascades.
-type cascadeHandler struct {
-	n     *Network
-	next  PeerID
-	count *atomic.Int64
-}
-
-func (h *cascadeHandler) HandleAsync(msg Message, arriveVT float64) {
-	h.count.Add(1)
-	if h.next != "" {
-		_ = h.n.Send(Message{From: msg.To, To: h.next, Kind: msg.Kind, Body: msg.Body, VT: arriveVT})
-	}
-}
-
-func (h *cascadeHandler) HandleCall(Message, float64) ([]byte, string, float64, error) {
-	return nil, "", 0, errors.New("not used")
-}
-
-func TestQuiesceWaitsForCascade(t *testing.T) {
-	n := New()
-	var count atomic.Int64
-	peers := PeerNames("p", 10)
-	for i, p := range peers {
-		next := PeerID("")
-		if i+1 < len(peers) {
-			next = peers[i+1]
-		}
-		if err := n.Register(p, &cascadeHandler{n: n, next: next, count: &count}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := n.Send(Message{From: "p0", To: "p1", Kind: "go", VT: 0}); err != nil {
-		t.Fatal(err)
-	}
-	n.Quiesce()
-	if got := count.Load(); got != 9 {
-		t.Errorf("cascade visited %d peers, want 9", got)
-	}
-	st := n.Stats()
-	if st.Messages != 9 {
-		t.Errorf("messages = %d, want 9", st.Messages)
-	}
-	// Each hop adds default 1ms latency + transfer time; VT grows monotonically.
-	if st.MaxVT <= 0 {
-		t.Errorf("MaxVT = %v", st.MaxVT)
-	}
-}
-
 func TestResetStats(t *testing.T) {
 	n := New()
 	if err := n.Register("a", &echoHandler{}); err != nil {
@@ -232,10 +110,9 @@ func TestResetStats(t *testing.T) {
 	if err := n.Register("b", &echoHandler{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Send(Message{From: "a", To: "b"}); err != nil {
+	if _, _, _, err := n.Call(Message{From: "a", To: "b"}); err != nil {
 		t.Fatal(err)
 	}
-	n.Quiesce()
 	n.ResetStats()
 	if st := n.Stats(); st.Messages != 0 || st.Bytes != 0 || st.MaxVT != 0 {
 		t.Errorf("stats not reset: %+v", st)
@@ -350,7 +227,6 @@ func TestCallCtxLegClassification(t *testing.T) {
 
 type countingHandler struct{ hits *atomic.Int64 }
 
-func (h *countingHandler) HandleAsync(Message, float64) {}
 func (h *countingHandler) HandleCall(Message, float64) ([]byte, string, float64, error) {
 	h.hits.Add(1)
 	return []byte("ok"), "reply", 0, nil

@@ -10,12 +10,12 @@ import (
 
 // benchStore is a peer holding a 2,000-item catalog, and the price node
 // of an item in its middle.
-func benchStore(b *testing.B) (*Peer, xmltree.NodeID) {
-	b.Helper()
+func benchStore(tb testing.TB) (*Peer, xmltree.NodeID) {
+	tb.Helper()
 	p := New("store")
 	root := workload.Catalog(workload.CatalogSpec{Items: 2000, PriceMax: 1000, DescWords: 4, Seed: 7})
 	if err := p.InstallDocument("catalog", root); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return p, root.Children[1000].FirstChildElement("price").ID
 }

@@ -3,14 +3,21 @@
 // services. A peer owns its trees — every node of an installed
 // document gets an identifier unique within the peer, so that global
 // node references n@p (the targets of forw lists and send expressions)
-// can be resolved. Mutations go through the peer so that the node
-// index stays consistent and document watchers fire.
+// can be resolved.
+//
+// The store changes only through transactions (Peer.Write, tx.go). A
+// transaction's edits — a statement's selection, a shipped forest with
+// its tombstones, one single-node write — copy each root-to-target
+// spine node once, and publish together as one store epoch: one new
+// root per document written, one change-feed record per edit, one wake
+// per watcher. Published trees are never written, so a Snapshot reader
+// and a live Resolver reader see a transaction entirely or not at all;
+// a failed transaction leaves no trace.
 package peer
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,9 +58,10 @@ func ParseNodeRef(s string) (NodeRef, error) {
 
 // Document is a named tree d@p. The descriptor is live: Root always
 // points at the newest epoch's root and is swapped — never mutated in
-// place — on each committed write, so a published root and everything
-// below it is immutable. Callers that need a stable multi-document
-// view across reads use Peer.Snapshot instead of holding Root.
+// place — by each transaction that writes it, so a published root and
+// everything below it is immutable. Callers that need a stable
+// multi-document view across reads use Peer.Snapshot instead of holding
+// Root.
 type Document struct {
 	Name    string
 	Root    *xmltree.Node
@@ -78,76 +86,40 @@ func (p *published) nodeCount() int {
 	return p.nodes
 }
 
-// ChangeKind discriminates typed document-change events.
-type ChangeKind uint8
-
-const (
-	// ChangeInsert: a subtree was added (AddChild, InsertAfter).
-	ChangeInsert ChangeKind = iota + 1
-	// ChangeDelete: a subtree was removed (RemoveChildByID).
-	ChangeDelete
-	// ChangeReplace: a subtree was swapped in place (ReplaceChildByID,
-	// ReplaceChildren — for the bulk form Node is the parent).
-	ChangeReplace
-	// ChangeTouch: a version bump without structural detail (Touch).
-	ChangeTouch
-)
-
-func (k ChangeKind) String() string {
-	switch k {
-	case ChangeInsert:
-		return "insert"
-	case ChangeDelete:
-		return "delete"
-	case ChangeReplace:
-		return "replace"
-	case ChangeTouch:
-		return "touch"
-	default:
-		return "change"
-	}
-}
-
-// Change is the record of one commit: what happened, to which
-// document, the identifier of the affected subtree root (the
-// inserted/replacing tree for inserts and replaces, the removed tree
-// for deletes; zero for Touch), and — the embedded Commit — the store
-// epoch it committed as and the node identifiers it touched. A reader
-// holding a Snapshot handle with an equal or later epoch already sees
-// it. The Commit part is what the document's change feed keeps
-// (Handle.Changes): exact, ordered and bounded. Watch channels carry
-// the same record but coalesce under backpressure — a received Change
-// means "at least this happened since you last looked" — so consumers
-// that need exactness (view maintenance) read the feed, not the channel.
+// Change wakes a watcher: a transaction wrote the named document and
+// published it as Epoch. Watch channels coalesce under backpressure — a
+// received Change means "at least this happened since you last looked"
+// — so consumers that need to know what was written read the document's
+// change feed (Handle.Changes), which is exact, ordered and bounded.
 type Change struct {
-	Kind ChangeKind
-	Doc  string
-	Node xmltree.NodeID
-	xmltree.Commit
+	Doc   string
+	Epoch uint64
 }
 
-// feedLen bounds the change feed of one document. A consumer that
-// falls further behind than this re-derives from the document, which
-// costs what every refresh cost before the feed existed.
+// feedLen bounds the change feed of one document, in transactions. A
+// consumer that falls further behind than this re-derives from the
+// document, which costs what every refresh cost before the feed existed.
 const feedLen = 256
 
-// feed is the change feed of one document: a ring of the last feedLen
-// commits, oldest at ring[start]. Every commit to the document after
-// epoch floor is in the ring, so a reader whose state reflects an epoch
-// at or past floor can catch up from it alone.
+// feed is the change feed of one document: a ring holding, for each of
+// the last feedLen transactions that wrote it, one commit record per
+// edit (all carrying the transaction's epoch), oldest at ring[start].
+// Every commit to the document after epoch floor is in the ring, so a
+// reader whose state reflects an epoch at or past floor can catch up
+// from it alone.
 type feed struct {
-	ring  []xmltree.Commit
+	ring  [][]xmltree.Commit
 	start int
 	floor uint64
 }
 
-func (f *feed) push(c xmltree.Commit) {
+func (f *feed) push(tx []xmltree.Commit) {
 	if len(f.ring) < feedLen {
-		f.ring = append(f.ring, c)
+		f.ring = append(f.ring, tx)
 		return
 	}
-	f.floor = f.ring[f.start].Epoch
-	f.ring[f.start] = c
+	f.floor = f.ring[f.start][0].Epoch
+	f.ring[f.start] = tx
 	f.start = (f.start + 1) % feedLen
 }
 
@@ -158,12 +130,12 @@ func (f *feed) since(after, upto uint64) (out []xmltree.Commit, ok bool) {
 		return nil, false
 	}
 	for i := range f.ring {
-		c := &f.ring[(f.start+i)%len(f.ring)]
-		if c.Epoch > upto {
+		tx := f.ring[(f.start+i)%len(f.ring)]
+		if tx[0].Epoch > upto {
 			break
 		}
-		if c.Epoch > after {
-			out = append(out, *c)
+		if tx[0].Epoch > after {
+			out = append(out, tx...)
 		}
 	}
 	return out, true
@@ -194,10 +166,13 @@ type Peer struct {
 	idgen    xmltree.SeqIDGen
 	index    map[xmltree.NodeID]indexEntry
 	watchers map[string][]chan Change
-	// epoch counts committed mutations across the whole store. Every
-	// write publishes a new root for the touched document and bumps it;
+	// epoch counts committed transactions across the whole store. Every
+	// one publishes a new root for each document it wrote and bumps it;
 	// Snapshot captures it so readers can name the version they saw.
 	epoch uint64
+	// tx is the transaction Write hands to its callback, kept between
+	// writes so a small one allocates nothing of its own.
+	tx Tx
 
 	// pinMu guards the epoch pin table (see snapshot.go).
 	pinMu sync.Mutex
@@ -249,17 +224,14 @@ func (p *Peer) RemoveDocument(name string) error {
 	if !ok {
 		return fmt.Errorf("peer %s: %w: %q", p.ID, ErrNoSuchDoc, name)
 	}
-	doc.Root.Walk(func(n *xmltree.Node) bool {
-		delete(p.index, n.ID)
-		return true
-	})
+	p.deindex(doc.Root)
 	delete(p.docs, name)
 	p.epoch++
 	return nil
 }
 
 // Document returns the named document. The returned root must be
-// treated as read-only by callers; mutations go through peer methods.
+// treated as read-only by callers; mutations go through Peer.Write.
 // The descriptor is live (Root tracks the newest epoch) — readers that
 // must not observe concurrent writes pin a Snapshot handle instead.
 func (p *Peer) Document(name string) (*Document, bool) {
@@ -321,227 +293,30 @@ func (p *Peer) DocumentOfNode(id xmltree.NodeID) (string, bool) {
 	return e.doc, ok
 }
 
-// AddChild appends tree as a new child of the identified node. The
-// peer takes ownership of the tree (fresh IDs, indexed). Watchers of
-// the owning document are notified. This is the landing operation of
+// AddChild appends tree as a new child of the identified node: a
+// transaction of one Tx.Append. This is the landing operation of
 // definition (4): the sent tree is "added as a child of n@p".
-//
-// Like every structural mutation, the write is copy-on-write: the
-// spine from the document root down to the target is cloned, the rest
-// of the tree is shared structurally with the previous epoch, and the
-// new root is published by swapping the document's root pointer.
-// Snapshot handles pinned before the call keep seeing the old epoch.
 func (p *Peer) AddChild(parent xmltree.NodeID, tree *xmltree.Node) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.index[parent]
-	if !ok {
-		return fmt.Errorf("peer %s: no node n%d", p.ID, parent)
-	}
-	if e.node.Kind != xmltree.ElementNode {
-		return fmt.Errorf("peer %s: node n%d cannot take children", p.ID, parent)
-	}
-	if e.doc == "" {
-		// Detached anchors (FreshAnchor) are not published documents:
-		// mutate in place, no epoch, no watchers.
-		p.adopt(tree, "", parent)
-		e.node.AppendChild(tree)
-		return nil
-	}
-	newRoot, target, commit, err := p.cowSpineLocked(e.doc, parent)
-	if err != nil {
-		return err
-	}
-	p.adopt(tree, e.doc, parent)
-	target.AppendChild(tree)
-	commit.Added = tree.ID
-	p.publishLocked(e.doc, newRoot, Change{Kind: ChangeInsert, Doc: e.doc, Node: tree.ID, Commit: commit})
-	return nil
+	return p.Write(func(tx *Tx) error { return tx.Append(parent, tree) })
 }
 
-// InsertAfter inserts tree as the next sibling of the identified node
-// (the AXML placement of service results next to their sc node, §2.2).
-func (p *Peer) InsertAfter(ref xmltree.NodeID, tree *xmltree.Node) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.index[ref]
-	if !ok {
-		return fmt.Errorf("peer %s: no node n%d", p.ID, ref)
-	}
-	if e.parent == 0 {
-		return fmt.Errorf("peer %s: node n%d has no parent", p.ID, ref)
-	}
-	if e.doc == "" {
-		pe := p.index[e.parent]
-		p.adopt(tree, "", e.parent)
-		return pe.node.InsertAfter(e.node, tree)
-	}
-	newRoot, target, commit, err := p.cowSpineLocked(e.doc, e.parent)
-	if err != nil {
-		return err
-	}
-	i := childIndex(target, ref)
-	if i < 0 {
-		return fmt.Errorf("peer %s: node n%d vanished from its parent", p.ID, ref)
-	}
-	p.adopt(tree, e.doc, e.parent)
-	target.InsertChildAt(i+1, tree)
-	commit.Added = tree.ID
-	p.publishLocked(e.doc, newRoot, Change{Kind: ChangeInsert, Doc: e.doc, Node: tree.ID, Commit: commit})
-	return nil
-}
-
-// RemoveChildByID detaches the identified node from its parent,
-// de-indexes the whole subtree and notifies watchers with a delete
-// event. When parent is nonzero the node must currently be a child of
-// that node (the safety check used when retraction tombstones land);
-// parent zero removes the node from wherever it hangs. Document roots
-// cannot be removed this way (use RemoveDocument).
+// RemoveChildByID detaches the identified node from its parent: a
+// transaction of one Tx.Remove.
 func (p *Peer) RemoveChildByID(parent, child xmltree.NodeID) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.index[child]
-	if !ok {
-		return fmt.Errorf("peer %s: no node n%d", p.ID, child)
-	}
-	if e.parent == 0 {
-		return fmt.Errorf("peer %s: node n%d has no parent", p.ID, child)
-	}
-	if parent != 0 && e.parent != parent {
-		return fmt.Errorf("peer %s: node n%d is not a child of n%d", p.ID, child, parent)
-	}
-	if e.doc == "" {
-		pe := p.index[e.parent]
-		if !pe.node.RemoveChild(e.node) {
-			return fmt.Errorf("peer %s: node n%d vanished from its parent", p.ID, child)
-		}
-		e.node.Walk(func(n *xmltree.Node) bool {
-			delete(p.index, n.ID)
-			return true
-		})
-		return nil
-	}
-	newRoot, target, commit, err := p.cowSpineLocked(e.doc, e.parent)
-	if err != nil {
-		return err
-	}
-	i := childIndex(target, child)
-	if i < 0 {
-		return fmt.Errorf("peer %s: node n%d vanished from its parent", p.ID, child)
-	}
-	// Splice without touching the removed subtree: it is still shared
-	// with older epochs, so its Parent pointers must survive as-is.
-	target.Children = append(target.Children[:i], target.Children[i+1:]...)
-	e.node.Walk(func(n *xmltree.Node) bool {
-		delete(p.index, n.ID)
-		return true
-	})
-	commit.Removed = child
-	p.publishLocked(e.doc, newRoot, Change{Kind: ChangeDelete, Doc: e.doc, Node: child, Commit: commit})
-	return nil
+	return p.Write(func(tx *Tx) error { return tx.Remove(parent, child) })
 }
 
-// ReplaceChildByID swaps the identified node for tree in place
-// (position preserved). The old subtree is de-indexed, the new one
-// adopted (fresh IDs, indexed), and watchers are notified with a
-// replace event carrying the new subtree root's identifier. The same
-// parent check as RemoveChildByID applies.
+// ReplaceChildByID swaps the identified node for tree in place: a
+// transaction of one Tx.Replace.
 func (p *Peer) ReplaceChildByID(parent, child xmltree.NodeID, tree *xmltree.Node) error {
-	if tree == nil {
-		return fmt.Errorf("peer %s: ReplaceChildByID(nil)", p.ID)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.index[child]
-	if !ok {
-		return fmt.Errorf("peer %s: no node n%d", p.ID, child)
-	}
-	if e.parent == 0 {
-		return fmt.Errorf("peer %s: node n%d has no parent", p.ID, child)
-	}
-	if parent != 0 && e.parent != parent {
-		return fmt.Errorf("peer %s: node n%d is not a child of n%d", p.ID, child, parent)
-	}
-	if e.doc == "" {
-		pe := p.index[e.parent]
-		p.adopt(tree, "", e.parent)
-		if !pe.node.ReplaceChild(e.node, tree) {
-			return fmt.Errorf("peer %s: node n%d vanished from its parent", p.ID, child)
-		}
-		e.node.Walk(func(n *xmltree.Node) bool {
-			delete(p.index, n.ID)
-			return true
-		})
-		return nil
-	}
-	newRoot, target, commit, err := p.cowSpineLocked(e.doc, e.parent)
-	if err != nil {
-		return err
-	}
-	i := childIndex(target, child)
-	if i < 0 {
-		return fmt.Errorf("peer %s: node n%d vanished from its parent", p.ID, child)
-	}
-	e.node.Walk(func(n *xmltree.Node) bool {
-		delete(p.index, n.ID)
-		return true
-	})
-	p.adopt(tree, e.doc, e.parent)
-	tree.Parent = target
-	target.Children[i] = tree
-	commit.Removed, commit.Added = child, tree.ID
-	p.publishLocked(e.doc, newRoot, Change{Kind: ChangeReplace, Doc: e.doc, Node: tree.ID, Commit: commit})
-	return nil
+	return p.Write(func(tx *Tx) error { return tx.Replace(parent, child, tree) })
 }
 
-// ReplaceChildren atomically replaces the children of the identified
-// element with the given forest. The old subtrees are de-indexed, the
-// new ones adopted (fresh IDs, indexed), and watchers of the owning
-// document are notified once. View maintenance uses it for full
-// re-materialization.
+// ReplaceChildren replaces the children of the identified element with
+// the given forest: a transaction of one Tx.ReplaceChildren. View
+// maintenance uses it for full re-materialization.
 func (p *Peer) ReplaceChildren(id xmltree.NodeID, forest []*xmltree.Node) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.index[id]
-	if !ok {
-		return fmt.Errorf("peer %s: no node n%d", p.ID, id)
-	}
-	if e.node.Kind != xmltree.ElementNode {
-		return fmt.Errorf("peer %s: node n%d cannot take children", p.ID, id)
-	}
-	if e.doc == "" {
-		for _, c := range e.node.Children {
-			c.Walk(func(n *xmltree.Node) bool {
-				delete(p.index, n.ID)
-				return true
-			})
-		}
-		e.node.Children = nil
-		for _, tree := range forest {
-			p.adopt(tree, "", id)
-			e.node.AppendChild(tree)
-		}
-		return nil
-	}
-	newRoot, target, commit, err := p.cowSpineLocked(e.doc, id)
-	if err != nil {
-		return err
-	}
-	for _, c := range target.Children {
-		c.Walk(func(n *xmltree.Node) bool {
-			delete(p.index, n.ID)
-			return true
-		})
-	}
-	target.Children = nil
-	for _, tree := range forest {
-		p.adopt(tree, e.doc, id)
-		target.AppendChild(tree)
-	}
-	// The whole child list went: the commit names no subtree, and feed
-	// consumers re-derive from the document.
-	p.publishLocked(e.doc, newRoot, Change{Kind: ChangeReplace, Doc: e.doc, Node: id, Commit: commit})
-	return nil
+	return p.Write(func(tx *Tx) error { return tx.ReplaceChildren(id, forest) })
 }
 
 // ChildIDs returns the identifiers of the node's current children, in
@@ -564,7 +339,7 @@ func (p *Peer) ChildIDs(id xmltree.NodeID) ([]xmltree.NodeID, error) {
 // SelectIDs evaluates a query whose body is a bare path under the read
 // lock and returns the identifiers of the matched live nodes. It is
 // the addressing step of the update statements (delete/replace): the
-// caller turns the IDs into RemoveChildByID/ReplaceChildByID calls.
+// caller turns the IDs into the edits of one transaction.
 func (p *Peer) SelectIDs(q *xquery.Query) ([]xmltree.NodeID, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -588,13 +363,6 @@ func (p *Peer) SelectIDs(q *xquery.Query) ([]xmltree.NodeID, error) {
 	return out, nil
 }
 
-// adopt assigns IDs and indexes a subtree into the given document,
-// recording parent as the subtree root's parent identifier.
-func (p *Peer) adopt(tree *xmltree.Node, doc string, parent xmltree.NodeID) {
-	xmltree.AssignIDs(tree, &p.idgen)
-	p.indexSubtree(tree, doc, parent)
-}
-
 // indexSubtree indexes n and its descendants, tracking parent IDs.
 func (p *Peer) indexSubtree(n *xmltree.Node, doc string, parent xmltree.NodeID) {
 	p.index[n.ID] = indexEntry{node: n, doc: doc, parent: parent}
@@ -603,127 +371,18 @@ func (p *Peer) indexSubtree(n *xmltree.Node, doc string, parent xmltree.NodeID) 
 	}
 }
 
-// cowSpineLocked prepares a copy-on-write mutation of the node with
-// the given id inside doc: it clones the spine from the document root
-// down to the target (fresh Children and Attrs backing arrays, same
-// IDs), shares every off-spine subtree with the current epoch, points
-// the index at the clones, and returns the new root, the target's clone
-// and the start of the commit's record: where it wrote (the caller adds
-// what). The caller mutates the returned target freely — it
-// is unpublished until publishLocked swaps the document root. Shared
-// subtrees are never written: their Parent pointers keep referring to
-// the spine of the epoch that created them, which is why ancestry
-// flows through index parent IDs instead.
-func (p *Peer) cowSpineLocked(doc string, id xmltree.NodeID) (newRoot, target *xmltree.Node, where xmltree.Commit, err error) {
-	d, ok := p.docs[doc]
-	if !ok {
-		return nil, nil, where, fmt.Errorf("peer %s: %w: %q", p.ID, ErrNoSuchDoc, doc)
-	}
-	// Collect the ID chain target..root through the index, then turn it
-	// root first.
-	var spine []xmltree.NodeID
-	for cur := id; cur != 0; {
-		spine = append(spine, cur)
-		e, ok := p.index[cur]
-		if !ok {
-			return nil, nil, where, fmt.Errorf("peer %s: no node n%d", p.ID, cur)
-		}
-		cur = e.parent
-	}
-	slices.Reverse(spine)
-	if spine[0] != d.Root.ID {
-		return nil, nil, where, fmt.Errorf("peer %s: node n%d is not in document %q", p.ID, id, doc)
-	}
-	pos := make([]int, 0, len(spine)-1)
-	cur := cloneShallow(d.Root)
-	p.reindexClone(cur)
-	newRoot = cur
-	for _, next := range spine[1:] {
-		j := childIndex(cur, next)
-		if j < 0 {
-			return nil, nil, where, fmt.Errorf("peer %s: node n%d vanished from its parent", p.ID, next)
-		}
-		child := cloneShallow(cur.Children[j])
-		child.Parent = cur
-		cur.Children[j] = child
-		p.reindexClone(child)
-		pos = append(pos, j)
-		cur = child
-	}
-	return newRoot, cur, xmltree.Commit{Spine: spine, Pos: pos}, nil
+// deindex drops n and its descendants from the index.
+func (p *Peer) deindex(n *xmltree.Node) {
+	n.Walk(func(m *xmltree.Node) bool {
+		delete(p.index, m.ID)
+		return true
+	})
 }
 
-// reindexClone points the index entry for a spine clone at the clone,
-// keeping document and parent unchanged (clones keep their node IDs).
-func (p *Peer) reindexClone(n *xmltree.Node) {
-	e := p.index[n.ID]
-	e.node = n
-	p.index[n.ID] = e
-}
-
-// cloneShallow copies one node with fresh Attrs/Children backing
-// arrays still referencing the shared child subtrees.
-func cloneShallow(n *xmltree.Node) *xmltree.Node {
-	c := &xmltree.Node{ID: n.ID, Kind: n.Kind, Label: n.Label, Text: n.Text}
-	if len(n.Attrs) > 0 {
-		c.Attrs = append([]xmltree.Attr(nil), n.Attrs...)
-	}
-	if len(n.Children) > 0 {
-		c.Children = append([]*xmltree.Node(nil), n.Children...)
-	}
-	return c
-}
-
-// childIndex finds the position of the child with the given ID.
-func childIndex(parent *xmltree.Node, id xmltree.NodeID) int {
-	for i, c := range parent.Children {
-		if c.ID == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// publishLocked commits a copy-on-write mutation: swaps the document's
-// root to the new epoch's tree, bumps the store epoch and the document
-// version, appends what the commit touched to the document's feed and
-// notifies watchers with the same record. Callers hold p.mu.
-func (p *Peer) publishLocked(doc string, newRoot *xmltree.Node, ev Change) {
-	d, ok := p.docs[doc]
-	if !ok {
-		return
-	}
-	p.epoch++
-	ev.Epoch = p.epoch
-	d.Root, d.pub = newRoot, &published{root: newRoot, epoch: p.epoch}
-	d.Version++
-	d.feed.push(ev.Commit)
-	for _, ch := range p.watchers[doc] {
-		select {
-		case ch <- ev:
-		default: // watcher already has a pending notification
-		}
-	}
-}
-
-// Touch bumps a document's version and notifies watchers without a
-// structural change (used by engines after bulk edits). The root is
-// republished unchanged, so it still commits a fresh epoch.
-func (p *Peer) Touch(doc string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	d, ok := p.docs[doc]
-	if !ok {
-		return
-	}
-	p.publishLocked(doc, d.Root, Change{Kind: ChangeTouch, Doc: doc})
-}
-
-// Watch returns a channel receiving typed change events whenever the
-// named document changes, and a cancel function. Events coalesce: a
-// slow consumer keeps at most one pending event and loses the detail
-// of the ones dropped behind it, so a received Change is a trigger
-// plus a hint, never a complete replay of the mutation history.
+// Watch returns a channel receiving a Change whenever a transaction
+// writes the named document, and a cancel function. Changes coalesce: a
+// slow consumer keeps at most one pending, so a received Change is a
+// trigger, never a replay of what was written.
 func (p *Peer) Watch(doc string) (<-chan Change, func()) {
 	ch := make(chan Change, 1)
 	p.mu.Lock()
@@ -808,8 +467,10 @@ func (p *Peer) RunQuery(q *xquery.Query, args ...[]*xmltree.Node) ([]*xmltree.No
 }
 
 // FreshAnchor creates a detached element owned by the peer (indexed,
-// with an ID) for use as a stream accumulation target. It belongs to
-// the pseudo-document "" and never notifies watchers.
+// with an ID) for use as a landing target. It belongs to the
+// pseudo-document "": transactions write under it like under a
+// document root, but publish no epoch and notify no watchers, so its
+// content is read through NodeByID.
 func (p *Peer) FreshAnchor(label string) *xmltree.Node {
 	p.mu.Lock()
 	defer p.mu.Unlock()

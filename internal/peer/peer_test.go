@@ -75,7 +75,7 @@ func TestRemoveDocument(t *testing.T) {
 	}
 }
 
-func TestAddChildAndInsertAfter(t *testing.T) {
+func TestAddChild(t *testing.T) {
 	p := New("p1")
 	root := xmltree.MustParse(`<log><entry>one</entry></log>`)
 	if err := p.InstallDocument("log", root); err != nil {
@@ -112,22 +112,9 @@ func TestAddChildAndInsertAfter(t *testing.T) {
 		t.Errorf("version = %d, want 2", d.Version)
 	}
 
-	first := d.Root.Children[0]
-	mid := xmltree.E("entry", "one-and-a-half")
-	if err := p.InsertAfter(first.ID, mid); err != nil {
-		t.Fatalf("InsertAfter: %v", err)
-	}
-	d, _ = p.Document("log")
-	if len(d.Root.Children) != 3 || d.Root.Children[1] != mid {
-		t.Errorf("InsertAfter position wrong: %s", xmltree.Serialize(d.Root))
-	}
-
 	// Errors.
 	if err := p.AddChild(99999, xmltree.E("x")); err == nil {
 		t.Error("AddChild to unknown node should error")
-	}
-	if err := p.InsertAfter(root.ID, xmltree.E("x")); err == nil {
-		t.Error("InsertAfter root (no parent) should error")
 	}
 	textChild := xmltree.NewText("t")
 	if err := p.AddChild(root.ID, textChild); err != nil {
@@ -168,22 +155,6 @@ func TestWatchCoalesceAndCancel(t *testing.T) {
 		t.Error("cancelled watcher received signal")
 	default:
 	}
-}
-
-func TestTouch(t *testing.T) {
-	p := New("p1")
-	if err := p.InstallDocument("d", xmltree.E("d")); err != nil {
-		t.Fatal(err)
-	}
-	ch, cancel := p.Watch("d")
-	defer cancel()
-	p.Touch("d")
-	select {
-	case <-ch:
-	default:
-		t.Error("Touch did not notify")
-	}
-	p.Touch("missing") // no-op, must not panic
 }
 
 func TestRegisterService(t *testing.T) {
@@ -293,6 +264,7 @@ func TestRemoveChildByID(t *testing.T) {
 	ch, cancel := p.Watch("log")
 	defer cancel()
 
+	start := p.Epoch()
 	victim := root.Children[0]
 	grandchild := victim.Children[0]
 	if err := p.RemoveChildByID(root.ID, victim.ID); err != nil {
@@ -308,13 +280,8 @@ func TestRemoveChildByID(t *testing.T) {
 	if _, ok := p.NodeByID(grandchild.ID); ok {
 		t.Error("removed subtree descendant still indexed")
 	}
-	select {
-	case ev := <-ch:
-		if ev.Kind != ChangeDelete || ev.Node != victim.ID || ev.Doc != "log" {
-			t.Errorf("event = %+v, want delete of n%d", ev, victim.ID)
-		}
-	default:
-		t.Error("no typed delete event")
+	if c := onlyChange(t, p, ch, "log", start); c.Removed != victim.ID || c.Added != 0 {
+		t.Errorf("commit = %+v, want the removal of n%d", c, victim.ID)
 	}
 
 	// Errors: unknown node, wrong parent, document root.
@@ -338,6 +305,7 @@ func TestReplaceChildByID(t *testing.T) {
 	ch, cancel := p.Watch("log")
 	defer cancel()
 
+	start := p.Epoch()
 	old := root.Children[0]
 	repl := xmltree.E("entry", "rewritten")
 	if err := p.ReplaceChildByID(root.ID, old.ID, repl); err != nil {
@@ -355,13 +323,8 @@ func TestReplaceChildByID(t *testing.T) {
 	if got, ok := p.NodeByID(repl.ID); !ok || got != repl {
 		t.Error("replacement not indexed")
 	}
-	select {
-	case ev := <-ch:
-		if ev.Kind != ChangeReplace || ev.Node != repl.ID {
-			t.Errorf("event = %+v, want replace with n%d", ev, repl.ID)
-		}
-	default:
-		t.Error("no typed replace event")
+	if c := onlyChange(t, p, ch, "log", start); c.Removed != old.ID || c.Added != repl.ID {
+		t.Errorf("commit = %+v, want n%d replaced by n%d", c, old.ID, repl.ID)
 	}
 }
 
@@ -373,25 +336,36 @@ func TestTypedInsertEvent(t *testing.T) {
 	}
 	ch, cancel := p.Watch("d")
 	defer cancel()
+	start := p.Epoch()
 	tree := xmltree.E("a")
-	_ = p.AddChild(root.ID, tree)
+	if err := p.AddChild(root.ID, tree); err != nil {
+		t.Fatal(err)
+	}
+	if c := onlyChange(t, p, ch, "d", start); c.Added != tree.ID || c.Removed != 0 {
+		t.Errorf("commit = %+v, want the insert of n%d", c, tree.ID)
+	}
+}
+
+// onlyChange checks that the watcher was woken for doc at the store's
+// current epoch, and returns the one commit doc's feed holds after
+// epoch after.
+func onlyChange(t *testing.T, p *Peer, ch <-chan Change, doc string, after uint64) xmltree.Commit {
+	t.Helper()
 	select {
 	case ev := <-ch:
-		if ev.Kind != ChangeInsert || ev.Node != tree.ID {
-			t.Errorf("event = %+v, want insert of n%d", ev, tree.ID)
+		if ev.Doc != doc || ev.Epoch != p.Epoch() {
+			t.Errorf("woken with %+v, want %s at epoch %d", ev, doc, p.Epoch())
 		}
 	default:
-		t.Error("no insert event")
+		t.Error("watcher not woken")
 	}
-	p.Touch("d")
-	select {
-	case ev := <-ch:
-		if ev.Kind != ChangeTouch {
-			t.Errorf("event = %+v, want touch", ev)
-		}
-	default:
-		t.Error("no touch event")
+	h := p.Snapshot()
+	defer h.Release()
+	got, ok := h.Changes(doc, after)
+	if !ok || len(got) != 1 {
+		t.Fatalf("Changes = %d commits, ok=%v; want 1", len(got), ok)
 	}
+	return got[0]
 }
 
 func TestSelectIDs(t *testing.T) {
@@ -448,7 +422,6 @@ func TestHandleNodeCount(t *testing.T) {
 	if err := p.ReplaceChildByID(root.ID, root.Children[0].ID, xmltree.E("item")); err != nil {
 		t.Fatal(err)
 	}
-	p.Touch("catalog")
 	cur := p.Snapshot()
 	defer cur.Release()
 	if after := check(cur); after == before {
@@ -486,7 +459,6 @@ func TestChangesSaysWhatEachCommitTouched(t *testing.T) {
 
 	added := xmltree.MustParse(`<item><price>3</price></item>`)
 	newPrice := xmltree.E("price", xmltree.T("9"))
-	after := xmltree.E("note")
 	steps := []struct {
 		name string
 		do   func() error
@@ -496,13 +468,10 @@ func TestChangesSaysWhatEachCommitTouched(t *testing.T) {
 			xmltree.Commit{Spine: []xmltree.NodeID{root.ID}, Added: 0}},
 		{"nested ReplaceChildByID", func() error { return p.ReplaceChildByID(0, oldPrice.ID, newPrice) },
 			xmltree.Commit{Spine: []xmltree.NodeID{root.ID, item.ID}, Pos: []int{0}, Removed: oldPrice.ID}},
-		{"InsertAfter", func() error { return p.InsertAfter(item.ID, after) },
-			xmltree.Commit{Spine: []xmltree.NodeID{root.ID}}},
 		{"RemoveChildByID", func() error { return p.RemoveChildByID(root.ID, other.ID) },
 			xmltree.Commit{Spine: []xmltree.NodeID{root.ID}, Removed: other.ID}},
 		{"ReplaceChildren", func() error { return p.ReplaceChildren(item.ID, nil) },
 			xmltree.Commit{Spine: []xmltree.NodeID{root.ID, item.ID}, Pos: []int{0}}},
-		{"Touch", func() error { p.Touch("catalog"); return nil }, xmltree.Commit{}},
 	}
 	for _, s := range steps {
 		if err := s.do(); err != nil {
@@ -512,7 +481,6 @@ func TestChangesSaysWhatEachCommitTouched(t *testing.T) {
 	// Fresh subtrees get their identifiers on the way in.
 	steps[0].want.Added = added.ID
 	steps[1].want.Added = newPrice.ID
-	steps[2].want.Added = after.ID
 
 	h := p.Snapshot()
 	defer h.Release()

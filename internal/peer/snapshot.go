@@ -59,7 +59,7 @@ func (p *Peer) Snapshot() *Handle {
 }
 
 // Epoch returns the epoch this handle pins. Epochs increase by one per
-// committed mutation across the peer's whole store.
+// committed transaction across the peer's whole store.
 func (h *Handle) Epoch() uint64 { return h.epoch }
 
 // Owner returns the peer this handle snapshots.
@@ -87,10 +87,11 @@ func (h *Handle) NodeCount(name string) (int, error) {
 	return r.nodeCount(), nil
 }
 
-// Changes returns what the commits to the named document touched after
-// epoch `after`, up to the handle's own epoch, oldest first: the change
-// feed a consumer whose state reflects `after` needs to reach what this
-// handle pins. ok is false when the feed cannot say — it is bounded and
+// Changes returns what the transactions that wrote the named document
+// after epoch `after`, up to the handle's own epoch, touched: one commit
+// record per edit, oldest first, the edits of one transaction together
+// under its epoch. It is the change feed a consumer whose state reflects
+// `after` needs to reach what this handle pins. ok is false when the feed cannot say — it is bounded and
 // no longer reaches back to `after`, or the document was removed or
 // installed again since — and the consumer must re-derive from Root. A
 // document unchanged since `after` answers (nil, true) without taking

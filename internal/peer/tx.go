@@ -1,0 +1,359 @@
+package peer
+
+import (
+	"fmt"
+	"slices"
+
+	"axml/internal/xmltree"
+)
+
+// Write runs fn as one transaction over the store, the only way a
+// stored tree changes. The edits fn makes through tx apply in order,
+// each seeing the ones before it. When fn returns nil they publish
+// together: one new root per document written, one store epoch, one
+// change-feed record per edit (all carrying that epoch) and one wake per
+// watcher, so a reader sees all of them or none. When fn returns an
+// error nothing is published and the node index is put back: roots,
+// index, epoch and feed are as they were before the call.
+//
+// Writes are copy-on-write. Each node on the path from a root down to an
+// edited node is copied once per transaction, everything else stays
+// shared with the previous epoch, and Snapshot handles pinned before the
+// call keep seeing their trees. Edits under a detached anchor
+// (FreshAnchor) take the same path but publish nothing.
+//
+// fn runs under the peer's write lock: it must not call the peer's
+// methods, and tx is valid only until fn returns.
+func (p *Peer) Write(fn func(tx *Tx) error) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	tx := &p.tx
+	tx.p = p
+	defer tx.end()
+	if err := fn(tx); err != nil {
+		return err
+	}
+	tx.commit()
+	return nil
+}
+
+// Tx is a transaction in progress: the edits of one Write.
+type Tx struct {
+	p *Peer
+	// docs holds each document the transaction wrote: its unpublished
+	// root and one commit record per edit.
+	docs []txDoc
+	// copied marks the nodes whose copies this transaction already
+	// made; a copy is unpublished, so it is written in place.
+	copied map[xmltree.NodeID]bool
+	// undo puts the node index back, newest first, when fn fails.
+	undo []undo
+}
+
+type txDoc struct {
+	name    string
+	root    *xmltree.Node
+	commits []xmltree.Commit
+}
+
+// undo reverts one change to the node index: a node's entry before
+// it pointed at the node's copy (undoCopy), a subtree indexed by an
+// edit (undoAdopt) or one de-indexed by an edit (undoDrop), whose root
+// entry was e.
+type undo struct {
+	op undoOp
+	e  indexEntry
+}
+
+type undoOp uint8
+
+const (
+	undoCopy undoOp = iota
+	undoAdopt
+	undoDrop
+)
+
+// edit is one edit under way: its writable target, the document that
+// holds it ("" under an anchor), and the record of where it sits.
+type edit struct {
+	target *xmltree.Node
+	doc    string
+	commit xmltree.Commit
+}
+
+// Has reports whether the identified node is in the store as the
+// transaction has left it so far.
+func (tx *Tx) Has(id xmltree.NodeID) bool {
+	_, ok := tx.p.index[id]
+	return ok
+}
+
+// Append adds tree as the last child of the identified element. The
+// peer takes ownership of the tree: fresh IDs, indexed.
+func (tx *Tx) Append(parent xmltree.NodeID, tree *xmltree.Node) error {
+	ed, err := tx.at(parent)
+	if err != nil {
+		return err
+	}
+	tx.adopt(tree, ed.doc, parent)
+	ed.target.AppendChild(tree)
+	ed.commit.Added = tree.ID
+	tx.record(ed)
+	return nil
+}
+
+// Remove detaches the identified node from its parent and de-indexes
+// its subtree. When parent is nonzero the node must currently be a
+// child of that node (the safety check retraction tombstones land
+// with); parent zero removes the node from wherever it hangs. Document
+// roots cannot be removed this way (use RemoveDocument).
+func (tx *Tx) Remove(parent, child xmltree.NodeID) error {
+	e, ed, i, err := tx.detach(parent, child)
+	if err != nil {
+		return err
+	}
+	// The removed subtree is shared with older epochs: it is spliced out
+	// untouched, its Parent pointers as they were.
+	ed.target.Children = slices.Delete(ed.target.Children, i, i+1)
+	tx.drop(e)
+	ed.commit.Removed = child
+	tx.record(ed)
+	return nil
+}
+
+// Replace swaps the identified node for tree in place (position
+// preserved): the old subtree is de-indexed, the new one adopted. The
+// same parent check as Remove applies.
+func (tx *Tx) Replace(parent, child xmltree.NodeID, tree *xmltree.Node) error {
+	if tree == nil {
+		return fmt.Errorf("peer %s: Replace(nil)", tx.p.ID)
+	}
+	e, ed, i, err := tx.detach(parent, child)
+	if err != nil {
+		return err
+	}
+	tx.drop(e)
+	tx.adopt(tree, ed.doc, e.parent)
+	tree.Parent = ed.target
+	ed.target.Children[i] = tree
+	ed.commit.Removed, ed.commit.Added = child, tree.ID
+	tx.record(ed)
+	return nil
+}
+
+// ReplaceChildren replaces the children of the identified element with
+// the given forest. The whole child list goes, so the edit's record
+// names no subtree and feed consumers re-derive from the document.
+func (tx *Tx) ReplaceChildren(id xmltree.NodeID, forest []*xmltree.Node) error {
+	ed, err := tx.at(id)
+	if err != nil {
+		return err
+	}
+	for _, c := range ed.target.Children {
+		tx.drop(indexEntry{node: c, doc: ed.doc, parent: id})
+	}
+	ed.target.Children = nil
+	for _, tree := range forest {
+		tx.adopt(tree, ed.doc, id)
+		ed.target.AppendChild(tree)
+	}
+	tx.record(ed)
+	return nil
+}
+
+func (tx *Tx) entry(id xmltree.NodeID) (indexEntry, error) {
+	e, ok := tx.p.index[id]
+	if !ok {
+		return e, fmt.Errorf("peer %s: no node n%d", tx.p.ID, id)
+	}
+	return e, nil
+}
+
+// detach prepares the identified node to leave its parent, which it
+// must have, and which must be parent when parent is nonzero: it
+// returns the node's index entry, the writable parent and the node's
+// position among the parent's children.
+func (tx *Tx) detach(parent, id xmltree.NodeID) (e indexEntry, ed edit, i int, err error) {
+	if e, err = tx.entry(id); err != nil {
+		return e, ed, 0, err
+	}
+	if e.parent == 0 {
+		return e, ed, 0, fmt.Errorf("peer %s: node n%d has no parent", tx.p.ID, id)
+	}
+	if parent != 0 && e.parent != parent {
+		return e, ed, 0, fmt.Errorf("peer %s: node n%d is not a child of n%d", tx.p.ID, id, parent)
+	}
+	if ed, err = tx.at(e.parent); err != nil {
+		return e, ed, 0, err
+	}
+	if i = childIndex(ed.target, id); i < 0 {
+		return e, ed, 0, fmt.Errorf("peer %s: node n%d vanished from its parent", tx.p.ID, id)
+	}
+	return e, ed, i, nil
+}
+
+// at makes the identified element writable. It copies the spine from
+// the root of the element's tree down to it, each node once per
+// transaction, points the index at the copies, and returns the
+// element's copy with the record of where it sits. Off-spine subtrees stay shared
+// with the published epoch and are never written, so their Parent
+// pointers keep referring to the spine of the epoch that created them;
+// that is why ancestry is read from the index's parent IDs.
+func (tx *Tx) at(id xmltree.NodeID) (edit, error) {
+	p := tx.p
+	spine := make([]xmltree.NodeID, 0, 8)
+	var top indexEntry
+	for cur := id; cur != 0; cur = top.parent {
+		e, err := tx.entry(cur)
+		if err != nil {
+			return edit{}, err
+		}
+		if cur == id && e.node.Kind != xmltree.ElementNode {
+			return edit{}, fmt.Errorf("peer %s: node n%d cannot take children", p.ID, id)
+		}
+		spine, top = append(spine, cur), e
+	}
+	slices.Reverse(spine)
+	if top.doc != "" {
+		if d, ok := p.docs[top.doc]; !ok || d.Root.ID != spine[0] {
+			return edit{}, fmt.Errorf("peer %s: node n%d is not in document %q", p.ID, id, top.doc)
+		}
+	}
+	cur := top.node
+	if !tx.copied[cur.ID] {
+		cur = tx.copy(cur)
+		if top.doc != "" {
+			tx.docs = append(tx.docs, txDoc{name: top.doc, root: cur})
+		}
+	}
+	pos := make([]int, 0, len(spine)-1)
+	for _, next := range spine[1:] {
+		j := childIndex(cur, next)
+		if j < 0 {
+			return edit{}, fmt.Errorf("peer %s: node n%d vanished from its parent", p.ID, next)
+		}
+		child := cur.Children[j]
+		if !tx.copied[next] {
+			child = tx.copy(child)
+			child.Parent = cur
+			cur.Children[j] = child
+		}
+		pos = append(pos, j)
+		cur = child
+	}
+	return edit{target: cur, doc: top.doc, commit: xmltree.Commit{Spine: spine, Pos: pos}}, nil
+}
+
+// copy makes the transaction's copy of n — same ID, fresh Attrs and
+// Children backing arrays still referencing the shared child subtrees —
+// and points the index at it.
+func (tx *Tx) copy(n *xmltree.Node) *xmltree.Node {
+	c := &xmltree.Node{ID: n.ID, Kind: n.Kind, Label: n.Label, Text: n.Text}
+	if len(n.Attrs) > 0 {
+		c.Attrs = append([]xmltree.Attr(nil), n.Attrs...)
+	}
+	if len(n.Children) > 0 {
+		c.Children = append([]*xmltree.Node(nil), n.Children...)
+	}
+	e := tx.p.index[n.ID]
+	tx.undo = append(tx.undo, undo{op: undoCopy, e: e})
+	e.node = c
+	tx.p.index[n.ID] = e
+	if tx.copied == nil {
+		tx.copied = map[xmltree.NodeID]bool{}
+	}
+	tx.copied[n.ID] = true
+	return c
+}
+
+// adopt assigns IDs to a subtree and indexes it into doc under parent.
+func (tx *Tx) adopt(tree *xmltree.Node, doc string, parent xmltree.NodeID) {
+	xmltree.AssignIDs(tree, &tx.p.idgen)
+	tx.p.indexSubtree(tree, doc, parent)
+	tx.undo = append(tx.undo, undo{op: undoAdopt, e: indexEntry{node: tree}})
+}
+
+// drop de-indexes the subtree whose root entry is e.
+func (tx *Tx) drop(e indexEntry) {
+	tx.p.deindex(e.node)
+	tx.undo = append(tx.undo, undo{op: undoDrop, e: e})
+}
+
+// record files a finished edit's commit under its document.
+func (tx *Tx) record(ed edit) {
+	for i := range tx.docs {
+		if tx.docs[i].name == ed.doc {
+			tx.docs[i].commits = append(tx.docs[i].commits, ed.commit)
+			return
+		}
+	}
+}
+
+// commit publishes the transaction as one store epoch.
+func (tx *Tx) commit() {
+	p := tx.p
+	clear(tx.undo)
+	tx.undo = tx.undo[:0]
+	if len(tx.docs) == 0 {
+		return
+	}
+	p.epoch++
+	for _, w := range tx.docs {
+		p.publishLocked(w, p.epoch)
+	}
+}
+
+// publishLocked swaps a written document's root to the transaction's,
+// bumps its version, appends the transaction's commits to its feed and
+// wakes its watchers. Callers hold p.mu.
+func (p *Peer) publishLocked(w txDoc, epoch uint64) {
+	d := p.docs[w.name]
+	for i := range w.commits {
+		w.commits[i].Epoch = epoch
+	}
+	d.Root, d.pub = w.root, &published{root: w.root, epoch: epoch}
+	d.Version++
+	if len(w.commits) > 0 {
+		d.feed.push(w.commits)
+	}
+	for _, ch := range p.watchers[w.name] {
+		select {
+		case ch <- Change{Doc: w.name, Epoch: epoch}:
+		default: // watcher already has a pending notification
+		}
+	}
+}
+
+// end closes the transaction: whatever it left uncommitted is undone,
+// newest first, and its buffers are emptied for the next one (a
+// transaction that grew them large lets them go).
+func (tx *Tx) end() {
+	p := tx.p
+	for i := len(tx.undo) - 1; i >= 0; i-- {
+		switch u := tx.undo[i]; u.op {
+		case undoCopy:
+			p.index[u.e.node.ID] = u.e
+		case undoAdopt:
+			p.deindex(u.e.node)
+		case undoDrop:
+			p.indexSubtree(u.e.node, u.e.doc, u.e.parent)
+		}
+	}
+	clear(tx.undo)
+	clear(tx.docs)
+	tx.undo, tx.docs = tx.undo[:0], tx.docs[:0]
+	if len(tx.copied) > 64 || cap(tx.undo) > 1024 {
+		tx.copied, tx.undo = nil, nil
+	}
+	clear(tx.copied)
+}
+
+// childIndex finds the position of the child with the given ID.
+func childIndex(parent *xmltree.Node, id xmltree.NodeID) int {
+	for i, c := range parent.Children {
+		if c.ID == id {
+			return i
+		}
+	}
+	return -1
+}

@@ -93,32 +93,40 @@ func parseReplace(rest string) (*Update, error) {
 	return nil, fmt.Errorf("%w: replace requires '<path query> with <xml>'", ErrBadQuery)
 }
 
-// ApplyUpdate executes an update against one peer's store and returns
-// the number of nodes touched. Selected nodes that vanish because an
-// earlier removal/replacement took an ancestor with them are skipped.
+// ApplyUpdate executes an update against one peer's store as one
+// transaction and returns the number of nodes touched: readers see the
+// statement whole or not at all, and a statement that fails changes
+// nothing. Selected nodes that vanish because an earlier removal or
+// replacement took an ancestor with them are skipped.
 func ApplyUpdate(p *peer.Peer, u *Update) (int, error) {
+	if u.Kind != "delete" && u.Kind != "replace" {
+		return 0, fmt.Errorf("session: unknown update kind %q", u.Kind)
+	}
 	ids, err := p.SelectIDs(u.Query)
 	if err != nil {
 		return 0, err
 	}
 	n := 0
-	for _, id := range ids {
-		if _, ok := p.NodeByID(id); !ok {
-			continue
-		}
-		switch u.Kind {
-		case "delete":
-			if err := p.RemoveChildByID(0, id); err != nil {
-				return n, fmt.Errorf("after %d removal(s): %w", n, err)
+	err = p.Write(func(tx *peer.Tx) error {
+		for _, id := range ids {
+			if !tx.Has(id) {
+				continue
 			}
-		case "replace":
-			if err := p.ReplaceChildByID(0, id, xmltree.DeepCopy(u.With)); err != nil {
-				return n, fmt.Errorf("after %d replacement(s): %w", n, err)
+			var err error
+			if u.Kind == "delete" {
+				err = tx.Remove(0, id)
+			} else {
+				err = tx.Replace(0, id, xmltree.DeepCopy(u.With))
 			}
-		default:
-			return n, fmt.Errorf("session: unknown update kind %q", u.Kind)
+			if err != nil {
+				return err
+			}
+			n++
 		}
-		n++
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	return n, nil
 }

@@ -2,10 +2,86 @@ package session
 
 import (
 	"context"
+	"sync"
 	"testing"
 
+	"axml/internal/peer"
 	"axml/internal/xmltree"
+	"axml/internal/xquery"
 )
+
+// TestDeleteStatementIsAtomic: a 500-node delete is one transaction. A
+// reader pinning snapshots and a reader resolving the live document
+// beside it only ever count 0 or 500 items gone.
+func TestDeleteStatementIsAtomic(t *testing.T) {
+	const items, doomed = 600, 500
+	p := peer.New("data")
+	root := xmltree.E("catalog")
+	for i := 0; i < items; i++ {
+		item := xmltree.E("item")
+		if i%6 != 0 {
+			item.SetAttr("old", "yes")
+		}
+		root.AppendChild(item)
+	}
+	if err := p.InstallDocument("catalog", root); err != nil {
+		t.Fatal(err)
+	}
+	upd, _, err := ParseUpdate(`delete doc("catalog")/item[@old]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(resolve xquery.DocResolver) (int, error) {
+		r, err := resolve("catalog")
+		if err != nil {
+			return 0, err
+		}
+		return len(r.ChildElementsByLabel("item")), nil
+	}
+	readers := map[string]func() (int, error){
+		"snapshot": func() (int, error) {
+			h := p.Snapshot()
+			defer h.Release()
+			return count(h.Resolver())
+		},
+		"live": func() (int, error) { return count(p.Resolver()) },
+	}
+	done := make(chan struct{})
+	var started, finished sync.WaitGroup
+	for name, read := range readers {
+		started.Add(1)
+		finished.Add(1)
+		go func() {
+			defer finished.Done()
+			for first := true; ; first = false {
+				n, err := read()
+				if first {
+					started.Done()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if n != items && n != items-doomed {
+					t.Errorf("the %s reader saw %d items gone", name, items-n)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	started.Wait()
+	n, err := ApplyUpdate(p, upd)
+	close(done)
+	finished.Wait()
+	if err != nil || n != doomed {
+		t.Fatalf("delete = %d, %v; want %d removals", n, err, doomed)
+	}
+}
 
 // TestSnapshotIsolationFreezesStream pins a statement to one epoch:
 // rows keep coming from the pre-mutation store even though a writer

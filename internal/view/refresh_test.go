@@ -512,12 +512,13 @@ func refreshBothWays(t *testing.T, m *Manager, sys *core.System, name, base, src
 
 // TestChurnConvergence is the property test of the maintenance spine:
 // under a seeded random workload of inserts, deletions, in-place
-// updates and nested replaces — and, once per run each, a wholesale
-// ReplaceChildren, a Touch, a burst longer than the store's change feed
-// and a remove-then-reinstall of the base — a view maintained through
-// the feed must converge to exactly the content a full
-// re-materialization would produce, and every feed-driven delta step
-// must emit the same events as the full diff from the same state.
+// updates and nested replaces — one transaction each, or many in one
+// transaction — and, once per run each, a wholesale ReplaceChildren, a
+// burst longer than the store's change feed and a remove-then-reinstall
+// of the base, a view maintained through the feed must converge to
+// exactly the content a full re-materialization would produce, and
+// every feed-driven delta step must emit the same events as the full
+// diff from the same state.
 func TestChurnConvergence(t *testing.T) {
 	for _, seed := range []int64{3, 17, 51} {
 		seed := seed
@@ -540,13 +541,20 @@ func TestChurnConvergence(t *testing.T) {
 					xmltree.E("name", xmltree.T(fmt.Sprintf("churn-%d", serial))),
 					xmltree.E("price", xmltree.T(fmt.Sprint(rng.Intn(1000)))))
 			}
-			// root and its items as the store holds them now.
-			current := func() (*xmltree.Node, []*xmltree.Node) {
+			// live is an item as a transaction has left it: its
+			// identifier and its price's.
+			type live struct{ item, price xmltree.NodeID }
+			// current lists the root and its items as the store holds them now.
+			current := func() (xmltree.NodeID, []live) {
 				d, ok := data.Document("catalog")
 				if !ok {
 					t.Fatal("catalog is gone")
 				}
-				return d.Root, d.Root.ChildElementsByLabel("item")
+				var items []live
+				for _, it := range d.Root.ChildElementsByLabel("item") {
+					items = append(items, live{it.ID, it.FirstChildElement("price").ID})
+				}
+				return d.Root.ID, items
 			}
 			must := func(err error) {
 				t.Helper()
@@ -554,22 +562,57 @@ func TestChurnConvergence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			// edit makes one random edit through tx and keeps items
+			// in step with it.
+			edit := func(tx *peer.Tx, root xmltree.NodeID, items *[]live) error {
+				its := *items
+				switch k := rng.Intn(4); {
+				case k == 0 || len(its) < 2:
+					fresh := item()
+					if err := tx.Append(root, fresh); err != nil {
+						return err
+					}
+					*items = append(its, live{fresh.ID, fresh.FirstChildElement("price").ID})
+					return nil
+				case k == 1:
+					i := rng.Intn(len(its))
+					*items = append(its[:i:i], its[i+1:]...)
+					return tx.Remove(root, its[i].item)
+				case k == 2:
+					i, fresh := rng.Intn(len(its)), item()
+					if err := tx.Replace(root, its[i].item, fresh); err != nil {
+						return err
+					}
+					its[i] = live{fresh.ID, fresh.FirstChildElement("price").ID}
+					return nil
+				default: // the mixed_rw write: a replace below the candidate
+					i := rng.Intn(len(its))
+					price := xmltree.E("price", xmltree.T(fmt.Sprint(rng.Intn(1000))))
+					if err := tx.Replace(0, its[i].price, price); err != nil {
+						return err
+					}
+					its[i].price = price.ID
+					return nil
+				}
+			}
+			// churn makes ops edits, one transaction each.
 			churn := func(ops int) {
 				for op := 0; op < ops; op++ {
 					root, items := current()
-					switch k := rng.Intn(4); {
-					case k == 0 || len(items) < 2:
-						must(data.AddChild(root.ID, item()))
-					case k == 1:
-						must(data.RemoveChildByID(root.ID, items[rng.Intn(len(items))].ID))
-					case k == 2:
-						must(data.ReplaceChildByID(root.ID, items[rng.Intn(len(items))].ID, item()))
-					default: // the mixed_rw write: a replace below the candidate
-						price := items[rng.Intn(len(items))].FirstChildElement("price")
-						must(data.ReplaceChildByID(0, price.ID,
-							xmltree.E("price", xmltree.T(fmt.Sprint(rng.Intn(1000))))))
-					}
+					must(data.Write(func(tx *peer.Tx) error { return edit(tx, root, &items) }))
 				}
+			}
+			// batch makes ops edits in one transaction.
+			batch := func(ops int) {
+				root, items := current()
+				must(data.Write(func(tx *peer.Tx) error {
+					for op := 0; op < ops; op++ {
+						if err := edit(tx, root, &items); err != nil {
+							return err
+						}
+					}
+					return nil
+				}))
 			}
 			rounds := []struct {
 				name      string
@@ -581,12 +624,13 @@ func TestChurnConvergence(t *testing.T) {
 				{"replace children", false, func() {
 					churn(5)
 					root, _ := current()
-					must(data.ReplaceChildren(root.ID, []*xmltree.Node{item(), item(), item(), item()}))
+					must(data.ReplaceChildren(root, []*xmltree.Node{item(), item(), item(), item()}))
 					churn(5)
 				}},
 				{"churn", false, func() { churn(12) }},
-				{"touch", false, func() { churn(6); data.Touch("catalog"); churn(6) }},
+				{"one transaction", false, func() { churn(6); batch(12); churn(6) }},
 				{"burst", true, func() { churn(300) }},
+				{"one long transaction", false, func() { batch(300) }},
 				{"churn", false, func() { churn(12) }},
 				{"reinstall", true, func() {
 					churn(4)

@@ -75,6 +75,29 @@ func TestDefineMaterializesAtPlacement(t *testing.T) {
 	}
 }
 
+// TestDefineLandsInOneEpoch: materializing a view installs its document
+// and lands its rows as one transaction, so the placement peer moves two
+// epochs whatever the number of rows.
+func TestDefineLandsInOneEpoch(t *testing.T) {
+	for _, rows := range []int{200, 10000} {
+		sys := testSystem(t, rows)
+		client, _ := sys.Peer("client")
+		m := NewManager(sys)
+		before := client.Epoch()
+		if err := m.Define("all", `for $i in doc("catalog")/item return $i`, "client"); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(viewTrees(t, sys, "client", "all")); got != rows {
+			t.Errorf("%d rows landed, want %d", got, rows)
+		}
+		if got := client.Epoch() - before; got != 2 {
+			t.Errorf("defining a %d-row view took %d epochs, want 2", rows, got)
+		}
+		m.Close()
+		sys.Close()
+	}
+}
+
 func TestReplicaViewServesDocAny(t *testing.T) {
 	sys := testSystem(t, 60)
 	defer sys.Close()
