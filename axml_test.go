@@ -132,11 +132,13 @@ func TestFacadeActivationViaAxmldoc(t *testing.T) {
 	}
 	// Activation publishes a new copy-on-write epoch; serialize the
 	// newest root rather than the pre-activation pointer.
-	d, ok := host.Document("view")
-	if !ok {
-		t.Fatal("view document vanished")
+	h := host.Snapshot()
+	d, err := h.Root("view")
+	h.Release()
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := axml.SerializeXML(d.Root)
+	out := axml.SerializeXML(d)
 	if !strings.Contains(out, "<e>one</e>") {
 		t.Errorf("activation result missing: %s", out)
 	}
@@ -185,8 +187,13 @@ func TestFacadeMaterializedViews(t *testing.T) {
 		t.Errorf("view plan answer differs: %d vs %d", len(res.Forest), len(naive.Forest))
 	}
 	// Maintenance: a base update must reach the view.
-	doc, _ := data.Document("catalog")
-	if err := data.AddChild(doc.Root.ID,
+	h := data.Snapshot()
+	doc, err := h.Root("catalog")
+	h.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := data.AddChild(doc.ID,
 		axml.MustParseXML(`<item><name>late</name><price>2</price></item>`)); err != nil {
 		t.Fatal(err)
 	}

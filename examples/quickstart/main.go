@@ -66,8 +66,13 @@ func main() {
 	}
 	fmt.Printf("activated %d call(s)\n\n", n)
 
-	doc, _ := client.Document("newsletter")
-	fmt.Println(axml.SerializeXMLIndent(doc.Root))
+	h := client.Snapshot()
+	doc, err := h.Root("newsletter")
+	h.Release()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(axml.SerializeXMLIndent(doc))
 
 	// Ad-hoc questions go through a session: one call that parses,
 	// optimizes (shipping only the matching items across the network)

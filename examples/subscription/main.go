@@ -45,27 +45,27 @@ func main() {
 	if err := monitor.InstallDocument("inbox", axml.MustParseXML(`<inbox/>`)); err != nil {
 		log.Fatal(err)
 	}
-	inbox, _ := monitor.Document("inbox")
+	inbox := newest(monitor, "inbox")
 
 	// Activate the call with a forward list: results go straight to
 	// the inbox node (definition (6): send_{p1→fwList}(q1(…))).
 	_, err := sys.Eval(monitor.ID, &axml.ServiceCall{
 		Provider: market.ID, Service: "cheapSales",
-		Forward: []axml.NodeRef{{Peer: monitor.ID, Node: inbox.Root.ID}},
+		Forward: []axml.NodeRef{{Peer: monitor.ID, Node: inbox.ID}},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("after initial call:")
-	fmt.Println(axml.SerializeXMLIndent(inbox.Root))
+	fmt.Println(axml.SerializeXMLIndent(newest(monitor, "inbox")))
 
 	// The market evolves: two new sales appear, one of them cheap.
-	listings, _ := market.Document("listings")
+	listings := newest(market, "listings")
 	for _, sale := range []string{
 		`<sale><what>lamp</what><price>12</price></sale>`,
 		`<sale><what>car</what><price>9000</price></sale>`,
 	} {
-		if err := market.AddChild(listings.Root.ID, axml.MustParseXML(sale)); err != nil {
+		if err := market.AddChild(listings.ID, axml.MustParseXML(sale)); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func main() {
 	}
 
 	fmt.Println("after market update (one new deal streamed in):")
-	fmt.Println(axml.SerializeXMLIndent(inbox.Root))
+	fmt.Println(axml.SerializeXMLIndent(newest(monitor, "inbox")))
 
 	// The accumulated stream is a document like any other: query it
 	// through a session at the monitor.
@@ -93,4 +93,16 @@ func main() {
 
 	st := sys.Net.Stats()
 	fmt.Printf("network: %d messages, %d bytes\n", st.Messages, st.Bytes)
+}
+
+// newest reads a document's newest root through a snapshot. Every write
+// publishes a new root, so a root read earlier does not show it.
+func newest(p *axml.Peer, name string) *axml.Node {
+	h := p.Snapshot()
+	defer h.Release()
+	root, err := h.Root(name)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return root
 }

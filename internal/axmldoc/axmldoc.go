@@ -47,12 +47,12 @@ const (
 // been activated yet, in document order. Calls nested inside pending
 // calls are not reported (they may only appear in results later).
 func (a *Activator) PendingCalls(docName string) ([]*xmltree.Node, error) {
-	d, ok := a.Peer.Document(docName)
-	if !ok {
-		return nil, fmt.Errorf("axmldoc: peer %s: no document %q", a.Peer.ID, docName)
+	root, err := a.root(docName)
+	if err != nil {
+		return nil, err
 	}
 	var out []*xmltree.Node
-	d.Root.Walk(func(n *xmltree.Node) bool {
+	root.Walk(func(n *xmltree.Node) bool {
 		if n.Kind == xmltree.ElementNode && n.Label == "sc" {
 			if v, _ := n.Attr(attrState); v != stateActive {
 				out = append(out, n)
@@ -93,8 +93,8 @@ func (a *Activator) ActivateNode(sc *xmltree.Node) error {
 	if afterID, ok := sc.Attr(attrAfter); ok {
 		root := sc.Root()
 		if docName, ok := a.Peer.DocumentOfNode(sc.ID); ok && docName != "" {
-			if d, ok := a.Peer.Document(docName); ok {
-				root = d.Root
+			if newest, err := a.root(docName); err == nil {
+				root = newest
 			}
 		}
 		dep := findCallByID(root, afterID)
@@ -126,6 +126,14 @@ func (a *Activator) ActivateNode(sc *xmltree.Node) error {
 		return fmt.Errorf("axmldoc: recording activation: %w", err)
 	}
 	return nil
+}
+
+// root reads the named document's newest root through a snapshot. A
+// published tree is immutable, so it stays valid once the pin is gone.
+func (a *Activator) root(docName string) (*xmltree.Node, error) {
+	h := a.Peer.Snapshot()
+	defer h.Release()
+	return h.Root(docName)
 }
 
 // NotReadyError reports an sc whose after-dependency is not activated.
@@ -309,11 +317,9 @@ func (a *Activator) Equivalent(t1, t2 *xmltree.Node, maxRounds int) (equal bool,
 		}
 		// Expansion publishes new epochs; the installed pointer is the
 		// pre-activation snapshot, so fetch the newest root to compare.
-		d, ok2 := a.Peer.Document(names[i])
-		if !ok2 {
-			return false, false, fmt.Errorf("axmldoc: probe document %q vanished", names[i])
+		if expanded[i], err = a.root(names[i]); err != nil {
+			return false, false, err
 		}
-		expanded[i] = d.Root
 	}
 	c1 := xmltree.DeepCopy(expanded[0])
 	c2 := xmltree.DeepCopy(expanded[1])

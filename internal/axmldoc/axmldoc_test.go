@@ -38,11 +38,13 @@ func setup(t *testing.T) (*core.System, *Activator, *peer.Peer) {
 // a frozen pre-activation snapshot.
 func currentRoot(t *testing.T, p *peer.Peer, name string) *xmltree.Node {
 	t.Helper()
-	d, ok := p.Document(name)
-	if !ok {
-		t.Fatalf("document %q vanished", name)
+	h := p.Snapshot()
+	defer h.Release()
+	root, err := h.Root(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return d.Root
+	return root
 }
 
 func TestActivateInsertsSiblings(t *testing.T) {

@@ -1,8 +1,6 @@
 package axmldoc
 
 import (
-	"fmt"
-
 	"axml/internal/xmltree"
 	"axml/internal/xtype"
 )
@@ -26,14 +24,7 @@ func (a *Activator) ActivateToType(docName string, schema *xtype.Schema, maxRoun
 	// Activation publishes copy-on-write epochs, so every conformance
 	// check must look at the newest root rather than a pointer captured
 	// before the round.
-	root := func() (*xmltree.Node, error) {
-		d, ok := a.Peer.Document(docName)
-		if !ok {
-			return nil, fmt.Errorf("axmldoc: peer %s: no document %q", a.Peer.ID, docName)
-		}
-		return d.Root, nil
-	}
-	cur, err := root()
+	cur, err := a.root(docName)
 	if err != nil {
 		return 0, false, err
 	}
@@ -72,13 +63,13 @@ func (a *Activator) ActivateToType(docName string, schema *xtype.Schema, maxRoun
 			}
 			activated += n
 			if n == 0 {
-				if cur, err = root(); err != nil {
+				if cur, err = a.root(docName); err != nil {
 					return activated, false, err
 				}
 				return activated, typeConforms(cur, schema), nil
 			}
 		}
-		if cur, err = root(); err != nil {
+		if cur, err = a.root(docName); err != nil {
 			return activated, false, err
 		}
 	}

@@ -32,6 +32,18 @@ func twoPeerSystem(t *testing.T) (*System, *peer.Peer, *peer.Peer) {
 	return sys, p1, p2
 }
 
+// docRoot reads the named document's newest root through a snapshot.
+func docRoot(t testing.TB, p *peer.Peer, name string) *xmltree.Node {
+	t.Helper()
+	h := p.Snapshot()
+	defer h.Release()
+	root, err := h.Root(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root
+}
+
 func TestEvalLocalTree(t *testing.T) {
 	sys, p1, _ := twoPeerSystem(t)
 	tree := xmltree.MustParse(`<a><b>x</b></a>`)
@@ -176,8 +188,7 @@ func TestSendToPeerCreatesAnchor(t *testing.T) {
 
 func TestSendToNodes(t *testing.T) {
 	sys, p1, p2 := twoPeerSystem(t)
-	doc, _ := p2.Document("catalog")
-	ref := peer.NodeRef{Peer: p2.ID, Node: doc.Root.ID}
+	ref := peer.NodeRef{Peer: p2.ID, Node: docRoot(t, p2, "catalog").ID}
 	tree := xmltree.E("extra", "new item")
 	_, err := sys.Eval(p1.ID, &Send{
 		Dest:    DestNodes{Refs: []peer.NodeRef{ref}},
@@ -186,11 +197,8 @@ func TestSendToNodes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
-	if doc.Root.FirstChildElement("extra") == nil {
+	if docRoot(t, p2, "catalog").FirstChildElement("extra") == nil {
 		t.Error("tree did not land under target node")
-	}
-	if doc.Version < 2 {
-		t.Error("document version not bumped")
 	}
 }
 
@@ -200,17 +208,16 @@ func TestSendToNodes(t *testing.T) {
 // crossed the network or not.
 func TestShipLandsAllOrNothing(t *testing.T) {
 	sys, p1, p2 := twoPeerSystem(t)
-	doc, _ := p2.Document("catalog")
-	ref := peer.NodeRef{Peer: p2.ID, Node: doc.Root.ID}
+	ref := peer.NodeRef{Peer: p2.ID, Node: docRoot(t, p2, "catalog").ID}
 	forest := []*xmltree.Node{xmltree.E("row"), xmltree.E("row"), Retraction(99999)}
 	for _, from := range []netsim.PeerID{p1.ID, p2.ID} {
-		epoch, text := p2.Epoch(), xmltree.Serialize(doc.Root)
+		epoch, text := p2.Epoch(), xmltree.Serialize(docRoot(t, p2, "catalog"))
 		if _, err := sys.ShipForest(context.Background(), from, ref, forest, 0); err == nil {
 			t.Fatalf("from %s: a tombstone for an absent node landed", from)
 		}
-		if p2.Epoch() != epoch || xmltree.Serialize(doc.Root) != text {
+		if now := xmltree.Serialize(docRoot(t, p2, "catalog")); p2.Epoch() != epoch || now != text {
 			t.Errorf("from %s: the failed landing left %s at epoch %d (was %d)",
-				from, xmltree.Serialize(doc.Root), p2.Epoch(), epoch)
+				from, now, p2.Epoch(), epoch)
 		}
 	}
 	// The rows alone land together, as one epoch.
@@ -218,7 +225,7 @@ func TestShipLandsAllOrNothing(t *testing.T) {
 	if _, err := sys.ShipForest(context.Background(), p1.ID, ref, forest[:2], 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(doc.Root.ChildElementsByLabel("row")); got != 2 || p2.Epoch() != epoch+1 {
+	if got := len(docRoot(t, p2, "catalog").ChildElementsByLabel("row")); got != 2 || p2.Epoch() != epoch+1 {
 		t.Errorf("%d rows landed over %d epochs, want 2 over 1", got, p2.Epoch()-epoch)
 	}
 }
@@ -246,12 +253,8 @@ func TestSendInstallDocument(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
-	d, ok := p2.Document("report")
-	if !ok {
-		t.Fatal("document not installed")
-	}
-	if !xmltree.Equal(d.Root, tree) {
-		t.Errorf("installed tree wrong: %s", xmltree.Serialize(d.Root))
+	if d := docRoot(t, p2, "report"); !xmltree.Equal(d, tree) {
+		t.Errorf("installed tree wrong: %s", xmltree.Serialize(d))
 	}
 	// Name collision errors (d "not previously in use", §3.1).
 	_, err = sys.Eval(p1.ID, &Send{
@@ -345,7 +348,7 @@ func TestServiceCallWithForwardList(t *testing.T) {
 	if err := p3.InstallDocument("inbox", xmltree.E("inbox")); err != nil {
 		t.Fatal(err)
 	}
-	inbox, _ := p3.Document("inbox")
+	inbox := docRoot(t, p3, "inbox").ID
 
 	q := xquery.MustParse(`for $i in doc("catalog")/item where $i/price < 100 return $i/name`)
 	if err := p2.RegisterService(&service.Service{Name: "cheap", Provider: p2.ID, Body: q}); err != nil {
@@ -353,7 +356,7 @@ func TestServiceCallWithForwardList(t *testing.T) {
 	}
 	res, err := sys.Eval(p1.ID, &ServiceCall{
 		Provider: p2.ID, Service: "cheap",
-		Forward: []peer.NodeRef{{Peer: p3.ID, Node: inbox.Root.ID}},
+		Forward: []peer.NodeRef{{Peer: p3.ID, Node: inbox}},
 	})
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
@@ -362,8 +365,9 @@ func TestServiceCallWithForwardList(t *testing.T) {
 	if len(res.Forest) != 0 {
 		t.Errorf("forwarded call returned %d local results", len(res.Forest))
 	}
-	if got := len(inbox.Root.ChildElementsByLabel("name")); got != 2 {
-		t.Errorf("inbox received %d names, want 2: %s", got, xmltree.Serialize(inbox.Root))
+	now := docRoot(t, p3, "inbox")
+	if got := len(now.ChildElementsByLabel("name")); got != 2 {
+		t.Errorf("inbox received %d names, want 2: %s", got, xmltree.Serialize(now))
 	}
 	// No p2→p1 payload: traffic flows p1→p2 (request) and p2→p3 (data).
 	st := sys.Net.Stats()
@@ -571,23 +575,23 @@ func TestContinuousServiceStreams(t *testing.T) {
 	if err := p1.InstallDocument("results", xmltree.E("results")); err != nil {
 		t.Fatal(err)
 	}
-	resultsDoc, _ := p1.Document("results")
+	results := docRoot(t, p1, "results").ID
 
 	res, err := sys.Eval(p1.ID, &ServiceCall{
 		Provider: p2.ID, Service: "watchCheap",
-		Forward: []peer.NodeRef{{Peer: p1.ID, Node: resultsDoc.Root.ID}},
+		Forward: []peer.NodeRef{{Peer: p1.ID, Node: results}},
 	})
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
 	_ = res
 	// Initial batch was forwarded: 2 hits.
-	if got := len(resultsDoc.Root.ChildElementsByLabel("hit")); got != 2 {
+	if got := len(docRoot(t, p1, "results").ChildElementsByLabel("hit")); got != 2 {
 		t.Fatalf("initial hits = %d, want 2", got)
 	}
 	// The catalog evolves: a new cheap item appears.
-	cat, _ := p2.Document("catalog")
-	if err := p2.AddChild(cat.Root.ID, xmltree.MustParse(
+	cat := docRoot(t, p2, "catalog").ID
+	if err := p2.AddChild(cat, xmltree.MustParse(
 		`<item id="4"><name>stool</name><price>9</price></item>`)); err != nil {
 		t.Fatal(err)
 	}
@@ -601,11 +605,12 @@ func TestContinuousServiceStreams(t *testing.T) {
 	if n > 1 {
 		t.Errorf("pumped %d new results, want at most 1", n)
 	}
-	if got := len(resultsDoc.Root.ChildElementsByLabel("hit")); got != 3 {
-		t.Errorf("hits after update = %d, want 3: %s", got, xmltree.Serialize(resultsDoc.Root))
+	now := docRoot(t, p1, "results")
+	if got := len(now.ChildElementsByLabel("hit")); got != 3 {
+		t.Errorf("hits after update = %d, want 3: %s", got, xmltree.Serialize(now))
 	}
 	// An expensive item does not produce a delta.
-	if err := p2.AddChild(cat.Root.ID, xmltree.MustParse(
+	if err := p2.AddChild(cat, xmltree.MustParse(
 		`<item id="5"><name>sofa</name><price>900</price></item>`)); err != nil {
 		t.Fatal(err)
 	}

@@ -156,9 +156,8 @@ func TestEvalCursorLocalEvalAtUnwraps(t *testing.T) {
 func TestEvalCursorRemoteFallback(t *testing.T) {
 	sys := cursorSystem(t, 8)
 	client, _ := sys.Peer("client")
-	doc, _ := client.Document("catalog")
 	data, _ := sys.Peer("data")
-	if err := data.InstallDocument("catalog2", xmltree.DeepCopy(doc.Root)); err != nil {
+	if err := data.InstallDocument("catalog2", xmltree.DeepCopy(docRoot(t, client, "catalog"))); err != nil {
 		t.Fatal(err)
 	}
 	expr := &EvalAt{At: "data", E: &Doc{Name: "catalog2", At: "data"}}

@@ -80,15 +80,15 @@ func TestRelayToNodes(t *testing.T) {
 	if err := dst.InstallDocument("inbox", xmltree.E("inbox")); err != nil {
 		t.Fatal(err)
 	}
-	inbox, _ := dst.Document("inbox")
+	inbox := docRoot(t, dst, "inbox").ID
 	_, err := sys.Eval("src", &Relay{
-		Via: []netsim.PeerID{"hub"}, Dest: DestNodes{Refs: []peer.NodeRef{{Peer: "dst", Node: inbox.Root.ID}}},
+		Via: []netsim.PeerID{"hub"}, Dest: DestNodes{Refs: []peer.NodeRef{{Peer: "dst", Node: inbox}}},
 		Payload: &Tree{Node: xmltree.E("msg", "hello"), At: "src"},
 	})
 	if err != nil {
 		t.Fatalf("relay to nodes: %v", err)
 	}
-	if inbox.Root.FirstChildElement("msg") == nil {
+	if docRoot(t, dst, "inbox").FirstChildElement("msg") == nil {
 		t.Error("message did not land in inbox")
 	}
 }
@@ -212,15 +212,15 @@ func TestShippedDataDoesNotActivateSC(t *testing.T) {
 	if err := dst.InstallDocument("inbox", xmltree.E("inbox")); err != nil {
 		t.Fatal(err)
 	}
-	inbox, _ := dst.Document("inbox")
+	inbox := docRoot(t, dst, "inbox").ID
 	intensional := xmltree.MustParse(`<doc><sc provider="hub" service="nope"/></doc>`)
 	// Ship via the engine's data path (shipData → x:raw carrier).
-	if _, err := sys.shipData(context.Background(), "src", peer.NodeRef{Peer: "dst", Node: inbox.Root.ID},
+	if _, err := sys.shipData(context.Background(), "src", peer.NodeRef{Peer: "dst", Node: inbox},
 		[]*xmltree.Node{intensional}, 0); err != nil {
 		t.Fatalf("shipData: %v", err)
 	}
-	landed := inbox.Root.FirstChildElement("doc")
-	if landed == nil || landed.FirstChildElement("sc") == nil {
-		t.Errorf("sc element lost or activated in transit: %s", xmltree.Serialize(inbox.Root))
+	now := docRoot(t, dst, "inbox")
+	if landed := now.FirstChildElement("doc"); landed == nil || landed.FirstChildElement("sc") == nil {
+		t.Errorf("sc element lost or activated in transit: %s", xmltree.Serialize(now))
 	}
 }

@@ -44,6 +44,18 @@ func buildSystem(t testing.TB, items int) *core.System {
 	return sys
 }
 
+// docRoot reads the named document's newest root through a snapshot.
+func docRoot(t testing.TB, p *peer.Peer, name string) *xmltree.Node {
+	t.Helper()
+	h := p.Snapshot()
+	defer h.Release()
+	root, err := h.Root(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root
+}
+
 func TestEstimateRemoteDocCostsMoreThanLocal(t *testing.T) {
 	sys := buildSystem(t, 50)
 	es := NewEstimator(sys)
@@ -333,11 +345,10 @@ func TestEstimateServiceCallWithForward(t *testing.T) {
 	if err := client.InstallDocument("inbox", xmltree.E("inbox")); err != nil {
 		t.Fatal(err)
 	}
-	inbox, _ := client.Document("inbox")
 	es := NewEstimator(sys)
 	withFw, err := es.Estimate("client", &core.ServiceCall{
 		Provider: "data", Service: "offers",
-		Forward: []peer.NodeRef{{Peer: "client", Node: inbox.Root.ID}},
+		Forward: []peer.NodeRef{{Peer: "client", Node: docRoot(t, client, "inbox").ID}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -359,8 +370,7 @@ func TestEstimateServiceCallWithForward(t *testing.T) {
 func TestOptimizeBesideWriter(t *testing.T) {
 	sys := buildSystem(t, 50)
 	data, _ := sys.Peer("data")
-	catalog, _ := data.Document("catalog")
-	rootID := catalog.Root.ID
+	rootID := docRoot(t, data, "catalog").ID
 	e := &core.Query{Q: xquery.MustParse(`for $i in doc("catalog")/item where $i/price < 10 return $i/name`), At: "client"}
 
 	done := make(chan struct{})

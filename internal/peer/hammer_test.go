@@ -81,11 +81,7 @@ func TestSnapshotHammer(t *testing.T) {
 	}
 	// Final state: every writer's full sequence landed.
 	for w := 0; w < writers; w++ {
-		d, ok := p.Document(docName(w))
-		if !ok {
-			t.Fatalf("document %s vanished", docName(w))
-		}
-		if got := len(d.Root.Children); got != writesPerWriter {
+		if got := len(docRoot(t, p, docName(w)).Children); got != writesPerWriter {
 			t.Errorf("doc %s final children = %d, want %d", docName(w), got, writesPerWriter)
 		}
 	}

@@ -7,12 +7,13 @@
 //
 // The store changes only through transactions (Peer.Write, tx.go). A
 // transaction's edits — a statement's selection, a shipped forest with
-// its tombstones, one single-node write — copy each root-to-target
-// spine node once, and publish together as one store epoch: one new
-// root per document written, one change-feed record per edit, one wake
-// per watcher. Published trees are never written, so a Snapshot reader
-// and a live Resolver reader see a transaction entirely or not at all;
-// a failed transaction leaves no trace.
+// its tombstones, one single-node write, a document installed, dropped
+// or swapped for another — copy each root-to-target spine node once,
+// and publish together as one store epoch: one new root per document
+// written, one change-feed record per edit, one wake per watcher.
+// Published trees are never written, so a Snapshot reader and a live
+// Resolver reader see a transaction entirely or not at all; a failed
+// transaction leaves no trace.
 package peer
 
 import (
@@ -56,18 +57,12 @@ func ParseNodeRef(s string) (NodeRef, error) {
 	return NodeRef{Peer: netsim.PeerID(peerName), Node: xmltree.NodeID(id)}, nil
 }
 
-// Document is a named tree d@p. The descriptor is live: Root always
-// points at the newest epoch's root and is swapped — never mutated in
-// place — by each transaction that writes it, so a published root and
-// everything below it is immutable. Callers that need a stable
-// multi-document view across reads use Peer.Snapshot instead of holding
-// Root.
-type Document struct {
-	Name    string
-	Root    *xmltree.Node
-	Version int64
-	pub     *published // Root as snapshots pin it; replaced whenever Root is
-	feed    feed       // what the recent commits to this document touched
+// document is a named tree d@p: its newest published root, replaced —
+// never mutated in place — by each transaction that writes it, and what
+// the recent commits to it touched.
+type document struct {
+	pub  *published
+	feed feed
 }
 
 // published is one published root with the epoch that published it and
@@ -161,7 +156,7 @@ type Peer struct {
 	ID netsim.PeerID
 
 	mu       sync.RWMutex
-	docs     map[string]*Document
+	docs     map[string]*document
 	services map[string]*service.Service
 	idgen    xmltree.SeqIDGen
 	index    map[xmltree.NodeID]indexEntry
@@ -183,7 +178,7 @@ type Peer struct {
 func New(id netsim.PeerID) *Peer {
 	return &Peer{
 		ID:       id,
-		docs:     map[string]*Document{},
+		docs:     map[string]*document{},
 		services: map[string]*service.Service{},
 		index:    map[xmltree.NodeID]indexEntry{},
 		watchers: map[string][]chan Change{},
@@ -191,54 +186,16 @@ func New(id netsim.PeerID) *Peer {
 	}
 }
 
-// InstallDocument installs root as document name (paper: a new pair
-// (d, p); no two documents agree on (d, p)). The peer takes ownership
-// of the tree: all nodes get fresh identifiers and are indexed.
+// InstallDocument installs root as document name: a transaction of one
+// Tx.Install.
 func (p *Peer) InstallDocument(name string, root *xmltree.Node) error {
-	if name == "" {
-		return fmt.Errorf("peer %s: empty document name", p.ID)
-	}
-	if root == nil {
-		return fmt.Errorf("peer %s: nil document root", p.ID)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, exists := p.docs[name]; exists {
-		return fmt.Errorf("peer %s: document %q already exists", p.ID, name)
-	}
-	xmltree.AssignIDs(root, &p.idgen)
-	p.indexSubtree(root, name, 0)
-	p.epoch++
-	// The feed starts at the install: a reader whose state predates it
-	// (the name was removed and installed again) gets no catch-up.
-	p.docs[name] = &Document{Name: name, Root: root, Version: 1,
-		pub: &published{root: root, epoch: p.epoch}, feed: feed{floor: p.epoch}}
-	return nil
+	return p.Write(func(tx *Tx) error { return tx.Install(name, root) })
 }
 
-// RemoveDocument uninstalls a document and de-indexes its nodes.
+// RemoveDocument uninstalls a document and de-indexes its nodes: a
+// transaction of one Tx.Drop.
 func (p *Peer) RemoveDocument(name string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	doc, ok := p.docs[name]
-	if !ok {
-		return fmt.Errorf("peer %s: %w: %q", p.ID, ErrNoSuchDoc, name)
-	}
-	p.deindex(doc.Root)
-	delete(p.docs, name)
-	p.epoch++
-	return nil
-}
-
-// Document returns the named document. The returned root must be
-// treated as read-only by callers; mutations go through Peer.Write.
-// The descriptor is live (Root tracks the newest epoch) — readers that
-// must not observe concurrent writes pin a Snapshot handle instead.
-func (p *Peer) Document(name string) (*Document, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	d, ok := p.docs[name]
-	return d, ok
+	return p.Write(func(tx *Tx) error { _, err := tx.Drop(name); return err })
 }
 
 // DocumentBytes returns the serialized size of the named document as
@@ -253,7 +210,7 @@ func (p *Peer) DocumentBytes(name string) (int, bool) {
 		p.mu.RUnlock()
 		return 0, false
 	}
-	root := d.Root
+	root := d.pub.root
 	p.mu.RUnlock()
 	return root.ByteSize(), true
 }
@@ -348,7 +305,7 @@ func (p *Peer) SelectIDs(q *xquery.Query) ([]xmltree.NodeID, error) {
 		if !ok {
 			return nil, fmt.Errorf("peer %s: %w: %q", p.ID, ErrNoSuchDoc, name)
 		}
-		return d.Root, nil
+		return d.pub.root, nil
 	}}
 	ns, err := xquery.LiveNodes(q, env)
 	if err != nil {
@@ -453,7 +410,7 @@ func (p *Peer) Resolver() xquery.DocResolver {
 		if !ok {
 			return nil, fmt.Errorf("peer %s: %w: %q", p.ID, ErrNoSuchDoc, name)
 		}
-		return d.Root, nil
+		return d.pub.root, nil
 	}
 }
 

@@ -20,9 +20,8 @@ func TestInstallAndLookup(t *testing.T) {
 	if err := p.InstallDocument("catalog", xmltree.E("x")); err == nil {
 		t.Error("duplicate install should error")
 	}
-	d, ok := p.Document("catalog")
-	if !ok || d.Root != root || d.Version != 1 {
-		t.Fatalf("Document lookup wrong: %+v", d)
+	if got := docRoot(t, p, "catalog"); got != root {
+		t.Fatalf("the installed root is %s", xmltree.Serialize(got))
 	}
 	// Every node got an ID and is resolvable.
 	root.Walk(func(n *xmltree.Node) bool {
@@ -89,13 +88,12 @@ func TestAddChild(t *testing.T) {
 		t.Fatalf("AddChild: %v", err)
 	}
 	// Writes are copy-on-write: the pre-mutation root is a frozen
-	// epoch, the document descriptor tracks the newest one.
+	// epoch, the document's newest root holds the write.
 	if len(root.Children) != 1 {
 		t.Errorf("pinned epoch changed: children = %d, want 1", len(root.Children))
 	}
-	d, _ := p.Document("log")
-	if len(d.Root.Children) != 2 {
-		t.Errorf("children = %d", len(d.Root.Children))
+	if got := len(docRoot(t, p, "log").Children); got != 2 {
+		t.Errorf("children = %d", got)
 	}
 	if newEntry.ID == 0 {
 		t.Error("added tree not adopted (no ID)")
@@ -107,9 +105,6 @@ func TestAddChild(t *testing.T) {
 	case <-ch:
 	default:
 		t.Error("watcher not notified")
-	}
-	if d.Version != 2 {
-		t.Errorf("version = %d, want 2", d.Version)
 	}
 
 	// Errors.
@@ -270,9 +265,9 @@ func TestRemoveChildByID(t *testing.T) {
 	if err := p.RemoveChildByID(root.ID, victim.ID); err != nil {
 		t.Fatalf("RemoveChildByID: %v", err)
 	}
-	d, _ := p.Document("log")
-	if len(d.Root.Children) != 1 || d.Root.Children[0].TextContent() != "two" {
-		t.Errorf("wrong child removed: %s", xmltree.Serialize(d.Root))
+	now := docRoot(t, p, "log")
+	if len(now.Children) != 1 || now.Children[0].TextContent() != "two" {
+		t.Errorf("wrong child removed: %s", xmltree.Serialize(now))
 	}
 	if _, ok := p.NodeByID(victim.ID); ok {
 		t.Error("removed subtree root still indexed")
@@ -288,7 +283,7 @@ func TestRemoveChildByID(t *testing.T) {
 	if err := p.RemoveChildByID(0, 99999); err == nil {
 		t.Error("removing unknown node should error")
 	}
-	if err := p.RemoveChildByID(victim.ID, d.Root.Children[0].ID); err == nil {
+	if err := p.RemoveChildByID(victim.ID, now.Children[0].ID); err == nil {
 		t.Error("wrong-parent check should fire")
 	}
 	if err := p.RemoveChildByID(0, root.ID); err == nil {
@@ -311,7 +306,7 @@ func TestReplaceChildByID(t *testing.T) {
 	if err := p.ReplaceChildByID(root.ID, old.ID, repl); err != nil {
 		t.Fatalf("ReplaceChildByID: %v", err)
 	}
-	if d, _ := p.Document("log"); d.Root.Children[0] != repl {
+	if docRoot(t, p, "log").Children[0] != repl {
 		t.Error("replacement not in position 0")
 	}
 	if repl.ID == 0 {
@@ -433,6 +428,18 @@ func TestHandleNodeCount(t *testing.T) {
 	if _, err := cur.NodeCount("missing"); !errors.Is(err, ErrNoSuchDoc) {
 		t.Errorf("NodeCount of a missing document: %v", err)
 	}
+}
+
+// docRoot reads the named document's newest root through a snapshot.
+func docRoot(t testing.TB, p *Peer, name string) *xmltree.Node {
+	t.Helper()
+	h := p.Snapshot()
+	defer h.Release()
+	root, err := h.Root(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root
 }
 
 // feedPeer is a peer with <catalog><item><price/></item>×2</catalog>

@@ -13,8 +13,8 @@ import (
 // together: one new root per document written, one store epoch, one
 // change-feed record per edit (all carrying that epoch) and one wake per
 // watcher, so a reader sees all of them or none. When fn returns an
-// error nothing is published and the node index is put back: roots,
-// index, epoch and feed are as they were before the call.
+// error nothing is published and the node index is put back: documents,
+// roots, index, epoch and feed are as they were before the call.
 //
 // Writes are copy-on-write. Each node on the path from a root down to an
 // edited node is copied once per transaction, everything else stays
@@ -52,8 +52,11 @@ type Tx struct {
 
 type txDoc struct {
 	name    string
-	root    *xmltree.Node
+	root    *xmltree.Node // nil once dropped
 	commits []xmltree.Commit
+	// fresh marks a document this transaction installed: it publishes
+	// with a feed of its own, which starts at the transaction's epoch.
+	fresh bool
 }
 
 // undo reverts one change to the node index: a node's entry before
@@ -106,7 +109,7 @@ func (tx *Tx) Append(parent xmltree.NodeID, tree *xmltree.Node) error {
 // its subtree. When parent is nonzero the node must currently be a
 // child of that node (the safety check retraction tombstones land
 // with); parent zero removes the node from wherever it hangs. Document
-// roots cannot be removed this way (use RemoveDocument).
+// roots cannot be removed this way (use Drop).
 func (tx *Tx) Remove(parent, child xmltree.NodeID) error {
 	e, ed, i, err := tx.detach(parent, child)
 	if err != nil {
@@ -159,6 +162,64 @@ func (tx *Tx) ReplaceChildren(id xmltree.NodeID, forest []*xmltree.Node) error {
 	}
 	tx.record(ed)
 	return nil
+}
+
+// Install adds root as document name (paper: a new pair (d, p); no two
+// documents agree on (d, p)). The peer takes ownership of the tree:
+// nodes without an identifier get a fresh one, and all are indexed. A
+// reader whose state predates the install (the name was dropped and
+// installed again) gets no catch-up from the document's feed.
+func (tx *Tx) Install(name string, root *xmltree.Node) error {
+	switch _, exists := tx.root(name); {
+	case name == "":
+		return fmt.Errorf("peer %s: empty document name", tx.p.ID)
+	case root == nil:
+		return fmt.Errorf("peer %s: nil document root", tx.p.ID)
+	case exists:
+		return fmt.Errorf("peer %s: document %q already exists", tx.p.ID, name)
+	}
+	tx.adopt(root, name, 0)
+	*tx.doc(name) = txDoc{name: name, root: root, fresh: true}
+	return nil
+}
+
+// Drop removes the named document and de-indexes its nodes. It returns
+// the root as the transaction has left it, identifiers kept, so the same
+// transaction can Install it under another name.
+func (tx *Tx) Drop(name string) (*xmltree.Node, error) {
+	root, ok := tx.root(name)
+	if !ok {
+		return nil, fmt.Errorf("peer %s: %w: %q", tx.p.ID, ErrNoSuchDoc, name)
+	}
+	tx.drop(indexEntry{node: root, doc: name})
+	*tx.doc(name) = txDoc{name: name}
+	return root, nil
+}
+
+// root returns the named document's root as the transaction has left it.
+func (tx *Tx) root(name string) (*xmltree.Node, bool) {
+	for _, w := range tx.docs {
+		if w.name == name {
+			return w.root, w.root != nil
+		}
+	}
+	d, ok := tx.p.docs[name]
+	if !ok {
+		return nil, false
+	}
+	return d.pub.root, true
+}
+
+// doc returns the transaction's entry for the named document, adding an
+// empty one on the document's first write.
+func (tx *Tx) doc(name string) *txDoc {
+	for i := range tx.docs {
+		if tx.docs[i].name == name {
+			return &tx.docs[i]
+		}
+	}
+	tx.docs = append(tx.docs, txDoc{name: name})
+	return &tx.docs[len(tx.docs)-1]
 }
 
 func (tx *Tx) entry(id xmltree.NodeID) (indexEntry, error) {
@@ -215,7 +276,7 @@ func (tx *Tx) at(id xmltree.NodeID) (edit, error) {
 	}
 	slices.Reverse(spine)
 	if top.doc != "" {
-		if d, ok := p.docs[top.doc]; !ok || d.Root.ID != spine[0] {
+		if root, ok := tx.root(top.doc); !ok || root.ID != spine[0] {
 			return edit{}, fmt.Errorf("peer %s: node n%d is not in document %q", p.ID, id, top.doc)
 		}
 	}
@@ -223,7 +284,7 @@ func (tx *Tx) at(id xmltree.NodeID) (edit, error) {
 	if !tx.copied[cur.ID] {
 		cur = tx.copy(cur)
 		if top.doc != "" {
-			tx.docs = append(tx.docs, txDoc{name: top.doc, root: cur})
+			tx.doc(top.doc).root = cur
 		}
 	}
 	pos := make([]int, 0, len(spine)-1)
@@ -281,11 +342,9 @@ func (tx *Tx) drop(e indexEntry) {
 
 // record files a finished edit's commit under its document.
 func (tx *Tx) record(ed edit) {
-	for i := range tx.docs {
-		if tx.docs[i].name == ed.doc {
-			tx.docs[i].commits = append(tx.docs[i].commits, ed.commit)
-			return
-		}
+	if ed.doc != "" {
+		w := tx.doc(ed.doc)
+		w.commits = append(w.commits, ed.commit)
 	}
 }
 
@@ -298,23 +357,29 @@ func (tx *Tx) commit() {
 		return
 	}
 	p.epoch++
-	for _, w := range tx.docs {
-		p.publishLocked(w, p.epoch)
+	for i := range tx.docs {
+		p.publishLocked(&tx.docs[i], p.epoch)
 	}
 }
 
-// publishLocked swaps a written document's root to the transaction's,
-// bumps its version, appends the transaction's commits to its feed and
-// wakes its watchers. Callers hold p.mu.
-func (p *Peer) publishLocked(w txDoc, epoch uint64) {
-	d := p.docs[w.name]
-	for i := range w.commits {
-		w.commits[i].Epoch = epoch
-	}
-	d.Root, d.pub = w.root, &published{root: w.root, epoch: epoch}
-	d.Version++
-	if len(w.commits) > 0 {
-		d.feed.push(w.commits)
+// publishLocked makes a written document as the transaction left it
+// current — gone when dropped; installed with a feed starting at epoch;
+// otherwise its new root, with the transaction's commits on its feed —
+// and wakes its watchers. Callers hold p.mu.
+func (p *Peer) publishLocked(w *txDoc, epoch uint64) {
+	switch d := p.docs[w.name]; {
+	case w.root == nil:
+		delete(p.docs, w.name)
+	case w.fresh:
+		p.docs[w.name] = &document{pub: &published{root: w.root, epoch: epoch}, feed: feed{floor: epoch}}
+	default:
+		for i := range w.commits {
+			w.commits[i].Epoch = epoch
+		}
+		d.pub = &published{root: w.root, epoch: epoch}
+		if len(w.commits) > 0 {
+			d.feed.push(w.commits)
+		}
 	}
 	for _, ch := range p.watchers[w.name] {
 		select {

@@ -79,54 +79,85 @@ func TestWriteIsOneEpoch(t *testing.T) {
 	}
 }
 
-// TestFailedWriteLeavesNoTrace: a transaction whose fn fails after three
-// edits publishes nothing, and the node index is as it was.
+// TestFailedWriteLeavesNoTrace: a transaction whose fn fails after its
+// edits — node edits, an install, a drop, a drop and reinstall —
+// publishes nothing: the document map, roots, node index, epoch and
+// feed are as they were, and the store takes the same edits again.
 func TestFailedWriteLeavesNoTrace(t *testing.T) {
-	p, root := feedPeer(t)
-	before := p.Epoch()
-	index := maps.Clone(p.index)
-	text := xmltree.Serialize(root)
-	item, other := root.Children[0], root.Children[1]
-	added, price := xmltree.E("item"), xmltree.E("price", xmltree.T("5"))
+	for _, row := range []struct {
+		name string
+		edit func(tx *Tx, root *xmltree.Node) error
+	}{
+		{"append, replace, remove", func(tx *Tx, root *xmltree.Node) error {
+			item, other := root.Children[0], root.Children[1]
+			if err := tx.Append(root.ID, xmltree.E("item")); err != nil {
+				return err
+			}
+			if err := tx.Replace(0, item.Children[0].ID, xmltree.E("price", xmltree.T("5"))); err != nil {
+				return err
+			}
+			return tx.Remove(root.ID, other.ID)
+		}},
+		{"install", func(tx *Tx, _ *xmltree.Node) error {
+			fresh := xmltree.E("fresh")
+			if err := tx.Install("fresh", fresh); err != nil {
+				return err
+			}
+			return tx.Append(fresh.ID, xmltree.E("row"))
+		}},
+		{"drop", func(tx *Tx, root *xmltree.Node) error {
+			if err := tx.Replace(0, root.Children[0].Children[0].ID, xmltree.E("price")); err != nil {
+				return err
+			}
+			_, err := tx.Drop("catalog")
+			return err
+		}},
+		{"drop and install", func(tx *Tx, _ *xmltree.Node) error {
+			old, err := tx.Drop("catalog")
+			if err != nil {
+				return err
+			}
+			if err := tx.Install("moved", old); err != nil {
+				return err
+			}
+			return tx.Install("catalog", xmltree.E("catalog", xmltree.E("item")))
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			p, root := feedPeer(t)
+			before := p.Snapshot()
+			defer before.Release()
+			index := maps.Clone(p.index)
+			text := xmltree.Serialize(root)
 
-	boom := errors.New("boom")
-	err := p.Write(func(tx *Tx) error {
-		if err := tx.Append(root.ID, added); err != nil {
-			return err
-		}
-		if err := tx.Replace(0, item.Children[0].ID, price); err != nil {
-			return err
-		}
-		if err := tx.Remove(root.ID, other.ID); err != nil {
-			return err
-		}
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("Write = %v, want fn's error", err)
-	}
-	if got := p.Epoch(); got != before {
-		t.Errorf("epoch moved %d → %d", before, got)
-	}
-	if d, _ := p.Document("catalog"); d.Root != root || xmltree.Serialize(d.Root) != text {
-		t.Errorf("root moved: %s", xmltree.Serialize(d.Root))
-	}
-	if !maps.Equal(p.index, index) {
-		t.Error("the node index changed")
-	}
-	for _, id := range []xmltree.NodeID{added.ID, price.ID} {
-		if _, ok := p.NodeByID(id); ok {
-			t.Errorf("n%d of the failed transaction is indexed", id)
-		}
-	}
-	h := p.Snapshot()
-	defer h.Release()
-	if got, ok := h.Changes("catalog", before); !ok || len(got) != 0 {
-		t.Errorf("Changes after the failed transaction = %d commits, ok=%v", len(got), ok)
-	}
-	// The store takes the same edits again.
-	if err := p.RemoveChildByID(root.ID, other.ID); err != nil {
-		t.Fatal(err)
+			boom := errors.New("boom")
+			err := p.Write(func(tx *Tx) error {
+				if err := row.edit(tx, root); err != nil {
+					return err
+				}
+				return boom
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("Write = %v, want fn's error", err)
+			}
+			after := p.Snapshot()
+			defer after.Release()
+			if after.Epoch() != before.Epoch() {
+				t.Errorf("epoch moved %d → %d", before.Epoch(), after.Epoch())
+			}
+			if !maps.Equal(after.roots, before.roots) || xmltree.Serialize(root) != text {
+				t.Errorf("the documents moved: %v", after.Docs())
+			}
+			if !maps.Equal(p.index, index) {
+				t.Error("the node index changed")
+			}
+			if got, ok := after.Changes("catalog", before.Epoch()); !ok || len(got) != 0 {
+				t.Errorf("Changes after the failed transaction = %d commits, ok=%v", len(got), ok)
+			}
+			if err := p.Write(func(tx *Tx) error { return row.edit(tx, root) }); err != nil {
+				t.Errorf("the same edits again: %v", err)
+			}
+		})
 	}
 }
 

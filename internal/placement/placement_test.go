@@ -457,12 +457,17 @@ func TestAdaptiveBeatsStatic(t *testing.T) {
 			}
 			return forest, rows.VT()
 		}
-		catalog, _ := data.Document("catalog")
+		h := data.Snapshot()
+		catalog, err := h.Root("catalog")
+		h.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var out outcome
 		var latencies []float64
 		for r, serial := 0, 100; r < rounds; r++ {
 			for k := 0; k < perRound; k, serial = k+1, serial+1 {
-				if err := data.AddChild(catalog.Root.ID, xmltree.E("item",
+				if err := data.AddChild(catalog.ID, xmltree.E("item",
 					xmltree.A("id", fmt.Sprintf("r%d", serial)),
 					xmltree.E("name", xmltree.T(fmt.Sprintf("fresh-%d", serial))),
 					xmltree.E("price", xmltree.T(fmt.Sprint(serial*37%1000))))); err != nil {

@@ -183,10 +183,15 @@ func TestScRelocateRule(t *testing.T) {
 	if err := client.InstallDocument("inbox", xmltree.E("inbox")); err != nil {
 		t.Fatal(err)
 	}
-	inbox, _ := client.Document("inbox")
+	h := client.Snapshot()
+	inbox, err := h.Root("inbox")
+	h.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
 	sc := &core.ServiceCall{
 		Provider: "data", Service: "offers",
-		Forward: []peer.NodeRef{{Peer: "client", Node: inbox.Root.ID}},
+		Forward: []peer.NodeRef{{Peer: "client", Node: inbox.ID}},
 	}
 	alts := ScRelocate{}.Apply(sc, "client", ctx)
 	if len(alts) != 1 {

@@ -10,6 +10,7 @@ import (
 
 	"axml/internal/core"
 	"axml/internal/netsim"
+	"axml/internal/peer"
 	"axml/internal/service"
 	"axml/internal/view"
 	"axml/internal/xmltree"
@@ -39,6 +40,18 @@ func testSystem(t *testing.T) (*core.System, *view.Manager) {
 	t.Cleanup(views.Close)
 	t.Cleanup(sys.Close)
 	return sys, views
+}
+
+// docRoot reads the named document's newest root through a snapshot.
+func docRoot(t testing.TB, p *peer.Peer, name string) *xmltree.Node {
+	t.Helper()
+	h := p.Snapshot()
+	defer h.Release()
+	root, err := h.Root(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root
 }
 
 func newSession(t *testing.T, sys *core.System, views *view.Manager) *Local {
@@ -392,9 +405,8 @@ func TestExecUpdateStatements(t *testing.T) {
 	if err != nil || n != 4 {
 		t.Fatalf("replace = %d, %v", n, err)
 	}
-	doc, _ := data.Document("catalog")
-	if len(doc.Root.Children) != 4 {
-		t.Errorf("catalog has %d items", len(doc.Root.Children))
+	if got := len(docRoot(t, data, "catalog").Children); got != 4 {
+		t.Errorf("catalog has %d items", got)
 	}
 	// Query statements run through the pipeline, results discarded.
 	n, err = sess.Exec(ctx, `doc("catalog")/item/name`)
@@ -421,8 +433,7 @@ func TestExecLocationTransparent(t *testing.T) {
 		t.Errorf("deleted %d, want 36", n)
 	}
 	data, _ := sys.Peer("data")
-	doc, _ := data.Document("catalog")
-	if len(doc.Root.ChildElementsByLabel("item")) != 4 {
+	if len(docRoot(t, data, "catalog").ChildElementsByLabel("item")) != 4 {
 		t.Errorf("update did not reach the hosting peer")
 	}
 	if _, err := sess.Exec(context.Background(), `delete doc("ghost")/x`); !errors.Is(err, ErrNoSuchDoc) {
@@ -470,8 +481,7 @@ func TestConsistentViewOption(t *testing.T) {
 	before, _ := rows.Collect()
 
 	data, _ := sys.Peer("data")
-	doc, _ := data.Document("catalog")
-	if err := data.AddChild(doc.Root.ID,
+	if err := data.AddChild(docRoot(t, data, "catalog").ID,
 		xmltree.MustParse(`<item><name>late</name><price>2</price></item>`)); err != nil {
 		t.Fatal(err)
 	}

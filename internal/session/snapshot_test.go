@@ -93,9 +93,9 @@ func TestSnapshotIsolationFreezesStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, _ := sys.Peer("data")
-	d, _ := data.Document("catalog")
-	rootID := d.Root.ID
-	before := len(d.Root.Children)
+	root := docRoot(t, data, "catalog")
+	rootID := root.ID
+	before := len(root.Children)
 
 	rows, err := sess.Query(context.Background(),
 		`for $i in doc("catalog")/item return $i/name`, WithSnapshotIsolation())

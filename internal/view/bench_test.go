@@ -49,8 +49,8 @@ func BenchmarkRefreshAfterCommit(b *testing.B) {
 	for _, items := range []int{2000, 20000} {
 		b.Run(fmt.Sprintf("items=%d", items), func(b *testing.B) {
 			m, store := benchView(b, items)
-			catalog, _ := store.Document("catalog")
-			price := catalog.Root.Children[items/2].FirstChildElement("price").ID
+			catalog := docRoot(b, store, "catalog")
+			price := catalog.Children[items/2].FirstChildElement("price").ID
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()

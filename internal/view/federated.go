@@ -142,10 +142,7 @@ func (m *Manager) Adopt(name, src string, at netsim.PeerID, root *xmltree.Node, 
 		if p.at == at {
 			// Re-ship of an existing adopted copy: swap the content in
 			// place, keeping the catalog registrations.
-			if err := target.RemoveDocument(docName); err != nil {
-				return fmt.Errorf("view %q: re-adopting at %s: %w", name, at, err)
-			}
-			if err := target.InstallDocument(docName, root); err != nil {
+			if err := swapDocument(target, docName, root); err != nil {
 				return fmt.Errorf("view %q: re-adopting at %s: %w", name, at, err)
 			}
 			st.placements[i].root = root.ID

@@ -89,9 +89,9 @@ func TestMigrateShipsContentAndKeepsIncrementalMaintenance(t *testing.T) {
 	// correct: delete one matching base item, refresh, and the view must
 	// equal ground truth without a full re-ship.
 	data, _ := sys.Peer("data")
-	catalog, _ := data.Document("catalog")
+	catalog := docRoot(t, data, "catalog")
 	var victim xmltree.NodeID
-	for _, it := range catalog.Root.ChildElementsByLabel("item") {
+	for _, it := range catalog.ChildElementsByLabel("item") {
 		price := it.FirstChildElement("price")
 		if price != nil && len(price.Children) > 0 {
 			var v int
@@ -104,7 +104,7 @@ func TestMigrateShipsContentAndKeepsIncrementalMaintenance(t *testing.T) {
 	if victim == 0 {
 		t.Fatal("no matching item to delete")
 	}
-	if err := data.RemoveChildByID(catalog.Root.ID, victim); err != nil {
+	if err := data.RemoveChildByID(catalog.ID, victim); err != nil {
 		t.Fatal(err)
 	}
 	preRefresh := sys.Net.Stats()
@@ -157,13 +157,9 @@ func TestMigrateReplicaViewMovesBaseRegistration(t *testing.T) {
 		t.Fatalf("base-class registrations after migration = %v, want [clientB]", ats)
 	}
 	data, _ := sys.Peer("data")
-	truth, _ := data.Document("catalog")
+	truth := docRoot(t, data, "catalog")
 	clientB, _ := sys.Peer("clientB")
-	got, ok := clientB.Document(DocPrefix + "copy")
-	if !ok {
-		t.Fatal("migrated replica missing at clientB")
-	}
-	if !xmltree.Equal(truth.Root, got.Root) {
+	if got := docRoot(t, clientB, DocPrefix+"copy"); !xmltree.Equal(truth, got) {
 		t.Error("migrated full-copy view is not equivalent to the base document")
 	}
 }

@@ -244,9 +244,9 @@ func (m *Manager) Migrate(ctx context.Context, name string, from, to netsim.Peer
 	// The content lands into a staging document first: shipped trees
 	// need an installed node reference to land onto, but readers must
 	// never resolve the view's name to a half-filled copy. Once the
-	// ship completes, the staging name is swapped for the real one —
-	// node identifiers survive the swap (AssignIDs only fills zero
-	// IDs), so the migrated provenance stays valid.
+	// ship completes, one transaction swaps the staging name for the
+	// real one — node identifiers survive the swap (AssignIDs only
+	// fills zero IDs), so the migrated provenance stays valid.
 	docName := st.def.DocName()
 	staging := docName + "~incoming"
 	var newRoot *xmltree.Node
@@ -297,18 +297,16 @@ func (m *Manager) Migrate(ctx context.Context, name string, from, to netsim.Peer
 		}
 	}
 
-	// Swap staging → final. The landed rows live in the staging doc's
-	// newest epoch (the shell pointer held here predates the landings),
-	// so re-fetch its current root; node identifiers survive the swap.
-	landed, ok := target.Document(staging)
-	if !ok {
-		return fmt.Errorf("view %q: staging document vanished at %s", name, to)
-	}
-	landedRoot := landed.Root
-	if err := target.RemoveDocument(staging); err != nil {
-		return fmt.Errorf("view %q: migrating to %s: %w", name, to, err)
-	}
-	if err := target.InstallDocument(docName, landedRoot); err != nil {
+	// Swap staging → final in one transaction: the landed root moves
+	// under the view's name, identifiers and all.
+	if err := target.Write(func(tx *peer.Tx) error {
+		landed, err := tx.Drop(staging)
+		if err != nil {
+			return err
+		}
+		return tx.Install(docName, landed)
+	}); err != nil {
+		_ = target.RemoveDocument(staging)
 		return fmt.Errorf("view %q: migrating to %s: %w", name, to, err)
 	}
 

@@ -13,12 +13,18 @@
 // (node-id lineage, see placement.prov). This keeps views correct under
 // deletions and in-place updates, beyond the insert-only fragment of
 // Positive AXML. Every other query shape falls back to full
-// re-materialization at the placement peer. AutoRefresh subscribes to
-// the base documents' typed change notifications so views follow
-// updates without polling; Refresh/RefreshAll are the synchronous entry
-// points tests and benchmarks drive deterministically, and RefreshFull
-// is the force-full baseline (admin healing; TestChurnConvergence holds
-// the provenance path to it).
+// re-materialization at the placement peer. Whatever the path, a
+// refresh changes a placement in one transaction — one epoch at the
+// placement peer: a delta lands as one forest, a full refresh ships
+// tombstones for every stored row together with the fresh rows, and a
+// full-copy view swaps its whole document (Tx.Drop, then Tx.Install) —
+// so a reader never finds a view half-refreshed, empty or absent.
+// AutoRefresh subscribes to the base documents' change notifications
+// (installs and drops included) so views follow updates without
+// polling; Refresh/RefreshAll are the synchronous entry points tests
+// and benchmarks drive deterministically, and RefreshFull is the
+// force-full baseline (admin healing; TestChurnConvergence holds the
+// provenance path to it).
 package view
 
 import (
@@ -247,21 +253,23 @@ func (m *Manager) recordProv(p *placement, adds []xquery.Derivation) error {
 	return nil
 }
 
-// refreshPlacementFull re-materializes one placement from scratch.
-// Incremental placements re-derive the full result at the base, clear
-// the stored rows, ship the complete content (so the refresh pays
-// full-materialization bytes, the honest baseline) and rebuild their
-// provenance; recompute placements re-run the query through the normal
-// evaluator. Callers hold st.mu.
+// refreshPlacementFull re-materializes one placement from scratch, as
+// one epoch at the placement peer. Incremental placements re-derive the
+// full result at the base and ship it in one forest — an x:retract
+// tombstone for every stored row, then the complete content, so the
+// refresh pays full-materialization bytes, the honest baseline — and
+// rebuild their provenance; recompute placements re-run the query
+// through the normal evaluator and swap the content in. A failure
+// leaves the old rows and provenance in place. Callers hold st.mu.
 func (m *Manager) refreshPlacementFull(ctx context.Context, st *state, p *placement) (int, error) {
+	target, ok := m.sys.Peer(p.at)
+	if !ok {
+		return 0, fmt.Errorf("placement peer %q is gone", p.at)
+	}
 	if p.inc != nil {
 		host, ok := m.sys.Peer(p.baseAt)
 		if !ok {
 			return 0, fmt.Errorf("base peer %q is gone", p.baseAt)
-		}
-		target, ok := m.sys.Peer(p.at)
-		if !ok {
-			return 0, fmt.Errorf("placement peer %q is gone", p.at)
 		}
 		fresh, _ := xquery.NewDeltaFor(st.def.Query, nil)
 		h := host.Snapshot()
@@ -271,33 +279,33 @@ func (m *Manager) refreshPlacementFull(ctx context.Context, st *state, p *placem
 		if err != nil {
 			return 0, err
 		}
-		if err := target.ReplaceChildren(p.root, nil); err != nil {
+		stored, err := target.ChildIDs(p.root)
+		if err != nil {
 			return 0, err
 		}
-		// Epoch zero until the content lands: a blank provenance must
-		// meet the full diff, never a feed step.
-		p.inc, p.prov, p.epoch = fresh, map[xquery.Lineage][]xmltree.NodeID{}, 0
+		forest := make([]*xmltree.Node, 0, len(stored))
+		for _, id := range stored {
+			forest = append(forest, core.Retraction(id))
+		}
 		trees := ev.AddedTrees()
-		if len(trees) > 0 {
+		forest = append(forest, trees...)
+		if len(forest) > 0 {
 			ref := peer.NodeRef{Peer: p.at, Node: p.root}
-			if _, err := m.sys.ShipForest(ctx, p.baseAt, ref, trees, 0); err != nil {
-				// The view is empty and nothing landed; rolling the
-				// fresh provenance back to its blank state makes the
-				// next (incremental) refresh re-derive and re-ship the
-				// full content, so a transient failure here cannot
-				// leave an empty view behind a clean refresh. If only
-				// the ack was lost the forest DID land — stay dirty so
-				// the next refresh clears the rows before re-shipping.
-				fresh.Rollback()
-				p.dirty = errors.Is(err, netsim.ErrAckLost)
+			if _, err := m.sys.ShipForest(ctx, p.baseAt, ref, forest, 0); err != nil {
+				// Nothing landed and the old rows still match the old
+				// provenance — unless only the ack was lost: the forest
+				// DID land, so the next refresh rebuilds from scratch.
+				if errors.Is(err, netsim.ErrAckLost) {
+					p.dirty = true
+				}
 				return 0, err
 			}
-			if err := m.recordProv(p, ev.Additions); err != nil {
-				p.dirty = true
-				return len(trees), err
-			}
 		}
-		p.dirty, p.epoch = false, epoch
+		p.inc, p.prov, p.epoch, p.dirty = fresh, map[xquery.Lineage][]xmltree.NodeID{}, epoch, false
+		if err := m.recordProv(p, ev.Additions); err != nil {
+			p.dirty = true
+			return len(trees), err
+		}
 		return len(trees), nil
 	}
 
@@ -307,35 +315,13 @@ func (m *Manager) refreshPlacementFull(ctx context.Context, st *state, p *placem
 	if err != nil {
 		return 0, err
 	}
-	target, ok := m.sys.Peer(p.at)
-	if !ok {
-		return 0, fmt.Errorf("placement peer %q is gone", p.at)
-	}
 	if st.replica {
 		// The document root itself is the view; swap the whole tree.
-		// The old root is kept until the new one is installed: a
-		// failure mid-swap reinstalls it, so the view document never
-		// disappears from the placement peer.
 		root, err := viewRoot(st, forest)
 		if err != nil {
 			return 0, err
 		}
-		docName := st.def.DocName()
-		old, hadOld := target.Document(docName)
-		if hadOld {
-			if err := target.RemoveDocument(docName); err != nil {
-				return 0, err
-			}
-		}
-		if err := target.InstallDocument(docName, root); err != nil {
-			if hadOld {
-				if rbErr := target.InstallDocument(docName, old.Root); rbErr != nil {
-					return 0, errors.Join(err,
-						fmt.Errorf("reinstalling previous content: %w", rbErr))
-				}
-				// The old root kept its identifiers, so p.root is still
-				// valid; the view is stale but present.
-			}
+		if err := swapDocument(target, st.def.DocName(), root); err != nil {
 			return 0, err
 		}
 		p.root = root.ID
@@ -345,6 +331,18 @@ func (m *Manager) refreshPlacementFull(ctx context.Context, st *state, p *placem
 		return 0, err
 	}
 	return len(forest), nil
+}
+
+// swapDocument installs root as the named document at p in place of the
+// one there, if any, as one transaction: a reader sees the old tree or
+// the new one, never neither.
+func swapDocument(p *peer.Peer, name string, root *xmltree.Node) error {
+	return p.Write(func(tx *peer.Tx) error {
+		if _, err := tx.Drop(name); err != nil && !errors.Is(err, peer.ErrNoSuchDoc) {
+			return err
+		}
+		return tx.Install(name, root)
+	})
 }
 
 // AutoRefresh subscribes every current and future placement to its

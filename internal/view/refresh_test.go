@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"axml/internal/core"
 	"axml/internal/netsim"
@@ -94,8 +95,8 @@ func TestIncrementalRefreshStaysConsistent(t *testing.T) {
 	}
 	deltaBytes := sys.Net.Stats().Bytes - before
 	data, _ := sys.Peer("data")
-	catalog, _ := data.Document("catalog")
-	if full := int64(catalog.Root.ByteSize()); deltaBytes >= full {
+	catalog := docRoot(t, data, "catalog")
+	if full := int64(catalog.ByteSize()); deltaBytes >= full {
 		t.Errorf("incremental refresh moved %d bytes, full doc is %d", deltaBytes, full)
 	}
 
@@ -191,9 +192,9 @@ func TestReplicaViewFullRefresh(t *testing.T) {
 	}
 	client, _ := sys.Peer("client")
 	data, _ := sys.Peer("data")
-	cp, _ := client.Document(DocPrefix + "copy")
-	orig, _ := data.Document("catalog")
-	if !xmltree.Equal(cp.Root, orig.Root) {
+	cp := docRoot(t, client, DocPrefix+"copy")
+	orig := docRoot(t, data, "catalog")
+	if !xmltree.Equal(cp, orig) {
 		t.Error("replica view stale after full refresh")
 	}
 	// The reinstalled root must still resolve through d@any.
@@ -367,8 +368,8 @@ func churnSystem(t *testing.T, items int, peers ...netsim.PeerID) *core.System {
 func matchingItemID(t *testing.T, sys *core.System) xmltree.NodeID {
 	t.Helper()
 	data, _ := sys.Peer("data")
-	catalog, _ := data.Document("catalog")
-	for _, it := range catalog.Root.ChildElementsByLabel("item") {
+	catalog := docRoot(t, data, "catalog")
+	for _, it := range catalog.ChildElementsByLabel("item") {
 		if p := it.FirstChildElement("price"); p != nil {
 			var v int
 			fmt.Sscanf(p.TextContent(), "%d", &v)
@@ -396,9 +397,9 @@ func TestDeletionRetractsAtEveryPlacement(t *testing.T) {
 	}
 
 	data, _ := sys.Peer("data")
-	catalog, _ := data.Document("catalog")
+	catalog := docRoot(t, data, "catalog")
 	victim := matchingItemID(t, sys)
-	if err := data.RemoveChildByID(catalog.Root.ID, victim); err != nil {
+	if err := data.RemoveChildByID(catalog.ID, victim); err != nil {
 		t.Fatal(err)
 	}
 	n, err := m.Refresh("cheap")
@@ -431,12 +432,12 @@ func TestInPlaceUpdateRederivesExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, _ := sys.Peer("data")
-	catalog, _ := data.Document("catalog")
+	catalog := docRoot(t, data, "catalog")
 	victim := matchingItemID(t, sys)
 	repl := xmltree.E("item",
 		xmltree.E("name", xmltree.T("updated-in-place")),
 		xmltree.E("price", xmltree.T("77")))
-	if err := data.ReplaceChildByID(catalog.Root.ID, victim, repl); err != nil {
+	if err := data.ReplaceChildByID(catalog.ID, victim, repl); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Refresh("cheap"); err != nil {
@@ -546,15 +547,12 @@ func TestChurnConvergence(t *testing.T) {
 			type live struct{ item, price xmltree.NodeID }
 			// current lists the root and its items as the store holds them now.
 			current := func() (xmltree.NodeID, []live) {
-				d, ok := data.Document("catalog")
-				if !ok {
-					t.Fatal("catalog is gone")
-				}
+				root := docRoot(t, data, "catalog")
 				var items []live
-				for _, it := range d.Root.ChildElementsByLabel("item") {
+				for _, it := range root.ChildElementsByLabel("item") {
 					items = append(items, live{it.ID, it.FirstChildElement("price").ID})
 				}
-				return d.Root.ID, items
+				return root.ID, items
 			}
 			must := func(err error) {
 				t.Helper()
@@ -679,7 +677,7 @@ func TestDeltaMaintenanceShipsLessThanFullRefresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		data, _ := sys.Peer("data")
-		catalog, _ := data.Document("catalog")
+		catalog := docRoot(t, data, "catalog")
 		rng := rand.New(rand.NewSource(97))
 		serial := 0
 		item := func() *xmltree.Node {
@@ -691,19 +689,19 @@ func TestDeltaMaintenanceShipsLessThanFullRefresh(t *testing.T) {
 		before := sys.Net.Stats().Bytes
 		for r := 0; r < 4; r++ {
 			for k := 0; k < 10; k++ {
-				if err := data.AddChild(catalog.Root.ID, item()); err != nil {
+				if err := data.AddChild(catalog.ID, item()); err != nil {
 					t.Fatal(err)
 				}
 			}
-			d, _ := data.Document("catalog")
-			live := d.Root.ChildElementsByLabel("item")
+			d := docRoot(t, data, "catalog")
+			live := d.ChildElementsByLabel("item")
 			for k := 0; k < len(live)/10; k++ {
 				i := rng.Intn(len(live))
 				var err error
 				if rng.Intn(2) == 0 {
-					err = data.RemoveChildByID(catalog.Root.ID, live[i].ID)
+					err = data.RemoveChildByID(catalog.ID, live[i].ID)
 				} else {
-					err = data.ReplaceChildByID(catalog.Root.ID, live[i].ID, item())
+					err = data.ReplaceChildByID(catalog.ID, live[i].ID, item())
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -865,8 +863,8 @@ func TestRefreshFullHeals(t *testing.T) {
 	}
 	// Corrupt the materialization behind the manager's back.
 	client, _ := sys.Peer("client")
-	vdoc, _ := client.Document(DocPrefix + "cheap")
-	if err := client.AddChild(vdoc.Root.ID, xmltree.E("bogus")); err != nil {
+	vdoc := docRoot(t, client, DocPrefix+"cheap")
+	if err := client.AddChild(vdoc.ID, xmltree.E("bogus")); err != nil {
 		t.Fatal(err)
 	}
 	// Incremental refresh sees no base change and keeps the corruption.
@@ -908,8 +906,8 @@ func TestAutoRefreshChurnRace(t *testing.T) {
 	m.AutoRefresh()
 
 	data, _ := sys.Peer("data")
-	catalog, _ := data.Document("catalog")
-	rootID := catalog.Root.ID
+	catalog := docRoot(t, data, "catalog")
+	rootID := catalog.ID
 
 	const writers, perWriter = 4, 20
 	var wg sync.WaitGroup
@@ -958,6 +956,106 @@ func TestAutoRefreshChurnRace(t *testing.T) {
 	}
 }
 
+// TestRefreshFullLeavesNoGap: snapshot readers beside a loop of full
+// refreshes of a selection view and of a full-copy view always find
+// the view document holding every row — never absent, never empty; run
+// under -race.
+func TestRefreshFullLeavesNoGap(t *testing.T) {
+	sys := testSystem(t, 40)
+	defer sys.Close()
+	m := NewManager(sys)
+	defer m.Close()
+	rows := map[string]int{}
+	for name, src := range map[string]string{
+		"cheap": `for $i in doc("catalog")/item where $i/price < 500 return $i`,
+		"copy":  `doc("catalog")`,
+	} {
+		if err := m.Define(name, src, "client"); err != nil {
+			t.Fatal(err)
+		}
+		rows[name] = len(viewTrees(t, sys, "client", name))
+	}
+	client, _ := sys.Peer("client")
+	check := func() error {
+		h := client.Snapshot()
+		defer h.Release()
+		for name, want := range rows {
+			root, err := h.Root(DocPrefix + name)
+			if err != nil {
+				return fmt.Errorf("epoch %d: %w", h.Epoch(), err)
+			}
+			if got := len(root.Children); got != want {
+				return fmt.Errorf("epoch %d: view %s holds %d rows, want %d", h.Epoch(), name, got, want)
+			}
+		}
+		return nil
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := check(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		for name := range rows {
+			if _, err := m.RefreshFull(name); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestAutoRefreshFollowsReinstall: removing a view's base and installing
+// it again wakes the view's watchers like any other write, so an
+// auto-refreshed view follows the new content with no later write.
+func TestAutoRefreshFollowsReinstall(t *testing.T) {
+	sys := testSystem(t, 20)
+	defer sys.Close()
+	m := NewManager(sys)
+	defer m.Close()
+	src := `for $i in doc("catalog")/item where $i/price < 500 return $i`
+	if err := m.Define("cheap", src, "client"); err != nil {
+		t.Fatal(err)
+	}
+	m.AutoRefresh()
+	data, _ := sys.Peer("data")
+	if err := data.RemoveDocument("catalog"); err != nil {
+		t.Fatal(err)
+	}
+	if err := data.InstallDocument("catalog", xmltree.E("catalog", xmltree.E("item",
+		xmltree.E("name", xmltree.T("only")), xmltree.E("price", xmltree.T("1"))))); err != nil {
+		t.Fatal(err)
+	}
+	want := expectedTrees(t, sys, "data", src)
+	for deadline := time.Now().Add(5 * time.Second); !sameMultiset(viewTrees(t, sys, "client", "cheap"), want); {
+		if time.Now().After(deadline) {
+			t.Fatalf("the view holds %d rows, the reinstalled base gives %d",
+				len(viewTrees(t, sys, "client", "cheap")), len(want))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestRefreshFullShipFailureRecovers regression-tests the forced-full
 // path: a transient ship failure during RefreshFull must not leave an
 // empty view behind subsequently "successful" refreshes — the next
@@ -986,8 +1084,8 @@ func TestRefreshFullShipFailureRecovers(t *testing.T) {
 	}
 	// Maintenance keeps working afterwards, including retractions.
 	data, _ := sys.Peer("data")
-	catalog, _ := data.Document("catalog")
-	if err := data.RemoveChildByID(catalog.Root.ID, matchingItemID(t, sys)); err != nil {
+	catalog := docRoot(t, data, "catalog")
+	if err := data.RemoveChildByID(catalog.ID, matchingItemID(t, sys)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Refresh("cheap"); err != nil {

@@ -1,6 +1,7 @@
 package view
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"axml/internal/core"
 	"axml/internal/netsim"
 	"axml/internal/opt"
+	"axml/internal/peer"
 	"axml/internal/rewrite"
 	"axml/internal/workload"
 	"axml/internal/xmltree"
@@ -39,11 +41,19 @@ func viewTrees(t *testing.T, sys *core.System, at netsim.PeerID, name string) []
 	if !ok {
 		t.Fatalf("no peer %s", at)
 	}
-	d, ok := p.Document(DocPrefix + name)
-	if !ok {
-		t.Fatalf("view document %q missing at %s", DocPrefix+name, at)
+	return docRoot(t, p, DocPrefix+name).Children
+}
+
+// docRoot reads the named document's newest root through a snapshot.
+func docRoot(t testing.TB, p *peer.Peer, name string) *xmltree.Node {
+	t.Helper()
+	h := p.Snapshot()
+	defer h.Release()
+	root, err := h.Root(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return d.Root.Children
+	return root
 }
 
 func TestDefineMaterializesAtPlacement(t *testing.T) {
@@ -98,6 +108,54 @@ func TestDefineLandsInOneEpoch(t *testing.T) {
 	}
 }
 
+// TestPlacementChangeIsOneEpoch: every later change to a materialized
+// copy is one epoch at its peer too. A full refresh ships tombstones for
+// the stored rows with the fresh rows, a full-copy refresh and a
+// re-adoption swap the document in one transaction, and a migration
+// publishes the staging install, the landing and the swap.
+func TestPlacementChangeIsOneEpoch(t *testing.T) {
+	const cheap = `for $i in doc("catalog")/item where $i/price < 500 return $i`
+	adopt := func(m *Manager) error {
+		return m.Adopt("v", cheap, "clientA",
+			xmltree.E("axml:view", xmltree.A("name", "v"), xmltree.E("item")), "origin")
+	}
+	refreshFull := func(m *Manager) error { _, err := m.RefreshFull("v"); return err }
+	for _, c := range []struct {
+		name          string
+		setup, change func(m *Manager) error
+		at            netsim.PeerID
+		epochs        uint64
+	}{
+		{"full refresh", func(m *Manager) error { return m.Define("v", cheap, "clientA") }, refreshFull, "clientA", 1},
+		{"full-copy refresh", func(m *Manager) error { return m.Define("v", `doc("catalog")`, "clientA") }, refreshFull, "clientA", 1},
+		{"re-adoption", adopt, adopt, "clientA", 1},
+		{"migration", func(m *Manager) error { return m.Define("v", cheap, "clientA") }, func(m *Manager) error {
+			return m.Migrate(context.Background(), "v", "clientA", "clientB")
+		}, "clientB", 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := testSystem3(t, 50)
+			defer sys.Close()
+			m := NewManager(sys)
+			defer m.Close()
+			if err := c.setup(m); err != nil {
+				t.Fatal(err)
+			}
+			at, _ := sys.Peer(c.at)
+			before := at.Epoch()
+			if err := c.change(m); err != nil {
+				t.Fatal(err)
+			}
+			if got := at.Epoch() - before; got != c.epochs {
+				t.Errorf("%d epochs at %s, want %d", got, c.at, c.epochs)
+			}
+			if len(viewTrees(t, sys, c.at, "v")) == 0 {
+				t.Error("the view is empty")
+			}
+		})
+	}
+}
+
 func TestReplicaViewServesDocAny(t *testing.T) {
 	sys := testSystem(t, 60)
 	defer sys.Close()
@@ -118,8 +176,8 @@ func TestReplicaViewServesDocAny(t *testing.T) {
 		t.Errorf("d@any with a local replica view moved %d bytes, want 0", got)
 	}
 	data, _ := sys.Peer("data")
-	orig, _ := data.Document("catalog")
-	if len(res.Forest) != 1 || !xmltree.Equal(res.Forest[0], orig.Root) {
+	orig := docRoot(t, data, "catalog")
+	if len(res.Forest) != 1 || !xmltree.Equal(res.Forest[0], orig) {
 		t.Error("replica view content differs from the base document")
 	}
 }

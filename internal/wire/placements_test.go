@@ -58,8 +58,7 @@ func TestPlacementsVerb(t *testing.T) {
 	if strings.Contains(lines[0], "epoch 0,") || !strings.HasSuffix(lines[0], "behind 0") {
 		t.Errorf("placement line carries no freshness: %q", lines[0])
 	}
-	catalog, _ := p.Document("catalog")
-	if err := p.AddChild(catalog.Root.ID, xmltree.MustParse(`<item><price>1</price></item>`)); err != nil {
+	if err := p.AddChild(docRoot(t, p, "catalog").ID, xmltree.MustParse(`<item><price>1</price></item>`)); err != nil {
 		t.Fatal(err)
 	}
 	if lines, err = c.Placements(context.Background()); err != nil || !strings.HasSuffix(lines[0], "behind 1") {

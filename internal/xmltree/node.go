@@ -1,9 +1,10 @@
 // Package xmltree implements the XML data model of the AXML framework:
 // unranked, unordered, labelled trees in which every node carries an
 // identifier (paper §2.1). It provides a from-scratch parser and
-// serializer, structural mutation helpers that maintain parent links,
-// deep copies, and canonical forms used for the unordered tree
-// equivalence that underpins document equivalence (paper §2.3).
+// serializer, builders that maintain parent links, deep copies, and
+// canonical forms used for the unordered tree equivalence that
+// underpins document equivalence (paper §2.3). A stored tree changes
+// only through its peer's transactions (internal/peer), never here.
 //
 // Sibling order is preserved for storage and serialization, but all
 // equality notions exposed by this package ignore it, matching the
@@ -65,7 +66,7 @@ type Attr struct {
 // Node is one node of an XML tree. The zero value is an empty element
 // node with no label.
 //
-// Invariants maintained by the mutation methods:
+// Invariants maintained by AppendChild and the builders:
 //   - n.Children[i].Parent == n for all i
 //   - Text/Comment/ProcInst nodes have no children and no attributes.
 type Node struct {
@@ -136,69 +137,6 @@ func (n *Node) AppendChild(c *Node) {
 	}
 	c.Parent = n
 	n.Children = append(n.Children, c)
-}
-
-// InsertChildAt inserts c at position i among n's children (0 ≤ i ≤ len).
-func (n *Node) InsertChildAt(i int, c *Node) {
-	if c == nil {
-		panic("xmltree: InsertChildAt(nil)")
-	}
-	if n.Kind != ElementNode {
-		panic("xmltree: InsertChildAt on non-element node")
-	}
-	if i < 0 || i > len(n.Children) {
-		panic(fmt.Sprintf("xmltree: InsertChildAt index %d out of range [0,%d]", i, len(n.Children)))
-	}
-	c.Parent = n
-	n.Children = append(n.Children, nil)
-	copy(n.Children[i+1:], n.Children[i:])
-	n.Children[i] = c
-}
-
-// InsertAfter inserts sibling newer immediately after child ref of n.
-// It returns an error if ref is not a child of n. This implements the
-// AXML placement of service results "as a sibling of the sc node"
-// (paper §2.2 step 3).
-func (n *Node) InsertAfter(ref, newer *Node) error {
-	for i, c := range n.Children {
-		if c == ref {
-			n.InsertChildAt(i+1, newer)
-			return nil
-		}
-	}
-	return fmt.Errorf("xmltree: InsertAfter: reference node not a child of %q", n.Label)
-}
-
-// RemoveChild detaches c from n. It returns false if c is not a child of n.
-func (n *Node) RemoveChild(c *Node) bool {
-	for i, ch := range n.Children {
-		if ch == c {
-			n.Children = append(n.Children[:i], n.Children[i+1:]...)
-			c.Parent = nil
-			return true
-		}
-	}
-	return false
-}
-
-// ReplaceChild swaps old for newer among n's children, preserving position.
-func (n *Node) ReplaceChild(old, newer *Node) bool {
-	for i, ch := range n.Children {
-		if ch == old {
-			newer.Parent = n
-			n.Children[i] = newer
-			old.Parent = nil
-			return true
-		}
-	}
-	return false
-}
-
-// Detach removes n from its parent, if any.
-func (n *Node) Detach() {
-	if n.Parent != nil {
-		n.Parent.RemoveChild(n)
-	}
 }
 
 // ChildElements returns the element children of n, in document order.

@@ -35,47 +35,9 @@ func TestMutationMaintainsParents(t *testing.T) {
 	if a.Parent != root || b.Parent != root {
 		t.Fatal("parents not set")
 	}
-	c := E("c")
-	if err := root.InsertAfter(a, c); err != nil {
-		t.Fatalf("InsertAfter: %v", err)
+	if len(root.Children) != 2 || root.Children[0] != a || root.Children[1] != b {
+		t.Errorf("AppendChild misplaced: %s", Serialize(root))
 	}
-	if root.Children[1] != c || c.Parent != root {
-		t.Errorf("InsertAfter misplaced: %s", Serialize(root))
-	}
-	if !root.RemoveChild(a) {
-		t.Error("RemoveChild returned false")
-	}
-	if a.Parent != nil {
-		t.Error("removed child retains parent")
-	}
-	if root.RemoveChild(a) {
-		t.Error("second RemoveChild returned true")
-	}
-	d := E("d")
-	if !root.ReplaceChild(c, d) {
-		t.Error("ReplaceChild returned false")
-	}
-	if root.Children[0] != d || d.Parent != root || c.Parent != nil {
-		t.Errorf("ReplaceChild state wrong: %s", Serialize(root))
-	}
-}
-
-func TestInsertAfterMissingRef(t *testing.T) {
-	root := E("r", E("a"))
-	if err := root.InsertAfter(E("ghost"), E("x")); err == nil {
-		t.Error("InsertAfter with foreign ref should error")
-	}
-}
-
-func TestDetach(t *testing.T) {
-	root := E("r", E("a"), E("b"))
-	a := root.Children[0]
-	a.Detach()
-	if len(root.Children) != 1 || a.Parent != nil {
-		t.Errorf("Detach failed: %s", Serialize(root))
-	}
-	// Detaching a parentless node is a no-op.
-	a.Detach()
 }
 
 func TestAttrOps(t *testing.T) {

@@ -39,7 +39,7 @@ func TestDeltaEventsDeletionRetracts(t *testing.T) {
 	}
 	victim := cat.Children[0]
 	victimKey := LineageOf(victim)
-	victim.Detach()
+	cat.Children = cat.Children[1:]
 
 	ev = mustEvents(t, d)
 	if len(ev.Additions) != 0 {
@@ -110,7 +110,7 @@ func TestDeltaEventsRollbackReemits(t *testing.T) {
 	d, _ := NewDeltaFor(q, env)
 	mustEvents(t, d)
 
-	cat.Children[0].Detach()
+	cat.Children = cat.Children[1:]
 	// The fresh item keeps zero IDs: lineage falls back to pointer
 	// identity, exercising the mixed-key case.
 	cat.AppendChild(xmltree.MustParse(`<item><price>3</price></item>`))
