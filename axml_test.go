@@ -127,7 +127,7 @@ func TestFacadeActivationViaAxmldoc(t *testing.T) {
 		t.Fatal(err)
 	}
 	act := axmldoc.New(sys.System, host)
-	if _, err := act.ActivateDocument("view"); err != nil {
+	if _, err := act.ActivateDocument(t.Context(), "view"); err != nil {
 		t.Fatal(err)
 	}
 	// Activation publishes a new copy-on-write epoch; serialize the

@@ -60,7 +60,7 @@ func main() {
 	// body runs there, and the results land as siblings of the sc node
 	// (paper §2.2 steps 1–3).
 	act := axmldoc.New(sys.System, client)
-	n, err := act.ActivateDocument("newsletter")
+	n, err := act.ActivateDocument(context.Background(), "newsletter")
 	if err != nil {
 		log.Fatal(err)
 	}

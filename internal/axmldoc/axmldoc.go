@@ -4,18 +4,28 @@
 // inserts the response trees as siblings of the sc node; continuous
 // calls keep accumulating siblings as the provider's data evolves.
 //
+// Activating one call is one transaction at the host: the sc, its
+// parent and its after= dependency are read from one pinned epoch, the
+// results come back in the call's reply, and one Peer.Write lands them
+// with the sc's activated marker. Readers see both or neither, and of
+// two activators of one call only the first to commit lands anything.
+//
 // The package also provides the activation disciplines the paper
 // names — immediate, lazy (activate only when a query needs the
 // document, per [2]), and after-another-call ordering — plus fixpoint
 // expansion and the document equivalence ≡ of §2.3, defined as "their
-// potential evolution … will eventually reach the same fixpoint".
+// potential evolution … will eventually reach the same fixpoint",
+// which expands its probes in a private store no other reader sees.
 //
 // It is a library the serving path does not use: no session, wire verb
 // or view reaches it, and examples/quickstart is its only caller.
 package axmldoc
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"slices"
 
 	"axml/internal/core"
 	"axml/internal/netsim"
@@ -43,89 +53,115 @@ const (
 	attrCallID  = "id"    // user-assigned call identifier
 )
 
+// ErrNotPending reports an sc that is not a pending call of the
+// document: absent, or activated already (perhaps concurrently).
+var ErrNotPending = errors.New("axmldoc: sc is not a pending call of the document")
+
 // PendingCalls returns the sc elements of a document that have not
 // been activated yet, in document order. Calls nested inside pending
-// calls are not reported (they may only appear in results later).
+// calls are not reported (they may only appear in results later), nor
+// is an sc at the document root, which has no parent to receive
+// results.
 func (a *Activator) PendingCalls(docName string) ([]*xmltree.Node, error) {
 	root, err := a.root(docName)
 	if err != nil {
 		return nil, err
 	}
 	var out []*xmltree.Node
-	root.Walk(func(n *xmltree.Node) bool {
-		if n.Kind == xmltree.ElementNode && n.Label == "sc" {
-			if v, _ := n.Attr(attrState); v != stateActive {
-				out = append(out, n)
-			}
-			return false
+	calls(root, func(sc, _ *xmltree.Node) {
+		if !isActive(sc) {
+			out = append(out, sc)
 		}
-		return true
 	})
 	return out, nil
 }
 
-// ActivateNode activates one sc element in place (paper §2.2 steps
-// 1–3): the parameters are evaluated at this peer, shipped to the
-// provider, and the response trees are inserted as siblings of the sc
-// node (the default forward target is the sc's parent, §2.3). The sc
-// element stays in the document, marked activated, so continuous
-// services keep appending next to it.
-func (a *Activator) ActivateNode(sc *xmltree.Node) error {
+// ActivateNode activates one pending sc element of the named document
+// in place (paper §2.2 steps 1–3): the parameters are evaluated at this
+// peer, shipped to the provider, and the response trees are inserted as
+// siblings of the sc node (the default forward target is the sc's
+// parent, §2.3). The sc element stays in the document, marked
+// activated, so continuous services keep appending next to it. An sc
+// with explicit forward targets has its results shipped there by the
+// provider; only its marker lands here.
+func (a *Activator) ActivateNode(ctx context.Context, docName string, sc *xmltree.Node) error {
 	if sc == nil || sc.Kind != xmltree.ElementNode || sc.Label != "sc" {
 		return fmt.Errorf("axmldoc: node is not an sc element")
 	}
-	// Re-resolve against the newest epoch: documents are copy-on-write,
-	// so the caller may hold the node as of an earlier snapshot walk
-	// while a sibling's activation has since published newer state.
-	if live, ok := a.Peer.NodeByID(sc.ID); ok && live.Kind == xmltree.ElementNode && live.Label == "sc" {
-		sc = live
+	root, err := a.root(docName)
+	if err != nil {
+		return err
 	}
-	if v, _ := sc.Attr(attrState); v == stateActive {
-		return fmt.Errorf("axmldoc: call already activated")
-	}
-	if sc.Parent == nil {
-		return fmt.Errorf("axmldoc: sc element has no parent to receive results")
-	}
-	// after="id": the referenced call must have been activated first.
-	// The dependency's state lives in the newest epoch, so look it up
-	// through the document store rather than this node's Parent chain
-	// (which may climb into an older epoch's spine).
-	if afterID, ok := sc.Attr(attrAfter); ok {
-		root := sc.Root()
-		if docName, ok := a.Peer.DocumentOfNode(sc.ID); ok && docName != "" {
-			if newest, err := a.root(docName); err == nil {
-				root = newest
-			}
+	// The sc, its parent and its after= dependency come from one pinned
+	// epoch: a marker, once set, is never cleared, so what it shows holds.
+	var parent, dep *xmltree.Node
+	afterID, after := sc.Attr(attrAfter)
+	calls(root, func(c, p *xmltree.Node) {
+		if c.ID == sc.ID {
+			sc, parent = c, p
 		}
-		dep := findCallByID(root, afterID)
-		if dep == nil {
-			return fmt.Errorf("axmldoc: after=%q references no sc element", afterID)
+		if v, _ := c.Attr(attrCallID); after && v == afterID && dep == nil {
+			dep = c
 		}
-		if v, _ := dep.Attr(attrState); v != stateActive {
-			return &NotReadyError{CallID: afterID}
-		}
+	})
+	switch {
+	case parent == nil || isActive(sc):
+		return ErrNotPending
+	case after && dep == nil:
+		return fmt.Errorf("axmldoc: after=%q references no sc element", afterID)
+	case after && !isActive(dep):
+		return &NotReadyError{CallID: afterID}
 	}
 	call, err := ParseCallElement(sc, a.Peer.ID)
 	if err != nil {
 		return err
 	}
-	if len(call.Forward) == 0 {
-		if sc.Parent.ID == 0 {
-			return fmt.Errorf("axmldoc: sc parent has no node ID (document not installed?)")
+	if call.Provider == core.AnyPeer {
+		// Resolved here rather than by the evaluation, so that a
+		// continuous service subscribes at the provider that answered.
+		ref, err := a.Sys.Generics.ResolveService(a.Peer.ID, call.Service)
+		if err != nil {
+			return fmt.Errorf("%w: %v", core.ErrNoSuchService, err)
 		}
-		call.Forward = []peer.NodeRef{{Peer: a.Peer.ID, Node: sc.Parent.ID}}
+		call.Provider, call.Service = ref.Provider, ref.Name
 	}
-	if _, err := a.Sys.Eval(a.Peer.ID, call); err != nil {
+	res, err := a.Sys.EvalContext(ctx, a.Peer.ID, call)
+	if err != nil {
 		return err
 	}
-	// Publish the activation marker through the peer so it commits as
-	// its own epoch instead of mutating the shared sc node in place.
-	updated := xmltree.DeepCopyKeepIDs(sc)
-	updated.SetAttr(attrState, stateActive)
-	if err := a.Peer.ReplaceChildByID(0, sc.ID, updated); err != nil {
-		return fmt.Errorf("axmldoc: recording activation: %w", err)
+	marked := xmltree.DeepCopy(sc)
+	marked.SetAttr(attrState, stateActive)
+	err = a.Peer.Write(func(tx *peer.Tx) error {
+		// The marked copy takes fresh identifiers, so once one activator
+		// commits, the pending sc's ID is gone for every other.
+		if !tx.Has(sc.ID) {
+			return ErrNotPending
+		}
+		if err := tx.Replace(parent.ID, sc.ID, marked); err != nil {
+			return err
+		}
+		for _, n := range res.Forest {
+			if err := tx.Append(parent.ID, n); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil || len(call.Forward) > 0 {
+		return err
 	}
-	return nil
+	// A continuous service streams its later results to the sc's
+	// parent too, unless this store is not the system's peer (nothing
+	// could land there).
+	if sp, ok := a.Sys.Peer(a.Peer.ID); !ok || sp != a.Peer {
+		return nil
+	}
+	params := make([][]*xmltree.Node, len(call.Params))
+	for i, pe := range call.Params {
+		params[i] = []*xmltree.Node{pe.(*core.Tree).Node}
+	}
+	target := []peer.NodeRef{{Peer: a.Peer.ID, Node: parent.ID}}
+	return a.Sys.Subscribe(call.Provider, call.Service, params, target, a.Peer.ID)
 }
 
 // root reads the named document's newest root through a snapshot. A
@@ -136,6 +172,25 @@ func (a *Activator) root(docName string) (*xmltree.Node, error) {
 	return h.Root(docName)
 }
 
+// calls visits, in document order, the sc elements under n that no
+// other sc contains, each with the element holding it.
+func calls(n *xmltree.Node, fn func(sc, parent *xmltree.Node)) {
+	for _, c := range n.Children {
+		switch {
+		case c.Kind != xmltree.ElementNode:
+		case c.Label == "sc":
+			fn(c, n)
+		default:
+			calls(c, fn)
+		}
+	}
+}
+
+func isActive(sc *xmltree.Node) bool {
+	v, _ := sc.Attr(attrState)
+	return v == stateActive
+}
+
 // NotReadyError reports an sc whose after-dependency is not activated.
 type NotReadyError struct {
 	CallID string
@@ -143,23 +198,6 @@ type NotReadyError struct {
 
 func (e *NotReadyError) Error() string {
 	return fmt.Sprintf("axmldoc: call depends on %q which is not yet activated", e.CallID)
-}
-
-func findCallByID(root *xmltree.Node, id string) *xmltree.Node {
-	var found *xmltree.Node
-	root.Walk(func(n *xmltree.Node) bool {
-		if found != nil {
-			return false
-		}
-		if n.Kind == xmltree.ElementNode && n.Label == "sc" {
-			if v, _ := n.Attr(attrCallID); v == id {
-				found = n
-				return false
-			}
-		}
-		return true
-	})
-	return found
 }
 
 // ParseCallElement builds a core.ServiceCall from an sc element. Both
@@ -211,31 +249,31 @@ func ParseCallElement(sc *xmltree.Node, host netsim.PeerID) (*core.ServiceCall, 
 // ActivateDocument activates the calls currently pending in the
 // document (one round: sc elements introduced by the results are NOT
 // activated — Fixpoint handles those), honoring after-ordering within
-// the round. It returns the number of calls activated. Calls whose
+// the round. It returns the number of calls it activated; a call that
+// another activator committed first is skipped. Calls whose
 // dependencies cannot be satisfied within the round are left pending.
-func (a *Activator) ActivateDocument(docName string) (int, error) {
-	snapshot, err := a.PendingCalls(docName)
+func (a *Activator) ActivateDocument(ctx context.Context, docName string) (int, error) {
+	remaining, err := a.PendingCalls(docName)
 	if err != nil {
 		return 0, err
 	}
 	activated := 0
-	remaining := snapshot
 	for len(remaining) > 0 {
-		progressed := false
 		var deferred []*xmltree.Node
 		for _, sc := range remaining {
-			err := a.ActivateNode(sc)
-			if err != nil {
-				if _, notReady := err.(*NotReadyError); notReady {
-					deferred = append(deferred, sc)
-					continue // retry after its dependency fires
-				}
+			err := a.ActivateNode(ctx, docName, sc)
+			var notReady *NotReadyError
+			switch {
+			case err == nil:
+				activated++
+			case errors.Is(err, ErrNotPending):
+			case errors.As(err, &notReady):
+				deferred = append(deferred, sc) // retry after its dependency fires
+			default:
 				return activated, err
 			}
-			activated++
-			progressed = true
 		}
-		if !progressed {
+		if len(deferred) == len(remaining) {
 			return activated, nil
 		}
 		remaining = deferred
@@ -248,9 +286,9 @@ func (a *Activator) ActivateDocument(docName string) (int, error) {
 // results may themselves contain sc elements, which the next round
 // picks up. It reports the number of rounds run and whether a fixpoint
 // was reached.
-func (a *Activator) Fixpoint(docName string, maxRounds int) (rounds int, reached bool, err error) {
+func (a *Activator) Fixpoint(ctx context.Context, docName string, maxRounds int) (rounds int, reached bool, err error) {
 	for rounds = 0; rounds < maxRounds; rounds++ {
-		n, err := a.ActivateDocument(docName)
+		n, err := a.ActivateDocument(ctx, docName)
 		if err != nil {
 			return rounds, false, err
 		}
@@ -268,62 +306,51 @@ func (a *Activator) Fixpoint(docName string, maxRounds int) (rounds int, reached
 // LazyQuery implements lazy activation (paper §2.2, [2]): the calls of
 // the document are activated only when a query over it arrives, then
 // the query is evaluated over the expanded document.
-func (a *Activator) LazyQuery(docName string, q *xquery.Query, maxRounds int) ([]*xmltree.Node, error) {
-	if _, _, err := a.Fixpoint(docName, maxRounds); err != nil {
+func (a *Activator) LazyQuery(ctx context.Context, docName string, q *xquery.Query, maxRounds int) ([]*xmltree.Node, error) {
+	if _, _, err := a.Fixpoint(ctx, docName, maxRounds); err != nil {
 		return nil, err
 	}
 	return a.Peer.RunQuery(q)
 }
 
-// stripActivationState removes the bookkeeping attributes and sc
-// elements so expanded documents compare by their data content.
-func stripActivationState(n *xmltree.Node) {
-	var kept []*xmltree.Node
-	for _, c := range n.Children {
-		if c.Kind == xmltree.ElementNode && c.Label == "sc" {
-			continue
+// dataOf copies a tree without its sc elements, so expanded documents
+// compare and validate by their data content.
+func dataOf(n *xmltree.Node) *xmltree.Node {
+	c := &xmltree.Node{Kind: n.Kind, Label: n.Label, Text: n.Text, Attrs: slices.Clone(n.Attrs)}
+	for _, k := range n.Children {
+		if k.Kind != xmltree.ElementNode || k.Label != "sc" {
+			c.AppendChild(dataOf(k))
 		}
-		if c.Kind == xmltree.ElementNode {
-			stripActivationState(c)
-		}
-		kept = append(kept, c)
 	}
-	n.Children = kept
+	return c
 }
 
 // Equivalent implements the ≡ of §2.3 operationally: both trees are
-// installed as scratch documents on the peer, expanded to fixpoint
-// (budgeted), the sc markers removed, and the results compared under
-// the unordered tree equality. A false result with reached=false means
-// the budget expired before a fixpoint — the comparison is then only
-// an approximation, as the underlying problem is undecidable in
-// general (the paper cites [5] for the formal treatment).
-func (a *Activator) Equivalent(t1, t2 *xmltree.Node, maxRounds int) (equal bool, reached bool, err error) {
-	names := [2]string{"x:equiv-probe-1", "x:equiv-probe-2"}
-	trees := [2]*xmltree.Node{xmltree.DeepCopy(t1), xmltree.DeepCopy(t2)}
+// expanded to fixpoint (budgeted) by this peer's calls, landing in a
+// private store the system never registers, then compared without
+// their sc elements under the unordered tree equality. A false result
+// with reached=false means the budget expired before a fixpoint — the
+// comparison is then only an approximation, as the underlying problem
+// is undecidable in general (the paper cites [5] for the formal
+// treatment).
+func (a *Activator) Equivalent(ctx context.Context, t1, t2 *xmltree.Node, maxRounds int) (equal bool, reached bool, err error) {
+	probe := New(a.Sys, peer.New(a.Peer.ID))
 	reached = true
 	var expanded [2]*xmltree.Node
-	for i := range names {
-		if err := a.Peer.InstallDocument(names[i], trees[i]); err != nil {
+	for i, t := range [2]*xmltree.Node{t1, t2} {
+		name := fmt.Sprint(i)
+		if err := probe.Peer.Write(func(tx *peer.Tx) error { return tx.Install(name, xmltree.DeepCopy(t)) }); err != nil {
 			return false, false, err
 		}
-		defer a.Peer.RemoveDocument(names[i])
-		_, ok, err := a.Fixpoint(names[i], maxRounds)
+		_, ok, err := probe.Fixpoint(ctx, name, maxRounds)
 		if err != nil {
 			return false, false, err
 		}
-		if !ok {
-			reached = false
-		}
-		// Expansion publishes new epochs; the installed pointer is the
-		// pre-activation snapshot, so fetch the newest root to compare.
-		if expanded[i], err = a.root(names[i]); err != nil {
+		root, err := probe.root(name)
+		if err != nil {
 			return false, false, err
 		}
+		reached, expanded[i] = reached && ok, dataOf(root)
 	}
-	c1 := xmltree.DeepCopy(expanded[0])
-	c2 := xmltree.DeepCopy(expanded[1])
-	stripActivationState(c1)
-	stripActivationState(c2)
-	return xmltree.Equal(c1, c2), reached, nil
+	return xmltree.Equal(expanded[0], expanded[1]), reached, nil
 }

@@ -1,7 +1,9 @@
 package axmldoc
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"axml/internal/core"
@@ -57,7 +59,7 @@ func TestActivateInsertsSiblings(t *testing.T) {
 	if err != nil || len(pending) != 1 {
 		t.Fatalf("pending = %v, %v", pending, err)
 	}
-	if err := act.ActivateNode(pending[0]); err != nil {
+	if err := act.ActivateNode(t.Context(), "page", pending[0]); err != nil {
 		t.Fatalf("activate: %v", err)
 	}
 	// Results land as siblings of the sc node, inside <page>.
@@ -74,7 +76,7 @@ func TestActivateInsertsSiblings(t *testing.T) {
 		t.Errorf("state = %q", v)
 	}
 	// Second activation is an error.
-	if err := act.ActivateNode(sc); err == nil {
+	if err := act.ActivateNode(t.Context(), "page", sc); err == nil {
 		t.Error("re-activation should error")
 	}
 	// PendingCalls now empty.
@@ -91,7 +93,7 @@ func TestActivateLegacySyntax(t *testing.T) {
 		t.Fatal(err)
 	}
 	pending, _ := act.PendingCalls("page")
-	if err := act.ActivateNode(pending[0]); err != nil {
+	if err := act.ActivateNode(t.Context(), "page", pending[0]); err != nil {
 		t.Fatalf("activate legacy: %v", err)
 	}
 	if got := len(currentRoot(t, host, "page").ChildElementsByLabel("offer")); got != 2 {
@@ -111,7 +113,7 @@ func TestActivateWithParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	pending, _ := act.PendingCalls("page")
-	if err := act.ActivateNode(pending[0]); err != nil {
+	if err := act.ActivateNode(t.Context(), "page", pending[0]); err != nil {
 		t.Fatalf("activate: %v", err)
 	}
 	cur := currentRoot(t, host, "page")
@@ -135,12 +137,12 @@ func TestAfterOrdering(t *testing.T) {
 		t.Fatalf("pending = %d", len(pending))
 	}
 	// Activating the second first is refused.
-	err := act.ActivateNode(pending[1])
+	err := act.ActivateNode(t.Context(), "page", pending[1])
 	if _, ok := err.(*NotReadyError); !ok {
 		t.Fatalf("want NotReadyError, got %v", err)
 	}
 	// ActivateDocument resolves the order automatically.
-	n, err := act.ActivateDocument("page")
+	n, err := act.ActivateDocument(t.Context(), "page")
 	if err != nil {
 		t.Fatalf("ActivateDocument: %v", err)
 	}
@@ -159,7 +161,7 @@ func TestAfterUnknownDependency(t *testing.T) {
 		t.Fatal(err)
 	}
 	pending, _ := act.PendingCalls("page")
-	if err := act.ActivateNode(pending[0]); err == nil ||
+	if err := act.ActivateNode(t.Context(), "page", pending[0]); err == nil ||
 		!strings.Contains(err.Error(), "references no sc") {
 		t.Errorf("unknown dependency: %v", err)
 	}
@@ -183,7 +185,7 @@ func TestFixpointNestedCalls(t *testing.T) {
 	if err := host.InstallDocument("page", doc); err != nil {
 		t.Fatal(err)
 	}
-	rounds, reached, err := act.Fixpoint("page", 5)
+	rounds, reached, err := act.Fixpoint(t.Context(), "page", 5)
 	if err != nil {
 		t.Fatalf("fixpoint: %v", err)
 	}
@@ -218,7 +220,7 @@ func TestFixpointBudget(t *testing.T) {
 	if err := host.InstallDocument("page", doc); err != nil {
 		t.Fatal(err)
 	}
-	rounds, reached, err := act.Fixpoint("page", 3)
+	rounds, reached, err := act.Fixpoint(t.Context(), "page", 3)
 	if err != nil {
 		t.Fatalf("fixpoint: %v", err)
 	}
@@ -237,7 +239,7 @@ func TestLazyQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := xquery.MustParse(`for $o in doc("page")/offer return $o`)
-	out, err := act.LazyQuery("page", q, 5)
+	out, err := act.LazyQuery(t.Context(), "page", q, 5)
 	if err != nil {
 		t.Fatalf("LazyQuery: %v", err)
 	}
@@ -260,8 +262,8 @@ func TestEagerAndLazyActivationAgree(t *testing.T) {
 		var out []*xmltree.Node
 		var err error
 		if lazy {
-			out, err = act.LazyQuery("page", q, 3)
-		} else if _, err = act.ActivateDocument("page"); err == nil {
+			out, err = act.LazyQuery(t.Context(), "page", q, 3)
+		} else if _, err = act.ActivateDocument(t.Context(), "page"); err == nil {
 			out, err = host.RunQuery(q)
 		}
 		if err != nil {
@@ -288,7 +290,7 @@ func TestEquivalent(t *testing.T) {
 		`<page><offer>chair</offer><offer>lamp</offer></page>`)
 	intensional := xmltree.MustParse(
 		`<page><sc provider="data" service="cheap"/></page>`)
-	eq, reached, err := act.Equivalent(materialized, intensional, 5)
+	eq, reached, err := act.Equivalent(t.Context(), materialized, intensional, 5)
 	if err != nil {
 		t.Fatalf("Equivalent: %v", err)
 	}
@@ -300,7 +302,7 @@ func TestEquivalent(t *testing.T) {
 	}
 	// A different materialization is not equivalent.
 	other := xmltree.MustParse(`<page><offer>sofa</offer></page>`)
-	eq, _, err = act.Equivalent(other, intensional, 5)
+	eq, _, err = act.Equivalent(t.Context(), other, intensional, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,14 +328,157 @@ func TestParseCallElementErrors(t *testing.T) {
 
 func TestActivateNodeValidation(t *testing.T) {
 	_, act, _ := setup(t)
-	if err := act.ActivateNode(nil); err == nil {
+	if err := act.ActivateNode(t.Context(), "page", nil); err == nil {
 		t.Error("nil node should error")
 	}
-	if err := act.ActivateNode(xmltree.E("notsc")); err == nil {
+	if err := act.ActivateNode(t.Context(), "page", xmltree.E("notsc")); err == nil {
 		t.Error("non-sc should error")
 	}
 	orphan := xmltree.MustParse(`<sc provider="data" service="cheap"/>`)
-	if err := act.ActivateNode(orphan); err == nil {
+	if err := act.ActivateNode(t.Context(), "page", orphan); err == nil {
 		t.Error("parentless sc should error")
+	}
+}
+
+// TestActivationIsOneEpoch: the results and the marker of one call land
+// in one transaction at the host, and the results come back in the
+// call's reply instead of a separate ship to the sc's parent.
+func TestActivationIsOneEpoch(t *testing.T) {
+	sys, act, host := setup(t)
+	if err := host.InstallDocument("page", xmltree.MustParse(`<page><sc provider="data" service="cheap"/></page>`)); err != nil {
+		t.Fatal(err)
+	}
+	epoch := host.Epoch()
+	msgs, bytes, _ := sys.Net.Totals()
+	if n, err := act.ActivateDocument(t.Context(), "page"); err != nil || n != 1 {
+		t.Fatalf("ActivateDocument = %d, %v", n, err)
+	}
+	if got := host.Epoch() - epoch; got != 1 {
+		t.Errorf("activation published %d epochs, want 1", got)
+	}
+	m, b, _ := sys.Net.Totals()
+	if m-msgs != 2 || b-bytes != 213 {
+		t.Errorf("activation cost %d messages / %d bytes, want 2 / 213", m-msgs, b-bytes)
+	}
+	if got := len(currentRoot(t, host, "page").ChildElementsByLabel("offer")); got != 2 {
+		t.Errorf("offers = %d, want 2", got)
+	}
+}
+
+// TestConcurrentActivatorsLandOnce: two activators fire the same call,
+// the provider answering neither until both calls have arrived. Only
+// the first transaction to commit lands the result; the other finds the
+// pending sc gone and its ActivateDocument skips the call.
+func TestConcurrentActivatorsLandOnce(t *testing.T) {
+	sys, _, host := setup(t)
+	data, _ := sys.Peer("data")
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	if err := data.RegisterService(&service.Service{
+		Name: "slow", Provider: "data",
+		Builtin: func([][]*xmltree.Node) ([]*xmltree.Node, error) {
+			arrived.Done()
+			arrived.Wait()
+			return []*xmltree.Node{xmltree.E("offer", "chair")}, nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := host.InstallDocument("page", xmltree.MustParse(`<page><sc provider="data" service="slow"/></page>`)); err != nil {
+		t.Fatal(err)
+	}
+	epoch := host.Epoch()
+	var counts [2]int
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range counts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			counts[i], errs[i] = New(sys, host).ActivateDocument(t.Context(), "page")
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatalf("ActivateDocument: %v", err)
+		}
+	}
+	if counts[0]+counts[1] != 1 {
+		t.Errorf("activators counted %v, want one call between them", counts)
+	}
+	if got := host.Epoch() - epoch; got != 1 {
+		t.Errorf("activations published %d epochs, want 1", got)
+	}
+	cur := currentRoot(t, host, "page")
+	if got := len(cur.ChildElementsByLabel("offer")); got != 1 {
+		t.Errorf("offers = %d, want 1: %s", got, xmltree.Serialize(cur))
+	}
+}
+
+// TestEquivalentInstallsNothing: concurrent equivalence checks on one
+// peer expand their probes privately, so none collides with another and
+// the peer's store is untouched.
+func TestEquivalentInstallsNothing(t *testing.T) {
+	_, act, host := setup(t)
+	materialized := xmltree.MustParse(`<page><offer>chair</offer><offer>lamp</offer></page>`)
+	intensional := xmltree.MustParse(`<page><sc provider="data" service="cheap"/></page>`)
+	names, epoch := slices.Sorted(slices.Values(host.DocumentNames())), host.Epoch()
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eq, reached, err := act.Equivalent(t.Context(), materialized, intensional, 5)
+			if err != nil || !eq || !reached {
+				t.Errorf("Equivalent = %v, %v, %v; want true, true, nil", eq, reached, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := slices.Sorted(slices.Values(host.DocumentNames())); !slices.Equal(got, names) {
+		t.Errorf("documents %v after Equivalent, want %v", got, names)
+	}
+	if got := host.Epoch(); got != epoch {
+		t.Errorf("epoch %d after Equivalent, want %d", got, epoch)
+	}
+}
+
+// TestContinuousCallKeepsAppendingSiblings: a continuous service
+// activated from an sc without forward targets streams later results
+// to the sc's parent, next to the first ones.
+func TestContinuousCallKeepsAppendingSiblings(t *testing.T) {
+	sys, act, host := setup(t)
+	defer sys.Close()
+	data, _ := sys.Peer("data")
+	watch := xquery.MustParse(`for $i in doc("catalog")/item where $i/price < 100 return <offer>{$i/name/text()}</offer>`)
+	if err := data.RegisterService(&service.Service{Name: "watch", Provider: "data", Body: watch, Continuous: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := host.InstallDocument("page", xmltree.MustParse(`<page><sc provider="data" service="watch"/></page>`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := act.ActivateDocument(t.Context(), "page"); err != nil {
+		t.Fatal(err)
+	}
+	h := data.Snapshot()
+	catalog, err := h.Root("catalog")
+	h.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := data.AddChild(catalog.ID, xmltree.MustParse(`<item><name>stool</name><price>9</price></item>`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.PumpSubscriptions(); err != nil {
+		t.Fatal(err)
+	}
+	cur := currentRoot(t, host, "page")
+	var names []string
+	for _, o := range cur.ChildElementsByLabel("offer") {
+		names = append(names, o.TextContent())
+	}
+	if want := []string{"chair", "lamp", "stool"}; !slices.Equal(names, want) {
+		t.Errorf("offers %v, want %v: %s", names, want, xmltree.Serialize(cur))
 	}
 }

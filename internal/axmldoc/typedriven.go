@@ -1,6 +1,9 @@
 package axmldoc
 
 import (
+	"context"
+	"errors"
+
 	"axml/internal/xmltree"
 	"axml/internal/xtype"
 )
@@ -19,93 +22,61 @@ import (
 // ActivateToType activates pending service calls until the document
 // validates against the schema (ignoring the sc elements themselves
 // and their bookkeeping) or maxRounds is exhausted. It returns the
-// number of calls activated and whether conformance was reached.
-func (a *Activator) ActivateToType(docName string, schema *xtype.Schema, maxRounds int) (activated int, conforms bool, err error) {
-	// Activation publishes copy-on-write epochs, so every conformance
-	// check must look at the newest root rather than a pointer captured
-	// before the round.
-	cur, err := a.root(docName)
-	if err != nil {
-		return 0, false, err
-	}
-	for round := 0; round < maxRounds; round++ {
-		if typeConforms(cur, schema) {
-			return activated, true, nil
-		}
-		// Find the invalid regions and the pending calls under them.
-		pending, err := a.PendingCalls(docName)
+// number of calls activated and whether conformance was reached. Each
+// round reads the document once, from one pinned epoch.
+func (a *Activator) ActivateToType(ctx context.Context, docName string, schema *xtype.Schema, maxRounds int) (activated int, conforms bool, err error) {
+	for round := 0; ; round++ {
+		root, err := a.root(docName)
 		if err != nil {
 			return activated, false, err
 		}
-		if len(pending) == 0 {
-			return activated, typeConforms(cur, schema), nil
+		// sc elements do not count against the type; only materialized
+		// data does.
+		if schema.Valid(dataOf(root)) {
+			return activated, true, nil
 		}
-		progressed := false
-		for _, sc := range pending {
-			if !underInvalidRegion(a, sc, schema) {
-				continue
+		if round == maxRounds {
+			return activated, false, nil
+		}
+		// Activate the pending calls under invalid regions.
+		var goal []*xmltree.Node
+		calls(root, func(sc, parent *xmltree.Node) {
+			if !isActive(sc) && underInvalidRegion(parent, schema) {
+				goal = append(goal, sc)
 			}
-			if err := a.ActivateNode(sc); err != nil {
-				if _, notReady := err.(*NotReadyError); notReady {
-					continue
-				}
+		})
+		n := 0
+		for _, sc := range goal {
+			err := a.ActivateNode(ctx, docName, sc)
+			var notReady *NotReadyError
+			switch {
+			case err == nil:
+				n++
+			case errors.Is(err, ErrNotPending), errors.As(err, &notReady):
+			default:
 				return activated, false, err
 			}
-			activated++
-			progressed = true
 		}
-		if !progressed {
+		if n == 0 {
 			// No relevant calls left; activate the remainder as a last
 			// resort (their results may indirectly complete the type).
-			n, err := a.ActivateDocument(docName)
-			if err != nil {
+			if n, err = a.ActivateDocument(ctx, docName); err != nil || n == 0 {
 				return activated, false, err
 			}
-			activated += n
-			if n == 0 {
-				if cur, err = a.root(docName); err != nil {
-					return activated, false, err
-				}
-				return activated, typeConforms(cur, schema), nil
-			}
 		}
-		if cur, err = a.root(docName); err != nil {
-			return activated, false, err
-		}
+		activated += n
 	}
-	return activated, typeConforms(cur, schema), nil
 }
 
-// typeConforms validates a view of the tree with sc elements and their
-// bookkeeping removed (intensional parts do not count against the
-// type; only materialized data does).
-func typeConforms(root *xmltree.Node, schema *xtype.Schema) bool {
-	view := xmltree.DeepCopy(root)
-	stripActivationState(view)
-	return schema.Valid(view)
-}
-
-// underInvalidRegion reports whether the sc's parent element currently
-// violates its content model — i.e. whether activating this call can
-// contribute to conformance. The parent is re-resolved through the
-// peer's index so the check sees the newest epoch even when the sc
-// node's Parent pointer climbs into an older spine.
-func underInvalidRegion(a *Activator, sc *xmltree.Node, schema *xtype.Schema) bool {
-	parent := sc.Parent
-	if parent == nil {
-		return true
-	}
-	if live, ok := a.Peer.NodeByID(parent.ID); ok {
-		parent = live
-	}
-	view := xmltree.DeepCopy(parent)
-	stripActivationState(view)
-	// Validate the parent's subtree in isolation against its own
-	// declaration: a sub-schema rooted at the parent's label.
-	decl := schema.Elements[parent.Label]
-	if decl == nil {
+// underInvalidRegion reports whether an sc's parent element, as pinned,
+// violates its content model — i.e. whether activating the call can
+// contribute to conformance.
+func underInvalidRegion(parent *xmltree.Node, schema *xtype.Schema) bool {
+	if schema.Elements[parent.Label] == nil {
 		return true // undeclared: activation may introduce declared content
 	}
+	// Validate the parent's subtree in isolation against its own
+	// declaration: a sub-schema rooted at the parent's label.
 	sub := &xtype.Schema{Root: parent.Label, Elements: schema.Elements}
-	return !sub.Valid(view)
+	return !sub.Valid(dataOf(parent))
 }

@@ -54,7 +54,7 @@ func TestActivateToTypeReachesConformance(t *testing.T) {
 	if err := act.Peer.InstallDocument("page", doc); err != nil {
 		t.Fatal(err)
 	}
-	n, ok, err := act.ActivateToType("page", schema, 5)
+	n, ok, err := act.ActivateToType(t.Context(), "page", schema, 5)
 	if err != nil {
 		t.Fatalf("ActivateToType: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestActivateToTypeIsGoalDirected(t *testing.T) {
 	if err := act.Peer.InstallDocument("page", doc); err != nil {
 		t.Fatal(err)
 	}
-	n, ok, err := act.ActivateToType("page", schema, 5)
+	n, ok, err := act.ActivateToType(t.Context(), "page", schema, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestActivateToTypeUnreachable(t *testing.T) {
 	if err := act.Peer.InstallDocument("page", doc); err != nil {
 		t.Fatal(err)
 	}
-	_, ok, err := act.ActivateToType("page", schema, 4)
+	_, ok, err := act.ActivateToType(t.Context(), "page", schema, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestActivateToTypeUnreachable(t *testing.T) {
 func TestActivateToTypeMissingDoc(t *testing.T) {
 	_, act := typeSetup(t)
 	schema := xtype.MustParseSchema(pageSchemaSrc)
-	if _, _, err := act.ActivateToType("ghost", schema, 3); err == nil {
+	if _, _, err := act.ActivateToType(t.Context(), "ghost", schema, 3); err == nil {
 		t.Error("missing document should error")
 	}
 }

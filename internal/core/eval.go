@@ -771,10 +771,8 @@ func (s *System) evalServiceCall(ctx context.Context, p *peer.Peer, call *Servic
 	}
 
 	// Register a continuous subscription when the service streams.
-	if svc := s.lookupService(provider, svcName); svc != nil && svc.Continuous {
-		if err := s.subscribe(provider, svc, params, call.Forward, p.ID); err != nil {
-			return nil, err
-		}
+	if err := s.Subscribe(provider, svcName, params, call.Forward, p.ID); err != nil {
+		return nil, err
 	}
 	return &Result{Forest: results, VT: doneVT}, nil
 }

@@ -17,7 +17,8 @@ import (
 // subscription at the provider: the provider watches the documents the
 // service body reads and ships result deltas to the call's forward
 // targets (streams "accumulate as siblings of the sc node" — the
-// axmldoc package passes the sc's parent as the forward target).
+// axmldoc package subscribes the sc's parent once the activation
+// commits).
 type subscription struct {
 	sys      *System
 	provider *peer.Peer
@@ -44,19 +45,19 @@ type pumpResult struct {
 	err     error
 }
 
-// subscribe registers a continuous stream from provider to the forward
-// targets. The initial batch has already been delivered by the call;
-// the subscription only ships subsequent deltas. Calls without forward
-// targets get no subscription (there is nowhere to push).
-func (s *System) subscribe(providerID netsim.PeerID, svc *service.Service,
+// Subscribe registers a continuous stream of the named service at
+// providerID, applied to params, towards the forward targets. The
+// initial batch has already been delivered by the call; the
+// subscription only ships subsequent deltas. Calls to a service that is
+// not continuous and declarative, and calls without forward targets
+// (there is nowhere to push), get no subscription.
+func (s *System) Subscribe(providerID netsim.PeerID, svcName string,
 	params [][]*xmltree.Node, targets []peer.NodeRef, caller netsim.PeerID) error {
-	if len(targets) == 0 || !svc.Declarative() {
+	svc := s.lookupService(providerID, svcName)
+	if len(targets) == 0 || svc == nil || !svc.Continuous || !svc.Declarative() {
 		return nil
 	}
-	provider, ok := s.Peer(providerID)
-	if !ok {
-		return nil
-	}
+	provider, _ := s.Peer(providerID)
 	sub := &subscription{
 		sys:      s,
 		provider: provider,

@@ -242,14 +242,6 @@ func (p *Peer) NodeByID(id xmltree.NodeID) (*xmltree.Node, bool) {
 	return e.node, ok
 }
 
-// DocumentOfNode returns the name of the document containing the node.
-func (p *Peer) DocumentOfNode(id xmltree.NodeID) (string, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	e, ok := p.index[id]
-	return e.doc, ok
-}
-
 // AddChild appends tree as a new child of the identified node: a
 // transaction of one Tx.Append. This is the landing operation of
 // definition (4): the sent tree is "added as a child of n@p".
