@@ -1,13 +1,16 @@
 // Package opt implements cost-based optimization over the rewrite
 // rules of §3.3: a static cost estimator for expressions (network
 // bytes, messages, and virtual time, priced through the same link
-// model the evaluator charges) and a memoized best-first search over
-// single-rule derivations.
+// model the evaluator charges) and a best-first search over single-rule
+// derivations. The search tells candidates apart by a structural key
+// and prices each distinct sub-plan once per site (memo.go).
 //
 // The estimator follows classical distributed-query optimization
 // practice (paper's references [12], [15]): the optimizer is assumed
 // to know catalog statistics — document sizes and link profiles — and
-// uses coarse selectivity factors for query outputs.
+// uses coarse selectivity factors for query outputs. The size of a
+// document is read, never measured, at plan time: the store takes it
+// once per published root (peer.Peer.DocumentBytes).
 package opt
 
 import (
@@ -44,6 +47,11 @@ func (e Estimate) Total(w Weights) float64 {
 }
 
 // Estimator predicts plan costs against a system's catalog statistics.
+// It remembers every sub-plan it prices, by structure, and answers the
+// same sub-plan at the same site from memory after that: it prices
+// against the catalog as of its first look, so it serves one plan
+// search (Optimize makes one per call) and its calibration fields are
+// set before the first estimate.
 type Estimator struct {
 	Sys *core.System
 	// SelPerPredicate is the fraction of input surviving one where
@@ -55,11 +63,13 @@ type Estimator struct {
 	// BytesPerNode approximates serialized bytes per tree node
 	// (default 30), used to convert sizes into compute-node counts.
 	BytesPerNode float64
+
+	memo *memo
 }
 
 // NewEstimator creates an estimator with default calibration.
 func NewEstimator(sys *core.System) *Estimator {
-	return &Estimator{Sys: sys, SelPerPredicate: 0.2, ProjFactor: 0.4, BytesPerNode: 30}
+	return &Estimator{Sys: sys, SelPerPredicate: 0.2, ProjFactor: 0.4, BytesPerNode: 30, memo: newMemo()}
 }
 
 // envelope mirrors netsim's per-message framing overhead.
@@ -149,7 +159,19 @@ func countConjuncts(e xpath.Expr) int {
 	return 1
 }
 
+// est prices e at site at once per structure; price does the work.
 func (es *Estimator) est(at netsim.PeerID, e core.Expr) (Estimate, error) {
+	k := estKey{at: at, key: es.memo.key(e)}
+	if r, ok := es.memo.ests[k]; ok {
+		return r.est, r.err
+	}
+	es.memo.priced++
+	acc, err := es.price(at, e)
+	es.memo.ests[k] = estimated{est: acc, err: err}
+	return acc, err
+}
+
+func (es *Estimator) price(at netsim.PeerID, e core.Expr) (Estimate, error) {
 	var acc Estimate
 	switch v := e.(type) {
 	case *core.Tree:
@@ -173,7 +195,7 @@ func (es *Estimator) est(at netsim.PeerID, e core.Expr) (Estimate, error) {
 		acc.OutBytes = size
 		return acc, nil
 	case *core.QueryVal:
-		acc.OutBytes = float64(len(v.Q.String()))
+		acc.OutBytes = float64(len(es.memo.text(v.Q)))
 		return acc, nil
 	case *core.Query:
 		return es.estQuery(at, v)
@@ -196,7 +218,7 @@ func (es *Estimator) estQuery(at netsim.PeerID, q *core.Query) (Estimate, error)
 	// Query text ships when defined elsewhere (definition (7)).
 	if q.At != "" && q.At != at {
 		t := es.transfer(&acc, at, q.At, requestBytes, 0)
-		start = es.transfer(&acc, q.At, at, float64(len(q.Q.String())), t)
+		start = es.transfer(&acc, q.At, at, float64(len(es.memo.text(q.Q))), t)
 	}
 	inputBytes := 0.0
 	// Arguments (with rule-13 sharing, duplicates cost once).
@@ -204,7 +226,7 @@ func (es *Estimator) estQuery(at netsim.PeerID, q *core.Query) (Estimate, error)
 	maxArgT := start
 	for _, a := range q.Args {
 		if q.ShareArgs {
-			key := string(core.SerializeExpr(a))
+			key := es.memo.key(a)
 			if seen[key] {
 				continue
 			}
@@ -411,7 +433,7 @@ func (es *Estimator) estEvalAt(at netsim.PeerID, ev *core.EvalAt) (Estimate, err
 		return es.est(at, ev.E)
 	}
 	// Ship the serialized plan.
-	planSize := float64(len(core.SerializeExpr(ev.E)))
+	planSize := es.memo.wireSize(ev.E)
 	t := es.transfer(&acc, at, ev.At, planSize, 0)
 	inner, err := es.est(ev.At, ev.E)
 	if err != nil {

@@ -74,12 +74,19 @@ func (p *Plan) String() string {
 // Optimize searches for the cheapest plan equivalent to e (under the
 // rule set) when evaluated at peer at. It returns the best plan and
 // the number of plans explored.
+//
+// Candidates are told apart by structure (memo.key) after settle has
+// dropped the delegations that change nothing, and one estimator prices
+// them all, so a sub-plan shared by many candidates is costed once.
 func Optimize(sys *core.System, at netsim.PeerID, e core.Expr, opts Options) (*Plan, int, error) {
-	opts.fill()
-	est := NewEstimator(sys)
-	ctx := &rewrite.Context{Sys: sys, At: at}
+	return NewEstimator(sys).optimize(at, e, opts)
+}
 
-	baseEst, baseErr := est.Estimate(at, e)
+func (es *Estimator) optimize(at netsim.PeerID, e core.Expr, opts Options) (*Plan, int, error) {
+	opts.fill()
+	ctx := &rewrite.Context{Sys: es.Sys, At: at}
+
+	baseEst, baseErr := es.Estimate(at, e)
 	baseCost := math.Inf(1)
 	if baseErr == nil {
 		baseCost = baseEst.Total(opts.Weights)
@@ -93,7 +100,7 @@ func Optimize(sys *core.System, at netsim.PeerID, e core.Expr, opts Options) (*P
 	start := &node{expr: e, cost: baseCost, est: baseEst}
 	best := start
 
-	seen := map[string]bool{string(core.SerializeExpr(e)): true}
+	seen := map[string]bool{es.memo.key(e): true}
 	pq := &nodeHeap{start}
 	explored := 0
 	for pq.Len() > 0 && explored < opts.MaxPlans {
@@ -106,12 +113,13 @@ func Optimize(sys *core.System, at netsim.PeerID, e core.Expr, opts Options) (*P
 			continue
 		}
 		for _, d := range rewrite.Alternatives(cur.expr, ctx, opts.Rules) {
-			key := string(core.SerializeExpr(d.E))
+			d.E = settle(d.E, at)
+			key := es.memo.key(d.E)
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
-			de, err := est.Estimate(at, d.E)
+			de, err := es.Estimate(at, d.E)
 			if err != nil {
 				// Some alternatives may be inestimable (e.g. missing
 				// stats); skip rather than fail the search.
@@ -165,4 +173,54 @@ func (h *nodeHeap) Pop() any {
 	item := old[n-1]
 	*h = old[:n-1]
 	return item
+}
+
+// settle drops every delegation to the site already evaluating it:
+// eval@p(e) evaluated at p is e — the evaluator and the estimator treat
+// it so — and keeping both forms only explores one plan twice. It copies
+// the constructors above a dropped delegation and shares the rest.
+func settle(e core.Expr, at netsim.PeerID) core.Expr {
+	switch v := e.(type) {
+	case *core.EvalAt:
+		if v.At == at {
+			return settle(v.E, at)
+		}
+		if inner := settle(v.E, v.At); inner != v.E {
+			return &core.EvalAt{At: v.At, E: inner}
+		}
+	case *core.Query:
+		if args, changed := settleAll(v.Args, at); changed {
+			c := *v
+			c.Args = args
+			return &c
+		}
+	case *core.ServiceCall:
+		if params, changed := settleAll(v.Params, at); changed {
+			c := *v
+			c.Params = params
+			return &c
+		}
+	case *core.Send:
+		if p := settle(v.Payload, at); p != v.Payload {
+			return &core.Send{Dest: v.Dest, Payload: p}
+		}
+	case *core.Relay:
+		if p := settle(v.Payload, at); p != v.Payload {
+			return &core.Relay{Via: v.Via, Dest: v.Dest, Payload: p}
+		}
+	}
+	return e
+}
+
+func settleAll(es []core.Expr, at netsim.PeerID) ([]core.Expr, bool) {
+	var out []core.Expr
+	for i, e := range es {
+		if s := settle(e, at); s != e {
+			if out == nil {
+				out = append([]core.Expr{}, es...)
+			}
+			out[i] = s
+		}
+	}
+	return out, out != nil
 }

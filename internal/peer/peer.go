@@ -66,19 +66,27 @@ type document struct {
 }
 
 // published is one published root with the epoch that published it and
-// its node count, taken by the first reader that asks (the cost model
-// asks on every query). A published tree is immutable, so the count
-// cannot go stale.
+// two catalog statistics, each taken by the first reader that asks: its
+// node count (the evaluator's cost accounting asks on every query) and
+// its serialized size (the optimizer asks on every plan miss). A
+// published tree is immutable, so neither can go stale.
 type published struct {
-	root  *xmltree.Node
-	epoch uint64
-	once  sync.Once
-	nodes int
+	root      *xmltree.Node
+	epoch     uint64
+	nodesOnce sync.Once
+	nodes     int
+	bytesOnce sync.Once
+	bytes     int
 }
 
 func (p *published) nodeCount() int {
-	p.once.Do(func() { p.nodes = p.root.NodeCount() })
+	p.nodesOnce.Do(func() { p.nodes = p.root.NodeCount() })
 	return p.nodes
+}
+
+func (p *published) byteSize() int {
+	p.bytesOnce.Do(func() { p.bytes = p.root.ByteSize() })
+	return p.bytes
 }
 
 // Change wakes a watcher: a transaction wrote the named document and
@@ -200,9 +208,9 @@ func (p *Peer) RemoveDocument(name string) error {
 
 // DocumentBytes returns the serialized size of the named document as
 // currently published — the catalog statistic the optimizer prices
-// transfers with. Only the root pointer is read under the lock; the
-// published tree is immutable, so it is sized after the lock is
-// released and a writer never waits on the walk.
+// transfers with. The size is taken once per published root, by the
+// first caller after the transaction that published it; only the
+// pointer is read under the lock, so a writer never waits on the walk.
 func (p *Peer) DocumentBytes(name string) (int, bool) {
 	p.mu.RLock()
 	d, ok := p.docs[name]
@@ -210,9 +218,9 @@ func (p *Peer) DocumentBytes(name string) (int, bool) {
 		p.mu.RUnlock()
 		return 0, false
 	}
-	root := d.pub.root
+	pub := d.pub
 	p.mu.RUnlock()
-	return root.ByteSize(), true
+	return pub.byteSize(), true
 }
 
 // HasDocument reports whether the named document exists.

@@ -424,6 +424,60 @@ func TestHandleNodeCount(t *testing.T) {
 	}
 }
 
+// TestDocumentBytesPerPublishedRoot: the size the catalog reports is the
+// newest root's ByteSize after every kind of commit, taken once per
+// published root and remembered beside it, so asking again costs a map
+// read and no walk.
+func TestDocumentBytesPerPublishedRoot(t *testing.T) {
+	p := New("p1")
+	if _, ok := p.DocumentBytes("catalog"); ok {
+		t.Error("DocumentBytes of a missing document reports ok")
+	}
+	if err := p.InstallDocument("catalog",
+		xmltree.MustParse(`<catalog><item><name>chair</name></item><item/></catalog>`)); err != nil {
+		t.Fatal(err)
+	}
+	check := func() {
+		t.Helper()
+		want := docRoot(t, p, "catalog").ByteSize()
+		if got, ok := p.DocumentBytes("catalog"); !ok || got != want {
+			t.Fatalf("DocumentBytes = %d, %v; want %d", got, ok, want)
+		}
+		p.mu.RLock()
+		pub := p.docs["catalog"].pub
+		p.mu.RUnlock()
+		if pub.bytes != want {
+			t.Errorf("the published root remembers %d bytes, want %d", pub.bytes, want)
+		}
+	}
+	check()
+	root := docRoot(t, p, "catalog")
+	if err := p.AddChild(root.ID, xmltree.MustParse(`<item><name>desk</name><price>9</price></item>`)); err != nil {
+		t.Fatal(err)
+	}
+	check()
+	if err := p.RemoveChildByID(root.ID, root.Children[1].ID); err != nil {
+		t.Fatal(err)
+	}
+	check()
+	if err := p.ReplaceChildByID(root.ID, root.Children[0].ID, xmltree.E("item")); err != nil {
+		t.Fatal(err)
+	}
+	check()
+	if err := p.Write(func(tx *Tx) error {
+		if _, err := tx.Drop("catalog"); err != nil {
+			return err
+		}
+		return tx.Install("catalog", xmltree.E("catalog"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check()
+	if n := testing.AllocsPerRun(100, func() { p.DocumentBytes("catalog") }); n != 0 {
+		t.Errorf("DocumentBytes allocates %v per call", n)
+	}
+}
+
 // docRoot reads the named document's newest root through a snapshot.
 func docRoot(t testing.TB, p *Peer, name string) *xmltree.Node {
 	t.Helper()
