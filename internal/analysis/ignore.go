@@ -8,7 +8,7 @@ import (
 
 // The ignore mechanism: a comment of the form
 //
-//	//axmlvet:ignore lockedcall staging swap is serialized by design
+//	//axmlvet:ignore lockedcall placement move is serialized by design
 //	//axmlvet:ignore lockedcall,spanend reason...
 //
 // suppresses findings from the named analyzers on the same source line

@@ -269,13 +269,6 @@ func (p *Peer) ReplaceChildByID(parent, child xmltree.NodeID, tree *xmltree.Node
 	return p.Write(func(tx *Tx) error { return tx.Replace(parent, child, tree) })
 }
 
-// ReplaceChildren replaces the children of the identified element with
-// the given forest: a transaction of one Tx.ReplaceChildren. View
-// maintenance uses it for full re-materialization.
-func (p *Peer) ReplaceChildren(id xmltree.NodeID, forest []*xmltree.Node) error {
-	return p.Write(func(tx *Tx) error { return tx.ReplaceChildren(id, forest) })
-}
-
 // ChildIDs returns the identifiers of the node's current children, in
 // sibling order. View maintenance uses it to align freshly landed rows
 // with the provenance that produced them.

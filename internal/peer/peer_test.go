@@ -525,7 +525,7 @@ func TestChangesSaysWhatEachCommitTouched(t *testing.T) {
 			xmltree.Commit{Spine: []xmltree.NodeID{root.ID, item.ID}, Pos: []int{0}, Removed: oldPrice.ID}},
 		{"RemoveChildByID", func() error { return p.RemoveChildByID(root.ID, other.ID) },
 			xmltree.Commit{Spine: []xmltree.NodeID{root.ID}, Removed: other.ID}},
-		{"ReplaceChildren", func() error { return p.ReplaceChildren(item.ID, nil) },
+		{"ReplaceChildren", func() error { return p.Write(func(tx *Tx) error { return tx.ReplaceChildren(item.ID, nil) }) },
 			xmltree.Commit{Spine: []xmltree.NodeID{root.ID, item.ID}, Pos: []int{0}}},
 	}
 	for _, s := range steps {

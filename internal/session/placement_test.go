@@ -24,13 +24,19 @@ import (
 // views have somewhere to migrate.
 func moveSystem(t *testing.T) (*core.System, *view.Manager) {
 	t.Helper()
+	return moveSystemN(t, 40)
+}
+
+// moveSystemN is moveSystem with n catalog items, every tenth cheap.
+func moveSystemN(t *testing.T, n int) (*core.System, *view.Manager) {
+	t.Helper()
 	net := netsim.New()
 	sys := core.NewSystem(net)
 	sys.MustAddPeer("client")
 	sys.MustAddPeer("spare")
 	data := sys.MustAddPeer("data")
 	cat := xmltree.E("catalog")
-	for i := 0; i < 40; i++ {
+	for i := 0; i < n; i++ {
 		price := "500"
 		if i%10 == 0 {
 			price = "5"
@@ -48,6 +54,10 @@ func moveSystem(t *testing.T) (*core.System, *view.Manager) {
 }
 
 const viewSrc = `for $i in doc("catalog")/item where $i/price < 100 return $i`
+
+// viewReadQ reads the rows of viewSrc's view "cheap" straight from its
+// document; it returns what selectQ returns.
+const viewReadQ = `for $i in doc("view:cheap")/item return $i/name`
 
 func forestCounts(forest []*xmltree.Node) map[xmltree.Digest]int {
 	out := map[xmltree.Digest]int{}
@@ -333,7 +343,46 @@ func TestMigrationInvalidatesCachedPlans(t *testing.T) {
 // ground-truth multiset or fail with the typed ErrViewMoved — never an
 // opaque error, never silently wrong rows.
 func TestConcurrentQueriesDuringMoveRace(t *testing.T) {
-	sys, views := moveSystem(t)
+	queryDuringMoves(t, 40, func(ctx context.Context, views *view.Manager) error {
+		ping, pong := netsim.PeerID("spare"), netsim.PeerID("data")
+		for i := 0; i < 8; i++ {
+			if err := views.Migrate(ctx, "cheap", ping, pong); err != nil {
+				return err
+			}
+			ping, pong = pong, ping
+		}
+		return nil
+	})
+}
+
+// TestQueriesAtMoveTargetRace is the same check with the session's own
+// peer as the target: copies migrate to the client and back, and a
+// replica is added there and dropped. The client resolves the view's
+// name in its own store first, so a copy still filling there must not
+// answer it. The view holds 100 rows, so each copy takes a while to fill.
+func TestQueriesAtMoveTargetRace(t *testing.T) {
+	queryDuringMoves(t, 1000, func(ctx context.Context, views *view.Manager) error {
+		for i := 0; i < 8; i++ {
+			for _, step := range []func() error{
+				func() error { return views.Migrate(ctx, "cheap", "spare", "client") },
+				func() error { return views.Migrate(ctx, "cheap", "client", "spare") },
+				func() error { return views.AddPlacement("cheap", "client") },
+				func() error { return views.DropPlacement("cheap", "client") },
+			} {
+				if err := step(); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// queryDuringMoves defines the view over an n-item catalog at spare and
+// runs moves beside four querying workers at client. Each worker runs at
+// least 25 queries and keeps going until the moves are done.
+func queryDuringMoves(t *testing.T, n int, moves func(context.Context, *view.Manager) error) {
+	sys, views := moveSystemN(t, n)
 	if err := views.Define("cheap", viewSrc, "spare"); err != nil {
 		t.Fatal(err)
 	}
@@ -349,12 +398,28 @@ func TestConcurrentQueriesDuringMoveRace(t *testing.T) {
 	const workers, perWorker = 4, 25
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
+	done := make(chan struct{})
+	moving := func() bool {
+		select {
+		case <-done:
+			return false
+		default:
+			return true
+		}
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				rows, err := sess.Query(ctx, selectQ)
+			for i := 0; i < perWorker || moving(); i++ {
+				// Every other query names the view's document itself and is
+				// evaluated at client as written, so it reads a copy there
+				// whenever the client's store holds one.
+				src, opts := selectQ, []Option(nil)
+				if i%2 == 1 {
+					src, opts = viewReadQ, []Option{WithNoOptimize()}
+				}
+				rows, err := sess.Query(ctx, src, opts...)
 				if err != nil {
 					if !errors.Is(err, ErrViewMoved) {
 						errCh <- fmt.Errorf("query error: %w", err)
@@ -377,13 +442,10 @@ func TestConcurrentQueriesDuringMoveRace(t *testing.T) {
 			}
 		}()
 	}
-	ping, pong := netsim.PeerID("spare"), netsim.PeerID("data")
-	for i := 0; i < 8; i++ {
-		if err := views.Migrate(ctx, "cheap", ping, pong); err != nil {
-			t.Fatal(err)
-		}
-		ping, pong = pong, ping
+	if err := moves(ctx, views); err != nil {
+		t.Error(err)
 	}
+	close(done)
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {

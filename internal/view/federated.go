@@ -3,9 +3,10 @@
 // another — the receiving deployment usually does not host the base
 // documents, so it cannot DefineQuery (materialization would have to
 // evaluate at a base host it doesn't have). Adopt is the entry point
-// for that case: it installs the shipped tree as the view document,
-// registers the shape and catalog entries so local queries rewrite
-// onto the copy, and marks the view "adopted" — maintenance is skipped
+// for that case: it swaps the shipped tree in as the view document (a
+// first adoption and a re-ship alike), registers the shape and catalog
+// entries so local queries rewrite onto the copy (addPlacement), and
+// marks the view "adopted" — maintenance is skipped
 // (the base lives in another deployment; cross-deployment maintenance
 // is the gossip follow-on), so an adopted copy is a point-in-time
 // snapshot refreshed only by re-shipping. Materialized is the sending
@@ -17,7 +18,6 @@ import (
 	"fmt"
 	"strings"
 
-	"axml/internal/gendoc"
 	"axml/internal/netsim"
 	"axml/internal/xmltree"
 	"axml/internal/xquery"
@@ -134,30 +134,22 @@ func (m *Manager) Adopt(name, src string, at netsim.PeerID, root *xmltree.Node, 
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	docName := st.def.DocName()
 	// The shipped tree arrived whole (the wire's line framing is
-	// all-or-nothing), so the install itself is the atomic step: either
-	// the previous content stays current or the new tree replaces it.
-	for i, p := range st.placements {
+	// all-or-nothing), so one swap is the atomic step: either the
+	// previous content stays current or the new tree replaces it.
+	if err := swapDocument(target, st.def.DocName(), root); err != nil {
+		m.forget(st)
+		return fmt.Errorf("view %q: adopting at %s: %w", name, at, err)
+	}
+	for _, p := range st.placements {
 		if p.at == at {
-			// Re-ship of an existing adopted copy: swap the content in
-			// place, keeping the catalog registrations.
-			if err := swapDocument(target, docName, root); err != nil {
-				return fmt.Errorf("view %q: re-adopting at %s: %w", name, at, err)
-			}
-			st.placements[i].root = root.ID
+			// Re-ship of an existing adopted copy: the catalog
+			// registrations stay.
+			p.root = root.ID
 			m.gen.Add(1)
 			return nil
 		}
 	}
-	if err := target.InstallDocument(docName, root); err != nil {
-		return fmt.Errorf("view %q: adopting at %s: %w", name, at, err)
-	}
-	st.placements = append(st.placements, &placement{at: at, root: root.ID, baseAt: at})
-	m.sys.Generics.RegisterDoc(docName, gendoc.DocReplica{Doc: docName, At: at})
-	if st.replica {
-		m.sys.Generics.RegisterDoc(st.bases[0], gendoc.DocReplica{Doc: docName, At: at})
-	}
-	m.gen.Add(1)
+	m.addPlacement(st, &placement{at: at, root: root.ID, baseAt: at})
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"axml/internal/core"
@@ -28,6 +29,77 @@ func testSystem3(t *testing.T, items int) *core.System {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+// TestNewCopyAppearsWhole: snapshot readers at the peer where copies
+// are defined, added and moved to find each view document absent or
+// holding every row — never the empty wrapper, never part of the rows —
+// because a copy fills under its staging name. Run under -race.
+func TestNewCopyAppearsWhole(t *testing.T) {
+	const cheap = `for $i in doc("catalog")/item where $i/price < 500 return $i`
+	sys := testSystem3(t, 200)
+	defer sys.Close()
+	m := NewManager(sys)
+	defer m.Close()
+	if err := m.Define("v", cheap, "clientA"); err != nil {
+		t.Fatal(err)
+	}
+	want := len(viewTrees(t, sys, "clientA", "v"))
+	clientB, _ := sys.Peer("clientB")
+	check := func() error {
+		h := clientB.Snapshot()
+		defer h.Release()
+		for _, name := range []string{"v", "w"} {
+			if root, err := h.Root(DocPrefix + name); err == nil && len(root.Children) != want {
+				return fmt.Errorf("epoch %d: view %s holds %d rows, want %d", h.Epoch(), name, len(root.Children), want)
+			}
+		}
+		return nil
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := check(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	ctx := context.Background()
+	steps := []func() error{
+		func() error { return m.Define("w", cheap, "clientB") },
+		func() error { return m.Drop("w") },
+		func() error { return m.AddPlacement("v", "clientB") },
+		func() error { return m.DropPlacement("v", "clientB") },
+		func() error { return m.Migrate(ctx, "v", "clientA", "clientB") },
+		func() error { return m.Migrate(ctx, "v", "clientB", "clientA") },
+	}
+loop:
+	for i := 0; i < 20; i++ {
+		for _, step := range steps {
+			if err := step(); err != nil {
+				t.Error(err)
+				break loop
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }
 
 // TestMigrateShipsContentAndKeepsIncrementalMaintenance: migrating an

@@ -1,14 +1,16 @@
 // Placement surgery: the runtime operations the adaptive-placement
-// controller (internal/placement) drives. A view's placements were
-// fixed at definition time until this file — Migrate moves one
+// controller (internal/placement) drives. Migrate moves one
 // materialized copy to another peer by shipping the current content
 // over the from→to link (not by re-evaluating at the base), clones the
 // incremental provenance so maintenance stays delta-based after the
 // move, AddPlacement/DropPlacement add and remove replicas, and the
 // introspection helpers (Placements, PlacementsOf, BaseOf) expose the
-// placement map that budgeting and CLI tooling read. Every mutation
-// bumps the catalog generation, so cached plans re-plan against the
-// new placement instead of reading a document that moved away.
+// placement map that budgeting and CLI tooling read. Every copy joins
+// its view through addPlacement and leaves through removePlacement,
+// each bumping the catalog generation, so cached plans re-plan against
+// the new placement instead of reading a document that moved away. A
+// moved copy fills under its staging name, like a new one (see
+// stagingName), so readers at the target never find it short of rows.
 
 package view
 
@@ -130,8 +132,7 @@ func (m *Manager) BaseOf(name string) (netsim.PeerID, bool) {
 }
 
 // AddPlacement materializes an additional replica of an existing view
-// at peer at (the content is evaluated at the base and shipped, like a
-// fresh definition).
+// at peer at, the way DefineQuery materializes the first one.
 func (m *Manager) AddPlacement(name string, at netsim.PeerID) error {
 	st, ok := m.lookup(name)
 	if !ok {
@@ -162,19 +163,31 @@ func (m *Manager) DropPlacement(name string, at netsim.PeerID) error {
 	if idx < 0 {
 		return fmt.Errorf("view %q: no placement at %s", name, at)
 	}
-	if len(st.placements) == 1 {
-		// Last copy: the view itself goes away with it.
-		m.mu.Lock()
-		delete(m.views, name)
-		m.mu.Unlock()
-	}
 	m.removePlacement(st, idx)
-	m.gen.Add(1)
+	m.forget(st) // the last copy takes the view with it
 	return nil
 }
 
-// removePlacement drops one placement's watchers, catalog entries and
-// document, and splices it out of the state. Callers hold st.mu.
+// addPlacement makes a filled copy part of its view: it joins the
+// state, the catalog lists its document, the generation is bumped and
+// auto-refresh watches it. It is the inverse of removePlacement.
+// Callers hold st.mu.
+func (m *Manager) addPlacement(st *state, p *placement) {
+	st.placements = append(st.placements, p)
+	docName := st.def.DocName()
+	m.sys.Generics.RegisterDoc(docName, gendoc.DocReplica{Doc: docName, At: p.at})
+	if st.replica {
+		// A full copy is a legitimate replica of the base document
+		// class: d@any resolution may pick it (definition (9)).
+		m.sys.Generics.RegisterDoc(st.bases[0], gendoc.DocReplica{Doc: docName, At: p.at})
+	}
+	m.gen.Add(1)
+	m.watchPlacement(st, p)
+}
+
+// removePlacement drops one placement's watchers and catalog entries,
+// bumps the generation, uninstalls its document and splices it out of
+// the state. Callers hold st.mu.
 func (m *Manager) removePlacement(st *state, idx int) {
 	p := st.placements[idx]
 	for _, cancel := range p.cancels {
@@ -186,10 +199,24 @@ func (m *Manager) removePlacement(st *state, idx int) {
 	if st.replica {
 		m.sys.Generics.UnregisterDoc(st.bases[0], gendoc.DocReplica{Doc: docName, At: p.at})
 	}
+	m.gen.Add(1)
 	if host, ok := m.sys.Peer(p.at); ok {
 		_ = host.RemoveDocument(docName)
 	}
 	st.placements = append(st.placements[:idx], st.placements[idx+1:]...)
+}
+
+// forget deletes a view left with no placement: its shape would keep
+// rewriting queries onto a document no peer holds. Callers hold st.mu.
+func (m *Manager) forget(st *state) {
+	if len(st.placements) > 0 {
+		return
+	}
+	m.mu.Lock()
+	if m.views[st.def.Name] == st {
+		delete(m.views, st.def.Name)
+	}
+	m.mu.Unlock()
 }
 
 // Migrate moves the view's materialized copy from peer `from` to peer
@@ -198,7 +225,7 @@ func (m *Manager) removePlacement(st *state, idx int) {
 // incremental placements carry their delta provenance along (the
 // DeltaFor state is cloned and the lineage map re-pointed at the
 // shipped rows), so maintenance after the move is still incremental.
-// The old copy is dropped and the catalog generation bumped once.
+// The new copy is registered before the old one is dropped.
 func (m *Manager) Migrate(ctx context.Context, name string, from, to netsim.PeerID) error {
 	if from == to {
 		return fmt.Errorf("view %q: migration from %s to itself", name, from)
@@ -241,23 +268,13 @@ func (m *Manager) Migrate(ctx context.Context, name string, from, to netsim.Peer
 		return fmt.Errorf("view %q: placement root vanished at %s", name, from)
 	}
 
-	// The content lands into a staging document first: shipped trees
-	// need an installed node reference to land onto, but readers must
-	// never resolve the view's name to a half-filled copy. Once the
-	// ship completes, one transaction swaps the staging name for the
-	// real one — node identifiers survive the swap (AssignIDs only
-	// fills zero IDs), so the migrated provenance stays valid.
-	docName := st.def.DocName()
-	staging := docName + "~incoming"
-	var newRoot *xmltree.Node
-	if st.replica {
-		// A full-copy view's root is the base document root itself;
-		// recreate its shell and ship the children into it.
-		newRoot = &xmltree.Node{Kind: oldRoot.Kind, Label: oldRoot.Label, Text: oldRoot.Text}
-		newRoot.Attrs = append(newRoot.Attrs, oldRoot.Attrs...)
-	} else {
-		newRoot = xmltree.E("axml:view", xmltree.A("name", st.def.Name))
-	}
+	// The copy starts as the old root's empty shell — the axml:view
+	// wrapper, or a full copy's base document root — installed under the
+	// staging name; the old rows land in it as one transaction and
+	// swapDocument publishes it under the view's name, as in DefineQuery.
+	staging := stagingName(st.def.DocName())
+	newRoot := &xmltree.Node{Kind: oldRoot.Kind, Label: oldRoot.Label, Text: oldRoot.Text,
+		Attrs: append([]xmltree.Attr(nil), oldRoot.Attrs...)}
 	if err := target.InstallDocument(staging, newRoot); err != nil {
 		return fmt.Errorf("view %q: migrating to %s: %w", name, to, err)
 	}
@@ -268,17 +285,16 @@ func (m *Manager) Migrate(ctx context.Context, name string, from, to netsim.Peer
 	if len(oldRoot.Children) > 0 {
 		ref := peer.NodeRef{Peer: to, Node: newRoot.ID}
 		// Shipping under st.mu is deliberate: the lock is what makes
-		// the staging-doc swap atomic against concurrent refresh and
-		// placement surgery on this one view, and the receiving peer's
-		// handler lands data without ever touching view state, so the
-		// hop cannot re-enter st.mu. Cross-view work is unaffected —
-		// the lock is per-view, not manager-wide.
-		//axmlvet:ignore lockedcall staging swap must be atomic vs refresh; remote side never re-enters st.mu
+		// the move atomic against concurrent refresh and placement
+		// surgery on this one view, and the receiving peer's handler
+		// lands data without ever touching view state, so the hop
+		// cannot re-enter st.mu. Cross-view work is unaffected — the
+		// lock is per-view, not manager-wide.
+		//axmlvet:ignore lockedcall placement move must be atomic vs refresh; remote side never re-enters st.mu
 		if _, err := m.sys.ShipForest(ctx, from, ref, oldRoot.Children, 0); err != nil {
 			// The move failed in transit; the old placement is intact.
-			// On a lost ack the rows may have landed, but the half-built
-			// copy is removed either way, so no catalog entry ever
-			// points at it.
+			// On a lost ack the rows may have landed, but the staged
+			// copy is removed either way.
 			_ = target.RemoveDocument(staging)
 			return fmt.Errorf("view %q: shipping placement %s→%s: %w", name, from, to, err)
 		}
@@ -296,28 +312,12 @@ func (m *Manager) Migrate(ctx context.Context, name string, from, to netsim.Peer
 			newP.dirty = true
 		}
 	}
-
-	// Swap staging → final in one transaction: the landed root moves
-	// under the view's name, identifiers and all.
-	if err := target.Write(func(tx *peer.Tx) error {
-		landed, err := tx.Drop(staging)
-		if err != nil {
-			return err
-		}
-		return tx.Install(docName, landed)
-	}); err != nil {
+	if err := swapDocument(target, st.def.DocName(), nil); err != nil {
 		_ = target.RemoveDocument(staging)
 		return fmt.Errorf("view %q: migrating to %s: %w", name, to, err)
 	}
-
-	st.placements = append(st.placements, newP)
-	m.sys.Generics.RegisterDoc(docName, gendoc.DocReplica{Doc: docName, At: to})
-	if st.replica {
-		m.sys.Generics.RegisterDoc(st.bases[0], gendoc.DocReplica{Doc: docName, At: to})
-	}
+	m.addPlacement(st, newP)
 	m.removePlacement(st, oldIdx)
-	m.gen.Add(1)
-	m.watchPlacement(st, newP)
 	return nil
 }
 

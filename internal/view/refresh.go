@@ -15,10 +15,12 @@
 // Positive AXML. Every other query shape falls back to full
 // re-materialization at the placement peer. Whatever the path, a
 // refresh changes a placement in one transaction — one epoch at the
-// placement peer: a delta lands as one forest, a full refresh ships
-// tombstones for every stored row together with the fresh rows, and a
-// full-copy view swaps its whole document (Tx.Drop, then Tx.Install) —
-// so a reader never finds a view half-refreshed, empty or absent.
+// placement peer: a delta lands as one forest, a full refresh of an
+// incremental view ships tombstones for every stored row together with
+// the fresh rows, and a recompute view swaps its whole document
+// (Tx.Drop, then Tx.Install) — so a reader never finds a view
+// half-refreshed, empty or absent. The full refresh also fills every
+// new copy: DefineQuery and AddPlacement run it on an empty placement.
 // AutoRefresh subscribes to the base documents' change notifications
 // (installs and drops included) so views follow updates without
 // polling; Refresh/RefreshAll are the synchronous entry points tests
@@ -254,13 +256,14 @@ func (m *Manager) recordProv(p *placement, adds []xquery.Derivation) error {
 }
 
 // refreshPlacementFull re-materializes one placement from scratch, as
-// one epoch at the placement peer. Incremental placements re-derive the
-// full result at the base and ship it in one forest — an x:retract
-// tombstone for every stored row, then the complete content, so the
-// refresh pays full-materialization bytes, the honest baseline — and
-// rebuild their provenance; recompute placements re-run the query
-// through the normal evaluator and swap the content in. A failure
-// leaves the old rows and provenance in place. Callers hold st.mu.
+// one epoch at the placement peer; it also fills a new, empty placement
+// (see emptyPlacement). Incremental placements re-derive the full
+// result at the base and ship it in one forest — an x:retract tombstone
+// for every stored row, then the complete content, so the refresh pays
+// full-materialization bytes, the honest baseline — and rebuild their
+// provenance; recompute placements re-run the query through the normal
+// evaluator and swap the whole document in. A failure leaves the old
+// rows and provenance in place. Callers hold st.mu.
 func (m *Manager) refreshPlacementFull(ctx context.Context, st *state, p *placement) (int, error) {
 	target, ok := m.sys.Peer(p.at)
 	if !ok {
@@ -309,35 +312,36 @@ func (m *Manager) refreshPlacementFull(ctx context.Context, st *state, p *placem
 		return len(trees), nil
 	}
 
-	// Full re-materialization: re-run the query against the base host
-	// and swap the placement's content.
+	// Recompute: re-run the query against the base host and swap the
+	// whole document in.
 	forest, err := m.evalFull(ctx, st, p.at)
 	if err != nil {
 		return 0, err
 	}
-	if st.replica {
-		// The document root itself is the view; swap the whole tree.
-		root, err := viewRoot(st, forest)
-		if err != nil {
-			return 0, err
-		}
-		if err := swapDocument(target, st.def.DocName(), root); err != nil {
-			return 0, err
-		}
-		p.root = root.ID
-		return len(root.Children), nil
-	}
-	if err := target.ReplaceChildren(p.root, forest); err != nil {
+	root, err := viewRoot(st, forest)
+	if err != nil {
 		return 0, err
 	}
-	return len(forest), nil
+	if err := swapDocument(target, st.def.DocName(), root); err != nil {
+		return 0, err
+	}
+	p.root = root.ID
+	return len(root.Children), nil
 }
 
 // swapDocument installs root as the named document at p in place of the
 // one there, if any, as one transaction: a reader sees the old tree or
-// the new one, never neither.
+// the new one, never neither. A nil root publishes the filled staging
+// document (see stagingName) instead, node identifiers kept, so a
+// placement's root and provenance stay valid.
 func swapDocument(p *peer.Peer, name string, root *xmltree.Node) error {
 	return p.Write(func(tx *peer.Tx) error {
+		var err error
+		if root == nil {
+			if root, err = tx.Drop(stagingName(name)); err != nil {
+				return err
+			}
+		}
 		if _, err := tx.Drop(name); err != nil && !errors.Is(err, peer.ErrNoSuchDoc) {
 			return err
 		}

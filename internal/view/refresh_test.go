@@ -622,7 +622,9 @@ func TestChurnConvergence(t *testing.T) {
 				{"replace children", false, func() {
 					churn(5)
 					root, _ := current()
-					must(data.ReplaceChildren(root, []*xmltree.Node{item(), item(), item(), item()}))
+					must(data.Write(func(tx *peer.Tx) error {
+						return tx.ReplaceChildren(root, []*xmltree.Node{item(), item(), item(), item()})
+					}))
 					churn(5)
 				}},
 				{"churn", false, func() { churn(12) }},
@@ -957,9 +959,10 @@ func TestAutoRefreshChurnRace(t *testing.T) {
 }
 
 // TestRefreshFullLeavesNoGap: snapshot readers beside a loop of full
-// refreshes of a selection view and of a full-copy view always find
-// the view document holding every row — never absent, never empty; run
-// under -race.
+// refreshes of an incremental selection view, a recompute selection
+// view (its body reads `..`) and a full-copy view always find each view
+// document holding every row — never absent, never short; run under
+// -race.
 func TestRefreshFullLeavesNoGap(t *testing.T) {
 	sys := testSystem(t, 40)
 	defer sys.Close()
@@ -967,13 +970,21 @@ func TestRefreshFullLeavesNoGap(t *testing.T) {
 	defer m.Close()
 	rows := map[string]int{}
 	for name, src := range map[string]string{
-		"cheap": `for $i in doc("catalog")/item where $i/price < 500 return $i`,
-		"copy":  `doc("catalog")`,
+		"cheap":  `for $i in doc("catalog")/item where $i/price < 500 return $i`,
+		"upward": `for $i in doc("catalog")/item where count($i/../item) < 1000 return $i`,
+		"copy":   `doc("catalog")`,
 	} {
 		if err := m.Define(name, src, "client"); err != nil {
 			t.Fatal(err)
 		}
 		rows[name] = len(viewTrees(t, sys, "client", name))
+	}
+	modes := map[string]string{}
+	for _, info := range m.Views() {
+		modes[info.Name] = info.Mode
+	}
+	if want := map[string]string{"cheap": "incremental", "upward": "recompute", "copy": "recompute"}; !reflect.DeepEqual(modes, want) {
+		t.Fatalf("modes = %v, want %v", modes, want)
 	}
 	client, _ := sys.Peer("client")
 	check := func() error {

@@ -9,12 +9,15 @@
 //
 // Three cooperating pieces:
 //
-//   - Manager (this file): defines views, materializes them by running
-//     their query once, installs the result as a document "view:<name>"
-//     at the placement peer, and registers it in the gendoc.Catalog so
-//     generic resolution can pick the nearest copy. Full-copy views
-//     (query `doc("d")`) additionally register under the base class,
-//     so plain d@any resolution transparently lands on them.
+//   - Manager (this file): defines views. A new copy — document
+//     "view:<name>" at the placement peer — starts as an empty placement
+//     and is filled by the full-refresh path — shipped rows land under
+//     a staging name that takes the view's name in one transaction —
+//     then registered in the
+//     gendoc.Catalog so generic resolution can pick the nearest copy.
+//     Full-copy views (query `doc("d")`) additionally register under
+//     the base class, so plain d@any resolution transparently lands on
+//     them. A definition that fails leaves no document behind.
 //   - match.go: a conservative syntactic containment check that
 //     rewrites a query to read from a view that subsumes it (same
 //     document, path-prefix match, weaker-or-equal predicates).
@@ -24,6 +27,11 @@
 //     change feed, and ships new results plus retraction tombstones
 //     for deleted or updated sources); all other shapes fall back to
 //     full re-materialization.
+//
+// A copy's content changes in two ways only: a forest ships under its
+// root as one transaction (delta refresh, full refresh, Migrate), or
+// the whole document is swapped (recompute refresh, Adopt, and the
+// publication of a copy shipped under its staging name).
 package view
 
 import (
@@ -35,7 +43,6 @@ import (
 	"sync/atomic"
 
 	"axml/internal/core"
-	"axml/internal/gendoc"
 	"axml/internal/netsim"
 	"axml/internal/peer"
 	"axml/internal/xmltree"
@@ -157,11 +164,10 @@ func (m *Manager) Define(name, src string, at netsim.PeerID) error {
 	return m.DefineQuery(name, q, at)
 }
 
-// DefineQuery materializes q as view name at peer at: the query is
-// evaluated once (network-charged), the result installed as document
-// "view:<name>" at the placement peer and registered in the generics
-// catalog. Re-defining an existing name at a new peer adds a replica;
-// the query must be identical.
+// DefineQuery materializes q as view name at peer at: an empty placement
+// is filled by one full refresh (network-charged) and registered in the
+// generics catalog. Re-defining an existing name at a new peer adds a
+// replica; the query must be identical.
 func (m *Manager) DefineQuery(name string, q *xquery.Query, at netsim.PeerID) error {
 	if name == "" || strings.ContainsAny(name, " \t\n@") {
 		return fmt.Errorf("view: bad name %q", name)
@@ -173,7 +179,8 @@ func (m *Manager) DefineQuery(name string, q *xquery.Query, at netsim.PeerID) er
 	if len(bases) == 0 {
 		return fmt.Errorf("view %q: query reads no document", name)
 	}
-	if _, ok := m.sys.Peer(at); !ok {
+	target, ok := m.sys.Peer(at)
+	if !ok {
 		return fmt.Errorf("view %q: unknown placement peer %q", name, at)
 	}
 
@@ -211,94 +218,58 @@ func (m *Manager) DefineQuery(name string, q *xquery.Query, at netsim.PeerID) er
 			return fmt.Errorf("view %q: already placed at %s", name, at)
 		}
 	}
-	// Materializing ships the view's contents while st.mu is held —
-	// deliberate, same discipline as Migrate: the lock makes the
-	// placement visible-or-absent atomically against refresh, and the
-	// receiving peer lands data without touching view state, so the
-	// hop cannot re-enter st.mu.
-	//axmlvet:ignore lockedcall placement must appear atomically vs refresh; remote side never re-enters st.mu
-	p, err := m.materialize(m.ctx, st, at)
-	if err != nil {
-		// A view with no materialized placement must not linger: its
-		// shape would keep rewriting queries onto a document that was
-		// never installed.
-		if len(st.placements) == 0 {
-			m.mu.Lock()
-			delete(m.views, name)
-			m.mu.Unlock()
+	p, err := m.emptyPlacement(st, target)
+	if err == nil {
+		// Filling the copy ships its rows while st.mu is held —
+		// deliberate, same discipline as Migrate: the lock makes the
+		// placement visible-or-absent atomically against refresh, and
+		// the receiving peer lands data without touching view state, so
+		// the hop cannot re-enter st.mu.
+		//axmlvet:ignore lockedcall placement must appear atomically vs refresh; remote side never re-enters st.mu
+		if _, err = m.refreshPlacementFull(m.ctx, st, p); err == nil && p.inc != nil {
+			err = swapDocument(target, st.def.DocName(), nil)
 		}
-		return err
 	}
-	st.placements = append(st.placements, p)
-	docName := st.def.DocName()
-	m.sys.Generics.RegisterDoc(docName, gendoc.DocReplica{Doc: docName, At: at})
-	if st.replica {
-		// A full copy is a legitimate replica of the base document
-		// class: d@any resolution may pick it (definition (9)).
-		m.sys.Generics.RegisterDoc(st.bases[0], gendoc.DocReplica{Doc: docName, At: at})
+	if err != nil {
+		// A staged copy goes with whatever landed in it (rows behind a
+		// lost ack included), so a retry finds the names free.
+		_ = target.RemoveDocument(stagingName(st.def.DocName()))
+		m.forget(st)
+		return fmt.Errorf("view %q: %w", name, err)
 	}
-	m.gen.Add(1)
-	m.watchPlacement(st, p)
+	m.addPlacement(st, p)
 	return nil
 }
 
-// materialize produces one placement of st at peer at. Incremental
-// views are evaluated at the base peer (over a pinned epoch) and only
-// the results ship; recompute views are evaluated at the placement
-// peer, which fetches the base documents whole (definition (7)).
-// Callers hold st.mu.
-func (m *Manager) materialize(ctx context.Context, st *state, at netsim.PeerID) (*placement, error) {
-	target, ok := m.sys.Peer(at)
-	if !ok {
-		return nil, fmt.Errorf("view %q: unknown peer %q", st.def.Name, at)
-	}
-	docName := st.def.DocName()
-	if st.mode == "incremental" {
-		baseAt, err := m.hostOf(st.bases[0], at)
-		if err != nil {
-			return nil, fmt.Errorf("view %q: %w", st.def.Name, err)
-		}
-		host, _ := m.sys.Peer(baseAt)
-		inc, _ := xquery.NewDeltaFor(st.def.Query, nil)
-		h := host.Snapshot()
-		initial, err := inc.DeltaEventsWith(&xquery.Env{Resolve: h.Resolver()})
-		epoch := h.Epoch()
-		h.Release()
-		if err != nil {
-			return nil, fmt.Errorf("view %q: materializing: %w", st.def.Name, err)
-		}
-		root := xmltree.E("axml:view", xmltree.A("name", st.def.Name))
-		if err := target.InstallDocument(docName, root); err != nil {
-			return nil, fmt.Errorf("view %q: %w", st.def.Name, err)
-		}
-		p := &placement{at: at, root: root.ID, inc: inc, baseAt: baseAt, epoch: epoch,
-			prov: map[xquery.Lineage][]xmltree.NodeID{}}
-		if trees := initial.AddedTrees(); len(trees) > 0 {
-			ref := peer.NodeRef{Peer: at, Node: root.ID}
-			if _, err := m.sys.ShipForest(ctx, baseAt, ref, trees, 0); err != nil {
-				inc.Rollback()
-				return nil, fmt.Errorf("view %q: shipping initial state: %w", st.def.Name, err)
-			}
-			if err := m.recordProv(p, initial.Additions); err != nil {
-				return nil, fmt.Errorf("view %q: %w", st.def.Name, err)
-			}
-		}
+// emptyPlacement builds a copy of st at target holding no rows, for
+// refreshPlacementFull to fill. An incremental view gets its axml:view
+// wrapper installed under stagingName, published once filled, and
+// evaluates at a peer hosting its base, whence its rows ship; a
+// recompute view installs nothing, since its full refresh swaps the
+// whole document in. Callers hold st.mu.
+func (m *Manager) emptyPlacement(st *state, target *peer.Peer) (*placement, error) {
+	p := &placement{at: target.ID, baseAt: target.ID}
+	if st.mode != "incremental" {
 		return p, nil
 	}
-
-	forest, err := m.evalFull(ctx, st, at)
-	if err != nil {
-		return nil, fmt.Errorf("view %q: materializing: %w", st.def.Name, err)
-	}
-	root, err := viewRoot(st, forest)
+	baseAt, err := m.hostOf(st.bases[0], p.at)
 	if err != nil {
 		return nil, err
 	}
-	if err := target.InstallDocument(docName, root); err != nil {
-		return nil, fmt.Errorf("view %q: %w", st.def.Name, err)
+	root, _ := viewRoot(st, nil)
+	if err := target.InstallDocument(stagingName(st.def.DocName()), root); err != nil {
+		return nil, err
 	}
-	return &placement{at: at, root: root.ID, baseAt: at}, nil
+	p.root, p.baseAt = root.ID, baseAt
+	p.inc, _ = xquery.NewDeltaFor(st.def.Query, nil)
+	return p, nil
 }
+
+// stagingName is the document a shipped copy of doc fills under before
+// swapDocument publishes it as doc. A reader resolves a name in its own
+// peer's store first, so a copy filling under the view's name would
+// answer that peer's readers short of rows; nothing reads this name.
+func stagingName(doc string) string { return doc + "~incoming" }
 
 // evalFull evaluates the view query for a full (re-)materialization at
 // peer at. The evaluation is delegated to a peer that physically hosts
@@ -328,9 +299,9 @@ func (m *Manager) evalFull(ctx context.Context, st *state, at netsim.PeerID) ([]
 	return res.Forest, nil
 }
 
-// viewRoot builds the stored tree for a recompute materialization:
-// full-copy views install the copied document itself (so base-relative
-// paths keep working), other views wrap the result forest.
+// viewRoot builds the stored tree of a view holding forest: full-copy
+// views store the copied document itself (so base-relative paths keep
+// working), other views wrap the forest in an axml:view element.
 func viewRoot(st *state, forest []*xmltree.Node) (*xmltree.Node, error) {
 	if st.replica {
 		if len(forest) != 1 {
@@ -359,8 +330,7 @@ func (m *Manager) hostOf(doc string, prefer netsim.PeerID) (netsim.PeerID, error
 	return "", fmt.Errorf("no peer hosts base document %q", doc)
 }
 
-// Drop removes a view: every placement's document is uninstalled and
-// its catalog registrations removed.
+// Drop removes a view and every placement of it (see removePlacement).
 func (m *Manager) Drop(name string) error {
 	m.mu.Lock()
 	st, ok := m.views[name]
@@ -370,24 +340,12 @@ func (m *Manager) Drop(name string) error {
 	}
 	delete(m.views, name)
 	m.mu.Unlock()
-	m.gen.Add(1)
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	docName := st.def.DocName()
-	for _, p := range st.placements {
-		for _, cancel := range p.cancels {
-			cancel()
-		}
-		m.sys.Generics.UnregisterDoc(docName, gendoc.DocReplica{Doc: docName, At: p.at})
-		if st.replica {
-			m.sys.Generics.UnregisterDoc(st.bases[0], gendoc.DocReplica{Doc: docName, At: p.at})
-		}
-		if host, ok := m.sys.Peer(p.at); ok {
-			_ = host.RemoveDocument(docName)
-		}
+	for len(st.placements) > 0 {
+		m.removePlacement(st, 0)
 	}
-	st.placements = nil
 	return nil
 }
 

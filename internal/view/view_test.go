@@ -85,9 +85,10 @@ func TestDefineMaterializesAtPlacement(t *testing.T) {
 	}
 }
 
-// TestDefineLandsInOneEpoch: materializing a view installs its document
-// and lands its rows as one transaction, so the placement peer moves two
-// epochs whatever the number of rows.
+// TestDefineLandsInOneEpoch: materializing a view installs its staging
+// document, lands its rows as one transaction and publishes the document
+// under the view's name, so the placement peer moves three epochs
+// whatever the number of rows.
 func TestDefineLandsInOneEpoch(t *testing.T) {
 	for _, rows := range []int{200, 10000} {
 		sys := testSystem(t, rows)
@@ -100,21 +101,81 @@ func TestDefineLandsInOneEpoch(t *testing.T) {
 		if got := len(viewTrees(t, sys, "client", "all")); got != rows {
 			t.Errorf("%d rows landed, want %d", got, rows)
 		}
-		if got := client.Epoch() - before; got != 2 {
-			t.Errorf("defining a %d-row view took %d epochs, want 2", rows, got)
+		if got := client.Epoch() - before; got != 3 {
+			t.Errorf("defining a %d-row view took %d epochs, want 3", rows, got)
 		}
 		m.Close()
 		sys.Close()
 	}
 }
 
+// TestFailedDefineLeavesNothing: a definition whose rows cannot ship
+// leaves neither the view nor its document behind, so the same
+// definition succeeds once the peer is back; a replica that cannot be
+// filled leaves the view with its first placement only, and the catalog
+// without the failed copy.
+func TestFailedDefineLeavesNothing(t *testing.T) {
+	const cheap = `for $i in doc("catalog")/item where $i/price < 500 return $i`
+	t.Run("define", func(t *testing.T) {
+		sys := testSystem(t, 30)
+		defer sys.Close()
+		m := NewManager(sys)
+		defer m.Close()
+		sys.Net.SetDown("client", true)
+		if err := m.Define("cheap", cheap, "client"); err == nil {
+			t.Fatal("defining a view at a down peer should fail")
+		}
+		client, _ := sys.Peer("client")
+		if client.HasDocument(DocPrefix+"cheap") || client.HasDocument(DocPrefix+"cheap~incoming") {
+			t.Error("the failed definition left its document installed")
+		}
+		if vs := m.Views(); len(vs) != 0 {
+			t.Errorf("Views() = %+v, want none", vs)
+		}
+		sys.Net.SetDown("client", false)
+		if err := m.Define("cheap", cheap, "client"); err != nil {
+			t.Fatal(err)
+		}
+		if !sameMultiset(viewTrees(t, sys, "client", "cheap"), expectedTrees(t, sys, "data", cheap)) {
+			t.Error("the retried definition does not hold the base's rows")
+		}
+	})
+	t.Run("add placement", func(t *testing.T) {
+		sys := testSystem3(t, 30)
+		defer sys.Close()
+		m := NewManager(sys)
+		defer m.Close()
+		if err := m.Define("cheap", cheap, "clientA"); err != nil {
+			t.Fatal(err)
+		}
+		sys.Net.SetDown("clientB", true)
+		if err := m.AddPlacement("cheap", "clientB"); err == nil {
+			t.Fatal("adding a placement at a down peer should fail")
+		}
+		if ps, _ := m.PlacementsOf("cheap"); len(ps) != 1 || ps[0] != "clientA" {
+			t.Errorf("placements = %v, want [clientA]", ps)
+		}
+		clientB, _ := sys.Peer("clientB")
+		if clientB.HasDocument(DocPrefix+"cheap") || clientB.HasDocument(DocPrefix+"cheap~incoming") {
+			t.Error("the failed placement left its document installed")
+		}
+		for _, rep := range sys.Generics.DocReplicas(DocPrefix + "cheap") {
+			if rep.At == "clientB" {
+				t.Errorf("the catalog lists the failed copy: %+v", rep)
+			}
+		}
+	})
+}
+
 // TestPlacementChangeIsOneEpoch: every later change to a materialized
 // copy is one epoch at its peer too. A full refresh ships tombstones for
-// the stored rows with the fresh rows, a full-copy refresh and a
-// re-adoption swap the document in one transaction, and a migration
-// publishes the staging install, the landing and the swap.
+// the stored rows with the fresh rows, a recompute refresh (selection or
+// full copy) and a re-adoption swap the document in one transaction, and
+// a migration publishes the staging install, the landing and the
+// rename.
 func TestPlacementChangeIsOneEpoch(t *testing.T) {
 	const cheap = `for $i in doc("catalog")/item where $i/price < 500 return $i`
+	const upward = `for $i in doc("catalog")/item where count($i/../item) < 1000 return $i`
 	adopt := func(m *Manager) error {
 		return m.Adopt("v", cheap, "clientA",
 			xmltree.E("axml:view", xmltree.A("name", "v"), xmltree.E("item")), "origin")
@@ -127,6 +188,7 @@ func TestPlacementChangeIsOneEpoch(t *testing.T) {
 		epochs        uint64
 	}{
 		{"full refresh", func(m *Manager) error { return m.Define("v", cheap, "clientA") }, refreshFull, "clientA", 1},
+		{"recompute refresh", func(m *Manager) error { return m.Define("v", upward, "clientA") }, refreshFull, "clientA", 1},
 		{"full-copy refresh", func(m *Manager) error { return m.Define("v", `doc("catalog")`, "clientA") }, refreshFull, "clientA", 1},
 		{"re-adoption", adopt, adopt, "clientA", 1},
 		{"migration", func(m *Manager) error { return m.Define("v", cheap, "clientA") }, func(m *Manager) error {
