@@ -19,6 +19,11 @@ import (
 // requires, but are evaluated the same way: System.Eval, at whichever
 // peer, drains one of these under the caller's context.
 //
+// A row of a lazily-evaluated query is read-only: it may be a node of
+// the pinned, immutable document the query read, still carrying its
+// stored Parent. A consumer that keeps or attaches a row deep-copies
+// it first; the drains inside System.Eval open owned cursors instead.
+//
 // Next returns (nil, nil) at end of stream. Close abandons the
 // remaining evaluation; both are idempotent. VT reports the virtual
 // completion time: for a lazily-evaluated query it is only final once
@@ -96,7 +101,7 @@ func (s *System) EvalCursorContext(ctx context.Context, at netsim.PeerID, e Expr
 		break
 	}
 	if q, ok := e.(*Query); ok {
-		return s.queryCursor(ctx, p, q, 0)
+		return s.queryCursor(ctx, p, q, 0, false)
 	}
 	res, err := s.eval(ctx, at, e, 0)
 	if err != nil {
@@ -109,13 +114,19 @@ func (s *System) EvalCursorContext(ctx context.Context, at netsim.PeerID, e Expr
 // virtual time vt: arguments and a remotely-defined query text are
 // fetched eagerly (they ship whole), then the body evaluates pull by
 // pull. Compute cost is charged when the stream ends — in full on
-// exhaustion, pro rata for the yielded rows when abandoned.
-func (s *System) queryCursor(ctx context.Context, p *peer.Peer, q *Query, vt float64) (*RowCursor, error) {
+// exhaustion, pro rata for the yielded rows when abandoned. With own
+// set every row is a tree of its own (xquery.OwnedCursor); otherwise
+// rows may be read-only document nodes.
+func (s *System) queryCursor(ctx context.Context, p *peer.Peer, q *Query, vt float64, own bool) (*RowCursor, error) {
 	run, err := s.prepareQuery(ctx, p, q, vt)
 	if err != nil {
 		return nil, err
 	}
-	cur, err := q.Q.EvalCursor(ctx, run.env, run.args...)
+	open := q.Q.EvalCursor
+	if own {
+		open = q.Q.OwnedCursor
+	}
+	cur, err := open(ctx, run.env, run.args...)
 	if err != nil {
 		run.release()
 		return nil, err

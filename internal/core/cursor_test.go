@@ -270,3 +270,56 @@ func TestDeadlineStopsRemoteScan(t *testing.T) {
 		}
 	}
 }
+
+// TestResultForestIsOwned: Eval's forest shares no node with the
+// stored document — changing it and querying again gives the stored
+// answer — while the streaming cursor hands out the stored nodes.
+func TestResultForestIsOwned(t *testing.T) {
+	sys := cursorSystem(t, 10)
+	client, _ := sys.Peer("client")
+	h := client.Snapshot()
+	defer h.Release()
+	root, err := h.Root("catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := map[*xmltree.Node]bool{}
+	root.Walk(func(n *xmltree.Node) bool { stored[n] = true; return true })
+	for _, src := range []string{
+		`doc("catalog")/item`,
+		`for $i in doc("catalog")/item where $i/price < 50 return $i`,
+		`for $i in doc("catalog")/item return <hit>{$i/name}</hit>`,
+	} {
+		e := &Query{Q: mustParseQuery(t, src), At: "client"}
+		res, err := sys.Eval("client", e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := xmltree.SerializeForest(res.Forest)
+		for _, tree := range res.Forest {
+			tree.Walk(func(n *xmltree.Node) bool {
+				if stored[n] {
+					t.Fatalf("%s: Result.Forest shares %s with the document", src, xmltree.Serialize(n))
+				}
+				return true
+			})
+			tree.Children[0].Label = "changed"
+			tree.AppendChild(xmltree.E("extra"))
+		}
+		again, err := sys.Eval("client", e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := xmltree.SerializeForest(again.Forest); got != want {
+			t.Errorf("%s: changing the forest changed the document: %s", src, got)
+		}
+	}
+	cur, err := sys.EvalCursor("client", &Query{Q: mustParseQuery(t, `doc("catalog")/item`), At: "client"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := drainRows(t, cur)
+	if len(rows) != 10 || !stored[rows[0]] {
+		t.Errorf("the streaming cursor copied its rows")
+	}
+}

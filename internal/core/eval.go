@@ -222,7 +222,7 @@ func (s *System) evalDoc(ctx context.Context, p *peer.Peer, d *Doc, vt float64) 
 // evaluation site, then apply the query — by draining the row cursor a
 // streaming consumer would pull from.
 func (s *System) evalQuery(ctx context.Context, p *peer.Peer, q *Query, vt float64) (*Result, error) {
-	cur, err := s.queryCursor(ctx, p, q, vt)
+	cur, err := s.queryCursor(ctx, p, q, vt, true)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +234,9 @@ func (s *System) evalQuery(ctx context.Context, p *peer.Peer, q *Query, vt float
 }
 
 // collect drains a row cursor into a forest and closes it, whatever
-// the outcome; a failure discards the rows before it.
+// the outcome; a failure discards the rows before it. The forest is
+// the caller's to keep when the cursor is owned (xquery.OwnedCursor),
+// which every cursor drained here is.
 func collect(cur xquery.Cursor) ([]*xmltree.Node, error) {
 	defer cur.Close()
 	var out []*xmltree.Node
@@ -821,7 +823,7 @@ func (s *System) applyService(ctx context.Context, p *peer.Peer, svc *service.Se
 	// publishes between them.
 	h := p.Snapshot()
 	defer h.Release()
-	cur, err := svc.Body.EvalCursor(ctx, &xquery.Env{Resolve: h.Resolver()}, args...)
+	cur, err := svc.Body.OwnedCursor(ctx, &xquery.Env{Resolve: h.Resolver()}, args...)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: service %s@%s: %w", svc.Name, p.ID, err)
 	}

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -36,6 +37,12 @@ func (p *Peer) Write(fn func(tx *Tx) error) error {
 	tx.commit()
 	return nil
 }
+
+// ErrStoredNode is wrapped by an edit refused because the tree it hands
+// the store holds a node the store already has: a published node is
+// read-only, so a tree read from a document (a streamed query row, a
+// Handle.Root) must be deep-copied before it is stored again.
+var ErrStoredNode = errors.New("node is already stored")
 
 // Tx is a transaction in progress: the edits of one Write.
 type Tx struct {
@@ -94,6 +101,9 @@ func (tx *Tx) Has(id xmltree.NodeID) bool {
 // Append adds tree as the last child of the identified element. The
 // peer takes ownership of the tree: fresh IDs, indexed.
 func (tx *Tx) Append(parent xmltree.NodeID, tree *xmltree.Node) error {
+	if err := tx.unstored(tree); err != nil {
+		return err
+	}
 	ed, err := tx.at(parent)
 	if err != nil {
 		return err
@@ -131,6 +141,9 @@ func (tx *Tx) Replace(parent, child xmltree.NodeID, tree *xmltree.Node) error {
 	if tree == nil {
 		return fmt.Errorf("peer %s: Replace(nil)", tx.p.ID)
 	}
+	if err := tx.unstored(tree); err != nil {
+		return err
+	}
 	e, ed, i, err := tx.detach(parent, child)
 	if err != nil {
 		return err
@@ -148,6 +161,11 @@ func (tx *Tx) Replace(parent, child xmltree.NodeID, tree *xmltree.Node) error {
 // the given forest. The whole child list goes, so the edit's record
 // names no subtree and feed consumers re-derive from the document.
 func (tx *Tx) ReplaceChildren(id xmltree.NodeID, forest []*xmltree.Node) error {
+	for _, tree := range forest {
+		if err := tx.unstored(tree); err != nil {
+			return err
+		}
+	}
 	ed, err := tx.at(id)
 	if err != nil {
 		return err
@@ -177,6 +195,9 @@ func (tx *Tx) Install(name string, root *xmltree.Node) error {
 		return fmt.Errorf("peer %s: nil document root", tx.p.ID)
 	case exists:
 		return fmt.Errorf("peer %s: document %q already exists", tx.p.ID, name)
+	}
+	if err := tx.unstored(root); err != nil {
+		return err
 	}
 	tx.adopt(root, name, 0)
 	*tx.doc(name) = txDoc{name: name, root: root, fresh: true}
@@ -325,6 +346,26 @@ func (tx *Tx) copy(n *xmltree.Node) *xmltree.Node {
 	}
 	tx.copied[n.ID] = true
 	return c
+}
+
+// unstored refuses a tree that holds a node the index maps to that very
+// node: adopting it would re-index, and later write, a node that
+// published epochs share. Every edit that adopts a tree asks first, so
+// a refused edit has changed nothing.
+func (tx *Tx) unstored(tree *xmltree.Node) error {
+	var stored *xmltree.Node
+	tree.Walk(func(n *xmltree.Node) bool {
+		if stored == nil && n.ID != 0 {
+			if e, ok := tx.p.index[n.ID]; ok && e.node == n {
+				stored = n
+			}
+		}
+		return stored == nil
+	})
+	if stored != nil {
+		return fmt.Errorf("peer %s: %w: n%d (deep-copy a tree read from the store before storing it)", tx.p.ID, ErrStoredNode, stored.ID)
+	}
+	return nil
 }
 
 // adopt assigns IDs to a subtree and indexes it into doc under parent.

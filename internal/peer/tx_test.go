@@ -1,12 +1,14 @@
 package peer
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"maps"
 	"testing"
 
 	"axml/internal/xmltree"
+	"axml/internal/xquery"
 )
 
 // TestWriteIsOneEpoch: the edits of one transaction publish as one
@@ -176,5 +178,61 @@ func TestCommitAllocations(t *testing.T) {
 	})
 	if allocs > 14 {
 		t.Errorf("a single-edit commit allocates %.1f times, budget is 14", allocs)
+	}
+}
+
+// TestStoreRefusesStoredNodes: a streamed query row is a node of the
+// published document. Storing it uncopied — alone, or inside a fresh
+// tree — is refused with ErrStoredNode by every edit that adopts a
+// tree, and the refused transaction leaves no trace; its deep copy is
+// stored as any new tree.
+func TestStoreRefusesStoredNodes(t *testing.T) {
+	p, root := feedPeer(t)
+	h := p.Snapshot()
+	defer h.Release()
+	cur, err := xquery.MustParse(`doc("catalog")/item`).EvalCursor(context.Background(), &xquery.Env{Resolve: h.Resolver()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := cur.Next()
+	if err != nil || row != root.Children[0] {
+		t.Fatalf("first row %p (%v), want the stored item %p", row, err, root.Children[0])
+	}
+	_ = cur.Close()
+	wrapped := &xmltree.Node{Kind: xmltree.ElementNode, Label: "wrap", Children: []*xmltree.Node{row}}
+	other := root.Children[1]
+	for _, c := range []struct {
+		name string
+		edit func(tx *Tx) error
+	}{
+		{"append", func(tx *Tx) error { return tx.Append(root.ID, row) }},
+		{"append inside a fresh tree", func(tx *Tx) error { return tx.Append(root.ID, wrapped) }},
+		{"replace", func(tx *Tx) error { return tx.Replace(root.ID, other.ID, row) }},
+		{"replace children", func(tx *Tx) error {
+			return tx.ReplaceChildren(root.ID, []*xmltree.Node{xmltree.E("item"), row})
+		}},
+		{"install", func(tx *Tx) error { return tx.Install("copy", row) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			epoch := p.Epoch()
+			index := maps.Clone(p.index)
+			text := xmltree.Serialize(root)
+			err := p.Write(c.edit)
+			if !errors.Is(err, ErrStoredNode) {
+				t.Fatalf("Write = %v, want ErrStoredNode", err)
+			}
+			if p.Epoch() != epoch {
+				t.Errorf("epoch moved %d → %d", epoch, p.Epoch())
+			}
+			if !maps.Equal(p.index, index) {
+				t.Error("the node index changed")
+			}
+			if xmltree.Serialize(root) != text || p.HasDocument("copy") {
+				t.Error("the store changed")
+			}
+		})
+	}
+	if err := p.Write(func(tx *Tx) error { return tx.Append(root.ID, xmltree.DeepCopy(row)) }); err != nil {
+		t.Fatalf("storing the row's copy: %v", err)
 	}
 }

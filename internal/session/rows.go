@@ -84,11 +84,16 @@ func (r *Rows) Next() bool {
 	return true
 }
 
-// Node returns the current result tree (valid after a true Next).
+// Node returns the current result tree (valid after a true Next). The
+// tree is read-only: a local session may hand out a node of the stored
+// document itself, still carrying its stored Parent, and it stays
+// valid after Close because published trees never change. DeepCopy it
+// to own it — to change it, attach it to another tree or store it.
 func (r *Rows) Node() *xmltree.Node { return r.cur }
 
 // Scan copies the current row into dest: **xmltree.Node receives the
-// tree itself, *string its compact XML serialization.
+// tree itself (read-only, as Node's), *string its compact XML
+// serialization.
 func (r *Rows) Scan(dest any) error {
 	if r.cur == nil {
 		return fmt.Errorf("session: Scan called without a current row")

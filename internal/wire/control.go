@@ -176,7 +176,7 @@ func (s *Server) doHello(rest string) string {
 	for _, m := range members {
 		reply.AppendChild(m.ToXML())
 	}
-	return xmltree.Serialize(reply)
+	return xmltree.SerializeLine(reply)
 }
 
 func (s *Server) doBye(rest string) string {
@@ -201,7 +201,7 @@ func (s *Server) doDemand() string {
 	if err != nil {
 		return errReply(err)
 	}
-	return xmltree.Serialize(e.ToXML())
+	return xmltree.SerializeLine(e.ToXML())
 }
 
 // doMigrate handles MIGRATE (keep=false) and REPLICATE (keep=true):
@@ -283,13 +283,13 @@ func (s *Server) doStep() string {
 	for _, d := range decisions {
 		reply.AppendChild(decisionToXML(d))
 	}
-	return xmltree.Serialize(reply)
+	return xmltree.SerializeLine(reply)
 }
 
 // Hello registers this deployment with a coordinator and returns the
 // membership.
 func (c *Client) Hello(ctx context.Context, info MemberInfo) ([]MemberInfo, error) {
-	root, err := c.roundTrip(ctx, "HELLO "+xmltree.Serialize(info.ToXML()))
+	root, err := c.roundTrip(ctx, "HELLO "+xmltree.SerializeLine(info.ToXML()))
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +345,7 @@ func (c *Client) AcceptView(ctx context.Context, name, query, origin string, roo
 		xmltree.A("query", query),
 		xmltree.A("origin", origin))
 	ship.AppendChild(xmltree.DeepCopy(root))
-	_, err := c.roundTrip(ctx, "ACCEPTVIEW "+name+" "+xmltree.Serialize(ship))
+	_, err := c.roundTrip(ctx, "ACCEPTVIEW "+name+" "+xmltree.SerializeLine(ship))
 	return err
 }
 

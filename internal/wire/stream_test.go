@@ -86,8 +86,8 @@ func TestServerStreamsBeforeEvaluationFinishes(t *testing.T) {
 }
 
 // TestServerAbandonsStreamOnHangup: a client that hangs up mid-stream
-// makes the server's next row write fail; the server closes its cursor
-// and stops evaluating instead of producing rows nobody reads.
+// makes the server's next buffer write fail; the server closes its
+// cursor and stops evaluating instead of producing rows nobody reads.
 func TestServerAbandonsStreamOnHangup(t *testing.T) {
 	const items = 3000
 	c, srv := startBigStreamServer(t, items)

@@ -52,12 +52,17 @@
 // (internal/session): parse → view-aware optimize → plan cache (keyed
 // by normalized query shape, invalidated when DEFVIEW changes the
 // catalog) → refresh the views the plan reads → pull-based cursor.
-// PREPARE warms that plan cache. QUERYX writes and flushes each row as
-// the cursor yields it, so the first rows reach the client while
-// evaluation continues; a failure after the first row ends the stream
-// with an <x:error> line in place of <x:end>, and a client that hangs
-// up mid-stream makes the next row write fail, which abandons the
-// cursor — nothing is evaluated for a stream nobody reads. Updates emit
+// PREPARE warms that plan cache. QUERYX writes each row into the
+// connection buffer as the cursor yields it and flushes the first row
+// alone, so it reaches the client while evaluation continues; the rest
+// leave whenever the buffer fills. A failure after the first row ends
+// the stream with an <x:error> line in place of <x:end>, and a client
+// that hangs up mid-stream is seen at the next buffer write, which
+// abandons the cursor — evaluation stops within one buffer of rows.
+//
+// Every reply and every tree a request carries is one line: CR and LF
+// inside text and attribute values travel as &#13; and &#10;
+// (xmltree.WriteLine), which the receiving parser decodes. Updates emit
 // typed change notifications, so views over the touched documents
 // retract or re-derive the affected rows on their next refresh.
 //
@@ -76,6 +81,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -135,9 +141,10 @@ type Server struct {
 	metricsOnce sync.Once
 
 	// Streaming counters, read through the wire.* gauges of the
-	// registry: x:row lines written and flushed, QUERYX requests
-	// accepted, and streams cut short because the client went away (the
-	// cursor was closed with rows still unevaluated).
+	// registry: x:row lines written into connection buffers (the first
+	// of a stream flushed alone, the rest as the buffer fills), QUERYX
+	// requests accepted, and streams cut short because the client went
+	// away (the cursor was closed with rows still unevaluated).
 	rowsStreamed   atomic.Uint64
 	streamsStarted atomic.Uint64
 	streamsAborted atomic.Uint64
@@ -369,7 +376,7 @@ func sentinelFor(code string) error {
 
 func errReply(err error) string {
 	e := xmltree.E("x:error", xmltree.A("code", errCode(err)), xmltree.T(err.Error()))
-	return xmltree.Serialize(e)
+	return xmltree.SerializeLine(e)
 }
 
 // dispatch executes one request line. Most commands produce a single
@@ -507,14 +514,15 @@ func (s *Server) traceContext(ctx context.Context, cfg session.Config) (context.
 }
 
 // doQueryStream answers QUERYX: one x:row line per result tree as the
-// session cursor yields it, then x:end. Each row is flushed
-// individually, so the first rows reach the client while evaluation
-// continues. Errors before the first row (planning, setup) produce a
-// single x:error line; an evaluation failure mid-stream terminates the
-// row sequence with an x:error line in place of x:end. A failed row
-// write or flush means the client hung up: the cursor is closed —
-// abandoning the unevaluated remainder — and the stream is counted as
-// aborted.
+// session cursor yields it, then x:end. Each row is serialized straight
+// from the cursor's tree into the connection buffer. The first row is
+// flushed alone, so it reaches the client while evaluation continues;
+// the rest leave whenever the buffer fills, and handle flushes what is
+// left. Errors before the first row (planning, setup) produce a single
+// x:error line; an evaluation failure mid-stream terminates the row
+// sequence with an x:error line in place of x:end. A failed write
+// means the client hung up: the cursor is closed — abandoning the
+// unevaluated remainder — and the stream is counted as aborted.
 func (s *Server) doQueryStream(rest string, w *bufio.Writer) {
 	src, opts, err := parseFlags(rest)
 	if err != nil {
@@ -553,13 +561,22 @@ func (s *Server) doQueryStream(rest string, w *bufio.Writer) {
 	defer rows.Close()
 	n := 0
 	for rows.Next() {
-		row := xmltree.E("x:row")
-		row.AppendChild(rows.Node())
-		if _, werr := fmt.Fprintln(w, xmltree.Serialize(row)); werr != nil {
-			s.streamsAborted.Add(1)
-			return
+		if n == 1 {
+			// Flushing the first row woke the reader. On a host with few
+			// CPUs it can be queued behind this goroutine, which would
+			// keep the CPU until the buffer fills; a reply that goes on
+			// lets it run first.
+			runtime.Gosched()
 		}
-		if werr := w.Flush(); werr != nil {
+		w.WriteString("<x:row>")
+		xmltree.WriteLine(w, rows.Node())
+		// The writer's errors are sticky: the last write of a row
+		// reports a failure anywhere in it.
+		_, werr := w.WriteString("</x:row>\n")
+		if werr == nil && n == 0 {
+			werr = w.Flush()
+		}
+		if werr != nil {
 			s.streamsAborted.Add(1)
 			return
 		}
@@ -570,7 +587,7 @@ func (s *Server) doQueryStream(rest string, w *bufio.Writer) {
 		fmt.Fprintln(w, errReply(err))
 		return
 	}
-	fmt.Fprintln(w, xmltree.Serialize(xmltree.E("x:end", xmltree.A("n", fmt.Sprint(n)))))
+	fmt.Fprintln(w, xmltree.SerializeLine(xmltree.E("x:end", xmltree.A("n", fmt.Sprint(n)))))
 }
 
 // doExec runs an update statement (or a query whose results are
@@ -675,7 +692,7 @@ func (s *Server) doInstall(rest string) string {
 }
 
 func okCount(n int) string {
-	return xmltree.Serialize(xmltree.E("x:ok", xmltree.A("n", fmt.Sprint(n))))
+	return xmltree.SerializeLine(xmltree.E("x:ok", xmltree.A("n", fmt.Sprint(n))))
 }
 
 func (s *Server) doList() string {
@@ -694,7 +711,7 @@ func (s *Server) doList() string {
 				xmltree.A("query", v.Query)))
 		}
 	}
-	return xmltree.Serialize(info)
+	return xmltree.SerializeLine(info)
 }
 
 func placementToXML(pi view.PlacementInfo) *xmltree.Node {
@@ -738,7 +755,7 @@ func (s *Server) doPlacements() string {
 			root.AppendChild(decisionToXML(d))
 		}
 	}
-	return xmltree.Serialize(root)
+	return xmltree.SerializeLine(root)
 }
 
 // doStats answers STATS with the registry snapshot: wire streaming
@@ -749,7 +766,7 @@ func (s *Server) doStats() string {
 	// Touch the session first so its counters exist in the snapshot
 	// even before the first query.
 	_, _ = s.session()
-	return xmltree.Serialize(obs.SnapshotToXML(s.metrics().Snapshot()))
+	return xmltree.SerializeLine(obs.SnapshotToXML(s.metrics().Snapshot()))
 }
 
 // doTrace answers TRACE <id> with the span tree recorded for a
@@ -763,15 +780,19 @@ func (s *Server) doTrace(rest string) string {
 	if tr == nil {
 		return errReply(fmt.Errorf("trace: no trace %q (traced queries use +trace=<id>; the ring keeps the most recent)", id))
 	}
-	return xmltree.Serialize(obs.SpansToXML(tr.ID, tr.Spans()))
+	return xmltree.SerializeLine(obs.SpansToXML(tr.ID, tr.Spans()))
 }
 
+// forestReply writes a result forest as one x:forest line, each tree
+// serialized where it stands.
 func forestReply(out []*xmltree.Node) string {
-	env := xmltree.E("x:forest")
+	var sb strings.Builder
+	sb.WriteString("<x:forest>")
 	for _, n := range out {
-		env.AppendChild(xmltree.DeepCopy(n))
+		xmltree.WriteLine(&sb, n)
 	}
-	return xmltree.Serialize(env)
+	sb.WriteString("</x:forest>")
+	return sb.String()
 }
 
 // DialOption configures a client connection.
@@ -791,8 +812,11 @@ func WithDialTimeout(d time.Duration) DialOption {
 // WithIOTimeout bounds each conn operation — the request write, the
 // reply read, and each streamed row individually (the deadline re-arms
 // per read, so a long healthy stream never trips it) — tightened by
-// the call context's own deadline when that is earlier. Zero (the
-// default) leaves I/O bounded only by the context.
+// the call context's own deadline when that is earlier. A server
+// flushes a stream's rows a buffer at a time after the first, so the
+// allowance spans the gap between two flushes: the time the server
+// takes to evaluate a buffer's worth of rows. Zero (the default)
+// leaves I/O bounded only by the context.
 func WithIOTimeout(d time.Duration) DialOption {
 	return func(c *dialConfig) { c.ioTimeout = d }
 }
@@ -1228,7 +1252,7 @@ func (c *Client) Call(ctx context.Context, service string, params ...*xmltree.No
 	if len(params) > 0 {
 		sb.WriteByte(' ')
 		for _, p := range params {
-			sb.WriteString(xmltree.Serialize(p))
+			sb.WriteString(xmltree.SerializeLine(p))
 		}
 	}
 	root, err := c.roundTrip(ctx, sb.String())
@@ -1240,7 +1264,7 @@ func (c *Client) Call(ctx context.Context, service string, params ...*xmltree.No
 
 // Install installs a document on the server.
 func (c *Client) Install(ctx context.Context, name string, doc *xmltree.Node) error {
-	_, err := c.roundTrip(ctx, "INSTALL "+name+" "+xmltree.Serialize(doc))
+	_, err := c.roundTrip(ctx, "INSTALL "+name+" "+xmltree.SerializeLine(doc))
 	return err
 }
 

@@ -113,6 +113,19 @@ func (p *parser) advanceN(n int) {
 	}
 }
 
+// skipTo moves to byte offset end, counting the lines and columns of
+// the run it passes over without visiting its bytes one by one.
+func (p *parser) skipTo(end int) {
+	run := p.src[p.pos:end]
+	if nl := strings.Count(run, "\n"); nl > 0 {
+		p.line += nl
+		p.col = len(run) - strings.LastIndexByte(run, '\n')
+	} else {
+		p.col += len(run)
+	}
+	p.pos = end
+}
+
 func (p *parser) errf(format string, args ...any) error {
 	return &ParseError{Line: p.line, Col: p.col, Msg: fmt.Sprintf(format, args...)}
 }
@@ -334,51 +347,76 @@ func (p *parser) parseContentItem() (*Node, error) {
 	}
 }
 
+// parseText reads character data up to the next '<'. A run without
+// entity references is returned as a slice of the input.
 func (p *parser) parseText() (*Node, error) {
-	var sb strings.Builder
-	for !p.eof() && p.peek() != '<' {
-		c := p.peek()
-		if c == '&' {
-			r, err := p.parseEntity()
-			if err != nil {
-				return nil, err
-			}
-			sb.WriteString(r)
-			continue
-		}
-		sb.WriteByte(p.advance())
+	end := len(p.src)
+	if i := strings.IndexByte(p.src[p.pos:], '<'); i >= 0 {
+		end = p.pos + i
 	}
+	amp := strings.IndexByte(p.src[p.pos:end], '&')
+	if amp < 0 {
+		text := p.src[p.pos:end]
+		p.skipTo(end)
+		return NewText(text), nil
+	}
+	var sb strings.Builder
+	for amp >= 0 {
+		sb.WriteString(p.src[p.pos : p.pos+amp])
+		p.skipTo(p.pos + amp)
+		r, err := p.parseEntity()
+		if err != nil {
+			return nil, err
+		}
+		sb.WriteString(r)
+		// No reference that decodes spans a '<', so p.pos <= end.
+		amp = strings.IndexByte(p.src[p.pos:end], '&')
+	}
+	sb.WriteString(p.src[p.pos:end])
+	p.skipTo(end)
 	return NewText(sb.String()), nil
 }
 
+// parseAttrValue reads a quoted attribute value. A value without
+// entity references is returned as a slice of the input.
 func (p *parser) parseAttrValue() (string, error) {
 	quote := p.peek()
 	if quote != '"' && quote != '\'' {
 		return "", p.errf("expected quoted attribute value")
 	}
 	p.advance()
-	var sb strings.Builder
+	var sb strings.Builder // holds the value once a reference is decoded
 	for {
-		if p.eof() {
+		// The run ends at the first quote, '&' or '<'.
+		run := p.src[p.pos:]
+		i := 0
+		for i < len(run) && run[i] != quote && run[i] != '&' && run[i] != '<' {
+			i++
+		}
+		if i == len(run) {
+			p.skipTo(len(p.src))
 			return "", p.errf("unterminated attribute value")
 		}
-		c := p.peek()
-		if c == quote {
-			p.advance()
+		switch run[i] {
+		case quote:
+			p.skipTo(p.pos + i + 1)
+			if sb.Len() == 0 {
+				return run[:i], nil
+			}
+			sb.WriteString(run[:i])
 			return sb.String(), nil
-		}
-		if c == '&' {
+		case '&':
+			sb.WriteString(run[:i])
+			p.skipTo(p.pos + i)
 			r, err := p.parseEntity()
 			if err != nil {
 				return "", err
 			}
 			sb.WriteString(r)
-			continue
-		}
-		if c == '<' {
+		default:
+			p.skipTo(p.pos + i)
 			return "", p.errf("'<' not allowed in attribute value")
 		}
-		sb.WriteByte(p.advance())
 	}
 }
 

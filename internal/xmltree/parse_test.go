@@ -331,3 +331,66 @@ func shuffleElementChildren(r *rand.Rand, n *Node) {
 		}
 	}
 }
+
+// Text and attribute runs are consumed a run at a time; the position a
+// later error reports still counts every byte and line they held.
+func TestParseErrorPositionAfterRuns(t *testing.T) {
+	for _, c := range []struct {
+		in        string
+		line, col int
+		msg       string
+	}{
+		{"<a>line one\nline two\n  <b></a>", 3, 9, "mismatched end tag </a>, expected </b>"},
+		{"<a>one\ntwo &bogus; three</a>", 2, 12, "unknown entity &bogus;"},
+		{"<a>one &amp;\ntwo\nthree &#xZZ;</a>", 3, 13, "bad character reference &#xZZ;"},
+		{"<a>x\r\ny\r\n</b>", 3, 4, "mismatched end tag </b>, expected </a>"},
+		{"<a>one\ntwo\nthree", 3, 6, "unexpected end of input inside element <a>"},
+		{"<a x=\"one\ntwo<\"/>", 2, 4, "'<' not allowed in attribute value"},
+		{"<a x=\"one\ntwo", 2, 4, "unterminated attribute value"},
+		{"<a x='p&amp;\nq' y=\"r\ns\">\n<c/></d>", 4, 8, "mismatched end tag </d>, expected </a>"},
+		{"<a x=\"1\n22&zz;\"/>", 2, 7, "unknown entity &zz;"},
+		{"<a\n x=\"v\"\n y=\"w\nz\" x=\"again\"/>", 4, 13, "duplicate attribute \"x\" on element \"a\""},
+	} {
+		_, err := Parse(c.in)
+		pe, ok := err.(*ParseError)
+		if !ok {
+			t.Errorf("%q: want *ParseError, got %T %v", c.in, err, err)
+			continue
+		}
+		if pe.Line != c.line || pe.Col != c.col || pe.Msg != c.msg {
+			t.Errorf("%q: error at %d:%d %q, want %d:%d %q", c.in, pe.Line, pe.Col, pe.Msg, c.line, c.col, c.msg)
+		}
+	}
+}
+
+func TestParseRunsWithReferences(t *testing.T) {
+	n := MustParse(`<a x="1 &lt; 2 &amp;&amp; &#10;" y='plain'>one &amp; two &#x3C; three</a>`)
+	if x, _ := n.Attr("x"); x != "1 < 2 && \n" {
+		t.Errorf("x = %q", x)
+	}
+	if y, _ := n.Attr("y"); y != "plain" {
+		t.Errorf("y = %q", y)
+	}
+	if got := n.TextContent(); got != "one & two < three" {
+		t.Errorf("text = %q", got)
+	}
+}
+
+// WriteLine keeps a tree on one line; Serialize writes CR and LF as
+// they are, so stored sizes and shipped bytes do not change.
+func TestWriteLineEscapesLineBreaks(t *testing.T) {
+	n := E("n", A("note", "a\r\nb"), T("line one\nline two\r"))
+	if got, want := SerializeLine(n), `<n note="a&#13;&#10;b">line one&#10;line two&#13;</n>`; got != want {
+		t.Errorf("SerializeLine = %s, want %s", got, want)
+	}
+	if got, want := Serialize(n), "<n note=\"a\r\nb\">line one\nline two\r</n>"; got != want {
+		t.Errorf("Serialize = %q, want %q", got, want)
+	}
+	if n.ByteSize() != len(Serialize(n)) {
+		t.Errorf("ByteSize %d, Serialize writes %d", n.ByteSize(), len(Serialize(n)))
+	}
+	back := MustParse(SerializeLine(n))
+	if !Equal(back, n) || back.Children[0].Text != n.Children[0].Text {
+		t.Errorf("round trip: %q", Serialize(back))
+	}
+}

@@ -13,10 +13,17 @@
 // their tuples on the first pull — but still evaluate the return
 // expression per pull. Sequences compose lazily; bare paths evaluate
 // their node-set in one XPath pass (the language is set-oriented below
-// the FLWR level) and then deep-copy one node per pull. Such a pass is
+// the FLWR level) and then hand out one node per pull. Such a pass is
 // also the one thing cancellation cannot interrupt: the context is
 // looked at before every pull and every cancelCheckEvery candidate
 // tuples of a scan.
+//
+// A row that is a node of a resolved document is handed out as it is:
+// a read-only reference that may carry its stored Parent. Trees are
+// copied only where they are attached or kept — a constructor copies
+// the content it attaches, a value forest (a let binding, a sequence
+// used as a for source) and Query.Eval's forest are owned, and an
+// OwnedCursor copies each such row as it is pulled.
 package xquery
 
 import (
@@ -40,9 +47,11 @@ type Cursor interface {
 
 // EvalCursor evaluates the query lazily: the returned cursor yields
 // the same trees, in the same order, as Eval's result forest, but rows
-// are produced on demand. ctx is checked on every pull and inside long
-// tuple scans — canceling it stops the evaluation where it stands, with
-// an error that unwraps to ctx.Err().
+// are produced on demand. A row is read-only: it may be a node of a
+// resolved document, still carrying its stored Parent. DeepCopy it to
+// own it, or open an OwnedCursor. ctx is checked on every pull and
+// inside long tuple scans — canceling it stops the evaluation where it
+// stands, with an error that unwraps to ctx.Err().
 //
 // Error timing: a cursor yields the rows preceding a failure, then the
 // failure. Eval is this cursor drained, so it runs exactly as far — it
@@ -57,11 +66,23 @@ type Cursor interface {
 // (hand-built Envs over scratch nodes) must not mutate them while the
 // stream is live.
 func (q *Query) EvalCursor(ctx context.Context, env *Env, args ...[]*xmltree.Node) (Cursor, error) {
+	return q.cursor(ctx, env, args, false)
+}
+
+// OwnedCursor is EvalCursor for a consumer that keeps its rows: every
+// row is a tree of its own, sharing no structure with the resolved
+// documents. A row that would be a document node is deep-copied as it
+// is pulled; a constructed row is not copied again.
+func (q *Query) OwnedCursor(ctx context.Context, env *Env, args ...[]*xmltree.Node) (Cursor, error) {
+	return q.cursor(ctx, env, args, true)
+}
+
+func (q *Query) cursor(ctx context.Context, env *Env, args [][]*xmltree.Node, own bool) (Cursor, error) {
 	if len(args) != len(q.Params) {
 		return nil, errf("query takes %d parameter(s), got %d", len(q.Params), len(args))
 	}
 	root := q.rootCtx(ctx, env, args)
-	return &queryCursor{ev: root.ev, it: exprIter(q.Body, root)}, nil
+	return &queryCursor{ev: root.ev, it: exprIter(q.Body, root, own)}, nil
 }
 
 // queryCursor is the exported Cursor over the internal row iterators:
@@ -104,17 +125,18 @@ type rowIter interface {
 
 // exprIter builds the lazy iterator for an expression. Construction
 // never evaluates anything; all work (including source scans) happens
-// on the first next.
-func exprIter(e Expr, ctx *evalCtx) rowIter {
+// on the first next. With own set, every row it yields is a tree of
+// its own; otherwise a path's rows are the nodes it selects.
+func exprIter(e Expr, ctx *evalCtx, own bool) rowIter {
 	switch v := e.(type) {
 	case *FLWR:
-		return &flwrIter{f: v, tuples: lazyTuples{f: v, base: ctx}}
+		return &flwrIter{f: v, tuples: lazyTuples{f: v, base: ctx}, own: own}
 	case *Seq:
-		return &seqIter{items: v.Items, ctx: ctx}
+		return &seqIter{items: v.Items, ctx: ctx, own: own}
 	case *Elem, TextLit:
 		return &onceIter{e: v, ctx: ctx}
 	case *Path:
-		return &pathIter{p: v, ctx: ctx}
+		return &pathIter{p: v, ctx: ctx, own: own}
 	default:
 		return &errIter{err: errf("unknown expression type %T", e)}
 	}
@@ -144,12 +166,13 @@ func (it *onceIter) next() (*xmltree.Node, error) {
 }
 
 // pathIter evaluates the path's value on first pull (one set-oriented
-// XPath pass) and then materializes one node per pull: a node is
-// deep-copied, an attribute becomes a text node of its value, a scalar
-// becomes one text node.
+// XPath pass) and then hands out one node per pull: a node as it is
+// (deep-copied when own is set), an attribute as a text node of its
+// value, a scalar as one text node.
 type pathIter struct {
 	p       *Path
 	ctx     *evalCtx
+	own     bool
 	started bool
 	ns      xpath.NodeSet
 	scalar  *xmltree.Node
@@ -179,16 +202,20 @@ func (it *pathIter) next() (*xmltree.Node, error) {
 	}
 	n := it.ns[it.i]
 	it.i++
-	if n.Kind == xmltree.AttrNode {
+	switch {
+	case n.Kind == xmltree.AttrNode:
 		return xmltree.NewText(n.Text), nil
+	case it.own:
+		return xmltree.DeepCopy(n), nil
 	}
-	return xmltree.DeepCopy(n), nil
+	return n, nil
 }
 
 // seqIter concatenates the item iterators lazily.
 type seqIter struct {
 	items []Expr
 	ctx   *evalCtx
+	own   bool
 	cur   rowIter
 	i     int
 }
@@ -199,7 +226,7 @@ func (it *seqIter) next() (*xmltree.Node, error) {
 			if it.i >= len(it.items) {
 				return nil, nil
 			}
-			it.cur = exprIter(it.items[it.i], it.ctx)
+			it.cur = exprIter(it.items[it.i], it.ctx, it.own)
 			it.i++
 		}
 		n, err := it.cur.next()
@@ -222,6 +249,7 @@ type flwrIter struct {
 	started bool
 	tuples  lazyTuples
 	sorted  []*evalCtx // order by only: the tuples still to come
+	own     bool
 	cur     rowIter
 }
 
@@ -265,7 +293,7 @@ func (it *flwrIter) next() (*xmltree.Node, error) {
 		if tup == nil {
 			return nil, err
 		}
-		it.cur = exprIter(it.f.Return, tup)
+		it.cur = exprIter(it.f.Return, tup, it.own)
 	}
 }
 

@@ -361,3 +361,87 @@ func TestCursorLateError(t *testing.T) {
 		t.Fatal("third row should fail")
 	}
 }
+
+// collectCursor drains and closes a cursor that opened with err.
+func collectCursor(t *testing.T, cur Cursor, err error) []*xmltree.Node {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	var rows []*xmltree.Node
+	for {
+		n, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == nil {
+			return rows
+		}
+		rows = append(rows, n)
+	}
+}
+
+// nodesOf is the set of nodes in the given trees.
+func nodesOf(trees ...*xmltree.Node) map[*xmltree.Node]bool {
+	set := map[*xmltree.Node]bool{}
+	for _, t := range trees {
+		t.Walk(func(n *xmltree.Node) bool { set[n] = true; return true })
+	}
+	return set
+}
+
+// TestRowsReferenceOwnedRowsCopy: a streamed path row is the document's
+// own node; an owned cursor's rows, Eval's forest and a constructor's
+// content share no node with the document, and changing Eval's forest
+// leaves the next evaluation's answer as it was.
+func TestRowsReferenceOwnedRowsCopy(t *testing.T) {
+	root := cursorDoc(10)
+	env := &Env{Resolve: func(string) (*xmltree.Node, error) { return root, nil }}
+	stored := nodesOf(root)
+	ctx := context.Background()
+
+	items := MustParse(`doc("catalog")/item`)
+	cur, err := items.EvalCursor(ctx, env)
+	for i, n := range collectCursor(t, cur, err) {
+		if n != root.Children[i] {
+			t.Fatalf("streamed row %d is not the stored item", i)
+		}
+	}
+
+	for _, src := range cursorQueries {
+		q := MustParse(src)
+		owned, err := q.OwnedCursor(ctx, env)
+		rows := collectCursor(t, owned, err)
+		forest, err := q.Eval(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serializeForest(rows) != serializeForest(forest) {
+			t.Errorf("%s: owned cursor and Eval disagree", src)
+		}
+		for n := range nodesOf(append(rows, forest...)...) {
+			if stored[n] {
+				t.Errorf("%s: a kept row shares %s with the document", src, xmltree.Serialize(n))
+				break
+			}
+		}
+	}
+
+	before, err := items.Eval(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serializeForest(before)
+	for _, n := range before {
+		n.Children[0].Children[0].Text = "changed"
+		n.AppendChild(xmltree.E("extra"))
+	}
+	again, err := items.Eval(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := serializeForest(again); got != want {
+		t.Errorf("changing Eval's forest changed the document:\n%s", got)
+	}
+}

@@ -149,11 +149,11 @@ func evalToValue(e Expr, ctx *evalCtx) (xpath.Value, error) {
 	}
 }
 
-// evalToForest evaluates an expression to a forest of trees by
+// evalToForest evaluates an expression to a forest of trees it owns by
 // draining its row iterator; a failure discards the rows before it.
 func evalToForest(e Expr, ctx *evalCtx) ([]*xmltree.Node, error) {
 	var out []*xmltree.Node
-	it := exprIter(e, ctx)
+	it := exprIter(e, ctx, true)
 	for {
 		n, err := it.next()
 		if err != nil {
@@ -272,7 +272,7 @@ func evalElem(e *Elem, ctx *evalCtx) (*xmltree.Node, error) {
 			n.AppendChild(xmltree.NewText(string(t)))
 			continue
 		}
-		for it := exprIter(c, ctx); ; {
+		for it := exprIter(c, ctx, true); ; {
 			child, err := it.next()
 			if err != nil {
 				return nil, err

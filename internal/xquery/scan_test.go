@@ -187,3 +187,20 @@ func BenchmarkFLWROrderBy(b *testing.B) {
 		}
 	}
 }
+
+// TestBulkScanAllocationBudget pins what BenchmarkBulkScan's query
+// costs a run: the half of the catalog it returns is handed out as the
+// document's own nodes, so the budget is the scan's binding and where
+// clause per item, with no copy per returned row.
+func TestBulkScanAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	env := scanEnv(scanCatalog())
+	q := MustParse(`for $i in doc("catalog")/item where $i/price < 500 return $i`)
+	perRun := testing.AllocsPerRun(20, func() { drainRows(t, q, env) })
+	t.Logf("%.0f allocations per bulk scan", perRun)
+	if perRun > 13100 {
+		t.Errorf("bulk scan allocates %.0f times per run, budget is 13,100", perRun)
+	}
+}
