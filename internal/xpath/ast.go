@@ -2,7 +2,6 @@ package xpath
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -182,17 +181,11 @@ func (n *NegExpr) String() string { return "-" + n.X.String() }
 // NumberLit is a numeric literal.
 type NumberLit float64
 
-// String renders in plain decimal notation, never exponent form: the
-// lexer has no 'e' syntax, so "1e+16" would not survive a reparse.
-// NaN/Inf fall back to formatNumber, but the parser rejects literals
-// that overflow, so a parsed NumberLit is always finite.
-func (n NumberLit) String() string {
-	f := float64(n)
-	if f != f || f-f != 0 { // NaN or ±Inf without importing math
-		return formatNumber(f)
-	}
-	return strconv.FormatFloat(f, 'f', -1, 64)
-}
+// String renders as string() does, in plain decimal notation, never
+// exponent form: the lexer has no 'e' syntax, so "1e+16" would not
+// survive a reparse. The parser rejects literals that overflow, so a
+// parsed NumberLit is always finite.
+func (n NumberLit) String() string { return formatNumber(float64(n)) }
 
 // StringLit is a string literal.
 type StringLit string

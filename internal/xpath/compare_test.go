@@ -1,0 +1,75 @@
+package xpath
+
+import (
+	"testing"
+
+	"axml/internal/workload"
+	"axml/internal/xmltree"
+)
+
+// compareCatalog is the perf ledger's catalog shape
+// (benchmarks/oracle.go): 2,000 items, each <item id cat><name/>
+// <price/><desc/></item>.
+func compareCatalog() *xmltree.Node {
+	return workload.Catalog(workload.CatalogSpec{Items: 2000, PriceMax: 1000, DescWords: 10, Seed: 1})
+}
+
+// TestStreamedComparisonAllocatesNothing pins what a where clause costs
+// a candidate it rejects: comparing one bound item's child or attribute
+// with a literal reads the item's nodes and makes none.
+func TestStreamedComparisonAllocatesNothing(t *testing.T) {
+	root := compareCatalog()
+	item := root.Children[1000]
+	ctx := &Context{Node: root, Vars: noVars.Bind("i", NodeSet{item})}
+	for _, src := range []string{`$i/@id = "K"`, `"K" = $i/@id`, `$i/price < 500`, `$i/@* = "K"`} {
+		c := MustCompile(src)
+		checkComparison(t, c, ctx)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := c.Eval(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %.0f times per evaluation, want 0", src, allocs)
+		}
+	}
+}
+
+// FuzzCompareAgainstReference compares a fuzzed path with a fuzzed
+// literal — the operator picked by op, the literal on the left when
+// litLeft is set — over the ledger's catalog and the differential one,
+// and requires the current evaluator and the reference to agree: the
+// same boolean, or the same error text. Inputs that do not compile to
+// such a comparison are skipped.
+func FuzzCompareAgainstReference(f *testing.F) {
+	for i, row := range streamedRows {
+		f.Add(row.path, row.lit, uint8(i), i%2 == 0)
+	}
+	contexts := streamedContexts(f)
+	f.Fuzz(func(t *testing.T, path, lit string, op uint8, litLeft bool) {
+		// Long paths only multiply the work per input (a chain of //
+		// steps over 2,000 items is quadratic in the reference).
+		if len(path) > 48 {
+			t.Skip()
+		}
+		p, err := Compile(path)
+		if err != nil {
+			t.Skip()
+		}
+		l, err := Compile(lit)
+		if err != nil {
+			t.Skip()
+		}
+		if _, ok := literalOperand(l.Root); !ok {
+			t.Skip()
+		}
+		cmp := &BinaryExpr{Op: compareOps[int(op)%len(compareOps)], L: p.Root, R: l.Root}
+		if litLeft {
+			cmp.L, cmp.R = cmp.R, cmp.L
+		}
+		c := &Compiled{Source: cmp.String(), Root: cmp}
+		for _, ctx := range contexts {
+			checkComparison(t, c, ctx)
+		}
+	})
+}

@@ -319,3 +319,87 @@ func TestUnboundVariableError(t *testing.T) {
 		}
 	}
 }
+
+// streamedRows compare a path with a literal, the shape evalBinary
+// compares while it walks the path's last step. Each row runs with
+// every comparison operator and with the literal on either side.
+var streamedRows = []struct{ path, lit string }{
+	// child, attribute and self last steps
+	{"item/price", "50"}, {"item/price", "'37'"}, {"item/name", "'thing-3'"}, {"item/price/text()", "37"},
+	{"item/*", "'thing-4'"}, {"item/node()", "' loose text '"}, {"item/comment()", "'checked'"},
+	{"item/@id", "'4'"}, {"item/@id", "4"}, {"item/@*", "'eur'"}, {"item/@*", "'light'"},
+	{"item/@node()", "7"}, {"item/@node()", "'n2'"}, {"item/@missing", "''"}, {"@rev", "7"},
+	{"item/price/@cur", "'eur'"}, {"item/self::item", "''"}, {"item/name/self::name", "'thing-5'"},
+	{"item/name/self::price", "''"}, {".", "'x'"}, {"item/@id/self::node()", "'4'"}, {"item/@id/self::*", "'4'"},
+	{"item/@id/@id", "'4'"}, {"item/comment()/node()", "''"}, {"item/name/text()/self::text()", "'thing-1'"},
+	// a prefix that reaches many nodes, nested ones included
+	{"//item/price", "900"}, {"//item/price", "50"}, {"//item/@id", "'n2'"}, {"//item/name", "'nested-split'"},
+	{"//tag/item/@id", "'n6'"}, {"item/tags/tag/node()", "'a'"}, {"//item/ancestor::*/@rev", "7"},
+	// absolute paths
+	{"/catalog/item/@id", "'4'"}, {"/catalog/@rev", "7"}, {"/*", "''"}, {"/catalog/item/price", "99"},
+	// bound node-sets: one node, many
+	{"$i/@id", "'3'"}, {"$i/@id", "3"}, {"$i/price", "500"}, {"$i/@*", "'light'"}, {"$all/@id", "'4'"},
+	{"$all/price", "900"}, {"$all/self::item", "''"},
+	// empty node-sets
+	{"$none/@id", "'4'"}, {"$none/price", "0"}, {"$none/self::node()", "''"}, {"item/missing", "''"},
+	{"item/@missing", "0"}, {"item[99]/name", "'x'"},
+	// a filter that is not a node-set, and one that fails
+	{"$k/@id", "1"}, {"$k/name", "'4'"}, {"$limit/self::node()", "50"}, {"$unbound/@id", "'4'"},
+	{"count(item)/x", "1"},
+	// shapes that take the collected path: a predicate or another axis last
+	{"item/name[1]", "'thing-2'"}, {"item/@*[2]", "'light'"}, {"item/..", "''"}, {"//name/ancestor::item", "''"},
+}
+
+var compareOps = []string{"=", "!=", "<", "<=", ">", ">="}
+
+// streamedContexts are the contexts the streamed rows run in: the
+// differential catalog from its root with every variable a row names,
+// and the ledger's 2,000-item catalog with $i one item and $all every
+// item.
+func streamedContexts(t testing.TB) []*Context {
+	var out []*Context
+	for _, root := range []*xmltree.Node{diffCatalog(), compareCatalog()} {
+		items, err := MustCompile("//item").Select(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vars := noVars.
+			Bind("all", NodeSet(items)).
+			Bind("i", NodeSet{items[len(items)/2]}).
+			Bind("none", NodeSet{}).
+			Bind("k", String("4")).
+			Bind("limit", Number(50))
+		out = append(out, &Context{Node: root, Vars: vars})
+	}
+	return out
+}
+
+// checkComparison evaluates a comparison with the current evaluator
+// and with the reference: both must return the same boolean, or fail
+// with the same error text.
+func checkComparison(t testing.TB, c *Compiled, ctx *Context) {
+	t.Helper()
+	got, gotErr := c.Eval(ctx)
+	want, wantErr := refEval(c.Root, ctx)
+	if gotErr != nil || wantErr != nil {
+		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Errorf("%s: error %v, reference error %v", c.Source, gotErr, wantErr)
+		}
+		return
+	}
+	if !sameValue(got, want) {
+		t.Errorf("%s: got %s, reference %s", c.Source, describe(got), describe(want))
+	}
+}
+
+func TestStreamedComparisonsMatchReference(t *testing.T) {
+	for _, ctx := range streamedContexts(t) {
+		for _, row := range streamedRows {
+			for _, op := range compareOps {
+				for _, src := range []string{row.path + " " + op + " " + row.lit, row.lit + " " + op + " " + row.path} {
+					checkComparison(t, MustCompile(src), ctx)
+				}
+			}
+		}
+	}
+}

@@ -199,6 +199,14 @@ func evalBinary(b *BinaryExpr, ctx *Context) (Value, error) {
 		}
 		return Boolean(r.Bool()), nil
 	case "=", "!=", "<", "<=", ">", ">=":
+		// A path against a string or number literal — the where clause
+		// of a selection, $i/@id = "K" — is compared while its last step
+		// is walked, so a candidate that fails it allocates nothing.
+		// Every other comparison collects both operands first. Either
+		// way the result, the errors and their order are the same.
+		if p, lit, litLeft, ok := streamedComparison(b); ok {
+			return comparePath(b.Op, p, lit, litLeft, ctx)
+		}
 		l, err := evalOperand(b.L, ctx)
 		if err != nil {
 			return nil, err
@@ -236,17 +244,25 @@ func evalBinary(b *BinaryExpr, ctx *Context) (Value, error) {
 // evalOperand evaluates one side of a comparison. Literals become
 // operands directly, without a trip through the Value interface.
 func evalOperand(e Expr, ctx *Context) (operand, error) {
-	switch v := e.(type) {
-	case StringLit:
-		return operand{kind: opString, s: string(v)}, nil
-	case NumberLit:
-		return operand{kind: opNumber, f: float64(v)}, nil
+	if lit, ok := literalOperand(e); ok {
+		return lit, nil
 	}
 	v, err := evalExpr(e, ctx)
 	if err != nil {
 		return operand{}, err
 	}
 	return operandOf(v), nil
+}
+
+// literalOperand is a string or number literal as an operand.
+func literalOperand(e Expr) (operand, bool) {
+	switch v := e.(type) {
+	case StringLit:
+		return operand{kind: opString, s: string(v)}, true
+	case NumberLit:
+		return operand{kind: opNumber, f: float64(v)}, true
+	}
+	return operand{}, false
 }
 
 func modXPath(a, b float64) float64 {
@@ -263,25 +279,38 @@ func trunc(f float64) float64 {
 }
 
 func evalPath(p *PathExpr, ctx *Context) (Value, error) {
-	var current NodeSet     // the start node-set, or
-	var start *xmltree.Node // the single start node
+	if p.Filter != nil && len(p.Steps) == 0 {
+		return evalExpr(p.Filter, ctx)
+	}
+	current, start, err := walkPath(p, p.Steps, ctx)
+	if err != nil {
+		return nil, err
+	}
+	if start != nil {
+		return NodeSet{start}, nil
+	}
+	return current, nil
+}
+
+// walkPath evaluates where p starts and then steps, a prefix of
+// p.Steps. A path that starts at one node and applies no step reaches
+// that node alone; it comes back as start, with a nil set, so the
+// caller decides whether it needs a set for it.
+func walkPath(p *PathExpr, steps []Step, ctx *Context) (current NodeSet, start *xmltree.Node, err error) {
 	switch {
 	case p.Filter != nil:
 		v, err := evalExpr(p.Filter, ctx)
 		if err != nil {
-			return nil, err
-		}
-		if len(p.Steps) == 0 {
-			return v, nil
+			return nil, nil, err
 		}
 		ns, ok := v.(NodeSet)
 		if !ok {
-			return nil, &EvalError{Expr: p.Filter.String(), Msg: "path start is not a node-set"}
+			return nil, nil, &EvalError{Expr: p.Filter.String(), Msg: "path start is not a node-set"}
 		}
 		current = ns
 	case p.Absolute:
 		if ctx.Node == nil {
-			return nil, &EvalError{Expr: p.String(), Msg: "no context node for absolute path"}
+			return nil, nil, &EvalError{Expr: p.String(), Msg: "no context node for absolute path"}
 		}
 		// XPath absolute paths start at the document node above the root
 		// element; the tree model has no such node, so synthesize one.
@@ -294,32 +323,105 @@ func evalPath(p *PathExpr, ctx *Context) (Value, error) {
 		}
 	default:
 		if ctx.Node == nil {
-			return nil, &EvalError{Expr: p.String(), Msg: "no context node for relative path"}
+			return nil, nil, &EvalError{Expr: p.String(), Msg: "no context node for relative path"}
 		}
 		start = ctx.Node
 	}
-	steps := p.Steps
 	if start != nil {
 		if len(steps) == 0 {
-			return NodeSet{start}, nil
+			return nil, start, nil
 		}
 		// applyStep neither keeps nor returns its input, so the one-node
 		// start set lives on the stack.
 		one := [1]*xmltree.Node{start}
 		next, err := applyStep(&steps[0], one[:], ctx)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		current, steps = next, steps[1:]
 	}
 	for i := range steps {
 		next, err := applyStep(&steps[i], current, ctx)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		current = next
 	}
-	return current, nil
+	return current, nil, nil
+}
+
+// streamedComparison recognizes a comparison comparePath can take: a
+// path of at least one step whose last step is a child, attribute or
+// self step without predicates, against a string or number literal on
+// either side.
+func streamedComparison(b *BinaryExpr) (p *PathExpr, lit operand, litLeft, ok bool) {
+	if lit, ok = literalOperand(b.R); ok {
+		p, _ = b.L.(*PathExpr)
+	} else if lit, ok = literalOperand(b.L); ok {
+		p, _ = b.R.(*PathExpr)
+		litLeft = true
+	}
+	if p == nil || len(p.Steps) == 0 {
+		return nil, lit, false, false
+	}
+	last := &p.Steps[len(p.Steps)-1]
+	ok = len(last.Preds) == 0 && (last.Axis == AxisChild || last.Axis == AxisAttribute || last.Axis == AxisSelf)
+	return p, lit, litLeft, ok
+}
+
+// comparePath is the comparison of path p with a literal, the literal
+// on the left when litLeft is set, without collecting the path's last
+// step: the prefix is evaluated as evalPath would, and every node the
+// last step reaches is compared as it is reached — an attribute by its
+// value, with no node made for it — until the first match. That is
+// XPath's existential rule: the step's nodes are disjoint per input
+// node, so the order they are reached in cannot change the answer.
+func comparePath(op string, p *PathExpr, lit operand, litLeft bool, ctx *Context) (Value, error) {
+	last := &p.Steps[len(p.Steps)-1]
+	current, start, err := walkPath(p, p.Steps[:len(p.Steps)-1], ctx)
+	if err != nil {
+		return nil, err
+	}
+	if start != nil {
+		return Boolean(stepCompares(op, last, start, lit, litLeft)), nil
+	}
+	for _, n := range current {
+		if stepCompares(op, last, n, lit, litLeft) {
+			return Boolean(true), nil
+		}
+	}
+	return Boolean(false), nil
+}
+
+// stepCompares reports whether a node that step st reaches from n has
+// a string-value s for which s op lit (lit op s when litLeft) holds.
+func stepCompares(op string, st *Step, n *xmltree.Node, lit operand, litLeft bool) bool {
+	holds := func(s string) bool {
+		if litLeft {
+			return compare(op, lit, operand{kind: opString, s: s})
+		}
+		return compare(op, operand{kind: opString, s: s}, lit)
+	}
+	switch st.Axis {
+	case AxisChild:
+		for _, c := range n.Children {
+			if testMatches(st.Test, c) && holds(nodeStringValue(c)) {
+				return true
+			}
+		}
+	case AxisAttribute:
+		if n.Kind != xmltree.ElementNode {
+			return false
+		}
+		for _, a := range n.Attrs {
+			if attrMatches(st.Test, a.Name) && holds(a.Value) {
+				return true
+			}
+		}
+	case AxisSelf:
+		return testMatches(st.Test, n) && holds(nodeStringValue(n))
+	}
+	return false
 }
 
 // applyStep maps a node-set through one location step, preserving
@@ -435,7 +537,7 @@ func appendAxis(out []*xmltree.Node, axis Axis, t NodeTest, n *xmltree.Node) []*
 		// Attributes are not nodes of the stored tree: synthesize one
 		// only for an attribute the test selects.
 		for _, a := range n.Attrs {
-			if t.Kind == TestNode || t.Kind == TestWild || (t.Kind == TestName && a.Name == t.Name) {
+			if attrMatches(t, a.Name) {
 				out = append(out, &xmltree.Node{
 					Kind:   xmltree.AttrNode,
 					Label:  a.Name,
@@ -478,6 +580,11 @@ func appendSubtree(out []*xmltree.Node, t NodeTest, n *xmltree.Node) []*xmltree.
 		out = appendSubtree(out, t, c)
 	}
 	return out
+}
+
+// attrMatches applies a node test to the attribute of the given name.
+func attrMatches(t NodeTest, name string) bool {
+	return t.Kind == TestNode || t.Kind == TestWild || (t.Kind == TestName && name == t.Name)
 }
 
 // testMatches applies a node test to a stored node (never an

@@ -79,20 +79,37 @@ func (s String) Str() string { return string(s) }
 // nodeStringValue implements the XPath string-value of a node.
 func nodeStringValue(n *xmltree.Node) string { return n.TextContent() }
 
+// stringToNumber implements number() on a string (XPath 1.0 §4.4):
+// optional whitespace, an optional minus sign, Digits ('.' Digits?)? or
+// '.' Digits, optional whitespace. Anything else — an exponent, a plus
+// sign, "Inf", a hex or underscored literal — is NaN.
 func stringToNumber(s string) float64 {
-	s = strings.TrimSpace(s)
-	if s == "" {
+	s = strings.Trim(s, " \t\r\n")
+	digits, dot := 0, false
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= '0' && c <= '9':
+			digits++
+		case c == '.' && !dot:
+			dot = true
+		case c == '-' && i == 0:
+		default:
+			return math.NaN()
+		}
+	}
+	if digits == 0 {
 		return math.NaN()
 	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return math.NaN()
-	}
+	// The grammar holds, so ParseFloat's only possible complaint is
+	// range, and its value is then the correctly rounded ±Inf or ±0.
+	v, _ := strconv.ParseFloat(s, 64)
 	return v
 }
 
-// formatNumber renders a float per XPath string() rules: integers have
-// no decimal point, NaN is "NaN", infinities are "Infinity".
+// formatNumber renders a float per XPath string() rules (§4.2):
+// integers have no decimal point, other numbers are plain decimals —
+// never exponent notation — with as few digits as tell them apart, NaN
+// is "NaN", infinities are "Infinity", and -0 is "0".
 func formatNumber(f float64) string {
 	switch {
 	case math.IsNaN(f):
@@ -104,7 +121,7 @@ func formatNumber(f float64) string {
 	case f == math.Trunc(f) && math.Abs(f) < 1e15:
 		return strconv.FormatInt(int64(f), 10)
 	default:
-		return strconv.FormatFloat(f, 'g', -1, 64)
+		return strconv.FormatFloat(f, 'f', -1, 64)
 	}
 }
 

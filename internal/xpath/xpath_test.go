@@ -423,6 +423,90 @@ func TestNumberFormatting(t *testing.T) {
 	}
 }
 
+// TestNumberGrammar holds number() to XPath 1.0 §4.4 and string() to
+// §4.2: a string is a number only as optional whitespace, an optional
+// minus, Digits ('.' Digits?)? or '.' Digits, optional whitespace; a
+// number prints as a plain decimal, so it reads back as itself.
+func TestNumberGrammar(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		in   string
+		want float64
+	}{
+		{"42", 42}, {" 42 ", 42}, {"\t-3.5\r\n", -3.5}, {"-.5", -0.5}, {"5.", 5}, {".5", 0.5},
+		{"007", 7}, {"-0", 0}, {"1000000000000000000000", 1e21}, {"0.0000001", 1e-7},
+		{"1e3", nan}, {"1E3", nan}, {"+5", nan}, {"Inf", nan}, {"infinity", nan}, {"-Infinity", nan},
+		{"NaN", nan}, {"0x1p4", nan}, {"0x10", nan}, {"1_0", nan}, {"1_000", nan}, {"", nan}, {" ", nan},
+		{"-", nan}, {".", nan}, {"-.", nan}, {"1.2.3", nan}, {"--1", nan}, {"1-", nan}, {"- 1", nan},
+		{"1 2", nan}, {" 1", nan}, {"١", nan},
+	} {
+		got := stringToNumber(c.in)
+		if got != c.want && !(math.IsNaN(got) && math.IsNaN(c.want)) {
+			t.Errorf("number(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		in   float64
+		want string
+	}{
+		{1e21, "1000000000000000000000"}, {1e15, "1000000000000000"}, {-1e15, "-1000000000000000"},
+		{123456789012345678, "123456789012345680"}, {1e-7, "0.0000001"}, {0.1, "0.1"},
+		{1.0 / 3, "0.3333333333333333"}, {-2.5, "-2.5"}, {math.Copysign(0, -1), "0"},
+		{math.MaxFloat64, "1" + strings.Repeat("7976931348623157", 1) + strings.Repeat("0", 292)},
+		{5e-324, "0." + strings.Repeat("0", 323) + "5"},
+	} {
+		got := formatNumber(c.in)
+		if got != c.want {
+			t.Errorf("string(%v) = %q, want %q", c.in, got, c.want)
+		}
+		if back := stringToNumber(got); back != c.in {
+			t.Errorf("number(string(%v)) = %v", c.in, back)
+		}
+	}
+
+	d := doc(t)
+	for expr, want := range map[string]string{
+		"string(1000000000 * 1000000000 * 1000)": "1000000000000000000000",
+		"string(1 div 10000000)":                 "0.0000001",
+		"number(string(1 div 3)) = 1 div 3":      "true",
+		"number(string(1000000000 * 1000000000 * 1000 + 1)) = 1000000000 * 1000000000 * 1000": "true",
+		"number('1e3')":      "NaN",
+		"number(' -12.50 ')": "-12.5",
+	} {
+		if got := evalStr(t, d, "string("+expr+")"); got != want {
+			t.Errorf("string(%s) = %q, want %q", expr, got, want)
+		}
+	}
+
+	// A price that is not a number fails every comparison and poisons
+	// sum(), by path and through a bound item alike.
+	prices := xmltree.MustParse(`<catalog>
+	  <item><price>1_000</price></item><item><price>1e3</price></item>
+	  <item><price>+900</price></item><item><price>Infinity</price></item>
+	  <item><price>750</price></item>
+	</catalog>`)
+	if got := evalNum(t, prices, "count(item[price > 500])"); got != 1 {
+		t.Errorf("count(item[price > 500]) = %v, want 1 (the 750 item)", got)
+	}
+	if got := evalNum(t, prices, "count(item[price = price + 0])"); got != 1 {
+		t.Errorf("count(item[price = price + 0]) = %v, want 1", got)
+	}
+	if got := evalNum(t, prices, "sum(item/price)"); !math.IsNaN(got) {
+		t.Errorf("sum(item/price) = %v, want NaN", got)
+	}
+	if got := evalNum(t, prices, "sum(item[5]/price)"); got != 750 {
+		t.Errorf("sum(item[5]/price) = %v, want 750", got)
+	}
+	for i, item := range sel(t, prices, "item") {
+		want := i == 4
+		ctx := &Context{Node: prices, Vars: noVars.Bind("i", NodeSet{item})}
+		checkReference(t, "$i/price > 500", ctx)
+		if got, err := MustCompile("$i/price > 500").EvalBool(ctx); err != nil || got != want {
+			t.Errorf("item %d: $i/price > 500 = %v, %v; want %v", i+1, got, err, want)
+		}
+	}
+}
+
 func TestStringRendering(t *testing.T) {
 	// Compiled expressions render back to parseable XPath.
 	exprs := []string{

@@ -18,6 +18,12 @@
 // looked at before every pull and every cancelCheckEvery candidate
 // tuples of a scan.
 //
+// A candidate the where clause rejects costs no allocation: its
+// for-frame is rebound in place, and a comparison of a path with a
+// literal compares while it walks the path's last step (xpath). A tuple
+// the scan returns is never touched again — the frames it is built on
+// bind their next candidates in scopes of their own.
+//
 // A row that is a node of a resolved document is handed out as it is:
 // a read-only reference that may carry its stored Parent. Trees are
 // copied only where they are attached or kept — a constructor copies
@@ -310,12 +316,22 @@ type lazyTuples struct {
 	done    bool
 }
 
+// tframe is one clause's frame. A for-frame binds its variable to one,
+// a one-node set it owns. As long as no tuple built on the frame has
+// left the scan, the next candidate is written into one in place and
+// the scope is reset to head, so a candidate the where clause rejects
+// costs no allocation. Once scan returns a tuple every frame is kept:
+// its next candidate gets a scope of its own, and a returned tuple is
+// never touched again.
 type tframe struct {
 	ctx *evalCtx // the partial tuple up to and including this clause
 	// The rest is for-clause state; a let frame is never advanced.
 	ns      xpath.NodeSet // candidates
 	idx     int
 	varName string
+	one     xpath.NodeSet // the bound candidate, ns[idx]
+	head    *xpath.Scope  // ctx's scope as bindFor made it
+	kept    bool          // a returned tuple holds ctx
 }
 
 func (t *lazyTuples) parent() *evalCtx {
@@ -325,10 +341,22 @@ func (t *lazyTuples) parent() *evalCtx {
 	return t.frames[len(t.frames)-1].ctx
 }
 
-// bindFor binds frame fr's candidate fr.idx in a scope of its own
-// under parent.
+// bindFor binds frame fr's candidate fr.idx under parent: in place
+// while no returned tuple holds the frame, in a scope of its own once
+// one does. Resetting the scope to head drops what the previous
+// candidate's tuple bound into it (bindDocs binds doc() roots in
+// place), so every candidate resolves its documents afresh, as it
+// would in a scope of its own.
 func (fr *tframe) bindFor(parent *evalCtx) {
-	fr.ctx = parent.with(fr.varName, xpath.NodeSet{fr.ns[fr.idx]})
+	n := fr.ns[fr.idx]
+	if fr.ctx != nil && !fr.kept {
+		fr.one[0] = n
+		fr.ctx.xc.Vars = fr.head
+		return
+	}
+	fr.one = xpath.NodeSet{n}
+	fr.ctx = parent.with(fr.varName, fr.one)
+	fr.head, fr.kept = fr.ctx.xc.Vars, false
 }
 
 // step advances the deepest for-frame, popping spent frames. It
@@ -418,6 +446,9 @@ candidates:
 			if !v.Bool() {
 				continue
 			}
+		}
+		for i := range t.frames {
+			t.frames[i].kept = true
 		}
 		return tup, nil
 	}
