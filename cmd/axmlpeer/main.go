@@ -1,7 +1,7 @@
 // Command axmlpeer serves one AXML peer over TCP: its documents are
-// queryable and its declarative services callable through the wire
-// protocol (see internal/wire). This is the deployment face of the
-// framework — cmd/axmlq is the matching client.
+// queryable and its services callable through the wire protocol (see
+// internal/wire). This is the deployment face of the framework —
+// cmd/axmlq is the matching client.
 //
 // Queries are answered through the unified session pipeline
 // (internal/session): view-aware optimization with a shared plan cache
@@ -30,13 +30,15 @@
 // JSON over HTTP GET /metrics — the same counters the STATS wire verb
 // reports.
 //
-// Federation (internal/cluster): `-coordinator` runs the process as
-// the cluster control plane (members register via HELLO; `-round`
-// self-steps placement rounds, otherwise STEP drives them);
-// `-join <addr>` runs it as a member of that coordinator — it
-// heartbeats its inventory, answers DEMAND with its local demand
-// export, ships and adopts views on MIGRATE/REPLICATE/ACCEPTVIEW, and
-// forwards queries over documents other members host. `-advertise`
+// Federation (internal/cluster): each role registers its control
+// actions as builtin services of the served peer, reached through CALL.
+// `-coordinator` runs the process as the cluster control plane
+// (members register via x:hello; `-round` self-steps placement rounds,
+// otherwise a CALL of x:step drives them); `-join <addr>` runs it as a
+// member of that coordinator — it heartbeats its inventory, answers
+// x:demand with its local demand export, ships and adopts views on
+// x:migrate/x:accept-view, and forwards queries over documents other
+// members host. `-advertise`
 // overrides the address other members dial (defaults to the actual
 // listen address); `-addr-file` writes that address to a file once the
 // listener is up, which is how the test harness learns the port of an
@@ -44,7 +46,7 @@
 //
 // On SIGINT/SIGTERM the process shuts down gracefully: the listener
 // closes, in-flight requests (including QUERYX streams mid-row) drain,
-// the member deregisters from its coordinator (BYE), view maintenance
+// the member deregisters from its coordinator (x:bye), view maintenance
 // stops, and any still-pinned snapshot epochs are reported before
 // exit.
 package main
@@ -91,14 +93,14 @@ func main() {
 	metricsAddr := flag.String("metrics", "",
 		"serve the metrics registry as JSON on this address (GET /metrics)")
 	coordMode := flag.Bool("coordinator", false,
-		"run as the federation coordinator (members register via HELLO)")
+		"run as the federation coordinator (members register via x:hello)")
 	round := flag.Duration("round", 0,
-		"coordinator placement-round interval (0 = rounds only on STEP)")
+		"coordinator placement-round interval (0 = rounds only on x:step)")
 	join := flag.String("join", "",
 		"coordinator address to register with (runs this process as a federation member)")
 	advertise := flag.String("advertise", "",
 		"address other members dial to reach this process (default: the actual listen address)")
-	heartbeat := flag.Duration("hb", 2*time.Second, "member HELLO heartbeat interval")
+	heartbeat := flag.Duration("hb", 2*time.Second, "member x:hello heartbeat interval")
 	addrFile := flag.String("addr-file", "",
 		"write the actual listen address to this file once listening")
 	var docs, services pairList
@@ -224,12 +226,20 @@ func main() {
 	switch {
 	case *coordMode && *join != "":
 		fatal("-coordinator and -join are mutually exclusive")
+	case *coordMode && srv.Placements != nil:
+		fatal("-coordinator runs the cluster's placement controller; -adaptive and -view-budget are for a peer outside a federation")
 	case *coordMode:
-		coord := cluster.NewCoordinator(cluster.CoordinatorConfig{
+		// The coordinator registers x:hello, x:bye and x:step on the
+		// served peer, and its controller takes over PLACEMENTS: the map
+		// merged from member exports and the cluster's decision log.
+		coord, err := cluster.NewCoordinator(p, cluster.CoordinatorConfig{
 			Logger:  logger.With("component", "cluster"),
 			Metrics: srv.MetricsRegistry(),
 		})
-		srv.Coordinator = coord
+		if err != nil {
+			fatal("coordinating", "err", err)
+		}
+		srv.Placements = coord.Controller()
 		logger.Info("coordinating", "round", round.String())
 		if *round > 0 {
 			go stepEvery(ctx.Done(), *round, coord.Step, logger, "cluster round")
@@ -258,7 +268,9 @@ func main() {
 		if err != nil {
 			fatal("joining federation", "err", err)
 		}
-		srv.Member = member
+		// NewMember registered x:demand, x:migrate, x:drop-view and
+		// x:accept-view on the served peer; the server only needs the
+		// forwarding route.
 		srv.Forward = member
 		member.Start()
 		logger.Info("joined federation", "coordinator", *join, "advertise", *advertise)

@@ -17,6 +17,7 @@ import (
 	"axml/internal/obs"
 	"axml/internal/peer"
 	"axml/internal/placement"
+	"axml/internal/service"
 	"axml/internal/session"
 	"axml/internal/view"
 	"axml/internal/wire"
@@ -77,7 +78,6 @@ func startMemberNode(t *testing.T, id string, docs map[string]string, coordAddr 
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Member = mem
 	srv.Forward = mem
 	go srv.Serve(l) //nolint:errcheck // closed by test cleanup
 	mem.Start()
@@ -92,12 +92,16 @@ func startMemberNode(t *testing.T, id string, docs map[string]string, coordAddr 
 
 func startCoordinatorNode(t *testing.T, cfg CoordinatorConfig) (*Coordinator, string) {
 	t.Helper()
-	coord := NewCoordinator(cfg)
+	p := peer.New("coord")
+	coord, err := NewCoordinator(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &wire.Server{Peer: peer.New("coord"), Coordinator: coord}
+	srv := &wire.Server{Peer: p, Placements: coord.Controller()}
 	go srv.Serve(l) //nolint:errcheck // closed by test cleanup
 	t.Cleanup(func() { l.Close() })
 	return coord, l.Addr().String()
@@ -183,7 +187,7 @@ func TestFederationMigratesToConsumer(t *testing.T) {
 	if _, err := coord.Step(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	placements, log := coord.ClusterPlacements()
+	placements, log := coord.Placements(), coord.Controller().Decisions()
 	var atB bool
 	for _, p := range placements {
 		if p.View == "copy" && p.At == "b" {
@@ -217,7 +221,7 @@ func TestCoordinatorFailOpenMemberDown(t *testing.T) {
 	}
 	deadAddr := dead.Addr().String()
 	dead.Close()
-	if _, err := coord.Hello(wire.MemberInfo{ID: "ghost", Addr: deadAddr}); err != nil {
+	if _, err := coord.Hello(MemberInfo{ID: "ghost", Addr: deadAddr}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "the live member to register", func() bool {
@@ -245,25 +249,23 @@ func TestCoordinatorFailOpenMemberDown(t *testing.T) {
 	}
 }
 
-// slowControl answers one DEMAND normally, then blocks until released —
-// the member-hangs-mid-round fault.
+// slowControl answers one x:demand normally, then blocks until
+// released — the member-hangs-mid-round fault.
 type slowControl struct {
-	wire.MemberControl
 	export   placement.Export
 	calls    chan struct{}
 	release  chan struct{}
-	arrivals atomic.Int32 // DEMAND requests received, answered or not
+	arrivals atomic.Int32 // x:demand calls received, answered or not
 }
 
-func (s *slowControl) Demand(context.Context) (placement.Export, error) {
+func (s *slowControl) demand([][]*xmltree.Node) ([]*xmltree.Node, error) {
 	s.arrivals.Add(1)
 	select {
 	case s.calls <- struct{}{}:
-		return s.export, nil
 	default:
 		<-s.release
-		return s.export, nil
 	}
+	return []*xmltree.Node{s.export.ToXML()}, nil
 }
 
 // TestCoordinatorDemandTimeout: a member that stops answering DEMAND
@@ -285,10 +287,14 @@ func TestCoordinatorDemandTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &wire.Server{Peer: peer.New("slow"), Member: stub}
+	p := peer.New("slow")
+	if err := register(p, map[string]service.BuiltinFunc{"x:demand": stub.demand}); err != nil {
+		t.Fatal(err)
+	}
+	srv := &wire.Server{Peer: p}
 	go srv.Serve(l) //nolint:errcheck // closed by test cleanup
 	t.Cleanup(func() { l.Close() })
-	if _, err := coord.Hello(wire.MemberInfo{ID: "slow", Addr: l.Addr().String()}); err != nil {
+	if _, err := coord.Hello(MemberInfo{ID: "slow", Addr: l.Addr().String()}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -313,7 +319,7 @@ func TestCoordinatorDemandTimeout(t *testing.T) {
 	}
 }
 
-// TestMigrateTargetDiesMidShip: a target that dies mid-ACCEPTVIEW never
+// TestMigrateTargetDiesMidShip: a target that dies mid-x:accept-view never
 // confirms the landing, so the source keeps its copy — nothing is ever
 // half-moved.
 func TestMigrateTargetDiesMidShip(t *testing.T) {
@@ -349,7 +355,7 @@ func TestMigrateTargetDiesMidShip(t *testing.T) {
 	}
 }
 
-// TestPartialAcceptViewLandsNothing: ACCEPTVIEW bytes that arrive
+// TestPartialAcceptViewLandsNothing: x:accept-view bytes that arrive
 // without their line terminator (the sender died mid-write) are not a
 // request — the receiving member's catalog stays untouched.
 func TestPartialAcceptViewLandsNothing(t *testing.T) {
@@ -358,7 +364,7 @@ func TestPartialAcceptViewLandsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial := `ACCEPTVIEW copy <x:ship query="doc(&quot;catalog&quot;)" origin="a"><catalog><item>`
+	partial := `CALL x:accept-view <x:ship name="copy" query="doc(&quot;catalog&quot;)" origin="a"><catalog><item>`
 	if _, err := conn.Write([]byte(partial)); err != nil {
 		t.Fatal(err)
 	}
@@ -384,18 +390,22 @@ func TestMemberByeOnClose(t *testing.T) {
 	})
 }
 
-// serveMember puts a stub member control on a real listener and
+// serveMember puts stub member control services on a real listener and
 // registers it with the coordinator.
-func serveMember(t *testing.T, coord *Coordinator, id string, ctl wire.MemberControl) {
+func serveMember(t *testing.T, coord *Coordinator, id string, services map[string]service.BuiltinFunc) {
 	t.Helper()
+	p := peer.New(netsim.PeerID(id))
+	if err := register(p, services); err != nil {
+		t.Fatal(err)
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &wire.Server{Peer: peer.New(netsim.PeerID(id)), Member: ctl}
+	srv := &wire.Server{Peer: p}
 	go srv.Serve(l) //nolint:errcheck // closed by test cleanup
 	t.Cleanup(func() { l.Close() })
-	if _, err := coord.Hello(wire.MemberInfo{ID: id, Addr: l.Addr().String()}); err != nil {
+	if _, err := coord.Hello(MemberInfo{ID: id, Addr: l.Addr().String()}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -417,7 +427,7 @@ func TestDownMemberGetsOneAttemptPerRound(t *testing.T) {
 		calls:   make(chan struct{}, 1),
 		release: make(chan struct{}),
 	}
-	serveMember(t, coord, "slow", stub)
+	serveMember(t, coord, "slow", map[string]service.BuiltinFunc{"x:demand": stub.demand})
 	step := func(what string, wantArrivals int32, wantDown bool) {
 		t.Helper()
 		before := stub.arrivals.Load()
@@ -425,7 +435,7 @@ func TestDownMemberGetsOneAttemptPerRound(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := stub.arrivals.Load() - before; got != wantArrivals {
-			t.Errorf("%s: %d DEMAND attempts, want %d", what, got, wantArrivals)
+			t.Errorf("%s: %d x:demand attempts, want %d", what, got, wantArrivals)
 		}
 		if sts := coord.MemberStatuses(); len(sts) != 1 || sts[0].Down != wantDown {
 			t.Errorf("%s: statuses %+v, want down=%v", what, sts, wantDown)
@@ -441,7 +451,6 @@ func TestDownMemberGetsOneAttemptPerRound(t *testing.T) {
 // recControl is a member that reports a canned export and records the
 // shipping orders it gets, refusing those for one view.
 type recControl struct {
-	wire.MemberControl
 	export placement.Export
 
 	mu       sync.Mutex
@@ -449,16 +458,28 @@ type recControl struct {
 	orders   []string
 }
 
-func (r *recControl) Demand(context.Context) (placement.Export, error) { return r.export, nil }
-
-func (r *recControl) MigrateView(_ context.Context, name, targetID, _ string, keep bool) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if name == r.failView {
-		return errors.New("disk full")
+func (r *recControl) services() map[string]service.BuiltinFunc {
+	return map[string]service.BuiltinFunc{
+		"x:demand": func([][]*xmltree.Node) ([]*xmltree.Node, error) {
+			return []*xmltree.Node{r.export.ToXML()}, nil
+		},
+		"x:migrate": func(args [][]*xmltree.Node) ([]*xmltree.Node, error) {
+			mv, err := param(args, "x:move")
+			if err != nil {
+				return nil, err
+			}
+			name, _ := mv.Attr("view")
+			targetID, _ := mv.Attr("to")
+			keep, _ := mv.Attr("keep")
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			if name == r.failView {
+				return nil, errors.New("disk full")
+			}
+			r.orders = append(r.orders, fmt.Sprintf("ship %s to %s keep=%s", name, targetID, keep))
+			return nil, nil
+		},
 	}
-	r.orders = append(r.orders, fmt.Sprintf("ship %s to %s keep=%v", name, targetID, keep))
-	return nil
 }
 
 // heal stops the refusals and returns the orders accepted so far.
@@ -470,7 +491,7 @@ func (r *recControl) heal() []string {
 }
 
 // TestStepFailsOpenOnActuation: one of two shipping orders is refused.
-// STEP still answers with the one that landed and no error; the refusal
+// x:step still answers with the one that landed and no error; the refusal
 // is counted, the refused view neither logged nor rested, and the round
 // left its trace under the unified name.
 func TestStepFailsOpenOnActuation(t *testing.T) {
@@ -486,8 +507,8 @@ func TestStepFailsOpenOnActuation(t *testing.T) {
 	reader := &recControl{export: placement.Export{Member: "b", Loads: []placement.LoadExport{
 		{Doc: "d1", Weight: 12}, {Doc: "d2", Weight: 12},
 	}}}
-	serveMember(t, coord, "a", holder)
-	serveMember(t, coord, "b", reader)
+	serveMember(t, coord, "a", holder.services())
+	serveMember(t, coord, "b", reader.services())
 
 	made, err := coord.Step(context.Background())
 	if err != nil {
@@ -499,7 +520,7 @@ func TestStepFailsOpenOnActuation(t *testing.T) {
 	if got, want := holder.heal(), []string{"ship v2 to b keep=false"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("orders at the holder = %v, want %v", got, want)
 	}
-	if _, log := coord.ClusterPlacements(); len(log) != 1 || log[0].View != "v2" {
+	if log := coord.Controller().Decisions(); len(log) != 1 || log[0].View != "v2" {
 		t.Errorf("decision log = %v, want only v2's move", log)
 	}
 	snap := reg.Snapshot()
@@ -567,12 +588,51 @@ func TestCoordinatorEvictsOverBudget(t *testing.T) {
 		t.Fatalf("made = %v, want the eviction of all from a", made)
 	}
 	if _, ok := a.views.PlacementsOf("all"); ok {
-		t.Error("a still holds the evicted copy: DROPVIEW did not arrive")
+		t.Error("a still holds the evicted copy: x:drop-view did not arrive")
 	}
 	if _, ok := a.views.PlacementsOf("cheap"); !ok {
 		t.Error("eviction went on past the budget")
 	}
 	if held() > budget {
 		t.Errorf("a still over budget: %d > %d", held(), budget)
+	}
+}
+
+// TestControlServicesByRole: each role provides only its own control
+// services. Asking a member for a coordinator action, a coordinator
+// for a member action, or a peer outside any federation for either
+// answers the typed no-such-service error, while a role's own services
+// answer.
+func TestControlServicesByRole(t *testing.T) {
+	_, coordAddr := startCoordinatorNode(t, CoordinatorConfig{})
+	member := startMemberNode(t, "m", nil, "")
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go (&wire.Server{Peer: peer.New("bare")}).Serve(l) //nolint:errcheck // closed by test cleanup
+	t.Cleanup(func() { l.Close() })
+
+	all := []string{"x:hello", "x:bye", "x:step", "x:demand", "x:migrate", "x:drop-view", "x:accept-view"}
+	for _, tc := range []struct {
+		role, addr string
+		refused    []string
+		served     string
+	}{
+		{"member", member.addr, []string{"x:step", "x:hello"}, "x:demand"},
+		{"coordinator", coordAddr, []string{"x:demand", "x:drop-view"}, "x:step"},
+		{"bare peer", l.Addr().String(), all, ""},
+	} {
+		c := dialT(t, tc.addr)
+		for _, name := range tc.refused {
+			if _, err := c.Call(context.Background(), name); !errors.Is(err, core.ErrNoSuchService) {
+				t.Errorf("%s asked for %s: %v, want ErrNoSuchService", tc.role, name, err)
+			}
+		}
+		if tc.served != "" {
+			if out, err := c.Call(context.Background(), tc.served); err != nil || len(out) != 1 {
+				t.Errorf("%s asked for its own %s: %v, %d trees", tc.role, tc.served, err, len(out))
+			}
+		}
 	}
 }

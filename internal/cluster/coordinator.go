@@ -5,14 +5,17 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
 	"axml/internal/netsim"
 	"axml/internal/obs"
+	"axml/internal/peer"
 	"axml/internal/placement"
+	"axml/internal/service"
 	"axml/internal/view"
-	"axml/internal/wire"
+	"axml/internal/xmltree"
 )
 
 // CoordinatorConfig tunes a coordinator. The zero value works: every
@@ -25,7 +28,7 @@ type CoordinatorConfig struct {
 	Placement placement.Config
 	// RPCTimeout bounds each control RPC (default 5s).
 	RPCTimeout time.Duration
-	// Retries is how many times a failed DEMAND is re-attempted before
+	// Retries is how many times a failed x:demand is re-attempted before
 	// the member degrades to its last-known demand (default 2).
 	Retries int
 	// RetryBackoff is the first retry delay; it doubles per attempt
@@ -78,7 +81,7 @@ func (c CoordinatorConfig) filled() CoordinatorConfig {
 
 // memberState is the coordinator's record of one member.
 type memberState struct {
-	info wire.MemberInfo
+	info MemberInfo
 	// export is the last demand report; after a failed collection it
 	// holds the decayed stand-in (fail-open).
 	export    placement.Export
@@ -88,12 +91,11 @@ type memberState struct {
 
 // Coordinator is the federation seen as a placement.Deployment: it
 // keeps the membership, observes by collecting and merging every
-// member's demand export, and applies a decision as control RPCs to
-// the members holding the data. The rounds themselves — cooldown, one
+// member's demand export, and applies a decision as a control call to
+// the member holding the data. The rounds themselves — cooldown, one
 // action per view, budgets, the decision log — are the
-// placement.Controller's it runs under. It implements
-// wire.CoordinatorControl; attach it to a wire.Server and members
-// reach it via HELLO/BYE/STEP.
+// placement.Controller's it runs under. Members reach it through the
+// x:hello, x:bye and x:step services of the peer it serves.
 type Coordinator struct {
 	cfg  CoordinatorConfig
 	ctrl *placement.Controller
@@ -107,31 +109,91 @@ type Coordinator struct {
 	source map[string]netsim.PeerID
 }
 
-// Coordinator serves the coordinator role of the control plane and is
-// the deployment its own controller runs over.
-var (
-	_ wire.CoordinatorControl = (*Coordinator)(nil)
-	_ placement.Deployment    = (*Coordinator)(nil)
-)
-
 // NewCoordinator builds a coordinator with the config's defaults
-// filled in.
-func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
+// filled in and registers its control services on self, the peer the
+// coordinator process serves.
+func NewCoordinator(self *peer.Peer, cfg CoordinatorConfig) (*Coordinator, error) {
 	c := &Coordinator{cfg: cfg.filled(), member: map[string]*memberState{}}
 	c.ctrl = placement.NewOver(c, c.cfg.Placement)
+	if err := register(self, map[string]service.BuiltinFunc{
+		"x:hello": c.serveHello,
+		"x:bye":   c.serveBye,
+		"x:step":  c.serveStep,
+	}); err != nil {
+		return nil, err
+	}
 	c.cfg.Metrics.Gauge("cluster.members", func() int64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return int64(len(c.member))
 	})
-	return c
+	return c, nil
 }
 
+// serveHello is x:hello: register the member the parameter describes
+// and reply with the membership.
+func (c *Coordinator) serveHello(args [][]*xmltree.Node) ([]*xmltree.Node, error) {
+	p, err := param(args, "x:member")
+	if err != nil {
+		return nil, err
+	}
+	info, err := memberInfoFromXML(p)
+	if err != nil {
+		return nil, err
+	}
+	members, err := c.Hello(info)
+	if err != nil {
+		return nil, err
+	}
+	reply := xmltree.E("x:members")
+	for _, m := range members {
+		reply.AppendChild(m.toXML())
+	}
+	return []*xmltree.Node{reply}, nil
+}
+
+// serveBye is x:bye: deregister the member the parameter names, which
+// is shutting down cleanly.
+func (c *Coordinator) serveBye(args [][]*xmltree.Node) ([]*xmltree.Node, error) {
+	p, err := param(args, "x:member")
+	if err != nil {
+		return nil, err
+	}
+	info, err := memberInfoFromXML(p)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.member[info.ID]; ok {
+		delete(c.member, info.ID)
+		c.cfg.Logger.Info("member left", "member", info.ID)
+	}
+	return nil, nil
+}
+
+// serveStep is x:step: run one round and reply with its decisions.
+func (c *Coordinator) serveStep(args [][]*xmltree.Node) ([]*xmltree.Node, error) {
+	if _, err := param(args, ""); err != nil {
+		return nil, err
+	}
+	made, _ := c.Step(context.Background())
+	reply := xmltree.E("x:decisions")
+	for _, d := range made {
+		reply.AppendChild(d.ToXML())
+	}
+	return []*xmltree.Node{reply}, nil
+}
+
+// Controller returns the controller the rounds run on; attached to the
+// wire server, PLACEMENTS reports the merged map and the decision log.
+func (c *Coordinator) Controller() *placement.Controller { return c.ctrl }
+
 // Hello registers or refreshes a member and returns the current
-// membership (wire.CoordinatorControl).
-func (c *Coordinator) Hello(info wire.MemberInfo) ([]wire.MemberInfo, error) {
+// membership.
+func (c *Coordinator) Hello(info MemberInfo) ([]MemberInfo, error) {
 	if info.ID == "" || info.Addr == "" {
-		return nil, fmt.Errorf("cluster: HELLO without id/addr")
+		return nil, fmt.Errorf("cluster: hello without id/addr")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -143,24 +205,12 @@ func (c *Coordinator) Hello(info wire.MemberInfo) ([]wire.MemberInfo, error) {
 	}
 	st.info = info
 	st.down = false
-	out := make([]wire.MemberInfo, 0, len(c.member))
+	out := make([]MemberInfo, 0, len(c.member))
 	for _, m := range c.member {
 		out = append(out, m.info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
-}
-
-// Bye deregisters a member that is shutting down cleanly
-// (wire.CoordinatorControl).
-func (c *Coordinator) Bye(id string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.member[id]; ok {
-		delete(c.member, id)
-		c.cfg.Logger.Info("member left", "member", id)
-	}
-	return nil
 }
 
 // MemberStatus is one membership row, for PLACEMENTS-style
@@ -185,10 +235,9 @@ func (c *Coordinator) MemberStatuses() []MemberStatus {
 	return out
 }
 
-// ClusterPlacements reports the aggregated cluster-wide placement map
-// (from the latest member exports) and the decision log
-// (wire.CoordinatorControl).
-func (c *Coordinator) ClusterPlacements() ([]view.PlacementInfo, []placement.Decision) {
+// Placements reports the cluster-wide placement map aggregated from the
+// latest member exports (placement.Deployment); `at` names a member.
+func (c *Coordinator) Placements() []view.PlacementInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var placements []view.PlacementInfo
@@ -210,7 +259,7 @@ func (c *Coordinator) ClusterPlacements() ([]view.PlacementInfo, []placement.Dec
 			})
 		}
 	}
-	return placements, c.ctrl.Decisions()
+	return placements
 }
 
 // memberIDs returns the membership in ID order. Callers hold c.mu.
@@ -223,11 +272,7 @@ func (c *Coordinator) memberIDs() []string {
 	return ids
 }
 
-// Decisions returns the retained decision log, newest last.
-func (c *Coordinator) Decisions() []placement.Decision { return c.ctrl.Decisions() }
-
-// Step runs one placement round (wire.CoordinatorControl). It fails
-// open: an action whose RPC failed is logged and counted by the
+// Step runs one placement round. It fails open: an action whose RPC failed is logged and counted by the
 // controller and in cluster.rpc.errors, the next round replans from
 // fresh demand, and the round still returns what it did.
 func (c *Coordinator) Step(ctx context.Context) ([]placement.Decision, error) {
@@ -235,7 +280,7 @@ func (c *Coordinator) Step(ctx context.Context) ([]placement.Decision, error) {
 	return made, nil
 }
 
-// rpcFailed records one failed control RPC.
+// rpcFailed records one failed control call.
 func (c *Coordinator) rpcFailed(err error, msg string, attrs ...any) {
 	c.cfg.Logger.Warn(msg, append(attrs, "err", err)...)
 	c.cfg.Metrics.Counter("cluster.rpc.errors").Inc()
@@ -243,9 +288,9 @@ func (c *Coordinator) rpcFailed(err error, msg string, attrs ...any) {
 
 // Observe collects demand from every member and merges the exports
 // into one load per view (placement.Deployment). Collection holds no
-// lock — a member answering DEMAND may itself be serving queries that
-// call back into this process's PLACEMENTS — and is sequential, which
-// keeps the round analyzable (membership is small). A failure degrades
+// lock — a member answering x:demand may itself be serving queries
+// that call back into this process's PLACEMENTS — and is sequential,
+// which keeps the round analyzable (membership is small). A failure degrades
 // that member to its decayed last-known demand instead of failing the
 // round.
 func (c *Coordinator) Observe(ctx context.Context) placement.Observation {
@@ -263,8 +308,8 @@ func (c *Coordinator) Observe(ctx context.Context) placement.Observation {
 	for _, t := range targets {
 		_, sp := obs.StartSpan(ctx, "demand", t.id)
 		// A member already marked down gets one attempt, not the retry
-		// envelope, until it answers or re-HELLOs: one that stays down
-		// must not tax every round.
+		// envelope, until it answers or calls x:hello again: one that
+		// stays down must not tax every round.
 		retries := c.cfg.Retries
 		if t.down {
 			retries = 0
@@ -305,11 +350,10 @@ func (c *Coordinator) collectDemand(ctx context.Context, addr string, retries in
 			}
 			backoff *= 2
 		}
-		err = call(ctx, addr, c.cfg.RPCTimeout, func(rctx context.Context, cl *wire.Client) error {
-			var err error
-			export, err = cl.Demand(rctx)
-			return err
-		})
+		var reply *xmltree.Node
+		if reply, err = call(ctx, addr, c.cfg.RPCTimeout, "x:demand"); err == nil {
+			export, err = placement.ExportFromXML(reply)
+		}
 		if err == nil {
 			return export, nil
 		}
@@ -387,7 +431,7 @@ func (c *Coordinator) merge() placement.Observation {
 	}
 }
 
-// Apply executes one decision over the wire, against the member that
+// Apply executes one decision as a control call to the member that
 // holds the data to move (placement.Deployment).
 func (c *Coordinator) Apply(ctx context.Context, d placement.Decision) error {
 	c.mu.Lock()
@@ -406,15 +450,17 @@ func (c *Coordinator) Apply(ctx context.Context, d placement.Decision) error {
 	if addr == "" {
 		return fmt.Errorf("cluster: no address for decision %s", d.String())
 	}
-	err := call(ctx, addr, c.cfg.RPCTimeout, func(rctx context.Context, cl *wire.Client) error {
-		switch d.Action {
-		case "migrate", "replicate":
-			return cl.MigrateView(rctx, d.View, string(d.To), target, d.Action == "replicate")
-		case "drop", "evict":
-			return cl.DropViewPlacement(rctx, d.View)
-		}
-		return fmt.Errorf("cluster: unknown action %q", d.Action)
-	})
+	var err error
+	switch d.Action {
+	case "migrate", "replicate":
+		_, err = call(ctx, addr, c.cfg.RPCTimeout, "x:migrate", xmltree.E("x:move",
+			xmltree.A("view", d.View), xmltree.A("to", string(d.To)), xmltree.A("addr", target),
+			xmltree.A("keep", strconv.FormatBool(d.Action == "replicate"))))
+	case "drop", "evict":
+		_, err = call(ctx, addr, c.cfg.RPCTimeout, "x:drop-view", xmltree.E("x:view", xmltree.A("name", d.View)))
+	default:
+		err = fmt.Errorf("cluster: unknown action %q", d.Action)
+	}
 	if err != nil {
 		c.rpcFailed(err, "actuation failed", "decision", d.String())
 	}

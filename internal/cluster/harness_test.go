@@ -2,15 +2,20 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"axml/internal/netsim"
+	"axml/internal/placement"
+	"axml/internal/wire"
 )
 
 // TestHarnessFederationSmoke runs the federation against real OS
 // processes: one coordinator and two member axmlpeer processes over
 // TCP. Member A hosts the catalog and a full-copy view, member B sends
-// all the queries; one STEP moves the copy to B, and every process
+// all the queries; one x:step call moves the copy to B, and every process
 // shuts down gracefully on SIGTERM. This is the CI federation-smoke
 // target.
 func TestHarnessFederationSmoke(t *testing.T) {
@@ -66,7 +71,7 @@ func TestHarnessFederationSmoke(t *testing.T) {
 		}
 	}
 
-	decisions, err := cc.Step(ctx)
+	decisions, err := step(ctx, cc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +82,7 @@ func TestHarnessFederationSmoke(t *testing.T) {
 		}
 	}
 	if !moved {
-		t.Fatalf("STEP over real TCP did not move the copy to b: %+v", decisions)
+		t.Fatalf("x:step over real TCP did not move the copy to b: %+v", decisions)
 	}
 
 	// B serves the adopted copy locally now.
@@ -94,7 +99,7 @@ func TestHarnessFederationSmoke(t *testing.T) {
 
 	// The next round's fresh demand exports surface the landed copy in
 	// the coordinator's aggregated placement map and decision log.
-	if _, err := cc.Step(ctx); err != nil {
+	if _, err := step(ctx, cc); err != nil {
 		t.Fatal(err)
 	}
 	lines, err = cc.Placements(ctx)
@@ -117,6 +122,27 @@ func TestHarnessFederationSmoke(t *testing.T) {
 			t.Errorf("%s did not report a clean drain:\n%s", p.ID, p.Output())
 		}
 	}
+}
+
+// step runs one round through the coordinator's x:step service.
+func step(ctx context.Context, cl *wire.Client) ([]placement.Decision, error) {
+	out, err := cl.Call(ctx, "x:step")
+	if err != nil {
+		return nil, err
+	}
+	if len(out) != 1 {
+		return nil, fmt.Errorf("x:step replied %d trees, want 1", len(out))
+	}
+	var decisions []placement.Decision
+	for _, ch := range out[0].ChildElementsByLabel("decision") {
+		var d placement.Decision
+		d.View, _ = ch.Attr("view")
+		d.Action, _ = ch.Attr("action")
+		to, _ := ch.Attr("to")
+		d.To = netsim.PeerID(to)
+		decisions = append(decisions, d)
+	}
+	return decisions, nil
 }
 
 func containsLine(lines []string, want string) bool {

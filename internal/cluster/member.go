@@ -14,6 +14,7 @@ import (
 	"axml/internal/opt"
 	"axml/internal/peer"
 	"axml/internal/placement"
+	"axml/internal/service"
 	"axml/internal/session"
 	"axml/internal/view"
 	"axml/internal/wire"
@@ -36,13 +37,13 @@ type MemberConfig struct {
 	// SelfPeer is the served peer inside the local system — where
 	// adopted views land and forwarded demand is attributed.
 	SelfPeer netsim.PeerID
-	// HeartbeatInterval paces HELLO re-registration and route refresh
+	// HeartbeatInterval paces x:hello re-registration and route refresh
 	// (default 2s).
 	HeartbeatInterval time.Duration
 	// RPCTimeout bounds each outbound control RPC and each forwarded
 	// row read (default 5s).
 	RPCTimeout time.Duration
-	// Decay ages the local demand counters after each DEMAND export
+	// Decay ages the local demand counters after each x:demand export
 	// (default 0.5), so consecutive exports report fresh traffic, not
 	// the whole history again.
 	Decay float64
@@ -70,9 +71,8 @@ func (c MemberConfig) filled() MemberConfig {
 }
 
 // Member is one deployment's federation agent: it heartbeats the
-// coordinator, answers the member-side control verbs (wire.MemberControl)
-// and forwards queries over documents other members host
-// (wire.Forwarder).
+// coordinator, provides the member's control services on its peer and
+// forwards queries over documents other members host (wire.Forwarder).
 type Member struct {
 	cfg   MemberConfig
 	sys   *core.System
@@ -81,9 +81,8 @@ type Member struct {
 	obs   *placement.Observer
 
 	mu      sync.Mutex
-	routes  map[string]string // base document → owning member's address
-	members []wire.MemberInfo
-	pool    map[string][]*wire.Client
+	routes  map[string]string         // base document → owning member's address
+	pool    map[string][]*wire.Client // forwarded-query connections
 	closed  bool
 	started bool
 
@@ -91,16 +90,10 @@ type Member struct {
 	done chan struct{}
 }
 
-// Member serves the member role of the control plane and the
-// federated read path.
-var (
-	_ wire.MemberControl = (*Member)(nil)
-	_ wire.Forwarder     = (*Member)(nil)
-)
-
-// NewMember builds the agent. obsv is the demand observer the serving
-// session feeds (session.WithTrafficSink); the member exports and
-// decays it on DEMAND.
+// NewMember builds the agent and registers x:demand, x:migrate,
+// x:drop-view and x:accept-view on the served peer. obsv is the demand
+// observer the serving session feeds (session.WithTrafficSink); the
+// member exports and decays it on x:demand.
 func NewMember(cfg MemberConfig, sys *core.System, views *view.Manager, obsv *placement.Observer) (*Member, error) {
 	cfg = cfg.filled()
 	if cfg.ID == "" {
@@ -110,7 +103,7 @@ func NewMember(cfg MemberConfig, sys *core.System, views *view.Manager, obsv *pl
 	if !ok {
 		return nil, fmt.Errorf("cluster: no peer %q in the local system", cfg.SelfPeer)
 	}
-	return &Member{
+	m := &Member{
 		cfg:    cfg,
 		sys:    sys,
 		self:   self,
@@ -120,10 +113,19 @@ func NewMember(cfg MemberConfig, sys *core.System, views *view.Manager, obsv *pl
 		pool:   map[string][]*wire.Client{},
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
-	}, nil
+	}
+	if err := register(self, map[string]service.BuiltinFunc{
+		"x:demand":      m.serveDemand,
+		"x:migrate":     m.serveMigrate,
+		"x:drop-view":   m.serveDropView,
+		"x:accept-view": m.serveAcceptView,
+	}); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
-// Start launches the heartbeat loop: periodic HELLO registration at
+// Start launches the heartbeat loop: periodic x:hello registration at
 // the coordinator, whose membership reply refreshes the forwarding
 // routes. A failed heartbeat is retried at the next tick.
 func (m *Member) Start() {
@@ -160,20 +162,19 @@ func (m *Member) hello() error {
 	if m.cfg.Coordinator == "" {
 		return nil
 	}
-	cl, err := m.dial(m.cfg.Coordinator)
+	members, err := call(context.Background(), m.cfg.Coordinator, m.cfg.RPCTimeout, "x:hello", m.describe().toXML())
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.RPCTimeout)
-	defer cancel()
-	members, err := cl.Hello(ctx, m.describe())
-	if err != nil {
-		cl.Close()
-		return err
+	if members == nil || members.Label != "x:members" {
+		return fmt.Errorf("cluster: hello reply is not x:members")
 	}
-	m.put(m.cfg.Coordinator, cl)
 	routes := map[string]string{}
-	for _, other := range members {
+	for _, ch := range members.ChildElementsByLabel("x:member") {
+		other, err := memberInfoFromXML(ch)
+		if err != nil {
+			return err
+		}
 		if other.ID == m.cfg.ID {
 			continue
 		}
@@ -185,22 +186,18 @@ func (m *Member) hello() error {
 	}
 	m.mu.Lock()
 	m.routes = routes
-	m.members = members
 	m.mu.Unlock()
 	return nil
 }
 
-// describe snapshots this deployment for HELLO: base documents (view
-// documents excluded — they travel as views) and view names.
-func (m *Member) describe() wire.MemberInfo {
-	info := wire.MemberInfo{ID: m.cfg.ID, Addr: m.cfg.Advertise}
+// describe snapshots this deployment for x:hello: its base documents
+// (view documents excluded — views travel in demand exports).
+func (m *Member) describe() MemberInfo {
+	info := MemberInfo{ID: m.cfg.ID, Addr: m.cfg.Advertise}
 	for _, name := range m.self.DocumentNames() {
 		if !strings.HasPrefix(name, view.DocPrefix) {
 			info.Docs = append(info.Docs, name)
 		}
-	}
-	for _, v := range m.views.Views() {
-		info.Views = append(info.Views, v.Name)
 	}
 	return info
 }
@@ -229,12 +226,13 @@ func (m *Member) Close() {
 		}
 	}
 	if m.cfg.Coordinator != "" {
-		_ = call(context.Background(), m.cfg.Coordinator, m.cfg.RPCTimeout,
-			func(ctx context.Context, cl *wire.Client) error { return cl.Bye(ctx, m.cfg.ID) })
+		_, _ = call(context.Background(), m.cfg.Coordinator, m.cfg.RPCTimeout,
+			"x:bye", MemberInfo{ID: m.cfg.ID, Addr: m.cfg.Advertise}.toXML())
 	}
 }
 
-// dial returns a pooled client for addr, or dials a fresh one.
+// dial returns a pooled client for addr, or dials a fresh one; only
+// forwarded queries use the pool.
 func (m *Member) dial(addr string) (*wire.Client, error) {
 	m.mu.Lock()
 	if list := m.pool[addr]; len(list) > 0 {
@@ -260,13 +258,30 @@ func (m *Member) put(addr string, cl *wire.Client) {
 	cl.Close()
 }
 
-// Demand builds this deployment's placement export (wire.MemberControl):
-// view placements, and the observer's decayed demand with locally
-// estimated selectivities. Exporting decays the counters
-// (export-and-decay), so each round reports the traffic since the
-// previous one with EWMA history, exactly like the in-process
-// deployment's Observe.
-func (m *Member) Demand(context.Context) (placement.Export, error) {
+// param checks a control service's arguments, the member's and the
+// coordinator's alike: one tree labelled label, or none when label is
+// "".
+func param(args [][]*xmltree.Node, label string) (*xmltree.Node, error) {
+	switch {
+	case label == "" && len(args) == 0:
+		return nil, nil
+	case label != "" && len(args) == 1 && len(args[0]) == 1 && args[0][0].Label == label:
+		return args[0][0], nil
+	case label == "":
+		return nil, fmt.Errorf("%w: control service takes no parameter", session.ErrBadQuery)
+	}
+	return nil, fmt.Errorf("%w: control service takes one <%s> parameter", session.ErrBadQuery, label)
+}
+
+// serveDemand is x:demand: this deployment's placement export — view
+// placements, and the observer's decayed demand with locally estimated
+// selectivities. Exporting decays the counters (export-and-decay), so
+// each round reports the traffic since the previous one with EWMA
+// history, exactly like the in-process deployment's Observe.
+func (m *Member) serveDemand(args [][]*xmltree.Node) ([]*xmltree.Node, error) {
+	if _, err := param(args, ""); err != nil {
+		return nil, err
+	}
 	e := placement.Export{Member: m.cfg.ID}
 	baseDocs := map[string]string{}
 	for _, def := range m.views.Definitions() {
@@ -296,14 +311,28 @@ func (m *Member) Demand(context.Context) (placement.Export, error) {
 	}
 	e.Loads = m.obs.Loads(opt.NewEstimator(m.sys))
 	m.obs.Decay(m.cfg.Decay)
-	return e, nil
+	return []*xmltree.Node{e.ToXML()}, nil
 }
 
-// MigrateView ships the named view to another member (wire.MemberControl):
-// snapshot-pinned deep copy here, one ACCEPTVIEW line there, and —
-// for a migrate — the local copy is dropped only after the target
-// confirmed the landing, so a target dying mid-ship leaves this copy
-// authoritative and nothing half-moved anywhere.
+// serveMigrate is x:migrate: ship the view to the member the x:move
+// parameter names, keeping the local copy when keep="true".
+func (m *Member) serveMigrate(args [][]*xmltree.Node) ([]*xmltree.Node, error) {
+	mv, err := param(args, "x:move")
+	if err != nil {
+		return nil, err
+	}
+	name, _ := mv.Attr("view")
+	to, _ := mv.Attr("to")
+	addr, _ := mv.Attr("addr")
+	keep, _ := mv.Attr("keep")
+	return nil, m.MigrateView(context.Background(), name, to, addr, keep == "true")
+}
+
+// MigrateView ships the named view to another member: snapshot-pinned
+// copy here, one x:accept-view call there, and — for a migrate — the
+// local copy is dropped only after the target confirmed the landing,
+// so a target dying mid-ship leaves this copy authoritative and nothing
+// half-moved anywhere.
 func (m *Member) MigrateView(ctx context.Context, name, targetID, targetAddr string, keep bool) error {
 	mv, err := m.views.Materialized(name)
 	if err != nil {
@@ -313,18 +342,14 @@ func (m *Member) MigrateView(ctx context.Context, name, targetID, targetAddr str
 	if origin == "" {
 		origin = m.cfg.ID
 	}
-	cl, err := m.dial(targetAddr)
-	if err != nil {
-		return err
-	}
-	rctx, cancel := context.WithTimeout(ctx, m.cfg.RPCTimeout)
-	err = cl.AcceptView(rctx, name, mv.Query, origin, mv.Root)
-	cancel()
-	if err != nil {
-		cl.Close()
+	ship := xmltree.E("x:ship",
+		xmltree.A("name", name),
+		xmltree.A("query", mv.Query),
+		xmltree.A("origin", origin))
+	ship.AppendChild(mv.Root)
+	if _, err := call(ctx, targetAddr, m.cfg.RPCTimeout, "x:accept-view", ship); err != nil {
 		return fmt.Errorf("cluster: shipping %q to %s: %w", name, targetID, err)
 	}
-	m.put(targetAddr, cl)
 	if mc := m.cfg.Metrics; mc != nil {
 		mc.Counter("cluster.shipped").Inc()
 	}
@@ -332,24 +357,30 @@ func (m *Member) MigrateView(ctx context.Context, name, targetID, targetAddr str
 	if keep {
 		return nil
 	}
-	sites, ok := m.views.PlacementsOf(name)
-	if !ok || len(sites) == 0 {
-		return nil
-	}
-	var errs []error
-	for _, at := range sites {
-		if err := m.views.DropPlacement(name, at); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("cluster: dropping migrated %q: %v", name, errs[0])
+	if err := m.dropCopies(name); err != nil {
+		return fmt.Errorf("cluster: dropping migrated %q: %w", name, err)
 	}
 	return nil
 }
 
-// DropView drops this deployment's copy of the view (wire.MemberControl).
-func (m *Member) DropView(name string) error {
+// serveDropView is x:drop-view: drop this deployment's copy of the
+// view the x:view parameter names.
+func (m *Member) serveDropView(args [][]*xmltree.Node) ([]*xmltree.Node, error) {
+	v, err := param(args, "x:view")
+	if err != nil {
+		return nil, err
+	}
+	name, _ := v.Attr("name")
+	if err := m.dropCopies(name); err != nil {
+		return nil, err
+	}
+	m.cfg.Logger.Info("dropped view", "view", name)
+	return nil, nil
+}
+
+// dropCopies drops every placement of the named view this deployment
+// holds.
+func (m *Member) dropCopies(name string) error {
 	sites, ok := m.views.PlacementsOf(name)
 	if !ok {
 		return fmt.Errorf("cluster: no view %q here", name)
@@ -359,23 +390,37 @@ func (m *Member) DropView(name string) error {
 			return err
 		}
 	}
-	m.cfg.Logger.Info("dropped view", "view", name)
 	return nil
 }
 
-// AcceptView lands a view shipped from another member (wire.MemberControl):
-// the tree is adopted at the serving peer, registered for query
-// rewriting, and marked adopted (no local maintenance — the base data
-// lives at origin).
-func (m *Member) AcceptView(_ context.Context, name, query, origin string, root *xmltree.Node) error {
+// serveAcceptView is x:accept-view: land the view an x:ship parameter
+// carries from another member. The tree is adopted at the serving peer,
+// registered for query rewriting, and marked adopted (no local
+// maintenance — the base data lives at origin). The whole ship arrives
+// on one request line, so the landing is all-or-nothing: a connection
+// that dies mid-ship delivers no line and nothing happens here.
+func (m *Member) serveAcceptView(args [][]*xmltree.Node) ([]*xmltree.Node, error) {
+	ship, err := param(args, "x:ship")
+	if err != nil {
+		return nil, err
+	}
+	name, _ := ship.Attr("name")
+	query, _ := ship.Attr("query")
+	origin, _ := ship.Attr("origin")
+	trees := ship.ChildElements()
+	if len(trees) != 1 {
+		return nil, fmt.Errorf("%w: x:ship carries %d trees, want 1", session.ErrBadQuery, len(trees))
+	}
+	root := trees[0]
+	root.Parent = nil
 	if err := m.views.Adopt(name, query, m.cfg.SelfPeer, root, origin); err != nil {
-		return err
+		return nil, err
 	}
 	if mc := m.cfg.Metrics; mc != nil {
 		mc.Counter("cluster.adopted").Inc()
 	}
 	m.cfg.Logger.Info("adopted view", "view", name, "origin", origin)
-	return nil
+	return nil, nil
 }
 
 // ForwardQuery routes a query over a document another member hosts

@@ -67,11 +67,11 @@ type PeerSpec struct {
 	// Coordinator runs the process as the cluster coordinator.
 	Coordinator bool
 	// Round is the coordinator's self-stepping interval (0 = rounds
-	// only on STEP).
+	// only on x:step).
 	Round time.Duration
 	// Join is the coordinator address a member registers with.
 	Join string
-	// Heartbeat overrides the member's HELLO interval.
+	// Heartbeat overrides the member's x:hello interval.
 	Heartbeat time.Duration
 	// ExtraArgs are appended verbatim.
 	ExtraArgs []string

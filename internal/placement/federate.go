@@ -1,5 +1,6 @@
 // Demand export: the serializable form of one deployment's placement
-// signals, shipped coordinator-ward over the wire DEMAND verb. A
+// signals, shipped coordinator-ward as the reply of a member's x:demand
+// service. A
 // member summarizes its Observer aggregates (per-document demand with
 // per-shape weights and locally estimated selectivities, Observer.Loads)
 // and its view placements; the cluster coordinator (internal/cluster)
@@ -58,7 +59,7 @@ type ShapeExport struct {
 }
 
 // Decayed returns a copy of the export with every demand weight scaled
-// by factor — the fail-open stand-in for a member that missed a DEMAND
+// by factor — the fail-open stand-in for a member that missed an x:demand
 // round: its last-known demand ages instead of vanishing (or wedging
 // the round), so a transient outage degrades smoothly.
 func (e Export) Decayed(factor float64) Export {
@@ -195,4 +196,19 @@ func ExportFromXML(root *xmltree.Node) (Export, error) {
 		}
 	}
 	return e, nil
+}
+
+// ToXML renders one decision as a decision element; PLACEMENTS lists
+// them and a coordinator's x:step service replies with them.
+func (d Decision) ToXML() *xmltree.Node {
+	return xmltree.E("decision",
+		xmltree.A("round", fmt.Sprint(d.Round)),
+		xmltree.A("view", d.View),
+		xmltree.A("action", d.Action),
+		xmltree.A("from", string(d.From)),
+		xmltree.A("to", string(d.To)),
+		xmltree.A("gain", ftoa(d.GainPerRound)),
+		xmltree.A("onetime", ftoa(d.OneTime)),
+		xmltree.A("reason", d.Reason),
+		xmltree.A("summary", d.String()))
 }

@@ -32,7 +32,7 @@ func New(views *view.Manager, cfg Config) *Controller {
 
 // Observe samples the network's maintenance traffic, reads each placed
 // view's demand off the observer, and ages the demand window — like a
-// federation member answering DEMAND, it exports and decays.
+// federation member answering x:demand, it exports and decays.
 func (l *local) Observe(context.Context) Observation {
 	l.obs.SampleNetwork(l.sys.Net.Stats())
 	loads := map[string]LoadExport{}
@@ -66,6 +66,9 @@ func (l *local) Observe(context.Context) Observation {
 		return ok
 	}}
 }
+
+// Placements lists the view manager's copies.
+func (l *local) Placements() []view.PlacementInfo { return l.views.Placements() }
 
 // Apply executes a decision through the view manager.
 func (l *local) Apply(ctx context.Context, d Decision) error {

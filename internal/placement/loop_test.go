@@ -14,6 +14,7 @@ import (
 
 	"axml/internal/netsim"
 	"axml/internal/opt"
+	"axml/internal/view"
 	"axml/internal/xmltree"
 )
 
@@ -63,6 +64,8 @@ func (f *fakeDeployment) Observe(context.Context) Observation {
 	}
 	return Observation{Views: out}
 }
+
+func (f *fakeDeployment) Placements() []view.PlacementInfo { return nil }
 
 func (f *fakeDeployment) Apply(_ context.Context, d Decision) error {
 	defer f.enter()()

@@ -48,6 +48,7 @@ import (
 	"axml/internal/netsim"
 	"axml/internal/obs"
 	"axml/internal/opt"
+	"axml/internal/view"
 )
 
 // Config tunes the controller. The zero value is usable: unlimited
@@ -156,6 +157,9 @@ type Deployment interface {
 	// across it — migrate and replicate ship the view's bytes over the
 	// network, and the receiving side must be free to call back in.
 	Apply(ctx context.Context, d Decision) error
+	// Placements lists the view copies the deployment holds, for
+	// PLACEMENTS.
+	Placements() []view.PlacementInfo
 }
 
 // Observation is one round's input: a ViewLoad per placed view (the
@@ -170,14 +174,14 @@ type Observation struct {
 // Controller runs placement rounds over one Deployment. It is
 // deliberately synchronous: Step runs one observe→decide→act round
 // when called, so deployments choose their own cadence (a ticker in
-// cmd/axmlpeer, a STEP request, one call per workload round in the
+// cmd/axmlpeer, an x:step call, one call per workload round in the
 // benchmarks) and tests stay deterministic.
 type Controller struct {
 	dep Deployment
 	obs *Observer // the in-process deployment's; nil otherwise
 	cfg Config
 
-	// stepMu serializes rounds (STEP may arrive on several connections
+	// stepMu serializes rounds (x:step may arrive on several connections
 	// beside the ticker) and guards round and cool; no Deployment
 	// method ever takes it.
 	stepMu sync.Mutex
@@ -197,6 +201,10 @@ func NewOver(dep Deployment, cfg Config) *Controller {
 // Observer returns the traffic observer feeding an in-process
 // controller (nil for one made by NewOver).
 func (c *Controller) Observer() *Observer { return c.obs }
+
+// Placements lists the view copies of the deployment the controller
+// runs over.
+func (c *Controller) Placements() []view.PlacementInfo { return c.dep.Placements() }
 
 // Decisions returns the retained decision log, oldest first.
 func (c *Controller) Decisions() []Decision {

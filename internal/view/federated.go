@@ -1,4 +1,4 @@
-// Cross-deployment view landing. A federated MIGRATE/REPLICATE ships
+// Cross-deployment view landing. A federated migrate or replicate ships
 // a view's already-materialized content from one axmlpeer process to
 // another — the receiving deployment usually does not host the base
 // documents, so it cannot DefineQuery (materialization would have to

@@ -110,7 +110,7 @@ func (m *Manager) refreshStateWith(ctx context.Context, st *state,
 	defer st.mu.Unlock()
 	if st.mode == ModeAdopted {
 		// An adopted copy's base documents live in another deployment;
-		// it is refreshed by re-shipping (cluster REPLICATE), never by
+		// it is refreshed by re-shipping (a cluster replicate), never by
 		// local maintenance.
 		return 0, nil
 	}

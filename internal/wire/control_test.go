@@ -1,12 +1,16 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,21 +18,26 @@ import (
 	"axml/internal/netsim"
 	"axml/internal/peer"
 	"axml/internal/placement"
+	"axml/internal/service"
 	"axml/internal/session"
 	"axml/internal/view"
 	"axml/internal/xmltree"
 )
 
-// stubControl records every control verb it receives and answers with
-// canned data — the wire codec test double.
+// The federation's control actions, each a builtin service of the role
+// that provides it (internal/cluster).
+var (
+	coordinatorServices = []string{"x:hello", "x:bye", "x:step"}
+	memberServices      = []string{"x:demand", "x:migrate", "x:drop-view", "x:accept-view"}
+	controlServices     = append(append([]string(nil), coordinatorServices...), memberServices...)
+)
+
+// stubControl provides the control services as builtins that record
+// every call's parameter forest and answer canned replies — the CALL
+// codec test double.
 type stubControl struct {
-	mu       sync.Mutex
-	hellos   []MemberInfo
-	byes     []string
-	migrates []string
-	drops    []string
-	accepts  []string
-	accepted *xmltree.Node
+	mu    sync.Mutex
+	calls []string // "<service> <serialized parameters>"
 
 	export    placement.Export
 	decisions []placement.Decision
@@ -37,72 +46,70 @@ type stubControl struct {
 	demandRelease chan struct{}
 }
 
-func (s *stubControl) Hello(info MemberInfo) ([]MemberInfo, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.hellos = append(s.hellos, info)
-	return []MemberInfo{info, {ID: "other", Addr: "addr2", Docs: []string{"d"}}}, nil
-}
-
-func (s *stubControl) Bye(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.byes = append(s.byes, id)
-	return nil
-}
-
-func (s *stubControl) Demand(context.Context) (placement.Export, error) {
-	if s.demandStarted != nil {
-		close(s.demandStarted)
-		<-s.demandRelease
+// register adds the named control services to p. Like the real
+// builtins, x:demand and x:step take no parameter and the others
+// exactly one.
+func (s *stubControl) register(t testing.TB, p *peer.Peer, names []string) {
+	t.Helper()
+	for _, name := range names {
+		if err := p.RegisterService(&service.Service{Name: name, Provider: p.ID, Builtin: s.serve(name)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return s.export, nil
 }
 
-func (s *stubControl) MigrateView(_ context.Context, name, targetID, targetAddr string, keep bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	verb := "migrate"
-	if keep {
-		verb = "replicate"
+func (s *stubControl) serve(name string) service.BuiltinFunc {
+	return func(args [][]*xmltree.Node) ([]*xmltree.Node, error) {
+		want := 1
+		if name == "x:demand" || name == "x:step" {
+			want = 0
+		}
+		if len(args) != want {
+			return nil, fmt.Errorf("%w: %s takes %d parameter(s)", session.ErrBadQuery, name, want)
+		}
+		if name == "x:demand" && s.demandStarted != nil {
+			close(s.demandStarted)
+			<-s.demandRelease
+		}
+		var sb strings.Builder
+		for _, arg := range args {
+			for _, n := range arg {
+				sb.WriteString(xmltree.Serialize(n))
+			}
+		}
+		s.mu.Lock()
+		s.calls = append(s.calls, name+" "+sb.String())
+		s.mu.Unlock()
+		switch name {
+		case "x:hello":
+			members := xmltree.E("x:members", args[0][0],
+				xmltree.E("x:member", xmltree.A("id", "other"), xmltree.A("addr", "addr2"),
+					xmltree.E("doc", xmltree.A("name", "d"))))
+			return []*xmltree.Node{members}, nil
+		case "x:demand":
+			return []*xmltree.Node{s.export.ToXML()}, nil
+		case "x:step":
+			reply := xmltree.E("x:decisions")
+			for _, d := range s.decisions {
+				reply.AppendChild(d.ToXML())
+			}
+			return []*xmltree.Node{reply}, nil
+		}
+		return nil, nil
 	}
-	s.migrates = append(s.migrates, verb+" "+name+" "+targetID+" "+targetAddr)
-	return nil
 }
 
-func (s *stubControl) DropView(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.drops = append(s.drops, name)
-	return nil
-}
-
-func (s *stubControl) AcceptView(_ context.Context, name, query, origin string, root *xmltree.Node) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.accepts = append(s.accepts, name+" "+query+" "+origin)
-	s.accepted = root
-	return nil
-}
-
-func (s *stubControl) Step(context.Context) ([]placement.Decision, error) {
-	return s.decisions, nil
-}
-
-func (s *stubControl) ClusterPlacements() ([]view.PlacementInfo, []placement.Decision) {
-	return nil, nil
-}
-
-// startControlServer serves a peer with the stub attached in both
-// control roles.
+// startControlServer serves a system-less peer with the stub's control
+// services registered.
 func startControlServer(t *testing.T, ctl *stubControl) *Client {
 	t.Helper()
 	p := peer.New("store")
+	ctl.register(t, p, controlServices)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Peer: p, Coordinator: ctl, Member: ctl}
+	srv := &Server{Peer: p}
 	go srv.Serve(l) //nolint:errcheck // closed by test cleanup
 	t.Cleanup(func() { l.Close() })
 	c, err := Dial(l.Addr().String())
@@ -113,8 +120,8 @@ func startControlServer(t *testing.T, ctl *stubControl) *Client {
 	return c
 }
 
-// TestControlVerbsRoundTrip: every federation verb survives the wire —
-// arguments arrive intact at the Control, replies parse back.
+// TestControlVerbsRoundTrip: every control service survives CALL —
+// parameters arrive intact at the builtin, replies parse back.
 func TestControlVerbsRoundTrip(t *testing.T) {
 	stub := &stubControl{
 		export: placement.Export{
@@ -135,95 +142,92 @@ func TestControlVerbsRoundTrip(t *testing.T) {
 	}
 	c := startControlServer(t, stub)
 	ctx := context.Background()
+	call := func(name string, params ...*xmltree.Node) *xmltree.Node {
+		t.Helper()
+		out, err := c.Call(ctx, name, params...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(out) == 0 {
+			return nil
+		}
+		return out[0]
+	}
 
-	members, err := c.Hello(ctx, MemberInfo{ID: "a", Addr: "addr1",
-		Docs: []string{"catalog"}, Views: []string{"cheap"}})
+	hello := xmltree.MustParse(`<x:member id="a" addr="addr1"><doc name="catalog"/><view name="cheap"/></x:member>`)
+	members := call("x:hello", hello).ChildElementsByLabel("x:member")
+	if len(members) != 2 || xmltree.Serialize(members[0]) != xmltree.Serialize(hello) {
+		t.Errorf("membership = %v", members)
+	}
+	if id, _ := members[1].Attr("id"); id != "other" || len(members[1].ChildElements()) != 1 {
+		t.Errorf("other member = %s", xmltree.Serialize(members[1]))
+	}
+
+	if out := call("x:bye", xmltree.E("x:member", xmltree.A("id", "a"))); out != nil {
+		t.Errorf("x:bye replied %s", xmltree.Serialize(out))
+	}
+
+	export, err := placement.ExportFromXML(call("x:demand"))
 	if err != nil {
-		t.Fatalf("Hello: %v", err)
-	}
-	if len(members) != 2 || members[1].ID != "other" || members[1].Docs[0] != "d" {
-		t.Errorf("membership = %+v", members)
-	}
-	if len(stub.hellos) != 1 || !reflect.DeepEqual(stub.hellos[0], MemberInfo{
-		ID: "a", Addr: "addr1", Docs: []string{"catalog"}, Views: []string{"cheap"}}) {
-		t.Errorf("hello received = %+v", stub.hellos)
-	}
-
-	if err := c.Bye(ctx, "a"); err != nil || len(stub.byes) != 1 || stub.byes[0] != "a" {
-		t.Errorf("Bye: %v %v", err, stub.byes)
-	}
-
-	export, err := c.Demand(ctx)
-	if err != nil {
-		t.Fatalf("Demand: %v", err)
+		t.Fatalf("x:demand: %v", err)
 	}
 	if !reflect.DeepEqual(export, stub.export) {
 		t.Errorf("demand export round trip:\n got %+v\nwant %+v", export, stub.export)
 	}
 
-	if err := c.MigrateView(ctx, "cheap", "b", "addr2", false); err != nil {
-		t.Fatalf("MigrateView: %v", err)
-	}
-	if err := c.MigrateView(ctx, "cheap", "b", "addr2", true); err != nil {
-		t.Fatalf("ReplicateView: %v", err)
-	}
-	if len(stub.migrates) != 2 || stub.migrates[0] != "migrate cheap b addr2" ||
-		stub.migrates[1] != "replicate cheap b addr2" {
-		t.Errorf("migrates = %v", stub.migrates)
-	}
-
-	if err := c.DropViewPlacement(ctx, "cheap"); err != nil || len(stub.drops) != 1 {
-		t.Errorf("DropViewPlacement: %v %v", err, stub.drops)
-	}
+	call("x:migrate", xmltree.MustParse(`<x:move view="cheap" to="b" addr="addr2" keep="false"/>`))
+	call("x:migrate", xmltree.MustParse(`<x:move view="cheap" to="b" addr="addr2" keep="true"/>`))
+	call("x:drop-view", xmltree.E("x:view", xmltree.A("name", "cheap")))
 
 	tree := xmltree.E("catalog", xmltree.E("item", "chair"))
-	if err := c.AcceptView(ctx, "cheap", `doc("catalog")/item`, "a", tree); err != nil {
-		t.Fatalf("AcceptView: %v", err)
-	}
-	if len(stub.accepts) != 1 || stub.accepts[0] != `cheap doc("catalog")/item a` {
-		t.Errorf("accepts = %v", stub.accepts)
-	}
-	if stub.accepted == nil || xmltree.Serialize(stub.accepted) != xmltree.Serialize(tree) {
-		t.Errorf("accepted tree = %v", stub.accepted)
+	ship := xmltree.E("x:ship", xmltree.A("name", "cheap"), xmltree.A("query", `doc("catalog")/item`),
+		xmltree.A("origin", "a"), tree)
+	call("x:accept-view", ship)
+
+	decisions := call("x:step").ChildElementsByLabel("decision")
+	if len(decisions) != 1 || xmltree.Serialize(decisions[0]) != xmltree.Serialize(stub.decisions[0].ToXML()) {
+		t.Errorf("decisions round trip: got %v, want %s", decisions, xmltree.Serialize(stub.decisions[0].ToXML()))
 	}
 
-	decisions, err := c.Step(ctx)
-	if err != nil {
-		t.Fatalf("Step: %v", err)
+	want := []string{
+		"x:hello " + xmltree.Serialize(hello),
+		`x:bye <x:member id="a"/>`,
+		"x:demand ",
+		`x:migrate <x:move view="cheap" to="b" addr="addr2" keep="false"/>`,
+		`x:migrate <x:move view="cheap" to="b" addr="addr2" keep="true"/>`,
+		`x:drop-view <x:view name="cheap"/>`,
+		"x:accept-view " + xmltree.Serialize(ship),
+		"x:step ",
 	}
-	if !reflect.DeepEqual(decisions, stub.decisions) {
-		t.Errorf("decisions round trip:\n got %+v\nwant %+v", decisions, stub.decisions)
+	if !reflect.DeepEqual(stub.calls, want) {
+		t.Errorf("calls received:\n got %q\nwant %q", stub.calls, want)
 	}
 }
 
-// TestControlVerbsWithoutControl: a peer outside any federation rejects
-// the control verbs with a clear error.
+// TestControlVerbsWithoutControl: a peer outside any federation
+// provides no control service, so CALL of each answers the typed
+// no-such-service error.
 func TestControlVerbsWithoutControl(t *testing.T) {
 	c, _, _ := startViewServer(t)
-	for verb, call := range map[string]func() error{
-		"HELLO":  func() error { _, err := c.Hello(context.Background(), MemberInfo{ID: "x", Addr: "y"}); return err },
-		"DEMAND": func() error { _, err := c.Demand(context.Background()); return err },
-		"STEP":   func() error { _, err := c.Step(context.Background()); return err },
-		"MIGRATE": func() error {
-			return c.MigrateView(context.Background(), "v", "b", "addr", false)
-		},
-	} {
-		if err := call(); err == nil || !strings.Contains(err.Error(), "not part of a federation") {
-			t.Errorf("%s without Control: %v", verb, err)
+	for _, name := range controlServices {
+		if _, err := c.Call(context.Background(), name); !errors.Is(err, core.ErrNoSuchService) {
+			t.Errorf("%s without control services: %v, want ErrNoSuchService", name, err)
 		}
 	}
 }
 
-// TestControlVerbsOfTheOtherRole: a member refuses the coordinator's
-// verbs and a coordinator the member's, each with an x:error naming the
-// role, while its own verbs keep working.
+// TestControlVerbsOfTheOtherRole: a peer holding one role's control
+// services answers those and refuses the other role's with the typed
+// no-such-service error.
 func TestControlVerbsOfTheOtherRole(t *testing.T) {
-	serve := func(srv *Server) *Client {
+	serve := func(id string, names []string) *Client {
+		p := peer.New(netsim.PeerID(id))
+		(&stubControl{}).register(t, p, names)
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		go srv.Serve(l) //nolint:errcheck // closed by test cleanup
+		go (&Server{Peer: p}).Serve(l) //nolint:errcheck // closed by test cleanup
 		t.Cleanup(func() { l.Close() })
 		c, err := Dial(l.Addr().String())
 		if err != nil {
@@ -233,27 +237,52 @@ func TestControlVerbsOfTheOtherRole(t *testing.T) {
 		return c
 	}
 	ctx := context.Background()
+	for _, tc := range []struct {
+		role       string
+		own, other []string
+		served     string
+	}{
+		{"member", memberServices, coordinatorServices, "x:demand"},
+		{"coordinator", coordinatorServices, memberServices, "x:step"},
+	} {
+		c := serve(tc.role, tc.own)
+		for _, name := range tc.other {
+			if _, err := c.Call(ctx, name); !errors.Is(err, core.ErrNoSuchService) {
+				t.Errorf("%s asked for %s: %v, want ErrNoSuchService", tc.role, name, err)
+			}
+		}
+		if out, err := c.Call(ctx, tc.served); err != nil || len(out) != 1 {
+			t.Errorf("%s asked for its own %s: %v, %d trees", tc.role, tc.served, err, len(out))
+		}
+	}
+}
 
-	member := serve(&Server{Peer: peer.New("m"), Member: &stubControl{}})
-	if _, err := member.Step(ctx); err == nil || !strings.Contains(err.Error(), "coordinator verb") {
-		t.Errorf("STEP at a member: %v", err)
+// TestServedVerbs: the server speaks exactly ten verbs. The eight
+// federation control verbs that used to sit beside them are services
+// now, and as verbs they are unknown commands.
+func TestServedVerbs(t *testing.T) {
+	sys := core.NewSystem(netsim.New())
+	views := view.NewManager(sys)
+	t.Cleanup(views.Close)
+	srv := &Server{Peer: sys.MustAddPeer("store"), Views: views}
+	reply := func(line string) string {
+		var buf bytes.Buffer
+		w := bufio.NewWriter(&buf)
+		srv.dispatch(line, w)
+		w.Flush()
+		return buf.String()
 	}
-	if _, err := member.Hello(ctx, MemberInfo{ID: "x", Addr: "y"}); err == nil || !strings.Contains(err.Error(), "coordinator verb") {
-		t.Errorf("HELLO at a member: %v", err)
+	for _, verb := range []string{"QUERYX", "EXEC", "PREPARE", "CALL", "INSTALL",
+		"DEFVIEW", "LIST", "PLACEMENTS", "STATS", "TRACE"} {
+		if got := reply(verb + " x"); strings.Contains(got, "unknown command") {
+			t.Errorf("%s is not served: %s", verb, got)
+		}
 	}
-	if _, err := member.Demand(ctx); err != nil {
-		t.Errorf("DEMAND at a member: %v", err)
-	}
-
-	coord := serve(&Server{Peer: peer.New("c"), Coordinator: &stubControl{}})
-	if _, err := coord.Demand(ctx); err == nil || !strings.Contains(err.Error(), "member verb") {
-		t.Errorf("DEMAND at a coordinator: %v", err)
-	}
-	if err := coord.DropViewPlacement(ctx, "v"); err == nil || !strings.Contains(err.Error(), "member verb") {
-		t.Errorf("DROPVIEW at a coordinator: %v", err)
-	}
-	if _, err := coord.Step(ctx); err != nil {
-		t.Errorf("STEP at a coordinator: %v", err)
+	for _, verb := range []string{"HELLO", "BYE", "DEMAND", "MIGRATE", "REPLICATE",
+		"DROPVIEW", "ACCEPTVIEW", "STEP"} {
+		if got := reply(verb + " x"); !strings.Contains(got, "unknown command") {
+			t.Errorf("retired verb %s answered %s, want unknown command", verb, got)
+		}
 	}
 }
 
@@ -316,9 +345,16 @@ func (r *restartableServer) restart() {
 
 // TestClientReconnectsAfterRestart: an idempotent call on a pooled
 // client whose peer restarted transparently redials and retries once
-// instead of surfacing ErrPeerDown; a mutating call does not.
+// instead of surfacing ErrPeerDown; a mutating call does not, and
+// neither does a service call — a control action such as a demand
+// export must not run twice because its reply was lost.
 func TestClientReconnectsAfterRestart(t *testing.T) {
 	r := newRestartableServer(t)
+	var ran atomic.Int32
+	if err := r.srv.Peer.RegisterService(&service.Service{Name: "count", Provider: r.srv.Peer.ID,
+		Builtin: func([][]*xmltree.Node) ([]*xmltree.Node, error) { ran.Add(1); return nil, nil }}); err != nil {
+		t.Fatal(err)
+	}
 	c, err := Dial(r.addr)
 	if err != nil {
 		t.Fatal(err)
@@ -343,6 +379,18 @@ func TestClientReconnectsAfterRestart(t *testing.T) {
 	// The connection heals on the next idempotent call.
 	if _, _, err := c.List(context.Background()); err != nil {
 		t.Fatalf("List after failed Exec: %v", err)
+	}
+	r.restart()
+	if _, err := c.Call(context.Background(), "count"); !errors.Is(err, session.ErrPeerDown) {
+		t.Fatalf("Call on stale socket = %v, want ErrPeerDown", err)
+	}
+	// The stale socket never reached the restarted server, and nothing
+	// replayed the call on a fresh one.
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("service ran %d times after a lost call, want 0", n)
+	}
+	if _, _, err := c.List(context.Background()); err != nil {
+		t.Fatalf("List after failed Call: %v", err)
 	}
 
 	// Streaming queries retry the open too.
@@ -384,11 +432,12 @@ func TestServerShutdownDrains(t *testing.T) {
 		demandRelease: make(chan struct{}),
 	}
 	p := peer.New("store")
+	stub.register(t, p, controlServices)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Peer: p, Coordinator: stub, Member: stub}
+	srv := &Server{Peer: p}
 	go srv.Serve(l) //nolint:errcheck // closed by test
 	defer l.Close()
 	c, err := Dial(l.Addr().String())
@@ -399,9 +448,12 @@ func TestServerShutdownDrains(t *testing.T) {
 
 	demandErr := make(chan error, 1)
 	go func() {
-		export, err := c.Demand(context.Background())
-		if err == nil && export.Member != "a" {
-			err = errors.New("wrong export")
+		out, err := c.Call(context.Background(), "x:demand")
+		if err == nil {
+			var export placement.Export
+			if export, err = placement.ExportFromXML(out[0]); err == nil && export.Member != "a" {
+				err = errors.New("wrong export")
+			}
 		}
 		demandErr <- err
 	}()
@@ -438,11 +490,12 @@ func TestServerShutdownDeadline(t *testing.T) {
 	}
 	defer close(stub.demandRelease)
 	p := peer.New("store")
+	stub.register(t, p, controlServices)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Peer: p, Coordinator: stub, Member: stub}
+	srv := &Server{Peer: p}
 	go srv.Serve(l) //nolint:errcheck // closed by test
 	defer l.Close()
 	c, err := Dial(l.Addr().String())
@@ -452,7 +505,7 @@ func TestServerShutdownDeadline(t *testing.T) {
 	defer c.Close()
 
 	go func() {
-		_, _ = c.Demand(context.Background())
+		_, _ = c.Call(context.Background(), "x:demand")
 	}()
 	<-stub.demandStarted
 	l.Close()

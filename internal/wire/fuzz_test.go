@@ -19,7 +19,10 @@ import (
 // arbitrary line must never panic the peer — at worst it earns an
 // x:error reply. Each iteration gets a fresh system: mutating verbs
 // (INSTALL/EXEC/DEFVIEW) are part of the surface and must not be able
-// to wedge a later request either.
+// to wedge a later request either. The peer carries stub builtins for
+// the control services, so CALL reaches builtin code with whatever
+// parameter forest the line holds; the retired control verbs stay as
+// seeds.
 func FuzzServerDispatch(f *testing.F) {
 	seeds := []string{
 		`QUERYX doc("catalog")/item/name`,
@@ -50,6 +53,18 @@ func FuzzServerDispatch(f *testing.F) {
 		`QUERYX+noopt doc("catalog")/item`,
 		"QUERYX \x00\xff",
 		`queryx lowercase is accepted`,
+		`HELLO <x:member id="a" addr="127.0.0.1:1"><doc name="catalog"/></x:member>`,
+		`BYE a`,
+		`DEMAND`,
+		`MIGRATE cheap b 127.0.0.1:1`,
+		`REPLICATE cheap b 127.0.0.1:1`,
+		`DROPVIEW cheap`,
+		`ACCEPTVIEW cheap <x:ship query="doc(&quot;catalog&quot;)" origin="a"><catalog/></x:ship>`,
+		`STEP`,
+		`CALL x:demand`,
+		`CALL x:accept-view <x:ship name="cheap" query="doc(&quot;catalog&quot;)" origin="a"><catalog><item/></catalog></x:ship>`,
+		`CALL x:migrate <x:move view="cheap" to="b"`,
+		`CALL x:demand <x:move/><x:move/>`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -61,6 +76,7 @@ func FuzzServerDispatch(f *testing.F) {
 			`<catalog><item><name>chair</name><price>30</price></item></catalog>`)); err != nil {
 			t.Fatal(err)
 		}
+		(&stubControl{}).register(t, p, controlServices)
 		views := view.NewManager(sys)
 		defer views.Close()
 		srv := &Server{Peer: p, Views: views}

@@ -1,8 +1,8 @@
 // Package wire implements a small line-oriented TCP protocol exposing
-// one peer's documents and declarative services to remote clients —
-// the stand-in for the WSDL/SOAP endpoint of the original AXML system
-// (paper §2.1: services "correspond to (simplified) WSDL
-// request-response operations").
+// one peer's documents and services to remote clients — the stand-in
+// for the WSDL/SOAP endpoint of the original AXML system (paper §2.1:
+// services "correspond to (simplified) WSDL request-response
+// operations").
 //
 // A request is one line, a verb and its arguments:
 //
@@ -18,17 +18,12 @@
 //	TRACE <trace-id>                  → <x:trace>…</x:trace>
 //	QUIT                              (closes the connection)
 //
-// Federation control verbs, served when Server.Coordinator or
-// Server.Member is set (see control.go and internal/cluster):
-//
-//	HELLO <x:member id=… addr=…>…</x:member>   → <x:members>…</x:members>
-//	BYE <member-id>                            → <x:ok/>
-//	DEMAND                                     → <x:demand>…</x:demand>
-//	MIGRATE <view> <target-id> <target-addr>   → <x:ok/>
-//	REPLICATE <view> <target-id> <target-addr> → <x:ok/>
-//	DROPVIEW <view>                            → <x:ok/>
-//	ACCEPTVIEW <name> <x:ship query=… origin=…><tree/></x:ship> → <x:ok n=…/>
-//	STEP                                       → <x:decisions>…</x:decisions>
+// CALL invokes any service registered on the served peer: a
+// declarative one runs its query, a builtin its Go function. The
+// federation's control actions are builtins of this kind, registered
+// under the reserved x: prefix by the role a process plays
+// (internal/cluster); a process that does not play the role has no
+// such service.
 //
 // Any verb may instead answer <x:error code="kind">message</x:error>.
 // The code — canceled, no-such-doc, no-such-service, peer-down,
@@ -71,8 +66,8 @@
 // QUERYX, EXEC and PREPARE with one error and serves everything else.
 //
 // STATS returns the server's metrics-registry snapshot; PLACEMENTS the
-// view-placement map plus, with a controller attached
-// (Server.Placements) or at a coordinator, the recent decisions.
+// view-placement map of the attached controller's deployment and its
+// recent decisions (Server.Placements), or of Server.Views without one.
 package wire
 
 import (
@@ -108,8 +103,9 @@ type Server struct {
 	Peer  *peer.Peer
 	Views *view.Manager
 	// Placements optionally attaches an adaptive-placement controller:
-	// PLACEMENTS then includes its decision log, and deployments
-	// (cmd/axmlpeer -adaptive) step it on a ticker.
+	// PLACEMENTS then lists its deployment's placements and its decision
+	// log, and deployments (cmd/axmlpeer -adaptive, -coordinator) step
+	// it on a ticker.
 	Placements *placement.Controller
 	// SessionOptions configure the server's shared query session (for
 	// example session.WithTrafficSink to feed the placement observer).
@@ -121,13 +117,6 @@ type Server struct {
 	// totals, and the ring of recent query traces (+trace=<id> on
 	// QUERYX/EXEC; fetched back with TRACE <id>).
 	Metrics *obs.Registry
-	// Coordinator and Member optionally attach the federation control
-	// plane, one role each: HELLO/BYE/STEP are answered by Coordinator
-	// (a cluster.Coordinator on the coordinator process),
-	// DEMAND/MIGRATE/REPLICATE/DROPVIEW/ACCEPTVIEW by Member (a
-	// cluster.Member on peers). A nil role rejects its verbs.
-	Coordinator CoordinatorControl
-	Member      MemberControl
 	// Forward optionally routes queries over documents this deployment
 	// does not host to the member that does (cluster.Member implements
 	// it). Only QUERYX forwards, and only when the request did not
@@ -155,6 +144,13 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	draining atomic.Bool
 	active   atomic.Int64
+}
+
+// Forwarder routes a query over a document this deployment does not
+// host to the member that does. ok=false means the forwarder has no
+// route for it and the original error stands.
+type Forwarder interface {
+	ForwardQuery(ctx context.Context, src string) (rows *session.Rows, ok bool, err error)
 }
 
 // metrics returns the server's registry, creating and wiring it on
@@ -407,22 +403,6 @@ func (s *Server) dispatch(line string, w *bufio.Writer) {
 		reply = s.doStats()
 	case "TRACE":
 		reply = s.doTrace(rest)
-	case "HELLO":
-		reply = s.doHello(rest)
-	case "BYE":
-		reply = s.doBye(rest)
-	case "DEMAND":
-		reply = s.doDemand()
-	case "MIGRATE":
-		reply = s.doMigrate(rest, false)
-	case "REPLICATE":
-		reply = s.doMigrate(rest, true)
-	case "DROPVIEW":
-		reply = s.doDropView(rest)
-	case "ACCEPTVIEW":
-		reply = s.doAcceptView(rest)
-	case "STEP":
-		reply = s.doStep()
 	default:
 		reply = errReply(fmt.Errorf("unknown command %q", cmd))
 	}
@@ -643,6 +623,9 @@ func (s *Server) doDefView(rest string) string {
 	return "<x:ok/>"
 }
 
+// doCall invokes a service of the served peer: a builtin through its
+// Go function, which checks its own arguments, a declarative service
+// by running its query over one parameter per tree.
 func (s *Server) doCall(rest string) string {
 	name, paramXML, _ := strings.Cut(rest, " ")
 	if name == "" {
@@ -651,9 +634,6 @@ func (s *Server) doCall(rest string) string {
 	svc, ok := s.Peer.Service(name)
 	if !ok {
 		return errReply(fmt.Errorf("%w: %q", core.ErrNoSuchService, name))
-	}
-	if !svc.Declarative() {
-		return errReply(fmt.Errorf("service %q is not declarative", name))
 	}
 	var args [][]*xmltree.Node
 	if strings.TrimSpace(paramXML) != "" {
@@ -665,11 +645,16 @@ func (s *Server) doCall(rest string) string {
 			args = append(args, []*xmltree.Node{t})
 		}
 	}
-	if len(args) != svc.Body.Arity() {
-		return errReply(fmt.Errorf("service %q takes %d parameter(s), got %d",
-			name, svc.Body.Arity(), len(args)))
+	var out []*xmltree.Node
+	var err error
+	switch {
+	case svc.Builtin != nil:
+		out, err = svc.Builtin(args)
+	case len(args) != svc.Body.Arity():
+		err = fmt.Errorf("service %q takes %d parameter(s), got %d", name, svc.Body.Arity(), len(args))
+	default:
+		out, err = s.Peer.RunQuery(svc.Body, args...)
 	}
-	out, err := s.Peer.RunQuery(svc.Body, args...)
 	if err != nil {
 		return errReply(err)
 	}
@@ -726,33 +711,27 @@ func placementToXML(pi view.PlacementInfo) *xmltree.Node {
 		xmltree.A("behind", fmt.Sprint(pi.Behind)))
 }
 
-// doPlacements reports the view-placement map and, when a controller
-// is attached, its recent decisions.
+// doPlacements reports the placement map of the attached controller's
+// deployment and its recent decisions — at a coordinator the map merged
+// from member demand exports, whose `at` names a member — or, without a
+// controller, the served view manager's map.
 func (s *Server) doPlacements() string {
-	if s.Views == nil && s.Coordinator == nil && s.Member == nil {
+	var placements []view.PlacementInfo
+	switch {
+	case s.Placements != nil:
+		placements = s.Placements.Placements()
+	case s.Views != nil:
+		placements = s.Views.Placements()
+	default:
 		return errReply(fmt.Errorf("placements: peer serves no views"))
 	}
 	root := xmltree.E("x:placements")
-	if s.Views != nil {
-		for _, pi := range s.Views.Placements() {
-			root.AppendChild(placementToXML(pi))
-		}
+	for _, pi := range placements {
+		root.AppendChild(placementToXML(pi))
 	}
 	if s.Placements != nil {
 		for _, d := range s.Placements.Decisions() {
-			root.AppendChild(decisionToXML(d))
-		}
-	}
-	// A coordinator reports the cluster-wide map it aggregated from
-	// member demand exports, plus its own decision log — the `at`
-	// attribute then names a member, not a netsim peer.
-	if s.Coordinator != nil {
-		placements, decisions := s.Coordinator.ClusterPlacements()
-		for _, pi := range placements {
-			root.AppendChild(placementToXML(pi))
-		}
-		for _, d := range decisions {
-			root.AppendChild(decisionToXML(d))
+			root.AppendChild(d.ToXML())
 		}
 	}
 	return xmltree.SerializeLine(root)
@@ -895,15 +874,15 @@ func (c *Client) redial() bool {
 }
 
 // idempotentLine reports whether a request line may be transparently
-// replayed after a reconnect: reads and cache warmers only. Update and
-// actuation verbs (EXEC, INSTALL, MIGRATE, ACCEPTVIEW, …) may have
-// taken effect server-side before the connection died, so replaying
-// them could double-apply; their callers see ErrPeerDown and decide.
+// replayed after a reconnect: reads and cache warmers only. EXEC,
+// INSTALL, DEFVIEW and CALL may have taken effect server-side before
+// the connection died — a service call can be a control action such as
+// a demand export, which decays what it exported — so replaying them
+// could double-apply; their callers see ErrPeerDown and decide.
 func idempotentLine(line string) bool {
 	cmd, _, _ := strings.Cut(line, " ")
 	switch strings.ToUpper(cmd) {
-	case "QUERYX", "PREPARE", "LIST", "PLACEMENTS", "STATS",
-		"TRACE", "DEMAND", "HELLO", "BYE":
+	case "QUERYX", "PREPARE", "LIST", "PLACEMENTS", "STATS", "TRACE":
 		return true
 	}
 	return false
@@ -1244,7 +1223,8 @@ func (c *Client) Prepare(ctx context.Context, src string) (*session.Stmt, error)
 	return session.NewStmt(src, run, nil), nil
 }
 
-// Call invokes a declarative service with the given parameter trees.
+// Call invokes a service of the served peer with the given parameter
+// trees, one per parameter. It is never replayed after a lost reply.
 func (c *Client) Call(ctx context.Context, service string, params ...*xmltree.Node) ([]*xmltree.Node, error) {
 	var sb strings.Builder
 	sb.WriteString("CALL ")

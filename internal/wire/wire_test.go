@@ -206,8 +206,8 @@ func TestDefineViewRejectsForeignPlacement(t *testing.T) {
 
 // TestServerWithoutSystem: a server with no system behind its peer (a
 // coordinator) answers every data verb with the one error
-// Server.session decides, rejects DEFVIEW, and keeps serving the
-// control and catalog verbs.
+// Server.session decides, rejects DEFVIEW, and keeps serving service
+// calls and the catalog verbs.
 func TestServerWithoutSystem(t *testing.T) {
 	c := startControlServer(t, &stubControl{})
 	ctx := context.Background()
@@ -223,11 +223,11 @@ func TestServerWithoutSystem(t *testing.T) {
 	if err := c.DefineView(ctx, "v", `for $i in doc("catalog")/item return $i`); err == nil {
 		t.Error("DEFVIEW on a system-less server should fail")
 	}
-	if _, err := c.Hello(ctx, MemberInfo{ID: "a", Addr: "addr1"}); err != nil {
-		t.Errorf("HELLO without a system: %v", err)
+	if _, err := c.Call(ctx, "x:hello", xmltree.E("x:member", xmltree.A("id", "a"), xmltree.A("addr", "addr1"))); err != nil {
+		t.Errorf("CALL x:hello without a system: %v", err)
 	}
-	if _, err := c.Step(ctx); err != nil {
-		t.Errorf("STEP without a system: %v", err)
+	if _, err := c.Call(ctx, "x:step"); err != nil {
+		t.Errorf("CALL x:step without a system: %v", err)
 	}
 	if _, _, err := c.List(ctx); err != nil {
 		t.Errorf("LIST without a system: %v", err)
