@@ -10,7 +10,7 @@ import (
 
 // The delegated_hot shape of the perf ledger: a 200-item catalog at the
 // data peer and a selection that returns about 60 whole items.
-func benchSystem(b *testing.B) (*System, *Query) {
+func benchSystem(b testing.TB) (*System, *Query) {
 	b.Helper()
 	sys := NewSystem(netsim.New())
 	sys.MustAddPeer("client")
@@ -48,6 +48,26 @@ func BenchmarkEvalLocal(b *testing.B) {
 func BenchmarkEvalDelegated(b *testing.B) {
 	sys, q := benchSystem(b)
 	benchEval(b, sys, "client", &EvalAt{At: "data", E: q})
+}
+
+// TestDelegatedEvalAllocations pins BenchmarkEvalDelegated's
+// allocations per op as a ceiling: the reply forest is serialized where
+// it stands and parsed into blocks (2,972 when it was deep-copied into
+// its envelope and parsed node by node).
+func TestDelegatedEvalAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	sys, q := benchSystem(t)
+	e := &EvalAt{At: "data", E: q}
+	allocs := testing.AllocsPerRun(20, func() {
+		if res, err := sys.Eval("client", e); err != nil || len(res.Forest) == 0 {
+			t.Fatalf("%d rows, %v", len(res.Forest), err)
+		}
+	})
+	if allocs > 1_300 {
+		t.Errorf("delegated eval allocates %v times per op, ceiling 1,300", allocs)
+	}
 }
 
 // BenchmarkExprSerialization round-trips a delegated plan through its

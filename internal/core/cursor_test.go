@@ -295,7 +295,7 @@ func TestResultForestIsOwned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := xmltree.SerializeForest(res.Forest)
+		want := string(serializeForest(res.Forest))
 		for _, tree := range res.Forest {
 			tree.Walk(func(n *xmltree.Node) bool {
 				if stored[n] {
@@ -310,7 +310,7 @@ func TestResultForestIsOwned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := xmltree.SerializeForest(again.Forest); got != want {
+		if got := string(serializeForest(again.Forest)); got != want {
 			t.Errorf("%s: changing the forest changed the document: %s", src, got)
 		}
 	}

@@ -108,7 +108,10 @@ func ToXML(e Expr) *xmltree.Node {
 }
 
 // SerializeExpr renders an expression to its wire form.
-func SerializeExpr(e Expr) []byte { return []byte(xmltree.Serialize(ToXML(e))) }
+func SerializeExpr(e Expr) []byte {
+	root := ToXML(e)
+	return xmltree.Append(make([]byte, 0, root.ByteSize()), root)
+}
 
 // ParseExpr parses the XML tree form back into an expression.
 func ParseExpr(n *xmltree.Node) (Expr, error) {
@@ -292,13 +295,22 @@ func ParseExprBytes(b []byte) (Expr, error) {
 
 // Forest (de)serialization for replies and data messages.
 
-// serializeForest wraps a forest in a <x:forest> envelope.
+// serializeForest wraps a forest in a <x:forest> envelope: the bytes
+// Serialize writes for an x:forest element holding the trees, written
+// where the trees stand.
 func serializeForest(nodes []*xmltree.Node) []byte {
-	env := xmltree.E("x:forest")
-	for _, n := range nodes {
-		env.AppendChild(xmltree.DeepCopy(n))
+	if len(nodes) == 0 {
+		return []byte("<x:forest/>")
 	}
-	return []byte(xmltree.Serialize(env))
+	size := len("<x:forest></x:forest>")
+	for _, n := range nodes {
+		size += n.ByteSize()
+	}
+	b := append(make([]byte, 0, size), "<x:forest>"...)
+	for _, n := range nodes {
+		b = xmltree.Append(b, n)
+	}
+	return append(b, "</x:forest>"...)
 }
 
 // parseForest unwraps a <x:forest> envelope.

@@ -1,13 +1,16 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"axml/internal/core"
 	"axml/internal/netsim"
@@ -154,6 +157,70 @@ func TestStreamWritesPerBuffer(t *testing.T) {
 	t.Logf("%d rows in %d writes", len(rows), len(writes))
 	if len(writes) > 60 {
 		t.Errorf("%d rows took %d writes, budget is 60", len(rows), len(writes))
+	}
+}
+
+// deadlineConn counts the deadlines a client sets on its connection.
+type deadlineConn struct {
+	net.Conn
+	sets atomic.Int64
+}
+
+func (c *deadlineConn) SetDeadline(t time.Time) error {
+	c.sets.Add(1)
+	return c.Conn.SetDeadline(t)
+}
+
+// TestStreamDeadlineRearms pins how often a 1,000-row stream sets its
+// connection's deadline. Under a context deadline alone the deadline
+// never changes, so it is set once for the stream and cleared once at
+// its end; with WithIOTimeout (earlier than the context's deadline)
+// each row gets a fresh allowance.
+func TestStreamDeadlineRearms(t *testing.T) {
+	catalog := workload.Catalog(workload.CatalogSpec{Items: 2000, PriceMax: 1000, DescWords: 10, Seed: 1})
+	p, views := newStore(t, map[string]*xmltree.Node{"catalog": catalog})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := serveOn(t, &Server{Peer: p, Views: views}, l)
+	timed, err := Dial(l.Addr().String(), WithIOTimeout(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { timed.Close() })
+
+	for _, c := range []struct {
+		name   string
+		client *Client
+	}{{"context deadline only", plain}, {"WithIOTimeout", timed}} {
+		conn := &deadlineConn{Conn: c.client.conn}
+		c.client.conn = conn
+		ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+		rows, err := c.client.Query(ctx, `for $i in doc("catalog")/item where $i/price < 500 return $i`)
+		if err != nil {
+			cancel()
+			t.Fatal(err)
+		}
+		n := 0
+		for rows.Next() {
+			n++
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		rows.Close()
+		cancel()
+		if n < 900 {
+			t.Fatalf("%s: %d rows, want about 1,000", c.name, n)
+		}
+		sets := conn.sets.Load()
+		if c.client == plain && sets != 2 {
+			t.Errorf("%s: %d rows set the deadline %d times, want 2 (arm, clear)", c.name, n, sets)
+		}
+		if c.client == timed && sets < int64(n) {
+			t.Errorf("%s: %d rows set the deadline %d times, want one per row", c.name, n, sets)
+		}
 	}
 }
 
@@ -304,5 +371,50 @@ func TestStreamBesideWriters(t *testing.T) {
 	}
 	if g := srv.MetricsRegistry().Snapshot().Gauges["wire.streams_aborted"]; g != 0 {
 		t.Errorf("%d streams aborted", g)
+	}
+}
+
+// TestClientRowShapes: every row decodes to its first node, detached
+// from the row wrapper.
+func TestClientRowShapes(t *testing.T) {
+	lines := []struct{ line, want string }{
+		{`<x:row><item id="1"><name>chair</name></item></x:row>`, `<item id="1"><name>chair</name></item>`},
+		{`<x:row>plain &amp; text</x:row>`, `plain &amp; text`},
+		{`<x:row><!--c--><b/></x:row>`, `<!--c-->`},
+		{`<x:row><a/><b/></x:row>`, `<a/>`},
+		{`<x:row><a/> </x:row>`, `<a/>`},
+		{`<x:row> <a/></x:row>`, ` `},
+	}
+	var reply strings.Builder
+	for _, l := range lines {
+		reply.WriteString(l.line + "\n")
+	}
+	reply.WriteString(`<x:end n="6"/>` + "\n")
+
+	cliConn, srvConn := net.Pipe()
+	defer cliConn.Close()
+	go func() {
+		defer srvConn.Close()
+		go io.Copy(io.Discard, srvConn)       //nolint:errcheck // drain only
+		srvConn.Write([]byte(reply.String())) //nolint:errcheck // the client reports a short reply
+	}()
+	sc := bufio.NewScanner(cliConn)
+	sc.Buffer(make([]byte, 64*1024), maxLine)
+	c := &Client{conn: cliConn, sc: sc}
+	rows, err := c.Query(context.Background(), `doc("catalog")/item`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rows.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(lines) {
+		t.Fatalf("%d rows, want %d", len(got), len(lines))
+	}
+	for i, n := range got {
+		if s := xmltree.Serialize(n); s != lines[i].want || n.Parent != nil {
+			t.Errorf("%s: row %q (parent %v), want %q", lines[i].line, s, n.Parent, lines[i].want)
+		}
 	}
 }

@@ -57,7 +57,7 @@
 //
 // Every reply and every tree a request carries is one line: CR and LF
 // inside text and attribute values travel as &#13; and &#10;
-// (xmltree.WriteLine), which the receiving parser decodes. Updates emit
+// (xmltree.AppendLine), which the receiving parser decodes. Updates emit
 // typed change notifications, so views over the touched documents
 // retract or re-derive the affected rows on their next refresh.
 //
@@ -548,11 +548,13 @@ func (s *Server) doQueryStream(rest string, w *bufio.Writer) {
 			// lets it run first.
 			runtime.Gosched()
 		}
-		w.WriteString("<x:row>")
-		xmltree.WriteLine(w, rows.Node())
-		// The writer's errors are sticky: the last write of a row
-		// reports a failure anywhere in it.
-		_, werr := w.WriteString("</x:row>\n")
+		// The row is encoded straight into the buffer's free space and
+		// written with one call; a row longer than that space is
+		// encoded into a fresh slice, which Write then spreads over
+		// flushes.
+		row := append(w.AvailableBuffer(), "<x:row>"...)
+		row = xmltree.AppendLine(row, rows.Node())
+		_, werr := w.Write(append(row, "</x:row>\n"...))
 		if werr == nil && n == 0 {
 			werr = w.Flush()
 		}
@@ -765,13 +767,11 @@ func (s *Server) doTrace(rest string) string {
 // forestReply writes a result forest as one x:forest line, each tree
 // serialized where it stands.
 func forestReply(out []*xmltree.Node) string {
-	var sb strings.Builder
-	sb.WriteString("<x:forest>")
+	b := []byte("<x:forest>")
 	for _, n := range out {
-		xmltree.WriteLine(&sb, n)
+		b = xmltree.AppendLine(b, n)
 	}
-	sb.WriteString("</x:forest>")
-	return sb.String()
+	return string(append(b, "</x:forest>"...))
 }
 
 // DialOption configures a client connection.
@@ -903,12 +903,16 @@ func (c *Client) Close() error {
 // guard arms the connection for one exchange: bump (re-)applies the
 // deadline — ioTimeout from now, tightened by the context's own
 // deadline — and is called before each conn operation, so per-row
-// reads of a long stream each get a fresh allowance; a watcher aborts
-// in-flight I/O the moment the context is canceled. The returned
-// release must be called when the exchange ends; it waits for the
-// watcher to exit before clearing the deadline, so a late cancellation
-// can never poison the connection for the next exchange.
+// reads of a long stream each get a fresh allowance; a deadline equal
+// to the one already set is not set again, so without an ioTimeout a
+// stream arms once. A watcher aborts in-flight I/O the moment the
+// context is canceled. The returned release must be called when the
+// exchange ends; it waits for the watcher to exit before clearing the
+// deadline, so a late cancellation can never poison the connection for
+// the next exchange.
 func (c *Client) guard(ctx context.Context) (bump, release func()) {
+	var armed time.Time
+	set := false
 	bump = func() {
 		if ctx.Err() != nil {
 			return // keep the watcher's poisoned deadline
@@ -920,6 +924,10 @@ func (c *Client) guard(ctx context.Context) (bump, release func()) {
 		if d, ok := ctx.Deadline(); ok && (dl.IsZero() || d.Before(dl)) {
 			dl = d
 		}
+		if set && dl.Equal(armed) {
+			return
+		}
+		armed, set = dl, true
 		_ = c.conn.SetDeadline(dl) // zero time clears
 		if ctx.Err() != nil {
 			// The watcher may have fired between the check and the set;
@@ -1137,12 +1145,13 @@ func (c *Client) openStream(parent context.Context, line string, timeout time.Du
 		}
 		switch root.Label {
 		case "x:row":
-			kids := detachChildren(root)
-			if len(kids) == 0 {
+			if len(root.Children) == 0 {
 				finish()
 				return nil, fmt.Errorf("wire: empty row")
 			}
-			return kids[0], nil
+			row := root.Children[0]
+			row.Parent = nil
+			return row, nil
 		case "x:end":
 			finish()
 			return nil, nil

@@ -270,7 +270,7 @@ func (n *Node) Depth() int {
 //
 // It counts what Serialize would write without writing it, and must
 // stay equal to the length of Serialize(n): the case analysis below is
-// writeNode's compact mode, and a change to one is a change to both
+// appendNode under plainEscapes, and a change to one is a change to both
 // (TestByteSizeEqualsSerialize holds them together).
 func (n *Node) ByteSize() int {
 	switch n.Kind {

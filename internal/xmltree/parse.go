@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // ParseError reports a syntax error with its position in the input.
@@ -21,18 +22,34 @@ func (e *ParseError) Error() string {
 //
 // Supported syntax: elements, attributes (single or double quoted),
 // character data, the five predefined entities plus decimal and hex
-// character references, CDATA sections, comments, processing
-// instructions, and a skipped DOCTYPE declaration. Namespaces are not
-// interpreted: a prefixed name is just a label containing ':'.
+// character references to XML 1.0 characters, CDATA sections,
+// comments, processing instructions, and a skipped DOCTYPE
+// declaration. Namespaces are not interpreted: a prefixed name is just
+// a label containing ':'.
+//
+// The parser makes one pass over the input. Text and attribute values
+// without references are slices of it. Nodes, child lists and
+// attribute lists are carved from blocks each parse allocates for
+// itself, sized from the stretch of input they will hold; every child
+// and attribute slice is exactly sized (len == cap), so appending to
+// one never reaches another node's.
 func Parse(input string) (*Node, error) {
-	p := &parser{src: input, line: 1, col: 1}
-	p.skipProlog()
-	root, err := p.parseElement()
+	p := parser{src: input}
+	p.skipMisc(true)
+	if p.at(p.pos) != '<' {
+		return nil, p.errf("expected '<', found %q", string(p.at(p.pos)))
+	}
+	root, open, err := p.startTag(nil)
 	if err != nil {
 		return nil, err
 	}
-	p.skipMisc()
-	if !p.eof() {
+	if open {
+		if _, err := p.content(root); err != nil {
+			return nil, err
+		}
+	}
+	p.skipMisc(false)
+	if p.pos < len(p.src) {
 		return nil, p.errf("trailing content after document element")
 	}
 	return root, nil
@@ -40,27 +57,10 @@ func Parse(input string) (*Node, error) {
 
 // ParseFragment parses a sequence of top-level nodes (a forest). It is
 // used for streams of trees and for service-call parameter lists.
+// Top-level text that is only whitespace is dropped.
 func ParseFragment(input string) ([]*Node, error) {
-	p := &parser{src: input, line: 1, col: 1}
-	var out []*Node
-	for !p.eof() {
-		n, err := p.parseContentItem()
-		if err != nil {
-			return nil, err
-		}
-		if n != nil {
-			out = append(out, n)
-		}
-	}
-	// Drop pure-whitespace text at the fragment edges.
-	filtered := out[:0]
-	for _, n := range out {
-		if n.Kind == TextNode && strings.TrimSpace(n.Text) == "" {
-			continue
-		}
-		filtered = append(filtered, n)
-	}
-	return filtered, nil
+	p := parser{src: input}
+	return p.content(nil)
 }
 
 // MustParse is Parse that panics on error; for tests and literals.
@@ -72,90 +72,68 @@ func MustParse(input string) *Node {
 	return n
 }
 
+// blockInput is the stretch of input, in bytes, that one node or
+// attribute block is sized from. Blocks belong to one parse and hold
+// about the nodes of that stretch, so a row kept from its own parse
+// pins no more than that parse, and a subtree kept from a large
+// document pins the blocks of its stretch, not every node parsed.
+const blockInput = 16 << 10
+
 type parser struct {
-	src  string
-	pos  int
-	line int
-	col  int
+	src string
+	pos int
+
+	// Unused tails of the current blocks.
+	nodes []Node
+	kids  []*Node
+	attrs []Attr
+
+	buf []byte // a value being decoded from references
 }
 
-func (p *parser) eof() bool { return p.pos >= len(p.src) }
-
-func (p *parser) peek() byte {
-	if p.eof() {
-		return 0
+// at returns the byte at offset i, or 0 past the end of the input.
+func (p *parser) at(i int) byte {
+	if i < len(p.src) {
+		return p.src[i]
 	}
-	return p.src[p.pos]
+	return 0
 }
 
-func (p *parser) peekAt(off int) byte {
-	if p.pos+off >= len(p.src) {
-		return 0
-	}
-	return p.src[p.pos+off]
-}
-
-func (p *parser) advance() byte {
-	c := p.src[p.pos]
-	p.pos++
-	if c == '\n' {
-		p.line++
-		p.col = 1
-	} else {
-		p.col++
-	}
-	return c
-}
-
-func (p *parser) advanceN(n int) {
-	for i := 0; i < n && !p.eof(); i++ {
-		p.advance()
-	}
-}
-
-// skipTo moves to byte offset end, counting the lines and columns of
-// the run it passes over without visiting its bytes one by one.
-func (p *parser) skipTo(end int) {
-	run := p.src[p.pos:end]
-	if nl := strings.Count(run, "\n"); nl > 0 {
-		p.line += nl
-		p.col = len(run) - strings.LastIndexByte(run, '\n')
-	} else {
-		p.col += len(run)
-	}
-	p.pos = end
-}
-
+// errf reports an error at the current offset. Lines and columns are
+// counted only here: a line ends at each '\n', and a column counts
+// bytes from 1.
 func (p *parser) errf(format string, args ...any) error {
-	return &ParseError{Line: p.line, Col: p.col, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (p *parser) hasPrefix(s string) bool {
-	return strings.HasPrefix(p.src[p.pos:], s)
+	before := p.src[:p.pos]
+	return &ParseError{
+		Line: 1 + strings.Count(before, "\n"),
+		Col:  p.pos - strings.LastIndexByte(before, '\n'),
+		Msg:  fmt.Sprintf(format, args...),
+	}
 }
 
 func (p *parser) skipWS() {
-	for !p.eof() {
-		switch p.peek() {
+	for p.pos < len(p.src) {
+		switch p.src[p.pos] {
 		case ' ', '\t', '\r', '\n':
-			p.advance()
+			p.pos++
 		default:
 			return
 		}
 	}
 }
 
-// skipProlog consumes the XML declaration, DOCTYPE, comments, PIs and
-// whitespace preceding the document element.
-func (p *parser) skipProlog() {
+// skipMisc consumes whitespace, comments and PIs around the document
+// element, and before it (prolog) a DOCTYPE declaration.
+func (p *parser) skipMisc(prolog bool) {
 	for {
 		p.skipWS()
+		rest := p.src[p.pos:]
 		switch {
-		case p.hasPrefix("<?"):
-			p.skipUntil("?>")
-		case p.hasPrefix("<!--"):
-			p.skipUntil("-->")
-		case p.hasPrefix("<!DOCTYPE"):
+		case strings.HasPrefix(rest, "<?"):
+			p.skipPast(rest, "?>")
+		case strings.HasPrefix(rest, "<!--"):
+			p.skipPast(rest, "-->")
+		case prolog && strings.HasPrefix(rest, "<!DOCTYPE"):
 			p.skipDoctype()
 		default:
 			return
@@ -163,36 +141,23 @@ func (p *parser) skipProlog() {
 	}
 }
 
-// skipMisc consumes trailing comments/PIs/whitespace after the root.
-func (p *parser) skipMisc() {
-	for {
-		p.skipWS()
-		switch {
-		case p.hasPrefix("<?"):
-			p.skipUntil("?>")
-		case p.hasPrefix("<!--"):
-			p.skipUntil("-->")
-		default:
-			return
-		}
+// skipPast moves past the first end in rest (the input from p.pos), or
+// to the end of the input without one.
+func (p *parser) skipPast(rest, end string) {
+	if i := strings.Index(rest, end); i >= 0 {
+		p.pos += i + len(end)
+	} else {
+		p.pos = len(p.src)
 	}
-}
-
-func (p *parser) skipUntil(end string) {
-	idx := strings.Index(p.src[p.pos:], end)
-	if idx < 0 {
-		p.advanceN(len(p.src) - p.pos)
-		return
-	}
-	p.advanceN(idx + len(end))
 }
 
 // skipDoctype consumes a DOCTYPE declaration, balancing an optional
 // internal subset in brackets.
 func (p *parser) skipDoctype() {
 	depth := 0
-	for !p.eof() {
-		c := p.advance()
+	for p.pos < len(p.src) {
+		c := p.src[p.pos]
+		p.pos++
 		switch c {
 		case '[':
 			depth++
@@ -206,254 +171,436 @@ func (p *parser) skipDoctype() {
 	}
 }
 
-func isNameStart(c byte) bool {
-	return c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c >= 0x80
-}
+const (
+	nameStart = 1 << iota
+	nameChar
+)
 
-func isNameChar(c byte) bool {
-	return isNameStart(c) || c == '-' || c == '.' || (c >= '0' && c <= '9')
-}
-
-func (p *parser) parseName() (string, error) {
-	if p.eof() || !isNameStart(p.peek()) {
-		return "", p.errf("expected name, found %q", string(p.peek()))
+// nameTable classifies the bytes of names: every byte from 0x80 up is
+// a name byte, so UTF-8 names pass whole.
+var nameTable = func() (t [256]uint8) {
+	for c := 0; c < 256; c++ {
+		if c == '_' || c == ':' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= 0x80 {
+			t[c] = nameStart | nameChar
+		} else if c == '-' || c == '.' || c >= '0' && c <= '9' {
+			t[c] = nameChar
+		}
 	}
+	return t
+}()
+
+func (p *parser) name() (string, error) {
 	start := p.pos
-	for !p.eof() && isNameChar(p.peek()) {
-		p.advance()
+	if nameTable[p.at(start)]&nameStart == 0 {
+		return "", p.errf("expected name, found %q", string(p.at(start)))
 	}
-	return p.src[start:p.pos], nil
+	i := start + 1
+	for i < len(p.src) && nameTable[p.src[i]]&nameChar != 0 {
+		i++
+	}
+	p.pos = i
+	return p.src[start:i], nil
 }
 
-func (p *parser) parseElement() (*Node, error) {
-	if p.peek() != '<' {
-		return nil, p.errf("expected '<', found %q", string(p.peek()))
+// node takes a fresh node, under parent, from the node block.
+func (p *parser) node(kind Kind, parent *Node) *Node {
+	if len(p.nodes) == 0 {
+		end := min(len(p.src), p.pos+blockInput)
+		p.nodes = make([]Node, max(1, nodeEstimate(p.src[p.pos:end])))
 	}
-	p.advance() // consume '<'
-	name, err := p.parseName()
+	n := &p.nodes[0]
+	p.nodes = p.nodes[1:]
+	n.Kind, n.Parent = kind, parent
+	return n
+}
+
+// nodeEstimate is how many nodes s parses to when every text run ends
+// at an end tag, as in data-oriented XML: one per '<' that starts a
+// tag other than an end tag, and one per end tag with text before it.
+func nodeEstimate(s string) int {
+	n := 0
+	for i := strings.IndexByte(s, '<'); i >= 0; {
+		if i+1 == len(s) || s[i+1] != '/' || i > 0 && s[i-1] != '>' {
+			n++
+		}
+		j := strings.IndexByte(s[i+1:], '<')
+		if j < 0 {
+			break
+		}
+		i += 1 + j
+	}
+	return n
+}
+
+// children copies kids into an exactly-sized slice carved from the
+// child block. A new block holds, besides kids, a slot for every node
+// still waiting for its parent to close (pending) and for every unused
+// node of the node block: the child slots the parse will need before
+// it takes more nodes.
+func (p *parser) children(kids []*Node, pending int) []*Node {
+	k := len(kids)
+	if k == 0 {
+		return nil
+	}
+	if len(p.kids) < k {
+		p.kids = make([]*Node, max(k, pending+len(p.nodes)))
+	}
+	s := p.kids[:k:k]
+	copy(s, kids)
+	p.kids = p.kids[k:]
+	return s
+}
+
+// startTag parses a start tag at p.pos ('<') into an element under
+// parent, reporting whether the element is open (not empty-element).
+func (p *parser) startTag(parent *Node) (el *Node, open bool, err error) {
+	tag := p.pos
+	el = p.node(ElementNode, parent)
+	p.pos++
+	name, err := p.name()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	el := NewElement(name)
-	// Attributes.
+	el.Label = name
+	// The attributes are written straight into the attribute block,
+	// from p.attrs[0] on.
+	n := 0
 	for {
 		p.skipWS()
-		c := p.peek()
+		c := p.at(p.pos)
 		if c == '>' || c == '/' || c == 0 {
 			break
 		}
-		aname, err := p.parseName()
+		aname, err := p.name()
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		p.skipWS()
-		if p.peek() != '=' {
-			return nil, p.errf("expected '=' after attribute %q", aname)
+		if p.at(p.pos) != '=' {
+			return nil, false, p.errf("expected '=' after attribute %q", aname)
 		}
-		p.advance()
+		p.pos++
 		p.skipWS()
-		aval, err := p.parseAttrValue()
+		aval, err := p.attrValue()
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		if _, dup := el.Attr(aname); dup {
-			return nil, p.errf("duplicate attribute %q on element %q", aname, name)
+		for _, a := range p.attrs[:n] {
+			if a.Name == aname {
+				return nil, false, p.errf("duplicate attribute %q on element %q", aname, name)
+			}
 		}
-		el.Attrs = append(el.Attrs, Attr{Name: aname, Value: aval})
+		if n == len(p.attrs) {
+			end := min(len(p.src), tag+blockInput)
+			block := make([]Attr, max(n+1, strings.Count(p.src[tag:end], "=")))
+			copy(block, p.attrs[:n])
+			p.attrs = block
+		}
+		p.attrs[n] = Attr{Name: aname, Value: aval}
+		n++
 	}
-	switch p.peek() {
+	if n > 0 {
+		el.Attrs = p.attrs[:n:n]
+		p.attrs = p.attrs[n:]
+	}
+	switch p.at(p.pos) {
 	case '/':
-		p.advance()
-		if p.peek() != '>' {
-			return nil, p.errf("expected '>' after '/' in empty-element tag")
+		p.pos++
+		if p.at(p.pos) != '>' {
+			return nil, false, p.errf("expected '>' after '/' in empty-element tag")
 		}
-		p.advance()
-		return el, nil
+		p.pos++
+		return el, false, nil
 	case '>':
-		p.advance()
-	default:
-		return nil, p.errf("unterminated start tag <%s", name)
+		p.pos++
+		return el, true, nil
 	}
-	// Content until matching end tag.
+	return nil, false, p.errf("unterminated start tag <%s", name)
+}
+
+// content parses the content of the open element root through its end
+// tag or, when root is nil, a forest through the end of the input,
+// which it returns. Each node waits on a stack until its parent
+// closes; then the parent's children leave the top of the stack as one
+// exactly-sized slice.
+func (p *parser) content(root *Node) ([]*Node, error) {
+	var stackBuf [64]*Node
+	var openBuf [16]int
+	// stack[open[i]-1] is the i-th open element, stack[open[i]:] the
+	// children it has so far.
+	stack, open := stackBuf[:0], openBuf[:0]
+	parent := root
+	if root != nil {
+		stack = append(stack, root)
+		open = append(open, 1)
+	}
 	for {
-		if p.eof() {
-			return nil, p.errf("unexpected end of input inside element <%s>", name)
+		if p.pos >= len(p.src) {
+			if parent != nil {
+				return nil, p.errf("unexpected end of input inside element <%s>", parent.Label)
+			}
+			return forest(stack), nil
 		}
-		if p.hasPrefix("</") {
-			p.advanceN(2)
-			ename, err := p.parseName()
-			if err != nil {
-				return nil, err
+		var n *Node
+		var err error
+		if p.src[p.pos] != '<' {
+			n, err = p.text(parent)
+		} else {
+			switch p.at(p.pos + 1) {
+			case '/':
+				if parent == nil {
+					return nil, p.errf("unexpected end tag")
+				}
+				if err := p.endTag(parent.Label); err != nil {
+					return nil, err
+				}
+				top := open[len(open)-1]
+				parent.Children = p.children(stack[top:], len(stack)-1)
+				stack, open = stack[:top], open[:len(open)-1]
+				if len(open) == 0 {
+					if root != nil {
+						return nil, nil
+					}
+					parent = nil
+				} else {
+					parent = stack[open[len(open)-1]-1]
+				}
+				continue
+			case '!':
+				n, err = p.markup(parent)
+			case '?':
+				n, err = p.procInst(parent)
+			default:
+				var isOpen bool
+				n, isOpen, err = p.startTag(parent)
+				if err == nil && isOpen {
+					stack = append(stack, n)
+					open = append(open, len(stack))
+					parent = n
+					continue
+				}
 			}
-			if ename != name {
-				return nil, p.errf("mismatched end tag </%s>, expected </%s>", ename, name)
-			}
-			p.skipWS()
-			if p.peek() != '>' {
-				return nil, p.errf("unterminated end tag </%s", ename)
-			}
-			p.advance()
-			return el, nil
 		}
-		child, err := p.parseContentItem()
 		if err != nil {
 			return nil, err
 		}
-		if child != nil {
-			el.AppendChild(child)
+		if n != nil {
+			stack = append(stack, n)
 		}
 	}
 }
 
-// parseContentItem parses one unit of element content: a child element,
-// text run, CDATA section, comment or PI. It returns nil for items that
-// produce no node (currently none, but kept for future skips).
-func (p *parser) parseContentItem() (*Node, error) {
+// forest returns the top-level nodes of a fragment without its
+// whitespace-only text.
+func forest(top []*Node) []*Node {
+	if len(top) == 0 {
+		return nil
+	}
+	out := make([]*Node, 0, len(top))
+	for _, n := range top {
+		if n.Kind == TextNode && strings.TrimSpace(n.Text) == "" {
+			continue
+		}
+		out = append(out, n)
+	}
+	return out
+}
+
+// endTag parses the end tag at p.pos ("</"), which must close want.
+func (p *parser) endTag(want string) error {
+	p.pos += 2
+	name, err := p.name()
+	if err != nil {
+		return err
+	}
+	if name != want {
+		return p.errf("mismatched end tag </%s>, expected </%s>", name, want)
+	}
+	p.skipWS()
+	if p.at(p.pos) != '>' {
+		return p.errf("unterminated end tag </%s", name)
+	}
+	p.pos++
+	return nil
+}
+
+// markup parses the comment or CDATA section at p.pos ("<!"). An empty
+// CDATA section holds no character data and makes no node. Anything
+// else after "<!" is a start tag that fails on its name.
+func (p *parser) markup(parent *Node) (*Node, error) {
+	rest := p.src[p.pos:]
 	switch {
-	case p.hasPrefix("<!--"):
-		start := p.pos + 4
-		idx := strings.Index(p.src[start:], "-->")
-		if idx < 0 {
+	case strings.HasPrefix(rest, "<!--"):
+		text, size, ok := delimited(rest, "<!--", "-->")
+		if !ok {
 			return nil, p.errf("unterminated comment")
 		}
-		text := p.src[start : start+idx]
-		p.skipUntil("-->")
-		return NewComment(text), nil
-	case p.hasPrefix("<![CDATA["):
-		start := p.pos + 9
-		idx := strings.Index(p.src[start:], "]]>")
-		if idx < 0 {
+		n := p.node(CommentNode, parent)
+		n.Text = text
+		p.pos += size
+		return n, nil
+	case strings.HasPrefix(rest, "<![CDATA["):
+		text, size, ok := delimited(rest, "<![CDATA[", "]]>")
+		if !ok {
 			return nil, p.errf("unterminated CDATA section")
 		}
-		text := p.src[start : start+idx]
-		p.skipUntil("]]>")
-		return NewText(text), nil
-	case p.hasPrefix("<?"):
-		start := p.pos + 2
-		idx := strings.Index(p.src[start:], "?>")
-		if idx < 0 {
-			return nil, p.errf("unterminated processing instruction")
+		var n *Node
+		if text != "" {
+			n = p.node(TextNode, parent)
+			n.Text = text
 		}
-		body := p.src[start : start+idx]
-		p.skipUntil("?>")
-		target, rest, _ := strings.Cut(body, " ")
-		return &Node{Kind: ProcInstNode, Label: target, Text: rest}, nil
-	case p.hasPrefix("</"):
-		return nil, p.errf("unexpected end tag")
-	case p.peek() == '<':
-		return p.parseElement()
-	default:
-		return p.parseText()
+		p.pos += size
+		return n, nil
 	}
+	n, _, err := p.startTag(parent)
+	return n, err
 }
 
-// parseText reads character data up to the next '<'. A run without
-// entity references is returned as a slice of the input.
-func (p *parser) parseText() (*Node, error) {
+// procInst parses the processing instruction at p.pos ("<?").
+func (p *parser) procInst(parent *Node) (*Node, error) {
+	body, size, ok := delimited(p.src[p.pos:], "<?", "?>")
+	if !ok {
+		return nil, p.errf("unterminated processing instruction")
+	}
+	n := p.node(ProcInstNode, parent)
+	n.Label, n.Text, _ = strings.Cut(body, " ")
+	p.pos += size
+	return n, nil
+}
+
+// delimited splits the construct at the start of rest, open … end: it
+// returns what lies between and the construct's length, or false when
+// no end follows the opening.
+func delimited(rest, open, end string) (string, int, bool) {
+	i := strings.Index(rest[len(open):], end)
+	if i < 0 {
+		return "", 0, false
+	}
+	return rest[len(open) : len(open)+i], len(open) + i + len(end), true
+}
+
+// text parses the character data up to the next '<'.
+func (p *parser) text(parent *Node) (*Node, error) {
+	n := p.node(TextNode, parent)
 	end := len(p.src)
 	if i := strings.IndexByte(p.src[p.pos:], '<'); i >= 0 {
 		end = p.pos + i
 	}
-	amp := strings.IndexByte(p.src[p.pos:end], '&')
-	if amp < 0 {
-		text := p.src[p.pos:end]
-		p.skipTo(end)
-		return NewText(text), nil
-	}
-	var sb strings.Builder
-	for amp >= 0 {
-		sb.WriteString(p.src[p.pos : p.pos+amp])
-		p.skipTo(p.pos + amp)
-		r, err := p.parseEntity()
-		if err != nil {
-			return nil, err
+	n.Text = p.src[p.pos:end]
+	if strings.IndexByte(n.Text, '&') >= 0 {
+		p.buf = p.buf[:0]
+		for {
+			amp := strings.IndexByte(p.src[p.pos:end], '&')
+			if amp < 0 {
+				break
+			}
+			p.buf = append(p.buf, p.src[p.pos:p.pos+amp]...)
+			p.pos += amp
+			if err := p.reference(); err != nil {
+				return nil, err
+			}
+			// No reference that decodes spans a '<', so p.pos <= end.
 		}
-		sb.WriteString(r)
-		// No reference that decodes spans a '<', so p.pos <= end.
-		amp = strings.IndexByte(p.src[p.pos:end], '&')
+		p.buf = append(p.buf, p.src[p.pos:end]...)
+		n.Text = string(p.buf)
 	}
-	sb.WriteString(p.src[p.pos:end])
-	p.skipTo(end)
-	return NewText(sb.String()), nil
+	p.pos = end
+	return n, nil
 }
 
-// parseAttrValue reads a quoted attribute value. A value without
-// entity references is returned as a slice of the input.
-func (p *parser) parseAttrValue() (string, error) {
-	quote := p.peek()
+// attrValue parses the quoted attribute value at p.pos.
+func (p *parser) attrValue() (string, error) {
+	quote := p.at(p.pos)
 	if quote != '"' && quote != '\'' {
 		return "", p.errf("expected quoted attribute value")
 	}
-	p.advance()
-	var sb strings.Builder // holds the value once a reference is decoded
-	for {
-		// The run ends at the first quote, '&' or '<'.
-		run := p.src[p.pos:]
-		i := 0
-		for i < len(run) && run[i] != quote && run[i] != '&' && run[i] != '<' {
-			i++
-		}
-		if i == len(run) {
-			p.skipTo(len(p.src))
-			return "", p.errf("unterminated attribute value")
-		}
-		switch run[i] {
+	p.pos++
+	start := p.pos
+	decoded := false // p.buf holds the value up to p.pos
+	for i := p.pos; i < len(p.src); i++ {
+		switch p.src[i] {
 		case quote:
-			p.skipTo(p.pos + i + 1)
-			if sb.Len() == 0 {
-				return run[:i], nil
+			v := p.src[start:i]
+			if decoded {
+				p.buf = append(p.buf, p.src[p.pos:i]...)
+				v = string(p.buf)
 			}
-			sb.WriteString(run[:i])
-			return sb.String(), nil
+			p.pos = i + 1
+			return v, nil
 		case '&':
-			sb.WriteString(run[:i])
-			p.skipTo(p.pos + i)
-			r, err := p.parseEntity()
-			if err != nil {
+			if !decoded {
+				p.buf, decoded = p.buf[:0], true
+			}
+			p.buf = append(p.buf, p.src[p.pos:i]...)
+			p.pos = i
+			if err := p.reference(); err != nil {
 				return "", err
 			}
-			sb.WriteString(r)
-		default:
-			p.skipTo(p.pos + i)
+			i = p.pos - 1
+		case '<':
+			p.pos = i
 			return "", p.errf("'<' not allowed in attribute value")
 		}
 	}
+	p.pos = len(p.src)
+	return "", p.errf("unterminated attribute value")
 }
 
-// parseEntity decodes an entity or character reference starting at '&'.
-func (p *parser) parseEntity() (string, error) {
-	p.advance() // consume '&'
-	end := strings.IndexByte(p.src[p.pos:], ';')
-	if end < 0 || end > 12 {
-		return "", p.errf("unterminated entity reference")
+// reference decodes the entity or character reference at p.pos ('&')
+// onto p.buf and moves past it.
+func (p *parser) reference() error {
+	p.pos++ // '&'
+	end := strings.IndexByte(p.src[p.pos:min(len(p.src), p.pos+13)], ';')
+	if end < 0 {
+		return p.errf("unterminated entity reference")
 	}
 	name := p.src[p.pos : p.pos+end]
-	p.advanceN(end + 1)
-	switch name {
-	case "lt":
-		return "<", nil
-	case "gt":
-		return ">", nil
-	case "amp":
-		return "&", nil
-	case "quot":
-		return `"`, nil
-	case "apos":
-		return "'", nil
+	p.pos += end + 1
+	var v uint64
+	var err error
+	switch {
+	case name == "lt":
+		v = '<'
+	case name == "gt":
+		v = '>'
+	case name == "amp":
+		v = '&'
+	case name == "quot":
+		v = '"'
+	case name == "apos":
+		v = '\''
+	case strings.HasPrefix(name, "#x") || strings.HasPrefix(name, "#X"):
+		v, err = strconv.ParseUint(name[2:], 16, 32)
+	case strings.HasPrefix(name, "#"):
+		v, err = strconv.ParseUint(name[1:], 10, 32)
+	default:
+		return p.errf("unknown entity &%s;", name)
 	}
-	if strings.HasPrefix(name, "#x") || strings.HasPrefix(name, "#X") {
-		v, err := strconv.ParseUint(name[2:], 16, 32)
-		if err != nil {
-			return "", p.errf("bad character reference &%s;", name)
-		}
-		return string(rune(v)), nil
+	if err != nil || !isChar(v) {
+		return p.errf("bad character reference &%s;", name)
 	}
-	if strings.HasPrefix(name, "#") {
-		v, err := strconv.ParseUint(name[1:], 10, 32)
-		if err != nil {
-			return "", p.errf("bad character reference &%s;", name)
-		}
-		return string(rune(v)), nil
+	p.buf = utf8.AppendRune(p.buf, rune(v))
+	return nil
+}
+
+// isChar reports whether v is in XML 1.0's Char production: a
+// reference to anything else (NUL, most C0 controls, a surrogate,
+// U+FFFE, U+FFFF or past U+10FFFF) names no character a document can
+// hold.
+func isChar(v uint64) bool {
+	switch {
+	case v == 0x9, v == 0xA, v == 0xD:
+		return true
+	case v < 0x20:
+		return false
+	case v <= 0xD7FF:
+		return true
+	case v < 0xE000:
+		return false
+	case v <= 0xFFFD:
+		return true
+	case v < 0x10000:
+		return false
 	}
-	return "", p.errf("unknown entity &%s;", name)
+	return v <= 0x10FFFF
 }

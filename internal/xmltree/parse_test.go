@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -99,25 +100,32 @@ func TestParseDoctypeSkipped(t *testing.T) {
 	}
 }
 
+// parseErrorCases are inputs Parse refuses.
+var parseErrorCases = []struct {
+	name  string
+	input string
+}{
+	{"empty", ``},
+	{"unclosed", `<a>`},
+	{"mismatched", `<a></b>`},
+	{"truncated tag", `<a`},
+	{"bad attr", `<a id></a>`},
+	{"dup attr", `<a x="1" x="2"/>`},
+	{"trailing", `<a/><b/>`},
+	{"bad entity", `<a>&nope;</a>`},
+	{"lt in attr", `<a x="<"/>`},
+	{"stray end", `</a>`},
+	{"unterminated comment", `<a><!-- x</a>`},
+	{"unterminated cdata", `<a><![CDATA[x</a>`},
+	{"nul char ref", `<a>&#0;</a>`},
+	{"control char ref", `<a>&#1;</a>`},
+	{"surrogate char ref", `<a>&#xD800;</a>`},
+	{"char ref past unicode", `<a>&#x110000;</a>`},
+	{"noncharacter char ref", `<a x="&#xFFFE;"/>`},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name  string
-		input string
-	}{
-		{"empty", ``},
-		{"unclosed", `<a>`},
-		{"mismatched", `<a></b>`},
-		{"truncated tag", `<a`},
-		{"bad attr", `<a id></a>`},
-		{"dup attr", `<a x="1" x="2"/>`},
-		{"trailing", `<a/><b/>`},
-		{"bad entity", `<a>&nope;</a>`},
-		{"lt in attr", `<a x="<"/>`},
-		{"stray end", `</a>`},
-		{"unterminated comment", `<a><!-- x</a>`},
-		{"unterminated cdata", `<a><![CDATA[x</a>`},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := Parse(tc.input); err == nil {
 				t.Errorf("Parse(%q) succeeded, want error", tc.input)
@@ -332,25 +340,34 @@ func shuffleElementChildren(r *rand.Rand, n *Node) {
 	}
 }
 
-// Text and attribute runs are consumed a run at a time; the position a
-// later error reports still counts every byte and line they held.
+// positionCases give the position and message of each error: text and
+// attribute runs are consumed a run at a time, and the position a later
+// error reports still counts every byte and line they held.
+var positionCases = []struct {
+	in        string
+	line, col int
+	msg       string
+}{
+	{"<a>line one\nline two\n  <b></a>", 3, 9, "mismatched end tag </a>, expected </b>"},
+	{"<a>one\ntwo &bogus; three</a>", 2, 12, "unknown entity &bogus;"},
+	{"<a>one &amp;\ntwo\nthree &#xZZ;</a>", 3, 13, "bad character reference &#xZZ;"},
+	{"<a>x\r\ny\r\n</b>", 3, 4, "mismatched end tag </b>, expected </a>"},
+	{"<a>one\ntwo\nthree", 3, 6, "unexpected end of input inside element <a>"},
+	{"<a x=\"one\ntwo<\"/>", 2, 4, "'<' not allowed in attribute value"},
+	{"<a x=\"one\ntwo", 2, 4, "unterminated attribute value"},
+	{"<a x='p&amp;\nq' y=\"r\ns\">\n<c/></d>", 4, 8, "mismatched end tag </d>, expected </a>"},
+	{"<a x=\"1\n22&zz;\"/>", 2, 7, "unknown entity &zz;"},
+	{"<a\n x=\"v\"\n y=\"w\nz\" x=\"again\"/>", 4, 13, "duplicate attribute \"x\" on element \"a\""},
+	// A reference to no XML 1.0 character is refused where it ends.
+	{"<a>one\n&#0;</a>", 2, 5, "bad character reference &#0;"},
+	{"<a>&#1;</a>", 1, 8, "bad character reference &#1;"},
+	{"<a>x\n y &#xD800;</a>", 2, 12, "bad character reference &#xD800;"},
+	{"<a b=\"\n&#x110000;\"/>", 2, 11, "bad character reference &#x110000;"},
+	{"<a>&#xFFFE;</a>", 1, 12, "bad character reference &#xFFFE;"},
+}
+
 func TestParseErrorPositionAfterRuns(t *testing.T) {
-	for _, c := range []struct {
-		in        string
-		line, col int
-		msg       string
-	}{
-		{"<a>line one\nline two\n  <b></a>", 3, 9, "mismatched end tag </a>, expected </b>"},
-		{"<a>one\ntwo &bogus; three</a>", 2, 12, "unknown entity &bogus;"},
-		{"<a>one &amp;\ntwo\nthree &#xZZ;</a>", 3, 13, "bad character reference &#xZZ;"},
-		{"<a>x\r\ny\r\n</b>", 3, 4, "mismatched end tag </b>, expected </a>"},
-		{"<a>one\ntwo\nthree", 3, 6, "unexpected end of input inside element <a>"},
-		{"<a x=\"one\ntwo<\"/>", 2, 4, "'<' not allowed in attribute value"},
-		{"<a x=\"one\ntwo", 2, 4, "unterminated attribute value"},
-		{"<a x='p&amp;\nq' y=\"r\ns\">\n<c/></d>", 4, 8, "mismatched end tag </d>, expected </a>"},
-		{"<a x=\"1\n22&zz;\"/>", 2, 7, "unknown entity &zz;"},
-		{"<a\n x=\"v\"\n y=\"w\nz\" x=\"again\"/>", 4, 13, "duplicate attribute \"x\" on element \"a\""},
-	} {
+	for _, c := range positionCases {
 		_, err := Parse(c.in)
 		pe, ok := err.(*ParseError)
 		if !ok {
@@ -376,8 +393,9 @@ func TestParseRunsWithReferences(t *testing.T) {
 	}
 }
 
-// WriteLine keeps a tree on one line; Serialize writes CR and LF as
-// they are, so stored sizes and shipped bytes do not change.
+// SerializeLine (AppendLine) keeps a tree on one line; Serialize writes
+// CR and LF as they are, so stored sizes and shipped bytes do not
+// change.
 func TestWriteLineEscapesLineBreaks(t *testing.T) {
 	n := E("n", A("note", "a\r\nb"), T("line one\nline two\r"))
 	if got, want := SerializeLine(n), `<n note="a&#13;&#10;b">line one&#10;line two&#13;</n>`; got != want {
@@ -393,4 +411,95 @@ func TestWriteLineEscapesLineBreaks(t *testing.T) {
 	if !Equal(back, n) || back.Children[0].Text != n.Children[0].Text {
 		t.Errorf("round trip: %q", Serialize(back))
 	}
+}
+
+// AppendChild or SetAttr on a parsed element never reaches into the
+// child or attribute list of another: every child and attribute slice
+// the parser hands out is exactly sized.
+func TestParsedChildrenAreIndependent(t *testing.T) {
+	const in = `<r k="1"><a k="2"><x k="3"/><y/></a><b k="4" l="5"><z/>t</b><c k="6"/></r>`
+	elements := func(root *Node) []*Node {
+		var out []*Node
+		root.Walk(func(n *Node) bool {
+			if n.Kind == ElementNode {
+				out = append(out, n)
+			}
+			return true
+		})
+		return out
+	}
+	for i := range elements(MustParse(in)) {
+		root := MustParse(in)
+		all := elements(root)
+		kids := make([][]*Node, len(all))
+		attrs := make([][]Attr, len(all))
+		for j, n := range all {
+			kids[j] = append([]*Node(nil), n.Children...)
+			attrs[j] = append([]Attr(nil), n.Attrs...)
+		}
+		grown := all[i]
+		grown.AppendChild(NewElement("extra"))
+		grown.SetAttr("extra", "x")
+		for j, n := range all {
+			if j == i {
+				continue
+			}
+			if !reflect.DeepEqual(n.Children, kids[j]) || !reflect.DeepEqual(n.Attrs, attrs[j]) {
+				t.Errorf("growing <%s> changed <%s>: %s", grown.Label, n.Label, Serialize(root))
+			}
+		}
+	}
+}
+
+// FuzzParse: Parse never panics; a tree it accepts re-parses from
+// Serialize and SerializeLine to an Equal tree, and Serialize∘Parse is
+// a fixpoint; an error it reports lies inside the input.
+func FuzzParse(f *testing.F) {
+	for _, in := range roundTripInputs {
+		f.Add(in)
+	}
+	for _, c := range parseErrorCases {
+		f.Add(c.input)
+	}
+	for _, c := range positionCases {
+		f.Add(c.in)
+	}
+	for _, in := range []string{
+		`<item id="42" name='chair &amp; desk'/>`,
+		`<a>&lt;&gt;&amp;&quot;&apos;&#65;&#x42;</a>`,
+		`<a><![CDATA[<not><parsed>&amp;]]></a>`,
+		`<?xml version="1.0"?><!-- head --><a><!-- c --><?target data?><b/></a><!-- tail -->`,
+		`<!DOCTYPE doc [ <!ELEMENT a (b)> ]><a><b/></a>`,
+		`<a x="1 &lt; 2 &amp;&amp; &#10;" y='plain'>one &amp; two &#x3C; three</a>`,
+		"<n note=\"a&#13;&#10;b\">line one&#10;line two&#13;</n>",
+	} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		n, err := Parse(in)
+		if err != nil {
+			var pe *ParseError
+			if !errors.As(err, &pe) {
+				t.Fatalf("Parse(%q): %T %v, want *ParseError", in, err, err)
+			}
+			lines := strings.Split(in, "\n")
+			if pe.Line < 1 || pe.Line > len(lines) || pe.Col < 1 || pe.Col > len(lines[pe.Line-1])+1 {
+				t.Fatalf("Parse(%q): error at %d:%d lies outside the input", in, pe.Line, pe.Col)
+			}
+			return
+		}
+		out := Serialize(n)
+		for _, s := range []string{out, SerializeLine(n)} {
+			back, err := Parse(s)
+			if err != nil {
+				t.Fatalf("Parse(%q) accepted, its serialization %q does not parse: %v", in, s, err)
+			}
+			if !Equal(n, back) {
+				t.Fatalf("Parse(%q): %q re-parses to a different tree", in, s)
+			}
+		}
+		if again := Serialize(MustParse(out)); again != out {
+			t.Fatalf("Parse(%q): Serialize∘Parse moved %q to %q", in, out, again)
+		}
+	})
 }

@@ -1,0 +1,5 @@
+//go:build !race
+
+package xmltree_test
+
+const raceEnabled = false

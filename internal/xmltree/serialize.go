@@ -4,63 +4,43 @@ import (
 	"strings"
 )
 
-// Writer is what the serializer writes to: a *strings.Builder, a
-// *bufio.Writer or a *bytes.Buffer. Errors are not checked per call; a
-// writer that can fail must keep its first error, as bufio.Writer
-// does, for the caller to read back.
-type Writer interface {
-	WriteByte(c byte) error
-	WriteString(s string) (int, error)
-}
-
 // Serialize renders the subtree rooted at n as compact XML (no added
 // whitespace). Attribute order follows the node's attribute slice.
 func Serialize(n *Node) string {
-	var sb strings.Builder
-	serializer{w: &sb, esc: &plainEscapes, indent: -1}.node(n, 0)
-	return sb.String()
+	return string(Append(make([]byte, 0, n.ByteSize()), n))
+}
+
+// Append appends Serialize's output for n to dst and returns the
+// extended buffer.
+func Append(dst []byte, n *Node) []byte {
+	return appendNode(dst, n, plainEscapes)
+}
+
+// AppendLine appends to dst the subtree rooted at n as compact XML that
+// fits on one line, and returns the extended buffer: Serialize's
+// output, except that CR and LF in text and attribute values are
+// written as &#13; and &#10;, which Parse decodes back. Line-framed
+// transports write every tree this way.
+func AppendLine(dst []byte, n *Node) []byte {
+	return appendNode(dst, n, lineEscapes)
+}
+
+// SerializeLine is AppendLine into a string.
+func SerializeLine(n *Node) string {
+	return string(AppendLine(make([]byte, 0, n.ByteSize()), n))
 }
 
 // SerializeIndent renders the subtree with two-space indentation,
 // emitting text nodes inline when an element has only text content.
 func SerializeIndent(n *Node) string {
-	var sb strings.Builder
-	serializer{w: &sb, esc: &plainEscapes}.node(n, 0)
-	sb.WriteByte('\n')
-	return sb.String()
-}
-
-// SerializeForest renders a sequence of trees (a stream batch or
-// parameter list) as concatenated compact XML.
-func SerializeForest(nodes []*Node) string {
-	var sb strings.Builder
-	s := serializer{w: &sb, esc: &plainEscapes, indent: -1}
-	for _, n := range nodes {
-		s.node(n, 0)
-	}
-	return sb.String()
-}
-
-// WriteLine writes the subtree rooted at n to w as compact XML that
-// fits on one line: Serialize's output, except that CR and LF in text
-// and attribute values are written as &#13; and &#10;, which Parse
-// decodes back. Line-framed transports write every tree this way.
-func WriteLine(w Writer, n *Node) {
-	serializer{w: w, esc: &lineEscapes, indent: -1}.node(n, 0)
-}
-
-// SerializeLine is WriteLine into a string.
-func SerializeLine(n *Node) string {
-	var sb strings.Builder
-	WriteLine(&sb, n)
-	return sb.String()
+	return string(append(appendIndented(nil, n, 0), '\n'))
 }
 
 // indentWidth is the serialization indentation unit.
 const indentWidth = 2
 
 // escapes holds, for text and for attribute values, the reference
-// written in place of each byte; "" writes the byte itself.
+// appended in place of each byte; "" appends the byte itself.
 type escapes struct {
 	text, attr [256]string
 }
@@ -70,7 +50,7 @@ var (
 	lineEscapes  = newEscapes(true)
 )
 
-func newEscapes(line bool) escapes {
+func newEscapes(line bool) *escapes {
 	var e escapes
 	e.text['<'], e.text['>'], e.text['&'] = "&lt;", "&gt;", "&amp;"
 	e.attr['<'], e.attr['&'], e.attr['"'] = "&lt;", "&amp;", "&quot;"
@@ -78,88 +58,72 @@ func newEscapes(line bool) escapes {
 		e.text['\r'], e.text['\n'] = "&#13;", "&#10;"
 		e.attr['\r'], e.attr['\n'] = "&#13;", "&#10;"
 	}
-	return e
+	return &e
 }
 
-// serializer writes trees to w. indent < 0 means compact mode;
-// otherwise nodes are pretty-printed at their depth.
-type serializer struct {
-	w      Writer
-	esc    *escapes
-	indent int
-}
-
-func (s serializer) writeIndent(depth int) {
-	for i := 0; i < depth*indentWidth; i++ {
-		s.w.WriteByte(' ')
-	}
-}
-
-func (s serializer) node(n *Node, depth int) {
-	w := s.w
-	pretty := s.indent >= 0
+// appendNode is the compact encoder: it appends the subtree rooted at
+// n to dst. ByteSize counts what it appends under plainEscapes.
+func appendNode(dst []byte, n *Node, esc *escapes) []byte {
 	switch n.Kind {
 	case TextNode:
-		escape(w, n.Text, &s.esc.text)
-		return
+		return appendEscaped(dst, n.Text, &esc.text)
 	case CommentNode:
-		if pretty {
-			s.writeIndent(depth)
-		}
-		w.WriteString("<!--")
-		w.WriteString(n.Text)
-		w.WriteString("-->")
-		if pretty {
-			w.WriteByte('\n')
-		}
-		return
+		dst = append(dst, "<!--"...)
+		dst = append(dst, n.Text...)
+		return append(dst, "-->"...)
 	case ProcInstNode:
-		if pretty {
-			s.writeIndent(depth)
-		}
-		w.WriteString("<?")
-		w.WriteString(n.Label)
+		dst = append(dst, "<?"...)
+		dst = append(dst, n.Label...)
 		if n.Text != "" {
-			w.WriteByte(' ')
-			w.WriteString(n.Text)
+			dst = append(dst, ' ')
+			dst = append(dst, n.Text...)
 		}
-		w.WriteString("?>")
-		if pretty {
-			w.WriteByte('\n')
-		}
-		return
+		return append(dst, "?>"...)
 	}
-
-	if pretty {
-		s.writeIndent(depth)
-	}
-	w.WriteByte('<')
-	w.WriteString(n.Label)
-	for _, a := range n.Attrs {
-		w.WriteByte(' ')
-		w.WriteString(a.Name)
-		w.WriteString(`="`)
-		escape(w, a.Value, &s.esc.attr)
-		w.WriteByte('"')
-	}
+	dst = appendTagOpen(dst, n, esc)
 	if len(n.Children) == 0 {
-		w.WriteString("/>")
-		if pretty {
-			w.WriteByte('\n')
-		}
-		return
+		return append(dst, "/>"...)
 	}
-	w.WriteByte('>')
-
-	if !pretty {
-		for _, c := range n.Children {
-			s.node(c, 0)
-		}
-		s.endTag(n)
-		return
+	dst = append(dst, '>')
+	for _, c := range n.Children {
+		dst = appendNode(dst, c, esc)
 	}
+	return appendEndTag(dst, n)
+}
 
-	// Pretty mode: if content is text-only, keep it inline.
+// appendTagOpen appends an element's start tag up to its closing '>'
+// or "/>".
+func appendTagOpen(dst []byte, n *Node, esc *escapes) []byte {
+	dst = append(dst, '<')
+	dst = append(dst, n.Label...)
+	for _, a := range n.Attrs {
+		dst = append(dst, ' ')
+		dst = append(dst, a.Name...)
+		dst = append(dst, `="`...)
+		dst = appendEscaped(dst, a.Value, &esc.attr)
+		dst = append(dst, '"')
+	}
+	return dst
+}
+
+func appendEndTag(dst []byte, n *Node) []byte {
+	dst = append(dst, "</"...)
+	dst = append(dst, n.Label...)
+	return append(dst, '>')
+}
+
+// appendIndented is the pretty printer: n at depth, one line per
+// element or other markup, an element holding only text on the line of
+// its tags.
+func appendIndented(dst []byte, n *Node, depth int) []byte {
+	if n.Kind == TextNode {
+		return appendEscaped(dst, n.Text, &plainEscapes.text)
+	}
+	dst = appendIndent(dst, depth)
+	if len(n.Children) == 0 {
+		return append(appendNode(dst, n, plainEscapes), '\n')
+	}
+	dst = append(appendTagOpen(dst, n, plainEscapes), '>')
 	textOnly := true
 	for _, c := range n.Children {
 		if c.Kind != TextNode {
@@ -169,56 +133,46 @@ func (s serializer) node(n *Node, depth int) {
 	}
 	if textOnly {
 		for _, c := range n.Children {
-			escape(w, c.Text, &s.esc.text)
+			dst = appendEscaped(dst, c.Text, &plainEscapes.text)
 		}
-		s.endTag(n)
-		w.WriteByte('\n')
-		return
+		return append(appendEndTag(dst, n), '\n')
 	}
-	w.WriteByte('\n')
+	dst = append(dst, '\n')
 	for _, c := range n.Children {
-		if c.Kind == TextNode {
-			if strings.TrimSpace(c.Text) == "" {
-				continue
-			}
-			s.writeIndent(depth + 1)
-			escape(w, c.Text, &s.esc.text)
-			w.WriteByte('\n')
-			continue
+		switch {
+		case c.Kind != TextNode:
+			dst = appendIndented(dst, c, depth+1)
+		case strings.TrimSpace(c.Text) != "":
+			dst = appendEscaped(appendIndent(dst, depth+1), c.Text, &plainEscapes.text)
+			dst = append(dst, '\n')
 		}
-		s.node(c, depth+1)
 	}
-	s.writeIndent(depth)
-	s.endTag(n)
-	w.WriteByte('\n')
+	dst = appendIndent(dst, depth)
+	return append(appendEndTag(dst, n), '\n')
 }
 
-func (s serializer) endTag(n *Node) {
-	s.w.WriteString("</")
-	s.w.WriteString(n.Label)
-	s.w.WriteByte('>')
+func appendIndent(dst []byte, depth int) []byte {
+	for i := 0; i < depth*indentWidth; i++ {
+		dst = append(dst, ' ')
+	}
+	return dst
 }
 
-// escape writes s with each byte that table maps replaced by its
-// reference: one WriteString per unescaped run.
-func escape(w Writer, s string, table *[256]string) {
+// appendEscaped appends s with each byte that table maps replaced by
+// its reference, copying the runs between them whole.
+func appendEscaped(dst []byte, s string, table *[256]string) []byte {
 	last := 0
 	for i := 0; i < len(s); i++ {
 		if ref := table[s[i]]; ref != "" {
-			if last < i {
-				w.WriteString(s[last:i])
-			}
-			w.WriteString(ref)
+			dst = append(dst, s[last:i]...)
+			dst = append(dst, ref...)
 			last = i + 1
 		}
 	}
-	if last < len(s) {
-		w.WriteString(s[last:])
-	}
+	return append(dst, s[last:]...)
 }
 
-// escapedLen returns how many bytes escape writes for s, without
-// writing them.
+// escapedLen returns how many bytes appendEscaped appends for s.
 func escapedLen(s string, table *[256]string) int {
 	n := len(s)
 	for i := 0; i < len(s); i++ {
