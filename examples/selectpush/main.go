@@ -91,10 +91,10 @@ func main() {
 		log.Fatal(err)
 	}
 	repeatMs := float64(time.Since(start)) / float64(time.Millisecond)
-	st := optSess.Stats()
+	cache := optSys.Metrics().Snapshot().Counters
 	fmt.Println()
 	fmt.Printf("plan cache: %d miss, %d hit (first run %.2fms, repeat %.2fms)\n",
-		st.Misses, st.Hits, firstMs, repeatMs)
+		cache["session.plan_cache.misses"], cache["session.plan_cache.hits"], firstMs, repeatMs)
 
 	if len(nForest) != len(oForest) {
 		log.Fatalf("plans disagree: %d vs %d results", len(nForest), len(oForest))

@@ -18,6 +18,11 @@ import (
 	"axml/internal/xmltree"
 )
 
+// staleDecay scales an unreachable member's last-known demand per
+// missed round: a down peer ages out of the demand picture smoothly
+// instead of pinning placements forever or vanishing abruptly.
+const staleDecay = 0.5
+
 // CoordinatorConfig tunes a coordinator. The zero value works: every
 // knob has a default.
 type CoordinatorConfig struct {
@@ -34,15 +39,6 @@ type CoordinatorConfig struct {
 	// RetryBackoff is the first retry delay; it doubles per attempt
 	// (default 100ms).
 	RetryBackoff time.Duration
-	// StaleDecay scales an unreachable member's last-known demand per
-	// missed round (default 0.5): a down peer ages out of the demand
-	// picture smoothly instead of pinning placements forever or
-	// vanishing abruptly.
-	StaleDecay float64
-	// Link models every member↔member hop for the scorer (default
-	// netsim.DefaultLink). The coordinator has no measured topology;
-	// a uniform link keeps the scorer's relative comparisons honest.
-	Link netsim.Link
 	// Logger receives membership and RPC-failure events. Nil discards.
 	Logger *slog.Logger
 	// Metrics receives the cluster.rpc.errors counter and the
@@ -60,12 +56,6 @@ func (c CoordinatorConfig) filled() CoordinatorConfig {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 100 * time.Millisecond
-	}
-	if c.StaleDecay <= 0 {
-		c.StaleDecay = 0.5
-	}
-	if c.Link == (netsim.Link{}) {
-		c.Link = netsim.DefaultLink
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
@@ -319,7 +309,7 @@ func (c *Coordinator) Observe(ctx context.Context) placement.Observation {
 		if st := c.member[t.id]; st != nil {
 			st.down = err != nil
 			if err != nil {
-				st.export = st.export.Decayed(c.cfg.StaleDecay)
+				st.export = st.export.Decayed(staleDecay)
 			} else {
 				st.export, st.hasExport = export, true
 			}
@@ -423,10 +413,11 @@ func (c *Coordinator) merge() placement.Observation {
 			}
 		}
 	}
-	link := c.cfg.Link
+	// The coordinator has no measured topology; one uniform link for
+	// every member↔member hop keeps the scorer's comparisons honest.
 	return placement.Observation{
 		Views: views,
-		Link:  func(_, _ netsim.PeerID) netsim.Link { return link },
+		Link:  func(_, _ netsim.PeerID) netsim.Link { return netsim.DefaultLink },
 		Alive: func(p netsim.PeerID) bool { return alive[p] },
 	}
 }

@@ -25,6 +25,11 @@ import (
 // poolCap bounds the idle wire clients kept per remote address.
 const poolCap = 4
 
+// demandDecay ages the local demand counters after each x:demand
+// export, so consecutive exports report fresh traffic, not the whole
+// history again.
+const demandDecay = 0.5
+
 // MemberConfig tunes one deployment's federation agent.
 type MemberConfig struct {
 	// ID is this deployment's cluster-wide identity.
@@ -43,10 +48,6 @@ type MemberConfig struct {
 	// RPCTimeout bounds each outbound control RPC and each forwarded
 	// row read (default 5s).
 	RPCTimeout time.Duration
-	// Decay ages the local demand counters after each x:demand export
-	// (default 0.5), so consecutive exports report fresh traffic, not
-	// the whole history again.
-	Decay float64
 	// Logger receives membership and actuation events. Nil discards.
 	Logger *slog.Logger
 	// Metrics receives member counters (cluster.forwarded,
@@ -60,9 +61,6 @@ func (c MemberConfig) filled() MemberConfig {
 	}
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = 5 * time.Second
-	}
-	if c.Decay <= 0 {
-		c.Decay = 0.5
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
@@ -310,7 +308,7 @@ func (m *Member) serveDemand(args [][]*xmltree.Node) ([]*xmltree.Node, error) {
 		})
 	}
 	e.Loads = m.obs.Loads(opt.NewEstimator(m.sys))
-	m.obs.Decay(m.cfg.Decay)
+	m.obs.Decay(demandDecay)
 	return []*xmltree.Node{e.ToXML()}, nil
 }
 
@@ -411,9 +409,7 @@ func (m *Member) serveAcceptView(args [][]*xmltree.Node) ([]*xmltree.Node, error
 	if len(trees) != 1 {
 		return nil, fmt.Errorf("%w: x:ship carries %d trees, want 1", session.ErrBadQuery, len(trees))
 	}
-	root := trees[0]
-	root.Parent = nil
-	if err := m.views.Adopt(name, query, m.cfg.SelfPeer, root, origin); err != nil {
+	if err := m.views.Adopt(name, query, m.cfg.SelfPeer, trees[0], origin); err != nil {
 		return nil, err
 	}
 	if mc := m.cfg.Metrics; mc != nil {

@@ -20,9 +20,9 @@ import (
 // peer, drains one of these under the caller's context.
 //
 // A row of a lazily-evaluated query is read-only: it may be a node of
-// the pinned, immutable document the query read, still carrying its
-// stored Parent. A consumer that keeps or attaches a row deep-copies
-// it first; the drains inside System.Eval open owned cursors instead.
+// the pinned, immutable document the query read. A consumer that keeps
+// or attaches a row deep-copies it first; the drains inside System.Eval
+// open owned cursors instead.
 //
 // Next returns (nil, nil) at end of stream. Close abandons the
 // remaining evaluation; both are idempotent. VT reports the virtual

@@ -689,10 +689,11 @@ func Retraction(child xmltree.NodeID) *xmltree.Node {
 
 // wrapForest packs a forest into the opaque x:raw carrier so that the
 // receiving evaluator copies it verbatim (no sc activation in transit).
+// The carrier references the trees; unwrapRaw copies them out.
 func wrapForest(forest []*xmltree.Node) *xmltree.Node {
 	w := xmltree.E("x:raw")
 	for _, n := range forest {
-		w.AppendChild(xmltree.DeepCopy(n))
+		w.AppendChild(n)
 	}
 	return w
 }

@@ -280,12 +280,7 @@ func (h *peerHandler) handleServiceCall(ctx context.Context, msg netsim.Message,
 	}
 	var args [][]*xmltree.Node
 	for _, p := range root.ChildElementsByLabel("x:param") {
-		forest := make([]*xmltree.Node, 0, len(p.Children))
-		for _, c := range p.ChildElements() {
-			cc := xmltree.DeepCopy(c)
-			forest = append(forest, cc)
-		}
-		args = append(args, forest)
+		args = append(args, p.ChildElements())
 	}
 	if svc.Sig != nil {
 		flat := make([]*xmltree.Node, 0, len(args))

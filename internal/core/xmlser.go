@@ -322,10 +322,5 @@ func parseForest(b []byte) ([]*xmltree.Node, error) {
 	if root.Label != "x:forest" {
 		return nil, fmt.Errorf("core: expected x:forest, got %q", root.Label)
 	}
-	out := make([]*xmltree.Node, 0, len(root.Children))
-	for _, c := range root.Children {
-		c.Parent = nil
-		out = append(out, c)
-	}
-	return out, nil
+	return root.Children, nil
 }

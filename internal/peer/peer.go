@@ -145,11 +145,10 @@ func (f *feed) since(after, upto uint64) (out []xmltree.Commit, ok bool) {
 }
 
 // indexEntry records where a node currently lives: the newest-epoch
-// node carrying the ID, its owning document, and its parent's ID.
-// Ancestry is reconstructed through parent IDs rather than the nodes'
-// Parent pointers because copy-on-write shares subtrees between
-// epochs: a shared node's Parent still points into the spine of the
-// epoch that created it and must never be rewritten once published.
+// node carrying the ID, its owning document, and its parent's ID. A
+// node has no parent pointer — copy-on-write shares subtrees between
+// epochs, so a shared node has a parent in each — and ancestry is read
+// from these parent IDs.
 type indexEntry struct {
 	node   *xmltree.Node
 	doc    string

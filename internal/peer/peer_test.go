@@ -26,7 +26,7 @@ func TestInstallAndLookup(t *testing.T) {
 	// Every node got an ID and is resolvable.
 	root.Walk(func(n *xmltree.Node) bool {
 		if n.ID == 0 {
-			t.Errorf("node %s has no ID", n.Path())
+			t.Errorf("node <%s> has no ID", n.Label)
 			return true
 		}
 		got, ok := p.NodeByID(n.ID)

@@ -126,7 +126,7 @@ func (tx *Tx) Remove(parent, child xmltree.NodeID) error {
 		return err
 	}
 	// The removed subtree is shared with older epochs: it is spliced out
-	// untouched, its Parent pointers as they were.
+	// untouched.
 	ed.target.Children = slices.Delete(ed.target.Children, i, i+1)
 	tx.drop(e)
 	ed.commit.Removed = child
@@ -150,7 +150,6 @@ func (tx *Tx) Replace(parent, child xmltree.NodeID, tree *xmltree.Node) error {
 	}
 	tx.drop(e)
 	tx.adopt(tree, ed.doc, e.parent)
-	tree.Parent = ed.target
 	ed.target.Children[i] = tree
 	ed.commit.Removed, ed.commit.Added = child, tree.ID
 	tx.record(ed)
@@ -277,10 +276,9 @@ func (tx *Tx) detach(parent, id xmltree.NodeID) (e indexEntry, ed edit, i int, e
 // at makes the identified element writable. It copies the spine from
 // the root of the element's tree down to it, each node once per
 // transaction, points the index at the copies, and returns the
-// element's copy with the record of where it sits. Off-spine subtrees stay shared
-// with the published epoch and are never written, so their Parent
-// pointers keep referring to the spine of the epoch that created them;
-// that is why ancestry is read from the index's parent IDs.
+// element's copy with the record of where it sits. Off-spine subtrees
+// stay shared with the published epoch and are never written; ancestry
+// is read from the index's parent IDs.
 func (tx *Tx) at(id xmltree.NodeID) (edit, error) {
 	p := tx.p
 	spine := make([]xmltree.NodeID, 0, 8)
@@ -317,7 +315,6 @@ func (tx *Tx) at(id xmltree.NodeID) (edit, error) {
 		child := cur.Children[j]
 		if !tx.copied[next] {
 			child = tx.copy(child)
-			child.Parent = cur
 			cur.Children[j] = child
 		}
 		pos = append(pos, j)

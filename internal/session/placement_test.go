@@ -279,17 +279,17 @@ func TestPlanCacheCostWeightedEviction(t *testing.T) {
 	run(remote) // oldest entry, high benefit
 	run(localA) // newer, zero benefit
 	run(localB) // insertion forces one eviction
-	if st := sess.Stats(); st.Evictions != 1 {
+	if st := planCache(sess); st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", st.Evictions)
 	}
-	hits := sess.Stats().Hits
+	hits := planCache(sess).Hits
 	run(remote) // must still be cached despite being least-recently-used
-	if got := sess.Stats().Hits; got != hits+1 {
+	if got := planCache(sess).Hits; got != hits+1 {
 		t.Errorf("high-benefit plan was evicted: hits %d → %d", hits, got)
 	}
-	misses := sess.Stats().Misses
+	misses := planCache(sess).Misses
 	run(localA) // the zero-benefit entry was the victim
-	if got := sess.Stats().Misses; got != misses+1 {
+	if got := planCache(sess).Misses; got != misses+1 {
 		t.Errorf("zero-benefit plan survived: misses %d → %d", misses, got)
 	}
 }
@@ -318,7 +318,7 @@ func TestMigrationInvalidatesCachedPlans(t *testing.T) {
 	}
 	before := collect()
 	collect() // second call hits the cache
-	st := sess.Stats()
+	st := planCache(sess)
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats before migration = %+v", st)
 	}
@@ -326,7 +326,7 @@ func TestMigrationInvalidatesCachedPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := collect()
-	st = sess.Stats()
+	st = planCache(sess)
 	if st.Invalidations != 1 {
 		t.Errorf("invalidations = %d, want 1", st.Invalidations)
 	}

@@ -86,9 +86,9 @@ func (r *Rows) Next() bool {
 
 // Node returns the current result tree (valid after a true Next). The
 // tree is read-only: a local session may hand out a node of the stored
-// document itself, still carrying its stored Parent, and it stays
-// valid after Close because published trees never change. DeepCopy it
-// to own it — to change it, attach it to another tree or store it.
+// document itself, and it stays valid after Close because published
+// trees never change. DeepCopy it to own it — to change it, attach it
+// to another tree or store it.
 func (r *Rows) Node() *xmltree.Node { return r.cur }
 
 // Scan copies the current row into dest: **xmltree.Node receives the
@@ -201,15 +201,14 @@ func (r *Rows) Collect() ([]*xmltree.Node, error) {
 // its session, repeatable without per-call planning work. Backends
 // construct it via NewStmt with their own run closure.
 type Stmt struct {
-	src     string
-	run     func(ctx context.Context, opts ...Option) (*Rows, error)
-	closeFn func() error
-	closed  bool
+	src    string
+	run    func(ctx context.Context, opts ...Option) (*Rows, error)
+	closed bool
 }
 
 // NewStmt builds a statement handle over a backend's run closure.
-func NewStmt(src string, run func(ctx context.Context, opts ...Option) (*Rows, error), closeFn func() error) *Stmt {
-	return &Stmt{src: src, run: run, closeFn: closeFn}
+func NewStmt(src string, run func(ctx context.Context, opts ...Option) (*Rows, error)) *Stmt {
+	return &Stmt{src: src, run: run}
 }
 
 // Source returns the statement's query text.
@@ -225,12 +224,6 @@ func (s *Stmt) Query(ctx context.Context, opts ...Option) (*Rows, error) {
 
 // Close releases the statement.
 func (s *Stmt) Close() error {
-	if s.closed {
-		return nil
-	}
 	s.closed = true
-	if s.closeFn != nil {
-		return s.closeFn()
-	}
 	return nil
 }

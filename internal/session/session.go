@@ -189,32 +189,6 @@ func BuildConfig(opts []Option) Config {
 	return c
 }
 
-// Stats counts plan-cache activity of a local session.
-type Stats struct {
-	// Hits: calls answered by a cached plan (no optimizer search).
-	Hits uint64
-	// Misses: calls that ran the optimizer (first sight of a shape, or
-	// WithNoPlanCache).
-	Misses uint64
-	// Invalidations: cached plans discarded because the view catalog
-	// changed underneath them.
-	Invalidations uint64
-	// Evictions: cached plans dropped because the cache reached its
-	// size cap. The victim is the entry with the lowest retention
-	// score — estimated planning benefit weighted by hit count — with
-	// least-recently-used as the tie-break.
-	Evictions uint64
-}
-
-// HitRate returns the fraction of planned calls served from cache.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // cachedPlan is one plan-cache entry: the normalized shape key, the
 // optimized expression, the view-catalog generation it was derived
 // under, and the retention weights of the cost-aware eviction policy.
@@ -253,7 +227,6 @@ type Local struct {
 	plans   map[string]*list.Element // shape key → element of order
 	order   *list.List               // front = most recently used; values are *cachedPlan
 	planCap int
-	stats   Stats
 	closed  bool
 }
 
@@ -292,20 +265,16 @@ func WithTrafficSink(sink TrafficSink) LocalOption {
 	return func(s *Local) { s.sink = sink }
 }
 
-// WithMetrics attaches a metrics registry: the session then mirrors
-// its plan-cache counters into session.plan_cache.* and observes
-// per-query first-row latency, so a deployment-wide obs.Registry sees
-// the same numbers Stats reports.
+// WithMetrics gives the session the registry it counts into: its
+// plan-cache counters (session.plan_cache.hits, .misses,
+// .invalidations, .evictions) and per-query first-row latency. Without
+// it the session counts into a registry of its own.
 func WithMetrics(reg *obs.Registry) LocalOption {
 	return func(s *Local) { s.metrics = reg }
 }
 
-// count bumps a registry counter, when a registry is attached.
-func (s *Local) count(name string) {
-	if s.metrics != nil {
-		s.metrics.Counter(name).Inc()
-	}
-}
+// count bumps a counter of the session's registry.
+func (s *Local) count(name string) { s.metrics.Counter(name).Inc() }
 
 // NewLocal opens a session evaluating at peer `at` of the given
 // system. The view manager supplies view-aware optimization and the
@@ -324,6 +293,9 @@ func NewLocal(sys *core.System, views *view.Manager, at netsim.PeerID, opts ...L
 	for _, o := range opts {
 		o(s)
 	}
+	if s.metrics == nil {
+		s.metrics = obs.NewRegistry()
+	}
 	return s, nil
 }
 
@@ -336,19 +308,6 @@ func (s *Local) PlanCacheLen() int {
 
 // At returns the peer this session evaluates at.
 func (s *Local) At() netsim.PeerID { return s.at }
-
-// Stats returns a snapshot of the plan-cache counters.
-//
-// Snapshot-consistency contract: the struct is copied in one critical
-// section of the session lock — the same lock every counter update
-// holds — so the four counters form a consistent cut: Hits + Misses
-// is exactly the number of planned calls that reached a verdict at
-// snapshot time. All counters are monotone.
-func (s *Local) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
 
 // Close marks the session closed and drops its cached plans.
 func (s *Local) Close() error {
@@ -431,10 +390,8 @@ func (s *Local) Query(ctx context.Context, src string, opts ...Option) (*Rows, e
 		root.End()
 		return nil, err
 	}
-	if s.metrics != nil {
-		s.metrics.Histogram("session.query.first_row_ms", []float64{0.1, 1, 10, 100, 1000}).
-			Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	}
+	s.metrics.Histogram("session.query.first_row_ms", []float64{0.1, 1, 10, 100, 1000}).
+		Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	return traceRows(rows, root), nil
 }
 
@@ -781,7 +738,7 @@ func (s *Local) Prepare(ctx context.Context, src string) (*Stmt, error) {
 		}
 		return s.rowsFor(ctx, expr, &cfg)
 	}
-	return NewStmt(src, run, nil), nil
+	return NewStmt(src, run), nil
 }
 
 // plan resolves the expression to evaluate: the naive plan when the
@@ -815,10 +772,8 @@ func (s *Local) planOnce(q *xquery.Query, cfg *Config) (core.Expr, bool, error) 
 		if cp.gen != gen {
 			s.order.Remove(elem)
 			delete(s.plans, key)
-			s.stats.Invalidations++
 			s.count("session.plan_cache.invalidations")
 		} else if !cfg.NoPlanCache {
-			s.stats.Hits++
 			cp.uses++
 			s.order.MoveToFront(elem)
 			expr := cp.expr
@@ -827,7 +782,6 @@ func (s *Local) planOnce(q *xquery.Query, cfg *Config) (core.Expr, bool, error) 
 			return expr, true, nil
 		}
 	}
-	s.stats.Misses++
 	s.mu.Unlock()
 	s.count("session.plan_cache.misses")
 
@@ -889,7 +843,6 @@ func (s *Local) evictOne() {
 	}
 	s.order.Remove(worst)
 	delete(s.plans, worst.Value.(*cachedPlan).key)
-	s.stats.Evictions++
 	s.count("session.plan_cache.evictions")
 }
 

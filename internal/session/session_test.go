@@ -134,7 +134,7 @@ func TestPlanCacheHitMissInvalidate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := sess.Stats()
+	st := planCache(sess)
 	if st.Misses != 1 || st.Hits != 2 {
 		t.Fatalf("after 3 identical queries: %+v, want 1 miss / 2 hits", st)
 	}
@@ -146,7 +146,7 @@ func TestPlanCacheHitMissInvalidate(t *testing.T) {
 	} else {
 		_, _ = rows.Collect()
 	}
-	if st = sess.Stats(); st.Hits != 3 {
+	if st = planCache(sess); st.Hits != 3 {
 		t.Errorf("reformatted query should hit the cache: %+v", st)
 	}
 
@@ -164,12 +164,26 @@ func TestPlanCacheHitMissInvalidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = sess.Stats()
+	st = planCache(sess)
 	if st.Invalidations != 1 || st.Misses != 2 {
 		t.Errorf("DefineView should invalidate the cached plan: %+v", st)
 	}
 	if len(forest) != 4 {
 		t.Errorf("re-planned query returned %d rows", len(forest))
+	}
+}
+
+// cacheCounts are a session's plan-cache counters.
+type cacheCounts struct{ Hits, Misses, Invalidations, Evictions int64 }
+
+// planCache reads the plan-cache counters from the session's registry.
+func planCache(s *Local) cacheCounts {
+	c := s.metrics.Snapshot().Counters
+	return cacheCounts{
+		Hits:          c["session.plan_cache.hits"],
+		Misses:        c["session.plan_cache.misses"],
+		Invalidations: c["session.plan_cache.invalidations"],
+		Evictions:     c["session.plan_cache.evictions"],
 	}
 }
 
@@ -182,7 +196,7 @@ func TestPreparedStatementSkipsSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stmt.Close()
-	if st := sess.Stats(); st.Misses != 1 {
+	if st := planCache(sess); st.Misses != 1 {
 		t.Fatalf("Prepare should optimize eagerly: %+v", st)
 	}
 	for i := 0; i < 5; i++ {
@@ -198,11 +212,11 @@ func TestPreparedStatementSkipsSearch(t *testing.T) {
 			t.Errorf("run %d: %d rows", i, len(forest))
 		}
 	}
-	st := sess.Stats()
+	st := planCache(sess)
 	if st.Misses != 1 || st.Hits != 5 {
 		t.Errorf("prepared runs should skip the optimizer: %+v", st)
 	}
-	if rate := st.HitRate(); rate < 0.8 {
+	if rate := float64(st.Hits) / float64(st.Hits+st.Misses); rate < 0.8 {
 		t.Errorf("hit rate = %.2f", rate)
 	}
 }
@@ -220,7 +234,7 @@ func TestPlanningOncePerShape(t *testing.T) {
 	var rowsPerMode []int
 	for _, mode := range []struct {
 		name     string
-		searches uint64
+		searches int64
 	}{{"per-query", shapes * repeats}, {"plan-cache", shapes}, {"prepared", shapes}} {
 		sys, views := testSystem(t)
 		sess := newSession(t, sys, views)
@@ -257,7 +271,7 @@ func TestPlanningOncePerShape(t *testing.T) {
 				n += len(forest)
 			}
 		}
-		if got := sess.Stats().Misses; got != mode.searches {
+		if got := planCache(sess).Misses; got != mode.searches {
 			t.Errorf("%s: %d optimizer searches, want %d", mode.name, got, mode.searches)
 		}
 		rowsPerMode = append(rowsPerMode, n)

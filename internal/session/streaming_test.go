@@ -250,21 +250,21 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	run(0) // keep shape 0 warm: LRU order is now 0,3,2,1
 	run(4) // evicts shape 1
 	run(5) // evicts shape 2
-	st := sess.Stats()
+	st := planCache(sess)
 	if st.Evictions != 2 {
 		t.Errorf("evictions = %d, want 2", st.Evictions)
 	}
 	if got := sess.PlanCacheLen(); got != 4 {
 		t.Errorf("cache len = %d, want 4", got)
 	}
-	hitsBefore := sess.Stats().Hits
+	hitsBefore := planCache(sess).Hits
 	run(0) // still cached
-	if got := sess.Stats().Hits; got != hitsBefore+1 {
+	if got := planCache(sess).Hits; got != hitsBefore+1 {
 		t.Errorf("warm shape missed: hits %d → %d", hitsBefore, got)
 	}
-	missesBefore := sess.Stats().Misses
+	missesBefore := planCache(sess).Misses
 	run(1) // was evicted → re-plans
-	if got := sess.Stats().Misses; got != missesBefore+1 {
+	if got := planCache(sess).Misses; got != missesBefore+1 {
 		t.Errorf("evicted shape should miss: misses %d → %d", missesBefore, got)
 	}
 }
@@ -288,7 +288,7 @@ func TestPlanCacheDefaultCap(t *testing.T) {
 	if got := sess.PlanCacheLen(); got != DefaultPlanCacheSize {
 		t.Errorf("cache len = %d, want %d", got, DefaultPlanCacheSize)
 	}
-	if st := sess.Stats(); st.Evictions != 20 {
+	if st := planCache(sess); st.Evictions != 20 {
 		t.Errorf("evictions = %d, want 20", st.Evictions)
 	}
 }

@@ -112,7 +112,7 @@ func viewShape(q *xquery.Query) (*shape, bool) {
 			}
 			conjuncts = splitAnd(wp.X)
 			for _, c := range conjuncts {
-				if !overVarOnly(c, fc.Var) || !downwardOnly(c) {
+				if !overVarOnly(c, fc.Var) || !xpath.DownwardOnly(c) {
 					return nil, false
 				}
 			}
@@ -152,9 +152,9 @@ func (v *shape) rewrite(viewDoc string, q *xquery.Query) (*xquery.Query, bool) {
 		}
 	}
 	// The rewritten query navigates inside stored subtree copies; any
-	// upward or sibling axis could observe surroundings the view did
-	// not materialize.
-	if !queryDownwardOnly(q) {
+	// upward or sibling axis or absolute path could observe
+	// surroundings the view did not materialize.
+	if !q.DownwardOnly() {
 		return nil, false
 	}
 
@@ -353,100 +353,16 @@ func implies(q, v xpath.Expr) bool {
 	return false
 }
 
-// downwardOnly reports whether every location step in e stays inside
-// the subtree of its context node.
-func downwardOnly(e xpath.Expr) bool {
-	ok := true
-	var walk func(xpath.Expr)
-	walk = func(e xpath.Expr) {
-		switch v := e.(type) {
-		case *xpath.PathExpr:
-			if v.Filter != nil {
-				walk(v.Filter)
-			}
-			for _, s := range v.Steps {
-				switch s.Axis {
-				case xpath.AxisChild, xpath.AxisDescendant, xpath.AxisDescendantOrSelf,
-					xpath.AxisSelf, xpath.AxisAttribute:
-				default:
-					ok = false
-				}
-				for _, p := range s.Preds {
-					walk(p)
-				}
-			}
-		case *xpath.BinaryExpr:
-			walk(v.L)
-			walk(v.R)
-		case *xpath.UnionExpr:
-			for _, p := range v.Paths {
-				walk(p)
-			}
-		case *xpath.NegExpr:
-			walk(v.X)
-		case *xpath.FuncCall:
-			for _, a := range v.Args {
-				walk(a)
-			}
-		}
-	}
-	walk(e)
-	return ok
-}
-
-// queryDownwardOnly applies downwardOnly to every path of the query.
-func queryDownwardOnly(q *xquery.Query) bool {
-	ok := true
-	var walk func(xquery.Expr)
-	walk = func(e xquery.Expr) {
-		switch v := e.(type) {
-		case *xquery.Path:
-			if !downwardOnly(v.X) {
-				ok = false
-			}
-		case *xquery.FLWR:
-			for _, c := range v.Clauses {
-				switch cl := c.(type) {
-				case xquery.ForClause:
-					walk(cl.Source)
-				case xquery.LetClause:
-					walk(cl.Source)
-				}
-			}
-			if v.Where != nil {
-				walk(v.Where)
-			}
-			if v.Order != nil {
-				walk(v.Order.Key)
-			}
-			walk(v.Return)
-		case *xquery.Elem:
-			for _, a := range v.Attrs {
-				if a.Computed != nil {
-					walk(a.Computed)
-				}
-			}
-			for _, c := range v.Content {
-				walk(c)
-			}
-		case *xquery.Seq:
-			for _, it := range v.Items {
-				walk(it)
-			}
-		}
-	}
-	walk(q.Body)
-	return ok
-}
-
 // subtreeLocal reports whether the body of a single-for query reads
 // nothing outside the subtree its for variable is bound to: no upward
-// or sibling axis anywhere, and no doc() beside the for source.
+// or sibling axis and no absolute path anywhere (xquery's
+// DownwardOnly, the check the evaluator makes before it names its
+// trees), and no doc() beside the for source.
 // Provenance-based maintenance re-derives a source only when that
 // subtree changed, so it is sound for exactly these bodies.
 func subtreeLocal(q *xquery.Query) bool {
 	f, ok := q.Body.(*xquery.FLWR)
-	if !ok || len(f.Clauses) == 0 || !queryDownwardOnly(q) {
+	if !ok || len(f.Clauses) == 0 || !q.DownwardOnly() {
 		return false
 	}
 	residual := &xquery.Query{Body: &xquery.FLWR{

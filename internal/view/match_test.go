@@ -62,6 +62,7 @@ func TestSubtreeLocal(t *testing.T) {
 		{`for $x in doc("c")/item let $all := doc("c")/item return count($all)`, false}, // doc() in let
 		{`for $x in doc("c")/item return <r>{doc("c")/title}</r>`, false},               // doc() in return
 		{`for $x in doc("c")/item[../@open] return $x`, false},                          // source predicate looks up
+		{`for $x in doc("c")/item return $x/name[count(/c/item) < 12]`, false},          // absolute path
 	} {
 		if got := subtreeLocal(xquery.MustParse(c.src)); got != c.want {
 			t.Errorf("subtreeLocal(%q) = %v, want %v", c.src, got, c.want)

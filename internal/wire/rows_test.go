@@ -227,9 +227,27 @@ func TestStreamDeadlineRearms(t *testing.T) {
 // TestStreamBesideWriters: QUERYX streams over loopback and in-process
 // session streams run while a writer commits. Every reply is one
 // epoch's truth — all items, one generation — and no reader changes
-// a stored tree: a root pinned before the readers started serializes,
-// and links its items, exactly as it did.
-func TestStreamBesideWriters(t *testing.T) {
+// a stored tree: a root pinned before the readers started serializes
+// exactly as it did.
+func TestStreamBesideWriters(t *testing.T) { streamsBesideWriter(t, `doc("ledger")/item`) }
+
+// TestUpwardStreamsBesideWriters is TestStreamBesideWriters for queries
+// that step up, sideways or to the root. Such a step finds a node's
+// parent in an index the reader builds from the one pinned tree its
+// stream reads, so every reply is still one epoch's items; building it
+// only reads that tree, and a reader never writes a published node.
+func TestUpwardStreamsBesideWriters(t *testing.T) {
+	streamsBesideWriter(t,
+		`doc("ledger")/item[1]/../item`,
+		`for $v in doc("ledger")/item/v return $v/..`,
+		`doc("ledger")/item/v/ancestor::ledger/item`,
+		`doc("ledger")/item[2]/preceding-sibling::item/following-sibling::item/../item`,
+		`doc("ledger")/item[count(/ledger/item/v) = 100]`)
+}
+
+// streamsBesideWriter runs the srcs, each of which returns the ledger's
+// items, beside a writer; see TestStreamBesideWriters.
+func streamsBesideWriter(t *testing.T, srcs ...string) {
 	// The writer commits until every reader has had replies enough to
 	// overlap it, and at least minCommits times.
 	const items, minCommits, readers, repliesEach = 100, 40, 2, 10
@@ -257,8 +275,6 @@ func TestStreamBesideWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := xmltree.Serialize(root)
-	parents := map[*xmltree.Node]*xmltree.Node{}
-	root.Walk(func(n *xmltree.Node) bool { parents[n] = n.Parent; return true })
 
 	// oneEpoch reports what is wrong with a reply, "" when nothing.
 	oneEpoch := func(rows []*xmltree.Node) string {
@@ -278,7 +294,7 @@ func TestStreamBesideWriters(t *testing.T) {
 	errs := make(chan string, 2*readers)
 	var wg sync.WaitGroup
 	var replies atomic.Int64
-	read := func(query func() ([]*xmltree.Node, error)) {
+	read := func(query func(src string) ([]*xmltree.Node, error)) {
 		defer wg.Done()
 		for n := 0; ; n++ {
 			if n == repliesEach {
@@ -289,7 +305,7 @@ func TestStreamBesideWriters(t *testing.T) {
 				return
 			default:
 			}
-			rows, err := query()
+			rows, err := query(srcs[n%len(srcs)])
 			if err != nil {
 				errs <- err.Error()
 				replies.Add(1)
@@ -302,7 +318,6 @@ func TestStreamBesideWriters(t *testing.T) {
 			}
 		}
 	}
-	const src = `doc("ledger")/item`
 	for i := 0; i < readers; i++ {
 		c, err := Dial(l.Addr().String())
 		if err != nil {
@@ -310,8 +325,8 @@ func TestStreamBesideWriters(t *testing.T) {
 		}
 		t.Cleanup(func() { c.Close() })
 		wg.Add(2)
-		go read(func() ([]*xmltree.Node, error) { return c.QueryAll(src) })
-		go read(func() ([]*xmltree.Node, error) {
+		go read(c.QueryAll)
+		go read(func(src string) ([]*xmltree.Node, error) {
 			rows, err := local.Query(context.Background(), src)
 			if err != nil {
 				return nil, err
@@ -351,31 +366,25 @@ func TestStreamBesideWriters(t *testing.T) {
 	if got := xmltree.Serialize(root); got != text {
 		t.Errorf("the pinned root changed under the readers:\n%s\nwant\n%s", got, text)
 	}
-	root.Walk(func(n *xmltree.Node) bool {
-		if n.Parent != parents[n] {
-			t.Errorf("a reader re-parented stored node %s", xmltree.Serialize(n))
-			return false
+	for _, src := range srcs {
+		rows, err := local.Query(context.Background(), src)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
-	rows, err := local.Query(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := rows.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg := oneEpoch(final); msg != "" || final[0].TextContent() != fmt.Sprint(commits) {
-		t.Errorf("after the writer: %s, generation %s", msg, final[0].TextContent())
+		final, err := rows.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := oneEpoch(final); msg != "" || final[0].TextContent() != fmt.Sprint(commits) {
+			t.Errorf("%s after the writer: %s, generation %s", src, msg, final[0].TextContent())
+		}
 	}
 	if g := srv.MetricsRegistry().Snapshot().Gauges["wire.streams_aborted"]; g != 0 {
 		t.Errorf("%d streams aborted", g)
 	}
 }
 
-// TestClientRowShapes: every row decodes to its first node, detached
-// from the row wrapper.
+// TestClientRowShapes: every row decodes to its first node.
 func TestClientRowShapes(t *testing.T) {
 	lines := []struct{ line, want string }{
 		{`<x:row><item id="1"><name>chair</name></item></x:row>`, `<item id="1"><name>chair</name></item>`},
@@ -413,8 +422,8 @@ func TestClientRowShapes(t *testing.T) {
 		t.Fatalf("%d rows, want %d", len(got), len(lines))
 	}
 	for i, n := range got {
-		if s := xmltree.Serialize(n); s != lines[i].want || n.Parent != nil {
-			t.Errorf("%s: row %q (parent %v), want %q", lines[i].line, s, n.Parent, lines[i].want)
+		if s := xmltree.Serialize(n); s != lines[i].want {
+			t.Errorf("%s: row %q, want %q", lines[i].line, s, lines[i].want)
 		}
 	}
 }

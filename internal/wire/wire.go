@@ -194,9 +194,8 @@ func (s *Server) session() (*session.Local, error) {
 		return nil, errNoSystem
 	}
 	s.sessOnce.Do(func() {
-		// The shared session always feeds the server's registry, so a
-		// STATS snapshot's session.plan_cache.* counters are exactly the
-		// session's Stats() values.
+		// The shared session counts into the server's registry, so a
+		// STATS snapshot carries its session.plan_cache.* counters.
 		opts := append([]session.LocalOption{session.WithMetrics(s.metrics())}, s.SessionOptions...)
 		s.sess, s.sessErr = session.NewLocal(s.Views.System(), s.Views, s.Peer.ID, opts...)
 	})
@@ -1149,9 +1148,7 @@ func (c *Client) openStream(parent context.Context, line string, timeout time.Du
 				finish()
 				return nil, fmt.Errorf("wire: empty row")
 			}
-			row := root.Children[0]
-			row.Parent = nil
-			return row, nil
+			return root.Children[0], nil
 		case "x:end":
 			finish()
 			return nil, nil
@@ -1229,7 +1226,7 @@ func (c *Client) Prepare(ctx context.Context, src string) (*session.Stmt, error)
 	run := func(ctx context.Context, opts ...session.Option) (*session.Rows, error) {
 		return c.Query(ctx, src, opts...)
 	}
-	return session.NewStmt(src, run, nil), nil
+	return session.NewStmt(src, run), nil
 }
 
 // Call invokes a service of the served peer with the given parameter
@@ -1248,7 +1245,7 @@ func (c *Client) Call(ctx context.Context, service string, params ...*xmltree.No
 	if err != nil {
 		return nil, err
 	}
-	return detachChildren(root), nil
+	return root.Children, nil
 }
 
 // Install installs a document on the server.
@@ -1337,13 +1334,4 @@ func (c *Client) Placements(ctx context.Context) ([]string, error) {
 		}
 	}
 	return out, nil
-}
-
-func detachChildren(root *xmltree.Node) []*xmltree.Node {
-	out := make([]*xmltree.Node, 0, len(root.Children))
-	for _, ch := range root.Children {
-		ch.Parent = nil
-		out = append(out, ch)
-	}
-	return out
 }

@@ -21,9 +21,7 @@ func DeepCopy(n *Node) *Node {
 	if len(n.Children) > 0 {
 		c.Children = make([]*Node, 0, len(n.Children))
 		for _, ch := range n.Children {
-			cc := DeepCopy(ch)
-			cc.Parent = c
-			c.Children = append(c.Children, cc)
+			c.Children = append(c.Children, DeepCopy(ch))
 		}
 	}
 	return c

@@ -1,7 +1,7 @@
 // Package xmltree implements the XML data model of the AXML framework:
 // unranked, unordered, labelled trees in which every node carries an
 // identifier (paper §2.1). It provides a from-scratch parser and
-// serializer, builders that maintain parent links, deep copies, and
+// serializer, builders, deep copies, and
 // canonical forms used for the unordered tree equivalence that
 // underpins document equivalence (paper §2.3). A stored tree changes
 // only through its peer's transactions (internal/peer), never here.
@@ -30,8 +30,9 @@ const (
 	// ProcInstNode holds a processing instruction; ignored by equivalence.
 	ProcInstNode
 	// AttrNode is a transient node synthesized by the XPath attribute
-	// axis: Label is the attribute name, Text its value, Parent the
-	// owning element. AttrNodes never appear in stored trees.
+	// axis: Label is the attribute name, Text its value; its owning
+	// element is known only to the evaluation that made it. AttrNodes
+	// never appear in stored trees.
 	AttrNode
 )
 
@@ -66,8 +67,12 @@ type Attr struct {
 // Node is one node of an XML tree. The zero value is an empty element
 // node with no label.
 //
-// Invariants maintained by AppendChild and the builders:
-//   - n.Children[i].Parent == n for all i
+// A node has no parent pointer: a stored subtree is shared between the
+// epochs of its document, so it has no single parent. Where a node sits
+// is known to whoever reached it from a root (the XPath evaluator's
+// upward and sideways axes look it up in the trees they read).
+//
+// Invariant maintained by AppendChild and the builders:
 //   - Text/Comment/ProcInst nodes have no children and no attributes.
 type Node struct {
 	ID       NodeID
@@ -76,7 +81,6 @@ type Node struct {
 	Text     string // character data for Text/Comment/ProcInst
 	Attrs    []Attr
 	Children []*Node
-	Parent   *Node
 }
 
 // NewElement returns a fresh element node with the given label.
@@ -125,7 +129,7 @@ func (n *Node) RemoveAttr(name string) {
 	}
 }
 
-// AppendChild adds c as the last child of n and sets c.Parent.
+// AppendChild adds c as the last child of n; c itself is not written.
 // It panics if n cannot have children (non-element) or if c is nil,
 // because both indicate a programming error, not a data error.
 func (n *Node) AppendChild(c *Node) {
@@ -135,7 +139,6 @@ func (n *Node) AppendChild(c *Node) {
 	if n.Kind != ElementNode {
 		panic("xmltree: AppendChild on non-element node")
 	}
-	c.Parent = n
 	n.Children = append(n.Children, c)
 }
 
@@ -297,34 +300,6 @@ func (n *Node) ByteSize() int {
 		size += c.ByteSize()
 	}
 	return size + len("</") + len(n.Label) + len(">")
-}
-
-// Root returns the topmost ancestor of n.
-func (n *Node) Root() *Node {
-	for n.Parent != nil {
-		n = n.Parent
-	}
-	return n
-}
-
-// Path returns a human-readable /label/label position of n for messages.
-func (n *Node) Path() string {
-	if n == nil {
-		return ""
-	}
-	var parts []string
-	for m := n; m != nil; m = m.Parent {
-		switch m.Kind {
-		case ElementNode:
-			parts = append(parts, m.Label)
-		case TextNode:
-			parts = append(parts, "text()")
-		}
-	}
-	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-		parts[i], parts[j] = parts[j], parts[i]
-	}
-	return "/" + strings.Join(parts, "/")
 }
 
 // sortAttrs orders attributes by name; used by serialization of

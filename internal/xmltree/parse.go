@@ -39,7 +39,7 @@ func Parse(input string) (*Node, error) {
 	if p.at(p.pos) != '<' {
 		return nil, p.errf("expected '<', found %q", string(p.at(p.pos)))
 	}
-	root, open, err := p.startTag(nil)
+	root, open, err := p.startTag()
 	if err != nil {
 		return nil, err
 	}
@@ -202,15 +202,15 @@ func (p *parser) name() (string, error) {
 	return p.src[start:i], nil
 }
 
-// node takes a fresh node, under parent, from the node block.
-func (p *parser) node(kind Kind, parent *Node) *Node {
+// node takes a fresh node from the node block.
+func (p *parser) node(kind Kind) *Node {
 	if len(p.nodes) == 0 {
 		end := min(len(p.src), p.pos+blockInput)
 		p.nodes = make([]Node, max(1, nodeEstimate(p.src[p.pos:end])))
 	}
 	n := &p.nodes[0]
 	p.nodes = p.nodes[1:]
-	n.Kind, n.Parent = kind, parent
+	n.Kind = kind
 	return n
 }
 
@@ -251,11 +251,11 @@ func (p *parser) children(kids []*Node, pending int) []*Node {
 	return s
 }
 
-// startTag parses a start tag at p.pos ('<') into an element under
-// parent, reporting whether the element is open (not empty-element).
-func (p *parser) startTag(parent *Node) (el *Node, open bool, err error) {
+// startTag parses a start tag at p.pos ('<') into an element,
+// reporting whether the element is open (not empty-element).
+func (p *parser) startTag() (el *Node, open bool, err error) {
 	tag := p.pos
-	el = p.node(ElementNode, parent)
+	el = p.node(ElementNode)
 	p.pos++
 	name, err := p.name()
 	if err != nil {
@@ -344,7 +344,7 @@ func (p *parser) content(root *Node) ([]*Node, error) {
 		var n *Node
 		var err error
 		if p.src[p.pos] != '<' {
-			n, err = p.text(parent)
+			n, err = p.text()
 		} else {
 			switch p.at(p.pos + 1) {
 			case '/':
@@ -367,12 +367,12 @@ func (p *parser) content(root *Node) ([]*Node, error) {
 				}
 				continue
 			case '!':
-				n, err = p.markup(parent)
+				n, err = p.markup()
 			case '?':
-				n, err = p.procInst(parent)
+				n, err = p.procInst()
 			default:
 				var isOpen bool
-				n, isOpen, err = p.startTag(parent)
+				n, isOpen, err = p.startTag()
 				if err == nil && isOpen {
 					stack = append(stack, n)
 					open = append(open, len(stack))
@@ -427,7 +427,7 @@ func (p *parser) endTag(want string) error {
 // markup parses the comment or CDATA section at p.pos ("<!"). An empty
 // CDATA section holds no character data and makes no node. Anything
 // else after "<!" is a start tag that fails on its name.
-func (p *parser) markup(parent *Node) (*Node, error) {
+func (p *parser) markup() (*Node, error) {
 	rest := p.src[p.pos:]
 	switch {
 	case strings.HasPrefix(rest, "<!--"):
@@ -435,7 +435,7 @@ func (p *parser) markup(parent *Node) (*Node, error) {
 		if !ok {
 			return nil, p.errf("unterminated comment")
 		}
-		n := p.node(CommentNode, parent)
+		n := p.node(CommentNode)
 		n.Text = text
 		p.pos += size
 		return n, nil
@@ -446,23 +446,23 @@ func (p *parser) markup(parent *Node) (*Node, error) {
 		}
 		var n *Node
 		if text != "" {
-			n = p.node(TextNode, parent)
+			n = p.node(TextNode)
 			n.Text = text
 		}
 		p.pos += size
 		return n, nil
 	}
-	n, _, err := p.startTag(parent)
+	n, _, err := p.startTag()
 	return n, err
 }
 
 // procInst parses the processing instruction at p.pos ("<?").
-func (p *parser) procInst(parent *Node) (*Node, error) {
+func (p *parser) procInst() (*Node, error) {
 	body, size, ok := delimited(p.src[p.pos:], "<?", "?>")
 	if !ok {
 		return nil, p.errf("unterminated processing instruction")
 	}
-	n := p.node(ProcInstNode, parent)
+	n := p.node(ProcInstNode)
 	n.Label, n.Text, _ = strings.Cut(body, " ")
 	p.pos += size
 	return n, nil
@@ -480,8 +480,8 @@ func delimited(rest, open, end string) (string, int, bool) {
 }
 
 // text parses the character data up to the next '<'.
-func (p *parser) text(parent *Node) (*Node, error) {
-	n := p.node(TextNode, parent)
+func (p *parser) text() (*Node, error) {
+	n := p.node(TextNode)
 	end := len(p.src)
 	if i := strings.IndexByte(p.src[p.pos:], '<'); i >= 0 {
 		end = p.pos + i

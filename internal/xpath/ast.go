@@ -230,6 +230,50 @@ func PlainNameSteps(steps []Step) bool {
 	return true
 }
 
+// DownwardOnly reports whether every path in e stays inside the subtree
+// of the node it starts from: no parent, ancestor or sibling step and
+// no absolute path, in e or in any predicate or argument below it. Such
+// an expression never asks where a node sits, so it is evaluated
+// without Context.Trees; and a view body made of such paths reads
+// nothing outside the subtree its variable is bound to.
+func DownwardOnly(e Expr) bool {
+	switch v := e.(type) {
+	case *PathExpr:
+		if v.Absolute || v.Filter != nil && !DownwardOnly(v.Filter) {
+			return false
+		}
+		for _, s := range v.Steps {
+			switch s.Axis {
+			case AxisChild, AxisDescendant, AxisDescendantOrSelf, AxisSelf, AxisAttribute:
+			default:
+				return false
+			}
+			for _, p := range s.Preds {
+				if !DownwardOnly(p) {
+					return false
+				}
+			}
+		}
+	case *BinaryExpr:
+		return DownwardOnly(v.L) && DownwardOnly(v.R)
+	case *UnionExpr:
+		for _, p := range v.Paths {
+			if !DownwardOnly(p) {
+				return false
+			}
+		}
+	case *NegExpr:
+		return DownwardOnly(v.X)
+	case *FuncCall:
+		for _, a := range v.Args {
+			if !DownwardOnly(a) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Variables returns the set of variable names referenced by e, in
 // first-occurrence order. The xquery compiler uses this for dependency
 // analysis (which clauses a predicate may be pushed below).

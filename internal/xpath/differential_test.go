@@ -11,12 +11,19 @@ import (
 
 // sameNode is node identity for the comparison: stored nodes by
 // pointer; the nodes every evaluation makes afresh by what they stand
-// for — an attribute by its name, value and owning element, the
-// document node of an absolute path by the root below it.
-func sameNode(a, b *xmltree.Node) bool {
+// for — an attribute by its name, value and owning element (the one
+// the evaluator recorded in ctx.Trees, or the reference in refOwner),
+// the document node of an absolute path by the root below it.
+func sameNode(ctx *Context, a, b *xmltree.Node) bool {
+	owner := func(n *xmltree.Node) *xmltree.Node {
+		if el, ok := refOwner[n]; ok {
+			return el
+		}
+		return ctx.Trees.parentOf(n)
+	}
 	switch {
 	case a.Kind == xmltree.AttrNode || b.Kind == xmltree.AttrNode:
-		return a.Kind == b.Kind && a.Label == b.Label && a.Text == b.Text && a.Parent == b.Parent
+		return a.Kind == b.Kind && a.Label == b.Label && a.Text == b.Text && owner(a) == owner(b)
 	case a.Label == "#document" && b.Label == "#document":
 		return a.Children[0] == b.Children[0]
 	}
@@ -35,7 +42,7 @@ func describe(v Value) string {
 	return "[" + strings.Join(parts, " ") + "]"
 }
 
-func sameValue(got, want Value) bool {
+func sameValue(ctx *Context, got, want Value) bool {
 	gns, gok := got.(NodeSet)
 	wns, wok := want.(NodeSet)
 	if gok != wok {
@@ -52,11 +59,22 @@ func sameValue(got, want Value) bool {
 		return false
 	}
 	for i := range gns {
-		if !sameNode(gns[i], wns[i]) {
+		if !sameNode(ctx, gns[i], wns[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// named is ctx with its default trees named, so that sameNode sees the
+// elements the evaluator recorded for the attributes it made.
+func named(ctx *Context) *Context {
+	if ctx.Trees != nil {
+		return ctx
+	}
+	c := *ctx
+	c.Trees = NewTrees(ctx.Node)
+	return &c
 }
 
 // checkReference evaluates expr with the current evaluator and with the
@@ -68,14 +86,15 @@ func checkReference(t testing.TB, expr string, ctx *Context) {
 	if err != nil {
 		t.Fatalf("Compile(%q): %v", expr, err)
 	}
+	ctx = named(ctx)
 	got, gotErr := c.Eval(ctx)
 	want, wantErr := refEval(c.Root, ctx)
 	if (gotErr != nil) != (wantErr != nil) {
 		t.Errorf("%q: error %v, reference error %v", expr, gotErr, wantErr)
 		return
 	}
-	if gotErr == nil && !sameValue(got, want) {
-		t.Errorf("%q from %s:\n  got       %s\n  reference %s", expr, ctx.Node.Path(), describe(got), describe(want))
+	if gotErr == nil && !sameValue(ctx, got, want) {
+		t.Errorf("%q from <%s>:\n  got       %s\n  reference %s", expr, ctx.Node.Label, describe(got), describe(want))
 	}
 }
 
@@ -201,7 +220,7 @@ func TestStepsMatchReference(t *testing.T) {
 	}
 	for _, start := range starts {
 		for _, p := range diffPaths {
-			checkReference(t, p, &Context{Node: start})
+			checkReference(t, p, &Context{Node: start, Trees: NewTrees(root)})
 		}
 	}
 }
@@ -234,7 +253,7 @@ func TestStepsFromVariableNodeSets(t *testing.T) {
 		"$all/self::item[@cat]/@cat = 'office'", "$one/preceding-sibling::*/name = 'thing-0'",
 		"$k/@id = 1", "1 < $limit/name", "$all/@id = $nope",
 	} {
-		checkReference(t, p, &Context{Node: root, Vars: vars})
+		checkReference(t, p, &Context{Node: root, Vars: vars, Trees: NewTrees(root)})
 	}
 }
 
@@ -348,6 +367,11 @@ var streamedRows = []struct{ path, lit string }{
 	{"count(item)/x", "1"},
 	// shapes that take the collected path: a predicate or another axis last
 	{"item/name[1]", "'thing-2'"}, {"item/@*[2]", "'light'"}, {"item/..", "''"}, {"//name/ancestor::item", "''"},
+	// upward, sideways and absolute steps before the last one
+	{"$i/../@rev", "7"}, {"$i/name/../@id", "'3'"}, {"$i/@id/../name", "'thing-3'"}, {"$i/price/parent::item/@cat", "'office'"},
+	{"$i/ancestor-or-self::*/@rev", "7"}, {"$i/following-sibling::item[1]/@id", "'4'"},
+	{"$i/preceding-sibling::item/price", "50"}, {"$i/following-sibling::*/name", "'thing-5'"},
+	{"/catalog/item[1]/following-sibling::item/@id", "'2'"}, {"$i/name/ancestor::catalog/@rev", "7"},
 }
 
 var compareOps = []string{"=", "!=", "<", "<=", ">", ">="}
@@ -369,7 +393,7 @@ func streamedContexts(t testing.TB) []*Context {
 			Bind("none", NodeSet{}).
 			Bind("k", String("4")).
 			Bind("limit", Number(50))
-		out = append(out, &Context{Node: root, Vars: vars})
+		out = append(out, &Context{Node: root, Vars: vars, Trees: NewTrees(root)})
 	}
 	return out
 }
@@ -379,6 +403,7 @@ func streamedContexts(t testing.TB) []*Context {
 // with the same error text.
 func checkComparison(t testing.TB, c *Compiled, ctx *Context) {
 	t.Helper()
+	ctx = named(ctx)
 	got, gotErr := c.Eval(ctx)
 	want, wantErr := refEval(c.Root, ctx)
 	if gotErr != nil || wantErr != nil {
@@ -387,7 +412,7 @@ func checkComparison(t testing.TB, c *Compiled, ctx *Context) {
 		}
 		return
 	}
-	if !sameValue(got, want) {
+	if !sameValue(ctx, got, want) {
 		t.Errorf("%s: got %s, reference %s", c.Source, describe(got), describe(want))
 	}
 }

@@ -23,6 +23,11 @@ type Context struct {
 	Pos, Size int
 	// Vars binds $variables. May be nil.
 	Vars *Scope
+	// Trees names the trees the evaluation reads. Upward and sideways
+	// steps from a node, and an absolute path, reach only the trees
+	// named here. Nil names the context node's own tree: the one
+	// rooted at Node.
+	Trees *Trees
 }
 
 // Scope is an immutable chain of variable bindings; the nil Scope is
@@ -73,15 +78,20 @@ type EvalError struct {
 func (e *EvalError) Error() string { return fmt.Sprintf("xpath: eval %q: %s", e.Expr, e.Msg) }
 
 // Eval evaluates a parsed expression in the given context.
-func Eval(e Expr, ctx *Context) (Value, error) { return evalExpr(e, ctx) }
-
-// Eval evaluates the expression in the given context.
-func (c *Compiled) Eval(ctx *Context) (Value, error) {
-	return evalExpr(c.Root, ctx)
+func Eval(e Expr, ctx *Context) (Value, error) {
+	if ctx.Trees == nil && ctx.Node != nil && !DownwardOnly(e) {
+		c := *ctx
+		c.Trees = NewTrees(ctx.Node)
+		ctx = &c
+	}
+	return evalExpr(e, ctx)
 }
 
-// Select evaluates the expression and coerces the result to a node-set.
-// Non-node results yield an error.
+// Eval evaluates the expression in the given context.
+func (c *Compiled) Eval(ctx *Context) (Value, error) { return Eval(c.Root, ctx) }
+
+// Select evaluates the expression from n, in n's tree, and coerces the
+// result to a node-set. Non-node results yield an error.
 func (c *Compiled) Select(n *xmltree.Node) ([]*xmltree.Node, error) {
 	v, err := c.Eval(&Context{Node: n})
 	if err != nil {
@@ -314,8 +324,8 @@ func walkPath(p *PathExpr, steps []Step, ctx *Context) (current NodeSet, start *
 		}
 		// XPath absolute paths start at the document node above the root
 		// element; the tree model has no such node, so synthesize one.
-		// Its Children slice references (does not adopt) the root.
-		root := ctx.Node.Root()
+		// Its Children slice references the root.
+		root := ctx.Trees.rootOf(ctx.Node)
 		start = &xmltree.Node{
 			Kind:     xmltree.ElementNode,
 			Label:    "#document",
@@ -443,7 +453,7 @@ func applyStep(st *Step, input NodeSet, ctx *Context) (NodeSet, error) {
 	out := make(NodeSet, 0, size)
 	for _, n := range input {
 		from := len(out)
-		out = appendAxis(out, st.Axis, st.Test, n)
+		out = appendAxis(out, st.Axis, st.Test, n, ctx.Trees)
 		if len(st.Preds) > 0 {
 			// Positions count within one input node's matches.
 			kept, err := applyPredicates(st.Preds, out[from:], ctx)
@@ -469,7 +479,7 @@ func applyStep(st *Step, input NodeSet, ctx *Context) (NodeSet, error) {
 // applyPredicates filters nodes in place through each predicate in
 // turn; the caller must own the slice.
 func applyPredicates(preds []Expr, nodes []*xmltree.Node, outer *Context) ([]*xmltree.Node, error) {
-	pctx := Context{Vars: outer.Vars}
+	pctx := Context{Vars: outer.Vars, Trees: outer.Trees}
 	for _, pred := range preds {
 		kept := nodes[:0]
 		pctx.Size = len(nodes)
@@ -497,8 +507,8 @@ func applyPredicates(preds []Expr, nodes []*xmltree.Node, outer *Context) ([]*xm
 
 // appendAxis appends the nodes on the given axis from n that pass the
 // node test, in document order (reverse axes included — see package
-// comment).
-func appendAxis(out []*xmltree.Node, axis Axis, t NodeTest, n *xmltree.Node) []*xmltree.Node {
+// comment). The upward and sideways axes find n's parent in trees.
+func appendAxis(out []*xmltree.Node, axis Axis, t NodeTest, n *xmltree.Node, trees *Trees) []*xmltree.Node {
 	switch axis {
 	case AxisChild:
 		for _, c := range n.Children {
@@ -517,15 +527,15 @@ func appendAxis(out []*xmltree.Node, axis Axis, t NodeTest, n *xmltree.Node) []*
 			out = append(out, n)
 		}
 	case AxisParent:
-		if n.Parent != nil && testMatches(t, n.Parent) {
-			out = append(out, n.Parent)
+		if p := trees.parentOf(n); p != nil && testMatches(t, p) {
+			out = append(out, p)
 		}
 	case AxisAncestor, AxisAncestorOrSelf:
 		p := n
 		if axis == AxisAncestor {
-			p = n.Parent
+			p = trees.parentOf(n)
 		}
-		for ; p != nil; p = p.Parent {
+		for ; p != nil; p = trees.parentOf(p) {
 			if testMatches(t, p) {
 				out = append(out, p)
 			}
@@ -535,22 +545,23 @@ func appendAxis(out []*xmltree.Node, axis Axis, t NodeTest, n *xmltree.Node) []*
 			break
 		}
 		// Attributes are not nodes of the stored tree: synthesize one
-		// only for an attribute the test selects.
+		// only for an attribute the test selects, and remember its
+		// element when an evaluation may look up from it.
 		for _, a := range n.Attrs {
 			if attrMatches(t, a.Name) {
-				out = append(out, &xmltree.Node{
-					Kind:   xmltree.AttrNode,
-					Label:  a.Name,
-					Text:   a.Value,
-					Parent: n,
-				})
+				attr := &xmltree.Node{Kind: xmltree.AttrNode, Label: a.Name, Text: a.Value}
+				if trees != nil {
+					trees.own(attr, n)
+				}
+				out = append(out, attr)
 			}
 		}
 	case AxisFollowingSibling, AxisPrecedingSibling:
-		if n.Parent == nil {
+		p := trees.parentOf(n)
+		if p == nil {
 			break
 		}
-		sibs := n.Parent.Children
+		sibs := p.Children
 		for i, s := range sibs {
 			if s == n {
 				if axis == AxisFollowingSibling {

@@ -10,6 +10,12 @@
 // document order), reverse axes yield document order rather than
 // proximity order, and namespaces are uninterpreted (a prefixed name is
 // an ordinary label containing ':').
+//
+// Trees carry no parent pointers, so where a node sits is a property of
+// the trees an evaluation reads: the parent, ancestor and sibling axes
+// and absolute paths reach only the trees named in Context.Trees, by
+// default the context node's own tree (see Trees). An expression that
+// only looks down (DownwardOnly) never needs them.
 package xpath
 
 import (

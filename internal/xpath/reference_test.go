@@ -145,8 +145,11 @@ func refEvalPath(p *PathExpr, ctx *Context) (Value, error) {
 		}
 		// XPath absolute paths start at the document node above the root
 		// element; the tree model has no such node, so synthesize one.
-		// Its Children slice references (does not adopt) the root.
-		root := ctx.Node.Root()
+		// Its Children slice references the root.
+		root := ctx.Node
+		for p := refParent(ctx, root); p != nil; p = refParent(ctx, p) {
+			root = p
+		}
 		docNode := &xmltree.Node{
 			Kind:     xmltree.ElementNode,
 			Label:    "#document",
@@ -175,7 +178,7 @@ func refApplyStep(st Step, input NodeSet, ctx *Context) (NodeSet, error) {
 	var out NodeSet
 	seen := map[*xmltree.Node]bool{}
 	for _, n := range input {
-		candidates := refAxisNodes(st.Axis, n)
+		candidates := refAxisNodes(st.Axis, n, ctx)
 		// candidates may alias the tree's own child slice; never mutate it.
 		matched := make([]*xmltree.Node, 0, len(candidates))
 		for _, c := range candidates {
@@ -203,7 +206,7 @@ func refApplyPredicates(preds []Expr, nodes []*xmltree.Node, outer *Context) ([]
 		var kept []*xmltree.Node
 		size := len(current)
 		for i, n := range current {
-			pctx := &Context{Node: n, Pos: i + 1, Size: size, Vars: outer.Vars}
+			pctx := &Context{Node: n, Pos: i + 1, Size: size, Vars: outer.Vars, Trees: refTrees(outer)}
 			v, err := refEval(pred, pctx)
 			if err != nil {
 				return nil, err
@@ -224,9 +227,54 @@ func refApplyPredicates(preds []Expr, nodes []*xmltree.Node, outer *Context) ([]
 	return current, nil
 }
 
+// refTrees is the trees ctx names, its context node's tree by default.
+func refTrees(ctx *Context) *Trees {
+	if ctx.Trees == nil {
+		return &Trees{roots: []*xmltree.Node{ctx.Node}}
+	}
+	return ctx.Trees
+}
+
+// refOwner maps every attribute node the reference made to its element.
+var refOwner = map[*xmltree.Node]*xmltree.Node{}
+
+// refParent finds n's parent by searching the trees ctx names from
+// their roots — not through Trees' index — and an attribute's element
+// in refOwner.
+func refParent(ctx *Context, n *xmltree.Node) *xmltree.Node {
+	if n.Kind == xmltree.AttrNode {
+		return refOwner[n]
+	}
+	for _, root := range refTrees(ctx).roots {
+		if root == n {
+			continue // a tree's root is no child of its own
+		}
+		if p := refSearch(root, n); p != nil {
+			return p
+		}
+	}
+	return nil
+}
+
+// refSearch returns the node under root (root included) that has n as
+// a child, or nil.
+func refSearch(root, n *xmltree.Node) *xmltree.Node {
+	for _, c := range root.Children {
+		if c == n {
+			return root
+		}
+	}
+	for _, c := range root.Children {
+		if p := refSearch(c, n); p != nil {
+			return p
+		}
+	}
+	return nil
+}
+
 // refAxisNodes enumerates the nodes on the given axis from n, in document
 // order (reverse axes included — see package comment).
-func refAxisNodes(axis Axis, n *xmltree.Node) []*xmltree.Node {
+func refAxisNodes(axis Axis, n *xmltree.Node, ctx *Context) []*xmltree.Node {
 	switch axis {
 	case AxisChild:
 		return n.Children
@@ -249,19 +297,19 @@ func refAxisNodes(axis Axis, n *xmltree.Node) []*xmltree.Node {
 	case AxisSelf:
 		return []*xmltree.Node{n}
 	case AxisParent:
-		if n.Parent == nil {
-			return nil
+		if p := refParent(ctx, n); p != nil {
+			return []*xmltree.Node{p}
 		}
-		return []*xmltree.Node{n.Parent}
+		return nil
 	case AxisAncestor:
 		var out []*xmltree.Node
-		for p := n.Parent; p != nil; p = p.Parent {
+		for p := refParent(ctx, n); p != nil; p = refParent(ctx, p) {
 			out = append(out, p)
 		}
 		return out
 	case AxisAncestorOrSelf:
 		var out []*xmltree.Node
-		for p := n; p != nil; p = p.Parent {
+		for p := n; p != nil; p = refParent(ctx, p) {
 			out = append(out, p)
 		}
 		return out
@@ -271,19 +319,17 @@ func refAxisNodes(axis Axis, n *xmltree.Node) []*xmltree.Node {
 		}
 		out := make([]*xmltree.Node, 0, len(n.Attrs))
 		for _, a := range n.Attrs {
-			out = append(out, &xmltree.Node{
-				Kind:   xmltree.AttrNode,
-				Label:  a.Name,
-				Text:   a.Value,
-				Parent: n,
-			})
+			attr := &xmltree.Node{Kind: xmltree.AttrNode, Label: a.Name, Text: a.Value}
+			refOwner[attr] = n
+			out = append(out, attr)
 		}
 		return out
 	case AxisFollowingSibling:
-		if n.Parent == nil {
+		p := refParent(ctx, n)
+		if p == nil {
 			return nil
 		}
-		sibs := n.Parent.Children
+		sibs := p.Children
 		for i, s := range sibs {
 			if s == n {
 				return sibs[i+1:]
@@ -291,10 +337,11 @@ func refAxisNodes(axis Axis, n *xmltree.Node) []*xmltree.Node {
 		}
 		return nil
 	case AxisPrecedingSibling:
-		if n.Parent == nil {
+		p := refParent(ctx, n)
+		if p == nil {
 			return nil
 		}
-		sibs := n.Parent.Children
+		sibs := p.Children
 		for i, s := range sibs {
 			if s == n {
 				out := make([]*xmltree.Node, i)

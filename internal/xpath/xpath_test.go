@@ -45,6 +45,19 @@ func sel(t *testing.T, n *xmltree.Node, expr string) []*xmltree.Node {
 	return ns
 }
 
+// selIn is sel from n, a node inside the document rooted at root: the
+// document is named in Context.Trees, so steps from n can go up.
+func selIn(t *testing.T, root, n *xmltree.Node, expr string) []*xmltree.Node {
+	t.Helper()
+	ctx := &Context{Node: n, Trees: NewTrees(root)}
+	checkReference(t, expr, ctx)
+	v, err := MustCompile(expr).Eval(ctx)
+	if err != nil {
+		t.Fatalf("Eval(%q): %v", expr, err)
+	}
+	return v.(NodeSet)
+}
+
 func evalStr(t *testing.T, n *xmltree.Node, expr string) string {
 	t.Helper()
 	checkReference(t, expr, &Context{Node: n})
@@ -98,7 +111,7 @@ func TestAbsoluteAndDescendant(t *testing.T) {
 	d := doc(t)
 	name := d.FindAll("name")[0]
 	// absolute path from a deep context node
-	if got := len(sel(t, name, "/catalog/item")); got != 3 {
+	if got := len(selIn(t, d, name, "/catalog/item")); got != 3 {
 		t.Errorf("/catalog/item = %d", got)
 	}
 	if got := len(sel(t, d, "//name")); got != 3 {
@@ -174,29 +187,29 @@ func TestPredicates(t *testing.T) {
 func TestAxes(t *testing.T) {
 	d := doc(t)
 	secondItem := sel(t, d, "item[2]")[0]
-	if got := len(sel(t, secondItem, "parent::catalog")); got != 1 {
+	if got := len(selIn(t, d, secondItem, "parent::catalog")); got != 1 {
 		t.Errorf("parent::catalog = %d", got)
 	}
-	if got := len(sel(t, secondItem, "..")); got != 1 {
+	if got := len(selIn(t, d, secondItem, "..")); got != 1 {
 		t.Errorf(".. = %d", got)
 	}
-	if got := len(sel(t, secondItem, "following-sibling::item")); got != 1 {
+	if got := len(selIn(t, d, secondItem, "following-sibling::item")); got != 1 {
 		t.Errorf("following-sibling::item = %d", got)
 	}
-	if got := len(sel(t, secondItem, "preceding-sibling::item")); got != 1 {
+	if got := len(selIn(t, d, secondItem, "preceding-sibling::item")); got != 1 {
 		t.Errorf("preceding-sibling::item = %d", got)
 	}
 	name := secondItem.FirstChildElement("name")
-	if got := len(sel(t, name, "ancestor::*")); got != 2 {
+	if got := len(selIn(t, d, name, "ancestor::*")); got != 2 {
 		t.Errorf("ancestor::* = %d", got)
 	}
-	if got := len(sel(t, name, "ancestor-or-self::*")); got != 3 {
+	if got := len(selIn(t, d, name, "ancestor-or-self::*")); got != 3 {
 		t.Errorf("ancestor-or-self::* = %d", got)
 	}
-	if got := len(sel(t, name, "self::name")); got != 1 {
+	if got := len(selIn(t, d, name, "self::name")); got != 1 {
 		t.Errorf("self::name = %d", got)
 	}
-	if got := len(sel(t, name, "self::other")); got != 0 {
+	if got := len(selIn(t, d, name, "self::other")); got != 0 {
 		t.Errorf("self::other = %d", got)
 	}
 }

@@ -25,11 +25,13 @@
 // bind their next candidates in scopes of their own.
 //
 // A row that is a node of a resolved document is handed out as it is:
-// a read-only reference that may carry its stored Parent. Trees are
-// copied only where they are attached or kept — a constructor copies
-// the content it attaches, a value forest (a let binding, a sequence
-// used as a for source) and Query.Eval's forest are owned, and an
-// OwnedCursor copies each such row as it is pulled.
+// a read-only reference into the document. Trees are copied only where
+// they are attached or kept — a constructor copies the content it
+// attaches, a value forest (a let binding, a sequence used as a for
+// source) and Query.Eval's forest are owned, and an OwnedCursor copies
+// each such row as it is pulled. No copy is made to re-root a tree: a
+// node has no parent pointer, and a query that looks up or sideways
+// finds a node's ancestors in the trees its evaluation names.
 package xquery
 
 import (
@@ -54,8 +56,7 @@ type Cursor interface {
 // EvalCursor evaluates the query lazily: the returned cursor yields
 // the same trees, in the same order, as Eval's result forest, but rows
 // are produced on demand. A row is read-only: it may be a node of a
-// resolved document, still carrying its stored Parent. DeepCopy it to
-// own it, or open an OwnedCursor. ctx is checked on every pull and
+// resolved document. DeepCopy it to own it, or open an OwnedCursor. ctx is checked on every pull and
 // inside long tuple scans — canceling it stops the evaluation where it
 // stands, with an error that unwraps to ctx.Err().
 //

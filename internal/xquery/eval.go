@@ -77,25 +77,44 @@ func (ev *evaluation) canceled() error {
 
 // evalCtx is one binding scope of an evaluation: a tuple, a partial
 // tuple, or the query's parameters. xc.Vars is the scope's variable
-// chain; xc is handed to the XPath evaluator as is, so evaluating a
-// path allocates no context.
+// chain and xc.Trees, shared by every scope, the evaluation's trees; xc
+// is handed to the XPath evaluator as is, so evaluating a path
+// allocates no context.
 type evalCtx struct {
 	ev *evaluation
 	xc xpath.Context
 }
 
-// newEvalCtx is the empty outermost scope of a new evaluation.
-func newEvalCtx(ctx context.Context, env *Env) *evalCtx {
-	return &evalCtx{ev: &evaluation{env: env, ctx: ctx}}
+// newEvalCtx is the empty outermost scope of a new evaluation. Unless
+// what it evaluates is downward only, the evaluation names its trees —
+// every document it resolves, argument it is given and forest it
+// builds — so upward and sideways steps find where a node sits.
+func newEvalCtx(ctx context.Context, env *Env, down bool) *evalCtx {
+	c := &evalCtx{ev: &evaluation{env: env, ctx: ctx}}
+	if !down {
+		c.xc.Trees = xpath.NewTrees()
+	}
+	return c
 }
 
 // rootCtx is the outermost scope: the parameters bound to the arguments.
 func (q *Query) rootCtx(ctx context.Context, env *Env, args [][]*xmltree.Node) *evalCtx {
-	c := newEvalCtx(ctx, env)
+	c := newEvalCtx(ctx, env, q.DownwardOnly())
 	for i, p := range q.Params {
+		c.name(args[i])
 		c.bind(p, xpath.NodeSet(args[i]))
 	}
 	return c
+}
+
+// name adds the trees of forest to the evaluation's trees, if it keeps
+// them.
+func (c *evalCtx) name(forest []*xmltree.Node) {
+	if t := c.xc.Trees; t != nil {
+		for _, n := range forest {
+			t.Add(n)
+		}
+	}
 }
 
 // bind extends this scope in place.
@@ -104,7 +123,7 @@ func (c *evalCtx) bind(name string, v xpath.Value) { c.xc.Vars = c.xc.Vars.Bind(
 // with returns a new scope with one more binding. It shares c's chain:
 // bindings c gains later are not seen by the child, nor the reverse.
 func (c *evalCtx) with(name string, v xpath.Value) *evalCtx {
-	return &evalCtx{ev: c.ev, xc: xpath.Context{Vars: c.xc.Vars.Bind(name, v)}}
+	return &evalCtx{ev: c.ev, xc: xpath.Context{Vars: c.xc.Vars.Bind(name, v), Trees: c.xc.Trees}}
 }
 
 // bindDocs resolves the doc() references of a path and binds their
@@ -123,7 +142,9 @@ func (c *evalCtx) bindDocs(p *Path) error {
 		if err != nil {
 			return fmt.Errorf("xquery: resolving doc(%q): %w", name, err)
 		}
-		c.bind(key, xpath.NodeSet{root})
+		ns := xpath.NodeSet{root}
+		c.name(ns)
+		c.bind(key, ns)
 	}
 	return nil
 }
@@ -143,6 +164,7 @@ func evalToValue(e Expr, ctx *evalCtx) (xpath.Value, error) {
 		if err != nil {
 			return nil, err
 		}
+		ctx.name(forest)
 		return xpath.NodeSet(forest), nil
 	default:
 		return nil, errf("unknown expression type %T", e)
@@ -180,7 +202,7 @@ func LiveNodes(q *Query, env *Env) ([]*xmltree.Node, error) {
 	if !ok {
 		return nil, errf("LiveNodes: query body is not a path")
 	}
-	val, err := evalToValue(p, newEvalCtx(nil, env))
+	val, err := evalToValue(p, newEvalCtx(nil, env, downwardOnly(p)))
 	if err != nil {
 		return nil, err
 	}
@@ -286,6 +308,57 @@ func evalElem(e *Elem, ctx *evalCtx) (*xmltree.Node, error) {
 	return n, nil
 }
 
+// DownwardOnly reports whether every path of the query stays inside
+// the subtree it starts from (xpath.DownwardOnly): no upward or
+// sideways step and no absolute path. Only a query that does not is
+// evaluated with its trees named, and only a body that does can be
+// maintained from the subtree its variable is bound to.
+func (q *Query) DownwardOnly() bool { return downwardOnly(q.Body) }
+
+func downwardOnly(e Expr) bool { return eachPath(e, xpath.DownwardOnly) }
+
+// eachPath calls f with the XPath expression of every path in e, in
+// source order, until f returns false; it reports whether f never did.
+func eachPath(e Expr, f func(xpath.Expr) bool) bool {
+	switch v := e.(type) {
+	case *Path:
+		return f(v.X)
+	case *FLWR:
+		for _, c := range v.Clauses {
+			switch cl := c.(type) {
+			case ForClause:
+				if !eachPath(cl.Source, f) {
+					return false
+				}
+			case LetClause:
+				if !eachPath(cl.Source, f) {
+					return false
+				}
+			}
+		}
+		return (v.Where == nil || eachPath(v.Where, f)) &&
+			(v.Order == nil || eachPath(v.Order.Key, f)) && eachPath(v.Return, f)
+	case *Elem:
+		for _, a := range v.Attrs {
+			if a.Computed != nil && !eachPath(a.Computed, f) {
+				return false
+			}
+		}
+		for _, c := range v.Content {
+			if !eachPath(c, f) {
+				return false
+			}
+		}
+	case *Seq:
+		for _, it := range v.Items {
+			if !eachPath(it, f) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // DocRefs returns the names of all documents the query references via
 // doc("name"), in first-occurrence order.
 func (q *Query) DocRefs() []string {
@@ -323,42 +396,9 @@ func (q *Query) DocRefs() []string {
 			}
 		}
 	}
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		switch v := e.(type) {
-		case *Path:
-			walkX(v.X)
-		case *FLWR:
-			for _, c := range v.Clauses {
-				switch cl := c.(type) {
-				case ForClause:
-					walk(cl.Source)
-				case LetClause:
-					walk(cl.Source)
-				}
-			}
-			if v.Where != nil {
-				walk(v.Where)
-			}
-			if v.Order != nil {
-				walk(v.Order.Key)
-			}
-			walk(v.Return)
-		case *Elem:
-			for _, a := range v.Attrs {
-				if a.Computed != nil {
-					walk(a.Computed)
-				}
-			}
-			for _, c := range v.Content {
-				walk(c)
-			}
-		case *Seq:
-			for _, it := range v.Items {
-				walk(it)
-			}
-		}
-	}
-	walk(q.Body)
+	eachPath(q.Body, func(x xpath.Expr) bool {
+		walkX(x)
+		return true
+	})
 	return out
 }

@@ -217,7 +217,7 @@ func (d *DeltaFor) DeltaEvents() (*Events, error) { return d.DeltaEventsWith(d.e
 // re-derive (exactly once); sources that disappeared retract theirs.
 // The body is never evaluated for unchanged sources.
 func (d *DeltaFor) DeltaEventsWith(env *Env) (ev *Events, retErr error) {
-	ctx := newEvalCtx(nil, env)
+	ctx := newEvalCtx(nil, env, downwardOnly(d.source) && downwardOnly(d.rest))
 	val, err := evalToValue(d.source, ctx)
 	if err != nil {
 		return nil, err
@@ -269,7 +269,7 @@ func (d *DeltaFor) DeltaEventsFeed(env *Env, commits []xmltree.Commit) (ev *Even
 	if !d.chained {
 		return d.DeltaEventsWith(env)
 	}
-	ctx := newEvalCtx(nil, env)
+	ctx := newEvalCtx(nil, env, downwardOnly(d.source) && downwardOnly(d.rest))
 	if err := ctx.bindDocs(d.source); err != nil {
 		return nil, err
 	}

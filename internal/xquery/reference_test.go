@@ -37,6 +37,7 @@ func refEvalToValue(e Expr, ctx *evalCtx) (xpath.Value, error) {
 		if err != nil {
 			return nil, err
 		}
+		ctx.name(forest)
 		return xpath.NodeSet(forest), nil
 	default:
 		return nil, errf("unknown expression type %T", e)

@@ -125,14 +125,15 @@ func MustParseSchema(src string) *Schema {
 	return s
 }
 
-// ValidationError describes one validation failure.
+// ValidationError describes one validation failure at the element
+// Path leads to from the root (/label/label).
 type ValidationError struct {
-	Node *xmltree.Node
+	Path string
 	Msg  string
 }
 
 func (e *ValidationError) Error() string {
-	return fmt.Sprintf("xtype: %s: %s", e.Node.Path(), e.Msg)
+	return fmt.Sprintf("xtype: %s: %s", e.Path, e.Msg)
 }
 
 // Validate checks the tree against the schema, starting at the root
@@ -140,23 +141,24 @@ func (e *ValidationError) Error() string {
 func (s *Schema) Validate(root *xmltree.Node) []error {
 	var errs []error
 	if root.Kind != xmltree.ElementNode {
-		return []error{&ValidationError{Node: root, Msg: "root is not an element"}}
+		return []error{&ValidationError{Path: "/", Msg: "root is not an element"}}
 	}
+	path := "/" + root.Label
 	if root.Label != s.Root {
-		errs = append(errs, &ValidationError{Node: root,
+		errs = append(errs, &ValidationError{Path: path,
 			Msg: fmt.Sprintf("root label %q, schema expects %q", root.Label, s.Root)})
 	}
-	s.validateElement(root, &errs)
+	s.validateElement(root, path, &errs)
 	return errs
 }
 
 // Valid reports whether the tree validates with no errors.
 func (s *Schema) Valid(root *xmltree.Node) bool { return len(s.Validate(root)) == 0 }
 
-func (s *Schema) validateElement(n *xmltree.Node, errs *[]error) {
+func (s *Schema) validateElement(n *xmltree.Node, path string, errs *[]error) {
 	decl, ok := s.Elements[n.Label]
 	if !ok {
-		*errs = append(*errs, &ValidationError{Node: n,
+		*errs = append(*errs, &ValidationError{Path: path,
 			Msg: fmt.Sprintf("element %q is not declared", n.Label)})
 		return
 	}
@@ -169,14 +171,14 @@ func (s *Schema) validateElement(n *xmltree.Node, errs *[]error) {
 		declared[a.Name] = true
 		if a.Required {
 			if _, present := n.Attr(a.Name); !present {
-				*errs = append(*errs, &ValidationError{Node: n,
+				*errs = append(*errs, &ValidationError{Path: path,
 					Msg: fmt.Sprintf("missing required attribute %q", a.Name)})
 			}
 		}
 	}
 	for _, a := range n.Attrs {
 		if !declared[a.Name] {
-			*errs = append(*errs, &ValidationError{Node: n,
+			*errs = append(*errs, &ValidationError{Path: path,
 				Msg: fmt.Sprintf("undeclared attribute %q", a.Name)})
 		}
 	}
@@ -188,13 +190,13 @@ func (s *Schema) validateElement(n *xmltree.Node, errs *[]error) {
 			labels = append(labels, c.Label)
 		case xmltree.TextNode:
 			if !decl.AllowText && strings.TrimSpace(c.Text) != "" {
-				*errs = append(*errs, &ValidationError{Node: n,
+				*errs = append(*errs, &ValidationError{Path: path,
 					Msg: fmt.Sprintf("element %q does not allow text content", n.Label)})
 			}
 		}
 	}
 	if !decl.auto.Match(labels) {
-		*errs = append(*errs, &ValidationError{Node: n,
+		*errs = append(*errs, &ValidationError{Path: path,
 			Msg: fmt.Sprintf("children %v do not match content model %s", labels, decl.Content)})
 	}
 	// Recurse into declared children; undeclared ones are reported by
@@ -204,7 +206,7 @@ func (s *Schema) validateElement(n *xmltree.Node, errs *[]error) {
 		for _, c := range n.Children {
 			if c.Kind == xmltree.ElementNode {
 				if _, ok := s.Elements[c.Label]; ok {
-					s.validateElement(c, errs)
+					s.validateElement(c, path+"/"+c.Label, errs)
 				}
 			}
 		}
@@ -212,7 +214,7 @@ func (s *Schema) validateElement(n *xmltree.Node, errs *[]error) {
 	}
 	for _, c := range n.Children {
 		if c.Kind == xmltree.ElementNode {
-			s.validateElement(c, errs)
+			s.validateElement(c, path+"/"+c.Label, errs)
 		}
 	}
 }

@@ -31,8 +31,6 @@ type (
 	Stmt = session.Stmt
 	// QueryOption configures one Query/Exec call.
 	QueryOption = session.Option
-	// SessionStats reports a local session's plan-cache activity.
-	SessionStats = session.Stats
 	// DialOption configures a wire connection (timeouts).
 	DialOption = wire.DialOption
 )
@@ -105,8 +103,8 @@ func WithDialTimeout(d time.Duration) DialOption { return wire.WithDialTimeout(d
 func WithIOTimeout(d time.Duration) DialOption { return wire.WithIOTimeout(d) }
 
 // Session opens a session evaluating at peer at: the single
-// client-facing entrypoint over this system. Use LocalSession for the
-// concrete type, which additionally exposes plan-cache Stats. When
+// client-facing entrypoint over this system. Its plan-cache counters
+// (session.plan_cache.*) land in Metrics. When
 // adaptive placement is enabled, the session's query traffic feeds the
 // placement observer.
 func (s *System) Session(at PeerID) (Session, error) {
@@ -122,8 +120,7 @@ func (s *System) MustSession(at PeerID) Session {
 	return sess
 }
 
-// LocalSession is Session returning the concrete local type, which
-// additionally exposes plan-cache Stats.
+// LocalSession is Session returning the concrete local type.
 func (s *System) LocalSession(at PeerID) (*session.Local, error) {
 	opts := []session.LocalOption{session.WithMetrics(s.metrics)}
 	if s.placement != nil {
