@@ -73,6 +73,9 @@ func main() {
 	if _, err := sys.PumpSubscriptions(); err != nil {
 		log.Fatal(err)
 	}
+	if n := len(newest(monitor, "inbox").ChildElementsByLabel("deal")); n != 2 {
+		log.Fatalf("inbox holds %d deals after the update, want 2", n)
+	}
 
 	fmt.Println("after market update (one new deal streamed in):")
 	fmt.Println(axml.SerializeXMLIndent(newest(monitor, "inbox")))

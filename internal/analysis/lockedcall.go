@@ -46,6 +46,7 @@ var NetworkEntrypoints = []string{
 	"(*axml/internal/netsim.Network).CallCtx",
 	"(*axml/internal/wire.Client).",
 	"(*axml/internal/core.System).ShipForest",
+	"(*axml/internal/core.System).FeedStep",
 	"(*axml/internal/view.Manager).Migrate",
 	"(*axml/internal/view.Manager).AddPlacement",
 	"(*axml/internal/view.Manager).Define",

@@ -161,7 +161,7 @@ func (a *Activator) ActivateNode(ctx context.Context, docName string, sc *xmltre
 		params[i] = []*xmltree.Node{pe.(*core.Tree).Node}
 	}
 	target := []peer.NodeRef{{Peer: a.Peer.ID, Node: parent.ID}}
-	return a.Sys.Subscribe(call.Provider, call.Service, params, target, a.Peer.ID)
+	return a.Sys.Subscribe(call.Provider, call.Service, params, target)
 }
 
 // root reads the named document's newest root through a snapshot. A

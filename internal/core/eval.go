@@ -586,11 +586,8 @@ func payloadHome(e Expr) netsim.PeerID {
 
 // ShipForest sends a forest from a peer to a node reference, adding
 // each tree as a child of the target and charging the transfer to the
-// network (definition (4)). Subscription streams use the internal form;
-// the exported entry point lets engines layered on top of the system —
-// view maintenance in internal/view — push deltas with the same
-// accounting and the same cancellation behavior: a done context stops
-// the ship before it is sent.
+// network (definition (4)); a done context stops the ship before it is
+// sent. View placements move their rows with it.
 func (s *System) ShipForest(ctx context.Context, from netsim.PeerID, ref peer.NodeRef, forest []*xmltree.Node, vt float64) (float64, error) {
 	return s.shipData(ctx, from, ref, forest, vt)
 }
@@ -773,8 +770,8 @@ func (s *System) evalServiceCall(ctx context.Context, p *peer.Peer, call *Servic
 		return nil, err
 	}
 
-	// Register a continuous subscription when the service streams.
-	if err := s.Subscribe(provider, svcName, params, call.Forward, p.ID); err != nil {
+	// A continuous service streams to each forward target from here on.
+	if err := s.Subscribe(provider, svcName, params, call.Forward); err != nil {
 		return nil, err
 	}
 	return &Result{Forest: results, VT: doneVT}, nil

@@ -2,184 +2,241 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"slices"
 	"sync"
 
 	"axml/internal/netsim"
 	"axml/internal/peer"
-	"axml/internal/service"
 	"axml/internal/xmltree"
 	"axml/internal/xquery"
 )
 
 // Continuous services (§2.2): after the initial response, a continuous
-// service keeps emitting result trees whenever its input documents
-// evolve. Each activated call on a continuous service creates a
-// subscription at the provider: the provider watches the documents the
-// service body reads and ships result deltas to the call's forward
-// targets (streams "accumulate as siblings of the sc node" — the
+// service keeps emitting result trees whenever its input document
+// evolves, and they "accumulate as siblings of the sc node" (the
 // axmldoc package subscribes the sc's parent once the activation
-// commits).
-type subscription struct {
-	sys      *System
-	provider *peer.Peer
-	svc      *service.Service
-	params   [][]*xmltree.Node
-	targets  []peer.NodeRef
-	caller   netsim.PeerID
+// commits). Each activated call on a continuous service opens one
+// stream per forward target at the provider. A stream is kept up to
+// date by the same change-feed step that refreshes a view placement
+// (FeedStep): a wake evaluates the body only for the sources the
+// document's change feed names, and ships the results by which the live
+// result multiset now exceeds the most the stream ever shipped — the
+// monotone stream of positive AXML, which never shrinks.
 
-	// delta keeps the emitted multiset as unsynchronised state, so only
-	// the run goroutine calls it: document changes wake it, and
-	// PumpSubscriptions asks it for a step through pumpReq and waits.
-	delta    func() ([]*xmltree.Node, error)
-	cancels  []func()
-	wake     chan struct{}
-	pumpReq  chan chan<- pumpResult
-	done     chan struct{}
-	stopOnce sync.Once
+// FeedStep takes one maintenance step of inc, whose provenance reflects
+// document doc at peer base as of epoch from (0 precedes every document,
+// so a step from 0 derives the whole result), towards the node to. It
+// pins base and reads the commits to doc since from: none, and it
+// returns nil events. Otherwise it derives their events and ships the
+// forest build makes of them. The epoch it returns moves only once the
+// forest has landed; a failed ship rolls inc back, so the next step
+// re-derives the same events. After a lost acknowledgment
+// (netsim.ErrAckLost) the forest did land: the events and the new epoch
+// come back beside the error.
+func (s *System) FeedStep(ctx context.Context, base netsim.PeerID, doc string, inc *xquery.DeltaFor,
+	from uint64, to peer.NodeRef, build func(*xquery.Events) []*xmltree.Node) (*xquery.Events, uint64, error) {
+	host, ok := s.Peer(base)
+	if !ok {
+		return nil, from, fmt.Errorf("base peer %q is gone", base)
+	}
+	// The delta derives from a consistent point-in-time view while base
+	// writers proceed.
+	h := host.Snapshot()
+	epoch := h.Epoch()
+	commits, bounded := h.Changes(doc, from)
+	if bounded && len(commits) == 0 {
+		h.Release()
+		return nil, from, nil
+	}
+	// A feed that does not reach back to from holds no commits, and
+	// DeltaEventsFeed takes the full diff.
+	ev, err := inc.DeltaEventsFeed(&xquery.Env{Resolve: h.Resolver()}, commits)
+	h.Release()
+	if err != nil {
+		return nil, from, err
+	}
+	// Nothing ships when every event concerned sources whose results
+	// the caller does not carry (filtered out by the where clause, say).
+	if forest := build(ev); len(forest) > 0 {
+		if _, err := s.shipData(ctx, base, to, forest, 0); err != nil {
+			if !errors.Is(err, netsim.ErrAckLost) {
+				inc.Rollback()
+				return nil, from, err
+			}
+			return ev, epoch, err
+		}
+	}
+	return ev, epoch, nil
 }
 
-// pumpResult is the outcome of one delta step: how many result trees
-// were shipped, and the first failure.
-type pumpResult struct {
-	shipped int
-	err     error
+// stream is one continuous call towards one forward target. mu
+// serializes its steps, whether a document change or PumpSubscriptions
+// asks for them.
+type stream struct {
+	mu    sync.Mutex
+	sys   *System
+	base  netsim.PeerID
+	doc   string
+	to    peer.NodeRef
+	inc   *xquery.DeltaFor
+	epoch uint64
+	// rows holds each source's result digests, live how often each
+	// digest occurs in the current result, and shipped the most
+	// occurrences of it ever shipped.
+	rows    map[xquery.Lineage][]xmltree.Digest
+	live    map[xmltree.Digest]int
+	shipped map[xmltree.Digest]int
+
+	unwatch func()
+	done    chan struct{}
 }
 
-// Subscribe registers a continuous stream of the named service at
-// providerID, applied to params, towards the forward targets. The
-// initial batch has already been delivered by the call; the
-// subscription only ships subsequent deltas. Calls to a service that is
-// not continuous and declarative, and calls without forward targets
-// (there is nowhere to push), get no subscription.
+// Subscribe opens a continuous stream of the named service at
+// providerID, applied to params, towards each forward target. The
+// initial batch has already been delivered by the call; a stream only
+// ships what later commits add. Calls to a service that is not
+// continuous and declarative, and calls without forward targets (there
+// is nowhere to push), open no stream.
 func (s *System) Subscribe(providerID netsim.PeerID, svcName string,
-	params [][]*xmltree.Node, targets []peer.NodeRef, caller netsim.PeerID) error {
+	params [][]*xmltree.Node, targets []peer.NodeRef) error {
 	svc := s.lookupService(providerID, svcName)
 	if len(targets) == 0 || svc == nil || !svc.Continuous || !svc.Declarative() {
 		return nil
 	}
 	provider, _ := s.Peer(providerID)
-	sub := &subscription{
-		sys:      s,
-		provider: provider,
-		svc:      svc,
-		params:   params,
-		targets:  targets,
-		caller:   caller,
-		wake:     make(chan struct{}, 1),
-		pumpReq:  make(chan chan<- pumpResult),
-		done:     make(chan struct{}),
+	for _, to := range targets {
+		inc, ok := xquery.NewDeltaFor(svc.Body, params)
+		if !ok {
+			return fmt.Errorf("core: continuous service %s@%s cannot be maintained over %d argument(s)",
+				svc.Name, providerID, len(params))
+		}
+		st := &stream{sys: s, base: providerID, doc: svc.Body.DocRefs()[0], to: to, inc: inc,
+			rows: map[xquery.Lineage][]xmltree.Digest{}, live: map[xmltree.Digest]int{},
+			shipped: map[xmltree.Digest]int{}, done: make(chan struct{})}
+		// Epoch 0 precedes every document, so the first step derives
+		// the whole current result; the call delivered it, so it counts
+		// as shipped and nothing goes out. A commit after the watch
+		// starts wakes the stream.
+		ch, unwatch := provider.Watch(st.doc)
+		if _, _, err := st.step(false); err != nil {
+			unwatch()
+			return err
+		}
+		st.unwatch = unwatch
+		s.mu.Lock()
+		s.subs = append(s.subs, st)
+		s.mu.Unlock()
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			for {
+				select {
+				case <-st.done:
+					return
+				case <-ch:
+					st.step(true) // stream pushes are one-way: the next step retries a failure
+				}
+			}
+		}()
 	}
-	env := &xquery.Env{Resolve: provider.Resolver()}
-	rc := xquery.NewRecompute(svc.Body, env, params...)
-	// Prime the seen-set with the initial batch so the first delta
-	// only carries genuinely new results.
-	if _, err := rc.Delta(); err != nil {
-		return err
-	}
-	sub.delta = rc.Delta
-
-	for _, docName := range svc.Body.DocRefs() {
-		ch, cancel := provider.Watch(docName)
-		sub.cancels = append(sub.cancels, cancel)
-		go sub.pump(ch)
-	}
-
-	s.mu.Lock()
-	s.subs = append(s.subs, sub)
-	s.mu.Unlock()
-	go sub.run()
 	s.tracef("subscribed %s@%s → %v (continuous)", svc.Name, providerID, targets)
 	return nil
 }
 
-// pump forwards document-change events into the subscription's wake
-// channel (coalescing; the event detail is not needed — the delta
-// function diffs against its own emitted state).
-func (sub *subscription) pump(ch <-chan peer.Change) {
-	for {
-		select {
-		case <-sub.done:
-			return
-		case _, ok := <-ch:
-			if !ok {
-				return
+// step brings the stream up to date with the provider's document and
+// returns the step's events (nil when nothing was committed) and how
+// many result trees it shipped; unless ship is set it ships nothing and
+// counts what it derived as shipped. A ship that fails leaves the
+// stream as it was, so the next step ships the same rows; one whose
+// acknowledgment was lost landed, and counts as shipped.
+func (st *stream) step(ship bool) (*xquery.Events, int, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var digests [][]xmltree.Digest
+	var out []*xmltree.Node
+	//axmlvet:ignore lockedcall a stream's steps are serial; the landing side never re-enters st.mu
+	ev, epoch, err := st.sys.FeedStep(context.Background(), st.base, st.doc, st.inc, st.epoch, st.to,
+		func(ev *xquery.Events) []*xmltree.Node {
+			if out, digests = st.excess(ev); !ship {
+				out = nil
 			}
-			select {
-			case sub.wake <- struct{}{}:
-			default:
+			return out
+		})
+	if ev == nil {
+		return nil, 0, err
+	}
+	st.epoch = epoch
+	st.count(ev, digests)
+	return ev, len(out), err
+}
+
+// excess returns the result trees of ev's additions by which the live
+// multiset, once ev applies, exceeds what was shipped, and the digests
+// of every addition's results. Retractions apply first and only lower
+// live counts, which never exceed the shipped ones, so a retraction
+// ships nothing and the stream never shrinks.
+func (st *stream) excess(ev *xquery.Events) ([]*xmltree.Node, [][]xmltree.Digest) {
+	live := map[xmltree.Digest]int{}
+	for _, k := range ev.Retractions {
+		for _, d := range st.rows[k] {
+			live[d]--
+		}
+	}
+	var out []*xmltree.Node
+	digests := make([][]xmltree.Digest, len(ev.Additions))
+	for i, a := range ev.Additions {
+		digests[i] = make([]xmltree.Digest, len(a.Results))
+		for j, n := range a.Results {
+			d := xmltree.Hash(n)
+			digests[i][j] = d
+			if live[d]++; st.live[d]+live[d] > st.shipped[d] {
+				out = append(out, n)
 			}
 		}
 	}
+	return out, digests
 }
 
-// run ships deltas until stopped.
-func (sub *subscription) run() {
-	for {
-		select {
-		case <-sub.done:
-			return
-		case <-sub.wake:
-			sub.step() // stream pushes are one-way: a failure is dropped
-		case reply := <-sub.pumpReq:
-			reply <- sub.step()
+// count applies landed events to the counts: every digest an addition
+// raised is now shipped as often as it occurs.
+func (st *stream) count(ev *xquery.Events, digests [][]xmltree.Digest) {
+	for _, k := range ev.Retractions {
+		for _, d := range st.rows[k] {
+			st.live[d]--
+		}
+		delete(st.rows, k)
+	}
+	for i, a := range ev.Additions {
+		for _, d := range digests[i] {
+			st.live[d]++
+			st.shipped[d] = max(st.shipped[d], st.live[d])
+		}
+		if len(digests[i]) > 0 {
+			st.rows[a.Source] = digests[i]
 		}
 	}
 }
 
-// step evaluates the pending delta once and ships it to every forward
-// target; a target that fails does not keep the others from receiving
-// the batch. VT restarts per push (the makespan of continuous phases
-// is measured by bytes and message counts, see DESIGN.md).
-func (sub *subscription) step() pumpResult {
-	out, err := sub.delta()
-	if err != nil || len(out) == 0 {
-		return pumpResult{err: err}
-	}
-	var res pumpResult
-	for _, ref := range sub.targets {
-		if _, err := sub.sys.shipData(context.Background(), sub.provider.ID, ref, out, 0); err != nil {
-			if res.err == nil {
-				res.err = err
-			}
-			continue
-		}
-		res.shipped += len(out)
-	}
-	return res
-}
-
-func (sub *subscription) stop() {
-	sub.stopOnce.Do(func() {
-		close(sub.done)
-		for _, cancel := range sub.cancels {
-			cancel()
-		}
-	})
-}
-
-// PumpSubscriptions has every subscription take one delta step now and
-// waits for it, so that what the step ships has landed on return (used
-// by tests and benchmarks instead of waiting for the background wake).
-// It returns the number of result trees the steps shipped — a change a
-// background wake got to first has landed too, but is not counted.
+// PumpSubscriptions has every stream take one step now, so that what it
+// ships has landed on return (used by tests and examples instead of
+// waiting for the background wake). It returns the number of result
+// trees these steps shipped — rows a background wake got to first have
+// landed too, but are not counted — and every stream's failure; one
+// stream's failure keeps no other from stepping.
 func (s *System) PumpSubscriptions() (int, error) {
 	s.mu.RLock()
-	subs := make([]*subscription, len(s.subs))
-	copy(subs, s.subs)
+	subs := slices.Clone(s.subs)
 	s.mu.RUnlock()
 	total := 0
-	for _, sub := range subs {
-		reply := make(chan pumpResult, 1)
-		select {
-		case sub.pumpReq <- reply:
-		case <-sub.done:
-			continue
-		}
-		res := <-reply
-		total += res.shipped
-		if res.err != nil {
-			return total, res.err
+	var errs []error
+	for _, st := range subs {
+		_, n, err := st.step(true)
+		total += n
+		if err != nil {
+			errs = append(errs, err)
 		}
 	}
-	return total, nil
+	return total, errors.Join(errs...)
 }

@@ -41,7 +41,8 @@ type System struct {
 	mu      sync.RWMutex
 	peers   map[netsim.PeerID]*peer.Peer
 	factors map[netsim.PeerID]float64 // per-peer compute slowdown factor
-	subs    []*subscription
+	subs    []*stream
+	wg      sync.WaitGroup // the streams' wake goroutines
 	tracing bool
 	trace   []string
 }
@@ -195,15 +196,17 @@ func (s *System) tracef(format string, args ...any) {
 	}
 }
 
-// Close cancels all continuous subscriptions.
+// Close stops every continuous stream and waits for its wakes.
 func (s *System) Close() {
 	s.mu.Lock()
 	subs := s.subs
 	s.subs = nil
 	s.mu.Unlock()
-	for _, sub := range subs {
-		sub.stop()
+	for _, st := range subs {
+		st.unwatch()
+		close(st.done)
 	}
+	s.wg.Wait()
 }
 
 // peerHandler adapts a peer to the netsim.Handler interface and

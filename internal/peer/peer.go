@@ -390,10 +390,8 @@ func (p *Peer) ServiceNames() []string {
 // Resolver returns a read-committed document resolver over this
 // peer's store: each resolution returns the newest published root at
 // that instant, so two resolutions inside one evaluation may observe
-// different epochs. Long-lived consumers (subscriptions) want exactly
-// that — each pump sees fresh data. Readers needing a consistent
-// multi-document view for the whole evaluation pin a Snapshot and use
-// Handle.Resolver instead.
+// different epochs. Readers needing a consistent multi-document view
+// for the whole evaluation pin a Snapshot and use Handle.Resolver.
 func (p *Peer) Resolver() xquery.DocResolver {
 	return func(name string) (*xmltree.Node, error) {
 		p.mu.RLock()

@@ -18,8 +18,6 @@
 package rewrite
 
 import (
-	"fmt"
-
 	"axml/internal/core"
 	"axml/internal/netsim"
 	"axml/internal/xquery"
@@ -387,14 +385,4 @@ func DefaultRules() []Rule {
 		RouteIntro{},
 		RouteElim{},
 	}
-}
-
-// RuleByName resolves a rule for ablation configurations.
-func RuleByName(name string) (Rule, error) {
-	for _, r := range DefaultRules() {
-		if r.Name() == name {
-			return r, nil
-		}
-	}
-	return nil, fmt.Errorf("rewrite: unknown rule %q", name)
 }

@@ -264,18 +264,6 @@ func TestAlternativesEnumeratesPositions(t *testing.T) {
 	}
 }
 
-func TestRuleByName(t *testing.T) {
-	for _, r := range DefaultRules() {
-		got, err := RuleByName(r.Name())
-		if err != nil || got.Name() != r.Name() {
-			t.Errorf("RuleByName(%q) = %v, %v", r.Name(), got, err)
-		}
-	}
-	if _, err := RuleByName("nope"); err == nil {
-		t.Error("unknown rule should error")
-	}
-}
-
 // --- Soundness property test -------------------------------------------
 
 // canonicalForest gives an order-insensitive fingerprint of a forest.

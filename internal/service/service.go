@@ -13,7 +13,10 @@
 // All services are continuous in the paper's model (§2.2): a one-shot
 // service is a continuous service that emits a single tree. The
 // Continuous flag marks services that keep emitting after the first
-// response (the engine subscribes them to their input documents).
+// response: each call with a forward list opens a stream per target,
+// which core keeps up to date from the provider's change feed with the
+// incremental evaluator views use (xquery.DeltaFor), so only a body
+// that evaluator can maintain may be continuous.
 package service
 
 import (
@@ -58,6 +61,12 @@ func (s *Service) Validate() error {
 	if s.Body != nil && s.Sig != nil && len(s.Sig.In) != s.Body.Arity() {
 		return fmt.Errorf("service %q: signature declares %d inputs, query takes %d",
 			s.Name, len(s.Sig.In), s.Body.Arity())
+	}
+	if s.Continuous && s.Body != nil {
+		if _, ok := xquery.NewDeltaFor(s.Body, make([][]*xmltree.Node, s.Body.Arity())); !ok {
+			return fmt.Errorf("service %q: a continuous body must be one for over a doc() path, "+
+				"whose other clauses read no doc() and no upward, sideways or absolute path", s.Name)
+		}
 	}
 	return nil
 }

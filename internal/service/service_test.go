@@ -37,6 +37,31 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestContinuousShapes: a continuous body is refused unless the
+// incremental evaluator can maintain it; the same body is a fine
+// one-shot service.
+func TestContinuousShapes(t *testing.T) {
+	for _, c := range []struct {
+		src string
+		ok  bool
+	}{
+		{`for $i in doc("catalog")/item where $i/price < 100 return <hit>{$i/name/text()}</hit>`, true},
+		{`param $max; for $i in doc("catalog")/item where $i/price < $max return $i`, true},
+		{`count(doc("catalog")/item)`, false},
+		{`for $i in doc("catalog")/item, $j in doc("catalog")/item return $j`, false},
+		{`for $i in doc("catalog")/item where $i/price < doc("limits")/max return $i`, false},
+	} {
+		q := xquery.MustParse(c.src)
+		if err := (&Service{Name: "s", Provider: "p", Body: q}).Validate(); err != nil {
+			t.Errorf("one-shot %q: %v", c.src, err)
+		}
+		err := (&Service{Name: "s", Provider: "p", Body: q, Continuous: true}).Validate()
+		if (err == nil) != c.ok {
+			t.Errorf("continuous %q: Validate = %v, want ok=%v", c.src, err, c.ok)
+		}
+	}
+}
+
 func TestArityAndDeclarative(t *testing.T) {
 	q := xquery.MustParse(`param $a, $b; <x/>`)
 	s := &Service{Name: "s", Provider: "p", Body: q}

@@ -353,23 +353,6 @@ func implies(q, v xpath.Expr) bool {
 	return false
 }
 
-// subtreeLocal reports whether the body of a single-for query reads
-// nothing outside the subtree its for variable is bound to: no upward
-// or sibling axis and no absolute path anywhere (xquery's
-// DownwardOnly, the check the evaluator makes before it names its
-// trees), and no doc() beside the for source.
-// Provenance-based maintenance re-derives a source only when that
-// subtree changed, so it is sound for exactly these bodies.
-func subtreeLocal(q *xquery.Query) bool {
-	f, ok := q.Body.(*xquery.FLWR)
-	if !ok || len(f.Clauses) == 0 || !q.DownwardOnly() {
-		return false
-	}
-	residual := &xquery.Query{Body: &xquery.FLWR{
-		Clauses: f.Clauses[1:], Where: f.Where, Order: f.Order, Return: f.Return}}
-	return len(residual.DocRefs()) == 0
-}
-
 // Rewrite returns the rewritings of q over every view that subsumes
 // it, in view-name order. Candidates read the view document; callers
 // (the optimizer rule) price them against the original plan.
@@ -385,21 +368,4 @@ func (m *Manager) Rewrite(q *xquery.Query) []*xquery.Query {
 		}
 	}
 	return out
-}
-
-// RewriteBest returns the first applicable rewriting and the name of
-// the view it reads, if any — the cost-blind entry point for
-// single-peer deployments (wire servers) where any matching view is
-// local and therefore profitable.
-func (m *Manager) RewriteBest(q *xquery.Query) (*xquery.Query, string, bool) {
-	for _, name := range m.names() {
-		st, ok := m.lookup(name)
-		if !ok || st.shape == nil {
-			continue
-		}
-		if rw, ok := st.shape.rewrite(st.def.DocName(), q); ok {
-			return rw, name, true
-		}
-	}
-	return nil, "", false
 }

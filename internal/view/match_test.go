@@ -46,7 +46,8 @@ func TestViewShapeRejects(t *testing.T) {
 }
 
 // TestSubtreeLocal: which single-for bodies provenance maintenance may
-// take — those that read nothing outside the bound source.
+// take — those that read nothing outside the bound source, as
+// xquery.NewDeltaFor decides for DefineQuery.
 func TestSubtreeLocal(t *testing.T) {
 	for _, c := range []struct {
 		src  string
@@ -64,8 +65,8 @@ func TestSubtreeLocal(t *testing.T) {
 		{`for $x in doc("c")/item[../@open] return $x`, false},                          // source predicate looks up
 		{`for $x in doc("c")/item return $x/name[count(/c/item) < 12]`, false},          // absolute path
 	} {
-		if got := subtreeLocal(xquery.MustParse(c.src)); got != c.want {
-			t.Errorf("subtreeLocal(%q) = %v, want %v", c.src, got, c.want)
+		if _, got := xquery.NewDeltaFor(xquery.MustParse(c.src), nil); got != c.want {
+			t.Errorf("NewDeltaFor(%q) ok = %v, want %v", c.src, got, c.want)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 // View maintenance. Incremental views reuse xquery.DeltaFor's delta
-// provenance. Each placement records the base store epoch its rows
-// reflect; a refresh pins the base's current epoch (writers proceed)
-// and asks the store's change feed what was committed to the base
-// document in between. Nothing: the refresh is over. Otherwise the
+// provenance through core's change-feed step, the one continuous calls'
+// streams take too. Each placement records the base store epoch its
+// rows reflect; a refresh pins the base's current epoch (writers
+// proceed) and asks the store's change feed what was committed to the
+// base document in between. Nothing: the refresh is over. Otherwise the
 // view's body is evaluated for the source nodes those commits touched —
 // or, where the feed cannot bound them (it is truncated, the source
 // path is not a chain of child steps, a commit replaced a whole child
@@ -58,7 +59,7 @@ func (m *Manager) RefreshContext(ctx context.Context, name string) (int, error) 
 	if !ok {
 		return 0, fmt.Errorf("view: no view %q", name)
 	}
-	return m.refreshState(ctx, st)
+	return m.refreshStateWith(ctx, st, m.refreshPlacement)
 }
 
 // RefreshAll refreshes every view (name order) and returns the total
@@ -92,11 +93,6 @@ func (m *Manager) RefreshFull(name string) (int, error) {
 		return 0, fmt.Errorf("view: no view %q", name)
 	}
 	return m.refreshStateWith(context.Background(), st, m.refreshPlacementFull)
-}
-
-// refreshState refreshes every placement of one view incrementally.
-func (m *Manager) refreshState(ctx context.Context, st *state) (int, error) {
-	return m.refreshStateWith(ctx, st, m.refreshPlacement)
 }
 
 // refreshStateWith runs one per-placement refresh function over every
@@ -136,90 +132,84 @@ func (m *Manager) refreshPlacement(ctx context.Context, st *state, p *placement)
 	if p.inc == nil || p.dirty {
 		return m.refreshPlacementFull(ctx, st, p)
 	}
-	host, ok := m.sys.Peer(p.baseAt)
-	if !ok {
-		return 0, fmt.Errorf("base peer %q is gone", p.baseAt)
-	}
-	// Pin an epoch of the base store: the delta derives from a
-	// consistent point-in-time view while base writers proceed.
-	h := host.Snapshot()
-	epoch := h.Epoch()
-	commits, bounded := h.Changes(st.bases[0], p.epoch)
-	if bounded && len(commits) == 0 {
-		h.Release()
-		return 0, nil
-	}
-	env := &xquery.Env{Resolve: h.Resolver()}
-	var ev *xquery.Events
-	var err error
-	if bounded {
-		ev, err = p.inc.DeltaEventsFeed(env, commits)
-	} else {
-		ev, err = p.inc.DeltaEventsWith(env)
-	}
-	h.Release()
-	if err != nil {
-		return 0, err
-	}
-	// Tombstones first, then additions: an in-place update retracts the
-	// stale rows before its re-derived rows land, and the fresh rows
-	// always end up as the trailing children of the view root (which is
-	// what lets recordProv align them with their derivations).
-	var forest []*xmltree.Node
-	retracted := 0
-	for _, k := range ev.Retractions {
-		for _, id := range p.prov[k] {
-			forest = append(forest, core.Retraction(id))
-			retracted++
+	return m.stepPlacement(ctx, st, p, false)
+}
+
+// stepPlacement takes the system's change-feed step (core.System.
+// FeedStep) for an incremental placement. Incrementally, it derives
+// what the feed names since p.epoch and ships tombstones for the rows
+// of the retracted sources (p.prov), then the new rows. In full, a fresh
+// evaluator derives from epoch 0 — the whole result — and ships a
+// tombstone for every stored row, then every row, so the refresh pays
+// full-materialization bytes, the honest baseline; the provenance is
+// rebuilt. Either way the forest lands as one epoch at the placement
+// peer, with the fresh rows as the trailing children of the view root
+// (which is what lets recordProv align them with their derivations),
+// and p.epoch advances only once it has landed. Callers hold st.mu.
+func (m *Manager) stepPlacement(ctx context.Context, st *state, p *placement, full bool) (int, error) {
+	inc, from := p.inc, p.epoch
+	var stale []xmltree.NodeID
+	if full {
+		target, ok := m.sys.Peer(p.at)
+		if !ok {
+			return 0, fmt.Errorf("placement peer %q is gone", p.at)
 		}
-	}
-	added := ev.AddedTrees()
-	forest = append(forest, added...)
-	// Nothing to ship when every event concerned sources whose rows
-	// never materialized (filtered out by the where clause, say); the
-	// provenance bookkeeping below still runs.
-	if len(forest) > 0 {
-		ref := peer.NodeRef{Peer: p.at, Node: p.root}
-		if _, err := m.sys.ShipForest(ctx, p.baseAt, ref, forest, 0); err != nil {
-			// Undelivered events must be re-emitted by the next refresh,
-			// or the view would silently lose these rows (or keep
-			// retracted ones forever): the provenance rolls back and
-			// p.epoch stays, so the retry reads the same range of the
-			// feed. When only the acknowledgment was lost the rows DID
-			// land (netsim.ErrAckLost — a canceled reply leg): re-
-			// shipping the delta would duplicate them, so the placement
-			// is marked dirty and the next refresh rebuilds it from
-			// scratch.
-			p.inc.Rollback()
-			if errors.Is(err, netsim.ErrAckLost) {
-				p.dirty = true
-			}
+		var err error
+		if stale, err = target.ChildIDs(p.root); err != nil {
 			return 0, err
 		}
+		inc, _ = xquery.NewDeltaFor(st.def.Query, nil)
+		from = 0
 	}
-	// The one place the epoch advances: the delta has landed.
+	n := 0
+	ev, epoch, err := m.sys.FeedStep(ctx, p.baseAt, st.bases[0], inc, from,
+		peer.NodeRef{Peer: p.at, Node: p.root}, func(ev *xquery.Events) []*xmltree.Node {
+			for _, k := range ev.Retractions {
+				stale = append(stale, p.prov[k]...)
+			}
+			forest := make([]*xmltree.Node, 0, len(stale))
+			for _, id := range stale {
+				forest = append(forest, core.Retraction(id))
+			}
+			added := ev.AddedTrees()
+			if n = len(added); !full {
+				n += len(stale)
+			}
+			return append(forest, added...)
+		})
+	if err != nil {
+		// A failed ship left the old rows matching the old provenance —
+		// unless only the acknowledgment was lost: the rows DID land but
+		// their provenance is unknown, so the placement is marked dirty
+		// and the next refresh rebuilds it from scratch.
+		if errors.Is(err, netsim.ErrAckLost) {
+			p.dirty = true
+		}
+		return 0, err
+	}
+	if ev == nil {
+		return 0, nil
+	}
+	if full {
+		p.inc, p.prov, p.dirty = inc, map[xquery.Lineage][]xmltree.NodeID{}, false
+	}
 	p.epoch = epoch
-	m.applyProv(p, ev)
+	for _, k := range ev.Retractions {
+		delete(p.prov, k)
+	}
 	if err := m.recordProv(p, ev.Additions); err != nil {
 		// The rows landed but their provenance is unknown: mark the
 		// placement so the next refresh rebuilds it from scratch
 		// rather than silently losing track of these rows.
 		p.dirty = true
-		return retracted + len(added), err
+		return n, err
 	}
-	return retracted + len(added), nil
-}
-
-// applyProv drops the provenance entries of retracted sources.
-func (m *Manager) applyProv(p *placement, ev *xquery.Events) {
-	for _, k := range ev.Retractions {
-		delete(p.prov, k)
-	}
+	return n, nil
 }
 
 // recordProv maps freshly landed view rows back to the sources that
 // produced them. Additions are always appended at the tail of the view
-// root in derivation order (see refreshPlacement), so the trailing
+// root in derivation order (see stepPlacement), so the trailing
 // children line up with the flattened additions. Callers hold st.mu,
 // which serializes all mutations of the view document.
 func (m *Manager) recordProv(p *placement, adds []xquery.Derivation) error {
@@ -257,59 +247,17 @@ func (m *Manager) recordProv(p *placement, adds []xquery.Derivation) error {
 
 // refreshPlacementFull re-materializes one placement from scratch, as
 // one epoch at the placement peer; it also fills a new, empty placement
-// (see emptyPlacement). Incremental placements re-derive the full
-// result at the base and ship it in one forest — an x:retract tombstone
-// for every stored row, then the complete content, so the refresh pays
-// full-materialization bytes, the honest baseline — and rebuild their
-// provenance; recompute placements re-run the query through the normal
-// evaluator and swap the whole document in. A failure leaves the old
-// rows and provenance in place. Callers hold st.mu.
+// (see emptyPlacement). Incremental placements take a full step (see
+// stepPlacement); recompute placements re-run the query through the
+// normal evaluator and swap the whole document in. A failure leaves the
+// old rows and provenance in place. Callers hold st.mu.
 func (m *Manager) refreshPlacementFull(ctx context.Context, st *state, p *placement) (int, error) {
+	if p.inc != nil {
+		return m.stepPlacement(ctx, st, p, true)
+	}
 	target, ok := m.sys.Peer(p.at)
 	if !ok {
 		return 0, fmt.Errorf("placement peer %q is gone", p.at)
-	}
-	if p.inc != nil {
-		host, ok := m.sys.Peer(p.baseAt)
-		if !ok {
-			return 0, fmt.Errorf("base peer %q is gone", p.baseAt)
-		}
-		fresh, _ := xquery.NewDeltaFor(st.def.Query, nil)
-		h := host.Snapshot()
-		ev, err := fresh.DeltaEventsWith(&xquery.Env{Resolve: h.Resolver()})
-		epoch := h.Epoch()
-		h.Release()
-		if err != nil {
-			return 0, err
-		}
-		stored, err := target.ChildIDs(p.root)
-		if err != nil {
-			return 0, err
-		}
-		forest := make([]*xmltree.Node, 0, len(stored))
-		for _, id := range stored {
-			forest = append(forest, core.Retraction(id))
-		}
-		trees := ev.AddedTrees()
-		forest = append(forest, trees...)
-		if len(forest) > 0 {
-			ref := peer.NodeRef{Peer: p.at, Node: p.root}
-			if _, err := m.sys.ShipForest(ctx, p.baseAt, ref, forest, 0); err != nil {
-				// Nothing landed and the old rows still match the old
-				// provenance — unless only the ack was lost: the forest
-				// DID land, so the next refresh rebuilds from scratch.
-				if errors.Is(err, netsim.ErrAckLost) {
-					p.dirty = true
-				}
-				return 0, err
-			}
-		}
-		p.inc, p.prov, p.epoch, p.dirty = fresh, map[xquery.Lineage][]xmltree.NodeID{}, epoch, false
-		if err := m.recordProv(p, ev.Additions); err != nil {
-			p.dirty = true
-			return len(trees), err
-		}
-		return len(trees), nil
 	}
 
 	// Recompute: re-run the query against the base host and swap the
@@ -418,7 +366,7 @@ func (m *Manager) watchPlacement(st *state, p *placement) {
 					}
 					// The manager's context bounds auto-refresh work:
 					// Close cancels it, stopping in-flight ships.
-					_, _ = m.refreshState(m.ctx, st)
+					_, _ = m.refreshStateWith(m.ctx, st, m.refreshPlacement)
 				}
 			}
 		}()

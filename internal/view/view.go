@@ -197,12 +197,10 @@ func (m *Manager) DefineQuery(name string, q *xquery.Query, at netsim.PeerID) er
 		if matchable {
 			st.shape = sh
 		}
-		if len(bases) == 1 {
-			// Per-placement DeltaFor state is created at materialization;
-			// here we only probe whether the shape incrementalizes.
-			if _, ok := xquery.NewDeltaFor(q, nil); ok && subtreeLocal(q) {
-				st.mode = "incremental"
-			}
+		// Per-placement DeltaFor state is created at materialization;
+		// here we only probe whether the shape incrementalizes.
+		if _, ok := xquery.NewDeltaFor(q, nil); ok {
+			st.mode = "incremental"
 		}
 		m.views[name] = st
 	} else if st.def.Query.String() != q.String() {

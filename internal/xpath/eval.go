@@ -104,33 +104,6 @@ func (c *Compiled) Select(n *xmltree.Node) ([]*xmltree.Node, error) {
 	return ns, nil
 }
 
-// EvalBool evaluates and coerces to boolean.
-func (c *Compiled) EvalBool(ctx *Context) (bool, error) {
-	v, err := c.Eval(ctx)
-	if err != nil {
-		return false, err
-	}
-	return v.Bool(), nil
-}
-
-// EvalString evaluates and coerces to string.
-func (c *Compiled) EvalString(ctx *Context) (string, error) {
-	v, err := c.Eval(ctx)
-	if err != nil {
-		return "", err
-	}
-	return v.Str(), nil
-}
-
-// EvalNumber evaluates and coerces to number.
-func (c *Compiled) EvalNumber(ctx *Context) (float64, error) {
-	v, err := c.Eval(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return v.Number(), nil
-}
-
 func evalExpr(e Expr, ctx *Context) (Value, error) {
 	switch v := e.(type) {
 	case NumberLit:

@@ -58,40 +58,35 @@ func selIn(t *testing.T, root, n *xmltree.Node, expr string) []*xmltree.Node {
 	return v.(NodeSet)
 }
 
-func evalStr(t *testing.T, n *xmltree.Node, expr string) string {
+// evalValue compiles and evaluates expr from n, checked against the
+// reference evaluator.
+func evalValue(t *testing.T, n *xmltree.Node, expr string) Value {
 	t.Helper()
 	checkReference(t, expr, &Context{Node: n})
 	c, err := Compile(expr)
 	if err != nil {
 		t.Fatalf("Compile(%q): %v", expr, err)
 	}
-	s, err := c.EvalString(&Context{Node: n})
+	v, err := c.Eval(&Context{Node: n})
 	if err != nil {
-		t.Fatalf("EvalString(%q): %v", expr, err)
+		t.Fatalf("Eval(%q): %v", expr, err)
 	}
-	return s
+	return v
+}
+
+func evalStr(t *testing.T, n *xmltree.Node, expr string) string {
+	t.Helper()
+	return evalValue(t, n, expr).Str()
 }
 
 func evalNum(t *testing.T, n *xmltree.Node, expr string) float64 {
 	t.Helper()
-	checkReference(t, expr, &Context{Node: n})
-	c := MustCompile(expr)
-	f, err := c.EvalNumber(&Context{Node: n})
-	if err != nil {
-		t.Fatalf("EvalNumber(%q): %v", expr, err)
-	}
-	return f
+	return evalValue(t, n, expr).Number()
 }
 
 func evalBool(t *testing.T, n *xmltree.Node, expr string) bool {
 	t.Helper()
-	checkReference(t, expr, &Context{Node: n})
-	c := MustCompile(expr)
-	b, err := c.EvalBool(&Context{Node: n})
-	if err != nil {
-		t.Fatalf("EvalBool(%q): %v", expr, err)
-	}
-	return b
+	return evalValue(t, n, expr).Bool()
 }
 
 func TestChildSteps(t *testing.T) {
@@ -514,8 +509,9 @@ func TestNumberGrammar(t *testing.T) {
 		want := i == 4
 		ctx := &Context{Node: prices, Vars: noVars.Bind("i", NodeSet{item})}
 		checkReference(t, "$i/price > 500", ctx)
-		if got, err := MustCompile("$i/price > 500").EvalBool(ctx); err != nil || got != want {
-			t.Errorf("item %d: $i/price > 500 = %v, %v; want %v", i+1, got, err, want)
+		v, err := MustCompile("$i/price > 500").Eval(ctx)
+		if err != nil || v.Bool() != want {
+			t.Errorf("item %d: $i/price > 500 = %v, %v; want %v", i+1, v, err, want)
 		}
 	}
 }

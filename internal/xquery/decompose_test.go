@@ -212,35 +212,75 @@ func TestQuickDecomposeEquivalence(t *testing.T) {
 	}
 }
 
+// recompute is the oracle for DeltaFor on insert-only streams: it
+// evaluates the whole query at every step and returns only the results
+// by which the result multiset (by canonical digest) outgrew every
+// earlier step's.
+type recompute struct {
+	q    *Query
+	env  *Env
+	seen map[xmltree.Digest]int
+}
+
+func newRecompute(q *Query, env *Env) *recompute {
+	return &recompute{q: q, env: env, seen: map[xmltree.Digest]int{}}
+}
+
+func (r *recompute) delta(t *testing.T) []*xmltree.Node {
+	t.Helper()
+	full, err := r.q.Eval(r.env)
+	if err != nil {
+		t.Fatalf("full evaluation: %v", err)
+	}
+	counts := map[xmltree.Digest]int{}
+	var out []*xmltree.Node
+	for _, n := range full {
+		d := xmltree.Hash(n)
+		counts[d]++
+		if counts[d] > r.seen[d] {
+			out = append(out, n)
+		}
+	}
+	for d, c := range counts {
+		r.seen[d] = max(r.seen[d], c)
+	}
+	return out
+}
+
+// TestRecomputeDelta: the multiset cases of a continuous query — a
+// step with no change ships nothing, an append ships its one result,
+// duplicate content grows the multiset and ships again — hold for the
+// full-evaluation diff and for DeltaFor alike.
 func TestRecomputeDelta(t *testing.T) {
 	cat := xmltree.MustParse(`<catalog><item><price>10</price></item></catalog>`)
 	env := &Env{Resolve: func(string) (*xmltree.Node, error) { return cat, nil }}
 	q := MustParse(`for $i in doc("c")/item where $i/price < 100 return <hit>{$i/price/text()}</hit>`)
-	rc := NewRecompute(q, env)
-
-	d1, err := rc.Delta()
-	if err != nil {
-		t.Fatalf("delta1: %v", err)
+	rc := newRecompute(q, env)
+	inc, ok := NewDeltaFor(q, nil)
+	if !ok {
+		t.Fatal("NewDeltaFor rejected single-for query")
 	}
-	if len(d1) != 1 {
-		t.Fatalf("delta1 = %d results", len(d1))
+	step := func() (full, incremental []*xmltree.Node) {
+		return rc.delta(t), mustEvents(t, inc, env).AddedTrees()
+	}
+
+	d1, i1 := step()
+	if len(d1) != 1 || len(i1) != 1 {
+		t.Fatalf("delta1 = %d results, incremental %d", len(d1), len(i1))
 	}
 	// No change: no delta.
-	d2, _ := rc.Delta()
-	if len(d2) != 0 {
-		t.Errorf("delta2 = %d, want 0", len(d2))
+	if d2, i2 := step(); len(d2) != 0 || len(i2) != 0 {
+		t.Errorf("delta2 = %d, incremental %d, want 0", len(d2), len(i2))
 	}
 	// Append an item: one new result.
 	cat.AppendChild(xmltree.E("item", xmltree.E("price", "20")))
-	d3, _ := rc.Delta()
-	if len(d3) != 1 || d3[0].TextContent() != "20" {
-		t.Errorf("delta3 = %v", texts(d3))
+	if d3, i3 := step(); len(d3) != 1 || d3[0].TextContent() != "20" || len(i3) != 1 || i3[0].TextContent() != "20" {
+		t.Errorf("delta3 = %v, incremental %v", texts(d3), texts(i3))
 	}
 	// Duplicate content counts via multiset: same price again.
 	cat.AppendChild(xmltree.E("item", xmltree.E("price", "20")))
-	d4, _ := rc.Delta()
-	if len(d4) != 1 {
-		t.Errorf("delta4 = %d, want 1 (multiset growth)", len(d4))
+	if d4, i4 := step(); len(d4) != 1 || len(i4) != 1 {
+		t.Errorf("delta4 = %d, incremental %d, want 1 (multiset growth)", len(d4), len(i4))
 	}
 }
 
@@ -248,21 +288,21 @@ func TestDeltaForIncremental(t *testing.T) {
 	cat := xmltree.MustParse(`<catalog><item><price>10</price></item></catalog>`)
 	env := &Env{Resolve: func(string) (*xmltree.Node, error) { return cat, nil }}
 	q := MustParse(`for $i in doc("c")/item where $i/price < 15 return <hit>{$i/price/text()}</hit>`)
-	inc, ok := NewDeltaFor(q, env)
+	inc, ok := NewDeltaFor(q, nil)
 	if !ok {
 		t.Fatal("NewDeltaFor rejected single-for query")
 	}
-	d1 := mustEvents(t, inc).AddedTrees()
+	d1 := mustEvents(t, inc, env).AddedTrees()
 	if len(d1) != 1 {
 		t.Fatalf("delta1 = %d", len(d1))
 	}
-	d2 := mustEvents(t, inc).AddedTrees()
+	d2 := mustEvents(t, inc, env).AddedTrees()
 	if len(d2) != 0 {
 		t.Errorf("delta2 = %d, want 0", len(d2))
 	}
 	cat.AppendChild(xmltree.E("item", xmltree.E("price", "12")))
 	cat.AppendChild(xmltree.E("item", xmltree.E("price", "99")))
-	d3 := mustEvents(t, inc).AddedTrees()
+	d3 := mustEvents(t, inc, env).AddedTrees()
 	if len(d3) != 1 || d3[0].TextContent() != "12" {
 		t.Errorf("delta3 = %v", texts(d3))
 	}
@@ -270,7 +310,7 @@ func TestDeltaForIncremental(t *testing.T) {
 
 // TestDeltaForMatchesRecompute: on an insert-only stream the
 // incremental strategy emits, batch by batch, exactly the multiset the
-// recompute-and-diff baseline does.
+// recompute-and-diff oracle does.
 func TestDeltaForMatchesRecompute(t *testing.T) {
 	q := MustParse(`for $i in doc("c")/item where $i/price < 50 return <hit>{$i/name/text()}</hit>`)
 	stream := func() (*xmltree.Node, *Env) {
@@ -279,8 +319,8 @@ func TestDeltaForMatchesRecompute(t *testing.T) {
 	}
 	recCat, recEnv := stream()
 	incCat, incEnv := stream()
-	rec := NewRecompute(q, recEnv)
-	inc, ok := NewDeltaFor(q, incEnv)
+	rec := newRecompute(q, recEnv)
+	inc, ok := NewDeltaFor(q, nil)
 	if !ok {
 		t.Fatal("NewDeltaFor rejected the query")
 	}
@@ -293,11 +333,8 @@ func TestDeltaForMatchesRecompute(t *testing.T) {
 					xmltree.E("price", fmt.Sprint((b*5+k)%100))))
 			}
 		}
-		want, err := rec.Delta()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := mustEvents(t, inc).AddedTrees()
+		want := rec.delta(t)
+		got := mustEvents(t, inc, incEnv).AddedTrees()
 		counts := map[xmltree.Digest]int{}
 		for _, n := range want {
 			counts[xmltree.Hash(n)]++
@@ -317,14 +354,13 @@ func TestDeltaForMatchesRecompute(t *testing.T) {
 }
 
 func TestDeltaForRejectsShapes(t *testing.T) {
-	env := &Env{}
 	cases := []string{
 		`doc("c")/item`, // not FLWR
 		`for $a in doc("c")/x, $b in doc("c")/y return $a`, // two fors
 		`param $p; for $i in $p return $i`,                 // params
 	}
 	for _, src := range cases {
-		if _, ok := NewDeltaFor(MustParse(src), env); ok {
+		if _, ok := NewDeltaFor(MustParse(src), nil); ok {
 			t.Errorf("NewDeltaFor(%q) accepted, want rejection", src)
 		}
 	}
@@ -334,12 +370,30 @@ func TestDeltaForWithLet(t *testing.T) {
 	cat := xmltree.MustParse(`<catalog><item><price>10</price></item></catalog>`)
 	env := &Env{Resolve: func(string) (*xmltree.Node, error) { return cat, nil }}
 	q := MustParse(`for $i in doc("c")/item let $p := $i/price where $p < 15 return <h>{$p/text()}</h>`)
-	inc, ok := NewDeltaFor(q, env)
+	inc, ok := NewDeltaFor(q, nil)
 	if !ok {
 		t.Fatal("NewDeltaFor rejected for+let query")
 	}
-	d1 := mustEvents(t, inc).AddedTrees()
+	d1 := mustEvents(t, inc, env).AddedTrees()
 	if len(d1) != 1 || d1[0].TextContent() != "10" {
 		t.Errorf("delta = %v", texts(d1))
+	}
+}
+
+// TestDeltaForBindsArguments: a parameterized body is maintained over
+// the argument forests it was created with, bound as Eval binds them.
+func TestDeltaForBindsArguments(t *testing.T) {
+	cat := xmltree.MustParse(`<catalog><item><price>10</price></item><item><price>20</price></item></catalog>`)
+	env := &Env{Resolve: func(string) (*xmltree.Node, error) { return cat, nil }}
+	q := MustParse(`param $max; for $i in doc("c")/item where $i/price < $max return <h>{$i/price/text()}</h>`)
+	if _, ok := NewDeltaFor(q, nil); ok {
+		t.Error("NewDeltaFor accepted a parameterized query without its argument")
+	}
+	inc, ok := NewDeltaFor(q, [][]*xmltree.Node{{xmltree.E("max", "15")}})
+	if !ok {
+		t.Fatal("NewDeltaFor rejected a parameterized single-for query")
+	}
+	if d := mustEvents(t, inc, env).AddedTrees(); len(d) != 1 || d[0].TextContent() != "10" {
+		t.Errorf("delta = %v, want [10]", texts(d))
 	}
 }

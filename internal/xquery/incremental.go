@@ -9,21 +9,20 @@ import (
 )
 
 // Continuous query evaluation (paper §2.2: "all services are
-// continuous"; §3.2: definition (2) generalized to streams). Two
-// strategies are provided:
-//
-//   - Recompute: re-evaluate the whole query on every input change and
-//     diff against the already-emitted multiset (the baseline).
-//   - DeltaFor: for single-for queries, track delta provenance per
-//     source node (node-id lineage) and evaluate the body only for
-//     sources that appeared or changed since the last call.
+// continuous"; §3.2: definition (2) generalized to streams). DeltaFor
+// evaluates a single-for query incrementally: it tracks delta
+// provenance per source node (node-id lineage) and evaluates the body
+// only for sources that appeared or changed since the last step. Both
+// maintenance engines above it read it: a view placement applies its
+// events as rows and retractions, a continuous call's stream ships the
+// results by which the live multiset outgrows what it already shipped
+// (core's streams).
 //
 // Positive AXML makes incremental evaluation sound only for monotone,
-// insertion-only streams, which is what Recompute emits; DeltaFor goes
-// beyond that fragment by also emitting *retractions* — withdrawals of
-// previously emitted results — when a source node is deleted or updated
-// in place (DeltaEvents), so view maintenance stays correct under
-// general updates.
+// insertion-only streams; DeltaFor goes beyond that fragment by also
+// emitting *retractions* — withdrawals of previously emitted results —
+// when a source node is deleted or updated in place, so view
+// maintenance stays correct under general updates.
 
 // Lineage identifies one source node for delta provenance. Nodes of
 // installed documents are identified by their peer-stable NodeID;
@@ -72,48 +71,6 @@ func (e *Events) AddedTrees() []*xmltree.Node {
 	return out
 }
 
-// Recompute is the diff-based continuous evaluator.
-type Recompute struct {
-	q    *Query
-	env  *Env
-	args [][]*xmltree.Node
-	seen map[xmltree.Digest]int
-}
-
-// NewRecompute creates a continuous evaluator over fixed arguments.
-// The underlying documents (reached through env's resolver) may change
-// between Delta calls.
-func NewRecompute(q *Query, env *Env, args ...[]*xmltree.Node) *Recompute {
-	return &Recompute{q: q, env: env, args: args, seen: map[xmltree.Digest]int{}}
-}
-
-// Delta re-evaluates the query and returns only results not emitted
-// before (multiset semantics: if a result tree now occurs more often
-// than previously emitted, the extra occurrences are returned). The
-// emitted multiset never shrinks: this is the monotone stream of the
-// paper's continuous services.
-func (r *Recompute) Delta() ([]*xmltree.Node, error) {
-	full, err := r.q.Eval(r.env, r.args...)
-	if err != nil {
-		return nil, err
-	}
-	counts := map[xmltree.Digest]int{}
-	var out []*xmltree.Node
-	for _, n := range full {
-		d := xmltree.Hash(n)
-		counts[d]++
-		if counts[d] > r.seen[d] {
-			out = append(out, n)
-		}
-	}
-	for d, c := range counts {
-		if c > r.seen[d] {
-			r.seen[d] = c
-		}
-	}
-	return out, nil
-}
-
 // derivation is the per-source provenance record: the canonical digest
 // of the source subtree when its results were derived (so in-place
 // updates are detected), and how many result trees it produced.
@@ -131,9 +88,10 @@ type derivation struct {
 //
 // It re-derives a source only when that source's own subtree changed,
 // so it maintains a body correctly only if the body reads nothing
-// outside the bound source; callers check that (view.DefineQuery does).
+// outside the bound source; the constructor checks that.
 type DeltaFor struct {
-	env    *Env
+	q      *Query
+	args   [][]*xmltree.Node
 	forVar string
 	source *Path
 	rest   *FLWR // body with the leading for clause removed
@@ -162,39 +120,38 @@ type undone struct {
 	had bool
 }
 
-// NewDeltaFor creates the incremental evaluator. ok is false when the
-// query shape is unsupported (fall back to Recompute).
-func NewDeltaFor(q *Query, env *Env) (*DeltaFor, bool) {
+// NewDeltaFor creates the incremental evaluator of q applied to args
+// (one forest per declared parameter, bound as Query.Eval binds them).
+// ok is false when q is a shape it cannot maintain: the body must be a
+// FLWR whose first clause is its only for clause, ranging over a path
+// that reads one doc(); the rest of the body may read neither another
+// doc() nor, anywhere, an upward or sideways axis or an absolute path
+// (DownwardOnly), so it reads nothing outside the bound source.
+func NewDeltaFor(q *Query, args [][]*xmltree.Node) (*DeltaFor, bool) {
 	f, isFLWR := q.Body.(*FLWR)
-	if !isFLWR || len(q.Params) != 0 {
+	if !isFLWR || len(f.Clauses) == 0 || len(args) != len(q.Params) || !q.DownwardOnly() {
 		return nil, false
 	}
-	forCount := 0
-	var first ForClause
-	for _, c := range f.Clauses {
-		if fc, isFor := c.(ForClause); isFor {
-			forCount++
-			first = fc
+	first, isFor := f.Clauses[0].(ForClause)
+	if !isFor {
+		return nil, false
+	}
+	for _, c := range f.Clauses[1:] {
+		if _, isFor := c.(ForClause); isFor {
+			return nil, false
 		}
 	}
-	if forCount != 1 {
-		return nil, false
-	}
-	if _, isFirst := f.Clauses[0].(ForClause); !isFirst {
-		return nil, false
-	}
 	src, isPath := first.Source.(*Path)
-	if !isPath {
+	if !isPath || len(src.Docs) != 1 {
 		return nil, false
 	}
-	rest := &FLWR{
-		Clauses: f.Clauses[1:],
-		Where:   f.Where,
-		Order:   f.Order,
-		Return:  f.Return,
+	rest := &FLWR{Clauses: f.Clauses[1:], Where: f.Where, Order: f.Order, Return: f.Return}
+	if len((&Query{Body: rest}).DocRefs()) != 0 {
+		return nil, false
 	}
 	d := &DeltaFor{
-		env:     env,
+		q:       q,
+		args:    args,
 		forVar:  first.Var,
 		source:  src,
 		rest:    rest,
@@ -206,10 +163,6 @@ func NewDeltaFor(q *Query, env *Env) (*DeltaFor, bool) {
 	return d, true
 }
 
-// DeltaEvents is the retraction-aware delta step against the
-// constructor's environment. See DeltaEventsWith.
-func (d *DeltaFor) DeltaEvents() (*Events, error) { return d.DeltaEventsWith(d.env) }
-
 // DeltaEventsWith evaluates one provenance-tracked delta step against
 // env: the source path is re-evaluated and diffed against the recorded
 // lineage. Sources seen for the first time derive additions; sources
@@ -217,7 +170,7 @@ func (d *DeltaFor) DeltaEvents() (*Events, error) { return d.DeltaEventsWith(d.e
 // re-derive (exactly once); sources that disappeared retract theirs.
 // The body is never evaluated for unchanged sources.
 func (d *DeltaFor) DeltaEventsWith(env *Env) (ev *Events, retErr error) {
-	ctx := newEvalCtx(nil, env, downwardOnly(d.source) && downwardOnly(d.rest))
+	ctx := d.q.rootCtx(nil, env, d.args)
 	val, err := evalToValue(d.source, ctx)
 	if err != nil {
 		return nil, err
@@ -263,13 +216,14 @@ func (d *DeltaFor) DeltaEventsWith(env *Env) (ev *Events, retErr error) {
 // wrote that node's parent; only those are looked up (by descending
 // from the root along the commit's spine), hashed and re-derived,
 // and the events equal the full diff's as multisets. Anything the feed
-// does not bound — another source shape, a commit that names no
+// does not bound — no commits (a feed that no longer reaches back to
+// the recorded state), another source shape, a commit that names no
 // subtree or wrote above the chain's depth — takes the full diff.
 func (d *DeltaFor) DeltaEventsFeed(env *Env, commits []xmltree.Commit) (ev *Events, retErr error) {
-	if !d.chained {
+	if !d.chained || len(commits) == 0 {
 		return d.DeltaEventsWith(env)
 	}
-	ctx := newEvalCtx(nil, env, downwardOnly(d.source) && downwardOnly(d.rest))
+	ctx := d.q.rootCtx(nil, env, d.args)
 	if err := ctx.bindDocs(d.source); err != nil {
 		return nil, err
 	}

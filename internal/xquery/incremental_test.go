@@ -16,11 +16,11 @@ func churnEnv(t *testing.T, src string) (*xmltree.Node, *Env) {
 	return cat, &Env{Resolve: func(string) (*xmltree.Node, error) { return cat, nil }}
 }
 
-func mustEvents(t *testing.T, d *DeltaFor) *Events {
+func mustEvents(t *testing.T, d *DeltaFor, env *Env) *Events {
 	t.Helper()
-	ev, err := d.DeltaEvents()
+	ev, err := d.DeltaEventsWith(env)
 	if err != nil {
-		t.Fatalf("DeltaEvents: %v", err)
+		t.Fatalf("DeltaEventsWith: %v", err)
 	}
 	return ev
 }
@@ -29,11 +29,11 @@ func TestDeltaEventsDeletionRetracts(t *testing.T) {
 	cat, env := churnEnv(t,
 		`<catalog><item><price>10</price></item><item><price>12</price></item></catalog>`)
 	q := MustParse(`for $i in doc("c")/item where $i/price < 15 return <hit>{$i/price/text()}</hit>`)
-	d, ok := NewDeltaFor(q, env)
+	d, ok := NewDeltaFor(q, nil)
 	if !ok {
 		t.Fatal("NewDeltaFor rejected single-for query")
 	}
-	ev := mustEvents(t, d)
+	ev := mustEvents(t, d, env)
 	if len(ev.Additions) != 2 || len(ev.Retractions) != 0 {
 		t.Fatalf("initial events = %d additions, %d retractions", len(ev.Additions), len(ev.Retractions))
 	}
@@ -41,7 +41,7 @@ func TestDeltaEventsDeletionRetracts(t *testing.T) {
 	victimKey := LineageOf(victim)
 	cat.Children = cat.Children[1:]
 
-	ev = mustEvents(t, d)
+	ev = mustEvents(t, d, env)
 	if len(ev.Additions) != 0 {
 		t.Errorf("deletion produced %d additions", len(ev.Additions))
 	}
@@ -49,7 +49,7 @@ func TestDeltaEventsDeletionRetracts(t *testing.T) {
 		t.Errorf("retractions = %v, want exactly the deleted source", ev.Retractions)
 	}
 	// The state has converged: the next step is empty.
-	if ev = mustEvents(t, d); !ev.Empty() {
+	if ev = mustEvents(t, d, env); !ev.Empty() {
 		t.Errorf("post-deletion step not empty: %+v", ev)
 	}
 }
@@ -57,14 +57,14 @@ func TestDeltaEventsDeletionRetracts(t *testing.T) {
 func TestDeltaEventsInPlaceUpdateRederivesOnce(t *testing.T) {
 	cat, env := churnEnv(t, `<catalog><item><price>10</price></item></catalog>`)
 	q := MustParse(`for $i in doc("c")/item where $i/price < 15 return <hit>{$i/price/text()}</hit>`)
-	d, _ := NewDeltaFor(q, env)
-	mustEvents(t, d)
+	d, _ := NewDeltaFor(q, nil)
+	mustEvents(t, d, env)
 
 	// Mutate the source subtree in place; the node keeps its identity.
 	item := cat.Children[0]
 	item.FirstChildElement("price").Children[0].Text = "12"
 
-	ev := mustEvents(t, d)
+	ev := mustEvents(t, d, env)
 	if len(ev.Retractions) != 1 || ev.Retractions[0] != LineageOf(item) {
 		t.Fatalf("update retractions = %v", ev.Retractions)
 	}
@@ -74,7 +74,7 @@ func TestDeltaEventsInPlaceUpdateRederivesOnce(t *testing.T) {
 	if got := ev.Additions[0].Results[0].TextContent(); got != "12" {
 		t.Errorf("re-derived result = %q, want 12", got)
 	}
-	if ev = mustEvents(t, d); !ev.Empty() {
+	if ev = mustEvents(t, d, env); !ev.Empty() {
 		t.Errorf("second step after update not empty: %+v", ev)
 	}
 }
@@ -84,10 +84,10 @@ func TestDeltaEventsUpdateOutOfRange(t *testing.T) {
 	// the old row and derives nothing new.
 	cat, env := churnEnv(t, `<catalog><item><price>10</price></item></catalog>`)
 	q := MustParse(`for $i in doc("c")/item where $i/price < 15 return $i`)
-	d, _ := NewDeltaFor(q, env)
-	mustEvents(t, d)
+	d, _ := NewDeltaFor(q, nil)
+	mustEvents(t, d, env)
 	cat.Children[0].FirstChildElement("price").Children[0].Text = "999"
-	ev := mustEvents(t, d)
+	ev := mustEvents(t, d, env)
 	if len(ev.Retractions) != 1 {
 		t.Errorf("retractions = %d, want 1", len(ev.Retractions))
 	}
@@ -97,7 +97,7 @@ func TestDeltaEventsUpdateOutOfRange(t *testing.T) {
 	// And back in range: re-derivation without a retraction (the old
 	// derivation had no results to withdraw).
 	cat.Children[0].FirstChildElement("price").Children[0].Text = "5"
-	ev = mustEvents(t, d)
+	ev = mustEvents(t, d, env)
 	if len(ev.Retractions) != 0 || len(ev.AddedTrees()) != 1 {
 		t.Errorf("back-in-range: %d retractions, %d additions", len(ev.Retractions), len(ev.AddedTrees()))
 	}
@@ -107,21 +107,21 @@ func TestDeltaEventsRollbackReemits(t *testing.T) {
 	cat, env := churnEnv(t,
 		`<catalog><item><price>10</price></item><item><price>12</price></item></catalog>`)
 	q := MustParse(`for $i in doc("c")/item where $i/price < 15 return $i`)
-	d, _ := NewDeltaFor(q, env)
-	mustEvents(t, d)
+	d, _ := NewDeltaFor(q, nil)
+	mustEvents(t, d, env)
 
 	cat.Children = cat.Children[1:]
 	// The fresh item keeps zero IDs: lineage falls back to pointer
 	// identity, exercising the mixed-key case.
 	cat.AppendChild(xmltree.MustParse(`<item><price>3</price></item>`))
 
-	ev1 := mustEvents(t, d)
+	ev1 := mustEvents(t, d, env)
 	if ev1.Empty() {
 		t.Fatal("churn produced no events")
 	}
 	// Delivery failed: roll back, the very same events must reappear.
 	d.Rollback()
-	ev2 := mustEvents(t, d)
+	ev2 := mustEvents(t, d, env)
 	if len(ev2.Additions) != len(ev1.Additions) || len(ev2.Retractions) != len(ev1.Retractions) {
 		t.Errorf("rollback did not re-emit: first %d/%d, second %d/%d",
 			len(ev1.Additions), len(ev1.Retractions), len(ev2.Additions), len(ev2.Retractions))
