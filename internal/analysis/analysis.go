@@ -3,7 +3,8 @@
 // container that builds axml has no module proxy access, so instead of
 // depending on x/tools we mirror its core shape — Analyzer, Pass,
 // Diagnostic — over go/ast + go/types, with a module-aware loader
-// (load.go) and an analysistest-style fixture runner (analysistest.go).
+// (load.go); the package's tests run fixtures analysistest-style
+// (analysistest_test.go).
 //
 // Analyzers encode repo invariants that reviews kept rediscovering by
 // hand (see cmd/axmlvet):

@@ -14,26 +14,17 @@ type TestResult struct {
 	Unwanted  []string     // want comments no finding matched
 }
 
-// RunFixture loads testdata/src/<pkg>, runs the analyzer over it, and
-// checks the findings against `// want "regexp"` comments in the
-// fixture source, x/tools analysistest style: every finding must match
-// a want on its line, and every want must be matched by a finding.
-// Findings suppressed by //axmlvet:ignore are filtered before matching,
-// so ignore fixtures assert suppression by carrying no want comment.
+// RunFixtureWith loads testdata/src/<pkg> with loader, runs the
+// analyzer over it, and checks the findings against `// want "regexp"`
+// comments in the fixture source, x/tools analysistest style: every
+// finding must match a want on its line, and every want must be matched
+// by a finding. Findings suppressed by //axmlvet:ignore are filtered
+// before matching, so ignore fixtures assert suppression by carrying no
+// want comment. One loader (and its cached type-checked std/axml
+// packages) serves many fixtures.
 //
 // Fixture packages may import both the standard library and real axml
 // packages; the loader resolves the latter from the enclosing module.
-func RunFixture(testdata string, a *Analyzer, pkg string) (*TestResult, error) {
-	loader, err := NewLoader(filepath.Join(testdata, "src", pkg))
-	if err != nil {
-		return nil, err
-	}
-	return RunFixtureWith(loader, testdata, a, pkg)
-}
-
-// RunFixtureWith is RunFixture over a caller-provided loader, so a test
-// suite can share one loader (and its cached type-checked std/axml
-// packages) across many fixtures.
 func RunFixtureWith(loader *Loader, testdata string, a *Analyzer, pkg string) (*TestResult, error) {
 	dir := filepath.Join(testdata, "src", pkg)
 	p, err := loader.LoadDir(dir, pkg)

@@ -42,6 +42,24 @@ func BenchmarkEvalLocal(b *testing.B) {
 	benchEval(b, sys, "data", q)
 }
 
+// TestEvalLocalAllocations pins BenchmarkEvalLocal's allocations per
+// op: about 60 accepted items owned by the result forest, their scopes,
+// and the run's fixed work; the 140 rejected items cost nothing.
+func TestEvalLocalAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	sys, q := benchSystem(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		if res, err := sys.Eval("data", q); err != nil || len(res.Forest) == 0 {
+			t.Fatalf("%d rows, %v", len(res.Forest), err)
+		}
+	})
+	if allocs != 1_105 {
+		t.Errorf("local eval allocates %v times per op, want 1,105", allocs)
+	}
+}
+
 // BenchmarkEvalDelegated evaluates it from the client: the plan is
 // serialized, shipped to data over the simulated network, evaluated
 // there and its forest shipped back.

@@ -402,7 +402,7 @@ func (s *System) prepareQuery(ctx context.Context, p *peer.Peer, q *Query, vt fl
 		}
 		run.inputNodes += res.Forest[0].NodeCount()
 		return res.Forest[0], nil
-	}}
+	}, Index: run.snap}
 	return run, nil
 }
 
@@ -821,7 +821,7 @@ func (s *System) applyService(ctx context.Context, p *peer.Peer, svc *service.Se
 	// publishes between them.
 	h := p.Snapshot()
 	defer h.Release()
-	cur, err := svc.Body.OwnedCursor(ctx, &xquery.Env{Resolve: h.Resolver()}, args...)
+	cur, err := svc.Body.OwnedCursor(ctx, &xquery.Env{Resolve: h.Resolver(), Index: h}, args...)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: service %s@%s: %w", svc.Name, p.ID, err)
 	}

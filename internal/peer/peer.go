@@ -66,10 +66,11 @@ type document struct {
 }
 
 // published is one published root with the epoch that published it and
-// two catalog statistics, each taken by the first reader that asks: its
-// node count (the evaluator's cost accounting asks on every query) and
-// its serialized size (the optimizer asks on every plan miss). A
-// published tree is immutable, so neither can go stale.
+// what is known about it, each taken by the first reader that asks: its
+// node count (the evaluator's cost accounting asks on every query), its
+// serialized size (the optimizer asks on every plan miss) and its value
+// indexes (a point lookup asks for its shape's). A published tree is
+// immutable, so none of them can go stale.
 type published struct {
 	root      *xmltree.Node
 	epoch     uint64
@@ -77,6 +78,13 @@ type published struct {
 	nodes     int
 	bytesOnce sync.Once
 	bytes     int
+
+	idxMu   sync.Mutex
+	indexes map[xquery.Shape]*xquery.ValueIndex // nil: the shape did not fit
+	// charged is the indexes' entries plus one per shape asked for. It
+	// never exceeds nodeCount(), so shapes a client invents cannot grow
+	// a root's indexes past the size of its tree.
+	charged int
 }
 
 func (p *published) nodeCount() int {
@@ -87,6 +95,26 @@ func (p *published) nodeCount() int {
 func (p *published) byteSize() int {
 	p.bytesOnce.Do(func() { p.bytes = p.root.ByteSize() })
 	return p.bytes
+}
+
+// index returns shape s's value index over the root, built by its first
+// reader while later ones wait; ok is false when it does not fit the
+// root's budget.
+func (p *published) index(s xquery.Shape) (*xquery.ValueIndex, bool) {
+	budget := p.nodeCount()
+	p.idxMu.Lock()
+	defer p.idxMu.Unlock()
+	if idx, asked := p.indexes[s]; asked || p.charged >= budget {
+		return idx, idx != nil
+	}
+	if p.indexes == nil {
+		p.indexes = map[xquery.Shape]*xquery.ValueIndex{}
+	}
+	p.charged++
+	idx, n, _ := s.Build(p.root, budget-p.charged)
+	p.indexes[s] = idx
+	p.charged += n
+	return idx, idx != nil
 }
 
 // Change wakes a watcher: a transaction wrote the named document and
@@ -256,12 +284,6 @@ func (p *Peer) AddChild(parent xmltree.NodeID, tree *xmltree.Node) error {
 	return p.Write(func(tx *Tx) error { return tx.Append(parent, tree) })
 }
 
-// RemoveChildByID detaches the identified node from its parent: a
-// transaction of one Tx.Remove.
-func (p *Peer) RemoveChildByID(parent, child xmltree.NodeID) error {
-	return p.Write(func(tx *Tx) error { return tx.Remove(parent, child) })
-}
-
 // ReplaceChildByID swaps the identified node for tree in place: a
 // transaction of one Tx.Replace.
 func (p *Peer) ReplaceChildByID(parent, child xmltree.NodeID, tree *xmltree.Node) error {
@@ -410,7 +432,7 @@ func (p *Peer) Resolver() xquery.DocResolver {
 func (p *Peer) RunQuery(q *xquery.Query, args ...[]*xmltree.Node) ([]*xmltree.Node, error) {
 	h := p.Snapshot()
 	defer h.Release()
-	return q.Eval(&xquery.Env{Resolve: h.Resolver()}, args...)
+	return q.Eval(&xquery.Env{Resolve: h.Resolver(), Index: h}, args...)
 }
 
 // FreshAnchor creates a detached element owned by the peer (indexed,

@@ -256,8 +256,8 @@ func TestRemoveChildByID(t *testing.T) {
 	start := p.Epoch()
 	victim := root.Children[0]
 	grandchild := victim.Children[0]
-	if err := p.RemoveChildByID(root.ID, victim.ID); err != nil {
-		t.Fatalf("RemoveChildByID: %v", err)
+	if err := p.Write(func(tx *Tx) error { return tx.Remove(root.ID, victim.ID) }); err != nil {
+		t.Fatalf("Tx.Remove: %v", err)
 	}
 	now := docRoot(t, p, "log")
 	if len(now.Children) != 1 || now.Children[0].TextContent() != "two" {
@@ -274,13 +274,13 @@ func TestRemoveChildByID(t *testing.T) {
 	}
 
 	// Errors: unknown node, wrong parent, document root.
-	if err := p.RemoveChildByID(0, 99999); err == nil {
+	if err := p.Write(func(tx *Tx) error { return tx.Remove(0, 99999) }); err == nil {
 		t.Error("removing unknown node should error")
 	}
-	if err := p.RemoveChildByID(victim.ID, now.Children[0].ID); err == nil {
+	if err := p.Write(func(tx *Tx) error { return tx.Remove(victim.ID, now.Children[0].ID) }); err == nil {
 		t.Error("wrong-parent check should fire")
 	}
-	if err := p.RemoveChildByID(0, root.ID); err == nil {
+	if err := p.Write(func(tx *Tx) error { return tx.Remove(0, root.ID) }); err == nil {
 		t.Error("removing a document root should error")
 	}
 }
@@ -405,7 +405,7 @@ func TestHandleNodeCount(t *testing.T) {
 	if err := p.AddChild(root.ID, xmltree.MustParse(`<item><name>desk</name><price>9</price></item>`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RemoveChildByID(root.ID, root.Children[1].ID); err != nil {
+	if err := p.Write(func(tx *Tx) error { return tx.Remove(root.ID, root.Children[1].ID) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.ReplaceChildByID(root.ID, root.Children[0].ID, xmltree.E("item")); err != nil {
@@ -456,7 +456,7 @@ func TestDocumentBytesPerPublishedRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	check()
-	if err := p.RemoveChildByID(root.ID, root.Children[1].ID); err != nil {
+	if err := p.Write(func(tx *Tx) error { return tx.Remove(root.ID, root.Children[1].ID) }); err != nil {
 		t.Fatal(err)
 	}
 	check()
@@ -523,7 +523,7 @@ func TestChangesSaysWhatEachCommitTouched(t *testing.T) {
 			xmltree.Commit{Spine: []xmltree.NodeID{root.ID}, Added: 0}},
 		{"nested ReplaceChildByID", func() error { return p.ReplaceChildByID(0, oldPrice.ID, newPrice) },
 			xmltree.Commit{Spine: []xmltree.NodeID{root.ID, item.ID}, Pos: []int{0}, Removed: oldPrice.ID}},
-		{"RemoveChildByID", func() error { return p.RemoveChildByID(root.ID, other.ID) },
+		{"Tx.Remove", func() error { return p.Write(func(tx *Tx) error { return tx.Remove(root.ID, other.ID) }) },
 			xmltree.Commit{Spine: []xmltree.NodeID{root.ID}, Removed: other.ID}},
 		{"ReplaceChildren", func() error { return p.Write(func(tx *Tx) error { return tx.ReplaceChildren(item.ID, nil) }) },
 			xmltree.Commit{Spine: []xmltree.NodeID{root.ID, item.ID}, Pos: []int{0}}},

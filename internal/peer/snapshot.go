@@ -87,6 +87,19 @@ func (h *Handle) NodeCount(name string) (int, error) {
 	return r.nodeCount(), nil
 }
 
+// Index returns the value index of shape s over the named document,
+// when root is the root the handle pins for it: built by the first
+// reader of that root and shared by every handle that pins it. ok is
+// false for any other root (a copy fetched from elsewhere is scanned)
+// and for a shape that does not fit the root's budget.
+func (h *Handle) Index(name string, root *xmltree.Node, s xquery.Shape) (*xquery.ValueIndex, bool) {
+	r, pinned := h.roots[name]
+	if !pinned || r.root != root {
+		return nil, false
+	}
+	return r.index(s)
+}
+
 // Changes returns what the transactions that wrote the named document
 // after epoch `after`, up to the handle's own epoch, touched: one commit
 // record per edit, oldest first, the edits of one transaction together

@@ -177,7 +177,8 @@ func TestCancelMidStream(t *testing.T) {
 // TestCancelInsideScan: a cancel that lands while the evaluator is
 // between rows — here in a join that examines 2,000² candidate tuples
 // and accepts none — fails the statement with ErrCanceled shortly after
-// the cancel, instead of after the scan, and unpins the store.
+// the cancel, instead of after the scan, and unpins the store. Its
+// where is a range, which no value index narrows.
 func TestCancelInsideScan(t *testing.T) {
 	sys, views := streamSystem(t, 0)
 	client, _ := sys.Peer("client")
@@ -195,7 +196,7 @@ func TestCancelInsideScan(t *testing.T) {
 	})
 	defer timer.Stop()
 	rows, err := sess.Query(ctx, `for $i in doc("c")/item for $j in doc("c")/item
-		where $i/@id = "nope" and $j/@id = "nope" return $i`)
+		where $i/price < 0 and $j/price < 0 return $i`)
 	if err == nil {
 		for rows.Next() {
 			t.Error("the join accepted a tuple")

@@ -9,6 +9,7 @@ import (
 
 	"axml/internal/core"
 	"axml/internal/netsim"
+	"axml/internal/peer"
 	"axml/internal/workload"
 	"axml/internal/xmltree"
 	"axml/internal/xquery"
@@ -176,7 +177,7 @@ func TestMigrateShipsContentAndKeepsIncrementalMaintenance(t *testing.T) {
 	if victim == 0 {
 		t.Fatal("no matching item to delete")
 	}
-	if err := data.RemoveChildByID(catalog.ID, victim); err != nil {
+	if err := data.Write(func(tx *peer.Tx) error { return tx.Remove(catalog.ID, victim) }); err != nil {
 		t.Fatal(err)
 	}
 	preRefresh := sys.Net.Stats()

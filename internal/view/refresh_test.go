@@ -403,7 +403,7 @@ func TestDeletionRetractsAtEveryPlacement(t *testing.T) {
 	data, _ := sys.Peer("data")
 	catalog := docRoot(t, data, "catalog")
 	victim := matchingItemID(t, sys)
-	if err := data.RemoveChildByID(catalog.ID, victim); err != nil {
+	if err := data.Write(func(tx *peer.Tx) error { return tx.Remove(catalog.ID, victim) }); err != nil {
 		t.Fatal(err)
 	}
 	n, err := m.Refresh("cheap")
@@ -705,7 +705,7 @@ func TestDeltaMaintenanceShipsLessThanFullRefresh(t *testing.T) {
 				i := rng.Intn(len(live))
 				var err error
 				if rng.Intn(2) == 0 {
-					err = data.RemoveChildByID(catalog.ID, live[i].ID)
+					err = data.Write(func(tx *peer.Tx) error { return tx.Remove(catalog.ID, live[i].ID) })
 				} else {
 					err = data.ReplaceChildByID(catalog.ID, live[i].ID, item())
 				}
@@ -775,7 +775,9 @@ func TestFeedStepFollowsTheChain(t *testing.T) {
 			return data.ReplaceChildByID(0, shelf.Children[1].Children[0].ID, xmltree.E("price", xmltree.T("5")))
 		}},
 		{"add a source", func() error { return data.AddChild(shelf.ID, book(7)) }},
-		{"remove a source", func() error { return data.RemoveChildByID(shelf.ID, shelf.Children[0].ID) }},
+		{"remove a source", func() error {
+			return data.Write(func(tx *peer.Tx) error { return tx.Remove(shelf.ID, shelf.Children[0].ID) })
+		}},
 		{"replace a non-source sibling", func() error {
 			return data.ReplaceChildByID(shelf.ID, shelf.Children[2].ID, xmltree.E("lamp", xmltree.T("lit")))
 		}},
@@ -784,7 +786,9 @@ func TestFeedStepFollowsTheChain(t *testing.T) {
 			return data.ReplaceChildByID(0, crate.Children[0].Children[0].ID, xmltree.E("price", xmltree.T("2")))
 		}},
 		{"add a shelf", func() error { return data.AddChild(lib.ID, xmltree.E("shelf", book(3), book(90))) }},
-		{"remove a shelf", func() error { return data.RemoveChildByID(lib.ID, lib.Children[1].ID) }},
+		{"remove a shelf", func() error {
+			return data.Write(func(tx *peer.Tx) error { return tx.Remove(lib.ID, lib.Children[1].ID) })
+		}},
 	} {
 		if err := step.do(); err != nil {
 			t.Fatalf("%s: %v", step.name, err)
@@ -933,7 +937,7 @@ func TestAutoRefreshChurnRace(t *testing.T) {
 				mine = append(mine, item.ID)
 				switch {
 				case i%3 == 1 && len(mine) > 1:
-					if err := data.RemoveChildByID(rootID, mine[0]); err != nil {
+					if err := data.Write(func(tx *peer.Tx) error { return tx.Remove(rootID, mine[0]) }); err != nil {
 						t.Error(err)
 						return
 					}
@@ -1100,7 +1104,8 @@ func TestRefreshFullShipFailureRecovers(t *testing.T) {
 	// Maintenance keeps working afterwards, including retractions.
 	data, _ := sys.Peer("data")
 	catalog := docRoot(t, data, "catalog")
-	if err := data.RemoveChildByID(catalog.ID, matchingItemID(t, sys)); err != nil {
+	victim := matchingItemID(t, sys)
+	if err := data.Write(func(tx *peer.Tx) error { return tx.Remove(catalog.ID, victim) }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Refresh("cheap"); err != nil {

@@ -821,6 +821,11 @@ type Client struct {
 	mu     sync.Mutex
 	busy   bool // an exchange (round trip or open Rows) owns the conn
 	closed bool
+	// dead is set, by the exchange that owns the conn, when it ended
+	// without its terminator (canceled, timed out, cut off): the conn
+	// may still hold the rest of that reply, so the next exchange
+	// redials, or fails with ErrPeerDown when the client has no address.
+	dead bool
 }
 
 // Client implements the session interface — the wire backend of the
@@ -866,7 +871,7 @@ func (c *Client) redial() bool {
 		return false
 	}
 	old := c.conn
-	c.conn, c.sc = conn, sc
+	c.conn, c.sc, c.dead = conn, sc, false
 	c.mu.Unlock()
 	_ = old.Close()
 	return true
@@ -914,7 +919,10 @@ func (c *Client) guard(ctx context.Context) (bump, release func()) {
 	set := false
 	bump = func() {
 		if ctx.Err() != nil {
-			return // keep the watcher's poisoned deadline
+			// The watcher may not have poisoned it yet: a canceled
+			// context must never get to send or read.
+			_ = c.conn.SetDeadline(time.Now().Add(-time.Second))
+			return
 		}
 		var dl time.Time
 		if c.ioTimeout > 0 {
@@ -976,6 +984,7 @@ func (c *Client) send(ctx context.Context, line string) error {
 		line = strings.ReplaceAll(strings.ReplaceAll(line, "\r", " "), "\n", " ")
 	}
 	if _, err := fmt.Fprintln(c.conn, line); err != nil {
+		c.dead = true
 		return c.ioError(ctx, err)
 	}
 	return nil
@@ -984,7 +993,10 @@ func (c *Client) send(ctx context.Context, line string) error {
 // recv reads one reply line as a parsed tree. Protocol-level errors
 // (x:error) are mapped onto typed sentinels via their code attribute.
 func (c *Client) recv(ctx context.Context) (*xmltree.Node, error) {
-	if !c.sc.Scan() {
+	// A line the scanner hands back alongside an error is what arrived
+	// before the error cut it short: it is never parsed.
+	if !c.sc.Scan() || c.sc.Err() != nil {
+		c.dead = true
 		if err := c.sc.Err(); err != nil {
 			return nil, c.ioError(ctx, err)
 		}
@@ -992,6 +1004,7 @@ func (c *Client) recv(ctx context.Context) (*xmltree.Node, error) {
 	}
 	root, err := xmltree.Parse(c.sc.Text())
 	if err != nil {
+		c.dead = true
 		return nil, fmt.Errorf("wire: bad reply: %w", err)
 	}
 	if root.Label == "x:error" {
@@ -1005,17 +1018,29 @@ func (c *Client) recv(ctx context.Context) (*xmltree.Node, error) {
 }
 
 // begin claims the connection for one exchange; end releases it. A
-// failed begin means another call or an open Rows owns the line.
-func (c *Client) begin() error {
+// failed begin means the context is already done, another call or an
+// open Rows owns the line, or the line is dead and cannot be redialed;
+// it leaves the connection as it was.
+func (c *Client) begin(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("wire: %w: %v", session.ErrCanceled, err)
+	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return session.ErrClosed
 	}
 	if c.busy {
+		c.mu.Unlock()
 		return fmt.Errorf("wire: connection busy (concurrent call, or previous Rows not closed)")
 	}
 	c.busy = true
+	dead := c.dead
+	c.mu.Unlock()
+	if dead && !c.redial() {
+		c.end()
+		return fmt.Errorf("wire: connection left mid-reply: %w", session.ErrPeerDown)
+	}
 	return nil
 }
 
@@ -1029,7 +1054,7 @@ func (c *Client) end() {
 // An ErrPeerDown on an idempotent verb — the stale-pooled-socket case
 // after a peer restart — is retried once over a fresh connection.
 func (c *Client) roundTrip(ctx context.Context, line string) (*xmltree.Node, error) {
-	if err := c.begin(); err != nil {
+	if err := c.begin(ctx); err != nil {
 		return nil, err
 	}
 	defer c.end()
@@ -1061,7 +1086,7 @@ func (c *Client) exchange(ctx context.Context, line string) (*xmltree.Node, erro
 // delivered — and is retried once over a fresh dial; QUERYX is a read,
 // so the replay is safe.
 func (c *Client) Query(ctx context.Context, src string, opts ...session.Option) (*session.Rows, error) {
-	if err := c.begin(); err != nil {
+	if err := c.begin(ctx); err != nil {
 		return nil, err
 	}
 	cfg := session.BuildConfig(opts)
@@ -1145,6 +1170,7 @@ func (c *Client) openStream(parent context.Context, line string, timeout time.Du
 		switch root.Label {
 		case "x:row":
 			if len(root.Children) == 0 {
+				c.dead = true
 				finish()
 				return nil, fmt.Errorf("wire: empty row")
 			}
@@ -1153,6 +1179,7 @@ func (c *Client) openStream(parent context.Context, line string, timeout time.Du
 			finish()
 			return nil, nil
 		default:
+			c.dead = true
 			finish()
 			return nil, fmt.Errorf("wire: unexpected stream reply %q", root.Label)
 		}

@@ -92,12 +92,6 @@ func NewText(text string) *Node { return &Node{Kind: TextNode, Text: text} }
 // NewComment returns a fresh comment node.
 func NewComment(text string) *Node { return &Node{Kind: CommentNode, Text: text} }
 
-// IsElement reports whether n is an element node.
-func (n *Node) IsElement() bool { return n != nil && n.Kind == ElementNode }
-
-// IsText reports whether n is a text node.
-func (n *Node) IsText() bool { return n != nil && n.Kind == TextNode }
-
 // Attr returns the value of the named attribute and whether it is present.
 func (n *Node) Attr(name string) (string, bool) {
 	for _, a := range n.Attrs {

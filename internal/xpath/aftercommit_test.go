@@ -14,6 +14,7 @@ import (
 	"axml/internal/session"
 	"axml/internal/view"
 	"axml/internal/wire"
+	"axml/internal/workload"
 	"axml/internal/xmltree"
 	"axml/internal/xpath"
 )
@@ -159,13 +160,9 @@ func TestUpwardAxesAfterCommit(t *testing.T) {
 // commit of a generated sequence of appends, removals and replacements
 // at every depth of the document.
 func TestUpwardAxesAfterCommits(t *testing.T) {
-	item := func(k int) *xmltree.Node {
-		return xmltree.E("item", xmltree.A("id", fmt.Sprint(k)),
-			xmltree.E("name", xmltree.T(fmt.Sprint("n-", k))), xmltree.E("price", xmltree.T(fmt.Sprint(k%30))))
-	}
 	c := xmltree.E("c")
 	for k := 1; k <= 4; k++ {
-		c.AppendChild(item(k))
+		c.AppendChild(workload.EditItem(k))
 	}
 	s := newCommitStore(t, c)
 	r := rand.New(rand.NewSource(35))
@@ -176,37 +173,21 @@ func TestUpwardAxesAfterCommits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Every element with the element it sits under.
-		type placed struct{ n, parent *xmltree.Node }
-		var elems []placed
-		var walk func(n, parent *xmltree.Node)
-		walk = func(n, parent *xmltree.Node) {
-			elems = append(elems, placed{n, parent})
-			for _, ch := range n.ChildElements() {
-				walk(ch, n)
-			}
+		e := workload.NextEdit(r, root, k)
+		if err := s.p.Write(func(tx *peer.Tx) error { return applyEdit(tx, e) }); err != nil {
+			t.Fatalf("%s: %v", e.What, err)
 		}
-		walk(root, nil)
-		var what string
-		pick := elems[1+r.Intn(len(elems)-1)]
-		switch op := r.Intn(3); {
-		case op == 0 || len(root.Children) < 3:
-			at := elems[r.Intn(len(elems))].n
-			if at.Label != "c" && at.Label != "item" {
-				at = root
-			}
-			what = fmt.Sprintf("appending item %d under <%s>", k, at.Label)
-			err = s.p.AddChild(at.ID, item(k))
-		case op == 1:
-			what = fmt.Sprintf("removing a <%s>", pick.n.Label)
-			err = s.p.RemoveChildByID(pick.parent.ID, pick.n.ID)
-		default:
-			what = fmt.Sprintf("replacing a <%s> with item %d", pick.n.Label, k)
-			err = s.p.ReplaceChildByID(pick.parent.ID, pick.n.ID, item(k))
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		s.check(t, fmt.Sprintf("commit %d (%s)", step+1, what))
+		s.check(t, fmt.Sprintf("commit %d (%s)", step+1, e.What))
 	}
+}
+
+// applyEdit makes a generated edit in tx.
+func applyEdit(tx *peer.Tx, e workload.Edit) error {
+	switch {
+	case e.Child == 0:
+		return tx.Append(e.Parent, e.Tree)
+	case e.Tree == nil:
+		return tx.Remove(e.Parent, e.Child)
+	}
+	return tx.Replace(e.Parent, e.Child, e.Tree)
 }

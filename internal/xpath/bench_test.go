@@ -39,3 +39,35 @@ func BenchmarkSelectAttribute(b *testing.B) { benchSelect(b, `item/@id`) }
 // A descendant step from the root, then a parent step from 2,000
 // nodes — the axes that still need the duplicate set.
 func BenchmarkSelectDescendant(b *testing.B) { benchSelect(b, `descendant::price/..`) }
+
+// TestSelectAllocations pins the allocations per Select of the three
+// benchmarked paths over the 2,000-item catalog. A predicate compares
+// while it walks, so the first path allocates only its result sets; the
+// attribute step makes a node for each of the 2,000 attributes it
+// selects; the parent step keeps the set of parents it has seen, a map
+// whose allocations vary from run to run, so its count is a ceiling.
+func TestSelectAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	root := workload.Catalog(workload.CatalogSpec{Items: 2000, PriceMax: 1000, DescWords: 10, Seed: 1})
+	for _, c := range []struct {
+		path   string
+		allocs float64
+		exact  bool
+	}{
+		{`item[price < 500]/name`, 3, true},
+		{`item/@id`, 2_003, true},
+		{`descendant::price/..`, 150, false}, // read 142 to 147
+	} {
+		x := MustCompile(c.path)
+		got := testing.AllocsPerRun(10, func() {
+			if _, err := x.Select(root); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.allocs && (c.exact || got > c.allocs) {
+			t.Errorf("%s: %v allocations per Select, want %v", c.path, got, c.allocs)
+		}
+	}
+}

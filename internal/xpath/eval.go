@@ -352,6 +352,18 @@ func streamedComparison(b *BinaryExpr) (p *PathExpr, lit operand, litLeft, ok bo
 	return p, lit, litLeft, ok
 }
 
+// EqualsString recognizes the comparison comparePath takes when it is
+// path = "literal", in either operand order: p is the path, s the
+// literal. XPath holds it exactly when a node the path reaches has s
+// as its string-value, so a map from string-values can answer it.
+func EqualsString(b *BinaryExpr) (p *PathExpr, s string, ok bool) {
+	p, lit, _, ok := streamedComparison(b)
+	if !ok || b.Op != "=" || lit.kind != opString {
+		return nil, "", false
+	}
+	return p, lit.s, true
+}
+
 // comparePath is the comparison of path p with a literal, the literal
 // on the left when litLeft is set, without collecting the path's last
 // step: the prefix is evaluated as evalPath would, and every node the

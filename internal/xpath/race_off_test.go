@@ -1,0 +1,5 @@
+//go:build !race
+
+package xpath
+
+const raceEnabled = false

@@ -8,6 +8,19 @@
 // Beyond parsing and evaluation the package provides the two analyses
 // the rewrite rules need: document-dependency extraction and the
 // selection-pushdown decomposition q ≡ q1(σ(q2)) of Example 1.
+//
+// A point lookup is answered from a value index when the environment
+// has one (Env.Index; a peer keeps one per published root and shape).
+// The rule: a FLWR whose first for clause binds $v to doc(d)/a/b… (child
+// steps by name, no predicate), whose variable no later clause rebinds,
+// and whose where is $v/k… = "literal" — or has it as an operand of an
+// and — takes as $v's candidates only the nodes whose key k… (child
+// steps by name, the last one an attribute step by name too) has that
+// string-value. The where clause still runs on each of them, so the
+// index only narrows: the rows and their order are the scan's. Any other
+// comparison (!=, <, a number literal, a predicate, //, a reverse axis)
+// scans, because XPath's numeric and existential rules make a map from
+// strings inexact there.
 package xquery
 
 import (

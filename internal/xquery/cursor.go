@@ -315,6 +315,7 @@ type lazyTuples struct {
 	frames  []tframe
 	started bool
 	done    bool
+	lookup  lookup // the point lookup an Env.Index narrows; clause -1 if none
 }
 
 // tframe is one clause's frame. A for-frame binds its variable to one,
@@ -397,6 +398,14 @@ func (t *lazyTuples) next() (*evalCtx, error) {
 func (t *lazyTuples) scan() (*evalCtx, error) {
 	ev := t.base.ev
 	advance := t.started
+	if !t.started {
+		t.lookup.clause = -1
+		if ev.env != nil && ev.env.Index != nil {
+			if l, ok := lookupOf(t.f); ok {
+				t.lookup = l
+			}
+		}
+	}
 	t.started = true
 candidates:
 	for {
@@ -414,13 +423,9 @@ candidates:
 			cur := t.parent()
 			switch cl := t.f.Clauses[len(t.frames)].(type) {
 			case ForClause:
-				val, err := evalToValue(cl.Source, cur)
+				ns, err := t.candidates(len(t.frames), cl, cur)
 				if err != nil {
 					return nil, err
-				}
-				ns, ok := val.(xpath.NodeSet)
-				if !ok {
-					return nil, errf("for $%s: source is not a node sequence (got %T)", cl.Var, val)
 				}
 				if len(ns) == 0 {
 					continue candidates
@@ -453,4 +458,34 @@ candidates:
 		}
 		return tup, nil
 	}
+}
+
+// candidates evaluates clause i's for-source under cur, or, for the
+// point lookup's clause when the environment indexes the root doc()
+// resolves to, takes the candidates the index holds for its value. The
+// where clause still runs on each, and a candidate left out is one it
+// rejects, so the tuples and their order are the scan's. So are the
+// errors: an operand that runs before the key fails on every candidate
+// if on one, so with no candidate the clause scans to show it.
+func (t *lazyTuples) candidates(i int, cl ForClause, cur *evalCtx) (xpath.NodeSet, error) {
+	if l := &t.lookup; i == l.clause {
+		if err := cur.bindDocs(l.src); err != nil {
+			return nil, err
+		}
+		root, _ := cur.xc.Vars.Lookup(docVarPrefix + l.doc)
+		if idx, ok := t.base.ev.env.Index.Index(l.doc, root.(xpath.NodeSet)[0], l.shape); ok {
+			if ns := idx.Lookup(l.value); len(ns) > 0 || l.first {
+				return ns, nil
+			}
+		}
+	}
+	val, err := evalToValue(cl.Source, cur)
+	if err != nil {
+		return nil, err
+	}
+	ns, ok := val.(xpath.NodeSet)
+	if !ok {
+		return nil, errf("for $%s: source is not a node sequence (got %T)", cl.Var, val)
+	}
+	return ns, nil
 }

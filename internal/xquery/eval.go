@@ -21,6 +21,17 @@ type Env struct {
 	// Resolve resolves doc("name") references. May be nil if the query
 	// references no documents.
 	Resolve DocResolver
+	// Index, when set, holds the value indexes of the roots Resolve
+	// gives: a point lookup's for clause takes the candidates the index
+	// holds for its key instead of scanning (lazyTuples.candidates).
+	Index Indexes
+}
+
+// Indexes gives the value index of shape s over doc(name) if root is
+// the root the environment resolves it to, and ok false otherwise. A
+// peer's pinned snapshot is one.
+type Indexes interface {
+	Index(name string, root *xmltree.Node, s Shape) (idx *ValueIndex, ok bool)
 }
 
 // EvalError reports a dynamic query failure.

@@ -22,6 +22,8 @@ var fuzzParseSeeds = []string{
 	strings.Repeat("(", 1000),
 	"for $i in doc(\"d\")/x return <a>{$i}</a>\x00",
 	`sc("svc@p", 1)`,
+	`for $i in doc("catalog")/item where $i/@id = "3" return $i/name`,
+	`for $i in doc("catalog")/item where "n-4" = $i/name and $i/price < 100 return <r>{$i/@id}</r>`,
 }
 
 // FuzzParse hardens the first untrusted input surface: every query a

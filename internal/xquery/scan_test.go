@@ -3,6 +3,7 @@ package xquery
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"axml/internal/workload"
@@ -199,5 +200,109 @@ func TestBulkScanAllocationBudget(t *testing.T) {
 	t.Logf("%.0f allocations per bulk scan", perRun)
 	if perRun > 5200 {
 		t.Errorf("bulk scan allocates %.0f times per run, budget is 5,200", perRun)
+	}
+}
+
+// builtIndexes holds the value index of every shape over root, built
+// on first use as a peer builds it for a published root.
+type builtIndexes struct {
+	root  *xmltree.Node
+	built map[Shape]*ValueIndex
+}
+
+func (b *builtIndexes) Index(_ string, r *xmltree.Node, s Shape) (*ValueIndex, bool) {
+	if r != b.root {
+		return nil, false
+	}
+	idx, ok := b.built[s]
+	if !ok {
+		idx, _, _ = s.Build(r, math.MaxInt)
+		b.built[s] = idx
+	}
+	return idx, true
+}
+
+// indexEnv is scanEnv with every value index over root.
+func indexEnv(root *xmltree.Node) *Env {
+	env := scanEnv(root)
+	env.Index = &builtIndexes{root: root, built: map[Shape]*ValueIndex{}}
+	return env
+}
+
+// scannedBy is how many candidate tuples draining q examines.
+func scannedBy(t *testing.T, q *Query, env *Env) (rows int, scanned uint) {
+	t.Helper()
+	cur, err := q.EvalCursor(context.Background(), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		n, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == nil {
+			return rows, cur.(*queryCursor).ev.scanned
+		}
+		rows++
+	}
+}
+
+// TestPointLookupExaminesOne counts what the point lookup examines on
+// the 2,000-item catalog: every item and one more look that finds the
+// for clause spent when it scans, and the one item whose @id matches
+// plus that look when the value index narrows its candidates. Both
+// return the same row.
+func TestPointLookupExaminesOne(t *testing.T) {
+	root := scanCatalog()
+	for _, c := range []struct {
+		name    string
+		env     *Env
+		scanned uint
+	}{{"scan", scanEnv(root), 2001}, {"indexed", indexEnv(root), 2}} {
+		rows, scanned := scannedBy(t, pointLookup, c.env)
+		if rows != 1 || scanned != c.scanned {
+			t.Errorf("%s: %d rows, %d candidates examined; want 1 row, %d examined", c.name, rows, scanned, c.scanned)
+		}
+	}
+}
+
+// TestIndexedLookupAllocations pins what the indexed point lookup
+// costs once its index is built: 18 allocations, the scan's 22 less
+// the node-set of 2,000 candidates it no longer collects, plus the two
+// paths of the shape it recognises.
+func TestIndexedLookupAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	env := indexEnv(scanCatalog())
+	drainRows(t, pointLookup, env)
+	perRun := testing.AllocsPerRun(20, func() { drainRows(t, pointLookup, env) })
+	if perRun != 18 {
+		t.Errorf("indexed point lookup allocates %.0f times, want 18", perRun)
+	}
+}
+
+func BenchmarkPointLookupIndexed(b *testing.B) {
+	env := indexEnv(scanCatalog())
+	drainRows(b, pointLookup, env)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drainRows(b, pointLookup, env)
+	}
+}
+
+// BenchmarkIndexBuild is what the first point lookup on a newly
+// published root pays: one walk of the catalog for its @id index.
+func BenchmarkIndexBuild(b *testing.B) {
+	root := scanCatalog()
+	s := Shape{For: "item", Key: "@id"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, n, ok := s.Build(root, math.MaxInt); !ok || n != scanItems {
+			b.Fatalf("index of %d entries, ok %v", n, ok)
+		}
 	}
 }
