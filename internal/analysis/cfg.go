@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // cfg.go builds a per-function control-flow graph over go/ast: basic
@@ -496,21 +495,4 @@ func (b *cfgBuilder) pushSwitch(label string, brk *Block) {
 
 func (b *cfgBuilder) popSwitch(label string) {
 	b.breaks = b.breaks[:len(b.breaks)-1]
-}
-
-// Dump renders the CFG for debugging and tests: one line per block with
-// its kind and successor indexes.
-func (c *CFG) Dump() string {
-	var sb strings.Builder
-	for _, b := range c.Blocks {
-		fmt.Fprintf(&sb, "b%d %s ->", b.Index, b.Kind)
-		for _, s := range b.Succs {
-			fmt.Fprintf(&sb, " b%d", s.Index)
-		}
-		if !c.Reachable(b) {
-			sb.WriteString(" [dead]")
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -44,6 +45,23 @@ func blockCalling(c *CFG, name string) *Block {
 	return nil
 }
 
+// dump renders the CFG for failure messages: one line per block with
+// its kind and successor indexes.
+func dump(c *CFG) string {
+	var sb strings.Builder
+	for _, b := range c.Blocks {
+		fmt.Fprintf(&sb, "b%d %s ->", b.Index, b.Kind)
+		for _, s := range b.Succs {
+			fmt.Fprintf(&sb, " b%d", s.Index)
+		}
+		if !c.Reachable(b) {
+			sb.WriteString(" [dead]")
+		}
+		sb.WriteString("\n")
+	}
+	return sb.String()
+}
+
 func hasSucc(b *Block, s *Block) bool {
 	for _, x := range b.Succs {
 		if x == s {
@@ -58,16 +76,16 @@ func TestCFGIfElse(t *testing.T) {
 	cond := blockCalling(c, "c")
 	then, els, after := blockCalling(c, "a"), blockCalling(c, "b"), blockCalling(c, "d")
 	if cond == nil || then == nil || els == nil || after == nil {
-		t.Fatalf("missing blocks:\n%s", c.Dump())
+		t.Fatalf("missing blocks:\n%s", dump(c))
 	}
 	if cond.Cond == nil || cond.TrueSucc != then || cond.FalseSucc != els {
 		t.Errorf("cond block not wired: true=%v false=%v", cond.TrueSucc, cond.FalseSucc)
 	}
 	if !hasSucc(then, after) || !hasSucc(els, after) {
-		t.Errorf("branches do not merge at d():\n%s", c.Dump())
+		t.Errorf("branches do not merge at d():\n%s", dump(c))
 	}
 	if !c.Reachable(c.Exit) || !hasSucc(after, c.Exit) {
-		t.Errorf("fall-off edge to Exit missing:\n%s", c.Dump())
+		t.Errorf("fall-off edge to Exit missing:\n%s", dump(c))
 	}
 }
 
@@ -75,7 +93,7 @@ func TestCFGIfWithoutElse(t *testing.T) {
 	c := BuildCFG(parseBody(t, `func f(c bool) { if c { a() }; d() }`), nil)
 	cond, after := blockCalling(c, "c"), blockCalling(c, "d")
 	if cond.FalseSucc != after {
-		t.Errorf("false edge should skip to the merge:\n%s", c.Dump())
+		t.Errorf("false edge should skip to the merge:\n%s", dump(c))
 	}
 }
 
@@ -84,7 +102,7 @@ func TestCFGForLoop(t *testing.T) {
 	head := blockCalling(c, "n") // the condition i < n lives in the head
 	body, after := blockCalling(c, "body"), blockCalling(c, "done")
 	if head == nil || body == nil || after == nil {
-		t.Fatalf("missing blocks:\n%s", c.Dump())
+		t.Fatalf("missing blocks:\n%s", dump(c))
 	}
 	if head.TrueSucc != body || head.FalseSucc != after {
 		t.Errorf("loop head not wired: true=%v false=%v", head.TrueSucc, head.FalseSucc)
@@ -98,7 +116,7 @@ func TestCFGForLoop(t *testing.T) {
 		}
 	}
 	if !backEdge {
-		t.Errorf("no back edge to loop head:\n%s", c.Dump())
+		t.Errorf("no back edge to loop head:\n%s", dump(c))
 	}
 }
 
@@ -107,13 +125,13 @@ func TestCFGCondlessLoopNeedsBreak(t *testing.T) {
 	c := BuildCFG(parseBody(t, `func f() { for { spin() }; done() }`), nil)
 	after := blockCalling(c, "done")
 	if c.Reachable(after) {
-		t.Errorf("done() should be unreachable after for{}:\n%s", c.Dump())
+		t.Errorf("done() should be unreachable after for{}:\n%s", dump(c))
 	}
 
 	c = BuildCFG(parseBody(t, `func f(c bool) { for { if c { break }; spin() }; done() }`), nil)
 	after = blockCalling(c, "done")
 	if !c.Reachable(after) {
-		t.Errorf("break should make done() reachable:\n%s", c.Dump())
+		t.Errorf("break should make done() reachable:\n%s", dump(c))
 	}
 }
 
@@ -128,10 +146,10 @@ outer:
 	done()
 }`), nil)
 	if after := blockCalling(c, "done"); !c.Reachable(after) {
-		t.Errorf("labeled break should reach done():\n%s", c.Dump())
+		t.Errorf("labeled break should reach done():\n%s", dump(c))
 	}
 	if !c.Reachable(c.Exit) {
-		t.Errorf("exit unreachable:\n%s", c.Dump())
+		t.Errorf("exit unreachable:\n%s", dump(c))
 	}
 }
 
@@ -151,10 +169,10 @@ outer:
 }`), nil)
 	cont := blockCalling(c, "c")
 	if cont == nil {
-		t.Fatalf("missing cond block:\n%s", c.Dump())
+		t.Fatalf("missing cond block:\n%s", dump(c))
 	}
 	if !c.Reachable(blockCalling(c, "done")) {
-		t.Errorf("done() unreachable:\n%s", c.Dump())
+		t.Errorf("done() unreachable:\n%s", dump(c))
 	}
 }
 
@@ -169,10 +187,10 @@ func TestCFGTerminalCall(t *testing.T) {
 	c := BuildCFG(parseBody(t, `func f(c bool) { if c { panic("x") }; d() }`), nil)
 	pb := blockCalling(c, "panic")
 	if len(pb.Succs) != 0 {
-		t.Errorf("panic block has successors %v:\n%s", pb.Succs, c.Dump())
+		t.Errorf("panic block has successors %v:\n%s", pb.Succs, dump(c))
 	}
 	if !c.Reachable(blockCalling(c, "d")) {
-		t.Errorf("d() should stay reachable via the false branch:\n%s", c.Dump())
+		t.Errorf("d() should stay reachable via the false branch:\n%s", dump(c))
 	}
 }
 
@@ -187,12 +205,12 @@ out:
 }`), nil)
 	sk, dn := blockCalling(c, "skipped"), blockCalling(c, "done")
 	if !c.Reachable(sk) || !c.Reachable(dn) {
-		t.Fatalf("both paths should be reachable:\n%s", c.Dump())
+		t.Fatalf("both paths should be reachable:\n%s", dump(c))
 	}
 	// The goto block must edge directly to the label block.
 	gotoBlk := blockCalling(c, "out")
 	if gotoBlk == nil || !hasSucc(gotoBlk, dn) {
-		t.Errorf("goto edge to label missing:\n%s", c.Dump())
+		t.Errorf("goto edge to label missing:\n%s", dump(c))
 	}
 }
 
@@ -209,11 +227,11 @@ func TestCFGSwitchFallthrough(t *testing.T) {
 }`), nil)
 	ab, bb := blockCalling(c, "a"), blockCalling(c, "b")
 	if !hasSucc(ab, bb) {
-		t.Errorf("fallthrough edge a->b missing:\n%s", c.Dump())
+		t.Errorf("fallthrough edge a->b missing:\n%s", dump(c))
 	}
 	// No default: the head must flow to done() directly too.
 	if !c.Reachable(blockCalling(c, "done")) {
-		t.Errorf("done unreachable:\n%s", c.Dump())
+		t.Errorf("done unreachable:\n%s", dump(c))
 	}
 }
 
@@ -230,11 +248,11 @@ func TestCFGSwitchDefaultExhausts(t *testing.T) {
 	// is unreachable and Exit is reached only via the returns.
 	for _, b := range c.Blocks {
 		if b.Kind == "switch.done" && c.Reachable(b) {
-			t.Errorf("switch.done should be unreachable:\n%s", c.Dump())
+			t.Errorf("switch.done should be unreachable:\n%s", dump(c))
 		}
 	}
 	if !c.Reachable(c.Exit) {
-		t.Errorf("exit unreachable:\n%s", c.Dump())
+		t.Errorf("exit unreachable:\n%s", dump(c))
 	}
 }
 
@@ -249,10 +267,10 @@ func TestCFGSelect(t *testing.T) {
 	done()
 }`), nil)
 	if !c.Reachable(blockCalling(c, "ra")) || !c.Reachable(blockCalling(c, "rb")) {
-		t.Fatalf("comm clauses unreachable:\n%s", c.Dump())
+		t.Fatalf("comm clauses unreachable:\n%s", dump(c))
 	}
 	if !c.Reachable(blockCalling(c, "done")) {
-		t.Errorf("done unreachable:\n%s", c.Dump())
+		t.Errorf("done unreachable:\n%s", dump(c))
 	}
 }
 
@@ -260,16 +278,16 @@ func TestCFGDeadCode(t *testing.T) {
 	c := BuildCFG(parseBody(t, `func f() int { return 1; unreachable() }`), nil)
 	dead := blockCalling(c, "unreachable")
 	if dead == nil {
-		t.Fatalf("dead statement has no home:\n%s", c.Dump())
+		t.Fatalf("dead statement has no home:\n%s", dump(c))
 	}
 	if c.Reachable(dead) {
-		t.Errorf("code after return should be unreachable:\n%s", c.Dump())
+		t.Errorf("code after return should be unreachable:\n%s", dump(c))
 	}
 }
 
 func TestCFGDumpShape(t *testing.T) {
 	c := BuildCFG(parseBody(t, `func f() { a() }`), nil)
-	d := c.Dump()
+	d := dump(c)
 	if !strings.Contains(d, "entry") || !strings.Contains(d, "exit") {
 		t.Errorf("dump missing entry/exit:\n%s", d)
 	}

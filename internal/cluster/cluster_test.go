@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,33 @@ import (
 	"axml/internal/wire"
 	"axml/internal/xmltree"
 )
+
+// route reads the member's forwarding address for a document.
+func route(m *Member, doc string) string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.routes[doc]
+}
+
+// memberStatus is one membership row with its reachability state.
+type memberStatus struct {
+	ID        string
+	Addr      string
+	Down      bool
+	HasDemand bool
+}
+
+// memberStatuses reads the coordinator's membership, sorted by ID.
+func memberStatuses(c *Coordinator) []memberStatus {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]memberStatus, 0, len(c.member))
+	for id, m := range c.member {
+		out = append(out, memberStatus{ID: id, Addr: m.info.Addr, Down: m.down, HasDemand: m.hasExport})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
 
 // catalogXML builds a small catalog document.
 func catalogXML(items int) string {
@@ -140,7 +168,7 @@ func TestFederationMigratesToConsumer(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "B to learn the catalog route", func() bool {
-		return b.mem.Routes()["catalog"] == a.addr
+		return route(b.mem, "catalog") == a.addr
 	})
 
 	// Skewed demand: every query arrives at B, which forwards to A.
@@ -225,7 +253,7 @@ func TestCoordinatorFailOpenMemberDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "the live member to register", func() bool {
-		return len(coord.MemberStatuses()) == 2
+		return len(memberStatuses(coord)) == 2
 	})
 
 	start := time.Now()
@@ -235,7 +263,7 @@ func TestCoordinatorFailOpenMemberDown(t *testing.T) {
 	if d := time.Since(start); d > 5*time.Second {
 		t.Errorf("round took %s; the dead member must not wedge it", d)
 	}
-	for _, st := range coord.MemberStatuses() {
+	for _, st := range memberStatuses(coord) {
 		switch st.ID {
 		case "ghost":
 			if !st.Down {
@@ -301,7 +329,7 @@ func TestCoordinatorDemandTimeout(t *testing.T) {
 	if _, err := coord.Step(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	sts := coord.MemberStatuses()
+	sts := memberStatuses(coord)
 	if len(sts) != 1 || sts[0].Down || !sts[0].HasDemand {
 		t.Fatalf("after healthy round: %+v", sts)
 	}
@@ -313,7 +341,7 @@ func TestCoordinatorDemandTimeout(t *testing.T) {
 	if d := time.Since(start); d > 3*time.Second {
 		t.Errorf("hung member stalled the round for %s", d)
 	}
-	sts = coord.MemberStatuses()
+	sts = memberStatuses(coord)
 	if len(sts) != 1 || !sts[0].Down || !sts[0].HasDemand {
 		t.Fatalf("after timed-out round: %+v (want down with retained demand)", sts)
 	}
@@ -382,11 +410,11 @@ func TestMemberByeOnClose(t *testing.T) {
 	coord, coordAddr := startCoordinatorNode(t, CoordinatorConfig{})
 	m := startMemberNode(t, "leaver", nil, coordAddr)
 	waitFor(t, 5*time.Second, "the member to register", func() bool {
-		return len(coord.MemberStatuses()) == 1
+		return len(memberStatuses(coord)) == 1
 	})
 	m.mem.Close()
 	waitFor(t, 5*time.Second, "the member to deregister", func() bool {
-		return len(coord.MemberStatuses()) == 0
+		return len(memberStatuses(coord)) == 0
 	})
 }
 
@@ -437,7 +465,7 @@ func TestDownMemberGetsOneAttemptPerRound(t *testing.T) {
 		if got := stub.arrivals.Load() - before; got != wantArrivals {
 			t.Errorf("%s: %d x:demand attempts, want %d", what, got, wantArrivals)
 		}
-		if sts := coord.MemberStatuses(); len(sts) != 1 || sts[0].Down != wantDown {
+		if sts := memberStatuses(coord); len(sts) != 1 || sts[0].Down != wantDown {
 			t.Errorf("%s: statuses %+v, want down=%v", what, sts, wantDown)
 		}
 	}
@@ -579,7 +607,7 @@ func TestCoordinatorEvictsOverBudget(t *testing.T) {
 	if held() <= budget {
 		t.Fatalf("bad setup: a holds %d view bytes, budget %d", held(), budget)
 	}
-	waitFor(t, 5*time.Second, "a to register", func() bool { return len(coord.MemberStatuses()) == 1 })
+	waitFor(t, 5*time.Second, "a to register", func() bool { return len(memberStatuses(coord)) == 1 })
 	made, err := coord.Step(context.Background())
 	if err != nil {
 		t.Fatal(err)

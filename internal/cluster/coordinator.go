@@ -203,28 +203,6 @@ func (c *Coordinator) Hello(info MemberInfo) ([]MemberInfo, error) {
 	return out, nil
 }
 
-// MemberStatus is one membership row, for PLACEMENTS-style
-// introspection and tests.
-type MemberStatus struct {
-	ID        string
-	Addr      string
-	Down      bool
-	HasDemand bool
-}
-
-// MemberStatuses returns the membership with reachability state,
-// sorted by ID.
-func (c *Coordinator) MemberStatuses() []MemberStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]MemberStatus, 0, len(c.member))
-	for id, m := range c.member {
-		out = append(out, MemberStatus{ID: id, Addr: m.info.Addr, Down: m.down, HasDemand: m.hasExport})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // Placements reports the cluster-wide placement map aggregated from the
 // latest member exports (placement.Deployment); `at` names a member.
 func (c *Coordinator) Placements() []view.PlacementInfo {

@@ -470,15 +470,3 @@ func (m *Member) ForwardQuery(ctx context.Context, src string) (*session.Rows, b
 	}
 	return session.NewRows(pull, closeFn), true, nil
 }
-
-// Routes returns the current document→member-address forwarding table
-// (tests and diagnostics).
-func (m *Member) Routes() map[string]string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]string, len(m.routes))
-	for k, v := range m.routes {
-		out[k] = v
-	}
-	return out
-}

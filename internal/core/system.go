@@ -285,22 +285,8 @@ func (h *peerHandler) handleServiceCall(ctx context.Context, msg netsim.Message,
 	for _, p := range root.ChildElementsByLabel("x:param") {
 		args = append(args, p.ChildElements())
 	}
-	if svc.Sig != nil {
-		flat := make([]*xmltree.Node, 0, len(args))
-		for _, a := range args {
-			if len(a) == 1 {
-				flat = append(flat, a[0])
-			} else {
-				wrap := xmltree.E("x:args")
-				for _, n := range a {
-					wrap.AppendChild(n)
-				}
-				flat = append(flat, wrap)
-			}
-		}
-		if err := svc.Sig.CheckInput(flat); err != nil {
-			return nil, "", 0, fmt.Errorf("core: call %s@%s: %w", name, h.peer.ID, err)
-		}
+	if err := svc.Sig.CheckInput(args); err != nil {
+		return nil, "", 0, fmt.Errorf("core: call %s@%s: %w", name, h.peer.ID, err)
 	}
 	out, cost, err := h.sys.applyService(ctx, h.peer, svc, args)
 	if err != nil {

@@ -373,7 +373,7 @@ type Stats struct {
 // MaxVT and every PerLink entry reflect exactly the same set of
 // completed transfers. A transfer is accounted atomically when a leg
 // of its call completes; aborted legs are
-// never accounted. All counters are monotone between ResetStats calls.
+// never accounted. All counters are monotone.
 func (n *Network) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -404,11 +404,4 @@ func (n *Network) Totals() (messages, bytes int64, maxVT float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.stats.Messages, n.stats.Bytes, n.stats.MaxVT
-}
-
-// ResetStats zeroes the counters (links and peers are kept).
-func (n *Network) ResetStats() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.stats = Stats{}
 }

@@ -102,23 +102,6 @@ func TestDuplicateRegister(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	n := New()
-	if err := n.Register("a", &echoHandler{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Register("b", &echoHandler{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := n.Call(Message{From: "a", To: "b"}); err != nil {
-		t.Fatal(err)
-	}
-	n.ResetStats()
-	if st := n.Stats(); st.Messages != 0 || st.Bytes != 0 || st.MaxVT != 0 {
-		t.Errorf("stats not reset: %+v", st)
-	}
-}
-
 func TestTopologies(t *testing.T) {
 	n := New()
 	peers := PeerNames("p", 4)

@@ -60,7 +60,6 @@ func TestStartSpanWithoutTraceIsNoop(t *testing.T) {
 	// All nil-span methods must be safe no-ops.
 	sp.End()
 	sp.SetNet("a", "b", 1)
-	sp.SetVT(1, 2)
 	sp.EndVTAt(3)
 	sp.AddBytes(1, 2)
 	sp.AddRows(1)
@@ -130,7 +129,7 @@ func TestSpansXMLRoundTrip(t *testing.T) {
 	root.Set("cache", "miss")
 	_, del := StartSpan(ctx, "delegate", "eval@p2")
 	del.SetNet("p1", "p2", 5)
-	del.SetVT(5, 40)
+	del.StartVT, del.EndVT = 5, 40
 	del.AddBytes(128, 4096)
 	del.Fail(errors.New("boom"))
 	del.End()

@@ -204,16 +204,6 @@ func (s *Span) SetNet(from, to string, startVT float64) {
 	s.From, s.To, s.StartVT = from, to, startVT
 }
 
-// SetVT records the span's virtual-time interval.
-func (s *Span) SetVT(start, end float64) {
-	if s == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	s.StartVT, s.EndVT = start, end
-}
-
 // EndVTAt records the virtual completion time.
 func (s *Span) EndVTAt(vt float64) {
 	if s == nil {

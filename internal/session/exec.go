@@ -51,46 +51,23 @@ func ParseUpdate(src string) (*Update, bool, error) {
 	}
 }
 
-// parseReplace splits `<path query> with <xml>` at a case-insensitive
-// " with " separator. The keyword may legitimately appear inside the
-// query (a string literal like [note="born with luck"]), so every
-// candidate split is tried in order and the first whose halves both
-// parse — query on the left, XML on the right — wins.
+// parseReplace reads `<path query> with <xml>`: the query is parsed
+// once, up to the first token that cannot continue it, which must be
+// the keyword with (in any case); the rest is the XML.
 func parseReplace(rest string) (*Update, error) {
-	low := strings.ToLower(rest)
-	var firstErr error
-	for at := 0; ; {
-		i := strings.Index(low[at:], " with ")
-		if i < 0 {
-			break
-		}
-		i += at
-		at = i + 1
-		qsrc := rest[:i]
-		xml := strings.TrimSpace(rest[i+len(" with "):])
-		if strings.TrimSpace(qsrc) == "" || xml == "" {
-			continue
-		}
-		q, err := xquery.Parse(qsrc)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%w: replace: %v", ErrBadQuery, err)
-			}
-			continue
-		}
-		tree, err := xmltree.Parse(xml)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%w: replace payload: %v", ErrBadQuery, err)
-			}
-			continue
-		}
-		return &Update{Kind: "replace", Query: q, With: tree}, nil
+	q, end, err := xquery.ParsePrefix(rest)
+	if err != nil {
+		return nil, fmt.Errorf("%w: replace: %v", ErrBadQuery, err)
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	after := rest[end:]
+	if len(after) < len("with") || !strings.EqualFold(after[:len("with")], "with") {
+		return nil, fmt.Errorf("%w: replace requires '<path query> with <xml>'", ErrBadQuery)
 	}
-	return nil, fmt.Errorf("%w: replace requires '<path query> with <xml>'", ErrBadQuery)
+	tree, err := xmltree.Parse(strings.TrimSpace(after[len("with"):]))
+	if err != nil {
+		return nil, fmt.Errorf("%w: replace payload: %v", ErrBadQuery, err)
+	}
+	return &Update{Kind: "replace", Query: q, With: tree}, nil
 }
 
 // ApplyUpdate executes an update against one peer's store as one

@@ -258,10 +258,11 @@ func TestPlanCacheCostWeightedEviction(t *testing.T) {
 	if err := client.InstallDocument("local", xmltree.MustParse(`<x><y>1</y><z>2</z></x>`)); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewLocal(sys, views, "client", WithPlanCacheSize(2))
+	sess, err := NewLocal(sys, views, "client")
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess.planCap = 2
 	ctx := context.Background()
 	run := func(src string) {
 		t.Helper()

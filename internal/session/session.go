@@ -206,8 +206,8 @@ type cachedPlan struct {
 	uses uint64
 }
 
-// DefaultPlanCacheSize bounds a session's plan cache when no explicit
-// WithPlanCacheSize is given. Long-lived server sessions see
+// DefaultPlanCacheSize bounds a session's plan cache, evicting beyond
+// it by benefit and then recency. Long-lived server sessions see
 // adversarial shape churn (every distinct normalized query is one
 // entry); an unbounded map would grow with the lifetime of the
 // process.
@@ -244,18 +244,6 @@ type TrafficSink interface {
 
 // LocalOption configures a Local session at construction time.
 type LocalOption func(*Local)
-
-// WithPlanCacheSize caps the session's plan cache at n entries,
-// evicting least-recently-used plans beyond it. n <= 0 restores the
-// default (DefaultPlanCacheSize).
-func WithPlanCacheSize(n int) LocalOption {
-	return func(s *Local) {
-		if n <= 0 {
-			n = DefaultPlanCacheSize
-		}
-		s.planCap = n
-	}
-}
 
 // WithTrafficSink attaches a per-query traffic observer to the
 // session. Every Query/Exec/Stmt execution reports its evaluating
@@ -297,13 +285,6 @@ func NewLocal(sys *core.System, views *view.Manager, at netsim.PeerID, opts ...L
 		s.metrics = obs.NewRegistry()
 	}
 	return s, nil
-}
-
-// PlanCacheLen reports how many plans the session currently caches.
-func (s *Local) PlanCacheLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.plans)
 }
 
 // At returns the peer this session evaluates at.

@@ -187,6 +187,13 @@ func planCache(s *Local) cacheCounts {
 	}
 }
 
+// cachedPlans reports how many plans the session caches.
+func cachedPlans(s *Local) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.plans)
+}
+
 func TestPreparedStatementSkipsSearch(t *testing.T) {
 	sys, views := testSystem(t)
 	sess := newSession(t, sys, views)
@@ -456,8 +463,8 @@ func TestExecLocationTransparent(t *testing.T) {
 }
 
 // TestParseReplaceWithKeywordInLiteral: the " with " separator may
-// also appear inside a query string literal; the parser must find the
-// split where both halves parse.
+// also appear inside a query string literal; the query ends where its
+// grammar does, not at the first " with ".
 func TestParseReplaceWithKeywordInLiteral(t *testing.T) {
 	upd, ok, err := ParseUpdate(
 		`replace doc("d")/item[note = "born with luck"] with <item><note>plain</note></item>`)
@@ -473,6 +480,46 @@ func TestParseReplaceWithKeywordInLiteral(t *testing.T) {
 	// An uppercase separator also parses.
 	if _, ok, err := ParseUpdate(`replace doc("d")/item WITH <x/>`); !ok || err != nil {
 		t.Errorf("uppercase WITH: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestParseReplaceWithKeywordInPayload: the query is parsed once and
+// the XML after its with is the payload whole, " with " in it or not,
+// whatever whitespace sits around the keyword. The benchmark's writer
+// statement is one of the rows.
+func TestParseReplaceWithKeywordInPayload(t *testing.T) {
+	for _, c := range []struct{ src, query, with string }{
+		{`replace doc("d")/item with <note>born with luck</note>`,
+			`doc("d")/item`, `<note>born with luck</note>`},
+		{`replace doc("d")/item[note = "a with b"] with <n a=" with "> with </n>`,
+			`doc("d")/item[(note = "a with b")]`, `<n a=" with "> with </n>`},
+		{"replace for $i in doc(\"d\")/item return $i/with\nwith\t<x/>",
+			`for $i in doc("d")/item return $i/with`, `<x/>`},
+		{`replace doc("catalog")/item[@id="17"]/price with <price>42</price>`,
+			`doc("catalog")/item[(@id = "17")]/price`, `<price>42</price>`},
+	} {
+		upd, ok, err := ParseUpdate(c.src)
+		if !ok || err != nil {
+			t.Errorf("%s: ok=%v err=%v", c.src, ok, err)
+			continue
+		}
+		if got := upd.Query.String(); got != c.query {
+			t.Errorf("%s: query %s, want %s", c.src, got, c.query)
+		}
+		if got := xmltree.Serialize(upd.With); got != c.with {
+			t.Errorf("%s: payload %s, want %s", c.src, got, c.with)
+		}
+	}
+	for _, src := range []string{
+		`replace doc("d")/item`,
+		`replace doc("d")/item with`,
+		`replace doc("d")/item within <x/>`,
+		`replace doc("d")/item[ with <x/>`,
+		`replace doc("d")/item with <x>`,
+	} {
+		if _, ok, err := ParseUpdate(src); !ok || !errors.Is(err, ErrBadQuery) {
+			t.Errorf("%s: ok=%v err=%v, want ErrBadQuery", src, ok, err)
+		}
 	}
 }
 

@@ -224,10 +224,11 @@ func TestCancelInsideScan(t *testing.T) {
 // TestPlanCacheCostWeightedEviction for the benefit-driven case.
 func TestPlanCacheLRUEviction(t *testing.T) {
 	sys, views := testSystem(t)
-	sess, err := NewLocal(sys, views, "client", WithPlanCacheSize(4))
+	sess, err := NewLocal(sys, views, "client")
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess.planCap = 4
 	ctx := context.Background()
 	shape := func(i int) string {
 		return fmt.Sprintf(`for $i in doc("catalog")/item where $i/price < %d return $i/name`, 10+i)
@@ -245,7 +246,7 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		run(i)
 	}
-	if got := sess.PlanCacheLen(); got != 4 {
+	if got := cachedPlans(sess); got != 4 {
 		t.Fatalf("cache len = %d", got)
 	}
 	run(0) // keep shape 0 warm: LRU order is now 0,3,2,1
@@ -255,7 +256,7 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	if st.Evictions != 2 {
 		t.Errorf("evictions = %d, want 2", st.Evictions)
 	}
-	if got := sess.PlanCacheLen(); got != 4 {
+	if got := cachedPlans(sess); got != 4 {
 		t.Errorf("cache len = %d, want 4", got)
 	}
 	hitsBefore := planCache(sess).Hits
@@ -286,7 +287,7 @@ func TestPlanCacheDefaultCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := sess.PlanCacheLen(); got != DefaultPlanCacheSize {
+	if got := cachedPlans(sess); got != DefaultPlanCacheSize {
 		t.Errorf("cache len = %d, want %d", got, DefaultPlanCacheSize)
 	}
 	if st := planCache(sess); st.Evictions != 20 {

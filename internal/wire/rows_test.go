@@ -21,6 +21,7 @@ import (
 	"axml/internal/workload"
 	"axml/internal/xmltree"
 	"axml/internal/xquery"
+	"axml/internal/xtype"
 )
 
 // serveOn runs srv on l for the test's lifetime and dials it.
@@ -95,6 +96,33 @@ func TestRowTextWithNewline(t *testing.T) {
 	}
 	rows, err = c.QueryAll(`doc("copy")/n`)
 	check("INSTALL then QUERYX", rows, err)
+}
+
+// TestCallChecksSignature: CALL refuses arguments a typed service's
+// signature does not admit, as a call through core does, and runs the
+// service on those it does.
+func TestCallChecksSignature(t *testing.T) {
+	p, views := newStore(t, nil)
+	note := &xtype.TypeRef{Schema: xtype.MustParseSchema("root note\nnote := MIXED")}
+	if err := p.RegisterService(&service.Service{Name: "echo", Provider: "store",
+		Sig:  &xtype.Signature{In: []*xtype.TypeRef{note}, Out: xtype.AnyType},
+		Body: xquery.MustParse(`param $n; $n`)}); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := serveOn(t, &Server{Peer: p, Views: views}, l)
+	ctx := context.Background()
+	out, err := c.Call(ctx, "echo", xmltree.E("wrong"))
+	if err == nil || !strings.Contains(err.Error(), "argument 1 does not conform to note") {
+		t.Errorf("CALL with <wrong/>: %d trees, err %v; want a conformance error", len(out), err)
+	}
+	out, err = c.Call(ctx, "echo", xmltree.E("note", xmltree.T("hi")))
+	if err != nil || len(out) != 1 || xmltree.Serialize(out[0]) != "<note>hi</note>" {
+		t.Errorf("CALL with <note>: %d trees, err %v", len(out), err)
+	}
 }
 
 // countingConn records the bytes of every Write the server makes.

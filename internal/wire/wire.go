@@ -624,9 +624,10 @@ func (s *Server) doDefView(rest string) string {
 	return "<x:ok/>"
 }
 
-// doCall invokes a service of the served peer: a builtin through its
-// Go function, which checks its own arguments, a declarative service
-// by running its query over one parameter per tree.
+// doCall invokes a service of the served peer, one parameter per tree,
+// after checking them against a typed service's signature as an
+// in-process call does: a builtin through its Go function, a
+// declarative service by running its query.
 func (s *Server) doCall(rest string) string {
 	name, paramXML, _ := strings.Cut(rest, " ")
 	if name == "" {
@@ -645,6 +646,9 @@ func (s *Server) doCall(rest string) string {
 		for _, t := range trees {
 			args = append(args, []*xmltree.Node{t})
 		}
+	}
+	if err := svc.Sig.CheckInput(args); err != nil {
+		return errReply(fmt.Errorf("call %s: %w", name, err))
 	}
 	var out []*xmltree.Node
 	var err error

@@ -113,16 +113,6 @@ func (n *Node) SetAttr(name, value string) {
 	n.Attrs = append(n.Attrs, Attr{Name: name, Value: value})
 }
 
-// RemoveAttr deletes the named attribute if present.
-func (n *Node) RemoveAttr(name string) {
-	for i := range n.Attrs {
-		if n.Attrs[i].Name == name {
-			n.Attrs = append(n.Attrs[:i], n.Attrs[i+1:]...)
-			return
-		}
-	}
-}
-
 // AppendChild adds c as the last child of n; c itself is not written.
 // It panics if n cannot have children (non-element) or if c is nil,
 // because both indicate a programming error, not a data error.

@@ -48,11 +48,9 @@ func TestAttrOps(t *testing.T) {
 	if len(n.Attrs) != 2 {
 		t.Errorf("attr count = %d", len(n.Attrs))
 	}
-	n.RemoveAttr("a")
-	if _, ok := n.Attr("a"); ok {
-		t.Error("RemoveAttr failed")
+	if _, ok := n.Attr("missing"); ok {
+		t.Error("Attr found an absent attribute")
 	}
-	n.RemoveAttr("missing") // no-op
 }
 
 func TestWalkAndFind(t *testing.T) {

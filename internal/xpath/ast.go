@@ -137,6 +137,11 @@ func (p *PathExpr) String() string {
 		}
 		return sb.String()
 	}
+	if p.Absolute && len(p.Steps) == 0 {
+		// A bare root in parentheses, or a name or '*' after it would
+		// read as its first step.
+		return "(/)"
+	}
 	if p.Absolute {
 		sb.WriteByte('/')
 	}

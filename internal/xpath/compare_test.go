@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"errors"
 	"testing"
 
 	"axml/internal/workload"
@@ -70,6 +71,38 @@ func FuzzCompareAgainstReference(f *testing.F) {
 		c := &Compiled{Source: cmp.String(), Root: cmp}
 		for _, ctx := range contexts {
 			checkComparison(t, c, ctx)
+		}
+	})
+}
+
+// FuzzCompile fuzzes compilation alone: Compile never panics, an
+// accepted text's String() compiles to the same String() (queries are
+// shipped to other peers as text), and a refused one is a
+// *SyntaxError at an offset within the text.
+func FuzzCompile(f *testing.F) {
+	for _, src := range compileErrorSources {
+		f.Add(src)
+	}
+	for _, row := range streamedRows {
+		f.Add(row.path)
+		f.Add(row.lit)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := Compile(src)
+		if err != nil {
+			var se *SyntaxError
+			if !errors.As(err, &se) || se.Pos < 0 || se.Pos > len(src) {
+				t.Fatalf("Compile(%q): %v: want a syntax error at an offset within the text", src, err)
+			}
+			return
+		}
+		rendered := c.String()
+		c2, err := Compile(rendered)
+		if err != nil {
+			t.Fatalf("Compile(%q) renders %q, which does not compile: %v", src, rendered, err)
+		}
+		if again := c2.String(); again != rendered {
+			t.Fatalf("Compile(%q) renders %q, which renders %q", src, rendered, again)
 		}
 	})
 }

@@ -16,6 +16,12 @@
 // and absolute paths reach only the trees named in Context.Trees, by
 // default the context node's own tree (see Trees). An expression that
 // only looks down (DownwardOnly) never needs them.
+//
+// Query text has one lexer, this package's: a Parser hands out XPath's
+// tokens plus XQuery's { } := and ; one at a time, with whitespace and
+// nested (: … :) comments between them. Compile reads one expression
+// with it; the xquery parser reads a whole query, handing each
+// embedded expression back to it.
 package xpath
 
 import (
@@ -26,10 +32,12 @@ import (
 type tokenKind uint8
 
 const (
-	tokEOF tokenKind = iota
+	tokEOF   tokenKind = iota
+	tokError           // a malformed token; text is the message
 	tokIdent
 	tokNumber
 	tokString
+	// Punctuation follows; a punctuation token's text is its symbol.
 	tokSlash      // /
 	tokSlashSlash // //
 	tokLBracket   // [
@@ -52,17 +60,22 @@ const (
 	tokDollar     // $
 	tokDot        // .
 	tokDotDot     // ..
+	tokLBrace     // { (XQuery)
+	tokRBrace     // } (XQuery)
+	tokAssign     // := (XQuery)
+	tokSemi       // ; (XQuery)
 )
 
 func (k tokenKind) String() string {
 	names := map[tokenKind]string{
-		tokEOF: "end of expression", tokIdent: "name", tokNumber: "number",
-		tokString: "string", tokSlash: "/", tokSlashSlash: "//",
+		tokEOF: "end of expression", tokError: "malformed token", tokIdent: "name",
+		tokNumber: "number", tokString: "string", tokSlash: "/", tokSlashSlash: "//",
 		tokLBracket: "[", tokRBracket: "]", tokLParen: "(", tokRParen: ")",
 		tokAt: "@", tokComma: ",", tokAxis: "::", tokPipe: "|",
 		tokPlus: "+", tokMinus: "-", tokStar: "*", tokEq: "=", tokNeq: "!=",
 		tokLt: "<", tokLe: "<=", tokGt: ">", tokGe: ">=", tokDollar: "$",
-		tokDot: ".", tokDotDot: "..",
+		tokDot: ".", tokDotDot: "..", tokLBrace: "{", tokRBrace: "}",
+		tokAssign: ":=", tokSemi: ";",
 	}
 	if s, ok := names[k]; ok {
 		return s
@@ -76,7 +89,8 @@ type token struct {
 	pos  int
 }
 
-// SyntaxError reports an XPath compilation failure.
+// SyntaxError reports an XPath or XQuery syntax error; Pos is an offset
+// into Expr, the text the caller passed.
 type SyntaxError struct {
 	Expr string
 	Pos  int
@@ -87,129 +101,152 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("xpath: %s at offset %d in %q", e.Msg, e.Pos, e.Expr)
 }
 
+// lexer hands out the tokens of src one at a time, so that a caller
+// may read some of the text raw (XQuery's element content) and resume
+// lexing after it. Whitespace and (: … :) comments, which nest,
+// separate tokens; a comment is never looked for inside a token.
 type lexer struct {
-	src    string
-	pos    int
-	tokens []token
+	src string
+	pos int
 }
 
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for {
-		l.skipWS()
-		if l.pos >= len(l.src) {
-			l.emit(tokEOF, "")
-			return l.tokens, nil
-		}
-		start := l.pos
-		c := l.src[l.pos]
-		switch {
-		case c == '/':
-			if l.peekAt(1) == '/' {
-				l.pos += 2
-				l.emitAt(tokSlashSlash, "//", start)
-			} else {
-				l.pos++
-				l.emitAt(tokSlash, "/", start)
-			}
-		case c == '[':
-			l.pos++
-			l.emitAt(tokLBracket, "[", start)
-		case c == ']':
-			l.pos++
-			l.emitAt(tokRBracket, "]", start)
-		case c == '(':
-			l.pos++
-			l.emitAt(tokLParen, "(", start)
-		case c == ')':
-			l.pos++
-			l.emitAt(tokRParen, ")", start)
-		case c == '@':
-			l.pos++
-			l.emitAt(tokAt, "@", start)
-		case c == ',':
-			l.pos++
-			l.emitAt(tokComma, ",", start)
-		case c == '|':
-			l.pos++
-			l.emitAt(tokPipe, "|", start)
-		case c == '+':
-			l.pos++
-			l.emitAt(tokPlus, "+", start)
-		case c == '-':
-			l.pos++
-			l.emitAt(tokMinus, "-", start)
-		case c == '*':
-			l.pos++
-			l.emitAt(tokStar, "*", start)
-		case c == '=':
-			l.pos++
-			l.emitAt(tokEq, "=", start)
-		case c == '!':
-			if l.peekAt(1) != '=' {
-				return nil, &SyntaxError{Expr: l.src, Pos: start, Msg: "unexpected '!'"}
-			}
-			l.pos += 2
-			l.emitAt(tokNeq, "!=", start)
-		case c == '<':
-			if l.peekAt(1) == '=' {
-				l.pos += 2
-				l.emitAt(tokLe, "<=", start)
-			} else {
-				l.pos++
-				l.emitAt(tokLt, "<", start)
-			}
-		case c == '>':
-			if l.peekAt(1) == '=' {
-				l.pos += 2
-				l.emitAt(tokGe, ">=", start)
-			} else {
-				l.pos++
-				l.emitAt(tokGt, ">", start)
-			}
-		case c == '$':
-			l.pos++
-			l.emitAt(tokDollar, "$", start)
-		case c == ':':
-			if l.peekAt(1) == ':' {
-				l.pos += 2
-				l.emitAt(tokAxis, "::", start)
-			} else {
-				return nil, &SyntaxError{Expr: l.src, Pos: start, Msg: "unexpected ':'"}
-			}
-		case c == '.':
-			if l.peekAt(1) == '.' {
-				l.pos += 2
-				l.emitAt(tokDotDot, "..", start)
-			} else if isDigit(l.peekAt(1)) {
-				l.lexNumber()
-			} else {
-				l.pos++
-				l.emitAt(tokDot, ".", start)
-			}
-		case c == '"' || c == '\'':
-			if err := l.lexString(c); err != nil {
-				return nil, err
-			}
-		case isDigit(c):
-			l.lexNumber()
-		case isNameStart(c):
-			l.lexName()
-		default:
-			return nil, &SyntaxError{Expr: l.src, Pos: start, Msg: fmt.Sprintf("unexpected character %q", string(c))}
-		}
+// lex returns the token at l.pos and moves past it. A malformed token
+// comes back as tokError, so that it is reported only if the grammar
+// reaches it.
+func (l *lexer) lex() token {
+	if open := l.skipSpace(); open >= 0 {
+		return l.fail(open, "unterminated comment")
 	}
+	start := l.pos
+	if start >= len(l.src) {
+		return token{kind: tokEOF, pos: start}
+	}
+	c := l.src[start]
+	kind, n := tokenKind(0), 1
+	switch c {
+	case '/':
+		kind = tokSlash
+		if l.peekAt(1) == '/' {
+			kind, n = tokSlashSlash, 2
+		}
+	case '[':
+		kind = tokLBracket
+	case ']':
+		kind = tokRBracket
+	case '(':
+		kind = tokLParen
+	case ')':
+		kind = tokRParen
+	case '@':
+		kind = tokAt
+	case ',':
+		kind = tokComma
+	case '|':
+		kind = tokPipe
+	case '+':
+		kind = tokPlus
+	case '-':
+		kind = tokMinus
+	case '*':
+		kind = tokStar
+	case '=':
+		kind = tokEq
+	case '$':
+		kind = tokDollar
+	case '{':
+		kind = tokLBrace
+	case '}':
+		kind = tokRBrace
+	case ';':
+		kind = tokSemi
+	case '!':
+		if l.peekAt(1) != '=' {
+			return l.fail(start, "unexpected '!'")
+		}
+		kind, n = tokNeq, 2
+	case '<':
+		kind = tokLt
+		if l.peekAt(1) == '=' {
+			kind, n = tokLe, 2
+		}
+	case '>':
+		kind = tokGt
+		if l.peekAt(1) == '=' {
+			kind, n = tokGe, 2
+		}
+	case ':':
+		switch l.peekAt(1) {
+		case ':':
+			kind, n = tokAxis, 2
+		case '=':
+			kind, n = tokAssign, 2
+		default:
+			return l.fail(start, "unexpected ':'")
+		}
+	case '.':
+		if isDigit(l.peekAt(1)) {
+			return l.lexNumber()
+		}
+		kind = tokDot
+		if l.peekAt(1) == '.' {
+			kind, n = tokDotDot, 2
+		}
+	case '"', '\'':
+		return l.lexString(c)
+	default:
+		switch {
+		case isDigit(c):
+			return l.lexNumber()
+		case isNameStart(c):
+			return l.lexName()
+		}
+		return l.fail(start, fmt.Sprintf("unexpected character %q", string(c)))
+	}
+	l.pos += n
+	return token{kind: kind, text: l.src[start:l.pos], pos: start}
 }
 
-func (l *lexer) skipWS() {
+func (l *lexer) fail(pos int, msg string) token {
+	l.pos = len(l.src)
+	return token{kind: tokError, text: msg, pos: pos}
+}
+
+// skipSpace moves past whitespace and comments. It returns the offset
+// of a comment that is not closed, or -1.
+func (l *lexer) skipSpace() int {
 	for l.pos < len(l.src) {
 		switch l.src[l.pos] {
 		case ' ', '\t', '\n', '\r':
 			l.pos++
+		case '(':
+			if l.peekAt(1) != ':' {
+				return -1
+			}
+			start, depth := l.pos, 0
+			for {
+				if l.pos+1 >= len(l.src) {
+					return start
+				}
+				switch l.src[l.pos : l.pos+2] {
+				case "(:":
+					depth++
+					l.pos += 2
+				case ":)":
+					depth--
+					l.pos += 2
+				default:
+					l.pos++
+					continue
+				}
+				if depth == 0 {
+					break
+				}
+			}
 		default:
-			return
+			return -1
 		}
 	}
+	return -1
 }
 
 func (l *lexer) peekAt(off int) byte {
@@ -219,13 +256,7 @@ func (l *lexer) peekAt(off int) byte {
 	return l.src[l.pos+off]
 }
 
-func (l *lexer) emit(kind tokenKind, text string) { l.emitAt(kind, text, l.pos) }
-
-func (l *lexer) emitAt(kind tokenKind, text string, pos int) {
-	l.tokens = append(l.tokens, token{kind: kind, text: text, pos: pos})
-}
-
-func (l *lexer) lexNumber() {
+func (l *lexer) lexNumber() token {
 	start := l.pos
 	for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
 		l.pos++
@@ -236,23 +267,20 @@ func (l *lexer) lexNumber() {
 			l.pos++
 		}
 	}
-	l.emitAt(tokNumber, l.src[start:l.pos], start)
+	return token{kind: tokNumber, text: l.src[start:l.pos], pos: start}
 }
 
-func (l *lexer) lexString(quote byte) error {
+func (l *lexer) lexString(quote byte) token {
 	start := l.pos
-	l.pos++ // opening quote
-	idx := strings.IndexByte(l.src[l.pos:], quote)
+	idx := strings.IndexByte(l.src[start+1:], quote)
 	if idx < 0 {
-		return &SyntaxError{Expr: l.src, Pos: start, Msg: "unterminated string literal"}
+		return l.fail(start, "unterminated string literal")
 	}
-	text := l.src[l.pos : l.pos+idx]
-	l.pos += idx + 1
-	l.emitAt(tokString, text, start)
-	return nil
+	l.pos = start + 1 + idx + 1
+	return token{kind: tokString, text: l.src[start+1 : start+1+idx], pos: start}
 }
 
-func (l *lexer) lexName() {
+func (l *lexer) lexName() token {
 	start := l.pos
 	for l.pos < len(l.src) && isNameChar(l.src[l.pos]) {
 		l.pos++
@@ -264,7 +292,7 @@ func (l *lexer) lexName() {
 			l.pos++
 		}
 	}
-	l.emitAt(tokIdent, l.src[start:l.pos], start)
+	return token{kind: tokIdent, text: l.src[start:l.pos], pos: start}
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }

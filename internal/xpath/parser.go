@@ -2,22 +2,19 @@ package xpath
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
 // Compile parses an XPath expression into an executable form.
 func Compile(src string) (*Compiled, error) {
-	tokens, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{src: src, tokens: tokens}
+	p := NewParser(src, "")
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if p.cur().kind != tokEOF {
-		return nil, p.errf("unexpected %s", p.cur().kind)
+	if p.tok.kind != tokEOF {
+		return nil, p.Errorf("unexpected %s", p.tok.kind)
 	}
 	return &Compiled{Source: src, Root: e}, nil
 }
@@ -31,48 +28,117 @@ func MustCompile(src string) *Compiled {
 	return c
 }
 
-type parser struct {
-	src    string
-	tokens []token
-	pos    int
+// Parser reads query text one token at a time: XPath's tokens plus
+// XQuery's {, }, := and ;. Compile runs it over one expression; the
+// xquery parser drives it through a whole query, reading its own
+// keywords and punctuation with Word and Is, handing each embedded
+// expression to Expr at the current token, and reading element content
+// raw between Seeks. All its errors are *SyntaxError, with offsets into
+// the text given to NewParser.
+type Parser struct {
+	lexer
+	tok    token // the current token
+	ahead  token // the token after it, once peek has lexed it
+	peeked bool
+	docVar string   // when set, doc("name") reads as the variable docVar+name
+	docs   []string // the names those calls referenced, for Expr
 }
 
-func (p *parser) cur() token  { return p.tokens[p.pos] }
-func (p *parser) next() token { t := p.tokens[p.pos]; p.pos++; return t }
+// NewParser returns a parser positioned at the first token of src.
+// With a non-empty docVar, a call doc("name") — one string literal,
+// nothing else — is read as the variable reference $docVar+name.
+func NewParser(src, docVar string) *Parser {
+	p := &Parser{lexer: lexer{src: src}, docVar: docVar}
+	p.tok = p.lex()
+	return p
+}
 
-func (p *parser) accept(kind tokenKind) bool {
-	if p.cur().kind == kind {
-		p.pos++
+// Expr parses an XPath expression starting at the current token and
+// stops at the first token the grammar cannot continue with. docs are
+// the names of the doc() calls it read, each once, in order.
+func (p *Parser) Expr() (e Expr, docs []string, err error) {
+	p.docs = nil
+	e, err = p.parseExpr()
+	return e, p.docs, err
+}
+
+// Word returns the current token's text if it is a name, else "".
+func (p *Parser) Word() string {
+	if p.tok.kind == tokIdent {
+		return p.tok.text
+	}
+	return ""
+}
+
+// Is reports whether the current token is the punctuation sym.
+func (p *Parser) Is(sym string) bool { return p.tok.kind > tokString && p.tok.text == sym }
+
+// Pos returns the offset of the current token; at the end of the text
+// it is the text's length.
+func (p *Parser) Pos() int { return p.tok.pos }
+
+// Next moves to the following token.
+func (p *Parser) Next() {
+	if p.peeked {
+		p.tok, p.peeked = p.ahead, false
+		return
+	}
+	p.tok = p.lex()
+}
+
+// Seek makes the token at or after offset pos the current one.
+func (p *Parser) Seek(pos int) {
+	p.lexer.pos, p.peeked = pos, false
+	p.tok = p.lex()
+}
+
+// Errorf reports a syntax error at the current token, or the token's
+// own error if it is malformed.
+func (p *Parser) Errorf(format string, args ...any) error {
+	if p.tok.kind == tokError {
+		return &SyntaxError{Expr: p.src, Pos: p.tok.pos, Msg: p.tok.text}
+	}
+	return &SyntaxError{Expr: p.src, Pos: p.tok.pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+func (p *Parser) peek() token {
+	if !p.peeked {
+		p.ahead, p.peeked = p.lex(), true
+	}
+	return p.ahead
+}
+
+func (p *Parser) next() token { t := p.tok; p.Next(); return t }
+
+func (p *Parser) accept(kind tokenKind) bool {
+	if p.tok.kind == kind {
+		p.Next()
 		return true
 	}
 	return false
 }
 
-func (p *parser) expect(kind tokenKind) error {
+func (p *Parser) expect(kind tokenKind) error {
 	if !p.accept(kind) {
-		return p.errf("expected %s, found %s", kind, p.cur().kind)
+		return p.Errorf("expected %s, found %s", kind, p.tok.kind)
 	}
 	return nil
 }
 
-func (p *parser) errf(format string, args ...any) error {
-	return &SyntaxError{Expr: p.src, Pos: p.cur().pos, Msg: fmt.Sprintf(format, args...)}
-}
-
 // acceptKeyword consumes an identifier token with the given text when
 // it appears in operator position.
-func (p *parser) acceptKeyword(word string) bool {
-	if p.cur().kind == tokIdent && p.cur().text == word {
-		p.pos++
+func (p *Parser) acceptKeyword(word string) bool {
+	if p.tok.kind == tokIdent && p.tok.text == word {
+		p.Next()
 		return true
 	}
 	return false
 }
 
 // Expr := OrExpr
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *Parser) parseExpr() (Expr, error) { return p.parseOr() }
 
-func (p *parser) parseOr() (Expr, error) {
+func (p *Parser) parseOr() (Expr, error) {
 	l, err := p.parseAnd()
 	if err != nil {
 		return nil, err
@@ -87,7 +153,7 @@ func (p *parser) parseOr() (Expr, error) {
 	return l, nil
 }
 
-func (p *parser) parseAnd() (Expr, error) {
+func (p *Parser) parseAnd() (Expr, error) {
 	l, err := p.parseEquality()
 	if err != nil {
 		return nil, err
@@ -102,14 +168,14 @@ func (p *parser) parseAnd() (Expr, error) {
 	return l, nil
 }
 
-func (p *parser) parseEquality() (Expr, error) {
+func (p *Parser) parseEquality() (Expr, error) {
 	l, err := p.parseRelational()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		var op string
-		switch p.cur().kind {
+		switch p.tok.kind {
 		case tokEq:
 			op = "="
 		case tokNeq:
@@ -117,7 +183,7 @@ func (p *parser) parseEquality() (Expr, error) {
 		default:
 			return l, nil
 		}
-		p.pos++
+		p.Next()
 		r, err := p.parseRelational()
 		if err != nil {
 			return nil, err
@@ -126,14 +192,14 @@ func (p *parser) parseEquality() (Expr, error) {
 	}
 }
 
-func (p *parser) parseRelational() (Expr, error) {
+func (p *Parser) parseRelational() (Expr, error) {
 	l, err := p.parseAdditive()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		var op string
-		switch p.cur().kind {
+		switch p.tok.kind {
 		case tokLt:
 			op = "<"
 		case tokLe:
@@ -145,7 +211,7 @@ func (p *parser) parseRelational() (Expr, error) {
 		default:
 			return l, nil
 		}
-		p.pos++
+		p.Next()
 		r, err := p.parseAdditive()
 		if err != nil {
 			return nil, err
@@ -154,14 +220,14 @@ func (p *parser) parseRelational() (Expr, error) {
 	}
 }
 
-func (p *parser) parseAdditive() (Expr, error) {
+func (p *Parser) parseAdditive() (Expr, error) {
 	l, err := p.parseMultiplicative()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		var op string
-		switch p.cur().kind {
+		switch p.tok.kind {
 		case tokPlus:
 			op = "+"
 		case tokMinus:
@@ -169,7 +235,7 @@ func (p *parser) parseAdditive() (Expr, error) {
 		default:
 			return l, nil
 		}
-		p.pos++
+		p.Next()
 		r, err := p.parseMultiplicative()
 		if err != nil {
 			return nil, err
@@ -178,7 +244,7 @@ func (p *parser) parseAdditive() (Expr, error) {
 	}
 }
 
-func (p *parser) parseMultiplicative() (Expr, error) {
+func (p *Parser) parseMultiplicative() (Expr, error) {
 	l, err := p.parseUnary()
 	if err != nil {
 		return nil, err
@@ -186,16 +252,16 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 	for {
 		var op string
 		switch {
-		case p.cur().kind == tokStar:
+		case p.tok.kind == tokStar:
 			op = "*"
-		case p.cur().kind == tokIdent && p.cur().text == "div":
+		case p.tok.kind == tokIdent && p.tok.text == "div":
 			op = "div"
-		case p.cur().kind == tokIdent && p.cur().text == "mod":
+		case p.tok.kind == tokIdent && p.tok.text == "mod":
 			op = "mod"
 		default:
 			return l, nil
 		}
-		p.pos++
+		p.Next()
 		r, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -204,7 +270,7 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 	}
 }
 
-func (p *parser) parseUnary() (Expr, error) {
+func (p *Parser) parseUnary() (Expr, error) {
 	if p.accept(tokMinus) {
 		x, err := p.parseUnary()
 		if err != nil {
@@ -215,12 +281,12 @@ func (p *parser) parseUnary() (Expr, error) {
 	return p.parseUnion()
 }
 
-func (p *parser) parseUnion() (Expr, error) {
+func (p *Parser) parseUnion() (Expr, error) {
 	l, err := p.parsePath()
 	if err != nil {
 		return nil, err
 	}
-	if p.cur().kind != tokPipe {
+	if p.tok.kind != tokPipe {
 		return l, nil
 	}
 	u := &UnionExpr{Paths: []Expr{l}}
@@ -235,10 +301,10 @@ func (p *parser) parseUnion() (Expr, error) {
 }
 
 // parsePath parses [primary] [/ steps] | absolute path | relative path.
-func (p *parser) parsePath() (Expr, error) {
-	switch p.cur().kind {
+func (p *Parser) parsePath() (Expr, error) {
+	switch p.tok.kind {
 	case tokSlash:
-		p.pos++
+		p.Next()
 		pe := &PathExpr{Absolute: true}
 		if p.startsStep() {
 			if err := p.parseSteps(pe); err != nil {
@@ -247,7 +313,7 @@ func (p *parser) parsePath() (Expr, error) {
 		}
 		return pe, nil
 	case tokSlashSlash:
-		p.pos++
+		p.Next()
 		pe := &PathExpr{Absolute: true}
 		pe.Steps = append(pe.Steps, Step{Axis: AxisDescendantOrSelf, Test: NodeTest{Kind: TestNode}})
 		if err := p.parseSteps(pe); err != nil {
@@ -264,10 +330,10 @@ func (p *parser) parsePath() (Expr, error) {
 	} else if ok {
 		pe := &PathExpr{Filter: prim}
 		for {
-			if p.cur().kind == tokSlash {
-				p.pos++
-			} else if p.cur().kind == tokSlashSlash {
-				p.pos++
+			if p.tok.kind == tokSlash {
+				p.Next()
+			} else if p.tok.kind == tokSlashSlash {
+				p.Next()
 				pe.Steps = append(pe.Steps, Step{Axis: AxisDescendantOrSelf, Test: NodeTest{Kind: TestNode}})
 			} else {
 				break
@@ -292,17 +358,17 @@ func (p *parser) parsePath() (Expr, error) {
 	return pe, nil
 }
 
-func (p *parser) parseSteps(pe *PathExpr) error {
+func (p *Parser) parseSteps(pe *PathExpr) error {
 	st, err := p.parseStep()
 	if err != nil {
 		return err
 	}
 	pe.Steps = append(pe.Steps, st)
 	for {
-		if p.cur().kind == tokSlash {
-			p.pos++
-		} else if p.cur().kind == tokSlashSlash {
-			p.pos++
+		if p.tok.kind == tokSlash {
+			p.Next()
+		} else if p.tok.kind == tokSlashSlash {
+			p.Next()
 			pe.Steps = append(pe.Steps, Step{Axis: AxisDescendantOrSelf, Test: NodeTest{Kind: TestNode}})
 		} else {
 			return nil
@@ -316,24 +382,24 @@ func (p *parser) parseSteps(pe *PathExpr) error {
 }
 
 // startsStep reports whether the current token can begin a location step.
-func (p *parser) startsStep() bool {
-	switch p.cur().kind {
+func (p *Parser) startsStep() bool {
+	switch p.tok.kind {
 	case tokIdent, tokStar, tokAt, tokDot, tokDotDot:
 		return true
 	}
 	return false
 }
 
-func (p *parser) parseStep() (Step, error) {
-	switch p.cur().kind {
+func (p *Parser) parseStep() (Step, error) {
+	switch p.tok.kind {
 	case tokDot:
-		p.pos++
+		p.Next()
 		return Step{Axis: AxisSelf, Test: NodeTest{Kind: TestNode}}, nil
 	case tokDotDot:
-		p.pos++
+		p.Next()
 		return Step{Axis: AxisParent, Test: NodeTest{Kind: TestNode}}, nil
 	case tokAt:
-		p.pos++
+		p.Next()
 		test, err := p.parseNodeTest()
 		if err != nil {
 			return Step{}, err
@@ -342,13 +408,14 @@ func (p *parser) parseStep() (Step, error) {
 		return p.parsePredicates(st)
 	case tokIdent:
 		// axis::… ?
-		if p.pos+1 < len(p.tokens) && p.tokens[p.pos+1].kind == tokAxis {
-			axName := p.cur().text
+		if p.peek().kind == tokAxis {
+			axName := p.tok.text
 			ax, ok := axisNames[axName]
 			if !ok {
-				return Step{}, p.errf("unknown axis %q", axName)
+				return Step{}, p.Errorf("unknown axis %q", axName)
 			}
-			p.pos += 2
+			p.Next()
+			p.Next()
 			test, err := p.parseNodeTest()
 			if err != nil {
 				return Step{}, err
@@ -361,26 +428,26 @@ func (p *parser) parseStep() (Step, error) {
 		}
 		return p.parsePredicates(Step{Axis: AxisChild, Test: test})
 	case tokStar:
-		p.pos++
+		p.Next()
 		return p.parsePredicates(Step{Axis: AxisChild, Test: NodeTest{Kind: TestWild}})
 	default:
-		return Step{}, p.errf("expected location step, found %s", p.cur().kind)
+		return Step{}, p.Errorf("expected location step, found %s", p.tok.kind)
 	}
 }
 
-func (p *parser) parseNodeTest() (NodeTest, error) {
+func (p *Parser) parseNodeTest() (NodeTest, error) {
 	if p.accept(tokStar) {
 		return NodeTest{Kind: TestWild}, nil
 	}
-	if p.cur().kind != tokIdent {
-		return NodeTest{}, p.errf("expected node test, found %s", p.cur().kind)
+	if p.tok.kind != tokIdent {
+		return NodeTest{}, p.Errorf("expected node test, found %s", p.tok.kind)
 	}
 	name := p.next().text
 	// text() / node() / comment()
-	if p.cur().kind == tokLParen {
+	if p.tok.kind == tokLParen {
 		switch name {
 		case "text", "node", "comment":
-			p.pos++
+			p.Next()
 			if err := p.expect(tokRParen); err != nil {
 				return NodeTest{}, err
 			}
@@ -393,13 +460,13 @@ func (p *parser) parseNodeTest() (NodeTest, error) {
 				return NodeTest{Kind: TestComment}, nil
 			}
 		default:
-			return NodeTest{}, p.errf("function %q cannot be used as a node test", name)
+			return NodeTest{}, p.Errorf("function %q cannot be used as a node test", name)
 		}
 	}
 	return NodeTest{Kind: TestName, Name: name}, nil
 }
 
-func (p *parser) parsePredicates(st Step) (Step, error) {
+func (p *Parser) parsePredicates(st Step) (Step, error) {
 	for p.accept(tokLBracket) {
 		e, err := p.parseExpr()
 		if err != nil {
@@ -417,8 +484,8 @@ func (p *parser) parsePredicates(st Step) (Step, error) {
 // filter path: literals, numbers, variables, parenthesized expressions
 // and function calls. It returns ok=false when the tokens should be
 // parsed as a relative location path instead.
-func (p *parser) tryParsePrimary() (Expr, bool, error) {
-	switch p.cur().kind {
+func (p *Parser) tryParsePrimary() (Expr, bool, error) {
+	switch p.tok.kind {
 	case tokString:
 		t := p.next()
 		return StringLit(t.text), true, nil
@@ -426,17 +493,17 @@ func (p *parser) tryParsePrimary() (Expr, bool, error) {
 		t := p.next()
 		v, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
-			return nil, false, p.errf("bad number %q", t.text)
+			return nil, false, p.Errorf("bad number %q", t.text)
 		}
 		return NumberLit(v), true, nil
 	case tokDollar:
-		p.pos++
-		if p.cur().kind != tokIdent {
-			return nil, false, p.errf("expected variable name after '$'")
+		p.Next()
+		if p.tok.kind != tokIdent {
+			return nil, false, p.Errorf("expected variable name after '$'")
 		}
 		return VarRef(p.next().text), true, nil
 	case tokLParen:
-		p.pos++
+		p.Next()
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, false, err
@@ -446,16 +513,17 @@ func (p *parser) tryParsePrimary() (Expr, bool, error) {
 		}
 		return e, true, nil
 	case tokIdent:
-		name := p.cur().text
+		name, pos := p.tok.text, p.tok.pos
 		// Function call (but not node-test keywords).
-		if p.pos+1 < len(p.tokens) && p.tokens[p.pos+1].kind == tokLParen {
+		if p.peek().kind == tokLParen {
 			switch name {
 			case "text", "node", "comment":
 				return nil, false, nil // node test, not a function
 			}
-			p.pos += 2 // name and '('
+			p.Next()
+			p.Next()
 			fc := &FuncCall{Name: name}
-			if p.cur().kind != tokRParen {
+			if p.tok.kind != tokRParen {
 				for {
 					arg, err := p.parseExpr()
 					if err != nil {
@@ -470,10 +538,29 @@ func (p *parser) tryParsePrimary() (Expr, bool, error) {
 			if err := p.expect(tokRParen); err != nil {
 				return nil, false, err
 			}
+			if name == "doc" && p.docVar != "" {
+				v, err := p.docRef(fc, pos)
+				return v, err == nil, err
+			}
 			return fc, true, nil
 		}
 		return nil, false, nil
 	default:
 		return nil, false, nil
 	}
+}
+
+// docRef reads doc("name") as the variable $docVar+name.
+func (p *Parser) docRef(fc *FuncCall, pos int) (Expr, error) {
+	if len(fc.Args) != 1 {
+		return nil, &SyntaxError{Expr: p.src, Pos: pos, Msg: "doc() takes exactly one argument"}
+	}
+	lit, ok := fc.Args[0].(StringLit)
+	if !ok {
+		return nil, &SyntaxError{Expr: p.src, Pos: pos, Msg: "doc() argument must be a string literal"}
+	}
+	if !slices.Contains(p.docs, string(lit)) {
+		p.docs = append(p.docs, string(lit))
+	}
+	return VarRef(p.docVar + string(lit)), nil
 }

@@ -373,13 +373,15 @@ func TestVariableInPredicate(t *testing.T) {
 	}
 }
 
+// compileErrorSources are texts Compile refuses.
+var compileErrorSources = []string{
+	"", "item[", "item]", "//", "@", "item/", "1 +", "item[@]",
+	"$", "unknown::a", "f(", `"unterminated`, "a b", "!", "a:::b",
+	"text(x)",
+}
+
 func TestCompileErrors(t *testing.T) {
-	bad := []string{
-		"", "item[", "item]", "//", "@", "item/", "1 +", "item[@]",
-		"$", "unknown::a", "f(", `"unterminated`, "a b", "!", "a:::b",
-		"text(x)",
-	}
-	for _, src := range bad {
+	for _, src := range compileErrorSources {
 		if _, err := Compile(src); err == nil {
 			t.Errorf("Compile(%q) succeeded, want error", src)
 		}

@@ -5,6 +5,30 @@
 // are implemented by such queries; their visibility to other peers is
 // what enables the algebraic optimizations of §3.3.
 //
+// The grammar, in one place:
+//
+//	query  := ["param" $name {"," $name} ";"] expr
+//	expr   := flwr | elem | xpath
+//	flwr   := ("for" $v "in" expr {"," $v "in" expr} | "let" $v ":=" expr {"," $v ":=" expr})+
+//	          ["where" expr] ["stable"] ["order" "by" expr ["ascending" | "descending"]]
+//	          "return" expr
+//	elem   := "<" name {name "=" ('"' text '"' | '"{' expr '}"')} ("/>" | ">" content "</" name ">")
+//
+// Its tokens are XPath's plus { } := and ;, read by one lexer, the
+// xpath package's (xpath.Parser), which also parses each xpath
+// expression where it starts. Whitespace and (: … :) comments, which
+// nest, separate tokens; a comment is never read inside a string
+// literal, an attribute value or element content, which are text.
+// Element content is read raw up to "{", "<" or "</name>"; "{{" and "}}"
+// stand for braces, and a "{…}" holds expressions separated by commas.
+// An attribute value is a literal unless it is all one "{expr}".
+// doc() takes one string literal: doc("name") reads as the variable
+// $#doc:name, and Path.Docs lists the names. Keywords are not reserved:
+// a keyword ends an xpath expression only where the XPath grammar
+// cannot continue, so `$i/return` and `@where` are paths, while
+// `for $i in a return b` ends a's path at return. for or let at the
+// start of an expression begins a FLWR.
+//
 // Beyond parsing and evaluation the package provides the two analyses
 // the rewrite rules need: document-dependency extraction and the
 // selection-pushdown decomposition q ≡ q1(σ(q2)) of Example 1.
@@ -129,8 +153,8 @@ func (f *FLWR) String() string {
 }
 
 // Path wraps an XPath expression used as a query expression. Doc
-// references doc("name") inside it have been rewritten to the synthetic
-// variables "#doc:name" listed in Docs (see rewriteDocCalls).
+// references doc("name") inside it are the synthetic variables
+// "#doc:name", the names listed in Docs.
 type Path struct {
 	X    xpath.Expr
 	Docs []string // document names referenced via doc()
@@ -279,6 +303,9 @@ func rewriteRender(e xpath.Expr) string {
 				sb.WriteString(renderStep(s))
 			}
 			return sb.String()
+		}
+		if v.Absolute && len(v.Steps) == 0 {
+			return "(/)"
 		}
 		if v.Absolute {
 			sb.WriteByte('/')

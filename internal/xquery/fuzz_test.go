@@ -1,8 +1,11 @@
 package xquery
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"axml/internal/xpath"
 )
 
 // fuzzParseSeeds start FuzzParse's corpus; the differential test of the
@@ -24,6 +27,15 @@ var fuzzParseSeeds = []string{
 	`sc("svc@p", 1)`,
 	`for $i in doc("catalog")/item where $i/@id = "3" return $i/name`,
 	`for $i in doc("catalog")/item where "n-4" = $i/name and $i/price < 100 return <r>{$i/@id}</r>`,
+	// Comment markers inside a literal, an attribute value and element
+	// content are text, not comments.
+	`"(:x:)"`,
+	`<r>a (:b:) c</r>`,
+	`<r a="(:x:)"/>`,
+	`"ok :)"`,
+	`"x (: y"`,
+	`doc("r")/return`,
+	`<a>{{x}} {1} }}</a>`,
 }
 
 // FuzzParse hardens the first untrusted input surface: every query a
@@ -38,6 +50,10 @@ func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		q, err := Parse(src)
 		if err != nil {
+			var se *xpath.SyntaxError
+			if !errors.As(err, &se) || se.Pos < 0 || se.Pos > len(src) {
+				t.Fatalf("Parse(%q): %v: want a syntax error at an offset within the input", src, err)
+			}
 			return
 		}
 		rendered := q.String()

@@ -11,63 +11,53 @@ import (
 // doc("name") references after parsing.
 const docVarPrefix = "#doc:"
 
-// ParseError reports a query syntax error.
-type ParseError struct {
-	Src string
-	Pos int
-	Msg string
-}
-
-func (e *ParseError) Error() string {
-	return fmt.Sprintf("xquery: parse error at offset %d: %s", e.Pos, e.Msg)
-}
-
 // Parse parses a query:
 //
 //	[param $a, $b;] expr
 //
 // where expr is a FLWR expression, an element constructor, or an XPath
-// expression (with doc("name") document references).
+// expression (with doc("name") document references). Its errors are
+// *xpath.SyntaxError, with offsets into src.
 func Parse(src string) (*Query, error) {
-	stripped, err := stripComments(src)
+	q, end, err := ParsePrefix(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &qparser{src: stripped}
-	q := &Query{}
-	p.skipWS()
-	if p.peekWord() == "param" {
-		p.readWord()
+	if end < len(src) {
+		return nil, &xpath.SyntaxError{Expr: src, Pos: end, Msg: fmt.Sprintf("trailing input %q", truncate(src[end:], 30))}
+	}
+	return q, nil
+}
+
+// ParsePrefix parses the query at the start of src, as Parse does, and
+// returns the offset of the first token after it: len(src) when the
+// query is all of src.
+func ParsePrefix(src string) (q *Query, end int, err error) {
+	p := &qparser{Parser: xpath.NewParser(src, docVarPrefix), src: src}
+	q = &Query{}
+	if p.Word() == "param" {
+		p.Next()
 		for {
-			p.skipWS()
-			if !p.consume('$') {
-				return nil, p.errf("expected '$' in parameter list")
-			}
-			name := p.readName()
-			if name == "" {
-				return nil, p.errf("expected parameter name")
+			name, err := p.varName()
+			if err != nil {
+				return nil, 0, err
 			}
 			q.Params = append(q.Params, name)
-			p.skipWS()
-			if p.consume(',') {
+			if p.Is(",") {
+				p.Next()
 				continue
 			}
-			if p.consume(';') {
+			if p.Is(";") {
+				p.Next()
 				break
 			}
-			return nil, p.errf("expected ',' or ';' in parameter list")
+			return nil, 0, p.Errorf("expected ',' or ';' in parameter list")
 		}
 	}
-	body, err := p.parseExpr(stopSet{})
-	if err != nil {
-		return nil, err
+	if q.Body, err = p.parseExpr(); err != nil {
+		return nil, 0, err
 	}
-	p.skipWS()
-	if p.pos < len(p.src) {
-		return nil, p.errf("trailing input %q", truncate(p.src[p.pos:], 30))
-	}
-	q.Body = body
-	return q, nil
+	return q, p.Pos(), nil
 }
 
 // MustParse is Parse that panics on error.
@@ -86,251 +76,129 @@ func truncate(s string, n int) string {
 	return s[:n] + "..."
 }
 
-// stripComments removes (: ... :) comments (nested per XQuery).
-func stripComments(src string) (string, error) {
-	var sb strings.Builder
-	depth := 0
-	i := 0
-	for i < len(src) {
-		if i+1 < len(src) && src[i] == '(' && src[i+1] == ':' {
-			depth++
-			i += 2
-			continue
-		}
-		if i+1 < len(src) && src[i] == ':' && src[i+1] == ')' {
-			if depth == 0 {
-				return "", &ParseError{Src: src, Pos: i, Msg: "unmatched comment close ':)'"}
-			}
-			depth--
-			i += 2
-			continue
-		}
-		if depth == 0 {
-			sb.WriteByte(src[i])
-		}
-		i++
-	}
-	if depth != 0 {
-		return "", &ParseError{Src: src, Pos: len(src), Msg: "unterminated comment"}
-	}
-	return sb.String(), nil
-}
-
-// stopSet describes where an embedded XPath span ends: at any of the
-// keywords (as whole words at nesting depth 0), at a top-level comma,
-// or at a top-level closing brace.
-type stopSet struct {
-	words  map[string]bool
-	comma  bool
-	rbrace bool
-}
-
-func stops(words ...string) stopSet {
-	m := make(map[string]bool, len(words))
-	for _, w := range words {
-		m[w] = true
-	}
-	return stopSet{words: m}
-}
-
-func (s stopSet) withComma() stopSet  { s2 := s; s2.comma = true; return s2 }
-func (s stopSet) withRBrace() stopSet { s2 := s; s2.rbrace = true; return s2 }
-
-var flwrKeywords = []string{"for", "let", "where", "order", "return", "stable"}
-
+// qparser reads the XQuery grammar from the one token stream that
+// xpath.Parser hands out: its keywords are names wherever the XPath
+// grammar has ended, and element content is read raw from src.
 type qparser struct {
+	*xpath.Parser
 	src string
-	pos int
 }
 
-func (p *qparser) errf(format string, args ...any) error {
-	return &ParseError{Src: p.src, Pos: p.pos, Msg: fmt.Sprintf(format, args...)}
+// errAt reports a syntax error at offset pos of the text, for the parts
+// read raw.
+func (p *qparser) errAt(pos int, msg string) error {
+	return &xpath.SyntaxError{Expr: p.src, Pos: pos, Msg: msg}
 }
 
-func (p *qparser) skipWS() {
-	for p.pos < len(p.src) {
-		switch p.src[p.pos] {
-		case ' ', '\t', '\n', '\r':
-			p.pos++
-		default:
-			return
-		}
+// at reports whether the current token starts with the byte c, so that
+// a tag's '>' or '/>' is found whatever the lexer made of what follows.
+func (p *qparser) at(c byte) bool {
+	i := p.Pos()
+	return i < len(p.src) && p.src[i] == c
+}
+
+// varName reads $name.
+func (p *qparser) varName() (string, error) {
+	if !p.Is("$") {
+		return "", p.Errorf("expected '$variable'")
 	}
-}
-
-func (p *qparser) peek() byte {
-	if p.pos >= len(p.src) {
-		return 0
+	p.Next()
+	name := p.Word()
+	if name == "" {
+		return "", p.Errorf("expected variable name")
 	}
-	return p.src[p.pos]
-}
-
-func (p *qparser) peekAt(off int) byte {
-	if p.pos+off >= len(p.src) {
-		return 0
-	}
-	return p.src[p.pos+off]
-}
-
-func (p *qparser) consume(c byte) bool {
-	if p.peek() == c {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-func isWordStart(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
-
-func isWordChar(c byte) bool {
-	return isWordStart(c) || (c >= '0' && c <= '9') || c == '-' || c == '.'
-}
-
-// peekWord returns the identifier at the cursor without consuming it.
-func (p *qparser) peekWord() string {
-	i := p.pos
-	if i >= len(p.src) || !isWordStart(p.src[i]) {
-		return ""
-	}
-	j := i
-	for j < len(p.src) && isWordChar(p.src[j]) {
-		j++
-	}
-	return p.src[i:j]
-}
-
-func (p *qparser) readWord() string {
-	w := p.peekWord()
-	p.pos += len(w)
-	return w
-}
-
-func (p *qparser) readName() string {
-	start := p.pos
-	for p.pos < len(p.src) && isWordChar(p.src[p.pos]) {
-		p.pos++
-	}
-	return p.src[start:p.pos]
+	p.Next()
+	return name, nil
 }
 
 // parseExpr parses a full query expression: FLWR, constructor, or
-// XPath span, bounded by the given stop set.
-func (p *qparser) parseExpr(stop stopSet) (Expr, error) {
-	p.skipWS()
+// XPath expression.
+func (p *qparser) parseExpr() (Expr, error) {
 	switch {
-	case p.peekWord() == "for" || p.peekWord() == "let":
-		return p.parseFLWR(stop)
-	case p.peek() == '<' && isWordStart(p.peekAt(1)):
-		return p.parseConstructor()
+	case p.Word() == "for" || p.Word() == "let":
+		return p.parseFLWR()
+	case p.Is("<"):
+		e, end, err := p.parseConstructor()
+		if err != nil {
+			return nil, err
+		}
+		p.Seek(end)
+		return e, nil
 	default:
-		return p.parsePathSpan(stop)
+		x, docs, err := p.Expr()
+		if err != nil {
+			return nil, err
+		}
+		return &Path{X: x, Docs: docs}, nil
 	}
 }
 
-func (p *qparser) parseFLWR(stop stopSet) (Expr, error) {
+func (p *qparser) parseFLWR() (Expr, error) {
 	f := &FLWR{}
-	clauseStops := stops(flwrKeywords...).withComma()
-	for {
-		p.skipWS()
-		switch p.peekWord() {
-		case "for":
-			p.readWord()
-			for {
-				p.skipWS()
-				if !p.consume('$') {
-					return nil, p.errf("expected '$variable' after 'for'")
-				}
-				v := p.readName()
-				if v == "" {
-					return nil, p.errf("expected variable name")
-				}
-				p.skipWS()
-				if w := p.readWord(); w != "in" {
-					return nil, p.errf("expected 'in' after variable $%s, got %q", v, w)
-				}
-				src, err := p.parseExpr(clauseStops)
-				if err != nil {
-					return nil, err
-				}
+	for kw := p.Word(); kw == "for" || kw == "let"; kw = p.Word() {
+		p.Next()
+		for {
+			v, err := p.varName()
+			if err != nil {
+				return nil, err
+			}
+			if kw == "for" && p.Word() != "in" {
+				return nil, p.Errorf("expected 'in' after variable $%s", v)
+			}
+			if kw == "let" && !p.Is(":=") {
+				return nil, p.Errorf("expected ':=' after let variable $%s", v)
+			}
+			p.Next()
+			src, err := p.parseExpr()
+			if err != nil {
+				return nil, err
+			}
+			if kw == "for" {
 				f.Clauses = append(f.Clauses, ForClause{Var: v, Source: src})
-				p.skipWS()
-				if p.consume(',') {
-					continue
-				}
-				break
-			}
-		case "let":
-			p.readWord()
-			for {
-				p.skipWS()
-				if !p.consume('$') {
-					return nil, p.errf("expected '$variable' after 'let'")
-				}
-				v := p.readName()
-				p.skipWS()
-				if !(p.consume(':') && p.consume('=')) {
-					return nil, p.errf("expected ':=' after let variable $%s", v)
-				}
-				src, err := p.parseExpr(clauseStops)
-				if err != nil {
-					return nil, err
-				}
+			} else {
 				f.Clauses = append(f.Clauses, LetClause{Var: v, Source: src})
-				p.skipWS()
-				if p.consume(',') {
-					continue
-				}
+			}
+			if !p.Is(",") {
 				break
 			}
-		default:
-			goto clausesDone
+			p.Next()
 		}
 	}
-clausesDone:
-	if len(f.Clauses) == 0 {
-		return nil, p.errf("FLWR expression has no for/let clauses")
-	}
-	p.skipWS()
-	if p.peekWord() == "where" {
-		p.readWord()
-		w, err := p.parseExpr(stops("order", "return", "stable"))
+	if p.Word() == "where" {
+		p.Next()
+		w, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		f.Where = w
 	}
-	p.skipWS()
-	if p.peekWord() == "stable" {
-		p.readWord()
-		p.skipWS()
+	if p.Word() == "stable" {
+		p.Next()
 	}
-	if p.peekWord() == "order" {
-		p.readWord()
-		p.skipWS()
-		if w := p.readWord(); w != "by" {
-			return nil, p.errf("expected 'by' after 'order', got %q", w)
+	if p.Word() == "order" {
+		p.Next()
+		if p.Word() != "by" {
+			return nil, p.Errorf("expected 'by' after 'order'")
 		}
-		key, err := p.parseExpr(stops("return", "ascending", "descending"))
+		p.Next()
+		key, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		f.Order = &OrderSpec{Key: key}
-		p.skipWS()
-		switch p.peekWord() {
+		switch p.Word() {
 		case "descending":
-			p.readWord()
+			p.Next()
 			f.Order.Descending = true
 		case "ascending":
-			p.readWord()
+			p.Next()
 		}
 	}
-	p.skipWS()
-	if w := p.readWord(); w != "return" {
-		return nil, p.errf("expected 'return', got %q", w)
+	if p.Word() != "return" {
+		return nil, p.Errorf("expected 'return'")
 	}
-	ret, err := p.parseExpr(stop)
+	p.Next()
+	ret, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
@@ -338,73 +206,72 @@ clausesDone:
 	return f, nil
 }
 
-// parseConstructor parses <label attr="v" attr2="{expr}">content</label>.
-func (p *qparser) parseConstructor() (Expr, error) {
-	if !p.consume('<') {
-		return nil, p.errf("expected '<'")
-	}
-	label := p.readName()
-	if label == "" {
-		return nil, p.errf("expected element name in constructor")
+// parseConstructor parses <label attr="v" attr2="{expr}">content</label>
+// from the current '<' token and returns the offset just past it.
+func (p *qparser) parseConstructor() (*Elem, int, error) {
+	lt := p.Pos()
+	p.Next()
+	label := p.Word()
+	if label == "" || p.Pos() != lt+1 {
+		return nil, 0, p.Errorf("expected element name in constructor")
 	}
 	e := &Elem{Label: label}
+	p.Next()
 	for {
-		p.skipWS()
 		switch {
-		case p.consume('/'):
-			if !p.consume('>') {
-				return nil, p.errf("expected '>' after '/' in constructor")
+		case p.at('/'):
+			end := p.Pos() + 2
+			if end > len(p.src) || p.src[end-1] != '>' {
+				return nil, 0, p.errAt(end-1, "expected '>' after '/' in constructor")
 			}
-			return e, nil
-		case p.consume('>'):
-			if err := p.parseConstructorContent(e); err != nil {
-				return nil, err
-			}
-			return e, nil
-		default:
-			aname := p.readName()
-			if aname == "" {
-				return nil, p.errf("expected attribute name or '>' in constructor <%s>", label)
-			}
-			p.skipWS()
-			if !p.consume('=') {
-				return nil, p.errf("expected '=' after attribute %q", aname)
-			}
-			p.skipWS()
-			quote := p.peek()
-			if quote != '"' && quote != '\'' {
-				return nil, p.errf("expected quoted attribute value")
-			}
-			p.pos++
-			start := p.pos
-			for p.pos < len(p.src) && p.src[p.pos] != quote {
-				p.pos++
-			}
-			if p.pos >= len(p.src) {
-				return nil, p.errf("unterminated attribute value")
-			}
-			raw := p.src[start:p.pos]
-			p.pos++ // closing quote
-			at := AttrTemplate{Name: aname}
-			if strings.HasPrefix(raw, "{") && strings.HasSuffix(raw, "}") {
-				inner := raw[1 : len(raw)-1]
-				sub := &qparser{src: inner}
-				ex, err := sub.parseExpr(stopSet{})
-				if err != nil {
-					return nil, fmt.Errorf("in attribute %q: %w", aname, err)
-				}
-				at.Computed = ex
-			} else {
-				at.Literal = unescapeLit(raw)
-			}
-			e.Attrs = append(e.Attrs, at)
+			return e, end, nil
+		case p.at('>'):
+			end, err := p.parseContent(e, p.Pos()+1)
+			return e, end, err
 		}
+		aname := p.Word()
+		if aname == "" {
+			return nil, 0, p.Errorf("expected attribute name or '>' in constructor <%s>", label)
+		}
+		p.Next()
+		if !p.Is("=") {
+			return nil, 0, p.Errorf("expected '=' after attribute %q", aname)
+		}
+		p.Next()
+		// The value is read raw to its closing quote.
+		open := p.Pos()
+		if !p.at('"') && !p.at('\'') {
+			return nil, 0, p.Errorf("expected quoted attribute value")
+		}
+		n := strings.IndexByte(p.src[open+1:], p.src[open])
+		if n < 0 {
+			return nil, 0, p.errAt(open, "unterminated attribute value")
+		}
+		closing := open + 1 + n
+		raw := p.src[open+1 : closing]
+		at := AttrTemplate{Name: aname}
+		if strings.HasPrefix(raw, "{") && strings.HasSuffix(raw, "}") {
+			p.Seek(open + 2)
+			x, err := p.parseExpr()
+			if err != nil {
+				return nil, 0, err
+			}
+			if !p.Is("}") || p.Pos() != closing-1 {
+				return nil, 0, p.Errorf("expected '}' closing attribute %q", aname)
+			}
+			at.Computed = x
+		} else {
+			at.Literal = unescapeLit(raw)
+		}
+		e.Attrs = append(e.Attrs, at)
+		p.Seek(closing + 1)
 	}
 }
 
-// parseConstructorContent parses the mixed content of a constructor up
-// to the matching end tag.
-func (p *qparser) parseConstructorContent(e *Elem) error {
+// parseContent reads the content of e raw from offset i, each {…}
+// through the token stream, up to the matching end tag, and returns
+// the offset just past it.
+func (p *qparser) parseContent(e *Elem, i int) (int, error) {
 	var text strings.Builder
 	flush := func() {
 		if text.Len() > 0 {
@@ -413,66 +280,61 @@ func (p *qparser) parseConstructorContent(e *Elem) error {
 		}
 	}
 	for {
-		if p.pos >= len(p.src) {
-			return p.errf("unterminated constructor <%s>", e.Label)
+		if i >= len(p.src) {
+			return 0, p.errAt(i, "unterminated constructor <"+e.Label+">")
 		}
-		c := p.peek()
+		c := p.src[i]
+		next := byte(0)
+		if i+1 < len(p.src) {
+			next = p.src[i+1]
+		}
 		switch {
+		case c == '{' && next == '{', c == '}' && next == '}':
+			text.WriteByte(c)
+			i += 2
 		case c == '{':
-			if p.peekAt(1) == '{' { // escaped brace
-				text.WriteByte('{')
-				p.pos += 2
-				continue
-			}
 			flush()
-			p.pos++
+			p.Seek(i + 1)
 			for {
-				item, err := p.parseExpr(stops(flwrKeywords...).withComma().withRBrace())
+				item, err := p.parseExpr()
 				if err != nil {
-					return err
+					return 0, err
 				}
 				e.Content = append(e.Content, item)
-				p.skipWS()
-				if p.consume(',') {
-					continue
+				if !p.Is(",") {
+					break
 				}
-				break
+				p.Next()
 			}
-			p.skipWS()
-			if !p.consume('}') {
-				return p.errf("expected '}' in constructor content")
+			if !p.Is("}") {
+				return 0, p.Errorf("expected '}' in constructor content")
 			}
+			i = p.Pos() + 1
 		case c == '}':
-			if p.peekAt(1) == '}' {
-				text.WriteByte('}')
-				p.pos += 2
-				continue
-			}
-			return p.errf("unescaped '}' in constructor content")
-		case c == '<' && p.peekAt(1) == '/':
+			return 0, p.errAt(i, "unescaped '}' in constructor content")
+		case c == '<' && next == '/':
 			flush()
-			p.pos += 2
-			name := p.readName()
-			if name != e.Label {
-				return p.errf("mismatched end tag </%s>, expected </%s>", name, e.Label)
+			p.Seek(i + 2)
+			if p.Word() != e.Label || p.Pos() != i+2 {
+				return 0, p.Errorf("mismatched end tag, expected </%s>", e.Label)
 			}
-			p.skipWS()
-			if !p.consume('>') {
-				return p.errf("unterminated end tag </%s", name)
+			p.Next()
+			if !p.at('>') {
+				return 0, p.Errorf("unterminated end tag </%s", e.Label)
 			}
-			return nil
-		case c == '<' && isWordStart(p.peekAt(1)):
+			return p.Pos() + 1, nil
+		case c == '<':
 			flush()
-			child, err := p.parseConstructor()
+			p.Seek(i)
+			child, end, err := p.parseConstructor()
 			if err != nil {
-				return err
+				return 0, err
 			}
 			e.Content = append(e.Content, child)
-		case c == '<':
-			return p.errf("unexpected '<' in constructor content")
+			i = end
 		default:
 			text.WriteByte(c)
-			p.pos++
+			i++
 		}
 	}
 }
@@ -485,190 +347,4 @@ func unescapeLit(s string) string {
 		"&lt;", "<", "&gt;", ">", "&quot;", `"`, "&apos;", "'", "&amp;", "&",
 	)
 	return r.Replace(s)
-}
-
-// parsePathSpan scans an XPath span bounded by the stop set, compiles
-// it, and rewrites doc("name") calls into synthetic variables.
-func (p *qparser) parsePathSpan(stop stopSet) (Expr, error) {
-	p.skipWS()
-	start := p.pos
-	depth := 0 // () and [] nesting
-	var inQuote byte
-	prevNonSpace := byte(0)
-	for p.pos < len(p.src) {
-		c := p.src[p.pos]
-		if inQuote != 0 {
-			if c == inQuote {
-				inQuote = 0
-			}
-			p.pos++
-			prevNonSpace = c
-			continue
-		}
-		switch {
-		case c == '"' || c == '\'':
-			inQuote = c
-			p.pos++
-		case c == '(' || c == '[':
-			depth++
-			p.pos++
-		case c == ')' || c == ']':
-			if depth == 0 {
-				// closing bracket of an enclosing context
-				goto done
-			}
-			depth--
-			p.pos++
-		case c == ',' && depth == 0 && stop.comma:
-			goto done
-		case c == '}' && depth == 0 && stop.rbrace:
-			goto done
-		case c == '{' || c == '}':
-			goto done
-		case c == '<' && isWordStart(p.peekAt(1)) && p.pos > start && prevNonSpace != 0 && !isPathOperand(prevNonSpace):
-			// '<' binds as comparison only after an operand; otherwise
-			// it would start a constructor, which cannot appear inside
-			// an XPath span — stop here and let the caller error out.
-			goto advance
-		case depth == 0 && isWordStart(c):
-			w := p.peekWord()
-			if stop.words[w] && !followsPathContext(prevNonSpace) {
-				goto done
-			}
-			p.pos += len(w)
-			prevNonSpace = w[len(w)-1]
-			continue
-		default:
-			goto advance
-		}
-		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-			prevNonSpace = c
-		}
-		continue
-	advance:
-		p.pos++
-		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-			prevNonSpace = c
-		}
-	}
-done:
-	span := strings.TrimSpace(p.src[start:p.pos])
-	if span == "" {
-		return nil, p.errf("expected expression")
-	}
-	compiled, err := xpath.Compile(span)
-	if err != nil {
-		return nil, fmt.Errorf("xquery: in path %q: %w", span, err)
-	}
-	rewritten, docs, err := rewriteDocCalls(compiled.Root)
-	if err != nil {
-		return nil, err
-	}
-	return &Path{X: rewritten, Docs: docs}, nil
-}
-
-// isPathOperand reports whether c can end an XPath operand (so that a
-// following '<' must be a comparison operator, not markup).
-func isPathOperand(c byte) bool {
-	return isWordChar(c) || c == ')' || c == ']' || c == '"' || c == '\'' || c == '.'
-}
-
-// followsPathContext reports whether a keyword immediately preceded by
-// this character is actually part of a path (e.g. a/return, @return,
-// $return) rather than a FLWR keyword.
-func followsPathContext(prev byte) bool {
-	return prev == '/' || prev == '@' || prev == ':' || prev == '$'
-}
-
-// rewriteDocCalls replaces doc("name") with VarRef("#doc:name"),
-// returning the rewritten expression and referenced names.
-func rewriteDocCalls(e xpath.Expr) (xpath.Expr, []string, error) {
-	var docs []string
-	seen := map[string]bool{}
-	addDoc := func(name string) {
-		if !seen[name] {
-			seen[name] = true
-			docs = append(docs, name)
-		}
-	}
-	var walk func(e xpath.Expr) (xpath.Expr, error)
-	walk = func(e xpath.Expr) (xpath.Expr, error) {
-		switch v := e.(type) {
-		case *xpath.FuncCall:
-			if v.Name == "doc" {
-				if len(v.Args) != 1 {
-					return nil, fmt.Errorf("xquery: doc() takes exactly one argument")
-				}
-				lit, ok := v.Args[0].(xpath.StringLit)
-				if !ok {
-					return nil, fmt.Errorf("xquery: doc() argument must be a string literal")
-				}
-				addDoc(string(lit))
-				return xpath.VarRef(docVarPrefix + string(lit)), nil
-			}
-			out := &xpath.FuncCall{Name: v.Name}
-			for _, a := range v.Args {
-				na, err := walk(a)
-				if err != nil {
-					return nil, err
-				}
-				out.Args = append(out.Args, na)
-			}
-			return out, nil
-		case *xpath.PathExpr:
-			out := &xpath.PathExpr{Absolute: v.Absolute}
-			if v.Filter != nil {
-				nf, err := walk(v.Filter)
-				if err != nil {
-					return nil, err
-				}
-				out.Filter = nf
-			}
-			for _, s := range v.Steps {
-				ns := xpath.Step{Axis: s.Axis, Test: s.Test}
-				for _, pr := range s.Preds {
-					np, err := walk(pr)
-					if err != nil {
-						return nil, err
-					}
-					ns.Preds = append(ns.Preds, np)
-				}
-				out.Steps = append(out.Steps, ns)
-			}
-			return out, nil
-		case *xpath.BinaryExpr:
-			l, err := walk(v.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := walk(v.R)
-			if err != nil {
-				return nil, err
-			}
-			return &xpath.BinaryExpr{Op: v.Op, L: l, R: r}, nil
-		case *xpath.UnionExpr:
-			out := &xpath.UnionExpr{}
-			for _, pe := range v.Paths {
-				np, err := walk(pe)
-				if err != nil {
-					return nil, err
-				}
-				out.Paths = append(out.Paths, np)
-			}
-			return out, nil
-		case *xpath.NegExpr:
-			nx, err := walk(v.X)
-			if err != nil {
-				return nil, err
-			}
-			return &xpath.NegExpr{X: nx}, nil
-		default:
-			return e, nil
-		}
-	}
-	out, err := walk(e)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, docs, nil
 }

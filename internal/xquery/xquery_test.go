@@ -248,27 +248,48 @@ func TestCommentsStripped(t *testing.T) {
 	}
 }
 
-func TestParseErrors(t *testing.T) {
-	bad := []string{
-		``,
-		`for`,
-		`for $x return 1`,
-		`for $x in doc("d")/a`,
-		`for x in doc("d")/a return $x`,
-		`let $x = 1 return $x`,
-		`<a>{</a>`,
-		`<a></b>`,
-		`<a attr=x/>`,
-		`param $a`,
-		`for $i in doc("d")/a order $i return $i`,
-		`doc("a")/x trailing`,
-		`(: unterminated`,
-		`unmatched :)`,
-		`<a>}</a>`,
-		`doc($v)/x`,
-		`doc()/x`,
+// TestCommentMarkersAreText: comments sit between tokens only, so "(:"
+// and ":)" inside a string literal, an attribute value or element
+// content are text and come back in the result.
+func TestCommentMarkersAreText(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{`"(:x:)"`, `(:x:)`},
+		{`<r>a (:b:) c</r>`, `<r>a (:b:) c</r>`},
+		{`<r a="(:x:)"/>`, `<r a="(:x:)"/>`},
+		{`"ok :)"`, `ok :)`},
+		{`"x (: y"`, `x (: y`},
+	} {
+		t.Run(c.src, func(t *testing.T) {
+			if got := serializeForest(run(t, c.src)); got != c.want {
+				t.Errorf("%s = %s, want %s", c.src, got, c.want)
+			}
+		})
 	}
-	for _, src := range bad {
+}
+
+// parseErrorSources are texts Parse refuses.
+var parseErrorSources = []string{
+	``,
+	`for`,
+	`for $x return 1`,
+	`for $x in doc("d")/a`,
+	`for x in doc("d")/a return $x`,
+	`let $x = 1 return $x`,
+	`<a>{</a>`,
+	`<a></b>`,
+	`<a attr=x/>`,
+	`param $a`,
+	`for $i in doc("d")/a order $i return $i`,
+	`doc("a")/x trailing`,
+	`(: unterminated`,
+	`unmatched :)`,
+	`<a>}</a>`,
+	`doc($v)/x`,
+	`doc()/x`,
+}
+
+func TestParseErrors(t *testing.T) {
+	for _, src := range parseErrorSources {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
 		}

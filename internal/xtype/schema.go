@@ -262,9 +262,11 @@ type Signature struct {
 	Out *TypeRef
 }
 
-// CheckInput validates an argument forest against τin (arity and
-// per-argument conformance).
-func (sig *Signature) CheckInput(args []*xmltree.Node) error {
+// CheckInput validates a call's arguments, one forest per input,
+// against τin (arity and per-argument conformance). A forest of one
+// tree is checked as that tree, any other as an x:args element holding
+// it.
+func (sig *Signature) CheckInput(args [][]*xmltree.Node) error {
 	if sig == nil {
 		return nil
 	}
@@ -272,7 +274,16 @@ func (sig *Signature) CheckInput(args []*xmltree.Node) error {
 		return fmt.Errorf("xtype: arity mismatch: signature has %d inputs, call has %d", len(sig.In), len(args))
 	}
 	for i, t := range sig.In {
-		if !t.Conforms(args[i]) {
+		var arg *xmltree.Node
+		if len(args[i]) == 1 {
+			arg = args[i][0]
+		} else {
+			arg = xmltree.E("x:args")
+			for _, n := range args[i] {
+				arg.AppendChild(n)
+			}
+		}
+		if !t.Conforms(arg) {
 			return fmt.Errorf("xtype: argument %d does not conform to %s", i+1, t)
 		}
 	}

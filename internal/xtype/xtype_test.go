@@ -369,11 +369,11 @@ func TestSignature(t *testing.T) {
 		Out: AnyType,
 	}
 	good := xmltree.MustParse(`<catalog><item id="1"><name>x</name></item></catalog>`)
-	if err := sig.CheckInput([]*xmltree.Node{good}); err != nil {
+	if err := sig.CheckInput([][]*xmltree.Node{{good}}); err != nil {
 		t.Errorf("CheckInput: %v", err)
 	}
 	bad := xmltree.MustParse(`<wrong/>`)
-	if err := sig.CheckInput([]*xmltree.Node{bad}); err == nil {
+	if err := sig.CheckInput([][]*xmltree.Node{{bad}}); err == nil {
 		t.Error("CheckInput should fail on wrong type")
 	}
 	if err := sig.CheckInput(nil); err == nil {
@@ -393,7 +393,7 @@ func TestSignature(t *testing.T) {
 
 func TestNilSignatureAccepts(t *testing.T) {
 	var sig *Signature
-	if err := sig.CheckInput([]*xmltree.Node{xmltree.E("x")}); err != nil {
+	if err := sig.CheckInput([][]*xmltree.Node{{xmltree.E("x")}}); err != nil {
 		t.Error("nil signature should accept any input")
 	}
 	if err := sig.CheckOutput(xmltree.E("y")); err != nil {
