@@ -57,10 +57,10 @@ func main() {
 	// through a session, the single declarative entrypoint: placement,
 	// optimization and replica choice all happen behind Query.
 	sys.Generics.SetStrategy(gendoc.Nearest{Net: net})
-	sys.SetTracing(true)
 	sess := sys.MustSession(client.ID)
 	defer sess.Close()
-	rows, err := sess.Query(context.Background(), `
+	tr := axml.NewTrace("security-updates")
+	rows, err := sess.Query(axml.WithTrace(context.Background(), tr), `
 		for $p in doc("packages")/package
 		where $p/@severity = "security"
 		return <update name="{$p/@name}" version="{$p/@version}"/>`)
@@ -72,9 +72,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("security updates pending: %d\n", len(updates))
-	for _, line := range sys.Trace() {
-		fmt.Println("  trace:", line)
-	}
+	fmt.Print(axml.RenderTrace(tr.Spans()))
 	for i, u := range updates {
 		if i == 3 {
 			fmt.Printf("  … and %d more\n", len(updates)-3)

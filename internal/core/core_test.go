@@ -7,6 +7,7 @@ import (
 
 	"axml/internal/gendoc"
 	"axml/internal/netsim"
+	"axml/internal/obs"
 	"axml/internal/peer"
 	"axml/internal/service"
 	"axml/internal/xmltree"
@@ -667,13 +668,14 @@ func TestWalkAndClone(t *testing.T) {
 
 func TestTracing(t *testing.T) {
 	sys, p1, p2 := twoPeerSystem(t)
-	sys.SetTracing(true)
 	q := xquery.MustParse(`doc("catalog")/item/name`)
-	if _, err := sys.Eval(p1.ID, &EvalAt{At: p2.ID, E: &Query{Q: q, At: p2.ID}}); err != nil {
+	e := &EvalAt{At: p2.ID, E: &Query{Q: q, At: p2.ID}}
+	tr := obs.NewTrace("t")
+	if _, err := sys.EvalContext(obs.WithTrace(context.Background(), tr), p1.ID, e); err != nil {
 		t.Fatal(err)
 	}
-	tr := sys.Trace()
-	if len(tr) == 0 || !strings.Contains(tr[0], "delegate") {
-		t.Errorf("trace = %v", tr)
+	spans := tr.Spans()
+	if len(spans) == 0 || spans[0].Phase != "delegate" || spans[0].Name != e.E.String() {
+		t.Errorf("spans = %+v, want a delegate span named %s first", spans, e.E.String())
 	}
 }

@@ -88,9 +88,12 @@ func (s *System) delegate(ctx context.Context, from, remote netsim.PeerID, e Exp
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	s.tracef("delegate %s→%s: %s", from, remote, e.String())
+	var name string
+	if obs.FromContext(ctx) != nil {
+		name = e.String() // the span's name, rendered only for a traced call
+	}
 	body := SerializeExpr(e)
-	reply, kind, doneVT, err := s.tracedCall(ctx, "delegate", e.String(), netsim.Message{
+	reply, kind, doneVT, err := s.tracedCall(ctx, "delegate", name, netsim.Message{
 		From: from, To: remote, Kind: "eval", Body: body, VT: vt,
 	})
 	if err != nil {
@@ -202,7 +205,6 @@ func (s *System) evalDoc(ctx context.Context, p *peer.Peer, d *Doc, vt float64) 
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrNoSuchDoc, err)
 		}
-		s.tracef("pickDoc %s@any → %s (at %s)", d.Name, replica.Doc, replica.At)
 		return s.evalDoc(ctx, p, &Doc{Name: replica.Doc, At: replica.At}, vt)
 	}
 	if d.At != p.ID {
@@ -329,7 +331,6 @@ func (s *System) prepareQuery(ctx context.Context, p *peer.Peer, q *Query, vt fl
 		if shared != nil {
 			key = string(SerializeExpr(a))
 			if prev, ok := shared[key]; ok {
-				s.tracef("shared transfer for arg %d", i)
 				res = prev
 			}
 		}
@@ -432,7 +433,6 @@ func (s *System) evalSend(ctx context.Context, p *peer.Peer, snd *Send, vt float
 		if err != nil {
 			return nil, wrapCanceled(ctx, err)
 		}
-		s.tracef("deployed query as %s@%s", name, dp.P)
 		return &Result{VT: doneVT, Deployed: &ServiceRef{Provider: dp.P, Name: name}}, nil
 	}
 
@@ -720,7 +720,6 @@ func (s *System) evalServiceCall(ctx context.Context, p *peer.Peer, call *Servic
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrNoSuchService, err)
 		}
-		s.tracef("pickService %s@any → %s", call.Service, ref)
 		provider, svcName = ref.Provider, ref.Name
 	}
 

@@ -141,7 +141,6 @@ func (s *System) Subscribe(providerID netsim.PeerID, svcName string,
 			}
 		}()
 	}
-	s.tracef("subscribed %s@%s → %v (continuous)", svc.Name, providerID, targets)
 	return nil
 }
 

@@ -43,8 +43,6 @@ type System struct {
 	factors map[netsim.PeerID]float64 // per-peer compute slowdown factor
 	subs    []*stream
 	wg      sync.WaitGroup // the streams' wake goroutines
-	tracing bool
-	trace   []string
 }
 
 // NewSystem creates a system over the given network.
@@ -168,32 +166,6 @@ func (s *System) computeFactor(id netsim.PeerID) float64 {
 // a peer, given the total number of input and output nodes.
 func (s *System) queryCost(at netsim.PeerID, nodes int) float64 {
 	return s.Cost.QueryMsPerNode * float64(nodes) * s.computeFactor(at)
-}
-
-// SetTracing enables collection of evaluation traces (rule firings,
-// pick decisions) for tests and debugging.
-func (s *System) SetTracing(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tracing = on
-	s.trace = nil
-}
-
-// Trace returns the collected trace lines.
-func (s *System) Trace() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, len(s.trace))
-	copy(out, s.trace)
-	return out
-}
-
-func (s *System) tracef(format string, args ...any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.tracing {
-		s.trace = append(s.trace, fmt.Sprintf(format, args...))
-	}
 }
 
 // Close stops every continuous stream and waits for its wakes.

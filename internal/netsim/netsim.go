@@ -174,13 +174,6 @@ func (n *Network) Register(id PeerID, h Handler) error {
 	return nil
 }
 
-// Unregister removes a peer.
-func (n *Network) Unregister(id PeerID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.handlers, id)
-}
-
 // SetDown marks a peer unreachable (failure injection); messages to it
 // error.
 func (n *Network) SetDown(id PeerID, down bool) {

@@ -578,3 +578,55 @@ func mustQuery(t *testing.T, src string) *xquery.Query {
 	}
 	return q
 }
+
+// TestShippedQueryMeansWhatWasParsed runs a query whose path starts
+// from a union over a document at another peer. The optimised plan
+// ships the query there as text, so that text must parse back to the
+// query: its answer is the one evaluated without optimisation, and it
+// does not share a plan-cache key with the text that drops the union's
+// parentheses.
+func TestShippedQueryMeansWhatWasParsed(t *testing.T) {
+	sys, views := testSystem(t)
+	data, _ := sys.Peer("data")
+	if err := data.InstallDocument("d", xmltree.MustParse(`<r><a><c>ac</c></a><b><c>bc</c></b></r>`)); err != nil {
+		t.Fatal(err)
+	}
+	sess := newSession(t, sys, views)
+	answer := func(src string, opts ...Option) string {
+		t.Helper()
+		rows, err := sess.Query(context.Background(), src, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forest, err := rows.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(forest))
+		for i, n := range forest {
+			out[i] = xmltree.Serialize(n)
+		}
+		return strings.Join(out, " ")
+	}
+	const (
+		src  = `for $x in doc("d") return ($x/a | $x/b)/c`
+		twin = `for $x in doc("d") return $x/a | $x/b/c`
+	)
+	want := answer(src, WithNoOptimize())
+	if want != "<c>ac</c> <c>bc</c>" {
+		t.Fatalf("unoptimised answer %s", want)
+	}
+	if got := answer(src); got != want {
+		t.Errorf("optimised answer %s, want %s", got, want)
+	}
+	for _, pair := range [][2]string{
+		{src, twin},
+		{`count((doc("d")/a | doc("d")/b)/c)`, `count(doc("d")/a | doc("d")/b/c)`},
+		{`(-$x)/c`, `-$x/c`},
+	} {
+		a, b := view.QueryKey(xquery.MustParse(pair[0])), view.QueryKey(xquery.MustParse(pair[1]))
+		if a == b {
+			t.Errorf("%s and %s share the key %s", pair[0], pair[1], a)
+		}
+	}
+}

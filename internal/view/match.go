@@ -21,7 +21,8 @@
 package view
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"axml/internal/xpath"
 	"axml/internal/xquery"
@@ -48,11 +49,20 @@ func QueryKey(q *xquery.Query) string {
 	if len(conjuncts) < 2 {
 		return q.String()
 	}
+	// Each conjunct renders once, for the sort.
+	type keyed struct {
+		text string
+		x    xpath.Expr
+	}
+	byText := make([]keyed, len(conjuncts))
+	for i, c := range conjuncts {
+		byText[i] = keyed{c.String(), c}
+	}
+	slices.SortStableFunc(byText, func(a, b keyed) int { return strings.Compare(a.text, b.text) })
 	sorted := make([]xpath.Expr, len(conjuncts))
-	copy(sorted, conjuncts)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sorted[i].String() < sorted[j].String()
-	})
+	for i, k := range byText {
+		sorted[i] = k.x
+	}
 	norm := &xquery.Query{Params: q.Params, Body: &xquery.FLWR{
 		Clauses: body.Clauses,
 		Where:   &xquery.Path{X: joinAnd(sorted)},

@@ -7,7 +7,8 @@ import (
 
 // Expr is a compiled XPath expression node.
 type Expr interface {
-	// String renders the expression back to (normalized) XPath syntax.
+	// String renders the expression back to (normalized) XPath
+	// syntax, as Append writes it.
 	String() string
 }
 
@@ -66,20 +67,22 @@ type NodeTest struct {
 	Name string // for TestName
 }
 
-func (t NodeTest) String() string {
+func (t NodeTest) String() string { return string(t.appendTo(nil)) }
+
+func (t NodeTest) appendTo(b []byte) []byte {
 	switch t.Kind {
 	case TestName:
-		return t.Name
+		return append(b, t.Name...)
 	case TestWild:
-		return "*"
+		return append(b, '*')
 	case TestText:
-		return "text()"
+		return append(b, "text()"...)
 	case TestNode:
-		return "node()"
+		return append(b, "node()"...)
 	case TestComment:
-		return "comment()"
+		return append(b, "comment()"...)
 	}
-	return "?"
+	return append(b, '?')
 }
 
 // Step is one location step: axis::test[pred1][pred2]...
@@ -89,34 +92,35 @@ type Step struct {
 	Preds []Expr
 }
 
-func (s Step) String() string {
-	var sb strings.Builder
+func (s Step) String() string { return string(s.appendTo(nil)) }
+
+func (s Step) appendTo(b []byte) []byte {
 	switch s.Axis {
 	case AxisChild:
 		// default axis, no prefix
 	case AxisAttribute:
-		sb.WriteByte('@')
+		b = append(b, '@')
 	case AxisSelf:
 		if s.Test.Kind == TestNode && len(s.Preds) == 0 {
-			return "."
+			return append(b, '.')
 		}
-		sb.WriteString("self::")
+		b = append(b, "self::"...)
 	case AxisParent:
 		if s.Test.Kind == TestNode && len(s.Preds) == 0 {
-			return ".."
+			return append(b, ".."...)
 		}
-		sb.WriteString("parent::")
+		b = append(b, "parent::"...)
 	default:
-		sb.WriteString(s.Axis.String())
-		sb.WriteString("::")
+		b = append(b, s.Axis.String()...)
+		b = append(b, "::"...)
 	}
-	sb.WriteString(s.Test.String())
+	b = s.Test.appendTo(b)
 	for _, p := range s.Preds {
-		sb.WriteByte('[')
-		sb.WriteString(p.String())
-		sb.WriteByte(']')
+		b = append(b, '[')
+		b = Append(b, p)
+		b = append(b, ']')
 	}
-	return sb.String()
+	return b
 }
 
 // PathExpr is a location path, optionally rooted ('/...'), optionally
@@ -127,32 +131,7 @@ type PathExpr struct {
 	Steps    []Step
 }
 
-func (p *PathExpr) String() string {
-	var sb strings.Builder
-	if p.Filter != nil {
-		sb.WriteString(p.Filter.String())
-		for _, s := range p.Steps {
-			sb.WriteByte('/')
-			sb.WriteString(s.String())
-		}
-		return sb.String()
-	}
-	if p.Absolute && len(p.Steps) == 0 {
-		// A bare root in parentheses, or a name or '*' after it would
-		// read as its first step.
-		return "(/)"
-	}
-	if p.Absolute {
-		sb.WriteByte('/')
-	}
-	for i, s := range p.Steps {
-		if i > 0 {
-			sb.WriteByte('/')
-		}
-		sb.WriteString(s.String())
-	}
-	return sb.String()
-}
+func (p *PathExpr) String() string { return render(p) }
 
 // BinaryExpr is an operator application: or, and, =, !=, <, <=, >, >=,
 // +, -, *, div, mod.
@@ -161,27 +140,19 @@ type BinaryExpr struct {
 	L, R Expr
 }
 
-func (b *BinaryExpr) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.L.String(), b.Op, b.R.String())
-}
+func (b *BinaryExpr) String() string { return render(b) }
 
 // UnionExpr is path1 | path2 | ...
 type UnionExpr struct {
 	Paths []Expr
 }
 
-func (u *UnionExpr) String() string {
-	parts := make([]string, len(u.Paths))
-	for i, p := range u.Paths {
-		parts[i] = p.String()
-	}
-	return strings.Join(parts, " | ")
-}
+func (u *UnionExpr) String() string { return render(u) }
 
 // NegExpr is unary minus.
 type NegExpr struct{ X Expr }
 
-func (n *NegExpr) String() string { return "-" + n.X.String() }
+func (n *NegExpr) String() string { return render(n) }
 
 // NumberLit is a numeric literal.
 type NumberLit float64
@@ -195,17 +166,18 @@ func (n NumberLit) String() string { return formatNumber(float64(n)) }
 // StringLit is a string literal.
 type StringLit string
 
-func (s StringLit) String() string {
-	if strings.Contains(string(s), `"`) {
-		return "'" + string(s) + "'"
-	}
-	return `"` + string(s) + `"`
-}
+func (s StringLit) String() string { return render(s) }
 
 // VarRef is a $variable reference.
 type VarRef string
 
-func (v VarRef) String() string { return "$" + string(v) }
+func (v VarRef) String() string { return render(v) }
+
+// DocVar is the name prefix of the variable a doc("name") call reads
+// as, when NewParser is asked to: $#doc:name. No text can name that
+// variable, as '#' cannot start a name, so Append writes every such
+// variable back as doc("name").
+const DocVar = "#doc:"
 
 // FuncCall is a core-library (or registered extension) function call.
 type FuncCall struct {
@@ -213,12 +185,112 @@ type FuncCall struct {
 	Args []Expr
 }
 
-func (f *FuncCall) String() string {
-	parts := make([]string, len(f.Args))
-	for i, a := range f.Args {
-		parts[i] = a.String()
+func (f *FuncCall) String() string { return render(f) }
+
+func render(e Expr) string { return string(Append(make([]byte, 0, 64), e)) }
+
+// Append appends e to b as text that parses back to e, which is how a
+// query travels to the peer that evaluates it and how the plan cache
+// and the view matcher compare queries. An operator application is
+// written (L op R); a doc variable as doc("name"); and a path's start,
+// or a union's operand, in parentheses when it is not a primary — a
+// union, a negation, or a path that would run on into the steps after
+// it. The text grows in one buffer, so an operator chain renders in
+// time linear in its length.
+func Append(b []byte, e Expr) []byte {
+	switch v := e.(type) {
+	case *PathExpr:
+		if v.Filter != nil {
+			b = appendIn(b, v.Filter, true)
+			for _, s := range v.Steps {
+				b = append(b, '/')
+				b = s.appendTo(b)
+			}
+			return b
+		}
+		if v.Absolute && len(v.Steps) == 0 {
+			// A bare root in parentheses, or a name or '*' after it would
+			// read as its first step.
+			return append(b, "(/)"...)
+		}
+		if v.Absolute {
+			b = append(b, '/')
+		}
+		for i, s := range v.Steps {
+			if i > 0 {
+				b = append(b, '/')
+			}
+			b = s.appendTo(b)
+		}
+		return b
+	case *BinaryExpr:
+		b = append(b, '(')
+		b = Append(b, v.L)
+		b = append(b, ' ')
+		b = append(b, v.Op...)
+		b = append(b, ' ')
+		b = Append(b, v.R)
+		return append(b, ')')
+	case *UnionExpr:
+		for i, p := range v.Paths {
+			if i > 0 {
+				b = append(b, " | "...)
+			}
+			b = appendIn(b, p, false)
+		}
+		return b
+	case *NegExpr:
+		return Append(append(b, '-'), v.X)
+	case NumberLit:
+		return append(b, formatNumber(float64(v))...)
+	case StringLit:
+		return appendQuoted(b, string(v))
+	case VarRef:
+		if name, ok := strings.CutPrefix(string(v), DocVar); ok {
+			return append(appendQuoted(append(b, "doc("...), name), ')')
+		}
+		return append(append(b, '$'), v...)
+	case *FuncCall:
+		b = append(b, v.Name...)
+		b = append(b, '(')
+		for i, a := range v.Args {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = Append(b, a)
+		}
+		return append(b, ')')
 	}
-	return f.Name + "(" + strings.Join(parts, ", ") + ")"
+	return append(b, e.String()...)
+}
+
+// appendQuoted appends s as a string literal: in double quotes unless
+// it holds one. The lexer has no escapes, so a literal holds no quote
+// of the kind that delimits it.
+func appendQuoted(b []byte, s string) []byte {
+	q := byte('"')
+	if strings.Contains(s, `"`) {
+		q = '\''
+	}
+	return append(append(append(b, q), s...), q)
+}
+
+// appendIn appends e where the grammar wants a path (a union's
+// operand) or, with primary set, a primary (a path's start), in
+// parentheses when e would not read back as one there: a union, a
+// negation, or, as a path's start, a path with steps.
+func appendIn(b []byte, e Expr, primary bool) []byte {
+	paren := false
+	switch v := e.(type) {
+	case *UnionExpr, *NegExpr:
+		paren = true
+	case *PathExpr:
+		paren = primary && (!v.Absolute || len(v.Steps) > 0)
+	}
+	if !paren {
+		return Append(b, e)
+	}
+	return append(Append(append(b, '('), e), ')')
 }
 
 // PlainNameSteps reports whether every step is child::name without

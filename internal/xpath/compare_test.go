@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"axml/internal/workload"
@@ -76,11 +77,14 @@ func FuzzCompareAgainstReference(f *testing.F) {
 }
 
 // FuzzCompile fuzzes compilation alone: Compile never panics, an
-// accepted text's String() compiles to the same String() (queries are
-// shipped to other peers as text), and a refused one is a
-// *SyntaxError at an offset within the text.
+// accepted text's String() compiles to the same tree and the same
+// String() (queries are shipped to other peers as text), and a refused
+// one is a *SyntaxError at an offset within the text.
 func FuzzCompile(f *testing.F) {
 	for _, src := range compileErrorSources {
+		f.Add(src)
+	}
+	for _, src := range renderSources {
 		f.Add(src)
 	}
 	for _, row := range streamedRows {
@@ -100,6 +104,9 @@ func FuzzCompile(f *testing.F) {
 		c2, err := Compile(rendered)
 		if err != nil {
 			t.Fatalf("Compile(%q) renders %q, which does not compile: %v", src, rendered, err)
+		}
+		if !reflect.DeepEqual(c2.Root, c.Root) {
+			t.Fatalf("Compile(%q) renders %q, which compiles to another expression", src, rendered)
 		}
 		if again := c2.String(); again != rendered {
 			t.Fatalf("Compile(%q) renders %q, which renders %q", src, rendered, again)

@@ -21,7 +21,9 @@
 // tokens plus XQuery's { } := and ; one at a time, with whitespace and
 // nested (: … :) comments between them. Compile reads one expression
 // with it; the xquery parser reads a whole query, handing each
-// embedded expression back to it.
+// embedded expression back to it. Query text has one printer too,
+// Append: every expression, a doc("name") included, renders through it
+// into one buffer, as text that parses back to the same tree.
 package xpath
 
 import (

@@ -8,7 +8,7 @@ import (
 
 // Compile parses an XPath expression into an executable form.
 func Compile(src string) (*Compiled, error) {
-	p := NewParser(src, "")
+	p := NewParser(src, false)
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -37,18 +37,18 @@ func MustCompile(src string) *Compiled {
 // the text given to NewParser.
 type Parser struct {
 	lexer
-	tok    token // the current token
-	ahead  token // the token after it, once peek has lexed it
-	peeked bool
-	docVar string   // when set, doc("name") reads as the variable docVar+name
-	docs   []string // the names those calls referenced, for Expr
+	tok     token // the current token
+	ahead   token // the token after it, once peek has lexed it
+	peeked  bool
+	docVars bool     // doc("name") reads as the variable DocVar+name
+	docs    []string // the names those calls referenced, for Expr
 }
 
 // NewParser returns a parser positioned at the first token of src.
-// With a non-empty docVar, a call doc("name") — one string literal,
-// nothing else — is read as the variable reference $docVar+name.
-func NewParser(src, docVar string) *Parser {
-	p := &Parser{lexer: lexer{src: src}, docVar: docVar}
+// With docVars set, a call doc("name") — one string literal, nothing
+// else — is read as the variable reference $#doc:name (DocVar).
+func NewParser(src string, docVars bool) *Parser {
+	p := &Parser{lexer: lexer{src: src}, docVars: docVars}
 	p.tok = p.lex()
 	return p
 }
@@ -538,7 +538,7 @@ func (p *Parser) tryParsePrimary() (Expr, bool, error) {
 			if err := p.expect(tokRParen); err != nil {
 				return nil, false, err
 			}
-			if name == "doc" && p.docVar != "" {
+			if name == "doc" && p.docVars {
 				v, err := p.docRef(fc, pos)
 				return v, err == nil, err
 			}
@@ -550,7 +550,7 @@ func (p *Parser) tryParsePrimary() (Expr, bool, error) {
 	}
 }
 
-// docRef reads doc("name") as the variable $docVar+name.
+// docRef reads doc("name") as the variable $#doc:name.
 func (p *Parser) docRef(fc *FuncCall, pos int) (Expr, error) {
 	if len(fc.Args) != 1 {
 		return nil, &SyntaxError{Expr: p.src, Pos: pos, Msg: "doc() takes exactly one argument"}
@@ -562,5 +562,5 @@ func (p *Parser) docRef(fc *FuncCall, pos int) (Expr, error) {
 	if !slices.Contains(p.docs, string(lit)) {
 		p.docs = append(p.docs, string(lit))
 	}
-	return VarRef(p.docVar + string(lit)), nil
+	return VarRef(DocVar + string(lit)), nil
 }

@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -551,6 +552,46 @@ func TestStringRendering(t *testing.T) {
 		if err1 == nil && v1.Str() != v2.Str() {
 			t.Errorf("value divergence for %q: %q vs %q", src, v1.Str(), v2.Str())
 		}
+	}
+}
+
+// renderSources are texts whose parentheses the rendering keeps, as
+// the text parses to another expression without them: a path that
+// starts from a union, a negation or another path, and a union of a
+// negation or of a union.
+var renderSources = []string{
+	`($x/a | $x/b)/c`,
+	`count((doc("d")/a | doc("d")/b)/c)`,
+	`(-$x)/c`,
+	`($x/a)/b`,
+	`(/a)/descendant::b`,
+	`$a | (-$b)`,
+	`$a | ($b | $c)`,
+	`(/)/a`,
+}
+
+func TestRenderKeepsParentheses(t *testing.T) {
+	for _, src := range renderSources {
+		c := MustCompile(src)
+		if got := c.String(); got != src {
+			t.Errorf("%s renders %s", src, got)
+		}
+		if again := MustCompile(c.String()); !reflect.DeepEqual(again.Root, c.Root) {
+			t.Errorf("%s renders a text that compiles to another expression", src)
+		}
+	}
+}
+
+// TestRenderChainAllocations renders an operator chain of 5,000 terms:
+// the text grows in one buffer, so it costs a few allocations, not one
+// (or more) per operator.
+func TestRenderChainAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	c := MustCompile(strings.Repeat("1 + ", 5000) + "1")
+	if got := testing.AllocsPerRun(5, func() { _ = c.String() }); got > 20 {
+		t.Errorf("rendering a 5,000-operator chain allocates %.0f times, want at most 20", got)
 	}
 }
 

@@ -29,6 +29,11 @@
 // `for $i in a return b` ends a's path at return. for or let at the
 // start of an expression begins a FLWR.
 //
+// Rendering is xpath's too: a Query's String writes its clauses and
+// constructors into one buffer, and xpath.Append writes each path into
+// the same buffer, $#doc:name as doc("name"). The text parses back to
+// the same query, which is what a delegated query travels as.
+//
 // Beyond parsing and evaluation the package provides the two analyses
 // the rewrite rules need: document-dependency extraction and the
 // selection-pushdown decomposition q ≡ q1(σ(q2)) of Example 1.
@@ -47,11 +52,7 @@
 // strings inexact there.
 package xquery
 
-import (
-	"strings"
-
-	"axml/internal/xpath"
-)
+import "axml/internal/xpath"
 
 // Query is a parsed query: an optional parameter list and a body
 // expression. A query with parameters is the implementation of a
@@ -66,22 +67,32 @@ type Query struct {
 // Arity returns the number of parameters (the n of τin ∈ Θⁿ).
 func (q *Query) Arity() int { return len(q.Params) }
 
-// String renders the query back to parseable source text.
+// String renders the query back to parseable source text: the text a
+// delegated query travels as, and the plan cache's key. Every node
+// writes into one buffer, its XPath through xpath.Append.
 func (q *Query) String() string {
-	var sb strings.Builder
+	b := make([]byte, 0, 128)
 	if len(q.Params) > 0 {
-		sb.WriteString("param $")
-		sb.WriteString(strings.Join(q.Params, ", $"))
-		sb.WriteString("; ")
+		b = append(b, "param"...)
+		for i, p := range q.Params {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(append(b, " $"...), p...)
+		}
+		b = append(b, "; "...)
 	}
-	sb.WriteString(q.Body.String())
-	return sb.String()
+	return string(q.Body.appendTo(b))
 }
 
 // Expr is a node of the query AST.
 type Expr interface {
 	String() string
+	// appendTo appends the text String returns.
+	appendTo(b []byte) []byte
 }
+
+func render(e Expr) string { return string(e.appendTo(make([]byte, 0, 64))) }
 
 // ForClause binds Var to each node of the Source sequence in turn.
 type ForClause struct {
@@ -114,47 +125,46 @@ type FLWR struct {
 // Clause is either a ForClause or a LetClause.
 type Clause interface {
 	clauseVar() string
-	String() string
+	appendTo(b []byte) []byte
 }
 
 func (f ForClause) clauseVar() string { return f.Var }
 func (l LetClause) clauseVar() string { return l.Var }
 
-func (f ForClause) String() string {
-	return "for $" + f.Var + " in " + f.Source.String()
+func (f ForClause) appendTo(b []byte) []byte {
+	b = append(append(b, "for $"...), f.Var...)
+	return f.Source.appendTo(append(b, " in "...))
 }
 
-func (l LetClause) String() string {
-	return "let $" + l.Var + " := " + l.Source.String()
+func (l LetClause) appendTo(b []byte) []byte {
+	b = append(append(b, "let $"...), l.Var...)
+	return l.Source.appendTo(append(b, " := "...))
 }
 
-func (f *FLWR) String() string {
-	var sb strings.Builder
+func (f *FLWR) String() string { return render(f) }
+
+func (f *FLWR) appendTo(b []byte) []byte {
 	for i, c := range f.Clauses {
 		if i > 0 {
-			sb.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		sb.WriteString(c.String())
+		b = c.appendTo(b)
 	}
 	if f.Where != nil {
-		sb.WriteString(" where ")
-		sb.WriteString(f.Where.String())
+		b = f.Where.appendTo(append(b, " where "...))
 	}
 	if f.Order != nil {
-		sb.WriteString(" order by ")
-		sb.WriteString(f.Order.Key.String())
+		b = f.Order.Key.appendTo(append(b, " order by "...))
 		if f.Order.Descending {
-			sb.WriteString(" descending")
+			b = append(b, " descending"...)
 		}
 	}
-	sb.WriteString(" return ")
-	sb.WriteString(f.Return.String())
-	return sb.String()
+	return f.Return.appendTo(append(b, " return "...))
 }
 
 // Path wraps an XPath expression used as a query expression. Doc
-// references doc("name") inside it are the synthetic variables
-// "#doc:name", the names listed in Docs.
+// references doc("name") inside it are the variables $#doc:name
+// (xpath.DocVar), the names listed in Docs.
 type Path struct {
 	X    xpath.Expr
 	Docs []string // document names referenced via doc()
@@ -166,7 +176,7 @@ type Path struct {
 // re-root a query on a different document.
 func DocPath(name string, steps ...xpath.Step) *Path {
 	return &Path{
-		X:    &xpath.PathExpr{Filter: xpath.VarRef(docVarPrefix + name), Steps: steps},
+		X:    &xpath.PathExpr{Filter: xpath.VarRef(xpath.DocVar + name), Steps: steps},
 		Docs: []string{name},
 	}
 }
@@ -185,13 +195,15 @@ func (p *Path) DocSteps() (doc string, steps []xpath.Step, ok bool) {
 	case *xpath.PathExpr:
 		root, steps = x.Filter, x.Steps
 	}
-	if root != xpath.VarRef(docVarPrefix+p.Docs[0]) {
+	if root != xpath.VarRef(xpath.DocVar+p.Docs[0]) {
 		return "", nil, false
 	}
 	return p.Docs[0], steps, true
 }
 
-func (p *Path) String() string { return renderPathWithDocs(p.X) }
+func (p *Path) String() string { return render(p) }
+
+func (p *Path) appendTo(b []byte) []byte { return xpath.Append(b, p.X) }
 
 // Elem is an element constructor <Label attr...>content</Label>.
 // Attribute values may contain one "{expr}" template section.
@@ -209,41 +221,31 @@ type AttrTemplate struct {
 	Computed Expr // non-nil means value is computed
 }
 
-func (e *Elem) String() string {
-	var sb strings.Builder
-	sb.WriteByte('<')
-	sb.WriteString(e.Label)
+func (e *Elem) String() string { return render(e) }
+
+func (e *Elem) appendTo(b []byte) []byte {
+	b = append(append(b, '<'), e.Label...)
 	for _, a := range e.Attrs {
-		sb.WriteByte(' ')
-		sb.WriteString(a.Name)
-		sb.WriteString(`="`)
+		b = append(append(append(b, ' '), a.Name...), `="`...)
 		if a.Computed != nil {
-			sb.WriteByte('{')
-			sb.WriteString(a.Computed.String())
-			sb.WriteByte('}')
+			b = append(a.Computed.appendTo(append(b, '{')), '}')
 		} else {
-			sb.WriteString(escapeAttrLit(a.Literal))
+			b = appendEscaped(b, a.Literal, false)
 		}
-		sb.WriteByte('"')
+		b = append(b, '"')
 	}
 	if len(e.Content) == 0 {
-		sb.WriteString("/>")
-		return sb.String()
+		return append(b, "/>"...)
 	}
-	sb.WriteByte('>')
+	b = append(b, '>')
 	for _, c := range e.Content {
 		if t, ok := c.(TextLit); ok {
-			sb.WriteString(escapeTextLit(string(t)))
+			b = appendEscaped(b, string(t), true)
 			continue
 		}
-		sb.WriteByte('{')
-		sb.WriteString(c.String())
-		sb.WriteByte('}')
+		b = append(c.appendTo(append(b, '{')), '}')
 	}
-	sb.WriteString("</")
-	sb.WriteString(e.Label)
-	sb.WriteByte('>')
-	return sb.String()
+	return append(append(append(b, "</"...), e.Label...), '>')
 }
 
 // TextLit is literal text inside an element constructor.
@@ -251,105 +253,25 @@ type TextLit string
 
 func (t TextLit) String() string { return string(t) }
 
-// Seq is a comma sequence of expressions: { e1, e2 }.
-type Seq struct{ Items []Expr }
+func (t TextLit) appendTo(b []byte) []byte { return append(b, t...) }
 
-func (s *Seq) String() string {
-	parts := make([]string, len(s.Items))
-	for i, it := range s.Items {
-		parts[i] = it.String()
+// appendEscaped appends s as the parser reads it back: an attribute
+// literal with & " < as references, or element content with & < as
+// references and its braces doubled.
+func appendEscaped(b []byte, s string, content bool) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '&':
+			b = append(b, "&amp;"...)
+		case c == '<':
+			b = append(b, "&lt;"...)
+		case c == '"' && !content:
+			b = append(b, "&quot;"...)
+		case (c == '{' || c == '}') && content:
+			b = append(b, c, c)
+		default:
+			b = append(b, c)
+		}
 	}
-	return strings.Join(parts, ", ")
-}
-
-func escapeAttrLit(s string) string {
-	s = strings.ReplaceAll(s, "&", "&amp;")
-	s = strings.ReplaceAll(s, `"`, "&quot;")
-	s = strings.ReplaceAll(s, "<", "&lt;")
-	return s
-}
-
-func escapeTextLit(s string) string {
-	s = strings.ReplaceAll(s, "&", "&amp;")
-	s = strings.ReplaceAll(s, "<", "&lt;")
-	s = strings.ReplaceAll(s, "{", "{{")
-	s = strings.ReplaceAll(s, "}", "}}")
-	return s
-}
-
-// renderPathWithDocs renders an xpath AST, converting the synthetic
-// "#doc:name" variables back to doc("name") calls so that rendered
-// queries re-parse to the same AST.
-func renderPathWithDocs(e xpath.Expr) string {
-	return rewriteRender(e)
-}
-
-func rewriteRender(e xpath.Expr) string {
-	switch v := e.(type) {
-	case xpath.VarRef:
-		if name, ok := strings.CutPrefix(string(v), docVarPrefix); ok {
-			// Quote like xpath.StringLit, not %q: the lexer has no
-			// backslash escapes, so Go-style \xNN renderings of odd
-			// bytes would not survive a reparse.
-			return "doc(" + xpath.StringLit(name).String() + ")"
-		}
-		return v.String()
-	case *xpath.PathExpr:
-		var sb strings.Builder
-		if v.Filter != nil {
-			sb.WriteString(rewriteRender(v.Filter))
-			for _, s := range v.Steps {
-				sb.WriteByte('/')
-				sb.WriteString(renderStep(s))
-			}
-			return sb.String()
-		}
-		if v.Absolute && len(v.Steps) == 0 {
-			return "(/)"
-		}
-		if v.Absolute {
-			sb.WriteByte('/')
-		}
-		for i, s := range v.Steps {
-			if i > 0 {
-				sb.WriteByte('/')
-			}
-			sb.WriteString(renderStep(s))
-		}
-		return sb.String()
-	case *xpath.BinaryExpr:
-		return "(" + rewriteRender(v.L) + " " + v.Op + " " + rewriteRender(v.R) + ")"
-	case *xpath.UnionExpr:
-		parts := make([]string, len(v.Paths))
-		for i, p := range v.Paths {
-			parts[i] = rewriteRender(p)
-		}
-		return strings.Join(parts, " | ")
-	case *xpath.NegExpr:
-		return "-" + rewriteRender(v.X)
-	case *xpath.FuncCall:
-		parts := make([]string, len(v.Args))
-		for i, a := range v.Args {
-			parts[i] = rewriteRender(a)
-		}
-		return v.Name + "(" + strings.Join(parts, ", ") + ")"
-	default:
-		return e.String()
-	}
-}
-
-func renderStep(s xpath.Step) string {
-	// Steps contain predicates, which may contain doc() variables.
-	if len(s.Preds) == 0 {
-		return s.String()
-	}
-	base := xpath.Step{Axis: s.Axis, Test: s.Test}
-	var sb strings.Builder
-	sb.WriteString(base.String())
-	for _, p := range s.Preds {
-		sb.WriteByte('[')
-		sb.WriteString(rewriteRender(p))
-		sb.WriteByte(']')
-	}
-	return sb.String()
+	return b
 }

@@ -11,12 +11,11 @@
 // Laziness has one inherent limit: an order-by must see every binding
 // tuple before the first row can leave, so ordered FLWRs drain and sort
 // their tuples on the first pull — but still evaluate the return
-// expression per pull. Sequences compose lazily; bare paths evaluate
-// their node-set in one XPath pass (the language is set-oriented below
-// the FLWR level) and then hand out one node per pull. Such a pass is
-// also the one thing cancellation cannot interrupt: the context is
-// looked at before every pull and every cancelCheckEvery candidate
-// tuples of a scan.
+// expression per pull. Bare paths evaluate their node-set in one XPath
+// pass (the language is set-oriented below the FLWR level) and then
+// hand out one node per pull. Such a pass is also the one thing
+// cancellation cannot interrupt: the context is looked at before every
+// pull and every cancelCheckEvery candidate tuples of a scan.
 //
 // A candidate the where clause rejects costs no allocation: its
 // for-frame is rebound in place, and a comparison of a path with a
@@ -138,8 +137,6 @@ func exprIter(e Expr, ctx *evalCtx, own bool) rowIter {
 	switch v := e.(type) {
 	case *FLWR:
 		return &flwrIter{f: v, tuples: lazyTuples{f: v, base: ctx}, own: own}
-	case *Seq:
-		return &seqIter{items: v.Items, ctx: ctx, own: own}
 	case *Elem, TextLit:
 		return &onceIter{e: v, ctx: ctx}
 	case *Path:
@@ -216,35 +213,6 @@ func (it *pathIter) next() (*xmltree.Node, error) {
 		return xmltree.DeepCopy(n), nil
 	}
 	return n, nil
-}
-
-// seqIter concatenates the item iterators lazily.
-type seqIter struct {
-	items []Expr
-	ctx   *evalCtx
-	own   bool
-	cur   rowIter
-	i     int
-}
-
-func (it *seqIter) next() (*xmltree.Node, error) {
-	for {
-		if it.cur == nil {
-			if it.i >= len(it.items) {
-				return nil, nil
-			}
-			it.cur = exprIter(it.items[it.i], it.ctx, it.own)
-			it.i++
-		}
-		n, err := it.cur.next()
-		if err != nil {
-			return nil, err
-		}
-		if n != nil {
-			return n, nil
-		}
-		it.cur = nil
-	}
 }
 
 // flwrIter streams a FLWR: its binding tuples — straight off the clause
@@ -472,7 +440,7 @@ func (t *lazyTuples) candidates(i int, cl ForClause, cur *evalCtx) (xpath.NodeSe
 		if err := cur.bindDocs(l.src); err != nil {
 			return nil, err
 		}
-		root, _ := cur.xc.Vars.Lookup(docVarPrefix + l.doc)
+		root, _ := cur.xc.Vars.Lookup(xpath.DocVar + l.doc)
 		if idx, ok := t.base.ev.env.Index.Index(l.doc, root.(xpath.NodeSet)[0], l.shape); ok {
 			if ns := idx.Lookup(l.value); len(ns) > 0 || l.first {
 				return ns, nil

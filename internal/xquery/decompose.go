@@ -59,7 +59,7 @@ func Decompose(q *Query) (*Decomposition, bool) {
 	// The source path must not reference query parameters or other vars
 	// (those are not available at the remote peer).
 	for _, v := range xpath.Variables(src.X) {
-		if v != docVarPrefix+src.Docs[0] {
+		if v != xpath.DocVar+src.Docs[0] {
 			return nil, false
 		}
 	}

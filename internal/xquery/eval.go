@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -141,7 +142,7 @@ func (c *evalCtx) with(name string, v xpath.Value) *evalCtx {
 // synthetic variables.
 func (c *evalCtx) bindDocs(p *Path) error {
 	for _, name := range p.Docs {
-		key := docVarPrefix + name
+		key := xpath.DocVar + name
 		if _, done := c.xc.Vars.Lookup(key); done {
 			continue
 		}
@@ -170,7 +171,7 @@ func evalToValue(e Expr, ctx *evalCtx) (xpath.Value, error) {
 		return xpath.Eval(v.X, &ctx.xc)
 	case TextLit:
 		return xpath.String(v), nil
-	case *Elem, *FLWR, *Seq:
+	case *Elem, *FLWR:
 		forest, err := evalToForest(e, ctx)
 		if err != nil {
 			return nil, err
@@ -360,12 +361,6 @@ func eachPath(e Expr, f func(xpath.Expr) bool) bool {
 				return false
 			}
 		}
-	case *Seq:
-		for _, it := range v.Items {
-			if !eachPath(it, f) {
-				return false
-			}
-		}
 	}
 	return true
 }
@@ -374,41 +369,12 @@ func eachPath(e Expr, f func(xpath.Expr) bool) bool {
 // doc("name"), in first-occurrence order.
 func (q *Query) DocRefs() []string {
 	var out []string
-	seen := map[string]bool{}
-	var walkX func(e xpath.Expr)
-	walkX = func(e xpath.Expr) {
-		switch v := e.(type) {
-		case xpath.VarRef:
-			if name, ok := strings.CutPrefix(string(v), docVarPrefix); ok && !seen[name] {
-				seen[name] = true
+	eachPath(q.Body, func(x xpath.Expr) bool {
+		for _, v := range xpath.Variables(x) {
+			if name, ok := strings.CutPrefix(v, xpath.DocVar); ok && !slices.Contains(out, name) {
 				out = append(out, name)
 			}
-		case *xpath.PathExpr:
-			if v.Filter != nil {
-				walkX(v.Filter)
-			}
-			for _, s := range v.Steps {
-				for _, p := range s.Preds {
-					walkX(p)
-				}
-			}
-		case *xpath.BinaryExpr:
-			walkX(v.L)
-			walkX(v.R)
-		case *xpath.UnionExpr:
-			for _, p := range v.Paths {
-				walkX(p)
-			}
-		case *xpath.NegExpr:
-			walkX(v.X)
-		case *xpath.FuncCall:
-			for _, a := range v.Args {
-				walkX(a)
-			}
 		}
-	}
-	eachPath(q.Body, func(x xpath.Expr) bool {
-		walkX(x)
 		return true
 	})
 	return out

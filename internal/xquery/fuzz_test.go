@@ -2,6 +2,7 @@ package xquery
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -36,13 +37,19 @@ var fuzzParseSeeds = []string{
 	`"x (: y"`,
 	`doc("r")/return`,
 	`<a>{{x}} {1} }}</a>`,
+	// A path that starts from a union or a negation keeps the
+	// parentheses around its start when it is rendered.
+	`($x/a | $x/b)/c`,
+	`count((doc("d")/a | doc("d")/b)/c)`,
+	`(-$x)/c`,
 }
 
 // FuzzParse hardens the first untrusted input surface: every query a
 // wire client sends reaches Parse verbatim. The parser must never
 // panic, and anything it accepts must survive a print→parse round trip
-// (String() is how queries are shipped to other peers for delegation,
-// so an unparsable rendering would break distribution, not printing).
+// to the same tree (String() is how queries are shipped to other peers
+// for delegation, so a rendering that parses to another query would
+// change the answer, not just the printing).
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzParseSeeds {
 		f.Add(s)
@@ -60,6 +67,9 @@ func FuzzParse(f *testing.F) {
 		q2, err := Parse(rendered)
 		if err != nil {
 			t.Fatalf("round trip failed: Parse(%q) ok, but reparse of %q: %v", src, rendered, err)
+		}
+		if !reflect.DeepEqual(q2, q) {
+			t.Fatalf("Parse(%q) renders %q, which parses to another query", src, rendered)
 		}
 		// Idempotence: the rendering of the reparse must be stable, or
 		// delegated fragments would drift hop by hop.

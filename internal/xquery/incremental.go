@@ -227,7 +227,7 @@ func (d *DeltaFor) DeltaEventsFeed(env *Env, commits []xmltree.Commit) (ev *Even
 	if err := ctx.bindDocs(d.source); err != nil {
 		return nil, err
 	}
-	bound, _ := ctx.xc.Vars.Lookup(docVarPrefix + d.source.Docs[0])
+	bound, _ := ctx.xc.Vars.Lookup(xpath.DocVar + d.source.Docs[0])
 	root := bound.(xpath.NodeSet)[0]
 
 	// touched holds, per source a commit may have changed, the

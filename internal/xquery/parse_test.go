@@ -72,6 +72,11 @@ var parseParity = []struct{ src, want string }{
 	{`for $i in doc("catalog")/item where $i/price < 500 return $i`, `for $i in doc("catalog")/item where ($i/price < 500) return $i`},
 	{`for $i in doc("catalog")/item where $i/price < 123 return <h7>{$i/name}</h7>`, `for $i in doc("catalog")/item where ($i/price < 123) return <h7>{$i/name}</h7>`},
 	{`doc("catalog")/item[@id="17"]/price`, `doc("catalog")/item[(@id = "17")]/price`},
+	// The old renderings dropped the parentheses around a path's start,
+	// and parsed to another query.
+	{`($x/a | $x/b)/c`, `($x/a | $x/b)/c`},                                       // was `$x/a | $x/b/c`
+	{`count((doc("d")/a | doc("d")/b)/c)`, `count((doc("d")/a | doc("d")/b)/c)`}, // was `count(doc("d")/a | doc("d")/b/c)`
+	{`(-$x)/c`, `(-$x)/c`},                                                       // was `-$x/c`
 }
 
 func TestParseParity(t *testing.T) {

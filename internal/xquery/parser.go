@@ -7,10 +7,6 @@ import (
 	"axml/internal/xpath"
 )
 
-// docVarPrefix is the prefix of synthetic variables that stand for
-// doc("name") references after parsing.
-const docVarPrefix = "#doc:"
-
 // Parse parses a query:
 //
 //	[param $a, $b;] expr
@@ -33,7 +29,7 @@ func Parse(src string) (*Query, error) {
 // returns the offset of the first token after it: len(src) when the
 // query is all of src.
 func ParsePrefix(src string) (q *Query, end int, err error) {
-	p := &qparser{Parser: xpath.NewParser(src, docVarPrefix), src: src}
+	p := &qparser{Parser: xpath.NewParser(src, true), src: src}
 	q = &Query{}
 	if p.Word() == "param" {
 		p.Next()

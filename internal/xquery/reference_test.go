@@ -32,7 +32,7 @@ func refEvalToValue(e Expr, ctx *evalCtx) (xpath.Value, error) {
 		return xpath.Eval(v.X, &ctx.xc)
 	case TextLit:
 		return xpath.String(v), nil
-	case *Elem, *FLWR, *Seq:
+	case *Elem, *FLWR:
 		forest, err := refEvalToForest(e, ctx)
 		if err != nil {
 			return nil, err
@@ -54,16 +54,6 @@ func refEvalToForest(e Expr, ctx *evalCtx) ([]*xmltree.Node, error) {
 			return nil, err
 		}
 		return []*xmltree.Node{n}, nil
-	case *Seq:
-		var out []*xmltree.Node
-		for _, item := range v.Items {
-			f, err := refEvalToForest(item, ctx)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, f...)
-		}
-		return out, nil
 	case TextLit:
 		return []*xmltree.Node{xmltree.NewText(string(v))}, nil
 	case *Path:

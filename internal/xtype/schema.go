@@ -290,17 +290,6 @@ func (sig *Signature) CheckInput(args [][]*xmltree.Node) error {
 	return nil
 }
 
-// CheckOutput validates a result tree against τout.
-func (sig *Signature) CheckOutput(out *xmltree.Node) error {
-	if sig == nil || sig.Out == nil {
-		return nil
-	}
-	if !sig.Out.Conforms(out) {
-		return fmt.Errorf("xtype: result does not conform to %s", sig.Out)
-	}
-	return nil
-}
-
 func (sig *Signature) String() string {
 	if sig == nil {
 		return "(...) -> xs:any"
