@@ -321,13 +321,18 @@ func ParseSchema(src string) (*Schema, error) { return xtype.ParseSchema(src) }
 // Optimize searches for the cheapest equivalent plan of e evaluated at
 // peer at, under the paper's equivalence rules plus the system's
 // materialized-view rewritings: a plan reading a nearby view competes
-// with base-data shipping on real link costs.
+// with base-data shipping on real link costs. The search is bounded (4
+// rule applications along a derivation, 512 plans in all) and scores
+// plans with opt.DefaultWeights; opts.Rules replaces the default rule
+// set, for ablations. It returns the chosen plan and the number of
+// plans explored.
 func Optimize(sys *System, at PeerID, e Expr, opts OptOptions) (*Plan, int, error) {
 	opts.ExtraRules = append(opts.ExtraRules, sys.views.Rule())
 	return opt.Optimize(sys.System, at, e, opts)
 }
 
-// DefaultRules returns the full rule set (10)–(16).
+// DefaultRules returns the rules (10)–(16), each read in the direction
+// that moves work or data; the search needs no inverse readings.
 func DefaultRules() []RewriteRule { return rewrite.DefaultRules() }
 
 // ExprToXML serializes an expression to its XML tree form (§3.1).

@@ -5,7 +5,9 @@
 // pipeline, where the cost-based optimizer derives the (11)+(10)
 // rewrite and only matching items ship. The example prints the
 // measured traffic of both, then repeats the optimized query to show
-// the session's plan cache skipping the second optimizer search.
+// the session's plan cache skipping the second optimizer search. It
+// exits non-zero unless both plans answer alike and the optimized one
+// moves fewer bytes.
 //
 //	go run ./examples/selectpush
 package main
@@ -98,5 +100,8 @@ func main() {
 
 	if len(nForest) != len(oForest) {
 		log.Fatalf("plans disagree: %d vs %d results", len(nForest), len(oForest))
+	}
+	if oStats.Bytes >= nStats.Bytes {
+		log.Fatalf("the optimized session moved %d bytes, the naive one %d", oStats.Bytes, nStats.Bytes)
 	}
 }

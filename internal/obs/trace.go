@@ -163,9 +163,7 @@ func StartSpan(ctx context.Context, phase, name string) (context.Context, *Span)
 		return ctx, nil
 	}
 	parent, _ := ctx.Value(spanCtxKey{}).(uint64)
-	if len(name) > maxSpanName {
-		name = name[:maxSpanName] + "…"
-	}
+	name = clipName(name)
 	now := time.Now()
 	t.mu.Lock()
 	t.nextID++
@@ -177,6 +175,25 @@ func StartSpan(ctx context.Context, phase, name string) (context.Context, *Span)
 	t.spans = append(t.spans, sp)
 	t.mu.Unlock()
 	return context.WithValue(ctx, spanCtxKey{}, sp.ID), sp
+}
+
+func clipName(name string) string {
+	if len(name) > maxSpanName {
+		return name[:maxSpanName] + "…"
+	}
+	return name
+}
+
+// Rename names the span after what it covers once that is known, such
+// as a query's parsed text.
+func (s *Span) Rename(name string) {
+	if s == nil {
+		return
+	}
+	name = clipName(name)
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	s.Name = name
 }
 
 // End closes the span, fixing its wall duration. Idempotent.

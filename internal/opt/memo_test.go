@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"strings"
 	"testing"
 
 	"axml/internal/core"
@@ -13,24 +14,33 @@ import (
 
 // TestCostCounters pins what one plan-cache miss costs on the perf
 // ledger's shapes: plans explored and sub-plan estimates computed
-// exactly, allocations as a ceiling. Keyed by serialized plan and
-// priced from the root, the same misses explored 49 and 81 plans and
-// computed 197 and 315 estimates in 10,027 and 16,373 allocations.
+// exactly, allocations as a ceiling, and the plan chosen. Keyed by
+// serialized plan and priced from the root, the same misses explored 49
+// and 81 plans and computed 197 and 315 estimates in 10,027 and 16,373
+// allocations.
 func TestCostCounters(t *testing.T) {
-	want := map[string]struct{ explored, priced, allocs int }{
-		"plan_churn":    {41, 88, 4700},
-		"view_subsumed": {69, 102, 7600},
+	want := map[string]struct {
+		explored, priced, allocs int
+		deriv                    string
+	}{
+		"plan_churn":    {16, 39, 1850, "pushSelection(11) @ /; delegate(10/14) @ /"},
+		"view_subsumed": {9, 16, 950, "useView @ /"},
 	}
 	for _, s := range missShapes() {
 		t.Run(s.name, func(t *testing.T) {
 			w := want[s.name]
 			sys, opts, e := s.setup(t)
 			est := NewEstimator(sys)
-			if _, explored, err := est.optimize("store", e, opts); err != nil {
+			plan, explored, err := est.optimize("store", e, opts)
+			if err != nil {
 				t.Fatal(err)
-			} else if explored != w.explored || est.memo.priced != w.priced {
+			}
+			if explored != w.explored || est.memo.priced != w.priced {
 				t.Errorf("explored %d plans and computed %d estimates, want %d and %d",
 					explored, est.memo.priced, w.explored, w.priced)
+			}
+			if got := strings.Join(plan.Derivation, "; "); got != w.deriv {
+				t.Errorf("chose [%s], want [%s]", got, w.deriv)
 			}
 			allocs := testing.AllocsPerRun(5, func() {
 				if _, _, err := Optimize(sys, "store", e, opts); err != nil {

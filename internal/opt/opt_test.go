@@ -15,7 +15,7 @@ import (
 	"axml/internal/xquery"
 )
 
-// buildSystem: client, data (big catalog + declarative service), spare.
+// buildSystem: client, data (big catalog + declarative services), spare.
 func buildSystem(t testing.TB, items int) *core.System {
 	t.Helper()
 	net := netsim.New()
@@ -39,6 +39,10 @@ func buildSystem(t testing.TB, items int) *core.System {
 	}
 	q := xquery.MustParse(`for $i in doc("catalog")/item return <offer>{$i/name, $i/price}</offer>`)
 	if err := data.RegisterService(&service.Service{Name: "offers", Provider: "data", Body: q}); err != nil {
+		t.Fatal(err)
+	}
+	q = xquery.MustParse(`param $max; for $i in doc("catalog")/item where $i/price < $max return <offer>{$i/name}</offer>`)
+	if err := data.RegisterService(&service.Service{Name: "cheaper", Provider: "data", Body: q}); err != nil {
 		t.Fatal(err)
 	}
 	return sys
@@ -181,7 +185,7 @@ func TestOptimizerShareTransfer(t *testing.T) {
 		&core.Doc{Name: "catalog", At: "data"},
 	}}
 	plan, _, err := Optimize(sys, "client", e, Options{
-		Rules: []rewrite.Rule{rewrite.ShareTransfer{}, rewrite.UnshareTransfer{}},
+		Rules: []rewrite.Rule{rewrite.ShareTransfer{}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,6 +193,67 @@ func TestOptimizerShareTransfer(t *testing.T) {
 	pq, ok := plan.Expr.(*core.Query)
 	if !ok || !pq.ShareArgs {
 		t.Errorf("optimizer should enable transfer sharing: %s", plan.Expr.String())
+	}
+}
+
+// TestEachRuleChosen: every rule of the default set is the chosen
+// derivation of some plan, under the default rules and weights, and
+// the chosen plan evaluates.
+func TestEachRuleChosen(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(t *testing.T) (*core.System, netsim.PeerID, core.Expr)
+		deriv string
+	}{
+		{"(10) a bare selection shipped whole", func(t *testing.T) (*core.System, netsim.PeerID, core.Expr) {
+			q := xquery.MustParse(`for $i in doc("catalog")/item where $i/price < 10 return $i`)
+			return buildSystem(t, 200), "client", &core.Query{Q: q, At: "client"}
+		}, "delegate(10/14) @ /"},
+		{"(11) Example 1", func(t *testing.T) (*core.System, netsim.PeerID, core.Expr) {
+			q := xquery.MustParse(`for $i in doc("catalog")/item where $i/price < 10 return $i/name`)
+			return buildSystem(t, 200), "client", &core.Query{Q: q, At: "client"}
+		}, "pushSelection(11) @ /; delegate(10/14) @ /"},
+		{"(12) a slow direct link", func(t *testing.T) (*core.System, netsim.PeerID, core.Expr) {
+			payload := xmltree.E("blob", xmltree.T(strings.Repeat("x", 5000)))
+			return freshRouteSystem(t), "src", &core.Send{Dest: core.DestPeer{P: "dst"}, Payload: &core.Tree{Node: payload, At: "src"}}
+		}, "routeIntro(12) @ /"},
+		{"(13) one document read twice", func(t *testing.T) (*core.System, netsim.PeerID, core.Expr) {
+			q := xquery.MustParse(`param $a, $b; <pair>{count($a/item), count($b/item)}</pair>`)
+			return buildSystem(t, 100), "client", &core.Query{Q: q, At: "client", Args: []core.Expr{
+				&core.Doc{Name: "catalog", At: "data"}, &core.Doc{Name: "catalog", At: "data"}}}
+		}, "shareTransfer(13) @ /"},
+		{"(15) a call forwarding to a third peer", func(t *testing.T) (*core.System, netsim.PeerID, core.Expr) {
+			sys := buildSystem(t, 50)
+			spare, _ := sys.Peer("spare")
+			if err := spare.InstallDocument("inbox", xmltree.E("inbox")); err != nil {
+				t.Fatal(err)
+			}
+			return sys, "client", &core.ServiceCall{
+				Provider: "data", Service: "cheaper",
+				Params:  []core.Expr{&core.Tree{Node: xmltree.E("max", xmltree.T("30")), At: "data"}},
+				Forward: []peer.NodeRef{{Peer: "spare", Node: docRoot(t, spare, "inbox").ID}},
+			}
+		}, "scRelocate(15) @ /"},
+		{"(16) a filter over a declarative call", func(t *testing.T) (*core.System, netsim.PeerID, core.Expr) {
+			q := xquery.MustParse(`param $in; for $o in $in where $o/price < 10 return $o/name`)
+			return buildSystem(t, 200), "client", &core.Query{Q: q, At: "client", Args: []core.Expr{
+				&core.ServiceCall{Provider: "data", Service: "offers"}}}
+		}, "pushOverCall(16) @ /"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sys, at, e := c.setup(t)
+			plan, _, err := Optimize(sys, at, e, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Join(plan.Derivation, "; "); got != c.deriv {
+				t.Errorf("chose [%s], want [%s]: %s", got, c.deriv, plan.Expr)
+			}
+			if _, err := sys.Eval(at, plan.Expr); err != nil {
+				t.Errorf("chosen plan %s: %v", plan.Expr, err)
+			}
+		})
 	}
 }
 
@@ -285,7 +350,7 @@ func TestOptimizerRerouteOnSlowLink(t *testing.T) {
 	payload := xmltree.E("blob", xmltree.T(strings.Repeat("x", 5000)))
 	e := &core.Send{Dest: core.DestPeer{P: "dst"}, Payload: &core.Tree{Node: payload, At: "src"}}
 	plan, _, err := Optimize(sys, "src", e, Options{
-		Rules: []rewrite.Rule{rewrite.RouteIntro{}, rewrite.RouteElim{}},
+		Rules: []rewrite.Rule{rewrite.RouteIntro{}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -395,6 +460,27 @@ func TestOptimizeBesideWriter(t *testing.T) {
 	}
 }
 
+// replicatedSystem is the catalog at two peers, a and b, and a client
+// holding nothing, over uniform links.
+func replicatedSystem(t *testing.T) *core.System {
+	t.Helper()
+	net := netsim.New()
+	ids := []netsim.PeerID{"client", "a", "b"}
+	netsim.Uniform(net, ids, netsim.Link{LatencyMs: 5, BytesPerMs: 500})
+	sys := core.NewSystem(net)
+	t.Cleanup(sys.Close)
+	for _, id := range ids {
+		p := sys.MustAddPeer(id)
+		if id == "client" {
+			continue
+		}
+		if err := p.InstallDocument("catalog", workload.Catalog(workload.CatalogSpec{Items: 50, Seed: 1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sys
+}
+
 // Same inputs, same plan: with the document replicated at two peers the
 // delegation to either costs the same, and the tie must not be broken
 // by map iteration order.
@@ -402,19 +488,7 @@ func TestOptimizeSamePlanOnFreshSystems(t *testing.T) {
 	q := xquery.MustParse(`for $i in doc("catalog")/item where $i/price < 10 return $i/name`)
 	plans := map[string]int{}
 	for i := 0; i < 40; i++ {
-		net := netsim.New()
-		ids := []netsim.PeerID{"client", "a", "b"}
-		netsim.Uniform(net, ids, netsim.Link{LatencyMs: 5, BytesPerMs: 500})
-		sys := core.NewSystem(net)
-		for _, id := range ids {
-			p := sys.MustAddPeer(id)
-			if id == "client" {
-				continue
-			}
-			if err := p.InstallDocument("catalog", workload.Catalog(workload.CatalogSpec{Items: 50, Seed: 1})); err != nil {
-				t.Fatal(err)
-			}
-		}
+		sys := replicatedSystem(t)
 		plan, _, err := Optimize(sys, "client", &core.Query{Q: q, At: "client"}, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -423,6 +497,42 @@ func TestOptimizeSamePlanOnFreshSystems(t *testing.T) {
 	}
 	if len(plans) != 1 {
 		t.Errorf("40 fresh systems chose %d different plans: %v", len(plans), plans)
+	}
+}
+
+// TestChosenPlanBytes evaluates the chosen plan of three selections of 6
+// rows out of 50 on a fresh replicated system and counts the bytes the
+// network charged. The bare selection is delegated whole; the two that
+// project are split by rule (11) and the split delegated, so only the
+// projected rows ship back.
+func TestChosenPlanBytes(t *testing.T) {
+	cases := []struct {
+		ret   string
+		deriv string
+		bytes int64
+	}{
+		{"$i/name", "pushSelection(11) @ /; delegate(10/14) @ /", 518},
+		{"<hit>{$i/name}</hit>", "pushSelection(11) @ /; delegate(10/14) @ /", 609},
+		{"$i", "delegate(10/14) @ /", 725},
+	}
+	for _, c := range cases {
+		q := xquery.MustParse(`for $i in doc("catalog")/item where $i/price < 100 return ` + c.ret)
+		plan, _, err := Optimize(replicatedSystem(t), "client", &core.Query{Q: q, At: "client"}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(plan.Derivation, "; "); got != c.deriv {
+			t.Errorf("return %s: chose [%s], want [%s]", c.ret, got, c.deriv)
+		}
+		sys := replicatedSystem(t)
+		res, err := sys.Eval("client", plan.Expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Forest) != 6 || sys.Net.Stats().Bytes != c.bytes {
+			t.Errorf("return %s: %d rows in %d bytes, want 6 rows in %d",
+				c.ret, len(res.Forest), sys.Net.Stats().Bytes, c.bytes)
+		}
 	}
 }
 

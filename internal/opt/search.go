@@ -22,14 +22,14 @@ type Options struct {
 	// same plan search, so "read view@local" competes with "ship from
 	// base@remote" under the one cost model.
 	ExtraRules []rewrite.Rule
-	// MaxDepth bounds the number of rule applications along one
-	// derivation (default 4).
-	MaxDepth int
-	// MaxPlans bounds the total number of plans explored (default 512).
-	MaxPlans int
-	// Weights scalarize estimates (DefaultWeights when zero).
-	Weights Weights
 }
+
+// The search's bounds: rule applications along one derivation, and
+// plans explored in all.
+const (
+	maxDepth = 4
+	maxPlans = 512
+)
 
 func (o *Options) fill() {
 	if o.Rules == nil {
@@ -37,15 +37,6 @@ func (o *Options) fill() {
 	}
 	if len(o.ExtraRules) > 0 {
 		o.Rules = append(append([]rewrite.Rule{}, o.Rules...), o.ExtraRules...)
-	}
-	if o.MaxDepth == 0 {
-		o.MaxDepth = 4
-	}
-	if o.MaxPlans == 0 {
-		o.MaxPlans = 512
-	}
-	if o.Weights == (Weights{}) {
-		o.Weights = DefaultWeights
 	}
 }
 
@@ -56,7 +47,7 @@ type Plan struct {
 	Est  Estimate
 	Cost float64
 	// BaseCost is the estimated cost of the original (unrewritten)
-	// expression under the same weights — the search's starting point.
+	// expression under DefaultWeights — the search's starting point.
 	// Cost ≤ BaseCost always; the difference is the predicted saving
 	// of the chosen plan (the session plan cache weights its eviction
 	// policy with it).
@@ -89,7 +80,7 @@ func (es *Estimator) optimize(at netsim.PeerID, e core.Expr, opts Options) (*Pla
 	baseEst, baseErr := es.Estimate(at, e)
 	baseCost := math.Inf(1)
 	if baseErr == nil {
-		baseCost = baseEst.Total(opts.Weights)
+		baseCost = baseEst.Total(DefaultWeights)
 	}
 	// An inestimable original is not immediately fatal: the expression
 	// may read a document no local peer hosts while a rewrite onto a
@@ -103,13 +94,13 @@ func (es *Estimator) optimize(at netsim.PeerID, e core.Expr, opts Options) (*Pla
 	seen := map[string]bool{es.memo.key(e): true}
 	pq := &nodeHeap{start}
 	explored := 0
-	for pq.Len() > 0 && explored < opts.MaxPlans {
+	for pq.Len() > 0 && explored < maxPlans {
 		cur := heap.Pop(pq).(*node)
 		explored++
 		if cur.cost < best.cost {
 			best = cur
 		}
-		if cur.depth >= opts.MaxDepth {
+		if cur.depth >= maxDepth {
 			continue
 		}
 		for _, d := range rewrite.Alternatives(cur.expr, ctx, opts.Rules) {
@@ -129,7 +120,7 @@ func (es *Estimator) optimize(at netsim.PeerID, e core.Expr, opts Options) (*Pla
 				expr:  d.E,
 				deriv: append(append([]string{}, cur.deriv...), d.Rule+" @ "+d.Pos),
 				depth: cur.depth + 1,
-				cost:  de.Total(opts.Weights),
+				cost:  de.Total(DefaultWeights),
 				est:   de,
 			})
 		}

@@ -1,15 +1,22 @@
 // Package rewrite implements the equivalence rules of the paper's
 // §3.3 as syntactic rewrites over core expressions:
 //
-//	(10) query delegation        — Delegate / Undelegate
+//	(10) query delegation        — Delegate
 //	(11) query decomposition     — SelectionPushdown (the Example 1
 //	                               shape, via xquery.Decompose)
-//	(12) transfer re-routing     — RouteIntro / RouteElim
-//	(13) transfer sharing        — ShareTransfer / UnshareTransfer
+//	(12) transfer re-routing     — RouteIntro
+//	(13) transfer sharing        — ShareTransfer
 //	(14) evaluation delegation   — Delegate (general form)
 //	(15) sc location independence— ScRelocate
 //	(16) pushing queries over
 //	     service calls           — PushOverCall
+//
+// The paper states each rule as an equivalence; each is read here only
+// in the direction that moves work or data, and no rule undoes
+// another. The plan search needs no inverse: its frontier keeps every
+// plan it has seen, the original included, so undoing a step could only
+// reach a plan already priced, and opt's settle drops a delegation to
+// the site that already evaluates it.
 //
 // Each rule is sound: applying it anywhere in an expression preserves
 // the evaluation result and the final system state (property-tested in
@@ -93,47 +100,9 @@ func retargetQuery(e core.Expr, target netsim.PeerID) core.Expr {
 	return e
 }
 
-// Undelegate is the inverse direction of (10)/(14): an explicit
-// delegation can be dissolved, evaluating in place.
-type Undelegate struct{}
-
-func (Undelegate) Name() string { return "undelegate(10/14)" }
-
-func (Undelegate) Apply(e core.Expr, at netsim.PeerID, ctx *Context) []core.Expr {
-	ev, ok := e.(*core.EvalAt)
-	if !ok {
-		return nil
-	}
-	// Dissolving is only sound if the inner expression remains
-	// well-defined at this site; sends of data owned elsewhere are not.
-	if !wellDefinedAt(ev.E, at) {
-		return nil
-	}
-	return []core.Expr{core.Clone(ev.E)}
-}
-
-// wellDefinedAt checks the §3.2 ownership constraint for sends.
-func wellDefinedAt(e core.Expr, at netsim.PeerID) bool {
-	ok := true
-	core.Walk(e, func(sub core.Expr) bool {
-		switch v := sub.(type) {
-		case *core.EvalAt:
-			return false // inner delegations re-site their subtree
-		case *core.Send:
-			if h := sendPayloadHome(v.Payload); h != "" && h != at {
-				ok = false
-			}
-		case *core.Relay:
-			if h := sendPayloadHome(v.Payload); h != "" && h != at {
-				ok = false
-			}
-		}
-		return true
-	})
-	return ok
-}
-
-func sendPayloadHome(e core.Expr) netsim.PeerID {
+// paramHome is the peer a service-call parameter's data is pinned to,
+// or "" when the parameter can be evaluated anywhere.
+func paramHome(e core.Expr) netsim.PeerID {
 	switch v := e.(type) {
 	case *core.Tree:
 		return v.At
@@ -213,32 +182,6 @@ func (RouteIntro) Apply(e core.Expr, at netsim.PeerID, ctx *Context) []core.Expr
 	return out
 }
 
-// RouteElim implements rule (12) read left-to-right: an intermediary
-// stop is removed. Dropping the last hop of a single-hop relay yields
-// a plain send.
-type RouteElim struct{}
-
-func (RouteElim) Name() string { return "routeElim(12)" }
-
-func (RouteElim) Apply(e core.Expr, at netsim.PeerID, ctx *Context) []core.Expr {
-	r, ok := e.(*core.Relay)
-	if !ok || len(r.Via) == 0 {
-		return nil
-	}
-	var out []core.Expr
-	for drop := range r.Via {
-		rest := make([]netsim.PeerID, 0, len(r.Via)-1)
-		rest = append(rest, r.Via[:drop]...)
-		rest = append(rest, r.Via[drop+1:]...)
-		if len(rest) == 0 {
-			out = append(out, &core.Send{Dest: cloneDestP(r.Dest), Payload: core.Clone(r.Payload)})
-		} else {
-			out = append(out, &core.Relay{Via: rest, Dest: cloneDestP(r.Dest), Payload: core.Clone(r.Payload)})
-		}
-	}
-	return out
-}
-
 func containsPeer(via []netsim.PeerID, p netsim.PeerID) bool {
 	for _, v := range via {
 		if v == p {
@@ -293,22 +236,6 @@ func (ShareTransfer) Apply(e core.Expr, at netsim.PeerID, ctx *Context) []core.E
 	return []core.Expr{c}
 }
 
-// UnshareTransfer is the inverse of (13): restore independent
-// (parallel) transfers.
-type UnshareTransfer struct{}
-
-func (UnshareTransfer) Name() string { return "unshareTransfer(13)" }
-
-func (UnshareTransfer) Apply(e core.Expr, at netsim.PeerID, ctx *Context) []core.Expr {
-	q, ok := e.(*core.Query)
-	if !ok || !q.ShareArgs {
-		return nil
-	}
-	c := core.Clone(q).(*core.Query)
-	c.ShareArgs = false
-	return []core.Expr{c}
-}
-
 // ScRelocate implements rule (15): a service call whose results go to
 // explicit forward targets can be activated from any peer — in
 // particular from the provider itself, saving the caller→provider
@@ -326,7 +253,7 @@ func (ScRelocate) Apply(e core.Expr, at netsim.PeerID, ctx *Context) []core.Expr
 	// site, so they must not be trees pinned to the current site
 	// (those would need explicit sends, a different plan).
 	for _, p := range sc.Params {
-		if h := sendPayloadHome(p); h != "" && h != sc.Provider {
+		if h := paramHome(p); h != "" && h != sc.Provider {
 			return nil
 		}
 	}
@@ -365,7 +292,7 @@ func (PushOverCall) Apply(e core.Expr, at netsim.PeerID, ctx *Context) []core.Ex
 	// Parameters are re-evaluated at the provider; pinned local data
 	// would change meaning.
 	for _, pe := range sc.Params {
-		if h := sendPayloadHome(pe); h != "" && h != sc.Provider {
+		if h := paramHome(pe); h != "" && h != sc.Provider {
 			return nil
 		}
 	}
@@ -379,10 +306,7 @@ func DefaultRules() []Rule {
 		PushOverCall{},
 		ScRelocate{},
 		Delegate{},
-		Undelegate{},
 		ShareTransfer{},
-		UnshareTransfer{},
 		RouteIntro{},
-		RouteElim{},
 	}
 }

@@ -113,8 +113,6 @@ type Config struct {
 	// Timeout, when positive, derives a child context with that
 	// deadline around the call.
 	Timeout time.Duration
-	// MaxPlans caps the optimizer search (0 = the optimizer default).
-	MaxPlans int
 	// TraceID asks the backend to record a query trace under this ID.
 	// A wire client frames it as +trace=<id> so the server builds the
 	// span tree on its side (fetch it back with TRACE <id>); local
@@ -159,9 +157,6 @@ func WithConsistentView() Option { return func(c *Config) { c.ConsistentView = t
 
 // WithTimeout bounds the call by a deadline relative to its start.
 func WithTimeout(d time.Duration) Option { return func(c *Config) { c.Timeout = d } }
-
-// WithMaxPlans caps the optimizer's plan search for this call.
-func WithMaxPlans(n int) Option { return func(c *Config) { c.MaxPlans = n } }
 
 // WithTraceID asks the backend to trace this call under the given ID
 // (wire sessions; local sessions pass a trace in the context via
@@ -329,8 +324,8 @@ func (s *Local) Query(ctx context.Context, src string, opts ...Option) (*Rows, e
 	// The root span of the query's trace (when the context carries
 	// one): parse and plan become its first children, every network
 	// hop of the evaluation nests below, and the span closes when the
-	// stream ends.
-	ctx, root := obs.StartSpan(ctx, "query", src)
+	// stream ends. It is named after the parsed query's one-line text.
+	ctx, root := obs.StartSpan(ctx, "query", "")
 	s.count("session.queries")
 
 	_, psp := obs.StartSpan(ctx, "parse", "")
@@ -343,6 +338,9 @@ func (s *Local) Query(ctx context.Context, src string, opts ...Option) (*Rows, e
 		return nil, err
 	}
 	psp.End()
+	if root != nil {
+		root.Rename(q.String())
+	}
 
 	_, plsp := obs.StartSpan(ctx, "plan", "")
 	expr, hit, err := s.plan(q, &cfg)
@@ -766,11 +764,7 @@ func (s *Local) planOnce(q *xquery.Query, cfg *Config) (core.Expr, bool, error) 
 	s.mu.Unlock()
 	s.count("session.plan_cache.misses")
 
-	o := opt.Options{
-		MaxPlans:   cfg.MaxPlans,
-		ExtraRules: []rewrite.Rule{s.views.Rule()},
-	}
-	plan, _, err := opt.Optimize(s.sys, s.at, naive, o)
+	plan, _, err := opt.Optimize(s.sys, s.at, naive, opt.Options{ExtraRules: []rewrite.Rule{s.views.Rule()}})
 	if err != nil {
 		return nil, false, err
 	}

@@ -279,7 +279,7 @@ func TestPlanCacheDefaultCap(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < DefaultPlanCacheSize+20; i++ {
 		src := fmt.Sprintf(`for $i in doc("catalog")/item where $i/price < %d return $i/name`, 1000+i)
-		rows, err := sess.Query(ctx, src, WithMaxPlans(1))
+		rows, err := sess.Query(ctx, src)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,7 @@ func TestQueryTraceTree(t *testing.T) {
 	}
 	const src = `for $i in doc("catalog")/item where $i/price < 100 return $i/name`
 
-	runTraced := func(id string) *obs.Trace {
+	runTraced := func(id, src string) *obs.Trace {
 		tr := obs.NewTrace(id)
 		ctx := obs.WithTrace(context.Background(), tr)
 		rows, err := sess.Query(ctx, src)
@@ -61,7 +61,7 @@ func TestQueryTraceTree(t *testing.T) {
 	}
 
 	before := sys.Net.Stats()
-	tr := runTraced("q1")
+	tr := runTraced("q1", src)
 	after := sys.Net.Stats()
 
 	spans := tr.Spans()
@@ -109,7 +109,7 @@ func TestQueryTraceTree(t *testing.T) {
 	}
 
 	// Second run: same shape, cache verdict flips to hit.
-	tr2 := runTraced("q2")
+	tr2 := runTraced("q2", src)
 	var plan2 *obs.Span
 	for _, sp := range tr2.Spans() {
 		if sp.Phase == "plan" {
@@ -134,6 +134,18 @@ func TestQueryTraceTree(t *testing.T) {
 	}
 	if h := snap.Histograms["session.query.first_row_ms"]; h.Count != 2 {
 		t.Errorf("first_row_ms count = %d, want 2", h.Count)
+	}
+
+	// A query written over four lines names its root span in one line:
+	// the parsed query's text.
+	tr3 := runTraced("q3", `for $i in doc("catalog")/item
+		where $i/price < 100
+		order by $i/name
+		return $i/name`)
+	for _, sp := range tr3.Spans() {
+		if sp.Phase == "query" && (strings.ContainsAny(sp.Name, "\n\t") || !strings.Contains(sp.Name, "order by")) {
+			t.Errorf("four-line query's root span name = %q, want its one-line text", sp.Name)
+		}
 	}
 }
 

@@ -13,7 +13,9 @@ import (
 // document resolves through the same catalog the evaluator uses, so
 // "read view@local" competes with "ship from base@remote" (and with
 // delegating the rewritten query to the view's peer) on real link
-// costs.
+// costs. Like rewrite's rules it reads one way only, base to view: the
+// search keeps the base-reading plan it started from, so no rule has
+// to map a view read back.
 type Rule struct{ M *Manager }
 
 // Rule returns the manager's optimizer rule. Pass it through

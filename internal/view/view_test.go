@@ -384,7 +384,7 @@ func TestViewsAtEveryClientShipLess(t *testing.T) {
 		defer sys.Close()
 		m := NewManager(sys)
 		defer m.Close()
-		opts := opt.Options{MaxPlans: 128}
+		var opts opt.Options
 		if views {
 			for _, c := range clients {
 				if err := m.Define("cheap", `for $i in doc("catalog")/item where $i/price < 100 return $i`, c); err != nil {

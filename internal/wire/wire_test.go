@@ -610,7 +610,7 @@ func TestFlagCodecRoundTrip(t *testing.T) {
 			t.Errorf("%+v → %q → %+v, src %q", cfg, token, got, gotSrc)
 		}
 	}
-	local := session.Config{ConsistentView: true, Timeout: time.Second, MaxPlans: 3}
+	local := session.Config{ConsistentView: true, Timeout: time.Second}
 	if token := encodeFlags(local); token != "" {
 		t.Errorf("client-side options leaked into the flag token: %q", token)
 	}

@@ -39,10 +39,12 @@ type Decomposition struct {
 
 // Decompose attempts the Example 1 selection-pushdown decomposition.
 // It succeeds when the query body is a FLWR whose first clause is a
-// for over a single doc("name") path, and at least one conjunct of the
-// where clause references only that for variable. It returns ok=false
-// when the query does not have that shape (the caller then falls back
-// to whole-query shipping, definition (7)).
+// for over a single doc("name") path, at least one conjunct of the
+// where clause references only that for variable, and something is
+// left for the local part to do: a kept conjunct, another clause, an
+// order by or a return other than the bare for variable. It returns
+// ok=false when the query does not have that shape (the caller then
+// falls back to whole-query shipping, definition (7)).
 func Decompose(q *Query) (*Decomposition, bool) {
 	f, ok := q.Body.(*FLWR)
 	if !ok || len(f.Clauses) == 0 {
@@ -80,6 +82,12 @@ func Decompose(q *Query) (*Decomposition, bool) {
 		}
 	}
 	if len(pushed) == 0 {
+		return nil, false
+	}
+	if ret, ok := f.Return.(*Path); ok && ret.X == xpath.VarRef(first.Var) &&
+		len(kept) == 0 && len(f.Clauses) == 1 && f.Order == nil {
+		// The local part would return its input unchanged: shipping the
+		// selection whole is the same plan with one query layer fewer.
 		return nil, false
 	}
 

@@ -130,6 +130,8 @@ func TestDecomposeRejects(t *testing.T) {
 		`param $p; for $i in doc("catalog")/item where $p = 1 return $i`,
 		// Source is not a doc path.
 		`param $in; for $i in $in/item where $i/price < 1 return $i`,
+		// The local part would return its input unchanged.
+		`for $i in doc("catalog")/item where $i/price < 1 return $i`,
 	}
 	for _, src := range cases {
 		q := MustParse(src)

@@ -84,9 +84,6 @@ func WithSnapshotIsolation() QueryOption { return session.WithSnapshotIsolation(
 // shorthand for passing a context.WithTimeout context.
 func WithTimeout(d time.Duration) QueryOption { return session.WithTimeout(d) }
 
-// WithMaxPlans caps the optimizer's plan search for this call.
-func WithMaxPlans(n int) QueryOption { return session.WithMaxPlans(n) }
-
 // WithTraceID asks a wire session to trace this query server-side
 // under the given ID, retrievable afterwards over the TRACE verb.
 // Local sessions trace through a context instead — see NewTrace and
