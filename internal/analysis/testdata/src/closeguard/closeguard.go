@@ -1,11 +1,12 @@
 package closeguard
 
 import (
+	"axml/internal/core"
 	"axml/internal/session"
 	"axml/internal/xmltree"
 )
 
-func pull() (*xmltree.Node, error) { return nil, nil }
+func pull() (core.Row, error) { return core.Row{}, nil }
 
 func leak() bool {
 	rows := session.NewRows(pull, nil) // want `session\.Rows rows is never Closed`

@@ -453,11 +453,13 @@ func (m *Member) ForwardQuery(ctx context.Context, src string) (*session.Rows, b
 	if mc := m.cfg.Metrics; mc != nil {
 		mc.Counter("cluster.forwarded").Inc()
 	}
-	pull := func() (*xmltree.Node, error) {
+	pull := func() (core.Row, error) {
 		if rows.Next() {
-			return rows.Node(), nil
+			if n := rows.Node(); n != nil {
+				return core.NodeRow(n), nil
+			}
 		}
-		return nil, rows.Err()
+		return core.Row{}, rows.Err()
 	}
 	closeFn := func() error {
 		err := rows.Close()

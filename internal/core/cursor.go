@@ -1,28 +1,88 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"axml/internal/netsim"
 	"axml/internal/peer"
 	"axml/internal/xmltree"
 )
 
-// RowCursor streams an expression's result forest one tree per pull.
+// Row is one tree of a result stream: the tree itself, or the compact
+// XML encoding a peer shipped it in, parsed only when the tree is read.
+// The zero Row marks the end of a stream.
+type Row struct {
+	node   *xmltree.Node
+	enc    []byte
+	parses *atomic.Int64 // counts the parse of enc: System.ReplyParses
+}
+
+// NodeRow is the row holding tree n; NodeRow(nil) is the zero Row.
+func NodeRow(n *xmltree.Node) Row { return Row{node: n} }
+
+// IsZero reports whether r is the zero Row: no row, the end of a
+// stream.
+func (r Row) IsZero() bool { return r.node == nil && r.enc == nil }
+
+// Node returns the row's tree, parsing an encoded row the first time
+// it is read and keeping the tree in r. The tree is read-only, as a
+// RowCursor's rows are.
+func (r *Row) Node() (*xmltree.Node, error) {
+	if r.node == nil && r.enc != nil {
+		if r.parses != nil {
+			r.parses.Add(1)
+		}
+		n, err := xmltree.Parse(string(r.enc))
+		if err != nil {
+			return nil, fmt.Errorf("core: parsing a row: %w", err)
+		}
+		r.node = n
+	}
+	return r.node, nil
+}
+
+// AppendLine appends the row to dst as xmltree.AppendLine writes its
+// tree: an encoded row that holds no CR or LF is copied as it stands,
+// any other row is written from its tree.
+func (r *Row) AppendLine(dst []byte) ([]byte, error) {
+	if r.enc != nil && bytes.IndexByte(r.enc, '\n') < 0 && bytes.IndexByte(r.enc, '\r') < 0 {
+		return append(dst, r.enc...), nil
+	}
+	n, err := r.Node()
+	if err != nil {
+		return dst, err
+	}
+	return xmltree.AppendLine(dst, n), nil
+}
+
+// appendTo appends the row to dst as xmltree.Append writes its tree:
+// an encoded row is copied as it stands.
+func (r Row) appendTo(dst []byte) []byte {
+	if r.enc != nil {
+		return append(dst, r.enc...)
+	}
+	return xmltree.Append(dst, r.node)
+}
+
+// RowCursor streams an expression's result forest one row per pull.
 // For a query application evaluated at the cursor's own peer the rows
 // are produced lazily (internal/xquery's pull-based evaluator): the
 // first row is available after O(source scan + one row) of work, while
-// the remaining evaluation happens as the consumer pulls. Delegated
-// sub-evaluations — arguments, remote documents, eval@p fragments —
-// still ship whole forests across netsim, as the distribution model
-// requires, but are evaluated the same way: System.Eval, at whichever
-// peer, drains one of these under the caller's context.
+// the remaining evaluation happens as the consumer pulls. A delegated
+// evaluation (eval@p at another peer) ships its whole forest back
+// across netsim, as the distribution model requires, and the cursor
+// hands out the reply's rows still encoded: a row is parsed only when
+// its tree is read, so a row passed on to a client or to a further
+// peer is never parsed. The data peer that answers the delegation
+// drains one of these cursors straight into its reply.
 //
-// A row of a lazily-evaluated query is read-only: it may be a node of
-// the pinned, immutable document the query read. A consumer that keeps
-// or attaches a row deep-copies it first; the drains inside System.Eval
-// open owned cursors instead.
+// A row is read-only: it may be a node of the pinned, immutable
+// document the query read. A consumer that keeps or attaches a row
+// deep-copies it first; the drains inside System.Eval open owned
+// cursors instead.
 //
 // Next returns (nil, nil) at end of stream. Close abandons the
 // remaining evaluation; both are idempotent. VT reports the virtual
@@ -31,27 +91,42 @@ import (
 // many output nodes were actually produced — an abandoned cursor
 // charges only the rows it yielded).
 type RowCursor struct {
-	nextFn func() (*xmltree.Node, error) // nil once exhausted or closed
-	endFn  func() float64                // run once when the stream ends: the final VT
+	nextFn func() (Row, error) // nil once exhausted or closed
+	endFn  func() float64      // run once when the stream ends: the final VT
 	vt     float64
 	err    error
 }
 
-// Next returns the next result tree, or (nil, nil) when the stream is
+// NextRow returns the next row, or the zero Row when the stream is
 // exhausted. Errors are sticky.
-func (c *RowCursor) Next() (*xmltree.Node, error) {
+func (c *RowCursor) NextRow() (Row, error) {
 	if c.err != nil || c.nextFn == nil {
-		return nil, c.err
+		return Row{}, c.err
 	}
-	n, err := c.nextFn()
+	r, err := c.nextFn()
 	if err != nil {
 		c.err = err
-		return nil, err
+		return Row{}, err
 	}
-	if n == nil {
+	if r.IsZero() {
 		_ = c.Close()
 	}
-	return n, nil
+	return r, nil
+}
+
+// Next returns the next result tree, or (nil, nil) when the stream is
+// exhausted: NextRow's row, read. Errors are sticky.
+func (c *RowCursor) Next() (*xmltree.Node, error) {
+	r, err := c.NextRow()
+	if err != nil {
+		return nil, err
+	}
+	n, err := r.Node()
+	if err != nil {
+		c.err = err
+		_ = c.Close()
+	}
+	return n, err
 }
 
 // Close abandons the remaining evaluation. Safe to call at any point,
@@ -80,10 +155,16 @@ func (s *System) EvalCursor(at netsim.PeerID, e Expr) (*RowCursor, error) {
 // forest row by row. The context is checked on every pull and inside
 // long tuple scans, so a consumer that cancels mid-stream stops the
 // evaluation where it stands. Query applications local to at evaluate
-// lazily; every other expression form (and any query a local eval@at
-// wrapper does not reduce to) is evaluated to its forest first and the
-// forest streamed afterwards — identical rows, no latency win.
+// lazily; an evaluation delegated to another peer streams the rows of
+// its reply still encoded; every other expression form is evaluated to
+// its forest first and the forest streamed afterwards — identical rows,
+// no latency win.
 func (s *System) EvalCursorContext(ctx context.Context, at netsim.PeerID, e Expr) (*RowCursor, error) {
+	return s.evalCursor(ctx, at, e, 0)
+}
+
+// evalCursor is EvalCursorContext starting at virtual time vt.
+func (s *System) evalCursor(ctx context.Context, at netsim.PeerID, e Expr, vt float64) (*RowCursor, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -100,10 +181,24 @@ func (s *System) EvalCursorContext(ctx context.Context, at netsim.PeerID, e Expr
 		}
 		break
 	}
-	if q, ok := e.(*Query); ok {
-		return s.queryCursor(ctx, p, q, 0, false)
+	switch v := e.(type) {
+	case *Query:
+		return s.queryCursor(ctx, p, v, vt, false)
+	case *EvalAt:
+		reply, doneVT, err := s.delegateReply(ctx, at, v.At, v.E, vt)
+		if err != nil {
+			return nil, err
+		}
+		if rows, ok := cutForest(reply); ok {
+			return encodedCursor(rows, doneVT, &s.replyParses), nil
+		}
+		forest, err := s.parseForest(reply)
+		if err != nil {
+			return nil, err
+		}
+		return forestCursor(&Result{Forest: forest, VT: doneVT}), nil
 	}
-	res, err := s.eval(ctx, at, e, 0)
+	res, err := s.eval(ctx, at, e, vt)
 	if err != nil {
 		return nil, err
 	}
@@ -133,12 +228,12 @@ func (s *System) queryCursor(ctx context.Context, p *peer.Peer, q *Query, vt flo
 	}
 	rc := &RowCursor{}
 	outNodes := 0
-	rc.nextFn = func() (*xmltree.Node, error) {
+	rc.nextFn = func() (Row, error) {
 		n, err := cur.Next()
 		if n != nil {
 			outNodes += n.NodeCount()
 		}
-		return n, wrapCanceled(ctx, err)
+		return NodeRow(n), wrapCanceled(ctx, err)
 	}
 	rc.endFn = func() float64 {
 		_ = cur.Close()
@@ -149,16 +244,27 @@ func (s *System) queryCursor(ctx context.Context, p *peer.Peer, q *Query, vt flo
 
 // forestCursor wraps an already-computed result as a cursor.
 func forestCursor(res *Result) *RowCursor {
+	return readyCursor(len(res.Forest), func(i int) Row { return NodeRow(res.Forest[i]) }, res.VT)
+}
+
+// encodedCursor streams the encoded rows of a reply that completed at
+// virtual time vt; parses counts the rows parsed when read.
+func encodedCursor(rows [][]byte, vt float64, parses *atomic.Int64) *RowCursor {
+	return readyCursor(len(rows), func(i int) Row { return Row{enc: rows[i], parses: parses} }, vt)
+}
+
+// readyCursor streams n rows that are already at hand, row(i) the i-th,
+// of a result that completed at virtual time vt.
+func readyCursor(n int, row func(i int) Row, vt float64) *RowCursor {
 	i := 0
 	return &RowCursor{
-		vt: res.VT,
-		nextFn: func() (*xmltree.Node, error) {
-			if i >= len(res.Forest) {
-				return nil, nil
+		vt: vt,
+		nextFn: func() (Row, error) {
+			if i >= n {
+				return Row{}, nil
 			}
-			n := res.Forest[i]
 			i++
-			return n, nil
+			return row(i - 1), nil
 		},
 	}
 }

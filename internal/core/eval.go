@@ -85,8 +85,23 @@ func (s *System) eval(ctx context.Context, at netsim.PeerID, e Expr, vt float64)
 // (14), (15)). The expression serialization and the reply forest are
 // both charged to the network.
 func (s *System) delegate(ctx context.Context, from, remote netsim.PeerID, e Expr, vt float64) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
+	reply, doneVT, err := s.delegateReply(ctx, from, remote, e, vt)
+	if err != nil {
 		return nil, err
+	}
+	forest, err := s.parseForest(reply)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Forest: forest, VT: doneVT}, nil
+}
+
+// delegateReply is delegate up to the reply: the <x:forest> bytes the
+// remote peer answered with, not yet parsed, and the virtual time they
+// arrived.
+func (s *System) delegateReply(ctx context.Context, from, remote netsim.PeerID, e Expr, vt float64) ([]byte, float64, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, 0, err
 	}
 	var name string
 	if obs.FromContext(ctx) != nil {
@@ -97,16 +112,12 @@ func (s *System) delegate(ctx context.Context, from, remote netsim.PeerID, e Exp
 		From: from, To: remote, Kind: "eval", Body: body, VT: vt,
 	})
 	if err != nil {
-		return nil, wrapCanceled(ctx, err)
+		return nil, 0, wrapCanceled(ctx, err)
 	}
 	if kind != "result" {
-		return nil, fmt.Errorf("core: unexpected reply kind %q", kind)
+		return nil, 0, fmt.Errorf("core: unexpected reply kind %q", kind)
 	}
-	forest, err := parseForest(reply)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Forest: forest, VT: doneVT}, nil
+	return reply, doneVT, nil
 }
 
 // tracedCall is Net.CallCtx under a tracing span: when the context
@@ -764,7 +775,7 @@ func (s *System) evalServiceCall(ctx context.Context, p *peer.Peer, call *Servic
 	if kind != "result" {
 		return nil, fmt.Errorf("core: unexpected reply kind %q", kind)
 	}
-	results, err := parseForest(reply)
+	results, err := s.parseForest(reply)
 	if err != nil {
 		return nil, err
 	}

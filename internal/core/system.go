@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"axml/internal/gendoc"
 	"axml/internal/netsim"
@@ -43,6 +44,8 @@ type System struct {
 	factors map[netsim.PeerID]float64 // per-peer compute slowdown factor
 	subs    []*stream
 	wg      sync.WaitGroup // the streams' wake goroutines
+
+	replyParses atomic.Int64 // see ReplyParses
 }
 
 // NewSystem creates a system over the given network.
@@ -55,6 +58,12 @@ func NewSystem(net *netsim.Network) *System {
 		factors:  map[netsim.PeerID]float64{},
 	}
 }
+
+// ReplyParses reports how many times the system's peers have parsed a
+// reply from another peer, or one of its rows, into trees. A delegated
+// row that is only passed on, to a client or to a further peer, is
+// never parsed and adds nothing.
+func (s *System) ReplyParses() int64 { return s.replyParses.Load() }
 
 // AddPeer creates, registers and returns a new peer.
 func (s *System) AddPeer(id netsim.PeerID) (*peer.Peer, error) {
@@ -192,6 +201,9 @@ func (s *System) Close() {
 type peerHandler struct {
 	sys  *System
 	peer *peer.Peer
+	// replyHint is the length of the last eval reply, which sizes the
+	// next one's buffer.
+	replyHint atomic.Int64
 }
 
 func (h *peerHandler) HandleCall(msg netsim.Message, arriveVT float64) ([]byte, string, float64, error) {
@@ -217,16 +229,16 @@ func (h *peerHandler) HandleCallCtx(ctx context.Context, msg netsim.Message, arr
 		// the hop boundary in the rendered tree.
 		sctx, sp := obs.StartSpan(ctx, "eval", "")
 		sp.SetNet("", string(h.peer.ID), arriveVT)
-		res, err := h.sys.eval(sctx, h.peer.ID, expr, arriveVT)
+		reply, rows, doneVT, err := h.evalReply(sctx, expr, arriveVT)
 		if err != nil {
 			sp.Fail(err)
 			sp.End()
 			return nil, "", 0, err
 		}
-		sp.EndVTAt(res.VT)
-		sp.AddRows(int64(len(res.Forest)))
+		sp.EndVTAt(doneVT)
+		sp.AddRows(int64(rows))
 		sp.End()
-		return serializeForest(res.Forest), "result", res.VT, nil
+		return reply, "result", doneVT, nil
 	case "call":
 		return h.handleServiceCall(ctx, msg, arriveVT)
 	case "deploy":
@@ -236,6 +248,43 @@ func (h *peerHandler) HandleCallCtx(ctx context.Context, msg netsim.Message, arr
 	default:
 		return nil, "", 0, fmt.Errorf("core: peer %s: unknown call kind %q", h.peer.ID, msg.Kind)
 	}
+}
+
+// evalReply evaluates a shipped expression at the handler's peer and
+// writes its result forest into the reply as the row cursor yields it:
+// serializeForest's bytes, with no tree copied or collected on the way.
+// A query's rows are nodes of the run's pinned epoch, encoded where
+// they stand; the rows of a reply from a further peer are copied as
+// they came. The buffer starts at the size of the previous reply, plus
+// a quarter, so a reply of a repeated shape is written without growing
+// it. It returns the reply, its row count and its completion time.
+func (h *peerHandler) evalReply(ctx context.Context, e Expr, vt float64) ([]byte, int, float64, error) {
+	cur, err := h.sys.evalCursor(ctx, h.peer.ID, e, vt)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	defer cur.Close()
+	hint := int(h.replyHint.Load())
+	b := append(make([]byte, 0, hint+hint/4+len(forestOpen)+len(forestClose)), forestOpen...)
+	rows := 0
+	for {
+		r, err := cur.NextRow()
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		if r.IsZero() {
+			break
+		}
+		b = r.appendTo(b)
+		rows++
+	}
+	if rows == 0 {
+		b = append(b[:0], emptyForest...)
+	} else {
+		b = append(b, forestClose...)
+	}
+	h.replyHint.Store(int64(len(b)))
+	return b, rows, cur.VT(), nil
 }
 
 // handleServiceCall applies a service to shipped parameters

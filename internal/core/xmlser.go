@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -295,26 +296,35 @@ func ParseExprBytes(b []byte) (Expr, error) {
 
 // Forest (de)serialization for replies and data messages.
 
-// serializeForest wraps a forest in a <x:forest> envelope: the bytes
-// Serialize writes for an x:forest element holding the trees, written
+// The <x:forest> envelope of replies and data messages: the bytes
+// Serialize writes for an x:forest element holding the trees.
+const (
+	forestOpen  = "<x:forest>"
+	forestClose = "</x:forest>"
+	emptyForest = "<x:forest/>"
+)
+
+// serializeForest wraps a forest in a <x:forest> envelope, written
 // where the trees stand.
 func serializeForest(nodes []*xmltree.Node) []byte {
 	if len(nodes) == 0 {
-		return []byte("<x:forest/>")
+		return []byte(emptyForest)
 	}
-	size := len("<x:forest></x:forest>")
+	size := len(forestOpen) + len(forestClose)
 	for _, n := range nodes {
 		size += n.ByteSize()
 	}
-	b := append(make([]byte, 0, size), "<x:forest>"...)
+	b := append(make([]byte, 0, size), forestOpen...)
 	for _, n := range nodes {
 		b = xmltree.Append(b, n)
 	}
-	return append(b, "</x:forest>"...)
+	return append(b, forestClose...)
 }
 
-// parseForest unwraps a <x:forest> envelope.
-func parseForest(b []byte) ([]*xmltree.Node, error) {
+// parseForest unwraps the <x:forest> envelope of a reply, counting the
+// parse in ReplyParses.
+func (s *System) parseForest(b []byte) ([]*xmltree.Node, error) {
+	s.replyParses.Add(1)
 	root, err := xmltree.Parse(string(b))
 	if err != nil {
 		return nil, fmt.Errorf("core: parsing forest: %w", err)
@@ -323,4 +333,22 @@ func parseForest(b []byte) ([]*xmltree.Node, error) {
 		return nil, fmt.Errorf("core: expected x:forest, got %q", root.Label)
 	}
 	return root.Children, nil
+}
+
+// cutForest cuts a <x:forest> envelope, as serializeForest writes it,
+// into the encodings of its trees without parsing them. ok is false
+// when the forest holds anything xmltree.CutElements does not accept;
+// System.parseForest reads those.
+func cutForest(b []byte) (rows [][]byte, ok bool) {
+	if string(b) == emptyForest {
+		return nil, true
+	}
+	inner, ok := bytes.CutPrefix(b, []byte(forestOpen))
+	if !ok {
+		return nil, false
+	}
+	if inner, ok = bytes.CutSuffix(inner, []byte(forestClose)); !ok {
+		return nil, false
+	}
+	return xmltree.CutElements(inner)
 }

@@ -5,16 +5,20 @@ import (
 	"fmt"
 	"iter"
 
+	"axml/internal/core"
 	"axml/internal/xmltree"
 )
 
 // Rows streams a query's result forest, one tree at a time. Local
 // sessions evaluate lazily: Next pulls the next row out of the
 // evaluator on demand and Close abandons the remaining work, so a
-// consumer that stops after N rows only ever paid for N rows. Wire
-// sessions pull rows off the connection as Next advances (the server
-// evaluates and streams incrementally on its side), so large results
-// never materialize client-side.
+// consumer that stops after N rows only ever paid for N rows. A row
+// another peer answered stays in the encoding it arrived in until Node,
+// Scan, All or Collect reads it, and is parsed once then; a row only
+// written on (AppendLine) is never parsed. Wire sessions pull rows off
+// the connection as Next advances (the server evaluates and streams
+// incrementally on its side), so large results never materialize
+// client-side.
 //
 // Two consumption styles are supported: the database/sql-style
 // Next/Node/Scan loop,
@@ -29,8 +33,8 @@ import (
 // Close is idempotent and releases the backend (a wire session drains
 // the remaining rows so the connection is reusable).
 type Rows struct {
-	// pull returns the next tree; (nil, nil) signals exhaustion.
-	pull    func() (*xmltree.Node, error)
+	// pull returns the next row; the zero row signals exhaustion.
+	pull    func() (core.Row, error)
 	closeFn func() error
 	// abandon marks a backend whose remaining work should be dropped
 	// on Close rather than drained (a lazily-evaluating cursor, where
@@ -40,17 +44,17 @@ type Rows struct {
 	// backend has one (local sessions over the simulated network).
 	vtFn func() float64
 
-	cur    *xmltree.Node
+	cur    core.Row
 	err    error
 	done   bool
 	closed bool
 }
 
-// NewRows builds a Rows over a pull function. pull returns (nil, nil)
-// when exhausted; closeFn (optional) releases backend resources and
+// NewRows builds a Rows over a pull function. pull returns the zero
+// row when exhausted; closeFn (optional) releases backend resources and
 // runs exactly once. Close drains the remaining rows first — the right
 // semantics for protocol-backed streams that must reach a terminator.
-func NewRows(pull func() (*xmltree.Node, error), closeFn func() error) *Rows {
+func NewRows(pull func() (core.Row, error), closeFn func() error) *Rows {
 	return &Rows{pull: pull, closeFn: closeFn}
 }
 
@@ -58,7 +62,7 @@ func NewRows(pull func() (*xmltree.Node, error), closeFn func() error) *Rows {
 // abandons the remaining work (no drain) and closeFn releases the
 // cursor. Rows.Close after N rows means only N rows were ever
 // evaluated.
-func NewCursorRows(pull func() (*xmltree.Node, error), closeFn func() error) *Rows {
+func NewCursorRows(pull func() (core.Row, error), closeFn func() error) *Rows {
 	return &Rows{pull: pull, closeFn: closeFn, abandon: true}
 }
 
@@ -68,19 +72,19 @@ func (r *Rows) Next() bool {
 	if r.done || r.err != nil || r.closed {
 		return false
 	}
-	n, err := r.pull()
+	row, err := r.pull()
 	if err != nil {
 		r.err = err
 		r.done = true
-		r.cur = nil
+		r.cur = core.Row{}
 		return false
 	}
-	if n == nil {
+	if row.IsZero() {
 		r.done = true
-		r.cur = nil
+		r.cur = core.Row{}
 		return false
 	}
-	r.cur = n
+	r.cur = row
 	return true
 }
 
@@ -88,22 +92,54 @@ func (r *Rows) Next() bool {
 // tree is read-only: a local session may hand out a node of the stored
 // document itself, and it stays valid after Close because published
 // trees never change. DeepCopy it to own it — to change it, attach it
-// to another tree or store it.
-func (r *Rows) Node() *xmltree.Node { return r.cur }
+// to another tree or store it. A row that arrived encoded is parsed
+// here, on its first read; if its bytes do not parse, Node returns nil,
+// the stream ends and Err reports why.
+func (r *Rows) Node() *xmltree.Node {
+	n, err := r.cur.Node()
+	if err != nil {
+		r.fail(err)
+	}
+	return n
+}
+
+// AppendLine appends the current row to dst as xmltree.AppendLine
+// writes its tree (valid after a true Next): a row that arrived encoded
+// and holds no CR or LF is copied as it stands, unparsed. A row that
+// fails to parse ends the stream as Node's does.
+func (r *Rows) AppendLine(dst []byte) ([]byte, error) {
+	dst, err := r.cur.AppendLine(dst)
+	if err != nil {
+		r.fail(err)
+	}
+	return dst, err
+}
+
+// fail ends the stream with err, keeping the first error.
+func (r *Rows) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
 
 // Scan copies the current row into dest: **xmltree.Node receives the
 // tree itself (read-only, as Node's), *string its compact XML
-// serialization.
+// serialization. Like Node, it parses a row that arrived encoded, once.
 func (r *Rows) Scan(dest any) error {
-	if r.cur == nil {
+	if r.cur.IsZero() {
 		return fmt.Errorf("session: Scan called without a current row")
+	}
+	n, err := r.cur.Node()
+	if err != nil {
+		r.fail(err)
+		return err
 	}
 	switch d := dest.(type) {
 	case **xmltree.Node:
-		*d = r.cur
+		*d = n
 		return nil
 	case *string:
-		*d = xmltree.Serialize(r.cur)
+		*d = xmltree.Serialize(n)
 		return nil
 	default:
 		return fmt.Errorf("session: unsupported Scan destination %T", dest)
@@ -138,7 +174,7 @@ func (r *Rows) Close() error {
 	r.closed = true
 	if r.abandon {
 		r.done = true
-		r.cur = nil
+		r.cur = core.Row{}
 		if r.closeFn != nil {
 			return r.closeFn()
 		}
@@ -146,17 +182,17 @@ func (r *Rows) Close() error {
 	}
 	// Drain so that streaming backends reach their terminator.
 	for !r.done && r.err == nil {
-		n, err := r.pull()
+		row, err := r.pull()
 		if err != nil {
 			r.err = err
 			break
 		}
-		if n == nil {
+		if row.IsZero() {
 			break
 		}
 	}
 	r.done = true
-	r.cur = nil
+	r.cur = core.Row{}
 	if r.closeFn != nil {
 		return r.closeFn()
 	}
@@ -170,7 +206,11 @@ func (r *Rows) All() iter.Seq2[*xmltree.Node, error] {
 	return func(yield func(*xmltree.Node, error) bool) {
 		defer r.Close()
 		for r.Next() {
-			if !yield(r.cur, nil) {
+			n := r.Node()
+			if n == nil {
+				break
+			}
+			if !yield(n, nil) {
 				return
 			}
 		}
@@ -185,7 +225,7 @@ func (r *Rows) All() iter.Seq2[*xmltree.Node, error] {
 func (r *Rows) Collect() ([]*xmltree.Node, error) {
 	var out []*xmltree.Node
 	for r.Next() {
-		out = append(out, r.cur)
+		out = append(out, r.Node())
 	}
 	err := r.Err()
 	if cerr := r.Close(); err == nil {

@@ -46,7 +46,6 @@ import (
 	"axml/internal/peer"
 	"axml/internal/rewrite"
 	"axml/internal/view"
-	"axml/internal/xmltree"
 	"axml/internal/xquery"
 )
 
@@ -185,12 +184,14 @@ func BuildConfig(opts []Option) Config {
 }
 
 // cachedPlan is one plan-cache entry: the normalized shape key, the
-// optimized expression, the view-catalog generation it was derived
-// under, and the retention weights of the cost-aware eviction policy.
+// optimized expression and the names of the views it reads, the
+// view-catalog generation it was derived under, and the retention
+// weights of the cost-aware eviction policy.
 type cachedPlan struct {
-	key  string
-	expr core.Expr
-	gen  uint64
+	key   string
+	expr  core.Expr
+	views []string // planViews(expr), found once when the plan is made
+	gen   uint64
 	// benefit is the optimizer's estimated cost saving of this plan
 	// over the naive plan (opt.DefaultWeights scalar). A plan that
 	// saves nothing is cheap to lose — re-deriving it is one search
@@ -343,7 +344,7 @@ func (s *Local) Query(ctx context.Context, src string, opts ...Option) (*Rows, e
 	}
 
 	_, plsp := obs.StartSpan(ctx, "plan", "")
-	expr, hit, err := s.plan(q, &cfg)
+	pl, hit, err := s.plan(q, &cfg)
 	if err != nil {
 		plsp.Fail(err)
 		plsp.End()
@@ -361,9 +362,9 @@ func (s *Local) Query(ctx context.Context, src string, opts ...Option) (*Rows, e
 	plsp.End()
 
 	if !cfg.NoTraffic {
-		s.observe(q, expr)
+		s.observe(q, pl.expr)
 	}
-	rows, err := s.rowsFor(ctx, expr, &cfg)
+	rows, err := s.rowsFor(ctx, pl, &cfg)
 	if err != nil {
 		root.Fail(err)
 		root.End()
@@ -383,18 +384,18 @@ func traceRows(rows *Rows, root *obs.Span) *Rows {
 		return rows
 	}
 	pull := rows.pull
-	rows.pull = func() (*xmltree.Node, error) {
-		n, err := pull()
+	rows.pull = func() (core.Row, error) {
+		row, err := pull()
 		switch {
 		case err != nil:
 			root.Fail(err)
 			finishSpan(rows, root)
-		case n == nil:
+		case row.IsZero():
 			finishSpan(rows, root)
 		default:
 			root.AddRows(1)
 		}
-		return n, err
+		return row, err
 	}
 	closeFn := rows.closeFn
 	rows.closeFn = func() error {
@@ -425,11 +426,11 @@ func (s *Local) observe(q *xquery.Query, expr core.Expr) {
 	s.sink.ObserveQuery(s.at, view.QueryKey(q), planDocs(expr))
 }
 
-// rowsFor opens the result stream for a planned expression under the
-// call's context rules (timeout, consistent views, snapshot
-// isolation).
-func (s *Local) rowsFor(ctx context.Context, expr core.Expr, cfg *Config) (*Rows, error) {
-	guard := s.viewGuard(expr)
+// rowsFor opens the result stream for a plan under the call's context
+// rules (timeout, consistent views, snapshot isolation).
+func (s *Local) rowsFor(ctx context.Context, pl *cachedPlan, cfg *Config) (*Rows, error) {
+	expr := pl.expr
+	guard := s.viewGuard(pl.views)
 	cancel := func() {}
 	if cfg.Timeout > 0 {
 		// The deadline spans the whole stream; it is released as soon
@@ -442,7 +443,7 @@ func (s *Local) rowsFor(ctx context.Context, expr core.Expr, cfg *Config) (*Rows
 	// store, and a snapshot pinned ahead of it would answer from the
 	// epoch before — missing writes acknowledged before this read.
 	if cfg.ConsistentView {
-		for _, name := range planViews(expr) {
+		for _, name := range pl.views {
 			if _, err := s.views.RefreshContext(ctx, name); err != nil {
 				cancel()
 				return nil, movedOr(guard, err)
@@ -482,12 +483,12 @@ func movedOr(guard func() error, err error) error {
 // whichever comes first (Release is idempotent).
 func pinRows(rows *Rows, h *peer.Handle) *Rows {
 	pull := rows.pull
-	rows.pull = func() (*xmltree.Node, error) {
-		n, err := pull()
-		if err != nil || n == nil {
+	rows.pull = func() (core.Row, error) {
+		row, err := pull()
+		if err != nil || row.IsZero() {
 			h.Release()
 		}
-		return n, err
+		return row, err
 	}
 	closeFn := rows.closeFn
 	rows.closeFn = func() error {
@@ -510,7 +511,7 @@ func (s *Local) openRows(ctx context.Context, expr core.Expr, guard func() error
 		cancel()
 		return nil, movedOr(guard, err)
 	}
-	first, err := cur.Next()
+	first, err := cur.NextRow()
 	if err != nil {
 		_ = cur.Close()
 		cancel()
@@ -523,27 +524,27 @@ func (s *Local) openRows(ctx context.Context, expr core.Expr, guard func() error
 			cancel()
 		}
 	}
-	delivered := first == nil
+	delivered := first.IsZero()
 	if delivered {
 		release() // empty result: nothing left to bound
 	}
-	pull := func() (*xmltree.Node, error) {
+	pull := func() (core.Row, error) {
 		if err := guard(); err != nil {
 			release()
-			return nil, err
+			return core.Row{}, err
 		}
 		if !delivered {
 			delivered = true
 			return first, nil
 		}
-		n, err := cur.Next()
+		row, err := cur.NextRow()
 		if err != nil {
 			err = movedOr(guard, err)
 		}
-		if err != nil || n == nil {
+		if err != nil || row.IsZero() {
 			release()
 		}
-		return n, err
+		return row, err
 	}
 	rows := NewCursorRows(pull, func() error {
 		err := cur.Close()
@@ -554,8 +555,8 @@ func (s *Local) openRows(ctx context.Context, expr core.Expr, guard func() error
 	return rows, nil
 }
 
-// viewGuard builds the mid-stream placement check of a planned
-// expression: a cheap generation probe per pull, and only when the
+// viewGuard builds the mid-stream placement check of a plan reading
+// the views names: a cheap generation probe per pull, and only when the
 // view catalog actually changed, a check that every placement the
 // plan could be reading still exists. The snapshot pins the placement
 // set at open time — the stream fails with ErrViewMoved only when one
@@ -563,8 +564,7 @@ func (s *Local) openRows(ctx context.Context, expr core.Expr, guard func() error
 // the cursor may be reading exactly that copy. Additive changes — a
 // new replica of this view, an unrelated view defined elsewhere —
 // keep the stream running.
-func (s *Local) viewGuard(expr core.Expr) func() error {
-	names := planViews(expr)
+func (s *Local) viewGuard(names []string) func() error {
 	if len(names) == 0 {
 		return func() error { return nil }
 	}
@@ -708,39 +708,40 @@ func (s *Local) Prepare(ctx context.Context, src string) (*Stmt, error) {
 			return nil, err
 		}
 		cfg := BuildConfig(opts)
-		expr, _, err := s.plan(q, &cfg)
+		pl, _, err := s.plan(q, &cfg)
 		if err != nil {
 			return nil, err
 		}
 		if !cfg.NoTraffic {
-			s.observe(q, expr)
+			s.observe(q, pl.expr)
 		}
-		return s.rowsFor(ctx, expr, &cfg)
+		return s.rowsFor(ctx, pl, &cfg)
 	}
 	return NewStmt(src, run), nil
 }
 
-// plan resolves the expression to evaluate: the naive plan when the
-// optimizer is off, else a cached or freshly optimized plan keyed by
-// the normalized query shape and the view-catalog generation. The
-// second return reports whether the plan came from the cache. An
+// plan resolves the expression to evaluate, with the views it reads:
+// the naive plan when the optimizer is off, else a cached or freshly
+// optimized plan keyed by the normalized query shape and the
+// view-catalog generation. The second return reports whether the plan
+// came from the cache; the caller only reads the plan. An
 // optimizer failure while the view catalog changed underneath the
 // search (a placement migrating away mid-estimate) is retried once
 // against the new catalog before it surfaces.
-func (s *Local) plan(q *xquery.Query, cfg *Config) (core.Expr, bool, error) {
+func (s *Local) plan(q *xquery.Query, cfg *Config) (*cachedPlan, bool, error) {
 	for attempt := 0; ; attempt++ {
 		gen := s.views.Generation()
-		expr, hit, err := s.planOnce(q, cfg)
+		pl, hit, err := s.planOnce(q, cfg)
 		if err == nil || attempt == 1 || s.views.Generation() == gen {
-			return expr, hit, err
+			return pl, hit, err
 		}
 	}
 }
 
-func (s *Local) planOnce(q *xquery.Query, cfg *Config) (core.Expr, bool, error) {
+func (s *Local) planOnce(q *xquery.Query, cfg *Config) (*cachedPlan, bool, error) {
 	naive := &core.Query{Q: q, At: s.at}
 	if cfg.NoOptimize {
-		return naive, false, nil
+		return &cachedPlan{expr: naive, views: planViews(naive)}, false, nil
 	}
 	key := view.QueryKey(q)
 	gen := s.views.Generation()
@@ -755,10 +756,9 @@ func (s *Local) planOnce(q *xquery.Query, cfg *Config) (core.Expr, bool, error) 
 		} else if !cfg.NoPlanCache {
 			cp.uses++
 			s.order.MoveToFront(elem)
-			expr := cp.expr
 			s.mu.Unlock()
 			s.count("session.plan_cache.hits")
-			return expr, true, nil
+			return cp, true, nil
 		}
 	}
 	s.mu.Unlock()
@@ -774,10 +774,11 @@ func (s *Local) planOnce(q *xquery.Query, cfg *Config) (core.Expr, bool, error) 
 	if benefit < 0 {
 		benefit = 0
 	}
+	cp := &cachedPlan{key: key, expr: plan.Expr, views: planViews(plan.Expr), gen: gen, benefit: benefit}
 	s.mu.Lock()
-	s.storePlan(&cachedPlan{key: key, expr: plan.Expr, gen: gen, benefit: benefit})
+	s.storePlan(cp)
 	s.mu.Unlock()
-	return plan.Expr, false, nil
+	return cp, false, nil
 }
 
 // storePlan inserts (or refreshes) a cache entry as most-recently-used

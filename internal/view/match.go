@@ -242,7 +242,7 @@ func isVarOnly(e xquery.Expr, v string) bool {
 		return string(x) == v
 	case *xpath.PathExpr:
 		vr, ok := x.Filter.(xpath.VarRef)
-		return ok && string(vr) == v && len(x.Steps) == 0
+		return ok && string(vr) == v && len(x.Steps) == 0 && len(x.Preds) == 0
 	}
 	return false
 }
@@ -286,6 +286,9 @@ func renameVar(e xpath.Expr, from, to string) xpath.Expr {
 		out := &xpath.PathExpr{Absolute: v.Absolute}
 		if v.Filter != nil {
 			out.Filter = renameVar(v.Filter, from, to)
+		}
+		for _, p := range v.Preds {
+			out.Preds = append(out.Preds, renameVar(p, from, to))
 		}
 		for _, s := range v.Steps {
 			ns := xpath.Step{Axis: s.Axis, Test: s.Test}

@@ -14,6 +14,7 @@ import (
 
 	"axml/internal/core"
 	"axml/internal/netsim"
+	"axml/internal/obs"
 	"axml/internal/peer"
 	"axml/internal/service"
 	"axml/internal/session"
@@ -257,7 +258,17 @@ func TestStreamDeadlineRearms(t *testing.T) {
 // epoch's truth — all items, one generation — and no reader changes
 // a stored tree: a root pinned before the readers started serializes
 // exactly as it did.
-func TestStreamBesideWriters(t *testing.T) { streamsBesideWriter(t, `doc("ledger")/item`) }
+func TestStreamBesideWriters(t *testing.T) { streamsBesideWriter(t, false, `doc("ledger")/item`) }
+
+// TestDelegatedStreamBesideWriters is TestStreamBesideWriters with the
+// ledger at a second peer, data, where the writer commits: the served
+// peer delegates each query there, data writes one epoch's rows into
+// its reply, and the rows reach the client as the bytes they came in.
+func TestDelegatedStreamBesideWriters(t *testing.T) {
+	streamsBesideWriter(t, true,
+		`doc("ledger")/item`,
+		`for $i in doc("ledger")/item where $i/v >= 0 return $i`)
+}
 
 // TestUpwardStreamsBesideWriters is TestStreamBesideWriters for queries
 // that step up, sideways or to the root. Such a step finds a node's
@@ -265,7 +276,7 @@ func TestStreamBesideWriters(t *testing.T) { streamsBesideWriter(t, `doc("ledger
 // stream reads, so every reply is still one epoch's items; building it
 // only reads that tree, and a reader never writes a published node.
 func TestUpwardStreamsBesideWriters(t *testing.T) {
-	streamsBesideWriter(t,
+	streamsBesideWriter(t, false,
 		`doc("ledger")/item[1]/../item`,
 		`for $v in doc("ledger")/item/v return $v/..`,
 		`doc("ledger")/item/v/ancestor::ledger/item`,
@@ -274,8 +285,10 @@ func TestUpwardStreamsBesideWriters(t *testing.T) {
 }
 
 // streamsBesideWriter runs the srcs, each of which returns the ledger's
-// items, beside a writer; see TestStreamBesideWriters.
-func streamsBesideWriter(t *testing.T, srcs ...string) {
+// items, beside a writer; see TestStreamBesideWriters. With remote set
+// the ledger and the writer are at data, and every query must delegate
+// its evaluation there.
+func streamsBesideWriter(t *testing.T, remote bool, srcs ...string) {
 	// The writer commits until every reader has had replies enough to
 	// overlap it, and at least minCommits times.
 	const items, minCommits, readers, repliesEach = 100, 40, 2, 10
@@ -283,18 +296,32 @@ func streamsBesideWriter(t *testing.T, srcs ...string) {
 	for i := 0; i < items; i++ {
 		ledger.AppendChild(xmltree.E("item", xmltree.A("n", fmt.Sprint(i)), xmltree.E("v", xmltree.T("0"))))
 	}
-	p, views := newStore(t, map[string]*xmltree.Node{"ledger": ledger})
+	store, views := newStore(t, nil)
+	p := store // the peer holding the ledger, where the writer commits
+	if remote {
+		p = views.System().MustAddPeer("data")
+	}
+	if err := p.InstallDocument("ledger", ledger); err != nil {
+		t.Fatal(err)
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Peer: p, Views: views}
+	srv := &Server{Peer: store, Views: views}
 	serveOn(t, srv, l)
-	local, err := session.NewLocal(views.System(), views, p.ID)
+	local, err := session.NewLocal(views.System(), views, store.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { local.Close() })
+	if remote {
+		for _, src := range srcs {
+			if rows := delegatedRows(t, local, src); rows != items {
+				t.Fatalf("%s: data evaluated %d rows, want all %d", src, rows, items)
+			}
+		}
+	}
 
 	pinned := p.Snapshot()
 	defer pinned.Release()
@@ -410,6 +437,28 @@ func streamsBesideWriter(t *testing.T, srcs ...string) {
 	if g := srv.MetricsRegistry().Snapshot().Gauges["wire.streams_aborted"]; g != 0 {
 		t.Errorf("%d streams aborted", g)
 	}
+}
+
+// delegatedRows runs src traced through sess and returns the rows of
+// the evaluation a further peer did for it: 0 when the plan delegated
+// no query.
+func delegatedRows(t *testing.T, sess *session.Local, src string) int64 {
+	t.Helper()
+	tr := obs.NewTrace("delegated")
+	rows, err := sess.Query(obs.WithTrace(context.Background(), tr), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rows.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, sp := range tr.Spans() {
+		if sp.Phase == "eval" && sp.To != string(sess.At()) {
+			n += sp.Rows
+		}
+	}
+	return n
 }
 
 // TestClientRowShapes: every row decodes to its first node.

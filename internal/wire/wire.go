@@ -493,8 +493,10 @@ func (s *Server) traceContext(ctx context.Context, cfg session.Config) (context.
 }
 
 // doQueryStream answers QUERYX: one x:row line per result tree as the
-// session cursor yields it, then x:end. Each row is serialized straight
-// from the cursor's tree into the connection buffer. The first row is
+// session cursor yields it, then x:end. Each row goes straight into the
+// connection buffer: serialized from the cursor's tree, or, for a row
+// another peer answered, copied as the bytes it came in unless they
+// hold a CR or LF (Rows.AppendLine). The first row is
 // flushed alone, so it reaches the client while evaluation continues;
 // the rest leave whenever the buffer fills, and handle flushes what is
 // left. Errors before the first row (planning, setup) produce a single
@@ -547,12 +549,14 @@ func (s *Server) doQueryStream(rest string, w *bufio.Writer) {
 			// lets it run first.
 			runtime.Gosched()
 		}
-		// The row is encoded straight into the buffer's free space and
-		// written with one call; a row longer than that space is
-		// encoded into a fresh slice, which Write then spreads over
-		// flushes.
-		row := append(w.AvailableBuffer(), "<x:row>"...)
-		row = xmltree.AppendLine(row, rows.Node())
+		// The row is written straight into the buffer's free space and
+		// handed over with one call; a row longer than that space goes
+		// into a fresh slice, which Write then spreads over flushes. A
+		// row whose bytes do not parse ends the stream with its error.
+		row, err := rows.AppendLine(append(w.AvailableBuffer(), "<x:row>"...))
+		if err != nil {
+			break
+		}
 		_, werr := w.Write(append(row, "</x:row>\n"...))
 		if werr == nil && n == 0 {
 			werr = w.Flush()
@@ -1121,16 +1125,16 @@ func (c *Client) Query(ctx context.Context, src string, opts ...session.Option) 
 		fin()
 	}
 	delivered := first == nil
-	pull := func() (*xmltree.Node, error) {
+	pull := func() (core.Row, error) {
 		if !delivered {
 			delivered = true
-			return first, nil
+			return core.NodeRow(first), nil
 		}
 		n, err := next()
 		if n == nil || err != nil {
 			fin()
 		}
-		return n, err
+		return core.NodeRow(n), err
 	}
 	return session.NewRows(pull, func() error { fin(); return nil }), nil
 }

@@ -127,3 +127,21 @@ func TestByteSizeEqualsSerializeCatalog(t *testing.T) {
 		t.Errorf("ByteSize allocates %v times on the catalog", allocs)
 	}
 }
+
+// BenchmarkCutElements cuts the forest of 60 catalog items a delegated
+// selection answers with into its rows, as the serving peer does with
+// the reply; ns/byte is over the forest's bytes.
+func BenchmarkCutElements(b *testing.B) {
+	var forest []byte
+	for _, item := range benchCatalog().Children[:60] {
+		forest = xmltree.Append(forest, item)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := xmltree.CutElements(forest); !ok {
+			b.Fatal("refused")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(forest)), "ns/byte")
+}

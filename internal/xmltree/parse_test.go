@@ -451,20 +451,17 @@ func TestParsedChildrenAreIndependent(t *testing.T) {
 	}
 }
 
-// FuzzParse: Parse never panics; a tree it accepts re-parses from
-// Serialize and SerializeLine to an Equal tree, and Serialize∘Parse is
-// a fixpoint; an error it reports lies inside the input.
-func FuzzParse(f *testing.F) {
-	for _, in := range roundTripInputs {
-		f.Add(in)
-	}
+// parseCorpus is FuzzParse's seed corpus, which FuzzCutElements reads
+// too.
+func parseCorpus() []string {
+	out := append([]string(nil), roundTripInputs...)
 	for _, c := range parseErrorCases {
-		f.Add(c.input)
+		out = append(out, c.input)
 	}
 	for _, c := range positionCases {
-		f.Add(c.in)
+		out = append(out, c.in)
 	}
-	for _, in := range []string{
+	return append(out,
 		`<item id="42" name='chair &amp; desk'/>`,
 		`<a>&lt;&gt;&amp;&quot;&apos;&#65;&#x42;</a>`,
 		`<a><![CDATA[<not><parsed>&amp;]]></a>`,
@@ -472,7 +469,14 @@ func FuzzParse(f *testing.F) {
 		`<!DOCTYPE doc [ <!ELEMENT a (b)> ]><a><b/></a>`,
 		`<a x="1 &lt; 2 &amp;&amp; &#10;" y='plain'>one &amp; two &#x3C; three</a>`,
 		"<n note=\"a&#13;&#10;b\">line one&#10;line two&#13;</n>",
-	} {
+	)
+}
+
+// FuzzParse: Parse never panics; a tree it accepts re-parses from
+// Serialize and SerializeLine to an Equal tree, and Serialize∘Parse is
+// a fixpoint; an error it reports lies inside the input.
+func FuzzParse(f *testing.F) {
+	for _, in := range parseCorpus() {
 		f.Add(in)
 	}
 	f.Fuzz(func(t *testing.T, in string) {

@@ -114,8 +114,12 @@ func (s Step) appendTo(b []byte) []byte {
 		b = append(b, s.Axis.String()...)
 		b = append(b, "::"...)
 	}
-	b = s.Test.appendTo(b)
-	for _, p := range s.Preds {
+	return appendPreds(s.Test.appendTo(b), s.Preds)
+}
+
+// appendPreds appends predicates, each in brackets.
+func appendPreds(b []byte, preds []Expr) []byte {
+	for _, p := range preds {
 		b = append(b, '[')
 		b = Append(b, p)
 		b = append(b, ']')
@@ -124,10 +128,14 @@ func (s Step) appendTo(b []byte) []byte {
 }
 
 // PathExpr is a location path, optionally rooted ('/...'), optionally
-// starting from a primary filter expression (e.g. $v/a/b).
+// starting from a primary filter expression (e.g. $v/a/b). A filter
+// may carry predicates, XPath 1.0's FilterExpr (e.g. ($v/a | $v/b)[1]):
+// they select from the filter's node-set, counting positions in
+// document order, before any step applies.
 type PathExpr struct {
-	Absolute bool // starts at the context node's root
-	Filter   Expr // optional start expression (variable, function call, ...)
+	Absolute bool   // starts at the context node's root
+	Filter   Expr   // optional start expression (variable, function call, ...)
+	Preds    []Expr // the filter's predicates
 	Steps    []Step
 }
 
@@ -202,6 +210,7 @@ func Append(b []byte, e Expr) []byte {
 	case *PathExpr:
 		if v.Filter != nil {
 			b = appendIn(b, v.Filter, true)
+			b = appendPreds(b, v.Preds)
 			for _, s := range v.Steps {
 				b = append(b, '/')
 				b = s.appendTo(b)
@@ -308,15 +317,16 @@ func PlainNameSteps(steps []Step) bool {
 }
 
 // DownwardOnly reports whether every path in e stays inside the subtree
-// of the node it starts from: no parent, ancestor or sibling step and
-// no absolute path, in e or in any predicate or argument below it. Such
-// an expression never asks where a node sits, so it is evaluated
-// without Context.Trees; and a view body made of such paths reads
-// nothing outside the subtree its variable is bound to.
+// of the node it starts from: no parent, ancestor or sibling step, no
+// absolute path and no filter predicate, in e or in any predicate or
+// argument below it. Such an expression never asks where a node sits,
+// so it is evaluated without Context.Trees; and a view body made of
+// such paths reads nothing outside the subtree its variable is bound
+// to. A filter predicate asks: it counts positions in document order.
 func DownwardOnly(e Expr) bool {
 	switch v := e.(type) {
 	case *PathExpr:
-		if v.Absolute || v.Filter != nil && !DownwardOnly(v.Filter) {
+		if v.Absolute || len(v.Preds) > 0 || v.Filter != nil && !DownwardOnly(v.Filter) {
 			return false
 		}
 		for _, s := range v.Steps {
@@ -368,6 +378,9 @@ func Variables(e Expr) []string {
 		case *PathExpr:
 			if v.Filter != nil {
 				walk(v.Filter)
+			}
+			for _, p := range v.Preds {
+				walk(p)
 			}
 			for _, s := range v.Steps {
 				for _, p := range s.Preds {

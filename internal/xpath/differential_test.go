@@ -173,6 +173,13 @@ var diffPaths = []string{
 	"item[1]", "item[last()]", "item[position() < 4]/name", "item/name[1]", "item/*[2]", "item/node()[2]",
 	"item[3]/@*[2]", "item/@*[1]", "item[position() = last() - 1]", "item[2][1]", "item[name][2]",
 	"item/tags/tag[2]/item", "//item[1]", "//tag[last()]", "item[@id][position() mod 2 = 0]/@id",
+	// a filter's predicates count positions in document order, whatever
+	// order its union gathered the nodes in
+	"(item/name | item)[1]", "(item/name | item)[3]/@id", "(item/price | item/name)[last()]",
+	"(item/@id | item/name)[2]", "(item/@cat | item/@id | item)[position() < 5]", "(//tag | //name)[4]",
+	"(item/name | item/price)[. = 'thing-3']", "(item[3] | item[1])[1]/@id", "(item | item)[2]",
+	"((item | item/name)[2])[1]", "(item/name | item)[2][1]", "(.. | .)[1]", "(//item/@id | /catalog/@rev)[1]",
+	"count((item/name | item/price)[position() > 3])", "(item | note)[last()] = 'seasonal'",
 	// axes on which several input nodes reach the same node
 	"//item", "//item//name", "//name/ancestor::*", "//name/ancestor-or-self::*", "//item/ancestor::item",
 	"item/following-sibling::item", "item/following-sibling::*[1]", "item/preceding-sibling::item[1]",
@@ -247,7 +254,7 @@ func TestStepsFromVariableNodeSets(t *testing.T) {
 		"$one/@id", "$one/@id = $k", "$one/name", "$one/..", "$one/ancestor-or-self::*", "$one/node()[2]",
 		"$none/@id", "$none/..", "$none = $k", "$all/@id = $k", "$all/price < $limit", "$all/self::*[price < $limit]/name",
 		"$all/@id/..", "$all/tags/tag/item/ancestor::item", "$all | $one", "count($all/descendant-or-self::node())",
-		"$k/item", "$limit/..",
+		"$k/item", "$limit/..", "($one | $all)[1]", "($all/name | $one)[2]/@id", "$all[3]/name", "$k[1]",
 		"$all/ancestor::* = $k", "$all/@id != $k", "$k = $all/@id", "$all/descendant::name = $one/name",
 		"$one/.. = $all/..", "$all/following-sibling::item/@id = 23", "$none/@id = $none/@id", "$none/.. != $all",
 		"$all/self::item[@cat]/@cat = 'office'", "$one/preceding-sibling::*/name = 'thing-0'",

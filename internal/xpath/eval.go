@@ -262,7 +262,7 @@ func trunc(f float64) float64 {
 }
 
 func evalPath(p *PathExpr, ctx *Context) (Value, error) {
-	if p.Filter != nil && len(p.Steps) == 0 {
+	if p.Filter != nil && len(p.Steps) == 0 && len(p.Preds) == 0 {
 		return evalExpr(p.Filter, ctx)
 	}
 	current, start, err := walkPath(p, p.Steps, ctx)
@@ -291,6 +291,11 @@ func walkPath(p *PathExpr, steps []Step, ctx *Context) (current NodeSet, start *
 			return nil, nil, &EvalError{Expr: p.Filter.String(), Msg: "path start is not a node-set"}
 		}
 		current = ns
+		if len(p.Preds) > 0 {
+			if current, err = applyPredicates(p.Preds, inDocOrder(ns, ctx.Trees), ctx); err != nil {
+				return nil, nil, err
+			}
+		}
 	case p.Absolute:
 		if ctx.Node == nil {
 			return nil, nil, &EvalError{Expr: p.String(), Msg: "no context node for absolute path"}

@@ -9,7 +9,8 @@
 // node-sets preserve first-visit order (the stored sibling order acts as
 // document order), reverse axes yield document order rather than
 // proximity order, and namespaces are uninterpreted (a prefixed name is
-// an ordinary label containing ':').
+// an ordinary label containing ':'). A filter's predicates, as in
+// ($v/a | $v/b)[1], sort their node-set into document order first.
 //
 // Trees carry no parent pointers, so where a node sits is a property of
 // the trees an evaluation reads: the parent, ancestor and sibling axes

@@ -300,7 +300,8 @@ func (p *Parser) parseUnion() (Expr, error) {
 	return u, nil
 }
 
-// parsePath parses [primary] [/ steps] | absolute path | relative path.
+// parsePath parses [primary [predicates]] [/ steps] | absolute path |
+// relative path.
 func (p *Parser) parsePath() (Expr, error) {
 	switch p.tok.kind {
 	case tokSlash:
@@ -329,6 +330,13 @@ func (p *Parser) parsePath() (Expr, error) {
 		return nil, err
 	} else if ok {
 		pe := &PathExpr{Filter: prim}
+		for p.accept(tokLBracket) {
+			pred, err := p.parsePredicate()
+			if err != nil {
+				return nil, err
+			}
+			pe.Preds = append(pe.Preds, pred)
+		}
 		for {
 			if p.tok.kind == tokSlash {
 				p.Next()
@@ -344,7 +352,7 @@ func (p *Parser) parsePath() (Expr, error) {
 			}
 			pe.Steps = append(pe.Steps, st)
 		}
-		if len(pe.Steps) == 0 {
+		if len(pe.Steps) == 0 && len(pe.Preds) == 0 {
 			return prim, nil
 		}
 		return pe, nil
@@ -468,16 +476,26 @@ func (p *Parser) parseNodeTest() (NodeTest, error) {
 
 func (p *Parser) parsePredicates(st Step) (Step, error) {
 	for p.accept(tokLBracket) {
-		e, err := p.parseExpr()
+		e, err := p.parsePredicate()
 		if err != nil {
-			return Step{}, err
-		}
-		if err := p.expect(tokRBracket); err != nil {
 			return Step{}, err
 		}
 		st.Preds = append(st.Preds, e)
 	}
 	return st, nil
+}
+
+// parsePredicate parses a predicate's expression and its closing ']',
+// the '[' already read.
+func (p *Parser) parsePredicate() (Expr, error) {
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expect(tokRBracket); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // tryParsePrimary recognizes primary expressions that can start a

@@ -11,6 +11,7 @@ package xpath
 
 import (
 	"fmt"
+	"sort"
 
 	"axml/internal/xmltree"
 )
@@ -131,7 +132,7 @@ func refEvalPath(p *PathExpr, ctx *Context) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(p.Steps) == 0 {
+		if len(p.Steps) == 0 && len(p.Preds) == 0 {
 			return v, nil
 		}
 		ns, ok := v.(NodeSet)
@@ -139,6 +140,11 @@ func refEvalPath(p *PathExpr, ctx *Context) (Value, error) {
 			return nil, &EvalError{Expr: p.Filter.String(), Msg: "path start is not a node-set"}
 		}
 		current = ns
+		if len(p.Preds) > 0 {
+			if current, err = refApplyPredicates(p.Preds, refDocOrder(ctx, ns), ctx); err != nil {
+				return nil, err
+			}
+		}
 	case p.Absolute:
 		if ctx.Node == nil {
 			return nil, &EvalError{Expr: p.String(), Msg: "no context node for absolute path"}
@@ -198,6 +204,38 @@ func refApplyStep(st Step, input NodeSet, ctx *Context) (NodeSet, error) {
 		}
 	}
 	return out, nil
+}
+
+// refDocOrder returns ns in document order, numbering the nodes of each
+// tree ns reaches in one preorder walk: a tree's nodes after those of
+// the trees ns reached before it, an attribute between its element and
+// the element's first child.
+func refDocOrder(ctx *Context, ns NodeSet) NodeSet {
+	order := map[*xmltree.Node]int{}
+	next := 0
+	for _, n := range ns {
+		root := n
+		for p := refParent(ctx, root); p != nil; p = refParent(ctx, p) {
+			root = p
+		}
+		if _, seen := order[root]; seen {
+			continue
+		}
+		root.Walk(func(m *xmltree.Node) bool {
+			order[m] = next
+			next += 2
+			return true
+		})
+	}
+	key := func(n *xmltree.Node) int {
+		if n.Kind == xmltree.AttrNode {
+			return order[refParent(ctx, n)] + 1
+		}
+		return order[n]
+	}
+	out := append(NodeSet(nil), ns...)
+	sort.SliceStable(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
+	return out
 }
 
 func refApplyPredicates(preds []Expr, nodes []*xmltree.Node, outer *Context) ([]*xmltree.Node, error) {

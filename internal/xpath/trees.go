@@ -1,6 +1,10 @@
 package xpath
 
-import "axml/internal/xmltree"
+import (
+	"slices"
+
+	"axml/internal/xmltree"
+)
 
 // Trees names the trees an evaluation reads, by their roots. A node has
 // no parent pointer — a stored subtree is shared between epochs of its
@@ -79,4 +83,38 @@ func (t *Trees) own(attr, el *xmltree.Node) {
 		t.parent = map[*xmltree.Node]*xmltree.Node{}
 	}
 	t.parent[attr] = el
+}
+
+// inDocOrder returns a copy of ns sorted into document order: the nodes
+// of one named tree by where they sit in it, an attribute after its
+// element and before the element's children, and the trees in the order
+// ns first reaches them. Positions in a filter's predicates count in
+// this order, whatever order a union gathered its nodes in.
+func inDocOrder(ns NodeSet, trees *Trees) NodeSet {
+	out := slices.Clone(ns)
+	if len(out) < 2 {
+		return out
+	}
+	// A node's key is its root's rank, then the index of each node on
+	// the way down from the root among its parent's children: -1 for an
+	// attribute, which is no child.
+	keys := make(map[*xmltree.Node][]int, len(out))
+	roots := map[*xmltree.Node]int{}
+	for _, n := range out {
+		var path []int
+		x := n
+		for p := trees.parentOf(x); p != nil; x, p = p, trees.parentOf(p) {
+			path = append(path, slices.Index(p.Children, x))
+		}
+		rank, ok := roots[x]
+		if !ok {
+			rank = len(roots)
+			roots[x] = rank
+		}
+		path = append(path, rank)
+		slices.Reverse(path)
+		keys[n] = path
+	}
+	slices.SortStableFunc(out, func(a, b *xmltree.Node) int { return slices.Compare(keys[a], keys[b]) })
+	return out
 }

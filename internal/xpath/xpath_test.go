@@ -568,6 +568,10 @@ var renderSources = []string{
 	`$a | (-$b)`,
 	`$a | ($b | $c)`,
 	`(/)/a`,
+	`($x/a | $x/b)[1]`,
+	`($x/a | $x/b)[1]/c`,
+	`((a | b)[2])[1]`,
+	`$x[1][$y]`,
 }
 
 func TestRenderKeepsParentheses(t *testing.T) {

@@ -193,6 +193,9 @@ func (p *Path) DocSteps() (doc string, steps []xpath.Step, ok bool) {
 	case xpath.VarRef:
 		root = x
 	case *xpath.PathExpr:
+		if len(x.Preds) > 0 {
+			return "", nil, false
+		}
 		root, steps = x.Filter, x.Steps
 	}
 	if root != xpath.VarRef(xpath.DocVar+p.Docs[0]) {

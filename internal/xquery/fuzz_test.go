@@ -42,6 +42,9 @@ var fuzzParseSeeds = []string{
 	`($x/a | $x/b)/c`,
 	`count((doc("d")/a | doc("d")/b)/c)`,
 	`(-$x)/c`,
+	// A filter's predicates: XPath 1.0's FilterExpr.
+	`for $x in doc("d") return ($x/a | $x/b)[1]`,
+	`(doc("d")/a | doc("d")/b)[last()]/c`,
 }
 
 // FuzzParse hardens the first untrusted input surface: every query a

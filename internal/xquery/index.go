@@ -154,7 +154,7 @@ func keyConjunct(x xpath.Expr, v string) (key, value string, first, ok bool) {
 		return key, value, false, ok
 	}
 	p, value, ok := xpath.EqualsString(b)
-	if !ok || p.Filter != xpath.VarRef(v) {
+	if !ok || p.Filter != xpath.VarRef(v) || len(p.Preds) > 0 {
 		return "", "", false, false
 	}
 	key, ok = shapePath(p.Steps, true)

@@ -77,6 +77,9 @@ var parseParity = []struct{ src, want string }{
 	{`($x/a | $x/b)/c`, `($x/a | $x/b)/c`},                                       // was `$x/a | $x/b/c`
 	{`count((doc("d")/a | doc("d")/b)/c)`, `count((doc("d")/a | doc("d")/b)/c)`}, // was `count(doc("d")/a | doc("d")/b/c)`
 	{`(-$x)/c`, `(-$x)/c`},                                                       // was `-$x/c`
+	// A filter's predicates (XPath 1.0's FilterExpr) were refused.
+	{`for $x in doc("d") return ($x/a | $x/b)[1]`, `for $x in doc("d") return ($x/a | $x/b)[1]`}, // was error
+	{`(doc("d")/a | doc("d")/b)[last()]/c`, `(doc("d")/a | doc("d")/b)[last()]/c`},               // was error
 }
 
 func TestParseParity(t *testing.T) {

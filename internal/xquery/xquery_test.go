@@ -398,3 +398,22 @@ func TestEntityInConstructorText(t *testing.T) {
 		t.Errorf("text = %q", got)
 	}
 }
+
+// TestFilterPositionsInDocumentOrder: a filter's predicates (XPath
+// 1.0's FilterExpr) count positions in document order, not in the order
+// a union gathered its operands.
+func TestFilterPositionsInDocumentOrder(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{`for $i in doc("catalog")/item return ($i/price | $i/name)[1]`, "<name>chair</name><name>desk</name><name>lamp</name>"},
+		{`for $i in doc("catalog")/item return ($i/price | $i/name)[last()]/text()`, "3012015"},
+		{`(doc("catalog")/item/price | doc("catalog")/item/name)[4]`, "<price>120</price>"},
+	} {
+		var got strings.Builder
+		for _, n := range run(t, c.src) {
+			got.WriteString(xmltree.Serialize(n))
+		}
+		if got.String() != c.want {
+			t.Errorf("%s = %s, want %s", c.src, got.String(), c.want)
+		}
+	}
+}
