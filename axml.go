@@ -127,9 +127,10 @@ type System struct {
 	metrics   *obs.Registry
 }
 
-// DefineView materializes query src as view name at peer at and keeps
-// it fresh as the base documents change (see internal/view). Queries
-// optimized through Optimize may then be rewritten to read the view.
+// DefineView materializes query src as view name at peer at (see
+// internal/view). Queries optimized through Optimize may then be
+// rewritten to read the view; RefreshViews, or a query run
+// WithConsistentView, brings it up to date with its base documents.
 func (s *System) DefineView(name, src string, at PeerID) error {
 	return s.views.Define(name, src, at)
 }
@@ -143,10 +144,6 @@ func (s *System) DropView(name string) error { return s.views.Drop(name) }
 // RefreshViews synchronously brings every view up to date and returns
 // the number of result trees moved.
 func (s *System) RefreshViews() (int, error) { return s.views.RefreshAll() }
-
-// AutoRefreshViews subscribes views to base-document change
-// notifications so they stay fresh without explicit refreshes.
-func (s *System) AutoRefreshViews() { s.views.AutoRefresh() }
 
 // ViewManager exposes the underlying manager for advanced use
 // (replicated placements, the optimizer rule, drop/refresh policies).

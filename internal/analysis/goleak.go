@@ -8,7 +8,7 @@ import (
 )
 
 // GoLeak flags goroutines that can block forever — the leak pattern
-// this repo keeps re-growing in its watcher/auto-refresh plumbing: a
+// this repo kept re-growing in its watcher and stream plumbing: a
 // `go func() { ch <- result }()` whose receive lives on only some of
 // the enclosing function's paths, a ticker that is never Stopped, or a
 // goroutine body that exits still holding a shared mutex.

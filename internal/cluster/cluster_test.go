@@ -16,7 +16,6 @@ import (
 	"axml/internal/core"
 	"axml/internal/netsim"
 	"axml/internal/obs"
-	"axml/internal/peer"
 	"axml/internal/placement"
 	"axml/internal/service"
 	"axml/internal/session"
@@ -120,7 +119,8 @@ func startMemberNode(t *testing.T, id string, docs map[string]string, coordAddr 
 
 func startCoordinatorNode(t *testing.T, cfg CoordinatorConfig) (*Coordinator, string) {
 	t.Helper()
-	p := peer.New("coord")
+	sys := core.NewSystem(netsim.New())
+	p := sys.MustAddPeer("coord")
 	coord, err := NewCoordinator(p, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func startCoordinatorNode(t *testing.T, cfg CoordinatorConfig) (*Coordinator, st
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &wire.Server{Peer: p, Placements: coord.Controller()}
+	srv := &wire.Server{Peer: p, Views: view.NewManager(sys), Placements: coord.Controller()}
 	go srv.Serve(l) //nolint:errcheck // closed by test cleanup
 	t.Cleanup(func() { l.Close() })
 	return coord, l.Addr().String()
@@ -315,11 +315,12 @@ func TestCoordinatorDemandTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := peer.New("slow")
+	sys := core.NewSystem(netsim.New())
+	p := sys.MustAddPeer("slow")
 	if err := register(p, map[string]service.BuiltinFunc{"x:demand": stub.demand}); err != nil {
 		t.Fatal(err)
 	}
-	srv := &wire.Server{Peer: p}
+	srv := &wire.Server{Peer: p, Views: view.NewManager(sys)}
 	go srv.Serve(l) //nolint:errcheck // closed by test cleanup
 	t.Cleanup(func() { l.Close() })
 	if _, err := coord.Hello(MemberInfo{ID: "slow", Addr: l.Addr().String()}); err != nil {
@@ -422,7 +423,8 @@ func TestMemberByeOnClose(t *testing.T) {
 // registers it with the coordinator.
 func serveMember(t *testing.T, coord *Coordinator, id string, services map[string]service.BuiltinFunc) {
 	t.Helper()
-	p := peer.New(netsim.PeerID(id))
+	sys := core.NewSystem(netsim.New())
+	p := sys.MustAddPeer(netsim.PeerID(id))
 	if err := register(p, services); err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +432,7 @@ func serveMember(t *testing.T, coord *Coordinator, id string, services map[strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &wire.Server{Peer: p}
+	srv := &wire.Server{Peer: p, Views: view.NewManager(sys)}
 	go srv.Serve(l) //nolint:errcheck // closed by test cleanup
 	t.Cleanup(func() { l.Close() })
 	if _, err := coord.Hello(MemberInfo{ID: id, Addr: l.Addr().String()}); err != nil {
@@ -638,7 +640,8 @@ func TestControlServicesByRole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go (&wire.Server{Peer: peer.New("bare")}).Serve(l) //nolint:errcheck // closed by test cleanup
+	bare := core.NewSystem(netsim.New())
+	go (&wire.Server{Peer: bare.MustAddPeer("bare"), Views: view.NewManager(bare)}).Serve(l) //nolint:errcheck // closed by test cleanup
 	t.Cleanup(func() { l.Close() })
 
 	all := []string{"x:hello", "x:bye", "x:step", "x:demand", "x:migrate", "x:drop-view", "x:accept-view"}

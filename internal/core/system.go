@@ -287,6 +287,27 @@ func (h *peerHandler) evalReply(ctx context.Context, e Expr, vt float64) ([]byte
 	return b, rows, cur.VT(), nil
 }
 
+// ApplyCall applies the named service of provider to argument forests
+// the way a call reaches its provider (definition (6), provider side):
+// the service is looked up, the arguments are checked against its
+// signature, and a builtin runs its Go function or a declarative
+// service its query. It returns the response forest and the compute
+// cost.
+func (s *System) ApplyCall(ctx context.Context, provider netsim.PeerID, name string, args [][]*xmltree.Node) ([]*xmltree.Node, float64, error) {
+	p, ok := s.Peer(provider)
+	if !ok {
+		return nil, 0, fmt.Errorf("core: unknown peer %q", provider)
+	}
+	svc, ok := p.Service(name)
+	if !ok {
+		return nil, 0, fmt.Errorf("core: peer %s: %w: %q", provider, ErrNoSuchService, name)
+	}
+	if err := svc.Sig.CheckInput(args); err != nil {
+		return nil, 0, fmt.Errorf("core: call %s@%s: %w", name, provider, err)
+	}
+	return s.applyService(ctx, p, svc, args)
+}
+
 // handleServiceCall applies a service to shipped parameters
 // (definition (6), provider side) and returns the response forest.
 // Forward-list delivery is done by the caller side of the protocol in
@@ -298,18 +319,11 @@ func (h *peerHandler) handleServiceCall(ctx context.Context, msg netsim.Message,
 		return nil, "", 0, fmt.Errorf("core: bad call body: %w", err)
 	}
 	name, _ := root.Attr("service")
-	svc, ok := h.peer.Service(name)
-	if !ok {
-		return nil, "", 0, fmt.Errorf("core: peer %s: %w: %q", h.peer.ID, ErrNoSuchService, name)
-	}
 	var args [][]*xmltree.Node
 	for _, p := range root.ChildElementsByLabel("x:param") {
 		args = append(args, p.ChildElements())
 	}
-	if err := svc.Sig.CheckInput(args); err != nil {
-		return nil, "", 0, fmt.Errorf("core: call %s@%s: %w", name, h.peer.ID, err)
-	}
-	out, cost, err := h.sys.applyService(ctx, h.peer, svc, args)
+	out, cost, err := h.sys.ApplyCall(ctx, h.peer.ID, name, args)
 	if err != nil {
 		return nil, "", 0, err
 	}

@@ -43,15 +43,9 @@ func (o *Options) fill() {
 // Plan is an optimized expression with its predicted cost and the
 // derivation that produced it.
 type Plan struct {
-	Expr core.Expr
-	Est  Estimate
-	Cost float64
-	// BaseCost is the estimated cost of the original (unrewritten)
-	// expression under DefaultWeights — the search's starting point.
-	// Cost ≤ BaseCost always; the difference is the predicted saving
-	// of the chosen plan (the session plan cache weights its eviction
-	// policy with it).
-	BaseCost   float64
+	Expr       core.Expr
+	Est        Estimate
+	Cost       float64
 	Derivation []string // "rule @ position" steps from the original
 }
 
@@ -128,17 +122,10 @@ func (es *Estimator) optimize(at netsim.PeerID, e core.Expr, opts Options) (*Pla
 	if best == start && baseErr != nil {
 		return nil, explored, fmt.Errorf("opt: estimating original plan: %w", baseErr)
 	}
-	if math.IsInf(baseCost, 1) {
-		// The original never estimated; report the chosen plan's own
-		// cost as the baseline so downstream consumers (plan-cache
-		// eviction weights) see a finite, zero-saving baseline.
-		baseCost = best.cost
-	}
 	return &Plan{
 		Expr:       best.expr,
 		Est:        best.est,
 		Cost:       best.cost,
-		BaseCost:   baseCost,
 		Derivation: best.deriv,
 	}, explored, nil
 }

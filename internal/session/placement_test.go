@@ -2,9 +2,8 @@ package session
 
 // Tests for the session ↔ adaptive-placement seams: the traffic sink,
 // the typed ErrViewMoved surfaced when a placement moves under an open
-// cursor, cost-weighted plan-cache eviction, and catalog-generation
-// invalidation across migrations (including a -race variant with
-// concurrent queries during moves).
+// cursor, and catalog-generation invalidation across migrations
+// (including a -race variant with concurrent queries during moves).
 
 import (
 	"context"
@@ -198,6 +197,58 @@ func TestErrViewMovedOnDrop(t *testing.T) {
 	}
 }
 
+// TestErrViewMovedWhenTheCopyComesBack: a stream opens while the
+// view's only copy is at client, and the copy then leaves and comes
+// back — migrated to spare and back, or dropped with its view and
+// defined again. The peers holding a copy are the same as when the
+// stream opened, but the copy it may be reading was removed, so the
+// stream and its guard both report ErrViewMoved.
+func TestErrViewMovedWhenTheCopyComesBack(t *testing.T) {
+	ctx := context.Background()
+	for name, away := range map[string]func(*view.Manager) error{
+		"migrate": func(views *view.Manager) error {
+			if err := views.Migrate(ctx, "cheap", "client", "spare"); err != nil {
+				return err
+			}
+			return views.Migrate(ctx, "cheap", "spare", "client")
+		},
+		"redefine": func(views *view.Manager) error {
+			if err := views.Drop("cheap"); err != nil {
+				return err
+			}
+			return views.Define("cheap", viewSrc, "client")
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sys, views := moveSystem(t)
+			if err := views.Define("cheap", viewSrc, "client"); err != nil {
+				t.Fatal(err)
+			}
+			sess := newSession(t, sys, views)
+			guard := sess.viewGuard([]string{"cheap"}, views.Removals())
+			rows, err := sess.Query(ctx, selectQ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rows.Close()
+			if err := away(views); err != nil {
+				t.Fatal(err)
+			}
+			if ps, _ := views.PlacementsOf("cheap"); len(ps) != 1 || ps[0] != "client" {
+				t.Fatalf("placements = %v, want [client]", ps)
+			}
+			if err := guard(); !errors.Is(err, ErrViewMoved) {
+				t.Errorf("guard = %v, want ErrViewMoved", err)
+			}
+			for rows.Next() {
+			}
+			if err := rows.Err(); !errors.Is(err, ErrViewMoved) {
+				t.Fatalf("stream error = %v, want ErrViewMoved", err)
+			}
+		})
+	}
+}
+
 // TestUnrelatedCatalogChangeKeepsStreaming: defining a different view
 // mid-stream bumps the generation but must not kill the stream.
 func TestUnrelatedCatalogChangeKeepsStreaming(t *testing.T) {
@@ -245,53 +296,6 @@ func TestReplicationKeepsStreaming(t *testing.T) {
 	}
 	if len(forest) != 4 {
 		t.Errorf("rows = %d, want 4", len(forest))
-	}
-}
-
-// TestPlanCacheCostWeightedEviction: under cache pressure the victim
-// is the plan the optimizer could not improve, not the oldest one. A
-// high-benefit plan (remote selective query, big delegation win) must
-// survive a newer zero-benefit plan (local document read).
-func TestPlanCacheCostWeightedEviction(t *testing.T) {
-	sys, views := moveSystem(t)
-	client, _ := sys.Peer("client")
-	if err := client.InstallDocument("local", xmltree.MustParse(`<x><y>1</y><z>2</z></x>`)); err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewLocal(sys, views, "client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.planCap = 2
-	ctx := context.Background()
-	run := func(src string) {
-		t.Helper()
-		rows, err := sess.Query(ctx, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rows.Collect(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	remote := selectQ // remote catalog, selective: delegation saves a lot
-	localA := `doc("local")/y`
-	localB := `doc("local")/z`
-	run(remote) // oldest entry, high benefit
-	run(localA) // newer, zero benefit
-	run(localB) // insertion forces one eviction
-	if st := planCache(sess); st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
-	}
-	hits := planCache(sess).Hits
-	run(remote) // must still be cached despite being least-recently-used
-	if got := planCache(sess).Hits; got != hits+1 {
-		t.Errorf("high-benefit plan was evicted: hits %d → %d", hits, got)
-	}
-	misses := planCache(sess).Misses
-	run(localA) // the zero-benefit entry was the victim
-	if got := planCache(sess).Misses; got != misses+1 {
-		t.Errorf("zero-benefit plan survived: misses %d → %d", misses, got)
 	}
 }
 

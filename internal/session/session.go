@@ -95,16 +95,12 @@ type Session interface {
 }
 
 // Config collects the per-call options. Backends ignore knobs that do
-// not apply to them (a wire client cannot disable the remote server's
-// optimizer cache, but it forwards the intent).
+// not apply to them (a wire client frames the ones the server reads as
+// request flags and applies its timeout itself).
 type Config struct {
 	// NoOptimize evaluates the naive definition-(1)–(9) plan without
 	// the rewrite search (and without consulting the plan cache).
 	NoOptimize bool
-	// NoPlanCache forces a fresh optimizer run even for known shapes.
-	// The plan is still stored; benchmarks use this as the
-	// optimize-every-time baseline.
-	NoPlanCache bool
 	// ConsistentView refreshes every materialized view the chosen plan
 	// reads before evaluating, so the answer reflects the current base
 	// data rather than the last refresh.
@@ -146,10 +142,6 @@ type Option func(*Config)
 // view rewriting, no plan cache.
 func WithNoOptimize() Option { return func(c *Config) { c.NoOptimize = true } }
 
-// WithNoPlanCache re-runs the optimizer even when a cached plan
-// exists.
-func WithNoPlanCache() Option { return func(c *Config) { c.NoPlanCache = true } }
-
 // WithConsistentView refreshes the views the plan reads before
 // answering from them.
 func WithConsistentView() Option { return func(c *Config) { c.ConsistentView = true } }
@@ -184,26 +176,17 @@ func BuildConfig(opts []Option) Config {
 }
 
 // cachedPlan is one plan-cache entry: the normalized shape key, the
-// optimized expression and the names of the views it reads, the
-// view-catalog generation it was derived under, and the retention
-// weights of the cost-aware eviction policy.
+// optimized expression and the names of the views it reads, and the
+// view-catalog generation it was derived under.
 type cachedPlan struct {
 	key   string
 	expr  core.Expr
 	views []string // planViews(expr), found once when the plan is made
 	gen   uint64
-	// benefit is the optimizer's estimated cost saving of this plan
-	// over the naive plan (opt.DefaultWeights scalar). A plan that
-	// saves nothing is cheap to lose — re-deriving it is one search
-	// that converges immediately; a plan whose search found a big win
-	// is the one worth keeping under cache pressure.
-	benefit float64
-	// uses counts cache hits: repeated shapes amortize their search.
-	uses uint64
 }
 
-// DefaultPlanCacheSize bounds a session's plan cache, evicting beyond
-// it by benefit and then recency. Long-lived server sessions see
+// DefaultPlanCacheSize bounds a session's plan cache, evicting the
+// least recently used plan beyond it. Long-lived server sessions see
 // adversarial shape churn (every distinct normalized query is one
 // entry); an unbounded map would grow with the lifetime of the
 // process.
@@ -344,6 +327,7 @@ func (s *Local) Query(ctx context.Context, src string, opts ...Option) (*Rows, e
 	}
 
 	_, plsp := obs.StartSpan(ctx, "plan", "")
+	removals := s.views.Removals()
 	pl, hit, err := s.plan(q, &cfg)
 	if err != nil {
 		plsp.Fail(err)
@@ -364,7 +348,7 @@ func (s *Local) Query(ctx context.Context, src string, opts ...Option) (*Rows, e
 	if !cfg.NoTraffic {
 		s.observe(q, pl.expr)
 	}
-	rows, err := s.rowsFor(ctx, pl, &cfg)
+	rows, err := s.rowsFor(ctx, pl, removals, &cfg)
 	if err != nil {
 		root.Fail(err)
 		root.End()
@@ -427,10 +411,11 @@ func (s *Local) observe(q *xquery.Query, expr core.Expr) {
 }
 
 // rowsFor opens the result stream for a plan under the call's context
-// rules (timeout, consistent views, snapshot isolation).
-func (s *Local) rowsFor(ctx context.Context, pl *cachedPlan, cfg *Config) (*Rows, error) {
+// rules (timeout, consistent views, snapshot isolation). removals is
+// the view manager's removal count read before the plan was chosen.
+func (s *Local) rowsFor(ctx context.Context, pl *cachedPlan, removals uint64, cfg *Config) (*Rows, error) {
 	expr := pl.expr
-	guard := s.viewGuard(pl.views)
+	guard := s.viewGuard(pl.views, removals)
 	cancel := func() {}
 	if cfg.Timeout > 0 {
 		// The deadline spans the whole stream; it is released as soon
@@ -467,10 +452,10 @@ func (s *Local) rowsFor(ctx context.Context, pl *cachedPlan, cfg *Config) (*Rows
 	return s.openRows(ctx, expr, guard, cancel)
 }
 
-// movedOr attributes a failure while the view catalog moved underneath
-// the call to the move — the typed error tells the caller to simply
-// re-run, instead of surfacing a transient resolution error from a
-// placement that no longer exists.
+// movedOr attributes a failure to a removed copy of a view the plan
+// reads, when the guard saw one: the typed error tells the caller to
+// simply re-run, instead of surfacing a transient resolution error from
+// a copy that no longer exists.
 func movedOr(guard func() error, err error) error {
 	if gerr := guard(); gerr != nil {
 		return gerr
@@ -556,57 +541,30 @@ func (s *Local) openRows(ctx context.Context, expr core.Expr, guard func() error
 }
 
 // viewGuard builds the mid-stream placement check of a plan reading
-// the views names: a cheap generation probe per pull, and only when the
-// view catalog actually changed, a check that every placement the
-// plan could be reading still exists. The snapshot pins the placement
-// set at open time — the stream fails with ErrViewMoved only when one
-// of those copies disappeared (migrated away, dropped, evicted), since
-// the cursor may be reading exactly that copy. Additive changes — a
-// new replica of this view, an unrelated view defined elsewhere —
-// keep the stream running.
-func (s *Local) viewGuard(names []string) func() error {
+// the views names, from the view manager's removal count read before
+// the plan was chosen. A pull costs one atomic load while no copy of
+// any view is removed. Once the count moves, the stream fails with
+// ErrViewMoved if a copy of one of its views was removed — migrated
+// away, dropped or evicted, even if a copy has since come back to the
+// same peer — since the cursor may be reading exactly that copy.
+// Additions, and removals of other views' copies, keep the stream
+// running.
+func (s *Local) viewGuard(names []string, removals uint64) func() error {
 	if len(names) == 0 {
 		return func() error { return nil }
 	}
-	gen := s.views.Generation()
-	snap := make(map[string][]netsim.PeerID, len(names))
-	for _, name := range names {
-		if ps, ok := s.views.PlacementsOf(name); ok {
-			snap[name] = ps
-		}
-	}
+	seen := removals // declared here, so a plan without views allocates nothing
 	return func() error {
-		cur := s.views.Generation()
-		if cur == gen {
+		if s.views.Removals() == seen {
 			return nil
 		}
-		for _, name := range names {
-			ps, ok := s.views.PlacementsOf(name)
-			if !ok {
-				return fmt.Errorf("%w: view %q was dropped", ErrViewMoved, name)
-			}
-			if !containsAll(ps, snap[name]) {
-				return fmt.Errorf("%w: view %q moved", ErrViewMoved, name)
-			}
+		name, now := s.views.RemovedSince(seen, names)
+		if name != "" {
+			return fmt.Errorf("%w: a copy of view %q was removed", ErrViewMoved, name)
 		}
-		gen = cur // additive change only: stop deep-checking until the next bump
+		seen = now // other views' copies only: stop checking until the next removal
 		return nil
 	}
-}
-
-// containsAll reports whether every peer of want is present in have
-// (both sorted).
-func containsAll(have, want []netsim.PeerID) bool {
-	i := 0
-	for _, w := range want {
-		for i < len(have) && have[i] < w {
-			i++
-		}
-		if i >= len(have) || have[i] != w {
-			return false
-		}
-	}
-	return true
 }
 
 // Exec implements Session. Update statements are location-transparent
@@ -708,6 +666,7 @@ func (s *Local) Prepare(ctx context.Context, src string) (*Stmt, error) {
 			return nil, err
 		}
 		cfg := BuildConfig(opts)
+		removals := s.views.Removals()
 		pl, _, err := s.plan(q, &cfg)
 		if err != nil {
 			return nil, err
@@ -715,7 +674,7 @@ func (s *Local) Prepare(ctx context.Context, src string) (*Stmt, error) {
 		if !cfg.NoTraffic {
 			s.observe(q, pl.expr)
 		}
-		return s.rowsFor(ctx, pl, &cfg)
+		return s.rowsFor(ctx, pl, removals, &cfg)
 	}
 	return NewStmt(src, run), nil
 }
@@ -753,8 +712,7 @@ func (s *Local) planOnce(q *xquery.Query, cfg *Config) (*cachedPlan, bool, error
 			s.order.Remove(elem)
 			delete(s.plans, key)
 			s.count("session.plan_cache.invalidations")
-		} else if !cfg.NoPlanCache {
-			cp.uses++
+		} else {
 			s.order.MoveToFront(elem)
 			s.mu.Unlock()
 			s.count("session.plan_cache.hits")
@@ -768,13 +726,7 @@ func (s *Local) planOnce(q *xquery.Query, cfg *Config) (*cachedPlan, bool, error
 	if err != nil {
 		return nil, false, err
 	}
-	// The retention weight of the cost-aware eviction policy: how much
-	// the optimizer thinks this plan saves over the naive one.
-	benefit := plan.BaseCost - plan.Cost
-	if benefit < 0 {
-		benefit = 0
-	}
-	cp := &cachedPlan{key: key, expr: plan.Expr, views: planViews(plan.Expr), gen: gen, benefit: benefit}
+	cp := &cachedPlan{key: key, expr: plan.Expr, views: planViews(plan.Expr), gen: gen}
 	s.mu.Lock()
 	s.storePlan(cp)
 	s.mu.Unlock()
@@ -782,44 +734,21 @@ func (s *Local) planOnce(q *xquery.Query, cfg *Config) (*cachedPlan, bool, error
 }
 
 // storePlan inserts (or refreshes) a cache entry as most-recently-used
-// and evicts entries beyond the cap. Caller holds s.mu.
+// and evicts the least recently used entries beyond the cap. Caller
+// holds s.mu.
 func (s *Local) storePlan(cp *cachedPlan) {
 	if elem, ok := s.plans[cp.key]; ok {
-		cp.uses = elem.Value.(*cachedPlan).uses
 		elem.Value = cp
 		s.order.MoveToFront(elem)
 		return
 	}
 	s.plans[cp.key] = s.order.PushFront(cp)
 	for s.order.Len() > s.planCap {
-		s.evictOne()
+		oldest := s.order.Back()
+		s.order.Remove(oldest)
+		delete(s.plans, oldest.Value.(*cachedPlan).key)
+		s.count("session.plan_cache.evictions")
 	}
-}
-
-// evictOne drops the cached plan with the lowest retention score.
-// Pure-LRU eviction treats a plan whose search saved three WAN
-// round-trips the same as one the optimizer could not improve; the
-// score — estimated benefit weighted by hit count — keeps the
-// expensive-to-lose plans and lets the worthless ones churn. Recency
-// still matters twice: the most-recently-used entry is never the
-// victim, and ties fall to the least-recently-used candidate. Caller
-// holds s.mu.
-func (s *Local) evictOne() {
-	var worst *list.Element
-	worstScore := 0.0
-	for elem := s.order.Back(); elem != nil && elem != s.order.Front(); elem = elem.Prev() {
-		cp := elem.Value.(*cachedPlan)
-		score := float64(1+cp.uses) * (cp.benefit + 1)
-		if worst == nil || score < worstScore {
-			worst, worstScore = elem, score
-		}
-	}
-	if worst == nil {
-		worst = s.order.Back()
-	}
-	s.order.Remove(worst)
-	delete(s.plans, worst.Value.(*cachedPlan).key)
-	s.count("session.plan_cache.evictions")
 }
 
 // parseQuery wraps parse failures in ErrBadQuery.

@@ -229,9 +229,10 @@ func TestPreparedStatementSkipsSearch(t *testing.T) {
 }
 
 // TestPlanningOncePerShape: four query shapes, each issued ten times.
-// Optimizing every call runs the search 40 times; the plan cache and
-// prepared statements run it once per shape, and all three answer
-// with the same rows.
+// Optimizing every call — a fresh session per call, counting into one
+// registry — runs the search 40 times; the plan cache and prepared
+// statements run it once per shape, and all three answer with the same
+// rows.
 func TestPlanningOncePerShape(t *testing.T) {
 	const shapes, repeats = 4, 10
 	src := func(i int) string {
@@ -262,7 +263,10 @@ func TestPlanningOncePerShape(t *testing.T) {
 				var err error
 				switch mode.name {
 				case "per-query":
-					rows, err = sess.Query(ctx, src(i), WithNoPlanCache())
+					var fresh *Local
+					if fresh, err = NewLocal(sys, views, "client", WithMetrics(sess.metrics)); err == nil {
+						rows, err = fresh.Query(ctx, src(i))
+					}
 				case "plan-cache":
 					rows, err = sess.Query(ctx, src(i))
 				default:
@@ -385,7 +389,7 @@ func TestTypedErrors(t *testing.T) {
 		t.Errorf("parse failure: %v, want ErrBadQuery", err)
 	}
 	sys.Net.SetDown("data", true)
-	_, err = sess.Query(ctx, selectQ, WithNoOptimize(), WithNoPlanCache())
+	_, err = sess.Query(ctx, selectQ, WithNoOptimize())
 	if !errors.Is(err, ErrPeerDown) {
 		t.Errorf("down peer: %v, want ErrPeerDown", err)
 	}

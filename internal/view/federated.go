@@ -83,8 +83,8 @@ func (m *Manager) Materialized(name string) (MaterializedView, error) {
 // document, the shape registered for query rewriting and the catalog
 // entries added (full-copy views register under the base class too, so
 // plain doc("base") queries transparently land on the copy). The view
-// is marked ModeAdopted — refresh and auto-refresh skip it, because
-// its base documents live in the shipping deployment. Re-adopting an
+// is marked ModeAdopted — no refresh reaches it, because its base
+// documents live in the shipping deployment. Re-adopting an
 // existing adopted view at the same peer replaces its content (the
 // freshness path of a federated re-ship); origin records the member
 // that owns the base.

@@ -141,9 +141,9 @@ func (m *Manager) AddPlacement(name string, at netsim.PeerID) error {
 	return m.DefineQuery(name, st.def.Query, at)
 }
 
-// DropPlacement removes the view's materialized copy at peer at:
-// watchers stop, the catalog registrations for that copy disappear and
-// the document is uninstalled. Dropping the last copy removes the view
+// DropPlacement removes the view's materialized copy at peer at: the
+// catalog registrations for that copy disappear and the document is
+// uninstalled. Dropping the last copy removes the view
 // entirely (queries fall back to the base). The catalog generation is
 // bumped so cached plans that read this copy re-plan.
 func (m *Manager) DropPlacement(name string, at netsim.PeerID) error {
@@ -169,9 +169,8 @@ func (m *Manager) DropPlacement(name string, at netsim.PeerID) error {
 }
 
 // addPlacement makes a filled copy part of its view: it joins the
-// state, the catalog lists its document, the generation is bumped and
-// auto-refresh watches it. It is the inverse of removePlacement.
-// Callers hold st.mu.
+// state, the catalog lists its document and the generation is bumped.
+// It is the inverse of removePlacement. Callers hold st.mu.
 func (m *Manager) addPlacement(st *state, p *placement) {
 	st.placements = append(st.placements, p)
 	docName := st.def.DocName()
@@ -182,18 +181,17 @@ func (m *Manager) addPlacement(st *state, p *placement) {
 		m.sys.Generics.RegisterDoc(st.bases[0], gendoc.DocReplica{Doc: docName, At: p.at})
 	}
 	m.gen.Add(1)
-	m.watchPlacement(st, p)
 }
 
-// removePlacement drops one placement's watchers and catalog entries,
-// bumps the generation, uninstalls its document and splices it out of
-// the state. Callers hold st.mu.
+// removePlacement counts the removal, drops one placement's catalog
+// entries, bumps the generation, uninstalls its document and splices it
+// out of the state. The count comes first, so a reader that finds the
+// document gone already sees it. Callers hold st.mu.
 func (m *Manager) removePlacement(st *state, idx int) {
 	p := st.placements[idx]
-	for _, cancel := range p.cancels {
-		cancel()
-	}
-	p.cancels = nil
+	m.mu.Lock()
+	m.removed[st.def.Name] = m.removals.Add(1)
+	m.mu.Unlock()
 	docName := st.def.DocName()
 	m.sys.Generics.UnregisterDoc(docName, gendoc.DocReplica{Doc: docName, At: p.at})
 	if st.replica {

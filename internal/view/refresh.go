@@ -22,12 +22,16 @@
 // (Tx.Drop, then Tx.Install) — so a reader never finds a view
 // half-refreshed, empty or absent. The full refresh also fills every
 // new copy: DefineQuery and AddPlacement run it on an empty placement.
-// AutoRefresh subscribes to the base documents' change notifications
-// (installs and drops included) so views follow updates without
-// polling; Refresh/RefreshAll are the synchronous entry points tests
-// and benchmarks drive deterministically, and RefreshFull is the
-// force-full baseline (admin healing; TestChurnConvergence holds the
-// provenance path to it).
+//
+// A copy changes only when a statement asks for it, in one of three
+// ways: a read whose plan uses it refreshes it first (the session's
+// WithConsistentView, which every wire QUERYX sets); Refresh,
+// RefreshAll or RefreshFull refresh it on request, RefreshFull being
+// the force-full baseline (admin healing; TestChurnConvergence holds
+// the provenance path to it); or a placement action (DefineQuery,
+// AddPlacement, Migrate, Adopt) fills it. Nothing refreshes a copy in
+// the background, so a refresh's failure always reaches the caller
+// that asked for it.
 package view
 
 import (
@@ -119,9 +123,7 @@ func (m *Manager) refreshStateWith(ctx context.Context, st *state,
 			errs = append(errs, fmt.Errorf("placement %s: %w", p.at, err))
 		}
 	}
-	err := errors.Join(errs...)
-	st.lastErr = err
-	if err != nil {
+	if err := errors.Join(errs...); err != nil {
 		return total, fmt.Errorf("view %q: %w", st.def.Name, err)
 	}
 	return total, nil
@@ -295,109 +297,4 @@ func swapDocument(p *peer.Peer, name string, root *xmltree.Node) error {
 		}
 		return tx.Install(name, root)
 	})
-}
-
-// AutoRefresh subscribes every current and future placement to its
-// base documents' change notifications; each change triggers a
-// refresh of the affected view. Call Close to stop the watchers.
-func (m *Manager) AutoRefresh() {
-	m.mu.Lock()
-	if m.auto {
-		m.mu.Unlock()
-		return
-	}
-	m.auto = true
-	states := make([]*state, 0, len(m.views))
-	for _, st := range m.views {
-		states = append(states, st)
-	}
-	m.mu.Unlock()
-	for _, st := range states {
-		st.mu.Lock()
-		for _, p := range st.placements {
-			m.watchPlacement(st, p)
-		}
-		st.mu.Unlock()
-	}
-}
-
-// watchPlacement starts one watcher goroutine per base document of
-// the placement when auto-refresh is on (a no-op otherwise, so new
-// placements can call it unconditionally). A base that cannot be
-// watched — its host is gone or unlocatable — is recorded on the
-// view's state and surfaced through Views()/Info.LastError instead of
-// being skipped silently, so an auto-refresh that will never fire is
-// visible. Callers hold st.mu.
-func (m *Manager) watchPlacement(st *state, p *placement) {
-	m.mu.Lock()
-	done, closed, auto := m.done, m.closed, m.auto
-	m.mu.Unlock()
-	if !auto || closed || len(p.cancels) > 0 || st.mode == ModeAdopted {
-		return
-	}
-	for _, base := range st.bases {
-		hostID := p.baseAt
-		if p.inc == nil {
-			// Full-refresh views read their bases wherever they live.
-			id, err := m.hostOf(base, p.at)
-			if err != nil {
-				st.lastErr = fmt.Errorf("auto-refresh for placement %s: %w", p.at, err)
-				continue
-			}
-			hostID = id
-		}
-		host, ok := m.sys.Peer(hostID)
-		if !ok {
-			st.lastErr = fmt.Errorf("auto-refresh for placement %s: base peer %q is gone", p.at, hostID)
-			continue
-		}
-		ch, cancel := host.Watch(base)
-		p.cancels = append(p.cancels, cancel)
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				case _, ok := <-ch:
-					if !ok {
-						return
-					}
-					// The manager's context bounds auto-refresh work:
-					// Close cancels it, stopping in-flight ships.
-					_, _ = m.refreshStateWith(m.ctx, st, m.refreshPlacement)
-				}
-			}
-		}()
-	}
-}
-
-// Close stops all auto-refresh watchers and waits for in-flight
-// refreshes to finish. The materialized documents stay installed.
-func (m *Manager) Close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.closed = true
-	m.cancel()
-	close(m.done)
-	states := make([]*state, 0, len(m.views))
-	for _, st := range m.views {
-		states = append(states, st)
-	}
-	m.mu.Unlock()
-	for _, st := range states {
-		st.mu.Lock()
-		for _, p := range st.placements {
-			for _, cancel := range p.cancels {
-				cancel()
-			}
-			p.cancels = nil
-		}
-		st.mu.Unlock()
-	}
-	m.wg.Wait()
 }

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"axml/internal/core"
 	"axml/internal/netsim"
@@ -204,44 +204,6 @@ func TestReplicaViewFullRefresh(t *testing.T) {
 	// The reinstalled root must still resolve through d@any.
 	if _, err := sys.Eval("client", &core.Doc{Name: "catalog", At: core.AnyPeer}); err != nil {
 		t.Errorf("d@any after replica refresh: %v", err)
-	}
-}
-
-// TestAutoRefreshConcurrentUpdates races concurrent base-document
-// writers against watcher-driven view maintenance; run under -race.
-// After the writers finish and the manager quiesces, one final
-// synchronous refresh must leave the view exactly consistent.
-func TestAutoRefreshConcurrentUpdates(t *testing.T) {
-	sys := testSystem(t, 10)
-	defer sys.Close()
-	m := NewManager(sys)
-
-	src := `for $i in doc("catalog")/item where $i/price < 500 return $i`
-	if err := m.Define("cheap", src, "client"); err != nil {
-		t.Fatal(err)
-	}
-	m.AutoRefresh()
-
-	const writers, perWriter = 4, 25
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				addItem(t, sys, "data", "catalog", (w*perWriter+i)%1000,
-					fmt.Sprintf("w%d-%d", w, i))
-			}
-		}(w)
-	}
-	wg.Wait()
-	m.Close() // stop watchers, join in-flight refreshes
-
-	if _, err := m.Refresh("cheap"); err != nil {
-		t.Fatal(err)
-	}
-	if !sameMultiset(viewTrees(t, sys, "client", "cheap"), expectedTrees(t, sys, "data", src)) {
-		t.Error("view inconsistent after concurrent updates")
 	}
 }
 
@@ -824,8 +786,8 @@ func TestRefreshContinuesPastFailingPlacement(t *testing.T) {
 	if !sameMultiset(viewTrees(t, sys, "client", "cheap"), want) {
 		t.Error("healthy placement left stale by a failing sibling")
 	}
-	if lastErr := m.Views()[0].LastError; lastErr == "" {
-		t.Error("failure not surfaced in Info.LastError")
+	if !strings.Contains(err.Error(), "placement mirror") {
+		t.Errorf("refresh error %q does not name the failing placement", err)
 	}
 	sys.Net.SetDown("mirror", false)
 	if _, err := m.Refresh("cheap"); err != nil {
@@ -833,31 +795,6 @@ func TestRefreshContinuesPastFailingPlacement(t *testing.T) {
 	}
 	if !sameMultiset(viewTrees(t, sys, "mirror", "cheap"), want) {
 		t.Error("recovered placement did not converge")
-	}
-	if lastErr := m.Views()[0].LastError; lastErr != "" {
-		t.Errorf("stale LastError after recovery: %s", lastErr)
-	}
-}
-
-func TestUnwatchableBaseSurfacesInInfo(t *testing.T) {
-	sys := testSystem(t, 10)
-	defer sys.Close()
-	m := NewManager(sys)
-	defer m.Close()
-
-	// A recompute-mode view watches its base wherever it lives; once
-	// the base is gone, auto-refresh can never fire and must say so.
-	src := `let $all := doc("catalog")/item return <summary n="{count($all)}"/>`
-	if err := m.Define("stats", src, "client"); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := sys.Peer("data")
-	if err := data.RemoveDocument("catalog"); err != nil {
-		t.Fatal(err)
-	}
-	m.AutoRefresh()
-	if lastErr := m.Views()[0].LastError; lastErr == "" {
-		t.Error("unwatchable base not surfaced via Views()")
 	}
 }
 
@@ -898,71 +835,6 @@ func TestRefreshFullHeals(t *testing.T) {
 	}
 	if !sameMultiset(viewTrees(t, sys, "client", "cheap"), expectedTrees(t, sys, "data", src)) {
 		t.Error("incremental refresh diverged after RefreshFull")
-	}
-}
-
-// TestAutoRefreshChurnRace mixes concurrent inserts, deletions and
-// in-place updates with watcher-driven maintenance; run under -race.
-// Each writer owns the items it created, so the ops never collide.
-func TestAutoRefreshChurnRace(t *testing.T) {
-	sys := testSystem(t, 10)
-	defer sys.Close()
-	m := NewManager(sys)
-
-	src := `for $i in doc("catalog")/item where $i/price < 500 return $i`
-	if err := m.Define("cheap", src, "client"); err != nil {
-		t.Fatal(err)
-	}
-	m.AutoRefresh()
-
-	data, _ := sys.Peer("data")
-	catalog := docRoot(t, data, "catalog")
-	rootID := catalog.ID
-
-	const writers, perWriter = 4, 20
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var mine []xmltree.NodeID
-			for i := 0; i < perWriter; i++ {
-				item := xmltree.E("item",
-					xmltree.E("name", xmltree.T(fmt.Sprintf("w%d-%d", w, i))),
-					xmltree.E("price", xmltree.T(fmt.Sprint((w*perWriter+i*13)%1000))))
-				if err := data.AddChild(rootID, item); err != nil {
-					t.Error(err)
-					return
-				}
-				mine = append(mine, item.ID)
-				switch {
-				case i%3 == 1 && len(mine) > 1:
-					if err := data.Write(func(tx *peer.Tx) error { return tx.Remove(rootID, mine[0]) }); err != nil {
-						t.Error(err)
-						return
-					}
-					mine = mine[1:]
-				case i%3 == 2:
-					repl := xmltree.E("item",
-						xmltree.E("name", xmltree.T(fmt.Sprintf("w%d-%d-v2", w, i))),
-						xmltree.E("price", xmltree.T(fmt.Sprint((w+i*7)%1000))))
-					if err := data.ReplaceChildByID(rootID, mine[len(mine)-1], repl); err != nil {
-						t.Error(err)
-						return
-					}
-					mine[len(mine)-1] = repl.ID
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	m.Close() // stop watchers, join in-flight refreshes
-
-	if _, err := m.Refresh("cheap"); err != nil {
-		t.Fatal(err)
-	}
-	if !sameMultiset(viewTrees(t, sys, "client", "cheap"), expectedTrees(t, sys, "data", src)) {
-		t.Error("view inconsistent after concurrent churn")
 	}
 }
 
@@ -1044,10 +916,10 @@ func TestRefreshFullLeavesNoGap(t *testing.T) {
 	}
 }
 
-// TestAutoRefreshFollowsReinstall: removing a view's base and installing
-// it again wakes the view's watchers like any other write, so an
-// auto-refreshed view follows the new content with no later write.
-func TestAutoRefreshFollowsReinstall(t *testing.T) {
+// TestRefreshFollowsReinstall: after a view's base is removed and
+// installed again, one refresh brings the view to the new content with
+// no later write.
+func TestRefreshFollowsReinstall(t *testing.T) {
 	sys := testSystem(t, 20)
 	defer sys.Close()
 	m := NewManager(sys)
@@ -1056,7 +928,6 @@ func TestAutoRefreshFollowsReinstall(t *testing.T) {
 	if err := m.Define("cheap", src, "client"); err != nil {
 		t.Fatal(err)
 	}
-	m.AutoRefresh()
 	data, _ := sys.Peer("data")
 	if err := data.RemoveDocument("catalog"); err != nil {
 		t.Fatal(err)
@@ -1065,13 +936,12 @@ func TestAutoRefreshFollowsReinstall(t *testing.T) {
 		xmltree.E("name", xmltree.T("only")), xmltree.E("price", xmltree.T("1"))))); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := m.Refresh("cheap"); err != nil {
+		t.Fatal(err)
+	}
 	want := expectedTrees(t, sys, "data", src)
-	for deadline := time.Now().Add(5 * time.Second); !sameMultiset(viewTrees(t, sys, "client", "cheap"), want); {
-		if time.Now().After(deadline) {
-			t.Fatalf("the view holds %d rows, the reinstalled base gives %d",
-				len(viewTrees(t, sys, "client", "cheap")), len(want))
-		}
-		time.Sleep(time.Millisecond)
+	if got := viewTrees(t, sys, "client", "cheap"); !sameMultiset(got, want) {
+		t.Fatalf("the view holds %d rows, the reinstalled base gives %d", len(got), len(want))
 	}
 }
 

@@ -28,10 +28,15 @@
 //     for deleted or updated sources); all other shapes fall back to
 //     full re-materialization.
 //
-// A copy's content changes in two ways only: a forest ships under its
-// root as one transaction (delta refresh, full refresh, Migrate), or
-// the whole document is swapped (recompute refresh, Adopt, and the
-// publication of a copy shipped under its staging name).
+// A copy changes only when a statement asks for it: a read that uses
+// it (session.WithConsistentView), Refresh/RefreshAll/RefreshFull, or
+// a placement action (DefineQuery, AddPlacement, Migrate, Adopt). No
+// goroutine watches the base documents. The content then changes in
+// two ways only: a forest ships under its root as one transaction
+// (delta refresh, full refresh, Migrate), or the whole document is
+// swapped (recompute refresh, Adopt, and the publication of a copy
+// shipped under its staging name). Every removal of a copy is counted
+// (Removals), so a stream can tell that a copy it may be reading left.
 package view
 
 import (
@@ -74,8 +79,7 @@ type Info struct {
 	Replica    bool   // full-copy view registered under the base class
 	Origin     string // owning member of an adopted view's base (federation)
 	Placements []netsim.PeerID
-	Trees      int    // result trees currently materialized (first placement)
-	LastError  string // most recent auto-refresh failure, if any
+	Trees      int // result trees currently materialized (first placement)
 }
 
 // placement is one materialized copy of a view.
@@ -98,8 +102,7 @@ type placement struct {
 	// are known to disagree (a ship landed but its provenance could
 	// not be recorded); the next refresh re-materializes it fully
 	// instead of trusting the incremental state.
-	dirty   bool
-	cancels []func() // watcher cancels (auto-refresh)
+	dirty bool
 }
 
 // state is the manager-side record of one view class.
@@ -112,7 +115,6 @@ type state struct {
 	origin     string   // owning member of an adopted view's base (federation)
 	bases      []string // documents the query reads
 	placements []*placement
-	lastErr    error
 }
 
 // Manager owns the views of one system.
@@ -125,24 +127,52 @@ type Manager struct {
 	// the optimizer should consider.
 	gen atomic.Uint64
 
-	// ctx is canceled by Close: in-flight auto-refreshes and their
+	// removals counts the copies removed so far (removePlacement).
+	// A stream over views records it when it opens, and fails with
+	// ErrViewMoved once a copy of a view it reads is removed after that
+	// (see RemovedSince).
+	removals atomic.Uint64
+
+	// ctx is canceled by Close: in-flight fills and refreshes and their
 	// remote ships stop instead of racing the shutdown.
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu     sync.Mutex
-	views  map[string]*state
-	auto   bool
-	closed bool
-	done   chan struct{}
-	wg     sync.WaitGroup
+	mu    sync.Mutex
+	views map[string]*state
+	// removed holds, per view name, the removal count at the last
+	// removal of one of its copies. It outlives the view, so a view
+	// dropped and defined again still reads as removed.
+	removed map[string]uint64
 }
 
 // NewManager creates an empty view manager for the system.
 func NewManager(sys *core.System) *Manager {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Manager{sys: sys, views: map[string]*state{}, done: make(chan struct{}),
+	return &Manager{sys: sys, views: map[string]*state{}, removed: map[string]uint64{},
 		ctx: ctx, cancel: cancel}
+}
+
+// Close cancels in-flight fills and refreshes and their ships. The
+// materialized documents stay installed.
+func (m *Manager) Close() { m.cancel() }
+
+// Removals returns the number of view copies removed so far: migrated
+// away, dropped or evicted.
+func (m *Manager) Removals() uint64 { return m.removals.Load() }
+
+// RemovedSince reports the first of the named views a copy of which was
+// removed after Removals returned since, if any, and the removal count
+// the answer holds for.
+func (m *Manager) RemovedSince(since uint64, names []string) (string, uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, name := range names {
+		if m.removed[name] > since {
+			return name, m.removals.Load()
+		}
+	}
+	return "", m.removals.Load()
 }
 
 // System returns the core system the views are defined over. Layers
@@ -365,9 +395,6 @@ func (m *Manager) Views() []Info {
 			Mode:    st.mode,
 			Replica: st.replica,
 			Origin:  st.origin,
-		}
-		if st.lastErr != nil {
-			info.LastError = st.lastErr.Error()
 		}
 		for _, p := range st.placements {
 			info.Placements = append(info.Placements, p.at)

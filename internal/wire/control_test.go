@@ -99,17 +99,17 @@ func (s *stubControl) serve(name string) service.BuiltinFunc {
 	}
 }
 
-// startControlServer serves a system-less peer with the stub's control
-// services registered.
+// startControlServer serves a peer with the stub's control services
+// registered.
 func startControlServer(t *testing.T, ctl *stubControl) *Client {
 	t.Helper()
-	p := peer.New("store")
+	p, views := newStore(t, nil)
 	ctl.register(t, p, controlServices)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Peer: p}
+	srv := &Server{Peer: p, Views: views}
 	go srv.Serve(l) //nolint:errcheck // closed by test cleanup
 	t.Cleanup(func() { l.Close() })
 	c, err := Dial(l.Addr().String())
@@ -221,13 +221,14 @@ func TestControlVerbsWithoutControl(t *testing.T) {
 // no-such-service error.
 func TestControlVerbsOfTheOtherRole(t *testing.T) {
 	serve := func(id string, names []string) *Client {
-		p := peer.New(netsim.PeerID(id))
+		sys := core.NewSystem(netsim.New())
+		p := sys.MustAddPeer(netsim.PeerID(id))
 		(&stubControl{}).register(t, p, names)
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		go (&Server{Peer: p}).Serve(l) //nolint:errcheck // closed by test cleanup
+		go (&Server{Peer: p, Views: view.NewManager(sys)}).Serve(l) //nolint:errcheck // closed by test cleanup
 		t.Cleanup(func() { l.Close() })
 		c, err := Dial(l.Addr().String())
 		if err != nil {
@@ -431,13 +432,13 @@ func TestServerShutdownDrains(t *testing.T) {
 		demandStarted: make(chan struct{}),
 		demandRelease: make(chan struct{}),
 	}
-	p := peer.New("store")
+	p, views := newStore(t, nil)
 	stub.register(t, p, controlServices)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Peer: p}
+	srv := &Server{Peer: p, Views: views}
 	go srv.Serve(l) //nolint:errcheck // closed by test
 	defer l.Close()
 	c, err := Dial(l.Addr().String())
@@ -489,13 +490,13 @@ func TestServerShutdownDeadline(t *testing.T) {
 		demandRelease: make(chan struct{}),
 	}
 	defer close(stub.demandRelease)
-	p := peer.New("store")
+	p, views := newStore(t, nil)
 	stub.register(t, p, controlServices)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Peer: p}
+	srv := &Server{Peer: p, Views: views}
 	go srv.Serve(l) //nolint:errcheck // closed by test
 	defer l.Close()
 	c, err := Dial(l.Addr().String())

@@ -27,7 +27,7 @@ func FuzzServerDispatch(f *testing.F) {
 	seeds := []string{
 		`QUERYX doc("catalog")/item/name`,
 		`QUERYX +noopt doc("catalog")/item`,
-		`QUERYX +nocache+snapshot doc("catalog")/item`,
+		`QUERYX +noopt+snapshot doc("catalog")/item`,
 		`QUERYX +trace=t1 doc("catalog")/item`,
 		`QUERYX for $i in doc("catalog")/item return $i/name`,
 		`QUERYX +fwd+trace=abc for $i in doc("catalog")/item return $i`,

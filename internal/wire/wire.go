@@ -18,8 +18,10 @@
 //	TRACE <trace-id>                  → <x:trace>…</x:trace>
 //	QUIT                              (closes the connection)
 //
-// CALL invokes any service registered on the served peer: a
-// declarative one runs its query, a builtin its Go function. The
+// CALL applies any service registered on the served peer the way a
+// netsim call reaches its provider (core.System.ApplyCall): the
+// signature checks each parameter tree, one tree per parameter, then a
+// declarative service runs its query and a builtin its Go function. The
 // federation's control actions are builtins of this kind, registered
 // under the reserved x: prefix by the role a process plays
 // (internal/cluster); a process that does not play the role has no
@@ -35,7 +37,6 @@
 // source text; an unknown flag is a bad-query error:
 //
 //	+noopt        evaluate as written: no rewrite search, no plan cache
-//	+nocache      re-plan even when a cached plan exists
 //	+snapshot     pin the statement to one epoch of the served peer's store
 //	+fwd          forwarded by another member: not counted as demand here,
 //	              never forwarded again
@@ -61,9 +62,8 @@
 // typed change notifications, so views over the touched documents
 // retract or re-derive the affected rows on their next refresh.
 //
-// The session needs the core.System the served peer lives in
-// (Server.Views). A server without one — a coordinator — answers
-// QUERYX, EXEC and PREPARE with one error and serves everything else.
+// Every server fronts a peer of a core.System (Server.Views), whatever
+// role its process plays; Serve refuses a server without one.
 //
 // STATS returns the server's metrics-registry snapshot; PLACEMENTS the
 // view-placement map of the attached controller's deployment and its
@@ -96,9 +96,7 @@ import (
 const maxLine = 16 << 20
 
 // Server serves one peer over a listener. Views is the view manager of
-// the core.System the peer belongs to; the data verbs (QUERYX, EXEC,
-// PREPARE) and DEFVIEW need it, and a server without one — a
-// coordinator — serves only the remaining verbs.
+// the core.System the peer belongs to, and is required.
 type Server struct {
 	Peer  *peer.Peer
 	Views *view.Manager
@@ -167,9 +165,7 @@ func (s *Server) metrics() *obs.Registry {
 		s.Metrics.Gauge("wire.streams_started", func() int64 { return int64(s.streamsStarted.Load()) })
 		s.Metrics.Gauge("wire.rows_streamed", func() int64 { return int64(s.rowsStreamed.Load()) })
 		s.Metrics.Gauge("wire.streams_aborted", func() int64 { return int64(s.streamsAborted.Load()) })
-		if s.Views != nil {
-			s.Views.System().RegisterGauges(s.Metrics)
-		}
+		s.Views.System().RegisterGauges(s.Metrics)
 	})
 	return s.Metrics
 }
@@ -180,19 +176,11 @@ func (s *Server) metrics() *obs.Registry {
 // exporter) so the deployment reports through one registry.
 func (s *Server) MetricsRegistry() *obs.Registry { return s.metrics() }
 
-// errNoSystem is what the data verbs answer on a server that has no
-// core.System behind it (Views unset).
-var errNoSystem = errors.New("wire: this server has no system behind its peer and serves no queries or updates")
-
 // session returns the server's shared query session (one plan cache
-// across all connections) — the only way a data verb is served, and
-// the only place that decides a server cannot serve them. A failure to
-// build the session is a misconfiguration; it is remembered and every
-// data verb reports it.
+// across all connections) — the only way a data verb is served. A
+// failure to build the session is a misconfiguration; it is remembered
+// and every data verb reports it.
 func (s *Server) session() (*session.Local, error) {
-	if s.Views == nil {
-		return nil, errNoSystem
-	}
 	s.sessOnce.Do(func() {
 		// The shared session counts into the server's registry, so a
 		// STATS snapshot carries its session.plan_cache.* counters.
@@ -202,8 +190,12 @@ func (s *Server) session() (*session.Local, error) {
 	return s.sess, s.sessErr
 }
 
-// Serve accepts connections until the listener is closed.
+// Serve accepts connections until the listener is closed. It refuses
+// a server without Views.
 func (s *Server) Serve(l net.Listener) error {
+	if s.Views == nil {
+		return errors.New("wire: a server needs the view manager of its peer's system")
+	}
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -418,7 +410,6 @@ var wireFlags = []struct {
 	opt  func() session.Option
 }{
 	{"noopt", func(c *session.Config) bool { return c.NoOptimize }, session.WithNoOptimize},
-	{"nocache", func(c *session.Config) bool { return c.NoPlanCache }, session.WithNoPlanCache},
 	{"snapshot", func(c *session.Config) bool { return c.SnapshotIsolation }, session.WithSnapshotIsolation},
 	// Forwarded from another member: kept out of this deployment's
 	// demand counters (the forwarding member already recorded it where
@@ -615,9 +606,6 @@ func (s *Server) doDefView(rest string) string {
 	if !ok || spec == "" {
 		return errReply(fmt.Errorf("DEFVIEW requires a name and a query"))
 	}
-	if s.Views == nil {
-		return errReply(fmt.Errorf("this peer does not serve views"))
-	}
 	name, placement, placed := strings.Cut(spec, "@")
 	if placed && placement != string(s.Peer.ID) {
 		return errReply(fmt.Errorf("placement %q is not the served peer %q", placement, s.Peer.ID))
@@ -628,18 +616,12 @@ func (s *Server) doDefView(rest string) string {
 	return "<x:ok/>"
 }
 
-// doCall invokes a service of the served peer, one parameter per tree,
-// after checking them against a typed service's signature as an
-// in-process call does: a builtin through its Go function, a
-// declarative service by running its query.
+// doCall applies a service of the served peer to one parameter per
+// tree, as a netsim call applies it at its provider.
 func (s *Server) doCall(rest string) string {
 	name, paramXML, _ := strings.Cut(rest, " ")
 	if name == "" {
 		return errReply(fmt.Errorf("CALL requires a service name"))
-	}
-	svc, ok := s.Peer.Service(name)
-	if !ok {
-		return errReply(fmt.Errorf("%w: %q", core.ErrNoSuchService, name))
 	}
 	var args [][]*xmltree.Node
 	if strings.TrimSpace(paramXML) != "" {
@@ -651,19 +633,7 @@ func (s *Server) doCall(rest string) string {
 			args = append(args, []*xmltree.Node{t})
 		}
 	}
-	if err := svc.Sig.CheckInput(args); err != nil {
-		return errReply(fmt.Errorf("call %s: %w", name, err))
-	}
-	var out []*xmltree.Node
-	var err error
-	switch {
-	case svc.Builtin != nil:
-		out, err = svc.Builtin(args)
-	case len(args) != svc.Body.Arity():
-		err = fmt.Errorf("service %q takes %d parameter(s), got %d", name, svc.Body.Arity(), len(args))
-	default:
-		out, err = s.Peer.RunQuery(svc.Body, args...)
-	}
+	out, _, err := s.Views.System().ApplyCall(context.Background(), s.Peer.ID, name, args)
 	if err != nil {
 		return errReply(err)
 	}
@@ -697,13 +667,11 @@ func (s *Server) doList() string {
 	for _, svc := range s.Peer.ServiceNames() {
 		info.AppendChild(xmltree.E("service", xmltree.A("name", svc)))
 	}
-	if s.Views != nil {
-		for _, v := range s.Views.Views() {
-			info.AppendChild(xmltree.E("view",
-				xmltree.A("name", v.Name),
-				xmltree.A("mode", v.Mode),
-				xmltree.A("query", v.Query)))
-		}
+	for _, v := range s.Views.Views() {
+		info.AppendChild(xmltree.E("view",
+			xmltree.A("name", v.Name),
+			xmltree.A("mode", v.Mode),
+			xmltree.A("query", v.Query)))
 	}
 	return xmltree.SerializeLine(info)
 }
@@ -726,13 +694,10 @@ func placementToXML(pi view.PlacementInfo) *xmltree.Node {
 // controller, the served view manager's map.
 func (s *Server) doPlacements() string {
 	var placements []view.PlacementInfo
-	switch {
-	case s.Placements != nil:
+	if s.Placements != nil {
 		placements = s.Placements.Placements()
-	case s.Views != nil:
+	} else {
 		placements = s.Views.Placements()
-	default:
-		return errReply(fmt.Errorf("placements: peer serves no views"))
 	}
 	root := xmltree.E("x:placements")
 	for _, pi := range placements {

@@ -196,41 +196,25 @@ func TestDefineViewOverWire(t *testing.T) {
 	}
 }
 
+// TestServeNeedsASystem: every server fronts a peer of a system, so a
+// server without the system's view manager is refused before it
+// accepts a connection.
+func TestServeNeedsASystem(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := (&Server{Peer: peer.New("store")}).Serve(l); err == nil {
+		t.Fatal("Serve accepted a server with no view manager")
+	}
+}
+
 func TestDefineViewRejectsForeignPlacement(t *testing.T) {
 	c, _, _ := startViewServer(t)
 	err := c.DefineView(context.Background(), "v@elsewhere", `for $i in doc("catalog")/item return $i`)
 	if err == nil || !strings.Contains(err.Error(), "placement") {
 		t.Errorf("foreign placement should be rejected, got %v", err)
-	}
-}
-
-// TestServerWithoutSystem: a server with no system behind its peer (a
-// coordinator) answers every data verb with the one error
-// Server.session decides, rejects DEFVIEW, and keeps serving service
-// calls and the catalog verbs.
-func TestServerWithoutSystem(t *testing.T) {
-	c := startControlServer(t, &stubControl{})
-	ctx := context.Background()
-	for verb, call := range map[string]func() error{
-		"QUERYX":  func() error { _, err := c.QueryAll(`doc("catalog")/item`); return err },
-		"EXEC":    func() error { _, err := c.Exec(ctx, `delete doc("catalog")/item`); return err },
-		"PREPARE": func() error { _, err := c.Prepare(ctx, `doc("catalog")/item`); return err },
-	} {
-		if err := call(); err == nil || !strings.Contains(err.Error(), errNoSystem.Error()) {
-			t.Errorf("%s without a system: %v, want %v", verb, err, errNoSystem)
-		}
-	}
-	if err := c.DefineView(ctx, "v", `for $i in doc("catalog")/item return $i`); err == nil {
-		t.Error("DEFVIEW on a system-less server should fail")
-	}
-	if _, err := c.Call(ctx, "x:hello", xmltree.E("x:member", xmltree.A("id", "a"), xmltree.A("addr", "addr1"))); err != nil {
-		t.Errorf("CALL x:hello without a system: %v", err)
-	}
-	if _, err := c.Call(ctx, "x:step"); err != nil {
-		t.Errorf("CALL x:step without a system: %v", err)
-	}
-	if _, _, err := c.List(ctx); err != nil {
-		t.Errorf("LIST without a system: %v", err)
 	}
 }
 
@@ -594,11 +578,10 @@ func TestFlagCodecRoundTrip(t *testing.T) {
 	for _, cfg := range []session.Config{
 		{},
 		{NoOptimize: true},
-		{NoPlanCache: true},
 		{SnapshotIsolation: true},
 		{NoTraffic: true},
 		{TraceID: "q42"},
-		{NoOptimize: true, NoPlanCache: true, SnapshotIsolation: true, NoTraffic: true, TraceID: "t=1"},
+		{NoOptimize: true, SnapshotIsolation: true, NoTraffic: true, TraceID: "t=1"},
 	} {
 		token := encodeFlags(cfg)
 		gotSrc, opts, err := parseFlags(token + src)
@@ -621,6 +604,7 @@ func TestFlagCodecRoundTrip(t *testing.T) {
 		`QUERYX +noopt+bogus doc("catalog")/item`,
 		`QUERYX +trace= doc("catalog")/item`,
 		`QUERYX + doc("catalog")/item`,
+		`QUERYX +nocache doc("catalog")/item`,
 		`EXEC +snapshto delete doc("catalog")/item`,
 	} {
 		if _, err := c.roundTrip(context.Background(), line); !errors.Is(err, session.ErrBadQuery) {

@@ -63,9 +63,6 @@ var (
 // no view rewriting, no plan cache.
 func WithNoOptimize() QueryOption { return session.WithNoOptimize() }
 
-// WithNoPlanCache re-runs the optimizer even when a cached plan exists.
-func WithNoPlanCache() QueryOption { return session.WithNoPlanCache() }
-
 // WithConsistentView refreshes every materialized view the chosen plan
 // reads before evaluating, so the answer reflects the current base
 // data. Wire servers apply this by default.
