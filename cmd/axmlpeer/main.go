@@ -119,10 +119,10 @@ func main() {
 	}
 
 	// The peer lives inside a simulated system so that materialized
-	// views (wire DEFVIEW, axmlq -view) have an evaluator and a
-	// generics catalog behind them; -doc specs with @peer populate
-	// further peers of the same system, giving queries something to
-	// delegate to.
+	// views (a declare view statement, axmlq -view) have an evaluator
+	// and a generics catalog behind them; -doc specs with @peer
+	// populate further peers of the same system, giving queries
+	// something to delegate to.
 	sys := core.NewSystem(netsim.New())
 	p := sys.MustAddPeer(netsim.PeerID(*id))
 	views := view.NewManager(sys)

@@ -1,4 +1,4 @@
-// Command axmlq is the client of cmd/axmlpeer: it runs queries and
+// Command axmlq is the client of cmd/axmlpeer: it runs statements and
 // service calls against a remote peer and prints the result forest.
 //
 // Usage:
@@ -13,29 +13,30 @@
 //	axmlq -addr localhost:7012 -stats
 //	axmlq -addr localhost:7012 \
 //	      -view 'cheap=for $i in doc("catalog")/item where $i/price < 100 return $i@store'
-//	axmlq -addr localhost:7012 -delete 'doc("catalog")/item[price > 900]'
+//	axmlq -addr localhost:7012 -query 'delete doc("catalog")/item[price > 900]'
 //	axmlq -addr localhost:7012 \
-//	      -replace 'doc("catalog")/item[name="x"]' -with '<item><name>x</name><price>5</price></item>'
+//	      -query 'replace doc("catalog")/item[name="x"] with <item><name>x</name><price>5</price></item>'
 //
-// Queries run through the unified session API: results stream row by
-// row (the QUERYX wire form) as the server's pull-based evaluator
-// produces them, -timeout bounds the whole exchange via a context
-// deadline, and -prepare N repeats the query N times through one
-// prepared statement — the server optimizes once and answers the
-// repeats from its plan cache, which the printed per-run timing makes
-// visible. -first-row adds a timing line (or, with -prepare, a column)
-// showing wire latency-to-first-row next to the total: on a server
-// streaming incrementally the first number stays flat as results grow.
+// -query takes any statement and runs it through the unified session
+// API: results stream row by row (the QUERYX wire form) as the server's
+// pull-based evaluator produces them, -timeout bounds the whole
+// exchange via a context deadline, and -prepare N repeats a query N
+// times through one prepared statement — the server optimizes once and
+// answers the repeats from its plan cache, which the printed per-run
+// timing makes visible. -first-row adds a timing line (or, with
+// -prepare, a column) showing wire latency-to-first-row next to the
+// total: on a server streaming incrementally the first number stays
+// flat as results grow.
 //
 // -view materializes a view on the peer: name=query, optionally
 // suffixed @peer to assert the placement (it must be the served peer —
 // the wire endpoint is that peer's deployment face). Once defined,
 // -query requests the view subsumes are answered from it.
 //
-// -delete removes every node the path query selects; -replace swaps
-// each selected node for the -with tree. Both drive the peer's typed
-// update stream, so materialized views over the touched documents
-// retract or re-derive exactly the affected rows.
+// An update (`delete <path>`, `replace <path> with <xml>`) prints its
+// one row, <x:ok n="K"/> with the count of touched nodes. It drives the
+// peer's typed update stream, so materialized views over the touched
+// documents retract or re-derive exactly the affected rows.
 //
 // -explain-analyze runs -query traced: the server records a span for
 // every phase of the evaluation — parse, plan (cache hit/miss), each
@@ -67,7 +68,7 @@ func (v *viewFlags) Set(s string) error { *v = append(*v, s); return nil }
 
 func main() {
 	addr := flag.String("addr", "localhost:7012", "peer address")
-	query := flag.String("query", "", "query to evaluate")
+	query := flag.String("query", "", "statement to run: a query, an update or a declaration")
 	prepare := flag.Int("prepare", 0, "repeat -query N times through one prepared statement")
 	timeout := flag.Duration("timeout", 0, "deadline for the whole request (0 = none)")
 	call := flag.String("call", "", "service to call")
@@ -77,9 +78,6 @@ func main() {
 	firstRow := flag.Bool("first-row", false, "print first-row and total latency for -query")
 	explain := flag.Bool("explain-analyze", false, "trace -query on the server and print the span tree")
 	stats := flag.Bool("stats", false, "print the server's metrics snapshot")
-	del := flag.String("delete", "", "path query whose matches to delete")
-	replace := flag.String("replace", "", "path query whose matches to replace (requires -with)")
-	with := flag.String("with", "", "replacement tree for -replace")
 	compact := flag.Bool("compact", false, "print results without indentation")
 	var views viewFlags
 	flag.Var(&views, "view", "name=query[@peer] view to materialize (repeatable)")
@@ -121,8 +119,6 @@ func main() {
 			log.Fatalf("axmlq: %v", err)
 		}
 		fmt.Print(obs.RenderSnapshot(snap))
-	case *query != "" && *explain:
-		runExplain(ctx, c, *query, *compact)
 	case *placements:
 		lines, err := c.Placements(ctx)
 		if err != nil {
@@ -148,11 +144,16 @@ func main() {
 		for _, v := range vs {
 			fmt.Println("view:     ", v)
 		}
-	case *query != "" && *prepare > 0:
+	case *query != "" && *prepare > 0 && !*explain:
 		runPrepared(ctx, c, *query, *prepare, *compact, *firstRow)
 	case *query != "":
+		var opts []session.Option
+		id := fmt.Sprintf("axmlq-%d", time.Now().UnixNano())
+		if *explain {
+			opts = append(opts, session.WithTraceID(id))
+		}
 		start := time.Now()
-		rows, err := c.Query(ctx, *query)
+		rows, err := c.Query(ctx, *query, opts...)
 		if err != nil {
 			log.Fatalf("axmlq: %v", err)
 		}
@@ -176,6 +177,14 @@ func main() {
 			fmt.Printf("first row %.2fms, total %.2fms, %d row(s)\n",
 				ms(ttfr), ms(time.Since(start)), n)
 		}
+		if *explain {
+			spans, err := c.Trace(ctx, id)
+			if err != nil {
+				log.Fatalf("axmlq: fetching trace: %v", err)
+			}
+			fmt.Printf("\nEXPLAIN ANALYZE (%d span(s), %d row(s)):\n", len(spans), n)
+			fmt.Print(obs.Render(spans))
+		}
 	case *call != "":
 		var trees []*xmltree.Node
 		if *params != "" {
@@ -189,57 +198,12 @@ func main() {
 			log.Fatalf("axmlq: %v", err)
 		}
 		printForest(out, *compact)
-	case *del != "":
-		n, err := c.Exec(ctx, "delete "+*del)
-		if err != nil {
-			log.Fatalf("axmlq: %v", err)
-		}
-		fmt.Printf("deleted %d node(s)\n", n)
-	case *replace != "":
-		if *with == "" {
-			log.Fatal("axmlq: -replace requires -with")
-		}
-		if _, err := xmltree.Parse(*with); err != nil {
-			log.Fatalf("axmlq: bad -with: %v", err)
-		}
-		n, err := c.Exec(ctx, "replace "+*replace+" with "+*with)
-		if err != nil {
-			log.Fatalf("axmlq: %v", err)
-		}
-		fmt.Printf("replaced %d node(s)\n", n)
 	default:
 		if len(views) == 0 {
 			flag.Usage()
 			os.Exit(2)
 		}
 	}
-}
-
-// runExplain runs the query traced server-side, prints the rows, then
-// fetches the recorded trace and draws its span tree: per-phase wall
-// and virtual time, delegation hops with per-link bytes, cache
-// verdicts.
-func runExplain(ctx context.Context, c *wire.Client, query string, compact bool) {
-	id := fmt.Sprintf("axmlq-%d", time.Now().UnixNano())
-	rows, err := c.Query(ctx, query, session.WithTraceID(id))
-	if err != nil {
-		log.Fatalf("axmlq: %v", err)
-	}
-	n := 0
-	for rows.Next() {
-		printNode(rows.Node(), compact)
-		n++
-	}
-	if err := rows.Err(); err != nil {
-		log.Fatalf("axmlq: after %d row(s): %v", n, err)
-	}
-	_ = rows.Close()
-	spans, err := c.Trace(ctx, id)
-	if err != nil {
-		log.Fatalf("axmlq: fetching trace: %v", err)
-	}
-	fmt.Printf("\nEXPLAIN ANALYZE (%d span(s), %d row(s)):\n", len(spans), n)
-	fmt.Print(obs.Render(spans))
 }
 
 // runPrepared drives one prepared statement repeatedly: the server

@@ -14,7 +14,7 @@
 //     in the context — through core.EvalContext, across netsim
 //     delegation hops (netsim.CallCtx hands the context to the remote
 //     handler in-process), and over the wire as a trace ID framed
-//     into QUERYX/EXEC — so one query yields one tree covering
+//     into QUERYX — so one statement yields one tree covering
 //     parse → plan (cache hit or miss) → per-peer eval fragments →
 //     ship/stream, each span carrying virtual-time interval, wall
 //     duration, bytes in/out and rows yielded. Span byte accounting

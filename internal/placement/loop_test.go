@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"axml/internal/netsim"
-	"axml/internal/opt"
 	"axml/internal/view"
 	"axml/internal/xmltree"
 )
@@ -105,7 +104,6 @@ func brief(ds []Decision) []string {
 // cooldown, one planned action per view, failed actions, budget
 // eviction and the log bound.
 func TestRoundPolicy(t *testing.T) {
-	perByte := opt.Weights{PerByte: 1} // benefit = bytes shipped, so the arithmetic below is checkable by hand
 	type round struct {
 		demand  map[string]peerWeight // replaces the deployment's demand when set
 		heal    bool                  // clear the injected Apply failures first
@@ -166,13 +164,16 @@ func TestRoundPolicy(t *testing.T) {
 			log: []string{"migrate w a>c", "migrate v a>b"},
 		},
 		{
-			// All three are read at p only. Benefit per byte of the copy
-			// at p, priced on that copy: big 1·(100+64)−(5+64) over 100 =
-			// 0.95, mid 3·(1000+64)−(50+64) over 1000 = 3.08, hot far
+			// All three are read at p only. A transfer costs 0.001 per
+			// byte of body and envelope plus 5 per message
+			// (opt.DefaultWeights). Benefit per byte of the copy at p,
+			// priced on that copy: big (1·5.164−5.069) over 100 =
+			// 0.00095, mid (3·6.064−5.114) over 1000 = 0.0131, hot far
 			// above. Priced on big's largest copy (10,000 bytes at the
-			// base) it would read 95 and mid would go first — and alone.
+			// base) it would read 0.095 and mid would go first — and
+			// alone.
 			name: "eviction takes the lowest benefit per byte first, priced on the victim's own copy",
-			cfg:  Config{Weights: perByte, Budgets: peerBytes{"p": 350}},
+			cfg:  Config{Budgets: peerBytes{"p": 350}},
 			copies: map[string]peerBytes{
 				"big": {"p": 100, "base": 10000},
 				"mid": {"p": 1000},
@@ -189,7 +190,7 @@ func TestRoundPolicy(t *testing.T) {
 			// filter; together they do not, and the check after actuation
 			// sheds the one with less demand behind it.
 			name:   "two moves into one peer in one round meet the budget afterwards",
-			cfg:    Config{MaxReplicas: 1, Weights: perByte, Budgets: peerBytes{"b": 1000}},
+			cfg:    Config{MaxReplicas: 1, Budgets: peerBytes{"b": 1000}},
 			copies: map[string]peerBytes{"m1": {"a": 600}, "m2": {"a": 600}},
 			rounds: []round{
 				{demand: map[string]peerWeight{"m1": {"b": 30}, "m2": {"b": 10}},

@@ -47,7 +47,6 @@ import (
 
 	"axml/internal/netsim"
 	"axml/internal/obs"
-	"axml/internal/opt"
 	"axml/internal/view"
 )
 
@@ -66,9 +65,6 @@ type Config struct {
 	Cooldown int
 	// MaxReplicas caps the placements per view (default 2).
 	MaxReplicas int
-	// Weights scalarize transfer estimates (opt.DefaultWeights when
-	// zero).
-	Weights opt.Weights
 	// LogSize bounds the retained decision log (default 64).
 	LogSize int
 	// Logger receives structured decision events (one Info record per
@@ -105,9 +101,6 @@ func (c Config) filled() Config {
 	}
 	if c.MaxReplicas <= 0 {
 		c.MaxReplicas = 2
-	}
-	if c.Weights == (opt.Weights{}) {
-		c.Weights = opt.DefaultWeights
 	}
 	if c.LogSize <= 0 {
 		c.LogSize = 64

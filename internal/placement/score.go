@@ -1,6 +1,6 @@
 // The benefit/cost scorer. Every quantity is expressed in the
-// optimizer's scalar cost units (opt.Weights over bytes, messages and
-// virtual milliseconds), computed with the same per-link latency/
+// optimizer's scalar cost units (opt.DefaultWeights over bytes, messages
+// and virtual milliseconds), computed with the same per-link latency/
 // bandwidth model (netsim.LinkInfo) and the same output-cardinality
 // estimates (opt.Estimator.QuerySelectivity) the plan search prices
 // plans with — the controller and the optimizer can disagree about
@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"axml/internal/netsim"
+	"axml/internal/opt"
 )
 
 // envelope mirrors netsim's per-message framing overhead (and the
@@ -92,7 +93,7 @@ func (s *Scorer) xfer(from, to netsim.PeerID, bytes float64) float64 {
 	if l.BytesPerMs > 0 {
 		t += (bytes + envelope) / l.BytesPerMs
 	}
-	w := s.cfg.Weights
+	w := opt.DefaultWeights
 	return w.PerByte*(bytes+envelope) + w.PerMessage + w.PerMs*t
 }
 

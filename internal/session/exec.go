@@ -1,73 +1,92 @@
 package session
 
 import (
+	"context"
 	"fmt"
-	"strings"
+	"strconv"
 
+	"axml/internal/core"
 	"axml/internal/peer"
 	"axml/internal/xmltree"
 	"axml/internal/xquery"
 )
 
-// The Exec statement language: updates as statements, so local and
-// remote sessions (the wire's EXEC verb) execute them through the same
-// call.
-//
-//	delete <path query>
-//	replace <path query> with <xml>
-//
-// Anything else is treated as a plain query (results discarded).
-
-// Update is one parsed update statement.
-type Update struct {
-	// Kind is "delete" or "replace".
-	Kind string
-	// Query selects the target nodes (a bare path query).
-	Query *xquery.Query
-	// With is the replacement tree (replace only).
-	With *xmltree.Node
-}
+// Update is a parsed update statement: Kind is "delete" or "replace",
+// Query selects the target nodes (a bare path query), and With is
+// replace's payload.
+type Update = xquery.Statement
 
 // ParseUpdate recognizes an update statement. ok reports whether src
-// *is* one (by leading keyword); err reports whether it parses. A
-// false ok means "not an update — treat as a query".
+// *is* one (by its leading tokens, xquery.StatementKind); err reports
+// whether it parses. A false ok means "not an update".
 func ParseUpdate(src string) (*Update, bool, error) {
-	trimmed := strings.TrimSpace(src)
-	lower := strings.ToLower(trimmed)
-	switch {
-	case strings.HasPrefix(lower, "delete "):
-		qsrc := strings.TrimSpace(trimmed[len("delete "):])
-		q, err := xquery.Parse(qsrc)
-		if err != nil {
-			return nil, true, fmt.Errorf("%w: delete: %v", ErrBadQuery, err)
-		}
-		return &Update{Kind: "delete", Query: q}, true, nil
-	case strings.HasPrefix(lower, "replace "):
-		rest := trimmed[len("replace "):]
-		upd, err := parseReplace(rest)
-		return upd, true, err
-	default:
+	if kind := xquery.StatementKind(src); kind != "delete" && kind != "replace" {
 		return nil, false, nil
 	}
+	st, err := badQuery(xquery.ParseStatement(src))
+	if err != nil {
+		return nil, true, err
+	}
+	return &st, true, nil
 }
 
-// parseReplace reads `<path query> with <xml>`: the query is parsed
-// once, up to the first token that cannot continue it, which must be
-// the keyword with (in any case); the rest is the XML.
-func parseReplace(rest string) (*Update, error) {
-	q, end, err := xquery.ParsePrefix(rest)
+// run carries out a statement that is not a query: an update as one
+// transaction at the peer hosting its document (updateHost: updates are
+// location-transparent, as queries are), a declaration at the session's
+// peer. It answers one row, <x:ok n="K"/> for an update and <x:ok/> for
+// a declaration.
+func (s *Local) run(st *xquery.Statement) (*Rows, error) {
+	ok := xmltree.E("x:ok")
+	var err error
+	switch st.Kind {
+	case "view":
+		if st.At != "" && st.At != string(s.at) {
+			return nil, fmt.Errorf("placement %q is not the session's peer %q", st.At, s.at)
+		}
+		err = s.views.DefineQuery(st.Name, st.Query, s.at)
+	case "document":
+		p, _ := s.sys.Peer(s.at)
+		err = p.InstallDocument(st.Name, st.With)
+	default:
+		var p *peer.Peer
+		if p, err = s.updateHost(st); err == nil {
+			var n int
+			n, err = ApplyUpdate(p, st)
+			ok = xmltree.E("x:ok", xmltree.A("n", strconv.Itoa(n)))
+		}
+	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: replace: %v", ErrBadQuery, err)
+		return nil, err
 	}
-	after := rest[end:]
-	if len(after) < len("with") || !strings.EqualFold(after[:len("with")], "with") {
-		return nil, fmt.Errorf("%w: replace requires '<path query> with <xml>'", ErrBadQuery)
-	}
-	tree, err := xmltree.Parse(strings.TrimSpace(after[len("with"):]))
+	return NewRows(func() (core.Row, error) {
+		row := core.NodeRow(ok)
+		ok = nil
+		return row, nil
+	}, nil), nil
+}
+
+// Exec runs src through sess.Query, drains the rows and reports what
+// Session.Exec does: an update's count of touched nodes, a
+// declaration's 0, or a query's row count. Both backends' Exec is this.
+func Exec(ctx context.Context, sess Session, src string, opts ...Option) (int, error) {
+	rows, err := sess.Query(ctx, src, opts...)
 	if err != nil {
-		return nil, fmt.Errorf("%w: replace payload: %v", ErrBadQuery, err)
+		return 0, err
 	}
-	return &Update{Kind: "replace", Query: q, With: tree}, nil
+	defer rows.Close()
+	query := xquery.StatementKind(src) == "query"
+	n := 0
+	for rows.Next() {
+		if query {
+			n++
+		} else if k, ok := rows.Node().Attr("n"); ok {
+			n, _ = strconv.Atoi(k)
+		}
+	}
+	if err := rows.Err(); err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // ApplyUpdate executes an update against one peer's store as one

@@ -79,12 +79,16 @@ var (
 // (wire.Dial) against a remote peer — same methods, same option set,
 // same error kinds, same streaming Rows.
 type Session interface {
-	// Query runs one query and streams its result forest.
+	// Query runs one statement of the xquery grammar. A query streams
+	// its result forest. An update (`delete <path>`, `replace <path>
+	// with <xml>`) applies as one transaction and answers one row
+	// <x:ok n="K"/>; a declaration (`declare view "v" as <query>`,
+	// `declare document "d" as <xml>`) takes effect at the session's
+	// peer and answers <x:ok/>.
 	Query(ctx context.Context, src string, opts ...Option) (*Rows, error)
-	// Exec runs a statement for its effect — `delete <path>`,
-	// `replace <path> with <xml>`, or a query whose results are
-	// discarded — and reports how many nodes (or result trees) it
-	// touched.
+	// Exec runs a statement through Query for its effect and reports
+	// how many nodes an update touched, or how many trees a query
+	// returned (session.Exec).
 	Exec(ctx context.Context, src string, opts ...Option) (int, error)
 	// Prepare validates src once and returns a statement handle whose
 	// repeated Query calls skip the per-call planning work.
@@ -288,12 +292,13 @@ func (s *Local) alive() error {
 	return nil
 }
 
-// Query implements Session: parse → plan (cached) → open a pull-based
-// cursor → stream. Rows.Next drives the evaluation on demand: the
-// first rows are available while the rest of the result is still
-// unevaluated, and Rows.Close abandons the remaining work. The first
-// row is pulled eagerly so that evaluation-setup failures (missing
-// documents, dead peers) surface from Query itself.
+// Query implements Session. A query goes parse → plan (cached) → open
+// a pull-based cursor → stream. Rows.Next drives the evaluation on
+// demand: the first rows are available while the rest of the result is
+// still unevaluated, and Rows.Close abandons the remaining work. The
+// first row is pulled eagerly so that evaluation-setup failures
+// (missing documents, dead peers) surface from Query itself. Any other
+// statement takes effect, unplanned, before Query returns (run).
 func (s *Local) Query(ctx context.Context, src string, opts ...Option) (*Rows, error) {
 	if err := s.alive(); err != nil {
 		return nil, err
@@ -313,7 +318,7 @@ func (s *Local) Query(ctx context.Context, src string, opts ...Option) (*Rows, e
 	s.count("session.queries")
 
 	_, psp := obs.StartSpan(ctx, "parse", "")
-	q, err := parseQuery(src)
+	st, err := badQuery(xquery.ParseStatement(src))
 	if err != nil {
 		psp.Fail(err)
 		psp.End()
@@ -323,8 +328,15 @@ func (s *Local) Query(ctx context.Context, src string, opts ...Option) (*Rows, e
 	}
 	psp.End()
 	if root != nil {
-		root.Rename(q.String())
+		root.Rename(st.String())
 	}
+	if st.Kind != "query" {
+		rows, err := s.run(&st)
+		root.Fail(err)
+		root.End()
+		return rows, err
+	}
+	q := st.Query
 
 	_, plsp := obs.StartSpan(ctx, "plan", "")
 	removals := s.views.Removals()
@@ -567,43 +579,9 @@ func (s *Local) viewGuard(names []string, removals uint64) func() error {
 	}
 }
 
-// Exec implements Session. Update statements are location-transparent
-// like Query: the target nodes are modified at whichever peer hosts
-// the referenced document (the session's own peer preferred).
-// Anything else evaluates through the query pipeline with the results
-// discarded.
+// Exec implements Session on top of Query.
 func (s *Local) Exec(ctx context.Context, src string, opts ...Option) (int, error) {
-	if err := s.alive(); err != nil {
-		return 0, err
-	}
-	cfg := BuildConfig(opts)
-	if cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-		defer cancel()
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCanceled, err)
-	}
-	if upd, ok, err := ParseUpdate(src); ok {
-		if err != nil {
-			return 0, err
-		}
-		p, err := s.updateHost(upd)
-		if err != nil {
-			return 0, err
-		}
-		return ApplyUpdate(p, upd)
-	}
-	rows, err := s.Query(ctx, src, opts...)
-	if err != nil {
-		return 0, err
-	}
-	forest, err := rows.Collect()
-	if err != nil {
-		return 0, err
-	}
-	return len(forest), nil
+	return Exec(ctx, s, src, opts...)
 }
 
 // planDocs collects the names of every document a plan reads — view
@@ -651,7 +629,7 @@ func (s *Local) Prepare(ctx context.Context, src string) (*Stmt, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCanceled, err)
 	}
-	q, err := parseQuery(src)
+	q, err := badQuery(xquery.Parse(src))
 	if err != nil {
 		return nil, err
 	}
@@ -751,13 +729,12 @@ func (s *Local) storePlan(cp *cachedPlan) {
 	}
 }
 
-// parseQuery wraps parse failures in ErrBadQuery.
-func parseQuery(src string) (*xquery.Query, error) {
-	q, err := xquery.Parse(src)
+// badQuery wraps a parse failure in ErrBadQuery.
+func badQuery[T any](v T, err error) (T, error) {
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+		err = fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	return q, nil
+	return v, err
 }
 
 // planViews collects the names of the materialized views a plan reads.

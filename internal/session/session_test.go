@@ -501,6 +501,10 @@ func TestParseReplaceWithKeywordInPayload(t *testing.T) {
 			`for $i in doc("d")/item return $i/with`, `<x/>`},
 		{`replace doc("catalog")/item[@id="17"]/price with <price>42</price>`,
 			`doc("catalog")/item[(@id = "17")]/price`, `<price>42</price>`},
+		{"replace\tdoc(\"d\")/item with <x/>", `doc("d")/item`, `<x/>`},
+		{"replace\ndoc(\"d\")/item with <x/>", `doc("d")/item`, `<x/>`},
+		{`replace (doc("d")/item) with <x/>`, `doc("d")/item`, `<x/>`},
+		{`replace(doc("d")/a | doc("d")/b)with <x/>`, `doc("d")/a | doc("d")/b`, `<x/>`},
 	} {
 		upd, ok, err := ParseUpdate(c.src)
 		if !ok || err != nil {
@@ -523,6 +527,31 @@ func TestParseReplaceWithKeywordInPayload(t *testing.T) {
 	} {
 		if _, ok, err := ParseUpdate(src); !ok || !errors.Is(err, ErrBadQuery) {
 			t.Errorf("%s: ok=%v err=%v, want ErrBadQuery", src, ok, err)
+		}
+	}
+}
+
+// TestUpdateKeywordBeforeAnySpace: the update keyword is a token of
+// the one lexer, so a tab or a line break after it reads as a space
+// does; and a target may start with a bracket, as in the W3C update
+// grammar, since no function delete or replace exists for the text to
+// be a call of.
+func TestUpdateKeywordBeforeAnySpace(t *testing.T) {
+	for _, c := range []struct {
+		src string
+		n   int
+	}{
+		{`delete doc("catalog")/item`, 40},
+		{"delete\tdoc(\"catalog\")/item", 40},
+		{"delete\ndoc(\"catalog\")/item", 40},
+		{`delete (doc("catalog")/item[1] | doc("catalog")/item[2])`, 2},
+		{`delete(doc("catalog")/item[name = "thing-3"])`, 1},
+		{`replace (doc("catalog")/item[1]/price) with <price>6</price>`, 1},
+	} {
+		sys, views := testSystem(t)
+		sess := newSession(t, sys, views)
+		if n, err := sess.Exec(context.Background(), c.src); err != nil || n != c.n {
+			t.Errorf("%q: %d, %v; want %d", c.src, n, err, c.n)
 		}
 	}
 }
@@ -576,7 +605,7 @@ func TestSessionClose(t *testing.T) {
 
 func mustQuery(t *testing.T, src string) *xquery.Query {
 	t.Helper()
-	q, err := parseQuery(src)
+	q, err := xquery.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}

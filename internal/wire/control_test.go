@@ -258,9 +258,10 @@ func TestControlVerbsOfTheOtherRole(t *testing.T) {
 	}
 }
 
-// TestServedVerbs: the server speaks exactly ten verbs. The eight
+// TestServedVerbs: the server speaks exactly seven verbs. The eight
 // federation control verbs that used to sit beside them are services
-// now, and as verbs they are unknown commands.
+// now, and EXEC, INSTALL and DEFVIEW are statements on QUERYX; as verbs
+// they are unknown commands.
 func TestServedVerbs(t *testing.T) {
 	sys := core.NewSystem(netsim.New())
 	views := view.NewManager(sys)
@@ -273,14 +274,13 @@ func TestServedVerbs(t *testing.T) {
 		w.Flush()
 		return buf.String()
 	}
-	for _, verb := range []string{"QUERYX", "EXEC", "PREPARE", "CALL", "INSTALL",
-		"DEFVIEW", "LIST", "PLACEMENTS", "STATS", "TRACE"} {
+	for _, verb := range []string{"QUERYX", "PREPARE", "CALL", "LIST", "PLACEMENTS", "STATS", "TRACE"} {
 		if got := reply(verb + " x"); strings.Contains(got, "unknown command") {
 			t.Errorf("%s is not served: %s", verb, got)
 		}
 	}
 	for _, verb := range []string{"HELLO", "BYE", "DEMAND", "MIGRATE", "REPLICATE",
-		"DROPVIEW", "ACCEPTVIEW", "STEP"} {
+		"DROPVIEW", "ACCEPTVIEW", "STEP", "EXEC", "INSTALL", "DEFVIEW"} {
 		if got := reply(verb + " x"); !strings.Contains(got, "unknown command") {
 			t.Errorf("retired verb %s answered %s, want unknown command", verb, got)
 		}
@@ -402,6 +402,36 @@ func TestClientReconnectsAfterRestart(t *testing.T) {
 	}
 	if len(out) == 0 {
 		t.Error("query after reconnect returned nothing")
+	}
+}
+
+// TestClientDoesNotReplayStatements: the statement, not the verb,
+// decides replay. An update or a declaration sent with Query on a stale
+// socket surfaces ErrPeerDown and is not sent again over a fresh one;
+// a query on a stale socket is.
+func TestClientDoesNotReplayStatements(t *testing.T) {
+	r := newRestartableServer(t)
+	c, err := Dial(r.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	for _, src := range []string{`delete doc("catalog")/item`, `declare document "extra" as <extra/>`} {
+		if _, _, err := c.List(ctx); err != nil {
+			t.Fatal(err)
+		}
+		r.restart()
+		if _, err := c.Query(ctx, src); !errors.Is(err, session.ErrPeerDown) {
+			t.Fatalf("Query(%q) on a stale socket = %v, want ErrPeerDown", src, err)
+		}
+	}
+	if n := len(docRoot(t, r.srv.Peer, "catalog").Children); n != 1 || r.srv.Peer.HasDocument("extra") {
+		t.Fatalf("a statement was replayed: %d items left, extra installed %v", n, r.srv.Peer.HasDocument("extra"))
+	}
+	r.restart()
+	if out, err := c.QueryAll(`doc("catalog")/item/name`); err != nil || len(out) != 1 {
+		t.Fatalf("query after restart = %v, %v; want it replayed", out, err)
 	}
 }
 

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,12 +19,12 @@ import (
 // FuzzServerDispatch hardens the server side of the protocol: every
 // line a client sends reaches dispatch verbatim after framing, so an
 // arbitrary line must never panic the peer — at worst it earns an
-// x:error reply. Each iteration gets a fresh system: mutating verbs
-// (INSTALL/EXEC/DEFVIEW) are part of the surface and must not be able
+// x:error reply. Each iteration gets a fresh system: updates and
+// declarations on QUERYX are part of the surface and must not be able
 // to wedge a later request either. The peer carries stub builtins for
 // the control services, so CALL reaches builtin code with whatever
-// parameter forest the line holds; the retired control verbs stay as
-// seeds.
+// parameter forest the line holds; the retired verbs stay as seeds,
+// and EXEC, INSTALL and DEFVIEW must answer unknown command.
 func FuzzServerDispatch(f *testing.F) {
 	seeds := []string{
 		`QUERYX doc("catalog")/item/name`,
@@ -31,6 +33,14 @@ func FuzzServerDispatch(f *testing.F) {
 		`QUERYX +trace=t1 doc("catalog")/item`,
 		`QUERYX for $i in doc("catalog")/item return $i/name`,
 		`QUERYX +fwd+trace=abc for $i in doc("catalog")/item return $i`,
+		`QUERYX delete doc("catalog")/item[price > 100]`,
+		`QUERYX delete node doc("catalog")/item[1]`,
+		`QUERYX delete (doc("catalog")/item[1] | doc("catalog")/item[2])`,
+		`QUERYX replace doc("catalog")/item/price with <price>5</price>`,
+		`QUERYX replace node doc("catalog")/item[1] with <item><name>a&amp;amp;b&#10;c</name></item>`,
+		`QUERYX +trace=t3 replace node doc("catalog")/item/price with <price>6</price>`,
+		`QUERYX declare view "cheap" at "store" as for $i in doc("catalog")/item where $i/price < 100 return $i`,
+		`QUERYX declare document "extra" as <doc><a/></doc>`,
 		`EXEC delete doc("catalog")/item[price > 100]`,
 		`EXEC +trace=t2 replace doc("catalog")/item/price with <price>5</price>`,
 		`PREPARE param $m; for $i in doc("catalog")/item where $i/price < $m return $i`,
@@ -80,9 +90,17 @@ func FuzzServerDispatch(f *testing.F) {
 		views := view.NewManager(sys)
 		defer views.Close()
 		srv := &Server{Peer: p, Views: views}
-		w := bufio.NewWriter(io.Discard)
+		var reply bytes.Buffer
+		w := bufio.NewWriter(&reply)
 		srv.dispatch(line, w)
 		w.Flush()
+		verb, _, _ := strings.Cut(line, " ")
+		switch strings.ToUpper(verb) {
+		case "EXEC", "INSTALL", "DEFVIEW":
+			if !strings.Contains(reply.String(), "unknown command") {
+				t.Fatalf("%q answered %s, want unknown command", line, reply.String())
+			}
+		}
 	})
 }
 

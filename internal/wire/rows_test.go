@@ -97,6 +97,46 @@ func TestRowTextWithNewline(t *testing.T) {
 	}
 	rows, err = c.QueryAll(`doc("copy")/n`)
 	check("INSTALL then QUERYX", rows, err)
+
+	// A statement holding a line break means over the wire what it
+	// means to a local session over the same data: an update's payload,
+	// a query's string literal and a view query's literal.
+	lp, lviews := newStore(t, map[string]*xmltree.Node{"notes": xmltree.DeepCopy(notes)})
+	local, err := session.NewLocal(lviews.System(), lviews, lp.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(sess session.Session, exec, query string) string {
+		t.Helper()
+		if exec != "" {
+			if _, err := sess.Exec(ctx, exec); err != nil {
+				t.Fatalf("%q: %v", exec, err)
+			}
+		}
+		rows, err := sess.Query(ctx, query)
+		if err != nil {
+			t.Fatalf("%q: %v", query, err)
+		}
+		forest, err := rows.Collect()
+		if err != nil {
+			t.Fatalf("%q: %v", query, err)
+		}
+		var b strings.Builder
+		for _, n := range forest {
+			b.WriteString(xmltree.Serialize(n))
+		}
+		return b.String()
+	}
+	for _, r := range []struct{ exec, query string }{
+		{"replace doc(\"notes\")/n[1] with <n>arm\nchair</n>", `doc("notes")/n[1]`},
+		{"", "doc(\"notes\")/n[. = \"arm\nchair\"]"},
+		{"declare view \"nl\" as for $n in doc(\"notes\")/n where $n = \"arm\nchair\" return $n", `doc("view:nl")/n`},
+	} {
+		const want = "<n>arm\nchair</n>"
+		if got, loc := answer(c, r.exec, r.query), answer(local, r.exec, r.query); got != want || loc != want {
+			t.Errorf("%q then %q: wire %q, local %q; want %q", r.exec, r.query, got, loc, want)
+		}
+	}
 }
 
 // TestCallChecksSignature: CALL refuses arguments a typed service's

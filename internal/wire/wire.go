@@ -6,12 +6,9 @@
 //
 // A request is one line, a verb and its arguments:
 //
-//	QUERYX [+flags] <xquery>          → <x:row>…</x:row>… then <x:end n="K"/>
-//	EXEC [+flags] <statement>         → <x:ok n="K"/>
+//	QUERYX [+flags] <statement>       → <x:row>…</x:row>… then <x:end n="K"/>
 //	PREPARE <xquery>                  → <x:ok/>
 //	CALL <service> [<param-forest>]   → <x:forest>…</x:forest>
-//	INSTALL <docname> <xml>           → <x:ok/>
-//	DEFVIEW <name>[@<peer>] <xquery>  → <x:ok/>
 //	LIST                              → <x:info>…</x:info>
 //	PLACEMENTS                        → <x:placements>…</x:placements>
 //	STATS                             → <x:stats>…</x:stats>
@@ -33,8 +30,8 @@
 // local evaluation returns (session.ErrCanceled &co), so callers branch
 // on failure kind without knowing which backend they are talking to.
 //
-// QUERYX and EXEC take one optional +flag+flag… token before the
-// source text; an unknown flag is a bad-query error:
+// QUERYX takes one optional +flag+flag… token before the statement,
+// whatever its kind; an unknown flag is a bad-query error:
 //
 //	+noopt        evaluate as written: no rewrite search, no plan cache
 //	+snapshot     pin the statement to one epoch of the served peer's store
@@ -42,23 +39,28 @@
 //	              never forwarded again
 //	+trace=<id>   record a span tree, fetched back with TRACE <id>
 //
-// QUERYX is the one read verb and EXEC the one write verb (`delete
-// <path>`, `replace <path> with <xml>`, or a query whose rows are
-// counted and discarded). Both run through the server's shared session
-// (internal/session): parse → view-aware optimize → plan cache (keyed
-// by normalized query shape, invalidated when DEFVIEW changes the
-// catalog) → refresh the views the plan reads → pull-based cursor.
-// PREPARE warms that plan cache. QUERYX writes each row into the
-// connection buffer as the cursor yields it and flushes the first row
-// alone, so it reaches the client while evaluation continues; the rest
-// leave whenever the buffer fills. A failure after the first row ends
-// the stream with an <x:error> line in place of <x:end>, and a client
-// that hangs up mid-stream is seen at the next buffer write, which
-// abandons the cursor — evaluation stops within one buffer of rows.
+// QUERYX runs any statement of the xquery grammar through the server's
+// shared session (internal/session). An update (`delete <path>`,
+// `replace <path> with <xml>`) answers one row <x:ok n="K"/>, a
+// declaration (`declare view "v" [at "<served peer>"] as <xquery>`,
+// `declare document "d" as <xml>`) one row <x:ok/>. A query goes parse
+// → view-aware optimize → plan cache (keyed by normalized query shape,
+// invalidated when the view catalog changes) → refresh the views the
+// plan reads → pull-based cursor. PREPARE warms that plan cache. QUERYX
+// writes each row into the connection buffer as the cursor yields it
+// and flushes a query's first row alone, so it reaches the client while
+// evaluation continues; the rest leave whenever the buffer fills. A
+// failure after the first row ends the stream with an <x:error> line in
+// place of <x:end>, and a client that hangs up mid-stream is seen at the
+// next buffer write, which abandons the cursor — evaluation stops
+// within one buffer of rows.
 //
 // Every reply and every tree a request carries is one line: CR and LF
 // inside text and attribute values travel as &#13; and &#10;
-// (xmltree.AppendLine), which the receiving parser decodes. Updates emit
+// (xmltree.AppendLine), which the receiving parser decodes. A request
+// line itself carries &, CR and LF as &amp;, &#13; and &#10;, which the
+// server decodes before it reads the verb, so a statement holding a
+// line break means what it means locally. Updates emit
 // typed change notifications, so views over the touched documents
 // retract or re-derive the affected rows on their next refresh.
 //
@@ -72,12 +74,12 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -90,6 +92,7 @@ import (
 	"axml/internal/session"
 	"axml/internal/view"
 	"axml/internal/xmltree"
+	"axml/internal/xquery"
 )
 
 // maxLine bounds request/reply sizes (16 MiB).
@@ -113,11 +116,11 @@ type Server struct {
 	// either way the registry carries the wire streaming counters (as
 	// gauges), the shared session's plan-cache counters, the network
 	// totals, and the ring of recent query traces (+trace=<id> on
-	// QUERYX/EXEC; fetched back with TRACE <id>).
+	// QUERYX; fetched back with TRACE <id>).
 	Metrics *obs.Registry
 	// Forward optionally routes queries over documents this deployment
 	// does not host to the member that does (cluster.Member implements
-	// it). Only QUERYX forwards, and only when the request did not
+	// it). Only a query forwards, and only when the request did not
 	// itself arrive forwarded (+fwd) — one hop, no loops.
 	Forward Forwarder
 
@@ -369,6 +372,9 @@ func errReply(err error) string {
 // dispatch executes one request line. Most commands produce a single
 // reply line; QUERYX streams its reply.
 func (s *Server) dispatch(line string, w *bufio.Writer) {
+	if strings.IndexByte(line, '&') >= 0 {
+		line = requestUnescaper.Replace(line)
+	}
 	cmd, rest, _ := strings.Cut(line, " ")
 	if strings.EqualFold(cmd, "QUERYX") {
 		s.doQueryStream(rest, w)
@@ -376,16 +382,10 @@ func (s *Server) dispatch(line string, w *bufio.Writer) {
 	}
 	var reply string
 	switch strings.ToUpper(cmd) {
-	case "EXEC":
-		reply = s.doExec(rest)
 	case "PREPARE":
 		reply = s.doPrepare(rest)
 	case "CALL":
 		reply = s.doCall(rest)
-	case "INSTALL":
-		reply = s.doInstall(rest)
-	case "DEFVIEW":
-		reply = s.doDefView(rest)
 	case "LIST":
 		reply = s.doList()
 	case "PLACEMENTS":
@@ -400,7 +400,14 @@ func (s *Server) dispatch(line string, w *bufio.Writer) {
 	fmt.Fprintln(w, reply)
 }
 
-// wireFlags is the flag vocabulary of QUERYX/EXEC: the session.Config
+// The escaping of a request line: &, CR and LF as xmltree.AppendLine
+// writes them, so one line carries any statement.
+var (
+	requestEscaper   = strings.NewReplacer("&", "&amp;", "\r", "&#13;", "\n", "&#10;")
+	requestUnescaper = strings.NewReplacer("&amp;", "&", "&#13;", "\r", "&#10;", "\n")
+)
+
+// wireFlags is the flag vocabulary of QUERYX: the session.Config
 // switches the wire carries, each with the option that sets it. Both
 // directions of the codec read this one table; the valued +trace=<id>
 // is handled beside it.
@@ -418,8 +425,8 @@ var wireFlags = []struct {
 }
 
 // encodeFlags renders the wire-carried part of a call's options as the
-// "+flag+flag " token that precedes the source text of a QUERYX/EXEC
-// request — empty when no flag is set.
+// "+flag+flag " token that precedes the statement of a QUERYX request
+// — empty when no flag is set.
 func encodeFlags(cfg session.Config) string {
 	var sb strings.Builder
 	for _, f := range wireFlags {
@@ -437,7 +444,7 @@ func encodeFlags(cfg session.Config) string {
 }
 
 // parseFlags is the inverse of encodeFlags: it strips a leading flag
-// token off a QUERYX/EXEC request and returns the options it stands
+// token off a QUERYX request and returns the options it stands
 // for. A flag outside the vocabulary is an error — silently dropping,
 // say, a misspelt +snapshot would run the statement without the
 // isolation its sender asked for.
@@ -484,13 +491,14 @@ func (s *Server) traceContext(ctx context.Context, cfg session.Config) (context.
 }
 
 // doQueryStream answers QUERYX: one x:row line per result tree as the
-// session cursor yields it, then x:end. Each row goes straight into the
+// session cursor yields it, then x:end; a statement other than a
+// query answers its one row. Each row goes straight into the
 // connection buffer: serialized from the cursor's tree, or, for a row
 // another peer answered, copied as the bytes it came in unless they
-// hold a CR or LF (Rows.AppendLine). The first row is
-// flushed alone, so it reaches the client while evaluation continues;
-// the rest leave whenever the buffer fills, and handle flushes what is
-// left. Errors before the first row (planning, setup) produce a single
+// hold a CR or LF (Rows.AppendLine). A query's first row is flushed
+// alone, so it reaches the client while evaluation continues; the rest
+// leave whenever the buffer fills, and handle flushes what is left.
+// Errors before the first row (planning, setup) produce a single
 // x:error line; an evaluation failure mid-stream terminates the row
 // sequence with an x:error line in place of x:end. A failed write
 // means the client hung up: the cursor is closed — abandoning the
@@ -514,8 +522,11 @@ func (s *Server) doQueryStream(rest string, w *bufio.Writer) {
 		// A query over a document another federation member hosts is
 		// forwarded there — one hop only: a request that itself arrived
 		// forwarded (+fwd → cfg.NoTraffic) fails as it would have
-		// without a forwarder, so a stale route cannot loop.
-		if s.Forward != nil && !cfg.NoTraffic && errors.Is(err, session.ErrNoSuchDoc) {
+		// without a forwarder, so a stale route cannot loop. Any other
+		// statement is never forwarded: the forwarding client could
+		// replay it.
+		if s.Forward != nil && !cfg.NoTraffic && errors.Is(err, session.ErrNoSuchDoc) &&
+			xquery.StatementKind(src) == "query" {
 			if frows, ok, ferr := s.Forward.ForwardQuery(ctx, src); ok {
 				if ferr != nil {
 					fmt.Fprintln(w, errReply(ferr))
@@ -548,8 +559,12 @@ func (s *Server) doQueryStream(rest string, w *bufio.Writer) {
 		if err != nil {
 			break
 		}
+		// A query's first row is flushed alone. Any other statement
+		// answers one x:ok row, which leaves with its x:end in one
+		// write; only a stream that starts with an x:ok is classified.
 		_, werr := w.Write(append(row, "</x:row>\n"...))
-		if werr == nil && n == 0 {
+		if werr == nil && n == 0 && (!bytes.HasPrefix(row, []byte("<x:row><x:ok")) ||
+			xquery.StatementKind(src) == "query") {
 			werr = w.Flush()
 		}
 		if werr != nil {
@@ -566,26 +581,6 @@ func (s *Server) doQueryStream(rest string, w *bufio.Writer) {
 	fmt.Fprintln(w, xmltree.SerializeLine(xmltree.E("x:end", xmltree.A("n", fmt.Sprint(n)))))
 }
 
-// doExec runs an update statement (or a query whose results are
-// discarded) and reports the touched-node count.
-func (s *Server) doExec(rest string) string {
-	src, opts, err := parseFlags(rest)
-	if err != nil {
-		return errReply(err)
-	}
-	sess, err := s.session()
-	if err != nil {
-		return errReply(err)
-	}
-	ctx, traceDone := s.traceContext(context.Background(), session.BuildConfig(opts))
-	defer traceDone()
-	n, err := sess.Exec(ctx, src, opts...)
-	if err != nil {
-		return errReply(err)
-	}
-	return okCount(n)
-}
-
 // doPrepare validates a query and warms the server-side plan cache, so
 // subsequent QUERYX of the same shape skip the optimizer search.
 func (s *Server) doPrepare(src string) string {
@@ -598,21 +593,6 @@ func (s *Server) doPrepare(src string) string {
 		return errReply(err)
 	}
 	_ = stmt.Close()
-	return "<x:ok/>"
-}
-
-func (s *Server) doDefView(rest string) string {
-	spec, src, ok := strings.Cut(rest, " ")
-	if !ok || spec == "" {
-		return errReply(fmt.Errorf("DEFVIEW requires a name and a query"))
-	}
-	name, placement, placed := strings.Cut(spec, "@")
-	if placed && placement != string(s.Peer.ID) {
-		return errReply(fmt.Errorf("placement %q is not the served peer %q", placement, s.Peer.ID))
-	}
-	if err := s.Views.Define(name, src, s.Peer.ID); err != nil {
-		return errReply(err)
-	}
 	return "<x:ok/>"
 }
 
@@ -638,25 +618,6 @@ func (s *Server) doCall(rest string) string {
 		return errReply(err)
 	}
 	return forestReply(out)
-}
-
-func (s *Server) doInstall(rest string) string {
-	name, xml, ok := strings.Cut(rest, " ")
-	if !ok || name == "" {
-		return errReply(fmt.Errorf("INSTALL requires a name and a document"))
-	}
-	root, err := xmltree.Parse(xml)
-	if err != nil {
-		return errReply(err)
-	}
-	if err := s.Peer.InstallDocument(name, root); err != nil {
-		return errReply(err)
-	}
-	return "<x:ok/>"
-}
-
-func okCount(n int) string {
-	return xmltree.SerializeLine(xmltree.E("x:ok", xmltree.A("n", fmt.Sprint(n))))
 }
 
 func (s *Server) doList() string {
@@ -773,21 +734,24 @@ func WithIOTimeout(d time.Duration) DialOption {
 }
 
 // Client is a connection to an axmlpeer server. It implements the
-// unified session interface: Query streams, Exec updates, Prepare
-// pins a statement — same methods, options and error kinds as a local
-// axml session. A Client serializes its calls; a streaming Rows must
-// be closed (or drained) before the next request.
+// unified session interface: Query runs any statement, Exec reports
+// its count, Prepare pins a query — same methods, options and error
+// kinds as a local axml session. A Client serializes its calls; a
+// streaming Rows must be closed (or drained) before the next request.
 type Client struct {
 	conn      net.Conn
 	sc        *bufio.Scanner
 	ioTimeout time.Duration
 
 	// addr and dialTimeout enable a transparent one-shot reconnect:
-	// when a call on a pooled connection fails with ErrPeerDown before
-	// any reply row was delivered — a peer restarted under us — the
-	// client redials once and replays the request, for idempotent verbs
-	// only. Clients built directly over an existing conn (tests, pipes)
-	// have addr == "" and never redial.
+	// when a read (a query, PREPARE, LIST, PLACEMENTS, STATS, TRACE) on
+	// a pooled connection fails with ErrPeerDown before any reply row
+	// was delivered — a peer restarted under us — the client redials
+	// once and replays it. An update, a declaration or a CALL (maybe a
+	// control action such as a demand export, which decays what it
+	// exported) may have taken effect, so its caller sees ErrPeerDown
+	// and decides. Clients built directly over an existing conn (tests,
+	// pipes) have addr == "" and never redial.
 	addr        string
 	dialTimeout time.Duration
 
@@ -848,21 +812,6 @@ func (c *Client) redial() bool {
 	c.mu.Unlock()
 	_ = old.Close()
 	return true
-}
-
-// idempotentLine reports whether a request line may be transparently
-// replayed after a reconnect: reads and cache warmers only. EXEC,
-// INSTALL, DEFVIEW and CALL may have taken effect server-side before
-// the connection died — a service call can be a control action such as
-// a demand export, which decays what it exported — so replaying them
-// could double-apply; their callers see ErrPeerDown and decide.
-func idempotentLine(line string) bool {
-	cmd, _, _ := strings.Cut(line, " ")
-	switch strings.ToUpper(cmd) {
-	case "QUERYX", "PREPARE", "LIST", "PLACEMENTS", "STATS", "TRACE":
-		return true
-	}
-	return false
 }
 
 // Close terminates the session.
@@ -951,12 +900,9 @@ func (c *Client) ioError(ctx context.Context, err error) error {
 	return fmt.Errorf("wire: connection lost: %w: %v", session.ErrPeerDown, err)
 }
 
-// send writes one request line.
+// send writes one request line, escaped.
 func (c *Client) send(ctx context.Context, line string) error {
-	if strings.ContainsAny(line, "\n\r") {
-		line = strings.ReplaceAll(strings.ReplaceAll(line, "\r", " "), "\n", " ")
-	}
-	if _, err := fmt.Fprintln(c.conn, line); err != nil {
+	if _, err := fmt.Fprintln(c.conn, requestEscaper.Replace(line)); err != nil {
 		c.dead = true
 		return c.ioError(ctx, err)
 	}
@@ -1023,17 +969,22 @@ func (c *Client) end() {
 	c.mu.Unlock()
 }
 
-// roundTrip sends one request line and parses the single reply line.
-// An ErrPeerDown on an idempotent verb — the stale-pooled-socket case
-// after a peer restart — is retried once over a fresh connection.
+// roundTrip sends a read's request line and parses the single reply
+// line. An ErrPeerDown — the stale-pooled-socket case after a peer
+// restart — is retried once over a fresh connection.
 func (c *Client) roundTrip(ctx context.Context, line string) (*xmltree.Node, error) {
+	return c.request(ctx, line, true)
+}
+
+// request is roundTrip, retrying only when replay is set.
+func (c *Client) request(ctx context.Context, line string, replay bool) (*xmltree.Node, error) {
 	if err := c.begin(ctx); err != nil {
 		return nil, err
 	}
 	defer c.end()
 	root, err := c.exchange(ctx, line)
 	if err != nil && errors.Is(err, session.ErrPeerDown) &&
-		ctx.Err() == nil && idempotentLine(line) && c.redial() {
+		ctx.Err() == nil && replay && c.redial() {
 		root, err = c.exchange(ctx, line)
 	}
 	return root, err
@@ -1051,13 +1002,13 @@ func (c *Client) exchange(ctx context.Context, line string) (*xmltree.Node, erro
 	return c.recv(ctx)
 }
 
-// Query evaluates a query on the server and streams the result rows as
+// Query runs a statement on the server and streams the result rows as
 // they arrive (QUERYX). The returned Rows must be closed (or fully
 // drained) before the client can carry another request. A connection
 // that died between calls (peer restart under a pooled client)
 // surfaces as ErrPeerDown on the eager first read — before any row was
-// delivered — and is retried once over a fresh dial; QUERYX is a read,
-// so the replay is safe.
+// delivered — and a query is retried once over a fresh dial; any other
+// statement is not, because it may have taken effect.
 func (c *Client) Query(ctx context.Context, src string, opts ...session.Option) (*session.Rows, error) {
 	if err := c.begin(ctx); err != nil {
 		return nil, err
@@ -1066,8 +1017,8 @@ func (c *Client) Query(ctx context.Context, src string, opts ...session.Option) 
 	line := "QUERYX " + encodeFlags(cfg) + src
 
 	first, next, finish, err := c.openStream(ctx, line, cfg.Timeout)
-	if err != nil && errors.Is(err, session.ErrPeerDown) &&
-		ctx.Err() == nil && c.redial() {
+	if err != nil && errors.Is(err, session.ErrPeerDown) && ctx.Err() == nil &&
+		xquery.StatementKind(src) == "query" && c.redial() {
 		first, next, finish, err = c.openStream(ctx, line, cfg.Timeout)
 	}
 	if err != nil {
@@ -1177,21 +1128,10 @@ func (c *Client) QueryAll(src string) ([]*xmltree.Node, error) {
 	return rows.Collect()
 }
 
-// Exec runs an update statement (`delete <path>`, `replace <path> with
-// <xml>`) — or a query whose results are discarded — on the server and
-// reports the touched count.
+// Exec runs a statement on the server through Query, reads its stream
+// to the end and reports its count (session.Exec).
 func (c *Client) Exec(ctx context.Context, src string, opts ...session.Option) (int, error) {
-	cfg := session.BuildConfig(opts)
-	if cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-		defer cancel()
-	}
-	root, err := c.roundTrip(ctx, "EXEC "+encodeFlags(cfg)+src)
-	if err != nil {
-		return 0, err
-	}
-	return countOf(root)
+	return session.Exec(ctx, c, src, opts...)
 }
 
 // Stats fetches the server's metrics-registry snapshot (STATS verb):
@@ -1241,36 +1181,26 @@ func (c *Client) Call(ctx context.Context, service string, params ...*xmltree.No
 			sb.WriteString(xmltree.SerializeLine(p))
 		}
 	}
-	root, err := c.roundTrip(ctx, sb.String())
+	root, err := c.request(ctx, sb.String(), false)
 	if err != nil {
 		return nil, err
 	}
 	return root.Children, nil
 }
 
-// Install installs a document on the server.
+// Install installs a document on the server: a declare document
+// statement.
 func (c *Client) Install(ctx context.Context, name string, doc *xmltree.Node) error {
-	_, err := c.roundTrip(ctx, "INSTALL "+name+" "+xmltree.SerializeLine(doc))
+	_, err := c.Exec(ctx, xquery.Statement{Kind: "document", Name: name, With: doc}.String())
 	return err
 }
 
-func countOf(root *xmltree.Node) (int, error) {
-	s, ok := root.Attr("n")
-	if !ok {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("wire: bad count %q", s)
-	}
-	return n, nil
-}
-
-// DefineView materializes src as a view on the server. spec is the
-// view name, optionally suffixed "@peer" (which must name the served
-// peer).
+// DefineView materializes src as a view on the server: a declare view
+// statement. spec is the view name, optionally suffixed "@peer" (which
+// must name the served peer).
 func (c *Client) DefineView(ctx context.Context, spec, src string) error {
-	_, err := c.roundTrip(ctx, "DEFVIEW "+spec+" "+src)
+	name, at, _ := strings.Cut(spec, "@")
+	_, err := c.Exec(ctx, xquery.Statement{Kind: "view", Name: name, At: at}.String()+src)
 	return err
 }
 

@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -323,6 +325,81 @@ func TestDeleteNestedMatches(t *testing.T) {
 
 // --- Unified session API over the wire ---
 
+// forwardStub records what a server forwards, and has no route.
+type forwardStub struct {
+	mu  sync.Mutex
+	got []string
+}
+
+func (f *forwardStub) ForwardQuery(_ context.Context, src string) (*session.Rows, bool, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.got = append(f.got, src)
+	return nil, false, nil
+}
+
+// TestOnlyQueriesForward: the statement decides forwarding. A query
+// over a document no peer here hosts goes to the forwarder; an update
+// of one fails with no-such-doc and never reaches it, since the
+// forwarding client could replay it.
+func TestOnlyQueriesForward(t *testing.T) {
+	p, views := newStore(t, nil)
+	fw := &forwardStub{}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := serveOn(t, &Server{Peer: p, Views: views, Forward: fw}, l)
+	if _, err := c.QueryAll(`doc("ghost")/x`); !errors.Is(err, session.ErrNoSuchDoc) {
+		t.Errorf("query over a ghost: %v, want ErrNoSuchDoc", err)
+	}
+	for _, src := range []string{`delete doc("ghost")/x`, `replace doc("ghost")/x with <x/>`} {
+		if _, err := c.Exec(context.Background(), src); !errors.Is(err, session.ErrNoSuchDoc) {
+			t.Errorf("%s: %v, want ErrNoSuchDoc", src, err)
+		}
+	}
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if len(fw.got) != 1 || fw.got[0] != `doc("ghost")/x` {
+		t.Errorf("forwarded %q, want the query only", fw.got)
+	}
+}
+
+// writeCounter counts the writes that reach it.
+type writeCounter struct{ n int }
+
+func (w *writeCounter) Write(b []byte) (int, error) { w.n++; return len(b), nil }
+
+// TestStatementRepliesInOneWrite: a query's first row is flushed alone,
+// so it leaves while evaluation goes on; an update's or a
+// declaration's one row leaves with its x:end in one write, as EXEC's
+// one reply line did. A query whose first row is an x:ok is still a
+// query.
+func TestStatementRepliesInOneWrite(t *testing.T) {
+	p, views := newStore(t, map[string]*xmltree.Node{
+		"catalog": xmltree.MustParse(`<catalog><item/><item/><x:ok/></catalog>`)})
+	srv := &Server{Peer: p, Views: views}
+	for _, c := range []struct {
+		src    string
+		writes int
+	}{
+		{`doc("catalog")/item`, 2},
+		{`doc("catalog")/*[3]`, 2},
+		{`delete doc("catalog")/item[1]`, 1},
+		{`replace doc("catalog")/item with <item a="1"/>`, 1},
+		{`declare view "v" as doc("catalog")/item`, 1},
+		{`declare document "d" as <d/>`, 1},
+	} {
+		var wc writeCounter
+		w := bufio.NewWriter(&wc)
+		srv.dispatch("QUERYX "+c.src, w)
+		w.Flush()
+		if wc.n != c.writes {
+			t.Errorf("%s: %d writes, want %d", c.src, wc.n, c.writes)
+		}
+	}
+}
+
 func TestStreamingQueryOverWire(t *testing.T) {
 	c, _, _ := startViewServer(t)
 	rows, err := c.Query(context.Background(), `doc("catalog")/item/name`)
@@ -605,14 +682,14 @@ func TestFlagCodecRoundTrip(t *testing.T) {
 		`QUERYX +trace= doc("catalog")/item`,
 		`QUERYX + doc("catalog")/item`,
 		`QUERYX +nocache doc("catalog")/item`,
-		`EXEC +snapshto delete doc("catalog")/item`,
+		`QUERYX +snapshto delete doc("catalog")/item`,
 	} {
 		if _, err := c.roundTrip(context.Background(), line); !errors.Is(err, session.ErrBadQuery) {
 			t.Errorf("%q: %v, want ErrBadQuery", line, err)
 		}
 	}
 	if len(docRoot(t, p, "catalog").ChildElementsByLabel("item")) != 2 {
-		t.Error("an EXEC with an unknown flag still ran")
+		t.Error("an update with an unknown flag still ran")
 	}
 }
 

@@ -7,12 +7,21 @@
 //
 // The grammar, in one place:
 //
+//	stmt   := query | "delete" ["node"] query | "replace" ["node"] query "with" xml
+//	          | "declare" "view" literal ["at" literal] "as" query
+//	          | "declare" "document" literal "as" xml
 //	query  := ["param" $name {"," $name} ";"] expr
 //	expr   := flwr | elem | xpath
 //	flwr   := ("for" $v "in" expr {"," $v "in" expr} | "let" $v ":=" expr {"," $v ":=" expr})+
 //	          ["where" expr] ["stable"] ["order" "by" expr ["ascending" | "descending"]]
 //	          "return" expr
 //	elem   := "<" name {name "=" ('"' text '"' | '"{' expr '}"')} ("/>" | ">" content "</" name ">")
+//
+// ParseStatement reads any stmt — a query, an update (the W3C XQuery
+// Update Facility's delete and replace) or a declaration — and Parse a
+// query only. An xml is one XML tree, read raw to the end of the text.
+// A stmt's keywords match in any case, and they start an update or a
+// declaration only where no query could go on (StatementKind).
 //
 // Its tokens are XPath's plus { } := and ;, read by one lexer, the
 // xpath package's (xpath.Parser), which also parses each xpath
@@ -70,8 +79,9 @@ func (q *Query) Arity() int { return len(q.Params) }
 // String renders the query back to parseable source text: the text a
 // delegated query travels as, and the plan cache's key. Every node
 // writes into one buffer, its XPath through xpath.Append.
-func (q *Query) String() string {
-	b := make([]byte, 0, 128)
+func (q *Query) String() string { return string(q.appendTo(make([]byte, 0, 128))) }
+
+func (q *Query) appendTo(b []byte) []byte {
 	if len(q.Params) > 0 {
 		b = append(b, "param"...)
 		for i, p := range q.Params {
@@ -82,7 +92,7 @@ func (q *Query) String() string {
 		}
 		b = append(b, "; "...)
 	}
-	return string(q.Body.appendTo(b))
+	return q.Body.appendTo(b)
 }
 
 // Expr is a node of the query AST.

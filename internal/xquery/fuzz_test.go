@@ -47,36 +47,74 @@ var fuzzParseSeeds = []string{
 	`(doc("d")/a | doc("d")/b)[last()]/c`,
 }
 
-// FuzzParse hardens the first untrusted input surface: every query a
-// wire client sends reaches Parse verbatim. The parser must never
-// panic, and anything it accepts must survive a print→parse round trip
-// to the same tree (String() is how queries are shipped to other peers
-// for delegation, so a rendering that parses to another query would
-// change the answer, not just the printing).
+// statementSeeds are texts of each statement form other than a query,
+// with the kind each parses to.
+var statementSeeds = []struct {
+	src  string
+	kind string
+}{
+	{`delete doc("catalog")/item[price > 100]`, "delete"},
+	{`delete node doc("catalog")/item[1]`, "delete"},
+	{"DELETE\tdoc(\"catalog\")/item", "delete"},
+	{"delete\n$i/a", "delete"},
+	{`delete (doc("catalog")/item[1] | doc("catalog")/item[2])`, "delete"},
+	{`delete(doc("d")/a)`, "delete"},
+	{`replace doc("catalog")/item[1]/price with <price>5</price>`, "replace"},
+	{`replace (doc("catalog")/item[1]/price) with <price>5</price>`, "replace"},
+	{"replace node for $i in doc(\"d\")/item return $i/with\nWITH <x a=\"1\">t\r\n</x>", "replace"},
+	{`declare view "cheap" as for $i in doc("catalog")/item where $i/price < 100 return $i`, "view"},
+	{`Declare View 'v"1' AT "store" As doc("catalog")`, "view"},
+	{`declare document "notes" as <notes><n>line one</n></notes>`, "document"},
+}
+
+// FuzzParse hardens the first untrusted input surface: every statement
+// a wire client sends reaches ParseStatement verbatim. The parser must
+// never panic, Parse must accept exactly the statements that are
+// queries, and anything accepted must survive a print→parse round trip
+// to the same statement (String() is how queries are shipped to other
+// peers for delegation, so a rendering that parses to another query
+// would change the answer, not just the printing).
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzParseSeeds {
 		f.Add(s)
 	}
+	for _, s := range statementSeeds {
+		f.Add(s.src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
-		q, err := Parse(src)
+		var se *xpath.SyntaxError
+		q, qerr := Parse(src)
+		if qerr != nil && (!errors.As(qerr, &se) || se.Pos < 0 || se.Pos > len(src)) {
+			t.Fatalf("Parse(%q): %v: want a syntax error at an offset within the input", src, qerr)
+		}
+		st, err := ParseStatement(src)
 		if err != nil {
-			var se *xpath.SyntaxError
 			if !errors.As(err, &se) || se.Pos < 0 || se.Pos > len(src) {
-				t.Fatalf("Parse(%q): %v: want a syntax error at an offset within the input", src, err)
+				t.Fatalf("ParseStatement(%q): %v: want a syntax error at an offset within the input", src, err)
+			}
+			if qerr == nil {
+				t.Fatalf("Parse(%q) accepts a text ParseStatement refuses: %v", src, err)
 			}
 			return
 		}
-		rendered := q.String()
-		q2, err := Parse(rendered)
-		if err != nil {
-			t.Fatalf("round trip failed: Parse(%q) ok, but reparse of %q: %v", src, rendered, err)
+		if (qerr == nil) != (st.Kind == "query") || qerr == nil && !reflect.DeepEqual(q, st.Query) {
+			t.Fatalf("Parse(%q) = %v, but it is a statement of kind %s", src, qerr, st.Kind)
 		}
-		if !reflect.DeepEqual(q2, q) {
-			t.Fatalf("Parse(%q) renders %q, which parses to another query", src, rendered)
+		if k := StatementKind(src); k != st.Kind {
+			t.Fatalf("StatementKind(%q) = %s, want %s", src, k, st.Kind)
+		}
+		rendered := st.String()
+		st2, err := ParseStatement(rendered)
+		if err != nil {
+			t.Fatalf("round trip failed: ParseStatement(%q) ok, but reparse of %q: %v", src, rendered, err)
+		}
+		if st2.Kind != st.Kind || st2.Name != st.Name || st2.At != st.At || !reflect.DeepEqual(st2.Query, st.Query) {
+			t.Fatalf("ParseStatement(%q) renders %q, which parses to another statement", src, rendered)
 		}
 		// Idempotence: the rendering of the reparse must be stable, or
-		// delegated fragments would drift hop by hop.
-		if r2 := q2.String(); r2 != rendered {
+		// delegated fragments would drift hop by hop. It also holds the
+		// XML tree of an update or a declaration.
+		if r2 := st2.String(); r2 != rendered {
 			t.Fatalf("rendering not stable:\n first: %s\nsecond: %s", rendered, r2)
 		}
 	})

@@ -136,3 +136,29 @@ func BenchmarkParse(b *testing.B) {
 		})
 	}
 }
+
+// TestParseRefusesStatements: Parse refuses every statement form other
+// than a query, so no view, service body or shipped plan is an update
+// or a declaration; ParseStatement reads each as its kind, and so does
+// StatementKind from the leading tokens. A query whose first word is a
+// statement keyword stays a query, unless a bracket follows it: no
+// function delete or replace exists.
+func TestParseRefusesStatements(t *testing.T) {
+	for _, c := range statementSeeds {
+		if q, err := Parse(c.src); err == nil {
+			t.Errorf("Parse(%q) = %s, want an error", c.src, q)
+		}
+		st, err := ParseStatement(c.src)
+		if err != nil || st.Kind != c.kind || StatementKind(c.src) != c.kind {
+			t.Errorf("ParseStatement(%q) = %s, %v; want kind %s", c.src, st.Kind, err, c.kind)
+		}
+	}
+	for _, src := range []string{`delete`, `delete/x`, `replace[1]`, `delete and doc("d")/a`, `declare`, `declare(1)`} {
+		if _, err := Parse(src); err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		if st, err := ParseStatement(src); err != nil || st.Kind != "query" {
+			t.Errorf("ParseStatement(%q) = %s, %v; want a query", src, st.Kind, err)
+		}
+	}
+}

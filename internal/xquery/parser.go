@@ -1,7 +1,6 @@
 package xquery
 
 import (
-	"fmt"
 	"strings"
 
 	"axml/internal/xpath"
@@ -13,30 +12,32 @@ import (
 //
 // where expr is a FLWR expression, an element constructor, or an XPath
 // expression (with doc("name") document references). Its errors are
-// *xpath.SyntaxError, with offsets into src.
+// *xpath.SyntaxError, with offsets into src. It refuses every other
+// statement, so a view, a service body or a shipped plan is a query.
 func Parse(src string) (*Query, error) {
-	q, end, err := ParsePrefix(src)
+	st, err := ParseStatement(src)
+	if err == nil && st.Kind != "query" {
+		err = &xpath.SyntaxError{Expr: src, Msg: "a " + st.Kind + " statement is not a query"}
+	}
 	if err != nil {
 		return nil, err
 	}
-	if end < len(src) {
-		return nil, &xpath.SyntaxError{Expr: src, Pos: end, Msg: fmt.Sprintf("trailing input %q", truncate(src[end:], 30))}
-	}
-	return q, nil
+	return st.Query, nil
 }
 
-// ParsePrefix parses the query at the start of src, as Parse does, and
-// returns the offset of the first token after it: len(src) when the
-// query is all of src.
-func ParsePrefix(src string) (q *Query, end int, err error) {
-	p := &qparser{Parser: xpath.NewParser(src, true), src: src}
-	q = &Query{}
+func newParser(src string) qparser {
+	return qparser{Parser: xpath.NewParser(src, true), src: src}
+}
+
+// parseQuery reads [param $a, $b;] expr from the current token.
+func (p *qparser) parseQuery() (*Query, error) {
+	q := &Query{}
 	if p.Word() == "param" {
 		p.Next()
 		for {
 			name, err := p.varName()
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			q.Params = append(q.Params, name)
 			if p.Is(",") {
@@ -47,13 +48,14 @@ func ParsePrefix(src string) (q *Query, end int, err error) {
 				p.Next()
 				break
 			}
-			return nil, 0, p.Errorf("expected ',' or ';' in parameter list")
+			return nil, p.Errorf("expected ',' or ';' in parameter list")
 		}
 	}
+	var err error
 	if q.Body, err = p.parseExpr(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return q, p.Pos(), nil
+	return q, nil
 }
 
 // MustParse is Parse that panics on error.
@@ -63,13 +65,6 @@ func MustParse(src string) *Query {
 		panic(err)
 	}
 	return q
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "..."
 }
 
 // qparser reads the XQuery grammar from the one token stream that
