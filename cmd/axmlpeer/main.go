@@ -5,8 +5,9 @@
 //
 // Queries are answered through the unified session pipeline
 // (internal/session): view-aware optimization with a shared plan cache
-// keyed by normalized query shape, streamed QUERYX replies, PREPARE
-// for repeated statements, and typed error codes on every failure.
+// keyed by normalized query shape, so a repeated statement is planned
+// once, streamed QUERYX replies, and typed error codes on every
+// failure.
 //
 // Usage:
 //
@@ -22,13 +23,12 @@
 // the document is installed at that peer of the same simulated system
 // instead of the served one, so queries over it delegate across the
 // simulated network — which is what axmlq -explain-analyze traces and
-// STATS/-metrics account. Absent peers are created on first use.
+// STATS accounts. Absent peers are created on first use.
 //
 // Observability: -log-level selects the slog threshold for the
 // process's structured logs (debug shows per-round placement
-// telemetry); -metrics :9090 serves the unified metrics registry as
-// JSON over HTTP GET /metrics — the same counters the STATS wire verb
-// reports.
+// telemetry); the metrics registry is served by the STATS wire verb
+// (axmlq -stats).
 //
 // Federation (internal/cluster): each role registers its control
 // actions as builtin services of the served peer, reached through CALL.
@@ -53,12 +53,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -90,8 +88,6 @@ func main() {
 	budget := flag.Int64("view-budget", 0,
 		"byte budget for view placements on this peer (0 = unlimited; implies the placement controller)")
 	logLevel := flag.String("log-level", "info", "log threshold: debug, info, warn or error")
-	metricsAddr := flag.String("metrics", "",
-		"serve the metrics registry as JSON on this address (GET /metrics)")
 	coordMode := flag.Bool("coordinator", false,
 		"run as the federation coordinator (members register via x:hello)")
 	round := flag.Duration("round", 0,
@@ -203,10 +199,6 @@ func main() {
 				"interval", *adaptive)
 		}
 		go stepEvery(ctx.Done(), *adaptive, ctrl.Step, logger, "placement step")
-	}
-
-	if *metricsAddr != "" {
-		go serveMetrics(*metricsAddr, srv, logger)
 	}
 
 	l, err := net.Listen("tcp", *addr)
@@ -349,23 +341,4 @@ func newLogger(level string) (*slog.Logger, error) {
 		return nil, fmt.Errorf("bad -log-level %q (want debug, info, warn or error)", level)
 	}
 	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})), nil
-}
-
-// serveMetrics exposes the server's metrics registry over HTTP:
-// GET /metrics returns the snapshot as JSON — the same counters,
-// gauges and histograms the STATS wire verb reports.
-func serveMetrics(addr string, srv *wire.Server, logger *slog.Logger) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(srv.MetricsRegistry().Snapshot()); err != nil {
-			logger.Warn("metrics encode", "err", err)
-		}
-	})
-	logger.Info("metrics endpoint", "addr", addr, "path", "/metrics")
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		logger.Error("metrics endpoint failed", "err", err)
-	}
 }

@@ -12,8 +12,7 @@ import (
 // axml.System wires netsim totals in as gauges, sessions bump
 // plan-cache counters, wire.Server feeds streaming counters and
 // records query traces, the placement controller counts decisions —
-// and Snapshot is what the STATS wire verb and the axmlpeer -metrics
-// endpoint serve.
+// and Snapshot is what the STATS wire verb serves.
 //
 // Snapshot-consistency contract: every individual metric is read
 // atomically (no torn values — a counter is a single atomic load, a

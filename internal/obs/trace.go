@@ -26,7 +26,7 @@
 //     atomic snapshots, plus a ring of recently completed traces —
 //     the one surface axml.System, session.Local, wire.Server and
 //     placement.Controller all feed, exposed by the STATS/TRACE wire
-//     verbs and the axmlpeer -metrics HTTP endpoint.
+//     verbs.
 //
 // Tracing is opt-in per call: without a Trace in the context,
 // StartSpan returns a nil span whose methods are no-ops, and the only

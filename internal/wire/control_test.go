@@ -258,10 +258,10 @@ func TestControlVerbsOfTheOtherRole(t *testing.T) {
 	}
 }
 
-// TestServedVerbs: the server speaks exactly seven verbs. The eight
+// TestServedVerbs: the server speaks exactly six verbs. The eight
 // federation control verbs that used to sit beside them are services
-// now, and EXEC, INSTALL and DEFVIEW are statements on QUERYX; as verbs
-// they are unknown commands.
+// now, EXEC, INSTALL and DEFVIEW are statements on QUERYX, and PREPARE
+// is the first run of a query; as verbs they are unknown commands.
 func TestServedVerbs(t *testing.T) {
 	sys := core.NewSystem(netsim.New())
 	views := view.NewManager(sys)
@@ -274,13 +274,13 @@ func TestServedVerbs(t *testing.T) {
 		w.Flush()
 		return buf.String()
 	}
-	for _, verb := range []string{"QUERYX", "PREPARE", "CALL", "LIST", "PLACEMENTS", "STATS", "TRACE"} {
+	for _, verb := range []string{"QUERYX", "CALL", "LIST", "PLACEMENTS", "STATS", "TRACE"} {
 		if got := reply(verb + " x"); strings.Contains(got, "unknown command") {
 			t.Errorf("%s is not served: %s", verb, got)
 		}
 	}
 	for _, verb := range []string{"HELLO", "BYE", "DEMAND", "MIGRATE", "REPLICATE",
-		"DROPVIEW", "ACCEPTVIEW", "STEP", "EXEC", "INSTALL", "DEFVIEW"} {
+		"DROPVIEW", "ACCEPTVIEW", "STEP", "EXEC", "INSTALL", "DEFVIEW", "PREPARE"} {
 		if got := reply(verb + " x"); !strings.Contains(got, "unknown command") {
 			t.Errorf("retired verb %s answered %s, want unknown command", verb, got)
 		}

@@ -24,7 +24,7 @@ import (
 // to wedge a later request either. The peer carries stub builtins for
 // the control services, so CALL reaches builtin code with whatever
 // parameter forest the line holds; the retired verbs stay as seeds,
-// and EXEC, INSTALL and DEFVIEW must answer unknown command.
+// and EXEC, INSTALL, DEFVIEW and PREPARE must answer unknown command.
 func FuzzServerDispatch(f *testing.F) {
 	seeds := []string{
 		`QUERYX doc("catalog")/item/name`,
@@ -96,7 +96,7 @@ func FuzzServerDispatch(f *testing.F) {
 		w.Flush()
 		verb, _, _ := strings.Cut(line, " ")
 		switch strings.ToUpper(verb) {
-		case "EXEC", "INSTALL", "DEFVIEW":
+		case "EXEC", "INSTALL", "DEFVIEW", "PREPARE":
 			if !strings.Contains(reply.String(), "unknown command") {
 				t.Fatalf("%q answered %s, want unknown command", line, reply.String())
 			}
@@ -108,7 +108,10 @@ func FuzzServerDispatch(f *testing.F) {
 // untrusted as the request line (a compromised or just buggy peer must
 // not be able to panic every client that connects to it). The fuzz
 // input plays the server's verbatim reply bytes to a real Client over
-// a pipe; the client must either parse rows or return an error.
+// a pipe, once each for a query, a STATS read and a CALL; each must
+// either read rows or return an error. A reply whose first line is a
+// tree other than x:row, x:end or x:error — the retired one-line
+// replies among them — fails as an unexpected reply.
 func FuzzClientStream(f *testing.F) {
 	seeds := []string{
 		"<x:row><name>chair</name></x:row>\n<x:end rows=\"1\" vt=\"3.5\"/>\n",
@@ -120,6 +123,13 @@ func FuzzClientStream(f *testing.F) {
 		"<x:error code=\"no-such-doc\">missing</x:error>\n",
 		"<x:error>no code attribute</x:error>\n",
 		"<x:ok/>\n",
+		"<x:forest><name>chair</name><name>desk</name></x:forest>\n",
+		"<x:stats><counter name=\"session.queries\" value=\"3\"/></x:stats>\n",
+		"<x:row><x:stats><counter name=\"session.queries\" value=\"3\"/>" +
+			"<gauge name=\"wire.rows_streamed\" value=\"6\"/>" +
+			"<hist name=\"session.query.first_row_ms\" count=\"2\" sum=\"1.5\"/></x:stats></x:row>\n" +
+			"<x:end n=\"1\"/>\n",
+		"<x:row><x:stats/></x:row>\n<x:row><x:stats/></x:row>\n<x:end n=\"2\"/>\n",
 		"<x:result><name>chair</name></x:result>\n",
 		"not xml at all\n",
 		"<unclosed\n",
@@ -131,28 +141,45 @@ func FuzzClientStream(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	calls := []func(context.Context, *Client) error{
+		func(ctx context.Context, c *Client) error {
+			rows, err := c.Query(ctx, `doc("catalog")/item`)
+			if err != nil {
+				return err
+			}
+			_, err = rows.Collect()
+			return err
+		},
+		func(ctx context.Context, c *Client) error { _, err := c.Stats(ctx); return err },
+		func(ctx context.Context, c *Client) error { _, err := c.Call(ctx, "names"); return err },
+	}
 	f.Fuzz(func(t *testing.T, reply string) {
-		cliConn, srvConn := net.Pipe()
-		defer cliConn.Close()
-
-		// The fake server: drain whatever the client sends, play the
-		// fuzz bytes, hang up.
-		go func() {
-			defer srvConn.Close()
-			go io.Copy(io.Discard, srvConn) //nolint:errcheck // drain only
-			srvConn.Write([]byte(reply))    //nolint:errcheck // best effort
-		}()
-
-		sc := bufio.NewScanner(cliConn)
-		sc.Buffer(make([]byte, 64*1024), maxLine)
-		c := &Client{conn: cliConn, sc: sc, ioTimeout: 2 * time.Second}
-
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		rows, err := c.Query(ctx, `doc("catalog")/item`)
-		if err != nil {
-			return // a rejected stream is fine; a panic is not
+		first, _, _ := strings.Cut(reply, "\n")
+		root, perr := xmltree.Parse(strings.TrimSuffix(first, "\r"))
+		unexpected := perr == nil && root.Label != "x:row" && root.Label != "x:end" && root.Label != "x:error"
+		for _, call := range calls {
+			err := playReply(reply, call)
+			if unexpected && (err == nil || !strings.Contains(err.Error(), "unexpected reply")) {
+				t.Fatalf("a reply opening with <%s> read as %v, want an unexpected reply", root.Label, err)
+			}
 		}
-		_, _ = rows.Collect()
 	})
+}
+
+// playReply runs call on a client whose server is a pipe that drains
+// whatever the client sends, plays reply and hangs up.
+func playReply(reply string, call func(context.Context, *Client) error) error {
+	cliConn, srvConn := net.Pipe()
+	defer cliConn.Close()
+	go func() {
+		defer srvConn.Close()
+		go io.Copy(io.Discard, srvConn) //nolint:errcheck // drain only
+		srvConn.Write([]byte(reply))    //nolint:errcheck // best effort
+	}()
+	sc := bufio.NewScanner(cliConn)
+	sc.Buffer(make([]byte, 64*1024), maxLine)
+	c := &Client{conn: cliConn, sc: sc, ioTimeout: 2 * time.Second}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	return call(ctx, c)
 }

@@ -161,7 +161,7 @@ func TestUntracedQueryRecordsNothing(t *testing.T) {
 	if _, err := c.QueryAll(`doc("remote")/item/name`); err != nil {
 		t.Fatalf("QueryAll: %v", err)
 	}
-	if ids := srv.metrics().TraceIDs(); len(ids) != 0 {
+	if ids := srv.MetricsRegistry().TraceIDs(); len(ids) != 0 {
 		t.Errorf("untraced query left traces: %v", ids)
 	}
 }

@@ -4,15 +4,16 @@
 // services "correspond to (simplified) WSDL request-response
 // operations").
 //
-// A request is one line, a verb and its arguments:
+// A request is one line, a verb and its arguments. Every verb answers
+// the same way: zero or more <x:row>…</x:row> lines, one tree each, then
+// <x:end n="K"/>:
 //
-//	QUERYX [+flags] <statement>       → <x:row>…</x:row>… then <x:end n="K"/>
-//	PREPARE <xquery>                  → <x:ok/>
-//	CALL <service> [<param-forest>]   → <x:forest>…</x:forest>
-//	LIST                              → <x:info>…</x:info>
-//	PLACEMENTS                        → <x:placements>…</x:placements>
-//	STATS                             → <x:stats>…</x:stats>
-//	TRACE <trace-id>                  → <x:trace>…</x:trace>
+//	QUERYX [+flags] <statement>       → the statement's rows
+//	CALL <service> [<param-forest>]   → one row per tree of the service's forest
+//	LIST                              → one row <x:info>…</x:info>
+//	PLACEMENTS                        → one row <x:placements>…</x:placements>
+//	STATS                             → one row <x:stats>…</x:stats>
+//	TRACE <trace-id>                  → one row <x:trace>…</x:trace>
 //	QUIT                              (closes the connection)
 //
 // CALL applies any service registered on the served peer the way a
@@ -24,7 +25,7 @@
 // (internal/cluster); a process that does not play the role has no
 // such service.
 //
-// Any verb may instead answer <x:error code="kind">message</x:error>.
+// Any verb may instead answer one line <x:error code="kind">message</x:error>.
 // The code — canceled, no-such-doc, no-such-service, peer-down,
 // bad-query, view-moved, internal — maps back onto the typed sentinels
 // local evaluation returns (session.ErrCanceled &co), so callers branch
@@ -46,16 +47,17 @@
 // `declare document "d" as <xml>`) one row <x:ok/>. A query goes parse
 // → view-aware optimize → plan cache (keyed by normalized query shape,
 // invalidated when the view catalog changes) → refresh the views the
-// plan reads → pull-based cursor. PREPARE warms that plan cache. QUERYX
-// writes each row into the connection buffer as the cursor yields it
-// and flushes a query's first row alone, so it reaches the client while
-// evaluation continues; the rest leave whenever the buffer fills. A
+// plan reads → pull-based cursor; the first run of a query's shape
+// warms that plan cache for its repeats. QUERYX writes each row into
+// the connection buffer as the cursor yields it and flushes a query's
+// first row alone, so it reaches the client while evaluation
+// continues; the rest leave whenever the buffer fills. A
 // failure after the first row ends the stream with an <x:error> line in
 // place of <x:end>, and a client that hangs up mid-stream is seen at the
 // next buffer write, which abandons the cursor — evaluation stops
 // within one buffer of rows.
 //
-// Every reply and every tree a request carries is one line: CR and LF
+// Every reply row and every tree a request carries is one line: CR and LF
 // inside text and attribute values travel as &#13; and &#10;
 // (xmltree.AppendLine), which the receiving parser decodes. A request
 // line itself carries &, CR and LF as &amp;, &#13; and &#10;, which the
@@ -154,13 +156,16 @@ type Forwarder interface {
 	ForwardQuery(ctx context.Context, src string) (rows *session.Rows, ok bool, err error)
 }
 
-// metrics returns the server's registry, creating and wiring it on
-// first use: streaming counters and network totals become gauges (the
-// atomics/netsim stay the owners; the registry samples them), and the
-// session pipeline mirrors its plan-cache counters in (see
-// Server.session). Gauge registration is idempotent, so sharing one
-// registry across servers of one deployment is safe.
-func (s *Server) metrics() *obs.Registry {
+// MetricsRegistry returns the server's registry — the one behind the
+// STATS verb — creating and wiring it on first use: streaming counters
+// and network totals become gauges (the atomics/netsim stay the owners;
+// the registry samples them), and the session pipeline mirrors its
+// plan-cache counters in (see Server.session). Hand it to cooperating
+// components (placement.Config.Metrics, the cluster's coordinator and
+// members) so the deployment reports through one registry. Gauge
+// registration is idempotent, so sharing one registry across servers
+// of one deployment is safe.
+func (s *Server) MetricsRegistry() *obs.Registry {
 	s.metricsOnce.Do(func() {
 		if s.Metrics == nil {
 			s.Metrics = obs.NewRegistry()
@@ -173,12 +178,6 @@ func (s *Server) metrics() *obs.Registry {
 	return s.Metrics
 }
 
-// MetricsRegistry returns the server's metrics registry, creating and
-// wiring it on first use — the registry behind the STATS verb. Hand it
-// to cooperating components (placement.Config.Metrics, an HTTP
-// exporter) so the deployment reports through one registry.
-func (s *Server) MetricsRegistry() *obs.Registry { return s.metrics() }
-
 // session returns the server's shared query session (one plan cache
 // across all connections) — the only way a data verb is served. A
 // failure to build the session is a misconfiguration; it is remembered
@@ -187,7 +186,7 @@ func (s *Server) session() (*session.Local, error) {
 	s.sessOnce.Do(func() {
 		// The shared session counts into the server's registry, so a
 		// STATS snapshot carries its session.plan_cache.* counters.
-		opts := append([]session.LocalOption{session.WithMetrics(s.metrics())}, s.SessionOptions...)
+		opts := append([]session.LocalOption{session.WithMetrics(s.MetricsRegistry())}, s.SessionOptions...)
 		s.sess, s.sessErr = session.NewLocal(s.Views.System(), s.Views, s.Peer.ID, opts...)
 	})
 	return s.sess, s.sessErr
@@ -322,82 +321,93 @@ func (s *Server) closeConns() {
 	}
 }
 
-// errCode classifies an error into the protocol's code vocabulary.
-func errCode(err error) string {
-	switch {
-	case errors.Is(err, core.ErrCanceled),
-		errors.Is(err, context.Canceled),
-		errors.Is(err, context.DeadlineExceeded):
-		return "canceled"
-	case errors.Is(err, core.ErrNoSuchDoc):
-		return "no-such-doc"
-	case errors.Is(err, core.ErrNoSuchService):
-		return "no-such-service"
-	case errors.Is(err, core.ErrPeerDown):
-		return "peer-down"
-	case errors.Is(err, session.ErrBadQuery):
-		return "bad-query"
-	case errors.Is(err, session.ErrViewMoved):
-		return "view-moved"
-	default:
-		return "internal"
-	}
+// errorKinds is the protocol's error vocabulary: each x:error code
+// with the typed sentinel it stands for. The server reads it from error
+// to code (errCode), the client from code back to error (serverError);
+// an error of no kind here is internal.
+var errorKinds = []struct {
+	code string
+	err  error
+}{
+	{"canceled", session.ErrCanceled},
+	{"no-such-doc", session.ErrNoSuchDoc},
+	{"no-such-service", session.ErrNoSuchService},
+	{"peer-down", session.ErrPeerDown},
+	{"bad-query", session.ErrBadQuery},
+	{"view-moved", session.ErrViewMoved},
 }
 
-// sentinelFor is the client-side inverse of errCode.
-func sentinelFor(code string) error {
-	switch code {
-	case "canceled":
-		return session.ErrCanceled
-	case "no-such-doc":
-		return session.ErrNoSuchDoc
-	case "no-such-service":
-		return session.ErrNoSuchService
-	case "peer-down":
-		return session.ErrPeerDown
-	case "bad-query":
-		return session.ErrBadQuery
-	case "view-moved":
-		return session.ErrViewMoved
-	default:
-		return nil
+// errCode classifies an error into the protocol's code vocabulary; a
+// context's own expiry is a cancellation too.
+func errCode(err error) string {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return "canceled"
 	}
+	for _, k := range errorKinds {
+		if errors.Is(err, k.err) {
+			return k.code
+		}
+	}
+	return "internal"
+}
+
+// serverError turns an x:error line back into an error that matches
+// its code's sentinel. The kind is named once: a message that already
+// names it keeps its words, any other is prefixed with it.
+func serverError(code, msg string) error {
+	for _, k := range errorKinds {
+		if k.code != code {
+			continue
+		}
+		if before, after, ok := strings.Cut(msg, k.err.Error()); ok {
+			return fmt.Errorf("wire: server: %s%w%s", before, k.err, after)
+		}
+		return fmt.Errorf("wire: server: %w: %s", k.err, msg)
+	}
+	return fmt.Errorf("wire: server: %s", msg)
 }
 
 func errReply(err error) string {
-	e := xmltree.E("x:error", xmltree.A("code", errCode(err)), xmltree.T(err.Error()))
-	return xmltree.SerializeLine(e)
+	return xmltree.SerializeLine(xmltree.E("x:error", xmltree.A("code", errCode(err)), xmltree.T(err.Error())))
 }
 
-// dispatch executes one request line. Most commands produce a single
-// reply line; QUERYX streams its reply.
+// dispatch executes one request line. Every verb answers zero or more
+// <x:row> lines then <x:end n="K"/>, or one <x:error> line: QUERYX
+// writes its rows as its cursor yields them, CALL one row per tree of
+// its forest, and LIST, PLACEMENTS, STATS and TRACE one row each.
 func (s *Server) dispatch(line string, w *bufio.Writer) {
 	if strings.IndexByte(line, '&') >= 0 {
 		line = requestUnescaper.Replace(line)
 	}
 	cmd, rest, _ := strings.Cut(line, " ")
-	if strings.EqualFold(cmd, "QUERYX") {
+	var out []*xmltree.Node
+	var err error
+	switch strings.ToUpper(cmd) {
+	case "QUERYX":
 		s.doQueryStream(rest, w)
 		return
-	}
-	var reply string
-	switch strings.ToUpper(cmd) {
-	case "PREPARE":
-		reply = s.doPrepare(rest)
 	case "CALL":
-		reply = s.doCall(rest)
+		out, err = s.doCall(rest)
 	case "LIST":
-		reply = s.doList()
+		out = []*xmltree.Node{s.doList()}
 	case "PLACEMENTS":
-		reply = s.doPlacements()
+		out = []*xmltree.Node{s.doPlacements()}
 	case "STATS":
-		reply = s.doStats()
+		out = []*xmltree.Node{s.doStats()}
 	case "TRACE":
-		reply = s.doTrace(rest)
+		out, err = s.doTrace(rest)
 	default:
-		reply = errReply(fmt.Errorf("unknown command %q", cmd))
+		err = fmt.Errorf("unknown command %q", cmd)
 	}
-	fmt.Fprintln(w, reply)
+	if err != nil {
+		fmt.Fprintln(w, errReply(err))
+		return
+	}
+	for _, n := range out {
+		row := xmltree.AppendLine(append(w.AvailableBuffer(), "<x:row>"...), n)
+		_, _ = w.Write(append(row, "</x:row>\n"...))
+	}
+	fmt.Fprintf(w, "<x:end n=\"%d\"/>\n", len(out))
 }
 
 // The escaping of a request line: &, CR and LF as xmltree.AppendLine
@@ -486,7 +496,7 @@ func (s *Server) traceContext(ctx context.Context, cfg session.Config) (context.
 		return ctx, func() {}
 	}
 	tr := obs.NewTrace(cfg.TraceID)
-	reg := s.metrics()
+	reg := s.MetricsRegistry()
 	return obs.WithTrace(ctx, tr), func() { reg.RecordTrace(tr) }
 }
 
@@ -578,49 +588,31 @@ func (s *Server) doQueryStream(rest string, w *bufio.Writer) {
 		fmt.Fprintln(w, errReply(err))
 		return
 	}
-	fmt.Fprintln(w, xmltree.SerializeLine(xmltree.E("x:end", xmltree.A("n", fmt.Sprint(n)))))
-}
-
-// doPrepare validates a query and warms the server-side plan cache, so
-// subsequent QUERYX of the same shape skip the optimizer search.
-func (s *Server) doPrepare(src string) string {
-	sess, err := s.session()
-	if err != nil {
-		return errReply(err)
-	}
-	stmt, err := sess.Prepare(context.Background(), src)
-	if err != nil {
-		return errReply(err)
-	}
-	_ = stmt.Close()
-	return "<x:ok/>"
+	fmt.Fprintf(w, "<x:end n=\"%d\"/>\n", n)
 }
 
 // doCall applies a service of the served peer to one parameter per
 // tree, as a netsim call applies it at its provider.
-func (s *Server) doCall(rest string) string {
+func (s *Server) doCall(rest string) ([]*xmltree.Node, error) {
 	name, paramXML, _ := strings.Cut(rest, " ")
 	if name == "" {
-		return errReply(fmt.Errorf("CALL requires a service name"))
+		return nil, fmt.Errorf("CALL requires a service name")
 	}
 	var args [][]*xmltree.Node
 	if strings.TrimSpace(paramXML) != "" {
 		trees, err := xmltree.ParseFragment(paramXML)
 		if err != nil {
-			return errReply(err)
+			return nil, err
 		}
 		for _, t := range trees {
 			args = append(args, []*xmltree.Node{t})
 		}
 	}
 	out, _, err := s.Views.System().ApplyCall(context.Background(), s.Peer.ID, name, args)
-	if err != nil {
-		return errReply(err)
-	}
-	return forestReply(out)
+	return out, err
 }
 
-func (s *Server) doList() string {
+func (s *Server) doList() *xmltree.Node {
 	info := xmltree.E("x:info")
 	for _, d := range s.Peer.DocumentNames() {
 		info.AppendChild(xmltree.E("doc", xmltree.A("name", d)))
@@ -634,7 +626,7 @@ func (s *Server) doList() string {
 			xmltree.A("mode", v.Mode),
 			xmltree.A("query", v.Query)))
 	}
-	return xmltree.SerializeLine(info)
+	return info
 }
 
 func placementToXML(pi view.PlacementInfo) *xmltree.Node {
@@ -653,7 +645,7 @@ func placementToXML(pi view.PlacementInfo) *xmltree.Node {
 // deployment and its recent decisions — at a coordinator the map merged
 // from member demand exports, whose `at` names a member — or, without a
 // controller, the served view manager's map.
-func (s *Server) doPlacements() string {
+func (s *Server) doPlacements() *xmltree.Node {
 	var placements []view.PlacementInfo
 	if s.Placements != nil {
 		placements = s.Placements.Placements()
@@ -669,42 +661,32 @@ func (s *Server) doPlacements() string {
 			root.AppendChild(d.ToXML())
 		}
 	}
-	return xmltree.SerializeLine(root)
+	return root
 }
 
 // doStats answers STATS with the registry snapshot: wire streaming
 // gauges, session plan-cache counters, network totals, and whatever
 // else the deployment feeds the shared registry (placement decisions,
 // query latency histograms).
-func (s *Server) doStats() string {
+func (s *Server) doStats() *xmltree.Node {
 	// Touch the session first so its counters exist in the snapshot
 	// even before the first query.
 	_, _ = s.session()
-	return xmltree.SerializeLine(obs.SnapshotToXML(s.metrics().Snapshot()))
+	return obs.SnapshotToXML(s.MetricsRegistry().Snapshot())
 }
 
 // doTrace answers TRACE <id> with the span tree recorded for a
 // +trace=<id> query, if it is still in the recent-traces ring.
-func (s *Server) doTrace(rest string) string {
+func (s *Server) doTrace(rest string) ([]*xmltree.Node, error) {
 	id := strings.TrimSpace(rest)
 	if id == "" {
-		return errReply(fmt.Errorf("TRACE requires a trace id"))
+		return nil, fmt.Errorf("TRACE requires a trace id")
 	}
-	tr := s.metrics().TraceByID(id)
+	tr := s.MetricsRegistry().TraceByID(id)
 	if tr == nil {
-		return errReply(fmt.Errorf("trace: no trace %q (traced queries use +trace=<id>; the ring keeps the most recent)", id))
+		return nil, fmt.Errorf("trace: no trace %q (traced queries use +trace=<id>; the ring keeps the most recent)", id)
 	}
-	return xmltree.SerializeLine(obs.SpansToXML(tr.ID, tr.Spans()))
-}
-
-// forestReply writes a result forest as one x:forest line, each tree
-// serialized where it stands.
-func forestReply(out []*xmltree.Node) string {
-	b := []byte("<x:forest>")
-	for _, n := range out {
-		b = xmltree.AppendLine(b, n)
-	}
-	return string(append(b, "</x:forest>"...))
+	return []*xmltree.Node{obs.SpansToXML(tr.ID, tr.Spans())}, nil
 }
 
 // DialOption configures a client connection.
@@ -736,31 +718,33 @@ func WithIOTimeout(d time.Duration) DialOption {
 // Client is a connection to an axmlpeer server. It implements the
 // unified session interface: Query runs any statement, Exec reports
 // its count, Prepare pins a query — same methods, options and error
-// kinds as a local axml session. A Client serializes its calls; a
-// streaming Rows must be closed (or drained) before the next request.
+// kinds as a local axml session. Every method goes through one path:
+// send the request line, read the reply's rows through x:end. A
+// Client serializes its calls; a streaming Rows must be closed (or
+// drained) before the next request.
 type Client struct {
 	conn      net.Conn
 	sc        *bufio.Scanner
 	ioTimeout time.Duration
 
 	// addr and dialTimeout enable a transparent one-shot reconnect:
-	// when a read (a query, PREPARE, LIST, PLACEMENTS, STATS, TRACE) on
-	// a pooled connection fails with ErrPeerDown before any reply row
-	// was delivered — a peer restarted under us — the client redials
-	// once and replays it. An update, a declaration or a CALL (maybe a
-	// control action such as a demand export, which decays what it
-	// exported) may have taken effect, so its caller sees ErrPeerDown
-	// and decides. Clients built directly over an existing conn (tests,
-	// pipes) have addr == "" and never redial.
+	// when the open of a read — a query, or LIST, PLACEMENTS, STATS or
+	// TRACE — on a pooled connection fails with ErrPeerDown before its
+	// first reply line arrived — a peer restarted under us — the client
+	// redials once and sends it again. An update, a declaration or a
+	// CALL (maybe a control action such as a demand export, which
+	// decays what it exported) may have taken effect, so its caller
+	// sees ErrPeerDown and decides. Clients built directly over an
+	// existing conn (tests, pipes) have addr == "" and never redial.
 	addr        string
 	dialTimeout time.Duration
 
 	mu     sync.Mutex
-	busy   bool // an exchange (round trip or open Rows) owns the conn
+	busy   bool // a request, from its open to the end of its reply, owns the conn
 	closed bool
-	// dead is set, by the exchange that owns the conn, when it ended
-	// without its terminator (canceled, timed out, cut off): the conn
-	// may still hold the rest of that reply, so the next exchange
+	// dead is set, by the request that owns the conn, when its reply
+	// ended without its terminator (canceled, timed out, cut off): the
+	// conn may still hold the rest of that reply, so the next request
 	// redials, or fails with ErrPeerDown when the client has no address.
 	dead bool
 }
@@ -788,7 +772,7 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 }
 
 // redial replaces a dead connection with a fresh dial to the original
-// address. Callers must hold the busy claim (no other exchange can
+// address. Callers must hold the busy claim (no other request can
 // touch the conn fields). Reports whether a fresh connection is in
 // place.
 func (c *Client) redial() bool {
@@ -826,65 +810,6 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// guard arms the connection for one exchange: bump (re-)applies the
-// deadline — ioTimeout from now, tightened by the context's own
-// deadline — and is called before each conn operation, so per-row
-// reads of a long stream each get a fresh allowance; a deadline equal
-// to the one already set is not set again, so without an ioTimeout a
-// stream arms once. A watcher aborts in-flight I/O the moment the
-// context is canceled. The returned release must be called when the
-// exchange ends; it waits for the watcher to exit before clearing the
-// deadline, so a late cancellation can never poison the connection for
-// the next exchange.
-func (c *Client) guard(ctx context.Context) (bump, release func()) {
-	var armed time.Time
-	set := false
-	bump = func() {
-		if ctx.Err() != nil {
-			// The watcher may not have poisoned it yet: a canceled
-			// context must never get to send or read.
-			_ = c.conn.SetDeadline(time.Now().Add(-time.Second))
-			return
-		}
-		var dl time.Time
-		if c.ioTimeout > 0 {
-			dl = time.Now().Add(c.ioTimeout)
-		}
-		if d, ok := ctx.Deadline(); ok && (dl.IsZero() || d.Before(dl)) {
-			dl = d
-		}
-		if set && dl.Equal(armed) {
-			return
-		}
-		armed, set = dl, true
-		_ = c.conn.SetDeadline(dl) // zero time clears
-		if ctx.Err() != nil {
-			// The watcher may have fired between the check and the set;
-			// re-poison so a canceled context never waits out a fresh
-			// allowance.
-			_ = c.conn.SetDeadline(time.Now().Add(-time.Second))
-		}
-	}
-	bump()
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		select {
-		case <-ctx.Done():
-			// Unblock any Read/Write immediately.
-			_ = c.conn.SetDeadline(time.Now().Add(-time.Second))
-		case <-stop:
-		}
-	}()
-	release = func() {
-		close(stop)
-		<-done
-		_ = c.conn.SetDeadline(time.Time{})
-	}
-	return bump, release
-}
-
 // ioError classifies a transport failure: context expiry (either the
 // caller's or the I/O deadline) maps to ErrCanceled, everything else
 // to ErrPeerDown — the remote equivalents of a local canceled
@@ -900,43 +825,7 @@ func (c *Client) ioError(ctx context.Context, err error) error {
 	return fmt.Errorf("wire: connection lost: %w: %v", session.ErrPeerDown, err)
 }
 
-// send writes one request line, escaped.
-func (c *Client) send(ctx context.Context, line string) error {
-	if _, err := fmt.Fprintln(c.conn, requestEscaper.Replace(line)); err != nil {
-		c.dead = true
-		return c.ioError(ctx, err)
-	}
-	return nil
-}
-
-// recv reads one reply line as a parsed tree. Protocol-level errors
-// (x:error) are mapped onto typed sentinels via their code attribute.
-func (c *Client) recv(ctx context.Context) (*xmltree.Node, error) {
-	// A line the scanner hands back alongside an error is what arrived
-	// before the error cut it short: it is never parsed.
-	if !c.sc.Scan() || c.sc.Err() != nil {
-		c.dead = true
-		if err := c.sc.Err(); err != nil {
-			return nil, c.ioError(ctx, err)
-		}
-		return nil, fmt.Errorf("wire: connection closed: %w", session.ErrPeerDown)
-	}
-	root, err := xmltree.Parse(c.sc.Text())
-	if err != nil {
-		c.dead = true
-		return nil, fmt.Errorf("wire: bad reply: %w", err)
-	}
-	if root.Label == "x:error" {
-		code, _ := root.Attr("code")
-		if sentinel := sentinelFor(code); sentinel != nil {
-			return nil, fmt.Errorf("wire: server: %w: %s", sentinel, root.TextContent())
-		}
-		return nil, fmt.Errorf("wire: server: %s", root.TextContent())
-	}
-	return root, nil
-}
-
-// begin claims the connection for one exchange; end releases it. A
+// begin claims the connection for one request; end releases it. A
 // failed begin means the context is already done, another call or an
 // open Rows owns the line, or the line is dead and cannot be redialed;
 // it leaves the connection as it was.
@@ -969,37 +858,218 @@ func (c *Client) end() {
 	c.mu.Unlock()
 }
 
-// roundTrip sends a read's request line and parses the single reply
-// line. An ErrPeerDown — the stale-pooled-socket case after a peer
-// restart — is retried once over a fresh connection.
-func (c *Client) roundTrip(ctx context.Context, line string) (*xmltree.Node, error) {
-	return c.request(ctx, line, true)
-}
-
-// request is roundTrip, retrying only when replay is set.
-func (c *Client) request(ctx context.Context, line string, replay bool) (*xmltree.Node, error) {
+// open sends one request line and reads the first line of its reply,
+// so a request the server refuses fails here, as it does on a local
+// session. When replay is set, an open that found the connection gone
+// — a peer restarted under a pooled client — is sent once more over a
+// fresh dial. The returned Rows owns the connection until its reply
+// ends or it is closed; timeout, when set, bounds the whole reply.
+func (c *Client) open(ctx context.Context, line string, timeout time.Duration, replay bool) (*session.Rows, error) {
 	if err := c.begin(ctx); err != nil {
 		return nil, err
 	}
-	defer c.end()
-	root, err := c.exchange(ctx, line)
-	if err != nil && errors.Is(err, session.ErrPeerDown) &&
-		ctx.Err() == nil && replay && c.redial() {
-		root, err = c.exchange(ctx, line)
+	s, err := c.start(ctx, line, timeout)
+	if err != nil && replay && errors.Is(err, session.ErrPeerDown) && ctx.Err() == nil && c.redial() {
+		s, err = c.start(ctx, line, timeout)
 	}
-	return root, err
-}
-
-// exchange performs one send/recv attempt. The caller holds the busy
-// claim.
-func (c *Client) exchange(ctx context.Context, line string) (*xmltree.Node, error) {
-	bump, release := c.guard(ctx)
-	defer release()
-	if err := c.send(ctx, line); err != nil {
+	if err != nil {
+		c.end()
 		return nil, err
 	}
-	bump()
-	return c.recv(ctx)
+	if s.first == nil {
+		s.finish() // an empty reply: its x:end is read
+	}
+	return session.NewRows(s.pull, s.close), nil
+}
+
+// read runs a read verb, whose reply is one row, and returns that row.
+func (c *Client) read(ctx context.Context, line string) (*xmltree.Node, error) {
+	rows, err := c.open(ctx, line, 0, true)
+	if err != nil {
+		return nil, err
+	}
+	out, err := rows.Collect()
+	if err != nil {
+		return nil, err
+	}
+	if len(out) != 1 {
+		return nil, fmt.Errorf("wire: %s answered %d rows, want 1", line, len(out))
+	}
+	return out[0], nil
+}
+
+// stream is one request's reply as the client reads it, line by line.
+// The caller holds the client's busy claim until finish.
+type stream struct {
+	c   *Client
+	ctx context.Context
+	// cancel ends the per-call timeout's context; nil without one.
+	cancel context.CancelFunc
+	// stop disarms the cancellation armed on a context that can be
+	// canceled, and stopped closes once an armed one has run.
+	stop    func() bool
+	stopped chan struct{}
+	armed   time.Time     // the deadline set on the connection
+	first   *xmltree.Node // read with the request; handed out by the first pull
+	done    bool
+}
+
+// start arms a stream for one attempt, sends the request line and
+// reads the first reply line. A failed start has released what it
+// armed; the caller keeps the busy claim either way.
+func (c *Client) start(ctx context.Context, line string, timeout time.Duration) (*stream, error) {
+	s := &stream{c: c, ctx: ctx}
+	if timeout > 0 {
+		s.ctx, s.cancel = context.WithTimeout(ctx, timeout)
+	}
+	s.arm()
+	// A context that can be canceled aborts in-flight I/O the moment it
+	// is; one that cannot arms no cancellation.
+	if s.ctx.Done() != nil {
+		s.stopped = make(chan struct{})
+		s.stop = context.AfterFunc(s.ctx, func() {
+			defer close(s.stopped)
+			c.poison()
+		})
+	}
+	var err error
+	if _, err = fmt.Fprintln(c.conn, requestEscaper.Replace(line)); err != nil {
+		c.dead = true
+		err = c.ioError(s.ctx, err)
+	} else {
+		s.first, err = s.next()
+	}
+	if err != nil {
+		s.release()
+		return nil, err
+	}
+	return s, nil
+}
+
+// arm (re-)applies the deadline — the I/O timeout from now, tightened
+// by the context's own deadline — before each connection operation, so
+// each line of a long reply gets a fresh allowance. A deadline equal
+// to the one already set is not set again, so without an I/O timeout a
+// reply arms once.
+func (s *stream) arm() {
+	if s.ctx.Err() != nil {
+		// The cancellation may not have poisoned it yet: a canceled
+		// context must never get to send or read.
+		s.c.poison()
+		return
+	}
+	var dl time.Time
+	if s.c.ioTimeout > 0 {
+		dl = time.Now().Add(s.c.ioTimeout)
+	}
+	if d, ok := s.ctx.Deadline(); ok && (dl.IsZero() || d.Before(dl)) {
+		dl = d
+	}
+	if dl.Equal(s.armed) {
+		return // as set: a request starts with none, and each reply clears its own
+	}
+	s.armed = dl
+	_ = s.c.conn.SetDeadline(dl) // zero time clears
+	if s.ctx.Err() != nil {
+		// The cancellation may have run between the check and the set;
+		// poison again so a canceled context never waits out a fresh
+		// allowance.
+		s.c.poison()
+	}
+}
+
+// poison sets a deadline in the past, so any I/O on the connection,
+// in flight or to come, fails at once.
+func (c *Client) poison() {
+	_ = c.conn.SetDeadline(time.Now().Add(-time.Second))
+}
+
+// release disarms the stream. It waits out a cancellation already
+// running before it clears the deadline, so a late cancellation can
+// never poison the connection for the next request.
+func (s *stream) release() {
+	if s.stop != nil && !s.stop() {
+		<-s.stopped
+	}
+	_ = s.c.conn.SetDeadline(time.Time{})
+	if s.cancel != nil {
+		s.cancel()
+	}
+}
+
+// finish ends the stream, once: it releases the stream and the
+// client's busy claim.
+func (s *stream) finish() {
+	if s.done {
+		return
+	}
+	s.done = true
+	s.release()
+	s.c.end()
+}
+
+// next reads one reply line: a row's node, nil at x:end, or the error
+// an x:error line, a line out of the protocol or a lost connection
+// stands for. An x:error maps back onto its typed sentinel.
+func (s *stream) next() (*xmltree.Node, error) {
+	s.arm() // a fresh I/O allowance per line
+	c := s.c
+	// A line the scanner hands back alongside an error is what arrived
+	// before the error cut it short: it is never parsed.
+	if !c.sc.Scan() || c.sc.Err() != nil {
+		c.dead = true
+		if err := c.sc.Err(); err != nil {
+			return nil, c.ioError(s.ctx, err)
+		}
+		return nil, fmt.Errorf("wire: connection closed: %w", session.ErrPeerDown)
+	}
+	root, err := xmltree.Parse(c.sc.Text())
+	switch {
+	case err != nil:
+		err = fmt.Errorf("wire: bad reply: %w", err)
+	case root.Label == "x:row" && len(root.Children) > 0:
+		return root.Children[0], nil
+	case root.Label == "x:end":
+		return nil, nil
+	case root.Label == "x:error":
+		code, _ := root.Attr("code")
+		return nil, serverError(code, root.TextContent())
+	case root.Label == "x:row":
+		err = fmt.Errorf("wire: empty row")
+	default:
+		err = fmt.Errorf("wire: unexpected reply %q", root.Label)
+	}
+	c.dead = true
+	return nil, err
+}
+
+// pull hands the reply to session.Rows: the first row, read with the
+// request, then a line at a time; the zero row once the reply ended.
+func (s *stream) pull() (core.Row, error) {
+	if s.done {
+		return core.Row{}, nil
+	}
+	n, err := s.first, error(nil)
+	if n != nil {
+		s.first = nil
+	} else {
+		n, err = s.next()
+	}
+	if n == nil {
+		s.finish()
+	}
+	return core.NodeRow(n), err
+}
+
+// close ends the stream for session.Rows. Rows drains a reply before
+// it closes it; a reply it gave up on leaves its rest on the
+// connection, so the next request redials.
+func (s *stream) close() error {
+	if !s.done {
+		s.c.dead = true
+		s.finish()
+	}
+	return nil
 }
 
 // Query runs a statement on the server and streams the result rows as
@@ -1010,113 +1080,8 @@ func (c *Client) exchange(ctx context.Context, line string) (*xmltree.Node, erro
 // delivered — and a query is retried once over a fresh dial; any other
 // statement is not, because it may have taken effect.
 func (c *Client) Query(ctx context.Context, src string, opts ...session.Option) (*session.Rows, error) {
-	if err := c.begin(ctx); err != nil {
-		return nil, err
-	}
 	cfg := session.BuildConfig(opts)
-	line := "QUERYX " + encodeFlags(cfg) + src
-
-	first, next, finish, err := c.openStream(ctx, line, cfg.Timeout)
-	if err != nil && errors.Is(err, session.ErrPeerDown) && ctx.Err() == nil &&
-		xquery.StatementKind(src) == "query" && c.redial() {
-		first, next, finish, err = c.openStream(ctx, line, cfg.Timeout)
-	}
-	if err != nil {
-		c.end()
-		return nil, err
-	}
-	// The begin() claim stays held for the whole stream; fin releases
-	// it when the terminator, an error, or Close is reached.
-	done := false
-	fin := func() {
-		if done {
-			return
-		}
-		done = true
-		finish()
-		c.end()
-	}
-	if first == nil {
-		// Empty result: the attempt already saw x:end.
-		fin()
-	}
-	delivered := first == nil
-	pull := func() (core.Row, error) {
-		if !delivered {
-			delivered = true
-			return core.NodeRow(first), nil
-		}
-		n, err := next()
-		if n == nil || err != nil {
-			fin()
-		}
-		return core.NodeRow(n), err
-	}
-	return session.NewRows(pull, func() error { fin(); return nil }), nil
-}
-
-// openStream performs one QUERYX attempt: arm the guard, apply the
-// per-attempt timeout, send the request and eagerly read the first
-// reply, so planning errors (bad query, missing document) surface from
-// Query itself, exactly as they do on the local backend. The returned
-// finish releases the attempt's guard and timeout (idempotent; it does
-// NOT release the client's busy claim — the caller owns that). A
-// failed attempt has already cleaned itself up.
-func (c *Client) openStream(parent context.Context, line string, timeout time.Duration) (
-	first *xmltree.Node, next func() (*xmltree.Node, error), finish func(), err error) {
-	ctx := parent
-	cancelTimeout := func() {}
-	if timeout > 0 {
-		// The timeout spans the whole stream, not just the open; the
-		// derived context is released when the stream finishes.
-		ctx, cancelTimeout = context.WithTimeout(parent, timeout)
-	}
-	bump, release := c.guard(ctx)
-	finished := false
-	finish = func() {
-		if finished {
-			return
-		}
-		finished = true
-		release()
-		cancelTimeout()
-	}
-	next = func() (*xmltree.Node, error) {
-		if finished {
-			return nil, nil
-		}
-		bump() // fresh I/O allowance per row
-		root, err := c.recv(ctx)
-		if err != nil {
-			finish()
-			return nil, err
-		}
-		switch root.Label {
-		case "x:row":
-			if len(root.Children) == 0 {
-				c.dead = true
-				finish()
-				return nil, fmt.Errorf("wire: empty row")
-			}
-			return root.Children[0], nil
-		case "x:end":
-			finish()
-			return nil, nil
-		default:
-			c.dead = true
-			finish()
-			return nil, fmt.Errorf("wire: unexpected stream reply %q", root.Label)
-		}
-	}
-	if err := c.send(ctx, line); err != nil {
-		finish()
-		return nil, nil, nil, err
-	}
-	first, err = next()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return first, next, finish, nil
+	return c.open(ctx, "QUERYX "+encodeFlags(cfg)+src, cfg.Timeout, xquery.StatementKind(src) == "query")
 }
 
 // QueryAll is Query + Collect: the whole result forest in one call.
@@ -1138,7 +1103,7 @@ func (c *Client) Exec(ctx context.Context, src string, opts ...session.Option) (
 // plan-cache counters, streaming gauges, network totals, latency
 // histograms — the wire face of axmlq -stats.
 func (c *Client) Stats(ctx context.Context) (obs.Snapshot, error) {
-	root, err := c.roundTrip(ctx, "STATS")
+	root, err := c.read(ctx, "STATS")
 	if err != nil {
 		return obs.Snapshot{}, err
 	}
@@ -1148,7 +1113,7 @@ func (c *Client) Stats(ctx context.Context) (obs.Snapshot, error) {
 // Trace fetches the span tree the server recorded for a query sent
 // with session.WithTraceID(id). Render it with obs.Render.
 func (c *Client) Trace(ctx context.Context, id string) ([]obs.Span, error) {
-	root, err := c.roundTrip(ctx, "TRACE "+id)
+	root, err := c.read(ctx, "TRACE "+id)
 	if err != nil {
 		return nil, err
 	}
@@ -1156,12 +1121,22 @@ func (c *Client) Trace(ctx context.Context, id string) ([]obs.Span, error) {
 	return spans, err
 }
 
-// Prepare validates the statement on the server and warms its plan
-// cache; the returned handle re-runs it without per-call planning
-// work server-side.
+// Prepare checks that src parses as a query and returns a handle that
+// runs it through Query. The server plans a query the first time it
+// runs and answers its repeats from the plan cache, so nothing is sent
+// ahead of the first run.
 func (c *Client) Prepare(ctx context.Context, src string) (*session.Stmt, error) {
-	if _, err := c.roundTrip(ctx, "PREPARE "+src); err != nil {
-		return nil, err
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		return nil, session.ErrClosed
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("wire: %w: %v", session.ErrCanceled, err)
+	}
+	if _, err := xquery.Parse(src); err != nil {
+		return nil, fmt.Errorf("%w: %v", session.ErrBadQuery, err)
 	}
 	run := func(ctx context.Context, opts ...session.Option) (*session.Rows, error) {
 		return c.Query(ctx, src, opts...)
@@ -1181,11 +1156,11 @@ func (c *Client) Call(ctx context.Context, service string, params ...*xmltree.No
 			sb.WriteString(xmltree.SerializeLine(p))
 		}
 	}
-	root, err := c.request(ctx, sb.String(), false)
+	rows, err := c.open(ctx, sb.String(), 0, false)
 	if err != nil {
 		return nil, err
 	}
-	return root.Children, nil
+	return rows.Collect()
 }
 
 // Install installs a document on the server: a declare document
@@ -1206,7 +1181,7 @@ func (c *Client) DefineView(ctx context.Context, spec, src string) error {
 
 // List returns the server's document and service names.
 func (c *Client) List(ctx context.Context) (docs, services []string, err error) {
-	root, err := c.roundTrip(ctx, "LIST")
+	root, err := c.read(ctx, "LIST")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1224,7 +1199,7 @@ func (c *Client) List(ctx context.Context) (docs, services []string, err error) 
 
 // ListViews returns the server's views as "name (mode): query" lines.
 func (c *Client) ListViews(ctx context.Context) ([]string, error) {
-	root, err := c.roundTrip(ctx, "LIST")
+	root, err := c.read(ctx, "LIST")
 	if err != nil {
 		return nil, err
 	}
@@ -1241,7 +1216,7 @@ func (c *Client) ListViews(ctx context.Context) ([]string, error) {
 // Placements returns the server's view-placement map and recent
 // adaptive-placement decisions as printable lines.
 func (c *Client) Placements(ctx context.Context) ([]string, error) {
-	root, err := c.roundTrip(ctx, "PLACEMENTS")
+	root, err := c.read(ctx, "PLACEMENTS")
 	if err != nil {
 		return nil, err
 	}

@@ -156,10 +156,10 @@ func TestServerErrors(t *testing.T) {
 	if _, err := c.QueryAll(`doc("ghost")/x`); err == nil {
 		t.Error("unknown doc should error")
 	}
-	if _, err := c.roundTrip(context.Background(), "BOGUS cmd"); err == nil {
+	if _, err := c.read(context.Background(), "BOGUS cmd"); err == nil {
 		t.Error("unknown command should error")
 	}
-	if _, err := c.roundTrip(context.Background(), "INSTALL onlyname"); err == nil {
+	if _, err := c.read(context.Background(), "INSTALL onlyname"); err == nil {
 		t.Error("INSTALL without doc should error")
 	}
 	// The connection survives errors.
@@ -262,7 +262,7 @@ func TestExecUpdateStatements(t *testing.T) {
 		`DELETE doc("catalog")/item`,
 		`REPLACE doc("catalog")/item WITH <item/>`,
 	} {
-		if _, err := c.roundTrip(ctx, line); err == nil || !strings.Contains(err.Error(), "unknown command") {
+		if _, err := c.read(ctx, line); err == nil || !strings.Contains(err.Error(), "unknown command") {
 			t.Errorf("%q: %v, want unknown command", line, err)
 		}
 	}
@@ -374,28 +374,96 @@ func (w *writeCounter) Write(b []byte) (int, error) { w.n++; return len(b), nil 
 // so it leaves while evaluation goes on; an update's or a
 // declaration's one row leaves with its x:end in one write, as EXEC's
 // one reply line did. A query whose first row is an x:ok is still a
-// query.
+// query. The other verbs' rows and x:end, or their x:error, leave in
+// one write too.
 func TestStatementRepliesInOneWrite(t *testing.T) {
 	p, views := newStore(t, map[string]*xmltree.Node{
 		"catalog": xmltree.MustParse(`<catalog><item/><item/><x:ok/></catalog>`)})
+	if err := p.RegisterService(&service.Service{Name: "items", Provider: "store",
+		Body: xquery.MustParse(`doc("catalog")/item`)}); err != nil {
+		t.Fatal(err)
+	}
 	srv := &Server{Peer: p, Views: views}
 	for _, c := range []struct {
-		src    string
+		line   string
 		writes int
 	}{
-		{`doc("catalog")/item`, 2},
-		{`doc("catalog")/*[3]`, 2},
-		{`delete doc("catalog")/item[1]`, 1},
-		{`replace doc("catalog")/item with <item a="1"/>`, 1},
-		{`declare view "v" as doc("catalog")/item`, 1},
-		{`declare document "d" as <d/>`, 1},
+		{`QUERYX doc("catalog")/item`, 2},
+		{`QUERYX doc("catalog")/*[3]`, 2},
+		{`QUERYX delete doc("catalog")/item[1]`, 1},
+		{`QUERYX replace doc("catalog")/item with <item a="1"/>`, 1},
+		{`QUERYX declare view "v" as doc("catalog")/item`, 1},
+		{`QUERYX declare document "d" as <d/>`, 1},
+		{`CALL items`, 1},
+		{`CALL ghost`, 1},
+		{`LIST`, 1},
+		{`PLACEMENTS`, 1},
+		{`STATS`, 1},
+		{`TRACE nope`, 1},
+		{`PREPARE doc("catalog")/item`, 1},
 	} {
 		var wc writeCounter
 		w := bufio.NewWriter(&wc)
-		srv.dispatch("QUERYX "+c.src, w)
+		srv.dispatch(c.line, w)
 		w.Flush()
 		if wc.n != c.writes {
-			t.Errorf("%s: %d writes, want %d", c.src, wc.n, c.writes)
+			t.Errorf("%s: %d writes, want %d", c.line, wc.n, c.writes)
+		}
+	}
+}
+
+// TestEveryVerbAnswersRows: on a raw socket each of the six verbs
+// answers its rows, then x:end with their count, and a refused request
+// answers one x:error line: the next request's reply starts right
+// after it.
+func TestEveryVerbAnswersRows(t *testing.T) {
+	c, _, _ := startViewServer(t)
+	conn, err := net.Dial("tcp", c.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	sc := bufio.NewScanner(conn)
+	sc.Buffer(make([]byte, 64*1024), maxLine)
+	// reply sends line and reads the reply's rows up to the line that
+	// ends it.
+	reply := func(line string) (rows int, last string) {
+		t.Helper()
+		fmt.Fprintln(conn, line)
+		for sc.Scan() {
+			l := sc.Text()
+			if !strings.HasPrefix(l, "<x:row>") || !strings.HasSuffix(l, "</x:row>") {
+				return rows, l
+			}
+			rows++
+		}
+		t.Fatalf("%s: the connection ended: %v", line, sc.Err())
+		return 0, ""
+	}
+	for _, tc := range []struct {
+		line string
+		rows int
+	}{
+		{`QUERYX +trace=t1 doc("catalog")/item/name`, 2},
+		{`QUERYX delete doc("catalog")/item[price > 1000]`, 1},
+		{`CALL names`, 2},
+		{`CALL below <max>100</max>`, 1},
+		{`LIST`, 1},
+		{`PLACEMENTS`, 1},
+		{`STATS`, 1},
+		{`TRACE t1`, 1},
+	} {
+		if n, last := reply(tc.line); n != tc.rows || last != fmt.Sprintf(`<x:end n="%d"/>`, tc.rows) {
+			t.Errorf("%s: %d rows then %s, want %d rows then x:end", tc.line, n, last, tc.rows)
+		}
+	}
+	for _, line := range []string{`PREPARE doc("catalog")/item`, `QUERYX not ! a query`,
+		`CALL ghost`, `CALL`, `TRACE nope`, `TRACE`} {
+		if n, last := reply(line); n != 0 || !strings.HasPrefix(last, "<x:error code=") {
+			t.Errorf("%s: %d rows then %s, want one x:error line", line, n, last)
+		}
+		if n, last := reply("LIST"); n != 1 || last != `<x:end n="1"/>` {
+			t.Errorf("LIST after %s: %d rows then %s", line, n, last)
 		}
 	}
 }
@@ -450,22 +518,48 @@ func TestRowsGuardConnection(t *testing.T) {
 
 func TestWireTypedErrors(t *testing.T) {
 	c, _, _ := startViewServer(t)
-	rows, err := c.Query(context.Background(), `doc("ghost")/x`)
-	if err == nil {
-		_, err = rows.Collect()
+	ctx := context.Background()
+	query := func(src string) error {
+		rows, err := c.Query(ctx, src)
+		if err == nil {
+			_, err = rows.Collect()
+		}
+		return err
 	}
-	if !errors.Is(err, session.ErrNoSuchDoc) {
-		t.Errorf("missing doc over wire: %v, want ErrNoSuchDoc", err)
+	call := func(service string) error {
+		_, err := c.Call(ctx, service)
+		return err
 	}
-	rows, err = c.Query(context.Background(), `not ! a query`)
-	if err == nil {
-		_, err = rows.Collect()
+	for _, tc := range []struct {
+		name string
+		err  error
+		want error
+		in   string // part of the message, when set
+	}{
+		{"missing doc", query(`doc("ghost")/x`), session.ErrNoSuchDoc, ""},
+		{"bad query", query(`not ! a query`), session.ErrBadQuery, ""},
+		{"unknown service", call("ghost"), core.ErrNoSuchService, ""},
+		// A statement whose payload is missing reads the end of the
+		// input where the tree should start.
+		{"replace without a payload", query(`replace doc("catalog")/item with`), session.ErrBadQuery, "end of input"},
+	} {
+		msg := fmt.Sprint(tc.err)
+		if !errors.Is(tc.err, tc.want) || strings.Count(msg, tc.want.Error()) != 1 ||
+			!strings.Contains(msg, tc.in) || strings.Contains(msg, `\x00`) {
+			t.Errorf("%s over wire: %v, want %v named once", tc.name, tc.err, tc.want)
+		}
 	}
-	if !errors.Is(err, session.ErrBadQuery) {
-		t.Errorf("bad query over wire: %v, want ErrBadQuery", err)
-	}
-	if _, err := c.Call(context.Background(), "ghost"); !errors.Is(err, core.ErrNoSuchService) {
-		t.Errorf("unknown service over wire: %v, want ErrNoSuchService", err)
+	// Every code of the table comes back as its sentinel, named once
+	// whether or not the server's message named it.
+	stats := func(ctx context.Context, c *Client) error { _, err := c.Stats(ctx); return err }
+	for _, k := range errorKinds {
+		for _, msg := range []string{"gone", "session: " + k.err.Error() + ": gone"} {
+			line := strings.Replace(errReply(errors.New(msg)), `code="internal"`, fmt.Sprintf("code=%q", k.code), 1)
+			err := playReply(line+"\n", stats)
+			if !errors.Is(err, k.err) || strings.Count(err.Error(), k.err.Error()) != 1 {
+				t.Errorf("%s %q: %v, want %v named once", k.code, msg, err, k.err)
+			}
+		}
 	}
 }
 
@@ -569,7 +663,8 @@ func TestDialTimeoutAndPeerDown(t *testing.T) {
 
 func TestIOTimeout(t *testing.T) {
 	// A server that accepts but never replies: the round trip must
-	// give up after the I/O timeout and classify as canceled.
+	// give up after the I/O timeout, or the moment its context is
+	// canceled, and classify as canceled.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -591,19 +686,34 @@ func TestIOTimeout(t *testing.T) {
 			}(conn)
 		}
 	}()
-	c, err := Dial(l.Addr().String(), WithIOTimeout(200*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
+	mute := func(how string, ctx context.Context, opts ...DialOption) {
+		t.Helper()
+		c, err := Dial(l.Addr().String(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Query(ctx, `doc("catalog")/item`)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, session.ErrCanceled) {
+				t.Errorf("mute server, %s: %v, want ErrCanceled", how, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("mute server, %s: the read is still blocked", how)
+		}
 	}
-	t.Cleanup(func() { c.Close() })
-	start := time.Now()
-	_, err = c.QueryAll(`doc("catalog")/item`)
-	if !errors.Is(err, session.ErrCanceled) {
-		t.Errorf("mute server: %v, want ErrCanceled", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Error("I/O timeout did not bound the round trip")
-	}
+	mute("I/O timeout", context.Background(), WithIOTimeout(200*time.Millisecond))
+	// No deadline anywhere: only the cancellation armed on the context
+	// ends the read.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(50*time.Millisecond, cancel)
+	mute("canceled context", ctx)
 }
 
 // TestSnapshotFlagRoundtrip frames +snapshot from the client option and
@@ -684,7 +794,7 @@ func TestFlagCodecRoundTrip(t *testing.T) {
 		`QUERYX +nocache doc("catalog")/item`,
 		`QUERYX +snapshto delete doc("catalog")/item`,
 	} {
-		if _, err := c.roundTrip(context.Background(), line); !errors.Is(err, session.ErrBadQuery) {
+		if _, err := c.read(context.Background(), line); !errors.Is(err, session.ErrBadQuery) {
 			t.Errorf("%q: %v, want ErrBadQuery", line, err)
 		}
 	}

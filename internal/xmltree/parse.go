@@ -37,7 +37,7 @@ func Parse(input string) (*Node, error) {
 	p := parser{src: input}
 	p.skipMisc(true)
 	if p.at(p.pos) != '<' {
-		return nil, p.errf("expected '<', found %q", string(p.at(p.pos)))
+		return nil, p.errf("expected '<', found %s", p.found(p.pos))
 	}
 	root, open, err := p.startTag()
 	if err != nil {
@@ -97,6 +97,15 @@ func (p *parser) at(i int) byte {
 		return p.src[i]
 	}
 	return 0
+}
+
+// found names what stands at offset i, for an error message: its byte,
+// quoted, or the end of the input.
+func (p *parser) found(i int) string {
+	if i >= len(p.src) {
+		return "end of input"
+	}
+	return strconv.Quote(p.src[i : i+1])
 }
 
 // errf reports an error at the current offset. Lines and columns are
@@ -192,7 +201,7 @@ var nameTable = func() (t [256]uint8) {
 func (p *parser) name() (string, error) {
 	start := p.pos
 	if nameTable[p.at(start)]&nameStart == 0 {
-		return "", p.errf("expected name, found %q", string(p.at(start)))
+		return "", p.errf("expected name, found %s", p.found(start))
 	}
 	i := start + 1
 	for i < len(p.src) && nameTable[p.src[i]]&nameChar != 0 {

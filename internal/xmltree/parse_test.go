@@ -100,35 +100,44 @@ func TestParseDoctypeSkipped(t *testing.T) {
 	}
 }
 
-// parseErrorCases are inputs Parse refuses.
+// parseErrorCases are inputs Parse refuses; want, when set, is part of
+// the error's message.
 var parseErrorCases = []struct {
 	name  string
 	input string
+	want  string
 }{
-	{"empty", ``},
-	{"unclosed", `<a>`},
-	{"mismatched", `<a></b>`},
-	{"truncated tag", `<a`},
-	{"bad attr", `<a id></a>`},
-	{"dup attr", `<a x="1" x="2"/>`},
-	{"trailing", `<a/><b/>`},
-	{"bad entity", `<a>&nope;</a>`},
-	{"lt in attr", `<a x="<"/>`},
-	{"stray end", `</a>`},
-	{"unterminated comment", `<a><!-- x</a>`},
-	{"unterminated cdata", `<a><![CDATA[x</a>`},
-	{"nul char ref", `<a>&#0;</a>`},
-	{"control char ref", `<a>&#1;</a>`},
-	{"surrogate char ref", `<a>&#xD800;</a>`},
-	{"char ref past unicode", `<a>&#x110000;</a>`},
-	{"noncharacter char ref", `<a x="&#xFFFE;"/>`},
+	{"empty", ``, `expected '<', found end of input`},
+	{"blank", " \n", `expected '<', found end of input`},
+	{"lone lt", `<`, `expected name, found end of input`},
+	{"text", `x`, `expected '<', found "x"`},
+	{"unclosed", `<a>`, ``},
+	{"mismatched", `<a></b>`, ``},
+	{"truncated tag", `<a`, ``},
+	{"bad attr", `<a id></a>`, ``},
+	{"dup attr", `<a x="1" x="2"/>`, ``},
+	{"trailing", `<a/><b/>`, ``},
+	{"bad entity", `<a>&nope;</a>`, ``},
+	{"lt in attr", `<a x="<"/>`, ``},
+	{"stray end", `</a>`, ``},
+	{"unterminated comment", `<a><!-- x</a>`, ``},
+	{"unterminated cdata", `<a><![CDATA[x</a>`, ``},
+	{"nul char ref", `<a>&#0;</a>`, ``},
+	{"control char ref", `<a>&#1;</a>`, ``},
+	{"surrogate char ref", `<a>&#xD800;</a>`, ``},
+	{"char ref past unicode", `<a>&#x110000;</a>`, ``},
+	{"noncharacter char ref", `<a x="&#xFFFE;"/>`, ``},
 }
 
 func TestParseErrors(t *testing.T) {
 	for _, tc := range parseErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Parse(tc.input); err == nil {
-				t.Errorf("Parse(%q) succeeded, want error", tc.input)
+			_, err := Parse(tc.input)
+			if err == nil {
+				t.Fatalf("Parse(%q) succeeded, want error", tc.input)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Parse(%q): %v, want %s", tc.input, err, tc.want)
 			}
 		})
 	}

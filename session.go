@@ -125,8 +125,8 @@ func (s *System) LocalSession(at PeerID) (*session.Local, error) {
 
 // Dial connects to a remote axmlpeer and returns the same Session
 // interface a local system yields: Query streams rows off the wire,
-// Exec runs update statements, Prepare pins a statement against the
-// server's plan cache.
+// Exec runs update statements, and Prepare checks a query and runs it
+// through Query, the server's plan cache answering its repeats.
 func Dial(addr string, opts ...DialOption) (Session, error) {
 	c, err := wire.Dial(addr, opts...)
 	if err != nil {
