@@ -46,9 +46,9 @@
 //
 // On SIGINT/SIGTERM the process shuts down gracefully: the listener
 // closes, in-flight requests (including QUERYX streams mid-row) drain,
-// the member deregisters from its coordinator (x:bye), view maintenance
-// stops, and any still-pinned snapshot epochs are reported before
-// exit.
+// the member deregisters from its coordinator (x:bye), view fills and
+// refreshes still shipping are canceled, and any still-pinned snapshot
+// epochs are reported before exit.
 package main
 
 import (
@@ -75,11 +75,6 @@ import (
 	"axml/internal/xquery"
 )
 
-type pairList []string
-
-func (p *pairList) String() string     { return strings.Join(*p, ",") }
-func (p *pairList) Set(v string) error { *p = append(*p, v); return nil }
-
 func main() {
 	addr := flag.String("addr", ":7012", "listen address")
 	id := flag.String("id", "peer", "peer identifier")
@@ -99,9 +94,15 @@ func main() {
 	heartbeat := flag.Duration("hb", 2*time.Second, "member x:hello heartbeat interval")
 	addrFile := flag.String("addr-file", "",
 		"write the actual listen address to this file once listening")
-	var docs, services pairList
-	flag.Var(&docs, "doc", "name=file[@peer] of a document to install (repeatable)")
-	flag.Var(&services, "service", "name=file of a declarative service body (repeatable)")
+	var docs, services []string
+	flag.Func("doc", "name=file[@peer] of a document to install (repeatable)", func(v string) error {
+		docs = append(docs, v)
+		return nil
+	})
+	flag.Func("service", "name=file of a declarative service body (repeatable)", func(v string) error {
+		services = append(services, v)
+		return nil
+	})
 	flag.Parse()
 
 	logger, err := newLogger(*logLevel)
@@ -278,9 +279,10 @@ func main() {
 	}
 
 	// Graceful shutdown: stop accepting, drain in-flight requests and
-	// streams, deregister from the coordinator, stop view maintenance,
-	// then report any snapshot epoch still pinned (drained streams
-	// release theirs; a nonzero count here is a leak worth logging).
+	// streams, deregister from the coordinator, cancel view fills and
+	// refreshes still shipping, then report any snapshot epoch still
+	// pinned (drained streams release theirs; a nonzero count here is a
+	// leak worth logging).
 	stopSignals() // a second signal kills immediately
 	logger.Info("shutting down")
 	l.Close()
@@ -328,16 +330,7 @@ func stepEvery(stop <-chan struct{}, every time.Duration,
 // newLogger builds the process logger at the requested threshold.
 func newLogger(level string) (*slog.Logger, error) {
 	var lvl slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lvl = slog.LevelDebug
-	case "info":
-		lvl = slog.LevelInfo
-	case "warn":
-		lvl = slog.LevelWarn
-	case "error":
-		lvl = slog.LevelError
-	default:
+	if err := lvl.UnmarshalText([]byte(level)); err != nil {
 		return nil, fmt.Errorf("bad -log-level %q (want debug, info, warn or error)", level)
 	}
 	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})), nil

@@ -61,11 +61,6 @@ import (
 	"axml/internal/xmltree"
 )
 
-type viewFlags []string
-
-func (v *viewFlags) String() string     { return strings.Join(*v, ",") }
-func (v *viewFlags) Set(s string) error { *v = append(*v, s); return nil }
-
 func main() {
 	addr := flag.String("addr", "localhost:7012", "peer address")
 	query := flag.String("query", "", "statement to run: a query, an update or a declaration")
@@ -79,8 +74,11 @@ func main() {
 	explain := flag.Bool("explain-analyze", false, "trace -query on the server and print the span tree")
 	stats := flag.Bool("stats", false, "print the server's metrics snapshot")
 	compact := flag.Bool("compact", false, "print results without indentation")
-	var views viewFlags
-	flag.Var(&views, "view", "name=query[@peer] view to materialize (repeatable)")
+	var views []string
+	flag.Func("view", "name=query[@peer] view to materialize (repeatable)", func(s string) error {
+		views = append(views, s)
+		return nil
+	})
 	flag.Parse()
 
 	ctx := context.Background()

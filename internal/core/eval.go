@@ -455,30 +455,8 @@ func (s *System) evalSend(ctx context.Context, p *peer.Peer, snd *Send, vt float
 	}
 
 	switch d := snd.Dest.(type) {
-	case DestPeer:
-		remote, ok := s.Peer(d.P)
-		if !ok {
-			return nil, fmt.Errorf("core: unknown destination peer %q", d.P)
-		}
-		anchor := remote.FreshAnchor("x:landing")
-		ref := peer.NodeRef{Peer: d.P, Node: anchor.ID}
-		doneVT, err := s.shipData(ctx, p.ID, ref, res.Forest, res.VT)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{VT: doneVT, Anchors: []peer.NodeRef{ref}}, nil
-	case DestNodes:
-		maxVT := res.VT
-		for _, ref := range d.Refs {
-			doneVT, err := s.shipData(ctx, p.ID, ref, res.Forest, res.VT)
-			if err != nil {
-				return nil, err
-			}
-			if doneVT > maxVT {
-				maxVT = doneVT
-			}
-		}
-		return &Result{VT: maxVT}, nil
+	case DestPeer, DestNodes:
+		return s.deliver(ctx, p.ID, snd.Dest, res.Forest, res.VT)
 	case DestDoc:
 		if len(res.Forest) != 1 {
 			return nil, fmt.Errorf("core: installing document %q requires exactly one tree, got %d",
@@ -548,7 +526,15 @@ func (s *System) evalRelay(ctx context.Context, p *peer.Peer, r *Relay, vt float
 		currentPeer = hop
 		currentVT = hvt
 	}
-	switch d := r.Dest.(type) {
+	return s.deliver(ctx, currentPeer, r.Dest, data, currentVT)
+}
+
+// deliver ships forest from peer from, starting at vt, to a peer or
+// node destination: a peer gets it in a fresh anchor, each node of a
+// DestNodes a shipment of its own, and the delivery is done when the
+// latest shipment is.
+func (s *System) deliver(ctx context.Context, from netsim.PeerID, dest Dest, forest []*xmltree.Node, vt float64) (*Result, error) {
+	switch d := dest.(type) {
 	case DestPeer:
 		remote, ok := s.Peer(d.P)
 		if !ok {
@@ -556,25 +542,23 @@ func (s *System) evalRelay(ctx context.Context, p *peer.Peer, r *Relay, vt float
 		}
 		anchor := remote.FreshAnchor("x:landing")
 		ref := peer.NodeRef{Peer: d.P, Node: anchor.ID}
-		doneVT, err := s.shipData(ctx, currentPeer, ref, data, currentVT)
+		doneVT, err := s.shipData(ctx, from, ref, forest, vt)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{VT: doneVT, Anchors: []peer.NodeRef{ref}}, nil
 	case DestNodes:
-		maxVT := currentVT
+		maxVT := vt
 		for _, ref := range d.Refs {
-			doneVT, err := s.shipData(ctx, currentPeer, ref, data, currentVT)
+			doneVT, err := s.shipData(ctx, from, ref, forest, vt)
 			if err != nil {
 				return nil, err
 			}
-			if doneVT > maxVT {
-				maxVT = doneVT
-			}
+			maxVT = max(maxVT, doneVT)
 		}
 		return &Result{VT: maxVT}, nil
 	default:
-		return nil, fmt.Errorf("core: relay supports peer and node destinations, got %T", r.Dest)
+		return nil, fmt.Errorf("core: data is delivered to a peer or to nodes, not to a %T", dest)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 
 	"axml/internal/core"
 	"axml/internal/netsim"
-	"axml/internal/xpath"
 	"axml/internal/xquery"
 )
 
@@ -119,28 +118,18 @@ func (es *Estimator) docSize(name string, at netsim.PeerID) (float64, netsim.Pee
 	return float64(size), at, nil
 }
 
-// QuerySelectivity exposes the estimator's output-fraction model for
-// reuse outside the plan search: the adaptive-placement scorer prices
-// candidate moves with the same cardinality estimates the optimizer
-// prices plans with, so the two never disagree about what a query
-// ships.
+// QuerySelectivity estimates the output fraction of a query from its
+// shape: each where conjunct filters, a projecting return shrinks. The
+// adaptive-placement scorer prices candidate moves with it too, so the
+// optimizer and the scorer never disagree about what a query ships.
 func (es *Estimator) QuerySelectivity(q *xquery.Query) float64 {
-	return es.querySelectivity(q)
-}
-
-// querySelectivity estimates the output fraction of a query from its
-// shape: each where conjunct filters, a projecting return shrinks.
-func (es *Estimator) querySelectivity(q *xquery.Query) float64 {
 	sel := 1.0
-	if f, ok := q.Body.(*xquery.FLWR); ok {
-		if f.Where != nil {
-			conjuncts := 1
-			if p, ok := f.Where.(*xquery.Path); ok {
-				conjuncts = countConjuncts(p.X)
-			}
-			for i := 0; i < conjuncts; i++ {
-				sel *= es.SelPerPredicate
-			}
+	if s, ok := xquery.Select(q.Body); ok {
+		if s.F.Where != nil && s.Where == nil {
+			sel *= es.SelPerPredicate // a where that is no path is one predicate
+		}
+		for range s.Conjuncts() {
+			sel *= es.SelPerPredicate
 		}
 		sel *= es.ProjFactor
 	}
@@ -148,15 +137,6 @@ func (es *Estimator) querySelectivity(q *xquery.Query) float64 {
 		sel = 0.001
 	}
 	return sel
-}
-
-// countConjuncts counts the operands of e's top-level conjunction: the
-// xquery AST keeps the where as a single xpath expression.
-func countConjuncts(e xpath.Expr) int {
-	if b, ok := e.(*xpath.BinaryExpr); ok && b.Op == "and" {
-		return countConjuncts(b.L) + countConjuncts(b.R)
-	}
-	return 1
 }
 
 // est prices e at site at once per structure; price does the work.
@@ -271,7 +251,7 @@ func (es *Estimator) estQuery(at netsim.PeerID, q *core.Query) (Estimate, error)
 	if docT > maxArgT {
 		maxArgT = docT
 	}
-	sel := es.querySelectivity(q.Q)
+	sel := es.QuerySelectivity(q.Q)
 	out := inputBytes * sel
 	if out < 16 {
 		out = 16
@@ -395,7 +375,7 @@ func (es *Estimator) estCall(at netsim.PeerID, c *core.ServiceCall) (Estimate, e
 					inputBytes += float64(size)
 				}
 			}
-			sel = es.querySelectivity(svc.Body)
+			sel = es.QuerySelectivity(svc.Body)
 		}
 	}
 	out := inputBytes * sel

@@ -550,9 +550,13 @@ func TestCountConjuncts(t *testing.T) {
 	es := NewEstimator(nil)
 	for _, tc := range cases {
 		q := xquery.MustParse(`for $i in doc("catalog")/item where ` + tc.where + ` return $i`)
-		where := q.Body.(*xquery.FLWR).Where.(*xquery.Path)
-		if got := countConjuncts(where.X); got != tc.want {
-			t.Errorf("countConjuncts(%s) = %d, want %d", tc.where, got, tc.want)
+		sel, _ := xquery.Select(q.Body)
+		got := 0
+		for range sel.Conjuncts() {
+			got++
+		}
+		if got != tc.want {
+			t.Errorf("%s has %d conjuncts, want %d", tc.where, got, tc.want)
 		}
 		want := 1.0
 		for i := 0; i < tc.want; i++ {

@@ -73,3 +73,41 @@ func TestViewReadAllocations(t *testing.T) {
 		t.Errorf("a view-answered read allocates %v times per op, want at most 376", allocs)
 	}
 }
+
+// TestPointLookupAllocations counts the ledger's point_lookup shape
+// through a session alone, with no wire under it: one row out of a
+// 2,000-item catalog at the session's own peer, the plan cached, Query
+// and the drain together. Each lookup keys the plan cache
+// (view.QueryKey) and recognises its value-index shape (the selection
+// analysis of package xquery). The ceiling is the count measured when
+// each of those took the FLWR apart on its own.
+func TestPointLookupAllocations(t *testing.T) {
+	sys := core.NewSystem(netsim.New())
+	client := sys.MustAddPeer("client")
+	cat := workload.Catalog(workload.CatalogSpec{Items: 2000, PriceMax: 1000, DescWords: 10, Seed: 1})
+	if err := client.InstallDocument("catalog", cat); err != nil {
+		t.Fatal(err)
+	}
+	views := view.NewManager(sys)
+	t.Cleanup(views.Close)
+	sess := newSession(t, sys, views)
+	const src = `for $i in doc("catalog")/item where $i/@id = "17" return $i/name`
+	ctx := context.Background()
+	lookup := func() {
+		rows, err := sess.Query(ctx, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forest, err := rows.Collect()
+		if err != nil || len(forest) != 1 {
+			t.Fatalf("the lookup returned %d rows, %v; want 1", len(forest), err)
+		}
+	}
+	lookup()
+	if raceEnabled {
+		return // the race detector allocates on its own account
+	}
+	if allocs := testing.AllocsPerRun(50, lookup); allocs > 68 {
+		t.Errorf("a cached point lookup allocates %v times per op, want at most 68", allocs)
+	}
+}

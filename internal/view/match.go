@@ -18,6 +18,9 @@
 // Soundness relies on the view storing deep copies of the matched
 // subtrees: any rewritten navigation must stay inside them, so queries
 // using upward or sibling axes anywhere are rejected.
+//
+// Both sides are read by xquery's selection analysis (xquery.Select),
+// as are the plan-cache key below and rule (11)'s pushdown.
 package view
 
 import (
@@ -31,22 +34,18 @@ import (
 // QueryKey returns the normalized shape key of a query, the cache key
 // of the session plan cache. It builds on the same conjunct analysis
 // the view matcher uses: a FLWR query's where clause is split into its
-// top-level conjuncts (splitAnd) and re-joined in sorted order, so
-// queries that differ only in conjunct order — `where $a and $b` vs
+// top-level conjuncts (Selection.Predicate) and re-joined in sorted
+// order, so queries that differ only in conjunct order — `where $a and $b` vs
 // `where $b and $a` — share one cached plan. Everything else falls
 // back to the canonical re-rendered source (String round-trips through
 // the parser, so whitespace and formatting differences also collapse).
 func QueryKey(q *xquery.Query) string {
-	body, ok := q.Body.(*xquery.FLWR)
-	if !ok || body.Where == nil {
+	sel, ok := xquery.Select(q.Body)
+	if !ok {
 		return q.String()
 	}
-	wp, ok := body.Where.(*xquery.Path)
-	if !ok || len(wp.Docs) != 0 {
-		return q.String()
-	}
-	conjuncts := splitAnd(wp.X)
-	if len(conjuncts) < 2 {
+	conjuncts, ok := sel.Predicate()
+	if !ok || len(conjuncts) < 2 {
 		return q.String()
 	}
 	// Each conjunct renders once, for the sort.
@@ -59,17 +58,10 @@ func QueryKey(q *xquery.Query) string {
 		byText[i] = keyed{c.String(), c}
 	}
 	slices.SortStableFunc(byText, func(a, b keyed) int { return strings.Compare(a.text, b.text) })
-	sorted := make([]xpath.Expr, len(conjuncts))
 	for i, k := range byText {
-		sorted[i] = k.x
+		conjuncts[i] = k.x
 	}
-	norm := &xquery.Query{Params: q.Params, Body: &xquery.FLWR{
-		Clauses: body.Clauses,
-		Where:   &xquery.Path{X: joinAnd(sorted)},
-		Order:   body.Order,
-		Return:  body.Return,
-	}}
-	return norm.String()
+	return (&xquery.Query{Params: q.Params, Body: sel.With(nil, conjuncts)}).String()
 }
 
 // shape is the normalized matchable form of a view definition.
@@ -96,38 +88,24 @@ func viewShape(q *xquery.Query) (*shape, bool) {
 		}
 		return &shape{doc: doc, steps: steps, whole: len(steps) == 0}, true
 	case *xquery.FLWR:
-		if len(body.Clauses) != 1 || body.Order != nil {
+		sel, _ := xquery.Select(body)
+		if sel.At != 0 || len(body.Clauses) != 1 || body.Order != nil || !sel.ReturnsVar() {
 			return nil, false
 		}
-		fc, ok := body.Clauses[0].(xquery.ForClause)
-		if !ok {
-			return nil, false
-		}
-		src, ok := fc.Source.(*xquery.Path)
-		if !ok {
-			return nil, false
-		}
-		doc, steps, ok := src.DocSteps()
+		doc, steps, ok := sel.DocSteps()
 		if !ok || len(steps) == 0 || !xpath.PlainNameSteps(steps) {
 			return nil, false
 		}
-		if !isVarOnly(body.Return, fc.Var) {
+		conjuncts, ok := sel.Predicate()
+		if !ok {
 			return nil, false
 		}
-		var conjuncts []xpath.Expr
-		if body.Where != nil {
-			wp, ok := body.Where.(*xquery.Path)
-			if !ok || len(wp.Docs) != 0 {
+		for _, c := range conjuncts {
+			if !xquery.ReadsOnly(c, sel.For.Var) || !xpath.DownwardOnly(c) {
 				return nil, false
 			}
-			conjuncts = splitAnd(wp.X)
-			for _, c := range conjuncts {
-				if !overVarOnly(c, fc.Var) || !xpath.DownwardOnly(c) {
-					return nil, false
-				}
-			}
 		}
-		return &shape{doc: doc, forVar: fc.Var, steps: steps, conjuncts: conjuncts}, true
+		return &shape{doc: doc, forVar: sel.For.Var, steps: steps, conjuncts: conjuncts}, true
 	default:
 		return nil, false
 	}
@@ -137,27 +115,18 @@ func viewShape(q *xquery.Query) (*shape, bool) {
 // query reading viewDoc, or ok=false when the view does not provably
 // subsume q.
 func (v *shape) rewrite(viewDoc string, q *xquery.Query) (*xquery.Query, bool) {
-	if q.Arity() != 0 {
+	// A later clause that binds the for variable again makes the where
+	// read another variable than the view filtered.
+	sel, ok := xquery.Select(q.Body)
+	if q.Arity() != 0 || !ok || sel.At != 0 || sel.Rebound() {
 		return nil, false
 	}
-	body, ok := q.Body.(*xquery.FLWR)
-	if !ok || len(body.Clauses) == 0 {
-		return nil, false
-	}
-	fc, ok := body.Clauses[0].(xquery.ForClause)
-	if !ok {
-		return nil, false
-	}
-	src, ok := fc.Source.(*xquery.Path)
-	if !ok {
-		return nil, false
-	}
-	doc, steps, ok := src.DocSteps()
+	doc, steps, ok := sel.DocSteps()
 	if !ok || doc != v.doc || len(steps) < len(v.steps) {
 		return nil, false
 	}
 	for i, vs := range v.steps {
-		if !stepEqual(vs, steps[i]) {
+		if vs.String() != steps[i].String() {
 			return nil, false
 		}
 	}
@@ -170,108 +139,35 @@ func (v *shape) rewrite(viewDoc string, q *xquery.Query) (*xquery.Query, bool) {
 
 	// Predicate containment: every view conjunct must be implied by a
 	// query conjunct, else the view may be missing rows q needs.
-	var qConjuncts []xpath.Expr
-	if body.Where != nil {
-		wp, ok := body.Where.(*xquery.Path)
-		if !ok || len(wp.Docs) != 0 {
-			return nil, false
-		}
-		qConjuncts = splitAnd(wp.X)
+	qConjuncts, ok := sel.Predicate()
+	if !ok {
+		return nil, false
 	}
-	redundant := make([]bool, len(qConjuncts))
+	forVar := sel.For.Var
+	var applied []string // the view's conjuncts, over forVar
 	for _, vc := range v.conjuncts {
-		vcq := renameVar(vc, v.forVar, fc.Var)
-		matched := false
-		for i, qc := range qConjuncts {
-			if !overVarOnly(qc, fc.Var) {
-				continue
-			}
-			if implies(qc, vcq) {
-				matched = true
-				if qc.String() == vcq.String() {
-					redundant[i] = true // already applied by the view
-				}
-			}
-		}
-		if !matched {
+		vcq := renameVar(vc, v.forVar, forVar)
+		if !slices.ContainsFunc(qConjuncts, func(qc xpath.Expr) bool {
+			return xquery.ReadsOnly(qc, forVar) && implies(qc, vcq)
+		}) {
 			return nil, false
 		}
+		applied = append(applied, vcq.String())
 	}
+	// A query conjunct the view already applied goes.
+	kept := slices.DeleteFunc(qConjuncts, func(qc xpath.Expr) bool {
+		return xquery.ReadsOnly(qc, forVar) && slices.Contains(applied, qc.String())
+	})
 
 	// Re-root the source on the view document. A wrapper view stores
 	// the nodes matched by its last step as children of the view root,
 	// so that step repeats; a full-copy view stores the document root
 	// itself, so the whole path carries over.
-	var newSteps []xpath.Step
-	if v.whole {
-		newSteps = steps
-	} else {
+	newSteps := steps
+	if !v.whole {
 		newSteps = append([]xpath.Step{steps[len(v.steps)-1]}, steps[len(v.steps):]...)
 	}
-	var kept []xpath.Expr
-	for i, qc := range qConjuncts {
-		if !redundant[i] {
-			kept = append(kept, qc)
-		}
-	}
-	var where xquery.Expr
-	if len(kept) > 0 {
-		where = &xquery.Path{X: joinAnd(kept)}
-	}
-	clauses := append([]xquery.Clause{
-		xquery.ForClause{Var: fc.Var, Source: xquery.DocPath(viewDoc, newSteps...)},
-	}, body.Clauses[1:]...)
-	return &xquery.Query{Body: &xquery.FLWR{
-		Clauses: clauses,
-		Where:   where,
-		Order:   body.Order,
-		Return:  body.Return,
-	}}, true
-}
-
-func stepEqual(a, b xpath.Step) bool { return a.String() == b.String() }
-
-// isVarOnly reports whether e is exactly the variable reference $v.
-func isVarOnly(e xquery.Expr, v string) bool {
-	p, ok := e.(*xquery.Path)
-	if !ok || len(p.Docs) != 0 {
-		return false
-	}
-	switch x := p.X.(type) {
-	case xpath.VarRef:
-		return string(x) == v
-	case *xpath.PathExpr:
-		vr, ok := x.Filter.(xpath.VarRef)
-		return ok && string(vr) == v && len(x.Steps) == 0 && len(x.Preds) == 0
-	}
-	return false
-}
-
-// overVarOnly reports whether every variable e references is v.
-func overVarOnly(e xpath.Expr, v string) bool {
-	for _, name := range xpath.Variables(e) {
-		if name != v {
-			return false
-		}
-	}
-	return true
-}
-
-// splitAnd flattens nested top-level 'and' operators.
-func splitAnd(e xpath.Expr) []xpath.Expr {
-	if b, ok := e.(*xpath.BinaryExpr); ok && b.Op == "and" {
-		return append(splitAnd(b.L), splitAnd(b.R)...)
-	}
-	return []xpath.Expr{e}
-}
-
-// joinAnd rebuilds a left-deep conjunction.
-func joinAnd(es []xpath.Expr) xpath.Expr {
-	out := es[0]
-	for _, e := range es[1:] {
-		out = &xpath.BinaryExpr{Op: "and", L: out, R: e}
-	}
-	return out
+	return &xquery.Query{Body: sel.With(xquery.DocPath(viewDoc, newSteps...), kept)}, true
 }
 
 // renameVar rebuilds e with variable `from` renamed to `to`.

@@ -157,6 +157,12 @@ func TestRewriteRejects(t *testing.T) {
 		{`for $x in doc("c")/item where $x/stock > 0 return $x`,
 			`for $i in doc("c")/item where $i/price < 10 return $i`,
 			"unrelated predicates"},
+		{`for $x in doc("c")/item where $x/@id = "1" return $x`,
+			`for $i in doc("c")/item for $i in doc("c")/item/item where $i/@id = "1" return $i`,
+			"the where reads the inner $i, which the view did not filter"},
+		{`for $x in doc("c")/item where $x/@id = "1" return $x`,
+			`for $i in doc("c")/item let $i := $i/item where $i/@id = "1" return $i`,
+			"the where reads the let's $i"},
 	}
 	for _, c := range cases {
 		if got, ok := rewriteOf(t, c.view, c.query); ok {

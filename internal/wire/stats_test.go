@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -17,8 +18,9 @@ import (
 // startObsServer runs a wire server whose peer lives in a two-peer
 // system: "store" (served) and "data" (remote, holds "remote"), so
 // queries over the remote document delegate across the simulated
-// network and traced queries produce multi-hop span trees.
-func startObsServer(t *testing.T) (*Client, *Server) {
+// network and traced queries produce multi-hop span trees. The
+// simulated network comes back too, for a test to take "data" down.
+func startObsServer(t *testing.T) (*Client, *Server, *netsim.Network) {
 	t.Helper()
 	sys := core.NewSystem(netsim.New())
 	p := sys.MustAddPeer("store")
@@ -45,14 +47,14 @@ func startObsServer(t *testing.T) (*Client, *Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c, srv
+	return c, srv, sys.Net
 }
 
 // TestStatsVerbMatchesServerCounters: the STATS snapshot that crossed
 // the wire carries the session's plan-cache counters and the gauges of
 // the server's own registry.
 func TestStatsVerbMatchesServerCounters(t *testing.T) {
-	c, srv := startObsServer(t)
+	c, srv, _ := startObsServer(t)
 	const q = `for $i in doc("remote")/item where $i/price < 100 return $i/name`
 	for i := 0; i < 3; i++ {
 		out, err := c.QueryAll(q)
@@ -93,7 +95,7 @@ func TestStatsVerbMatchesServerCounters(t *testing.T) {
 // fetchable span tree covering the whole remote pipeline — root,
 // parse, plan, and the delegation hop to the data peer.
 func TestTraceVerbRoundTrip(t *testing.T) {
-	c, srv := startObsServer(t)
+	c, srv, _ := startObsServer(t)
 	const q = `for $i in doc("remote")/item where $i/price < 100 return $i/name`
 	rows, err := c.Query(context.Background(), q, session.WithTraceID("t-42"))
 	if err != nil {
@@ -157,11 +159,28 @@ func TestTraceVerbRoundTrip(t *testing.T) {
 // TestUntracedQueryRecordsNothing: without +trace the ring stays
 // empty — tracing is strictly opt-in on the wire surface.
 func TestUntracedQueryRecordsNothing(t *testing.T) {
-	c, srv := startObsServer(t)
+	c, srv, _ := startObsServer(t)
 	if _, err := c.QueryAll(`doc("remote")/item/name`); err != nil {
 		t.Fatalf("QueryAll: %v", err)
 	}
 	if ids := srv.MetricsRegistry().TraceIDs(); len(ids) != 0 {
 		t.Errorf("untraced query left traces: %v", ids)
+	}
+}
+
+// TestServedPeerDownIsNotReplayed: a query that fails because a peer of
+// the served system is down answers ErrPeerDown over a healthy
+// connection. The client must not take that for a lost connection and
+// send the query a second time.
+func TestServedPeerDownIsNotReplayed(t *testing.T) {
+	c, srv, net := startObsServer(t)
+	net.SetDown("data", true)
+	started := func() int64 { return srv.MetricsRegistry().Snapshot().Gauges["wire.streams_started"] }
+	before := started()
+	if _, err := c.Query(context.Background(), `doc("remote")/item/name`); !errors.Is(err, session.ErrPeerDown) {
+		t.Fatalf("Query with data down = %v, want ErrPeerDown", err)
+	}
+	if n := started() - before; n != 1 {
+		t.Errorf("the query started %d streams, want 1", n)
 	}
 }

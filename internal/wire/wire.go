@@ -862,14 +862,16 @@ func (c *Client) end() {
 // so a request the server refuses fails here, as it does on a local
 // session. When replay is set, an open that found the connection gone
 // — a peer restarted under a pooled client — is sent once more over a
-// fresh dial. The returned Rows owns the connection until its reply
-// ends or it is closed; timeout, when set, bounds the whole reply.
+// fresh dial. A served peer-down error came over a live connection,
+// about another peer: it is not replayed. The returned Rows owns the
+// connection until its reply ends or it is closed; timeout, when set,
+// bounds the whole reply.
 func (c *Client) open(ctx context.Context, line string, timeout time.Duration, replay bool) (*session.Rows, error) {
 	if err := c.begin(ctx); err != nil {
 		return nil, err
 	}
 	s, err := c.start(ctx, line, timeout)
-	if err != nil && replay && errors.Is(err, session.ErrPeerDown) && ctx.Err() == nil && c.redial() {
+	if err != nil && replay && c.dead && errors.Is(err, session.ErrPeerDown) && ctx.Err() == nil && c.redial() {
 		s, err = c.start(ctx, line, timeout)
 	}
 	if err != nil {

@@ -43,9 +43,16 @@
 // the same buffer, $#doc:name as doc("name"). The text parses back to
 // the same query, which is what a delegated query travels as.
 //
-// Beyond parsing and evaluation the package provides the two analyses
-// the rewrite rules need: document-dependency extraction and the
-// selection-pushdown decomposition q ≡ q1(σ(q2)) of Example 1.
+// Beyond parsing and evaluation the package provides the analyses the
+// rewrite rules need: document-dependency extraction (DocRefs) and the
+// selection analysis (Select), which reads a FLWR as the selection
+// `for $v in doc("d")/path where C1 and … and Cn return $v` of Example
+// 1 — its first for clause and that clause's source, its where's
+// conjuncts, whether it returns $v. Every reader of that shape goes
+// through it: the selection-pushdown decomposition q ≡ q1(σ(q2))
+// (Decompose), delta maintenance (NewDeltaFor) and the point lookup
+// below, and outside the package view matching and the plan-cache key
+// (package view) and the estimator's selectivity (package opt).
 //
 // A point lookup is answered from a value index when the environment
 // has one (Env.Index; a peer keeps one per published root and shape).

@@ -98,7 +98,7 @@ func checkAgainstReference(t *testing.T, q *Query, env *Env, args ...[]*xmltree.
 
 // fuzzCorpus returns the FuzzParse inputs: the seeds in the source and
 // the files under testdata.
-func fuzzCorpus(t *testing.T) []string {
+func fuzzCorpus(t testing.TB) []string {
 	t.Helper()
 	out := append([]string(nil), fuzzParseSeeds...)
 	files, err := filepath.Glob("testdata/fuzz/FuzzParse/*")

@@ -39,43 +39,32 @@ type Decomposition struct {
 
 // Decompose attempts the Example 1 selection-pushdown decomposition.
 // It succeeds when the query body is a FLWR whose first clause is a
-// for over a single doc("name") path, at least one conjunct of the
-// where clause references only that for variable, and something is
-// left for the local part to do: a kept conjunct, another clause, an
-// order by or a return other than the bare for variable. It returns
-// ok=false when the query does not have that shape (the caller then
-// falls back to whole-query shipping, definition (7)).
+// for over a single doc("name") path, whose variable no later clause
+// binds again, at least one conjunct of the where clause references
+// only that for variable, the local part reads nothing outside the
+// copies it is shipped (DownwardOnly), and something is left for it to
+// do: a kept conjunct, another clause, an order by or a return other
+// than the bare for variable. It returns ok=false when the query does
+// not have that shape (the caller then falls back to whole-query
+// shipping, definition (7)).
 func Decompose(q *Query) (*Decomposition, bool) {
-	f, ok := q.Body.(*FLWR)
-	if !ok || len(f.Clauses) == 0 {
-		return nil, false
-	}
-	first, ok := f.Clauses[0].(ForClause)
-	if !ok {
-		return nil, false
-	}
-	src, ok := first.Source.(*Path)
-	if !ok || len(src.Docs) != 1 {
+	s, ok := Select(q.Body)
+	if !ok || s.At != 0 || s.Rebound() || s.Source == nil || len(s.Source.Docs) != 1 {
 		return nil, false
 	}
 	// The source path must not reference query parameters or other vars
 	// (those are not available at the remote peer).
-	for _, v := range xpath.Variables(src.X) {
-		if v != xpath.DocVar+src.Docs[0] {
-			return nil, false
-		}
-	}
-	if f.Where == nil {
+	doc := s.Source.Docs[0]
+	if !ReadsOnly(s.Source.X, xpath.DocVar+doc) {
 		return nil, false
 	}
-	wherePath, ok := f.Where.(*Path)
-	if !ok || len(wherePath.Docs) != 0 {
+	conjuncts, ok := s.Predicate()
+	if !ok {
 		return nil, false
 	}
-	conjuncts := splitConjuncts(wherePath.X)
 	var pushed, kept []xpath.Expr
 	for _, c := range conjuncts {
-		if onlyVar(c, first.Var) {
+		if ReadsOnly(c, s.For.Var) {
 			pushed = append(pushed, c)
 		} else {
 			kept = append(kept, c)
@@ -84,8 +73,7 @@ func Decompose(q *Query) (*Decomposition, bool) {
 	if len(pushed) == 0 {
 		return nil, false
 	}
-	if ret, ok := f.Return.(*Path); ok && ret.X == xpath.VarRef(first.Var) &&
-		len(kept) == 0 && len(f.Clauses) == 1 && f.Order == nil {
+	if s.ReturnsVar() && len(kept) == 0 && len(s.F.Clauses) == 1 && s.F.Order == nil {
 		// The local part would return its input unchanged: shipping the
 		// selection whole is the same plan with one query layer fewer.
 		return nil, false
@@ -94,63 +82,26 @@ func Decompose(q *Query) (*Decomposition, bool) {
 	// Remote: for $x in doc(...)/path where pushed return $x
 	remote := &Query{
 		Body: &FLWR{
-			Clauses: []Clause{ForClause{Var: first.Var, Source: src}},
-			Where:   &Path{X: joinConjuncts(pushed)},
-			Return:  &Path{X: xpath.VarRef(first.Var)},
+			Clauses: []Clause{s.For},
+			Where:   &Path{X: conjunction(pushed)},
+			Return:  &Path{X: xpath.VarRef(s.For.Var)},
 		},
 	}
-
 	// Local: param $in, <original params>;
 	//        for $x in $in <rest of clauses> where kept ... return ...
-	localFor := ForClause{Var: first.Var, Source: &Path{X: xpath.VarRef("in")}}
-	localClauses := append([]Clause{localFor}, f.Clauses[1:]...)
-	var localWhere Expr
-	if len(kept) > 0 {
-		localWhere = &Path{X: joinConjuncts(kept)}
-	}
 	local := &Query{
 		Params: append([]string{"in"}, q.Params...),
-		Body: &FLWR{
-			Clauses: localClauses,
-			Where:   localWhere,
-			Order:   f.Order,
-			Return:  f.Return,
-		},
+		Body:   s.With(&Path{X: xpath.VarRef("in")}, kept),
+	}
+	// The shipped copies have no surroundings to navigate to.
+	if !local.DownwardOnly() {
+		return nil, false
 	}
 	return &Decomposition{
 		Local:  local,
 		Remote: remote,
-		Doc:    src.Docs[0],
+		Doc:    doc,
 		Pushed: len(pushed),
 		Kept:   len(kept),
 	}, true
-}
-
-// splitConjuncts flattens nested top-level 'and' operators.
-func splitConjuncts(e xpath.Expr) []xpath.Expr {
-	if b, ok := e.(*xpath.BinaryExpr); ok && b.Op == "and" {
-		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
-	}
-	return []xpath.Expr{e}
-}
-
-// joinConjuncts rebuilds a conjunction (left-deep).
-func joinConjuncts(es []xpath.Expr) xpath.Expr {
-	out := es[0]
-	for _, e := range es[1:] {
-		out = &xpath.BinaryExpr{Op: "and", L: out, R: e}
-	}
-	return out
-}
-
-// onlyVar reports whether every variable referenced by e is exactly v
-// (doc variables count as foreign: a conjunct reading another document
-// cannot be pushed).
-func onlyVar(e xpath.Expr, v string) bool {
-	for _, name := range xpath.Variables(e) {
-		if name != v {
-			return false
-		}
-	}
-	return true
 }

@@ -128,36 +128,29 @@ type undone struct {
 // doc() nor, anywhere, an upward or sideways axis or an absolute path
 // (DownwardOnly), so it reads nothing outside the bound source.
 func NewDeltaFor(q *Query, args [][]*xmltree.Node) (*DeltaFor, bool) {
-	f, isFLWR := q.Body.(*FLWR)
-	if !isFLWR || len(f.Clauses) == 0 || len(args) != len(q.Params) || !q.DownwardOnly() {
+	s, ok := Select(q.Body)
+	if !ok || s.At != 0 || s.Source == nil || len(s.Source.Docs) != 1 ||
+		len(args) != len(q.Params) || !q.DownwardOnly() {
 		return nil, false
 	}
-	first, isFor := f.Clauses[0].(ForClause)
-	if !isFor {
-		return nil, false
-	}
-	for _, c := range f.Clauses[1:] {
+	for _, c := range s.F.Clauses[1:] {
 		if _, isFor := c.(ForClause); isFor {
 			return nil, false
 		}
 	}
-	src, isPath := first.Source.(*Path)
-	if !isPath || len(src.Docs) != 1 {
-		return nil, false
-	}
-	rest := &FLWR{Clauses: f.Clauses[1:], Where: f.Where, Order: f.Order, Return: f.Return}
+	rest := &FLWR{Clauses: s.F.Clauses[1:], Where: s.F.Where, Order: s.F.Order, Return: s.F.Return}
 	if len((&Query{Body: rest}).DocRefs()) != 0 {
 		return nil, false
 	}
 	d := &DeltaFor{
 		q:       q,
 		args:    args,
-		forVar:  first.Var,
-		source:  src,
+		forVar:  s.For.Var,
+		source:  s.Source,
 		rest:    rest,
 		derived: map[Lineage]derivation{},
 	}
-	if _, steps, ok := src.DocSteps(); ok && xpath.PlainNameSteps(steps) {
+	if _, steps, ok := s.DocSteps(); ok && xpath.PlainNameSteps(steps) {
 		d.chain, d.chained = steps, true
 	}
 	return d, true

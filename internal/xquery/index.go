@@ -108,57 +108,39 @@ type lookup struct {
 
 // lookupOf recognises f's point lookup, if it has one.
 func lookupOf(f *FLWR) (l lookup, ok bool) {
-	w, isPath := f.Where.(*Path)
-	if !isPath {
+	s, _ := Select(f)
+	if s.At < 0 || s.Source == nil || s.Where == nil || s.Rebound() {
 		return l, false
 	}
-	l.clause = -1
-	var v string
-	for i, c := range f.Clauses {
-		if fc, isFor := c.(ForClause); l.clause < 0 && isFor {
-			l.clause, v = i, fc.Var
-			if l.src, ok = fc.Source.(*Path); !ok {
-				return l, false
-			}
-		} else if l.clause >= 0 && c.clauseVar() == v {
-			return l, false
-		}
-	}
-	if l.clause < 0 {
-		return l, false
-	}
-	if l.shape.Key, l.value, l.first, ok = keyConjunct(w.X, v); !ok {
+	l.clause, l.src = s.At, s.Source
+	if l.shape.Key, l.value, l.first, ok = keyConjunct(s); !ok {
 		return l, false
 	}
 	var steps []xpath.Step
-	if l.doc, steps, ok = l.src.DocSteps(); !ok {
+	if l.doc, steps, ok = s.DocSteps(); !ok {
 		return l, false
 	}
 	l.shape.For, ok = shapePath(steps, false)
 	return l, ok
 }
 
-// keyConjunct finds $v/key = "literal", in either operand order, as x
-// or as an operand of its and-chain; first reports it is the operand
+// keyConjunct finds the first of s's conjuncts that is $v/key =
+// "literal", in either operand order; first reports it is the conjunct
 // that runs first.
-func keyConjunct(x xpath.Expr, v string) (key, value string, first, ok bool) {
-	b, isBin := x.(*xpath.BinaryExpr)
-	if !isBin {
-		return "", "", false, false
-	}
-	if b.Op == "and" {
-		if key, value, first, ok = keyConjunct(b.L, v); ok {
-			return key, value, first, ok
+func keyConjunct(s Selection) (key, value string, first, ok bool) {
+	i := 0
+	for c := range s.Conjuncts() {
+		if b, isBin := c.(*xpath.BinaryExpr); isBin {
+			p, value, isEq := xpath.EqualsString(b)
+			if isEq && p.Filter == xpath.VarRef(s.For.Var) && len(p.Preds) == 0 {
+				if key, ok = shapePath(p.Steps, true); ok {
+					return key, value, i == 0, true
+				}
+			}
 		}
-		key, value, _, ok = keyConjunct(b.R, v)
-		return key, value, false, ok
+		i++
 	}
-	p, value, ok := xpath.EqualsString(b)
-	if !ok || p.Filter != xpath.VarRef(v) || len(p.Preds) > 0 {
-		return "", "", false, false
-	}
-	key, ok = shapePath(p.Steps, true)
-	return key, value, true, ok
+	return "", "", false, false
 }
 
 // shapePath is steps as a Shape path: child steps by name without
