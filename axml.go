@@ -30,10 +30,10 @@
 // whose errors carry the same kinds (ErrCanceled, ErrNoSuchDoc,
 // ErrPeerDown, …) as local evaluation.
 //
-// Plans are cached per session, keyed by the normalized query shape;
-// repeated queries — and Prepare'd statements — skip the optimizer
-// search. Deadlines propagate: a canceled context stops delegated work
-// and remote ships mid-plan and surfaces as ErrCanceled.
+// Plans are cached per session: a text seen before runs its plan unparsed,
+// a new text is parsed and keyed by its shape, so repeats and Prepare'd
+// statements skip the optimizer search. Deadlines propagate: a canceled
+// context stops delegated work and remote ships mid-plan (ErrCanceled).
 //
 //	stmt, _ := sess.Prepare(ctx, src)          // optimize once
 //	rows, _ = stmt.Query(ctx)                  // cache hit

@@ -15,14 +15,15 @@
 //	rows, err := sess.Query(ctx, `for $i in doc("catalog")/item …`)
 //	for rows.Next() { use(rows.Node()) }
 //
-// Plans are cached per session, keyed by the normalized query shape
-// (view.QueryKey — conjunct order and formatting don't fragment the
-// cache) and invalidated by view-catalog generation: a DefineView or
-// DropView bumps view.Manager.Generation and every older plan
-// re-optimizes on next use, so a cached plan can never read a dropped
-// view or miss a new one. Prepare pins this pipeline on one statement
-// for repeated execution: the optimizer search runs once, not per
-// call.
+// Plans are cached per session. A statement text the session has
+// answered before is answered from its plan without a parse; a new
+// text is parsed and keyed by its normalized shape (view.QueryKey —
+// conjunct order and formatting don't fragment the cache). Plans are
+// invalidated by view-catalog generation: a DefineView or DropView
+// bumps view.Manager.Generation and every older plan re-optimizes on
+// next use, so a cached plan can never read a dropped view or miss a
+// new one. Prepare plans one statement eagerly for repeated execution:
+// the optimizer search runs once, not per call.
 //
 // Failures carry kind, not just text: ErrCanceled, ErrNoSuchDoc,
 // ErrNoSuchService, ErrPeerDown compare identically (errors.Is) for
@@ -35,6 +36,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -180,13 +182,15 @@ func BuildConfig(opts []Option) Config {
 }
 
 // cachedPlan is one plan-cache entry: the normalized shape key, the
-// optimized expression and the names of the views it reads, and the
+// optimized expression with the documents and views it reads, and the
 // view-catalog generation it was derived under.
 type cachedPlan struct {
 	key   string
 	expr  core.Expr
-	views []string // planViews(expr), found once when the plan is made
+	docs  []string // every document expr reads, found once when the plan is made
+	views []string // the names of the views among docs
 	gen   uint64
+	text  string // the last statement text that reached the entry (Local.texts); guarded by Local.mu
 }
 
 // DefaultPlanCacheSize bounds a session's plan cache, evicting the
@@ -208,6 +212,7 @@ type Local struct {
 
 	mu      sync.Mutex
 	plans   map[string]*list.Element // shape key → element of order
+	texts   map[string]*list.Element // statement text → element of its shape, one text per element
 	order   *list.List               // front = most recently used; values are *cachedPlan
 	planCap int
 	closed  bool
@@ -221,7 +226,8 @@ type TrafficSink interface {
 	// ObserveQuery reports an execution: the evaluating peer, the
 	// normalized query-shape key (view.QueryKey), and the documents the
 	// chosen plan reads — view documents carry the "view:" prefix, so
-	// view demand is directly attributable.
+	// view demand is directly attributable. docs is the plan's own
+	// slice: a sink must not change it.
 	ObserveQuery(at netsim.PeerID, shape string, docs []string)
 }
 
@@ -259,7 +265,7 @@ func NewLocal(sys *core.System, views *view.Manager, at netsim.PeerID, opts ...L
 		return nil, fmt.Errorf("session: unknown peer %q", at)
 	}
 	s := &Local{sys: sys, views: views, at: at,
-		plans: map[string]*list.Element{}, order: list.New(),
+		plans: map[string]*list.Element{}, texts: map[string]*list.Element{}, order: list.New(),
 		planCap: DefaultPlanCacheSize}
 	for _, o := range opts {
 		o(s)
@@ -279,6 +285,7 @@ func (s *Local) Close() error {
 	defer s.mu.Unlock()
 	s.closed = true
 	s.plans = map[string]*list.Element{}
+	s.texts = map[string]*list.Element{}
 	s.order = list.New()
 	return nil
 }
@@ -293,12 +300,14 @@ func (s *Local) alive() error {
 }
 
 // Query implements Session. A query goes parse → plan (cached) → open
-// a pull-based cursor → stream. Rows.Next drives the evaluation on
-// demand: the first rows are available while the rest of the result is
-// still unevaluated, and Rows.Close abandons the remaining work. The
-// first row is pulled eagerly so that evaluation-setup failures
-// (missing documents, dead peers) surface from Query itself. Any other
-// statement takes effect, unplanned, before Query returns (run).
+// a pull-based cursor → stream; a text the session answered before
+// skips the parse and goes straight to its cached plan while that is
+// current. Rows.Next drives the evaluation on demand: the first rows
+// are available while the rest of the result is still unevaluated,
+// and Rows.Close abandons the remaining work. The first row is pulled
+// eagerly so that evaluation-setup failures (missing documents, dead
+// peers) surface from Query itself. Any other statement takes effect,
+// unplanned, before Query returns (run).
 func (s *Local) Query(ctx context.Context, src string, opts ...Option) (*Rows, error) {
 	if err := s.alive(); err != nil {
 		return nil, err
@@ -313,40 +322,50 @@ func (s *Local) Query(ctx context.Context, src string, opts ...Option) (*Rows, e
 	// The root span of the query's trace (when the context carries
 	// one): parse and plan become its first children, every network
 	// hop of the evaluation nests below, and the span closes when the
-	// stream ends. It is named after the parsed query's one-line text.
+	// stream ends. It is named after the parsed query's one-line text,
+	// or after the plan's shape key when the text was not parsed.
 	ctx, root := obs.StartSpan(ctx, "query", "")
 	s.count("session.queries")
 
-	_, psp := obs.StartSpan(ctx, "parse", "")
-	st, err := badQuery(xquery.ParseStatement(src))
-	if err != nil {
-		psp.Fail(err)
+	removals := s.views.Removals()
+	var q *xquery.Query
+	pl := s.remembered(src, &cfg)
+	hit := pl != nil
+	if hit {
+		root.Rename(pl.key)
+	} else {
+		_, psp := obs.StartSpan(ctx, "parse", "")
+		st, err := badQuery(xquery.ParseStatement(src))
+		if err != nil {
+			psp.Fail(err)
+			psp.End()
+			root.Fail(err)
+			root.End()
+			return nil, err
+		}
 		psp.End()
-		root.Fail(err)
-		root.End()
-		return nil, err
+		if root != nil {
+			root.Rename(st.String())
+		}
+		if st.Kind != "query" {
+			rows, err := s.run(&st)
+			root.Fail(err)
+			root.End()
+			return rows, err
+		}
+		q = st.Query
 	}
-	psp.End()
-	if root != nil {
-		root.Rename(st.String())
-	}
-	if st.Kind != "query" {
-		rows, err := s.run(&st)
-		root.Fail(err)
-		root.End()
-		return rows, err
-	}
-	q := st.Query
 
 	_, plsp := obs.StartSpan(ctx, "plan", "")
-	removals := s.views.Removals()
-	pl, hit, err := s.plan(q, &cfg)
-	if err != nil {
-		plsp.Fail(err)
-		plsp.End()
-		root.Fail(err)
-		root.End()
-		return nil, err
+	if q != nil {
+		var err error
+		if pl, hit, err = s.plan(q, src, &cfg); err != nil {
+			plsp.Fail(err)
+			plsp.End()
+			root.Fail(err)
+			root.End()
+			return nil, err
+		}
 	}
 	if !cfg.NoOptimize {
 		if hit {
@@ -357,8 +376,8 @@ func (s *Local) Query(ctx context.Context, src string, opts ...Option) (*Rows, e
 	}
 	plsp.End()
 
-	if !cfg.NoTraffic {
-		s.observe(q, pl.expr)
+	if s.sink != nil && !cfg.NoTraffic {
+		s.sink.ObserveQuery(s.at, pl.key, pl.docs)
 	}
 	rows, err := s.rowsFor(ctx, pl, removals, &cfg)
 	if err != nil {
@@ -369,6 +388,28 @@ func (s *Local) Query(ctx context.Context, src string, opts ...Option) (*Rows, e
 	s.metrics.Histogram("session.query.first_row_ms", []float64{0.1, 1, 10, 100, 1000}).
 		Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	return traceRows(rows, root), nil
+}
+
+// remembered returns the plan of a statement text the session has
+// answered before, while that plan is current, counting the hit; nil
+// sends the text down the parse path. With the optimizer off nothing
+// is looked up.
+func (s *Local) remembered(src string, cfg *Config) *cachedPlan {
+	if cfg.NoOptimize {
+		return nil
+	}
+	gen := s.views.Generation()
+	s.mu.Lock()
+	var cp *cachedPlan
+	if elem, ok := s.texts[src]; ok && elem.Value.(*cachedPlan).gen == gen {
+		cp = elem.Value.(*cachedPlan)
+		s.order.MoveToFront(elem)
+	}
+	s.mu.Unlock()
+	if cp != nil {
+		s.count("session.plan_cache.hits")
+	}
+	return cp
 }
 
 // traceRows ties a query's root span to its result stream: each
@@ -412,14 +453,6 @@ func finishSpan(rows *Rows, root *obs.Span) {
 		root.EndVTAt(rows.vtFn())
 	}
 	root.End()
-}
-
-// observe reports one execution to the traffic sink, if any.
-func (s *Local) observe(q *xquery.Query, expr core.Expr) {
-	if s.sink == nil {
-		return
-	}
-	s.sink.ObserveQuery(s.at, view.QueryKey(q), planDocs(expr))
 }
 
 // rowsFor opens the result stream for a plan under the call's context
@@ -584,22 +617,6 @@ func (s *Local) Exec(ctx context.Context, src string, opts ...Option) (int, erro
 	return Exec(ctx, s, src, opts...)
 }
 
-// planDocs collects the names of every document a plan reads — view
-// documents (the "view:" prefix) and base documents alike — by walking
-// the expression tree and the document references of its embedded
-// queries.
-func planDocs(e core.Expr) []string {
-	seen := map[string]bool{}
-	var names []string
-	walkPlanDocs(e, func(doc string) {
-		if !seen[doc] {
-			seen[doc] = true
-			names = append(names, doc)
-		}
-	})
-	return names
-}
-
 // updateHost resolves the peer an update statement applies at: the
 // session's peer when it hosts the referenced document, else the first
 // hosting peer in deterministic order.
@@ -620,8 +637,9 @@ func (s *Local) updateHost(upd *Update) (*peer.Peer, error) {
 }
 
 // Prepare implements Session: the statement is parsed and optimized
-// now; each subsequent Stmt.Query reuses the cached plan (re-planning
-// only if the view catalog changed in between).
+// now, and its text remembered, so each Stmt.Query is a Query that
+// finds the cached plan without a parse (re-planning only if the view
+// catalog changed in between).
 func (s *Local) Prepare(ctx context.Context, src string) (*Stmt, error) {
 	if err := s.alive(); err != nil {
 		return nil, err
@@ -633,65 +651,52 @@ func (s *Local) Prepare(ctx context.Context, src string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Plan eagerly so the first Query pays nothing extra and syntax or
-	// planning errors surface at Prepare time, where they belong.
-	warm := Config{}
-	if _, _, err := s.plan(q, &warm); err != nil {
+	// Plan eagerly so that syntax and planning errors surface at
+	// Prepare time, where they belong.
+	if _, _, err := s.plan(q, src, &Config{}); err != nil {
 		return nil, err
 	}
-	run := func(ctx context.Context, opts ...Option) (*Rows, error) {
-		if err := s.alive(); err != nil {
-			return nil, err
-		}
-		cfg := BuildConfig(opts)
-		removals := s.views.Removals()
-		pl, _, err := s.plan(q, &cfg)
-		if err != nil {
-			return nil, err
-		}
-		if !cfg.NoTraffic {
-			s.observe(q, pl.expr)
-		}
-		return s.rowsFor(ctx, pl, removals, &cfg)
-	}
-	return NewStmt(src, run), nil
+	return NewStmt(src, func(ctx context.Context, opts ...Option) (*Rows, error) {
+		return s.Query(ctx, src, opts...)
+	}), nil
 }
 
 // plan resolves the expression to evaluate, with the views it reads:
 // the naive plan when the optimizer is off, else a cached or freshly
 // optimized plan keyed by the normalized query shape and the
-// view-catalog generation. The second return reports whether the plan
-// came from the cache; the caller only reads the plan. An
+// view-catalog generation, which text (the statement's source) then
+// names for Local.remembered. The second return reports whether the
+// plan came from the cache; the caller only reads the plan. An
 // optimizer failure while the view catalog changed underneath the
 // search (a placement migrating away mid-estimate) is retried once
 // against the new catalog before it surfaces.
-func (s *Local) plan(q *xquery.Query, cfg *Config) (*cachedPlan, bool, error) {
+func (s *Local) plan(q *xquery.Query, text string, cfg *Config) (*cachedPlan, bool, error) {
 	for attempt := 0; ; attempt++ {
 		gen := s.views.Generation()
-		pl, hit, err := s.planOnce(q, cfg)
+		pl, hit, err := s.planOnce(q, text, cfg)
 		if err == nil || attempt == 1 || s.views.Generation() == gen {
 			return pl, hit, err
 		}
 	}
 }
 
-func (s *Local) planOnce(q *xquery.Query, cfg *Config) (*cachedPlan, bool, error) {
+func (s *Local) planOnce(q *xquery.Query, text string, cfg *Config) (*cachedPlan, bool, error) {
 	naive := &core.Query{Q: q, At: s.at}
-	if cfg.NoOptimize {
-		return &cachedPlan{expr: naive, views: planViews(naive)}, false, nil
-	}
 	key := view.QueryKey(q)
+	if cfg.NoOptimize {
+		return newPlan(key, naive, 0), false, nil
+	}
 	gen := s.views.Generation()
 
 	s.mu.Lock()
 	if elem, ok := s.plans[key]; ok {
 		cp := elem.Value.(*cachedPlan)
 		if cp.gen != gen {
-			s.order.Remove(elem)
-			delete(s.plans, key)
+			s.drop(elem)
 			s.count("session.plan_cache.invalidations")
 		} else {
 			s.order.MoveToFront(elem)
+			s.name(elem, text)
 			s.mu.Unlock()
 			s.count("session.plan_cache.hits")
 			return cp, true, nil
@@ -704,59 +709,27 @@ func (s *Local) planOnce(q *xquery.Query, cfg *Config) (*cachedPlan, bool, error
 	if err != nil {
 		return nil, false, err
 	}
-	cp := &cachedPlan{key: key, expr: plan.Expr, views: planViews(plan.Expr), gen: gen}
+	cp := newPlan(key, plan.Expr, gen)
 	s.mu.Lock()
-	s.storePlan(cp)
+	s.storePlan(cp, text)
 	s.mu.Unlock()
 	return cp, false, nil
 }
 
-// storePlan inserts (or refreshes) a cache entry as most-recently-used
-// and evicts the least recently used entries beyond the cap. Caller
-// holds s.mu.
-func (s *Local) storePlan(cp *cachedPlan) {
-	if elem, ok := s.plans[cp.key]; ok {
-		elem.Value = cp
-		s.order.MoveToFront(elem)
-		return
-	}
-	s.plans[cp.key] = s.order.PushFront(cp)
-	for s.order.Len() > s.planCap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.plans, oldest.Value.(*cachedPlan).key)
-		s.count("session.plan_cache.evictions")
-	}
-}
-
-// badQuery wraps a parse failure in ErrBadQuery.
-func badQuery[T any](v T, err error) (T, error) {
-	if err != nil {
-		err = fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	return v, err
-}
-
-// planViews collects the names of the materialized views a plan reads.
-func planViews(e core.Expr) []string {
-	seen := map[string]bool{}
-	var names []string
-	walkPlanDocs(e, func(doc string) {
-		if !strings.HasPrefix(doc, view.DocPrefix) {
+// newPlan makes a plan-cache entry, walking the plan once for the
+// documents it reads — the expression tree and the document references
+// of its embedded queries — and the views among them.
+func newPlan(key string, expr core.Expr, gen uint64) *cachedPlan {
+	cp := &cachedPlan{key: key, expr: expr, gen: gen}
+	note := func(doc string) {
+		if slices.Contains(cp.docs, doc) {
 			return
 		}
-		name := strings.TrimPrefix(doc, view.DocPrefix)
-		if !seen[name] {
-			seen[name] = true
-			names = append(names, name)
+		cp.docs = append(cp.docs, doc)
+		if name, ok := strings.CutPrefix(doc, view.DocPrefix); ok {
+			cp.views = append(cp.views, name)
 		}
-	})
-	return names
-}
-
-// walkPlanDocs visits every document name a plan reads, walking the
-// expression tree and the document references of its embedded queries.
-func walkPlanDocs(e core.Expr, note func(doc string)) {
+	}
 	var walk func(core.Expr)
 	walk = func(e core.Expr) {
 		switch v := e.(type) {
@@ -785,5 +758,55 @@ func walkPlanDocs(e core.Expr, note func(doc string)) {
 			}
 		}
 	}
-	walk(e)
+	walk(expr)
+	return cp
+}
+
+// storePlan inserts (or refreshes) a cache entry as most-recently-used,
+// named by text, and evicts the least recently used entries beyond the
+// cap. Caller holds s.mu.
+func (s *Local) storePlan(cp *cachedPlan, text string) {
+	elem, ok := s.plans[cp.key]
+	if ok {
+		// A concurrent miss of the same shape stored first: take over
+		// its text, so that dropping the entry forgets that text too.
+		cp.text = elem.Value.(*cachedPlan).text
+		elem.Value = cp
+		s.order.MoveToFront(elem)
+	} else {
+		elem = s.order.PushFront(cp)
+		s.plans[cp.key] = elem
+	}
+	s.name(elem, text)
+	for s.order.Len() > s.planCap {
+		s.drop(s.order.Back())
+		s.count("session.plan_cache.evictions")
+	}
+}
+
+// name makes text the one statement text that reaches a cache entry,
+// forgetting the text that reached it before. Caller holds s.mu.
+func (s *Local) name(elem *list.Element, text string) {
+	cp := elem.Value.(*cachedPlan)
+	if cp.text != text {
+		delete(s.texts, cp.text)
+		cp.text = text
+		s.texts[text] = elem
+	}
+}
+
+// drop removes a cache entry and the text that reached it. Caller
+// holds s.mu.
+func (s *Local) drop(elem *list.Element) {
+	cp := s.order.Remove(elem).(*cachedPlan)
+	delete(s.plans, cp.key)
+	delete(s.texts, cp.text)
+}
+
+// badQuery wraps a parse failure in ErrBadQuery.
+func badQuery[T any](v T, err error) (T, error) {
+	if err != nil {
+		err = fmt.Errorf("%w: %v", ErrBadQuery, err)
+	}
+	return v, err
 }

@@ -18,7 +18,8 @@ import (
 // cancellation at all. Both counts are ceilings: 104 and 109 while
 // each request started a goroutine to watch its context and the
 // client read a reply through closures over a dozen captured
-// variables.
+// variables, 86 and 97 while the server's session parsed every text it
+// had answered before.
 func TestPointLookupAllocations(t *testing.T) {
 	catalog := workload.Catalog(workload.CatalogSpec{Items: 2000, PriceMax: 1000, DescWords: 10, Seed: 1})
 	p, views := newStore(t, map[string]*xmltree.Node{"catalog": catalog})
@@ -47,10 +48,10 @@ func TestPointLookupAllocations(t *testing.T) {
 		ctx  func() (context.Context, context.CancelFunc)
 		max  float64
 	}{
-		{"background", func() (context.Context, context.CancelFunc) { return context.Background(), func() {} }, 86},
+		{"background", func() (context.Context, context.CancelFunc) { return context.Background(), func() {} }, 56},
 		{"timeout", func() (context.Context, context.CancelFunc) {
 			return context.WithTimeout(context.Background(), time.Minute)
-		}, 97},
+		}, 67},
 	} {
 		allocs := testing.AllocsPerRun(50, func() {
 			ctx, cancel := tc.ctx()

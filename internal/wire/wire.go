@@ -44,11 +44,11 @@
 // shared session (internal/session). An update (`delete <path>`,
 // `replace <path> with <xml>`) answers one row <x:ok n="K"/>, a
 // declaration (`declare view "v" [at "<served peer>"] as <xquery>`,
-// `declare document "d" as <xml>`) one row <x:ok/>. A query goes parse
-// → view-aware optimize → plan cache (keyed by normalized query shape,
-// invalidated when the view catalog changes) → refresh the views the
-// plan reads → pull-based cursor; the first run of a query's shape
-// warms that plan cache for its repeats. QUERYX writes each row into
+// `declare document "d" as <xml>`) one row <x:ok/>. A query goes plan
+// cache → refresh the views the plan reads → pull-based cursor: a text
+// seen before runs its cached plan without a parse, a new text is parsed
+// and keyed by its normalized shape, and a shape's first run (or first
+// after a view-catalog change) warms the cache through the optimizer. QUERYX writes each row into
 // the connection buffer as the cursor yields it and flushes a query's
 // first row alone, so it reaches the client while evaluation
 // continues; the rest leave whenever the buffer fills. A

@@ -17,10 +17,10 @@ import (
 //	                              where $i/price < 100 return $i/name`)
 //	for rows.Next() { fmt.Println(SerializeXML(rows.Node())) }
 //
-// Each Query parses, optimizes (view-aware), and evaluates; plans are
-// cached per session keyed by the normalized query shape and
-// invalidated automatically when DefineView/DropView change the view
-// catalog. Prepare pins one statement for repeated execution.
+// Each Query parses, optimizes (view-aware) and evaluates. Plans are
+// cached per session: a text seen before runs its plan without a parse,
+// a new text is parsed and keyed by its normalized shape, and
+// DefineView/DropView invalidate them. Prepare plans one statement once.
 type (
 	// Session is the unified query interface (Query/Exec/Prepare).
 	Session = session.Session
