@@ -13,11 +13,14 @@ import (
 
 // Row is one tree of a result stream: the tree itself, or the compact
 // XML encoding a peer shipped it in, parsed only when the tree is read.
+// A row of a pinned epoch carries its published root's memo budget,
+// so its stored node keeps its first encoding (xmltree.AppendStored).
 // The zero Row marks the end of a stream.
 type Row struct {
 	node   *xmltree.Node
 	enc    []byte
-	parses *atomic.Int64 // counts the parse of enc: System.ReplyParses
+	parses *atomic.Int64  // counts the parse of enc: System.ReplyParses
+	memo   xmltree.Budget // the published root's, for a node of a pinned epoch
 }
 
 // NodeRow is the row holding tree n; NodeRow(nil) is the zero Row.
@@ -46,7 +49,8 @@ func (r *Row) Node() (*xmltree.Node, error) {
 
 // AppendLine appends the row to dst as xmltree.AppendLine writes its
 // tree: an encoded row that holds no CR or LF is copied as it stands,
-// any other row is written from its tree.
+// any other row is written from its tree, or fails with
+// xmltree.ErrLineBreak when no line can carry it.
 func (r *Row) AppendLine(dst []byte) ([]byte, error) {
 	if r.enc != nil && bytes.IndexByte(r.enc, '\n') < 0 && bytes.IndexByte(r.enc, '\r') < 0 {
 		return append(dst, r.enc...), nil
@@ -55,7 +59,7 @@ func (r *Row) AppendLine(dst []byte) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	return xmltree.AppendLine(dst, n), nil
+	return xmltree.AppendStored(dst, n, r.memo, true)
 }
 
 // appendTo appends the row to dst as xmltree.Append writes its tree:
@@ -64,7 +68,8 @@ func (r Row) appendTo(dst []byte) []byte {
 	if r.enc != nil {
 		return append(dst, r.enc...)
 	}
-	return xmltree.Append(dst, r.node)
+	dst, _ = xmltree.AppendStored(dst, r.node, r.memo, false) // only a line can fail
+	return dst
 }
 
 // RowCursor streams an expression's result forest one row per pull.
@@ -233,7 +238,7 @@ func (s *System) queryCursor(ctx context.Context, p *peer.Peer, q *Query, vt flo
 		if n != nil {
 			outNodes += n.NodeCount()
 		}
-		return NodeRow(n), wrapCanceled(ctx, err)
+		return Row{node: n, memo: run.memo}, wrapCanceled(ctx, err)
 	}
 	rc.endFn = func() float64 {
 		_ = cur.Close()

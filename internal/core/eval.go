@@ -273,8 +273,10 @@ type queryRun struct {
 	p          *peer.Peer
 	args       [][]*xmltree.Node
 	env        *xquery.Env
-	snap       *peer.Handle // pinned epoch the run's local doc reads answer from
-	ownSnap    bool         // run pinned snap itself (vs. WithDocSnapshot caller-owned)
+	snap       *peer.Handle   // pinned epoch the run's local doc reads answer from
+	ownSnap    bool           // run pinned snap itself (vs. WithDocSnapshot caller-owned)
+	memo       xmltree.Budget // its rows' (Resolve)
+	resolved   bool
 	inputNodes int
 	startVT    float64 // max arg-completion VT; doc fetches may push past it
 	fetchVT    float64
@@ -385,6 +387,14 @@ func (s *System) prepareQuery(ctx context.Context, p *peer.Peer, q *Query, vt fl
 	// definition (7) that Example 1's pushdown improves on. Generic
 	// classes resolve through pickDoc (definition (9)).
 	run.env = &xquery.Env{Resolve: func(name string) (*xmltree.Node, error) {
+		// Rows carry a root's memo budget (nil for a document fetched
+		// from elsewhere) only while it is the one root the run reads.
+		if b := run.snap.Budget(name); len(run.args) > 0 || run.resolved && b != run.memo {
+			run.memo = nil
+		} else {
+			run.memo = b
+		}
+		run.resolved = true
 		if root, err := run.snap.Root(name); err == nil {
 			nodes, _ := run.snap.NodeCount(name) // name is in the snapshot
 			run.inputNodes += nodes

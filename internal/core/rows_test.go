@@ -59,7 +59,7 @@ func TestCutForestMatchesParseForest(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if wantLine := xmltree.AppendLine(nil, want[i]); !bytes.Equal(line, wantLine) {
+				if wantLine, _ := xmltree.AppendLine(nil, want[i]); !bytes.Equal(line, wantLine) {
 					t.Errorf("<%s> row %d: the wire writes %q, want %q", doc.Label, i, line, wantLine)
 				}
 				n, err := r.Node()

@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"axml/internal/netsim"
 	"axml/internal/service"
@@ -85,6 +86,7 @@ type published struct {
 	// never exceeds nodeCount(), so shapes a client invents cannot grow
 	// a root's indexes past the size of its tree.
 	charged int
+	kept    atomic.Int64 // bytes charged to Keep; what its nodes keep is at most byteSize()
 }
 
 func (p *published) nodeCount() int {
@@ -96,6 +98,10 @@ func (p *published) byteSize() int {
 	p.bytesOnce.Do(func() { p.bytes = p.root.ByteSize() })
 	return p.bytes
 }
+
+// Keep is the root's xmltree.Budget: once byteSize is spent, a refused
+// charge included, its rows are encoded afresh.
+func (p *published) Keep(size int) bool { return p.kept.Add(int64(size)) <= int64(p.byteSize()) }
 
 // index returns shape s's value index over the root, built by its first
 // reader while later ones wait; ok is false when it does not fit the

@@ -100,6 +100,15 @@ func (h *Handle) Index(name string, root *xmltree.Node, s xquery.Shape) (*xquery
 	return r.index(s)
 }
 
+// Budget returns the memo budget of the named document's pinned root
+// (xmltree.AppendStored), or nil when the handle holds no such document.
+func (h *Handle) Budget(name string) xmltree.Budget {
+	if r, ok := h.roots[name]; ok {
+		return r
+	}
+	return nil
+}
+
 // Changes returns what the transactions that wrote the named document
 // after epoch `after`, up to the handle's own epoch, touched: one commit
 // record per edit, oldest first, the edits of one transaction together

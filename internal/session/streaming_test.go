@@ -218,10 +218,9 @@ func TestCancelInsideScan(t *testing.T) {
 	}
 }
 
-// TestPlanCacheLRUEviction: among equal-benefit shapes the cache cap
-// evicts least-recently-used first (the cost-weighted policy falls
-// back to LRU on score ties); touching a shape keeps it warm. See
-// TestPlanCacheCostWeightedEviction for the benefit-driven case.
+// TestPlanCacheLRUEviction: the plan cache is plain LRU, so at its cap
+// it evicts the least recently used shape first; touching a shape
+// keeps it warm.
 func TestPlanCacheLRUEviction(t *testing.T) {
 	sys, views := testSystem(t)
 	sess, err := NewLocal(sys, views, "client")

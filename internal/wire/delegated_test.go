@@ -38,7 +38,10 @@ func TestDelegatedRowsStayBytes(t *testing.T) {
 	}
 	var want []byte
 	for _, n := range res.Forest {
-		want = append(xmltree.AppendLine(append(want, "<x:row>"...), n), "</x:row>\n"...)
+		if want, err = xmltree.AppendLine(append(want, "<x:row>"...), n); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, "</x:row>\n"...)
 	}
 	want = fmt.Appendf(want, "<x:end n=\"%d\"/>\n", len(res.Forest))
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -136,6 +137,35 @@ func TestRowTextWithNewline(t *testing.T) {
 		if got, loc := answer(c, r.exec, r.query), answer(local, r.exec, r.query); got != want || loc != want {
 			t.Errorf("%q then %q: wire %q, local %q; want %q", r.exec, r.query, got, loc, want)
 		}
+	}
+
+	// XML has no reference for a line break in a comment or processing
+	// instruction, so a row holding one has no line form: over QUERYX
+	// and CALL it ends the stream with a typed error instead of a broken
+	// line, also after rows it has sent, and the next request on the
+	// client gets its rows.
+	odd := xmltree.E("odd", xmltree.E("n", xmltree.T("fine")),
+		xmltree.E("n", xmltree.NewComment("one\ntwo"), xmltree.E("x", xmltree.T("1"))),
+		xmltree.E("n", &xmltree.Node{Kind: xmltree.ProcInstNode, Label: "pi", Text: "a\r\nb"}))
+	if err := p.InstallDocument("odd", odd); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RegisterService(&service.Service{Name: "odd", Provider: "store", Body: xquery.MustParse(`doc("odd")/n`)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{`doc("odd")/n[2]`, `doc("odd")/n[3]`, `doc("odd")/n`} {
+		if rows, err := c.QueryAll(src); !errors.Is(err, xmltree.ErrLineBreak) {
+			t.Errorf("QUERYX %s: %d rows, %v; want ErrLineBreak", src, len(rows), err)
+		}
+		if rows, err := c.QueryAll(`doc("notes")/n`); len(rows) != 2 || err != nil {
+			t.Errorf("QUERYX after a refused row: %d rows, %v; want 2", len(rows), err)
+		}
+	}
+	if forest, err := c.Call(ctx, "odd"); !errors.Is(err, xmltree.ErrLineBreak) {
+		t.Errorf("CALL odd: %d trees, %v; want ErrLineBreak", len(forest), err)
+	}
+	if forest, err := c.Call(ctx, "notes"); len(forest) != 2 || err != nil {
+		t.Errorf("CALL after a refused row: %d trees, %v; want 2", len(forest), err)
 	}
 }
 

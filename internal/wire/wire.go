@@ -27,7 +27,7 @@
 //
 // Any verb may instead answer one line <x:error code="kind">message</x:error>.
 // The code — canceled, no-such-doc, no-such-service, peer-down,
-// bad-query, view-moved, internal — maps back onto the typed sentinels
+// bad-query, view-moved, line-break, internal — maps back onto the typed sentinels
 // local evaluation returns (session.ErrCanceled &co), so callers branch
 // on failure kind without knowing which backend they are talking to.
 //
@@ -335,6 +335,7 @@ var errorKinds = []struct {
 	{"peer-down", session.ErrPeerDown},
 	{"bad-query", session.ErrBadQuery},
 	{"view-moved", session.ErrViewMoved},
+	{"line-break", xmltree.ErrLineBreak},
 }
 
 // errCode classifies an error into the protocol's code vocabulary; a
@@ -368,7 +369,8 @@ func serverError(code, msg string) error {
 }
 
 func errReply(err error) string {
-	return xmltree.SerializeLine(xmltree.E("x:error", xmltree.A("code", errCode(err)), xmltree.T(err.Error())))
+	line, _ := xmltree.AppendLine(nil, xmltree.E("x:error", xmltree.A("code", errCode(err)), xmltree.T(err.Error())))
+	return string(line) // text and attributes always fit a line
 }
 
 // dispatch executes one request line. Every verb answers zero or more
@@ -404,7 +406,11 @@ func (s *Server) dispatch(line string, w *bufio.Writer) {
 		return
 	}
 	for _, n := range out {
-		row := xmltree.AppendLine(append(w.AvailableBuffer(), "<x:row>"...), n)
+		row, err := xmltree.AppendLine(append(w.AvailableBuffer(), "<x:row>"...), n)
+		if err != nil {
+			fmt.Fprintln(w, errReply(err))
+			return
+		}
 		_, _ = w.Write(append(row, "</x:row>\n"...))
 	}
 	fmt.Fprintf(w, "<x:end n=\"%d\"/>\n", len(out))
@@ -1155,7 +1161,7 @@ func (c *Client) Call(ctx context.Context, service string, params ...*xmltree.No
 	if len(params) > 0 {
 		sb.WriteByte(' ')
 		for _, p := range params {
-			sb.WriteString(xmltree.SerializeLine(p))
+			sb.WriteString(xmltree.Serialize(p)) // the request line escapes CR and LF
 		}
 	}
 	rows, err := c.open(ctx, sb.String(), 0, false)

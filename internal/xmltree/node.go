@@ -4,7 +4,8 @@
 // serializer, builders, deep copies, and
 // canonical forms used for the unordered tree equivalence that
 // underpins document equivalence (paper §2.3). A stored tree changes
-// only through its peer's transactions (internal/peer), never here.
+// only through its peer's transactions (internal/peer), never here, so
+// a published subtree keeps its encoding once written (AppendStored).
 //
 // Sibling order is preserved for storage and serialization, but all
 // equality notions exposed by this package ignore it, matching the
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Kind discriminates the node variants of the data model.
@@ -72,6 +74,9 @@ type Attr struct {
 // is known to whoever reached it from a root (the XPath evaluator's
 // upward and sideways axes look it up in the trees they read).
 //
+// Only AppendStored sets a published node's kept encoding; a copy (DeepCopy,
+// a transaction's spine) starts without one. Never copy a Node by value.
+//
 // Invariant maintained by AppendChild and the builders:
 //   - Text/Comment/ProcInst nodes have no children and no attributes.
 type Node struct {
@@ -81,6 +86,7 @@ type Node struct {
 	Text     string // character data for Text/Comment/ProcInst
 	Attrs    []Attr
 	Children []*Node
+	memo     atomic.Pointer[[]byte] // Append's bytes for the subtree, kept by AppendStored
 }
 
 // NewElement returns a fresh element node with the given label.
@@ -260,6 +266,9 @@ func (n *Node) Depth() int {
 // appendNode under plainEscapes, and a change to one is a change to both
 // (TestByteSizeEqualsSerialize holds them together).
 func (n *Node) ByteSize() int {
+	if m := n.memo.Load(); m != nil {
+		return len(*m)
+	}
 	switch n.Kind {
 	case TextNode:
 		return escapedTextLen(n.Text)

@@ -402,13 +402,20 @@ func TestParseRunsWithReferences(t *testing.T) {
 	}
 }
 
-// SerializeLine (AppendLine) keeps a tree on one line; Serialize writes
-// CR and LF as they are, so stored sizes and shipped bytes do not
-// change.
+// serializeLine is AppendLine into a string.
+func serializeLine(n *Node) (string, error) {
+	b, err := AppendLine(nil, n)
+	return string(b), err
+}
+
+// AppendLine keeps a tree on one line; Serialize writes CR and LF as
+// they are, so stored sizes and shipped bytes do not change. A comment
+// or processing instruction holding a line break has no line form.
 func TestWriteLineEscapesLineBreaks(t *testing.T) {
 	n := E("n", A("note", "a\r\nb"), T("line one\nline two\r"))
-	if got, want := SerializeLine(n), `<n note="a&#13;&#10;b">line one&#10;line two&#13;</n>`; got != want {
-		t.Errorf("SerializeLine = %s, want %s", got, want)
+	line, err := serializeLine(n)
+	if want := `<n note="a&#13;&#10;b">line one&#10;line two&#13;</n>`; line != want || err != nil {
+		t.Errorf("AppendLine = %s, %v, want %s", line, err, want)
 	}
 	if got, want := Serialize(n), "<n note=\"a\r\nb\">line one\nline two\r</n>"; got != want {
 		t.Errorf("Serialize = %q, want %q", got, want)
@@ -416,9 +423,18 @@ func TestWriteLineEscapesLineBreaks(t *testing.T) {
 	if n.ByteSize() != len(Serialize(n)) {
 		t.Errorf("ByteSize %d, Serialize writes %d", n.ByteSize(), len(Serialize(n)))
 	}
-	back := MustParse(SerializeLine(n))
+	back := MustParse(line)
 	if !Equal(back, n) || back.Children[0].Text != n.Children[0].Text {
 		t.Errorf("round trip: %q", Serialize(back))
+	}
+	for _, m := range []*Node{
+		E("n", NewComment("one\ntwo")),
+		E("n", E("x"), &Node{Kind: ProcInstNode, Label: "pi", Text: "a\rb"}),
+	} {
+		dst := []byte("<x:row>")
+		if got, err := AppendLine(dst, m); !errors.Is(err, ErrLineBreak) || string(got) != "<x:row>" {
+			t.Errorf("AppendLine(%q) = %q, %v; want the buffer as it was, ErrLineBreak", Serialize(m), got, err)
+		}
 	}
 }
 
@@ -482,7 +498,8 @@ func parseCorpus() []string {
 }
 
 // FuzzParse: Parse never panics; a tree it accepts re-parses from
-// Serialize and SerializeLine to an Equal tree, and Serialize∘Parse is
+// Serialize and AppendLine to an Equal tree (AppendLine refusing only a
+// tree that holds a line break), and Serialize∘Parse is
 // a fixpoint; an error it reports lies inside the input.
 func FuzzParse(f *testing.F) {
 	for _, in := range parseCorpus() {
@@ -502,7 +519,14 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		out := Serialize(n)
-		for _, s := range []string{out, SerializeLine(n)} {
+		line, err := serializeLine(n)
+		if err != nil && !(errors.Is(err, ErrLineBreak) && strings.ContainsAny(out, "\r\n")) {
+			t.Fatalf("Parse(%q): AppendLine refuses %q: %v", in, out, err)
+		}
+		for _, s := range []string{out, line} {
+			if s == "" {
+				continue
+			}
 			back, err := Parse(s)
 			if err != nil {
 				t.Fatalf("Parse(%q) accepted, its serialization %q does not parse: %v", in, s, err)

@@ -1,6 +1,8 @@
 package xmltree
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 )
 
@@ -16,18 +18,45 @@ func Append(dst []byte, n *Node) []byte {
 	return appendNode(dst, n, plainEscapes)
 }
 
+// ErrLineBreak refuses a tree whose comment or processing instruction holds a CR or LF.
+var ErrLineBreak = errors.New("xmltree: a comment or processing instruction holds a line break")
+
 // AppendLine appends to dst the subtree rooted at n as compact XML that
 // fits on one line, and returns the extended buffer: Serialize's
 // output, except that CR and LF in text and attribute values are
-// written as &#13; and &#10;, which Parse decodes back. Line-framed
-// transports write every tree this way.
-func AppendLine(dst []byte, n *Node) []byte {
-	return appendNode(dst, n, lineEscapes)
+// written as &#13; and &#10;, which Parse decodes back, and a tree no
+// line can carry leaves dst as it was. Line-framed transports use it.
+func AppendLine(dst []byte, n *Node) ([]byte, error) {
+	return AppendStored(dst, n, nil, true)
 }
 
-// SerializeLine is AppendLine into a string.
-func SerializeLine(n *Node) string {
-	return string(AppendLine(make([]byte, 0, n.ByteSize()), n))
+// A Budget is the room a published tree's owner grants to encodings kept
+// on its nodes: Keep(size) charges size more bytes if they fit.
+type Budget interface{ Keep(size int) bool }
+
+// AppendStored is Append, or AppendLine when line is set, for n a node
+// of a published tree, which no one writes again. Its first encoding is
+// kept on n when it holds no CR or LF (so it is the line form too), n
+// has an ID and b grants the room; every later encoding of n, or of a
+// tree holding n, copies it and walks nothing below n.
+func AppendStored(dst []byte, n *Node, b Budget, line bool) ([]byte, error) {
+	if m := n.memo.Load(); m != nil {
+		return append(dst, *m...), nil
+	}
+	start := len(dst)
+	dst = appendNode(dst, n, plainEscapes)
+	switch {
+	case !bytes.ContainsAny(dst[start:], "\r\n"):
+		if b != nil && n.ID != 0 && b.Keep(len(dst)-start) {
+			kept := bytes.Clone(dst[start:])
+			n.memo.CompareAndSwap(nil, &kept)
+		}
+	case line:
+		if dst = appendNode(dst[:start], n, lineEscapes); bytes.ContainsAny(dst[start:], "\r\n") {
+			return dst[:start], ErrLineBreak
+		}
+	}
+	return dst, nil
 }
 
 // SerializeIndent renders the subtree with two-space indentation,
@@ -62,8 +91,12 @@ func newEscapes(line bool) *escapes {
 }
 
 // appendNode is the compact encoder: it appends the subtree rooted at
-// n to dst. ByteSize counts what it appends under plainEscapes.
+// n to dst, copying the bytes kept on any node it meets. ByteSize
+// counts what it appends under plainEscapes.
 func appendNode(dst []byte, n *Node, esc *escapes) []byte {
+	if m := n.memo.Load(); m != nil {
+		return append(dst, *m...)
+	}
 	switch n.Kind {
 	case TextNode:
 		return appendEscaped(dst, n.Text, &esc.text)
